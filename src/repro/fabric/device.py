@@ -112,11 +112,25 @@ class Device:
         """Fabric-discontinuity columns (I/O); crossing them costs delay."""
         return self.columns_of(TileType.IO)
 
+    @cached_property
+    def io_prefix(self) -> np.ndarray:
+        """``io_prefix[c]``: number of I/O columns left of column *c*
+        (length ``ncols + 1``), so a span's count is two lookups."""
+        prefix = np.zeros(self.ncols + 1, dtype=np.int64)
+        np.cumsum(self.col_types == TileType.IO, out=prefix[1:])
+        return prefix
+
+    @cached_property
+    def _io_prefix_ints(self) -> tuple[int, ...]:
+        return tuple(self.io_prefix.tolist())
+
     def io_crossings(self, col_a: int, col_b: int) -> int:
         """Number of I/O columns strictly between two columns."""
         lo, hi = (col_a, col_b) if col_a <= col_b else (col_b, col_a)
-        io = self.io_columns
-        return int(np.count_nonzero((io > lo) & (io < hi)))
+        if lo == hi:
+            return 0
+        prefix = self._io_prefix_ints
+        return prefix[hi] - prefix[lo + 1]
 
     # -- clock regions ------------------------------------------------------
 

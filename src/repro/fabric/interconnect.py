@@ -16,12 +16,17 @@ discontinuities" the paper blames for VGG's stitched-QoR loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .device import Device, TileType
 
 __all__ = ["RoutingGraph", "SINGLE_COST", "HEX_COST", "HEX_REACH"]
+
+#: Reference implementation :meth:`RoutingGraph.path_metrics_batch` is
+#: asserted equal to (oracle contract, lint rules ORC-001..003).
+ORACLE = "repro.fabric.interconnect.RoutingGraph.path_metrics"
 
 #: Base cost of a single-tile wire hop (arbitrary units; timing converts).
 SINGLE_COST = 1.0
@@ -41,7 +46,6 @@ class RoutingGraph:
 
     device: Device
     capacity: np.ndarray = field(init=False)
-    _path_metrics: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         dev = self.device
@@ -115,19 +119,13 @@ class RoutingGraph:
     # -- path metrics ----------------------------------------------------
 
     def path_metrics(self, path: list[int]) -> tuple[int, int]:
-        """``(tiles_spanned, io_crossings)`` for a node path, memoized.
+        """``(tiles_spanned, io_crossings)`` for one node path.
 
-        Timing analysis and the power model walk the same committed
-        route lists over and over (STA repropagation revisits a net
-        every time its cone is dirtied; the power model re-reads every
-        route per report).  Route lists are never mutated once written
-        onto a net, so the cache is keyed by object identity — the
-        entry keeps a strong reference to the list, which pins its
-        ``id`` for the graph's lifetime and makes the key collision-free.
+        The plain per-hop walk: the reference for
+        :meth:`path_metrics_batch`, and what callers with a handful of
+        paths use.  Nothing is cached, so the graph never keeps a route
+        list alive.
         """
-        entry = self._path_metrics.get(id(path))
-        if entry is not None and entry[0] is path:
-            return entry[1], entry[2]
         nrows = self.device.nrows
         io_crossings = self.device.io_crossings
         tiles = 0
@@ -139,16 +137,40 @@ class RoutingGraph:
             if c != pc:
                 crossings += io_crossings(pc, c)
             pc, pr = c, r
-        self._path_metrics[id(path)] = (path, tiles, crossings)
         return tiles, crossings
 
-    def path_tiles(self, path: list[int]) -> int:
-        """Total tiles spanned by a node path (sum of per-edge spans)."""
-        return self.path_metrics(path)[0]
+    def path_metrics_batch(self, paths) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path_metrics` of every path in *paths*, in one pass.
 
-    def path_io_crossings(self, path: list[int]) -> int:
-        """I/O columns crossed along a node path (discontinuity penalty)."""
-        return self.path_metrics(path)[1]
+        Returns two int64 arrays ``(tiles, crossings)`` parallel to
+        *paths*.  All paths are flattened into one node array; per-hop
+        spans and I/O-column counts (two lookups in
+        :attr:`Device.io_prefix`) are prefix-summed and differenced at
+        the path boundaries.  Integer arithmetic throughout, so the
+        result equals the scalar walk exactly.
+        """
+        n = len(paths)
+        lens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
+        if n and int(lens.min()) < 1:
+            raise IndexError("path_metrics_batch: empty path")
+        ends = np.cumsum(lens)
+        total = int(ends[-1]) if n else 0
+        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=total)
+        cols, rows = np.divmod(flat, self.device.nrows)
+        c0, c1 = cols[:-1], cols[1:]
+        prefix = self.device.io_prefix
+        lo = np.minimum(c0, c1)
+        # prefix[hi] - prefix[lo + 1] counts columns strictly between;
+        # it is negative only for lo == hi (an I/O column itself).
+        crossed = np.maximum(prefix[np.maximum(c0, c1)] - prefix[lo + 1], 0)
+        # sums[k] = metrics of hops 0..k-1; a path over nodes [s, e) owns
+        # hops s..e-2, so the junction hop e-1 drops out of the difference.
+        sums = np.zeros((2, total), dtype=np.int64)
+        np.cumsum(np.abs(c1 - c0) + np.abs(np.diff(rows)), out=sums[0, 1:])
+        np.cumsum(crossed, out=sums[1, 1:])
+        first = ends - lens
+        per_path = sums[:, ends - 1] - sums[:, first]
+        return per_path[0], per_path[1]
 
     def lower_bound_cost(self, a: int, b: int) -> float:
         """Admissible A* heuristic: cheapest conceivable cost between nodes."""

@@ -33,6 +33,8 @@ FAST_TIERS = (
     "repro.eco.engine",
     "repro.netlist.codec",
     "repro.rapidwright.database",
+    "repro.rapidwright.stitcher",
+    "repro.fabric.interconnect",
 )
 
 

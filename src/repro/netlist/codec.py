@@ -698,6 +698,26 @@ class DesignImage:
             self._used_offsets = used
         return self._used_offsets
 
+    def relative_sites(self) -> np.ndarray:
+        """``(n, 2)`` int64 array of placed-cell sites, pblock-relative."""
+        col0, row0 = self.pblock[:2] if self.pblock else (0, 0)
+        placed = self.cell_placed.astype(bool)
+        return np.stack(
+            [self.cell_col[placed] - col0, self.cell_row[placed] - row0], axis=1
+        ).astype(np.int64)
+
+    def port_tiles(self) -> dict[str, tuple[int, int]]:
+        """Port name -> partition-pin tile, for the ports that have one."""
+        strings = self.strings
+        return {
+            strings[name]: (col, row)
+            for name, tiled, col, row in zip(
+                self.port_name.tolist(), self.port_tile.tolist(),
+                self.port_col.tolist(), self.port_row.tolist(),
+            )
+            if tiled
+        }
+
     # -- materialization --------------------------------------------------
 
     def _decoded(self):
@@ -782,7 +802,7 @@ class DesignImage:
 
     def materialize(
         self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
-        intern: bool = False,
+        intern: bool = False, instance: str | None = None,
     ) -> Design:
         """Fresh :class:`Design`, shifted by ``(dcol, drow)``.
 
@@ -796,6 +816,14 @@ class DesignImage:
         ``intern=True`` builds (and caches) the decoded template first —
         right when the image will materialize repeatedly, as database
         checkpoints do; a one-shot decode skips that overhead.
+
+        *instance* materializes the design as that instance of a larger
+        one: every cell and net name (and every reference to one) gets
+        the ``"{instance}/"`` prefix and every cell the ``module`` tag
+        *instance* — what :meth:`Design.instantiate` produces by cloning,
+        built directly so :meth:`Design.adopt` can take the objects as
+        they are.  Port names stay bare.  Always goes through the
+        decoded template.
         """
         t0 = perf_counter()
         shifted = bool(dcol or drow)
@@ -815,14 +843,14 @@ class DesignImage:
                 pb = design.pblock
                 meta["ooc"]["pblock"] = [pb.col0, pb.row0, pb.col1, pb.row1]
         design.metadata = meta
-        if intern or self._proto is not None:
-            self._fill_from_proto(design, dcol, drow, nrows, shifted)
+        if intern or instance is not None or self._proto is not None:
+            self._fill_from_proto(design, dcol, drow, nrows, shifted, instance)
         else:
             self._fill_direct(design, dcol, drow, nrows, shifted)
         TELEMETRY.note("materialize", perf_counter() - t0)
         return design
 
-    def _fill_from_proto(self, design, dcol, drow, nrows, shifted):
+    def _fill_from_proto(self, design, dcol, drow, nrows, shifted, instance):
         """Assemble cells/nets/ports from the cached decoded template."""
         (cell_rows, placem0, unplaced_idx,
          net_rows, sinks_flat, route_slices, nodes0,
@@ -843,10 +871,17 @@ class DesignImage:
         else:
             placem, nodes, tiles = placem0, nodes0, tiles0
 
+        prefix = None if instance is None else f"{instance}/"
+        if prefix is not None:
+            sinks_flat = [prefix + s for s in sinks_flat]
+
         new = object.__new__
         cells: dict[str, Cell] = {}
         for row, pl in zip(cell_rows, placem):
             name, ctype, locked, luts, ffs, depth, seq, module = row
+            if prefix is not None:
+                name = prefix + name
+                module = instance
             cell = new(Cell)
             cell.name = name
             cell.ctype = ctype
@@ -865,6 +900,10 @@ class DesignImage:
         flat_routes = [None if s is None else nodes[s] for s in route_slices]
         nets: dict[str, Net] = {}
         for name, driver, width, is_clock, locked, (s0, s1), (r0, r1) in net_rows:
+            if prefix is not None:
+                name = prefix + name
+                if driver is not None:
+                    driver = prefix + driver
             net = new(Net)
             net.name = name
             net.driver = driver
@@ -879,6 +918,8 @@ class DesignImage:
         ports: dict[str, Port] = {}
         for row, tile in zip(port_rows, tiles):
             name, direction, net_name, width, proto = row
+            if prefix is not None:
+                net_name = prefix + net_name
             port = new(Port)
             port.name = name
             port.direction = direction

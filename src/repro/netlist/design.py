@@ -176,6 +176,28 @@ class Design:
             self.add_net(net.clone(name=rename(net.name), rename=rename))
         return {pname: rename(port.net) for pname, port in sub.ports.items()}
 
+    def adopt(self, sub: "Design") -> dict[str, str]:
+        """Move *sub*'s cells and nets into this design without copying.
+
+        The no-clone counterpart of :meth:`instantiate` for a *sub* that
+        was materialized for this purpose, already carrying its instance
+        prefix and ``module`` tags.  Ownership transfers: the objects
+        live in this design from here on and *sub* is left empty, so
+        nothing can edit them through the donor.  Returns the port-name
+        to net-name map, like :meth:`instantiate`.
+        """
+        for mine, theirs, kind in (
+            (self.cells, sub.cells, "cell"), (self.nets, sub.nets, "net"),
+        ):
+            if not mine.keys().isdisjoint(theirs):
+                dup = next(name for name in theirs if name in mine)
+                raise DesignError(f"duplicate {kind} {dup!r} in design {self.name}")
+        self.cells.update(sub.cells)
+        self.nets.update(sub.nets)
+        sub.cells = {}
+        sub.nets = {}
+        return {pname: port.net for pname, port in sub.ports.items()}
+
     # -- validation -----------------------------------------------------------
 
     def validate(self, device: Device | None = None) -> None:

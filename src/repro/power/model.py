@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
@@ -68,20 +70,26 @@ def estimate_power(
         cell.spec.dyn_power_nw_mhz * fmax_mhz * toggle for cell in design.cells.values()
     )
 
-    routed_tiles = 0
+    routes: list[list[int]] = []
+    widths: list[int] = []
     est_tiles = 0.0
     for net in design.nets.values():
         if net.is_clock:
             continue
         for i, route in enumerate(net.routes):
             if route is not None and graph is not None:
-                routed_tiles += graph.path_tiles(route) * net.width
+                routes.append(route)
+                widths.append(net.width)
             else:
                 src = design.cells[net.driver].placement if net.driver else None
                 sink = net.sinks[i] if i < len(net.sinks) else None
                 dst = design.cells[sink].placement if sink in design.cells else None
                 if src and dst:
                     est_tiles += (abs(src[0] - dst[0]) + abs(src[1] - dst[1])) * net.width
+    routed_tiles = 0
+    if routes:
+        tiles, _crossings = graph.path_metrics_batch(routes)
+        routed_tiles = int(tiles @ np.asarray(widths, dtype=np.int64))
     signal_nw = WIRE_NW_PER_TILE_MHZ * (routed_tiles + est_tiles) * fmax_mhz * toggle
 
     return PowerReport(

@@ -4,6 +4,7 @@ from .database import ComponentDatabase, signature_key
 from .explore import ExploreResult, ExploreTrial, explore_component
 from .flow import PreImplementedFlow
 from .module import (
+    Footprint,
     RelocationError,
     candidate_anchors,
     relocate,
@@ -12,7 +13,13 @@ from .module import (
 )
 from .ooc import OOCResult, preimplement
 from .placer import ComponentPlacement, ComponentPlacer, PlacementInfeasible
-from .stitcher import StitchRecord, StitchResult, compose, compose_shared
+from .stitcher import (
+    StitchRecord,
+    StitchResult,
+    compose,
+    compose_reference,
+    compose_shared,
+)
 
 __all__ = [
     "ComponentDatabase",
@@ -21,6 +28,7 @@ __all__ = [
     "ExploreTrial",
     "explore_component",
     "PreImplementedFlow",
+    "Footprint",
     "RelocationError",
     "candidate_anchors",
     "relocate",
@@ -34,5 +42,6 @@ __all__ = [
     "StitchRecord",
     "StitchResult",
     "compose",
+    "compose_reference",
     "compose_shared",
 ]

@@ -6,7 +6,12 @@ saved.  Later architecture-optimization runs fetch fresh copies by
 signature — the productivity win comes precisely from these hits.
 
 The database can live purely in memory or persist to a directory of
-``.dcpz`` checkpoints for reuse across processes.  Building goes through
+checkpoints for reuse across processes.  In memory every signature is
+decoded once into an immutable columnar template
+(:class:`~repro.netlist.codec.DesignImage`); the online phase places
+components from the template's :meth:`~ComponentDatabase.footprint` and
+materializes each instance once, at its anchor
+(:meth:`~ComponentDatabase.fetch`).  Building goes through
 the :mod:`repro.engine` task-graph executor: independent components
 pre-implement concurrently (``jobs>1``) and a content-addressed
 :class:`~repro.engine.cache.BuildCache` answers repeat builds without
@@ -33,6 +38,12 @@ from ..netlist.checkpoint import (
 )
 from ..netlist.codec import TELEMETRY, DesignImage
 from ..netlist.design import Design
+from .module import (
+    Footprint,
+    RelocationError,
+    checked_shift,
+    recorded_column_signature,
+)
 
 __all__ = [
     "ComponentDatabase",
@@ -142,6 +153,7 @@ class _Record:
     #: signature, then every copy materializes from the interned arrays
     #: instead of re-walking the payload dict.
     image: DesignImage | None = field(default=None, repr=False, compare=False)
+    footprint: Footprint | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -220,12 +232,30 @@ class ComponentDatabase:
 
     def get(self, signature: tuple) -> Design:
         """Fresh deep copy of the checkpoint for *signature*."""
-        t0 = perf_counter()
+        return self.fetch(signature)
+
+    def footprint(self, signature: tuple) -> Footprint:
+        """Placement view of *signature*, read off the columnar template.
+
+        The :class:`~repro.rapidwright.module.Footprint` the component
+        placer needs — pblock, used column offsets, relative sites, pin
+        tiles — with no cell or net object built.  Computed once per
+        signature; equal to ``Footprint.of(self.get(signature))``.
+        """
         record = self._record(signature)
-        record.hits += 1
-        design = self._image(record).materialize(intern=True)
-        TELEMETRY.note("fetch", perf_counter() - t0)
-        return design
+        if record.footprint is None:
+            image = self._image(record)
+            if image.pblock is None:
+                raise RelocationError(f"design {image.name} has no pblock footprint")
+            record.footprint = Footprint(
+                name=image.name,
+                pblock=PBlock(*image.pblock),
+                used_offsets=image.used_column_offsets(),
+                rel_sites=image.relative_sites(),
+                pin_tiles=image.port_tiles(),
+                column_signature=recorded_column_signature(image.metadata()),
+            )
+        return record.footprint
 
     def fetch(
         self,
@@ -234,6 +264,7 @@ class ComponentDatabase:
         *,
         device: Device | None = None,
         validate: bool = True,
+        instance: str | None = None,
     ) -> Design:
         """Fresh copy of the checkpoint, relocated to *anchor* in one step.
 
@@ -244,22 +275,27 @@ class ComponentDatabase:
         Bit-identical to the :func:`repro.rapidwright.module.
         relocate_reference` oracle; raises the same
         :class:`~repro.rapidwright.module.RelocationError` diagnostics.
-        """
-        if anchor is None:
-            return self.get(signature)
-        from .module import RelocationError, checked_shift
 
+        *instance* names the copy as one instance of a composed design
+        (``"{instance}/"``-prefixed cell and net names, ``module`` tags;
+        see :meth:`DesignImage.materialize`), ready for
+        :meth:`Design.adopt`.
+        """
         t0 = perf_counter()
         record = self._record(signature)
         record.hits += 1
         image = self._image(record)
         device = device or self.device
-        if image.pblock is None:
-            raise RelocationError(f"design {image.name} has no pblock footprint")
-        pblock = PBlock(*image.pblock)
-        used = image.used_column_offsets() if validate else None
-        dcol, drow, _ = checked_shift(image.name, pblock, device, anchor, used)
-        design = image.materialize(dcol, drow, device.nrows, intern=True)
+        dcol = drow = 0
+        if anchor is not None:
+            if image.pblock is None:
+                raise RelocationError(f"design {image.name} has no pblock footprint")
+            pblock = PBlock(*image.pblock)
+            used = image.used_column_offsets() if validate else None
+            dcol, drow, _ = checked_shift(image.name, pblock, device, anchor, used)
+        design = image.materialize(
+            dcol, drow, device.nrows, intern=True, instance=instance
+        )
         TELEMETRY.note("fetch", perf_counter() - t0)
         return design
 

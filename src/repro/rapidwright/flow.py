@@ -26,12 +26,13 @@ from ..netlist.design import Design
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..power.model import estimate_power
-from ..route.pathfinder import Router
+from ..route.pathfinder import RouteResult, Router
 from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.incremental import IncrementalSta
 from ..timing.pipeline import pipeline_to_target
 from ..vivado.flow import FlowResult
 from .database import ComponentDatabase
+from .module import relocate
 from .placer import ComponentPlacer
 from .stitcher import compose, compose_shared
 
@@ -59,9 +60,11 @@ class PreImplementedFlow:
         ``"warn"`` (sweep at every gate, collect reports in
         ``result.extras["drc"]``), or ``"strict"`` (additionally raise
         :class:`repro.drc.DrcError` when a gate finds error-or-worse
-        violations).  Gates run on each matched component pre-stitch, on
-        the stitched design pre-route, and on the routed design
-        post-route (with database integrity checks).
+        violations).  Gates run on each matched component as anchored by
+        the component placer (placement precedes materialization, so the
+        gate fetches its own copy at the chosen anchor), on the stitched
+        design pre-route, and on the routed design post-route (with
+        database integrity checks).
     """
 
     def __init__(
@@ -253,28 +256,19 @@ class PreImplementedFlow:
                 for c in components:
                     unique.setdefault(c.signature, c)
                 matched = list(unique.values())
+            # Placement reads only footprints; compose() materializes each
+            # component once, at the anchor chosen below.
             items = []
             for comp in matched:
                 if not database.has(comp.signature):
                     raise KeyError(
                         f"component {comp.name} ({comp.kind}) missing from database"
                     )
-                # Materialized from the interned template; compose() gets
-                # these same copies via modules=, so each component is
-                # fetched exactly once per run.
-                items.append((comp.name, database.fetch(comp.signature)))
+                items.append((comp.name, database.footprint(comp.signature)))
             scheduler = None
             if share_components:
                 scheduler = self._scheduler_for(components)
                 items.append(("scheduler", scheduler))
-
-        drc_reports = []
-        for item_name, item_design in items:
-            gate_report = self._drc_gate(
-                f"component:{item_name}", item_design, require_routed=True
-            )
-            if gate_report is not None:
-                drc_reports.append(gate_report)
 
         with timer.stage("rw:component_placement"):
             placer = ComponentPlacer(self.device, halo=self.halo)
@@ -285,6 +279,22 @@ class PreImplementedFlow:
             else:
                 connections = [(i - 1, i) for i in range(1, len(items))]
             placement = placer.place(items, connections)
+
+        drc_reports = []
+        if self.drc != "off":
+            anchors = placement.anchors
+            for comp in matched:
+                anchored = database.fetch(
+                    comp.signature, anchors[comp.name], device=self.device
+                )
+                drc_reports.append(self._drc_gate(
+                    f"component:{comp.name}", anchored, require_routed=True
+                ))
+            if scheduler is not None:
+                anchored = relocate(scheduler, self.device, anchors["scheduler"])
+                drc_reports.append(self._drc_gate(
+                    "component:scheduler", anchored, require_routed=True
+                ))
 
         with timer.stage("rw:composition"):
             if share_components:
@@ -303,7 +313,6 @@ class PreImplementedFlow:
                     database,
                     self.device,
                     placement.anchors,
-                    modules=dict(items),
                 )
             top = stitch.top
 
@@ -349,8 +358,18 @@ class PreImplementedFlow:
                     delays=self.delays, session=sta,
                 )
                 extras["pipeline"] = pipe
-            with timer.stage("vivado:reroute"):
-                route = Router(self.device, self.graph, seed=self.seed).route(top)
+            if pipe.inserted:
+                # Only the split nets are unrouted; report both passes.
+                with timer.stage("vivado:reroute"):
+                    reroute = Router(self.device, self.graph, seed=self.seed).route(top)
+                route = RouteResult(
+                    routed=route.routed + reroute.routed,
+                    failed=reroute.failed,
+                    iterations=route.iterations + reroute.iterations,
+                    wirelength=route.wirelength + reroute.wirelength,
+                    overused_nodes=reroute.overused_nodes,
+                    preexisting=route.preexisting,
+                )
 
         gate_report = self._drc_gate(
             "post_route", top, require_routed=True, database=database, sta=sta

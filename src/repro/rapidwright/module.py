@@ -14,6 +14,10 @@ partition-pin tiles and routed node ids all shift by
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.checkpoint import design_from_dict, design_to_dict
@@ -21,6 +25,7 @@ from ..netlist.codec import clone_design
 from ..netlist.design import Design, DesignError
 
 __all__ = [
+    "Footprint",
     "candidate_anchors",
     "relocate",
     "relocate_reference",
@@ -31,19 +36,6 @@ __all__ = [
 
 class RelocationError(DesignError):
     """Raised when a module cannot legally move to the requested anchor."""
-
-
-def _footprint_signature(design: Design, device: Device) -> tuple[int, ...]:
-    """Column signature of the module footprint.
-
-    The signature recorded at OOC time (source device) is preferred; it
-    stays valid even when probing anchors on a *different* device, where
-    the original pblock columns may be out of range.
-    """
-    recorded = design.metadata.get("ooc", {}).get("column_signature")
-    if recorded:
-        return tuple(int(c) for c in recorded)
-    return design.pblock.column_signature(device)
 
 
 def used_column_offsets(design: Design) -> dict[int, int]:
@@ -60,8 +52,65 @@ def used_column_offsets(design: Design) -> dict[int, int]:
     return used
 
 
+def recorded_column_signature(metadata: dict) -> tuple[int, ...] | None:
+    """Column signature stored at OOC time in a module's metadata, if any."""
+    recorded = metadata.get("ooc", {}).get("column_signature")
+    return tuple(int(c) for c in recorded) if recorded else None
+
+
+@dataclass(frozen=True, eq=False)
+class Footprint:
+    """What choosing an anchor needs to know about a module — and no more.
+
+    The component placer and :func:`candidate_anchors` read only this
+    view, so a database component is placed from its columnar image
+    (:meth:`ComponentDatabase.footprint`) before any of its cells exist;
+    :meth:`of` derives the same view from a live design.
+    """
+
+    name: str
+    pblock: PBlock
+    #: :func:`used_column_offsets` of the module.
+    used_offsets: dict[int, int]
+    #: ``(n, 2)`` pblock-relative sites of the placed cells.
+    rel_sites: np.ndarray
+    #: Partition-pin tile per port that has one (source coordinates).
+    pin_tiles: dict[str, tuple[int, int]]
+    #: Column signature recorded at OOC time, when there is one.
+    column_signature: tuple[int, ...] | None = None
+
+    @classmethod
+    def of(cls, design: "Design | Footprint") -> "Footprint":
+        if isinstance(design, Footprint):
+            return design
+        used = used_column_offsets(design)  # raises without a pblock
+        base = design.pblock
+        rel = np.array(
+            [
+                (c.placement[0] - base.col0, c.placement[1] - base.row0)
+                for c in design.cells.values()
+                if c.is_placed
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        return cls(
+            name=design.name,
+            pblock=base,
+            used_offsets=used,
+            rel_sites=rel,
+            pin_tiles={
+                p.name: p.tile for p in design.ports.values() if p.tile is not None
+            },
+            column_signature=recorded_column_signature(design.metadata),
+        )
+
+
 def candidate_anchors(
-    device: Device, design: Design, *, row_step: int | None = None, strict: bool = False
+    device: Device,
+    design: "Design | Footprint",
+    *,
+    row_step: int | None = None,
+    strict: bool = False,
 ) -> list[tuple[int, int]]:
     """All ``(col, row)`` anchors where *design*'s footprint is legal.
 
@@ -69,25 +118,24 @@ def candidate_anchors(
     the destination — sufficient on this fabric model, whose interconnect
     is uniform away from I/O columns.  ``strict=True`` additionally
     requires the full column signature to repeat (the conservative rule
-    real UltraScale relocation follows).  Rows may shift freely
-    (``row_step`` thins the candidates, default half the pblock height).
+    real UltraScale relocation follows); the signature recorded at OOC
+    time is preferred, since it stays valid when probing anchors on a
+    *different* device where the original pblock columns may be out of
+    range.  Rows may shift freely (``row_step`` thins the candidates,
+    default half the pblock height).
     """
-    import numpy as np
-
-    pblock = design.pblock
-    if pblock is None:
-        raise RelocationError(f"design {design.name} has no pblock footprint")
+    footprint = Footprint.of(design)
+    pblock = footprint.pblock
     height = pblock.height
     if height > device.nrows or pblock.width > device.ncols:
         return []
     if strict:
-        signature = _footprint_signature(design, device)
+        signature = footprint.column_signature or pblock.column_signature(device)
         cols = device.matching_column_anchors(signature)
     else:
-        used = used_column_offsets(design)
         n_anchor = device.ncols - pblock.width + 1
         ok = np.ones(n_anchor, dtype=bool)
-        for off, tile in used.items():
+        for off, tile in footprint.used_offsets.items():
             ok &= device.col_types[off : off + n_anchor] == tile
         cols = [int(c) for c in np.flatnonzero(ok)]
     if row_step is None:

@@ -22,7 +22,7 @@ from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.design import Design, DesignError
 from ..obs.span import incr, span
-from .module import candidate_anchors
+from .module import Footprint, candidate_anchors
 
 __all__ = ["ComponentPlacer", "ComponentPlacement", "PlacementInfeasible"]
 
@@ -52,15 +52,14 @@ def _halo(p: PBlock, h: int, device: Device) -> PBlock:
     )
 
 
-def _port_point(design: Design, direction: str, pblock: PBlock) -> tuple[float, float]:
+def _port_point(module: Footprint, direction: str, pblock: PBlock) -> tuple[float, float]:
     """Partition-pin location for the data interface, pblock-relative."""
-    name = "in_data" if direction == "in" else "out_data"
-    port = design.ports.get(name)
-    base = design.pblock
-    if port is not None and port.tile is not None and base is not None:
+    tile = module.pin_tiles.get("in_data" if direction == "in" else "out_data")
+    if tile is not None:
+        base = module.pblock
         return (
-            pblock.col0 + (port.tile[0] - base.col0),
-            pblock.row0 + (port.tile[1] - base.row0),
+            pblock.col0 + (tile[0] - base.col0),
+            pblock.row0 + (tile[1] - base.row0),
         )
     col = pblock.col0 if direction == "in" else pblock.col1
     return (col, (pblock.row0 + pblock.row1) / 2.0)
@@ -96,31 +95,30 @@ class ComponentPlacer:
         self,
         idx: int,
         pblock: PBlock,
-        items: list[tuple[str, Design]],
+        items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
         placed: dict[int, PBlock],
         occ=None,
-        rel_sites=None,
     ) -> tuple[float, float] | None:
         """(timing, congestion) of placing item *idx* at *pblock*;
         ``None`` when the candidate's locked sites collide with a placed
         component.  Pblocks may interleave (columnar devices leave unused
         site types inside a footprint); only *site* collisions are hard."""
-        if occ is not None and rel_sites is not None:
+        module = items[idx][1]
+        if occ is not None:
             overlapping = any(pblock.overlaps(other) for other in placed.values())
             if overlapping:
-                ids = self._site_ids(rel_sites[idx], pblock)
+                ids = self._site_ids(module.rel_sites, pblock)
                 if occ[ids].any():
                     return None
         timing = 0.0
-        design = items[idx][1]
         for a, b in connections:
             if a == idx and b in placed:
-                src = _port_point(design, "out", pblock)
+                src = _port_point(module, "out", pblock)
                 dst = _port_point(items[b][1], "in", placed[b])
             elif b == idx and a in placed:
                 src = _port_point(items[a][1], "out", placed[a])
-                dst = _port_point(design, "in", pblock)
+                dst = _port_point(module, "in", pblock)
             else:
                 continue
             timing += abs(src[0] - dst[0]) + abs(src[1] - dst[1])
@@ -135,14 +133,18 @@ class ComponentPlacer:
 
     def place(
         self,
-        items: list[tuple[str, Design]],
+        items: list[tuple[str, "Design | Footprint"]],
         connections: list[tuple[int, int]],
     ) -> ComponentPlacement:
         """Assign anchors to *items* (BFS order) with *connections* between
-        them (index pairs).  Raises :class:`PlacementInfeasible` when the
+        them (index pairs).  An item is a module design or just its
+        :class:`~repro.rapidwright.module.Footprint` — the search reads
+        nothing else.  Raises :class:`PlacementInfeasible` when the
         bounded backtracking search fails."""
         with span("place.components", components=len(items)) as place_span:
-            result = self._place(items, connections)
+            result = self._place(
+                [(name, Footprint.of(module)) for name, module in items], connections
+            )
             place_span.set(attempts=result.attempts, backtracks=result.backtracks)
         incr("place.component_attempts", result.attempts)
         incr("place.component_backtracks", result.backtracks)
@@ -150,31 +152,20 @@ class ComponentPlacer:
 
     def _place(
         self,
-        items: list[tuple[str, Design]],
+        items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
     ) -> ComponentPlacement:
         import numpy as np
 
         result = ComponentPlacement()
         candidate_lists: list[list[tuple[int, int]]] = []
-        rel_sites: list[np.ndarray] = []
-        for name, design in items:
-            anchors = candidate_anchors(self.device, design, row_step=self.row_step)
+        for name, module in items:
+            anchors = candidate_anchors(self.device, module, row_step=self.row_step)
             if not anchors:
                 raise PlacementInfeasible(
                     f"component {name}: no compatible anchors on {self.device.name}"
                 )
             candidate_lists.append(anchors)
-            base = design.pblock
-            rel = np.array(
-                [
-                    (c.placement[0] - base.col0, c.placement[1] - base.row0)
-                    for c in design.cells.values()
-                    if c.is_placed
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 2)
-            rel_sites.append(rel)
         occ = np.zeros(self.device.ncols * self.device.nrows, dtype=bool)
 
         # first-fit-decreasing: the biggest (most constrained) footprints
@@ -182,7 +173,7 @@ class ComponentPlacer:
         # fragment the free space
         order: list[int] = sorted(
             range(len(items)),
-            key=lambda i: -(items[i][1].pblock.area if items[i][1].pblock else 0),
+            key=lambda i: -items[i][1].pblock.area,
         )
         chosen: dict[int, PBlock] = {}
         chosen_cost: dict[int, tuple[float, float]] = {}
@@ -205,16 +196,14 @@ class ComponentPlacer:
                     )
                 total, timing, congestion, pblock = ranked[idx][pointer[idx]]
                 pointer[idx] += 1
-                cost = self._cost(
-                    idx, pblock, items, connections, chosen, occ, rel_sites
-                )
+                cost = self._cost(idx, pblock, items, connections, chosen, occ)
                 if cost is None:
                     continue
                 if self.threshold is not None and cost[0] + cost[1] > self.threshold:
                     continue
                 chosen[idx] = pblock
                 chosen_cost[idx] = cost
-                occ[self._site_ids(rel_sites[idx], pblock)] = True
+                occ[self._site_ids(items[idx][1].rel_sites, pblock)] = True
                 placed_here = True
                 break
             if placed_here:
@@ -231,10 +220,10 @@ class ComponentPlacer:
             result.backtracks += 1
             prev_pb = chosen.pop(prev, None)
             if prev_pb is not None:
-                occ[self._site_ids(rel_sites[prev], prev_pb)] = False
+                occ[self._site_ids(items[prev][1].rel_sites, prev_pb)] = False
             chosen_cost.pop(prev, None)
 
-        for i, (name, _design) in enumerate(items):
+        for i, (name, _module) in enumerate(items):
             pb = chosen[i]
             result.anchors[name] = (pb.col0, pb.row0)
             result.pblocks[name] = pb
@@ -253,15 +242,14 @@ class ComponentPlacer:
         self,
         idx: int,
         anchors: list[tuple[int, int]],
-        items: list[tuple[str, Design]],
+        items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
         placed: dict[int, PBlock],
     ) -> list[tuple[float, float, float, PBlock]]:
         """Candidates sorted by weighted cost against the current partial
         placement (overlapping candidates are kept — re-checked at pick
         time, since the placed set may shrink on backtracking)."""
-        design = items[idx][1]
-        base = design.pblock
+        base = items[idx][1].pblock
         scored: list[tuple[float, float, float, PBlock]] = []
         for col, row in anchors:
             pblock = PBlock(

@@ -6,6 +6,14 @@ the top-level design with placement and routing locked, and stitched to
 its neighbours by creating new inter-component nets between partition
 pins.  The result is a *partially routed* design — only the stitch nets
 are unrouted, ready for the final inter-component routing pass.
+
+:func:`compose` touches the locked logic once: every component is
+materialized from the database's columnar template exactly once,
+already at its anchor and under its instance names, and those objects
+are adopted into the top design as they are.  :func:`compose_reference`
+keeps the clone-per-step composition (relocate the checkpoint, then
+copy-and-rename it into the top) as the oracle the single pass is
+asserted bit-identical to.
 """
 
 from __future__ import annotations
@@ -19,9 +27,19 @@ from ..netlist.design import Design, DesignError
 from ..netlist.net import Port
 from ..netlist.stitch import bridge_ports, merge_clock_nets, prune_dangling_nets
 from .database import ComponentDatabase
-from .module import relocate
+from .module import relocate, relocate_reference
 
-__all__ = ["StitchRecord", "StitchResult", "compose", "compose_shared"]
+__all__ = [
+    "StitchRecord",
+    "StitchResult",
+    "compose",
+    "compose_reference",
+    "compose_shared",
+]
+
+#: Reference implementation the single-pass :func:`compose` is asserted
+#: bit-identical to (oracle contract, lint rules ORC-001..003).
+ORACLE = "repro.rapidwright.stitcher.compose_reference"
 
 
 @dataclass
@@ -59,17 +77,46 @@ def compose(
     database: ComponentDatabase,
     device: Device,
     anchors: dict[str, tuple[int, int]],
-    modules: dict[str, Design] | None = None,
 ) -> StitchResult:
     """Compose the accelerator from pre-built checkpoints.
 
     *components* must form a linear chain in dataflow order (the stock
     stream architectures); *anchors* maps component instance names to
-    relocation anchors chosen by the component placer.  *modules* lets the
-    caller supply already-fetched fresh copies (keyed by instance name) so
-    a component is deserialized from the database only once per run; any
-    instance missing from it is fetched here.
+    relocation anchors chosen by the component placer.
     """
+
+    def instance(top: Design, comp: Component, anchor: tuple[int, int]):
+        module = database.fetch(
+            comp.signature, anchor, device=device, instance=comp.name
+        )
+        return module, top.adopt(module)
+
+    return _compose(name, components, device, anchors, instance)
+
+
+def compose_reference(
+    name: str,
+    components: list[Component],
+    database: ComponentDatabase,
+    device: Device,
+    anchors: dict[str, tuple[int, int]],
+) -> StitchResult:
+    """Reference composition: fetch, relocate through the checkpoint
+    codec, then clone-and-rename into the top — three copies of every
+    component where :func:`compose` builds one."""
+
+    def instance(top: Design, comp: Component, anchor: tuple[int, int]):
+        module = relocate_reference(database.get(comp.signature), device, anchor)
+        return module, top.instantiate(module, prefix=comp.name, module=comp.name)
+
+    return _compose(name, components, device, anchors, instance)
+
+
+def _compose(name, components, device, anchors, instance) -> StitchResult:
+    """Algorithm 1 over ``instance(top, comp, anchor)``, which adds one
+    component's cells and nets to *top* under the ``"{comp.name}/"``
+    prefix and returns the anchored module (for its pblock and OOC
+    record) and the port-to-net map."""
     top = Design(name)
     result = StitchResult(top=top)
 
@@ -88,25 +135,20 @@ def compose(
             anchor = anchors[comp.name]
         except KeyError:
             raise DesignError(f"no anchor assigned for component {comp.name}") from None
-        if modules is not None and comp.name in modules:
-            module = relocate(modules[comp.name], device, anchor)
-        else:
-            # Template path: materialize the interned checkpoint already
-            # relocated — no intermediate copy to clone and shift.
-            module = database.fetch(comp.signature, anchor, device=device)
+        n_before = len(top.cells)
+        module, portmap = instance(top, comp, anchor)
         if module.pblock is not None:
             footprints[comp.name] = [
                 module.pblock.col0, module.pblock.row0,
                 module.pblock.col1, module.pblock.row1,
             ]
-        portmap = top.instantiate(module, prefix=comp.name, module=comp.name)
         result.records.append(
             StitchRecord(
                 name=comp.name,
                 signature=comp.signature,
                 anchor=anchor,
                 fmax_ooc_mhz=module.metadata.get("ooc", {}).get("fmax_mhz", 0.0),
-                n_cells=len(module.cells),
+                n_cells=len(top.cells) - n_before,
             )
         )
         if first_in is None:

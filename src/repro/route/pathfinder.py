@@ -39,7 +39,6 @@ from .soa import (
     direct_paths_batch,
     overused_flags,
     refresh_cost_nodes,
-    wirelength_batch,
 )
 
 __all__ = ["Router", "RouteResult", "RoutingError", "routed_occupancy"]
@@ -408,39 +407,22 @@ class Router:
 
         return self._finalize(
             design, targets, occupancy, capacity, iterations, preexisting,
-            timer, nrows,
+            timer,
         )
 
     def _finalize(
         self, design, targets, occupancy, capacity, iterations, preexisting,
-        timer, nrows,
+        timer,
     ) -> RouteResult:
         """Write committed paths back onto the nets and build the result."""
         with timer.stage("route/commit"):
-            wirelength = 0
-            if self.soa:
-                arrs = []
-                for tgt in targets:
-                    if tgt.path is None:
-                        continue
-                    design.nets[tgt.net_name].routes[tgt.sink_index] = tgt.path
-                    arrs.append(tgt.path_arr)
-                if arrs:
-                    lens = np.fromiter(
-                        (a.size for a in arrs), dtype=np.int64, count=len(arrs)
-                    )
-                    offs = np.zeros(len(arrs) + 1, dtype=np.int64)
-                    np.cumsum(lens, out=offs[1:])
-                    wirelength = wirelength_batch(
-                        np.concatenate(arrs), offs, nrows
-                    )
-            else:
-                for tgt in targets:
-                    if tgt.path is None:
-                        continue
-                    net = design.nets[tgt.net_name]
-                    net.routes[tgt.sink_index] = tgt.path
-                    wirelength += self.graph.path_tiles(tgt.path)
+            paths = []
+            for tgt in targets:
+                if tgt.path is None:
+                    continue
+                design.nets[tgt.net_name].routes[tgt.sink_index] = tgt.path
+                paths.append(tgt.path)
+            wirelength = int(self.graph.path_metrics_batch(paths)[0].sum())
 
         n_over_final = int(np.count_nonzero(occupancy > capacity))
         incr("route.connections", len(targets))

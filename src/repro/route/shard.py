@@ -206,7 +206,7 @@ def route_sharded(
 
     return router._finalize(
         design, targets, occupancy, capacity, iterations, preexisting,
-        timer, nrows,
+        timer,
     )
 
 

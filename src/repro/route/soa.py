@@ -140,7 +140,7 @@ def batch_usage(
 
 
 def wirelength_batch(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
-    """Sum of :meth:`RoutingGraph.path_tiles` over a CSR of paths."""
+    """Total tiles spanned (:meth:`RoutingGraph.path_metrics`) over a CSR of paths."""
     if flat.size < 2:
         return 0
     cols = flat // nrows

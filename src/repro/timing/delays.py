@@ -61,17 +61,20 @@ class DelayModel:
 
     # -- wires ----------------------------------------------------------------
 
-    def routed_net_delay_ps(
-        self, graph: RoutingGraph, path: list[int], fanout: int = 1
-    ) -> float:
-        """Delay of one routed source->sink path."""
-        tiles, crossings = graph.path_metrics(path)
+    def routed_delay_ps(self, tiles: int, crossings: int, fanout: int = 1) -> float:
+        """Delay of a routed source->sink path from its path metrics."""
         return (
             self.net_base_ps
             + self.wire_delay_ps(tiles)
             + self.io_cross_ps * crossings
             + self.fanout_ps * min(max(0, fanout - 1), self.fanout_cap)
         )
+
+    def routed_net_delay_ps(
+        self, graph: RoutingGraph, path: list[int], fanout: int = 1
+    ) -> float:
+        """Delay of one routed source->sink path."""
+        return self.routed_delay_ps(*graph.path_metrics(path), fanout)
 
     def estimated_net_delay_ps(
         self,

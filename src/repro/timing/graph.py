@@ -17,7 +17,10 @@ Three mechanisms carry the speedup:
   nets, per-net ``(driver, sinks, is_clock)`` snapshots detect in-place
   rewires, and a per-edge **delay memo** keyed on route identity (or
   endpoint placements for unrouted nets) plus fanout detects stale
-  delays without re-walking ``path_tiles`` / ``path_io_crossings``;
+  delays without re-walking the routes; the routed edges a sync does
+  have to (re)time — all of them on the first sync — are collected and
+  measured in one :meth:`~repro.fabric.interconnect.RoutingGraph.
+  path_metrics_batch` call;
 * **cone-limited repropagation** — :meth:`repropagate` re-levelizes and
   recomputes arrival times only through the dirty set's transitive
   combinational fan-out, pruning cells whose (arrival, predecessor)
@@ -101,6 +104,8 @@ class TimingGraph:
         self.e_srcpl: list = []
         self.e_dstpl: list = []
         self.n_dead_edges = 0
+        # Routed edges awaiting this sync's batched path measurement.
+        self._routed_batch: list[int] = []
 
         self.fan_in: list[list[int]] = []      # sorted by (stamp, sink index)
         self.fan_out: list[list[int]] = []     # unordered
@@ -133,22 +138,23 @@ class TimingGraph:
         n_dirty0 = len(dirty)
         structural = False
         fresh_mark = len(self.e_src)
+        self._routed_batch = []  # a sync that raised may have left one behind
 
         # Cells: detect additions, removals, and same-name replacements.
-        added: list[tuple[str, object]] = []
+        cells = design.cells
+        added: list[str] = []
         matched = 0
         removed: list[int] = []
-        for name, cell in design.cells.items():
+        for name, cell in cells.items():
             idx = self.cell_index.get(name)
             if idx is None:
-                added.append((name, cell))
+                added.append(name)
             elif self.cell_objs[idx] is not cell:
                 removed.append(idx)
-                added.append((name, cell))
+                added.append(name)
             else:
                 matched += 1
         if matched + len(removed) != self.n_alive:
-            cells = design.cells
             removed.extend(
                 idx for name, idx in list(self.cell_index.items())
                 if name not in cells
@@ -156,8 +162,8 @@ class TimingGraph:
         for idx in removed:
             self._remove_cell(idx, dirty)
             structural = True
-        for name, cell in added:
-            self._add_cell(name, cell, dirty)
+        for name in added:
+            self._add_cell(name, cells[name], dirty)
             structural = True
         # Nets: identity says replaced, the snapshot says rewired in place.
         matched_nets = 0
@@ -244,6 +250,7 @@ class TimingGraph:
                 self.memo_hits += 1
                 continue
             self._recompute_edge(eid, net, dirty)
+        self._time_routed_batch(dirty)
 
         # CTS skew/insertion live in design metadata, outside the
         # cell/net diff — track them here so a clock-tree (re)build alone
@@ -335,7 +342,10 @@ class TimingGraph:
 
     def _register_net(self, net, dirty: set[int], stamp: int | None) -> None:
         name = net.name
-        if stamp is None:
+        # A fresh stamp exceeds every stamp handed out before it, so the
+        # net's edges go to the back of their fan-in lists as they come.
+        fresh = stamp is None
+        if fresh:
             stamp = self._next_stamp
             self._next_stamp += 1
         edges: list[int] = []
@@ -377,7 +387,10 @@ class TimingGraph:
                         error = error or net.driver
                 else:
                     self._recompute_edge(eid, net, dirty)
-                self._fanin_insert(dst, eid)
+                if fresh:
+                    self.fan_in[dst].append(eid)
+                else:
+                    self._fanin_insert(dst, eid)
                 if src >= 0:
                     self.fan_out[src].append(eid)
                 dirty.add(dst)
@@ -408,19 +421,39 @@ class TimingGraph:
 
     def _recompute_edge(self, eid: int, net, dirty: set[int]) -> None:
         i = self.e_sink[eid]
-        delay = self.delays.net_delay_ps(self.design, net, i, self.device, self.graph)
         self.memo_misses += 1
         route = net.routes[i] if i < len(net.routes) else None
         if route is not None and self.graph is not None:
+            self._routed_batch.append(eid)
+            return
+        delay = self.delays.net_delay_ps(self.design, net, i, self.device, self.graph)
+        self.e_route[eid] = None
+        src = self.e_src[eid]
+        self.e_srcpl[eid] = self.cell_objs[src].placement if src >= 0 else None
+        self.e_dstpl[eid] = self.cell_objs[self.e_dst[eid]].placement
+        self._store_delay(eid, delay, len(net.sinks), dirty)
+
+    def _time_routed_batch(self, dirty: set[int]) -> None:
+        """Time the routed edges this sync collected, all paths at once."""
+        batch = self._routed_batch
+        if not batch:
+            return
+        self._routed_batch = []
+        nets = [self.e_netobj[eid] for eid in batch]
+        routes = [net.routes[self.e_sink[eid]] for eid, net in zip(batch, nets)]
+        tiles, crossings = self.graph.path_metrics_batch(routes)
+        routed_delay_ps = self.delays.routed_delay_ps
+        for eid, net, route, t, c in zip(
+            batch, nets, routes, tiles.tolist(), crossings.tolist()
+        ):
+            fanout = len(net.sinks)
             self.e_route[eid] = route
             self.e_srcpl[eid] = None
             self.e_dstpl[eid] = None
-        else:
-            self.e_route[eid] = None
-            src = self.e_src[eid]
-            self.e_srcpl[eid] = self.cell_objs[src].placement if src >= 0 else None
-            self.e_dstpl[eid] = self.cell_objs[self.e_dst[eid]].placement
-        self.e_fanout[eid] = len(net.sinks)
+            self._store_delay(eid, routed_delay_ps(t, c, fanout), fanout, dirty)
+
+    def _store_delay(self, eid: int, delay: float, fanout: int, dirty: set[int]) -> None:
+        self.e_fanout[eid] = fanout
         if delay != self.e_delay[eid]:
             self.e_delay[eid] = delay
             dst = self.e_dst[eid]

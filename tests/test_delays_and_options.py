@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import format_table
 from repro.fabric import PBlock, TileType
 from repro.netlist import Design
-from repro.rapidwright import ComponentPlacer, preimplement
+from repro.rapidwright import ComponentPlacer, Footprint, preimplement
 from repro.rapidwright.placer import _halo, _port_point
 from repro.synth import gen_relu
 from repro.timing import DEFAULT_DELAYS, DelayModel, analyze
@@ -97,8 +97,9 @@ def test_port_point_uses_partition_pin(small_device):
     design = gen_relu(4)
     preimplement(design, small_device, effort="low", seed=0)
     target = design.pblock.shifted(0, 0)
-    x_in, _ = _port_point(design, "in", target)
-    x_out, _ = _port_point(design, "out", target)
+    footprint = Footprint.of(design)
+    x_in, _ = _port_point(footprint, "in", target)
+    x_out, _ = _port_point(footprint, "out", target)
     assert target.col0 <= x_in <= target.col1
     assert target.col0 <= x_out <= target.col1
     assert x_in <= x_out  # ports planned left->right

@@ -53,6 +53,19 @@ def test_io_crossings(tiny_device):
     assert tiny_device.io_crossings(io, io + 1) == 0
 
 
+@pytest.mark.parametrize("part", sorted(PART_CATALOG))
+def test_io_crossings_matches_mask_definition(part):
+    """Prefix-table lookups ≡ the original mask + count, all column pairs."""
+    device = Device.from_name(part)
+    io = device.io_columns
+    for a in range(device.ncols):
+        for b in range(device.ncols):
+            lo, hi = min(a, b), max(a, b)
+            assert device.io_crossings(a, b) == int(
+                np.count_nonzero((io > lo) & (io < hi))
+            ), (part, a, b)
+
+
 def test_sites_of_types(tiny_device):
     for cell_type, tile in TILE_FOR_CELL.items():
         sites = tiny_device.sites_of(cell_type)

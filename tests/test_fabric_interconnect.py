@@ -37,14 +37,14 @@ def test_hex_neighbors_span_six(tiny_graph, tiny_device):
     assert spans.count(1) == 4
 
 
-def test_path_tiles_and_crossings(tiny_graph, tiny_device):
+def test_path_metrics_tiles_and_crossings(tiny_graph, tiny_device):
     io = int(tiny_device.io_columns[0])
     a = tiny_graph.node_id(io - 1, 0)
     b = tiny_graph.node_id(io + 1, 0)
     mid = tiny_graph.node_id(io, 0)
     path = [a, mid, b]
-    assert tiny_graph.path_tiles(path) == 2
-    assert tiny_graph.path_io_crossings([a, b]) == 1
+    assert tiny_graph.path_metrics(path) == (2, 0)  # hops end on the I/O column
+    assert tiny_graph.path_metrics([a, b]) == (2, 1)
 
 
 def test_lower_bound_is_admissible(tiny_graph, tiny_device):

@@ -70,10 +70,16 @@ def _random_placement(rng):
 
 
 @st.composite
-def timing_designs(draw):
-    """Random mixed seq/comb designs, possibly with loops and danglers."""
+def timing_designs(draw, *, routed: bool = False):
+    """Random mixed seq/comb designs, possibly with loops and danglers.
+
+    ``routed=True`` routes every sink and leaves no danglers — the shape
+    of a flow's design at its first analysis, where every edge delay
+    comes out of one batched path measurement.
+    """
     seed = draw(st.integers(0, 10_000))
-    broken = draw(st.booleans())  # allow dangling endpoint references
+    # allow dangling endpoint references
+    broken = False if routed else draw(st.booleans())
     rng = np.random.default_rng(seed)
     design = Design(f"ta{seed}")
     n_cells = int(rng.integers(3, 15))
@@ -95,7 +101,7 @@ def timing_designs(draw):
         sinks = sorted({pool[int(s)] for s in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))})
         net = Net(f"n{k}", driver=driver, sinks=sinks)
         for i in range(len(sinks)):
-            if rng.random() < 0.4:
+            if routed or rng.random() < 0.4:
                 net.routes[i] = _random_route(rng)
         design.add_net(net)
     seq_sinks = [n for n in names if design.cells[n].seq]
@@ -163,6 +169,23 @@ def _apply_edit(design: Design, rng, k: int, broken: bool) -> None:
 def test_fresh_session_matches_reference(case):
     design, _seed, _broken = case
     _check(IncrementalSta(design, SMALL, GRAPH), design)
+
+
+@settings(max_examples=30, deadline=None)
+@given(timing_designs(routed=True))
+def test_routed_first_analysis_times_every_edge_once(case):
+    """The cold compile of a routed design: same report as the oracle
+    (or the same loop error), and the delay memo counts exactly one
+    computation per data edge."""
+    design, _seed, _broken = case
+    session = IncrementalSta(design, SMALL, GRAPH)
+    inc = _outcome(session.analyze)
+    assert inc == _outcome(lambda: analyze_reference(design, SMALL, GRAPH))
+    if inc[0] == "ok":  # a raised analysis keeps no stats
+        edges = sum(
+            len(net.sinks) for net in design.nets.values() if not net.is_clock
+        )
+        assert (session.stats.memo_misses, session.stats.memo_hits) == (edges, 0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -142,3 +142,75 @@ def test_pipeline_target_bad_string_raises(small_device, flow_pair):
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
     with pytest.raises(ValueError, match="'auto'"):
         flow.run(net, rom_weights=True, database=db, pipeline_target_mhz="fastest")
+
+
+# -- online-phase bookkeeping ------------------------------------------------------
+
+
+def test_route_result_covers_both_passes(small_device, flow_pair, monkeypatch):
+    """``FlowResult.route`` reports the inter-component pass plus the
+    post-pipelining reroute, and the reroute only runs when a register
+    was inserted."""
+    from repro.route.pathfinder import Router
+    from repro.timing import DelayModel
+
+    _, _, db, net = flow_pair
+    passes = []
+    route = Router.route
+
+    def recording(self, design, **kwargs):
+        passes.append(route(self, design, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(Router, "route", recording)
+
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    result = flow.run(net, rom_weights=True, database=db, pipeline_target_mhz="auto")
+    assert result.extras["pipeline"].inserted == 0
+    assert len(passes) == 1 and result.route is passes[0]
+    assert result.route.routed == len(result.extras["stitch"].stitch_nets)
+
+    # Slow wires make the stitch nets critical, so registers go in.
+    passes.clear()
+    slow = PreImplementedFlow(small_device, component_effort="low", seed=0,
+                              delays=DelayModel(tile_delay_ps=200.0))
+    result = slow.run(net, rom_weights=True, database=db, pipeline_target_mhz="auto")
+    assert result.extras["pipeline"].inserted > 0
+    first, reroute = passes
+    assert reroute.routed > 0
+    assert result.route.routed == first.routed + reroute.routed
+    assert result.route.wirelength == first.wirelength + reroute.wirelength
+    assert result.route.iterations == first.iterations + reroute.iterations
+    assert result.route.success and result.design.is_fully_routed
+
+
+def test_reused_flow_keeps_no_routes_alive(small_device, flow_pair):
+    """Five runs on one flow object: nothing reachable from ``flow.graph``
+    is a route of any result (the graph used to memoize path metrics by
+    route identity and so pinned every route list it ever measured), and
+    the heap is no larger after the fifth run than after the first."""
+    import gc
+
+    _, _, db, net = flow_pair
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+
+    def reachable_ids(root) -> set[int]:
+        seen = {id(root)}
+        stack = [root]
+        while stack:
+            for child in gc.get_referents(stack.pop()):
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
+        return seen
+
+    heap = []
+    for _ in range(5):
+        result = flow.run(net, rom_weights=True, database=db, pipeline_target_mhz="auto")
+        held = reachable_ids(flow.graph)
+        routes = [r for n in result.design.nets.values() for r in n.routes if r is not None]
+        assert routes and not any(id(r) in held for r in routes)
+        del result, routes, held
+        gc.collect()
+        heap.append(len(gc.get_objects()))
+    assert heap[-1] <= heap[0] * 1.01
