@@ -20,7 +20,7 @@ a delta that would require it is rejected up front.
 Every mutation records its inverse in an :class:`EcoUndo`, so an applied
 delta can be reverted losslessly — original ``Cell``/``Net`` objects and
 route *list identities* are restored, which the incremental STA session
-detects and re-registers (see the ordering-stamp repair in
+detects and recompiles (see the net matching in
 :meth:`repro.timing.graph.TimingGraph.sync`).
 """
 
@@ -145,8 +145,8 @@ class EcoUndo:
 
         Restored nets/cells keep their original object and route-list
         identities; re-added entries land at the end of dict iteration
-        order, which the incremental STA session re-stamps on its next
-        sync.
+        order, where the incremental STA session recompiles them on its
+        next sync.
         """
         for op in reversed(self.ops):
             kind = op[0]

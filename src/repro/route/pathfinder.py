@@ -25,6 +25,8 @@ schedule (see :meth:`Router._iterate_parallel`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -170,34 +172,64 @@ def routed_occupancy(
     """Occupancy charged by a design's committed routes.
 
     Returns ``(occupancy, net_usage, preexisting)``: the per-node float
-    occupancy array, the per-net node-use counts behind it, and how many
-    connections were already routed.  Branches of one net share trunk
-    wires, so a node is charged ``net.width`` once per net however many
-    of the net's sink paths cross it; endpoint tiles (``path[0]`` and
+    occupancy array, per-net node-use counts, and how many connections
+    were already routed.  Branches of one net share trunk wires, so a
+    node is charged ``net.width`` once per net however many of the
+    net's sink paths cross it; endpoint tiles (``path[0]`` and
     ``path[-1]``) are cell pins, not wires, and are never charged.
+
+    ``net_usage`` covers the nets that still have an unrouted sink —
+    the only ones a router ever rips up or extends, a handful on a
+    stitched design whose components arrive routed.  The array is
+    computed from every route at once: interior nodes flattened,
+    ``(net, node)`` pairs deduplicated, widths summed per node in net
+    order — the order a walk over ``design.nets`` adds them in, so the
+    float sums are the same.
 
     This is the :class:`Router` setup accounting, factored out so DRC
     rule ``RTE-002`` measures overuse with exactly the router's
-    arithmetic (same iteration order, bit-identical float sums).
+    arithmetic.
     """
-    occupancy = np.zeros(graph.n_nodes, dtype=np.float64)
+    n_nodes = graph.n_nodes
+    nets = [n for n in design.nets.values() if not n.is_clock and n.driver is not None]
+    per_net = [
+        net.routes if len(net.routes) == len(net.sinks) else net.routes[: len(net.sinks)]
+        for net in nets
+    ]
+    routes = list(chain.from_iterable(per_net))
+    owner = np.repeat(
+        np.arange(len(nets)), np.fromiter(map(len, per_net), np.int64, len(nets))
+    )
+    routed = np.fromiter(map(is_not, routes, repeat(None)), bool, len(routes))
+
     net_usage: dict[str, dict[int, int]] = {}
-    preexisting = 0
-    for net in design.nets.values():
-        if net.is_clock or net.driver is None:
-            continue
-        usage = net_usage.setdefault(net.name, {})
-        for i in range(len(net.sinks)):
-            if net.routes[i] is None:
-                continue
+    for k in np.unique(owner[~routed]).tolist():
+        usage = net_usage[nets[k].name] = {}
+        for path in per_net[k]:
             # endpoint tiles are cell pins, not routing wires
-            for node in net.routes[i][1:-1]:
-                count = usage.get(node, 0)
-                usage[node] = count + 1
-                if count == 0:
-                    occupancy[node] += net.width
-            preexisting += 1
-    return occupancy, net_usage, preexisting
+            for node in (path or ())[1:-1]:
+                usage[node] = usage.get(node, 0) + 1
+
+    paths = list(compress(routes, routed.tolist()))
+    lens = np.fromiter(map(len, paths), np.int64, len(paths))
+    ends = np.cumsum(lens)
+    flat = np.fromiter(chain.from_iterable(paths), np.int64, int(lens.sum()))
+    interior = np.ones(flat.size, dtype=bool)
+    nonempty = lens > 0
+    interior[(ends - lens)[nonempty]] = False
+    interior[ends[nonempty] - 1] = False
+    node = flat[interior]
+    if node.size and not 0 <= node.min() <= node.max() < n_nodes:
+        raise IndexError("routed_occupancy: route leaves the routing graph")
+    pairs = np.sort(np.repeat(owner[routed], lens)[interior] * n_nodes + node)
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]  # one charge per (net, node)
+    width = np.array([net.width for net in nets])
+    occupancy = np.bincount(
+        pairs % n_nodes, weights=width[pairs // n_nodes], minlength=n_nodes
+    ).astype(np.float64, copy=False)
+    return occupancy, net_usage, int(routed.sum())
 
 
 class Router:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.cell import Cell
@@ -59,6 +61,32 @@ class DelayModel:
     def setup_ps(self, cell: Cell) -> float:
         return cell.spec.setup_ps
 
+    def _overrides(self, *methods: str) -> bool:
+        """Whether a subclass replaced any of *methods* (bulk forms then
+        defer to the per-object ones, which may look at anything)."""
+        cls = type(self)
+        return any(getattr(cls, m) is not getattr(DelayModel, m) for m in methods)
+
+    def cell_delays_ps(self, cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`logic_delay_ps` and :meth:`setup_ps` of every cell, as
+        two float arrays.  Both are functions of ``(ctype, comb_depth)``,
+        so each is asked once per distinct pair."""
+        if self._overrides("logic_delay_ps", "setup_ps"):
+            asked, inverse = cells, slice(None)
+        else:
+            ctypes = [c.ctype for c in cells]
+            code = {ctype: k for k, ctype in enumerate(dict.fromkeys(ctypes))}
+            kind = np.fromiter(map(code.__getitem__, ctypes), np.int64, len(cells))
+            depth = np.array([c.comb_depth for c in cells], dtype=np.int64)
+            _, first, inverse = np.unique(
+                depth * len(code) + kind, return_index=True, return_inverse=True
+            )
+            asked = [cells[i] for i in first.tolist()]
+        return (
+            np.array([self.logic_delay_ps(c) for c in asked], dtype=np.float64)[inverse],
+            np.array([self.setup_ps(c) for c in asked], dtype=np.float64)[inverse],
+        )
+
     # -- wires ----------------------------------------------------------------
 
     def routed_delay_ps(self, tiles: int, crossings: int, fanout: int = 1) -> float:
@@ -68,6 +96,29 @@ class DelayModel:
             + self.wire_delay_ps(tiles)
             + self.io_cross_ps * crossings
             + self.fanout_ps * min(max(0, fanout - 1), self.fanout_cap)
+        )
+
+    def routed_delays_ps(
+        self, tiles: np.ndarray, crossings: np.ndarray, fanout: np.ndarray
+    ) -> np.ndarray:
+        """Array form of :meth:`routed_delay_ps` over int arrays: the same
+        operations in the same order on each element, so every delay is
+        the float the scalar method returns."""
+        if self._overrides("routed_delay_ps", "wire_delay_ps"):
+            return np.array(
+                [self.routed_delay_ps(*tcf) for tcf in zip(
+                    tiles.tolist(), crossings.tolist(), fanout.tolist())],
+                dtype=np.float64,
+            )
+        wire = (
+            self.tile_delay_ps * np.minimum(tiles, self.long_line_knee)
+            + self.far_tile_delay_ps * np.maximum(0.0, tiles - self.long_line_knee)
+        )
+        return (
+            self.net_base_ps
+            + wire
+            + self.io_cross_ps * crossings
+            + self.fanout_ps * np.minimum(np.maximum(0, fanout - 1), self.fanout_cap)
         )
 
     def routed_net_delay_ps(

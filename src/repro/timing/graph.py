@@ -3,50 +3,77 @@
 :func:`repro.timing.sta.analyze_reference` rebuilds its dict-based
 fan-in structures and recomputes every net delay on every call.  The
 :class:`TimingGraph` here compiles the same information **once** into
-int-indexed flat arrays — cells become indices, data edges become
-parallel arrays with precomputed delays — and then *patches* itself in
-place as the design mutates (the net split / cell insert / clock-sink
-add / revert edits :func:`repro.timing.pipeline.pipeline_to_target`
-performs, plus arbitrary route and placement changes from the router).
+columns — a handful of flat lists and numpy arrays, never an object per
+cell, net or edge — and then *patches* those columns as the design
+mutates (the net split / cell insert / clock-sink add / revert edits
+:func:`repro.timing.pipeline.pipeline_to_target` performs, plus
+arbitrary route and placement changes from the router).
+
+Layout: one **slot** per cell in ``design.cells`` order; one entry per
+*data net* (not a clock, has a driver) in ``design.nets`` order; one
+**row** per (data net, sink) pair in that same order, so the row index
+*is* the order a fresh ``design.nets.values()`` walk would meet the
+edge in.  A row whose driver or sink names no cell keeps its place with
+``-1`` for the missing end.  Clock and driverless nets own no rows and
+nothing about them is stored.
 
 Three mechanisms carry the speedup:
 
-* **scan-based sync** — :meth:`TimingGraph.sync` diffs the design
-  against its compiled snapshot in one cheap O(cells + nets + edges)
-  pass: object-identity checks detect added/removed/replaced cells and
-  nets, per-net ``(driver, sinks, is_clock)`` snapshots detect in-place
-  rewires, and a per-edge **delay memo** keyed on route identity (or
-  endpoint placements for unrouted nets) plus fanout detects stale
-  delays without re-walking the routes; the routed edges a sync does
-  have to (re)time — all of them on the first sync — are collected and
-  measured in one :meth:`~repro.fabric.interconnect.RoutingGraph.
-  path_metrics_batch` call;
+* **column diff** — :meth:`TimingGraph.sync` rebuilds the columns the
+  design would compile to *now* with list comprehensions and compares
+  them to the stored ones with list ``==`` (an identity check per
+  element, at C speed): the cell objects and their dict keys, the data
+  nets, their drivers, fanouts and flattened sinks, the flattened route
+  objects, the cell placements.  Only when a comparison fails does it
+  look for *where*.  Nets that are still the same object with the same
+  driver and sinks carry their rows over, wherever the net now sits in
+  dict order; everything else is compiled afresh — by the same routine,
+  whether that is one split net or, on the first sync, all of them.
+  Rows whose route object or (for unrouted rows) endpoint placement
+  changed are re-timed; every routed row a sync has to time goes
+  through one :meth:`~repro.fabric.interconnect.RoutingGraph.
+  path_metrics_batch` call and one array evaluation of the delay model;
 * **cone-limited repropagation** — :meth:`repropagate` re-levelizes and
   recomputes arrival times only through the dirty set's transitive
   combinational fan-out, pruning cells whose (arrival, predecessor)
-  pair comes out unchanged;
-* **ordering stamps** — every net gets a monotonically increasing stamp
-  when (re-)registered, and fan-in edge lists are kept sorted by
-  ``(stamp, sink_index)``.  Because replacing a dict entry in Python
-  moves it to the *end* of iteration order while in-place mutation
-  keeps its position, stamps reproduce exactly the iteration order a
-  fresh ``design.nets.values()`` walk would see — which makes the
-  strict first-max-wins tie-breaking, and therefore the whole
-  :class:`~repro.timing.sta.TimingReport`, bit-identical to the
+  pair comes out unchanged.  Its fan-in / fan-out adjacency is a pair
+  of CSR offset arrays over the rows, sorted by ``(cell, row)`` and
+  built only when a combinational cell is actually dirty;
+* **row order is scan order** — replacing a dict entry in Python moves
+  it to the *end* of iteration order while in-place mutation keeps its
+  position; rows are (re)assembled in the design's current dict order,
+  so ``(sink slot, row)`` reproduces exactly the iteration order of the
+  reference's nested loops.  The endpoint scan is a vectorised maximum
+  whose ties go to the smallest ``(sink slot, row)`` — the strict
+  first-max-wins rule — which makes the whole
+  :class:`~repro.timing.sta.TimingReport` bit-identical to the
   reference.
+
+What counts as a visible edit: adding, removing, replacing or
+re-ordering entries of ``design.cells`` / ``design.nets``; assigning
+``net.driver``, ``net.is_clock``, ``net.sinks`` (or mutating the sinks
+list); assigning an entry of ``net.routes``; assigning
+``cell.placement``; setting or clearing ``design.metadata["cts"]``.
+Cells only ever *appended* keep every slot; any other change to the
+cell dict recompiles the whole graph in bulk, which is cheap enough not
+to need a patch path of its own.
 
 Contract: cell *timing* attributes (``ctype``, ``comb_depth``, ``seq``,
 the spec behind ``logic_delay_ps``/``setup_ps``) are treated as
-immutable once a cell is registered; placements, routes, and netlist
-structure may change freely between analyses.  Route lists must be
-**replaced**, not mutated in place (the router always assigns fresh
-lists), since the delay memo keys on list identity.  Designs with
-dangling endpoint references behave like the reference (``KeyError``).
+immutable once a cell is compiled — replace the cell object instead.
+Route lists must be **replaced**, not mutated in place (the router
+always assigns fresh lists), since the delay memo keys on list
+identity.  Designs with dangling endpoint references behave like the
+reference (``KeyError``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, chain, compress, repeat
+from operator import is_not
+
+import numpy as np
 
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
@@ -57,8 +84,38 @@ from .sta import TimingError, TimingReport, clock_terms, combinational_loops
 __all__ = ["TimingGraph"]
 
 
+def _flat_routes(nets: list, fanout: list[int]) -> list:
+    """``routes[i] if i < len(routes) else None`` of every sink, flattened."""
+    routes = [n.routes for n in nets]
+    if list(map(len, routes)) != fanout:
+        routes = [(r + [None] * f)[:f] for r, f in zip(routes, fanout)]
+    return list(chain.from_iterable(routes))
+
+
+def _match_len(a: list, i: int, b: list, j: int) -> int:
+    """How many leading elements ``a[i:]`` and ``b[j:]`` share.
+
+    Gallops, then bisects, on slice comparisons (C speed; identical
+    elements short-cut), so the cost follows the answer, not the lists.
+    """
+    limit = min(len(a) - i, len(b) - j)
+    lo, step = 0, 64
+    while lo < limit and a[i + lo:i + lo + step] == b[j + lo:j + lo + step]:
+        lo += step
+        step *= 2
+    lo = min(lo, limit)
+    hi = min(lo + step, limit)
+    while lo < hi:  # the first lo elements agree; no more than hi do
+        mid = (lo + hi + 1) // 2
+        if a[i + lo:i + mid] == b[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class TimingGraph:
-    """Flat-array timing graph, kept in sync with a mutating design.
+    """Columnar timing graph, kept in sync with a mutating design.
 
     Built empty and populated by the first :meth:`sync`; afterwards each
     ``sync`` is an incremental diff.  ``state_rev`` advances whenever a
@@ -77,431 +134,317 @@ class TimingGraph:
         self.device = device
         self.graph = graph
         self.delays = delays
-
-        # Cells: index-stable arrays; removal marks dead, never compacts.
-        self.cell_index: dict[str, int] = {}   # alive cells only
-        self.cell_names: list[str] = []
-        self.cell_objs: list = []
-        self.cell_alive: list[bool] = []
-        self.cell_seq: list[bool] = []
-        self.cell_logic: list[float] = []
-        self.cell_setup: list[float] = []
-        self.n_alive = 0
-
-        # Edges: one entry per (net, sink) pair landing on a known cell.
-        self.e_src: list[int] = []             # -1 when the driver is unknown
-        self.e_dst: list[int] = []
-        self.e_net: list[str] = []
-        self.e_netobj: list = []
-        self.e_sink: list[int] = []            # sink index within the net
-        self.e_stamp: list[int] = []           # owning net's ordering stamp
-        self.e_delay: list[float] = []
-        self.e_alive: list[bool] = []
-        # Delay-memo keys: route list identity (routed) or endpoint
-        # placements (unrouted), plus the fanout both formulas use.
-        self.e_route: list = []
-        self.e_fanout: list[int] = []
-        self.e_srcpl: list = []
-        self.e_dstpl: list = []
-        self.n_dead_edges = 0
-        # Routed edges awaiting this sync's batched path measurement.
-        self._routed_batch: list[int] = []
-
-        self.fan_in: list[list[int]] = []      # sorted by (stamp, sink index)
-        self.fan_out: list[list[int]] = []     # unordered
-
-        # Nets: stamp + structural snapshot + owned edge ids.
-        self.net_stamp: dict[str, int] = {}
-        self.net_snap: dict[str, tuple] = {}
-        self.net_edges: dict[str, list[int]] = {}
-        self.nets_missing: set[str] = set()    # nets with absent endpoints
-        self.net_errors: dict[str, str] = {}   # net -> unknown driver name
-        self._next_stamp = 0
-
-        # Propagation state (valid for alive cells after repropagate).
-        self.out_time: list[float] = []
-        self.best_pred: list[int] = []         # edge id or -1
-        self.pending_dirty: set[int] = set()
-
         self.state_rev = 0
         self.topo_rev = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self._clock_terms: tuple[float, float] | None = None
+        self._reset()
 
-    # -- sync: diff the design against the compiled snapshot ----------------
+    def _reset(self) -> None:
+        """Empty columns: the next sync compiles every cell and net."""
+        # Cells: slot i is the i-th entry of design.cells.
+        self.cell_objs: list = []
+        self.cell_names: list[str] = []
+        self.cell_index: dict[str, int] = {}
+        self.cell_pl: list = []                  # placements as of the last sync
+        self.cell_seq = np.zeros(0, dtype=bool)
+        self.cell_logic = np.zeros(0)
+        self.cell_setup = np.zeros(0)
+        # Data nets, in design.nets order.
+        self.data_nets: list = []
+        self.net_driver: list = []
+        self.net_fanout: list[int] = []          # diff(net_off) as a list, for ==
+        self.net_off = np.zeros(1, dtype=np.int64)  # rows of net j: off[j]..off[j+1]
+        self.net_missing: set[int] = set()       # nets with an absent endpoint
+        # Rows: one per (data net, sink).
+        self.r_sink: list[str] = []
+        self.r_route: list = []                  # delay-memo key: route identity
+        self.r_net = np.zeros(0, dtype=np.int64)
+        self.r_src = np.zeros(0, dtype=np.int64)  # cell slot, -1 when unknown
+        self.r_dst = np.zeros(0, dtype=np.int64)
+        self.r_delay = np.zeros(0)
+        self.r_routed = np.zeros(0, dtype=bool)  # timed from its route (else placements)
+        self._adj: tuple | None = None
+        # Propagation state: arrival per slot; winning (src slot, net
+        # name) per combinational cell that has one.
+        self.out_time = np.zeros(0)
+        self.best_pred: dict[int, tuple[int, str]] = {}
+        self.pending_dirty: set[int] = set()     # combinational slots only
+
+    # -- sync: diff the design against the compiled columns ------------------
 
     def sync(self) -> None:
         """Fold any design mutations since the last sync into the graph."""
         design = self.design
-        dirty = self.pending_dirty
-        n_dirty0 = len(dirty)
         structural = False
-        fresh_mark = len(self.e_src)
-        self._routed_batch = []  # a sync that raised may have left one behind
 
-        # Cells: detect additions, removals, and same-name replacements.
-        cells = design.cells
-        added: list[str] = []
-        matched = 0
-        removed: list[int] = []
-        for name, cell in cells.items():
-            idx = self.cell_index.get(name)
-            if idx is None:
-                added.append(name)
-            elif self.cell_objs[idx] is not cell:
-                removed.append(idx)
-                added.append(name)
-            else:
-                matched += 1
-        if matched + len(removed) != self.n_alive:
-            removed.extend(
-                idx for name, idx in list(self.cell_index.items())
-                if name not in cells
-            )
-        for idx in removed:
-            self._remove_cell(idx, dirty)
+        # Cells: appended slots extend the columns, anything else recompiles.
+        names = list(design.cells)
+        cells = list(design.cells.values())
+        n0 = len(self.cell_objs)
+        if cells[:n0] != self.cell_objs or names[:n0] != self.cell_names:
+            self._reset()
+            n0 = 0
             structural = True
-        for name in added:
-            self._add_cell(name, cells[name], dirty)
+        if len(cells) > n0:
+            self._add_cells(names[n0:], cells[n0:])
             structural = True
-        # Nets: identity says replaced, the snapshot says rewired in place.
-        matched_nets = 0
-        new_nets: list = []
-        for name, net in design.nets.items():
-            snap = self.net_snap.get(name)
-            if snap is None:
-                new_nets.append(net)
+        stale = np.zeros(len(self.r_sink), dtype=bool)  # rows to re-time
+        placements = [c.placement for c in cells]
+        if placements != self.cell_pl:
+            moved = np.zeros(len(cells), dtype=bool)
+            moved[[i for i, (a, b) in enumerate(zip(placements, self.cell_pl)) if a != b]] = True
+            self.cell_pl = placements
+            live = ~self.r_routed & (self.r_src >= 0) & (self.r_dst >= 0)
+            stale |= live & (moved[self.r_src] | moved[self.r_dst])
+
+        # The nets compiled last time: edited in place?  Routes replaced?
+        old = self.data_nets
+        sinks = [n.sinks for n in old]
+        edited = self.net_missing
+        if (
+            [n.driver for n in old] != self.net_driver
+            or list(map(len, sinks)) != self.net_fanout
+            or list(chain.from_iterable(sinks)) != self.r_sink
+        ):
+            off = self.net_off.tolist()
+            edited = edited | {
+                j for j, n in enumerate(old)
+                if n.driver != self.net_driver[j]
+                or n.sinks != self.r_sink[off[j]:off[j + 1]]
+            }
+        routes = _flat_routes(old, self.net_fanout)
+        same = _match_len(routes, 0, self.r_route, 0)
+        if same < len(routes):
+            stale[[
+                same + i
+                for i, (a, b) in enumerate(zip(routes[same:], self.r_route[same:]))
+                if a is not b
+            ]] = True
+
+        # The nets the design has now, matched against those runs of
+        # compiled nets they still are.  Dict order is the survivors in
+        # their old order, then whatever was (re-)inserted since; so
+        # where the lists part, the compiled net was removed (search
+        # forward for the next survivor) or was edited in place, or
+        # nothing compiled follows at all.  Whatever stays unmatched is
+        # compiled afresh, which is always right.
+        data = [n for n in design.nets.values() if not n.is_clock and n.driver is not None]
+        marked = old
+        if edited:
+            marked = list(old)
+            for j in edited:
+                marked[j] = None
+        pieces: list[tuple[int, int, int]] = []  # compiled nets a..b, then k fresh ones
+        fresh: list = []
+        carried = i = j = 0
+        while j < len(data):
+            run = _match_len(marked, i, data, j)
+            pieces.append((i, i + run, len(fresh)))
+            carried += run
+            i += run
+            j += run
+            if j == len(data):
+                break
+            if i < len(old) and old[i] is data[j]:  # edited: recompile in place
+                fresh.append(data[j])
+                i += 1
+                j += 1
                 continue
-            obj, driver, sinks, is_clock = snap
-            if obj is not net:
-                # del + re-add moved the entry to the end of dict order:
-                # drop and re-register below with a fresh stamp.
-                self._drop_net(name, dirty)
-                new_nets.append(net)
-                structural = True
-                continue
-            matched_nets += 1
-            if net.driver != driver or net.is_clock != is_clock or net.sinks != sinks:
-                self._reregister_net(net, dirty)
-                structural = True
-        if len(self.net_stamp) != matched_nets:
-            nets = design.nets
-            for name in [n for n in self.net_stamp if n not in nets]:
-                self._drop_net(name, dirty)
-                structural = True
-        for net in new_nets:
-            self._register_net(net, dirty, stamp=None)
+            try:
+                i = marked.index(data[j], i)
+            except ValueError:
+                fresh += data[j:]
+                break
+        if fresh or carried < len(old):
+            stale = self._assemble(data, pieces, fresh, stale, routes)
             structural = True
+        else:
+            self.r_route = routes
 
-        # Ordering stamps must increase along dict iteration order — that
-        # is what makes the stamp-sorted fan-in reproduce a fresh
-        # ``design.nets.values()`` walk.  A del + re-add of the *same*
-        # net object (a pipeline or ECO revert restoring a saved net)
-        # moves the entry to the end of dict order while the identity
-        # snapshot above still matches, so its stale stamp — and the
-        # delay memo entries hanging off the old edges — would silently
-        # diverge from the reference on arrival ties, and the memoized
-        # report could be served for a changed design.  Re-stamp any net
-        # that fell behind the running maximum; each repair raises the
-        # maximum, so a displaced suffix is re-stamped in dict order and
-        # monotonicity is restored.
-        prev_stamp = -1
-        for name in design.nets:
-            stamp = self.net_stamp.get(name)
-            if stamp is None:  # pragma: no cover - all nets registered above
-                continue
-            if stamp < prev_stamp:
-                self._reregister_net(design.nets[name], dirty, fresh_stamp=True)
-                stamp = self.net_stamp[name]
-                structural = True
-            prev_stamp = stamp
-
-        # Nets with missing endpoints sit outside the per-edge memo (their
-        # error status depends on routes and the cell set); re-register
-        # them every sync so it never goes stale.  Valid designs never
-        # have any, so this is free on the hot path.
-        for name in list(self.nets_missing):
-            net = design.nets.get(name)
-            if net is not None and self.net_snap[name][0] is net:
-                self._reregister_net(net, dirty)
-
-        # Delay memo: revalidate every pre-existing live edge.
-        graph_ok = self.graph is not None
-        for eid in range(fresh_mark):
-            if not self.e_alive[eid]:
-                continue
-            src = self.e_src[eid]
-            net = self.e_netobj[eid]
-            i = self.e_sink[eid]
-            route = net.routes[i] if i < len(net.routes) else None
-            if src < 0:
-                continue  # unknown driver: delay is an error placeholder
-            if route is not None and graph_ok:
-                if self.e_route[eid] is route and self.e_fanout[eid] == len(net.sinks):
-                    self.memo_hits += 1
-                    continue
-            elif (
-                self.e_route[eid] is None
-                and self.e_fanout[eid] == len(net.sinks)
-                and self.cell_objs[src].placement == self.e_srcpl[eid]
-                and self.cell_objs[self.e_dst[eid]].placement == self.e_dstpl[eid]
-            ):
-                self.memo_hits += 1
-                continue
-            self._recompute_edge(eid, net, dirty)
-        self._time_routed_batch(dirty)
+        rows = np.flatnonzero(stale)
+        self.memo_hits += int(np.count_nonzero(
+            ~stale & (self.r_src >= 0) & (self.r_dst >= 0)
+        ))
+        self._time(rows)
+        self._mark_dirty(self.r_dst[rows])
 
         # CTS skew/insertion live in design metadata, outside the
         # cell/net diff — track them here so a clock-tree (re)build alone
         # invalidates the memoized report.
         terms = clock_terms(design, self.delays)
-        terms_changed = terms != self._clock_terms
-        self._clock_terms = terms
-
-        if structural or terms_changed or len(dirty) != n_dirty0:
+        if structural or rows.size or terms != self._clock_terms:
             self.state_rev += 1
+        self._clock_terms = terms
         if structural:
             self.topo_rev += 1
 
-    # -- cell bookkeeping ----------------------------------------------------
-
-    def _add_cell(self, name: str, cell, dirty: set[int]) -> None:
-        idx = len(self.cell_names)
-        self.cell_index[name] = idx
-        self.cell_names.append(name)
-        self.cell_objs.append(cell)
-        self.cell_alive.append(True)
-        self.cell_seq.append(bool(cell.seq))
-        self.cell_logic.append(self.delays.logic_delay_ps(cell))
-        self.cell_setup.append(self.delays.setup_ps(cell))
-        self.fan_in.append([])
-        self.fan_out.append([])
+    def _add_cells(self, names: list[str], cells: list) -> None:
+        base = len(self.cell_objs)
+        self.cell_index.update(zip(names, range(base, base + len(cells))))
+        self.cell_objs += cells
+        self.cell_names += names
+        self.cell_pl += [c.placement for c in cells]
+        seq = np.array([bool(c.seq) for c in cells], dtype=bool)
+        logic, setup = self.delays.cell_delays_ps(cells)
+        self.cell_seq = np.concatenate((self.cell_seq, seq))
+        self.cell_logic = np.concatenate((self.cell_logic, logic))
+        self.cell_setup = np.concatenate((self.cell_setup, setup))
         # Seed: correct for sequential and zero-fan-in combinational
         # cells; dirty marking repropagates the rest.
-        self.out_time.append(self.cell_logic[idx])
-        self.best_pred.append(-1)
-        self.n_alive += 1
-        dirty.add(idx)
+        self.out_time = np.concatenate((self.out_time, logic))
+        self.pending_dirty.update((base + np.flatnonzero(~seq)).tolist())
+        self._adj = None
 
-    def _remove_cell(self, idx: int, dirty: set[int]) -> None:
-        name = self.cell_names[idx]
-        if self.cell_index.get(name) == idx:
-            del self.cell_index[name]
-        self.cell_alive[idx] = False
-        self.n_alive -= 1
-        dirty.discard(idx)
-        for eid in self.fan_in[idx]:
-            if self.e_alive[eid]:
-                self._kill_edge(eid)
-                self.nets_missing.add(self.e_net[eid])
-        for eid in self.fan_out[idx]:
-            if self.e_alive[eid]:
-                self._kill_edge(eid)
-                dst = self.e_dst[eid]
-                if dst >= 0 and self.cell_alive[dst]:
-                    dirty.add(dst)
-                self.nets_missing.add(self.e_net[eid])
-        self.fan_in[idx] = []
-        self.fan_out[idx] = []
+    def _assemble(
+        self, data: list, pieces: list, fresh: list, stale: np.ndarray, routes: list
+    ) -> np.ndarray:
+        """Splice the net and row columns for the data nets *data*.
 
-    # -- net bookkeeping -----------------------------------------------------
-
-    def _kill_edge(self, eid: int) -> None:
-        self.e_alive[eid] = False
-        self.n_dead_edges += 1
-
-    def _drop_net(self, name: str, dirty: set[int]) -> None:
-        for eid in self.net_edges.get(name, ()):
-            if self.e_alive[eid]:
-                self._kill_edge(eid)
-                dst = self.e_dst[eid]
-                if dst >= 0 and self.cell_alive[dst]:
-                    dirty.add(dst)
-        del self.net_stamp[name]
-        del self.net_snap[name]
-        del self.net_edges[name]
-        self.nets_missing.discard(name)
-        self.net_errors.pop(name, None)
-
-    def _reregister_net(self, net, dirty: set[int], *, fresh_stamp: bool = False) -> None:
-        """Rebuild a net's edges keeping its ordering stamp (in-place edit).
-
-        ``fresh_stamp=True`` re-stamps the net at the back of the ordering
-        instead — used when a same-object del + re-add moved its dict
-        position without changing its contents.
+        Each of *pieces* is ``(a, b, k)``: compiled nets ``a..b`` carry
+        their rows (and delays) over, then come the nets of *fresh* from
+        the *k*-th up to the next piece's — compiled here, all in one go;
+        on the first sync that is every net.  *routes* are the current
+        routes of the rows compiled so far.  Returns the new rows'
+        re-time mask: fresh, or *stale* before.
         """
-        stamp = None if fresh_stamp else self.net_stamp[net.name]
-        for eid in self.net_edges[net.name]:
-            if self.e_alive[eid]:
-                self._kill_edge(eid)
-                dst = self.e_dst[eid]
-                if dst >= 0 and self.cell_alive[dst]:
-                    dirty.add(dst)
-        self._register_net(net, dirty, stamp=stamp)
+        drivers = [net.driver for net in fresh]
+        sinks = [net.sinks for net in fresh]
+        fanout = list(map(len, sinks))
+        flat = list(chain.from_iterable(sinks))
+        index = self.cell_index
+        src = np.fromiter(map(index.get, drivers, repeat(-1)), np.int64, len(fresh))
+        src = np.repeat(src, fanout)
+        dst = np.fromiter(map(index.get, flat, repeat(-1)), np.int64, len(flat))
+        nets_at = range(len(self.data_nets) + len(fresh) + 1)
+        old_rows = self.net_off.tolist()
+        new_rows = [0, *accumulate(fanout)]
+        cuts = [*(k for _, _, k in pieces[1:]), len(fresh)]
 
-    def _register_net(self, net, dirty: set[int], stamp: int | None) -> None:
-        name = net.name
-        # A fresh stamp exceeds every stamp handed out before it, so the
-        # net's edges go to the back of their fan-in lists as they come.
-        fresh = stamp is None
-        if fresh:
-            stamp = self._next_stamp
-            self._next_stamp += 1
-        edges: list[int] = []
-        missing = False
-        error: str | None = None
-        if not net.is_clock and net.driver is not None:
-            src = self.cell_index.get(net.driver, -1)
-            if src < 0:
-                missing = True
-            for i, sink in enumerate(net.sinks):
-                dst = self.cell_index.get(sink)
-                if dst is None:
-                    missing = True
-                    continue
-                eid = len(self.e_src)
-                self.e_src.append(src)
-                self.e_dst.append(dst)
-                self.e_net.append(name)
-                self.e_netobj.append(net)
-                self.e_sink.append(i)
-                self.e_stamp.append(stamp)
-                self.e_delay.append(0.0)
-                self.e_alive.append(True)
-                self.e_route.append(None)
-                self.e_fanout.append(-1)
-                self.e_srcpl.append(None)
-                self.e_dstpl.append(None)
-                if src < 0:
-                    # Mirror the reference for unknown drivers: the
-                    # estimate path KeyErrors on the driver lookup, and a
-                    # combinational sink KeyErrors at the comb-edge build
-                    # — but a *routed* edge into a sequential sink is
-                    # silently excluded from the endpoint scan.  Defer
-                    # raising to analyze time so pure topology queries
-                    # (combinational_loops) still work.
-                    route = net.routes[i] if i < len(net.routes) else None
-                    routed = route is not None and self.graph is not None
-                    if not routed or not self.cell_seq[dst]:
-                        error = error or net.driver
-                else:
-                    self._recompute_edge(eid, net, dirty)
-                if fresh:
-                    self.fan_in[dst].append(eid)
-                else:
-                    self._fanin_insert(dst, eid)
-                if src >= 0:
-                    self.fan_out[src].append(eid)
-                dirty.add(dst)
-                edges.append(eid)
-        self.net_edges[name] = edges
-        self.net_snap[name] = (net, net.driver, list(net.sinks), net.is_clock)
-        self.net_stamp[name] = stamp
-        if missing:
-            self.nets_missing.add(name)
-        else:
-            self.nets_missing.discard(name)
-        if error is not None:
-            self.net_errors[name] = error
-        else:
-            self.net_errors.pop(name, None)
+        def splice(column, compiled, old_at=nets_at, new_at=nets_at) -> list:
+            parts = [column[:0]]
+            for (a, b, k), until in zip(pieces, cuts):
+                parts.append(column[old_at[a]:old_at[b]])
+                parts.append(compiled[new_at[k]:new_at[until]])
+            return parts
 
-    def _fanin_insert(self, dst: int, eid: int) -> None:
-        """Keep fan_in[dst] sorted by (net stamp, sink index)."""
-        lst = self.fan_in[dst]
-        key = (self.e_stamp[eid], self.e_sink[eid])
-        pos = len(lst)
-        while pos > 0:
-            prev = lst[pos - 1]
-            if (self.e_stamp[prev], self.e_sink[prev]) <= key:
-                break
-            pos -= 1
-        lst.insert(pos, eid)
+        def rows(column, compiled) -> list:  # the same, for per-row columns
+            return splice(column, compiled, old_rows, new_rows)
 
-    def _recompute_edge(self, eid: int, net, dirty: set[int]) -> None:
-        i = self.e_sink[eid]
-        self.memo_misses += 1
-        route = net.routes[i] if i < len(net.routes) else None
-        if route is not None and self.graph is not None:
-            self._routed_batch.append(eid)
+        gone = np.ones(len(stale), dtype=bool)
+        for a, b, _ in pieces:
+            gone[old_rows[a]:old_rows[b]] = False
+        self._mark_dirty(self.r_dst[gone])
+        retime = np.concatenate(rows(stale, np.ones(len(flat), dtype=bool)))
+        self.r_delay = np.concatenate(rows(self.r_delay, np.zeros(len(flat))))
+        self.r_routed = np.concatenate(rows(self.r_routed, np.zeros(len(flat), dtype=bool)))
+        self.r_src = np.concatenate(rows(self.r_src, src))
+        self.r_dst = np.concatenate(rows(self.r_dst, dst))
+        self.r_sink = list(chain.from_iterable(rows(self.r_sink, flat)))
+        self.r_route = list(chain.from_iterable(rows(routes, _flat_routes(fresh, fanout))))
+        self.data_nets = data
+        self.net_driver = list(chain.from_iterable(splice(self.net_driver, drivers)))
+        self.net_fanout = list(chain.from_iterable(splice(self.net_fanout, fanout)))
+        width = np.concatenate(splice(np.diff(self.net_off), np.array(fanout, dtype=np.int64)))
+        self.net_off = np.concatenate(([0], np.cumsum(width)))
+        self.r_net = np.repeat(np.arange(len(data)), width)
+        # Nets with missing endpoints sit outside the memo (their error
+        # status depends on routes and the cell set); recompile them
+        # every sync so it never goes stale.  Valid designs have none.
+        self.net_missing = set(self.r_net[(self.r_src < 0) | (self.r_dst < 0)].tolist())
+        self._adj = None
+        return retime
+
+    def _time(self, rows: np.ndarray) -> None:
+        """(Re)compute the delay of *rows*: the routed ones from a single
+        batched path measurement, the rest from the placement estimate."""
+        if not rows.size:
             return
-        delay = self.delays.net_delay_ps(self.design, net, i, self.device, self.graph)
-        self.e_route[eid] = None
-        src = self.e_src[eid]
-        self.e_srcpl[eid] = self.cell_objs[src].placement if src >= 0 else None
-        self.e_dstpl[eid] = self.cell_objs[self.e_dst[eid]].placement
-        self._store_delay(eid, delay, len(net.sinks), dirty)
+        routes = self.r_route
+        picked = [routes[i] for i in rows.tolist()]
+        routed = np.fromiter(map(is_not, picked, repeat(None)), bool, len(picked))
+        if self.graph is None:
+            routed[:] = False
+        self.r_routed[rows] = routed
+        live = (self.r_src[rows] >= 0) & (self.r_dst[rows] >= 0)
+        self.memo_misses += int(np.count_nonzero(live))
+        hot = routed & live
+        if hot.any():
+            tiles, crossings = self.graph.path_metrics_batch(
+                list(compress(picked, hot.tolist()))
+            )
+            fanout = np.diff(self.net_off)[self.r_net[rows[hot]]]
+            self.r_delay[rows[hot]] = self.delays.routed_delays_ps(tiles, crossings, fanout)
+        cold = rows[live & ~routed]
+        off = self.net_off
+        for i, j in zip(cold.tolist(), self.r_net[cold].tolist()):
+            self.r_delay[i] = self.delays.net_delay_ps(
+                self.design, self.data_nets[j], i - int(off[j]), self.device, self.graph
+            )
 
-    def _time_routed_batch(self, dirty: set[int]) -> None:
-        """Time the routed edges this sync collected, all paths at once."""
-        batch = self._routed_batch
-        if not batch:
-            return
-        self._routed_batch = []
-        nets = [self.e_netobj[eid] for eid in batch]
-        routes = [net.routes[self.e_sink[eid]] for eid, net in zip(batch, nets)]
-        tiles, crossings = self.graph.path_metrics_batch(routes)
-        routed_delay_ps = self.delays.routed_delay_ps
-        for eid, net, route, t, c in zip(
-            batch, nets, routes, tiles.tolist(), crossings.tolist()
-        ):
-            fanout = len(net.sinks)
-            self.e_route[eid] = route
-            self.e_srcpl[eid] = None
-            self.e_dstpl[eid] = None
-            self._store_delay(eid, routed_delay_ps(t, c, fanout), fanout, dirty)
-
-    def _store_delay(self, eid: int, delay: float, fanout: int, dirty: set[int]) -> None:
-        self.e_fanout[eid] = fanout
-        if delay != self.e_delay[eid]:
-            self.e_delay[eid] = delay
-            dst = self.e_dst[eid]
-            if dst >= 0 and self.cell_alive[dst]:
-                dirty.add(dst)
+    def _mark_dirty(self, slots: np.ndarray) -> None:
+        """Queue the combinational cells among *slots* for repropagation."""
+        slots = slots[slots >= 0]
+        self.pending_dirty.update(slots[~self.cell_seq[slots]].tolist())
 
     # -- propagation ---------------------------------------------------------
 
+    def _adjacency(self) -> tuple:
+        """CSR fan-in (by ``(dst, row)``) and fan-out over the live rows."""
+        if self._adj is None:
+            src, dst = self.r_src, self.r_dst
+            live = np.flatnonzero((src >= 0) & (dst >= 0))
+            slots = np.arange(len(self.cell_objs) + 1)
+            by_dst = live[np.argsort(dst[live], kind="stable")]
+            by_src = live[np.argsort(src[live], kind="stable")]
+            self._adj = (
+                by_dst.tolist(), np.searchsorted(dst[by_dst], slots).tolist(),
+                by_src.tolist(), np.searchsorted(src[by_src], slots).tolist(),
+                src.tolist(), dst.tolist(), self.cell_seq.tolist(),
+            )
+        return self._adj
+
     def repropagate(self) -> int:
         """Recompute arrivals through the dirty cone; return cells visited."""
-        if self.net_errors:
-            raise KeyError(next(iter(self.net_errors.values())))
-        dirty = self.pending_dirty
+        src, dst = self.r_src, self.r_dst
+        orphan = np.flatnonzero((src < 0) & (dst >= 0))
+        if orphan.size:
+            # Mirror the reference for unknown drivers: the estimate path
+            # KeyErrors on the driver lookup, and a combinational sink
+            # KeyErrors at the comb-edge build — but a *routed* edge into
+            # a sequential sink is silently excluded from the endpoint
+            # scan.  Raised here, not in sync, so pure topology queries
+            # (combinational_loops) still work.
+            bad = orphan[~(self.r_routed[orphan] & self.cell_seq[dst[orphan]])]
+            if bad.size:
+                raise KeyError(self.net_driver[self.r_net[bad[0]]])
+        seeds = self.pending_dirty
         self.pending_dirty = set()
-        if not dirty:
+        if not seeds:
             return 0
-        alive = self.cell_alive
-        seq = self.cell_seq
-        e_alive = self.e_alive
-        e_src = self.e_src
-        e_dst = self.e_dst
-        seeds = [c for c in dirty if alive[c] and not seq[c]]
+        fan_in, in_off, fan_out, out_off, src, dst, seq = self._adjacency()
         cone = set(seeds)
         stack = list(seeds)
         while stack:
             c = stack.pop()
-            for eid in self.fan_out[c]:
-                if not e_alive[eid]:
-                    continue
-                d = e_dst[eid]
-                if alive[d] and not seq[d] and d not in cone:
+            for e in fan_out[out_off[c]:out_off[c + 1]]:
+                d = dst[e]
+                if not seq[d] and d not in cone:
                     cone.add(d)
                     stack.append(d)
-        if not cone:
-            return 0
-        indeg: dict[int, int] = {}
-        for c in cone:
-            n = 0
-            for eid in self.fan_in[c]:
-                if e_alive[eid] and e_src[eid] in cone:
-                    n += 1
-            indeg[c] = n
+        indeg = {
+            c: sum(src[e] in cone for e in fan_in[in_off[c]:in_off[c + 1]])
+            for c in cone
+        }
         queue: deque[int] = deque(c for c in cone if indeg[c] == 0)
         needs = set(seeds)
         out = self.out_time
         best = self.best_pred
         logic = self.cell_logic
-        e_delay = self.e_delay
+        delay = self.r_delay
+        nets = self.data_nets
+        r_net = self.r_net
         processed = 0
         while queue:
             c = queue.popleft()
@@ -509,28 +452,24 @@ class TimingGraph:
             changed = False
             if c in needs:
                 # Same strict first-max-wins scan as the reference's
-                # _worst_arrival, over the stamp-ordered fan-in.
+                # _worst_arrival, over the row-ordered fan-in.
                 worst = 0.0
-                pred = -1
-                for eid in self.fan_in[c]:
-                    if not e_alive[eid]:
-                        continue
-                    s = e_src[eid]
-                    if s < 0:
-                        continue
-                    arr = out[s] + e_delay[eid]
+                pred = None
+                for e in fan_in[in_off[c]:in_off[c + 1]]:
+                    arr = out[src[e]] + delay[e]
                     if arr > worst:
                         worst = arr
-                        pred = eid
+                        pred = (src[e], nets[r_net[e]].name)
                 new = worst + logic[c]
-                if new != out[c] or pred != best[c]:
+                if new != out[c] or pred != best.get(c):
                     out[c] = new
-                    best[c] = pred
+                    if pred is None:
+                        best.pop(c, None)
+                    else:
+                        best[c] = pred
                     changed = True
-            for eid in self.fan_out[c]:
-                if not e_alive[eid]:
-                    continue
-                d = e_dst[eid]
+            for e in fan_out[out_off[c]:out_off[c + 1]]:
+                d = dst[e]
                 if d in indeg:
                     indeg[d] -= 1
                     if changed:
@@ -538,8 +477,7 @@ class TimingGraph:
                     if indeg[d] == 0:
                         queue.append(d)
         if processed < len(cone):
-            unresolved = [self.cell_names[c] for c in cone if indeg.get(c, 0) > 0]
-            self._raise_loop(unresolved)
+            self._raise_loop([self.cell_names[c] for c in cone if indeg[c] > 0])
         return processed
 
     def _raise_loop(self, unresolved: list[str]) -> None:
@@ -559,62 +497,33 @@ class TimingGraph:
 
     def report(self) -> TimingReport:
         """Endpoint scan + path reconstruction, reference iteration order."""
-        alive = self.cell_alive
-        seq = self.cell_seq
         names = self.cell_names
         out = self.out_time
-        setup = self.cell_setup
-        e_alive = self.e_alive
-        e_src = self.e_src
-        e_delay = self.e_delay
-        worst = 0.0
-        worst_eid = -1
-        n_paths = 0
-        for dst in range(len(names)):
-            if not alive[dst] or not seq[dst]:
-                continue
-            su = setup[dst]
-            for eid in self.fan_in[dst]:
-                if not e_alive[eid]:
-                    continue
-                s = e_src[eid]
-                if s < 0:
-                    continue
-                n_paths += 1
-                total = out[s] + e_delay[eid] + su
-                if total > worst:
-                    worst = total
-                    worst_eid = eid
+        src, dst = self.r_src, self.r_dst
+        live = np.flatnonzero((src >= 0) & (dst >= 0))
+        ends = live[self.cell_seq[dst[live]]]  # rows landing on a register
         overhead, insertion = clock_terms(self.design, self.delays)
-        if worst_eid < 0:
-            worst = max(
-                (out[i] for i in range(len(names)) if alive[i]), default=0.0
-            )
+        total = out[src[ends]] + self.r_delay[ends] + self.cell_setup[dst[ends]]
+        worst = float(total.max()) if ends.size else 0.0
+        if not worst > 0.0:
+            worst = float(out.max()) if out.size else 0.0
             return TimingReport(self.design.name, worst, overhead, [], 0, insertion)
+        # First max wins, scanning sinks in cell order and each sink's
+        # fan-in in row order: of the rows tied at the maximum (ascending
+        # already), take the first one of the earliest sink.
+        tied = ends[total == worst]
+        row = int(tied[np.argmin(dst[tied])])
         path: list[tuple[str, str | None]] = [
-            (names[self.e_dst[worst_eid]], self.e_net[worst_eid])
+            (names[dst[row]], self.data_nets[self.r_net[row]].name)
         ]
-        best = self.best_pred
-        cursor = e_src[worst_eid]
+        cursor = int(src[row])
         guard = 0
-        while cursor >= 0 and guard < self.n_alive + 1:
-            pe = best[cursor]
-            path.append((names[cursor], self.e_net[pe] if pe >= 0 else None))
-            cursor = e_src[pe] if pe >= 0 else -1
+        while cursor >= 0 and guard < len(names) + 1:
+            pred = self.best_pred.get(cursor)
+            path.append((names[cursor], pred[1] if pred else None))
+            cursor = pred[0] if pred else -1
             guard += 1
         path.reverse()
-        return TimingReport(self.design.name, worst, overhead, path, n_paths, insertion)
-
-    # -- housekeeping --------------------------------------------------------
-
-    def needs_rebuild(self) -> bool:
-        """Dead entries dominate the arrays: cheaper to recompile."""
-        n_edges = len(self.e_src)
-        n_cells = len(self.cell_names)
-        return (
-            self.n_dead_edges > 256
-            and self.n_dead_edges > 2 * (n_edges - self.n_dead_edges)
-        ) or (
-            n_cells - self.n_alive > 256
-            and n_cells - self.n_alive > 2 * self.n_alive
+        return TimingReport(
+            self.design.name, worst, overhead, path, int(ends.size), insertion
         )

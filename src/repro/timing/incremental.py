@@ -87,7 +87,7 @@ class IncrementalSta:
         self.stats.analyses += 1
         with span("timing.sta", design=self.design.name, engine="incremental") as s:
             tg = self._tg
-            if tg is None or tg.needs_rebuild():
+            if tg is None:
                 tg = self._tg = TimingGraph(
                     self.design, self.device, self.graph, self.delays
                 )

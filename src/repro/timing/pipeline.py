@@ -116,11 +116,11 @@ def pipeline_to_target(
             occupied.add(site)
         # Split: driver -> reg, reg -> original sinks.  The original net
         # object is detached untouched so a revert can restore it exactly
-        # (routes, width, flags included); the clock nets are snapshotted
-        # because add_sink appends to both sinks and routes.
+        # (routes, width, flags included); add_sink only appends to a
+        # clock net's sinks and routes, so their lengths undo it.
         saved_net = net
         sinks = list(net.sinks)
-        clock_state = [(c, list(c.sinks), list(c.routes)) for c in clock_nets]
+        clock_state = [(c, len(c.sinks), len(c.routes)) for c in clock_nets]
         del design.nets[net.name]
         design.connect(net.name + "__a", net.driver, [reg_name], width=net.width)
         design.connect(net.name + "__b", reg_name, sinks, width=net.width)
@@ -135,9 +135,9 @@ def pipeline_to_target(
             del design.cells[reg_name]
             if site is not None:
                 occupied.discard(site)
-            for cnet, csinks, croutes in clock_state:
-                cnet.sinks[:] = csinks
-                cnet.routes[:] = croutes
+            for cnet, n_sinks, n_routes in clock_state:
+                del cnet.sinks[n_sinks:]
+                del cnet.routes[n_routes:]
             design.add_net(saved_net)
             break
         inserted += 1

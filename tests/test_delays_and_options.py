@@ -1,10 +1,11 @@
 """Delay-model regimes, placer/OOC option knobs, report formatting."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import format_table
 from repro.fabric import PBlock, TileType
-from repro.netlist import Design
+from repro.netlist import Cell, Design
 from repro.rapidwright import ComponentPlacer, Footprint, preimplement
 from repro.rapidwright.placer import _halo, _port_point
 from repro.synth import gen_relu
@@ -42,6 +43,39 @@ def test_estimated_delay_components():
     lo = m.estimated_net_delay_ps(None, None, None, fanout=2)
     hi = m.estimated_net_delay_ps(None, None, None, fanout=10_000)
     assert hi - lo <= m.fanout_ps * m.fanout_cap
+
+
+class _SquareRootWires(DelayModel):
+    def wire_delay_ps(self, tiles: float) -> float:
+        return 30.0 * tiles ** 0.5
+
+
+@pytest.mark.parametrize(
+    "model", [DEFAULT_DELAYS, DelayModel(long_line_knee=7.5, fanout_cap=3), _SquareRootWires()]
+)
+def test_bulk_forms_return_the_scalar_floats(model):
+    """`routed_delays_ps` / `cell_delays_ps` are what the timing graph
+    compiles from: every element must be the very float the per-object
+    method returns — across the long-line knee, the fanout cap, and for
+    a subclass that overrides the scalar form."""
+    tiles, crossings, fanout = (
+        a.ravel() for a in np.meshgrid(np.arange(0, 90, 3), np.arange(4), np.arange(0, 20))
+    )
+    got = model.routed_delays_ps(tiles, crossings, fanout)
+    want = [
+        model.routed_delay_ps(t, c, f)
+        for t, c, f in zip(tiles.tolist(), crossings.tolist(), fanout.tolist())
+    ]
+    assert got.dtype == np.float64 and got.tolist() == want
+
+    cells = [
+        Cell(f"c{i}", ctype, comb_depth=1 + i % 4)
+        for i, ctype in enumerate(["SLICE", "DSP48E2", "RAMB36", "BUFCE", "URAM288"] * 5)
+    ]
+    logic, setup = model.cell_delays_ps(cells)
+    assert logic.tolist() == [model.logic_delay_ps(c) for c in cells]
+    assert setup.tolist() == [model.setup_ps(c) for c in cells]
+    assert [a.size for a in model.cell_delays_ps([])] == [0, 0]
 
 
 def test_custom_model_changes_sta(tiny_device):

@@ -12,6 +12,9 @@ Hypothesis over random multi-fanout routing problems on the small part:
   byte-identical.
 * the arena/windowed A* search returns byte-identical paths to the
   dict/heap reference search on random congested grids, windowed or not.
+* :func:`routed_occupancy` — computed from all routes at once — returns
+  the array, connection count and per-net usage of a plain walk over
+  the nets.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from hypothesis import given, settings, strategies as st
 from repro.fabric import Device, RoutingGraph, TileType
 from repro.fabric.interconnect import HEX_REACH
 from repro.netlist import Design
+from repro.netlist.net import Net
 from repro.route import Router, astar_route, astar_route_reference
+from repro.route.pathfinder import routed_occupancy
 
 SMALL = Device.from_name("small")
 CLB_COLS = [int(c) for c in SMALL.columns_of(TileType.CLB)]
@@ -52,15 +57,24 @@ def routing_problems(draw):
     return design, rng_seed
 
 
-def _recomputed_occupancy(design: Design, graph: RoutingGraph) -> np.ndarray:
-    occupancy = np.zeros(graph.n_nodes)
+def _occupancy_walk(design: Design, graph: RoutingGraph):
+    """The accounting spelled out: one pass, one node at a time."""
+    occupancy = np.zeros(graph.n_nodes, dtype=np.float64)
+    net_usage: dict[str, dict[int, int]] = {}
+    preexisting = 0
     for net in design.nets.values():
-        used = set()
+        if net.is_clock or net.driver is None:
+            continue
+        usage = net_usage.setdefault(net.name, {})
         for path in net.routes:
-            used.update((path or [])[1:-1])
-        for node in used:
-            occupancy[node] += net.width
-    return occupancy
+            if path is None:
+                continue
+            for node in path[1:-1]:  # endpoints are pins, not wires
+                usage[node] = usage.get(node, 0) + 1
+                if usage[node] == 1:
+                    occupancy[node] += net.width
+            preexisting += 1
+    return occupancy, net_usage, preexisting
 
 
 @settings(max_examples=25, deadline=None)
@@ -74,7 +88,7 @@ def test_successful_route_has_zero_overuse(problem):
     )
     if result.success:
         assert result.overused_nodes == 0
-        occupancy = _recomputed_occupancy(design, graph)
+        occupancy, _usage, _routed = _occupancy_walk(design, graph)
         assert (occupancy <= graph.capacity).all()
 
 
@@ -148,3 +162,53 @@ def test_astar_arena_window_matches_reference(case):
     )
     assert windowed == ref
     assert unwindowed == ref
+
+
+# -- routed_occupancy vs a scalar walk ----------------------------------------
+
+
+@st.composite
+def routed_designs(draw):
+    """Nets with hand-made routes: sinks sharing a trunk, repeated nodes,
+    2-node paths with no interior, unrouted sinks, wide nets, clock and
+    driverless nets that must be ignored."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    n_nodes = RoutingGraph(SMALL).n_nodes
+    design = Design(f"occ{seed}")
+    for k in range(int(rng.integers(0, 7))):
+        kind = rng.random()
+        net = Net(
+            f"n{k}",
+            driver=None if kind < 0.15 else f"d{k}",
+            sinks=[f"s{k}_{j}" for j in range(int(rng.integers(0, 5)))],
+            width=int(rng.integers(1, 9)),
+            is_clock=0.15 <= kind < 0.3,
+        )
+        trunk = [int(x) for x in rng.integers(0, n_nodes, size=int(rng.integers(1, 6)))]
+        for i in range(len(net.sinks)):
+            shape = rng.random()
+            if shape < 0.25:
+                continue  # unrouted sink
+            branch = [int(x) for x in rng.integers(0, n_nodes, size=int(rng.integers(1, 5)))]
+            net.routes[i] = branch[:2] if shape < 0.4 else trunk + branch
+        design.add_net(net)
+    return design
+
+
+@settings(max_examples=120, deadline=None)
+@given(routed_designs())
+def test_routed_occupancy_matches_scalar_walk(design):
+    graph = RoutingGraph(SMALL)
+    occupancy, net_usage, preexisting = routed_occupancy(design, graph)
+    want_occupancy, want_usage, want_preexisting = _occupancy_walk(design, graph)
+    assert occupancy.dtype == want_occupancy.dtype
+    assert np.array_equal(occupancy, want_occupancy)
+    assert preexisting == want_preexisting
+    # Usage is promised for every net a router could still have to route
+    # (insertion order included: the C core is fed the items as they come).
+    for net in design.nets.values():
+        if net.is_clock or net.driver is None or None not in net.routes:
+            assert net.name not in net_usage
+        else:
+            assert list(net_usage[net.name].items()) == list(want_usage[net.name].items())

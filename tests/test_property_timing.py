@@ -16,6 +16,8 @@ reproduces it.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from repro.netlist import Design
 from repro.netlist.cell import Cell
 from repro.netlist.net import Net
 from repro.rapidwright import ComponentDatabase
-from repro.timing import IncrementalSta, TimingError, analyze_reference
+from repro.timing import DelayModel, IncrementalSta, TimingError, analyze_reference
 from tests.conftest import make_tiny_cnn
 
 SMALL = Device.from_name("small")
@@ -34,6 +36,18 @@ GRAPH = RoutingGraph(SMALL)
 
 #: Cell names nets may dangle on (never added to the design).
 GHOSTS = ("ghost0", "ghost1")
+
+#: More than SLICE, so the per-``(ctype, comb_depth)`` delay table of the
+#: compiled graph sees several cell types.
+CTYPES = ("SLICE", "SLICE", "DSP48E2", "RAMB36")
+
+
+class LutCountDelays(DelayModel):
+    """A model whose logic delay reads a field outside ``(ctype,
+    comb_depth)``: only correct if the graph asks per cell."""
+
+    def logic_delay_ps(self, cell: Cell) -> float:
+        return super().logic_delay_ps(cell) + 13.0 * cell.luts
 
 
 def _outcome(fn):
@@ -45,7 +59,10 @@ def _outcome(fn):
     """
     try:
         r = fn()
-        return ("ok", r.period_ps, tuple(r.critical_path), r.n_paths)
+        return (
+            "ok", r.period_ps, tuple(r.critical_path), r.n_paths,
+            r.clock_overhead_ps, r.clock_insertion_ps,
+        )
     except TimingError as e:
         return ("loop", str(e))
     except KeyError:
@@ -54,19 +71,37 @@ def _outcome(fn):
 
 def _check(session: IncrementalSta, design: Design) -> None:
     inc = _outcome(session.analyze)
-    ref = _outcome(lambda: analyze_reference(design, SMALL, GRAPH))
+    ref = _outcome(lambda: analyze_reference(design, SMALL, GRAPH, session.delays))
     assert inc == ref
 
 
-def _random_route(rng) -> list[int]:
+def _random_route(rng, uniform: bool = False) -> list[int]:
+    """*uniform* (here and below) makes every wire and cell alike, so
+    arrivals tie everywhere and only scan order picks the critical path."""
+    if uniform:
+        return [0, 1]
     n = int(rng.integers(2, 7))
     return [int(x) for x in rng.integers(0, GRAPH.n_nodes, size=n)]
 
 
-def _random_placement(rng):
-    if rng.random() < 0.15:
+def _random_placement(rng, uniform: bool = False):
+    if uniform or rng.random() < 0.15:
         return None
     return (int(rng.integers(0, SMALL.ncols)), int(rng.integers(0, SMALL.nrows)))
+
+
+def _random_cell(rng, name: str, uniform: bool = False) -> Cell:
+    if uniform:
+        return Cell(name, "SLICE", seq=bool(rng.random() < 0.45))
+    ctype = CTYPES[int(rng.integers(0, len(CTYPES)))]
+    return Cell(
+        name,
+        ctype,
+        luts=int(rng.integers(0, 9)) if ctype == "SLICE" else 0,
+        seq=bool(rng.random() < 0.45),
+        comb_depth=int(rng.integers(1, 4)),
+        placement=_random_placement(rng),
+    )
 
 
 @st.composite
@@ -80,20 +115,13 @@ def timing_designs(draw, *, routed: bool = False):
     seed = draw(st.integers(0, 10_000))
     # allow dangling endpoint references
     broken = False if routed else draw(st.booleans())
+    uniform = draw(st.booleans())
     rng = np.random.default_rng(seed)
     design = Design(f"ta{seed}")
     n_cells = int(rng.integers(3, 15))
     names = []
     for i in range(n_cells):
-        design.add_cell(
-            Cell(
-                f"c{i}",
-                "SLICE",
-                seq=bool(rng.random() < 0.45),
-                comb_depth=int(rng.integers(1, 4)),
-                placement=_random_placement(rng),
-            )
-        )
+        design.add_cell(_random_cell(rng, f"c{i}", uniform))
         names.append(f"c{i}")
     pool = list(names) + (list(GHOSTS) if broken else [])
     for k in range(int(rng.integers(1, 10))):
@@ -102,25 +130,25 @@ def timing_designs(draw, *, routed: bool = False):
         net = Net(f"n{k}", driver=driver, sinks=sinks)
         for i in range(len(sinks)):
             if routed or rng.random() < 0.4:
-                net.routes[i] = _random_route(rng)
+                net.routes[i] = _random_route(rng, uniform)
         design.add_net(net)
     seq_sinks = [n for n in names if design.cells[n].seq]
     if seq_sinks and rng.random() < 0.7:
         design.add_net(Net("clk", driver=None, sinks=seq_sinks, is_clock=True))
-    return design, seed, broken
+    return design, seed, broken, uniform
 
 
-def _apply_edit(design: Design, rng, k: int, broken: bool) -> None:
+def _apply_edit(design: Design, rng, k: int, broken: bool, uniform: bool = False) -> None:
     """One random in-flow mutation (placement, route, or netlist edit)."""
     cells = [c for c in design.cells.values()]
     nets = [n for n in design.nets.values() if not n.is_clock]
-    op = int(rng.integers(0, 10))
+    op = int(rng.integers(0, 18))
     if op == 0 and cells:  # move a cell
-        cells[int(rng.integers(0, len(cells)))].placement = _random_placement(rng)
+        cells[int(rng.integers(0, len(cells)))].placement = _random_placement(rng, uniform)
     elif op == 1 and nets:  # route one sink (fresh list: the memo contract)
         net = nets[int(rng.integers(0, len(nets)))]
         if net.sinks:
-            net.routes[int(rng.integers(0, len(net.sinks)))] = _random_route(rng)
+            net.routes[int(rng.integers(0, len(net.sinks)))] = _random_route(rng, uniform)
     elif op == 2 and nets:  # rip up one sink's route
         net = nets[int(rng.integers(0, len(nets)))]
         if net.sinks:
@@ -147,14 +175,14 @@ def _apply_edit(design: Design, rng, k: int, broken: bool) -> None:
         if name not in design.cells:
             design.add_cell(
                 Cell(name, "SLICE", seq=bool(rng.random() < 0.5),
-                     placement=_random_placement(rng))
+                     placement=_random_placement(rng, uniform))
             )
     elif op == 8 and len(cells) > 2:  # delete a cell, leaving danglers
         del design.cells[cells[int(rng.integers(0, len(cells)))].name]
     elif op == 9 and nets:  # pipeline-style split through a new register
         net = nets[int(rng.integers(0, len(nets)))]
         if net.driver in design.cells and net.sinks:
-            reg = Cell(f"r{k}", "SLICE", seq=True, placement=_random_placement(rng))
+            reg = Cell(f"r{k}", "SLICE", seq=True, placement=_random_placement(rng, uniform))
             design.add_cell(reg)
             del design.nets[net.name]
             design.add_net(Net(f"{net.name}__a", driver=net.driver, sinks=[reg.name]))
@@ -162,12 +190,49 @@ def _apply_edit(design: Design, rng, k: int, broken: bool) -> None:
             clk = design.nets.get("clk")
             if clk is not None:
                 clk.add_sink(reg.name)
+    # In-place edits that leave every container the same object and the
+    # same length — what a column diff has to look inside for.
+    elif op == 10 and nets and cells:  # reassign a driver
+        pool = [*(c.name for c in cells), *(GHOSTS if broken else ()), None]
+        nets[int(rng.integers(0, len(nets)))].driver = pool[int(rng.integers(0, len(pool)))]
+    elif op == 11 and design.nets:  # data net <-> clock net
+        net = list(design.nets.values())[int(rng.integers(0, len(design.nets)))]
+        net.is_clock = not net.is_clock
+    elif op == 12 and nets:  # swap two sinks (same length, same set)
+        wide = [n for n in nets if len(n.sinks) >= 2]
+        if wide:
+            net = wide[int(rng.integers(0, len(wide)))]
+            net.sinks[0], net.sinks[-1] = net.sinks[-1], net.sinks[0]
+    elif op == 13 and cells:  # a clock net grows, nothing else changes
+        clocks = [n for n in design.nets.values() if n.is_clock]
+        if clocks:
+            clocks[0].add_sink(cells[int(rng.integers(0, len(cells)))].name)
+    elif op == 14:  # clock tree recorded / dropped
+        if "cts" in design.metadata:
+            del design.metadata["cts"]
+        else:
+            design.metadata["cts"] = {
+                "skew_ps": float(rng.integers(0, 90)), "insertion_ps": 410.0,
+            }
+    elif op == 15 and cells:  # replace a cell under its name, same dict slot
+        name = cells[int(rng.integers(0, len(cells)))].name
+        design.cells[name] = _random_cell(rng, name, uniform)
+    elif op == 16 and nets:  # del + re-add the *same* net object (moves to the end)
+        net = nets[int(rng.integers(0, len(nets)))]
+        del design.nets[net.name]
+        design.add_net(net)
+    elif op == 17 and nets:  # replace one sink in place
+        net = nets[int(rng.integers(0, len(nets)))]
+        if net.sinks and cells:
+            net.sinks[int(rng.integers(0, len(net.sinks)))] = cells[
+                int(rng.integers(0, len(cells)))
+            ].name
 
 
 @settings(max_examples=30, deadline=None)
 @given(timing_designs())
 def test_fresh_session_matches_reference(case):
-    design, _seed, _broken = case
+    design, _seed, _broken, _uniform = case
     _check(IncrementalSta(design, SMALL, GRAPH), design)
 
 
@@ -177,7 +242,7 @@ def test_routed_first_analysis_times_every_edge_once(case):
     """The cold compile of a routed design: same report as the oracle
     (or the same loop error), and the delay memo counts exactly one
     computation per data edge."""
-    design, _seed, _broken = case
+    design, _seed, _broken, _uniform = case
     session = IncrementalSta(design, SMALL, GRAPH)
     inc = _outcome(session.analyze)
     assert inc == _outcome(lambda: analyze_reference(design, SMALL, GRAPH))
@@ -188,15 +253,18 @@ def test_routed_first_analysis_times_every_edge_once(case):
         assert (session.stats.memo_misses, session.stats.memo_hits) == (edges, 0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(timing_designs(), st.integers(0, 10_000), st.integers(1, 8))
-def test_session_tracks_random_edit_sequence(case, edit_seed, n_edits):
-    design, _seed, broken = case
+@settings(max_examples=60, deadline=None)
+@given(
+    timing_designs(), st.integers(0, 10_000), st.integers(1, 8),
+    st.sampled_from([DelayModel(), LutCountDelays()]),
+)
+def test_session_tracks_random_edit_sequence(case, edit_seed, n_edits, delays):
+    design, _seed, broken, uniform = case
     rng = np.random.default_rng(edit_seed)
-    session = IncrementalSta(design, SMALL, GRAPH)
+    session = IncrementalSta(design, SMALL, GRAPH, delays)
     _check(session, design)
     for k in range(n_edits):
-        _apply_edit(design, rng, k, broken)
+        _apply_edit(design, rng, k, broken, uniform)
         _check(session, design)
 
 
@@ -214,7 +282,7 @@ def _has_danglers(design: Design) -> bool:
 @settings(max_examples=20, deadline=None)
 @given(timing_designs(), st.integers(0, 10_000))
 def test_unchanged_design_is_answered_from_cache(case, _unused):
-    design, _seed, _broken = case
+    design, _seed, _broken, _uniform = case
     session = IncrementalSta(design, SMALL, GRAPH)
     first = _outcome(session.analyze)
     again = _outcome(session.analyze)
@@ -244,6 +312,52 @@ def test_session_recovers_after_error():
 
     del design.nets["bad"]
     assert _outcome(session.analyze) == ok
+
+
+def _routed_chain(n_cells: int) -> Design:
+    """``c0 -> c1 -> ... `` registers, every hop routed, one clock net."""
+    rng = np.random.default_rng(n_cells)
+    design = Design(f"chain{n_cells}")
+    for i in range(n_cells):
+        design.add_cell(Cell(f"c{i}", "SLICE", seq=True, placement=_random_placement(rng)))
+    for i in range(n_cells - 1):
+        net = design.add_net(Net(f"n{i}", driver=f"c{i}", sinks=[f"c{i + 1}"]))
+        net.routes[0] = _random_route(rng)
+    design.add_net(Net("clk", driver=None, sinks=list(design.cells), is_clock=True))
+    return design
+
+
+def test_mass_net_removal_and_return():
+    """Hundreds of rows leave in one sync and come back in the next
+    (more dead edges than the old append-only arrays tolerated before
+    recompiling); the survivors keep their memoized delays."""
+    design = _routed_chain(400)
+    session = IncrementalSta(design, SMALL, GRAPH)
+    _check(session, design)
+    gone = [design.nets.pop(f"n{i}") for i in range(20, 320)]
+    misses = session.stats.memo_misses
+    _check(session, design)
+    assert session.stats.memo_misses == misses  # nothing re-timed
+    for net in reversed(gone):
+        design.add_net(net)
+    _check(session, design)
+    assert session.stats.memo_misses == misses + len(gone)
+
+
+def test_cold_compile_keeps_columns_not_objects():
+    """The compiled graph is a handful of lists and arrays: a cold
+    analysis of an N-cell routed design must not leave a container per
+    cell, net or edge behind (it used to leave about 5 N)."""
+    n = 2000
+    design = _routed_chain(n)
+    session = IncrementalSta(design, SMALL, GRAPH)
+    gc.collect()
+    before = len(gc.get_objects())
+    report = session.analyze()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert report.n_paths == n - 1
+    assert grown < n // 4, f"{grown} new GC-tracked objects for {n} cells"
 
 
 # -- flow-level determinism ----------------------------------------------------

@@ -245,6 +245,25 @@ def test_same_object_net_readd_restamps(tiny_device):
     assert session.stats.cached == 0
 
 
+def test_cell_replaced_in_its_slot_keeps_scan_order(tiny_device):
+    """Regression: assigning a new Cell under an existing name keeps the
+    entry's place in dict order; the endpoint scan must keep visiting it
+    there, or ties between different registers break differently from
+    the reference."""
+    d = Design("slot")
+    for name in ("a", "b", "d1", "d2"):  # unplaced: every hop costs the same
+        d.new_cell(name, "SLICE", ffs=1)
+    d.connect("n1", "a", ["d1"])
+    d.connect("n2", "b", ["d2"])
+    session = IncrementalSta(d, tiny_device)
+    assert session.analyze().critical_path == [("a", None), ("d1", "n1")]
+
+    d.cells["d1"] = Cell("d1", "SLICE", ffs=2)  # same slot, new object
+    got = session.analyze()
+    ref = analyze_reference(d, tiny_device)
+    assert got.critical_path == ref.critical_path == [("a", None), ("d1", "n1")]
+
+
 # -- incremental sessions ------------------------------------------------------
 
 
