@@ -10,10 +10,12 @@ the ``small`` part — and writes the results to ``BENCH_hotpaths.json``:
   driver->sink connection of the placed design under a congested cost
   profile.  Paths are asserted equal; expansions per connection come
   from the ``route.astar.*`` counters.
-* **place** — :func:`repro.place.anneal` (incremental bounding boxes)
-  vs :func:`repro.place._annealer_reference.anneal_reference`
-  (rescan everything) from the same legalized start.  Placements and
-  stats are asserted bit-identical.
+* **place** — :func:`repro.place.anneal` (the compiled sweep whenever
+  the C core is available — the committed baseline — else the
+  incremental-bounding-box Python loop) vs
+  :func:`repro.place._annealer_reference.anneal_reference` (rescan
+  everything) from the same legalized start.  Placements and stats are
+  asserted bit-identical.
 * **sta** — wall clock of :func:`repro.timing.analyze` on the routed
   design (no reference variant; tracked for trend only).
 
@@ -38,7 +40,7 @@ of microkernels:
   scalar oracle (``soa=False``).  Routes and result stats are asserted
   byte-identical before timing.
 * **place** — :func:`repro.place.anneal` (dispatching to the compiled
-  sweep at this size) vs :func:`repro.place.annealer.anneal_scalar`
+  sweep) vs :func:`repro.place.annealer.anneal_scalar`
   from the same legalized start, bit-identical placements asserted.
 
 Usage::
@@ -234,7 +236,7 @@ def bench_route_vgg(device, design, reps):
 
 
 def bench_place_vgg(device, reps, max_moves):
-    """Full-dispatch anneal (compiled sweep at this size) vs the scalar
+    """Full-dispatch anneal (compiled sweep) vs the scalar
     implementation, bit-identical placements asserted."""
     from repro.place.native import native_available
 

@@ -16,32 +16,57 @@ Quickstart::
     print(baseline.fmax_mhz, "->", ours.fmax_mhz)
 """
 
-from .engine import BuildCache, Engine, TaskGraph
-from .fabric import Device, PBlock, RoutingGraph, TileType, auto_pblock, get_part
-from .netlist import Cell, Design, DesignError, Net, Port, load_checkpoint, save_checkpoint
-from .cnn import (
-    DFG,
-    group_components,
-    lenet5,
-    lenet5_caffe,
-    parse_architecture,
-    run_inference,
-    random_weights,
-    vgg16,
-)
-from .synth import gen_conv, gen_fc, gen_pe_array, gen_pool, gen_relu, synthesize_network
-from .place import place_design
-from .route import Router
-from .timing import IncrementalSta, analyze, analyze_reference, fmax_mhz, pipeline_to_target
-from .power import estimate_power
-from .vivado import FlowResult, VivadoFlow
-from .rapidwright import ComponentDatabase, PreImplementedFlow, preimplement, relocate
-from .drc import DrcError, DrcReport, Severity, WaiverSet, run_drc
-from .memory import BestFitAllocator, plan_feature_maps
-from .serve import JobSpec, ServeClient, ServeServer, TenantQuota
-from .analysis import compare_productivity, network_latency
+import importlib
 
 __version__ = "1.0.0"
+
+#: Home subpackage of every name ``repro`` exports.  Nothing is imported
+#: until a name is first used (PEP 562), so ``import repro`` — and with it
+#: every ``python -m repro`` start — pays only for what the command at
+#: hand touches; ``from repro import Device`` works as ever.
+_HOME_OF = {name: home for home, names in {
+    "engine": ("BuildCache", "Engine", "TaskGraph"),
+    "fabric": ("Device", "PBlock", "RoutingGraph", "TileType", "auto_pblock", "get_part"),
+    "netlist": ("Cell", "Design", "DesignError", "Net", "Port",
+                "load_checkpoint", "save_checkpoint"),
+    "cnn": ("DFG", "group_components", "lenet5", "lenet5_caffe", "vgg16",
+            "parse_architecture", "run_inference", "random_weights"),
+    "synth": ("gen_conv", "gen_fc", "gen_pool", "gen_relu", "gen_pe_array",
+              "synthesize_network"),
+    "place": ("place_design",),
+    "route": ("Router",),
+    "timing": ("IncrementalSta", "analyze", "analyze_reference", "fmax_mhz",
+               "pipeline_to_target"),
+    "power": ("estimate_power",),
+    "vivado": ("FlowResult", "VivadoFlow"),
+    "rapidwright": ("ComponentDatabase", "PreImplementedFlow", "preimplement", "relocate"),
+    "drc": ("DrcError", "DrcReport", "Severity", "WaiverSet", "run_drc"),
+    "memory": ("BestFitAllocator", "plan_feature_maps"),
+    "serve": ("JobSpec", "ServeClient", "ServeServer", "TenantQuota"),
+    "analysis": ("compare_productivity", "network_latency"),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Resolve an exported name, or a submodule, on first use."""
+    home = _HOME_OF.get(name)
+    if home is None and name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    submodule = f"{__name__}.{home or name}"
+    try:
+        module = importlib.import_module(submodule)
+    except ModuleNotFoundError as exc:
+        if exc.name != submodule:
+            raise  # a dependency of the submodule is missing, not the name
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = module if home is None else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "BuildCache",

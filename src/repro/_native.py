@@ -15,8 +15,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
 from pathlib import Path
 
 __all__ = ["build_library", "cache_dir", "native_disabled"]
@@ -35,14 +33,19 @@ def native_disabled() -> bool:
 def build_library(source: Path, stem: str) -> ctypes.CDLL | None:
     """Compile *source* (cached by content hash as ``{stem}-{tag}.so``)
     and load it; ``None`` when native cores are unavailable."""
-    if native_disabled():
-        return None
-    cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    if cc is None or not source.exists():
+    if native_disabled() or not source.exists():
         return None
     tag = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
     so = cache_dir() / f"{stem}-{tag}.so"
+    # A cached build serves machines without a compiler (slim CI images,
+    # serve worker containers): only a cache miss needs one.
     if not so.exists():
+        import shutil
+        import subprocess
+
+        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        if cc is None:
+            return None
         so.parent.mkdir(parents=True, exist_ok=True)
         tmp = so.with_name(f"{so.stem}.{os.getpid()}.tmp.so")
         try:

@@ -15,8 +15,10 @@ pre-implemented flow.  Following the paper's methodology:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..vivado.flow import FlowResult
+if TYPE_CHECKING:  # annotations only: keeps the P&R back end out of `repro.analysis`
+    from ..vivado.flow import FlowResult
 
 __all__ = ["ProductivityReport", "compare_productivity"]
 

@@ -50,19 +50,12 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import (
-    compare_productivity,
-    format_table,
-    module_legend,
-    render_floorplan,
-)
+# Only what the argument parser itself needs (the model and part
+# catalogs) is imported here; every subcommand imports its own layers when
+# it runs, so ``models``/``info``/``--help`` never load the router and
+# ``run`` never loads the compile service, the linter or the ECO engine.
 from .cnn import MODEL_CATALOG, get_model, group_components
-from .engine import BuildCache
 from .fabric import Device, PART_CATALOG
-from .obs import ChromeTraceSink, JsonlSink, Tracer, load_events, summarize
-from .profiling import profile_stages
-from .rapidwright import ComponentDatabase, PreImplementedFlow, explore_component
-from .vivado import VivadoFlow
 
 __all__ = ["main", "build_parser"]
 
@@ -330,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(args, out) -> int:
+    from .analysis.report import format_table
+
     device = Device.from_name(args.part)
     if getattr(args, "json", False):
         import json as json_mod
@@ -353,6 +348,8 @@ def _cmd_info(args, out) -> int:
 
 
 def _cmd_models(args, out) -> int:
+    from .analysis.report import format_table
+
     if getattr(args, "json", False):
         import json as json_mod
 
@@ -383,15 +380,21 @@ def _cmd_models(args, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
+    from .analysis.report import format_table
+
     device = Device.from_name(args.part)
     net = get_model(args.model)
     rom = not args.stream_weights
     results = {}
     if args.flow in ("baseline", "both"):
+        from .vivado import VivadoFlow
+
         results["baseline"] = VivadoFlow(device, effort="medium", seed=args.seed).run(
             net, granularity=args.granularity, rom_weights=rom
         )
     if args.flow in ("preimpl", "both"):
+        from .rapidwright import PreImplementedFlow
+
         flow = PreImplementedFlow(device, component_effort="high", seed=args.seed,
                                   drc=getattr(args, "drc", "off"))
         db, offline = flow.build_database(net, granularity=args.granularity,
@@ -409,12 +412,17 @@ def _cmd_run(args, out) -> int:
     print(format_table(["flow", "Fmax", "compile"], rows,
                        title=f"{args.model} on {args.part}"), file=out)
     if len(results) == 2:
+        from .analysis import compare_productivity
+
         report = compare_productivity(results["baseline"], results["preimpl"])
         print(report.summary(), file=out)
     return 0
 
 
 def _cmd_build(args, out) -> int:
+    from .engine import BuildCache
+    from .rapidwright import ComponentDatabase
+
     device = Device.from_name(args.part)
     net = get_model(args.model)
     components = group_components(net, args.granularity)
@@ -452,6 +460,7 @@ def _cmd_drc(args, out) -> int:
     import json as json_mod
 
     from .drc import DEFAULT_MAX_FANOUT, WaiverSet, run_drc
+    from .rapidwright import PreImplementedFlow
 
     device = Device.from_name(args.part)
     waivers = WaiverSet.load(args.waivers) if args.waivers else None
@@ -537,6 +546,7 @@ def _cmd_eco(args, out) -> int:
         run_cts,
     )
     from .netlist.checkpoint import design_from_dict, design_to_dict
+    from .rapidwright import ComponentDatabase, PreImplementedFlow
 
     device = Device.from_name(args.part)
     net = get_model(args.model)
@@ -636,6 +646,9 @@ def _cmd_eco(args, out) -> int:
 
 
 def _cmd_floorplan(args, out) -> int:
+    from .analysis import module_legend, render_floorplan
+    from .rapidwright import PreImplementedFlow
+
     device = Device.from_name(args.part)
     net = get_model(args.model)
     flow = PreImplementedFlow(device, component_effort="high", seed=args.seed)
@@ -648,6 +661,8 @@ def _cmd_floorplan(args, out) -> int:
 
 
 def _cmd_explore(args, out) -> int:
+    from .rapidwright import explore_component
+
     device = Device.from_name(args.part)
     factory = _EXPLORE_TARGETS[args.component]
     result = explore_component(
@@ -665,6 +680,8 @@ def _cmd_explore(args, out) -> int:
 
 
 def _cmd_trace_report(args, out) -> int:
+    from .obs import load_events, summarize
+
     events = load_events(args.path)
     print(summarize(events, sort=args.sort), file=out)
     return 0
@@ -768,6 +785,7 @@ def _cmd_submit(args, out) -> int:
 
 
 def _cmd_jobs(args, out) -> int:
+    from .analysis.report import format_table
     from .serve import ServeClient
 
     client = ServeClient(_resolve_url(args))
@@ -825,31 +843,40 @@ _COMMANDS = {
 }
 
 
+def _run_command(args, out) -> int:
+    """Run the parsed subcommand, under a span tracer when ``--trace`` asks."""
+    command = _COMMANDS[args.command]
+    trace_path = getattr(args, "trace", None)
+    if not trace_path:
+        return command(args, out)
+    from .obs import ChromeTraceSink, JsonlSink, Tracer
+
+    sink = (ChromeTraceSink(trace_path)
+            if args.trace_format == "chrome"
+            else JsonlSink(trace_path))
+    tracer = Tracer(sink)
+    try:
+        with tracer.activate():
+            return command(args, out)
+    finally:
+        tracer.finish()
+        print(f"trace written to {trace_path} "
+              f"({args.trace_format})", file=out)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    command = _COMMANDS[args.command]
-    trace_path = getattr(args, "trace", None)
     profile_path = getattr(args, "profile", None)
     try:
+        if not profile_path:
+            return _run_command(args, out)
+        from .profiling import profile_stages
+
         with profile_stages(profile_path):
-            if not trace_path:
-                rc = command(args, out)
-            else:
-                sink = (ChromeTraceSink(trace_path)
-                        if args.trace_format == "chrome"
-                        else JsonlSink(trace_path))
-                tracer = Tracer(sink)
-                try:
-                    with tracer.activate():
-                        rc = command(args, out)
-                finally:
-                    tracer.finish()
-                    print(f"trace written to {trace_path} "
-                          f"({args.trace_format})", file=out)
-        if profile_path:
-            print(f"per-stage profile written to {profile_path}", file=out)
+            rc = _run_command(args, out)
+        print(f"per-stage profile written to {profile_path}", file=out)
         return rc
     except BrokenPipeError:
         # stdout consumer went away (e.g. `repro trace-report ... | head`);

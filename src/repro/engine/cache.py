@@ -52,6 +52,10 @@ CODE_SALT = "repro-engine-v1"
 _MISS = object()
 
 
+#: Exact builtin types :func:`canonical` passes through untouched.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
 def canonical(obj: Any) -> Any:
     """Normal form of *obj* for hashing: JSON-able, numeric-type agnostic.
 
@@ -60,8 +64,23 @@ def canonical(obj: Any) -> Any:
     ``float``; tuples and lists are equivalent; dict keys are
     stringified and sorted by the serializer.  Unknown objects fall back
     to ``repr`` — fine for keys, as long as the repr is stable.
+
+    Checkpoint payloads are almost entirely exact builtins, so those are
+    recognised by ``type()`` first; the ABC ``isinstance`` checks (an
+    order of magnitude slower per value) only see what is left — numpy
+    scalars, subclasses, bytes — and give the same result for both.
     """
-    if obj is None or isinstance(obj, (str, bool)):
+    kind = type(obj)
+    if kind in _ATOMS:
+        return obj
+    if kind is list or kind is tuple:
+        return [item if type(item) in _ATOMS else canonical(item) for item in obj]
+    if kind is dict:
+        return {
+            str(key): value if type(value) in _ATOMS else canonical(value)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, (str, bool)):
         return obj
     if isinstance(obj, numbers.Integral):
         return int(obj)

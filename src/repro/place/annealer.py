@@ -108,18 +108,31 @@ def _net_cost(pins_m, fixed, xs, ys, weight) -> float:
     return (hpwl + hpwl * hpwl / _QUAD_K) * weight
 
 
-def _batch_boxes(nets, fixed_lo, fixed_hi, xs, ys):
-    """Bounding boxes and costs of *all* nets at once.
+def _csr_boxes(offs, flat, weights, fixed_lo, fixed_hi, xs_arr, ys_arr):
+    """Bounding boxes and costs of *all* nets at once, as arrays.
 
-    ``fixed_lo``/``fixed_hi`` are the per-net fixed-pin extremes as
-    ``(n_nets, 2)`` arrays (``+inf``/``-inf`` where a net has no fixed
-    pins, which min/max ignore exactly).  Returns five flat lists:
-    ``x0, x1, y0, y1, cost`` — min/max and the cost polynomial are the
-    same IEEE operations the scalar :func:`_net_cost` performs, so the
-    values are bit-identical.
+    Net ``k``'s movable pins are ``flat[offs[k]:offs[k + 1]]`` (the last
+    net runs to the end of ``flat``).  ``fixed_lo``/``fixed_hi`` are the
+    per-net fixed-pin extremes as ``(n_nets, 2)`` arrays (``+inf``/``-inf``
+    where a net has no fixed pins, which min/max ignore exactly).
+    Returns ``x0, x1, y0, y1, cost`` — min/max and the cost polynomial
+    are the same IEEE operations the scalar :func:`_net_cost` performs,
+    so the values are bit-identical.
     """
-    xs_arr = np.asarray(xs, dtype=np.float64)
-    ys_arr = np.asarray(ys, dtype=np.float64)
+    px = xs_arr[flat]
+    py = ys_arr[flat]
+    x0 = np.minimum(np.minimum.reduceat(px, offs), fixed_lo[:, 0])
+    x1 = np.maximum(np.maximum.reduceat(px, offs), fixed_hi[:, 0])
+    y0 = np.minimum(np.minimum.reduceat(py, offs), fixed_lo[:, 1])
+    y1 = np.maximum(np.maximum.reduceat(py, offs), fixed_hi[:, 1])
+    hpwl = (x1 - x0) + (y1 - y0)
+    cost = (hpwl + hpwl * hpwl / _QUAD_K) * weights
+    return x0, x1, y0, y1, cost
+
+
+def _batch_boxes(nets, fixed_lo, fixed_hi, xs, ys):
+    """:func:`_csr_boxes` over the python-list working set, as five flat
+    lists ``x0, x1, y0, y1, cost``."""
     counts = np.array([len(pins) for pins, _f, _w in nets], dtype=np.intp)
     flat = np.fromiter(
         (i for pins, _f, _w in nets for i in pins),
@@ -128,31 +141,42 @@ def _batch_boxes(nets, fixed_lo, fixed_hi, xs, ys):
     )
     offs = np.zeros(len(nets), dtype=np.intp)
     np.cumsum(counts[:-1], out=offs[1:])
-    px = xs_arr[flat]
-    py = ys_arr[flat]
-    x0 = np.minimum(np.minimum.reduceat(px, offs), fixed_lo[:, 0])
-    x1 = np.maximum(np.maximum.reduceat(px, offs), fixed_hi[:, 0])
-    y0 = np.minimum(np.minimum.reduceat(py, offs), fixed_lo[:, 1])
-    y1 = np.maximum(np.maximum.reduceat(py, offs), fixed_hi[:, 1])
     weights = np.array([w for _p, _f, w in nets], dtype=np.float64)
-    hpwl = (x1 - x0) + (y1 - y0)
-    cost = (hpwl + hpwl * hpwl / _QUAD_K) * weights
-    return x0.tolist(), x1.tolist(), y0.tolist(), y1.tolist(), cost.tolist()
+    boxes = _csr_boxes(
+        offs, flat, weights, fixed_lo, fixed_hi,
+        np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64),
+    )
+    return tuple(a.tolist() for a in boxes)
+
+
+def _type_geometry(problem: PlacementProblem):
+    """Per-type site geometry for range-limited moves: each movable cell
+    type's sorted distinct pool columns and its ``(min, max)`` pool row."""
+    type_cols: dict[str, list[int]] = {}
+    type_rows: dict[str, tuple[int, int]] = {}
+    for ct in sorted(set(problem.ctypes)):
+        pool = problem.site_pools[ct]
+        type_cols[ct] = np.unique(pool[:, 0]).tolist()
+        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
+    return type_cols, type_rows
 
 
 def _clump_pass(nets, nets_of, cost, xs, ys, ctypes,
-                type_cols, type_rows, type_sets, clump_passes, final_cost, n):
+                type_cols, type_rows, site_pools, clump_passes, final_cost, n):
     """Directed post-pass: clump the longest nets.
 
     Random-walk annealing reduces total wirelength but rarely rescues an
     individual 300-tile net; here the outlier pins of the worst nets are
     pulled toward their net centroid when that lowers the (quadratic)
-    objective.  Shared verbatim by the scalar and batched annealers (the
-    reference keeps its own copy); mutates ``xs``/``ys``/``cost`` and
-    returns the updated final cost.
+    objective.  Shared verbatim by the scalar, batched and native
+    annealers (the reference keeps its own copy); mutates
+    ``xs``/``ys``/``cost`` and returns the updated final cost.
     """
     from bisect import bisect_left
 
+    # Per-type {(col, row)} pool membership, built on the first probe: a
+    # component whose pins all sit near their net medians never asks.
+    type_sets: dict[str, set[tuple[int, int]]] = {}
     occupant: dict[tuple[int, int], int] = {}
     for i in range(n):
         occupant[(int(xs[i]), int(ys[i]))] = i
@@ -176,7 +200,10 @@ def _clump_pass(nets, nets_of, cost, xs, ys, ctypes,
                 rmin, rmax = type_rows[ct]
                 tcol = cols[kk]
                 trow = int(min(max(cy, rmin), rmax))
-                if (tcol, trow) not in type_sets[ct]:
+                members = type_sets.get(ct)
+                if members is None:
+                    members = type_sets[ct] = set(map(tuple, site_pools[ct].tolist()))
+                if (tcol, trow) not in members:
                     continue
                 old = (int(xs[i]), int(ys[i]))
                 if (tcol, trow) == old:
@@ -210,10 +237,11 @@ def _clump_pass(nets, nets_of, cost, xs, ys, ctypes,
     return final_cost
 
 
-#: Cell count above which :func:`anneal` dispatches to the batched
-#: implementation.  Below it the scalar incremental-bbox path wins (less
-#: vectorization overhead) and every existing small-design flow keeps
-#: its exact behaviour; both paths are bit-identical to the reference.
+#: Orders the two pure-Python fallbacks, which only run without the C
+#: core (no compiler, ``REPRO_NATIVE=0``): from this many movable cells
+#: the block-vectorized implementation wins, below it the scalar
+#: incremental-bbox loop does (less vectorization overhead).  All three
+#: are bit-identical to the reference.
 _BATCH_MIN_CELLS = 6000
 
 
@@ -231,31 +259,27 @@ def anneal(
 ) -> AnnealStats:
     """Refine *sites* in place; returns statistics.
 
-    Dispatches between the scalar incremental-bbox implementation, the
-    block-vectorized one in :mod:`repro.place.annealer_batch`, and the
-    compiled sweep in :mod:`repro.place.native` by problem size
-    (``batch=True``/``False`` forces the python paths).  All produce
-    bit-identical results.
+    Runs the compiled sweep in :mod:`repro.place.native` whenever the C
+    core is available, whatever the problem size.  Without it the two
+    pure-Python implementations share the work by size: the
+    block-vectorized one in :mod:`repro.place.annealer_batch` from
+    ``_BATCH_MIN_CELLS`` movable cells, the scalar incremental-bbox loop
+    below.  ``batch=False`` forces the scalar loop, ``batch=True`` the
+    compiled sweep or, without the core, the block-vectorized one.  All
+    produce bit-identical results.
     """
+    from .native import anneal_native, native_available
+
+    native = native_available()
     if batch is None:
-        batch = problem.n_movable >= _BATCH_MIN_CELLS
-    if batch:
-        from .native import anneal_native, native_available
-
-        if native_available():
-            return anneal_native(
-                problem, sites, seed=seed, moves_per_cell=moves_per_cell,
-                max_moves=max_moves, max_pins=max_pins,
-                t_end_frac=t_end_frac, clump_passes=clump_passes,
-            )
-        from .annealer_batch import anneal_batched
-
-        return anneal_batched(
-            problem, sites, seed=seed, moves_per_cell=moves_per_cell,
-            max_moves=max_moves, max_pins=max_pins,
-            t_end_frac=t_end_frac, clump_passes=clump_passes,
-        )
-    return anneal_scalar(
+        batch = native or problem.n_movable >= _BATCH_MIN_CELLS
+    if not batch:
+        impl = anneal_scalar
+    elif native:
+        impl = anneal_native
+    else:
+        from .annealer_batch import anneal_batched as impl
+    return impl(
         problem, sites, seed=seed, moves_per_cell=moves_per_cell,
         max_moves=max_moves, max_pins=max_pins,
         t_end_frac=t_end_frac, clump_passes=clump_passes,
@@ -340,20 +364,14 @@ def anneal_scalar(
         occupant[xi[i] * _ENC + yi[i]] = i
 
     ctypes = problem.ctypes
-    # Per-type site geometry for range-limited moves: sorted columns, row
-    # bounds, and a membership set (pools may exclude locked sites).
-    type_cols: dict[str, list[int]] = {}
-    type_rows: dict[str, tuple[int, int]] = {}
-    type_sets: dict[str, set[tuple[int, int]]] = {}
-    for ct in sorted(set(ctypes)):
-        pool = problem.site_pools[ct]
-        type_cols[ct] = sorted(set(int(c) for c in pool[:, 0]))
-        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
-        type_sets[ct] = {(int(c), int(r)) for c, r in pool}
+    type_cols, type_rows = _type_geometry(problem)
     # Per-cell views of the same geometry: one list index replaces three
-    # string-keyed dict lookups per move, and pool membership probes an
-    # int-keyed set.
-    type_isets = {ct: {c * _ENC + r for c, r in s} for ct, s in type_sets.items()}
+    # string-keyed dict lookups per move, and pool membership (pools may
+    # exclude locked sites) probes an int-keyed set.
+    type_isets = {}
+    for ct in type_cols:
+        pool = problem.site_pools[ct]
+        type_isets[ct] = set((pool[:, 0] * _ENC + pool[:, 1]).tolist())
     cell_cols = [type_cols[ct] for ct in ctypes]
     cell_rmin = [type_rows[ct][0] for ct in ctypes]
     cell_rmax = [type_rows[ct][1] for ct in ctypes]
@@ -655,7 +673,7 @@ def anneal_scalar(
 
     final_cost = _clump_pass(
         nets, nets_of, cost, xs, ys, ctypes,
-        type_cols, type_rows, type_sets, clump_passes, final_cost, n,
+        type_cols, type_rows, problem.site_pools, clump_passes, final_cost, n,
     )
 
     for i in range(n):

@@ -55,7 +55,14 @@ import numpy as np
 
 from .._util import make_rng
 from ..obs.span import incr, sample
-from .annealer import AnnealStats, _QUAD_K, _batch_boxes, _clump_pass, _net_cost
+from .annealer import (
+    AnnealStats,
+    _QUAD_K,
+    _batch_boxes,
+    _clump_pass,
+    _net_cost,
+    _type_geometry,
+)
 from .problem import PlacementProblem
 
 __all__ = ["anneal_batched"]
@@ -224,14 +231,7 @@ def anneal_batched(
     initial_cost = sum(cost)
 
     ctypes = problem.ctypes
-    type_cols: dict[str, list[int]] = {}
-    type_rows: dict[str, tuple[int, int]] = {}
-    type_sets: dict[str, set[tuple[int, int]]] = {}
-    for ct in sorted(set(ctypes)):
-        pool = problem.site_pools[ct]
-        type_cols[ct] = sorted(set(int(c) for c in pool[:, 0]))
-        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
-        type_sets[ct] = {(int(c), int(r)) for c, r in pool}
+    type_cols, type_rows = _type_geometry(problem)
 
     budget = min(max_moves, moves_per_cell * n)
     if budget <= 0:
@@ -931,7 +931,7 @@ def anneal_batched(
 
     final_cost = _clump_pass(
         nets, nets_of, cost, xs, ys, ctypes,
-        type_cols, type_rows, type_sets, clump_passes, final_cost, n,
+        type_cols, type_rows, problem.site_pools, clump_passes, final_cost, n,
     )
 
     for i in range(n):

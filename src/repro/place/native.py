@@ -26,7 +26,7 @@ import numpy as np
 from .._native import build_library
 from .._util import make_rng
 from ..obs.span import incr, sample
-from .annealer import AnnealStats, _batch_boxes, _clump_pass
+from .annealer import AnnealStats, _clump_pass, _csr_boxes, _type_geometry
 from .problem import PlacementProblem
 
 __all__ = ["anneal_native", "native_available"]
@@ -84,6 +84,13 @@ def _ptr(a: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(a.ctypes.data)
 
 
+def _csr_rows(offs: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    """The rows ``flat[offs[k]:offs[k + 1]]`` as python lists."""
+    offs = offs.tolist()
+    flat = flat.tolist()
+    return [flat[a:b] for a, b in zip(offs, offs[1:])]
+
+
 def anneal_native(
     problem: PlacementProblem,
     sites: np.ndarray,
@@ -110,45 +117,58 @@ def anneal_native(
     if n == 0:
         return AnnealStats(0, 0, 0.0, 0.0)
 
-    xs = sites[:, 0].astype(float).tolist()
-    ys = sites[:, 1].astype(float).tolist()
-
-    nets: list[tuple[list[int], list[tuple[float, float]], float]] = []
-    nets_of: list[list[int]] = [[] for _ in range(n)]
-    for net in problem.nets:
-        if len(net.movable) + net.fixed.shape[0] > max_pins:
-            continue
-        pins = [int(i) for i in net.movable]
-        fixed = [(float(a), float(b)) for a, b in net.fixed]
-        idx = len(nets)
-        nets.append((pins, fixed, net.weight))
-        for i in pins:
-            nets_of[i].append(idx)
-
-    if not nets:
+    # Small-net working set, built as the flat arrays the core reads: net
+    # -> pins and cell -> nets in CSR form, per-net weight and fixed-pin
+    # extremes (infinities vanish under min/max), and the two-movable-pin
+    # shortcut columns.
+    kept = [
+        net for net in problem.nets
+        if len(net.movable) + net.fixed.shape[0] <= max_pins
+    ]
+    if not kept:
         return AnnealStats(0, 0, 0.0, 0.0)
-    n_nets = len(nets)
-
+    n_nets = len(kept)
+    pin_counts = np.array([len(net.movable) for net in kept], dtype=np.int64)
+    net_pins = np.concatenate([net.movable for net in kept]).astype(np.int64, copy=False)
+    net_offs = np.zeros(n_nets + 1, dtype=np.int64)
+    np.cumsum(pin_counts, out=net_offs[1:])
+    net_w = np.array([net.weight for net in kept], dtype=np.float64)
     fixed_lo = np.full((n_nets, 2), np.inf)
     fixed_hi = np.full((n_nets, 2), -np.inf)
-    for k, (_pins, fixed, _w) in enumerate(nets):
-        if fixed:
-            fa = np.asarray(fixed)
-            fixed_lo[k] = fa.min(axis=0)
-            fixed_hi[k] = fa.max(axis=0)
+    has_fixed = np.zeros(n_nets, dtype=bool)
+    for k, net in enumerate(kept):
+        if net.fixed.shape[0]:
+            has_fixed[k] = True
+            fixed_lo[k] = net.fixed.min(axis=0)
+            fixed_hi[k] = net.fixed.max(axis=0)
+    two = (pin_counts == 2) & ~has_fixed
+    heads = net_offs[:-1][two]
+    net_psum = np.zeros(n_nets, dtype=np.int64)
+    net_psum[two] = net_pins[heads] + net_pins[heads + 1]
+    net_two = two.astype(np.uint8)
+    # stable sort by cell keeps each cell's nets ascending, like the
+    # per-cell lists the scalar implementation appends to in net order
+    cell_nets = np.repeat(np.arange(n_nets, dtype=np.int64), pin_counts)[
+        np.argsort(net_pins, kind="stable")
+    ]
+    deg = np.bincount(net_pins, minlength=n)
+    cell_net_offs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=cell_net_offs[1:])
 
-    bx0, bx1, by0, by1, cost = _batch_boxes(nets, fixed_lo, fixed_hi, xs, ys)
-    initial_cost = sum(cost)
+    xs_a = sites[:, 0].astype(np.float64)
+    ys_a = sites[:, 1].astype(np.float64)
+    fx0 = np.ascontiguousarray(fixed_lo[:, 0])
+    fy0 = np.ascontiguousarray(fixed_lo[:, 1])
+    fx1 = np.ascontiguousarray(fixed_hi[:, 0])
+    fy1 = np.ascontiguousarray(fixed_hi[:, 1])
+    bx0_a, bx1_a, by0_a, by1_a, cost_a = _csr_boxes(
+        net_offs[:-1], net_pins, net_w, fixed_lo, fixed_hi, xs_a, ys_a
+    )
+    # summed left to right like the other implementations (np.sum pairs)
+    initial_cost = sum(cost_a.tolist())
 
     ctypes_ = problem.ctypes
-    type_cols: dict[str, list[int]] = {}
-    type_rows: dict[str, tuple[int, int]] = {}
-    type_sets: dict[str, set[tuple[int, int]]] = {}
-    for ct in sorted(set(ctypes_)):
-        pool = problem.site_pools[ct]
-        type_cols[ct] = sorted(set(int(c) for c in pool[:, 0]))
-        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
-        type_sets[ct] = {(int(c), int(r)) for c, r in pool}
+    type_cols, type_rows = _type_geometry(problem)
 
     budget = min(max_moves, moves_per_cell * n)
     if budget <= 0:
@@ -175,42 +195,13 @@ def anneal_native(
     dxs = np.ascontiguousarray((offset_picks[:, 0] * 2.0 - 1.0) * windows)
     dys = np.ascontiguousarray((offset_picks[:, 1] * 2.0 - 1.0) * windows)
 
-    # --- flat structure-of-arrays marshalling for the C core ----------
+    # --- occupancy grid and per-type site geometry for the C core ------
     nrows_dev = problem.device.nrows
     nsites = problem.device.ncols * nrows_dev
-    xs_a = np.asarray(xs, dtype=np.float64)
-    ys_a = np.asarray(ys, dtype=np.float64)
-
-    pin_counts = np.array([len(p) for p, _f, _w in nets], dtype=np.int64)
-    net_offs = np.concatenate(([0], np.cumsum(pin_counts))).astype(np.int64)
-    net_pins = np.fromiter(
-        (i for p, _f, _w in nets for i in p), dtype=np.int64,
-        count=int(pin_counts.sum()))
-    deg = np.array([len(l) for l in nets_of], dtype=np.int64)
-    cell_net_offs = np.concatenate(([0], np.cumsum(deg))).astype(np.int64)
-    cell_nets = np.fromiter(
-        (k for l in nets_of for k in l), dtype=np.int64, count=int(deg.sum()))
-    max_deg = int(deg.max()) if n else 0
-    net_w = np.array([w for _p, _f, w in nets], dtype=np.float64)
-    net_two = np.array(
-        [len(p) == 2 and not f for p, f, _w in nets], dtype=np.uint8)
-    net_psum = np.array(
-        [p[0] + p[1] if (len(p) == 2 and not f) else 0 for p, f, _w in nets],
-        dtype=np.int64)
-    fx0 = np.ascontiguousarray(fixed_lo[:, 0])
-    fy0 = np.ascontiguousarray(fixed_lo[:, 1])
-    fx1 = np.ascontiguousarray(fixed_hi[:, 0])
-    fy1 = np.ascontiguousarray(fixed_hi[:, 1])
-    bx0_a = np.asarray(bx0, dtype=np.float64)
-    bx1_a = np.asarray(bx1, dtype=np.float64)
-    by0_a = np.asarray(by0, dtype=np.float64)
-    by1_a = np.asarray(by1, dtype=np.float64)
-    cost_a = np.asarray(cost, dtype=np.float64)
-
     occ = np.full(nsites, -1, dtype=np.int64)
-    occ[xs_a.astype(np.int64) * nrows_dev + ys_a.astype(np.int64)] = np.arange(n)
+    occ[sites[:, 0].astype(np.int64) * nrows_dev + sites[:, 1].astype(np.int64)] = np.arange(n)
 
-    tmap = {ct: t for t, ct in enumerate(sorted(set(ctypes_)))}
+    tmap = {ct: t for t, ct in enumerate(type_cols)}
     ntypes = len(tmap)
     cell_t = np.array([tmap[ct] for ct in ctypes_], dtype=np.int64)
     tcols_offs = np.zeros(ntypes + 1, dtype=np.int64)
@@ -226,18 +217,17 @@ def anneal_native(
         pool = np.ascontiguousarray(problem.site_pools[ct], dtype=np.int64)
         pool_parts[t] = pool.reshape(-1)
         grids[t][pool[:, 0] * nrows_dev + pool[:, 1]] = 1
-    for t in range(ntypes):
         tcols_offs[t + 1] = tcols_offs[t] + cols_parts[t].shape[0]
-        pool_offs[t + 1] = pool_offs[t] + pool_parts[t].shape[0] // 2
+        pool_offs[t + 1] = pool_offs[t] + pool.shape[0]
     tcols_flat = np.concatenate(cols_parts)
     pool_flat = np.concatenate(pool_parts)
-    grids = np.ascontiguousarray(grids.reshape(-1))
+    grids = grids.reshape(-1)
 
     checkpoint_every = max(1, budget // 32)
     n_ck_cap = budget // checkpoint_every + 2
     best_xs = np.empty(n, dtype=np.float64)
     best_ys = np.empty(n, dtype=np.float64)
-    affected = np.empty(2 * max_deg + 8, dtype=np.int64)
+    affected = np.empty(2 * int(deg.max()) + 8, dtype=np.int64)
     ck_steps = np.zeros(n_ck_cap, dtype=np.int64)
     ck_cost = np.zeros(n_ck_cap, dtype=np.float64)
     ck_temp = np.zeros(n_ck_cap, dtype=np.float64)
@@ -274,26 +264,31 @@ def anneal_native(
         sample("place.temperature", float(ck_temp[q]), step=int(ck_steps[q]))
 
     if running > best_cost:
-        xs = best_xs.tolist()
-        ys = best_ys.tolist()
+        xs_a, ys_a = best_xs, best_ys
         final_cost = best_cost
         # the cost cache tracked the *final* walk, not the restored best
         # state — recompute before the clump pass reads it
-        _x0, _x1, _y0, _y1, cost = _batch_boxes(nets, fixed_lo, fixed_hi, xs, ys)
+        cost_a = _csr_boxes(
+            net_offs[:-1], net_pins, net_w, fixed_lo, fixed_hi, xs_a, ys_a
+        )[4]
     else:
-        xs = xs_a.tolist()
-        ys = ys_a.tolist()
         final_cost = running
-        cost = cost_a.tolist()
 
+    # The clump pass is python shared with the other implementations and
+    # works on their list-of-lists working set: slice it off the arrays.
+    xs = xs_a.tolist()
+    ys = ys_a.tolist()
+    nets = [
+        (pins, net.fixed.tolist(), net.weight)
+        for net, pins in zip(kept, _csr_rows(net_offs, net_pins))
+    ]
     final_cost = _clump_pass(
-        nets, nets_of, cost, xs, ys, ctypes_,
-        type_cols, type_rows, type_sets, clump_passes, final_cost, n,
+        nets, _csr_rows(cell_net_offs, cell_nets), cost_a.tolist(), xs, ys, ctypes_,
+        type_cols, type_rows, problem.site_pools, clump_passes, final_cost, n,
     )
 
-    for i in range(n):
-        sites[i, 0] = int(xs[i])
-        sites[i, 1] = int(ys[i])
+    sites[:, 0] = xs
+    sites[:, 1] = ys
     incr("place.moves", budget)
     incr("place.accepted", accepted)
     incr("place.bbox.fast", int(out_i[1]))

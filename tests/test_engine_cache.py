@@ -1,10 +1,14 @@
 """Content-addressed build cache: canonical keys, persistence, accounting."""
 
+import json
+import numbers
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import BuildCache, Engine, TaskGraph, content_key
-from repro.engine.cache import canonical_blob
+from repro.engine.cache import canonical, canonical_blob
 
 
 # -- canonical keys ------------------------------------------------------------
@@ -34,6 +38,77 @@ def test_salt_changes_key():
 
 def test_canonical_blob_sorts_dict_keys():
     assert canonical_blob({"b": 1, "a": 2}) == canonical_blob({"a": 2, "b": 1})
+
+
+def _canonical_abc(obj):
+    """``canonical`` as it was before its exact-type fast path: every value
+    goes through the ``numbers`` ABC checks.  Kept as the oracle."""
+    if obj is None or isinstance(obj, (str, bool)):
+        return obj
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_canonical_abc(item) for item in obj]
+    if isinstance(obj, dict):
+        return {str(key): _canonical_abc(value) for key, value in obj.items()}
+    if isinstance(obj, (bytes, bytearray)):
+        return bytes(obj).hex()
+    return repr(obj)
+
+
+class _Text(str):
+    """A str subclass: not an exact builtin, so it takes the ABC path."""
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.binary(max_size=6).map(bytearray),
+    st.text(max_size=6).map(_Text),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.just(object),  # unknown objects fall back to repr
+)
+_keys = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.booleans(),
+                  st.integers(0, 9).map(np.int64))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def _typed(value):
+    """*value* with every node's exact type, so ``1``/``1.0``/``True`` differ."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    return (type(value), value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_canonical_fast_path_matches_abc_path(value):
+    got, want = canonical(value), _canonical_abc(value)
+    assert _typed(got) == _typed(want)
+    assert canonical_blob(value) == json.dumps(
+        want, sort_keys=True, separators=(",", ":")
+    ).encode()
 
 
 # -- BuildCache ----------------------------------------------------------------

@@ -19,8 +19,10 @@ from repro.fabric import Device, RoutingGraph, TileType
 from repro.netlist import Design
 from repro.place import annealer as annealer_mod
 from repro.place import _annealer_reference as annealer_ref_mod
-from repro.place.annealer import _net_cost, anneal
+from repro.place import native as native_mod
+from repro.place.annealer import _net_cost, anneal, anneal_scalar
 from repro.place._annealer_reference import anneal_reference
+from repro.place.native import anneal_native, native_available
 from repro.place.global_place import global_place
 from repro.place.legalize import legalize
 from repro.place.problem import PlacementProblem
@@ -192,12 +194,21 @@ class _RecordingRng:
 
 
 @pytest.mark.parametrize(
-    "module,func", [(annealer_mod, anneal), (annealer_ref_mod, anneal_reference)]
+    "module,func",
+    [
+        # each implementation by name: the ``anneal`` dispatcher picks one by
+        # core availability, and ``make_rng`` is patched per module
+        (annealer_mod, anneal_scalar),
+        (native_mod, anneal_native),
+        (annealer_ref_mod, anneal_reference),
+    ],
 )
 def test_hop_stream_is_drawn_last(monkeypatch, module, func):
     # the global-hop pool index must come from its own stream, drawn after
     # every other one — reusing the gate variable aliased hops to a slice
     # of the pool, and drawing it earlier would shift the non-hop streams
+    if func is anneal_native and not native_available():
+        pytest.skip("native annealer core unavailable")
     problem, sites = _random_problem(1)
     recorder = _RecordingRng(1)
     monkeypatch.setattr(module, "make_rng", lambda s: recorder)

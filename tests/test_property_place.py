@@ -9,42 +9,56 @@ Hypothesis over random connected designs on the small part:
   initial legalized cost (best-seen restoration);
 * the full :func:`place_design` facade produces a design that passes
   :meth:`Design.validate` against the device;
-* the incremental-bbox annealer is bit-identical — placements and stats —
-  to the rescan-everything reference annealer at any seed.
+* every annealer implementation — scalar incremental-bbox, batched,
+  native — and the :func:`anneal` dispatcher, with and without the C core,
+  is bit-identical — placements and stats — to the rescan-everything
+  reference annealer at any seed;
+* the ``np.bincount`` global placer is bit-identical to the
+  ``scipy.sparse`` formulation it replaced (kept here as the oracle).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util import make_rng
-from repro.fabric import Device
+from repro.fabric import Device, auto_pblock
 from repro.netlist import Design
+from repro.place import native as native_mod
 from repro.place import place_design
 from repro.place._annealer_reference import anneal_reference
-from repro.place.annealer import anneal
+from repro.place.annealer import _BATCH_MIN_CELLS, anneal, anneal_scalar
 from repro.place.annealer_batch import anneal_batched
 from repro.place.native import anneal_native, native_available
-from repro.place.global_place import global_place
+from repro.place.global_place import _spread, global_place
 from repro.place.legalize import legalize
-from repro.place.problem import PlacementProblem
+from repro.place.problem import NetPins, PlacementProblem
+from repro.synth import gen_conv
 
 SMALL = Device.from_name("small")
 
 
 @st.composite
 def placement_designs(draw):
-    """Random SLICE/DSP designs with random multi-sink connectivity."""
+    """Random SLICE/DSP designs with random multi-sink connectivity; up to
+    three extra SLICE cells are locked in place, so nets carry fixed pins."""
     seed = draw(st.integers(0, 10_000))
     n_slice = draw(st.integers(2, 14))
     n_dsp = draw(st.integers(0, 2))
+    n_locked = draw(st.integers(0, 3))
     rng = np.random.default_rng(seed)
     design = Design(f"pl{seed}")
     names = []
     for i in range(n_slice):
         design.new_cell(f"c{i}", "SLICE", luts=1)
         names.append(f"c{i}")
+    slice_sites = SMALL.sites_of("SLICE")
+    for i, k in enumerate(rng.choice(slice_sites.shape[0], size=n_locked, replace=False)):
+        site = (int(slice_sites[k, 0]), int(slice_sites[k, 1]))
+        design.new_cell(f"l{i}", "SLICE", luts=1, placement=site).locked = True
+        names.append(f"l{i}")
     for i in range(n_dsp):
         design.new_cell(f"m{i}", "DSP48E2")
         names.append(f"m{i}")
@@ -102,7 +116,9 @@ def test_incremental_anneal_matches_reference(case):
     problem = PlacementProblem.from_design(design, SMALL)
     sites = legalize(problem, global_place(problem, make_rng(seed), iters=5))
     sites_ref = sites.copy()
-    stats = anneal(problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000)
+    # by name: the dispatcher only reaches this implementation without the
+    # C core, and then only below ``_BATCH_MIN_CELLS``
+    stats = anneal_scalar(problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000)
     stats_ref = anneal_reference(
         problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=2_000
     )
@@ -112,12 +128,47 @@ def test_incremental_anneal_matches_reference(case):
     assert stats.final_cost == stats_ref.final_cost
 
 
+@pytest.mark.parametrize("core", ["native", "fallback"])
+def test_anneal_dispatch_matches_reference(monkeypatch, core):
+    """``anneal`` picks its implementation by core availability, not size:
+    on a small problem it equals the reference both with the C core and
+    with ``REPRO_NATIVE=0`` (which must then fall back to pure python)."""
+    if core == "native":
+        if not native_available():
+            pytest.skip("native annealer core unavailable")
+    else:
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(native_mod, "_CORE", [])  # forget the loaded core
+        assert not native_available()
+    called = []
+    real = native_mod.anneal_native
+    monkeypatch.setattr(
+        native_mod, "anneal_native",
+        lambda *a, **kw: called.append(1) or real(*a, **kw),
+    )
+    design = gen_conv(1, 8, 8, 3, 2, rom_weights=True)
+    design.pblock = auto_pblock(SMALL, design.site_demand(), anchor=(0, 0))
+    problem = PlacementProblem.from_design(design, SMALL)
+    assert 0 < problem.n_movable < _BATCH_MIN_CELLS
+    sites = legalize(problem, global_place(problem, make_rng(3), iters=5))
+    sites_ref = sites.copy()
+    stats = anneal(problem, sites, seed=3, moves_per_cell=20, max_moves=4_000)
+    stats_ref = anneal_reference(
+        problem, sites_ref, seed=3, moves_per_cell=20, max_moves=4_000
+    )
+    assert bool(called) == (core == "native")
+    assert np.array_equal(sites, sites_ref)
+    assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)
+    assert stats.initial_cost == stats_ref.initial_cost
+    assert stats.final_cost == stats_ref.final_cost
+
+
 @settings(max_examples=15, deadline=None)
 @given(placement_designs())
 def test_batched_anneal_matches_reference(case):
-    """The block-vectorized tier is normally reached only above
-    ``_BATCH_MIN_CELLS``; call it directly so small Hypothesis designs
-    exercise its bit-identity contract too."""
+    """The block-vectorized tier is reached only without the C core and
+    from ``_BATCH_MIN_CELLS`` cells; call it directly so small Hypothesis
+    designs exercise its bit-identity contract too."""
     design, seed = case
     problem = PlacementProblem.from_design(design, SMALL)
     sites = legalize(problem, global_place(problem, make_rng(seed), iters=5))
@@ -165,3 +216,102 @@ def test_place_design_yields_valid_placement(case):
     assert all(cell.is_placed for cell in design.cells.values())
     if result.anneal is not None:
         assert result.anneal.final_cost <= result.anneal.initial_cost + 1e-9
+
+
+# -- global placement: numpy form vs the scipy.sparse form it replaced --------
+
+
+def _global_place_scipy(problem, rng, iters=30, pull=0.7, spread_every=5,
+                        spread_blend=0.25):
+    """``global_place`` as it was written over ``scipy.sparse`` — the oracle."""
+    sparse = pytest.importorskip("scipy.sparse")
+    n = problem.n_movable
+    bounds = problem.bounds()
+    pos = problem.initial_positions(rng)
+    if n == 0 or not problem.nets:
+        return pos
+
+    rows, cols, weights = [], [], []
+    fixed_sum = np.zeros((len(problem.nets), 2), dtype=np.float64)
+    pin_count = np.zeros(len(problem.nets), dtype=np.float64)
+    for k, net in enumerate(problem.nets):
+        for idx in net.movable:
+            rows.append(k)
+            cols.append(int(idx))
+            weights.append(net.weight)
+        if net.fixed.size:
+            fixed_sum[k] = net.fixed.sum(axis=0)
+        pin_count[k] = len(net.movable) + net.fixed.shape[0]
+    shape = (len(problem.nets), n)
+    weighted = sparse.csr_matrix((weights, (rows, cols)), shape=shape)
+    binary = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    cell_weight = np.asarray(weighted.sum(axis=0)).ravel()
+    cell_weight[cell_weight == 0] = 1.0
+
+    for it in range(iters):
+        centers = (binary @ pos + fixed_sum) / pin_count[:, None]
+        target = (weighted.T @ centers) / cell_weight[:, None]
+        lonely = np.asarray(binary.sum(axis=0)).ravel() == 0
+        target[lonely] = pos[lonely]
+        pos = pull * target + (1.0 - pull) * pos
+        if spread_every and (it + 1) % spread_every == 0 and it + 1 < iters:
+            pos = (1.0 - spread_blend) * pos + spread_blend * _spread(pos, bounds)
+
+    c0, r0, c1, r1 = bounds
+    pos[:, 0] = np.clip(pos[:, 0], c0, c1)
+    pos[:, 1] = np.clip(pos[:, 1], r0, r1)
+    return pos
+
+
+@st.composite
+def pin_problems(draw):
+    """Hand-built problems ``from_design`` never produces: a cell listed
+    twice on one net, nets with only fixed pins, cells on no net."""
+    n = draw(st.integers(1, 12))
+    cells = st.integers(0, n - 1)
+    coords = st.tuples(st.integers(0, SMALL.ncols - 1), st.integers(0, SMALL.nrows - 1))
+    nets = []
+    for _ in range(draw(st.integers(1, 8))):
+        movable = draw(st.lists(cells, min_size=0, max_size=5))  # repeats allowed
+        fixed = draw(st.lists(coords, min_size=0 if movable else 1, max_size=3))
+        nets.append(NetPins(
+            movable=np.asarray(movable, dtype=np.int64),
+            fixed=np.asarray(fixed, dtype=np.float64).reshape(-1, 2),
+            weight=float(draw(st.integers(1, 9))) ** 0.5,
+        ))
+    modules = draw(st.lists(st.sampled_from([None, "a", "b"]), min_size=n, max_size=n))
+    problem = PlacementProblem(
+        design=Design("pins"), device=SMALL, region=None,
+        names=[f"c{i}" for i in range(n)], ctypes=["SLICE"] * n,
+        modules=modules, nets=nets,
+    )
+    return problem, draw(st.integers(0, 10_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pin_problems())
+def test_global_place_matches_scipy_form(case):
+    problem, seed = case
+    got = global_place(problem, make_rng(seed), iters=12)
+    want = _global_place_scipy(problem, make_rng(seed), iters=12)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(placement_designs())
+def test_global_place_matches_scipy_form_on_designs(case):
+    design, seed = case
+    problem = PlacementProblem.from_design(design, SMALL)
+    got = global_place(problem, make_rng(seed), iters=12)
+    want = _global_place_scipy(problem, make_rng(seed), iters=12)
+    assert np.array_equal(got, want)
+
+
+def test_global_place_matches_scipy_form_on_lenet_component():
+    device = Device.from_name("ku5p-like")
+    design = gen_conv(6, 14, 14, 5, 16, rom_weights=True)  # LeNet conv2
+    design.pblock = auto_pblock(device, design.site_demand(), anchor=(0, 0), slack=1.15)
+    problem = PlacementProblem.from_design(design, device)
+    got = global_place(problem, make_rng(0), iters=50)
+    want = _global_place_scipy(problem, make_rng(0), iters=50)
+    assert np.array_equal(got, want)
