@@ -145,7 +145,7 @@ class EcoEngine:
                 "ripped": list(ripped),
                 "serial": (prev or {}).get("serial", 0) + 1,
             }
-            route = Router(self.device, self.graph, seed=self.seed).route(self.design)
+            route = Router(self.device, self.graph).route(self.design)
             after = self.session.analyze()
             report = None
             if self.drc != "off":

@@ -87,7 +87,7 @@ def eco_reference(
         "serial": (prev or {}).get("serial", 0) + 1,
     }
 
-    route = Router(device, graph, seed=seed).route(copy)
+    route = Router(device, graph).route(copy)
     after = analyze_reference(copy, device, graph, delays)
 
     report = None

@@ -133,7 +133,7 @@ class FileContext:
 
     path: Path                     # absolute
     relpath: str                   # repo-relative, forward slashes
-    module: str                    # dotted ("repro.route.shard", "tests.test_x")
+    module: str                    # dotted ("repro.route.native", "tests.test_x")
     source: str
     tree: ast.Module
 

@@ -7,8 +7,8 @@ the gate semantics ("fail on error or worse") match DRC exactly, and
 the ``location`` property presents the finding in the shape
 :class:`repro.drc.waivers.WaiverSet` matches against: waiver ``match``
 patterns are fnmatch-tested against the repo-relative path
-(``src/repro/route/shard.py``) and the path-at-line string
-(``file:src/repro/route/shard.py@42``).
+(``src/repro/route/native.py``) and the path-at-line string
+(``file:src/repro/route/native.py@42``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """ORC-0xx: oracle-contract rules.
 
-Every fast tier this repo ships — the native/SoA/sharded routers, the
-batched and compiled annealers, incremental STA, the ECO engine — is
-only trustworthy because a retained Python oracle is asserted
+Every fast tier this repo ships — the compiled router and annealer,
+incremental STA, the ECO engine — is only trustworthy because a
+retained Python oracle is asserted
 bit-identical to it.  These rules make that contract *checkable*: each
 fast-tier module must carry a module-level ``ORACLE = "dotted.path"``
 declaration naming its reference implementation, the named oracle must
@@ -25,9 +25,6 @@ __all__ = ["FAST_TIERS"]
 #: Fast-tier modules bound by the oracle contract.
 FAST_TIERS = (
     "repro.route.native",
-    "repro.route.soa",
-    "repro.route.shard",
-    "repro.place.annealer_batch",
     "repro.place.native",
     "repro.timing.incremental",
     "repro.eco.engine",

@@ -137,38 +137,6 @@ def summarize(events: list[dict], *, sort: str = "total") -> str:
     else:
         parts.append("(no spans)")
 
-    # Per-shard breakdown of the region-sharded router: spans named
-    # route/shard carry (iteration, shard, targets, mode) attributes —
-    # shard -1 / mode "global" is the boundary-net bucket negotiated
-    # after the shard-interior buckets.
-    shard_spans = [e for e in spans if e.get("name") == "route/shard"]
-    if shard_spans:
-        per: dict[tuple, dict] = {}
-        iterations = set()
-        for event in shard_spans:
-            attrs = event.get("attrs", {})
-            key = (str(attrs.get("shard", "?")), str(attrs.get("mode", "?")))
-            agg = per.setdefault(key, {"count": 0, "targets": 0, "total": 0.0})
-            agg["count"] += 1
-            agg["targets"] += int(attrs.get("targets", 0))
-            agg["total"] += event["dur"]
-            if "iteration" in attrs:
-                iterations.add(attrs["iteration"])
-        shard_rows = [
-            [shard, mode, str(agg["count"]), str(agg["targets"]),
-             f"{agg['total']:.3f}"]
-            for (shard, mode), agg in sorted(per.items())
-        ]
-        boundary = sum(
-            agg["targets"] for (_s, mode), agg in per.items() if mode == "global"
-        )
-        parts.append(
-            _fmt_table(["shard", "mode", "spans", "targets", "total s"],
-                       shard_rows)
-            + f"\nsharded route: {len(iterations)} negotiation iterations, "
-              f"{boundary} boundary-net reroutes"
-        )
-
     metric_rows = []
     for event in sorted(
         (e for e in events if e.get("ph") == "metric"), key=lambda e: e["name"]

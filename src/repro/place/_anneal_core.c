@@ -1,18 +1,34 @@
 /* Native move loop for simulated-annealing detailed placement.
  *
- * Line-by-line port of the scalar loop in annealer.py (anneal_scalar):
- * same incremental bounding-box maintenance, same merge-walk over the
- * per-cell net lists for swaps, same Metropolis test, same checkpoint
- * chain.  Every floating-point operation is performed on IEEE doubles
- * in the exact order of the Python source and exp() resolves to the
- * same libm the CPython math module wraps, so the accept/reject stream
- * and all costs are bit-identical to the Python implementations — the
- * property suites assert this, and the build (repro/place/native.py)
- * disables FP contraction so the compiler cannot fuse an a*b+c into an
- * fma and perturb low bits.
+ * The Metropolis sweep of anneal_reference (_annealer_reference.py)
+ * with per-net bounding boxes cached instead of rescanned: the same
+ * moves in the same order, a merge-walk over the two per-cell net lists
+ * for swaps (ascending like the reference's sorted union; a net on both
+ * lists permutes its pins in place and keeps its cost), the same
+ * Metropolis test, the same best-state checkpoints.
+ *
+ * Bounding-box rules — what keeps the cached boxes equal to a rescan:
+ *   - evaluating a move never writes the cache.  A pin leaving the
+ *     strict interior of its net's box can only grow the box toward the
+ *     new position (O(1)); a pin leaving from the boundary may shrink
+ *     it, so that net is rescanned from its pins (net_box); a net of
+ *     two movable pins and no fixed pin is the min/max of two points;
+ *   - an accepted move rescans every affected net and stores box and
+ *     cost (rescan-on-commit).  Acceptances are rare under the quench
+ *     schedule, so this is cheaper than staging boxes on every
+ *     evaluation, and it reproduces the evaluation's boxes exactly: the
+ *     O(1) growth equals a rescan when the cache was current, and a
+ *     swap-shared net's rescan rewrites its unchanged box.
+ *
+ * Every floating-point operation is performed on IEEE doubles in the
+ * operand order of the reference and exp() resolves to the same libm
+ * the CPython math module wraps, so the accept/reject stream and all
+ * costs are bit-identical to it — tests/test_property_place.py asserts
+ * this, and the build (repro/_native.py) disables FP contraction so the
+ * compiler cannot fuse an a*b+c into an fma and perturb low bits.
  *
  * Compiled on demand with the system C compiler and loaded via ctypes;
- * absent a compiler the callers fall back to the pure-Python paths.
+ * where that fails anneal() runs the reference instead.
  */
 
 #include <math.h>
@@ -21,8 +37,8 @@
 
 #define QUAD_K 120.0
 
-/* Rescan one net's bounding box from its pins plus fixed extremes.
- * Mirrors the tail-pin loop of the Python rescans: head seeds the box,
+/* Rescan one net's bounding box from its pins plus fixed extremes, in
+ * the order _net_cost (annealer.py) walks them: head seeds the box,
  * tails use if/elif comparisons, fixed extremes fold in last. */
 static inline void net_box(
     int64_t k, const int64_t *net_offs, const int64_t *net_pins,

@@ -1,19 +1,21 @@
 """Native annealer core: on-demand C build behind a ctypes binding.
 
-The hottest loop in the repo — the placer's Metropolis sweep — is a
-line-by-line C port (``_anneal_core.c``) of the scalar implementation
-in :mod:`repro.place.annealer`.  It is compiled once per source hash
-with the system C compiler (``-O2 -ffp-contract=off``, no fast-math, so
-IEEE double semantics match CPython exactly) and cached under the
-user's cache directory.  Everything crossing the boundary is a flat
-numpy array: positions, net CSR, per-type site geometry, the
-presampled RNG streams, and the occupancy grid — the same
-structure-of-arrays views the batched annealer builds.
+The hottest loop in the repo — the placer's Metropolis sweep — runs in C
+(``_anneal_core.c``): the algorithm of
+:func:`repro.place._annealer_reference.anneal_reference` with per-net
+bounding boxes cached and updated incrementally instead of rescanned on
+every move.  It is compiled once per source hash with the system C
+compiler (``-O2 -ffp-contract=off``, no fast-math, so IEEE double
+semantics match CPython exactly) and cached under the user's cache
+directory.  Everything crossing the boundary is a flat numpy array:
+positions, net CSR, per-type site geometry, the presampled RNG streams,
+and the occupancy grid.
 
-The binding is strictly optional: no compiler, a failed build, or
-``REPRO_NATIVE=0`` all degrade to the pure-Python batched/scalar paths,
-which produce bit-identical results (the property suites assert all
-three agree).
+:func:`repro.place.annealer.anneal` runs it whenever it loads.  Where it
+cannot — no compiler and no cached build, a failed build, or
+``REPRO_NATIVE=0`` — the reference runs instead: bit-identical sites and
+statistics (``tests/test_property_place.py`` asserts it under
+Hypothesis), slower (:mod:`repro.place.annealer` says by how much).
 """
 
 from __future__ import annotations
@@ -104,10 +106,12 @@ def anneal_native(
 ) -> AnnealStats:
     """Refine *sites* in place via the C sweep; returns statistics.
 
-    Drop-in for :func:`repro.place.annealer.anneal_scalar` with
-    bit-identical results.  Raises ``RuntimeError`` if the native core
-    is unavailable — callers dispatch through
-    :func:`repro.place.annealer.anneal`, which checks first.
+    Drop-in for :func:`repro.place._annealer_reference.anneal_reference`
+    with bit-identical results.  Raises ``RuntimeError`` if the native
+    core is unavailable — callers dispatch through
+    :func:`repro.place.annealer.anneal`, which checks first and emits
+    the ``place.moves`` / ``place.accepted`` counters from the returned
+    statistics.
     """
     fn = _core()
     if fn is None:
@@ -147,7 +151,7 @@ def anneal_native(
     net_psum[two] = net_pins[heads] + net_pins[heads + 1]
     net_two = two.astype(np.uint8)
     # stable sort by cell keeps each cell's nets ascending, like the
-    # per-cell lists the scalar implementation appends to in net order
+    # per-cell lists the reference appends to in net order
     cell_nets = np.repeat(np.arange(n_nets, dtype=np.int64), pin_counts)[
         np.argsort(net_pins, kind="stable")
     ]
@@ -164,7 +168,7 @@ def anneal_native(
     bx0_a, bx1_a, by0_a, by1_a, cost_a = _csr_boxes(
         net_offs[:-1], net_pins, net_w, fixed_lo, fixed_hi, xs_a, ys_a
     )
-    # summed left to right like the other implementations (np.sum pairs)
+    # summed left to right like the reference (np.sum pairs)
     initial_cost = sum(cost_a.tolist())
 
     ctypes_ = problem.ctypes
@@ -274,8 +278,8 @@ def anneal_native(
     else:
         final_cost = running
 
-    # The clump pass is python shared with the other implementations and
-    # works on their list-of-lists working set: slice it off the arrays.
+    # The clump pass is python and works on the reference's list-of-lists
+    # working set: slice it off the arrays.
     xs = xs_a.tolist()
     ys = ys_a.tolist()
     nets = [
@@ -289,8 +293,6 @@ def anneal_native(
 
     sites[:, 0] = xs
     sites[:, 1] = ys
-    incr("place.moves", budget)
-    incr("place.accepted", accepted)
     incr("place.bbox.fast", int(out_i[1]))
     incr("place.bbox.rescan", int(out_i[2]))
     sample("place.cost", min(final_cost, initial_cost))

@@ -326,7 +326,7 @@ class PreImplementedFlow:
             drc_reports.append(gate_report)
 
         with timer.stage("vivado:inter_route"):
-            route = Router(self.device, self.graph, seed=self.seed).route(top, timer=timer)
+            route = Router(self.device, self.graph).route(top, timer=timer)
 
         extras: dict = {
             "offline_s": offline_s,
@@ -361,7 +361,7 @@ class PreImplementedFlow:
             if pipe.inserted:
                 # Only the split nets are unrouted; report both passes.
                 with timer.stage("vivado:reroute"):
-                    reroute = Router(self.device, self.graph, seed=self.seed).route(top)
+                    reroute = Router(self.device, self.graph).route(top)
                 route = RouteResult(
                     routed=route.routed + reroute.routed,
                     failed=reroute.failed,

@@ -94,7 +94,7 @@ def preimplement(
             _plan_ports(design, device, pblock)
 
     with timer.stage("ooc/route"):
-        route = Router(device, graph, seed=seed).route(design, region=pblock)
+        route = Router(device, graph).route(design, region=pblock)
 
     with timer.stage("ooc/timing"):
         # HD.CLK_SRC: stub clock entry at the pblock boundary mid-height.

@@ -1,5 +1,6 @@
-/* PathFinder negotiation core: a C port of the serial schedule in
- * repro/route/pathfinder.py, bit-identical to the Python implementation.
+/* PathFinder negotiation core: a C port of the schedule
+ * Router.route_reference (repro/route/pathfinder.py) spells out in
+ * Python, bit-identical to it (tests/test_property_route.py).
  *
  * Port rules (same as _anneal_core.c):
  *   - every float expression keeps the Python operand order, compiled
@@ -472,9 +473,16 @@ static i64 astar_c(Core *c, i64 src, i64 dst, i64 *out_cap_holder) {
 }
 
 /* -------------------------------------------------- rip / commit
- * Ports of Router._rip / Router._commit with the incremental cost
- * refresh over only the occupancy-changed nodes (the soa contract:
- * unchanged nodes recompute to the value the table already holds). */
+ * Ports of Router._rip / Router._commit with an incremental cost
+ * refresh.  The reference recomputes the cost of every node on the
+ * ripped or committed path; here only the nodes whose occupancy changed
+ * (freed by the rip, newly charged by the commit) are recomputed.  A
+ * node's cost is a function of its occupancy, capacity and history
+ * alone, and capacity and history do not change inside an iteration, so
+ * every other node on the path would recompute to the value the table
+ * already holds.  Iteration 0 runs no search and skips the refresh
+ * altogether: route_iterate rebuilds the whole table from the arrays at
+ * the top of every later iteration. */
 
 static void refresh_nodes(Core *c, const i64 *nodes, i64 n) {
     double pres_fac = c->pres_fac, hist_fac = c->hist_fac;

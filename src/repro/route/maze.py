@@ -17,12 +17,7 @@ Two implementations live here:
   unwindowed search could pop — the returned paths are bit-identical to
   the reference search.
 * :func:`astar_route_reference` — the original dict/heap search, kept as
-  the equivalence oracle for property tests and the speedup baseline for
-  ``benchmarks/bench_hotpaths.py``.
-
-:func:`astar_route_batch` routes many connections in one call against a
-shared cost array, reusing one arena and invoking an optional callback
-between searches (PathFinder applies occupancy updates there).
+  the equivalence oracle for property tests.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from ..obs.span import incr
 
 __all__ = [
     "astar_route",
-    "astar_route_batch",
     "astar_route_reference",
     "direct_path",
 ]
@@ -222,16 +216,14 @@ def astar_route(
     max_expansions: int = 200_000,
     heuristic_weight: float = 1.0,
     window: bool = True,
-    _bounds: tuple[int, int, int, int] | None = None,
-    _hex: list[float] | dict[int, float] | None = None,
-    _ft: list[float] | None = None,
+    _hex: list[float] | None = None,
 ) -> list[int] | None:
     """Shortest path from *src* to *dst* under per-node entry costs.
 
     ``node_cost[n]`` is the congestion-adjusted multiplier for entering
-    node *n* (>= 1); an ndarray works, but a flat Python list (see
-    :func:`astar_route_batch`, which converts once for a whole batch)
-    keeps the inner loop in native floats and is markedly faster.
+    node *n* (>= 1); an ndarray works, but a flat Python list (PathFinder
+    converts once per iteration) keeps the inner loop in native floats
+    and is markedly faster.
     With ``heuristic_weight == 1`` the heuristic
     (cheapest cost per tile times Manhattan distance) is admissible and
     the result is optimal.  With ``heuristic_weight > 1`` the heuristic
@@ -247,21 +239,10 @@ def astar_route(
     to :func:`astar_route_reference`; *window* exists so the equivalence
     is testable, not as a tuning knob.
 
-    ``_bounds`` overrides the window with caller-computed
-    ``(col_lo, row_lo, col_hi, row_hi)`` bounds.  The caller is
-    responsible for certification (bounds must contain the region
-    :func:`_window_bounds` would return); the PathFinder worker pool uses
-    this to ship each search only the cost values inside its window
-    (``node_cost`` then only needs to be indexable for nodes within the
-    bounds — a dict works).
-
-    ``_hex`` is the premultiplied ``HEX_COST * node_cost`` container;
-    batch callers build it once per cost vector so the four hex
+    ``_hex`` is the premultiplied ``HEX_COST * node_cost`` list;
+    PathFinder builds it once per cost vector so the four hex
     relaxations per expansion skip the multiply (the product is the same
     IEEE operation either way).  Built on the fly when omitted.
-    ``_ft`` is the tabulated heuristic ``_ft[d] = d * per_tile`` for
-    Manhattan distances ``d < nrows + ncols`` — same trick, same IEEE
-    product, one table per (grid, weight) instead of a multiply per push.
     """
     if src == dst:
         return [src]
@@ -272,15 +253,13 @@ def astar_route(
     if _hex is None:
         if isinstance(node_cost, np.ndarray):
             _hex = (HEX_COST * node_cost).tolist()
-        elif isinstance(node_cost, dict):
-            _hex = {k: HEX_COST * v for k, v in node_cost.items()}
         else:
             _hex = [HEX_COST * c for c in node_cost]
     hexl = _hex
-    ft = _ft if _ft is not None else [d * per_tile for d in range(nrows + ncols)]
-    if _bounds is not None:
-        col_lo, row_lo, col_hi, row_hi = _bounds
-    elif window:
+    # tabulated heuristic: ft[d] = d * per_tile for every Manhattan
+    # distance on the grid — one multiply per table entry, not per push
+    ft = [d * per_tile for d in range(nrows + ncols)]
+    if window:
         col_lo, row_lo, col_hi, row_hi = _window_bounds(
             src, dst, nrows, ncols, node_cost, heuristic_weight
         )
@@ -290,7 +269,7 @@ def astar_route(
     arena = _arena()
     # Manhattan-distance tables (hr[r] = |r - dr|, hc[c] = |c - dc|):
     # built from range objects at C speed and memoized on the arena —
-    # fanout makes target coordinates recur heavily within a batch —
+    # fanout makes target coordinates recur heavily within a route —
     # they turn every per-push distance computation into a list index.
     tables = arena.dist_tables
     hr = tables.get((nrows, dr))
@@ -440,51 +419,6 @@ def astar_route(
     incr("route.astar.calls")
     incr("route.astar.expansions", expansions)
     return None
-
-
-def astar_route_batch(
-    pairs: list[tuple[int, int]],
-    nrows: int,
-    ncols: int,
-    node_cost: np.ndarray,
-    *,
-    max_expansions: int = 200_000,
-    heuristic_weight: float = 1.0,
-    window: bool = True,
-    on_path=None,
-) -> list[list[int] | None]:
-    """Route many ``(src, dst)`` connections in one call.
-
-    All searches share one arena and the *same* ``node_cost`` array (an
-    ndarray is converted to a flat list once, up front — float values and
-    hence paths are bit-identical either way);
-    ``on_path(index, path)`` — if given — runs after each search, so a
-    negotiated-congestion caller can fold the fresh path into
-    ``node_cost`` before the next connection is routed (the sequential
-    semantics of PathFinder's inner loop, minus the per-call overhead).
-    """
-    if isinstance(node_cost, np.ndarray):
-        node_cost = node_cost.tolist()
-    # An on_path callback may mutate node_cost between searches, so the
-    # shared premultiplied hex vector is only safe without one (each
-    # search then rebuilds it from the current costs).
-    hexl = None if on_path is not None else [HEX_COST * c for c in node_cost]
-    per_tile = (HEX_COST / HEX_REACH) * heuristic_weight
-    ft = [d * per_tile for d in range(nrows + ncols)]
-    paths: list[list[int] | None] = []
-    for i, (src, dst) in enumerate(pairs):
-        path = astar_route(
-            src, dst, nrows, ncols, node_cost,
-            max_expansions=max_expansions,
-            heuristic_weight=heuristic_weight,
-            window=window,
-            _hex=hexl,
-            _ft=ft,
-        )
-        paths.append(path)
-        if on_path is not None:
-            on_path(i, path)
-    return paths
 
 
 def astar_route_reference(

@@ -1,21 +1,25 @@
 """Native PathFinder core: ctypes binding and full-route driver.
 
-``_route_core.c`` is a line-by-line C port of the serial negotiation
-schedule in :mod:`repro.route.pathfinder` — direct-path iteration 0,
-weighted-A* reroutes inside the certified search windows, shared-trunk
-usage accounting, and the incremental cost refresh over only the
-occupancy-changed nodes.  It is compiled on demand through
+``_route_core.c`` is a line-by-line C port of the negotiation schedule
+:meth:`repro.route.pathfinder.Router.route_reference` spells out in
+Python — direct-path iteration 0, weighted-A* reroutes inside the
+certified search windows, shared-trunk usage accounting — with one
+licensed shortcut: after a rip-up or a commit it refreshes the cost of
+only the nodes whose occupancy changed (the others would recompute to
+the value they hold).  It is compiled on demand through
 :mod:`repro._native` (IEEE-strict flags, content-hash cache) and is
-bit-identical to the Python router at every setting it handles (the
-property suite asserts it).
+bit-identical to the reference (``tests/test_property_route.py``
+asserts it under Hypothesis).  :meth:`Router.route` runs it whenever it
+loads; where it cannot, the reference runs instead — same bytes out,
+slower (:mod:`repro.route.pathfinder` says by how much).
 
 The C session *shares* the caller's numpy buffers — occupancy,
 capacity, history, blocked — so nothing is copied per iteration, and
 one ``route_iterate`` call runs one negotiation iteration: the Python
 loop here keeps the same stage spans, telemetry, and stop condition as
-:meth:`Router.route`, so trace trees and metric totals match the pure
-paths.  The driver skips ``_Target`` materialization entirely; paths
-come back as one flat CSR at the end.
+the reference, so trace trees and metric totals match.  The driver
+never materializes per-target objects; paths come back as one flat CSR
+at the end.
 """
 
 from __future__ import annotations
@@ -27,13 +31,12 @@ import numpy as np
 
 from .._native import build_library
 from ..obs.span import incr, observe, sample
-from .soa import wirelength_batch
 
 __all__ = ["native_available", "route_native"]
 
 #: Reference implementation this tier is asserted bit-identical to
 #: (the oracle contract; checked by ORC lint rules).
-ORACLE = "repro.route.pathfinder.Router"
+ORACLE = "repro.route.pathfinder.Router.route_reference"
 
 _SOURCE = Path(__file__).with_name("_route_core.c")
 
@@ -84,8 +87,10 @@ def _ptr(a: np.ndarray) -> ctypes.c_void_p:
 
 def _collect_targets(design, nrows, ncols):
     """Array-form target collection, identical in order and error
-    behavior to :meth:`Router._setup_targets_soa`, but without
-    materializing ``_Target`` objects.
+    behavior to the setup loop of :meth:`Router.route_reference` (the
+    same ``RoutingError`` / ``IndexError`` at the same first offender;
+    a stable argsort on the same keys equals its stable ``list.sort``),
+    but without materializing ``_Target`` objects.
 
     Returns ``(names, gid, sink_idx, width, src, dst)`` where *names*
     maps a net group id to its net name and the five arrays are in the
@@ -148,12 +153,29 @@ def _collect_targets(design, nrows, ncols):
     )
 
 
+def _wirelength(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
+    """Total tiles spanned (:meth:`RoutingGraph.path_metrics`) over a CSR
+    of paths — the core hands the routes back flat, so summing hop
+    lengths here saves re-flattening them for ``path_metrics_batch``."""
+    if flat.size < 2:
+        return 0
+    cols = flat // nrows
+    rows = flat % nrows
+    dc = np.abs(np.diff(cols))
+    dr = np.abs(np.diff(rows))
+    valid = np.ones(flat.size - 1, dtype=bool)
+    # mask the junctions between consecutive paths (and empty paths)
+    ends = offs[1:-1]
+    valid[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+    return int(((dc + dr) * valid).sum())
+
+
 def route_native(router, design, blocked, timer):
     """Run the full negotiation through the C core; bit-identical to
-    ``Router.route`` with ``soa=True, jobs=1, shards=None``.
+    :meth:`Router.route_reference`.
 
-    Called by :meth:`Router.route` once the dispatch conditions hold;
-    *blocked* is the caller's region mask (or ``None``).
+    Called by :meth:`Router.route` when the core loaded; *blocked* is
+    the caller's region mask (or ``None``).
     """
     from .pathfinder import _REROUTE_WEIGHT, RouteResult, routed_occupancy
 
@@ -243,7 +265,7 @@ def route_native(router, design, blocked, timer):
                 if o1 > o0:
                     nets[names[gid_l[j]]].routes[sink_l[j]] = flat_l[o0:o1]
                     routed += 1
-            wirelength = wirelength_batch(flat[:total], offs, nrows)
+            wirelength = _wirelength(flat[:total], offs, nrows)
 
     n_over_final = int(np.count_nonzero(occupancy > capacity))
     incr("route.connections", n)

@@ -124,7 +124,7 @@ class VivadoFlow:
                 design, self.device, effort=self.effort, seed=self.seed, timer=timer
             )
         with timer.stage("route_design"):
-            route = Router(self.device, self.graph, seed=self.seed).route(
+            route = Router(self.device, self.graph).route(
                 design, timer=timer
             )
         with timer.stage("timing"):

@@ -4,16 +4,21 @@
   light subcommand may load (checked on ``sys.modules`` in a subprocess:
   deterministic, no timing);
 * the lazy package namespace still resolves everything it exported;
-* a primed native-core cache serves machines that have no C compiler.
+* a primed native-core cache serves machines that have no C compiler;
+* a core that was wanted and cannot load says so — one ``RuntimeWarning``
+  per core per process, naming the core and the reason — while
+  ``REPRO_NATIVE=0`` and a primed cache stay silent.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -114,12 +119,69 @@ def test_primed_cache_serves_a_machine_without_compiler(tmp_path, monkeypatch):
 
     monkeypatch.setenv("PATH", "")  # no cc, gcc or clang to be found
     assert shutil.which("cc") is None
-    lib = _native.build_library(source, "probe")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a primed cache loads silently
+        lib = _native.build_library(source, "probe")
     assert lib is not None and lib.answer() == 42
 
-    # a cache miss without a compiler still degrades to "unavailable"
+    # a cache miss without a compiler still degrades to "unavailable", loudly
     other = tmp_path / "other.c"
     other.write_text(C_SOURCE + "/* different hash */\n")
-    assert _native.build_library(other, "probe") is None
+    with pytest.warns(RuntimeWarning, match="'probe' unavailable .no C compiler and no cached"):
+        assert _native.build_library(other, "probe") is None
     monkeypatch.setenv("REPRO_NATIVE", "0")
-    assert _native.build_library(source, "probe") is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # asked for: silent
+        assert _native.build_library(source, "probe") is None
+
+
+@pytest.mark.skipif(
+    not (shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")),
+    reason="needs a C compiler to fail",
+)
+def test_failed_build_and_failed_load_name_their_reason(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    broken = tmp_path / "broken.c"
+    broken.write_text("long long answer(void) { return no_such_symbol; }\n")
+    with pytest.warns(RuntimeWarning, match="'probe' unavailable .compile failed: .+"):
+        assert _native.build_library(broken, "probe") is None
+    assert not list(_native.cache_dir().glob("*.so"))  # nothing half-built is cached
+
+    source = tmp_path / "core.c"
+    source.write_text(C_SOURCE)
+    tag = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    (_native.cache_dir() / f"probe-{tag}.so").write_bytes(b"not a shared object")
+    with pytest.warns(RuntimeWarning, match="'probe' unavailable .dlopen failed"):
+        assert _native.build_library(source, "probe") is None
+
+
+_PROBE_CORES = (
+    "from repro.place import native as p\n"
+    "from repro.route import native as r\n"
+    "print(*[p.native_available(), r.native_available()] * 2)"  # asked twice each
+)
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+def test_unloadable_cores_warn_once_each_unless_disabled(tmp_path, disabled):
+    """No compiler on ``PATH`` and nothing cached: each core reports itself
+    once per process however often it is asked for (``-W always`` rules out
+    the warning filter doing the deduplication); ``REPRO_NATIVE=0`` asked
+    for the reference implementations and gets them silently."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PATH": "",
+           "XDG_CACHE_HOME": str(tmp_path), "REPRO_NATIVE": "0" if disabled else "1"}
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-c", _PROBE_CORES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"] * 4
+    warned = [line for line in done.stderr.splitlines() if "RuntimeWarning" in line]
+    if disabled:
+        assert not warned
+    else:
+        assert len(warned) == 2, done.stderr
+        assert sum("'anneal_core' unavailable" in line for line in warned) == 1
+        assert sum("'route_core' unavailable" in line for line in warned) == 1
+        assert all("reference implementation will run" in line for line in warned)

@@ -1,12 +1,12 @@
 """Bit-identity of the optimized route/place hot paths to their references.
 
-The arena/windowed A*, the batched search, the parallel (``jobs > 1``)
-PathFinder schedule, and the incremental-bbox annealer are all pure
-optimizations: same floats, same tie-breaks, same results.  These tests
-pin that equivalence on deterministic congested instances (the Hypothesis
-suites in ``test_property_route.py`` / ``test_property_place.py`` cover
-randomized ones) plus the behavioural regressions fixed alongside:
-degenerate-net costs, endpoint overuse, and RNG stream ordering.
+The arena/windowed A* and the compiled annealer are pure optimizations:
+same floats, same tie-breaks, same results.  These tests pin that
+equivalence on deterministic congested instances (the Hypothesis suites
+in ``test_property_route.py`` / ``test_property_place.py`` cover
+randomized ones, and the compiled router) plus the behavioural
+regressions fixed alongside: degenerate-net costs, endpoint overuse, and
+RNG stream ordering.
 """
 
 from __future__ import annotations
@@ -15,18 +15,17 @@ import numpy as np
 import pytest
 
 from repro._util import make_rng
-from repro.fabric import Device, RoutingGraph, TileType
+from repro.fabric import Device
 from repro.netlist import Design
-from repro.place import annealer as annealer_mod
 from repro.place import _annealer_reference as annealer_ref_mod
 from repro.place import native as native_mod
-from repro.place.annealer import _net_cost, anneal, anneal_scalar
+from repro.place.annealer import _net_cost, anneal
 from repro.place._annealer_reference import anneal_reference
 from repro.place.native import anneal_native, native_available
 from repro.place.global_place import global_place
 from repro.place.legalize import legalize
 from repro.place.problem import PlacementProblem
-from repro.route import Router, astar_route, astar_route_batch, astar_route_reference
+from repro.route import astar_route, astar_route_reference
 from repro.route.pathfinder import _path_overused
 
 SMALL = Device.from_name("small")
@@ -57,11 +56,6 @@ def test_astar_matches_reference_on_congested_grid(weight):
         )
         assert opt == ref
         assert unwindowed == ref
-    batch = astar_route_batch(pairs, nrows, ncols, cost, heuristic_weight=weight)
-    assert batch == [
-        astar_route_reference(s, d, nrows, ncols, cost, heuristic_weight=weight)
-        for s, d in pairs
-    ]
 
 
 def test_astar_docstring_admits_inadmissibility():
@@ -70,43 +64,6 @@ def test_astar_docstring_admits_inadmissibility():
     doc = astar_route.__doc__
     assert "inadmissible" in doc
     assert "bounded-suboptimality" in doc
-
-
-# -- PathFinder parallel schedule ---------------------------------------------
-
-
-def _congested_design(n_pairs: int, width: int, device: Device) -> Design:
-    d = Design("hot")
-    clb = [int(c) for c in device.columns_of(TileType.CLB)]
-    for i in range(n_pairs):
-        d.new_cell(f"s{i}", "SLICE", placement=(clb[0], i % device.nrows), luts=1)
-        d.new_cell(f"t{i}", "SLICE", placement=(clb[-1], (i * 3) % device.nrows), luts=1)
-        d.connect(f"n{i}", f"s{i}", [f"t{i}"], width=width)
-    return d
-
-
-@pytest.mark.parametrize("n_pairs,width", [(12, 60), (24, 120)])
-def test_router_parallel_matches_serial(n_pairs, width):
-    device = Device.from_name("tiny")
-
-    def run(jobs):
-        design = _congested_design(n_pairs, width, device)
-        result = Router(device, RoutingGraph(device), seed=0, jobs=jobs).route(design)
-        routes = {
-            (net.name, i): tuple(p) if p else None
-            for net in design.nets.values()
-            for i, p in enumerate(net.routes)
-        }
-        return result, routes
-
-    serial, routes_serial = run(1)
-    parallel, routes_parallel = run(2)
-    assert routes_parallel == routes_serial
-    assert (parallel.routed, parallel.failed, parallel.iterations,
-            parallel.wirelength, parallel.overused_nodes) == (
-        serial.routed, serial.failed, serial.iterations,
-        serial.wirelength, serial.overused_nodes,
-    )
 
 
 # -- annealer -----------------------------------------------------------------
@@ -198,7 +155,6 @@ class _RecordingRng:
     [
         # each implementation by name: the ``anneal`` dispatcher picks one by
         # core availability, and ``make_rng`` is patched per module
-        (annealer_mod, anneal_scalar),
         (native_mod, anneal_native),
         (annealer_ref_mod, anneal_reference),
     ],

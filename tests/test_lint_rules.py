@@ -262,7 +262,7 @@ _TIER_TREE = {
     # A minimal project tree where one registered tier is fully compliant.
     "src/repro/route/pathfinder.py": "class Router:\n    pass\n",
     "src/repro/route/native.py": (
-        'ORACLE = "repro.route.pathfinder.Router"\n'
+        'ORACLE = "repro.route.pathfinder.Router.route_reference"\n'
         "def route_native():\n    pass\n"
     ),
     "tests/test_property_route.py": (
@@ -274,13 +274,13 @@ _TIER_TREE = {
 def test_orc001_missing_tier_and_missing_declaration(tmp_path):
     report = sweep(tmp_path, {
         "src/repro/__init__.py": "",
-        "src/repro/route/soa.py": "def kernels():\n    pass\n",   # no ORACLE
+        "src/repro/place/native.py": "def kernels():\n    pass\n",   # no ORACLE
     }, rules=["ORC-001"])
     found = hits(report, "ORC-001")
     # every registered-but-absent tier is reported, plus the declaration gap
     assert len(found) == len(FAST_TIERS)
-    soa = [f for f in found if f.path.endswith("soa.py")]
-    assert soa and "ORACLE" in soa[0].message
+    bare = [f for f in found if f.path.endswith("place/native.py")]
+    assert bare and "ORACLE" in bare[0].message
 
 
 def test_orc_compliant_tier_is_clean(tmp_path):

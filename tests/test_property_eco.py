@@ -90,7 +90,7 @@ def routed_designs(draw):
     seq = [c.name for c in design.cells.values() if c.seq]
     if seq:
         design.add_net(Net("clk", driver=None, sinks=seq, is_clock=True))
-    route = Router(SMALL, GRAPH, seed=seed).route(design)
+    route = Router(SMALL, GRAPH).route(design)
     if not route.success:
         # tiny random designs on the small part essentially always route;
         # if one doesn't, it is not a useful ECO base

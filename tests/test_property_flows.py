@@ -96,7 +96,7 @@ def test_pathfinder_respects_capacity(n_pairs, seed, width):
         d.new_cell(f"s{i}", "SLICE", placement=(c_src, r), luts=1)
         d.new_cell(f"t{i}", "SLICE", placement=(c_dst, r), luts=1)
         d.connect(f"n{i}", f"s{i}", [f"t{i}"], width=width)
-    result = Router(SMALL, graph, seed=seed).route(d)
+    result = Router(SMALL, graph).route(d)
     if result.success:
         # recompute occupancy from the committed routes (per-net sharing)
         occupancy = np.zeros(graph.n_nodes)

@@ -9,10 +9,9 @@ Hypothesis over random connected designs on the small part:
   initial legalized cost (best-seen restoration);
 * the full :func:`place_design` facade produces a design that passes
   :meth:`Design.validate` against the device;
-* every annealer implementation — scalar incremental-bbox, batched,
-  native — and the :func:`anneal` dispatcher, with and without the C core,
-  is bit-identical — placements and stats — to the rescan-everything
-  reference annealer at any seed;
+* the compiled annealer and the :func:`anneal` dispatcher, with and
+  without the C core, are bit-identical — placements and stats — to the
+  rescan-everything reference annealer at any seed;
 * the ``np.bincount`` global placer is bit-identical to the
   ``scipy.sparse`` formulation it replaced (kept here as the oracle).
 """
@@ -26,11 +25,12 @@ from hypothesis import given, settings, strategies as st
 from repro._util import make_rng
 from repro.fabric import Device, auto_pblock
 from repro.netlist import Design
+from repro.obs.span import Tracer
+from repro.place import _annealer_reference as reference_mod
 from repro.place import native as native_mod
 from repro.place import place_design
 from repro.place._annealer_reference import anneal_reference
-from repro.place.annealer import _BATCH_MIN_CELLS, anneal, anneal_scalar
-from repro.place.annealer_batch import anneal_batched
+from repro.place.annealer import anneal
 from repro.place.native import anneal_native, native_available
 from repro.place.global_place import _spread, global_place
 from repro.place.legalize import legalize
@@ -109,30 +109,11 @@ def test_anneal_keeps_legality_and_never_worse(case):
     assert 0.0 <= stats.improvement <= 1.0 or stats.initial_cost == 0
 
 
-@settings(max_examples=20, deadline=None)
-@given(placement_designs())
-def test_incremental_anneal_matches_reference(case):
-    design, seed = case
-    problem = PlacementProblem.from_design(design, SMALL)
-    sites = legalize(problem, global_place(problem, make_rng(seed), iters=5))
-    sites_ref = sites.copy()
-    # by name: the dispatcher only reaches this implementation without the
-    # C core, and then only below ``_BATCH_MIN_CELLS``
-    stats = anneal_scalar(problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000)
-    stats_ref = anneal_reference(
-        problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=2_000
-    )
-    assert np.array_equal(sites, sites_ref)
-    assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)
-    assert stats.initial_cost == stats_ref.initial_cost
-    assert stats.final_cost == stats_ref.final_cost
-
-
 @pytest.mark.parametrize("core", ["native", "fallback"])
 def test_anneal_dispatch_matches_reference(monkeypatch, core):
-    """``anneal`` picks its implementation by core availability, not size:
-    on a small problem it equals the reference both with the C core and
-    with ``REPRO_NATIVE=0`` (which must then fall back to pure python)."""
+    """``anneal`` picks its implementation by core availability and nothing
+    else: it equals the reference both with the C core and with
+    ``REPRO_NATIVE=0`` (when it must run the reference itself)."""
     if core == "native":
         if not native_available():
             pytest.skip("native annealer core unavailable")
@@ -140,44 +121,31 @@ def test_anneal_dispatch_matches_reference(monkeypatch, core):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         monkeypatch.setattr(native_mod, "_CORE", [])  # forget the loaded core
         assert not native_available()
-    called = []
-    real = native_mod.anneal_native
+    ran = []
+    real_native, real_reference = native_mod.anneal_native, anneal_reference
     monkeypatch.setattr(
         native_mod, "anneal_native",
-        lambda *a, **kw: called.append(1) or real(*a, **kw),
+        lambda *a, **kw: ran.append("native") or real_native(*a, **kw),
+    )
+    monkeypatch.setattr(
+        reference_mod, "anneal_reference",
+        lambda *a, **kw: ran.append("reference") or real_reference(*a, **kw),
     )
     design = gen_conv(1, 8, 8, 3, 2, rom_weights=True)
     design.pblock = auto_pblock(SMALL, design.site_demand(), anchor=(0, 0))
     problem = PlacementProblem.from_design(design, SMALL)
-    assert 0 < problem.n_movable < _BATCH_MIN_CELLS
+    assert problem.n_movable > 0
     sites = legalize(problem, global_place(problem, make_rng(3), iters=5))
     sites_ref = sites.copy()
-    stats = anneal(problem, sites, seed=3, moves_per_cell=20, max_moves=4_000)
+    tracer = Tracer()
+    with tracer.activate():
+        stats = anneal(problem, sites, seed=3, moves_per_cell=20, max_moves=4_000)
+    assert ran == (["native"] if core == "native" else ["reference"])
+    # the annealing counters are in the trace whichever implementation ran
+    assert tracer.metrics.counter("place.moves").value == stats.moves > 0
+    assert tracer.metrics.counter("place.accepted").value == stats.accepted
     stats_ref = anneal_reference(
         problem, sites_ref, seed=3, moves_per_cell=20, max_moves=4_000
-    )
-    assert bool(called) == (core == "native")
-    assert np.array_equal(sites, sites_ref)
-    assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)
-    assert stats.initial_cost == stats_ref.initial_cost
-    assert stats.final_cost == stats_ref.final_cost
-
-
-@settings(max_examples=15, deadline=None)
-@given(placement_designs())
-def test_batched_anneal_matches_reference(case):
-    """The block-vectorized tier is reached only without the C core and
-    from ``_BATCH_MIN_CELLS`` cells; call it directly so small Hypothesis
-    designs exercise its bit-identity contract too."""
-    design, seed = case
-    problem = PlacementProblem.from_design(design, SMALL)
-    sites = legalize(problem, global_place(problem, make_rng(seed), iters=5))
-    sites_ref = sites.copy()
-    stats = anneal_batched(
-        problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000
-    )
-    stats_ref = anneal_reference(
-        problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=2_000
     )
     assert np.array_equal(sites, sites_ref)
     assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)

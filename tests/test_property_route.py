@@ -15,6 +15,11 @@ Hypothesis over random multi-fanout routing problems on the small part:
 * :func:`routed_occupancy` — computed from all routes at once — returns
   the array, connection count and per-net usage of a plain walk over
   the nets.
+* the compiled negotiation core (``Router.route`` with the core loaded)
+  writes byte-identical routes and returns the same ``RouteResult`` as
+  the scalar oracle ``Router.route_reference`` — on random problems and
+  on congestion-heavy ones whose connections all cross the die — and
+  ``Router.route`` runs the oracle itself when the core is unavailable.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fabric import Device, RoutingGraph, TileType
@@ -29,32 +35,64 @@ from repro.fabric.interconnect import HEX_REACH
 from repro.netlist import Design
 from repro.netlist.net import Net
 from repro.route import Router, astar_route, astar_route_reference
+from repro.route import native as route_native
 from repro.route.pathfinder import routed_occupancy
 
 SMALL = Device.from_name("small")
 CLB_COLS = [int(c) for c in SMALL.columns_of(TileType.CLB)]
+WIRE_CAPACITY = int(RoutingGraph(SMALL).capacity.max())
+
+
+def _fanout_design(draw, name, n_nets, drivers, sinks, max_width):
+    """*n_nets* nets of one driver and one to three sinks on SLICE cells
+    placed at random inside the ``(columns, rows)`` pools *drivers* and
+    *sinks*, each ``1..max_width`` wide.  Sites come from a seeded numpy
+    generator (cheap to shrink), fanouts and widths from Hypothesis."""
+    rng_seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(rng_seed)
+    design = Design(f"{name}{rng_seed}")
+
+    def site(pool):
+        cols, rows = pool
+        return cols[int(rng.integers(0, len(cols)))], int(rng.integers(rows.start, rows.stop))
+
+    for i in range(n_nets):
+        design.new_cell(f"d{i}", "SLICE", placement=site(drivers), luts=1)
+        names = [f"s{i}_{j}" for j in range(draw(st.integers(1, 3)))]
+        for cell in names:
+            design.new_cell(cell, "SLICE", placement=site(sinks), luts=1)
+        design.connect(f"n{i}", f"d{i}", names, width=draw(st.integers(1, max_width)))
+    return design, rng_seed
 
 
 @st.composite
 def routing_problems(draw):
     """A design of random placed cell pairs joined by multi-sink nets."""
-    rng_seed = draw(st.integers(0, 10_000))
-    n_nets = draw(st.integers(1, 6))
-    rng = np.random.default_rng(rng_seed)
-    design = Design(f"prop{rng_seed}")
-    for i in range(n_nets):
-        col = CLB_COLS[int(rng.integers(0, len(CLB_COLS)))]
-        row = int(rng.integers(0, SMALL.nrows))
-        design.new_cell(f"d{i}", "SLICE", placement=(col, row), luts=1)
-        sinks = []
-        for j in range(draw(st.integers(1, 3))):
-            scol = CLB_COLS[int(rng.integers(0, len(CLB_COLS)))]
-            srow = int(rng.integers(0, SMALL.nrows))
-            name = f"s{i}_{j}"
-            design.new_cell(name, "SLICE", placement=(scol, srow), luts=1)
-            sinks.append(name)
-        design.connect(f"n{i}", f"d{i}", sinks, width=draw(st.integers(1, 8)))
-    return design, rng_seed
+    anywhere = (CLB_COLS, range(SMALL.nrows))
+    return _fanout_design(
+        draw, "prop", draw(st.integers(1, 6)), anywhere, anywhere, max_width=8
+    )
+
+
+@st.composite
+def boundary_heavy_problems(draw):
+    """Designs whose every connection crosses the die, on nets up to a
+    whole wire wide.
+
+    Drivers sit in one corner quadrant of the fabric and sinks in the
+    opposite one, so the direct routes pile onto the same wires; with
+    widths this large about a third of the draws overuse some and go on
+    to rip up, A*-reroute and escalate history (a few never converge) —
+    the part of the negotiation :func:`routing_problems`, whose narrow
+    nets all route in one iteration, never reaches.
+    """
+    half_c, half_r = SMALL.ncols // 2, SMALL.nrows // 2
+    return _fanout_design(
+        draw, "boundary", draw(st.integers(2, 8)),
+        ([c for c in CLB_COLS if c < half_c], range(half_r)),
+        ([c for c in CLB_COLS if c >= half_c], range(half_r, SMALL.nrows)),
+        max_width=WIRE_CAPACITY,
+    )
 
 
 def _occupancy_walk(design: Design, graph: RoutingGraph):
@@ -82,7 +120,7 @@ def _occupancy_walk(design: Design, graph: RoutingGraph):
 def test_successful_route_has_zero_overuse(problem):
     design, seed = problem
     graph = RoutingGraph(SMALL)
-    result = Router(SMALL, graph, seed=seed).route(design)
+    result = Router(SMALL, graph).route(design)
     assert result.routed + result.failed == sum(
         len(net.sinks) for net in design.nets.values()
     )
@@ -98,7 +136,7 @@ def test_routes_are_connected_driver_to_sink_walks(problem):
     design, seed = problem
     graph = RoutingGraph(SMALL)
     nrows = SMALL.nrows
-    Router(SMALL, graph, seed=seed).route(design)
+    Router(SMALL, graph).route(design)
     for net in design.nets.values():
         driver = design.cells[net.driver]
         for i, sink_name in enumerate(net.sinks):
@@ -121,13 +159,13 @@ def test_routes_are_connected_driver_to_sink_walks(problem):
 @given(routing_problems())
 def test_rerouting_routed_design_is_noop(problem):
     design, seed = problem
-    first = Router(SMALL, seed=seed).route(design)
+    first = Router(SMALL).route(design)
     if first.failed:
         return  # only fully-routed designs make the no-op claim
     snapshot = {
         name: copy.deepcopy(net.routes) for name, net in design.nets.items()
     }
-    second = Router(SMALL, seed=seed + 1).route(design)
+    second = Router(SMALL).route(design)
     assert second.routed == 0
     assert second.failed == 0
     assert second.preexisting == first.routed + first.preexisting
@@ -212,3 +250,64 @@ def test_routed_occupancy_matches_scalar_walk(design):
             assert net.name not in net_usage
         else:
             assert list(net_usage[net.name].items()) == list(want_usage[net.name].items())
+
+
+# -- compiled core vs the scalar oracle ---------------------------------------
+
+
+def _routed(design: Design, method: str):
+    """Route a copy of *design* through ``Router.<method>``; the routes
+    it wrote and every field of its result."""
+    design = copy.deepcopy(design)
+    result = getattr(Router(SMALL, RoutingGraph(SMALL)), method)(design)
+    routes = {name: net.routes for name, net in design.nets.items()}
+    return routes, vars(result)
+
+
+@pytest.mark.skipif(
+    not route_native.native_available(), reason="compiled route core unavailable"
+)
+@settings(max_examples=40, deadline=None)
+@given(routing_problems(), boundary_heavy_problems())
+def test_native_route_matches_reference(easy, congested):
+    for design, _seed in (easy, congested):
+        routes, result = _routed(design, "route")
+        routes_ref, result_ref = _routed(design, "route_reference")
+        assert result == result_ref
+        assert routes == routes_ref
+
+
+@pytest.mark.parametrize("core", ["native", "fallback"])
+def test_route_dispatch_matches_reference(monkeypatch, core):
+    """``Router.route`` picks its implementation by core availability and
+    nothing else: it equals the oracle both with the C core and with
+    ``REPRO_NATIVE=0`` (when it must run the oracle itself)."""
+    if core == "native":
+        if not route_native.native_available():
+            pytest.skip("compiled route core unavailable")
+    else:
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setattr(route_native, "_LIB", [])  # forget the loaded core
+        assert not route_native.native_available()
+    ran = []
+    real_native, real_reference = route_native.route_native, Router.route_reference
+    monkeypatch.setattr(
+        route_native, "route_native",
+        lambda *a, **kw: ran.append("native") or real_native(*a, **kw),
+    )
+    monkeypatch.setattr(
+        Router, "route_reference",
+        lambda *a, **kw: ran.append("reference") or real_reference(*a, **kw),
+    )
+    design = Design("dispatch")
+    rows = SMALL.nrows
+    for i in range(24):  # wide nets across the die: forces A* reroutes
+        design.new_cell(f"s{i}", "SLICE", placement=(CLB_COLS[0], i % rows), luts=1)
+        design.new_cell(f"t{i}", "SLICE", placement=(CLB_COLS[-1], (i * 3) % rows), luts=1)
+        design.connect(f"n{i}", f"s{i}", [f"t{i}"], width=120)
+    routes, result = _routed(design, "route")
+    assert ran == (["native"] if core == "native" else ["reference"])
+    routes_ref, result_ref = _routed(design, "route_reference")
+    assert result["iterations"] > 1, "workload too easy to exercise rerouting"
+    assert result == result_ref
+    assert routes == routes_ref

@@ -12,10 +12,13 @@ from repro import sanitize
 
 @pytest.fixture(autouse=True)
 def _sanitizer_state():
-    """Leave the process exactly as found: these tests install/uninstall
-    the sanitizer themselves, but a session running under
-    REPRO_SANITIZE=1 has it installed globally — restore that."""
+    """Start every test without the sanitizer and leave the process
+    exactly as found: these tests install/uninstall it themselves, but a
+    session running under REPRO_SANITIZE=1 has it installed globally —
+    take it out for the test, restore it afterwards."""
     was_installed = sanitize.installed()
+    if was_installed:
+        sanitize.uninstall()
     yield
     if sanitize.installed():
         sanitize.uninstall()
