@@ -13,7 +13,6 @@ cost on a VGG-16-sized component set:
   (asserted unconditionally — determinism is the correctness bar).
 """
 
-import json
 import os
 import time
 
@@ -47,7 +46,7 @@ def _build(device, components, *, jobs, cache=None):
 
 
 def _payload_blobs(database):
-    return {k: json.dumps(r.payload, sort_keys=True) for k, r in database.records.items()}
+    return {k: r.image.to_bytes() for k, r in database.records.items()}
 
 
 def test_parallel_build_speedup(workload):

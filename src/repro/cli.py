@@ -13,7 +13,7 @@
   run with the same ``--cache-dir`` is answered from cache).
 * ``drc --model lenet5 [--mode strict] [--sarif out.sarif]`` — build the
   pre-implemented accelerator and sweep it (plus its component database)
-  through the full design-rule registry; ``--checkpoint FILE.dcpz``
+  through the full design-rule registry; ``--checkpoint FILE.dcpb``
   checks a saved checkpoint instead.  Exit code 2 when an unwaived
   error-or-worse violation survives in strict mode.
 * ``floorplan --model lenet5`` — stitch and render the ASCII floorplan.
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build this model's accelerator and check it "
                             "(ignored with --checkpoint)")
     p_drc.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="check a saved .dcpz checkpoint instead of building")
+                       help="check a saved .dcpb checkpoint instead of building")
     p_drc.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
     p_drc.add_argument("--granularity", default="layer", choices=("layer", "block"))
     p_drc.add_argument("--mode", default="strict", choices=("warn", "strict"),
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persistent content-addressed build cache; a warm "
                               "rerun is answered without re-implementing")
     p_build.add_argument("--database-dir", default=None,
-                         help="persist .dcpz checkpoints here (reloadable with "
+                         help="persist .dcpb checkpoints here (reloadable with "
                               "ComponentDatabase.load_directory)")
     p_build.add_argument("--effort", default="high",
                          help="OOC placement effort preset")
@@ -469,7 +469,11 @@ def _cmd_drc(args, out) -> int:
     if args.checkpoint:
         from .netlist import load_checkpoint
 
-        design = load_checkpoint(args.checkpoint)
+        try:
+            design = load_checkpoint(args.checkpoint)
+        except ValueError as exc:  # CheckpointFormatError, or a torn image
+            print(f"checkpoint rejected: {exc}", file=out)
+            return 2
         require_routed = args.require_routed
         gate = f"checkpoint:{Path(args.checkpoint).name}"
     else:

@@ -2,17 +2,22 @@
 
 These run only when a :class:`~repro.rapidwright.ComponentDatabase` is
 supplied.  They cross-check each record against the integrity metadata
-:meth:`~repro.rapidwright.ComponentDatabase.put_payload` stamps into the
-checkpoint (content fingerprint + locked-object counts), catching stores
-whose payloads were mutated after the fact — the component reuse
-guarantee of the pre-implemented flow rests on checkpoints being
-immutable.
+the database stamps into each checkpoint image when it is stored (content
+fingerprint + locked-object counts), catching stores whose images were
+swapped or edited after the fact — the component reuse guarantee of the
+pre-implemented flow rests on checkpoints being immutable.
 """
 
 from __future__ import annotations
 
 from .engine import rule
-from .violation import Severity
+
+
+def _integrity(record) -> dict:
+    """The integrity record stamped into *record*'s image (``{}`` if none)."""
+    component = record.image.metadata().get("component")
+    integrity = component.get("integrity") if isinstance(component, dict) else None
+    return integrity if isinstance(integrity, dict) else {}
 
 
 @rule("DB-001", category="database", severity="error", title="stale signature key")
@@ -31,24 +36,22 @@ def db_stale_key(ctx, emit) -> None:
 
 @rule("DB-002", category="database", severity="error", title="checkpoint hash mismatch")
 def db_hash_mismatch(ctx, emit) -> None:
-    """A checkpoint payload whose content no longer matches the integrity
-    fingerprint recorded when it was stored (mutation after ``put``)."""
-    from ..rapidwright.database import payload_fingerprint
+    """A checkpoint image whose content no longer matches the integrity
+    fingerprint recorded when it was stored (mutation after ``put``), or
+    that carries no fingerprint at all."""
+    from ..rapidwright.database import image_integrity
 
     for key, record in ctx.database.records.items():
-        integrity = (
-            record.payload.get("metadata", {}).get("component", {}).get("integrity")
-        )
-        if not integrity or "sha1" not in integrity:
+        stored = _integrity(record).get("sha1")
+        if not stored:
             emit("database", key,
-                 f"record {key} is a legacy checkpoint without an integrity "
-                 "fingerprint", severity=Severity.INFO)
+                 f"record {key} carries no integrity fingerprint")
             continue
-        actual = payload_fingerprint(record.payload)
-        if actual != integrity["sha1"]:
+        actual = image_integrity(record.image)["sha1"]
+        if actual != stored:
             emit("database", key,
                  f"record {key} checkpoint hash mismatch: stored "
-                 f"{integrity['sha1'][:12]}, payload is {actual[:12]}")
+                 f"{str(stored)[:12]}, payload is {actual[:12]}")
 
 
 @rule("DB-003", category="database", severity="error", title="locked-cell drift")
@@ -56,14 +59,14 @@ def db_locked_drift(ctx, emit) -> None:
     """A checkpoint whose locked cell/net counts drifted from the counts
     recorded at store time — pre-implemented internals were unlocked or
     re-locked behind the database's back."""
+    from ..rapidwright.database import image_integrity
+
     for key, record in ctx.database.records.items():
-        integrity = (
-            record.payload.get("metadata", {}).get("component", {}).get("integrity")
-        )
-        if not integrity or "locked_cells" not in integrity:
-            continue  # DB-002 reports legacy records
-        cells = sum(1 for c in record.payload.get("cells", ()) if c["locked"])
-        nets = sum(1 for n in record.payload.get("nets", ()) if n["locked"])
+        integrity = _integrity(record)
+        if "locked_cells" not in integrity:
+            continue  # DB-002 reports the missing record
+        actual = image_integrity(record.image)
+        cells, nets = actual["locked_cells"], actual["locked_nets"]
         if cells != integrity["locked_cells"]:
             emit("database", key,
                  f"record {key} locked-cell drift: stored "

@@ -10,12 +10,12 @@ when the implementation recipe changes — and persist to a directory of
 binary value blobs shared across processes and runs.
 
 Values are stored in the codec's tagged binary format
-(:func:`repro.netlist.codec.pack_value` under level-configurable zlib)
-— worker outputs carry binary design images as ``bytes``, which JSON
-cannot hold, and the binary format also keeps tuples and non-string
-dict keys intact where a JSON round trip would mangle them.  Caches
-written by earlier releases as ``<key>.json.gz`` stay readable: reads
-fall back to the legacy JSON location when no binary entry exists.
+(:func:`repro.netlist.codec.pack_value` under fast zlib) — worker
+outputs carry binary design images as ``bytes``, which JSON cannot hold,
+and the binary format also keeps tuples and non-string dict keys intact
+where a JSON round trip would mangle them.  A key has exactly one
+on-disk location, ``<directory>/<key[:2]>/<key>.bin``; anything else in
+the directory is not an entry, and every entry is rebuildable.
 
 Canonicalization normalizes numeric types (``numpy.int64(1)`` and ``1``
 serialize identically, as do tuples and lists), so keys do not depend on
@@ -24,7 +24,6 @@ which frontend produced the signature.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import numbers
@@ -125,14 +124,13 @@ class BuildCache:
     """Content-addressed store of codec-serializable build results.
 
     In-memory by default; give a *directory* to persist entries as
-    ``<key>.bin`` (tagged binary under zlib; *level* tunes the
-    compression/speed trade, default 1 = fast) so warm rebuilds work
-    across processes.  Legacy ``<key>.json.gz`` entries written by
-    earlier releases are still read (binary location first).  With
-    *max_entries*, least-recently-used entries are evicted once the bound
-    is exceeded: always from memory, and from disk only for keys this
-    instance wrote itself — entries merely *read* from a directory another
-    process populated are never unlinked out from under their writer.
+    ``<key[:2]>/<key>.bin`` (the prefix directories keep a farm-sized
+    cache from accumulating one flat directory of millions of files) so
+    warm rebuilds work across processes.  With *max_entries*,
+    least-recently-used entries are evicted once the bound is exceeded:
+    always from memory, and from disk only for keys this instance wrote
+    itself — entries merely *read* from a directory another process
+    populated are never unlinked out from under their writer.
     Returned values are shared — treat them as read-only.
 
     *shared* marks the directory as a multi-process tier (the serve job
@@ -140,12 +138,6 @@ class BuildCache:
     always, but eviction and corrupt-blob recovery never delete disk
     files, since a sibling process may have just replaced them with a
     good entry.
-
-    *shard* spreads entries over ``directory/<key[:shard]>/`` prefix
-    subdirectories so a farm-sized cache does not accumulate one flat
-    directory of millions of files.  Reads consult both the sharded and
-    the flat location, so turning sharding on over an existing cache
-    keeps its entries reachable.
     """
 
     def __init__(
@@ -154,14 +146,10 @@ class BuildCache:
         *,
         max_entries: int | None = None,
         shared: bool = False,
-        shard: int = 0,
-        level: int = 1,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.max_entries = max_entries
         self.shared = bool(shared)
-        self.shard = max(0, int(shard))
-        self.level = int(level)
         self.stats = CacheStats()
         self._mem: OrderedDict[str, Any] = OrderedDict()
         self._owned: set[str] = set()
@@ -190,26 +178,21 @@ class BuildCache:
             self._mem.move_to_end(key)
             return self._mem[key]
         if self.directory is not None:
-            for path in self._read_paths(key):
-                if not path.exists():
-                    continue
+            path = self._path(key)
+            if path.exists():
                 try:
                     raw = path.read_bytes()
-                    if path.suffix == ".bin":
-                        if not raw.startswith(BIN_MAGIC):
-                            raise ValueError("bad cache entry magic")
-                        value = unpack_value(zlib.decompress(raw[len(BIN_MAGIC):]))
-                    else:
-                        value = json.loads(gzip.decompress(raw).decode())
-                except (OSError, EOFError, gzip.BadGzipFile, json.JSONDecodeError,
-                        UnicodeDecodeError, ValueError, zlib.error):
+                    if not raw.startswith(BIN_MAGIC):
+                        raise ValueError("bad cache entry magic")
+                    value = unpack_value(zlib.decompress(raw[len(BIN_MAGIC):]))
+                except (OSError, EOFError, ValueError, zlib.error):
                     # Corrupt or truncated on-disk entry: treat as a miss.
                     # Only unlink in private mode — in a shared directory a
                     # sibling process may have already replaced the path
                     # with a good blob we would be deleting.
                     if not self.shared:
                         path.unlink(missing_ok=True)
-                    continue
+                    return _MISS
                 self._remember(key, value)
                 return value
         return _MISS
@@ -229,7 +212,7 @@ class BuildCache:
         if self.directory is not None:
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            blob = BIN_MAGIC + zlib.compress(pack_value(value), self.level)
+            blob = BIN_MAGIC + zlib.compress(pack_value(value), 1)
             fd, tmp_name = tempfile.mkstemp(
                 dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
             )
@@ -264,35 +247,13 @@ class BuildCache:
             self.stats.evictions += 1
 
     def _path(self, key: str) -> Path:
-        """Canonical on-disk location of *key* (shard-aware)."""
+        """The one on-disk location of *key*."""
         assert self.directory is not None
-        if self.shard:
-            return self.directory / key[: self.shard] / f"{key}.bin"
-        return self.directory / f"{key}.bin"
-
-    def _read_paths(self, key: str) -> list[Path]:
-        """Locations to consult on read.
-
-        Binary before legacy JSON, sharded before flat — so turning on
-        sharding (or upgrading a ``.json.gz`` cache in place) keeps every
-        old entry reachable.
-        """
-        paths = [self._path(key)]
-        if self.shard:
-            paths.append(self.directory / key[: self.shard] / f"{key}.json.gz")
-            paths.append(self.directory / f"{key}.bin")
-        paths.append(self.directory / f"{key}.json.gz")
-        return paths
+        return self.directory / key[:2] / f"{key}.bin"
 
     def __len__(self) -> int:
         with self._lock:
             keys = set(self._mem)
         if self.directory is not None and self.directory.exists():
-            keys.update(
-                p.name[: -len(".bin")] for p in self.directory.rglob("*.bin")
-            )
-            keys.update(
-                p.name[: -len(".json.gz")]
-                for p in self.directory.rglob("*.json.gz")
-            )
+            keys.update(p.stem for p in self.directory.glob("*/*.bin"))
         return len(keys)

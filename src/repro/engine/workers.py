@@ -8,10 +8,8 @@ takes plain picklable inputs (:class:`~repro.cnn.graph.Component`,
 whose ``blob`` is the locked design in the binary columnar codec
 (:mod:`repro.netlist.codec`) — one bytes object crosses the pipe
 instead of a dict-of-dicts the pickler has to walk, and the same value
-feeds the checkpoint database and the build cache.
-:meth:`~repro.rapidwright.database.ComponentDatabase.put_result` also
-accepts the legacy ``payload`` dict form, so caches written by older
-workers stay valid.
+feeds the build cache and, parsed once, *is* the checkpoint database's
+record (:meth:`~repro.rapidwright.database.ComponentDatabase.put_result`).
 """
 
 from __future__ import annotations

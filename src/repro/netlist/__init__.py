@@ -2,11 +2,11 @@
 
 from .cell import Cell
 from .checkpoint import (
+    CheckpointFormatError,
     design_from_dict,
     design_to_dict,
     load_checkpoint,
     save_checkpoint,
-    save_checkpoint_dict,
 )
 from .codec import DesignImage, clone_design, decode_design, encode_design
 from .design import Design, DesignError
@@ -22,8 +22,8 @@ __all__ = [
     "CELL_LIBRARY",
     "CellTypeSpec",
     "cell_type",
+    "CheckpointFormatError",
     "save_checkpoint",
-    "save_checkpoint_dict",
     "load_checkpoint",
     "design_to_dict",
     "design_from_dict",

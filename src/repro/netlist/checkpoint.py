@@ -2,26 +2,28 @@
 
 Pre-implemented components are stored as checkpoints — the Python
 analogue of the Vivado/RapidWright DCP files the paper's database holds.
-The format is plain JSON so checkpoints are diffable and inspectable; it
-round-trips every physical and logical attribute, including placements,
-locked routes and partition-pin tiles.
+A checkpoint *file* is always the binary columnar image of
+:mod:`repro.netlist.codec`.  The dict codec here (:func:`design_to_dict`
+/ :func:`design_from_dict`) is not a file format: it is the readable
+oracle the binary codec is asserted bit-identical to, and the diffable
+form the ECO verifier compares.  It round-trips every physical and
+logical attribute, including placements, locked routes and pin tiles.
 """
 
 from __future__ import annotations
 
 import copy
-import gzip
-import json
 from pathlib import Path
 
 from ..fabric.pblock import PBlock
 from .cell import Cell
+from .codec import MAGIC, decode_design, encode_design
 from .design import Design
 from .net import Net, Port
 
 __all__ = [
+    "CheckpointFormatError",
     "save_checkpoint",
-    "save_checkpoint_dict",
     "load_checkpoint",
     "design_to_dict",
     "design_from_dict",
@@ -30,14 +32,12 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def design_to_dict(design: Design, *, copy_metadata: bool = True) -> dict:
-    """Serialize a design to a JSON-compatible dict.
+class CheckpointFormatError(ValueError):
+    """A file handed to :func:`load_checkpoint` is not a binary design image."""
 
-    ``copy_metadata=False`` skips the metadata deep copy for call sites
-    that consume the dict immediately (``json.dumps`` in
-    :func:`save_checkpoint`, the binary encoder) — the payload then
-    aliases live design metadata and must not outlive the call.
-    """
+
+def design_to_dict(design: Design) -> dict:
+    """Serialize a design to a JSON-compatible dict."""
     return {
         "format": FORMAT_VERSION,
         "name": design.name,
@@ -46,12 +46,8 @@ def design_to_dict(design: Design, *, copy_metadata: bool = True) -> dict:
             if design.pblock
             else None
         ),
-        # Deep-copied by default: the serialized payload may outlive the
-        # design (it becomes the database record), so nested metadata
-        # dicts must not alias live design state — DRC rule DB-002
-        # catches exactly the after-the-fact record mutation such
-        # aliasing causes.
-        "metadata": copy.deepcopy(design.metadata) if copy_metadata else design.metadata,
+        # Deep-copied: the dict may outlive the design's live metadata.
+        "metadata": copy.deepcopy(design.metadata),
         "cells": [
             {
                 "name": c.name,
@@ -140,48 +136,29 @@ def design_from_dict(data: dict) -> Design:
 
 
 def save_checkpoint(design: Design, path: str | Path) -> Path:
-    """Write *design* to *path*.
-
-    The suffix picks the codec: ``.dcpz`` is gzip JSON, ``.dcpb`` is the
-    binary columnar image (:mod:`repro.netlist.codec`), anything else is
-    plain JSON.  All three are deterministic and round-trip identically.
-    """
-    path = Path(path)
-    if path.suffix == ".dcpb":
-        from .codec import encode_design
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(encode_design(design))
-        return path
-    return save_checkpoint_dict(design_to_dict(design, copy_metadata=False), path)
-
-
-def save_checkpoint_dict(data: dict, path: str | Path) -> Path:
-    """Write an already-serialized design dict to *path*.
-
-    Checkpoint bytes are deterministic (``mtime=0`` in the gzip header),
-    so two builds of the same component produce bit-identical files —
-    the equality the engine's determinism tests assert on.
-    """
+    """Write *design* to *path* as a binary design image (deterministic bytes)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data)
-    if path.suffix == ".dcpz":
-        path.write_bytes(gzip.compress(payload.encode(), mtime=0))
-    else:
-        path.write_text(payload)
+    path.write_bytes(encode_design(design))
     return path
 
 
 def load_checkpoint(path: str | Path) -> Design:
-    """Read a design checkpoint written by :func:`save_checkpoint`."""
-    path = Path(path)
-    if path.suffix == ".dcpb":
-        from .codec import decode_design
+    """Read a design checkpoint written by :func:`save_checkpoint`.
 
-        return decode_design(path.read_bytes())
-    if path.suffix == ".dcpz":
-        payload = gzip.decompress(path.read_bytes()).decode()
-    else:
-        payload = path.read_text()
-    return design_from_dict(json.loads(payload))
+    The file is identified by its leading magic, never by its name; any
+    other content raises :class:`CheckpointFormatError` naming it.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(MAGIC):
+        if raw.startswith(b"\x1f\x8b"):
+            found = "a gzip-compressed JSON checkpoint"
+        elif raw.lstrip()[:1] == b"{":
+            found = "a plain JSON checkpoint"
+        else:
+            found = "not a checkpoint"
+        raise CheckpointFormatError(
+            f"{path} is {found}: only the binary design image is read; "
+            "rewrite the design with save_checkpoint"
+        )
+    return decode_design(raw)

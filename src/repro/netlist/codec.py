@@ -1,26 +1,23 @@
-"""Binary columnar design codec — the fast tier of the checkpoint format.
+"""Binary columnar design codec — the one checkpoint representation.
 
-The JSON checkpoint (:mod:`repro.netlist.checkpoint`) is the *reference*
-codec: diffable, inspectable, and the oracle every fast path is asserted
-bit-identical to.  This module is the *fast* codec: a
-:class:`DesignImage` holds a design as flat typed arrays — cell names
+A :class:`DesignImage` holds a design as flat typed arrays — cell names
 and ctypes interned into one string table; placements, resource counts
 and flags as parallel numpy columns; net pin lists and locked routes as
-offset-indexed flat arrays — so a design serializes with a handful of
-``tobytes()`` calls instead of a dict-of-dicts walk, and *materializes*
-(decodes back into live :class:`~repro.netlist.design.Design` objects)
-without re-validating every cell against the library.
+offset-indexed flat arrays.  It is what the component database keeps per
+signature, what :meth:`DesignImage.to_bytes` writes as a ``.dcpb`` file
+and what workers ship across the process boundary: a design serializes
+with a handful of ``tobytes()`` calls and *materializes* (decodes back
+into live :class:`~repro.netlist.design.Design` objects) without
+re-validating every cell against the library.
 
 The image is also the unit of **relocation arithmetic**: because routed
 node ids shift by ``dcol * nrows + drow`` and placements by
 ``(dcol, drow)``, :meth:`DesignImage.materialize` applies a relocation
-as three vectorized array adds while it decodes — one interned template
-per component signature replaces a full ``design_to_dict`` /
-``design_from_dict`` round trip per fetched copy.
+as three vectorized array adds while it decodes.
 
-Everything here is bound by the repo's oracle contract (lint rules
-ORC-001..003): decode must be bit-identical to
-:func:`repro.netlist.checkpoint.design_from_dict` on the same payload,
+The dict codec of :mod:`repro.netlist.checkpoint` is the oracle (lint
+rules ORC-001..003): decode must be bit-identical to
+:func:`repro.netlist.checkpoint.design_from_dict` on the same design,
 which ``tests/test_property_codec.py`` asserts on random designs.
 """
 
@@ -36,8 +33,8 @@ import numpy as np
 
 from ..fabric.pblock import PBlock
 from .cell import Cell
-from .checkpoint import FORMAT_VERSION
 from .design import Design
+from .library import CELL_LIBRARY
 from .net import Net, Port
 
 __all__ = [
@@ -100,6 +97,13 @@ _COLUMNS = (
     ("port_row", "<i4"),
     ("port_proto", "u1"),
 )
+
+#: Columns that index the string table -> lowest legal index (-1 = "none").
+_STRING_COLUMNS = {
+    "cell_name": 0, "cell_ctype": 0, "cell_module": -1,
+    "net_name": 0, "net_driver": -1, "sink_name": 0,
+    "port_name": 0, "port_net": 0,
+}
 
 
 # -- telemetry --------------------------------------------------------------
@@ -247,7 +251,10 @@ def _pack_int(value: int, out: bytearray) -> None:
 
 def unpack_value(blob: bytes):
     """Inverse of :func:`pack_value`; raises ValueError on malformed input."""
-    value, off = _unpack(blob, 0)
+    try:
+        value, off = _unpack(blob, 0)
+    except RecursionError:
+        raise ValueError("packed value nested too deeply") from None
     if off != len(blob):
         raise ValueError("trailing bytes after packed value")
     return value
@@ -310,7 +317,10 @@ def _unpack(blob: bytes, off: int):
         for _ in range(n):
             key, off = _unpack(blob, off)
             value, off = _unpack(blob, off)
-            out[key] = value
+            try:
+                out[key] = value
+            except TypeError:
+                raise ValueError("unhashable packed dict key") from None
         return out, off
     raise ValueError(f"unknown value tag {tag:#x}")
 
@@ -321,9 +331,9 @@ def _unpack(blob: bytes, off: int):
 class DesignImage:
     """Immutable columnar snapshot of one design.
 
-    Build it once (from a live design or a JSON payload), then
-    :meth:`materialize` fresh deep copies — optionally relocated — as
-    many times as needed.  The arrays are never mutated after
+    Build it once (from a live design or from :meth:`to_bytes` output),
+    then :meth:`materialize` fresh deep copies — optionally relocated —
+    as many times as needed.  The arrays are never mutated after
     construction; relocation arithmetic produces shifted copies.
 
     Interning uses ``dict.setdefault(s, len(index))``: a new string gets
@@ -408,71 +418,6 @@ class DesignImage:
         )
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "DesignImage":
-        """Snapshot a :func:`~repro.netlist.checkpoint.design_to_dict` payload."""
-        version = payload.get("format")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {version!r}")
-        cells = payload["cells"]
-        nets = payload["nets"]
-        ports = payload["ports"]
-        index: dict[str, int] = {}
-        setd = index.setdefault
-
-        cn = [setd(c["name"], len(index)) for c in cells]
-        ct = [setd(c["ctype"], len(index)) for c in cells]
-        placements = [c["placement"] for c in cells]
-        cp = [1 if p else 0 for p in placements]
-        cc = [p[0] if p else 0 for p in placements]
-        cr = [p[1] if p else 0 for p in placements]
-        cl = [1 if c["locked"] else 0 for c in cells]
-        lu = [c["luts"] for c in cells]
-        ff = [c["ffs"] for c in cells]
-        dp = [c["comb_depth"] for c in cells]
-        sq = [1 if c["seq"] else 0 for c in cells]
-        cm = [-1 if c.get("module") is None else setd(c["module"], len(index))
-              for c in cells]
-
-        nn = [setd(n["name"], len(index)) for n in nets]
-        nd = [-1 if n["driver"] is None else setd(n["driver"], len(index))
-              for n in nets]
-        nw = [n["width"] for n in nets]
-        nc = [1 if n["is_clock"] else 0 for n in nets]
-        nl = [1 if n["locked"] else 0 for n in nets]
-        ns = [len(n["sinks"]) for n in nets]
-        nr = [len(n["routes"]) for n in nets]
-        sk = [setd(s, len(index)) for n in nets for s in n["sinks"]]
-        rl: list[int] = []
-        rn: list[int] = []
-        for n in nets:
-            for path in n["routes"]:
-                if path is None:
-                    rl.append(-1)
-                else:
-                    rl.append(len(path))
-                    rn.extend(path)
-
-        pn = [setd(p["name"], len(index)) for p in ports]
-        pd = [_DIR_CODE[p["direction"]] for p in ports]
-        pe = [setd(p["net"], len(index)) for p in ports]
-        pw = [p["width"] for p in ports]
-        tiles = [p["tile"] for p in ports]
-        pt = [1 if t else 0 for t in tiles]
-        pc = [t[0] if t else 0 for t in tiles]
-        pr = [t[1] if t else 0 for t in tiles]
-        pp = [_PROTO_CODE[p.get("protocol", "stream")] for p in ports]
-
-        return cls._assemble(
-            payload["name"],
-            tuple(payload["pblock"]) if payload.get("pblock") else None,
-            payload.get("metadata", {}),
-            list(index),
-            (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
-             nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
-             pn, pd, pe, pw, pt, pc, pr, pp),
-        )
-
-    @classmethod
     def _assemble(cls, name, pblock, metadata, strings, columns):
         img = object.__new__(cls)
         img.name = name
@@ -480,18 +425,26 @@ class DesignImage:
         img.strings = strings
         img._used_offsets = None
         img._proto = None
-        try:
-            img._meta_blob = pack_value(metadata)
-            img._meta_obj = None
-        except TypeError:
-            # Metadata holds objects outside the codec's value universe
-            # (the JSON codec would refuse them at save time too).  Keep a
-            # private deep copy so in-memory templating still works;
-            # to_bytes() raises, exactly like json.dumps would.
-            img._meta_blob = None
-            img._meta_obj = copy.deepcopy(metadata)
+        img._set_metadata(metadata)
         for (attr, dtype), values in zip(_COLUMNS, columns):
             setattr(img, attr, np.asarray(values, dtype=dtype))
+        return img
+
+    def _set_metadata(self, metadata: dict) -> None:
+        try:
+            self._meta_blob = pack_value(metadata)
+            self._meta_obj = None
+        except TypeError:
+            # Metadata holds objects outside the codec's value universe.
+            # Keep a private deep copy so in-memory templating still
+            # works; to_bytes() raises, as json.dumps would on the dict.
+            self._meta_blob = None
+            self._meta_obj = copy.deepcopy(metadata)
+
+    def with_metadata(self, metadata: dict) -> "DesignImage":
+        """The same design under *metadata*; every column is shared."""
+        img = copy.copy(self)
+        img._set_metadata(metadata)
         return img
 
     # -- wire format ------------------------------------------------------
@@ -519,8 +472,8 @@ class DesignImage:
         for raw in raw_strings:
             out += struct.pack("<I", len(raw))
         out += b"".join(raw_strings)
-        for attr, _ in _COLUMNS:
-            raw = getattr(self, attr).tobytes()
+        for column in self.columns():
+            raw = column.tobytes()
             out += struct.pack("<Q", len(raw))
             out += raw
         TELEMETRY.note("encode", perf_counter() - t0)
@@ -528,7 +481,12 @@ class DesignImage:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DesignImage":
-        """Parse :meth:`to_bytes` output; raises ValueError when malformed."""
+        """Parse :meth:`to_bytes` output; raises ValueError when malformed.
+
+        The blob is outside input: every invariant :meth:`materialize`
+        relies on is checked here, once, so a torn or edited file never
+        surfaces as an ``IndexError`` or a dropped row at fetch time.
+        """
         t0 = perf_counter()
         _need(blob, 0, 6)
         if blob[:4] != MAGIC:
@@ -579,103 +537,70 @@ class DesignImage:
             nbytes = struct.unpack_from("<Q", blob, off)[0]
             off += 8
             _need(blob, off, nbytes)
-            arr = np.frombuffer(blob, dtype=dtype, count=nbytes // np.dtype(dtype).itemsize, offset=off)
-            setattr(img, attr, arr)
+            itemsize = np.dtype(dtype).itemsize
+            if nbytes % itemsize:
+                raise ValueError(f"column {attr}: {nbytes} bytes, item size {itemsize}")
+            setattr(img, attr, np.frombuffer(blob, dtype, nbytes // itemsize, off))
             off += nbytes
         if off != len(blob):
             raise ValueError("trailing bytes after binary design image")
+        img._validate()
         TELEMETRY.note("decode", perf_counter() - t0)
         return img
 
+    def _validate(self) -> None:
+        """Cross-column invariants of a parsed image (vectorised, once)."""
+
+        def check(ok, attr: str, why: str) -> None:
+            if not ok:
+                raise ValueError(f"column {attr}: {why}")
+
+        if not isinstance(unpack_value(self._meta_blob), dict):
+            raise ValueError("image metadata is not a dict")
+        if self.pblock is not None:
+            PBlock(*self.pblock)  # raises on a degenerate rectangle
+        strings = self.strings
+        if len(set(strings)) != len(strings):
+            raise ValueError("string table holds duplicate entries")
+        for names in ("cell_name", "net_name", "port_name"):
+            rows = len(getattr(self, names))
+            for attr, _ in _COLUMNS:
+                if attr.startswith(names[:-4]):
+                    n = len(getattr(self, attr))
+                    check(n == rows, attr, f"{n} rows, {names} has {rows}")
+            check(len(np.unique(getattr(self, names))) == rows, names, "duplicate names")
+        for attr, low in _STRING_COLUMNS.items():
+            col = getattr(self, attr)
+            check(not col.size or (col.min() >= low and col.max() < len(strings)),
+                  attr, "string index out of range")
+        for index in np.unique(self.cell_ctype).tolist():
+            check(strings[index] in CELL_LIBRARY, "cell_ctype",
+                  f"unknown cell type {strings[index]!r}")
+        for attr, codes in (("port_dir", _DIR_NAME), ("port_proto", _PROTO_NAME)):
+            col = getattr(self, attr)
+            check(not col.size or col.max() < len(codes), attr, "code out of range")
+        lens = self.route_len
+        check(not lens.size or lens.min() >= -1, "route_len", "length below -1")
+        for flat, counts, total in (
+            ("sink_name", "net_nsinks", self.net_nsinks),
+            ("route_len", "net_nroutes", self.net_nroutes),
+            ("route_node", "route_len", lens[lens > 0]),
+        ):
+            check(not total.size or total.min() >= 0, counts, "negative count")
+            n, want = len(getattr(self, flat)), int(total.sum(dtype=np.int64))
+            check(n == want, flat, f"{n} entries, {counts} sums to {want}")
+
     # -- views ------------------------------------------------------------
+
+    def columns(self) -> list[np.ndarray]:
+        """The typed columns, in serialization order."""
+        return [getattr(self, attr) for attr, _ in _COLUMNS]
 
     def metadata(self) -> dict:
         """Fresh metadata object (the codec's deep copy)."""
         if self._meta_blob is not None:
             return unpack_value(self._meta_blob)
         return copy.deepcopy(self._meta_obj)
-
-    def to_payload(self) -> dict:
-        """Rebuild the exact :func:`design_to_dict` payload shape."""
-        strings = self.strings
-        cells = []
-        placed = self.cell_placed.tolist()
-        cols = self.cell_col.tolist()
-        rows = self.cell_row.tolist()
-        mods = self.cell_module.tolist()
-        for i, (name, ctype, locked, luts, ffs, depth, seq) in enumerate(zip(
-            self.cell_name.tolist(), self.cell_ctype.tolist(),
-            self.cell_locked.tolist(), self.cell_luts.tolist(),
-            self.cell_ffs.tolist(), self.cell_depth.tolist(),
-            self.cell_seq.tolist(),
-        )):
-            cells.append({
-                "name": strings[name],
-                "ctype": strings[ctype],
-                "placement": [cols[i], rows[i]] if placed[i] else None,
-                "locked": bool(locked),
-                "luts": luts,
-                "ffs": ffs,
-                "comb_depth": depth,
-                "seq": bool(seq),
-                "module": strings[mods[i]] if mods[i] >= 0 else None,
-            })
-        nets = []
-        sinks_flat = self.sink_name.tolist()
-        route_lens = self.route_len.tolist()
-        route_nodes = self.route_node.tolist()
-        spos = rpos = npos = 0
-        for name, driver, width, is_clock, locked, nsinks, nroutes in zip(
-            self.net_name.tolist(), self.net_driver.tolist(),
-            self.net_width.tolist(), self.net_clock.tolist(),
-            self.net_locked.tolist(), self.net_nsinks.tolist(),
-            self.net_nroutes.tolist(),
-        ):
-            routes = []
-            for _ in range(nroutes):
-                ln = route_lens[rpos]
-                rpos += 1
-                if ln < 0:
-                    routes.append(None)
-                else:
-                    routes.append(route_nodes[npos : npos + ln])
-                    npos += ln
-            nets.append({
-                "name": strings[name],
-                "driver": strings[driver] if driver >= 0 else None,
-                "sinks": [strings[s] for s in sinks_flat[spos : spos + nsinks]],
-                "routes": routes,
-                "width": width,
-                "is_clock": bool(is_clock),
-                "locked": bool(locked),
-            })
-            spos += nsinks
-        ports = []
-        tiled = self.port_tile.tolist()
-        tcols = self.port_col.tolist()
-        trows = self.port_row.tolist()
-        for i, (name, direction, net, width, proto) in enumerate(zip(
-            self.port_name.tolist(), self.port_dir.tolist(),
-            self.port_net.tolist(), self.port_width.tolist(),
-            self.port_proto.tolist(),
-        )):
-            ports.append({
-                "name": strings[name],
-                "direction": _DIR_NAME[direction],
-                "net": strings[net],
-                "width": width,
-                "tile": [tcols[i], trows[i]] if tiled[i] else None,
-                "protocol": _PROTO_NAME[proto],
-            })
-        return {
-            "format": FORMAT_VERSION,
-            "name": self.name,
-            "pblock": list(self.pblock) if self.pblock else None,
-            "metadata": self.metadata(),
-            "cells": cells,
-            "nets": nets,
-            "ports": ports,
-        }
 
     def used_column_offsets(self) -> dict[int, int]:
         """Relative column offset -> tile-type code used by placed cells.
@@ -726,10 +651,10 @@ class DesignImage:
         Strings are resolved through the table once, flags widened to
         bools, per-object invariants pre-zipped into row tuples, sink
         lists and route paths reduced to ranges over flat lists (routes
-        as reusable :class:`slice` objects).  The first interned
-        materialization pays this; every later copy of the same template
-        (the database fetch path) assembles objects straight from these
-        rows.  All cached containers are treated as immutable —
+        as reusable :class:`slice` objects).  The first materialization
+        pays this; every later copy of the same image (the database fetch
+        path) assembles objects straight from these rows.  All cached
+        containers are treated as immutable —
         materialize slices fresh lists out of the flats, and the shared
         placement/tile tuples are immutable by construction.
         """
@@ -802,7 +727,7 @@ class DesignImage:
 
     def materialize(
         self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
-        intern: bool = False, instance: str | None = None,
+        instance: str | None = None,
     ) -> Design:
         """Fresh :class:`Design`, shifted by ``(dcol, drow)``.
 
@@ -813,17 +738,12 @@ class DesignImage:
         :func:`repro.rapidwright.module.relocate_reference` applies.
         Bit-identical to the JSON oracle by the codec property tests.
 
-        ``intern=True`` builds (and caches) the decoded template first —
-        right when the image will materialize repeatedly, as database
-        checkpoints do; a one-shot decode skips that overhead.
-
         *instance* materializes the design as that instance of a larger
         one: every cell and net name (and every reference to one) gets
         the ``"{instance}/"`` prefix and every cell the ``module`` tag
         *instance* — what :meth:`Design.instantiate` produces by cloning,
         built directly so :meth:`Design.adopt` can take the objects as
-        they are.  Port names stay bare.  Always goes through the
-        decoded template.
+        they are.  Port names stay bare.
         """
         t0 = perf_counter()
         shifted = bool(dcol or drow)
@@ -843,15 +763,7 @@ class DesignImage:
                 pb = design.pblock
                 meta["ooc"]["pblock"] = [pb.col0, pb.row0, pb.col1, pb.row1]
         design.metadata = meta
-        if intern or instance is not None or self._proto is not None:
-            self._fill_from_proto(design, dcol, drow, nrows, shifted, instance)
-        else:
-            self._fill_direct(design, dcol, drow, nrows, shifted)
-        TELEMETRY.note("materialize", perf_counter() - t0)
-        return design
 
-    def _fill_from_proto(self, design, dcol, drow, nrows, shifted, instance):
-        """Assemble cells/nets/ports from the cached decoded template."""
         (cell_rows, placem0, unplaced_idx,
          net_rows, sinks_flat, route_slices, nodes0,
          port_rows, tiles0, untiled_idx) = self._decoded()
@@ -929,97 +841,8 @@ class DesignImage:
             port.protocol = proto
             ports[name] = port
         design.ports = ports
-
-    def _fill_direct(self, design, dcol, drow, nrows, shifted):
-        """Assemble cells/nets/ports straight off the arrays (one-shot)."""
-        strings = self.strings
-        sget = strings.__getitem__
-        if shifted:
-            cols = (self.cell_col + dcol).tolist()
-            rows = (self.cell_row + drow).tolist()
-            nodes = (self.route_node + (dcol * nrows + drow)).tolist()
-            tcols = (self.port_col + dcol).tolist()
-            trows = (self.port_row + drow).tolist()
-        else:
-            cols = self.cell_col.tolist()
-            rows = self.cell_row.tolist()
-            nodes = self.route_node.tolist()
-            tcols = self.port_col.tolist()
-            trows = self.port_row.tolist()
-
-        new = object.__new__
-        cells: dict[str, Cell] = {}
-        for name, ctype, placed, locked, luts, ffs, depth, seq, module, \
-                col, rw in zip(
-            map(sget, self.cell_name.tolist()),
-            map(sget, self.cell_ctype.tolist()),
-            self.cell_placed.tolist(),
-            self.cell_locked.astype(bool).tolist(),
-            self.cell_luts.tolist(), self.cell_ffs.tolist(),
-            self.cell_depth.tolist(),
-            self.cell_seq.astype(bool).tolist(),
-            self.cell_module.tolist(), cols, rows,
-        ):
-            cell = new(Cell)
-            cell.name = name
-            cell.ctype = ctype
-            cell.placement = (col, rw) if placed else None
-            cell.locked = locked
-            cell.luts = luts
-            cell.ffs = ffs
-            cell.comb_depth = depth
-            cell.seq = seq
-            cell.module = sget(module) if module >= 0 else None
-            cells[name] = cell
-        design.cells = cells
-
-        nets: dict[str, Net] = {}
-        sinks_flat = list(map(sget, self.sink_name.tolist()))
-        route_lens = self.route_len.tolist()
-        spos = rpos = npos = 0
-        for name, driver, width, is_clock, locked, nsinks, nroutes in zip(
-            map(sget, self.net_name.tolist()), self.net_driver.tolist(),
-            self.net_width.tolist(),
-            self.net_clock.astype(bool).tolist(),
-            self.net_locked.astype(bool).tolist(),
-            self.net_nsinks.tolist(), self.net_nroutes.tolist(),
-        ):
-            routes: list[list[int] | None] = []
-            for _ in range(nroutes):
-                ln = route_lens[rpos]
-                rpos += 1
-                if ln < 0:
-                    routes.append(None)
-                else:
-                    routes.append(nodes[npos : npos + ln])
-                    npos += ln
-            net = new(Net)
-            net.name = name
-            net.driver = sget(driver) if driver >= 0 else None
-            net.sinks = sinks_flat[spos : spos + nsinks]
-            net.routes = routes
-            net.width = width
-            net.is_clock = is_clock
-            net.locked = locked
-            nets[name] = net
-            spos += nsinks
-        design.nets = nets
-
-        ports: dict[str, Port] = {}
-        for name, direction, net_idx, width, tiled, tcol, trow, proto in zip(
-            map(sget, self.port_name.tolist()), self.port_dir.tolist(),
-            self.port_net.tolist(), self.port_width.tolist(),
-            self.port_tile.tolist(), tcols, trows, self.port_proto.tolist(),
-        ):
-            port = new(Port)
-            port.name = name
-            port.direction = _DIR_NAME[direction]
-            port.net = sget(net_idx)
-            port.width = width
-            port.tile = (tcol, trow) if tiled else None
-            port.protocol = _PROTO_NAME[proto]
-            ports[name] = port
-        design.ports = ports
+        TELEMETRY.note("materialize", perf_counter() - t0)
+        return design
 
 
 # -- convenience API --------------------------------------------------------

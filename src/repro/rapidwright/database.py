@@ -5,14 +5,14 @@ unique component signature is pre-implemented OOC and its checkpoint
 saved.  Later architecture-optimization runs fetch fresh copies by
 signature — the productivity win comes precisely from these hits.
 
-The database can live purely in memory or persist to a directory of
-checkpoints for reuse across processes.  In memory every signature is
-decoded once into an immutable columnar template
-(:class:`~repro.netlist.codec.DesignImage`); the online phase places
-components from the template's :meth:`~ComponentDatabase.footprint` and
-materializes each instance once, at its anchor
-(:meth:`~ComponentDatabase.fetch`).  Building goes through
-the :mod:`repro.engine` task-graph executor: independent components
+A record *is* the component's immutable columnar image
+(:class:`~repro.netlist.codec.DesignImage`): what the build worker
+returns, what sits in memory, and — as ``<key>.dcpb``, its
+``to_bytes()`` — what a *directory* persists for reuse across processes.
+The online phase places components from the image's
+:meth:`~ComponentDatabase.footprint` and materializes each instance
+once, at its anchor (:meth:`~ComponentDatabase.fetch`).  Building goes
+through the :mod:`repro.engine` task-graph executor: independent components
 pre-implement concurrently (``jobs>1``) and a content-addressed
 :class:`~repro.engine.cache.BuildCache` answers repeat builds without
 re-running the flow.
@@ -26,16 +26,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 from .._util import StageTimer
 from ..cnn.graph import Component
 from ..engine.cache import BuildCache, canonical_blob, content_key
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
-from ..netlist.checkpoint import (
-    design_to_dict,
-    load_checkpoint,
-    save_checkpoint_dict,
-)
 from ..netlist.codec import TELEMETRY, DesignImage
 from ..netlist.design import Design
 from .module import (
@@ -49,7 +46,7 @@ __all__ = [
     "ComponentDatabase",
     "signature_key",
     "build_cache_key",
-    "payload_fingerprint",
+    "image_integrity",
 ]
 
 #: Reference implementation the interned fetch path is asserted
@@ -66,33 +63,34 @@ def signature_key(signature: tuple) -> str:
     so equivalent signatures that differ only in numeric type — ``1``
     versus ``numpy.int64(1)`` — or in sequence flavor — tuple versus
     list — map to one key.
-
-    Compatibility note: releases ≤1.0 hashed ``repr(signature)``, so
-    checkpoint files persisted by them carry different names; reloading
-    such a directory still works (see :meth:`ComponentDatabase.
-    load_directory`), but signatures stored before the exact-metadata fix
-    cannot be recovered and get path-stem placeholder signatures.
     """
     return hashlib.sha1(canonical_blob(signature)).hexdigest()[:16]
 
 
-def payload_fingerprint(payload: dict) -> str:
-    """Content hash of a checkpoint payload, for integrity checking.
+def image_integrity(image: DesignImage) -> dict:
+    """The integrity record the database stamps into a checkpoint image.
 
-    Hashes the canonical serialization of the payload *excluding* the
-    ``metadata.component`` keys :meth:`ComponentDatabase.put_payload`
-    itself writes (``signature``, ``integrity``), so the fingerprint is
-    stable across re-puts and identical for serial, parallel, and
-    cache-served builds of the same component.
+    ``sha1`` covers the name, pblock, string table and column bytes plus
+    the canonical metadata *minus* the ``metadata.component`` keys the
+    database itself stamps (``signature``, ``integrity``) — stable across
+    re-puts, independent of metadata dict order, and identical for
+    serial, parallel, cache-served and reloaded builds of one component.
+    DRC rules DB-002/003 recompute the record and compare.
     """
-    meta = payload.get("metadata", {})
+    meta = image.metadata()
     comp = meta.get("component", {})
-    scrubbed = dict(payload)
-    scrubbed["metadata"] = {k: v for k, v in meta.items() if k != "component"}
-    scrubbed["metadata"]["component"] = {
+    meta["component"] = {
         k: v for k, v in comp.items() if k not in ("signature", "integrity")
     }
-    return hashlib.sha1(canonical_blob(scrubbed)).hexdigest()
+    digest = hashlib.sha1(canonical_blob([image.name, image.pblock, image.strings, meta]))
+    for column in image.columns():
+        digest.update(len(column).to_bytes(8, "little"))
+        digest.update(column)
+    return {
+        "sha1": digest.hexdigest(),
+        "locked_cells": int(np.count_nonzero(image.cell_locked)),
+        "locked_nets": int(np.count_nonzero(image.net_locked)),
+    }
 
 
 def build_cache_key(
@@ -146,13 +144,9 @@ def _signature_from_json(obj):
 @dataclass
 class _Record:
     signature: tuple
-    payload: dict            # serialized locked design (reference form)
+    image: DesignImage       # the locked design, stamped with signature + integrity
     fmax_mhz: float
     hits: int = 0
-    #: Lazily decoded columnar template: built on the first fetch of this
-    #: signature, then every copy materializes from the interned arrays
-    #: instead of re-walking the payload dict.
-    image: DesignImage | None = field(default=None, repr=False, compare=False)
     footprint: Footprint | None = field(default=None, repr=False, compare=False)
 
 
@@ -173,48 +167,30 @@ class ComponentDatabase:
     def put(self, signature: tuple, design: Design, fmax_mhz: float | None = None) -> str:
         if fmax_mhz is None:
             fmax_mhz = design.metadata.get("ooc", {}).get("fmax_mhz", 0.0)
-        design.metadata.setdefault("component", {})["signature"] = _signature_to_json(
-            signature
-        )
-        return self.put_payload(signature, design_to_dict(design), fmax_mhz)
-
-    def put_payload(self, signature: tuple, payload: dict, fmax_mhz: float) -> str:
-        """Store an already-serialized checkpoint (the engine-worker path).
-
-        The full signature is recorded in the checkpoint metadata, so a
-        reloaded database answers :meth:`has`/:meth:`get` for the exact
-        signatures it was built with.
-        """
-        key = signature_key(signature)
-        meta = payload.setdefault("metadata", {}).setdefault("component", {})
-        meta["signature"] = _signature_to_json(signature)
-        meta["integrity"] = {
-            "sha1": payload_fingerprint(payload),
-            "locked_cells": sum(1 for c in payload.get("cells", ()) if c["locked"]),
-            "locked_nets": sum(1 for n in payload.get("nets", ()) if n["locked"]),
-        }
-        self.records[key] = _Record(
-            signature=signature, payload=payload, fmax_mhz=fmax_mhz
-        )
-        if self.directory is not None:
-            save_checkpoint_dict(payload, self.directory / f"{key}.dcpz")
-        return key
+        return self._ingest(signature, DesignImage.from_design(design), fmax_mhz)
 
     def put_result(self, signature: tuple, out: dict) -> str:
-        """Store an engine-worker build output.
+        """Store a worker's build output, ``{"blob": <image bytes>, "fmax_mhz": ...}``."""
+        return self._ingest(signature, DesignImage.from_bytes(out["blob"]), out["fmax_mhz"])
 
-        Workers return ``{"blob": <binary image>, "fmax_mhz": ...}``;
-        legacy cache entries (and older workers) carry ``"payload"``,
-        the JSON dict — both are accepted, and both land as the same
-        reference payload (the binary image rebuilds it bit-identically,
-        so content fingerprints don't depend on the transport format).
+    def _ingest(self, signature: tuple, image: DesignImage, fmax_mhz: float) -> str:
+        """Stamp *image* and make it the record for *signature*.
+
+        The exact signature goes into the image's metadata, so a reloaded
+        database answers :meth:`has`/:meth:`get` for the signatures it was
+        built with; the integrity record is what DB-002/003 re-check.
         """
-        blob = out.get("blob")
-        if blob is not None:
-            payload = DesignImage.from_bytes(blob).to_payload()
-        else:
-            payload = out["payload"]
-        return self.put_payload(signature, payload, out["fmax_mhz"])
+        key = signature_key(signature)
+        meta = image.metadata()
+        comp = meta.setdefault("component", {})
+        comp["signature"] = _signature_to_json(signature)
+        comp["integrity"] = image_integrity(image)
+        image = image.with_metadata(meta)
+        self.records[key] = _Record(signature, image, fmax_mhz)
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            (self.directory / f"{key}.dcpb").write_bytes(image.to_bytes())
+        return key
 
     def has(self, signature: tuple) -> bool:
         return signature_key(signature) in self.records
@@ -225,17 +201,12 @@ class ComponentDatabase:
         except KeyError:
             raise KeyError(f"no checkpoint for signature {signature!r}") from None
 
-    def _image(self, record: _Record) -> DesignImage:
-        if record.image is None:
-            record.image = DesignImage.from_payload(record.payload)
-        return record.image
-
     def get(self, signature: tuple) -> Design:
         """Fresh deep copy of the checkpoint for *signature*."""
         return self.fetch(signature)
 
     def footprint(self, signature: tuple) -> Footprint:
-        """Placement view of *signature*, read off the columnar template.
+        """Placement view of *signature*, read off the columnar image.
 
         The :class:`~repro.rapidwright.module.Footprint` the component
         placer needs — pblock, used column offsets, relative sites, pin
@@ -244,7 +215,7 @@ class ComponentDatabase:
         """
         record = self._record(signature)
         if record.footprint is None:
-            image = self._image(record)
+            image = record.image
             if image.pblock is None:
                 raise RelocationError(f"design {image.name} has no pblock footprint")
             record.footprint = Footprint(
@@ -270,8 +241,8 @@ class ComponentDatabase:
 
         ``fetch(sig)`` is :meth:`get`; ``fetch(sig, anchor)`` is
         ``relocate(get(sig), device, anchor)`` — but the relocation is
-        applied as offset arithmetic on the interned columnar template
-        while it materializes, skipping the per-copy codec round trip.
+        applied as offset arithmetic on the columnar image while it
+        materializes, skipping the per-copy codec round trip.
         Bit-identical to the :func:`repro.rapidwright.module.
         relocate_reference` oracle; raises the same
         :class:`~repro.rapidwright.module.RelocationError` diagnostics.
@@ -284,7 +255,7 @@ class ComponentDatabase:
         t0 = perf_counter()
         record = self._record(signature)
         record.hits += 1
-        image = self._image(record)
+        image = record.image
         device = device or self.device
         dcol = drow = 0
         if anchor is not None:
@@ -293,9 +264,7 @@ class ComponentDatabase:
             pblock = PBlock(*image.pblock)
             used = image.used_column_offsets() if validate else None
             dcol, drow, _ = checked_shift(image.name, pblock, device, anchor, used)
-        design = image.materialize(
-            dcol, drow, device.nrows, intern=True, instance=instance
-        )
+        design = image.materialize(dcol, drow, device.nrows, instance=instance)
         TELEMETRY.note("fetch", perf_counter() - t0)
         return design
 
@@ -411,33 +380,30 @@ class ComponentDatabase:
     # -- persistence -------------------------------------------------------
 
     def load_directory(self) -> int:
-        """Load all persisted checkpoints from :attr:`directory`.
+        """Load every ``*.dcpb`` image persisted in :attr:`directory`.
 
-        Signatures are restored exactly from the checkpoint metadata
-        written by :meth:`put`/:meth:`put_payload`, so a freshly loaded
-        database answers :meth:`has`/:meth:`get` for the original
-        signatures.  Legacy checkpoints (repr-string metadata) keep
-        their stored filename as key and a placeholder signature.
+        Signatures are restored exactly from the stamped metadata, so the
+        loaded database answers :meth:`has` / :meth:`get` for the original
+        signatures; no design object is built.  A malformed image, or one
+        that records no signature, raises :class:`ValueError` naming the file.
         """
         if self.directory is None or not self.directory.exists():
             return 0
         loaded = 0
-        for path in sorted(self.directory.glob("*.dcpz")):
-            design = load_checkpoint(path)
-            raw = design.metadata.get("component", {}).get("signature")
-            if isinstance(raw, (list, tuple)):
-                signature = _signature_from_json(list(raw))
-                key = signature_key(signature)
-            elif raw:
-                signature = (raw,)
-                key = path.stem
-            else:
-                signature = (path.stem,)
-                key = path.stem
-            self.records[key] = _Record(
-                signature=signature,
-                payload=design_to_dict(design),
-                fmax_mhz=design.metadata.get("ooc", {}).get("fmax_mhz", 0.0),
+        for path in sorted(self.directory.glob("*.dcpb")):
+            try:
+                image = DesignImage.from_bytes(path.read_bytes())
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            meta = image.metadata()
+            comp, ooc = meta.get("component"), meta.get("ooc")
+            raw = comp.get("signature") if isinstance(comp, dict) else None
+            if not isinstance(raw, list):
+                raise ValueError(f"{path}: image records no component signature")
+            signature = _signature_from_json(raw)
+            self.records[signature_key(signature)] = _Record(
+                signature, image,
+                ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0,
             )
             loaded += 1
         return loaded

@@ -42,10 +42,6 @@ __all__ = ["JobRecord", "JobStore", "JOB_STATES"]
 
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: Content-key prefix length for cache sharding (16**2 = 256 buckets).
-CACHE_SHARD = 2
-
-
 @dataclass
 class JobRecord:
     """In-memory view of one job (journal-backed)."""
@@ -98,20 +94,13 @@ class JobStore:
         root: str | Path,
         *,
         cache_entries: int | None = None,
-        cache_level: int = 1,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(exist_ok=True)
         self.journal_path = self.root / "journal.jsonl"
-        # cache_level tunes the zlib effort of the shared binary tier:
-        # the farm default favors write speed (results are re-read far
-        # less often than they are produced under load).
-        self.cache = BuildCache(
-            self.root / "cache", shared=True, shard=CACHE_SHARD,
-            max_entries=cache_entries, level=cache_level,
-        )
+        self.cache = BuildCache(self.root / "cache", shared=True, max_entries=cache_entries)
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
         self._next_seq = 1

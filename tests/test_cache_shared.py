@@ -22,7 +22,7 @@ from repro.engine.cache import BuildCache
 
 def _stress_worker(directory: str, worker: int, rounds: int) -> dict:
     """One stress process: put/get overlapping keys in a shared dir."""
-    cache = BuildCache(directory, shared=True, shard=2)
+    cache = BuildCache(directory, shared=True)
     errors = []
     for i in range(rounds):
         # Overlapping key space: every process writes the same keys, so
@@ -52,7 +52,7 @@ class TestSharedStress:
         leftovers = [p for p in directory.rglob("*.tmp")]
         assert leftovers == []
         # Every key is readable by a fresh instance and content-correct.
-        fresh = BuildCache(directory, shared=True, shard=2)
+        fresh = BuildCache(directory, shared=True)
         for i in range(8):
             key = f"{'%02x' % i}sharedkey{i:04d}" + "0" * 48
             assert fresh.get(key) == {"key": key, "payload": list(range(32))}
@@ -84,7 +84,9 @@ class TestSharedStress:
 
 class TestCorruptBlobs:
     def _path_of(self, cache: BuildCache, key: str):
-        return cache._path(key)
+        path = cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
 
     @pytest.mark.parametrize("garbage", [b"", b"not gzip at all", b"\x1f\x8b\x08trunc"])
     def test_corrupt_blob_is_a_miss(self, tmp_path, garbage):
@@ -117,7 +119,6 @@ class TestCorruptBlobs:
         cache = BuildCache(tmp_path, shared=True)
         key = "ee" * 32
         path = self._path_of(cache, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"garbage")
         assert cache.get(key) is None
         assert path.exists()
@@ -167,27 +168,25 @@ class TestEvictionScoping:
 
 class TestSharding:
     def test_sharded_layout(self, tmp_path):
-        cache = BuildCache(tmp_path, shard=2)
+        cache = BuildCache(tmp_path)
         key = "ab" + "0" * 62
         cache.put(key, {"v": 1})
         assert (tmp_path / "ab" / f"{key}.bin").exists()
+        assert len(BuildCache(tmp_path)) == 1
 
-    def test_sharded_cache_reads_flat_legacy_entries(self, tmp_path):
-        flat = BuildCache(tmp_path)           # old layout
+    def test_flat_file_is_not_an_entry(self, tmp_path):
+        """One location per key: a blob at the directory root is a miss, uncounted, untouched."""
+        writer = BuildCache(tmp_path)
         key = "cd" + "1" * 62
-        flat.put(key, {"legacy": True})
-        sharded = BuildCache(tmp_path, shard=2)
-        assert sharded.get(key) == {"legacy": True}
-
-    def test_len_counts_across_shards_and_flat(self, tmp_path):
-        flat = BuildCache(tmp_path)
-        flat.put("ee" + "2" * 62, {"v": 1})
-        sharded = BuildCache(tmp_path, shard=2)
-        sharded.put("ff" + "3" * 62, {"v": 2})
-        assert len(BuildCache(tmp_path, shard=2)) == 2
+        writer.put(key, {"v": 1})
+        flat = tmp_path / f"{key}.bin"
+        writer._path(key).rename(flat)
+        reader = BuildCache(tmp_path)
+        assert reader.get(key) is None and len(reader) == 0
+        assert flat.exists()
 
     def test_put_failure_leaves_no_temp_files(self, tmp_path):
-        cache = BuildCache(tmp_path, shard=2)
+        cache = BuildCache(tmp_path)
         with pytest.raises(TypeError):
             cache.put("aa" + "4" * 62, {"bad": object()})
         assert list(tmp_path.rglob("*.tmp")) == []

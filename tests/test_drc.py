@@ -1,5 +1,6 @@
 """The DRC subsystem: rules, waivers, reports, gates, CLI."""
 
+import gzip
 import json
 from datetime import date
 
@@ -19,9 +20,10 @@ from repro.drc import (
 )
 from repro.drc.violation import Location
 from repro.fabric import RoutingGraph, TileType
-from repro.netlist import Cell, Design, DesignError, Net, Port
+from repro.netlist import Cell, Design, DesignError, DesignImage, Net, Port, design_to_dict
 from repro.netlist.stitch import prune_dangling_nets
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow
+from repro.rapidwright.database import image_integrity
 
 
 # -- helpers -----------------------------------------------------------------
@@ -312,6 +314,19 @@ def make_database(device):
     return db
 
 
+def tamper(record, edit, *, restamp=False):
+    """Swap *record*'s image for an edited design's, stale stamp and all
+    (*restamp* recomputes the hash, leaving the locked counts as stored)."""
+    design = record.image.materialize()
+    edit(design)
+    image = DesignImage.from_design(design)
+    if restamp:
+        meta = image.metadata()
+        meta["component"]["integrity"]["sha1"] = image_integrity(image)["sha1"]
+        image = image.with_metadata(meta)
+    record.image = image
+
+
 def test_db_rules_clean_and_tampered(tiny_device):
     db = make_database(tiny_device)
     d = make_clean_design()
@@ -323,31 +338,29 @@ def test_db_rules_clean_and_tampered(tiny_device):
     r = run_drc(d, database=db)
     assert fired(r, "DB-001")
 
-    # DB-002: payload mutated after put
+    # DB-002: image swapped for an edited one after put
     db = make_database(tiny_device)
-    (key,) = list(db.records)
-    db.records[key].payload["cells"][0]["luts"] = 999
+    (record,) = db.records.values()
+    tamper(record, lambda design: setattr(design.cells["a"], "luts", 7))
     r = run_drc(d, database=db)
-    assert fired(r, "DB-002")
+    assert fired(r, "DB-002") and not fired(r, "DB-003")
 
     # DB-003: locked counts drifted (hash patched to stay consistent)
-    from repro.rapidwright.database import payload_fingerprint
-
     db = make_database(tiny_device)
-    (key,) = list(db.records)
-    payload = db.records[key].payload
-    payload["cells"][0]["locked"] = False
-    payload["metadata"]["component"]["integrity"]["sha1"] = payload_fingerprint(payload)
+    (record,) = db.records.values()
+    tamper(record, lambda design: setattr(design.cells["a"], "locked", False),
+           restamp=True)
     r = run_drc(d, database=db)
     assert fired(r, "DB-003") and not fired(r, "DB-002")
 
-    # legacy record without integrity metadata: info only
+    # a record without a fingerprint cannot be vouched for: an error
     db = make_database(tiny_device)
-    (key,) = list(db.records)
-    del db.records[key].payload["metadata"]["component"]["integrity"]
+    (record,) = db.records.values()
+    tamper(record, lambda design: design.metadata["component"].pop("integrity"))
     r = run_drc(d, database=db)
     v = [x for x in r.violations if x.rule_id == "DB-002"]
-    assert len(v) == 1 and v[0].severity is Severity.INFO and r.is_clean()
+    assert len(v) == 1 and v[0].severity is Severity.ERROR and not r.is_clean()
+    assert not fired(r, "DB-003")
 
 
 def test_fetched_design_mutation_cannot_corrupt_database(tiny_device):
@@ -578,9 +591,11 @@ def test_strict_gate_raises_on_seeded_violation(small_device, tiny_cnn):
     flow = PreImplementedFlow(small_device, seed=0, drc="strict")
     db, _ = flow.build_database(tiny_cnn)
     # corrupt one stored checkpoint: drop a net's driver
-    record = next(iter(db.records.values()))
-    net = next(n for n in record.payload["nets"] if n["driver"] is not None)
-    net["driver"] = None
+    def drop_a_driver(design):
+        net = next(n for n in design.nets.values() if n.driver is not None)
+        net.driver = None
+
+    tamper(next(iter(db.records.values())), drop_a_driver)
     with pytest.raises(DrcError) as exc:
         flow.run(tiny_cnn, database=db)
     assert exc.value.gate.startswith("component:")
@@ -591,10 +606,10 @@ def test_strict_gate_raises_on_seeded_violation(small_device, tiny_cnn):
 def test_warn_mode_collects_instead_of_raising(small_device, tiny_cnn):
     flow = PreImplementedFlow(small_device, seed=0, drc="warn")
     db, _ = flow.build_database(tiny_cnn)
-    # tamper with a stored payload in a netlist-neutral way: the flow
+    # tamper with a stored image in a netlist-neutral way: the flow
     # still completes, but DB-002 must flag it at the post_route gate
-    record = next(iter(db.records.values()))
-    record.payload["metadata"]["tampered"] = True
+    tamper(next(iter(db.records.values())),
+           lambda design: design.metadata.update(tampered=True))
     result = flow.run(tiny_cnn, database=db)
     dirty = [r for r in result.extras["drc"] if not r.is_clean()]
     assert dirty and any(fired(r, "DB-002") for r in dirty)
@@ -613,7 +628,7 @@ def checkpoint_with_violation(tmp_path, device):
 
     d = routed_pair(device)
     d.nets["wire"].driver = None  # NET-002, seeded
-    path = tmp_path / "broken.dcpz"
+    path = tmp_path / "broken.dcpb"
     save_checkpoint(d, path)
     return path
 
@@ -654,6 +669,20 @@ def test_cli_drc_warn_mode_exits_zero(tmp_path, tiny_device, capsys):
     path = checkpoint_with_violation(tmp_path, tiny_device)
     assert main(["drc", "--checkpoint", str(path), "--part", "tiny",
                  "--mode", "warn"]) == 0
+
+
+def test_cli_drc_old_checkpoint_is_a_sentence(tmp_path, tiny_device, capsys):
+    """An old JSON checkpoint is named and refused with exit 2, not a traceback."""
+    from repro.cli import main
+
+    doc = json.dumps(design_to_dict(routed_pair(tiny_device))).encode()
+    path = tmp_path / "old.ckpt"
+    for found, raw in (("gzip-compressed JSON", gzip.compress(doc)), ("plain JSON", doc)):
+        path.write_bytes(raw)
+        assert main(["drc", "--checkpoint", str(path), "--part", "tiny"]) == 2
+        out = capsys.readouterr().out
+        assert found in out and "binary design image" in out
+        assert "save_checkpoint" in out and "Traceback" not in out
 
 
 # -- observability -----------------------------------------------------------

@@ -186,7 +186,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     cache = BuildCache(directory=tmp_path / "cache")
     key = content_key("corrupt-me")
     cache.put(key, {"value": 1})
-    path = tmp_path / "cache" / f"{key}.bin"
+    path = tmp_path / "cache" / key[:2] / f"{key}.bin"
     path.write_bytes(b"garbage not a cache blob")
 
     fresh = BuildCache(directory=tmp_path / "cache")

@@ -8,6 +8,7 @@ import pytest
 from repro.cnn import group_components
 from repro.engine import BuildCache
 from repro.engine.workers import ComponentFactory
+from repro.netlist import Cell, DesignImage, encode_design
 from repro.rapidwright import (
     ComponentDatabase,
     PreImplementedFlow,
@@ -15,12 +16,18 @@ from repro.rapidwright import (
     signature_key,
 )
 from repro.rapidwright.database import build_cache_key
+from repro.rapidwright.module import candidate_anchors
 from tests.conftest import make_tiny_cnn
 
 
-def _payload_blobs(db: ComponentDatabase) -> dict[str, str]:
-    """Canonical JSON of every stored checkpoint, keyed by record key."""
-    return {k: json.dumps(r.payload, sort_keys=True) for k, r in db.records.items()}
+def _fingerprints(db: ComponentDatabase) -> dict[str, str]:
+    return {k: r.image.metadata()["component"]["integrity"]["sha1"]
+            for k, r in db.records.items()}
+
+
+def _payload_blobs(db: ComponentDatabase) -> dict[str, bytes]:
+    """The ``.dcpb`` bytes of every stored checkpoint, keyed by record key."""
+    return {k: r.image.to_bytes() for k, r in db.records.items()}
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +98,47 @@ def test_cache_key_covers_build_options(small_device, comps):
 # -- signature round-trip (regression: reloaded DB used to never hit) ---------
 
 
-def test_reloaded_database_hits_by_signature(small_device, comps, tmp_path):
+def test_reloaded_database_hits_by_signature(small_device, comps, tmp_path, monkeypatch):
     db = ComponentDatabase(small_device, directory=tmp_path / "db")
     db.build(comps, rom_weights=True, effort="low", seed=0)
 
+    # Reloading builds no design.  Both ways a Cell comes to be are watched:
+    # the constructor (__init__: a class whose __new__ was set and deleted
+    # refuses arguments afterwards) and materialize, which bypasses it.
+    made = []
+    monkeypatch.setattr(Cell, "__init__", lambda self, *a, **k: made.append(self))
+    monkeypatch.setattr(DesignImage, "materialize", lambda self, *a, **k: made.append(self))
     reloaded = ComponentDatabase(small_device, directory=tmp_path / "db")
     assert reloaded.load_directory() == len(db)
+    assert made == []
+    monkeypatch.undo()
+
+    assert _fingerprints(reloaded) == _fingerprints(db)
     for comp in comps:
-        assert reloaded.has(comp.signature)
-        assert reloaded.get(comp.signature) is not None
-        assert reloaded.records[signature_key(comp.signature)].signature == comp.signature
+        sig = comp.signature
+        assert reloaded.has(sig)
+        assert reloaded.records[signature_key(sig)].signature == sig
+        foot = reloaded.footprint(sig)
+        assert foot.pblock == db.footprint(sig).pblock
+        anchor = candidate_anchors(small_device, foot)[-1]
+        assert encode_design(reloaded.fetch(sig, anchor, instance="u0")) == \
+            encode_design(db.fetch(sig, anchor, instance="u0"))
+
+
+def test_directory_files_identical_serial_parallel_and_cache_served(small_device, comps, tmp_path):
+    cache = BuildCache(directory=tmp_path / "cache")
+    built = {}
+    for how, kwargs in (("serial", {}), ("jobs2", {"jobs": 2}),
+                        ("cold", {"cache": cache}), ("warm", {"cache": cache})):
+        built[how] = ComponentDatabase(small_device, directory=tmp_path / how)
+        built[how].build(comps, rom_weights=True, effort="low", seed=0, **kwargs)
+    assert built["warm"].last_build_report.miss_count == 0
+    serial = built["serial"]
+    files = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    assert files == {f"{k}.dcpb": blob for k, blob in _payload_blobs(serial).items()}
+    for how, db in built.items():
+        assert {p.name: p.read_bytes() for p in (tmp_path / how).iterdir()} == files
+        assert _fingerprints(db) == _fingerprints(serial)
 
 
 def test_signature_key_canonical_numeric_types():
@@ -115,7 +153,7 @@ def test_put_records_exact_signature_in_metadata(small_device, comps):
     db = ComponentDatabase(small_device)
     db.build(comps[:1], rom_weights=True, effort="low", seed=0)
     record = db.records[signature_key(comps[0].signature)]
-    stored = record.payload["metadata"]["component"]["signature"]
+    stored = record.image.metadata()["component"]["signature"]
     # JSON-shaped (nested lists), loss-free relative to the tuple form
     assert json.loads(json.dumps(stored)) == stored
     from repro.rapidwright.database import _signature_from_json

@@ -98,13 +98,11 @@ def test_database_checkpoints_independent_of_consumer(small_device):
 def test_checkpoint_database_round_trip_preserves_fmax(small_device, tmp_path):
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
     db, _ = flow.build_database(make_tiny_cnn())
-    disk = ComponentDatabase(small_device, directory=tmp_path / "lib")
+    lib = tmp_path / "lib"
+    lib.mkdir()
     for key, record in db.records.items():
-        disk.records[key] = record
-        from repro.netlist import design_from_dict, save_checkpoint
-
-        save_checkpoint(design_from_dict(record.payload), tmp_path / "lib" / f"{key}.dcpz")
-    fresh = ComponentDatabase(small_device, directory=tmp_path / "lib")
-    fresh.load_directory()
+        (lib / f"{key}.dcpb").write_bytes(record.image.to_bytes())
+    fresh = ComponentDatabase(small_device, directory=lib)
+    assert fresh.load_directory() == len(db)
     for key in db.records:
         assert fresh.records[key].fmax_mhz == pytest.approx(db.records[key].fmax_mhz)

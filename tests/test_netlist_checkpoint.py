@@ -1,10 +1,14 @@
 """Checkpoint (DCP) serialization round-trips."""
 
+import gzip
+import json
+
 import pytest
 
 from repro.fabric import PBlock
 from repro.netlist import (
     Cell,
+    CheckpointFormatError,
     Design,
     Net,
     Port,
@@ -63,18 +67,25 @@ def test_dict_roundtrip():
     _assert_same(d, design_from_dict(design_to_dict(d)))
 
 
-def test_file_roundtrip_plain_and_gzip(tmp_path):
+def test_file_roundtrip_whatever_the_file_is_called(tmp_path):
     d = _rich_design()
-    for suffix in (".dcp", ".dcpz"):
-        path = save_checkpoint(d, tmp_path / f"chk{suffix}")
+    files = [save_checkpoint(d, tmp_path / name)
+             for name in ("chk.dcpb", "chk.dcp", "no_suffix")]
+    for path in files:
         _assert_same(d, load_checkpoint(path))
+    assert len({path.read_bytes() for path in files}) == 1
 
 
-def test_gzip_actually_compresses(tmp_path):
-    d = _rich_design()
-    plain = save_checkpoint(d, tmp_path / "c.dcp")
-    gz = save_checkpoint(d, tmp_path / "c.dcpz")
-    assert gz.stat().st_size < plain.stat().st_size
+def test_retired_formats_raise_a_typed_error_whatever_the_suffix(tmp_path):
+    doc = json.dumps(design_to_dict(_rich_design())).encode()
+    for found, raw in (("gzip-compressed JSON checkpoint", gzip.compress(doc)),
+                       ("plain JSON checkpoint", doc),
+                       ("not a checkpoint", b"")):
+        path = tmp_path / "old.dcpb"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointFormatError, match=found):
+            load_checkpoint(path)
+    assert issubclass(CheckpointFormatError, ValueError)
 
 
 def test_bad_format_version_rejected():

@@ -1,27 +1,26 @@
-"""Property tests for the columnar binary codec and interned fetch tier.
+"""Property tests for the columnar binary codec and the database fetch.
 
 Hypothesis over random checkpoint-shaped designs: the binary codec
-(:mod:`repro.netlist.codec`) must agree **bit for bit** with the JSON
-reference path — ``decode(encode(d))`` serializes to exactly the dict
-``design_from_dict(design_to_dict(d))`` does, ``DesignImage.to_payload``
-reproduces ``design_to_dict`` from both a live design and a payload,
-and ``clone_design`` equals a full round trip while staying independent
-of its source.  One level up, the database's interned fetch
-(:mod:`repro.rapidwright.database`) is checked against its declared
-oracle: ``fetch(sig, anchor)`` must equal ``relocate_reference`` run on
-a fresh decode of the stored payload, for every legal anchor, with the
-same :class:`RelocationError` diagnostics at illegal ones.  The cache
-regression tests at the bottom pin the binary blob format's failure
-modes: legacy ``.json.gz`` entries stay readable, torn or garbage
-``.bin`` blobs read as misses, and legacy ``"payload"`` worker outputs
-land identically to binary ``"blob"`` ones.
+(:mod:`repro.netlist.codec`) must agree **bit for bit** with the dict
+oracle — ``decode(encode(d))`` serializes to exactly the dict
+``design_from_dict(design_to_dict(d))`` does, a materialized
+``DesignImage`` reproduces ``design_to_dict`` of the design it was
+built from, and ``clone_design`` equals a full round trip while staying
+independent of its source.  ``DesignImage.from_bytes`` is the one reader
+of images from outside the process, so it is fed hostile bytes: every
+malformed image is a ``ValueError``, never an ``IndexError`` or a
+dropped row.  One level up, ``ComponentDatabase.fetch(sig, anchor)``
+must equal its declared oracle, ``relocate_reference`` run on
+``get(sig)``, for every legal anchor, with the same
+:class:`RelocationError` diagnostics at illegal ones.  The cache tests
+at the bottom pin torn or garbage ``.bin`` blobs reading as misses.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,7 +36,7 @@ from repro.netlist.codec import (
     pack_value,
     unpack_value,
 )
-from repro.rapidwright.database import ComponentDatabase, payload_fingerprint
+from repro.rapidwright.database import ComponentDatabase
 from repro.rapidwright.module import (
     RelocationError,
     candidate_anchors,
@@ -195,8 +194,10 @@ def test_binary_roundtrip_matches_json_oracle(design):
 @settings(max_examples=40, deadline=None)
 def test_image_payload_parity_both_directions(design):
     payload = design_to_dict(design)
-    assert DesignImage.from_design(design).to_payload() == payload
-    assert DesignImage.from_payload(payload).to_payload() == payload
+    image = DesignImage.from_design(design)
+    assert design_to_dict(image.materialize()) == payload
+    # again, now off the cached decoded template
+    assert design_to_dict(image.materialize()) == payload
 
 
 @given(designs())
@@ -244,7 +245,100 @@ def test_corrupt_blob_rejected():
         decode_design(blob + b"\x00")
 
 
-# -- interned database fetch ≡ relocate_reference oracle -------------------
+# -- hostile bytes: from_bytes is the only reader of a library off disk -----
+
+
+def _valid_image() -> DesignImage:
+    design = Design("victim", pblock=PBlock(1, 1, 4, 4))
+    design.add_cell(Cell("a", "SLICE", placement=(1, 1), luts=2, module="m0"))
+    design.add_cell(Cell("b", "DSP48E2", placement=(2, 2)))
+    design.add_cell(Cell("c", "SLICE"))
+    design.connect("n0", "a", ["b", "c"], width=8).routes = [[5, 6, 7], None]
+    design.connect("n1", None, ["a"])
+    design.add_port(Port("p0", "in", "n1", tile=(1, 2), protocol="mem"))
+    design.add_port(Port("p1", "out", "n0"))
+    return DesignImage.from_design(design)
+
+
+def _first(value):
+    """Column edit: overwrite row 0 with *value*."""
+    return lambda column: np.r_[value, column[1:]].astype(column.dtype)
+
+
+def _swap(old, new):
+    """String-table edit: replace entry *old* with *new*."""
+    return lambda strings: [new if s == old else s for s in strings]
+
+
+#: case -> (attribute to corrupt, edit, what the ValueError must say)
+_MALFORMED = {
+    "string_index_wraps_negative": ("cell_ctype", _first(-2), "column cell_ctype"),
+    "string_index_past_table": ("cell_ctype", _first(999), "column cell_ctype"),
+    "module_below_none": ("cell_module", _first(-2), "column cell_module"),
+    "driver_below_none": ("net_driver", _first(-2), "column net_driver"),
+    "cell_column_one_short": ("cell_luts", lambda c: c[:-1], "column cell_luts"),
+    "net_column_one_short": ("net_width", lambda c: c[:-1], "column net_width"),
+    "port_column_one_short": ("port_row", lambda c: c[:-1], "column port_row"),
+    "nsinks_exceeds_flat": ("net_nsinks", _first(9), "column sink_name"),
+    "nsinks_negative": ("net_nsinks", _first(-1), "column net_nsinks"),
+    "nroutes_exceeds_flat": ("net_nroutes", _first(5), "column route_len"),
+    "route_len_below_minus_one": ("route_len", _first(-2), "column route_len"),
+    "route_len_exceeds_nodes": ("route_len", _first(4), "column route_node"),
+    "ragged_byte_length": ("cell_col", lambda c: c.view(np.uint8)[:-1], "column cell_col"),
+    "port_dir_code": ("port_dir", _first(2), "column port_dir"),
+    "port_proto_code": ("port_proto", _first(7), "column port_proto"),
+    "duplicate_cell_name": ("cell_name", lambda c: c[[0, 0, 2]], "column cell_name"),
+    "duplicate_net_name": ("net_name", lambda c: c[[0, 0]], "column net_name"),
+    "duplicate_port_name": ("port_name", lambda c: c[[0, 0]], "column port_name"),
+    "unknown_cell_type": ("strings", _swap("DSP48E2", "NOPE"), "column cell_ctype: unknown"),
+    "duplicate_string": ("strings", _swap("b", "a"), "string table"),
+    "metadata_not_a_dict": ("_meta_blob", lambda _: pack_value([1, 2]), "metadata"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_image_is_a_value_error_saying_where(case):
+    attr, edit, message = _MALFORMED[case]
+    image = _valid_image()  # has a -1 ("none") cell_module and net_driver
+    setattr(image, attr, edit(getattr(image, attr)))
+    with pytest.raises(ValueError, match=message):
+        DesignImage.from_bytes(image.to_bytes())
+
+
+@given(designs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_hostile_bytes_raise_value_error_or_decode_consistently(design, seed):
+    """Truncate, flip and splice a valid ``.dcpb``: the reader either
+    refuses with ValueError or yields an image that decodes to as many
+    objects as it has rows and survives a further round trip."""
+    blob = encode_design(design)
+    # positions from a seeded RNG: Hypothesis' bounded integers favour 0, the magic
+    rng = random.Random(seed)
+    kind = rng.choice(("truncate", "flip", "splice"))
+    if kind == "truncate":
+        mutated = blob[: rng.randrange(len(blob))]
+    elif kind == "flip":
+        raw = bytearray(blob)
+        for _ in range(rng.randrange(1, 4)):
+            raw[rng.randrange(len(raw))] = rng.randrange(256)
+        mutated = bytes(raw)
+    else:
+        start, stop = sorted((rng.randrange(len(blob)), rng.randrange(len(blob))))
+        mutated = blob[:start] + rng.randbytes(rng.randrange(9)) + blob[stop:]
+    try:
+        image = DesignImage.from_bytes(mutated)
+    except ValueError:
+        return
+    decoded = image.materialize()
+    assert (len(decoded.cells), len(decoded.nets), len(decoded.ports)) == (
+        len(image.cell_name), len(image.net_name), len(image.port_name)
+    )
+    again = decode_design(encode_design(decoded))
+    # compared packed, so a metadata float flipped into NaN still equals itself
+    assert pack_value(design_to_dict(again)) == pack_value(design_to_dict(decoded))
+
+
+# -- database fetch ≡ relocate_reference oracle ----------------------------
 
 
 @given(designs(placed_in_pblock=True), st.integers(0, 10**6))
@@ -253,16 +347,16 @@ def test_fetch_matches_relocate_reference(design, anchor_pick):
     db = ComponentDatabase(device=SMALL)
     signature = ("prop", design.name)
     db.put(signature, design, fmax_mhz=123.0)
-    record = db.records[list(db.records)[0]]
 
     anchors = candidate_anchors(SMALL, design)
     assert anchors, "pblock placed on-device must have at least one anchor"
     anchor = anchors[anchor_pick % len(anchors)]
 
     fast = db.fetch(signature, anchor, device=SMALL)
-    oracle = relocate_reference(
-        design_from_dict(record.payload), SMALL, anchor
-    )
+    # oracle input through the dict codec alone, under the stamped metadata
+    source = design_from_dict(design_to_dict(design))
+    source.metadata = db.get(signature).metadata
+    oracle = relocate_reference(source, SMALL, anchor)
     assert design_to_dict(fast) == design_to_dict(oracle)
 
 
@@ -283,12 +377,11 @@ def test_fetch_relocation_error_parity(design):
     db = ComponentDatabase(device=SMALL)
     signature = ("err", design.name)
     db.put(signature, design, fmax_mhz=1.0)
-    record = db.records[list(db.records)[0]]
     bad = (SMALL.ncols + 10, 0)  # off the east edge of the device
     with pytest.raises(RelocationError) as fast_err:
         db.fetch(signature, bad, device=SMALL)
     with pytest.raises(RelocationError) as ref_err:
-        relocate_reference(design_from_dict(record.payload), SMALL, bad)
+        relocate_reference(db.get(signature), SMALL, bad)
     assert str(fast_err.value) == str(ref_err.value)
 
 
@@ -302,38 +395,7 @@ def test_relocate_matches_reference(design, anchor_pick):
     assert design_to_dict(fast) == design_to_dict(oracle)
 
 
-def test_put_result_blob_and_payload_land_identically():
-    design = Design("transport", pblock=PBlock(1, 1, 3, 3))
-    design.add_cell(Cell("a", "SLICE", placement=(1, 1), locked=True))
-    design.connect("n", "a", [])
-    payload = design_to_dict(design)
-
-    via_blob = ComponentDatabase(device=SMALL)
-    via_blob.put_result(("sig",), {"blob": encode_design(design), "fmax_mhz": 5.0})
-    via_payload = ComponentDatabase(device=SMALL)
-    via_payload.put_result(("sig",), {"payload": payload, "fmax_mhz": 5.0})
-
-    [rb] = via_blob.records.values()
-    [rp] = via_payload.records.values()
-    assert rb.payload == rp.payload
-    assert payload_fingerprint(rb.payload) == payload_fingerprint(rp.payload)
-    assert rb.fmax_mhz == rp.fmax_mhz == 5.0
-
-
 # -- cache blob format regressions -----------------------------------------
-
-
-def test_cache_reads_legacy_json_gz_entries(tmp_path):
-    key = "ab" + "0" * 62
-    value = {"legacy": True, "items": [1, 2, 3]}
-    # Entry written by a pre-binary release: flat gzip-JSON.
-    (tmp_path / f"{key}.json.gz").write_bytes(
-        gzip.compress(json.dumps(value).encode())
-    )
-    cache = BuildCache(tmp_path)
-    assert cache.get(key) == value
-    sharded = BuildCache(tmp_path, shard=2)
-    assert sharded.get(key) == value
 
 
 def test_torn_binary_blob_is_a_miss(tmp_path):
@@ -350,6 +412,7 @@ def test_torn_binary_blob_is_a_miss(tmp_path):
 def test_garbage_binary_blob_is_a_miss(tmp_path):
     cache = BuildCache(tmp_path)
     key = "ef" + "2" * 62
+    cache._path(key).parent.mkdir()
     cache._path(key).write_bytes(b"RBC1 but then garbage \xff\x00")
     assert cache.get(key) is None
     assert cache.stats.misses == 1

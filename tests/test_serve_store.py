@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.serve import JobSpec, JobStore
-from repro.serve.store import CACHE_SHARD
 
 
 def _spec(**kw):
@@ -150,10 +149,9 @@ class TestFarmCache:
     def test_cache_is_shared_and_sharded(self, tmp_path):
         store = JobStore(tmp_path)
         assert store.cache.shared is True
-        assert store.cache.shard == CACHE_SHARD
         key = "ab" + "0" * 62
         store.cache.put(key, {"v": 1})
-        assert (tmp_path / "cache" / key[:CACHE_SHARD] / f"{key}.bin").exists()
+        assert (tmp_path / "cache" / key[:2] / f"{key}.bin").exists()
 
     def test_cache_survives_restart(self, tmp_path):
         store = JobStore(tmp_path)
