@@ -244,8 +244,7 @@ def _eco_apply(w, drc="off"):
         f"swap:{w['comp'].name}", (LayerReplace(w["comp"].name, w["vdb"].get(w["comp"].signature)),)
     )
     engine = EcoEngine(design, w["device"], graph=w["flow"].graph,
-                       delays=w["flow"].delays, seed=SEED, drc=drc,
-                       database=w["db"])
+                       delays=w["flow"].delays, drc=drc, database=w["db"])
     engine.session.analyze()
     gc.collect()
     gc.disable()
@@ -300,8 +299,7 @@ def bench_eco_workload(name, model_fn, part, granularity, rom_weights, reps):
         f"swap:{w['comp'].name}", (LayerReplace(w["comp"].name, w["vdb"].get(w["comp"].signature)),)
     )
     ref = eco_reference(base, delta, w["device"], graph=w["flow"].graph,
-                        delays=w["flow"].delays, seed=SEED, drc="warn",
-                        database=w["db"])
+                        delays=w["flow"].delays, drc="warn", database=w["db"])
     assert design_to_dict(edited) == design_to_dict(ref.design), \
         f"{name}: incremental design diverged from the oracle"
     assert (eco.after.period_ps, tuple(eco.after.critical_path), eco.after.n_paths) == \

@@ -10,9 +10,9 @@ directory, and load it through ctypes.
 Each kernel has exactly two implementations — the core and its Python
 reference — so when a core cannot load, the caller runs the reference:
 the same bytes out, about ten times slower on place and route
-(measured at VGG-16 scale: anneal 0.23 s vs 3.7 s for 400 k moves,
-route 0.12 s vs 0.85 s for 27 k connections; a whole ``vgg16_baseline``
-compile 1.7 s vs 15.9 s).  ``REPRO_NATIVE=0`` asks for that and gets it
+(measured at VGG-16 scale: anneal 0.11 s vs 3.8 s for 400 k moves,
+route 0.11 s vs 0.86 s for 27 k connections; a whole ``vgg16_baseline``
+compile 1.3 s vs 16 s).  ``REPRO_NATIVE=0`` asks for that and gets it
 silently; every other way of ending up there — no compiler and no
 cached build, a failed compile, a shared object that will not load —
 is reported with one ``RuntimeWarning`` naming the core and the reason.

@@ -612,7 +612,7 @@ def _cmd_eco(args, out) -> int:
 
     pre_doc = design_to_dict(top) if args.verify else None
     engine = EcoEngine(top, device, graph=flow.graph, delays=flow.delays,
-                       seed=args.seed, drc=args.drc, database=database)
+                       drc=args.drc, database=database)
     try:
         eco = engine.apply(delta)
     except DrcError as exc:
@@ -628,7 +628,7 @@ def _cmd_eco(args, out) -> int:
     if args.verify:
         ref = eco_reference(
             design_from_dict(pre_doc), delta, device, graph=flow.graph,
-            delays=flow.delays, seed=args.seed, drc=args.drc, database=database,
+            delays=flow.delays, drc=args.drc, database=database,
         )
         report_key = lambda r: (r.period_ps, r.clock_overhead_ps,
                                 r.clock_insertion_ps, r.critical_path, r.n_paths)

@@ -376,7 +376,8 @@ def _apply_layer_replace(design: Design, edit: LayerReplace, rec: ApplyRecord) -
         if not stale:
             continue
         clock_state.append((net, net.sinks, net.routes))
-        keep = [i for i in range(len(net.sinks)) if i not in set(stale)]
+        gone = set(stale)  # built once: the clock net has a sink per flop
+        keep = [i for i in range(len(net.sinks)) if i not in gone]
         net.sinks = [net.sinks[i] for i in keep]
         net.routes = [net.routes[i] for i in keep]
         clock_losses.append((len(stale), net.name))

@@ -79,6 +79,11 @@ class EcoEngine:
     flow modes: ``"off"``, ``"warn"`` (report attached to the result),
     ``"strict"`` (a failed gate rolls the delta back and raises
     :class:`repro.drc.DrcError`).
+
+    ``seed`` is accepted and ignored: nothing in an ECO is stochastic
+    since the router lost its seed, and the only caller still passing
+    one is the frozen end-to-end harness (``benchmarks/e2e``), whose
+    files an ordinary PR may not edit.  It goes when the harness does.
     """
 
     def __init__(
@@ -99,7 +104,6 @@ class EcoEngine:
         self.device = device
         self.graph = graph if graph is not None else RoutingGraph(device)
         self.delays = delays
-        self.seed = seed
         self.drc = drc
         self.database = database
         self.session = session if session is not None else IncrementalSta(

@@ -6,7 +6,7 @@ state**: it deep-copies the design through the checkpoint codec, applies
 the delta via the shared :func:`~repro.eco.delta.apply_delta`, rips the
 same :func:`~repro.eco.delta.affected_nets` scope, then re-derives
 everything downstream from first principles — a *fresh* PathFinder run
-over the whole design (same seed; it routes exactly the ripped set,
+over the whole design (it routes exactly the ripped set,
 because routing only ever touches unrouted unlocked connections), the
 frozen :func:`~repro.timing.analyze_reference` STA (full graph rebuild,
 no memo, no repropagation windows), and a fresh DRC sweep.
@@ -58,7 +58,6 @@ def eco_reference(
     *,
     graph: RoutingGraph | None = None,
     delays: DelayModel = DEFAULT_DELAYS,
-    seed: int = 0,
     drc: str = "warn",
     database=None,
 ) -> ReferenceResult:

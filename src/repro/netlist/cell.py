@@ -105,18 +105,22 @@ class Cell:
         return spec.base_delay_ps + spec.depth_delay_ps * (self.comb_depth - 1)
 
     def clone(self, name: str | None = None, module: str | None = None) -> "Cell":
-        """Copy (used when instantiating a module from a checkpoint)."""
-        return Cell(
-            name or self.name,
-            self.ctype,
-            placement=self.placement,
-            locked=self.locked,
-            luts=self.luts,
-            ffs=self.ffs,
-            comb_depth=self.comb_depth,
-            seq=self.seq,
-            module=module if module is not None else self.module,
-        )
+        """Copy (used when instantiating a module from a checkpoint).
+
+        A slot-for-slot copy: the original went through ``__init__``'s
+        checks, so the copy is not validated a second time.
+        """
+        out = Cell.__new__(Cell)
+        out.name = name or self.name
+        out.ctype = self.ctype
+        out.placement = self.placement
+        out.locked = self.locked
+        out.luts = self.luts
+        out.ffs = self.ffs
+        out.comb_depth = self.comb_depth
+        out.seq = self.seq
+        out.module = module if module is not None else self.module
+        return out
 
     def __repr__(self) -> str:
         where = f"@{self.placement}" if self.placement else "unplaced"

@@ -169,12 +169,38 @@ class Design:
         remember component membership.
         """
         module = module or prefix
-        rename = lambda n: f"{prefix}/{n}" if n is not None else None
+        rename = f"{prefix}/".__add__  # prefixes by concatenation, no python frame
         for cell in sub.cells.values():
             self.add_cell(cell.clone(name=rename(cell.name), module=module))
         for net in sub.nets.values():
             self.add_net(net.clone(name=rename(net.name), rename=rename))
         return {pname: rename(port.net) for pname, port in sub.ports.items()}
+
+    def prefix_names(self, prefix: str, module: str | None = None) -> None:
+        """Rename every cell, net, endpoint and port net to ``prefix/name``
+        in place and tag the cells with *module* (default: *prefix*).
+
+        What :meth:`instantiate` does to its copies, done to the objects
+        themselves: for a design generated only to be handed to
+        :meth:`adopt`, which then moves it in under its instance names
+        without a clone.
+        """
+        module = module or prefix
+        rename = f"{prefix}/".__add__
+        cells: dict[str, Cell] = {}
+        for cell in self.cells.values():
+            cell.name = rename(cell.name)
+            cell.module = module
+            cells[cell.name] = cell
+        nets: dict[str, Net] = {}
+        for net in self.nets.values():
+            net.name = rename(net.name)
+            net.driver = rename(net.driver) if net.driver else None
+            net.sinks = list(map(rename, net.sinks))
+            nets[net.name] = net
+        for port in self.ports.values():
+            port.net = rename(port.net)
+        self.cells, self.nets = cells, nets
 
     def adopt(self, sub: "Design") -> dict[str, str]:
         """Move *sub*'s cells and nets into this design without copying.

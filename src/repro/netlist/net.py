@@ -82,17 +82,23 @@ class Net:
         self.routes = [None] * len(self.sinks)
 
     def clone(self, name: str | None = None, rename=None) -> "Net":
-        """Copy, optionally renaming endpoint cells via *rename* callable."""
-        rename = rename or (lambda n: n)
-        out = Net(
-            name or self.name,
-            rename(self.driver) if self.driver else None,
-            [rename(s) for s in self.sinks],
-            width=self.width,
-            is_clock=self.is_clock,
-            locked=self.locked,
-        )
+        """Copy, optionally renaming endpoint cells via *rename* callable.
+
+        A slot-for-slot copy (fresh sink and route lists), not validated
+        a second time.
+        """
+        out = Net.__new__(Net)
+        out.name = name or self.name
+        if rename is None:
+            out.driver = self.driver or None
+            out.sinks = list(self.sinks)
+        else:
+            out.driver = rename(self.driver) if self.driver else None
+            out.sinks = list(map(rename, self.sinks))
         out.routes = [list(r) if r is not None else None for r in self.routes]
+        out.width = self.width
+        out.is_clock = self.is_clock
+        out.locked = self.locked
         return out
 
     def __repr__(self) -> str:

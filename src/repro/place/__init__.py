@@ -5,7 +5,7 @@ from .cost import congestion_map, congestion_overflow, net_hpwl, total_hpwl
 from .global_place import global_place
 from .legalize import legalize
 from .placer import EFFORTS, Effort, PlacementResult, place_design
-from .problem import NetPins, PlacementProblem
+from .problem import NetColumns, NetPins, PlacementProblem
 
 __all__ = [
     "AnnealStats",
@@ -20,6 +20,7 @@ __all__ = [
     "Effort",
     "PlacementResult",
     "place_design",
+    "NetColumns",
     "NetPins",
     "PlacementProblem",
 ]

@@ -1,4 +1,6 @@
-/* Native move loop for simulated-annealing detailed placement.
+/* Native core of the simulated-annealing detailed placer: two entry
+ * points over the same flat arrays, anneal_sweep (the Metropolis move
+ * loop, below) and clump_pass (the directed post-pass, at the end).
  *
  * The Metropolis sweep of anneal_reference (_annealer_reference.py)
  * with per-net bounding boxes cached instead of rescanned: the same
@@ -85,7 +87,8 @@ void anneal_sweep(
     const int64_t *pool_offs, const int64_t *pool_flat,
     const int64_t *cell_picks, const double *uniforms,
     const double *pool_picks, const double *hop_picks,
-    const double *dxs, const double *dys,
+    const double *offset_picks, /* (budget, 2) uniforms: column, row */
+    double w_min, double w_max,
     double running_in,
     double *best_xs, double *best_ys,
     int64_t *affected, /* workspace, capacity >= 2 * max cell degree */
@@ -116,7 +119,12 @@ void anneal_sweep(
             trow = s[1];
             tkey = tcol * nrows + trow;
         } else {
-            double want_col = (double)oxi + dxs[step];
+            /* range-limited target: the window shrinks linearly as the
+             * schedule cools (the reference's arithmetic, term by term) */
+            double window = w_max * (1.0 - (double)step / (double)budget);
+            if (w_min > window) window = w_min;
+            double want_col =
+                (double)oxi + (offset_picks[2 * step] * 2.0 - 1.0) * window;
             const int64_t *cols = tcols_flat + tcols_offs[t];
             int64_t nc = tcols_offs[t + 1] - tcols_offs[t];
             /* bisect_left over the sorted columns (ints compare exactly
@@ -133,7 +141,8 @@ void anneal_sweep(
                      want_col - (double)cols[k - 1] < (double)cols[k] - want_col)
                 k -= 1;
             tcol = cols[k];
-            double want_row = (double)oyi + dys[step];
+            double want_row =
+                (double)oyi + (offset_picks[2 * step + 1] * 2.0 - 1.0) * window;
             double rlo = (double)trmin[t], rhi = (double)trmax[t];
             trow = (int64_t)(want_row < rlo ? rlo : (want_row > rhi ? rhi : want_row));
             tkey = tcol * nrows + trow;
@@ -297,4 +306,179 @@ void anneal_sweep(
     out_i[3] = nck;
     out_d[0] = running;
     out_d[1] = best_cost;
+}
+
+/* ------------------------------------------------------------------ */
+/* Directed post-pass: clump the longest nets.
+ *
+ * The tail of anneal_reference, statement for statement.  Each pass
+ * orders the nets by descending cost (stable: ties keep ascending index,
+ * like sorted(key=-cost)), takes the worst fiftieth, and pulls every pin
+ * further than 16 tiles (Manhattan) from its net's upper-median point to
+ * the legal site nearest that point — a move into a free site or a swap
+ * with the occupant — when that strictly lowers the summed cost of the
+ * affected nets.  A swap's affected nets are the sorted union of the two
+ * cells' lists.  Costs are rescanned in full (net_box) and summed the
+ * way the reference's builtin sum() does: left to right, and with
+ * Neumaier's compensation where `compensated` says the running
+ * interpreter's sum() carries it (CPython >= 3.12).
+ */
+
+/* Exported (not static) so the test suite can hold it against the
+ * running interpreter's sum() directly. */
+double sum_like_python(const double *v, int64_t n, int64_t compensated)
+{
+    if (n == 0) return 0.0;
+    double f = v[0];
+    if (!compensated) {
+        for (int64_t q = 1; q < n; q++) f += v[q];
+        return f;
+    }
+    double c = 0.0;
+    for (int64_t q = 1; q < n; q++) {
+        double x = v[q], t = f + x;
+        if (fabs(f) >= fabs(x)) c += (f - t) + x;
+        else c += (x - t) + f;
+        f = t;
+    }
+    if (c != 0.0 && isfinite(c)) f += c;
+    return f;
+}
+
+/* Stable bottom-up merge sort of the net indices by descending cost. */
+static int64_t *order_by_cost(int64_t n, const double *cost, int64_t *a, int64_t *b)
+{
+    for (int64_t k = 0; k < n; k++) a[k] = k;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t l = lo, r = mid, o = lo;
+            while (l < mid && r < hi)
+                b[o++] = cost[a[r]] > cost[a[l]] ? a[r++] : a[l++];
+            while (l < mid) b[o++] = a[l++];
+            while (r < hi) b[o++] = a[r++];
+        }
+        int64_t *t = a; a = b; b = t;
+    }
+    return a;
+}
+
+/* Upper median of the n values in buf (sorted in place). */
+static double upper_median(double *buf, int64_t n)
+{
+    for (int64_t q = 1; q < n; q++) {
+        double v = buf[q];
+        int64_t p = q;
+        while (p > 0 && buf[p - 1] > v) { buf[p] = buf[p - 1]; p--; }
+        buf[p] = v;
+    }
+    return buf[n / 2];
+}
+
+void clump_pass(
+    int64_t n, int64_t n_nets, int64_t nrows, int64_t nsites,
+    int64_t passes, int64_t compensated,
+    double *xs, double *ys,
+    const int64_t *net_offs, const int64_t *net_pins,
+    const double *fx0, const double *fx1, const double *fy0, const double *fy1,
+    const double *net_w, double *cost,
+    const int64_t *cell_net_offs, const int64_t *cell_nets,
+    int64_t *occ,
+    const int64_t *cell_t,
+    const int64_t *tcols_offs, const int64_t *tcols_flat,
+    const int64_t *trmin, const int64_t *trmax,
+    const uint8_t *grids,
+    int64_t *affected, double *sums, /* capacity >= 2 * max cell degree */
+    int64_t *order_a, int64_t *order_b, /* n_nets each */
+    double *median_buf,                 /* capacity >= longest net */
+    double *final_cost)
+{
+    for (int64_t s = 0; s < nsites; s++) occ[s] = -1;
+    for (int64_t i = 0; i < n; i++)
+        occ[(int64_t)xs[i] * nrows + (int64_t)ys[i]] = i;
+
+    int64_t worst = n_nets / 50 > 1 ? n_nets / 50 : 1;
+    for (int64_t pass = 0; pass < passes; pass++) {
+        const int64_t *order = order_by_cost(n_nets, cost, order_a, order_b);
+        int64_t changed = 0;
+        for (int64_t w = 0; w < worst; w++) {
+            int64_t net = order[w];
+            int64_t a = net_offs[net], b = net_offs[net + 1];
+            for (int64_t q = a; q < b; q++) median_buf[q - a] = xs[net_pins[q]];
+            double cx = upper_median(median_buf, b - a);
+            for (int64_t q = a; q < b; q++) median_buf[q - a] = ys[net_pins[q]];
+            double cy = upper_median(median_buf, b - a);
+            for (int64_t q = a; q < b; q++) {
+                int64_t i = net_pins[q];
+                if (fabs(xs[i] - cx) + fabs(ys[i] - cy) < 16.0) continue;
+                int64_t t = cell_t[i];
+                const int64_t *cols = tcols_flat + tcols_offs[t];
+                int64_t nc = tcols_offs[t + 1] - tcols_offs[t];
+                int64_t lo = 0, hi = nc;
+                while (lo < hi) {
+                    int64_t mid = (lo + hi) >> 1;
+                    if ((double)cols[mid] < cx) lo = mid + 1;
+                    else hi = mid;
+                }
+                int64_t k = lo;
+                if (k >= nc) k = nc - 1;
+                else if (k > 0 &&
+                         fabs((double)cols[k - 1] - cx) < fabs((double)cols[k] - cx))
+                    k -= 1;
+                int64_t tcol = cols[k];
+                double rlo = (double)trmin[t], rhi = (double)trmax[t];
+                int64_t trow = (int64_t)(cy < rlo ? rlo : (cy > rhi ? rhi : cy));
+                int64_t tkey = tcol * nrows + trow;
+                if (!grids[t * nsites + tkey]) continue;
+                int64_t oxi = (int64_t)xs[i], oyi = (int64_t)ys[i];
+                if (tcol == oxi && trow == oyi) continue;
+                int64_t j = occ[tkey];
+
+                /* affected nets: cell i's list, or its sorted union with j's */
+                int64_t na = 0;
+                int64_t u = cell_net_offs[i], ue = cell_net_offs[i + 1];
+                if (j < 0) {
+                    while (u < ue) affected[na++] = cell_nets[u++];
+                } else {
+                    int64_t v = cell_net_offs[j], ve = cell_net_offs[j + 1];
+                    while (u < ue || v < ve) {
+                        int64_t m;
+                        if (v >= ve || (u < ue && cell_nets[u] <= cell_nets[v]))
+                            m = cell_nets[u++];
+                        else
+                            m = cell_nets[v++];
+                        if (na == 0 || affected[na - 1] != m) affected[na++] = m;
+                    }
+                }
+                for (int64_t p = 0; p < na; p++) sums[p] = cost[affected[p]];
+                double before = sum_like_python(sums, na, compensated);
+
+                double nxf = (double)tcol, nyf = (double)trow;
+                double oxf = (double)oxi, oyf = (double)oyi;
+                xs[i] = nxf; ys[i] = nyf;
+                if (j >= 0) { xs[j] = oxf; ys[j] = oyf; }
+                for (int64_t p = 0; p < na; p++) {
+                    int64_t m = affected[p];
+                    double x0, x1, y0, y1;
+                    net_box(m, net_offs, net_pins, fx0, fx1, fy0, fy1,
+                            xs, ys, &x0, &x1, &y0, &y1);
+                    double hpwl = (x1 - x0) + (y1 - y0);
+                    sums[p] = (hpwl + hpwl * hpwl / QUAD_K) * net_w[m];
+                }
+                double delta = sum_like_python(sums, na, compensated) - before;
+                if (delta < 0.0) {
+                    for (int64_t p = 0; p < na; p++) cost[affected[p]] = sums[p];
+                    occ[tkey] = i;
+                    occ[oxi * nrows + oyi] = j; /* the swapped cell, or -1: free */
+                    *final_cost += delta;
+                    changed++;
+                } else {
+                    xs[i] = oxf; ys[i] = oyf;
+                    if (j >= 0) { xs[j] = nxf; ys[j] = nyf; }
+                }
+            }
+        }
+        if (!changed) break;
+    }
 }

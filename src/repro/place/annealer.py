@@ -16,19 +16,22 @@ picks between them by whether the compiled core loads — nothing else
 selects:
 
 * :func:`repro.place.native.anneal_native` — the Metropolis sweep in C
-  (``_anneal_core.c``) with cached per-net bounding boxes, what every
+  (``_anneal_core.c``) with cached per-net bounding boxes, then the
+  clump post-pass as a second entry point of the same core; what every
   supported host runs;
 * :func:`repro.place._annealer_reference.anneal_reference` — rescans
   every affected net on every move: the oracle the core is asserted
   bit-identical to (``tests/test_property_place.py``) and the fallback
   where the core cannot load (no compiler and no cached build, or
-  ``REPRO_NATIVE=0``).  Same sites, same :class:`AnnealStats`, ≈16x
-  slower at VGG scale (33 k cells, 400 k moves: 0.23 s vs 3.7 s;
+  ``REPRO_NATIVE=0``).  Same sites, same :class:`AnnealStats`, ≈34x
+  slower at VGG scale (33 k cells, 400 k moves: 0.11 s vs 3.8 s;
   :mod:`repro._native` warns once when the fallback was not asked for).
 
-This module holds what the two share: the statistics record, the
-per-net cost (scalar and all-nets-at-once forms, the same IEEE
-operations), the per-type site geometry and the clump post-pass.
+This module holds what the two share: the statistics record and the
+scalar per-net cost — the oracle of the all-nets-at-once form the native
+driver computes from the problem's columns.  The clump post-pass is
+part of the algorithm and so lives in exactly those two places too: the
+tail of ``anneal_reference`` and a second entry point of the C core.
 """
 
 from __future__ import annotations
@@ -102,116 +105,6 @@ def _net_cost(pins_m, fixed, xs, ys, weight) -> float:
         return 0.0
     hpwl = (x1 - x0) + (y1 - y0)
     return (hpwl + hpwl * hpwl / _QUAD_K) * weight
-
-
-def _csr_boxes(offs, flat, weights, fixed_lo, fixed_hi, xs_arr, ys_arr):
-    """Bounding boxes and costs of *all* nets at once, as arrays.
-
-    Net ``k``'s movable pins are ``flat[offs[k]:offs[k + 1]]`` (the last
-    net runs to the end of ``flat``).  ``fixed_lo``/``fixed_hi`` are the
-    per-net fixed-pin extremes as ``(n_nets, 2)`` arrays (``+inf``/``-inf``
-    where a net has no fixed pins, which min/max ignore exactly).
-    Returns ``x0, x1, y0, y1, cost`` — min/max and the cost polynomial
-    are the same IEEE operations the scalar :func:`_net_cost` performs,
-    so the values are bit-identical.
-    """
-    px = xs_arr[flat]
-    py = ys_arr[flat]
-    x0 = np.minimum(np.minimum.reduceat(px, offs), fixed_lo[:, 0])
-    x1 = np.maximum(np.maximum.reduceat(px, offs), fixed_hi[:, 0])
-    y0 = np.minimum(np.minimum.reduceat(py, offs), fixed_lo[:, 1])
-    y1 = np.maximum(np.maximum.reduceat(py, offs), fixed_hi[:, 1])
-    hpwl = (x1 - x0) + (y1 - y0)
-    cost = (hpwl + hpwl * hpwl / _QUAD_K) * weights
-    return x0, x1, y0, y1, cost
-
-
-def _type_geometry(problem: PlacementProblem):
-    """Per-type site geometry for range-limited moves: each movable cell
-    type's sorted distinct pool columns and its ``(min, max)`` pool row."""
-    type_cols: dict[str, list[int]] = {}
-    type_rows: dict[str, tuple[int, int]] = {}
-    for ct in sorted(set(problem.ctypes)):
-        pool = problem.site_pools[ct]
-        type_cols[ct] = np.unique(pool[:, 0]).tolist()
-        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
-    return type_cols, type_rows
-
-
-def _clump_pass(nets, nets_of, cost, xs, ys, ctypes,
-                type_cols, type_rows, site_pools, clump_passes, final_cost, n):
-    """Directed post-pass: clump the longest nets.
-
-    Random-walk annealing reduces total wirelength but rarely rescues an
-    individual 300-tile net; here the outlier pins of the worst nets are
-    pulled toward their net centroid when that lowers the (quadratic)
-    objective.  The native annealer's post-pass (the reference keeps
-    its own copy); mutates ``xs``/``ys``/``cost`` and returns the
-    updated final cost.
-    """
-    from bisect import bisect_left
-
-    # Per-type {(col, row)} pool membership, built on the first probe: a
-    # component whose pins all sit near their net medians never asks.
-    type_sets: dict[str, set[tuple[int, int]]] = {}
-    occupant: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        occupant[(int(xs[i]), int(ys[i]))] = i
-    for _ in range(clump_passes):
-        order = sorted(range(len(nets)), key=lambda k: -cost[k])
-        changed = 0
-        for k in order[: max(1, len(nets) // 50)]:
-            pins, fixed, _w = nets[k]
-            cx = sorted(xs[i] for i in pins)[len(pins) // 2]
-            cy = sorted(ys[i] for i in pins)[len(pins) // 2]
-            for i in pins:
-                if abs(xs[i] - cx) + abs(ys[i] - cy) < 16:
-                    continue
-                ct = ctypes[i]
-                cols = type_cols[ct]
-                kk = bisect_left(cols, cx)
-                if kk >= len(cols):
-                    kk = len(cols) - 1
-                elif kk > 0 and abs(cols[kk - 1] - cx) < abs(cols[kk] - cx):
-                    kk -= 1
-                rmin, rmax = type_rows[ct]
-                tcol = cols[kk]
-                trow = int(min(max(cy, rmin), rmax))
-                members = type_sets.get(ct)
-                if members is None:
-                    members = type_sets[ct] = set(map(tuple, site_pools[ct].tolist()))
-                if (tcol, trow) not in members:
-                    continue
-                old = (int(xs[i]), int(ys[i]))
-                if (tcol, trow) == old:
-                    continue
-                j = occupant.get((tcol, trow))
-                affected = nets_of[i] if j is None else sorted(set(nets_of[i] + nets_of[j]))
-                before = sum(cost[a] for a in affected)
-                xs[i], ys[i] = float(tcol), float(trow)
-                if j is not None:
-                    xs[j], ys[j] = float(old[0]), float(old[1])
-                new_costs = [
-                    _net_cost(nets[a][0], nets[a][1], xs, ys, nets[a][2]) for a in affected
-                ]
-                delta = sum(new_costs) - before
-                if delta < 0:
-                    for a, ca in zip(affected, new_costs):
-                        cost[a] = ca
-                    occupant[(tcol, trow)] = i
-                    if j is not None:
-                        occupant[old] = j
-                    else:
-                        del occupant[old]
-                    final_cost += delta
-                    changed += 1
-                else:
-                    xs[i], ys[i] = float(old[0]), float(old[1])
-                    if j is not None:
-                        xs[j], ys[j] = float(tcol), float(trow)
-        if not changed:
-            break
-    return final_cost
 
 
 def anneal(

@@ -1,6 +1,8 @@
 """Placement cost functions: HPWL and congestion estimation.
 
-``total_hpwl`` is the classic half-perimeter wirelength.  The congestion
+``total_hpwl`` is the classic half-perimeter wirelength, computed over
+all nets at once from the problem's :class:`NetColumns`; ``net_hpwl`` is
+the one-net scalar form it is tested against.  The congestion
 estimator bins placed pins into coarse tiles and reports overflow against
 a per-bin capacity — the same quantity the paper's Eq. 2-3 component
 placement uses (overlaps per tile normalised by area).
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import NetPins
+from .problem import NetColumns, NetPins
 
 __all__ = ["net_hpwl", "total_hpwl", "congestion_map", "congestion_overflow"]
 
@@ -25,9 +27,16 @@ def net_hpwl(pos: np.ndarray, net: NetPins) -> float:
     return float((xs.max() - xs.min()) + (ys.max() - ys.min())) * net.weight
 
 
-def total_hpwl(pos: np.ndarray, nets: list[NetPins]) -> float:
-    """Total weighted HPWL over all nets."""
-    return float(sum(net_hpwl(pos, net) for net in nets))
+def total_hpwl(pos: np.ndarray, nets: list[NetPins] | NetColumns) -> float:
+    """Total weighted HPWL over all nets: ``sum(net_hpwl(pos, net))``, bit
+    for bit — exact boxes, then the per-net values added left to right.
+
+    Pass a problem's ``columns`` where there is one; a list of
+    :class:`NetPins` is converted first.
+    """
+    cols = nets if isinstance(nets, NetColumns) else NetColumns.from_nets(nets)
+    x0, x1, y0, y1 = cols.boxes(pos[:, 0], pos[:, 1])
+    return float(sum((((x1 - x0) + (y1 - y0)) * cols.weight).tolist()))
 
 
 def congestion_map(

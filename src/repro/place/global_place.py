@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import PlacementProblem
+from .problem import NetColumns, PlacementProblem
 
 __all__ = ["global_place"]
 
 
-def _pin_columns(problem: PlacementProblem):
+def _pin_columns(cols: NetColumns):
     """Movable pins of every net as ``(net, cell)``-sorted columns.
 
     Returns ``net, cell, weight, mult``: one row per distinct (net, cell)
@@ -31,11 +31,10 @@ def _pin_columns(problem: PlacementProblem):
     therefore come out bit-identical to the ``scipy.sparse`` formulation
     this replaced, which the test suite keeps as the oracle.
     """
-    nets = problem.nets
-    counts = np.array([len(n.movable) for n in nets], dtype=np.int64)
-    cell = np.concatenate([n.movable for n in nets]).astype(np.int64, copy=False)
-    net = np.repeat(np.arange(len(nets), dtype=np.int64), counts)
-    weight = np.repeat(np.array([n.weight for n in nets], dtype=np.float64), counts)
+    counts = cols.count
+    cell = cols.pins
+    net = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+    weight = np.repeat(cols.weight, counts)
     order = np.lexsort((cell, net))
     net, cell, weight = net[order], cell[order], weight[order]
     first = np.ones(cell.shape[0], dtype=bool)
@@ -80,14 +79,11 @@ def global_place(
     if n == 0 or not problem.nets:
         return pos
 
+    cols = problem.columns
     n_nets = len(problem.nets)
-    net, cell, weight, mult = _pin_columns(problem)
-    fixed_sum = np.zeros((n_nets, 2), dtype=np.float64)
-    pin_count = np.empty(n_nets, dtype=np.float64)
-    for k, pins in enumerate(problem.nets):
-        if pins.fixed.size:
-            fixed_sum[k] = pins.fixed.sum(axis=0)
-        pin_count[k] = len(pins.movable) + pins.fixed.shape[0]
+    net, cell, weight, mult = _pin_columns(cols)
+    fixed_sum = cols.fixed_sum
+    pin_count = (cols.count + cols.n_fixed).astype(np.float64)
     cell_weight = np.bincount(cell, weights=weight, minlength=n)
     cell_weight[cell_weight == 0] = 1.0
     # cells on no nets keep their position

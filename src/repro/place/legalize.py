@@ -5,11 +5,19 @@ takes the nearest column (of its resource type) with free capacity, then
 the nearest free row within that column.  This respects the columnar
 fabric — a DSP cell can only land in a DSP column — and preserves the
 global placement's locality.
+
+The sweep is sequential by nature (every cell sees the sites its
+predecessors took), so it stays a Python loop — over plain lists: the
+free pool of a type is its sorted columns plus one ascending row list
+per column, cut out of a single ``np.lexsort`` of the site array.  Both
+nearest searches are a ``bisect`` and one comparison; on a tie the
+candidate at the insertion point (the column at or right of ``x``, the
+row at or above ``y``) wins.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 import numpy as np
 
@@ -19,52 +27,18 @@ from .problem import PlacementProblem
 __all__ = ["legalize"]
 
 
-class _ColumnPool:
-    """Free sites of one resource type, organised per column."""
-
-    def __init__(self, sites: np.ndarray, ctype: str = "?") -> None:
-        self.ctype = ctype
-        self.n_sites = len(sites)
-        self.rows: dict[int, list[int]] = {}
-        for col, row in sites:
-            self.rows.setdefault(int(col), []).append(int(row))
-        for rows in self.rows.values():
-            rows.sort()
-        self.cols: list[int] = sorted(self.rows)
-
-    def take_nearest(self, x: float, y: float) -> tuple[int, int]:
-        if not self.cols:
-            raise DesignError(
-                f"column pool exhausted: all {self.n_sites} {self.ctype} sites "
-                "taken during legalization (pblock too small for the design)"
-            )
-        idx = bisect_left(self.cols, x)
-        # examine the two candidate columns bracketing x, expanding outward
-        best_col = None
-        for probe in self._bracket(idx):
-            col = self.cols[probe]
-            if best_col is None or abs(col - x) < abs(best_col - x):
-                best_col = col
-        rows = self.rows[best_col]
-        ridx = min(bisect_left(rows, y), len(rows) - 1)
-        # nearest free row around the insertion point
-        cand = [ridx]
-        if ridx > 0:
-            cand.append(ridx - 1)
-        best_r = min(cand, key=lambda i: abs(rows[i] - y))
-        row = rows.pop(best_r)
-        if not rows:
-            del self.rows[best_col]
-            self.cols.remove(best_col)
-        return best_col, row
-
-    def _bracket(self, idx: int) -> list[int]:
-        out = []
-        if idx < len(self.cols):
-            out.append(idx)
-        if idx > 0:
-            out.append(idx - 1)
-        return out
+def _column_pool(sites: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The distinct columns of *sites*, ascending, and each one's rows,
+    ascending — as python lists, what the sweep bisects and pops."""
+    sites = np.asarray(sites, dtype=np.int64).reshape(-1, 2)
+    if not sites.shape[0]:
+        return [], []
+    order = np.lexsort((sites[:, 1], sites[:, 0]))
+    col = sites[order, 0]
+    heads = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    cuts = [*heads.tolist(), col.shape[0]]
+    rows = sites[order, 1].tolist()
+    return col[heads].tolist(), [rows[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def legalize(problem: PlacementProblem, pos: np.ndarray) -> np.ndarray:
@@ -77,10 +51,30 @@ def legalize(problem: PlacementProblem, pos: np.ndarray) -> np.ndarray:
     ctypes = np.asarray(problem.ctypes)
     for ctype in dict.fromkeys(problem.ctypes):
         members = np.flatnonzero(ctypes == ctype)
-        pool = _ColumnPool(problem.site_pools[ctype], ctype=ctype)
+        cols, rows_of = _column_pool(problem.site_pools[ctype])
         # x-sorted sweep keeps horizontal order, limiting displacement
         order = members[np.argsort(pos[members, 0], kind="stable")]
-        for i in order:
-            col, row = pool.take_nearest(pos[i, 0], pos[i, 1])
-            sites[i] = (col, row)
+        took_col: list[int] = []
+        took_row: list[int] = []
+        for x, y in pos[order].tolist():
+            if not cols:
+                raise DesignError(
+                    f"column pool exhausted: all {len(problem.site_pools[ctype])} {ctype} "
+                    "sites taken during legalization (pblock too small for the design)"
+                )
+            # the two columns bracketing x; the left one only when strictly nearer
+            c = bisect_left(cols, x)
+            if c == len(cols) or (c > 0 and abs(cols[c - 1] - x) < abs(cols[c] - x)):
+                c -= 1
+            # the two free rows around y, same rule
+            rows = rows_of[c]
+            r = min(bisect_left(rows, y), len(rows) - 1)
+            if r > 0 and abs(rows[r - 1] - y) < abs(rows[r] - y):
+                r -= 1
+            took_col.append(cols[c])
+            took_row.append(rows.pop(r))
+            if not rows:
+                del cols[c], rows_of[c]
+        sites[order, 0] = took_col
+        sites[order, 1] = took_row
     return sites

@@ -4,12 +4,20 @@ The hottest loop in the repo — the placer's Metropolis sweep — runs in C
 (``_anneal_core.c``): the algorithm of
 :func:`repro.place._annealer_reference.anneal_reference` with per-net
 bounding boxes cached and updated incrementally instead of rescanned on
-every move.  It is compiled once per source hash with the system C
+every move, and its clump post-pass as a second entry point over the
+same arrays.  It is compiled once per source hash with the system C
 compiler (``-O2 -ffp-contract=off``, no fast-math, so IEEE double
 semantics match CPython exactly) and cached under the user's cache
 directory.  Everything crossing the boundary is a flat numpy array:
 positions, net CSR, per-type site geometry, the presampled RNG streams,
 and the occupancy grid.
+
+What stays Python here is set-up, and none of it walks nets: the net CSR
+is the problem's :class:`~repro.place.problem.NetColumns` masked by
+``max_pins``, the cell -> nets CSR one stable ``argsort`` of it, the
+initial boxes one ``reduceat``.  The five presampled RNG streams are
+drawn exactly as the reference draws them — that order *is* the
+bit-identity contract, so they are not batched or reshaped.
 
 :func:`repro.place.annealer.anneal` runs it whenever it loads.  Where it
 cannot — no compiler and no cached build, a failed build, or
@@ -28,8 +36,8 @@ import numpy as np
 from .._native import build_library
 from .._util import make_rng
 from ..obs.span import incr, sample
-from .annealer import AnnealStats, _clump_pass, _csr_boxes, _type_geometry
-from .problem import PlacementProblem
+from .annealer import _QUAD_K, AnnealStats
+from .problem import NetColumns, PlacementProblem
 
 __all__ = ["anneal_native", "native_available"]
 
@@ -39,8 +47,13 @@ ORACLE = "repro.place._annealer_reference.anneal_reference"
 
 _SOURCE = Path(__file__).with_name("_anneal_core.c")
 
-#: memoized build result: unset / CDLL function / None (unavailable)
+#: memoized build result: unset / (sweep, clump) CDLL functions / None (unavailable)
 _CORE: list = []
+
+#: Builtin ``sum`` over floats carries Neumaier's compensation from
+#: CPython 3.12 on.  The reference's post-pass adds its net costs with
+#: ``sum``, so the core is told which arithmetic the interpreter does.
+_SUM_COMPENSATED = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
 
 
 def _core():
@@ -49,12 +62,12 @@ def _core():
         if lib is None:
             _CORE.append(None)
         else:
-            fn = lib.anneal_sweep
             I = ctypes.c_int64
             D = ctypes.c_double
             P = ctypes.c_void_p
-            fn.restype = None
-            fn.argtypes = (
+            sweep = lib.anneal_sweep
+            sweep.restype = None
+            sweep.argtypes = (
                 [I, I, I, I, D, D, I]       # n, budget, nrows, nsites, t0, alpha, ckpt
                 + [P] * 2                    # xs, ys
                 + [P] * 2                    # net_offs, net_pins
@@ -66,14 +79,32 @@ def _core():
                 + [P] * 2                    # tcols_offs, tcols_flat
                 + [P] * 2                    # trmin, trmax
                 + [P] * 3                    # grids, pool_offs, pool_flat
-                + [P] * 6                    # cell_picks, uniforms, pool, hop, dxs, dys
-                + [D]                        # running_in
+                + [P] * 5                    # cell_picks, uniforms, pool, hop, offsets
+                + [D] * 3                    # w_min, w_max, running_in
                 + [P] * 2                    # best_xs, best_ys
                 + [P]                        # affected workspace
                 + [P] * 3                    # ck_steps, ck_cost, ck_temp
                 + [P] * 2                    # out_i, out_d
             )
-            _CORE.append(fn)
+            clump = lib.clump_pass
+            clump.restype = None
+            clump.argtypes = (
+                [I] * 6                      # n, n_nets, nrows, nsites, passes, compensated
+                + [P] * 2                    # xs, ys
+                + [P] * 2                    # net_offs, net_pins
+                + [P] * 4                    # fx0, fx1, fy0, fy1
+                + [P] * 2                    # net_w, cost
+                + [P] * 2                    # cell_net_offs, cell_nets
+                + [P] * 2                    # occ, cell_t
+                + [P] * 2                    # tcols_offs, tcols_flat
+                + [P] * 2                    # trmin, trmax
+                + [P]                        # grids
+                + [P] * 2                    # affected, sums workspaces
+                + [P] * 2                    # order_a, order_b workspaces
+                + [P]                        # median workspace
+                + [P]                        # final_cost (in/out)
+            )
+            _CORE.append((sweep, clump))
     return _CORE[0]
 
 
@@ -86,11 +117,14 @@ def _ptr(a: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(a.ctypes.data)
 
 
-def _csr_rows(offs: np.ndarray, flat: np.ndarray) -> list[list[int]]:
-    """The rows ``flat[offs[k]:offs[k + 1]]`` as python lists."""
-    offs = offs.tolist()
-    flat = flat.tolist()
-    return [flat[a:b] for a, b in zip(offs, offs[1:])]
+def _net_costs(nets: NetColumns, xs: np.ndarray, ys: np.ndarray):
+    """Bounding boxes and costs of all *nets* at once: ``x0, x1, y0, y1,
+    cost``.  Min/max and the cost polynomial are the IEEE operations the
+    scalar :func:`repro.place.annealer._net_cost` performs, so the values
+    are bit-identical to it."""
+    x0, x1, y0, y1 = nets.boxes(xs, ys)
+    hpwl = (x1 - x0) + (y1 - y0)
+    return x0, x1, y0, y1, (hpwl + hpwl * hpwl / _QUAD_K) * nets.weight
 
 
 def anneal_native(
@@ -113,39 +147,32 @@ def anneal_native(
     the ``place.moves`` / ``place.accepted`` counters from the returned
     statistics.
     """
-    fn = _core()
-    if fn is None:
+    core = _core()
+    if core is None:
         raise RuntimeError("native annealer core unavailable")
+    sweep, clump = core
     rng = make_rng(seed)
     n = problem.n_movable
     if n == 0:
         return AnnealStats(0, 0, 0.0, 0.0)
 
-    # Small-net working set, built as the flat arrays the core reads: net
-    # -> pins and cell -> nets in CSR form, per-net weight and fixed-pin
-    # extremes (infinities vanish under min/max), and the two-movable-pin
-    # shortcut columns.
-    kept = [
-        net for net in problem.nets
-        if len(net.movable) + net.fixed.shape[0] <= max_pins
-    ]
-    if not kept:
+    # Small-net working set: the problem's net CSR masked by max_pins —
+    # net -> pins and cell -> nets in CSR form, per-net weight and
+    # fixed-pin extremes (infinities vanish under min/max), and the
+    # two-movable-pin shortcut columns.
+    cols = problem.columns
+    nets = cols.select(cols.count + cols.n_fixed <= max_pins)
+    n_nets = nets.weight.shape[0]
+    if not n_nets:
         return AnnealStats(0, 0, 0.0, 0.0)
-    n_nets = len(kept)
-    pin_counts = np.array([len(net.movable) for net in kept], dtype=np.int64)
-    net_pins = np.concatenate([net.movable for net in kept]).astype(np.int64, copy=False)
-    net_offs = np.zeros(n_nets + 1, dtype=np.int64)
-    np.cumsum(pin_counts, out=net_offs[1:])
-    net_w = np.array([net.weight for net in kept], dtype=np.float64)
-    fixed_lo = np.full((n_nets, 2), np.inf)
-    fixed_hi = np.full((n_nets, 2), -np.inf)
-    has_fixed = np.zeros(n_nets, dtype=bool)
-    for k, net in enumerate(kept):
-        if net.fixed.shape[0]:
-            has_fixed[k] = True
-            fixed_lo[k] = net.fixed.min(axis=0)
-            fixed_hi[k] = net.fixed.max(axis=0)
-    two = (pin_counts == 2) & ~has_fixed
+    pin_counts = nets.count
+    if not pin_counts.all():
+        raise ValueError(
+            f"net {int(np.flatnonzero(pin_counts == 0)[0])} of the annealed set has no "
+            "movable pin (PlacementProblem.from_design never keeps one)"
+        )
+    net_offs, net_pins, net_w = nets.offs, nets.pins, nets.weight
+    two = (pin_counts == 2) & (nets.n_fixed == 0)
     heads = net_offs[:-1][two]
     net_psum = np.zeros(n_nets, dtype=np.int64)
     net_psum[two] = net_pins[heads] + net_pins[heads + 1]
@@ -161,18 +188,13 @@ def anneal_native(
 
     xs_a = sites[:, 0].astype(np.float64)
     ys_a = sites[:, 1].astype(np.float64)
-    fx0 = np.ascontiguousarray(fixed_lo[:, 0])
-    fy0 = np.ascontiguousarray(fixed_lo[:, 1])
-    fx1 = np.ascontiguousarray(fixed_hi[:, 0])
-    fy1 = np.ascontiguousarray(fixed_hi[:, 1])
-    bx0_a, bx1_a, by0_a, by1_a, cost_a = _csr_boxes(
-        net_offs[:-1], net_pins, net_w, fixed_lo, fixed_hi, xs_a, ys_a
-    )
+    fx0 = np.ascontiguousarray(nets.fixed_lo[:, 0])
+    fy0 = np.ascontiguousarray(nets.fixed_lo[:, 1])
+    fx1 = np.ascontiguousarray(nets.fixed_hi[:, 0])
+    fy1 = np.ascontiguousarray(nets.fixed_hi[:, 1])
+    bx0_a, bx1_a, by0_a, by1_a, cost_a = _net_costs(nets, xs_a, ys_a)
     # summed left to right like the reference (np.sum pairs)
     initial_cost = sum(cost_a.tolist())
-
-    ctypes_ = problem.ctypes
-    type_cols, type_rows = _type_geometry(problem)
 
     budget = min(max_moves, moves_per_cell * n)
     if budget <= 0:
@@ -190,14 +212,11 @@ def anneal_native(
     # other stream so the non-hop draws above are unchanged.
     hop_picks = rng.random(size=budget)
 
+    # the move window shrinks from w_max to w_min as the schedule cools;
+    # the core scales each step's offset pair by it
     c0b, r0b, c1b, r1b = problem.bounds()
     w_max = max(8.0, max(c1b - c0b, r1b - r0b))
     w_min = 6.0
-    windows = np.maximum(
-        w_min, w_max * (1.0 - np.arange(budget, dtype=np.float64) / budget)
-    )
-    dxs = np.ascontiguousarray((offset_picks[:, 0] * 2.0 - 1.0) * windows)
-    dys = np.ascontiguousarray((offset_picks[:, 1] * 2.0 - 1.0) * windows)
 
     # --- occupancy grid and per-type site geometry for the C core ------
     nrows_dev = problem.device.nrows
@@ -205,9 +224,11 @@ def anneal_native(
     occ = np.full(nsites, -1, dtype=np.int64)
     occ[sites[:, 0].astype(np.int64) * nrows_dev + sites[:, 1].astype(np.int64)] = np.arange(n)
 
-    tmap = {ct: t for t, ct in enumerate(type_cols)}
+    # per type, in sorted order: the distinct pool columns (range-limited
+    # moves snap to them), the pool's row span, its sites and a membership grid
+    tmap = {ct: t for t, ct in enumerate(sorted(set(problem.ctypes)))}
     ntypes = len(tmap)
-    cell_t = np.array([tmap[ct] for ct in ctypes_], dtype=np.int64)
+    cell_t = np.fromiter(map(tmap.__getitem__, problem.ctypes), np.int64, n)
     tcols_offs = np.zeros(ntypes + 1, dtype=np.int64)
     trmin = np.zeros(ntypes, dtype=np.int64)
     trmax = np.zeros(ntypes, dtype=np.int64)
@@ -216,9 +237,9 @@ def anneal_native(
     pool_parts = [None] * ntypes
     grids = np.zeros((ntypes, nsites), dtype=np.uint8)
     for ct, t in tmap.items():
-        cols_parts[t] = np.asarray(type_cols[ct], dtype=np.int64)
-        trmin[t], trmax[t] = type_rows[ct]
         pool = np.ascontiguousarray(problem.site_pools[ct], dtype=np.int64)
+        cols_parts[t] = np.unique(pool[:, 0])
+        trmin[t], trmax[t] = pool[:, 1].min(), pool[:, 1].max()
         pool_parts[t] = pool.reshape(-1)
         grids[t][pool[:, 0] * nrows_dev + pool[:, 1]] = 1
         tcols_offs[t + 1] = tcols_offs[t] + cols_parts[t].shape[0]
@@ -231,14 +252,16 @@ def anneal_native(
     n_ck_cap = budget // checkpoint_every + 2
     best_xs = np.empty(n, dtype=np.float64)
     best_ys = np.empty(n, dtype=np.float64)
-    affected = np.empty(2 * int(deg.max()) + 8, dtype=np.int64)
+    # workspaces sized for a swap: the union of two cells' net lists
+    width = 2 * int(deg.max()) + 8
+    affected = np.empty(width, dtype=np.int64)
     ck_steps = np.zeros(n_ck_cap, dtype=np.int64)
     ck_cost = np.zeros(n_ck_cap, dtype=np.float64)
     ck_temp = np.zeros(n_ck_cap, dtype=np.float64)
     out_i = np.zeros(4, dtype=np.int64)
     out_d = np.zeros(2, dtype=np.float64)
 
-    fn(
+    sweep(
         n, budget, nrows_dev, nsites,
         t0, alpha, checkpoint_every,
         _ptr(xs_a), _ptr(ys_a),
@@ -252,8 +275,8 @@ def anneal_native(
         _ptr(trmin), _ptr(trmax),
         _ptr(grids), _ptr(pool_offs), _ptr(pool_flat),
         _ptr(cell_picks), _ptr(uniforms), _ptr(pool_picks), _ptr(hop_picks),
-        _ptr(dxs), _ptr(dys),
-        initial_cost,
+        _ptr(offset_picks),
+        w_min, float(w_max), initial_cost,
         _ptr(best_xs), _ptr(best_ys),
         _ptr(affected),
         _ptr(ck_steps), _ptr(ck_cost), _ptr(ck_temp),
@@ -272,27 +295,37 @@ def anneal_native(
         final_cost = best_cost
         # the cost cache tracked the *final* walk, not the restored best
         # state — recompute before the clump pass reads it
-        cost_a = _csr_boxes(
-            net_offs[:-1], net_pins, net_w, fixed_lo, fixed_hi, xs_a, ys_a
-        )[4]
+        cost_a = _net_costs(nets, xs_a, ys_a)[4]
     else:
         final_cost = running
 
-    # The clump pass is python and works on the reference's list-of-lists
-    # working set: slice it off the arrays.
-    xs = xs_a.tolist()
-    ys = ys_a.tolist()
-    nets = [
-        (pins, net.fixed.tolist(), net.weight)
-        for net, pins in zip(kept, _csr_rows(net_offs, net_pins))
-    ]
-    final_cost = _clump_pass(
-        nets, _csr_rows(cell_net_offs, cell_nets), cost_a.tolist(), xs, ys, ctypes_,
-        type_cols, type_rows, problem.site_pools, clump_passes, final_cost, n,
+    # Directed post-pass, in the core over the same arrays (it rebuilds
+    # the occupancy grid from the positions it is handed).
+    sums = np.empty(width, dtype=np.float64)
+    order_a = np.empty(n_nets, dtype=np.int64)
+    order_b = np.empty(n_nets, dtype=np.int64)
+    median = np.empty(int(pin_counts.max()), dtype=np.float64)
+    final = np.array([final_cost], dtype=np.float64)
+    clump(
+        n, n_nets, nrows_dev, nsites, clump_passes, int(_SUM_COMPENSATED),
+        _ptr(xs_a), _ptr(ys_a),
+        _ptr(net_offs), _ptr(net_pins),
+        _ptr(fx0), _ptr(fx1), _ptr(fy0), _ptr(fy1),
+        _ptr(net_w), _ptr(cost_a),
+        _ptr(cell_net_offs), _ptr(cell_nets),
+        _ptr(occ), _ptr(cell_t),
+        _ptr(tcols_offs), _ptr(tcols_flat),
+        _ptr(trmin), _ptr(trmax),
+        _ptr(grids),
+        _ptr(affected), _ptr(sums),
+        _ptr(order_a), _ptr(order_b),
+        _ptr(median),
+        _ptr(final),
     )
+    final_cost = float(final[0])
 
-    sites[:, 0] = xs
-    sites[:, 1] = ys
+    sites[:, 0] = xs_a
+    sites[:, 1] = ys_a
     incr("place.bbox.fast", int(out_i[1]))
     incr("place.bbox.rescan", int(out_i[2]))
     sample("place.cost", min(final_cost, initial_cost))

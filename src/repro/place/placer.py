@@ -133,7 +133,7 @@ def place_design(
     final_pos = sites.astype(float)
     return PlacementResult(
         n_cells=problem.n_movable,
-        hpwl=total_hpwl(final_pos, problem.nets),
+        hpwl=total_hpwl(final_pos, problem.columns),
         overflow=congestion_overflow(final_pos, problem.bounds()),
         anneal=stats,
     )

@@ -5,11 +5,18 @@ consume: movable cell positions, per-net pin lists (movable indices plus
 fixed pin coordinates from locked cells), and legal site pools per cell
 type.  Locked cells (pre-implemented module internals) are immovable and
 appear only as fixed pins.
+
+``problem.nets`` — one :class:`NetPins` per net — is what a problem is
+built from and what the reference annealer walks.  Every vectorised
+stage (global placement, the compiled annealer's set-up, the result's
+HPWL) reads :attr:`PlacementProblem.columns` instead: the same nets as
+one CSR plus per-net columns, built once per problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +24,7 @@ from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.design import Design, DesignError
 
-__all__ = ["PlacementProblem", "NetPins"]
+__all__ = ["PlacementProblem", "NetPins", "NetColumns"]
 
 
 def _module_centers(
@@ -52,6 +59,93 @@ class NetPins:
     weight: float = 1.0
 
 
+@dataclass(frozen=True)
+class NetColumns:
+    """Every net of a problem as flat columns.
+
+    Net ``k``'s movable pins are ``pins[offs[k]:offs[k + 1]]``, in the
+    order (and with the repeats) its :class:`NetPins` lists them.  A net
+    without fixed pins has ``fixed_lo = +inf`` / ``fixed_hi = -inf`` —
+    which ``min`` / ``max`` ignore exactly — and ``fixed_sum = 0``.
+    """
+
+    offs: np.ndarray        # (n_nets + 1,) int64 CSR offsets into ``pins``
+    pins: np.ndarray        # int64 movable-cell indices
+    weight: np.ndarray      # (n_nets,) float64
+    n_fixed: np.ndarray     # (n_nets,) int64 fixed pins per net
+    fixed_lo: np.ndarray    # (n_nets, 2) per-axis min of the fixed pins
+    fixed_hi: np.ndarray    # (n_nets, 2) per-axis max of the fixed pins
+    fixed_sum: np.ndarray   # (n_nets, 2) per-axis sum of the fixed pins
+
+    @classmethod
+    def from_nets(cls, nets: list[NetPins]) -> "NetColumns":
+        """Columns of *nets*; a net with no pin at all is a ``ValueError``
+        (it has no bounding box and no centre)."""
+        n_nets = len(nets)
+        count = np.fromiter((len(net.movable) for net in nets), np.int64, n_nets)
+        offs = np.zeros(n_nets + 1, dtype=np.int64)
+        np.cumsum(count, out=offs[1:])
+        pins = np.empty(0, dtype=np.int64)
+        if n_nets:
+            pins = np.concatenate([net.movable for net in nets]).astype(np.int64, copy=False)
+        n_fixed = np.fromiter((net.fixed.shape[0] for net in nets), np.int64, n_nets)
+        empty = np.flatnonzero(count + n_fixed == 0)
+        if empty.size:
+            raise ValueError(f"net {int(empty[0])} has neither movable nor fixed pins")
+        fixed_lo = np.full((n_nets, 2), np.inf)
+        fixed_hi = np.full((n_nets, 2), -np.inf)
+        fixed_sum = np.zeros((n_nets, 2), dtype=np.float64)
+        # only the nets that have fixed pins, each by the very calls the
+        # scalar forms make (the order numpy adds in is its own business)
+        for k in np.flatnonzero(n_fixed).tolist():
+            fixed = nets[k].fixed
+            fixed_lo[k] = fixed.min(axis=0)
+            fixed_hi[k] = fixed.max(axis=0)
+            fixed_sum[k] = fixed.sum(axis=0)
+        return cls(
+            offs=offs, pins=pins,
+            weight=np.array([net.weight for net in nets], dtype=np.float64),
+            n_fixed=n_fixed, fixed_lo=fixed_lo, fixed_hi=fixed_hi, fixed_sum=fixed_sum,
+        )
+
+    @property
+    def count(self) -> np.ndarray:
+        """Movable pins per net."""
+        return np.diff(self.offs)
+
+    def select(self, keep: np.ndarray) -> "NetColumns":
+        """The nets where boolean *keep* is set, order preserved."""
+        count = self.count
+        offs = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+        np.cumsum(count[keep], out=offs[1:])
+        return NetColumns(
+            offs=offs, pins=self.pins[np.repeat(keep, count)],
+            weight=self.weight[keep], n_fixed=self.n_fixed[keep],
+            fixed_lo=self.fixed_lo[keep], fixed_hi=self.fixed_hi[keep],
+            fixed_sum=self.fixed_sum[keep],
+        )
+
+    def boxes(self, xs: np.ndarray, ys: np.ndarray):
+        """Bounding boxes ``x0, x1, y0, y1`` of all nets at cell positions
+        *xs*, *ys*: movable and fixed pins, exact (min/max only).
+
+        ``reduceat`` runs over the nets that have a movable pin — for an
+        empty segment it would return the *next* net's first pin — and a
+        net without one keeps its fixed-pin box.
+        """
+        has = self.offs[1:] > self.offs[:-1]
+        starts = self.offs[:-1][has]
+        out = []
+        for at, col in ((xs, 0), (ys, 1)):
+            at = at[self.pins]
+            lo = self.fixed_lo[:, col].copy()
+            hi = self.fixed_hi[:, col].copy()
+            lo[has] = np.minimum(np.minimum.reduceat(at, starts), lo[has])
+            hi[has] = np.maximum(np.maximum.reduceat(at, starts), hi[has])
+            out += [lo, hi]
+        return tuple(out)
+
+
 @dataclass
 class PlacementProblem:
     """Array view of a placement instance."""
@@ -72,44 +166,50 @@ class PlacementProblem:
         region = region if region is not None else design.pblock
         problem = cls(design=design, device=device, region=region)
 
+        names, ctypes, modules = problem.names, problem.ctypes, problem.modules
         index: dict[str, int] = {}
+        locked_at: dict[str, tuple[int, int]] = {}
         for cell in design.cells.values():
             if cell.locked:
                 if not cell.is_placed:
                     raise DesignError(f"locked cell {cell.name} is unplaced")
+                locked_at[cell.name] = cell.placement
                 continue
-            index[cell.name] = len(problem.names)
-            problem.names.append(cell.name)
-            problem.ctypes.append(cell.ctype)
-            problem.modules.append(cell.module)
+            index[cell.name] = len(names)
+            names.append(cell.name)
+            ctypes.append(cell.ctype)
+            modules.append(cell.module)
 
+        # Movable pins of all kept nets go into one flat array and every
+        # NetPins.movable is a slice of it: one allocation, not one per net.
+        flat: list[int] = []
+        kept: list[tuple[int, list[tuple[int, int]], float]] = []  # (pins end, fixed, weight)
         for net in design.nets.values():
             if net.is_clock:
                 continue
+            endpoints = [net.driver, *net.sinks] if net.driver else net.sinks
             movable: list[int] = []
             fixed: list[tuple[int, int]] = []
-            seen: set[str] = set()
-            endpoints = ([net.driver] if net.driver else []) + net.sinks
-            for name in endpoints:
-                if name in seen:
-                    continue
-                seen.add(name)
-                cell = design.cells.get(name)
-                if cell is None:
-                    continue
-                if name in index:
-                    movable.append(index[name])
-                elif cell.is_placed:
-                    fixed.append(cell.placement)
+            for name in dict.fromkeys(endpoints):  # each cell once, first occurrence
+                i = index.get(name)
+                if i is not None:
+                    movable.append(i)
+                elif name in locked_at:
+                    fixed.append(locked_at[name])
             if len(movable) + len(fixed) < 2 or not movable:
                 continue
-            problem.nets.append(
-                NetPins(
-                    movable=np.asarray(movable, dtype=np.int64),
-                    fixed=np.asarray(fixed, dtype=np.float64).reshape(-1, 2),
-                    weight=float(net.width) ** 0.5,
-                )
-            )
+            flat += movable
+            kept.append((len(flat), fixed, float(net.width) ** 0.5))
+        pins = np.asarray(flat, dtype=np.int64)
+        no_fixed = np.zeros((0, 2), dtype=np.float64)
+        start = 0
+        for end, fixed, weight in kept:
+            problem.nets.append(NetPins(
+                movable=pins[start:end],
+                fixed=np.asarray(fixed, dtype=np.float64) if fixed else no_fixed,
+                weight=weight,
+            ))
+            start = end
 
         problem._build_site_pools()
         return problem
@@ -126,11 +226,13 @@ class PlacementProblem:
         for ctype in self.ctypes:
             needed[ctype] = needed.get(ctype, 0) + 1
         for ctype, count in needed.items():
-            if self.region is not None:
-                sites = np.asarray(self.region.sites_of(self.device, ctype), dtype=np.int64)
-                sites = sites.reshape(-1, 2)
-            else:
-                sites = self.device.sites_of(ctype)
+            sites = self.device.sites_of(ctype)
+            if self.region is not None:  # same column-major order as PBlock.sites_of
+                col, row = sites[:, 0], sites[:, 1]
+                sites = sites[
+                    (col >= self.region.col0) & (col <= self.region.col1)
+                    & (row >= self.region.row0) & (row <= self.region.row1)
+                ]
             if taken and sites.size:
                 mask = np.array([(int(c), int(r)) not in taken for c, r in sites])
                 sites = sites[mask]
@@ -146,6 +248,12 @@ class PlacementProblem:
     @property
     def n_movable(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def columns(self) -> NetColumns:
+        """``self.nets`` in columnar form, built on first use — the nets
+        are not to change afterwards."""
+        return NetColumns.from_nets(self.nets)
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(col0, row0, col1, row1) of the placeable region."""
@@ -166,25 +274,28 @@ class PlacementProblem:
         """
         c0, r0, c1, r1 = self.bounds()
         n = self.n_movable
-        pos = np.empty((n, 2), dtype=np.float64)
         unique_modules = [m for m in dict.fromkeys(self.modules) if m is not None]
         if len(unique_modules) > 1:
-            counts = {m: 0 for m in unique_modules}
-            for m in self.modules:
-                if m is not None:
-                    counts[m] += 1
-            centers = _module_centers(unique_modules, counts, (c0, r0, c1, r1))
+            code: dict[str | None, int] = {m: k for k, m in enumerate(unique_modules)}
+            code[None] = len(unique_modules)
+            which = np.fromiter(map(code.__getitem__, self.modules), np.int64, n)
+            counts = np.bincount(which, minlength=len(code)).tolist()
+            centers = _module_centers(
+                unique_modules, dict(zip(unique_modules, counts)), (c0, r0, c1, r1)
+            )
             span = max(c1 - c0, r1 - r0)
             jitter = rng.normal(0.0, max(1.0, span * 0.03), size=(n, 2))
-            for i, m in enumerate(self.modules):
-                if m is None:
-                    pos[i, 0] = rng.uniform(c0, c1)
-                    pos[i, 1] = rng.uniform(r0, r1)
-                else:
-                    pos[i] = centers[m] + jitter[i]
+            # module-less cells index a placeholder row and are overwritten
+            # below with the uniform draws the per-cell form made for them:
+            # column then row, cell after cell, after the jitter block
+            rows = np.array([centers[m] for m in unique_modules] + [[0.0, 0.0]])
+            pos = rows[which] + jitter
+            free = which == code[None]
+            pos[free] = rng.uniform((c0, r0), (c1, r1), size=(counts[-1], 2))
             pos[:, 0] = np.clip(pos[:, 0], c0, c1)
             pos[:, 1] = np.clip(pos[:, 1], r0, r1)
         else:
+            pos = np.empty((n, 2), dtype=np.float64)
             pos[:, 0] = rng.uniform(c0, c1, size=n)
             pos[:, 1] = rng.uniform(r0, r1, size=n)
         return pos
@@ -193,5 +304,6 @@ class PlacementProblem:
         """Write final integer *sites* (n, 2) back into the design."""
         if sites.shape != (self.n_movable, 2):
             raise ValueError(f"expected ({self.n_movable}, 2) sites, got {sites.shape}")
-        for i, name in enumerate(self.names):
-            self.design.cells[name].placement = (int(sites[i, 0]), int(sites[i, 1]))
+        cells = self.design.cells
+        for name, (col, row) in zip(self.names, sites.tolist()):
+            cells[name].placement = (int(col), int(row))

@@ -109,7 +109,8 @@ class PreImplementedFlow:
         repeats without re-running the flow.  Results are identical to a
         serial build.
         """
-        database = database or ComponentDatabase(self.device)
+        if database is None:  # not ``or``: an empty database is falsy (``__len__``)
+            database = ComponentDatabase(self.device)
         with span("flow.build_database", model=dfg.name, granularity=granularity):
             components = group_components(dfg, granularity)
             timer = database.build(

@@ -116,7 +116,7 @@ def _run_eco(spec: JobSpec, flow, result, database) -> dict:
     drc_mode = spec.drc if spec.drc != "off" else "warn"
     engine = EcoEngine(
         top, device, graph=flow.graph, delays=flow.delays,
-        seed=spec.seed, drc=drc_mode, database=database,
+        drc=drc_mode, database=database,
     )
     eco = engine.apply(delta)
     doc.update(
@@ -130,7 +130,7 @@ def _run_eco(spec: JobSpec, flow, result, database) -> dict:
     if verify:
         ref = eco_reference(
             decode_design(pre_blob), delta, device, graph=flow.graph,
-            delays=flow.delays, seed=spec.seed, drc=drc_mode, database=database,
+            delays=flow.delays, drc=drc_mode, database=database,
         )
         key = lambda r: (r.period_ps, r.clock_overhead_ps, r.clock_insertion_ps,
                          r.critical_path, r.n_paths)

@@ -99,8 +99,8 @@ def generate_component(comp: Component, *, rom_weights: bool = True) -> Design:
 
 
 def generate_block(comp: Component, *, rom_weights: bool = True) -> Design:
-    """Generate a multi-stage component (e.g. a VGG conv block) by
-    instantiating and internally stitching the member stage engines."""
+    """Generate a multi-stage component (e.g. a VGG conv block) by moving
+    the member stage engines into one design and stitching them."""
     stages = [m for m in comp.members if m.kind in ("conv", "pool", "fc")]
     if len(stages) < 2:
         raise ValueError(f"block component {comp.name} needs >= 2 stages")
@@ -117,7 +117,10 @@ def generate_block(comp: Component, *, rom_weights: bool = True) -> Design:
             sub = _pool_design(node, relu_after.get(node.name, False))
         else:
             sub = _fc_design(node, relu_after.get(node.name, False), rom_weights)
-        portmap = top.instantiate(sub, prefix=f"s{idx}_{node.name}", module=None)
+        # the stage design exists only to become part of this block:
+        # name it as an instance and move it in, no clone
+        sub.prefix_names(f"s{idx}_{node.name}")
+        portmap = top.adopt(sub)
         if first_in is None:
             first_in = portmap["in_data"]
         if "in_weights" in portmap:

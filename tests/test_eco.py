@@ -106,10 +106,10 @@ def test_layer_swap_matches_oracle_bit_for_bit(built):
     top = _copy(design)
     delta = _swap_delta(components, db)
     engine = EcoEngine(top, SMALL, graph=flow.graph, delays=flow.delays,
-                       seed=0, drc="warn", database=db)
+                       drc="warn", database=db)
     eco = engine.apply(delta)
     ref = eco_reference(design, delta, SMALL, graph=flow.graph,
-                        delays=flow.delays, seed=0, drc="warn", database=db)
+                        delays=flow.delays, drc="warn", database=db)
     assert design_to_dict(top) == design_to_dict(ref.design)
     assert report_key(eco.before) == report_key(ref.before)
     assert report_key(eco.after) == report_key(ref.after)
@@ -124,7 +124,7 @@ def test_undo_restores_byte_identical(built):
     top = _copy(design)
     before_doc = design_to_dict(top)
     engine = EcoEngine(top, SMALL, graph=flow.graph, delays=flow.delays,
-                       seed=0, database=db)
+                       database=db)
     eco = engine.apply(_swap_delta(components, db))
     assert design_to_dict(top) != before_doc
     reverted = engine.undo()
@@ -145,12 +145,12 @@ def test_eco_composes_with_cts(built):
     run_cts(top, SMALL, delays=flow.delays)
     baseline = design_to_dict(top)
     engine = EcoEngine(top, SMALL, graph=flow.graph, delays=flow.delays,
-                       seed=0, database=db)
+                       database=db)
     delta = _swap_delta(components, db)
     eco = engine.apply(delta)
     assert eco.after.clock_insertion_ps > 0.0
     ref = eco_reference(design_from_dict(baseline), delta, SMALL,
-                        graph=flow.graph, delays=flow.delays, seed=0, database=db)
+                        graph=flow.graph, delays=flow.delays, database=db)
     assert design_to_dict(top) == design_to_dict(ref.design)
     assert report_key(eco.after) == report_key(ref.after)
 
@@ -167,7 +167,7 @@ def test_strict_drc_gate_rolls_back(built):
     )
     before_doc = design_to_dict(top)
     engine = EcoEngine(top, SMALL, graph=flow.graph, delays=flow.delays,
-                       seed=0, drc="strict", database=db)
+                       drc="strict", database=db)
     with pytest.raises(EcoError):
         engine.apply(delta)
     assert design_to_dict(top) == before_doc
@@ -219,9 +219,8 @@ def test_multi_edit_delta_incremental_equals_reference():
         PlacementNudge("c3", (7, 4)),
         NetRewire("n12", sinks=("c2",)),
     ))
-    eco = EcoEngine(d, SMALL, graph=GRAPH, seed=1).apply(delta)
-    ref = eco_reference(design_from_dict(pristine), delta, SMALL,
-                        graph=GRAPH, seed=1)
+    eco = EcoEngine(d, SMALL, graph=GRAPH).apply(delta)
+    ref = eco_reference(design_from_dict(pristine), delta, SMALL, graph=GRAPH)
     assert design_to_dict(d) == design_to_dict(ref.design)
     assert report_key(eco.after) == report_key(ref.after)
     assert d.cells["c1"].luts == 4 and d.nets["n12"].sinks == ["c2"]

@@ -18,10 +18,14 @@ Hypothesis over random connected designs on the small part:
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache, reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro._native import build_library
 from repro._util import make_rng
 from repro.fabric import Device, auto_pblock
 from repro.netlist import Design
@@ -283,3 +287,106 @@ def test_global_place_matches_scipy_form_on_lenet_component():
     got = global_place(problem, make_rng(0), iters=50)
     want = _global_place_scipy(problem, make_rng(0), iters=50)
     assert np.array_equal(got, want)
+
+
+# -- the clump post-pass: C entry point vs the reference's tail ------------------
+
+
+def _scattered_problem(seed: int):
+    """A conv engine spread over the whole small part and *not* globally
+    placed: plenty of pins sit 16+ tiles from their net's median, so the
+    post-pass has moves to commit (the Hypothesis designs above are too
+    small for that).  Three locked cells give some nets fixed pins."""
+    design = gen_conv(2, 8, 8, 3, 4, rom_weights=True)
+    rng = np.random.default_rng(seed)
+    slices = [c for c in design.cells.values() if c.ctype == "SLICE"]
+    pool = SMALL.sites_of("SLICE")
+    for cell, k in zip(slices[:3], rng.choice(pool.shape[0], size=3, replace=False)):
+        cell.placement = (int(pool[k, 0]), int(pool[k, 1]))
+        cell.locked = True
+    problem = PlacementProblem.from_design(design, SMALL)
+    assert any(net.fixed.size for net in problem.nets)
+    return problem, legalize(problem, problem.initial_positions(make_rng(seed)))
+
+
+def _assert_same_anneal(problem, sites, seed, **kw):
+    sites_ref = sites.copy()
+    stats = anneal_native(problem, sites, seed=seed, **kw)
+    stats_ref = anneal_reference(problem, sites_ref, seed=seed, **kw)
+    assert np.array_equal(sites, sites_ref)
+    assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)
+    assert stats.initial_cost == stats_ref.initial_cost
+    assert stats.final_cost == stats_ref.final_cost
+    return stats
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("moves_per_cell", [1, 2])
+def test_native_post_pass_matches_reference(seed, moves_per_cell):
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    problem, sites = _scattered_problem(seed)
+    kw = dict(moves_per_cell=moves_per_cell, max_moves=100_000)
+    swept = sites.copy()
+    without = _assert_same_anneal(problem, swept, seed, clump_passes=0, **kw)
+    stats = _assert_same_anneal(problem, sites, seed, clump_passes=4, **kw)
+    # the pass did commit moves, so the comparison above covered it
+    assert stats.final_cost < without.final_cost
+    assert not np.array_equal(sites, swept)
+
+
+def _neumaier_sum(values):
+    """Builtin ``sum`` as CPython >= 3.12 adds floats (compensated)."""
+    values = list(values)
+    if not values:
+        return 0
+    total, comp = values[0], 0.0
+    for x in values[1:]:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and np.isfinite(comp) else total
+
+
+@cache
+def _core_sum():
+    fn = build_library(native_mod._SOURCE, "anneal_core").sum_like_python
+    fn.restype = ctypes.c_double
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    return fn
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e12, allow_nan=False) | st.floats(0.0, 1e-3), max_size=12))
+@example([1.0, 1e100, 1.0, -1e100])  # 0.0 added plainly, 2.0 compensated
+@example([0.1] * 10)
+def test_core_sum_is_builtin_sum(values):
+    """The core's cost sum, called directly: its two modes are plain and
+    Neumaier addition, and the mode the driver probes is builtin ``sum``
+    on this interpreter, bit for bit."""
+    if not native_available():
+        return
+    fn = _core_sum()
+    arr = np.asarray(values, dtype=np.float64)
+    ptr = ctypes.c_void_p(arr.ctypes.data)
+    assert fn(ptr, len(values), 0) == reduce(lambda a, b: a + b, values, 0)
+    assert fn(ptr, len(values), 1) == _neumaier_sum(values)
+    assert fn(ptr, len(values), int(native_mod._SUM_COMPENSATED)) == sum(values)
+
+
+def test_native_post_pass_follows_the_interpreters_sum(monkeypatch):
+    """The reference adds net costs with builtin ``sum``: plain left to
+    right up to CPython 3.11, Neumaier-compensated from 3.12.  The core
+    implements both and the driver probes which one this interpreter
+    does; here the other arithmetic is forced on both sides."""
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    assert native_mod._SUM_COMPENSATED == (sum([1.0, 1e100, 1.0, -1e100]) == 2.0)
+    assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    plain = lambda values: reduce(lambda a, b: a + b, values, 0)
+    for compensated, model in ((True, _neumaier_sum), (False, plain)):
+        monkeypatch.setattr(native_mod, "_SUM_COMPENSATED", compensated)
+        for module in (native_mod, reference_mod):  # shadows the builtin there
+            monkeypatch.setattr(module, "sum", model, raising=False)
+        problem, sites = _scattered_problem(0)
+        _assert_same_anneal(problem, sites, 0, moves_per_cell=1, max_moves=100_000)

@@ -107,6 +107,25 @@ def test_flow_builds_database_on_demand(small_device):
     assert result.fmax_mhz > 0
 
 
+def test_flow_fills_the_empty_database_it_is_handed(small_device, tmp_path):
+    """An empty database is falsy (``__len__``): the flow must still build
+    into *it* — here one backed by a directory — not into a private
+    in-memory replacement."""
+    net = make_tiny_cnn()
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    db = ComponentDatabase(small_device, directory=tmp_path / "lib")
+    assert not db and len(db) == 0
+    built, _timer = flow.build_database(net, rom_weights=True, database=db)
+    assert built is db and len(db) > 0
+    assert len(list((tmp_path / "lib").glob("*.dcpb"))) == len(db)
+    # and through run(): an empty database handed in comes back full
+    other = ComponentDatabase(small_device, directory=tmp_path / "other")
+    result = flow.run(net, rom_weights=True, database=other)
+    assert result.extras["offline_s"] > 0
+    assert len(other) == len(db)
+    assert len(list((tmp_path / "other").glob("*.dcpb"))) == len(db)
+
+
 def test_flow_reuses_database_across_runs(small_device, flow_pair):
     _, _, db, net = flow_pair
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)

@@ -1,0 +1,150 @@
+"""Scaling guard: per-design passes must stay (near) linear in design size.
+
+``eco/delta.py`` rebuilt a set once per sink of the clock net from PR 7
+to PR 21 — 2 s of a 2.3 s VGG layer swap — under an oracle-backed
+property suite (tiny designs), a committed benchmark (compared against a
+slower recompile) and an end-to-end ledger (one opaque self-time row).
+None of them could see a quadratic.  This file can: each function below
+runs on a synthetic design of size N and of size 4N and fails when the
+CPU time grows by more than twice the linear ratio (a quadratic reads
+16x, ``n log n`` about 4.5x).  CPU time (``time.process_time``), the
+minimum of several samples, a ``gc.collect()`` before each and the
+collector off while it runs: what is left is the function's own work.
+"""
+
+from __future__ import annotations
+
+import gc
+import time
+
+import numpy as np
+
+from repro.eco import DesignDelta, LayerReplace, apply_delta
+from repro.fabric import Device, PBlock, TileType, auto_pblock
+from repro.netlist import Design
+from repro.netlist.net import Net
+from repro.place import PlacementProblem, legalize, total_hpwl
+
+DEVICE = Device.from_name("ku5p-like")
+GROWTH = 4
+#: twice the linear ratio
+LIMIT = 2.0 * GROWTH
+
+
+def _cpu_s(prepare, run, samples: int = 5) -> float:
+    """Least CPU time of ``run(prepare())`` over *samples* runs; *prepare*
+    is not timed."""
+    best = float("inf")
+    for _ in range(samples):
+        state = prepare()
+        gc.collect()
+        gc.disable()  # a collection's cost follows the heap, not the function
+        try:
+            t0 = time.process_time()
+            run(state)
+            best = min(best, time.process_time() - t0)
+        finally:
+            gc.enable()
+    return best
+
+
+def _assert_linear(prepare, run, n: int) -> None:
+    small = _cpu_s(lambda: prepare(n), run)
+    large = _cpu_s(lambda: prepare(GROWTH * n), run)
+    ratio = large / max(small, 1e-9)
+    assert ratio <= LIMIT, (
+        f"{GROWTH}x the design costs {ratio:.1f}x the CPU time "
+        f"({small * 1e3:.1f} ms -> {large * 1e3:.1f} ms); linear is {GROWTH}x"
+    )
+
+
+def _netlist(n: int, name: str = "syn") -> Design:
+    """*n* slices in a chain, every eighth one also driving a 6-sink net."""
+    design = Design(name)
+    for i in range(n):
+        design.new_cell(f"c{i}", "SLICE", luts=1, ffs=1)
+    for i in range(n - 1):
+        design.connect(f"n{i}", f"c{i}", [f"c{i + 1}"], width=1 + i % 16)
+    for i in range(0, n - 8, 8):
+        design.connect(f"f{i}", f"c{i}", [f"c{i + k}" for k in range(2, 8)])
+    return design
+
+
+def _problem(n: int):
+    # a region sized to the design, so the site pools grow with it too
+    region = auto_pblock(DEVICE, {"SLICE": n}, anchor=(0, 0), slack=1.5)
+    problem = PlacementProblem.from_design(_netlist(n), DEVICE, region)
+    c0, r0, c1, r1 = problem.bounds()
+    pos = np.random.default_rng(n).uniform((c0, r0), (c1, r1), size=(n, 2))
+    return problem, pos
+
+
+def test_from_design_is_linear():
+    _assert_linear(_netlist, lambda d: PlacementProblem.from_design(d, DEVICE), 4_000)
+
+
+def test_legalize_is_linear():
+    _assert_linear(_problem, lambda s: legalize(*s), 4_000)
+
+
+def test_total_hpwl_is_linear():
+    # from the net list: converting it is part of what must stay linear
+    _assert_linear(_problem, lambda s: total_hpwl(s[1], s[0].nets), 8_000)
+
+
+def test_instantiate_is_linear():
+    _assert_linear(_netlist, lambda sub: Design("top").instantiate(sub, "u0"), 8_000)
+
+
+# -- ECO layer swap ----------------------------------------------------------------
+
+CLB = [int(c) for c in DEVICE.columns_of(TileType.CLB)]
+
+
+def _swap_case(n: int):
+    """A routed-design stand-in for a layer swap: module ``m`` holds n/10
+    placed flops, n more flops belong to the rest of the design, and one
+    clock net reaches them all."""
+    k = max(1, n // 10)
+    rows = DEVICE.nrows
+    component = Design("variant", pblock=PBlock(0, 0, CLB[-(-k // rows)], rows - 1))
+    for i in range(k):
+        component.new_cell(f"r{i}", "SLICE", ffs=1, placement=(CLB[i // rows], i % rows))
+    component.connect("link", "r0", [f"r{i}" for i in range(1, min(k, 8))])
+
+    design = Design("top")
+    design.metadata["anchors"] = {"m": (0, 0)}
+    for i in range(k):
+        design.new_cell(f"m/r{i}", "SLICE", ffs=1, module="m",
+                        placement=(CLB[i // rows], i % rows))
+    design.connect("m/link", "m/r0", [f"m/r{i}" for i in range(1, min(k, 8))])
+    for i in range(n):
+        design.new_cell(f"rest/f{i}", "SLICE", ffs=1, module="rest")
+    # the module's flops interleaved with everybody else's, as a merged
+    # clock net has them
+    sinks = [f"rest/f{i}" for i in range(n)]
+    for i in range(k):
+        sinks.insert(i * 11, f"m/r{i}")
+    design.add_net(Net("clk", None, sinks, is_clock=True))
+    delta = DesignDelta("swap:m", (LayerReplace("m", component),))
+    return design, delta
+
+
+def _swap(state) -> None:
+    design, delta = state
+    record = apply_delta(design, delta, DEVICE)
+    assert len(record.touched_cells) == len(delta.edits[0].component.cells)
+    assert len(design.nets["clk"].sinks) == len(design.cells)
+
+
+def test_apply_delta_is_linear():
+    _assert_linear(_swap_case, _swap, 5_000)
+
+
+def test_layer_swap_under_a_20k_sink_clock_net_within_budget():
+    """The regression itself: 22 000 clock sinks, 2 000 of them replaced.
+    One set per sink made this 0.6 s of CPU; built once, the whole delta
+    is a few tens of milliseconds."""
+    assert len(_swap_case(20_000)[0].nets["clk"].sinks) == 22_000
+    spent = _cpu_s(lambda: _swap_case(20_000), _swap, samples=3)
+    assert spent < 0.25, f"layer swap took {spent:.3f} s of CPU"
