@@ -1,8 +1,8 @@
 """Placement cost functions: HPWL and congestion estimation.
 
 ``total_hpwl`` is the classic half-perimeter wirelength, computed over
-all nets at once from the problem's :class:`NetColumns`; ``net_hpwl`` is
-the one-net scalar form it is tested against.  The congestion
+all nets at once (:meth:`NetColumns.hpwl`); ``net_hpwl`` is the one-net
+scalar form it is tested against.  The congestion
 estimator bins placed pins into coarse tiles and reports overflow against
 a per-bin capacity — the same quantity the paper's Eq. 2-3 component
 placement uses (overlaps per tile normalised by area).
@@ -27,16 +27,11 @@ def net_hpwl(pos: np.ndarray, net: NetPins) -> float:
     return float((xs.max() - xs.min()) + (ys.max() - ys.min())) * net.weight
 
 
-def total_hpwl(pos: np.ndarray, nets: list[NetPins] | NetColumns) -> float:
+def total_hpwl(pos: np.ndarray, nets: list[NetPins]) -> float:
     """Total weighted HPWL over all nets: ``sum(net_hpwl(pos, net))``, bit
-    for bit — exact boxes, then the per-net values added left to right.
-
-    Pass a problem's ``columns`` where there is one; a list of
-    :class:`NetPins` is converted first.
-    """
-    cols = nets if isinstance(nets, NetColumns) else NetColumns.from_nets(nets)
-    x0, x1, y0, y1 = cols.boxes(pos[:, 0], pos[:, 1])
-    return float(sum((((x1 - x0) + (y1 - y0)) * cols.weight).tolist()))
+    for bit.  A problem's own nets are already columns:
+    ``problem.columns.hpwl(pos)``."""
+    return NetColumns.from_nets(nets).hpwl(pos)
 
 
 def congestion_map(

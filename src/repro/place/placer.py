@@ -18,7 +18,7 @@ from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.design import Design
 from .annealer import AnnealStats, anneal
-from .cost import congestion_overflow, total_hpwl
+from .cost import congestion_overflow
 from .global_place import global_place
 from .legalize import legalize
 from .problem import PlacementProblem
@@ -133,7 +133,7 @@ def place_design(
     final_pos = sites.astype(float)
     return PlacementResult(
         n_cells=problem.n_movable,
-        hpwl=total_hpwl(final_pos, problem.columns),
+        hpwl=problem.columns.hpwl(final_pos),
         overflow=congestion_overflow(final_pos, problem.bounds()),
         anneal=stats,
     )

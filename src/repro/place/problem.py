@@ -145,6 +145,13 @@ class NetColumns:
             out += [lo, hi]
         return tuple(out)
 
+    def hpwl(self, pos: np.ndarray) -> float:
+        """Total weighted HPWL at ``(n, 2)`` positions *pos*: exact boxes,
+        then the per-net values added left to right, as
+        ``sum(net_hpwl(pos, net))`` adds them."""
+        x0, x1, y0, y1 = self.boxes(pos[:, 0], pos[:, 1])
+        return float(sum((((x1 - x0) + (y1 - y0)) * self.weight).tolist()))
+
 
 @dataclass
 class PlacementProblem:

@@ -182,7 +182,6 @@ def test_total_hpwl_is_the_sum_of_net_hpwl_exactly(case):
     _n, nets, pos = case
     want = float(sum(net_hpwl(pos, net) for net in nets))
     assert total_hpwl(pos, nets) == want
-    assert total_hpwl(pos, NetColumns.from_nets(nets)) == want
 
 
 def test_total_hpwl_of_no_nets_is_zero():
@@ -268,11 +267,6 @@ def test_annealer_rejects_a_net_without_movable_pin():
     problem = _problem(2, nets=nets, site_pools={"SLICE": pool})
     with pytest.raises(ValueError, match="net 1 .* no movable pin"):
         anneal_native(problem, pool[:2].copy(), seed=0)
-
-
-def test_columns_are_built_once_per_problem():
-    problem = _problem(2, nets=[NetPins(np.array([0, 1]), np.zeros((0, 2)), 1.0)])
-    assert problem.columns is problem.columns
 
 
 # -- initial positions -------------------------------------------------------------

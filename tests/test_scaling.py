@@ -31,12 +31,15 @@ GROWTH = 4
 LIMIT = 2.0 * GROWTH
 
 
-def _cpu_s(prepare, run, samples: int = 5) -> float:
-    """Least CPU time of ``run(prepare())`` over *samples* runs; *prepare*
-    is not timed."""
+def _cpu_s(prepare, run, samples: int = 5, fresh: bool = False) -> float:
+    """Least CPU time of ``run(state)`` over *samples* runs.  ``prepare()``
+    builds the state and is not timed; *fresh* rebuilds it for every
+    sample, for a *run* that consumes it."""
     best = float("inf")
-    for _ in range(samples):
-        state = prepare()
+    state = prepare()
+    for k in range(samples):
+        if fresh and k:
+            state = prepare()
         gc.collect()
         gc.disable()  # a collection's cost follows the heap, not the function
         try:
@@ -48,11 +51,15 @@ def _cpu_s(prepare, run, samples: int = 5) -> float:
     return best
 
 
-def _assert_linear(prepare, run, n: int) -> None:
-    small = _cpu_s(lambda: prepare(n), run)
-    large = _cpu_s(lambda: prepare(GROWTH * n), run)
-    ratio = large / max(small, 1e-9)
-    assert ratio <= LIMIT, (
+def _assert_linear(prepare, run, n: int, fresh: bool = False) -> None:
+    # a busy host can spoil one reading; a quadratic spoils both
+    for _ in range(2):
+        small = _cpu_s(lambda: prepare(n), run, fresh=fresh)
+        large = _cpu_s(lambda: prepare(GROWTH * n), run, fresh=fresh)
+        ratio = large / max(small, 1e-9)
+        if ratio <= LIMIT:
+            return
+    raise AssertionError(
         f"{GROWTH}x the design costs {ratio:.1f}x the CPU time "
         f"({small * 1e3:.1f} ms -> {large * 1e3:.1f} ms); linear is {GROWTH}x"
     )
@@ -89,11 +96,11 @@ def test_legalize_is_linear():
 
 def test_total_hpwl_is_linear():
     # from the net list: converting it is part of what must stay linear
-    _assert_linear(_problem, lambda s: total_hpwl(s[1], s[0].nets), 8_000)
+    _assert_linear(_problem, lambda s: total_hpwl(s[1], s[0].nets), 4_000)
 
 
 def test_instantiate_is_linear():
-    _assert_linear(_netlist, lambda sub: Design("top").instantiate(sub, "u0"), 8_000)
+    _assert_linear(_netlist, lambda sub: Design("top").instantiate(sub, "u0"), 4_000)
 
 
 # -- ECO layer swap ----------------------------------------------------------------
@@ -138,7 +145,7 @@ def _swap(state) -> None:
 
 
 def test_apply_delta_is_linear():
-    _assert_linear(_swap_case, _swap, 5_000)
+    _assert_linear(_swap_case, _swap, 5_000, fresh=True)
 
 
 def test_layer_swap_under_a_20k_sink_clock_net_within_budget():
@@ -146,5 +153,5 @@ def test_layer_swap_under_a_20k_sink_clock_net_within_budget():
     One set per sink made this 0.6 s of CPU; built once, the whole delta
     is a few tens of milliseconds."""
     assert len(_swap_case(20_000)[0].nets["clk"].sinks) == 22_000
-    spent = _cpu_s(lambda: _swap_case(20_000), _swap, samples=3)
+    spent = _cpu_s(lambda: _swap_case(20_000), _swap, samples=3, fresh=True)
     assert spent < 0.25, f"layer swap took {spent:.3f} s of CPU"
