@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from typing import Callable, Iterable
 
 from ..netlist.design import DesignError
@@ -132,6 +133,12 @@ class DrcContext:
     #: timing-derived rules (NET-005) answer from its memo when present.
     sta: "object | None" = None
     _graph: "object | None" = field(default=None, repr=False)
+
+    @cached_property
+    def cells(self):
+        """:meth:`Design.cell_table` of the design, built once per sweep
+        (the vectorised placement rules all read it)."""
+        return self.design.cell_table()
 
     @property
     def graph(self):

@@ -9,6 +9,10 @@ and tests keep matching); the rest are new static checks that Vivado's
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from .engine import rule
 from .violation import Severity
 
@@ -43,22 +47,31 @@ def net_dangling(ctx, emit) -> None:
 @rule("NET-002", category="netlist", severity="fatal", title="undriven net")
 def net_undriven(ctx, emit) -> None:
     """A non-clock net with neither a cell driver nor an input port."""
+    nets = ctx.design.net_table()
     input_nets = _input_nets(ctx.design)
-    for net in ctx.design.nets.values():
-        if net.driver is None and net.name not in input_nets and not net.is_clock:
-            emit("net", net.name, f"net {net.name} has no driver and no input port")
+    for name in nets.names(np.flatnonzero(nets.driverless & ~nets.clock)):
+        if name not in input_nets:
+            emit("net", name, f"net {name} has no driver and no input port")
 
 
 @rule("NET-003", category="netlist", severity="fatal", title="unknown endpoint")
 def net_unknown_endpoint(ctx, emit) -> None:
     """A net referencing a cell name that does not exist in the design."""
-    cells = ctx.design.cells
-    for net in ctx.design.nets.values():
-        if net.driver is not None and net.driver not in cells:
+    # One set difference finds the offenders (normally none); a net
+    # inside a placed block names only cells of its block by construction.
+    nets = ctx.design.loose_nets()
+    endpoints = set(chain.from_iterable(net.sinks for net in nets))
+    endpoints.update(net.driver for net in nets)
+    endpoints.discard(None)
+    unknown = ctx.design.unknown_cells(endpoints)
+    if not unknown:
+        return
+    for net in nets:
+        if net.driver in unknown:
             emit("net", net.name,
                  f"net {net.name} driven by unknown cell {net.driver!r}")
         for sink in net.sinks:
-            if sink not in cells:
+            if sink in unknown:
                 emit("net", net.name, f"net {net.name} sinks unknown cell {sink!r}")
 
 
@@ -131,7 +144,7 @@ def net_floating_port(ctx, emit) -> None:
 def net_unknown_port_net(ctx, emit) -> None:
     """A port pointing at a net name that does not exist."""
     for port in ctx.design.ports.values():
-        if port.net not in ctx.design.nets:
+        if not ctx.design.has_net(port.net):
             emit("port", port.name,
                  f"port {port.name} references unknown net {port.net!r}")
 

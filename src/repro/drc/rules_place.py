@@ -8,6 +8,8 @@ new — the fail-fast validator silently skipped unplaced cells.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..fabric.device import TILE_FOR_CELL
 from .engine import rule
 
@@ -21,37 +23,52 @@ def plc_unplaced(ctx, emit) -> None:
             emit("cell", cell.name, f"cell {cell.name} ({cell.ctype}) is unplaced")
 
 
+# The four fatal rules below are one array expression each over
+# ``ctx.cells`` (:class:`repro.netlist.block.CellTable`), whether the
+# design is objects or placed blocks; only the offenders found are
+# resolved back to names.  Their per-cell loops live on in
+# ``tests/test_block_design.py`` as the oracle: same ids, order, messages.
+
+
 @rule("PLC-002", category="placement", severity="fatal", title="site double-booked")
 def plc_double_booked(ctx, emit) -> None:
     """Two cells on the same site (one site per tile on this fabric)."""
-    occupied: dict[tuple[int, int], str] = {}
-    for cell in ctx.design.cells.values():
-        if not cell.is_placed:
-            continue
-        site = tuple(cell.placement)
-        if site in occupied:
-            emit("site", f"({site[0]},{site[1]})",
-                 f"site ({site[0]},{site[1]}) double-booked by "
-                 f"{occupied[site]} and {cell.name}")
-        else:
-            occupied[site] = cell.name
+    cells = ctx.cells
+    placed = np.flatnonzero(cells.placed)
+    if placed.size < 2:
+        return
+    col, row = cells.col[placed], cells.row[placed]
+    key = (col - col.min()) * (int(row.max()) - int(row.min()) + 1) + (row - row.min())
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    holder = first[group]                 # first cell (in design order) on each site
+    for k in np.flatnonzero(holder != np.arange(placed.size)).tolist():
+        site = f"({col[k]},{row[k]})"
+        emit("site", site,
+             f"site {site} double-booked by "
+             f"{cells.describe(int(placed[holder[k]]))[0]} and "
+             f"{cells.describe(int(placed[k]))[0]}")
+
+
+def _in_bounds(cells, device) -> np.ndarray:
+    return ((cells.col >= 0) & (cells.col < device.ncols)
+            & (cells.row >= 0) & (cells.row < device.nrows))
 
 
 @rule("PLC-003", category="placement", severity="fatal", title="wrong tile type")
 def plc_wrong_tile(ctx, emit) -> None:
     """A cell placed on a column whose tile type cannot host its site."""
-    device = ctx.device
-    for cell in ctx.design.cells.values():
-        if not cell.is_placed:
-            continue
-        col, row = cell.placement
-        if not device.in_bounds(col, row):
-            continue  # PLC-005's problem
-        if device.tile_type(col) != TILE_FOR_CELL[cell.ctype]:
-            emit("cell", cell.name,
-                 f"cell {cell.name} ({cell.ctype}) on wrong tile type "
-                 f"{device.tile_type_name(col)} at {cell.placement}",
-                 detail=f"({col},{row})")
+    device, cells = ctx.device, ctx.cells
+    # out-of-bounds placements are PLC-005's problem
+    on_grid = cells.placed & _in_bounds(cells, device)
+    need = np.array([TILE_FOR_CELL[k] for k in cells.kinds], dtype=np.int64)[cells.kind]
+    have = device.col_types[np.where(on_grid, cells.col, 0)]
+    for i in np.flatnonzero(on_grid & (have != need)).tolist():
+        name, ctype, placement = cells.describe(i)
+        col, row = placement
+        emit("cell", name,
+             f"cell {name} ({ctype}) on wrong tile type "
+             f"{device.tile_type_name(col)} at {placement}",
+             detail=f"({col},{row})")
 
 
 @rule("PLC-004", category="placement", severity="fatal", title="pblock escape")
@@ -60,18 +77,20 @@ def plc_pblock_escape(ctx, emit) -> None:
     pblock = ctx.design.pblock
     if pblock is None:
         return
-    for cell in ctx.design.cells.values():
-        if cell.is_placed and not pblock.contains(*cell.placement):
-            emit("cell", cell.name,
-                 f"cell {cell.name} at {cell.placement} escapes {pblock}",
-                 detail=f"({cell.placement[0]},{cell.placement[1]})")
+    cells = ctx.cells
+    inside = ((cells.col >= pblock.col0) & (cells.col <= pblock.col1)
+              & (cells.row >= pblock.row0) & (cells.row <= pblock.row1))
+    for i in np.flatnonzero(cells.placed & ~inside).tolist():
+        name, _ctype, placement = cells.describe(i)
+        emit("cell", name,
+             f"cell {name} at {placement} escapes {pblock}",
+             detail=f"({placement[0]},{placement[1]})")
 
 
 @rule("PLC-005", category="placement", severity="fatal", title="placement out of bounds")
 def plc_out_of_bounds(ctx, emit) -> None:
     """A placed cell outside the device grid."""
-    device = ctx.device
-    for cell in ctx.design.cells.values():
-        if cell.is_placed and not device.in_bounds(*cell.placement):
-            emit("cell", cell.name,
-                 f"cell {cell.name} placed out of bounds at {cell.placement}")
+    cells = ctx.cells
+    for i in np.flatnonzero(cells.placed & ~_in_bounds(cells, ctx.device)).tolist():
+        name, _ctype, placement = cells.describe(i)
+        emit("cell", name, f"cell {name} placed out of bounds at {placement}")

@@ -36,10 +36,9 @@ def rte_unrouted(ctx, emit) -> None:
 @rule("RTE-002", category="routing", severity="error", title="wire overuse")
 def rte_overuse(ctx, emit) -> None:
     """More net-width charged into an INT tile than it has wires."""
-    from types import SimpleNamespace
-
     import numpy as np
 
+    from ..netlist.design import Design
     from ..route.pathfinder import routed_occupancy
 
     graph = ctx.graph
@@ -54,9 +53,8 @@ def rte_overuse(ctx, emit) -> None:
     }
     design = ctx.design
     if bad:
-        design = SimpleNamespace(
-            nets={k: n for k, n in ctx.design.nets.items() if k not in bad}
-        )
+        design = Design(ctx.design.name)
+        design.nets = {k: n for k, n in ctx.design.nets.items() if k not in bad}
     occupancy, _usage, _n = routed_occupancy(design, graph)
     over = np.flatnonzero(occupancy > graph.capacity)
     nrows = ctx.device.nrows

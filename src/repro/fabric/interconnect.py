@@ -143,20 +143,31 @@ class RoutingGraph:
         """:meth:`path_metrics` of every path in *paths*, in one pass.
 
         Returns two int64 arrays ``(tiles, crossings)`` parallel to
-        *paths*.  All paths are flattened into one node array; per-hop
-        spans and I/O-column counts (two lookups in
-        :attr:`Device.io_prefix`) are prefix-summed and differenced at
-        the path boundaries.  Integer arithmetic throughout, so the
-        result equals the scalar walk exactly.
+        *paths*: the paths flattened into one node array and handed to
+        :meth:`path_metrics_csr`.
         """
         n = len(paths)
         lens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
-        if n and int(lens.min()) < 1:
-            raise IndexError("path_metrics_batch: empty path")
-        ends = np.cumsum(lens)
-        total = int(ends[-1]) if n else 0
+        total = int(lens.sum())
         flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=total)
-        cols, rows = np.divmod(flat, self.device.nrows)
+        return self.path_metrics_csr(flat, np.cumsum(lens) - lens, lens)
+
+    def path_metrics_csr(
+        self, nodes: np.ndarray, starts: np.ndarray, lens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`path_metrics` of the paths ``nodes[s:s + n]`` for each
+        ``(s, n)`` of *starts* / *lens* — the form routes already have
+        in a columnar design image, where nothing needs flattening.
+
+        Per-hop spans and I/O-column counts (two lookups in
+        :attr:`Device.io_prefix`) are prefix-summed over *nodes* and
+        differenced at the path boundaries.  Integer arithmetic
+        throughout, so the result equals the scalar walk exactly.
+        """
+        if lens.size and int(lens.min()) < 1:
+            raise IndexError("path_metrics_batch: empty path")
+        total = len(nodes)
+        cols, rows = np.divmod(nodes, self.device.nrows)
         c0, c1 = cols[:-1], cols[1:]
         prefix = self.device.io_prefix
         lo = np.minimum(c0, c1)
@@ -165,11 +176,10 @@ class RoutingGraph:
         crossed = np.maximum(prefix[np.maximum(c0, c1)] - prefix[lo + 1], 0)
         # sums[k] = metrics of hops 0..k-1; a path over nodes [s, e) owns
         # hops s..e-2, so the junction hop e-1 drops out of the difference.
-        sums = np.zeros((2, total), dtype=np.int64)
-        np.cumsum(np.abs(c1 - c0) + np.abs(np.diff(rows)), out=sums[0, 1:])
-        np.cumsum(crossed, out=sums[1, 1:])
-        first = ends - lens
-        per_path = sums[:, ends - 1] - sums[:, first]
+        sums = np.zeros((2, max(total, 1)), dtype=np.int64)
+        np.cumsum(np.abs(c1 - c0) + np.abs(np.diff(rows)), out=sums[0, 1:total])
+        np.cumsum(crossed, out=sums[1, 1:total])
+        per_path = sums[:, starts + lens - 1] - sums[:, starts]
         return per_path[0], per_path[1]
 
     def lower_bound_cost(self, a: int, b: int) -> float:

@@ -1,0 +1,544 @@
+"""Placed blocks: a component instance kept as columns, not objects.
+
+A pre-implemented component arrives placed, routed and locked, so the
+online phase has nothing to *do* to its 9 k cells — RapidWright keeps
+such a component as a ``ModuleInst`` of a ``Module``, not as a copy of
+its cells.  A :class:`Block` is that here: an immutable
+:class:`~repro.netlist.codec.DesignImage` plus ``(dcol, drow,
+instance)`` and a mask of the few boundary nets stitching has since
+taken out.  A :class:`~repro.netlist.design.Design` that adopted blocks
+holds them in order, interleaved with the objects that really are new
+(stitch nets, the merged clock net, pipeline registers), until somebody
+asks for ``design.cells`` / ``design.nets``; then every block is
+materialized once (:meth:`Block.materialize`) and dropped.
+
+Everything a flow stage reads of a block comes through the bulk
+accessors below — whole columns, shifted and prefixed as the flattened
+objects would be — so no module outside :mod:`repro.netlist` touches an
+image column or builds a cell to look at it.  What depends only on the
+image (name indexes, timing rows, route node pairs) is computed once per
+image and cached there as compact arrays (:meth:`DesignImage.derived`);
+what depends on the anchor is an array add on top.
+
+Only a *sealed* image is kept as a block (:func:`sealed`): every net
+endpoint names a cell of the image, every data connection is routed and
+its net locked.  Anything else — a component with an unrouted or
+unlocked connection — is materialized on adoption and handled as
+objects, which is always right.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from typing import NamedTuple
+
+import numpy as np
+
+from .cell import Cell
+
+__all__ = ["Block", "CellTable", "NetTable", "sealed"]
+
+#: What every columnar form in this module is asserted equal to: the
+#: objects :meth:`DesignImage.materialize` builds (oracle contract, lint
+#: rules ORC-001..003; ``tests/test_block_design.py``).
+ORACLE = "repro.netlist.codec.DesignImage.materialize"
+
+
+# -- per-image artefacts (shift-invariant, cached on the image) --------------
+
+
+def _bare_names(image) -> tuple[list[str], list[str]]:
+    sget = image.strings.__getitem__
+    return (list(map(sget, image.cell_name.tolist())),
+            list(map(sget, image.net_name.tolist())))
+
+
+def _cell_rows(image) -> dict[str, int]:
+    names = image.derived("names", _bare_names)[0]
+    return dict(zip(names, range(len(names))))
+
+
+def _net_rows(image) -> dict[str, int]:
+    names = image.derived("names", _bare_names)[1]
+    return dict(zip(names, range(len(names))))
+
+
+def _kinds(image) -> tuple[np.ndarray, list[str]]:
+    """Cell type of every cell as a code into a first-appearance table."""
+    index, first, codes = np.unique(
+        image.cell_ctype, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")          # table in first-appearance order
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[codes], [image.strings[i] for i in index[order].tolist()]
+
+
+def _modules(image) -> tuple[np.ndarray, list[str]]:
+    """Like :func:`_kinds` for the recorded ``module`` tags (``-1`` = none)."""
+    index, first, codes = np.unique(
+        image.cell_module, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    codes = rank[codes]
+    table = [image.strings[i] if i >= 0 else None for i in index[order].tolist()]
+    if None in table:                                  # keep -1 for "no module"
+        none = table.index(None)
+        codes = np.where(codes == none, -1, codes - (codes > none))
+        table.pop(none)
+    return codes, table
+
+
+def _delay_classes(image) -> tuple[list, np.ndarray]:
+    """One representative :class:`Cell` per distinct ``(ctype,
+    comb_depth)`` of the image, and each cell's class — all a delay
+    model's per-cell methods can tell two library cells apart by."""
+    kind, table = image.derived("kinds", _kinds)
+    depth = image.cell_depth.astype(np.int64)
+    _, first, which = np.unique(depth * len(table) + kind, return_index=True,
+                                return_inverse=True)
+    cells = [Cell(f"<{table[kind[i]]}:{depth[i]}>", table[kind[i]], comb_depth=int(depth[i]))
+             for i in first.tolist()]
+    return cells, which
+
+
+class _Edges(NamedTuple):
+    """One row per (data net, sink) of an image, in net order."""
+
+    net: np.ndarray         # image net row
+    src: np.ndarray         # image cell row of the driver
+    dst: np.ndarray         # image cell row of the sink
+    fanout: np.ndarray      # sinks of the net
+    start: np.ndarray       # first node of the row's path in ``route_node``
+    length: np.ndarray      # nodes in it
+
+
+def _cell_of_string(image) -> np.ndarray:
+    row_of = np.full(len(image.strings), -1, dtype=np.int64)
+    row_of[image.cell_name] = np.arange(len(image.cell_name))
+    return row_of
+
+
+def _edges(image) -> _Edges:
+    row_of = _cell_of_string(image)
+    nsinks = image.net_nsinks.astype(np.int64)
+    data = (image.net_clock == 0) & (image.net_driver >= 0)
+    owner = np.repeat(np.arange(len(nsinks)), nsinks)
+    keep = np.flatnonzero(data[owner])
+    net = owner[keep]
+    lens = np.maximum(image.route_len, 0)
+    starts = np.cumsum(lens) - lens
+    return _Edges(
+        net, row_of[image.net_driver[net]], row_of[image.sink_name[keep]],
+        nsinks[net], starts[keep], image.route_len[keep],
+    )
+
+
+def sealed(image) -> bool:
+    """Whether *image* can stay columnar inside a design.
+
+    True when nothing about it needs the per-object code paths: every
+    net has one route slot per sink and no empty path; every endpoint
+    names a cell of the image; every connection of a data net (not a
+    clock, has a driver) is routed and the net locked, and no undriven
+    net is routed — so the router finds nothing to do in it, timing
+    needs no placement estimate, the pipeliner nothing to split, and
+    the routed wires are exactly the timing rows'.
+    """
+    return image.derived("sealed", _sealed)
+
+
+def _sealed(image) -> bool:
+    if not np.array_equal(image.net_nroutes, image.net_nsinks):
+        return False
+    if (image.route_len == 0).any():
+        return False
+    row_of = _cell_of_string(image)
+    driven = image.net_driver >= 0
+    if (row_of[image.sink_name] < 0).any() or (row_of[image.net_driver[driven]] < 0).any():
+        return False
+    data = (image.net_clock == 0) & driven
+    if (data & (image.net_nsinks > 0) & (image.net_locked == 0)).any():
+        return False
+    undriven = np.repeat((image.net_clock == 0) & ~driven, image.net_nsinks)
+    if (image.route_len[undriven] >= 0).any():
+        return False
+    return bool((image.derived("edges", _edges).length >= 1).all())
+
+
+class _Wires(NamedTuple):
+    """Wire use of an image's routed data nets, as the router charges it."""
+
+    net: np.ndarray         # one entry per distinct (net, interior node)
+    node: np.ndarray        # the node, unshifted
+    routed: np.ndarray      # routed connections per image net row
+
+
+def _wires(image) -> _Wires:
+    edges = image.derived("edges", _edges)
+    flat = np.repeat(edges.start - np.cumsum(edges.length) + edges.length, edges.length)
+    flat += np.arange(flat.size)                       # node positions of every edge path
+    ends = np.cumsum(edges.length)
+    interior = np.ones(flat.size, dtype=bool)          # endpoint tiles are pins, not wires
+    interior[ends - edges.length] = False
+    interior[ends - 1] = False
+    node = image.route_node[flat[interior]]
+    span = int(node.max()) + 1 if node.size else 1
+    pairs = np.unique(np.repeat(edges.net, edges.length)[interior] * span + node)
+    return _Wires(
+        (pairs // span).astype(np.int32), pairs % span,
+        np.bincount(edges.net, minlength=len(image.net_name)),
+    )
+
+
+# -- the block -----------------------------------------------------------------
+
+
+class Block:
+    """One placed instance of an image inside a design.
+
+    ``dcol`` / ``drow`` shift sites (and ``dcol * nrows + drow`` routed
+    nodes); *instance* prefixes every cell and net name with
+    ``"{instance}/"`` and is every cell's ``module`` tag (``None``: the
+    image's own names and tags).  The image is shared and never written;
+    the one thing a block owns is :attr:`net_live`, which net rows are
+    still part of the design.
+    """
+
+    __slots__ = ("image", "dcol", "drow", "nrows", "instance", "prefix",
+                 "net_live", "n_nets", "_cell_names")
+
+    def __init__(self, image, dcol: int, drow: int, nrows: int,
+                 instance: str | None) -> None:
+        self.image = image
+        self.dcol = dcol
+        self.drow = drow
+        self.nrows = nrows
+        self.instance = instance
+        self.prefix = "" if instance is None else f"{instance}/"
+        self.net_live = np.ones(len(image.net_name), dtype=bool)
+        self.n_nets = len(image.net_name)
+        self._cell_names: list[str] | None = None
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.image.cell_name)
+
+    @property
+    def pristine(self) -> bool:
+        """No net has been taken out yet."""
+        return self.n_nets == len(self.net_live)
+
+    # -- names ---------------------------------------------------------------
+
+    def _row(self, name: str, rows) -> int | None:
+        if self.prefix:
+            if not name.startswith(self.prefix):
+                return None
+            name = name[len(self.prefix):]
+        return self.image.derived(rows.__name__, rows).get(name)
+
+    def cell_row(self, name: str) -> int | None:
+        """Row of the cell called *name* in the design, if it is here."""
+        return self._row(name, _cell_rows)
+
+    def net_row(self, name: str) -> int | None:
+        """Row of the (still live) net called *name*, if it is here."""
+        row = self._row(name, _net_rows)
+        return row if row is not None and self.net_live[row] else None
+
+    def cell_names(self) -> list[str]:
+        """Design-level name of every cell, in row order (one shared
+        list per block — do not edit: the clock net's sinks, name checks
+        and the encoder all see the same string objects, hashed once)."""
+        if self._cell_names is None:
+            names = self.image.derived("names", _bare_names)[0]
+            self._cell_names = list(map(self.prefix.__add__, names)) if self.prefix else names
+        return self._cell_names
+
+    def net_names(self, rows=None) -> list[str]:
+        """Design-level names of the live nets (or of net *rows*)."""
+        names = self.image.derived("names", _bare_names)[1]
+        if rows is None:
+            rows = np.flatnonzero(self.net_live)
+        return [self.prefix + names[i] for i in np.asarray(rows).tolist()]
+
+    # -- cells ---------------------------------------------------------------
+
+    def sites(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(placed, col, row)`` of every cell, shifted (0 where unplaced)."""
+        image = self.image
+        placed = image.cell_placed.astype(bool)
+        col = image.cell_col.astype(np.int64)
+        row = image.cell_row.astype(np.int64)
+        if self.dcol or self.drow:
+            col = np.where(placed, col + self.dcol, 0)
+            row = np.where(placed, row + self.drow, 0)
+        return placed, col, row
+
+    def kinds(self) -> tuple[np.ndarray, list[str]]:
+        """``(codes, table)``: ``table[codes[i]]`` is cell *i*'s type name."""
+        return self.image.derived("kinds", _kinds)
+
+    def delay_classes(self) -> tuple[list, np.ndarray]:
+        """``(cells, which)``: cell *i* has the logic and setup delay of
+        the representative ``cells[which[i]]`` (same type and depth)."""
+        return self.image.derived("delay_classes", _delay_classes)
+
+    def seq(self) -> np.ndarray:
+        return self.image.cell_seq.astype(bool)
+
+    def describe_cell(self, row: int) -> tuple[str, str, tuple[int, int] | None]:
+        """``(name, ctype, placement)`` of one cell, as its object would say."""
+        image = self.image
+        placement = None
+        if image.cell_placed[row]:
+            placement = (int(image.cell_col[row]) + self.dcol,
+                         int(image.cell_row[row]) + self.drow)
+        strings = image.strings
+        return (self.prefix + strings[image.cell_name[row]],
+                strings[image.cell_ctype[row]], placement)
+
+    # -- nets ----------------------------------------------------------------
+
+    def net_flags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(driverless, clock, nsinks)`` of the live nets, in order."""
+        image, live = self.image, self.net_live
+        return (image.net_driver[live] < 0, image.net_clock[live].astype(bool),
+                image.net_nsinks[live])
+
+    def live_net_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.net_live)
+
+    def pins(self, row: int) -> tuple[str | None, list[str], int]:
+        """``(driver, sinks, width)`` of net *row*."""
+        image = self.image
+        strings, prefix = image.strings, self.prefix
+        driver = int(image.net_driver[row])
+        s0 = int(image.net_nsinks[:row].sum(dtype=np.int64))
+        sinks = image.sink_name[s0:s0 + int(image.net_nsinks[row])].tolist()
+        return (prefix + strings[driver] if driver >= 0 else None,
+                [prefix + strings[i] for i in sinks], int(image.net_width[row]))
+
+    def remove_net(self, row: int) -> None:
+        self.net_live[row] = False
+        self.n_nets -= 1
+
+    def has_clock_nets(self) -> bool:
+        return bool((self.image.net_clock[self.net_live] != 0).any())
+
+    def remove_clock_nets(self) -> None:
+        self.net_live &= self.image.net_clock == 0
+        self.n_nets = int(np.count_nonzero(self.net_live))
+
+    # -- timing / routing / power --------------------------------------------
+
+    def timing_rows(self) -> _Edges:
+        """One row per (live data net, sink), in the order a walk over the
+        flattened nets would meet them: net row, driver and sink as cell
+        rows *of this block*, the net's fanout, and the row's path as
+        ``(start, length)`` into :meth:`route_nodes`."""
+        edges = self.image.derived("edges", _edges)
+        if self.pristine:
+            return edges
+        keep = self.net_live[edges.net]
+        return edges if keep.all() else _Edges(*(column[keep] for column in edges))
+
+    def route_nodes(self) -> np.ndarray:
+        """Every routed node of the image, shifted to this anchor."""
+        return self.image.route_node + (self.dcol * self.nrows + self.drow)
+
+    def net_widths(self) -> np.ndarray:
+        return self.image.net_width
+
+    def wire_use(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(node, width, routed)``: one entry per distinct (live data
+        net, interior routed node) with the width the router charges for
+        it, and the number of routed connections behind them."""
+        wires = self.image.derived("wires", _wires)
+        net, node, routed = wires
+        if not self.pristine:
+            keep = self.net_live[net]
+            net, node = net[keep], node[keep]
+            routed = routed[self.net_live]
+        return (node + (self.dcol * self.nrows + self.drow),
+                self.image.net_width[net], int(routed.sum()))
+
+    # -- re-encoding (DesignImage.from_design) --------------------------------
+
+    def cell_column(self, attr: str) -> np.ndarray:
+        return getattr(self.image, attr)
+
+    def net_column(self, attr: str) -> np.ndarray:
+        column = getattr(self.image, attr)
+        return column if self.pristine else column[self.net_live]
+
+    def module_column(self, setd, index: dict) -> np.ndarray:
+        """String index of every cell's ``module`` tag (``-1``: none),
+        interning new tags through *setd* in first-appearance order."""
+        if self.instance is not None:
+            return np.full(self.n_cells, setd(self.instance, len(index)), dtype=np.int64)
+        codes, table = self.image.derived("modules", _modules)
+        ids = np.array([setd(t, len(index)) for t in table] + [-1], dtype=np.int64)
+        return ids[codes]                      # code -1 picks the trailing -1
+
+    def driver_column(self, cell_string: np.ndarray) -> np.ndarray:
+        """Driver of every live net as a string index, given the string
+        index of each of this block's cells (``-1``: no driver)."""
+        rows = self.image.derived("cell_of_string", _cell_of_string)
+        driver = self.net_column("net_driver")
+        return np.where(driver >= 0, cell_string[rows[driver]], -1)
+
+    def sink_column(self, cell_string: np.ndarray) -> np.ndarray:
+        image = self.image
+        rows = image.derived("cell_of_string", _cell_of_string)
+        sinks = image.sink_name
+        if not self.pristine:
+            sinks = sinks[np.repeat(self.net_live, image.net_nsinks)]
+        return cell_string[rows[sinks]]
+
+    def route_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(route_len, route_node)`` of the live nets, nodes shifted."""
+        image = self.image
+        lens, nodes = image.route_len, self.route_nodes()
+        if not self.pristine:
+            keep = np.repeat(self.net_live, image.net_nroutes)
+            nodes = nodes[np.repeat(keep, np.maximum(lens, 0))]
+            lens = lens[keep]
+        return lens, nodes
+
+    # -- flattening ----------------------------------------------------------
+
+    def materialize(self) -> tuple[dict, dict]:
+        """The block's ``(cells, nets)`` as objects (removed nets left out)."""
+        live = None if self.pristine else self.net_live.tolist()
+        return self.image.objects(
+            self.dcol, self.drow, self.nrows, instance=self.instance, live=live
+        )
+
+
+# -- whole-design column views -------------------------------------------------
+
+
+class CellTable:
+    """Columns over every cell of a design, in ``design.cells`` order.
+
+    ``placed`` / ``col`` / ``row`` (0 where unplaced), ``kind`` as a code
+    into ``kinds`` (type names), ``seq``.  :meth:`describe` resolves the
+    few rows a report needs back to ``(name, ctype, placement)`` — the
+    placement *object* for a cell that exists as one, so a message reads
+    exactly as the per-cell loop printed it.
+    """
+
+    __slots__ = ("placed", "col", "row", "kind", "kinds", "seq", "_parts", "_starts")
+
+    def __init__(self, parts: list) -> None:
+        """*parts*: :meth:`Design.cell_parts`."""
+        kinds: dict[str, int] = {}
+        placed, col, row, kind, seq, starts = [], [], [], [], [], []
+        n = 0
+        parts = [p if type(p) is Block else list(p.values()) for p in parts]
+        for part in parts:
+            starts.append(n)
+            if type(part) is Block:
+                p, c, r = part.sites()
+                codes, table = part.kinds()
+                remap = np.array([kinds.setdefault(t, len(kinds)) for t in table],
+                                 dtype=np.int64)
+                placed.append(p)
+                col.append(c)
+                row.append(r)
+                kind.append(remap[codes])
+                seq.append(part.seq())
+                n += part.n_cells
+            else:
+                sites = [c.placement for c in part]
+                p = np.fromiter((s is not None for s in sites), bool, len(part))
+                placed.append(p)
+                col.append(np.array([s[0] if s is not None else 0 for s in sites],
+                                    dtype=np.int64))
+                row.append(np.array([s[1] if s is not None else 0 for s in sites],
+                                    dtype=np.int64))
+                kind.append(np.fromiter(
+                    (kinds.setdefault(c.ctype, len(kinds)) for c in part),
+                    np.int64, len(part)))
+                seq.append(np.fromiter((bool(c.seq) for c in part), bool, len(part)))
+                n += len(part)
+        self._parts = parts
+        self._starts = starts
+
+        def cat(columns, dtype):
+            return np.concatenate(columns) if columns else np.zeros(0, dtype=dtype)
+
+        self.placed = cat(placed, bool)
+        self.col = cat(col, np.int64)
+        self.row = cat(row, np.int64)
+        self.kind = cat(kind, np.int64)
+        self.seq = cat(seq, bool)
+        self.kinds = list(kinds)
+
+    def __len__(self) -> int:
+        return len(self.placed)
+
+    def describe(self, index: int) -> tuple[str, str, object]:
+        k = bisect_right(self._starts, index) - 1
+        part, local = self._parts[k], index - self._starts[k]
+        if type(part) is Block:
+            return part.describe_cell(local)
+        cell = part[local]
+        return cell.name, cell.ctype, cell.placement
+
+    def names(self) -> list[str]:
+        """Every cell name, in order."""
+        out: list[str] = []
+        for part in self._parts:
+            out += part.cell_names() if type(part) is Block else [c.name for c in part]
+        return out
+
+
+class NetTable:
+    """Columns over every net of a design, in ``design.nets`` order:
+    ``driverless``, ``clock``, ``nsinks``; :meth:`names` resolves rows."""
+
+    __slots__ = ("driverless", "clock", "nsinks", "_parts", "_starts")
+
+    def __init__(self, parts: list) -> None:
+        """*parts*: :meth:`Design.net_parts`."""
+        driverless, clock, nsinks, starts = [], [], [], []
+        n = 0
+        parts = [p if type(p) is Block else list(p.values()) for p in parts]
+        for part in parts:
+            starts.append(n)
+            if type(part) is Block:
+                d, c, s = part.net_flags()
+                n += part.n_nets
+            else:
+                d = np.fromiter((net.driver is None for net in part), bool, len(part))
+                c = np.fromiter((bool(net.is_clock) for net in part), bool, len(part))
+                s = np.fromiter((len(net.sinks) for net in part), np.int64, len(part))
+                n += len(part)
+            driverless.append(d)
+            clock.append(c)
+            nsinks.append(s)
+        self._parts = parts
+        self._starts = starts
+        self.driverless = np.concatenate(driverless) if parts else np.zeros(0, dtype=bool)
+        self.clock = np.concatenate(clock) if parts else np.zeros(0, dtype=bool)
+        self.nsinks = np.concatenate(nsinks) if parts else np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.clock)
+
+    def names(self, rows) -> list[str]:
+        """Names of net *rows* (ascending indices into the table)."""
+        out: list[str] = []
+        for index in np.asarray(rows).tolist():
+            k = bisect_right(self._starts, index) - 1
+            part, local = self._parts[k], index - self._starts[k]
+            if type(part) is Block:
+                out += part.net_names([part.live_net_rows()[local]])
+            else:
+                out.append(part[local].name)
+        return out

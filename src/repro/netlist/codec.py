@@ -27,11 +27,13 @@ import copy
 import numbers
 import struct
 import threading
+from itertools import chain, compress, count
 from time import perf_counter
 
 import numpy as np
 
 from ..fabric.pblock import PBlock
+from .block import Block
 from .cell import Cell
 from .design import Design
 from .library import CELL_LIBRARY
@@ -104,6 +106,10 @@ _STRING_COLUMNS = {
     "net_name": 0, "net_driver": -1, "sink_name": 0,
     "port_name": 0, "port_net": 0,
 }
+
+
+def _take(table: list[int], codes: np.ndarray) -> np.ndarray:
+    return np.asarray(table, dtype=np.int64)[codes]
 
 
 # -- telemetry --------------------------------------------------------------
@@ -350,52 +356,125 @@ class DesignImage:
         "_meta_obj",
         "_used_offsets",
         "_proto",
+        "_derived",
     ) + tuple(col for col, _ in _COLUMNS)
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_design(cls, design: Design) -> "DesignImage":
-        """Snapshot a live design (no intermediate dict, no metadata copy)."""
+        """Snapshot a live design (no intermediate dict, no metadata copy).
+
+        Walks the design as ordered runs (:meth:`Design.cell_parts` /
+        :meth:`Design.net_parts`): a run of objects is read attribute by
+        attribute, a placed block hands over its columns — shifted, its
+        indices re-based, removed nets dropped — and neither a cell nor a
+        net is built to be read.  Strings are interned column by column
+        across all runs, so the table (and every byte of
+        :meth:`to_bytes`) is what the flattened design would produce.
+        """
         pblock = design.pblock
-        cells = list(design.cells.values())
-        nets = list(design.nets.values())
+        cell_parts = [p if type(p) is Block else list(p.values())
+                      for p in design.cell_parts()]
+        net_parts = [p if type(p) is Block else list(p.values())
+                     for p in design.net_parts()]
         ports = list(design.ports.values())
         index: dict[str, int] = {}
         setd = index.setdefault
 
-        cn = [setd(c.name, len(index)) for c in cells]
-        ct = [setd(c.ctype, len(index)) for c in cells]
-        placements = [c.placement if c.placement else None for c in cells]
-        cp = [1 if p else 0 for p in placements]
-        cc = [p[0] if p else 0 for p in placements]
-        cr = [p[1] if p else 0 for p in placements]
-        cl = [1 if c.locked else 0 for c in cells]
-        lu = [c.luts for c in cells]
-        ff = [c.ffs for c in cells]
-        dp = [c.comb_depth for c in cells]
-        sq = [1 if c.seq else 0 for c in cells]
-        cm = [-1 if c.module is None else setd(c.module, len(index))
-              for c in cells]
+        def intern(names) -> list[int]:
+            """``setd(s, len(index))`` of each name, in order."""
+            return [setd(s, len(index)) for s in names]
 
-        nn = [setd(n.name, len(index)) for n in nets]
-        nd = [-1 if n.driver is None else setd(n.driver, len(index))
-              for n in nets]
-        nw = [n.width for n in nets]
-        nc = [1 if n.is_clock else 0 for n in nets]
-        nl = [1 if n.locked else 0 for n in nets]
-        ns = [len(n.sinks) for n in nets]
-        nr = [len(n.routes) for n in nets]
-        sk = [setd(s, len(index)) for n in nets for s in n.sinks]
-        rl: list[int] = []
-        rn: list[int] = []
-        for n in nets:
-            for path in n.routes:
-                if path is None:
-                    rl.append(-1)
-                else:
-                    rl.append(len(path))
-                    rn.extend(path)
+        def intern_new(names: list) -> list[int]:
+            """:func:`intern` for names that are normally all new (cell
+            and net names): one C-level pass handing out consecutive
+            indices, undone and redone one by one if any was not."""
+            start = len(index)
+            ids = list(map(setd, names, count(start)))
+            if len(index) - start != len(names):
+                for s in names:
+                    if index.get(s, -1) >= start:
+                        del index[s]
+                ids = intern(names)
+            return ids
+
+        def intern_known(names: list) -> list[int]:
+            """:func:`intern` for names that are normally all in the
+            table already (net endpoints name cells)."""
+            try:
+                return list(map(index.__getitem__, names))
+            except KeyError:
+                return intern(names)
+
+        def column(read, of_block, parts) -> list:
+            return [of_block(p) if type(p) is Block else read(p) for p in parts]
+
+        cn = column(lambda cells: intern_new([c.name for c in cells]),
+                    lambda b: intern_new(b.cell_names()), cell_parts)
+        ct = column(lambda cells: intern(c.ctype for c in cells),
+                    lambda b: _take(intern(b.kinds()[1]), b.kinds()[0]), cell_parts)
+        sites = column(
+            lambda cells: [c.placement if c.placement else None for c in cells],
+            Block.sites, cell_parts)
+        blocks = [type(p) is Block for p in cell_parts]
+        cp = [s[0] if b else [1 if p else 0 for p in s] for b, s in zip(blocks, sites)]
+        cc = [s[1] if b else [p[0] if p else 0 for p in s] for b, s in zip(blocks, sites)]
+        cr = [s[2] if b else [p[1] if p else 0 for p in s] for b, s in zip(blocks, sites)]
+        cl, lu, ff, dp, sq = (
+            column(read, lambda b, k=k: b.cell_column(k), cell_parts)
+            for k, read in (
+                ("cell_locked", lambda cells: [1 if c.locked else 0 for c in cells]),
+                ("cell_luts", lambda cells: [c.luts for c in cells]),
+                ("cell_ffs", lambda cells: [c.ffs for c in cells]),
+                ("cell_depth", lambda cells: [c.comb_depth for c in cells]),
+                ("cell_seq", lambda cells: [1 if c.seq else 0 for c in cells]),
+            )
+        )
+        cm = column(
+            lambda cells: [-1 if c.module is None else setd(c.module, len(index))
+                           for c in cells],
+            lambda b: b.module_column(setd, index), cell_parts)
+
+        # A block's nets name cells of the block: a cell row becomes the
+        # string index its name was interned at.
+        cell_string = {p: np.asarray(ids, dtype=np.int64)
+                       for p, ids in zip(cell_parts, cn) if type(p) is Block}
+        nn = column(lambda nets: intern_new([n.name for n in nets]),
+                    lambda b: intern_new(b.net_names()), net_parts)
+        nd = column(
+            lambda nets: [-1 if n.driver is None else setd(n.driver, len(index))
+                          for n in nets],
+            lambda b: b.driver_column(cell_string[b]), net_parts)
+        nw, nc, nl, ns, nr = (
+            column(read, lambda b, k=k: b.net_column(k), net_parts)
+            for k, read in (
+                ("net_width", lambda nets: [n.width for n in nets]),
+                ("net_clock", lambda nets: [1 if n.is_clock else 0 for n in nets]),
+                ("net_locked", lambda nets: [1 if n.locked else 0 for n in nets]),
+                ("net_nsinks", lambda nets: [len(n.sinks) for n in nets]),
+                ("net_nroutes", lambda nets: [len(n.routes) for n in nets]),
+            )
+        )
+        sk = column(
+            lambda nets: intern_known(list(chain.from_iterable(n.sinks for n in nets))),
+            lambda b: b.sink_column(cell_string[b]), net_parts)
+        rl: list = []
+        rn: list = []
+        for part in net_parts:
+            if type(part) is Block:
+                lens, nodes = part.route_columns()
+            else:
+                lens, nodes = [], []
+                for n in part:
+                    for path in n.routes:
+                        if path is None:
+                            lens.append(-1)
+                        else:
+                            lens.append(len(path))
+                            nodes.extend(path)
+            rl.append(lens)
+            rn.append(nodes)
 
         pn = [setd(p.name, len(index)) for p in ports]
         pd = [_DIR_CODE[p.direction] for p in ports]
@@ -414,20 +493,24 @@ class DesignImage:
             list(index),
             (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
              nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
-             pn, pd, pe, pw, pt, pc, pr, pp),
+             [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
         )
 
     @classmethod
     def _assemble(cls, name, pblock, metadata, strings, columns):
+        """*columns*: per :data:`_COLUMNS` field, its runs of values."""
         img = object.__new__(cls)
         img.name = name
         img.pblock = pblock
         img.strings = strings
         img._used_offsets = None
         img._proto = None
+        img._derived = {}
         img._set_metadata(metadata)
-        for (attr, dtype), values in zip(_COLUMNS, columns):
-            setattr(img, attr, np.asarray(values, dtype=dtype))
+        for (attr, dtype), runs in zip(_COLUMNS, columns):
+            runs = [np.asarray(values, dtype=dtype) for values in runs]
+            setattr(img, attr, runs[0] if len(runs) == 1 else
+                    np.concatenate(runs) if runs else np.zeros(0, dtype=dtype))
         return img
 
     def _set_metadata(self, metadata: dict) -> None:
@@ -467,11 +550,16 @@ class DesignImage:
             out += struct.pack("<4i", *self.pblock)
         out += struct.pack("<I", len(self._meta_blob))
         out += self._meta_blob
-        raw_strings = [s.encode("utf-8") for s in self.strings]
-        out += struct.pack("<I", len(raw_strings))
-        for raw in raw_strings:
-            out += struct.pack("<I", len(raw))
-        out += b"".join(raw_strings)
+        strings = self.strings
+        table = "".join(strings)
+        if table.isascii():  # one byte per character: lengths without encoding each
+            raw, lens = table.encode("ascii"), map(len, strings)
+        else:
+            raw_strings = [s.encode("utf-8") for s in strings]
+            raw, lens = b"".join(raw_strings), map(len, raw_strings)
+        out += struct.pack("<I", len(strings))
+        out += np.fromiter(lens, "<u4", len(strings)).tobytes()
+        out += raw
         for column in self.columns():
             raw = column.tobytes()
             out += struct.pack("<Q", len(raw))
@@ -498,6 +586,7 @@ class DesignImage:
         img = object.__new__(cls)
         img._used_offsets = None
         img._proto = None
+        img._derived = {}
         _need(blob, off, 4)
         n = struct.unpack_from("<I", blob, off)[0]
         off += 4
@@ -725,6 +814,20 @@ class DesignImage:
             )
         return proto
 
+    def derived(self, key: str, build):
+        """``build(self)``, computed once per image and kept under *key*.
+
+        For artefacts that are functions of the (immutable) columns alone
+        — name indexes, compiled timing rows, route node pairs — so every
+        placed instance of the image, at any shift, shares them.  Keep
+        them compact: they live as long as the database record does.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
+
     def materialize(
         self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
         instance: str | None = None,
@@ -744,9 +847,18 @@ class DesignImage:
         *instance* — what :meth:`Design.instantiate` produces by cloning,
         built directly so :meth:`Design.adopt` can take the objects as
         they are.  Port names stay bare.
+
+        :meth:`frame` and :meth:`objects` are the two halves: the first
+        is all a caller needs to place and stitch the copy, the second is
+        what a block-backed design defers until someone asks for a cell.
         """
-        t0 = perf_counter()
-        shifted = bool(dcol or drow)
+        design = self.frame(dcol, drow, instance=instance)
+        design.cells, design.nets = self.objects(dcol, drow, nrows, instance=instance)
+        return design
+
+    def frame(self, dcol: int = 0, drow: int = 0, *, instance: str | None = None) -> Design:
+        """The copy's ``name``, ``pblock``, ``metadata`` and ``ports`` —
+        a :class:`Design` with no ``cells`` / ``nets`` set yet."""
         design = Design.__new__(Design)
         design.name = self.name
         if self.pblock is None:
@@ -755,7 +867,7 @@ class DesignImage:
             c0, r0, c1, r1 = self.pblock
             design.pblock = PBlock(c0 + dcol, r0 + drow, c1 + dcol, r1 + drow)
         meta = self.metadata()
-        if shifted:
+        if dcol or drow:
             if "clk_src" in meta:
                 c, r = meta["clk_src"]
                 meta["clk_src"] = (c + dcol, r + drow)
@@ -764,24 +876,48 @@ class DesignImage:
                 meta["ooc"]["pblock"] = [pb.col0, pb.row0, pb.col1, pb.row1]
         design.metadata = meta
 
-        (cell_rows, placem0, unplaced_idx,
-         net_rows, sinks_flat, route_slices, nodes0,
-         port_rows, tiles0, untiled_idx) = self._decoded()
+        port_rows, tiles, untiled_idx = self._decoded()[7:]
+        if dcol or drow:
+            tiles = list(zip((self.port_col + dcol).tolist(),
+                             (self.port_row + drow).tolist()))
+            for i in untiled_idx:
+                tiles[i] = None
+        prefix = "" if instance is None else f"{instance}/"
+        new = object.__new__
+        ports: dict[str, Port] = {}
+        for (name, direction, net_name, width, proto), tile in zip(port_rows, tiles):
+            port = new(Port)
+            port.name = name
+            port.direction = direction
+            port.net = prefix + net_name
+            port.width = width
+            port.tile = tile
+            port.protocol = proto
+            ports[name] = port
+        design.ports = ports
+        return design
 
-        # Relocation is three vectorized adds on the columnar arrays; the
+    def objects(
+        self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
+        instance: str | None = None, live=None,
+    ) -> tuple[dict[str, Cell], dict[str, Net]]:
+        """The copy's ``cells`` and ``nets`` dicts, freshly built.
+
+        *live* (one truth value per net row) leaves out the nets a
+        block-backed design has since removed.
+        """
+        t0 = perf_counter()
+        (cell_rows, placem, unplaced_idx,
+         net_rows, sinks_flat, route_slices, nodes) = self._decoded()[:7]
+
+        # Relocation is vectorized adds on the columnar arrays; the
         # object loops below only assemble slots from decoded rows.
-        if shifted:
+        if dcol or drow:
             placem = list(zip((self.cell_col + dcol).tolist(),
                               (self.cell_row + drow).tolist()))
             for i in unplaced_idx:
                 placem[i] = None
             nodes = (self.route_node + (dcol * nrows + drow)).tolist()
-            tiles = list(zip((self.port_col + dcol).tolist(),
-                             (self.port_row + drow).tolist()))
-            for i in untiled_idx:
-                tiles[i] = None
-        else:
-            placem, nodes, tiles = placem0, nodes0, tiles0
 
         prefix = None if instance is None else f"{instance}/"
         if prefix is not None:
@@ -805,11 +941,12 @@ class DesignImage:
             cell.seq = seq
             cell.module = module
             cells[name] = cell
-        design.cells = cells
 
         # One flat pass over every route, then per-net list slices: the
         # inner lists are freshly built here, so each net owns its own.
         flat_routes = [None if s is None else nodes[s] for s in route_slices]
+        if live is not None:
+            net_rows = compress(net_rows, live)
         nets: dict[str, Net] = {}
         for name, driver, width, is_clock, locked, (s0, s1), (r0, r1) in net_rows:
             if prefix is not None:
@@ -825,24 +962,8 @@ class DesignImage:
             net.is_clock = is_clock
             net.locked = locked
             nets[name] = net
-        design.nets = nets
-
-        ports: dict[str, Port] = {}
-        for row, tile in zip(port_rows, tiles):
-            name, direction, net_name, width, proto = row
-            if prefix is not None:
-                net_name = prefix + net_name
-            port = new(Port)
-            port.name = name
-            port.direction = direction
-            port.net = net_name
-            port.width = width
-            port.tile = tile
-            port.protocol = proto
-            ports[name] = port
-        design.ports = ports
         TELEMETRY.note("materialize", perf_counter() - t0)
-        return design
+        return cells, nets
 
 
 # -- convenience API --------------------------------------------------------

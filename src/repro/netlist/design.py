@@ -9,9 +9,11 @@ memory by RapidWright.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
+from .block import Block, CellTable, NetTable, sealed
 from .cell import Cell
 from .net import Net, Port
 
@@ -46,6 +48,28 @@ class Design:
     metadata:
         Free-form dict; flows record achieved Fmax, component parameters,
         lock state, etc.
+
+    **Blocks + glue.**  A design is objects — unless it was fetched from
+    the component database, or adopted such a fetch.  Then it is
+    *block-backed*: an ordered list of placed :class:`~repro.netlist.
+    block.Block` s (immutable columnar images, one per component
+    instance) interleaved with the *glue* objects that really are new —
+    stitch nets, the merged clock net, pipeline registers — and it has
+    no ``cells`` / ``nets`` attribute yet.  The first access to either
+    (:meth:`__getattr__`, which an ordinary design never reaches)
+    materializes every block once, in the dict order the object path
+    would have produced, and drops the blocks: from then on the design
+    is an ordinary one.  The two forms are never both reachable, so
+    nothing can go stale.
+
+    While it lasts, the construction methods (:meth:`add_cell`,
+    :meth:`add_net`, :meth:`add_port`, :meth:`adopt`), the edit verbs
+    (:meth:`net_pins`, :meth:`remove_net`, :meth:`remove_clock_nets`)
+    and the bulk readers (:attr:`n_cells`, :meth:`cell_table`,
+    :meth:`net_table`, :meth:`cell_parts`, :meth:`net_parts`,
+    :meth:`loose_nets`, :meth:`placement_of`, ...) work on either form
+    without flattening; everything else just uses ``cells`` / ``nets``
+    and pays for the objects it asked for.
     """
 
     def __init__(self, name: str, pblock: PBlock | None = None) -> None:
@@ -56,21 +80,248 @@ class Design:
         self.pblock = pblock
         self.metadata: dict = {}
 
+    # -- blocks + glue -------------------------------------------------------
+    #
+    # Block-backed state lives in three instance attributes that exist
+    # exactly while ``cells`` / ``nets`` do not: ``_cell_parts`` and
+    # ``_net_parts`` (ordered runs, each a Block or a name-keyed dict of
+    # glue objects) and ``_blocks`` (instance name -> Block, for lookups).
+
+    @classmethod
+    def pending(cls, frame: "Design", block: Block) -> "Design":
+        """*frame* (name, pblock, metadata, ports set; no cells or nets)
+        made a block-backed design over *block*."""
+        frame._cell_parts = [block]
+        frame._net_parts = [block]
+        frame._blocks = {block.instance: block}
+        return frame
+
+    def __getattr__(self, name: str):
+        state = self.__dict__
+        if name in ("cells", "nets") and "_blocks" in state:
+            built = {block: block.materialize() for block in state.pop("_blocks").values()}
+            for attr, which in (("cells", 0), ("nets", 1)):
+                merged: dict = {}
+                for part in state.pop(f"_{attr[:-1]}_parts"):
+                    merged.update(built[part][which] if type(part) is Block else part)
+                state[attr] = merged
+            return state[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        self.cells  # copies and pickles are of the objects (flattens a block-backed design)
+        return self.__dict__
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """The placed blocks still held as columns (empty once flattened)."""
+        return tuple(self.__dict__.get("_blocks", {}).values())
+
+    def _block_holding(self, name: str, row_of: str) -> tuple[Block, int] | None:
+        """``(block, row)`` of the block cell / live net called *name*."""
+        blocks = self._blocks
+        for key in (name.partition("/")[0], None):
+            block = blocks.get(key)
+            if block is not None:
+                row = getattr(block, row_of)(name)
+                if row is not None:
+                    return block, row
+        return None
+
+    @staticmethod
+    def _glue(parts: list, name: str):
+        for part in parts:
+            if type(part) is dict and name in part:
+                return part[name]
+        return None
+
+    @staticmethod
+    def _open_run(parts: list) -> dict:
+        if not parts or type(parts[-1]) is Block:
+            parts.append({})
+        return parts[-1]
+
+    # -- readers that serve both forms ------------------------------------------
+
+    @property
+    def n_cells(self) -> int:
+        cells = self.__dict__.get("cells")
+        if cells is not None:
+            return len(cells)
+        return sum(p.n_cells if type(p) is Block else len(p) for p in self._cell_parts)
+
+    @property
+    def n_nets(self) -> int:
+        nets = self.__dict__.get("nets")
+        if nets is not None:
+            return len(nets)
+        return sum(p.n_nets if type(p) is Block else len(p) for p in self._net_parts)
+
+    def cell_parts(self) -> list:
+        """The cells as ordered runs, each a :class:`Block` or a
+        name-keyed dict of :class:`Cell` objects (for a flat design one
+        run: ``cells`` itself).  Read-only views, not copies."""
+        cells = self.__dict__.get("cells")
+        return [cells] if cells is not None else [p for p in self._cell_parts if p]
+
+    def net_parts(self) -> list:
+        """The nets as ordered runs, each a :class:`Block` (standing for
+        its live nets) or a name-keyed dict of :class:`Net` objects."""
+        nets = self.__dict__.get("nets")
+        return [nets] if nets is not None else [p for p in self._net_parts if p]
+
+    def cell_table(self) -> CellTable:
+        """Site, type and ``seq`` columns over every cell, in order."""
+        return CellTable(self.cell_parts())
+
+    def net_table(self) -> NetTable:
+        """Driver / clock / fanout columns over every net, in order."""
+        return NetTable(self.net_parts())
+
+    def seq_cell_names(self) -> list[str]:
+        """Names of the sequential cells, in order (the clock net's sinks)."""
+        out: list[str] = []
+        for part in self.cell_parts():
+            if type(part) is Block:
+                out += compress(part.cell_names(), part.seq().tolist())
+            else:
+                out += [c.name for c in part.values() if c.seq]
+        return out
+
+    def loose_cells(self) -> dict[str, Cell]:
+        """The cells that exist as objects: all of a flat design's, the
+        glue of a block-backed one (a merged copy; do not edit through it)."""
+        cells = self.__dict__.get("cells")
+        if cells is not None:
+            return cells
+        return {k: v for p in self._cell_parts if type(p) is dict for k, v in p.items()}
+
+    def loose_nets(self) -> list[Net]:
+        """The nets that exist as objects, in order — every net a router
+        or pipeliner could change (a block's are all routed and locked)."""
+        nets = self.__dict__.get("nets")
+        if nets is not None:
+            return list(nets.values())
+        return [n for p in self._net_parts if type(p) is dict for n in p.values()]
+
+    def clock_nets(self) -> list[Net]:
+        """The clock nets, as objects (a stitched design has one merged
+        clock net in its glue; one still inside a block flattens)."""
+        if any(type(p) is Block and p.has_clock_nets() for p in self.net_parts()):
+            self.nets
+        return [n for n in self.loose_nets() if n.is_clock]
+
+    def loose_net(self, name: str) -> Net | None:
+        """The net object called *name*; ``None`` for a net that is
+        absent — or sits, routed and locked, in a block."""
+        nets = self.__dict__.get("nets")
+        return nets.get(name) if nets is not None else self._glue(self._net_parts, name)
+
+    def has_net(self, name: str) -> bool:
+        nets = self.__dict__.get("nets")
+        if nets is not None:
+            return name in nets
+        return (self._glue(self._net_parts, name) is not None
+                or self._block_holding(name, "net_row") is not None)
+
+    def unknown_cells(self, names: set[str]) -> set[str]:
+        """The members of *names* that name no cell of the design."""
+        cells = self.__dict__.get("cells")
+        if cells is not None:
+            return names - cells.keys()
+        left = set(names)
+        for part in self._cell_parts:
+            if type(part) is dict:
+                left -= part.keys()
+        for block in self._blocks.values():
+            if len(left) < block.n_cells:   # walk the smaller side
+                left -= {n for n in left if block.cell_row(n) is not None}
+            else:
+                left.difference_update(block.cell_names())
+        return left
+
+    def placement_of(self, name: str) -> tuple[int, int] | None:
+        """``cells[name].placement`` (``KeyError`` for an unknown cell)."""
+        cells = self.__dict__.get("cells")
+        if cells is not None:
+            return cells[name].placement
+        cell = self._glue(self._cell_parts, name)
+        if cell is not None:
+            return cell.placement
+        held = self._block_holding(name, "cell_row")
+        if held is None:
+            raise KeyError(name)
+        return held[0].describe_cell(held[1])[2]
+
+    def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
+        """``(driver, sinks, width)`` of the net called *name* — the
+        sinks as a fresh list (``KeyError`` for an unknown net)."""
+        net = self.loose_net(name)
+        if net is not None:
+            return net.driver, list(net.sinks), net.width
+        held = self._block_holding(name, "net_row") if "_blocks" in self.__dict__ else None
+        if held is None:
+            raise KeyError(name)
+        return held[0].pins(held[1])
+
+    def remove_net(self, name: str) -> None:
+        """``del nets[name]`` (``KeyError`` for an unknown net)."""
+        nets = self.__dict__.get("nets")
+        if nets is not None:
+            del nets[name]
+            return
+        for part in self._net_parts:
+            if type(part) is dict and name in part:
+                del part[name]
+                return
+        held = self._block_holding(name, "net_row")
+        if held is None:
+            raise KeyError(name)
+        held[0].remove_net(held[1])
+
+    def remove_cell(self, name: str) -> None:
+        """``del cells[name]``; a cell inside a block is not removable
+        as such, so asking for one flattens the design first."""
+        for part in self.__dict__.get("_cell_parts", ()):
+            if type(part) is dict and name in part:
+                del part[name]
+                return
+        del self.cells[name]
+
+    def remove_clock_nets(self) -> None:
+        """Delete every clock net."""
+        for part in self.net_parts():
+            if type(part) is Block:
+                part.remove_clock_nets()
+            else:
+                for name in [n.name for n in part.values() if n.is_clock]:
+                    del part[name]
+
     # -- construction -----------------------------------------------------
 
     def add_cell(self, cell: Cell) -> Cell:
-        if cell.name in self.cells:
+        cells = self.__dict__.get("cells")
+        if cells is None:  # block-backed: the cell joins the glue
+            if not self.unknown_cells({cell.name}):
+                raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
+            cells = self._open_run(self._cell_parts)
+        elif cell.name in cells:
             raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
-        self.cells[cell.name] = cell
+        cells[cell.name] = cell
         return cell
 
     def new_cell(self, name: str, ctype: str, **kwargs) -> Cell:
         return self.add_cell(Cell(name, ctype, **kwargs))
 
     def add_net(self, net: Net) -> Net:
-        if net.name in self.nets:
+        nets = self.__dict__.get("nets")
+        if nets is None:  # block-backed: the net joins the glue
+            if self.has_net(net.name):
+                raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
+            nets = self._open_run(self._net_parts)
+        elif net.name in nets:
             raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
-        self.nets[net.name] = net
+        nets[net.name] = net
         return net
 
     def connect(self, name: str, driver: str | None, sinks: list[str], **kwargs) -> Net:
@@ -80,7 +331,7 @@ class Design:
     def add_port(self, port: Port) -> Port:
         if port.name in self.ports:
             raise DesignError(f"duplicate port {port.name!r} in design {self.name}")
-        if port.net not in self.nets:
+        if not self.has_net(port.net):
             raise DesignError(f"port {port.name!r} references unknown net {port.net!r}")
         self.ports[port.name] = port
         return port
@@ -211,7 +462,29 @@ class Design:
         live in this design from here on and *sub* is left empty, so
         nothing can edit them through the donor.  Returns the port-name
         to net-name map, like :meth:`instantiate`.
+
+        A *sub* straight from :meth:`ComponentDatabase.fetch
+        <repro.rapidwright.database.ComponentDatabase.fetch>` — one
+        untouched block — is moved as that block, not as objects, when
+        this design is empty or already block-backed, the block's image
+        is :func:`~repro.netlist.block.sealed` and no name of this
+        design can collide with the instance prefix; this design is
+        block-backed from then on.  In every other case *sub* is
+        materialized (and this design flattened) by the lines below.
         """
+        block = self._adoptable(sub)
+        if block is not None:
+            state = self.__dict__
+            if "_blocks" not in state:
+                del state["cells"], state["nets"]
+                state.update(_cell_parts=[], _net_parts=[], _blocks={})
+            self._cell_parts.append(block)
+            self._net_parts.append(block)
+            self._blocks[block.instance] = block
+            sub.cells = {}
+            sub.nets = {}
+            del sub._cell_parts, sub._net_parts, sub._blocks
+            return {pname: port.net for pname, port in sub.ports.items()}
         for mine, theirs, kind in (
             (self.cells, sub.cells, "cell"), (self.nets, sub.nets, "net"),
         ):
@@ -223,6 +496,27 @@ class Design:
         sub.cells = {}
         sub.nets = {}
         return {pname: port.net for pname, port in sub.ports.items()}
+
+    def _adoptable(self, sub: "Design") -> Block | None:
+        """*sub*'s block when :meth:`adopt` may move it as one."""
+        theirs = sub.__dict__.get("_blocks")
+        if theirs is None or len(theirs) != 1:
+            return None
+        (block,) = theirs.values()
+        if (sub._cell_parts != [block] or sub._net_parts != [block]
+                or not block.pristine or not sealed(block.image)
+                or "/" in block.prefix[:-1]):
+            return None
+        state = self.__dict__
+        if "_blocks" not in state:
+            return None if state["cells"] or state["nets"] else block
+        if block.instance is None or block.instance in self._blocks or None in self._blocks:
+            return None
+        glue = (n for parts in (self._cell_parts, self._net_parts)
+                for p in parts if type(p) is dict for n in p)
+        if any(n.startswith(block.prefix) for n in glue):
+            return None
+        return block
 
     # -- validation -----------------------------------------------------------
 
@@ -271,6 +565,6 @@ class Design:
 
     def __repr__(self) -> str:
         return (
-            f"<Design {self.name}: {len(self.cells)} cells, "
-            f"{len(self.nets)} nets, {len(self.ports)} ports>"
+            f"<Design {self.name}: {self.n_cells} cells, "
+            f"{self.n_nets} nets, {len(self.ports)} ports>"
         )

@@ -12,6 +12,8 @@ flags exactly these), so stitched designs come out DRC-clean.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..obs.span import incr
 from .design import Design, DesignError
 from .net import Net, Port
@@ -28,19 +30,18 @@ def bridge_ports(
     :meth:`Design.instantiate` port maps).  Returns the new net.
     """
     try:
-        out_net = top.nets[out_net_name]
-        in_net = top.nets[in_net_name]
+        driver, out_sinks, out_width = top.net_pins(out_net_name)
+        _, in_sinks, in_width = top.net_pins(in_net_name)
     except KeyError as exc:
         raise DesignError(f"stitch: unknown boundary net {exc.args[0]!r}") from None
-    if out_net.driver is None:
+    if driver is None:
         raise DesignError(f"stitch: output boundary net {out_net_name} has no driver")
-    if out_net.sinks:
+    if out_sinks:
         raise DesignError(f"stitch: output boundary net {out_net_name} already has sinks")
     name = f"{hint}__{out_net_name.replace('/', '.')}"
-    width = max(out_net.width, in_net.width)
-    net = top.connect(name, out_net.driver, list(in_net.sinks), width=width)
-    del top.nets[out_net_name]
-    del top.nets[in_net_name]
+    net = top.connect(name, driver, in_sinks, width=max(out_width, in_width))
+    top.remove_net(out_net_name)
+    top.remove_net(in_net_name)
     incr("stitch.bridged")
     return net
 
@@ -69,13 +70,11 @@ def prune_dangling_nets(top: Design) -> list[str]:
     Returns the pruned net names.
     """
     port_nets = {p.net for p in top.ports.values()}
-    pruned = [
-        net.name
-        for net in top.nets.values()
-        if not net.is_clock and not net.sinks and net.name not in port_nets
-    ]
+    table = top.net_table()
+    sinkless = table.names(np.flatnonzero(~table.clock & (table.nsinks == 0)))
+    pruned = [name for name in sinkless if name not in port_nets]
     for name in pruned:
-        del top.nets[name]
+        top.remove_net(name)
     if pruned:
         incr("stitch.pruned", len(pruned))
     return pruned
@@ -87,13 +86,12 @@ def merge_clock_nets(top: Design, name: str = "clk") -> Port:
     Real flows route one global clock through the dedicated network; the
     per-component HD.CLK_SRC stubs exist only for OOC timing analysis.
     """
-    for net_name in [n.name for n in top.nets.values() if n.is_clock]:
-        del top.nets[net_name]
+    top.remove_clock_nets()
     for port_name in [p.name for p in top.ports.values() if p.name.endswith(name)]:
         # stale clock ports from instantiated components
-        if top.ports[port_name].net not in top.nets:
+        if not top.has_net(top.ports[port_name].net):
             del top.ports[port_name]
-    sinks = [c.name for c in top.cells.values() if c.seq]
+    sinks = top.seq_cell_names()
     net = Net(f"{name}_net", None, sinks, is_clock=True)
     top.add_net(net)
     incr("stitch.clock_sinks", len(sinks))

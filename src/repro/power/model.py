@@ -19,6 +19,7 @@ import numpy as np
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
+from ..netlist.library import cell_type
 
 __all__ = ["PowerReport", "estimate_power"]
 
@@ -66,30 +67,57 @@ def estimate_power(
         raise ValueError(f"fmax must be positive, got {fmax_mhz}")
     static = STATIC_W_PER_KLUT * device.resource_totals["LUT"] / 1000.0
 
-    logic_nw = sum(
-        cell.spec.dyn_power_nw_mhz * fmax_mhz * toggle for cell in design.cells.values()
-    )
+    # Per-cell switching power, summed in cell order (a float sum: the
+    # order is part of the result).  A placed block contributes its
+    # column of type codes; nothing is built to read a type off.
+    per_cell: list[float] = []
+    for part in design.cell_parts():
+        if isinstance(part, dict):
+            ctypes = [cell.ctype for cell in part.values()]
+            table = dict.fromkeys(ctypes)
+            per_type = {t: cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table}
+            per_cell += map(per_type.__getitem__, ctypes)
+        else:
+            kind, table = part.kinds()
+            per_type = np.array(
+                [cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table]
+            )
+            per_cell += per_type[kind].tolist()
+    logic_nw = sum(per_cell)
 
+    if graph is None and design.blocks:
+        design.nets  # no routes to measure without a graph: estimate from the objects
     routes: list[list[int]] = []
     widths: list[int] = []
     est_tiles = 0.0
-    for net in design.nets.values():
-        if net.is_clock:
-            continue
-        for i, route in enumerate(net.routes):
-            if route is not None and graph is not None:
-                routes.append(route)
-                widths.append(net.width)
-            else:
-                src = design.cells[net.driver].placement if net.driver else None
-                sink = net.sinks[i] if i < len(net.sinks) else None
-                dst = design.cells[sink].placement if sink in design.cells else None
-                if src and dst:
-                    est_tiles += (abs(src[0] - dst[0]) + abs(src[1] - dst[1])) * net.width
     routed_tiles = 0
+    for part in design.net_parts():
+        if not isinstance(part, dict):
+            # every connection of a block's data nets is routed
+            rows = part.timing_rows()
+            tiles, _crossings = graph.path_metrics_csr(
+                part.route_nodes(), rows.start, rows.length
+            )
+            routed_tiles += int(tiles @ part.net_widths()[rows.net].astype(np.int64))
+            continue
+        for net in part.values():
+            if net.is_clock:
+                continue
+            for i, route in enumerate(net.routes):
+                if route is not None and graph is not None:
+                    routes.append(route)
+                    widths.append(net.width)
+                else:
+                    src = design.placement_of(net.driver) if net.driver else None
+                    try:
+                        dst = design.placement_of(net.sinks[i])
+                    except (IndexError, KeyError):
+                        dst = None
+                    if src and dst:
+                        est_tiles += (abs(src[0] - dst[0]) + abs(src[1] - dst[1])) * net.width
     if routes:
         tiles, _crossings = graph.path_metrics_batch(routes)
-        routed_tiles = int(tiles @ np.asarray(widths, dtype=np.int64))
+        routed_tiles += int(tiles @ np.asarray(widths, dtype=np.int64))
     signal_nw = WIRE_NW_PER_TILE_MHZ * (routed_tiles + est_tiles) * fmax_mhz * toggle
 
     return PowerReport(

@@ -33,6 +33,7 @@ from ..cnn.graph import Component
 from ..engine.cache import BuildCache, canonical_blob, content_key
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
+from ..netlist.block import Block
 from ..netlist.codec import TELEMETRY, DesignImage
 from ..netlist.design import Design
 from .module import (
@@ -251,6 +252,14 @@ class ComponentDatabase:
         (``"{instance}/"``-prefixed cell and net names, ``module`` tags;
         see :meth:`DesignImage.materialize`), ready for
         :meth:`Design.adopt`.
+
+        The relocation is validated here, eagerly; the copy's objects
+        are not built here.  The returned design has its ``name``,
+        ``pblock``, ``metadata`` and ``ports`` and is *block-backed*
+        (:class:`~repro.netlist.design.Design`): one placed
+        :class:`~repro.netlist.block.Block` over the record's image,
+        which the first access to ``cells`` / ``nets`` materializes — or
+        which :meth:`Design.adopt` moves into a composed design as it is.
         """
         t0 = perf_counter()
         record = self._record(signature)
@@ -264,7 +273,10 @@ class ComponentDatabase:
             pblock = PBlock(*image.pblock)
             used = image.used_column_offsets() if validate else None
             dcol, drow, _ = checked_shift(image.name, pblock, device, anchor, used)
-        design = image.materialize(dcol, drow, device.nrows, instance=instance)
+        design = Design.pending(
+            image.frame(dcol, drow, instance=instance),
+            Block(image, dcol, drow, device.nrows, instance),
+        )
         TELEMETRY.note("fetch", perf_counter() - t0)
         return design
 

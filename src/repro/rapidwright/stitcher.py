@@ -135,7 +135,7 @@ def _compose(name, components, device, anchors, instance) -> StitchResult:
             anchor = anchors[comp.name]
         except KeyError:
             raise DesignError(f"no anchor assigned for component {comp.name}") from None
-        n_before = len(top.cells)
+        n_before = top.n_cells
         module, portmap = instance(top, comp, anchor)
         if module.pblock is not None:
             footprints[comp.name] = [
@@ -148,7 +148,7 @@ def _compose(name, components, device, anchors, instance) -> StitchResult:
                 signature=comp.signature,
                 anchor=anchor,
                 fmax_ooc_mhz=module.metadata.get("ooc", {}).get("fmax_mhz", 0.0),
-                n_cells=len(top.cells) - n_before,
+                n_cells=top.n_cells - n_before,
             )
         )
         if first_in is None:

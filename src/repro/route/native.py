@@ -92,42 +92,45 @@ def _collect_targets(design, nrows, ncols):
     a stable argsort on the same keys equals its stable ``list.sort``),
     but without materializing ``_Target`` objects.
 
-    Returns ``(names, gid, sink_idx, width, src, dst)`` where *names*
-    maps a net group id to its net name and the five arrays are in the
+    Returns ``(nets, gid, sink_idx, width, src, dst)`` where *nets*
+    maps a net group id to its net and the five arrays are in the
     short-connections-first schedule order.  Each net's targets are
     collected contiguously, so group ids are assigned on net change —
-    no name lookups.
+    no name lookups.  Only nets that exist as objects are walked: a
+    placed block's connections are all routed, and its cells are
+    looked up by name (:meth:`Design.placement_of`) without being built.
     """
     from .pathfinder import RoutingError
 
-    names: list[str] = []
+    placement_of = design.placement_of
+    nets: list = []
     gids: list[int] = []
     sink_idx: list[int] = []
     widths: list[int] = []
     coords: list[tuple[int, int, int, int]] = []
-    for net in design.nets.values():
+    for net in design.loose_nets():
         if net.is_clock or net.driver is None or net.locked:
             continue
-        driver = design.cells[net.driver]
+        driver = placement_of(net.driver)
         gid = -1
         for i, sink_name in enumerate(net.sinks):
             if net.routes[i] is not None:
                 continue
-            sink = design.cells[sink_name]
-            if not driver.is_placed or not sink.is_placed:
+            sink = placement_of(sink_name)
+            if driver is None or sink is None:
                 raise RoutingError(
                     f"net {net.name}: cannot route with unplaced endpoints"
                 )
             if gid < 0:
-                gid = len(names)
-                names.append(net.name)
+                gid = len(nets)
+                nets.append(net)
             gids.append(gid)
             sink_idx.append(i)
             widths.append(net.width)
-            coords.append(driver.placement + sink.placement)
+            coords.append(driver + sink)
     if not coords:
         empty = np.empty(0, dtype=np.int64)
-        return names, empty, empty, empty, empty, empty
+        return nets, empty, empty, empty, empty, empty
     arr = np.asarray(coords, dtype=np.int64)  # columns: sc, sr, dc, dr
     cols = arr[:, 0::2]
     rows = arr[:, 1::2]
@@ -144,7 +147,7 @@ def _collect_targets(design, nrows, ncols):
     key = np.abs(arr[:, 0] - arr[:, 2]) + np.abs(arr[:, 1] - arr[:, 3])
     order = np.argsort(key, kind="stable")
     return (
-        names,
+        nets,
         np.ascontiguousarray(np.asarray(gids, dtype=np.int64)[order]),
         np.ascontiguousarray(np.asarray(sink_idx, dtype=np.int64)[order]),
         np.ascontiguousarray(np.asarray(widths, dtype=np.int64)[order]),
@@ -188,7 +191,7 @@ def route_native(router, design, blocked, timer):
 
     with timer.stage("route/setup"):
         occupancy, net_usage, preexisting = routed_occupancy(design, graph)
-        names, gid_a, sink_a, width_a, src_a, dst_a = _collect_targets(
+        nets, gid_a, sink_a, width_a, src_a, dst_a = _collect_targets(
             design, nrows, ncols
         )
     n = int(src_a.size)
@@ -199,8 +202,8 @@ def route_native(router, design, blocked, timer):
     # preexisting per-net usage counts as (gid * n_nodes + node) -> count
     pre_keys_l: list[int] = []
     pre_counts_l: list[int] = []
-    for g, name in enumerate(names):
-        usage = net_usage.get(name)
+    for g, net in enumerate(nets):
+        usage = net_usage.get(net.name)
         if usage:
             base = g * n_nodes
             for node, count in usage.items():
@@ -258,12 +261,11 @@ def route_native(router, design, blocked, timer):
             offs_l = offs.tolist()
             gid_l = gid_a.tolist()
             sink_l = sink_a.tolist()
-            nets = design.nets
             for j in range(n):
                 o0 = offs_l[j]
                 o1 = offs_l[j + 1]
                 if o1 > o0:
-                    nets[names[gid_l[j]]].routes[sink_l[j]] = flat_l[o0:o1]
+                    nets[gid_l[j]].routes[sink_l[j]] = flat_l[o0:o1]
                     routed += 1
             wirelength = _wirelength(flat[:total], offs, nrows)
 

@@ -136,7 +136,8 @@ def routed_occupancy(
 
     ``net_usage`` covers the nets that still have an unrouted sink —
     the only ones a router ever rips up or extends, a handful on a
-    stitched design whose components arrive routed.  The array is
+    stitched design whose components arrive routed (and none of them
+    inside a placed block, whose connections are all routed).  The array is
     computed from every route at once: interior nodes flattened,
     ``(net, node)`` pairs deduplicated, widths summed per node in net
     order — the order a walk over ``design.nets`` adds them in, so the
@@ -147,7 +148,7 @@ def routed_occupancy(
     arithmetic.
     """
     n_nodes = graph.n_nodes
-    nets = [n for n in design.nets.values() if not n.is_clock and n.driver is not None]
+    nets = [n for n in design.loose_nets() if not n.is_clock and n.driver is not None]
     per_net = [
         net.routes if len(net.routes) == len(net.sinks) else net.routes[: len(net.sinks)]
         for net in nets
@@ -185,7 +186,17 @@ def routed_occupancy(
     occupancy = np.bincount(
         pairs % n_nodes, weights=width[pairs // n_nodes], minlength=n_nodes
     ).astype(np.float64, copy=False)
-    return occupancy, net_usage, int(routed.sum())
+    preexisting = int(routed.sum())
+    # Placed blocks arrive routed: each adds its (net, node) charges,
+    # known per image and shifted to its anchor.  Widths are integers,
+    # so the float sums are exact in any order.
+    for block in design.blocks:
+        node, charge, n_routed = block.wire_use()
+        if node.size and not 0 <= node.min() <= node.max() < n_nodes:
+            raise IndexError("routed_occupancy: route leaves the routing graph")
+        occupancy += np.bincount(node, weights=charge, minlength=n_nodes)
+        preexisting += n_routed
+    return occupancy, net_usage, preexisting
 
 
 class Router:

@@ -70,13 +70,14 @@ reference (``KeyError``).
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import is_not
 
 import numpy as np
 
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
+from ..netlist.block import Block
 from ..netlist.design import Design
 from .delays import DEFAULT_DELAYS, DelayModel
 from .sta import TimingError, TimingReport, clock_terms, combinational_loops
@@ -143,26 +144,39 @@ class TimingGraph:
 
     def _reset(self) -> None:
         """Empty columns: the next sync compiles every cell and net."""
-        # Cells: slot i is the i-th entry of design.cells.
-        self.cell_objs: list = []
-        self.cell_names: list[str] = []
-        self.cell_index: dict[str, int] = {}
-        self.cell_pl: list = []                  # placements as of the last sync
+        # Cells.  One *entry* per glue cell or placed block, in design
+        # order; an entry owns one slot, a block one per cell.
+        self.cell_objs: list = []                # entries: Cell | Block
+        self.cell_names: list = []               # their dict keys / instance names
+        self.cell_index: dict[str, int] = {}     # glue cell name -> slot
+        self.block_slot: dict = {}               # Block -> its first slot
+        self.g_cells: list = []                  # the glue cells, their dict keys ...
+        self.g_names: list[str] = []
+        self.g_slot = np.zeros(0, dtype=np.int64)   # ... and their slots
+        self.cell_pl: list = []                  # ... and placements as of the last sync
         self.cell_seq = np.zeros(0, dtype=bool)
         self.cell_logic = np.zeros(0)
         self.cell_setup = np.zeros(0)
-        # Data nets, in design.nets order.
-        self.data_nets: list = []
-        self.net_driver: list = []
-        self.net_fanout: list[int] = []          # diff(net_off) as a list, for ==
-        self.net_off = np.zeros(1, dtype=np.int64)  # rows of net j: off[j]..off[j+1]
-        self.net_missing: set[int] = set()       # nets with an absent endpoint
+        # Nets.  One entry per glue data net or placed block, in design
+        # order; a block entry owns the rows of all its live data nets.
+        self.data_nets: list = []                # entries: Net | Block
+        self.net_fanout: list[int] = []          # rows per entry: diff(net_off)
+        self.net_off = np.zeros(1, dtype=np.int64)  # rows of entry j: off[j]..off[j+1]
+        self.net_missing: set[int] = set()       # entries with an absent endpoint
+        self.g_nets: list = []                   # the glue nets among the entries ...
+        self.g_entry = np.zeros(0, dtype=np.int64)  # ... where they sit ...
+        self.net_driver: list = []               # ... their drivers, fanouts, and per
+        self.g_fanout: list[int] = []            # glue row the sink name, the route
+        self.r_sink: list[str] = []              # object (delay-memo key: identity)
+        self.r_route: list = []                  # and the row it is
+        self.g_row = np.zeros(0, dtype=np.int64)
+        self.b_entry: list[int] = []             # the block entries and how many nets
+        self.b_live: list[int] = []              # each had when it was compiled
         # Rows: one per (data net, sink).
-        self.r_sink: list[str] = []
-        self.r_route: list = []                  # delay-memo key: route identity
-        self.r_net = np.zeros(0, dtype=np.int64)
+        self.r_net = np.zeros(0, dtype=np.int64)  # entry index
         self.r_src = np.zeros(0, dtype=np.int64)  # cell slot, -1 when unknown
         self.r_dst = np.zeros(0, dtype=np.int64)
+        self.r_fanout = np.zeros(0, dtype=np.int64)
         self.r_delay = np.zeros(0)
         self.r_routed = np.zeros(0, dtype=bool)  # timed from its route (else placements)
         self._adj: tuple | None = None
@@ -178,10 +192,23 @@ class TimingGraph:
         """Fold any design mutations since the last sync into the graph."""
         design = self.design
         structural = False
+        if design.blocks and (
+            self.graph is None
+            or self.delays._overrides("logic_delay_ps", "setup_ps", "cell_delays_ps",
+                                      "net_delay_ps", "routed_net_delay_ps")
+        ):
+            design.cells  # no columnar form for this model: time the objects
 
-        # Cells: appended slots extend the columns, anything else recompiles.
-        names = list(design.cells)
-        cells = list(design.cells.values())
+        # Cells: appended entries extend the columns, anything else recompiles.
+        names: list = []
+        cells: list = []
+        for part in design.cell_parts():
+            if type(part) is Block:
+                names.append(part.instance)
+                cells.append(part)
+            else:
+                names += part
+                cells += part.values()
         n0 = len(self.cell_objs)
         if cells[:n0] != self.cell_objs or names[:n0] != self.cell_names:
             self._reset()
@@ -190,53 +217,67 @@ class TimingGraph:
         if len(cells) > n0:
             self._add_cells(names[n0:], cells[n0:])
             structural = True
-        stale = np.zeros(len(self.r_sink), dtype=bool)  # rows to re-time
-        placements = [c.placement for c in cells]
+        stale = np.zeros(len(self.r_net), dtype=bool)  # rows to re-time
+        placements = [c.placement for c in self.g_cells]
         if placements != self.cell_pl:
-            moved = np.zeros(len(cells), dtype=bool)
-            moved[[i for i, (a, b) in enumerate(zip(placements, self.cell_pl)) if a != b]] = True
+            moved = np.zeros(len(self.cell_seq), dtype=bool)
+            moved[self.g_slot[
+                [i for i, (a, b) in enumerate(zip(placements, self.cell_pl)) if a != b]
+            ]] = True
             self.cell_pl = placements
             live = ~self.r_routed & (self.r_src >= 0) & (self.r_dst >= 0)
             stale |= live & (moved[self.r_src] | moved[self.r_dst])
 
         # The nets compiled last time: edited in place?  Routes replaced?
-        old = self.data_nets
+        # (A block's rows can only change by losing a net.)
+        old = self.g_nets
         sinks = [n.sinks for n in old]
         edited = self.net_missing
         if (
             [n.driver for n in old] != self.net_driver
-            or list(map(len, sinks)) != self.net_fanout
+            or list(map(len, sinks)) != self.g_fanout
             or list(chain.from_iterable(sinks)) != self.r_sink
         ):
-            off = self.net_off.tolist()
+            off = [0, *accumulate(self.g_fanout)]
             edited = edited | {
-                j for j, n in enumerate(old)
+                int(self.g_entry[j]) for j, n in enumerate(old)
                 if n.driver != self.net_driver[j]
                 or n.sinks != self.r_sink[off[j]:off[j + 1]]
             }
-        routes = _flat_routes(old, self.net_fanout)
+        live_now = [self.data_nets[j].n_nets for j in self.b_entry]
+        if live_now != self.b_live:
+            edited = edited | {
+                j for j, a, b in zip(self.b_entry, live_now, self.b_live) if a != b
+            }
+        routes = _flat_routes(old, self.g_fanout)
         same = _match_len(routes, 0, self.r_route, 0)
         if same < len(routes):
-            stale[[
+            stale[self.g_row[[
                 same + i
                 for i, (a, b) in enumerate(zip(routes[same:], self.r_route[same:]))
                 if a is not b
-            ]] = True
+            ]]] = True
 
-        # The nets the design has now, matched against those runs of
-        # compiled nets they still are.  Dict order is the survivors in
+        # The entries the design has now, matched against those runs of
+        # compiled entries they still are.  Dict order is the survivors in
         # their old order, then whatever was (re-)inserted since; so
         # where the lists part, the compiled net was removed (search
         # forward for the next survivor) or was edited in place, or
         # nothing compiled follows at all.  Whatever stays unmatched is
         # compiled afresh, which is always right.
-        data = [n for n in design.nets.values() if not n.is_clock and n.driver is not None]
+        data: list = []
+        for part in design.net_parts():
+            if type(part) is Block:
+                data.append(part)
+            else:
+                data += [n for n in part.values() if not n.is_clock and n.driver is not None]
+        old = self.data_nets
         marked = old
         if edited:
             marked = list(old)
             for j in edited:
                 marked[j] = None
-        pieces: list[tuple[int, int, int]] = []  # compiled nets a..b, then k fresh ones
+        pieces: list[tuple[int, int, int]] = []  # compiled entries a..b, then k fresh ones
         fresh: list = []
         carried = i = j = 0
         while j < len(data):
@@ -280,75 +321,157 @@ class TimingGraph:
         if structural:
             self.topo_rev += 1
 
-    def _add_cells(self, names: list[str], cells: list) -> None:
-        base = len(self.cell_objs)
-        self.cell_index.update(zip(names, range(base, base + len(cells))))
-        self.cell_objs += cells
+    def _add_cells(self, names: list, entries: list) -> None:
+        """Append slots for *entries* (glue cells and whole blocks)."""
+        base = len(self.cell_seq)
+        self.cell_objs += entries
         self.cell_names += names
-        self.cell_pl += [c.placement for c in cells]
-        seq = np.array([bool(c.seq) for c in cells], dtype=bool)
-        logic, setup = self.delays.cell_delays_ps(cells)
-        self.cell_seq = np.concatenate((self.cell_seq, seq))
-        self.cell_logic = np.concatenate((self.cell_logic, logic))
-        self.cell_setup = np.concatenate((self.cell_setup, setup))
+        seq_parts, logic_parts, setup_parts = [self.cell_seq], [self.cell_logic], [self.cell_setup]
+        glue_slots = [self.g_slot]
+        at = 0
+        for is_block, run in groupby(entries, key=lambda e: type(e) is Block):
+            run = list(run)
+            if is_block:
+                for block in run:
+                    self.block_slot[block] = base
+                    reps, which = block.delay_classes()
+                    logic, setup = self.delays.cell_delays_ps(reps)
+                    seq_parts.append(block.seq())
+                    logic_parts.append(logic[which])
+                    setup_parts.append(setup[which])
+                    base += block.n_cells
+            else:
+                slots = range(base, base + len(run))
+                self.cell_index.update(zip(names[at:at + len(run)], slots))
+                self.g_cells += run
+                self.g_names += names[at:at + len(run)]
+                self.cell_pl += [c.placement for c in run]
+                glue_slots.append(np.arange(base, base + len(run)))
+                logic, setup = self.delays.cell_delays_ps(run)
+                seq_parts.append(np.array([bool(c.seq) for c in run], dtype=bool))
+                logic_parts.append(logic)
+                setup_parts.append(setup)
+                base += len(run)
+            at += len(run)
+        n0 = len(self.cell_seq)
+        self.g_slot = np.concatenate(glue_slots)
+        self.cell_seq = np.concatenate(seq_parts)
+        self.cell_logic = np.concatenate(logic_parts)
+        self.cell_setup = np.concatenate(setup_parts)
         # Seed: correct for sequential and zero-fan-in combinational
         # cells; dirty marking repropagates the rest.
-        self.out_time = np.concatenate((self.out_time, logic))
-        self.pending_dirty.update((base + np.flatnonzero(~seq)).tolist())
+        self.out_time = np.concatenate((self.out_time, self.cell_logic[n0:]))
+        self.pending_dirty.update((n0 + np.flatnonzero(~self.cell_seq[n0:])).tolist())
         self._adj = None
+
+    def _slots(self, names: list) -> np.ndarray:
+        """Slot of each cell name, ``-1`` where the design has no such cell."""
+        slots = np.fromiter(map(self.cell_index.get, names, repeat(-1)), np.int64, len(names))
+        if self.block_slot:
+            blocks = {block.instance: block for block in self.block_slot}
+            for i in np.flatnonzero(slots < 0).tolist():
+                for block in (blocks.get(names[i].partition("/")[0]), blocks.get(None)):
+                    row = block.cell_row(names[i]) if block is not None else None
+                    if row is not None:
+                        slots[i] = self.block_slot[block] + row
+                        break
+        return slots
 
     def _assemble(
         self, data: list, pieces: list, fresh: list, stale: np.ndarray, routes: list
     ) -> np.ndarray:
-        """Splice the net and row columns for the data nets *data*.
+        """Splice the net and row columns for the entries *data*.
 
-        Each of *pieces* is ``(a, b, k)``: compiled nets ``a..b`` carry
-        their rows (and delays) over, then come the nets of *fresh* from
-        the *k*-th up to the next piece's — compiled here, all in one go;
-        on the first sync that is every net.  *routes* are the current
-        routes of the rows compiled so far.  Returns the new rows'
+        Each of *pieces* is ``(a, b, k)``: compiled entries ``a..b`` carry
+        their rows (and delays) over, then come the entries of *fresh*
+        from the *k*-th up to the next piece's — compiled here, all in one
+        go; on the first sync that is every net.  *routes* are the current
+        routes of the glue rows compiled so far.  Returns the new rows'
         re-time mask: fresh, or *stale* before.
         """
-        drivers = [net.driver for net in fresh]
-        sinks = [net.sinks for net in fresh]
+        # The glue nets among the fresh entries, compiled together ...
+        nets = [e for e in fresh if type(e) is not Block]
+        drivers = [net.driver for net in nets]
+        sinks = [net.sinks for net in nets]
         fanout = list(map(len, sinks))
         flat = list(chain.from_iterable(sinks))
-        index = self.cell_index
-        src = np.fromiter(map(index.get, drivers, repeat(-1)), np.int64, len(fresh))
-        src = np.repeat(src, fanout)
-        dst = np.fromiter(map(index.get, flat, repeat(-1)), np.int64, len(flat))
-        nets_at = range(len(self.data_nets) + len(fresh) + 1)
-        old_rows = self.net_off.tolist()
-        new_rows = [0, *accumulate(fanout)]
-        cuts = [*(k for _, _, k in pieces[1:]), len(fresh)]
+        src = np.repeat(self._slots(drivers), fanout)
+        dst = self._slots(flat)
+        rows_fanout = np.repeat(np.array(fanout, dtype=np.int64), fanout)
+        counts = fanout
+        if len(nets) < len(fresh):
+            # ... then laid out between the blocks' pre-compiled rows.
+            compiled = {e: e.timing_rows() for e in fresh if type(e) is Block}
+            glue = np.fromiter((e not in compiled for e in fresh), bool, len(fresh))
+            counts = [len(compiled[e].net) if e in compiled else len(e.sinks) for e in fresh]
+            at = [0, *accumulate(counts)]
+            mask = np.repeat(glue, counts)
 
-        def splice(column, compiled, old_at=nets_at, new_at=nets_at) -> list:
+            def spread(glue_rows, column):
+                out = np.empty(at[-1], dtype=np.int64)
+                out[mask] = glue_rows
+                for k, e in enumerate(fresh):
+                    if e in compiled:
+                        out[at[k]:at[k + 1]] = column(e, compiled[e])
+                return out
+
+            src = spread(src, lambda e, rows: rows.src + self.block_slot[e])
+            dst = spread(dst, lambda e, rows: rows.dst + self.block_slot[e])
+            rows_fanout = spread(rows_fanout, lambda e, rows: rows.fanout)
+
+        # Four ways to count along the old and the new entry lists: by
+        # entry, by row, by glue net, by glue row.
+        def counted(entries, weights) -> tuple[list[int], ...]:
+            is_glue = [type(e) is not Block for e in entries]
+            return (
+                range(len(entries) + 1),
+                [0, *accumulate(weights)],
+                [0, *accumulate(is_glue)],
+                [0, *accumulate(w if g else 0 for w, g in zip(weights, is_glue))],
+            )
+
+        old_at = counted(self.data_nets, self.net_fanout)
+        new_at = counted(fresh, counts)
+        cuts = [*(k for _, _, k in pieces[1:]), len(fresh)]
+        BY_ENTRY, BY_ROW, BY_GLUE_NET, BY_GLUE_ROW = range(4)
+
+        def splice(column, compiled, by) -> list:
+            old, new = old_at[by], new_at[by]
             parts = [column[:0]]
             for (a, b, k), until in zip(pieces, cuts):
-                parts.append(column[old_at[a]:old_at[b]])
-                parts.append(compiled[new_at[k]:new_at[until]])
+                parts.append(column[old[a]:old[b]])
+                parts.append(compiled[new[k]:new[until]])
             return parts
-
-        def rows(column, compiled) -> list:  # the same, for per-row columns
-            return splice(column, compiled, old_rows, new_rows)
 
         gone = np.ones(len(stale), dtype=bool)
         for a, b, _ in pieces:
-            gone[old_rows[a]:old_rows[b]] = False
+            gone[old_at[BY_ROW][a]:old_at[BY_ROW][b]] = False
         self._mark_dirty(self.r_dst[gone])
-        retime = np.concatenate(rows(stale, np.ones(len(flat), dtype=bool)))
-        self.r_delay = np.concatenate(rows(self.r_delay, np.zeros(len(flat))))
-        self.r_routed = np.concatenate(rows(self.r_routed, np.zeros(len(flat), dtype=bool)))
-        self.r_src = np.concatenate(rows(self.r_src, src))
-        self.r_dst = np.concatenate(rows(self.r_dst, dst))
-        self.r_sink = list(chain.from_iterable(rows(self.r_sink, flat)))
-        self.r_route = list(chain.from_iterable(rows(routes, _flat_routes(fresh, fanout))))
+        n_rows = new_at[BY_ROW][-1]
+        retime = np.concatenate(splice(stale, np.ones(n_rows, dtype=bool), BY_ROW))
+        self.r_delay = np.concatenate(splice(self.r_delay, np.zeros(n_rows), BY_ROW))
+        self.r_routed = np.concatenate(
+            splice(self.r_routed, np.zeros(n_rows, dtype=bool), BY_ROW))
+        self.r_src = np.concatenate(splice(self.r_src, src, BY_ROW))
+        self.r_dst = np.concatenate(splice(self.r_dst, dst, BY_ROW))
+        self.r_fanout = np.concatenate(splice(self.r_fanout, rows_fanout, BY_ROW))
+        self.r_sink = list(chain.from_iterable(splice(self.r_sink, flat, BY_GLUE_ROW)))
+        self.r_route = list(chain.from_iterable(
+            splice(routes, _flat_routes(nets, fanout), BY_GLUE_ROW)))
+        self.net_driver = list(chain.from_iterable(
+            splice(self.net_driver, drivers, BY_GLUE_NET)))
+        self.g_fanout = list(chain.from_iterable(splice(self.g_fanout, fanout, BY_GLUE_NET)))
+        self.net_fanout = list(chain.from_iterable(splice(self.net_fanout, counts, BY_ENTRY)))
         self.data_nets = data
-        self.net_driver = list(chain.from_iterable(splice(self.net_driver, drivers)))
-        self.net_fanout = list(chain.from_iterable(splice(self.net_fanout, fanout)))
-        width = np.concatenate(splice(np.diff(self.net_off), np.array(fanout, dtype=np.int64)))
+        width = np.array(self.net_fanout, dtype=np.int64)
         self.net_off = np.concatenate(([0], np.cumsum(width)))
         self.r_net = np.repeat(np.arange(len(data)), width)
+        is_glue = np.fromiter((type(e) is not Block for e in data), bool, len(data))
+        self.g_entry = np.flatnonzero(is_glue)
+        self.g_nets = [data[j] for j in self.g_entry.tolist()]
+        self.g_row = np.flatnonzero(is_glue[self.r_net])
+        self.b_entry = np.flatnonzero(~is_glue).tolist()
+        self.b_live = [data[j].n_nets for j in self.b_entry]
         # Nets with missing endpoints sit outside the memo (their error
         # status depends on routes and the cell set); recompile them
         # every sync so it never goes stale.  Valid designs have none.
@@ -358,11 +481,30 @@ class TimingGraph:
 
     def _time(self, rows: np.ndarray) -> None:
         """(Re)compute the delay of *rows*: the routed ones from a single
-        batched path measurement, the rest from the placement estimate."""
+        batched path measurement (per block: straight off its route
+        columns), the rest from the placement estimate."""
         if not rows.size:
             return
-        routes = self.r_route
-        picked = [routes[i] for i in rows.tolist()]
+        off = self.net_off
+        if self.b_entry:
+            glue_row = np.full(len(self.r_net), -1, dtype=np.int64)
+            glue_row[self.g_row] = np.arange(len(self.g_row))
+            in_block = glue_row[rows] < 0
+            for j in np.unique(self.r_net[rows[in_block]]).tolist():
+                block = self.data_nets[j]       # compiled whole, so timed whole
+                timing = block.timing_rows()
+                tiles, crossings = self.graph.path_metrics_csr(
+                    block.route_nodes(), timing.start, timing.length
+                )
+                self.r_delay[off[j]:off[j + 1]] = self.delays.routed_delays_ps(
+                    tiles, crossings, timing.fanout
+                )
+                self.r_routed[off[j]:off[j + 1]] = True
+                self.memo_misses += len(tiles)
+            rows = rows[~in_block]
+            picked = [self.r_route[i] for i in glue_row[rows].tolist()]
+        else:
+            picked = [self.r_route[i] for i in rows.tolist()]
         routed = np.fromiter(map(is_not, picked, repeat(None)), bool, len(picked))
         if self.graph is None:
             routed[:] = False
@@ -374,14 +516,46 @@ class TimingGraph:
             tiles, crossings = self.graph.path_metrics_batch(
                 list(compress(picked, hot.tolist()))
             )
-            fanout = np.diff(self.net_off)[self.r_net[rows[hot]]]
-            self.r_delay[rows[hot]] = self.delays.routed_delays_ps(tiles, crossings, fanout)
-        cold = rows[live & ~routed]
-        off = self.net_off
-        for i, j in zip(cold.tolist(), self.r_net[cold].tolist()):
-            self.r_delay[i] = self.delays.net_delay_ps(
-                self.design, self.data_nets[j], i - int(off[j]), self.device, self.graph
+            self.r_delay[rows[hot]] = self.delays.routed_delays_ps(
+                tiles, crossings, self.r_fanout[rows[hot]]
             )
+        cold = rows[live & ~routed]
+        if not cold.size:
+            return
+        if self.delays._overrides("net_delay_ps"):
+            for i, j in zip(cold.tolist(), self.r_net[cold].tolist()):
+                self.r_delay[i] = self.delays.net_delay_ps(
+                    self.design, self.data_nets[j], i - int(off[j]), self.device, self.graph
+                )
+            return
+        # DelayModel.net_delay_ps of an unrouted connection, from the
+        # endpoint placements the graph already tracks.
+        for i, s, d, f in zip(cold.tolist(), self.r_src[cold].tolist(),
+                              self.r_dst[cold].tolist(), self.r_fanout[cold].tolist()):
+            self.r_delay[i] = self.delays.estimated_net_delay_ps(
+                self.device, self._cell(s)[2], self._cell(d)[2], f
+            )
+
+    def _cell(self, slot: int) -> tuple:
+        """``(name, ctype, placement as of the last sync)`` of a slot."""
+        k = slot
+        if self.block_slot:
+            k = int(np.searchsorted(self.g_slot, slot))
+            if k == len(self.g_slot) or self.g_slot[k] != slot:
+                for block, first in self.block_slot.items():
+                    if first <= slot < first + block.n_cells:
+                        return block.describe_cell(slot - first)
+        return self.g_names[k], self.g_cells[k].ctype, self.cell_pl[k]
+
+    def _cell_name(self, slot: int) -> str:
+        return self._cell(slot)[0]
+
+    def _net_name(self, row: int) -> str:
+        j = int(self.r_net[row])
+        entry = self.data_nets[j]
+        if type(entry) is not Block:
+            return entry.name
+        return entry.net_names([entry.timing_rows().net[row - int(self.net_off[j])]])[0]
 
     def _mark_dirty(self, slots: np.ndarray) -> None:
         """Queue the combinational cells among *slots* for repropagation."""
@@ -395,7 +569,7 @@ class TimingGraph:
         if self._adj is None:
             src, dst = self.r_src, self.r_dst
             live = np.flatnonzero((src >= 0) & (dst >= 0))
-            slots = np.arange(len(self.cell_objs) + 1)
+            slots = np.arange(len(self.cell_seq) + 1)
             by_dst = live[np.argsort(dst[live], kind="stable")]
             by_src = live[np.argsort(src[live], kind="stable")]
             self._adj = (
@@ -418,7 +592,7 @@ class TimingGraph:
             # (combinational_loops) still work.
             bad = orphan[~(self.r_routed[orphan] & self.cell_seq[dst[orphan]])]
             if bad.size:
-                raise KeyError(self.net_driver[self.r_net[bad[0]]])
+                raise KeyError(self.data_nets[self.r_net[bad[0]]].driver)
         seeds = self.pending_dirty
         self.pending_dirty = set()
         if not seeds:
@@ -443,8 +617,6 @@ class TimingGraph:
         best = self.best_pred
         logic = self.cell_logic
         delay = self.r_delay
-        nets = self.data_nets
-        r_net = self.r_net
         processed = 0
         while queue:
             c = queue.popleft()
@@ -454,12 +626,13 @@ class TimingGraph:
                 # Same strict first-max-wins scan as the reference's
                 # _worst_arrival, over the row-ordered fan-in.
                 worst = 0.0
-                pred = None
+                via = -1
                 for e in fan_in[in_off[c]:in_off[c + 1]]:
                     arr = out[src[e]] + delay[e]
                     if arr > worst:
                         worst = arr
-                        pred = (src[e], nets[r_net[e]].name)
+                        via = e
+                pred = (src[via], self._net_name(via)) if via >= 0 else None
                 new = worst + logic[c]
                 if new != out[c] or pred != best.get(c):
                     out[c] = new
@@ -477,7 +650,7 @@ class TimingGraph:
                     if indeg[d] == 0:
                         queue.append(d)
         if processed < len(cone):
-            self._raise_loop([self.cell_names[c] for c in cone if indeg[c] > 0])
+            self._raise_loop([self._cell_name(c) for c in cone if indeg[c] > 0])
         return processed
 
     def _raise_loop(self, unresolved: list[str]) -> None:
@@ -497,7 +670,7 @@ class TimingGraph:
 
     def report(self) -> TimingReport:
         """Endpoint scan + path reconstruction, reference iteration order."""
-        names = self.cell_names
+        name = self._cell_name
         out = self.out_time
         src, dst = self.r_src, self.r_dst
         live = np.flatnonzero((src >= 0) & (dst >= 0))
@@ -513,14 +686,12 @@ class TimingGraph:
         # already), take the first one of the earliest sink.
         tied = ends[total == worst]
         row = int(tied[np.argmin(dst[tied])])
-        path: list[tuple[str, str | None]] = [
-            (names[dst[row]], self.data_nets[self.r_net[row]].name)
-        ]
+        path: list[tuple[str, str | None]] = [(name(int(dst[row])), self._net_name(row))]
         cursor = int(src[row])
         guard = 0
-        while cursor >= 0 and guard < len(names) + 1:
+        while cursor >= 0 and guard < len(out) + 1:
             pred = self.best_pred.get(cursor)
-            path.append((names[cursor], pred[1] if pred else None))
+            path.append((name(cursor), pred[1] if pred else None))
             cursor = pred[0] if pred else -1
             guard += 1
         path.reverse()

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..fabric.device import Device, TILE_FOR_CELL
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
@@ -37,10 +39,24 @@ class PipelineResult:
         return self.after.fmax_mhz / self.before.fmax_mhz if self.before.fmax_mhz else 1.0
 
 
+class _SiteGrid:
+    """Occupied sites as an ``(ncols, nrows)`` mask that answers ``in``
+    like the set of ``(col, row)`` tuples it stands for — filled from
+    placement columns, with no tuple per placed cell."""
+
+    def __init__(self, device: Device, placed, col, row) -> None:
+        self.mask = np.zeros((device.ncols, device.nrows), dtype=bool)
+        ok = placed & (col >= 0) & (col < device.ncols) & (row >= 0) & (row < device.nrows)
+        self.mask[col[ok], row[ok]] = True   # off-grid cells block no site
+
+    def __contains__(self, site: tuple[int, int]) -> bool:
+        return bool(self.mask[site])
+
+
 def _free_site_near(
-    device: Device, occupied: set[tuple[int, int]], near: tuple[int, int], ctype: str
+    device: Device, occupied, near: tuple[int, int], ctype: str
 ) -> tuple[int, int] | None:
-    """Closest unoccupied site of *ctype* to *near* (ring search)."""
+    """Closest site of *ctype* to *near* not ``in`` *occupied* (ring search)."""
     want_tile = TILE_FOR_CELL[ctype]
     cols = device.columns_of(want_tile)
     if cols.size == 0:
@@ -88,32 +104,32 @@ def pipeline_to_target(
         )
     before = session.analyze()
     report = before
-    occupied = {c.placement for c in design.cells.values() if c.is_placed}
-    clock_nets = [n for n in design.nets.values() if n.is_clock]
+    # Sites, endpoints and clock nets are read without asking the design
+    # for its objects: on a stitched design only the glue is walked.
+    cells = design.cell_table()
+    occupied = _SiteGrid(device, cells.placed, cells.col, cells.row)
+    clock_nets = design.clock_nets()
     inserted = 0
 
     while report.period_ps > target_period_ps and inserted < max_regs:
         hop = _worst_splittable_hop(design, report)
         if hop is None:
             break
-        net = design.nets[hop]
-        src = design.cells[net.driver]
+        net = design.loose_net(hop)
+        src = design.placement_of(net.driver)
         # Place the register near the midpoint of the worst hop.
-        sink_cell = design.cells[net.sinks[0]]
-        if src.is_placed and sink_cell.is_placed:
-            mid = (
-                (src.placement[0] + sink_cell.placement[0]) // 2,
-                (src.placement[1] + sink_cell.placement[1]) // 2,
-            )
+        sink = design.placement_of(net.sinks[0])
+        if src is not None and sink is not None:
+            mid = ((src[0] + sink[0]) // 2, (src[1] + sink[1]) // 2)
         else:
-            mid = src.placement or sink_cell.placement or (0, 0)
+            mid = src or sink or (0, 0)
         site = _free_site_near(device, occupied, mid, "SLICE")
         reg_name = f"pipe_reg_{inserted}_{net.name.replace('/', '.')}"
         ffs = min(net.width, 16)
         design.new_cell(reg_name, "SLICE", luts=0, ffs=ffs,
                         placement=site, comb_depth=1, seq=True)
         if site is not None:
-            occupied.add(site)
+            occupied.mask[site] = True
         # Split: driver -> reg, reg -> original sinks.  The original net
         # object is detached untouched so a revert can restore it exactly
         # (routes, width, flags included); add_sink only appends to a
@@ -121,7 +137,7 @@ def pipeline_to_target(
         saved_net = net
         sinks = list(net.sinks)
         clock_state = [(c, len(c.sinks), len(c.routes)) for c in clock_nets]
-        del design.nets[net.name]
+        design.remove_net(net.name)
         design.connect(net.name + "__a", net.driver, [reg_name], width=net.width)
         design.connect(net.name + "__b", reg_name, sinks, width=net.width)
         for cnet in clock_nets:
@@ -130,11 +146,11 @@ def pipeline_to_target(
         if new_report.period_ps >= report.period_ps - 1e-9:
             # No progress (e.g. an I/O-crossing penalty no register removes):
             # revert the split and stop rather than thrash.
-            del design.nets[saved_net.name + "__a"]
-            del design.nets[saved_net.name + "__b"]
-            del design.cells[reg_name]
+            design.remove_net(saved_net.name + "__a")
+            design.remove_net(saved_net.name + "__b")
+            design.remove_cell(reg_name)
             if site is not None:
-                occupied.discard(site)
+                occupied.mask[site] = False
             for cnet, n_sinks, n_routes in clock_state:
                 del cnet.sinks[n_sinks:]
                 del cnet.routes[n_routes:]
@@ -151,7 +167,7 @@ def _worst_splittable_hop(design: Design, report: TimingReport) -> str | None:
     """Pick the unlocked net on the critical path with the longest hop."""
     candidates = [net for _cell, net in report.critical_path if net is not None]
     for net_name in reversed(candidates):
-        net = design.nets.get(net_name)
+        net = design.loose_net(net_name)  # a net inside a placed block is locked
         if net is None or net.locked or net.is_clock or net.driver is None:
             continue
         if not net.sinks:
