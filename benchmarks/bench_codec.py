@@ -5,7 +5,9 @@ pre-implemented build (results keyed by name in ``BENCH_codec.json``):
 ``ComponentDatabase.fetch(sig, anchor)`` materializing every component
 of the model at several legal anchors from the record's columnar image
 (decode once per signature, then array-level offset arithmetic per
-copy), versus the declared oracle — a fresh copy of the checkpoint
+copy; ``fetch`` returns a block-backed design, so each copy's ``cells``
+are touched inside the timed region to make it build them), versus the
+declared oracle — a fresh copy of the checkpoint
 through :func:`repro.rapidwright.module.relocate_reference` (serialize,
 parse, shift: the dict-codec round trip).  Every fetched copy is
 asserted **bit-identical** to the oracle's (canonical JSON of
@@ -109,7 +111,9 @@ def bench_fetch(name, w, reps):
 
     def fast_fetch():
         for sig, anchor in jobs:
-            db.fetch(sig, anchor, device=device)
+            # fetch defers the objects to the first access; the oracle builds
+            # them, so ask for them here or the gate times a no-op against it
+            len(db.fetch(sig, anchor, device=device).cells)
 
     def ref_fetch():
         for sig, anchor in jobs:

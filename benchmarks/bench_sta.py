@@ -10,6 +10,14 @@ helps and finishes with one reverted attempt) with two timing backends:
 * **ref** — :func:`repro.timing.analyze_reference` re-run from scratch
   after every edit, the way the loop worked before sessions existed.
 
+Both backends run on **flat** designs (objects, rebuilt per repetition
+with ``design_from_dict``): what is measured is the session's object
+diff.  A block-backed design — the stitched top as the flow holds it
+since PR 23, whose placed components the graph compiles as pre-built
+runs of rows — is not benchmarked here; its cost is the
+``timing.IncrementalSta.analyze`` row of the end-to-end ledger and its
+equality to this path ``tests/test_block_design.py``.
+
 Every workload asserts the two backends produce **bit-identical**
 reports (period, critical path, ``n_paths``) at every step before any
 timing is taken, so the speedup can never come from divergence.

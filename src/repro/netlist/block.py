@@ -30,6 +30,8 @@ objects, which is always right.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -422,65 +424,75 @@ class Block:
 # -- whole-design column views -------------------------------------------------
 
 
+def _cat(columns: list, dtype) -> np.ndarray:
+    return np.concatenate(columns) if columns else np.zeros(0, dtype=dtype)
+
+
 class CellTable:
     """Columns over every cell of a design, in ``design.cells`` order.
 
     ``placed`` / ``col`` / ``row`` (0 where unplaced), ``kind`` as a code
-    into ``kinds`` (type names), ``seq``.  :meth:`describe` resolves the
-    few rows a report needs back to ``(name, ctype, placement)`` — the
-    placement *object* for a cell that exists as one, so a message reads
-    exactly as the per-cell loop printed it.
+    into ``kinds`` (type names), ``seq`` — each built on first use.
+    :meth:`describe` resolves the few rows a report needs back to
+    ``(name, ctype, placement)`` — the placement *object* for a cell that
+    exists as one, so a message reads exactly as the per-cell loop
+    printed it.
     """
-
-    __slots__ = ("placed", "col", "row", "kind", "kinds", "seq", "_parts", "_starts")
 
     def __init__(self, parts: list) -> None:
         """*parts*: :meth:`Design.cell_parts`."""
-        kinds: dict[str, int] = {}
-        placed, col, row, kind, seq, starts = [], [], [], [], [], []
-        n = 0
-        parts = [p if type(p) is Block else list(p.values()) for p in parts]
-        for part in parts:
-            starts.append(n)
+        self._parts = [p if type(p) is Block else list(p.values()) for p in parts]
+        self._starts = [0, *accumulate(
+            p.n_cells if type(p) is Block else len(p) for p in self._parts)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    @cached_property
+    def _sites(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        placed, col, row = [], [], []
+        for part in self._parts:
             if type(part) is Block:
                 p, c, r = part.sites()
-                codes, table = part.kinds()
-                remap = np.array([kinds.setdefault(t, len(kinds)) for t in table],
-                                 dtype=np.int64)
-                placed.append(p)
-                col.append(c)
-                row.append(r)
-                kind.append(remap[codes])
-                seq.append(part.seq())
-                n += part.n_cells
             else:
-                sites = [c.placement for c in part]
+                sites = [cell.placement for cell in part]
                 p = np.fromiter((s is not None for s in sites), bool, len(part))
-                placed.append(p)
-                col.append(np.array([s[0] if s is not None else 0 for s in sites],
-                                    dtype=np.int64))
-                row.append(np.array([s[1] if s is not None else 0 for s in sites],
-                                    dtype=np.int64))
+                c = np.array([s[0] if s is not None else 0 for s in sites], dtype=np.int64)
+                r = np.array([s[1] if s is not None else 0 for s in sites], dtype=np.int64)
+            placed.append(p)
+            col.append(c)
+            row.append(r)
+        return _cat(placed, bool), _cat(col, np.int64), _cat(row, np.int64)
+
+    placed = property(lambda self: self._sites[0])
+    col = property(lambda self: self._sites[1])
+    row = property(lambda self: self._sites[2])
+
+    @cached_property
+    def _kinds(self) -> tuple[np.ndarray, list[str]]:
+        kinds: dict[str, int] = {}
+        kind = []
+        for part in self._parts:
+            if type(part) is Block:
+                codes, table = part.kinds()
+                kind.append(np.array([kinds.setdefault(t, len(kinds)) for t in table],
+                                     dtype=np.int64)[codes])
+            else:
                 kind.append(np.fromiter(
                     (kinds.setdefault(c.ctype, len(kinds)) for c in part),
                     np.int64, len(part)))
-                seq.append(np.fromiter((bool(c.seq) for c in part), bool, len(part)))
-                n += len(part)
-        self._parts = parts
-        self._starts = starts
+        return _cat(kind, np.int64), list(kinds)
 
-        def cat(columns, dtype):
-            return np.concatenate(columns) if columns else np.zeros(0, dtype=dtype)
+    kind = property(lambda self: self._kinds[0])
+    kinds = property(lambda self: self._kinds[1])
 
-        self.placed = cat(placed, bool)
-        self.col = cat(col, np.int64)
-        self.row = cat(row, np.int64)
-        self.kind = cat(kind, np.int64)
-        self.seq = cat(seq, bool)
-        self.kinds = list(kinds)
-
-    def __len__(self) -> int:
-        return len(self.placed)
+    @cached_property
+    def seq(self) -> np.ndarray:
+        return _cat([
+            part.seq() if type(part) is Block
+            else np.fromiter((bool(c.seq) for c in part), bool, len(part))
+            for part in self._parts
+        ], bool)
 
     def describe(self, index: int) -> tuple[str, str, object]:
         k = bisect_right(self._starts, index) - 1
@@ -489,13 +501,6 @@ class CellTable:
             return part.describe_cell(local)
         cell = part[local]
         return cell.name, cell.ctype, cell.placement
-
-    def names(self) -> list[str]:
-        """Every cell name, in order."""
-        out: list[str] = []
-        for part in self._parts:
-            out += part.cell_names() if type(part) is Block else [c.name for c in part]
-        return out
 
 
 class NetTable:

@@ -215,6 +215,9 @@ def compose_shared(
     top = Design(name)
     result = StitchResult(top=top)
 
+    # Every instance is built once — the scheduler as relocate()'s copy,
+    # renamed in place; an engine straight from its columnar template, at
+    # its anchor and under its instance names — and moved into the top.
     footprints: dict[str, list[int]] = {}
     sched = relocate(scheduler, device, anchors["scheduler"])
     if sched.pblock is not None:
@@ -222,7 +225,9 @@ def compose_shared(
             sched.pblock.col0, sched.pblock.row0,
             sched.pblock.col1, sched.pblock.row1,
         ]
-    sched_map = top.instantiate(sched, prefix="scheduler", module="scheduler")
+    n_sched_cells = len(sched.cells)
+    sched.prefix_names("scheduler")
+    sched_map = top.adopt(sched)
     sched_in_net = top.nets[sched_map["in_data"]]
     sched_out_net = top.nets[sched_map["out_data"]]
     sched_entry = sched_in_net.sinks[0]
@@ -235,7 +240,7 @@ def compose_shared(
             signature=("scheduler",),
             anchor=anchors["scheduler"],
             fmax_ooc_mhz=sched.metadata.get("ooc", {}).get("fmax_mhz", 0.0),
-            n_cells=len(sched.cells),
+            n_cells=n_sched_cells,
         )
     )
 
@@ -243,22 +248,24 @@ def compose_shared(
         anchor = anchors.get(comp.name)
         if anchor is None:
             raise DesignError(f"no anchor assigned for shared component {comp.name}")
-        module = database.fetch(comp.signature, anchor, device=device)
+        module = database.fetch(
+            comp.signature, anchor, device=device, instance=comp.name
+        )
         if module.pblock is not None:
             footprints[comp.name] = [
                 module.pblock.col0, module.pblock.row0,
                 module.pblock.col1, module.pblock.row1,
             ]
-        portmap = top.instantiate(module, prefix=comp.name, module=comp.name)
         result.records.append(
             StitchRecord(
                 name=comp.name,
                 signature=comp.signature,
                 anchor=anchor,
                 fmax_ooc_mhz=module.metadata.get("ooc", {}).get("fmax_mhz", 0.0),
-                n_cells=len(module.cells),
+                n_cells=module.n_cells,
             )
         )
+        portmap = top.adopt(module)
         # star stitching through the scheduler: engine <-> scheduler
         out_net = top.nets[portmap["out_data"]]
         in_net = top.nets[portmap["in_data"]]

@@ -70,7 +70,7 @@ reference (``KeyError``).
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import is_not
 
 import numpy as np
@@ -202,8 +202,10 @@ class TimingGraph:
         # Cells: appended entries extend the columns, anything else recompiles.
         names: list = []
         cells: list = []
+        block_at: list[int] = []                 # which entries are blocks
         for part in design.cell_parts():
             if type(part) is Block:
+                block_at.append(len(cells))
                 names.append(part.instance)
                 cells.append(part)
             else:
@@ -215,7 +217,7 @@ class TimingGraph:
             n0 = 0
             structural = True
         if len(cells) > n0:
-            self._add_cells(names[n0:], cells[n0:])
+            self._add_cells(names[n0:], cells[n0:], [k - n0 for k in block_at if k >= n0])
             structural = True
         stale = np.zeros(len(self.r_net), dtype=bool)  # rows to re-time
         placements = [c.placement for c in self.g_cells]
@@ -321,30 +323,22 @@ class TimingGraph:
         if structural:
             self.topo_rev += 1
 
-    def _add_cells(self, names: list, entries: list) -> None:
-        """Append slots for *entries* (glue cells and whole blocks)."""
-        base = len(self.cell_seq)
+    def _add_cells(self, names: list, entries: list, block_at: list[int]) -> None:
+        """Append slots for *entries*: glue cells, and at the positions
+        *block_at* whole blocks."""
+        n0 = base = len(self.cell_seq)
         self.cell_objs += entries
         self.cell_names += names
         seq_parts, logic_parts, setup_parts = [self.cell_seq], [self.cell_logic], [self.cell_setup]
         glue_slots = [self.g_slot]
         at = 0
-        for is_block, run in groupby(entries, key=lambda e: type(e) is Block):
-            run = list(run)
-            if is_block:
-                for block in run:
-                    self.block_slot[block] = base
-                    reps, which = block.delay_classes()
-                    logic, setup = self.delays.cell_delays_ps(reps)
-                    seq_parts.append(block.seq())
-                    logic_parts.append(logic[which])
-                    setup_parts.append(setup[which])
-                    base += block.n_cells
-            else:
+        for k in [*block_at, len(entries)]:
+            run = entries[at:k]                  # the glue cells before the next block
+            if run:
                 slots = range(base, base + len(run))
-                self.cell_index.update(zip(names[at:at + len(run)], slots))
+                self.cell_index.update(zip(names[at:k], slots))
                 self.g_cells += run
-                self.g_names += names[at:at + len(run)]
+                self.g_names += names[at:k]
                 self.cell_pl += [c.placement for c in run]
                 glue_slots.append(np.arange(base, base + len(run)))
                 logic, setup = self.delays.cell_delays_ps(run)
@@ -352,8 +346,16 @@ class TimingGraph:
                 logic_parts.append(logic)
                 setup_parts.append(setup)
                 base += len(run)
-            at += len(run)
-        n0 = len(self.cell_seq)
+            if k < len(entries):
+                block = entries[k]
+                self.block_slot[block] = base
+                reps, which = block.delay_classes()
+                logic, setup = self.delays.cell_delays_ps(reps)
+                seq_parts.append(block.seq())
+                logic_parts.append(logic[which])
+                setup_parts.append(setup[which])
+                base += block.n_cells
+            at = k + 1
         self.g_slot = np.concatenate(glue_slots)
         self.cell_seq = np.concatenate(seq_parts)
         self.cell_logic = np.concatenate(logic_parts)
@@ -420,18 +422,19 @@ class TimingGraph:
             rows_fanout = spread(rows_fanout, lambda e, rows: rows.fanout)
 
         # Four ways to count along the old and the new entry lists: by
-        # entry, by row, by glue net, by glue row.
-        def counted(entries, weights) -> tuple[list[int], ...]:
+        # entry, by row, by glue net, by glue row (without blocks, two).
+        def counted(entries, weights, blocks: bool) -> tuple:
+            by_entry, by_row = range(len(entries) + 1), [0, *accumulate(weights)]
+            if not blocks:
+                return by_entry, by_row, by_entry, by_row
             is_glue = [type(e) is not Block for e in entries]
             return (
-                range(len(entries) + 1),
-                [0, *accumulate(weights)],
-                [0, *accumulate(is_glue)],
+                by_entry, by_row, [0, *accumulate(is_glue)],
                 [0, *accumulate(w if g else 0 for w, g in zip(weights, is_glue))],
             )
 
-        old_at = counted(self.data_nets, self.net_fanout)
-        new_at = counted(fresh, counts)
+        old_at = counted(self.data_nets, self.net_fanout, bool(self.b_entry))
+        new_at = counted(fresh, counts, len(nets) < len(fresh))
         cuts = [*(k for _, _, k in pieces[1:]), len(fresh)]
         BY_ENTRY, BY_ROW, BY_GLUE_NET, BY_GLUE_ROW = range(4)
 
@@ -466,12 +469,16 @@ class TimingGraph:
         width = np.array(self.net_fanout, dtype=np.int64)
         self.net_off = np.concatenate(([0], np.cumsum(width)))
         self.r_net = np.repeat(np.arange(len(data)), width)
-        is_glue = np.fromiter((type(e) is not Block for e in data), bool, len(data))
-        self.g_entry = np.flatnonzero(is_glue)
-        self.g_nets = [data[j] for j in self.g_entry.tolist()]
-        self.g_row = np.flatnonzero(is_glue[self.r_net])
-        self.b_entry = np.flatnonzero(~is_glue).tolist()
-        self.b_live = [data[j].n_nets for j in self.b_entry]
+        if self.b_entry or len(nets) < len(fresh):
+            is_glue = np.fromiter((type(e) is not Block for e in data), bool, len(data))
+            self.g_entry = np.flatnonzero(is_glue)
+            self.g_nets = [data[j] for j in self.g_entry.tolist()]
+            self.g_row = np.flatnonzero(is_glue[self.r_net])
+            self.b_entry = np.flatnonzero(~is_glue).tolist()
+            self.b_live = [data[j].n_nets for j in self.b_entry]
+        else:
+            self.g_entry, self.g_nets = np.arange(len(data)), data
+            self.g_row = np.arange(len(self.r_net))
         # Nets with missing endpoints sit outside the memo (their error
         # status depends on routes and the cell set); recompile them
         # every sync so it never goes stale.  Valid designs have none.

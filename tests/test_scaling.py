@@ -18,12 +18,22 @@ import gc
 import time
 
 import numpy as np
+import pytest
 
+from repro.cnn import group_components, lenet5, vgg16
+from repro.cnn.graph import Component
 from repro.eco import DesignDelta, LayerReplace, apply_delta
-from repro.fabric import Device, PBlock, TileType, auto_pblock
-from repro.netlist import Design
-from repro.netlist.net import Net
+from repro.fabric import Device, PBlock, RoutingGraph, TileType, auto_pblock
+from repro.netlist import Design, encode_design
+from repro.netlist.codec import TELEMETRY
+from repro.netlist.net import Net, Port
 from repro.place import PlacementProblem, legalize, total_hpwl
+from repro.rapidwright import ComponentDatabase, PreImplementedFlow
+from repro.rapidwright.stitcher import compose
+from repro.route.maze import direct_path
+from repro.route.native import native_available
+from repro.route.pathfinder import Router, routed_occupancy
+from repro.timing import IncrementalSta
 
 DEVICE = Device.from_name("ku5p-like")
 GROWTH = 4
@@ -155,3 +165,112 @@ def test_layer_swap_under_a_20k_sink_clock_net_within_budget():
     assert len(_swap_case(20_000)[0].nets["clk"].sinks) == 22_000
     spent = _cpu_s(lambda: _swap_case(20_000), _swap, samples=3, fresh=True)
     assert spent < 0.25, f"layer swap took {spent:.3f} s of CPU"
+
+
+# -- the online phase over placed blocks -----------------------------------------------
+#
+# ``compose``, ``TimingGraph.sync``, ``routed_occupancy`` and
+# ``encode_design`` on a synthetic three-instance stitched design whose
+# component has N cells and 4N cells: routed, locked and relocatable like
+# a pre-implemented one, so each function is measured on the placed
+# blocks it meets in the flow and — flattened first — on the objects.
+
+GRAPH = RoutingGraph(DEVICE)
+WIDTH = 180     # CLB columns a synthetic component spreads over
+
+
+def _component(n: int) -> Design:
+    rows = DEVICE.nrows
+    sites = [(CLB[i % WIDTH], i // WIDTH) for i in range(n)]
+    design = Design("syn", pblock=PBlock(CLB[0], 0, CLB[WIDTH - 1], (n - 1) // WIDTH))
+    for i, site in enumerate(sites):
+        design.new_cell(f"c{i}", "SLICE", luts=1, ffs=1, placement=site, locked=True)
+    node = lambda site: site[0] * rows + site[1]
+    for i in range(n - 1):
+        net = design.connect(f"n{i}", f"c{i}", [f"c{i + 1}"], width=1 + i % 16, locked=True)
+        net.routes = [direct_path(node(sites[i]), node(sites[i + 1]), rows)]
+    design.connect("in_net", None, ["c0"], width=16)
+    design.connect("out_net", f"c{n - 1}", [], width=16)
+    design.connect("clk_net", None, [f"c{i}" for i in range(n)], is_clock=True)
+    design.add_port(Port("in_data", "in", "in_net", width=16))
+    design.add_port(Port("out_data", "out", "out_net", width=16))
+    design.add_port(Port("clk", "in", "clk_net"))
+    return design
+
+
+def _stitch_case(n: int):
+    database = ComponentDatabase(DEVICE)
+    database.put(("syn", n), _component(n), fmax_mhz=500.0)
+    comps = [Component(f"u{k}", [], "syn", ("syn", n), (), ()) for k in range(3)]
+    height = (n - 1) // WIDTH + 1
+    anchors = {c.name: (CLB[0], k * height) for k, c in enumerate(comps)}
+    return comps, database, anchors
+
+
+def _stitched(n: int, form: str):
+    comps, database, anchors = _stitch_case(n)
+    top = compose("top", comps, database, DEVICE, anchors).top
+    assert len(top.blocks) == 3
+    if form == "flat":
+        top.cells
+    return top
+
+
+def test_compose_is_linear():
+    _assert_linear(_stitch_case, lambda s: compose("top", s[0], s[1], DEVICE, s[2]), 4_000)
+
+
+FORMS = pytest.mark.parametrize("form", ["blocks", "flat"])
+
+
+@FORMS
+def test_timing_resync_after_one_net_edit_is_linear(form):
+    def prepare(n):
+        top = _stitched(n, form)
+        Router(DEVICE, GRAPH).route(top)
+        session = IncrementalSta(top, DEVICE, GRAPH)
+        session.analyze()
+        (net,) = [x for x in top.loose_nets() if x.name.startswith("u1__")]
+        return top, session, net
+
+    def resync(state):
+        top, session, net = state
+        net.routes[0] = list(net.routes[0])     # a re-routed connection
+        session._tg.sync()
+        assert bool(top.blocks) == (form == "blocks")
+
+    _assert_linear(prepare, resync, 4_000)
+
+
+@FORMS
+def test_routed_occupancy_is_linear(form):
+    _assert_linear(lambda n: _stitched(n, form), lambda top: routed_occupancy(top, GRAPH), 4_000)
+
+
+@FORMS
+def test_encode_design_is_linear(form):
+    _assert_linear(lambda n: _stitched(n, form), encode_design, 4_000)
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_online_phase_builds_no_objects_until_asked(model):
+    """By count, not time: a whole flow run plus the encoder materializes
+    nothing; the first ``design.cells`` materializes each component once."""
+    net, kwargs = {
+        "lenet5": (lenet5(), {}),
+        "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
+    }[model]
+    flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
+    database, _ = flow.build_database(net, **kwargs)
+    TELEMETRY.reset()
+    result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+    blob = encode_design(result.design)
+    assert "materialize" not in TELEMETRY.snapshot()
+    n_components = len(group_components(net, kwargs.get("granularity", "layer")))
+    assert len(result.design.cells) == sum(
+        r.n_cells for r in result.extras["stitch"].records
+    ) + result.extras["pipeline"].inserted
+    assert TELEMETRY.snapshot()["materialize"][1] == n_components
+    assert encode_design(result.design) == blob
