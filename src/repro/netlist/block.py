@@ -29,7 +29,7 @@ objects, which is always right.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -55,14 +55,13 @@ def _bare_names(image) -> tuple[list[str], list[str]]:
             list(map(sget, image.net_name.tolist())))
 
 
-def _cell_rows(image) -> dict[str, int]:
-    names = image.derived("names", _bare_names)[0]
-    return dict(zip(names, range(len(names))))
-
-
-def _net_rows(image) -> dict[str, int]:
-    names = image.derived("names", _bare_names)[1]
-    return dict(zip(names, range(len(names))))
+def _name_order(image) -> tuple[np.ndarray, np.ndarray]:
+    """Cell rows and net rows sorted by name: a name is found by
+    bisection, at four bytes a row where a dict would cost sixty."""
+    return tuple(
+        np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int32)
+        for names in image.derived("names", _bare_names)
+    )
 
 
 def _kinds(image) -> tuple[np.ndarray, list[str]]:
@@ -71,7 +70,7 @@ def _kinds(image) -> tuple[np.ndarray, list[str]]:
         image.cell_ctype, return_index=True, return_inverse=True
     )
     order = np.argsort(first, kind="stable")          # table in first-appearance order
-    rank = np.empty(len(order), dtype=np.int64)
+    rank = np.empty(len(order), dtype=np.int16)
     rank[order] = np.arange(len(order))
     return rank[codes], [image.strings[i] for i in index[order].tolist()]
 
@@ -103,7 +102,7 @@ def _delay_classes(image) -> tuple[list, np.ndarray]:
                                 return_inverse=True)
     cells = [Cell(f"<{table[kind[i]]}:{depth[i]}>", table[kind[i]], comb_depth=int(depth[i]))
              for i in first.tolist()]
-    return cells, which
+    return cells, which.astype(np.int16)
 
 
 class _Edges(NamedTuple):
@@ -117,14 +116,8 @@ class _Edges(NamedTuple):
     length: np.ndarray      # nodes in it
 
 
-def _cell_of_string(image) -> np.ndarray:
-    row_of = np.full(len(image.strings), -1, dtype=np.int64)
-    row_of[image.cell_name] = np.arange(len(image.cell_name))
-    return row_of
-
-
 def _edges(image) -> _Edges:
-    row_of = _cell_of_string(image)
+    row_of = image.cell_of_string()
     nsinks = image.net_nsinks.astype(np.int64)
     data = (image.net_clock == 0) & (image.net_driver >= 0)
     owner = np.repeat(np.arange(len(nsinks)), nsinks)
@@ -132,10 +125,11 @@ def _edges(image) -> _Edges:
     net = owner[keep]
     lens = np.maximum(image.route_len, 0)
     starts = np.cumsum(lens) - lens
-    return _Edges(
+    # int32 throughout: the table lives as long as the database record
+    return _Edges(*(column.astype(np.int32) for column in (
         net, row_of[image.net_driver[net]], row_of[image.sink_name[keep]],
         nsinks[net], starts[keep], image.route_len[keep],
-    )
+    )))
 
 
 def sealed(image) -> bool:
@@ -157,7 +151,7 @@ def _sealed(image) -> bool:
         return False
     if (image.route_len == 0).any():
         return False
-    row_of = _cell_of_string(image)
+    row_of = image.cell_of_string()
     driven = image.net_driver >= 0
     if (row_of[image.sink_name] < 0).any() or (row_of[image.net_driver[driven]] < 0).any():
         return False
@@ -180,18 +174,19 @@ class _Wires(NamedTuple):
 
 def _wires(image) -> _Wires:
     edges = image.derived("edges", _edges)
-    flat = np.repeat(edges.start - np.cumsum(edges.length) + edges.length, edges.length)
+    ends = np.cumsum(edges.length, dtype=np.int64)
+    flat = np.repeat(edges.start - ends + edges.length, edges.length)
     flat += np.arange(flat.size)                       # node positions of every edge path
-    ends = np.cumsum(edges.length)
     interior = np.ones(flat.size, dtype=bool)          # endpoint tiles are pins, not wires
     interior[ends - edges.length] = False
     interior[ends - 1] = False
     node = image.route_node[flat[interior]]
     span = int(node.max()) + 1 if node.size else 1
-    pairs = np.unique(np.repeat(edges.net, edges.length)[interior] * span + node)
+    pairs = np.unique(
+        np.repeat(edges.net, edges.length)[interior].astype(np.int64) * span + node)
     return _Wires(
-        (pairs // span).astype(np.int32), pairs % span,
-        np.bincount(edges.net, minlength=len(image.net_name)),
+        (pairs // span).astype(np.int32), (pairs % span).astype(np.int32),
+        np.bincount(edges.net, minlength=len(image.net_name)).astype(np.int32),
     )
 
 
@@ -235,20 +230,25 @@ class Block:
 
     # -- names ---------------------------------------------------------------
 
-    def _row(self, name: str, rows) -> int | None:
+    def _row(self, name: str, which: int) -> int | None:
         if self.prefix:
             if not name.startswith(self.prefix):
                 return None
             name = name[len(self.prefix):]
-        return self.image.derived(rows.__name__, rows).get(name)
+        names = self.image.derived("names", _bare_names)[which]
+        order = self.image.derived("name_order", _name_order)[which]
+        k = bisect_left(order, name, key=names.__getitem__)
+        if k < len(order) and names[order[k]] == name:
+            return int(order[k])
+        return None
 
     def cell_row(self, name: str) -> int | None:
         """Row of the cell called *name* in the design, if it is here."""
-        return self._row(name, _cell_rows)
+        return self._row(name, 0)
 
     def net_row(self, name: str) -> int | None:
         """Row of the (still live) net called *name*, if it is here."""
-        row = self._row(name, _net_rows)
+        row = self._row(name, 1)
         return row if row is not None and self.net_live[row] else None
 
     def cell_names(self) -> list[str]:
@@ -389,13 +389,13 @@ class Block:
     def driver_column(self, cell_string: np.ndarray) -> np.ndarray:
         """Driver of every live net as a string index, given the string
         index of each of this block's cells (``-1``: no driver)."""
-        rows = self.image.derived("cell_of_string", _cell_of_string)
+        rows = self.image.cell_of_string()
         driver = self.net_column("net_driver")
         return np.where(driver >= 0, cell_string[rows[driver]], -1)
 
     def sink_column(self, cell_string: np.ndarray) -> np.ndarray:
         image = self.image
-        rows = image.derived("cell_of_string", _cell_of_string)
+        rows = image.cell_of_string()
         sinks = image.sink_name
         if not self.pristine:
             sinks = sinks[np.repeat(self.net_live, image.net_nsinks)]
@@ -417,7 +417,8 @@ class Block:
         """The block's ``(cells, nets)`` as objects (removed nets left out)."""
         live = None if self.pristine else self.net_live.tolist()
         return self.image.objects(
-            self.dcol, self.drow, self.nrows, instance=self.instance, live=live
+            self.dcol, self.drow, self.nrows, instance=self.instance, live=live,
+            cell_names=self.cell_names() if self.prefix else None,
         )
 
 

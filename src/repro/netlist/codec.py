@@ -27,7 +27,7 @@ import copy
 import numbers
 import struct
 import threading
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from time import perf_counter
 
 import numpy as np
@@ -775,11 +775,6 @@ class DesignImage:
             unplaced_idx = [i for i, flag in enumerate(placed) if not flag]
             for i in unplaced_idx:
                 placem0[i] = None
-            tiled = self.port_tile.tolist()
-            tiles0 = list(zip(self.port_col.tolist(), self.port_row.tolist()))
-            untiled_idx = [i for i, flag in enumerate(tiled) if not flag]
-            for i in untiled_idx:
-                tiles0[i] = None
             cell_rows = list(zip(
                 list(map(sget, self.cell_name.tolist())),
                 list(map(sget, self.cell_ctype.tolist())),
@@ -799,20 +794,32 @@ class DesignImage:
                 sink_spans,
                 route_spans,
             ))
-            port_rows = list(zip(
-                list(map(sget, self.port_name.tolist())),
-                [_DIR_NAME[i] for i in self.port_dir.tolist()],
-                list(map(sget, self.port_net.tolist())),
-                self.port_width.tolist(),
-                [_PROTO_NAME[i] for i in self.port_proto.tolist()],
-            ))
             proto = self._proto = (
                 cell_rows, placem0, unplaced_idx,
                 net_rows, sinks_flat, route_slices,
                 self.route_node.tolist(),
-                port_rows, tiles0, untiled_idx,
             )
         return proto
+
+    def _decoded_ports(self):
+        """The port rows of :meth:`_decoded`, cached on their own: a
+        :meth:`frame` needs them, and nothing else of the decode."""
+        def build(image):
+            sget = image.strings.__getitem__
+            tiles0 = list(zip(image.port_col.tolist(), image.port_row.tolist()))
+            untiled_idx = [i for i, flag in enumerate(image.port_tile.tolist()) if not flag]
+            for i in untiled_idx:
+                tiles0[i] = None
+            port_rows = list(zip(
+                list(map(sget, image.port_name.tolist())),
+                [_DIR_NAME[i] for i in image.port_dir.tolist()],
+                list(map(sget, image.port_net.tolist())),
+                image.port_width.tolist(),
+                [_PROTO_NAME[i] for i in image.port_proto.tolist()],
+            ))
+            return port_rows, tiles0, untiled_idx
+
+        return self.derived("ports", build)
 
     def derived(self, key: str, build):
         """``build(self)``, computed once per image and kept under *key*.
@@ -876,7 +883,7 @@ class DesignImage:
                 meta["ooc"]["pblock"] = [pb.col0, pb.row0, pb.col1, pb.row1]
         design.metadata = meta
 
-        port_rows, tiles, untiled_idx = self._decoded()[7:]
+        port_rows, tiles, untiled_idx = self._decoded_ports()
         if dcol or drow:
             tiles = list(zip((self.port_col + dcol).tolist(),
                              (self.port_row + drow).tolist()))
@@ -897,18 +904,30 @@ class DesignImage:
         design.ports = ports
         return design
 
+    def cell_of_string(self) -> np.ndarray:
+        """Cell row named by each string-table entry (``-1``: none)."""
+        def build(image):
+            row_of = np.full(len(image.strings), -1, dtype=np.int32)
+            row_of[image.cell_name] = np.arange(len(image.cell_name))
+            return row_of
+
+        return self.derived("cell_of_string", build)
+
     def objects(
         self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
-        instance: str | None = None, live=None,
+        instance: str | None = None, live=None, cell_names: list[str] | None = None,
     ) -> tuple[dict[str, Cell], dict[str, Net]]:
         """The copy's ``cells`` and ``nets`` dicts, freshly built.
 
         *live* (one truth value per net row) leaves out the nets a
-        block-backed design has since removed.
+        block-backed design has since removed; *cell_names* hands in the
+        instance-prefixed cell names where the caller already built them.
+        Under an *instance* prefix every net endpoint is the very string
+        object that names its cell, not a second concatenation of it.
         """
         t0 = perf_counter()
         (cell_rows, placem, unplaced_idx,
-         net_rows, sinks_flat, route_slices, nodes) = self._decoded()[:7]
+         net_rows, sinks_flat, route_slices, nodes) = self._decoded()
 
         # Relocation is vectorized adds on the columnar arrays; the
         # object loops below only assemble slots from decoded rows.
@@ -920,15 +939,28 @@ class DesignImage:
             nodes = (self.route_node + (dcol * nrows + drow)).tolist()
 
         prefix = None if instance is None else f"{instance}/"
+        drivers = repeat(None)
         if prefix is not None:
-            sinks_flat = [prefix + s for s in sinks_flat]
+            if cell_names is None:
+                cell_names = [prefix + row[0] for row in cell_rows]
+            names = [*cell_names, None]      # row -1 (no such cell) picks the None
+            row_of = self.cell_of_string()
+            driver = self.net_driver
+            drivers = map(names.__getitem__,
+                          np.where(driver >= 0, row_of[driver], -1).tolist())
+            sinks_flat = [
+                named or prefix + bare for named, bare in
+                zip(map(names.__getitem__, row_of[self.sink_name].tolist()), sinks_flat)
+            ]
+        else:
+            cell_names = repeat(None)
 
         new = object.__new__
         cells: dict[str, Cell] = {}
-        for row, pl in zip(cell_rows, placem):
+        for row, pl, prefixed in zip(cell_rows, placem, cell_names):
             name, ctype, locked, luts, ffs, depth, seq, module = row
             if prefix is not None:
-                name = prefix + name
+                name = prefixed
                 module = instance
             cell = new(Cell)
             cell.name = name
@@ -945,14 +977,15 @@ class DesignImage:
         # One flat pass over every route, then per-net list slices: the
         # inner lists are freshly built here, so each net owns its own.
         flat_routes = [None if s is None else nodes[s] for s in route_slices]
+        net_rows = zip(net_rows, drivers)
         if live is not None:
             net_rows = compress(net_rows, live)
         nets: dict[str, Net] = {}
-        for name, driver, width, is_clock, locked, (s0, s1), (r0, r1) in net_rows:
+        for (name, driver, width, is_clock, locked, (s0, s1), (r0, r1)), named in net_rows:
             if prefix is not None:
                 name = prefix + name
                 if driver is not None:
-                    driver = prefix + driver
+                    driver = named or prefix + driver
             net = new(Net)
             net.name = name
             net.driver = driver
