@@ -16,6 +16,10 @@ import numpy as np
 from .engine import rule
 from .violation import Severity
 
+#: The per-net loops the columnar fatal rules (NET-002/003/008) replaced,
+#: kept as their oracle: same ids, order and messages.
+ORACLE = "tests.test_block_design.fatal_rules_per_object"
+
 
 def _input_nets(design) -> set:
     return {p.net for p in design.ports.values() if p.direction == "in"}

@@ -13,6 +13,10 @@ import numpy as np
 from ..fabric.device import TILE_FOR_CELL
 from .engine import rule
 
+#: The per-cell loops the vectorised fatal rules (PLC-002..005) replaced,
+#: kept as their oracle: same ids, order and messages.
+ORACLE = "tests.test_block_design.fatal_rules_per_object"
+
 
 @rule("PLC-001", category="placement", severity="error", title="unplaced cell")
 def plc_unplaced(ctx, emit) -> None:

@@ -29,6 +29,7 @@ FAST_TIERS = (
     "repro.timing.incremental",
     "repro.eco.engine",
     "repro.netlist.codec",
+    "repro.netlist.block",
     "repro.rapidwright.database",
     "repro.rapidwright.stitcher",
     "repro.fabric.interconnect",

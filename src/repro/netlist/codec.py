@@ -24,6 +24,7 @@ which ``tests/test_property_codec.py`` asserts on random designs.
 from __future__ import annotations
 
 import copy
+import gc
 import numbers
 import struct
 import threading
@@ -926,6 +927,20 @@ class DesignImage:
         object that names its cell, not a second concatenation of it.
         """
         t0 = perf_counter()
+        # Tens of thousands of containers and not one of them garbage: the
+        # cyclic collector would run a few hundred passes over them (more
+        # than the construction itself costs) and find nothing.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            cells, nets = self._objects(dcol, drow, nrows, instance, live, cell_names)
+        finally:
+            if collecting:
+                gc.enable()
+        TELEMETRY.note("materialize", perf_counter() - t0)
+        return cells, nets
+
+    def _objects(self, dcol, drow, nrows, instance, live, cell_names):
         (cell_rows, placem, unplaced_idx,
          net_rows, sinks_flat, route_slices, nodes) = self._decoded()
 
@@ -995,7 +1010,6 @@ class DesignImage:
             net.is_clock = is_clock
             net.locked = locked
             nets[name] = net
-        TELEMETRY.note("materialize", perf_counter() - t0)
         return cells, nets
 
 

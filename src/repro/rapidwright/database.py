@@ -203,8 +203,12 @@ class ComponentDatabase:
             raise KeyError(f"no checkpoint for signature {signature!r}") from None
 
     def get(self, signature: tuple) -> Design:
-        """Fresh deep copy of the checkpoint for *signature*."""
-        return self.fetch(signature)
+        """Fresh deep copy of the checkpoint for *signature*, as objects
+        (:meth:`fetch` hands out the same copy with its objects still
+        pending; a caller of ``get`` is about to read or edit them)."""
+        design = self.fetch(signature)
+        design.cells  # materialize here, not inside whatever the caller times
+        return design
 
     def footprint(self, signature: tuple) -> Footprint:
         """Placement view of *signature*, read off the columnar image.

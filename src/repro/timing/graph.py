@@ -84,6 +84,11 @@ from .sta import TimingError, TimingReport, clock_terms, combinational_loops
 
 __all__ = ["TimingGraph"]
 
+#: Reference implementation every report of the compiled graph is asserted
+#: bit-identical to, whether it was compiled from objects or from placed
+#: blocks (oracle contract, lint rules ORC-001..003).
+ORACLE = "repro.timing.sta.analyze_reference"
+
 
 def _flat_routes(nets: list, fanout: list[int]) -> list:
     """``routes[i] if i < len(routes) else None`` of every sink, flattened."""

@@ -335,7 +335,7 @@ def test_unsealed_image_is_adopted_as_objects():
 FATAL = ("NET-002", "NET-003", "NET-008", "PLC-002", "PLC-003", "PLC-004", "PLC-005")
 
 
-def _oracle(design, device) -> dict[str, list[tuple]]:
+def fatal_rules_per_object(design, device) -> dict[str, list[tuple]]:
     """The seven fatal rules as the per-cell / per-net loops they were
     until PR 23: ``(kind, name, message, detail)`` in emission order."""
     out: dict[str, list[tuple]] = {rule: [] for rule in FATAL}
@@ -469,7 +469,7 @@ def test_vectorised_fatal_rules_equal_their_loops(seed):
 
     got = _vectorised(top, DEVICE)
     assert top.blocks, "the rules flattened the design"
-    want = _oracle(top, DEVICE)                   # touches top.cells: flat from here
+    want = fatal_rules_per_object(top, DEVICE)                   # touches top.cells: flat from here
     assert top.blocks == ()
     assert got == want
     assert _vectorised(top, DEVICE) == want       # the same form serves the flat design

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cnn import group_components
 from repro.fabric import Device, PBlock
 from repro.fabric.interconnect import HEX_REACH, RoutingGraph
+from repro.netlist.block import sealed
 from repro.netlist.codec import encode_design
 from repro.netlist.design import Design, DesignError
 from repro.rapidwright import ComponentDatabase, ComponentPlacer
@@ -46,6 +47,9 @@ def _library():
     comps = group_components(make_tiny_cnn(), "layer")
     database = ComponentDatabase(SMALL)
     database.build(comps, rom_weights=True, effort="low", seed=0)
+    # routed and locked throughout: compose() keeps every instance as a
+    # placed block, so what is compared below is the columnar path
+    assert all(sealed(record.image) for record in database.records.values())
     return database, comps
 
 
