@@ -311,9 +311,6 @@ class Block:
         return (image.net_driver[live] < 0, image.net_clock[live].astype(bool),
                 image.net_nsinks[live])
 
-    def live_net_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.net_live)
-
     def pins(self, row: int) -> tuple[str | None, list[str], int]:
         """``(driver, sinks, width)`` of net *row*."""
         image = self.image
@@ -352,9 +349,6 @@ class Block:
         """Every routed node of the image, shifted to this anchor."""
         return self.image.route_node + (self.dcol * self.nrows + self.drow)
 
-    def net_widths(self) -> np.ndarray:
-        return self.image.net_width
-
     def wire_use(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``(node, width, routed)``: one entry per distinct (live data
         net, interior routed node) with the width the router charges for
@@ -370,10 +364,12 @@ class Block:
 
     # -- re-encoding (DesignImage.from_design) --------------------------------
 
-    def cell_column(self, attr: str) -> np.ndarray:
+    def column(self, attr: str) -> np.ndarray:
+        """One image column as stored (``"cell_luts"``, ``"net_width"``, ...)."""
         return getattr(self.image, attr)
 
     def net_column(self, attr: str) -> np.ndarray:
+        """A per-net column, over the live nets only."""
         column = getattr(self.image, attr)
         return column if self.pristine else column[self.net_live]
 
@@ -508,43 +504,34 @@ class NetTable:
     """Columns over every net of a design, in ``design.nets`` order:
     ``driverless``, ``clock``, ``nsinks``; :meth:`names` resolves rows."""
 
-    __slots__ = ("driverless", "clock", "nsinks", "_parts", "_starts")
-
     def __init__(self, parts: list) -> None:
         """*parts*: :meth:`Design.net_parts`."""
-        driverless, clock, nsinks, starts = [], [], [], []
-        n = 0
-        parts = [p if type(p) is Block else list(p.values()) for p in parts]
-        for part in parts:
-            starts.append(n)
-            if type(part) is Block:
-                d, c, s = part.net_flags()
-                n += part.n_nets
-            else:
-                d = np.fromiter((net.driver is None for net in part), bool, len(part))
-                c = np.fromiter((bool(net.is_clock) for net in part), bool, len(part))
-                s = np.fromiter((len(net.sinks) for net in part), np.int64, len(part))
-                n += len(part)
-            driverless.append(d)
-            clock.append(c)
-            nsinks.append(s)
-        self._parts = parts
-        self._starts = starts
-        self.driverless = np.concatenate(driverless) if parts else np.zeros(0, dtype=bool)
-        self.clock = np.concatenate(clock) if parts else np.zeros(0, dtype=bool)
-        self.nsinks = np.concatenate(nsinks) if parts else np.zeros(0, dtype=np.int64)
+        self._parts = [p if type(p) is Block else list(p.values()) for p in parts]
+        self._starts = [0, *accumulate(
+            p.n_nets if type(p) is Block else len(p) for p in self._parts)]
+        flags = [
+            part.net_flags() if type(part) is Block else (
+                np.fromiter((net.driver is None for net in part), bool, len(part)),
+                np.fromiter((bool(net.is_clock) for net in part), bool, len(part)),
+                np.fromiter((len(net.sinks) for net in part), np.int64, len(part)),
+            )
+            for part in self._parts
+        ]
+        self.driverless = _cat([f[0] for f in flags], bool)
+        self.clock = _cat([f[1] for f in flags], bool)
+        self.nsinks = _cat([f[2] for f in flags], np.int64)
 
     def __len__(self) -> int:
-        return len(self.clock)
+        return self._starts[-1]
 
     def names(self, rows) -> list[str]:
-        """Names of net *rows* (ascending indices into the table)."""
+        """Names of net *rows* (indices into the table), in that order."""
         out: list[str] = []
         for index in np.asarray(rows).tolist():
             k = bisect_right(self._starts, index) - 1
             part, local = self._parts[k], index - self._starts[k]
             if type(part) is Block:
-                out += part.net_names([part.live_net_rows()[local]])
+                out += part.net_names(np.flatnonzero(part.net_live)[local:local + 1])
             else:
                 out.append(part[local].name)
         return out

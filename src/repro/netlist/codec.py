@@ -109,10 +109,6 @@ _STRING_COLUMNS = {
 }
 
 
-def _take(table: list[int], codes: np.ndarray) -> np.ndarray:
-    return np.asarray(table, dtype=np.int64)[codes]
-
-
 # -- telemetry --------------------------------------------------------------
 
 
@@ -355,8 +351,6 @@ class DesignImage:
         "strings",
         "_meta_blob",
         "_meta_obj",
-        "_used_offsets",
-        "_proto",
         "_derived",
     ) + tuple(col for col, _ in _COLUMNS)
 
@@ -413,17 +407,20 @@ class DesignImage:
 
         cn = column(lambda cells: intern_new([c.name for c in cells]),
                     lambda b: intern_new(b.cell_names()), cell_parts)
-        ct = column(lambda cells: intern(c.ctype for c in cells),
-                    lambda b: _take(intern(b.kinds()[1]), b.kinds()[0]), cell_parts)
-        sites = column(
-            lambda cells: [c.placement if c.placement else None for c in cells],
-            Block.sites, cell_parts)
-        blocks = [type(p) is Block for p in cell_parts]
-        cp = [s[0] if b else [1 if p else 0 for p in s] for b, s in zip(blocks, sites)]
-        cc = [s[1] if b else [p[0] if p else 0 for p in s] for b, s in zip(blocks, sites)]
-        cr = [s[2] if b else [p[1] if p else 0 for p in s] for b, s in zip(blocks, sites)]
+
+        def block_ctypes(block) -> np.ndarray:
+            codes, table = block.kinds()
+            return np.asarray(intern(table), dtype=np.int64)[codes]
+
+        def sites(cells) -> tuple[list, list, list]:
+            placed = [c.placement if c.placement else None for c in cells]
+            return ([1 if p else 0 for p in placed], [p[0] if p else 0 for p in placed],
+                    [p[1] if p else 0 for p in placed])
+
+        ct = column(lambda cells: intern(c.ctype for c in cells), block_ctypes, cell_parts)
+        cp, cc, cr = zip(*column(sites, Block.sites, cell_parts)) if cell_parts else ((),) * 3
         cl, lu, ff, dp, sq = (
-            column(read, lambda b, k=k: b.cell_column(k), cell_parts)
+            column(read, lambda b, k=k: b.column(k), cell_parts)
             for k, read in (
                 ("cell_locked", lambda cells: [1 if c.locked else 0 for c in cells]),
                 ("cell_luts", lambda cells: [c.luts for c in cells]),
@@ -504,8 +501,6 @@ class DesignImage:
         img.name = name
         img.pblock = pblock
         img.strings = strings
-        img._used_offsets = None
-        img._proto = None
         img._derived = {}
         img._set_metadata(metadata)
         for (attr, dtype), runs in zip(_COLUMNS, columns):
@@ -585,8 +580,6 @@ class DesignImage:
             raise ValueError(f"unsupported binary codec version {version}")
         off = 6
         img = object.__new__(cls)
-        img._used_offsets = None
-        img._proto = None
         img._derived = {}
         _need(blob, off, 4)
         n = struct.unpack_from("<I", blob, off)[0]
@@ -698,20 +691,21 @@ class DesignImage:
         Computed once per image (the template is immutable) — the
         per-fetch relocation validation reads the cached dict.
         """
-        if self._used_offsets is None:
+        def build(image) -> dict[int, int]:
             from ..fabric.device import TILE_FOR_CELL
 
-            col0 = self.pblock[0] if self.pblock else 0
-            strings = self.strings
+            col0 = image.pblock[0] if image.pblock else 0
+            strings = image.strings
             used: dict[int, int] = {}
-            placed = self.cell_placed.tolist()
-            cols = self.cell_col.tolist()
-            ctypes = self.cell_ctype.tolist()
+            placed = image.cell_placed.tolist()
+            cols = image.cell_col.tolist()
+            ctypes = image.cell_ctype.tolist()
             for i, flag in enumerate(placed):
                 if flag:
                     used[cols[i] - col0] = TILE_FOR_CELL[strings[ctypes[i]]]
-            self._used_offsets = used
-        return self._used_offsets
+            return used
+
+        return self.derived("used_offsets", build)
 
     def relative_sites(self) -> np.ndarray:
         """``(n, 2)`` int64 array of placed-cell sites, pblock-relative."""
@@ -748,59 +742,59 @@ class DesignImage:
         materialize slices fresh lists out of the flats, and the shared
         placement/tile tuples are immutable by construction.
         """
-        proto = self._proto
-        if proto is None:
-            sget = self.strings.__getitem__
-            sinks_flat = list(map(sget, self.sink_name.tolist()))
-            sink_spans = []
-            pos = 0
-            for n in self.net_nsinks.tolist():
-                sink_spans.append((pos, pos + n))
-                pos += n
-            route_lens = self.route_len.tolist()
-            route_slices: list[slice | None] = []
-            route_spans = []
-            npos = rpos = 0
-            for nroutes in self.net_nroutes.tolist():
-                route_spans.append((rpos, rpos + nroutes))
-                for _ in range(nroutes):
-                    ln = route_lens[rpos]
-                    rpos += 1
-                    if ln < 0:
-                        route_slices.append(None)
-                    else:
-                        route_slices.append(slice(npos, npos + ln))
-                        npos += ln
-            placed = self.cell_placed.tolist()
-            placem0 = list(zip(self.cell_col.tolist(), self.cell_row.tolist()))
-            unplaced_idx = [i for i, flag in enumerate(placed) if not flag]
-            for i in unplaced_idx:
-                placem0[i] = None
-            cell_rows = list(zip(
-                list(map(sget, self.cell_name.tolist())),
-                list(map(sget, self.cell_ctype.tolist())),
-                self.cell_locked.astype(bool).tolist(),
-                self.cell_luts.tolist(),
-                self.cell_ffs.tolist(),
-                self.cell_depth.tolist(),
-                self.cell_seq.astype(bool).tolist(),
-                [sget(i) if i >= 0 else None for i in self.cell_module.tolist()],
-            ))
-            net_rows = list(zip(
-                list(map(sget, self.net_name.tolist())),
-                [sget(i) if i >= 0 else None for i in self.net_driver.tolist()],
-                self.net_width.tolist(),
-                self.net_clock.astype(bool).tolist(),
-                self.net_locked.astype(bool).tolist(),
-                sink_spans,
-                route_spans,
-            ))
-            proto = self._proto = (
-                cell_rows, placem0, unplaced_idx,
-                net_rows, sinks_flat, route_slices,
-                self.route_node.tolist(),
-            )
-        return proto
+        return self.derived("objects", DesignImage._decode)
+
+    def _decode(self):
+        sget = self.strings.__getitem__
+        sinks_flat = list(map(sget, self.sink_name.tolist()))
+        sink_spans = []
+        pos = 0
+        for n in self.net_nsinks.tolist():
+            sink_spans.append((pos, pos + n))
+            pos += n
+        route_lens = self.route_len.tolist()
+        route_slices: list[slice | None] = []
+        route_spans = []
+        npos = rpos = 0
+        for nroutes in self.net_nroutes.tolist():
+            route_spans.append((rpos, rpos + nroutes))
+            for _ in range(nroutes):
+                ln = route_lens[rpos]
+                rpos += 1
+                if ln < 0:
+                    route_slices.append(None)
+                else:
+                    route_slices.append(slice(npos, npos + ln))
+                    npos += ln
+        placed = self.cell_placed.tolist()
+        placem0 = list(zip(self.cell_col.tolist(), self.cell_row.tolist()))
+        unplaced_idx = [i for i, flag in enumerate(placed) if not flag]
+        for i in unplaced_idx:
+            placem0[i] = None
+        cell_rows = list(zip(
+            list(map(sget, self.cell_name.tolist())),
+            list(map(sget, self.cell_ctype.tolist())),
+            self.cell_locked.astype(bool).tolist(),
+            self.cell_luts.tolist(),
+            self.cell_ffs.tolist(),
+            self.cell_depth.tolist(),
+            self.cell_seq.astype(bool).tolist(),
+            [sget(i) if i >= 0 else None for i in self.cell_module.tolist()],
+        ))
+        net_rows = list(zip(
+            list(map(sget, self.net_name.tolist())),
+            [sget(i) if i >= 0 else None for i in self.net_driver.tolist()],
+            self.net_width.tolist(),
+            self.net_clock.astype(bool).tolist(),
+            self.net_locked.astype(bool).tolist(),
+            sink_spans,
+            route_spans,
+        ))
+        return (
+            cell_rows, placem0, unplaced_idx,
+            net_rows, sinks_flat, route_slices,
+            self.route_node.tolist(),
+        )
 
     def _decoded_ports(self):
         """The port rows of :meth:`_decoded`, cached on their own: a
@@ -1017,7 +1011,12 @@ class DesignImage:
 
 
 def encode_design(design: Design) -> bytes:
-    """Design -> binary image bytes (no intermediate dict)."""
+    """Design -> binary image bytes (no intermediate dict).
+
+    A block-backed design is encoded as it stands — block columns
+    concatenated with the glue's, see :meth:`DesignImage.from_design` —
+    and stays block-backed; the bytes are those of the flattened design.
+    """
     return DesignImage.from_design(design).to_bytes()
 
 

@@ -129,11 +129,12 @@ class Design:
         return None
 
     @staticmethod
-    def _glue(parts: list, name: str):
+    def _glue_run(parts: list, name: str) -> dict:
+        """The glue run of *parts* that holds *name* (an empty dict: none)."""
         for part in parts:
             if type(part) is dict and name in part:
-                return part[name]
-        return None
+                return part
+        return {}
 
     @staticmethod
     def _open_run(parts: list) -> dict:
@@ -188,14 +189,6 @@ class Design:
                 out += [c.name for c in part.values() if c.seq]
         return out
 
-    def loose_cells(self) -> dict[str, Cell]:
-        """The cells that exist as objects: all of a flat design's, the
-        glue of a block-backed one (a merged copy; do not edit through it)."""
-        cells = self.__dict__.get("cells")
-        if cells is not None:
-            return cells
-        return {k: v for p in self._cell_parts if type(p) is dict for k, v in p.items()}
-
     def loose_nets(self) -> list[Net]:
         """The nets that exist as objects, in order — every net a router
         or pipeliner could change (a block's are all routed and locked)."""
@@ -215,13 +208,14 @@ class Design:
         """The net object called *name*; ``None`` for a net that is
         absent — or sits, routed and locked, in a block."""
         nets = self.__dict__.get("nets")
-        return nets.get(name) if nets is not None else self._glue(self._net_parts, name)
+        return (nets if nets is not None else self._glue_run(self._net_parts, name)).get(name)
 
     def has_net(self, name: str) -> bool:
+        """``name in nets``."""
         nets = self.__dict__.get("nets")
         if nets is not None:
             return name in nets
-        return (self._glue(self._net_parts, name) is not None
+        return (name in self._glue_run(self._net_parts, name)
                 or self._block_holding(name, "net_row") is not None)
 
     def unknown_cells(self, names: set[str]) -> set[str]:
@@ -245,7 +239,7 @@ class Design:
         cells = self.__dict__.get("cells")
         if cells is not None:
             return cells[name].placement
-        cell = self._glue(self._cell_parts, name)
+        cell = self._glue_run(self._cell_parts, name).get(name)
         if cell is not None:
             return cell.placement
         held = self._block_holding(name, "cell_row")
@@ -267,26 +261,19 @@ class Design:
     def remove_net(self, name: str) -> None:
         """``del nets[name]`` (``KeyError`` for an unknown net)."""
         nets = self.__dict__.get("nets")
-        if nets is not None:
-            del nets[name]
-            return
-        for part in self._net_parts:
-            if type(part) is dict and name in part:
-                del part[name]
+        if nets is None:
+            nets = self._glue_run(self._net_parts, name)
+            held = None if nets else self._block_holding(name, "net_row")
+            if held is not None:
+                held[0].remove_net(held[1])
                 return
-        held = self._block_holding(name, "net_row")
-        if held is None:
-            raise KeyError(name)
-        held[0].remove_net(held[1])
+        del nets[name]
 
     def remove_cell(self, name: str) -> None:
         """``del cells[name]``; a cell inside a block is not removable
         as such, so asking for one flattens the design first."""
-        for part in self.__dict__.get("_cell_parts", ()):
-            if type(part) is dict and name in part:
-                del part[name]
-                return
-        del self.cells[name]
+        run = self._glue_run(self.__dict__.get("_cell_parts", ()), name)
+        del (run or self.cells)[name]
 
     def remove_clock_nets(self) -> None:
         """Delete every clock net."""

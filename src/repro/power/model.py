@@ -98,7 +98,7 @@ def estimate_power(
             tiles, _crossings = graph.path_metrics_csr(
                 part.route_nodes(), rows.start, rows.length
             )
-            routed_tiles += int(tiles @ part.net_widths()[rows.net].astype(np.int64))
+            routed_tiles += int(tiles @ part.column("net_width")[rows.net].astype(np.int64))
             continue
         for net in part.values():
             if net.is_clock:

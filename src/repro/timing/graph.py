@@ -17,6 +17,24 @@ edge in.  A row whose driver or sink names no cell keeps its place with
 ``-1`` for the missing end.  Clock and driverless nets own no rows and
 nothing about them is stored.
 
+**Placed blocks.**  A block-backed design (:class:`~repro.netlist.
+design.Design`: placed component images interleaved with glue objects)
+is compiled as it stands, and never asked for ``cells`` or ``nets``.
+Each :class:`~repro.netlist.block.Block` is *one entry* of the cell
+list and one of the net list, standing for a pre-compiled run of slots
+and rows: its ``seq`` / logic / setup columns and its rows' ``src`` /
+``dst`` (relative to the block's first slot) come straight off arrays
+cached on the image, its routed delays from one
+:meth:`~repro.fabric.interconnect.RoutingGraph.path_metrics_csr` over
+the shifted route-node column.  The diff below treats a block like any
+other entry — compared by identity, carried over or compiled afresh
+whole — and runs its per-object comparisons over the *glue* only (the
+``g_*`` columns), so a re-sync costs what changed, not what is placed.
+Slot and row order equal the flattened design's, hence so do the
+first-max-wins ties and the whole report.  Anything with no columnar
+form (a delay model overriding a per-cell method, no routing graph)
+touches ``design.cells`` first and is timed from the objects.
+
 Three mechanisms carry the speedup:
 
 * **column diff** — :meth:`TimingGraph.sync` rebuilds the columns the
