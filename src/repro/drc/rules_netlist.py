@@ -9,10 +9,6 @@ and tests keep matching); the rest are new static checks that Vivado's
 
 from __future__ import annotations
 
-from itertools import chain
-
-import numpy as np
-
 from .engine import rule
 from .violation import Severity
 
@@ -51,9 +47,8 @@ def net_dangling(ctx, emit) -> None:
 @rule("NET-002", category="netlist", severity="fatal", title="undriven net")
 def net_undriven(ctx, emit) -> None:
     """A non-clock net with neither a cell driver nor an input port."""
-    nets = ctx.design.net_table()
     input_nets = _input_nets(ctx.design)
-    for name in nets.names(np.flatnonzero(nets.driverless & ~nets.clock)):
+    for name in ctx.design.net_names_where(driverless=True, clock=False):
         if name not in input_nets:
             emit("net", name, f"net {name} has no driver and no input port")
 
@@ -61,12 +56,12 @@ def net_undriven(ctx, emit) -> None:
 @rule("NET-003", category="netlist", severity="fatal", title="unknown endpoint")
 def net_unknown_endpoint(ctx, emit) -> None:
     """A net referencing a cell name that does not exist in the design."""
-    # One set difference finds the offenders (normally none); a net
-    # inside a placed block names only cells of its block by construction.
+    # One bulk lookup finds the offenders (normally none); a net inside a
+    # placed block names only cells of its block by construction.
     nets = ctx.design.loose_nets()
-    endpoints = set(chain.from_iterable(net.sinks for net in nets))
-    endpoints.update(net.driver for net in nets)
-    endpoints.discard(None)
+    endpoints = [net.driver for net in nets if net.driver is not None]
+    for net in nets:
+        endpoints += net.sinks
     unknown = ctx.design.unknown_cells(endpoints)
     if not unknown:
         return

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cell import Cell
 
-__all__ = ["Block", "CellTable", "NetTable", "sealed"]
+__all__ = ["Block", "CellTable", "sealed"]
 
 #: What every columnar form in this module is asserted equal to: the
 #: objects :meth:`DesignImage.materialize` builds (oracle contract, lint
@@ -305,11 +305,17 @@ class Block:
 
     # -- nets ----------------------------------------------------------------
 
-    def net_flags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(driverless, clock, nsinks)`` of the live nets, in order."""
-        image, live = self.image, self.net_live
-        return (image.net_driver[live] < 0, image.net_clock[live].astype(bool),
-                image.net_nsinks[live])
+    def net_names_where(self, *, driverless: bool | None = None,
+                        clock: bool | None = None,
+                        sinkless: bool | None = None) -> list[str]:
+        """Names, in order, of the live nets whose ``driver is None`` /
+        ``is_clock`` / ``not sinks`` equal the flags given (``None``: either)."""
+        image, keep = self.image, self.net_live
+        for want, has in ((driverless, image.net_driver < 0), (clock, image.net_clock != 0),
+                          (sinkless, image.net_nsinks == 0)):
+            if want is not None:
+                keep = keep & (has == want)
+        return self.net_names(np.flatnonzero(keep))
 
     def pins(self, row: int) -> tuple[str | None, list[str], int]:
         """``(driver, sinks, width)`` of net *row*."""
@@ -498,40 +504,3 @@ class CellTable:
             return part.describe_cell(local)
         cell = part[local]
         return cell.name, cell.ctype, cell.placement
-
-
-class NetTable:
-    """Columns over every net of a design, in ``design.nets`` order:
-    ``driverless``, ``clock``, ``nsinks``; :meth:`names` resolves rows."""
-
-    def __init__(self, parts: list) -> None:
-        """*parts*: :meth:`Design.net_parts`."""
-        self._parts = [p if type(p) is Block else list(p.values()) for p in parts]
-        self._starts = [0, *accumulate(
-            p.n_nets if type(p) is Block else len(p) for p in self._parts)]
-        flags = [
-            part.net_flags() if type(part) is Block else (
-                np.fromiter((net.driver is None for net in part), bool, len(part)),
-                np.fromiter((bool(net.is_clock) for net in part), bool, len(part)),
-                np.fromiter((len(net.sinks) for net in part), np.int64, len(part)),
-            )
-            for part in self._parts
-        ]
-        self.driverless = _cat([f[0] for f in flags], bool)
-        self.clock = _cat([f[1] for f in flags], bool)
-        self.nsinks = _cat([f[2] for f in flags], np.int64)
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def names(self, rows) -> list[str]:
-        """Names of net *rows* (indices into the table), in that order."""
-        out: list[str] = []
-        for index in np.asarray(rows).tolist():
-            k = bisect_right(self._starts, index) - 1
-            part, local = self._parts[k], index - self._starts[k]
-            if type(part) is Block:
-                out += part.net_names(np.flatnonzero(part.net_live)[local:local + 1])
-            else:
-                out.append(part[local].name)
-        return out

@@ -13,7 +13,7 @@ from itertools import compress
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
-from .block import Block, CellTable, NetTable, sealed
+from .block import Block, CellTable, sealed
 from .cell import Cell
 from .net import Net, Port
 
@@ -56,8 +56,9 @@ class Design:
     instance) interleaved with the *glue* objects that really are new —
     stitch nets, the merged clock net, pipeline registers — and it has
     no ``cells`` / ``nets`` attribute yet.  The first access to either
-    (:meth:`__getattr__`, which an ordinary design never reaches)
-    materializes every block once, in the dict order the object path
+    (``__getattr__`` of the private :class:`_BlockBacked` state, which an
+    ordinary design is not in and never pays for) materializes every
+    block once, in the dict order the object path
     would have produced, and drops the blocks: from then on the design
     is an ordinary one.  The two forms are never both reachable, so
     nothing can go stale.
@@ -66,7 +67,7 @@ class Design:
     :meth:`add_net`, :meth:`add_port`, :meth:`adopt`), the edit verbs
     (:meth:`net_pins`, :meth:`remove_net`, :meth:`remove_clock_nets`)
     and the bulk readers (:attr:`n_cells`, :meth:`cell_table`,
-    :meth:`net_table`, :meth:`cell_parts`, :meth:`net_parts`,
+    :meth:`net_names_where`, :meth:`cell_parts`, :meth:`net_parts`,
     :meth:`loose_nets`, :meth:`placement_of`, ...) work on either form
     without flattening; everything else just uses ``cells`` / ``nets``
     and pays for the objects it asked for.
@@ -80,104 +81,67 @@ class Design:
         self.pblock = pblock
         self.metadata: dict = {}
 
-    # -- blocks + glue -------------------------------------------------------
-    #
-    # Block-backed state lives in three instance attributes that exist
-    # exactly while ``cells`` / ``nets`` do not: ``_cell_parts`` and
-    # ``_net_parts`` (ordered runs, each a Block or a name-keyed dict of
-    # glue objects) and ``_blocks`` (instance name -> Block, for lookups).
-
     @classmethod
     def pending(cls, frame: "Design", block: Block) -> "Design":
         """*frame* (name, pblock, metadata, ports set; no cells or nets)
-        made a block-backed design over *block*."""
-        frame._cell_parts = [block]
-        frame._net_parts = [block]
-        frame._blocks = {block.instance: block}
-        return frame
+        made a block-backed design over *block*: what
+        :meth:`ComponentDatabase.fetch
+        <repro.rapidwright.database.ComponentDatabase.fetch>` returns."""
+        return _BlockBacked.over(frame, block)
 
-    def __getattr__(self, name: str):
-        state = self.__dict__
-        if name in ("cells", "nets") and "_blocks" in state:
-            built = {block: block.materialize() for block in state.pop("_blocks").values()}
-            for attr, which in (("cells", 0), ("nets", 1)):
-                merged: dict = {}
-                for part in state.pop(f"_{attr[:-1]}_parts"):
-                    merged.update(built[part][which] if type(part) is Block else part)
-                state[attr] = merged
-            return state[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __getstate__(self) -> dict:
-        self.cells  # copies and pickles are of the objects (flattens a block-backed design)
-        return self.__dict__
+    # -- readers and edit verbs that never ask a block for its objects -------
+    #
+    # Plain here; :class:`_BlockBacked` below overrides each of them for a
+    # design that still holds placed blocks.  Flow stages that can read
+    # columns call these instead of walking ``cells`` / ``nets``.
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        """The placed blocks still held as columns (empty once flattened)."""
-        return tuple(self.__dict__.get("_blocks", {}).values())
-
-    def _block_holding(self, name: str, row_of: str) -> tuple[Block, int] | None:
-        """``(block, row)`` of the block cell / live net called *name*."""
-        blocks = self._blocks
-        for key in (name.partition("/")[0], None):
-            block = blocks.get(key)
-            if block is not None:
-                row = getattr(block, row_of)(name)
-                if row is not None:
-                    return block, row
-        return None
-
-    @staticmethod
-    def _glue_run(parts: list, name: str) -> dict:
-        """The glue run of *parts* that holds *name* (an empty dict: none)."""
-        for part in parts:
-            if type(part) is dict and name in part:
-                return part
-        return {}
-
-    @staticmethod
-    def _open_run(parts: list) -> dict:
-        if not parts or type(parts[-1]) is Block:
-            parts.append({})
-        return parts[-1]
-
-    # -- readers that serve both forms ------------------------------------------
+        """The placed blocks still held as columns (none, for objects)."""
+        return ()
 
     @property
     def n_cells(self) -> int:
-        cells = self.__dict__.get("cells")
-        if cells is not None:
-            return len(cells)
-        return sum(p.n_cells if type(p) is Block else len(p) for p in self._cell_parts)
+        return len(self.cells)
 
     @property
     def n_nets(self) -> int:
-        nets = self.__dict__.get("nets")
-        if nets is not None:
-            return len(nets)
-        return sum(p.n_nets if type(p) is Block else len(p) for p in self._net_parts)
+        return len(self.nets)
 
     def cell_parts(self) -> list:
         """The cells as ordered runs, each a :class:`Block` or a
         name-keyed dict of :class:`Cell` objects (for a flat design one
         run: ``cells`` itself).  Read-only views, not copies."""
-        cells = self.__dict__.get("cells")
-        return [cells] if cells is not None else [p for p in self._cell_parts if p]
+        return [self.cells]
 
     def net_parts(self) -> list:
         """The nets as ordered runs, each a :class:`Block` (standing for
         its live nets) or a name-keyed dict of :class:`Net` objects."""
-        nets = self.__dict__.get("nets")
-        return [nets] if nets is not None else [p for p in self._net_parts if p]
+        return [self.nets]
 
     def cell_table(self) -> CellTable:
         """Site, type and ``seq`` columns over every cell, in order."""
         return CellTable(self.cell_parts())
 
-    def net_table(self) -> NetTable:
-        """Driver / clock / fanout columns over every net, in order."""
-        return NetTable(self.net_parts())
+    def net_names_where(self, *, driverless: bool | None = None,
+                        clock: bool | None = None,
+                        sinkless: bool | None = None) -> list[str]:
+        """Names, in order, of the nets whose ``driver is None`` /
+        ``is_clock`` / ``not sinks`` equal the flags given (``None``:
+        either) — a column mask per block, one pass over the objects."""
+        out: list[str] = []
+        for part in self.net_parts():
+            if type(part) is Block:
+                out += part.net_names_where(
+                    driverless=driverless, clock=clock, sinkless=sinkless)
+            else:
+                out += [
+                    n.name for n in part.values()
+                    if (driverless is None or (n.driver is None) == driverless)
+                    and (clock is None or bool(n.is_clock) == clock)
+                    and (sinkless is None or (not n.sinks) == sinkless)
+                ]
+        return out
 
     def seq_cell_names(self) -> list[str]:
         """Names of the sequential cells, in order (the clock net's sinks)."""
@@ -192,123 +156,64 @@ class Design:
     def loose_nets(self) -> list[Net]:
         """The nets that exist as objects, in order — every net a router
         or pipeliner could change (a block's are all routed and locked)."""
-        nets = self.__dict__.get("nets")
-        if nets is not None:
-            return list(nets.values())
-        return [n for p in self._net_parts if type(p) is dict for n in p.values()]
-
-    def clock_nets(self) -> list[Net]:
-        """The clock nets, as objects (a stitched design has one merged
-        clock net in its glue; one still inside a block flattens)."""
-        if any(type(p) is Block and p.has_clock_nets() for p in self.net_parts()):
-            self.nets
-        return [n for n in self.loose_nets() if n.is_clock]
+        return list(self.nets.values())
 
     def loose_net(self, name: str) -> Net | None:
         """The net object called *name*; ``None`` for a net that is
         absent — or sits, routed and locked, in a block."""
-        nets = self.__dict__.get("nets")
-        return (nets if nets is not None else self._glue_run(self._net_parts, name)).get(name)
+        return self.nets.get(name)
+
+    def clock_nets(self) -> list[Net]:
+        """The clock nets, as objects."""
+        return [n for n in self.nets.values() if n.is_clock]
 
     def has_net(self, name: str) -> bool:
         """``name in nets``."""
-        nets = self.__dict__.get("nets")
-        if nets is not None:
-            return name in nets
-        return (name in self._glue_run(self._net_parts, name)
-                or self._block_holding(name, "net_row") is not None)
+        return name in self.nets
 
-    def unknown_cells(self, names: set[str]) -> set[str]:
-        """The members of *names* that name no cell of the design."""
-        cells = self.__dict__.get("cells")
-        if cells is not None:
-            return names - cells.keys()
-        left = set(names)
-        for part in self._cell_parts:
-            if type(part) is dict:
-                left -= part.keys()
-        for block in self._blocks.values():
-            if len(left) < block.n_cells:   # walk the smaller side
-                left -= {n for n in left if block.cell_row(n) is not None}
-            else:
-                left.difference_update(block.cell_names())
-        return left
+    def unknown_cells(self, names) -> set[str]:
+        """The members of the iterable *names* that name no cell of the design."""
+        cells = self.cells
+        return {n for n in names if n not in cells}
 
     def placement_of(self, name: str) -> tuple[int, int] | None:
         """``cells[name].placement`` (``KeyError`` for an unknown cell)."""
-        cells = self.__dict__.get("cells")
-        if cells is not None:
-            return cells[name].placement
-        cell = self._glue_run(self._cell_parts, name).get(name)
-        if cell is not None:
-            return cell.placement
-        held = self._block_holding(name, "cell_row")
-        if held is None:
-            raise KeyError(name)
-        return held[0].describe_cell(held[1])[2]
+        return self.cells[name].placement
 
     def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
         """``(driver, sinks, width)`` of the net called *name* — the
         sinks as a fresh list (``KeyError`` for an unknown net)."""
-        net = self.loose_net(name)
-        if net is not None:
-            return net.driver, list(net.sinks), net.width
-        held = self._block_holding(name, "net_row") if "_blocks" in self.__dict__ else None
-        if held is None:
-            raise KeyError(name)
-        return held[0].pins(held[1])
+        net = self.nets[name]
+        return net.driver, list(net.sinks), net.width
 
     def remove_net(self, name: str) -> None:
         """``del nets[name]`` (``KeyError`` for an unknown net)."""
-        nets = self.__dict__.get("nets")
-        if nets is None:
-            nets = self._glue_run(self._net_parts, name)
-            held = None if nets else self._block_holding(name, "net_row")
-            if held is not None:
-                held[0].remove_net(held[1])
-                return
-        del nets[name]
+        del self.nets[name]
 
     def remove_cell(self, name: str) -> None:
-        """``del cells[name]``; a cell inside a block is not removable
-        as such, so asking for one flattens the design first."""
-        run = self._glue_run(self.__dict__.get("_cell_parts", ()), name)
-        del (run or self.cells)[name]
+        """``del cells[name]``."""
+        del self.cells[name]
 
     def remove_clock_nets(self) -> None:
         """Delete every clock net."""
-        for part in self.net_parts():
-            if type(part) is Block:
-                part.remove_clock_nets()
-            else:
-                for name in [n.name for n in part.values() if n.is_clock]:
-                    del part[name]
+        for name in [n.name for n in self.nets.values() if n.is_clock]:
+            del self.nets[name]
 
     # -- construction -----------------------------------------------------
 
     def add_cell(self, cell: Cell) -> Cell:
-        cells = self.__dict__.get("cells")
-        if cells is None:  # block-backed: the cell joins the glue
-            if not self.unknown_cells({cell.name}):
-                raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
-            cells = self._open_run(self._cell_parts)
-        elif cell.name in cells:
+        if cell.name in self.cells:
             raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
-        cells[cell.name] = cell
+        self.cells[cell.name] = cell
         return cell
 
     def new_cell(self, name: str, ctype: str, **kwargs) -> Cell:
         return self.add_cell(Cell(name, ctype, **kwargs))
 
     def add_net(self, net: Net) -> Net:
-        nets = self.__dict__.get("nets")
-        if nets is None:  # block-backed: the net joins the glue
-            if self.has_net(net.name):
-                raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
-            nets = self._open_run(self._net_parts)
-        elif net.name in nets:
+        if net.name in self.nets:
             raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
-        nets[net.name] = net
+        self.nets[net.name] = net
         return net
 
     def connect(self, name: str, driver: str | None, sinks: list[str], **kwargs) -> Net:
@@ -461,16 +366,16 @@ class Design:
         """
         block = self._adoptable(sub)
         if block is not None:
-            state = self.__dict__
-            if "_blocks" not in state:
-                del state["cells"], state["nets"]
-                state.update(_cell_parts=[], _net_parts=[], _blocks={})
+            if type(self) is Design:  # empty: hold blocks from here on
+                del self.cells, self.nets
+                _BlockBacked.over(self)
             self._cell_parts.append(block)
             self._net_parts.append(block)
             self._blocks[block.instance] = block
+            del sub._cell_parts, sub._net_parts, sub._blocks
+            sub.__class__ = Design
             sub.cells = {}
             sub.nets = {}
-            del sub._cell_parts, sub._net_parts, sub._blocks
             return {pname: port.net for pname, port in sub.ports.items()}
         for mine, theirs, kind in (
             (self.cells, sub.cells, "cell"), (self.nets, sub.nets, "net"),
@@ -485,25 +390,15 @@ class Design:
         return {pname: port.net for pname, port in sub.ports.items()}
 
     def _adoptable(self, sub: "Design") -> Block | None:
-        """*sub*'s block when :meth:`adopt` may move it as one."""
-        theirs = sub.__dict__.get("_blocks")
-        if theirs is None or len(theirs) != 1:
-            return None
-        (block,) = theirs.values()
-        if (sub._cell_parts != [block] or sub._net_parts != [block]
-                or not block.pristine or not sealed(block.image)
-                or "/" in block.prefix[:-1]):
-            return None
-        state = self.__dict__
-        if "_blocks" not in state:
-            return None if state["cells"] or state["nets"] else block
-        if block.instance is None or block.instance in self._blocks or None in self._blocks:
-            return None
-        glue = (n for parts in (self._cell_parts, self._net_parts)
-                for p in parts if type(p) is dict for n in p)
-        if any(n.startswith(block.prefix) for n in glue):
+        """*sub*'s block when :meth:`adopt` may move it as one: *sub* is
+        an untouched fetch of a sealed image, this design is empty."""
+        block = sub._sole_block()
+        if block is None or type(self) is not Design or self.cells or self.nets:
             return None
         return block
+
+    def _sole_block(self) -> Block | None:
+        return None
 
     # -- validation -----------------------------------------------------------
 
@@ -555,3 +450,192 @@ class Design:
             f"<Design {self.name}: {self.n_cells} cells, "
             f"{self.n_nets} nets, {len(self.ports)} ports>"
         )
+
+
+class _BlockBacked(Design):
+    """A :class:`Design` while it still holds placed blocks (see there).
+
+    Never constructed by callers and never seen as a type: a design
+    *becomes* this — ``fetch`` returns one, an empty design that adopts
+    one turns into one — and turns back into a plain :class:`Design` at
+    the first access to ``cells`` / ``nets``, which is the only thing
+    this class's :meth:`__getattr__` exists for.  (A subclass rather
+    than a ``__getattr__`` on :class:`Design` itself, so that ordinary
+    designs keep the interpreter's fast attribute path.)
+
+    State: ``_cell_parts`` and ``_net_parts`` — ordered runs, each a
+    :class:`Block` or a name-keyed dict of glue objects — and ``_blocks``
+    (instance name -> Block, for name lookups); no ``cells`` / ``nets``.
+    """
+
+    @classmethod
+    def over(cls, frame: Design, *blocks: Block) -> Design:
+        """*frame* (name, pblock, metadata and ports set; no ``cells``
+        or ``nets``) made block-backed over *blocks*."""
+        frame._cell_parts = list(blocks)
+        frame._net_parts = list(blocks)
+        frame._blocks = {block.instance: block for block in blocks}
+        frame.__class__ = cls
+        return frame
+
+    def __getattr__(self, name: str):
+        if name not in ("cells", "nets"):
+            raise AttributeError(f"'Design' object has no attribute {name!r}")
+        state = self.__dict__
+        built = {block: block.materialize() for block in state.pop("_blocks").values()}
+        for attr, which in (("cells", 0), ("nets", 1)):
+            merged: dict = {}
+            for part in state.pop(f"_{attr[:-1]}_parts"):
+                merged.update(built[part][which] if type(part) is Block else part)
+            state[attr] = merged
+        self.__class__ = Design
+        return state[name]
+
+    def __reduce_ex__(self, protocol):
+        self.cells  # copies and pickles are of the objects: flatten first
+        return object.__reduce_ex__(self, protocol)
+
+    # -- lookups -------------------------------------------------------------
+
+    def _block_holding(self, name: str, row_of: str) -> tuple[Block, int] | None:
+        """``(block, row)`` of the block cell / live net called *name*."""
+        for key in (name.partition("/")[0], None):
+            block = self._blocks.get(key)
+            if block is not None:
+                row = getattr(block, row_of)(name)
+                if row is not None:
+                    return block, row
+        return None
+
+    @staticmethod
+    def _glue_run(parts: list, name: str) -> dict:
+        """The glue run of *parts* that holds *name* (an empty dict: none)."""
+        for part in parts:
+            if type(part) is dict and name in part:
+                return part
+        return {}
+
+    @staticmethod
+    def _open_run(parts: list) -> dict:
+        if not parts or type(parts[-1]) is Block:
+            parts.append({})
+        return parts[-1]
+
+    def _sole_block(self) -> Block | None:
+        if len(self._blocks) != 1:
+            return None
+        (block,) = self._blocks.values()
+        untouched = self._cell_parts == [block] and self._net_parts == [block]
+        if (untouched and block.pristine and sealed(block.image)
+                and "/" not in block.prefix[:-1]):
+            return block
+        return None
+
+    def _adoptable(self, sub: Design) -> Block | None:
+        """Also: no name here can collide with the instance prefix."""
+        block = sub._sole_block()
+        if (block is None or block.instance is None
+                or block.instance in self._blocks or None in self._blocks):
+            return None
+        glue = (n for parts in (self._cell_parts, self._net_parts)
+                for p in parts if type(p) is dict for n in p)
+        return None if any(n.startswith(block.prefix) for n in glue) else block
+
+    # -- the readers and verbs of Design, over blocks + glue ------------------
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(self._blocks.values())
+
+    @property
+    def n_cells(self) -> int:
+        return sum(p.n_cells if type(p) is Block else len(p) for p in self._cell_parts)
+
+    @property
+    def n_nets(self) -> int:
+        return sum(p.n_nets if type(p) is Block else len(p) for p in self._net_parts)
+
+    def cell_parts(self) -> list:
+        return [p for p in self._cell_parts if p]
+
+    def net_parts(self) -> list:
+        return [p for p in self._net_parts if p]
+
+    def loose_nets(self) -> list[Net]:
+        return [n for p in self._net_parts if type(p) is dict for n in p.values()]
+
+    def loose_net(self, name: str) -> Net | None:
+        return self._glue_run(self._net_parts, name).get(name)
+
+    def clock_nets(self) -> list[Net]:
+        """(One still inside a block has no object: that flattens.)"""
+        if any(type(p) is Block and p.has_clock_nets() for p in self._net_parts):
+            return Design.clock_nets(self)
+        return [n for n in self.loose_nets() if n.is_clock]
+
+    def has_net(self, name: str) -> bool:
+        return (name in self._glue_run(self._net_parts, name)
+                or self._block_holding(name, "net_row") is not None)
+
+    def unknown_cells(self, names) -> set[str]:
+        left = set(names)
+        for part in self._cell_parts:
+            if type(part) is dict:
+                left -= part.keys()
+        for block in self._blocks.values():
+            if len(left) < block.n_cells:   # walk the smaller side
+                left -= {n for n in left if block.cell_row(n) is not None}
+            else:
+                left.difference_update(block.cell_names())
+        return left
+
+    def placement_of(self, name: str) -> tuple[int, int] | None:
+        cell = self._glue_run(self._cell_parts, name).get(name)
+        if cell is not None:
+            return cell.placement
+        held = self._block_holding(name, "cell_row")
+        if held is None:
+            raise KeyError(name)
+        return held[0].describe_cell(held[1])[2]
+
+    def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
+        net = self.loose_net(name)
+        if net is not None:
+            return net.driver, list(net.sinks), net.width
+        held = self._block_holding(name, "net_row")
+        if held is None:
+            raise KeyError(name)
+        return held[0].pins(held[1])
+
+    def remove_net(self, name: str) -> None:
+        run = self._glue_run(self._net_parts, name)
+        held = None if run else self._block_holding(name, "net_row")
+        if held is not None:
+            held[0].remove_net(held[1])
+        else:
+            del run[name]
+
+    def remove_cell(self, name: str) -> None:
+        """(A cell inside a block is not removable as such: that flattens.)"""
+        run = self._glue_run(self._cell_parts, name)
+        del (run or self.cells)[name]
+
+    def remove_clock_nets(self) -> None:
+        for part in self._net_parts:
+            if type(part) is Block:
+                part.remove_clock_nets()
+            else:
+                for name in [n.name for n in part.values() if n.is_clock]:
+                    del part[name]
+
+    def add_cell(self, cell: Cell) -> Cell:
+        if not self.unknown_cells({cell.name}):
+            raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
+        self._open_run(self._cell_parts)[cell.name] = cell
+        return cell
+
+    def add_net(self, net: Net) -> Net:
+        if self.has_net(net.name):
+            raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
+        self._open_run(self._net_parts)[net.name] = net
+        return net

@@ -12,8 +12,6 @@ flags exactly these), so stitched designs come out DRC-clean.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..obs.span import incr
 from .design import Design, DesignError
 from .net import Net, Port
@@ -70,9 +68,8 @@ def prune_dangling_nets(top: Design) -> list[str]:
     Returns the pruned net names.
     """
     port_nets = {p.net for p in top.ports.values()}
-    table = top.net_table()
-    sinkless = table.names(np.flatnonzero(~table.clock & (table.nsinks == 0)))
-    pruned = [name for name in sinkless if name not in port_nets]
+    pruned = [name for name in top.net_names_where(clock=False, sinkless=True)
+              if name not in port_nets]
     for name in pruned:
         top.remove_net(name)
     if pruned:
