@@ -10,8 +10,9 @@ A record *is* the component's immutable columnar image
 returns, what sits in memory, and — as ``<key>.dcpb``, its
 ``to_bytes()`` — what a *directory* persists for reuse across processes.
 The online phase places components from the image's
-:meth:`~ComponentDatabase.footprint` and materializes each instance
-once, at its anchor (:meth:`~ComponentDatabase.fetch`).  Building goes
+:meth:`~ComponentDatabase.footprint` and fetches each instance once, at
+its anchor (:meth:`~ComponentDatabase.fetch`) — as a placed block over
+the image, whose objects are built only if something asks for them.  Building goes
 through the :mod:`repro.engine` task-graph executor: independent components
 pre-implement concurrently (``jobs>1``) and a content-addressed
 :class:`~repro.engine.cache.BuildCache` answers repeat builds without

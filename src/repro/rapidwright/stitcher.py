@@ -7,13 +7,15 @@ its neighbours by creating new inter-component nets between partition
 pins.  The result is a *partially routed* design — only the stitch nets
 are unrouted, ready for the final inter-component routing pass.
 
-:func:`compose` touches the locked logic once: every component is
-materialized from the database's columnar template exactly once,
-already at its anchor and under its instance names, and those objects
-are adopted into the top design as they are.  :func:`compose_reference`
-keeps the clone-per-step composition (relocate the checkpoint, then
-copy-and-rename it into the top) as the oracle the single pass is
-asserted bit-identical to.
+:func:`compose` does not touch the locked logic at all: every component
+is fetched as a placed block — the database's columnar image plus its
+anchor and instance name — and adopted into the top design as that
+block, so the top is the blocks plus the stitch nets and the merged
+clock net that really are new, and no cell or net object is built until
+somebody asks the design for one (:class:`~repro.netlist.design.Design`).
+:func:`compose_reference` keeps the clone-per-step composition
+(relocate the checkpoint, then copy-and-rename it into the top) as the
+oracle the single pass is asserted bit-identical to.
 """
 
 from __future__ import annotations
