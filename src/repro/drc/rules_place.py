@@ -30,14 +30,28 @@ def plc_unplaced(ctx, emit) -> None:
 # The four fatal rules below are one array expression each over
 # ``ctx.cells`` (:class:`repro.netlist.block.CellTable`), whether the
 # design is objects or placed blocks; only the offenders found are
-# resolved back to names.  Their per-cell loops live on in
-# ``tests/test_block_design.py`` as the oracle: same ids, order, messages.
+# resolved back to names.  A placed block whose verdict follows from its
+# image — its bounding box on the grid or inside the pblock, its few
+# distinct (column, type) pairs on matching columns — is cleared whole
+# (``CellTable.without``) and none of its cells is looked at; what a sweep
+# really does per cell is the cross-block part: one site, one cell.
+# Their per-cell loops live on in ``tests/test_block_design.py`` as the
+# oracle: same ids, order, messages.
 
 
 @rule("PLC-002", category="placement", severity="fatal", title="site double-booked")
 def plc_double_booked(ctx, emit) -> None:
     """Two cells on the same site (one site per tile on this fabric)."""
     cells = ctx.cells
+    # Scatter every placed cell onto the grid: as many sites taken as
+    # cells placed means nobody shares one.  (Anything off the grid, or a
+    # shared site, goes on to be sorted out below.)
+    ids = cells.site_ids(ctx.device)
+    if ids is not None:
+        taken = np.zeros(ctx.device.ncols * ctx.device.nrows, dtype=bool)
+        taken[ids] = True
+        if np.count_nonzero(taken) == ids.size:
+            return
     placed = np.flatnonzero(cells.placed)
     if placed.size < 2:
         return
@@ -61,7 +75,8 @@ def _in_bounds(cells, device) -> np.ndarray:
 @rule("PLC-003", category="placement", severity="fatal", title="wrong tile type")
 def plc_wrong_tile(ctx, emit) -> None:
     """A cell placed on a column whose tile type cannot host its site."""
-    device, cells = ctx.device, ctx.cells
+    device = ctx.device
+    cells = ctx.cells.without(lambda block: block.on_legal_sites(device))
     # out-of-bounds placements are PLC-005's problem
     on_grid = cells.placed & _in_bounds(cells, device)
     need = np.array([TILE_FOR_CELL[k] for k in cells.kinds], dtype=np.int64)[cells.kind]
@@ -81,7 +96,8 @@ def plc_pblock_escape(ctx, emit) -> None:
     pblock = ctx.design.pblock
     if pblock is None:
         return
-    cells = ctx.cells
+    cells = ctx.cells.without(
+        lambda block: block.within(pblock.col0, pblock.row0, pblock.col1, pblock.row1))
     inside = ((cells.col >= pblock.col0) & (cells.col <= pblock.col1)
               & (cells.row >= pblock.row0) & (cells.row <= pblock.row1))
     for i in np.flatnonzero(cells.placed & ~inside).tolist():
@@ -94,7 +110,9 @@ def plc_pblock_escape(ctx, emit) -> None:
 @rule("PLC-005", category="placement", severity="fatal", title="placement out of bounds")
 def plc_out_of_bounds(ctx, emit) -> None:
     """A placed cell outside the device grid."""
-    cells = ctx.cells
-    for i in np.flatnonzero(cells.placed & ~_in_bounds(cells, ctx.device)).tolist():
+    device = ctx.device
+    cells = ctx.cells.without(
+        lambda block: block.within(0, 0, device.ncols - 1, device.nrows - 1))
+    for i in np.flatnonzero(cells.placed & ~_in_bounds(cells, device)).tolist():
         name, _ctype, placement = cells.describe(i)
         emit("cell", name, f"cell {name} placed out of bounds at {placement}")

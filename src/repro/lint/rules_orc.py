@@ -32,6 +32,7 @@ FAST_TIERS = (
     "repro.netlist.block",
     "repro.rapidwright.database",
     "repro.rapidwright.stitcher",
+    "repro.rapidwright.placer",
     "repro.fabric.interconnect",
 )
 

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..fabric.device import TILE_FOR_CELL
 from .cell import Cell
 
 __all__ = ["Block", "CellTable", "sealed"]
@@ -62,6 +63,53 @@ def _name_order(image) -> tuple[np.ndarray, np.ndarray]:
         np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int32)
         for names in image.derived("names", _bare_names)
     )
+
+
+class _NameTable(NamedTuple):
+    """The cell and net names of one image under one instance prefix, as
+    the string table of a checkpoint holds them: UTF-8 bytes end to end
+    plus each name's byte length (and, for the nets, where each ends —
+    removed nets are cut out of the bytes by offset)."""
+
+    cell_raw: bytes
+    cell_lens: np.ndarray
+    net_raw: bytes
+    net_lens: np.ndarray
+    net_ends: np.ndarray
+    shared: bool            # some net is called what a cell is called
+
+
+def _name_table(image, prefix: str) -> _NameTable:
+    packed = []
+    cells, nets = image.derived("names", _bare_names)
+    for names in (cells, nets):
+        raw = [(prefix + name).encode("utf-8") for name in names]
+        packed += [b"".join(raw), np.fromiter(map(len, raw), "<u4", len(raw))]
+    return _NameTable(*packed, np.cumsum(packed[3], dtype=np.int64),
+                      not set(cells).isdisjoint(nets))
+
+
+def _pin_rows(image) -> tuple[np.ndarray, np.ndarray]:
+    """Driver of every net and every sink, as cell rows of the image
+    (``-1``: no driver)."""
+    row_of = image.cell_of_string()
+    driver = image.net_driver
+    return (np.where(driver >= 0, row_of[driver], -1).astype(np.int32),
+            row_of[image.sink_name])
+
+
+def _flat_ends(image) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each net's entries end in the three run-length columns:
+    ``sink_name``, ``route_len`` and ``route_node``."""
+    routes = np.cumsum(image.net_nroutes, dtype=np.int64)
+    nodes = np.concatenate(([0], np.cumsum(np.maximum(image.route_len, 0), dtype=np.int64)))
+    return np.cumsum(image.net_nsinks, dtype=np.int64), routes, nodes[routes]
+
+
+def _seq_rows(image) -> np.ndarray | None:
+    """Rows of the sequential cells (``None``: every cell is one)."""
+    seq = image.cell_seq.astype(bool)
+    return None if seq.all() else np.flatnonzero(seq)
 
 
 def _kinds(image) -> tuple[np.ndarray, list[str]]:
@@ -167,12 +215,20 @@ def _sealed(image) -> bool:
 class _Wires(NamedTuple):
     """Wire use of an image's routed data nets, as the router charges it."""
 
-    net: np.ndarray         # one entry per distinct (net, interior node)
-    node: np.ndarray        # the node, unshifted
+    node: np.ndarray        # the distinct interior routed nodes, unshifted
+    charge: np.ndarray      # total width of the nets that cross each
     routed: np.ndarray      # routed connections per image net row
 
 
 def _wires(image) -> _Wires:
+    return _wires_of(image, None)
+
+
+def _wires_of(image, live: np.ndarray | None) -> _Wires:
+    """Branches of one net share trunk wires: a node is charged the
+    net's width once per net, and then summed over the nets (those of
+    the mask *live* over net rows, when there is one).  Widths are
+    integers, so the float sums are exact whatever the order."""
     edges = image.derived("edges", _edges)
     ends = np.cumsum(edges.length, dtype=np.int64)
     flat = np.repeat(edges.start - ends + edges.length, edges.length)
@@ -180,14 +236,48 @@ def _wires(image) -> _Wires:
     interior = np.ones(flat.size, dtype=bool)          # endpoint tiles are pins, not wires
     interior[ends - edges.length] = False
     interior[ends - 1] = False
+    if live is not None:
+        interior &= np.repeat(live[edges.net], edges.length)
     node = image.route_node[flat[interior]]
     span = int(node.max()) + 1 if node.size else 1
-    pairs = np.unique(
+    pairs = np.unique(                                 # one charge per (net, node)
         np.repeat(edges.net, edges.length)[interior].astype(np.int64) * span + node)
+    node, first = np.unique(pairs % span, return_inverse=True)
     return _Wires(
-        (pairs // span).astype(np.int32), (pairs % span).astype(np.int32),
+        node.astype(np.int32),
+        np.bincount(first, weights=image.net_width[pairs // span], minlength=len(node)),
         np.bincount(edges.net, minlength=len(image.net_name)).astype(np.int32),
     )
+
+
+class _Sites(NamedTuple):
+    """Where an image's placed cells sit, reduced to what a verdict on
+    the whole block needs."""
+
+    box: tuple[int, int, int, int] | None   # (col0, row0, col1, row1); None: none placed
+    col: np.ndarray         # the distinct (column, tile type its cells need) pairs
+    tile: np.ndarray
+
+
+def _sites(image) -> _Sites:
+    placed = image.cell_placed.astype(bool)
+    if not placed.any():
+        return _Sites(None, np.zeros(0, np.int64), np.zeros(0, np.int64))
+    col, row = image.cell_col[placed].astype(np.int64), image.cell_row[placed]
+    kind, table = image.derived("kinds", _kinds)
+    need = np.array([TILE_FOR_CELL[t] for t in table], dtype=np.int64)[kind[placed]]
+    span = int(need.max()) + 1
+    pairs = np.unique(col * span + need)
+    return _Sites((int(col.min()), int(row.min()), int(col.max()), int(row.max())),
+                  pairs // span, pairs % span)
+
+
+def _route_span(image, nrows: int) -> tuple[int, int, int, int]:
+    """``(col_lo, col_hi, row_lo, row_hi)`` over every routed node."""
+    if not image.route_node.size:
+        return 0, 0, 0, 0
+    cols, rows = np.divmod(image.route_node, nrows)
+    return int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max())
 
 
 # -- the block -----------------------------------------------------------------
@@ -205,7 +295,7 @@ class Block:
     """
 
     __slots__ = ("image", "dcol", "drow", "nrows", "instance", "prefix",
-                 "net_live", "n_nets", "_cell_names")
+                 "net_live", "n_nets", "_seq_names", "_live")
 
     def __init__(self, image, dcol: int, drow: int, nrows: int,
                  instance: str | None) -> None:
@@ -217,7 +307,8 @@ class Block:
         self.prefix = "" if instance is None else f"{instance}/"
         self.net_live = np.ones(len(image.net_name), dtype=bool)
         self.n_nets = len(image.net_name)
-        self._cell_names: list[str] | None = None
+        self._seq_names: list[str] | None = None
+        self._live: tuple | None = None          # what follows from net_live, as of n_nets
 
     @property
     def n_cells(self) -> int:
@@ -252,13 +343,46 @@ class Block:
         return row if row is not None and self.net_live[row] else None
 
     def cell_names(self) -> list[str]:
-        """Design-level name of every cell, in row order (one shared
-        list per block — do not edit: the clock net's sinks, name checks
-        and the encoder all see the same string objects, hashed once)."""
-        if self._cell_names is None:
-            names = self.image.derived("names", _bare_names)[0]
-            self._cell_names = list(map(self.prefix.__add__, names)) if self.prefix else names
-        return self._cell_names
+        """Design-level name of every cell, in row order — one list per
+        image and instance prefix, kept with the image: every instance
+        placed under that name, now or in a later run, hands out the
+        same string objects (the clock net's sinks, name checks and the
+        encoder compare them by identity, and they are hashed once).
+        Do not edit it."""
+        names = self.image.derived("names", _bare_names)[0]
+        if not self.prefix:
+            return names
+        return self.image.derived(
+            ("cell_names", self.prefix), lambda image: list(map(self.prefix.__add__, names)))
+
+    def seq_cell_names(self) -> list[str]:
+        """Names of the sequential cells, in row order — entries of
+        :meth:`cell_names` (one shared list per block, like it)."""
+        if self._seq_names is None:
+            names, rows = self.cell_names(), self.image.derived("seq_rows", _seq_rows)
+            self._seq_names = names if rows is None else [names[i] for i in rows.tolist()]
+        return self._seq_names
+
+    def named_run(self, names: list[str], at: int) -> np.ndarray | None:
+        """The cell rows ``names[at:]`` starts with a full listing of —
+        every cell, or every sequential cell, in row order, as
+        :meth:`cell_names` / :meth:`seq_cell_names` hand them out (the
+        clock net is such a listing) — or ``None``.  One list comparison,
+        by identity where the strings are the ones handed out; what it
+        saves is a lookup per name."""
+        bare = self.image.derived("names", _bare_names)[0]
+        listings = [(np.arange(len(bare)), self.cell_names)]
+        seq = self.image.derived("seq_rows", _seq_rows)
+        if seq is not None:
+            listings.append((seq, self.seq_cell_names))
+        for rows, listing in listings:
+            n = len(rows)
+            if (n and at + n <= len(names)
+                    and names[at] == self.prefix + bare[rows[0]]
+                    and names[at + n - 1] == self.prefix + bare[rows[-1]]
+                    and names[at:at + n] == listing()):
+                return rows
+        return None
 
     def net_names(self, rows=None) -> list[str]:
         """Design-level names of the live nets (or of net *rows*)."""
@@ -266,6 +390,23 @@ class Block:
         if rows is None:
             rows = np.flatnonzero(self.net_live)
         return [self.prefix + names[i] for i in np.asarray(rows).tolist()]
+
+    def packed_names(self, which: int) -> tuple[bytes, np.ndarray, bool]:
+        """The cell (*which* 0) or live net (1) names as a checkpoint's
+        string table holds them — ``(UTF-8 bytes end to end, byte length
+        of each)`` — and whether a net shares its name with a cell.
+        Built once per image and instance prefix; a later instance under
+        the same name reads it back."""
+        table = self.image.derived(
+            ("name_table", self.prefix), lambda image: _name_table(image, self.prefix))
+        if which == 0:
+            return table.cell_raw, table.cell_lens, table.shared
+        return (self._live_part(table.net_raw, table.net_ends),
+                self.net_column_of(table.net_lens), table.shared)
+
+    def live_rank(self, row: int) -> int:
+        """Position of live net *row* among the live nets."""
+        return int(np.count_nonzero(self.net_live[:row]))
 
     # -- cells ---------------------------------------------------------------
 
@@ -302,6 +443,32 @@ class Block:
         strings = image.strings
         return (self.prefix + strings[image.cell_name[row]],
                 strings[image.cell_ctype[row]], placement)
+
+    def within(self, col0: int, row0: int, col1: int, row1: int) -> bool:
+        """Whether every placed cell sits inside the (inclusive)
+        rectangle — read off the image's bounding box, shifted."""
+        box = self.image.derived("sites", _sites).box
+        return box is None or (
+            col0 <= box[0] + self.dcol and box[2] + self.dcol <= col1
+            and row0 <= box[1] + self.drow and box[3] + self.drow <= row1)
+
+    def on_legal_sites(self, device) -> bool:
+        """Whether every placed cell is on the grid of *device* and on a
+        column whose tiles host its type — the verdict of the per-cell
+        placement rules for the whole block, from its bounding box and
+        its handful of distinct (column, type) pairs."""
+        if not self.within(0, 0, device.ncols - 1, device.nrows - 1):
+            return False
+        sites = self.image.derived("sites", _sites)
+        return bool((device.col_types[sites.col + self.dcol] == sites.tile).all())
+
+    def site_ids(self, nrows: int) -> np.ndarray:
+        """``col * nrows + row`` of every placed cell, in row order."""
+        def build(image):
+            placed = image.cell_placed.astype(bool)
+            return image.cell_col[placed].astype(np.int64) * nrows + image.cell_row[placed]
+
+        return self.image.derived(("site_ids", nrows), build) + (self.dcol * nrows + self.drow)
 
     # -- nets ----------------------------------------------------------------
 
@@ -340,33 +507,90 @@ class Block:
 
     # -- timing / routing / power --------------------------------------------
 
+    def _removed(self) -> tuple:
+        """``(live rows, spans)`` while nets have been removed: which of
+        the image's timing rows belong to a live net (``None``: all of
+        them), and the runs ``(a, b)`` of consecutive live net rows —
+        worked out once per removal."""
+        if self._live is None or self._live[0] != self.n_nets:
+            keep = self.net_live[self.image.derived("edges", _edges).net]
+            cuts = np.flatnonzero(np.diff(np.concatenate(([False], self.net_live, [False]))))
+            self._live = (self.n_nets, None if keep.all() else keep,
+                          list(zip(cuts[::2].tolist(), cuts[1::2].tolist())))
+        return self._live[1:]
+
+    def _live_rows(self) -> np.ndarray | None:
+        return None if self.pristine else self._removed()[0]
+
+    def _live_part(self, flat, ends: np.ndarray):
+        """The entries of the run-length column *flat* (net *k*'s end at
+        ``ends[k]``) that belong to live nets: a few slices, the removed
+        nets being a handful."""
+        if self.pristine:
+            return flat
+        pieces = [flat[(int(ends[a - 1]) if a else 0):int(ends[b - 1])]
+                  for a, b in self._removed()[1]]
+        return b"".join(pieces) if type(flat) is bytes else (
+            np.concatenate(pieces) if pieces else flat[:0])
+
     def timing_rows(self) -> _Edges:
         """One row per (live data net, sink), in the order a walk over the
         flattened nets would meet them: net row, driver and sink as cell
         rows *of this block*, the net's fanout, and the row's path as
         ``(start, length)`` into :meth:`route_nodes`."""
         edges = self.image.derived("edges", _edges)
-        if self.pristine:
-            return edges
-        keep = self.net_live[edges.net]
-        return edges if keep.all() else _Edges(*(column[keep] for column in edges))
+        keep = self._live_rows()
+        return edges if keep is None else _Edges(*(column[keep] for column in edges))
 
     def route_nodes(self) -> np.ndarray:
         """Every routed node of the image, shifted to this anchor."""
         return self.image.route_node + (self.dcol * self.nrows + self.drow)
 
+    def route_metrics(self, graph) -> tuple[np.ndarray, np.ndarray]:
+        """``(tiles, io_crossings)`` of every row of :meth:`timing_rows`:
+        :meth:`RoutingGraph.path_metrics_csr
+        <repro.fabric.interconnect.RoutingGraph.path_metrics_csr>` over
+        the shifted routes, measured once per image and *what it depends
+        on* — never the row shift, and of the column shift only where the
+        I/O columns then fall under the routes — and kept there for every
+        later instance, at any anchor that reads the same.  (Routes that
+        would leave the device at this anchor are measured as they stand.)
+        """
+        image, device = self.image, graph.device
+        edges = image.derived("edges", _edges)
+        lo, hi, row_lo, row_hi = image.derived(
+            ("route_span", self.nrows), lambda image: _route_span(image, self.nrows))
+        lo, hi = lo + self.dcol, hi + self.dcol
+
+        def measure(_image):
+            tiles, crossings = graph.path_metrics_csr(
+                self.route_nodes(), edges.start, edges.length)
+            return tiles.astype(np.int32), crossings.astype(np.int32)
+
+        if (device.nrows == self.nrows and 0 <= lo and hi < device.ncols
+                and 0 <= row_lo + self.drow and row_hi + self.drow < self.nrows):
+            io_columns = np.diff(device.io_prefix[lo:hi + 2]).astype(np.uint8).tobytes()
+            tiles, crossings = image.derived(
+                ("route_metrics", self.nrows, io_columns), measure)
+        else:
+            tiles, crossings = measure(image)
+        keep = self._live_rows()
+        return (tiles, crossings) if keep is None else (tiles[keep], crossings[keep])
+
     def wire_use(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(node, width, routed)``: one entry per distinct (live data
-        net, interior routed node) with the width the router charges for
-        it, and the number of routed connections behind them."""
+        """``(node, charge, routed)``: the distinct interior routed nodes
+        of the live data nets, the width the router charges each for
+        (once per net crossing it, summed), and the number of routed
+        connections behind them.  Kept per image; worked out afresh only
+        for a block that lost a net which owned wires."""
         wires = self.image.derived("wires", _wires)
-        net, node, routed = wires
         if not self.pristine:
-            keep = self.net_live[net]
-            net, node = net[keep], node[keep]
-            routed = routed[self.net_live]
-        return (node + (self.dcol * self.nrows + self.drow),
-                self.image.net_width[net], int(routed.sum()))
+            live = self.net_live
+            if wires.routed[~live].any():
+                wires = _wires_of(self.image, live)
+                wires = wires._replace(routed=wires.routed[live])
+        return (wires.node + (self.dcol * self.nrows + self.drow), wires.charge,
+                int(wires.routed.sum()))
 
     # -- re-encoding (DesignImage.from_design) --------------------------------
 
@@ -376,42 +600,38 @@ class Block:
 
     def net_column(self, attr: str) -> np.ndarray:
         """A per-net column, over the live nets only."""
-        column = getattr(self.image, attr)
+        return self.net_column_of(getattr(self.image, attr))
+
+    def net_column_of(self, column: np.ndarray) -> np.ndarray:
         return column if self.pristine else column[self.net_live]
 
-    def module_column(self, setd, index: dict) -> np.ndarray:
+    def module_column(self, intern) -> np.ndarray:
         """String index of every cell's ``module`` tag (``-1``: none),
-        interning new tags through *setd* in first-appearance order."""
+        interning new tags through *intern* in first-appearance order."""
         if self.instance is not None:
-            return np.full(self.n_cells, setd(self.instance, len(index)), dtype=np.int64)
+            return np.full(self.n_cells, intern(self.instance), dtype=np.int64)
         codes, table = self.image.derived("modules", _modules)
-        ids = np.array([setd(t, len(index)) for t in table] + [-1], dtype=np.int64)
+        ids = np.array([intern(t) for t in table] + [-1], dtype=np.int64)
         return ids[codes]                      # code -1 picks the trailing -1
 
     def driver_column(self, cell_string: np.ndarray) -> np.ndarray:
         """Driver of every live net as a string index, given the string
         index of each of this block's cells (``-1``: no driver)."""
-        rows = self.image.cell_of_string()
-        driver = self.net_column("net_driver")
-        return np.where(driver >= 0, cell_string[rows[driver]], -1)
+        driver = self.net_column_of(self.image.derived("pin_rows", _pin_rows)[0])
+        return np.where(driver >= 0, cell_string[driver], -1)
 
     def sink_column(self, cell_string: np.ndarray) -> np.ndarray:
         image = self.image
-        rows = image.cell_of_string()
-        sinks = image.sink_name
-        if not self.pristine:
-            sinks = sinks[np.repeat(self.net_live, image.net_nsinks)]
-        return cell_string[rows[sinks]]
+        sinks = self._live_part(image.derived("pin_rows", _pin_rows)[1],
+                                image.derived("flat_ends", _flat_ends)[0])
+        return cell_string[sinks]
 
     def route_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(route_len, route_node)`` of the live nets, nodes shifted."""
         image = self.image
-        lens, nodes = image.route_len, self.route_nodes()
-        if not self.pristine:
-            keep = np.repeat(self.net_live, image.net_nroutes)
-            nodes = nodes[np.repeat(keep, np.maximum(lens, 0))]
-            lens = lens[keep]
-        return lens, nodes
+        _sinks, routes, nodes = image.derived("flat_ends", _flat_ends)
+        return (self._live_part(image.route_len, routes),
+                self._live_part(image.route_node, nodes) + (self.dcol * self.nrows + self.drow))
 
     # -- flattening ----------------------------------------------------------
 
@@ -443,10 +663,33 @@ class CellTable:
     """
 
     def __init__(self, parts: list) -> None:
-        """*parts*: :meth:`Design.cell_parts`."""
-        self._parts = [p if type(p) is Block else list(p.values()) for p in parts]
+        """*parts*: :meth:`Design.cell_parts` (or runs already listed)."""
+        self._parts = [p if type(p) in (Block, list) else list(p.values()) for p in parts]
         self._starts = [0, *accumulate(
             p.n_cells if type(p) is Block else len(p) for p in self._parts)]
+
+    def without(self, cleared) -> "CellTable":
+        """The table over the same runs minus the blocks *cleared* holds
+        for — blocks whose verdict a rule has without looking at a cell.
+        Order is kept, so what a rule finds in the rest it finds in the
+        order it would have found it in the whole."""
+        return CellTable([p for p in self._parts if type(p) is not Block or not cleared(p)])
+
+    def site_ids(self, device) -> np.ndarray | None:
+        """Flat site index (``col * nrows + row``) of every placed cell,
+        in order; ``None`` when a placed cell is off the grid."""
+        nrows, ids = device.nrows, []
+        for part in self._parts:
+            if type(part) is Block:
+                if not part.within(0, 0, device.ncols - 1, nrows - 1):
+                    return None
+                ids.append(part.site_ids(nrows))
+            else:
+                sites = [cell.placement for cell in part if cell.placement is not None]
+                if not all(device.in_bounds(col, row) for col, row in sites):
+                    return None
+                ids.append(np.array([col * nrows + row for col, row in sites], dtype=np.int64))
+        return _cat(ids, np.int64)
 
     def __len__(self) -> int:
         return self._starts[-1]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import gc
 import numbers
+import pickle
 import struct
 import threading
 from itertools import chain, compress, count, repeat
@@ -328,6 +329,161 @@ def _unpack(blob: bytes, off: int):
     raise ValueError(f"unknown value tag {tag:#x}")
 
 
+# -- string tables ----------------------------------------------------------
+
+
+def _pack_strings(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """*strings* as the wire format holds a string table: UTF-8 bytes
+    end to end, and the byte length of each."""
+    table = "".join(strings)
+    if table.isascii():  # one byte per character: lengths without encoding each
+        raw, lens = table.encode("ascii"), map(len, strings)
+    else:
+        raw_strings = [s.encode("utf-8") for s in strings]
+        raw, lens = b"".join(raw_strings), map(len, raw_strings)
+    return raw, np.fromiter(lens, "<u4", len(strings))
+
+
+def _unpack_strings(raw: bytes, lens: np.ndarray) -> list[str]:
+    ends = np.cumsum(lens, dtype=np.int64).tolist()
+    if raw.isascii():
+        text = raw.decode("ascii")
+        return [text[a:b] for a, b in zip([0, *ends], ends)]
+    return [raw[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
+
+
+class _StringIndex:
+    """The string table of an image under construction.
+
+    ``dict.setdefault(s, len(index))`` for a flat design: a new string
+    gets the next index, the table is the dict in insertion order.  A
+    placed block's cell names and live net names are not interned one by
+    one: :meth:`run` hands the whole run a block of consecutive indices
+    and keeps the names as the packed bytes the block's image caches
+    (:meth:`Block.packed_names`), so they are neither re-prefixed nor
+    hashed per encode — provided no name of the run is in the table yet,
+    which holds for instances under distinct prefixes and is checked
+    against everything else.  From then on a string that is not in the
+    dict is looked for in the runs before it is called new, and the
+    table comes out as packed bytes; index for index it is the table the
+    flattened design would produce.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.taken = 0                       # indices handed out to runs
+        self.runs: list[tuple] = []          # (loose strings before it, raw, lens)
+        self.held: dict = {}                 # instance -> [block, cell base, net base]
+
+    def one(self, s: str) -> int:
+        i = self.index.get(s)
+        if i is None:
+            i = self._held(s) if self.held else None
+            if i is None:
+                i = self.index[s] = len(self.index) + self.taken
+        return i
+
+    def many(self, names) -> list[int]:
+        if self.held:
+            return [self.one(s) for s in names]
+        index = self.index
+        setd = index.setdefault
+        return [setd(s, len(index)) for s in names]
+
+    def new(self, names: list) -> list[int]:
+        """:meth:`many` for names that are normally all new (cell and
+        net names): one C-level pass handing out consecutive indices,
+        undone and redone one by one if any was not."""
+        if self.held:
+            return self.many(names)
+        index = self.index
+        start = len(index)
+        ids = list(map(index.setdefault, names, count(start)))
+        if len(index) - start != len(names):
+            for s in names:
+                if index.get(s, -1) >= start:
+                    del index[s]
+            ids = self.many(names)
+        return ids
+
+    def known(self, names: list) -> list[int]:
+        """:meth:`many` for names that are normally all in the table
+        already (net endpoints name cells)."""
+        if not self.held:
+            try:
+                return list(map(self.index.__getitem__, names))
+            except KeyError:
+                return self.many(names)
+        pieces: list = []                    # whole runs as arrays, the rest as lists
+        ids: list[int] = []
+        get, at = self.index.get, 0
+        while at < len(names):
+            i = get(names[at])
+            if i is None:
+                entry = self._holder(names[at])
+                rows = None
+                if entry is not None and entry[1] is not None:
+                    rows = entry[0].named_run(names, at)   # a block's cells, listed whole
+                if rows is not None:
+                    pieces += [np.array(ids, dtype=np.int64), rows + entry[1]]
+                    ids = []
+                    at += len(rows)
+                    continue
+                i = self.one(names[at])
+            ids.append(i)
+            at += 1
+        return np.concatenate([*pieces, np.array(ids, dtype=np.int64)]) if pieces else ids
+
+    def run(self, block: Block, which: int):
+        """Indices for *block*'s cell names (*which* 0) or live net names
+        (1): one consecutive run over the packed names — unless one of
+        them is in the table already, and then one by one."""
+        entry = self.held.setdefault(block.instance, [block, None, None])
+        raw, lens, shared = block.packed_names(which)
+        row_of = block.net_row if which else block.cell_row
+        prefix = block.prefix
+        if (which == 1 and shared and entry[1] is not None) or any(
+                s.startswith(prefix) and row_of(s) is not None for s in self.index):
+            return self.new(block.net_names() if which else block.cell_names())
+        base = entry[1 + which] = len(self.index) + self.taken
+        self.taken += len(lens)
+        self.runs.append((len(self.index), raw, lens))
+        return np.arange(base, base + len(lens))
+
+    def _holder(self, s: str):
+        return self.held.get(s.partition("/")[0]) or self.held.get(None)
+
+    def _held(self, s: str) -> int | None:
+        """Index of *s* inside a run, if that is where it is."""
+        entry = self._holder(s)
+        if entry is None:
+            return None
+        block, cell_base, net_base = entry
+        if cell_base is not None:
+            row = block.cell_row(s)
+            if row is not None:
+                return cell_base + row
+        if net_base is not None:
+            row = block.net_row(s)
+            if row is not None:
+                return net_base + block.live_rank(row)
+        return None
+
+    def table(self):
+        """The finished table: a list of strings, or — with runs in it —
+        the packed ``(bytes, byte lengths)`` of :func:`_pack_strings`."""
+        loose = list(self.index)
+        if not self.runs:
+            return loose
+        raws, lens, at = [], [], 0
+        for upto, raw, run_lens in [*self.runs, (len(loose), b"", np.zeros(0, "<u4"))]:
+            packed = _pack_strings(loose[at:upto])
+            raws += [packed[0], raw]
+            lens += [packed[1], run_lens]
+            at = upto
+        return b"".join(raws), np.concatenate(lens)
+
+
 # -- the columnar image -----------------------------------------------------
 
 
@@ -348,11 +504,25 @@ class DesignImage:
     __slots__ = (
         "name",
         "pblock",
-        "strings",
+        "_strings",
+        "_packed",
         "_meta_blob",
         "_meta_obj",
         "_derived",
     ) + tuple(col for col, _ in _COLUMNS)
+
+    @property
+    def strings(self) -> list[str]:
+        """The string table.  An image encoded from placed blocks holds
+        it as the packed bytes it was assembled from (what
+        :meth:`to_bytes` writes) and decodes it here, once, if asked."""
+        if self._strings is None:
+            self._strings = _unpack_strings(*self._packed)
+        return self._strings
+
+    @strings.setter
+    def strings(self, table: list[str]) -> None:
+        self._strings, self._packed = table, None
 
     # -- construction ----------------------------------------------------
 
@@ -374,39 +544,14 @@ class DesignImage:
         net_parts = [p if type(p) is Block else list(p.values())
                      for p in design.net_parts()]
         ports = list(design.ports.values())
-        index: dict[str, int] = {}
-        setd = index.setdefault
-
-        def intern(names) -> list[int]:
-            """``setd(s, len(index))`` of each name, in order."""
-            return [setd(s, len(index)) for s in names]
-
-        def intern_new(names: list) -> list[int]:
-            """:func:`intern` for names that are normally all new (cell
-            and net names): one C-level pass handing out consecutive
-            indices, undone and redone one by one if any was not."""
-            start = len(index)
-            ids = list(map(setd, names, count(start)))
-            if len(index) - start != len(names):
-                for s in names:
-                    if index.get(s, -1) >= start:
-                        del index[s]
-                ids = intern(names)
-            return ids
-
-        def intern_known(names: list) -> list[int]:
-            """:func:`intern` for names that are normally all in the
-            table already (net endpoints name cells)."""
-            try:
-                return list(map(index.__getitem__, names))
-            except KeyError:
-                return intern(names)
+        strings = _StringIndex()
+        intern, one = strings.many, strings.one
 
         def column(read, of_block, parts) -> list:
             return [of_block(p) if type(p) is Block else read(p) for p in parts]
 
-        cn = column(lambda cells: intern_new([c.name for c in cells]),
-                    lambda b: intern_new(b.cell_names()), cell_parts)
+        cn = column(lambda cells: strings.new([c.name for c in cells]),
+                    lambda b: strings.run(b, 0), cell_parts)
 
         def block_ctypes(block) -> np.ndarray:
             codes, table = block.kinds()
@@ -430,19 +575,17 @@ class DesignImage:
             )
         )
         cm = column(
-            lambda cells: [-1 if c.module is None else setd(c.module, len(index))
-                           for c in cells],
-            lambda b: b.module_column(setd, index), cell_parts)
+            lambda cells: [-1 if c.module is None else one(c.module) for c in cells],
+            lambda b: b.module_column(one), cell_parts)
 
         # A block's nets name cells of the block: a cell row becomes the
         # string index its name was interned at.
         cell_string = {p: np.asarray(ids, dtype=np.int64)
                        for p, ids in zip(cell_parts, cn) if type(p) is Block}
-        nn = column(lambda nets: intern_new([n.name for n in nets]),
-                    lambda b: intern_new(b.net_names()), net_parts)
+        nn = column(lambda nets: strings.new([n.name for n in nets]),
+                    lambda b: strings.run(b, 1), net_parts)
         nd = column(
-            lambda nets: [-1 if n.driver is None else setd(n.driver, len(index))
-                          for n in nets],
+            lambda nets: [-1 if n.driver is None else one(n.driver) for n in nets],
             lambda b: b.driver_column(cell_string[b]), net_parts)
         nw, nc, nl, ns, nr = (
             column(read, lambda b, k=k: b.net_column(k), net_parts)
@@ -455,7 +598,7 @@ class DesignImage:
             )
         )
         sk = column(
-            lambda nets: intern_known(list(chain.from_iterable(n.sinks for n in nets))),
+            lambda nets: strings.known(list(chain.from_iterable(n.sinks for n in nets))),
             lambda b: b.sink_column(cell_string[b]), net_parts)
         rl: list = []
         rn: list = []
@@ -463,20 +606,15 @@ class DesignImage:
             if type(part) is Block:
                 lens, nodes = part.route_columns()
             else:
-                lens, nodes = [], []
-                for n in part:
-                    for path in n.routes:
-                        if path is None:
-                            lens.append(-1)
-                        else:
-                            lens.append(len(path))
-                            nodes.extend(path)
+                paths = list(chain.from_iterable(n.routes for n in part))
+                lens = [-1 if path is None else len(path) for path in paths]
+                nodes = list(chain.from_iterable(path for path in paths if path is not None))
             rl.append(lens)
             rn.append(nodes)
 
-        pn = [setd(p.name, len(index)) for p in ports]
+        pn = [one(p.name) for p in ports]
         pd = [_DIR_CODE[p.direction] for p in ports]
-        pe = [setd(p.net, len(index)) for p in ports]
+        pe = [one(p.net) for p in ports]
         pw = [p.width for p in ports]
         tiles = [p.tile if p.tile else None for p in ports]
         pt = [1 if t else 0 for t in tiles]
@@ -488,7 +626,7 @@ class DesignImage:
             design.name,
             (pblock.col0, pblock.row0, pblock.col1, pblock.row1) if pblock else None,
             design.metadata,
-            list(index),
+            strings.table(),
             (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
              nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
              [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
@@ -496,11 +634,13 @@ class DesignImage:
 
     @classmethod
     def _assemble(cls, name, pblock, metadata, strings, columns):
-        """*columns*: per :data:`_COLUMNS` field, its runs of values."""
+        """*strings*: the table as a list, or packed
+        (:meth:`_StringIndex.table`); *columns*: per :data:`_COLUMNS`
+        field, its runs of values."""
         img = object.__new__(cls)
         img.name = name
         img.pblock = pblock
-        img.strings = strings
+        img._strings, img._packed = (strings, None) if type(strings) is list else (None, strings)
         img._derived = {}
         img._set_metadata(metadata)
         for (attr, dtype), runs in zip(_COLUMNS, columns):
@@ -521,8 +661,10 @@ class DesignImage:
             self._meta_obj = copy.deepcopy(metadata)
 
     def with_metadata(self, metadata: dict) -> "DesignImage":
-        """The same design under *metadata*; every column is shared."""
+        """The same design under *metadata*; every column is shared (and
+        what was derived from the columns so far)."""
         img = copy.copy(self)
+        img._derived = {k: v for k, v in self._derived.items() if k != "metadata"}
         img._set_metadata(metadata)
         return img
 
@@ -535,33 +677,21 @@ class DesignImage:
             raise TypeError(
                 f"design {self.name}: metadata is not codec-serializable"
             )
-        out = bytearray()
-        out += MAGIC
-        out += struct.pack("<H", CODEC_VERSION)
         raw_name = self.name.encode("utf-8")
-        out += struct.pack("<I", len(raw_name))
-        out += raw_name
-        out += struct.pack("<B", 1 if self.pblock else 0)
-        if self.pblock:
-            out += struct.pack("<4i", *self.pblock)
-        out += struct.pack("<I", len(self._meta_blob))
-        out += self._meta_blob
-        strings = self.strings
-        table = "".join(strings)
-        if table.isascii():  # one byte per character: lengths without encoding each
-            raw, lens = table.encode("ascii"), map(len, strings)
-        else:
-            raw_strings = [s.encode("utf-8") for s in strings]
-            raw, lens = b"".join(raw_strings), map(len, raw_strings)
-        out += struct.pack("<I", len(strings))
-        out += np.fromiter(lens, "<u4", len(strings)).tobytes()
-        out += raw
-        for column in self.columns():
-            raw = column.tobytes()
-            out += struct.pack("<Q", len(raw))
-            out += raw
+        raw, lens = self._packed or _pack_strings(self._strings)
+        out = [
+            MAGIC, struct.pack("<H", CODEC_VERSION),
+            struct.pack("<I", len(raw_name)), raw_name,
+            struct.pack("<B", 1 if self.pblock else 0),
+            struct.pack("<4i", *self.pblock) if self.pblock else b"",
+            struct.pack("<I", len(self._meta_blob)), self._meta_blob,
+            struct.pack("<I", len(lens)), lens, raw,
+        ]
+        for column in self.columns():   # joined straight out of the arrays' buffers
+            out += [struct.pack("<Q", column.nbytes), np.ascontiguousarray(column)]
+        blob = b"".join(out)
         TELEMETRY.note("encode", perf_counter() - t0)
-        return bytes(out)
+        return blob
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DesignImage":
@@ -638,8 +768,10 @@ class DesignImage:
             if not ok:
                 raise ValueError(f"column {attr}: {why}")
 
-        if not isinstance(unpack_value(self._meta_blob), dict):
+        meta = unpack_value(self._meta_blob)
+        if not isinstance(meta, dict):
             raise ValueError("image metadata is not a dict")
+        self._derived["metadata"] = pickle.dumps(meta, 5)   # parsed here: keep it
         if self.pblock is not None:
             PBlock(*self.pblock)  # raises on a degenerate rectangle
         strings = self.strings
@@ -680,10 +812,17 @@ class DesignImage:
         return [getattr(self, attr) for attr, _ in _COLUMNS]
 
     def metadata(self) -> dict:
-        """Fresh metadata object (the codec's deep copy)."""
-        if self._meta_blob is not None:
-            return unpack_value(self._meta_blob)
-        return copy.deepcopy(self._meta_obj)
+        """Fresh metadata object (the codec's deep copy).
+
+        The packed blob is parsed once per image; what is kept is the
+        parsed tree as a pickle — bytes, and a fresh copy of it is one
+        C-level load where :func:`unpack_value` walks every node (the
+        value universe of the two is the same: tuples stay tuples,
+        floats stay bit-exact)."""
+        if self._meta_blob is None:
+            return copy.deepcopy(self._meta_obj)
+        return pickle.loads(self.derived(
+            "metadata", lambda image: pickle.dumps(unpack_value(image._meta_blob), 5)))
 
     def used_column_offsets(self) -> dict[int, int]:
         """Relative column offset -> tile-type code used by placed cells.
@@ -816,8 +955,11 @@ class DesignImage:
 
         return self.derived("ports", build)
 
-    def derived(self, key: str, build):
-        """``build(self)``, computed once per image and kept under *key*.
+    def derived(self, key, build):
+        """``build(self)``, computed once per image and kept under *key*
+        — a name, or a tuple of a name and whatever else the artefact
+        depends on (an instance prefix, the device's row count, the I/O
+        columns under the routes).
 
         For artefacts that are functions of the (immutable) columns alone
         — name indexes, compiled timing rows, route node pairs — so every

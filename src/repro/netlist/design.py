@@ -9,7 +9,6 @@ memory by RapidWright.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
@@ -148,7 +147,7 @@ class Design:
         out: list[str] = []
         for part in self.cell_parts():
             if type(part) is Block:
-                out += compress(part.cell_names(), part.seq().tolist())
+                out += part.seq_cell_names()
             else:
                 out += [c.name for c in part.values() if c.seq]
         return out
@@ -578,7 +577,18 @@ class _BlockBacked(Design):
                 or self._block_holding(name, "net_row") is not None)
 
     def unknown_cells(self, names) -> set[str]:
-        left = set(names)
+        # A full listing of a block's cells (the clock net's sinks are
+        # one per block) is recognised whole; the rest are looked up.
+        names = names if type(names) is list else list(names)
+        left, at = set(), 0
+        while at < len(names):
+            block = self._blocks.get(names[at].partition("/")[0], self._blocks.get(None))
+            run = block.named_run(names, at) if block is not None else None
+            if run is None:
+                left.add(names[at])
+                at += 1
+            else:
+                at += len(run)
         for part in self._cell_parts:
             if type(part) is dict:
                 left -= part.keys()

@@ -16,7 +16,10 @@ from ..obs.span import incr
 from .design import Design, DesignError
 from .net import Net, Port
 
-__all__ = ["bridge_ports", "merge_clock_nets", "expose_port", "prune_dangling_nets"]
+__all__ = [
+    "bridge_ports", "merge_clock_nets", "expose_port", "expose_weight_ports",
+    "prune_dangling_nets",
+]
 
 
 def bridge_ports(
@@ -55,6 +58,20 @@ def expose_port(
     return top.add_port(
         Port(port_name, direction, net.name, width=max(width, net.width), protocol=protocol)
     )
+
+
+def expose_weight_ports(top: Design, instance: str, portmap: dict[str, str], n_ports: int) -> int:
+    """Promote an instance's streamed-weight inputs (the ``in_weights*``
+    entries of its *portmap*) to top-level memory ports
+    ``weights_<instance>_<i>``, numbered across the whole design from
+    *n_ports*; returns the count so far."""
+    for pname, nname in portmap.items():
+        if pname.startswith("in_weights"):
+            top.add_port(
+                Port(f"weights_{instance}_{n_ports}", "in", nname, width=16, protocol="mem")
+            )
+            n_ports += 1
+    return n_ports
 
 
 def prune_dangling_nets(top: Design) -> list[str]:

@@ -94,11 +94,9 @@ def estimate_power(
     for part in design.net_parts():
         if not isinstance(part, dict):
             # every connection of a block's data nets is routed
-            rows = part.timing_rows()
-            tiles, _crossings = graph.path_metrics_csr(
-                part.route_nodes(), rows.start, rows.length
-            )
-            routed_tiles += int(tiles @ part.column("net_width")[rows.net].astype(np.int64))
+            tiles, _crossings = part.route_metrics(graph)
+            width = part.column("net_width")[part.timing_rows().net]
+            routed_tiles += int(tiles.astype(np.int64) @ width.astype(np.int64))
             continue
         for net in part.values():
             if net.is_clock:

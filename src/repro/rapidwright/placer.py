@@ -17,6 +17,9 @@ paper's Eq. 1-3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
@@ -25,6 +28,14 @@ from ..obs.span import incr, span
 from .module import Footprint, candidate_anchors
 
 __all__ = ["ComponentPlacer", "ComponentPlacement", "PlacementInfeasible"]
+
+
+#: The per-candidate cost every array ranking of :meth:`ComponentPlacer.
+#: _rank` is asserted equal to, float for float and tie for tie (oracle
+#: contract, lint rules ORC-001..003; ``tests/test_property_component_
+#: placer.py``) — and what the search re-checks a candidate with when it
+#: picks it.
+ORACLE = "repro.rapidwright.placer.ComponentPlacer._cost"
 
 
 class PlacementInfeasible(DesignError):
@@ -52,8 +63,20 @@ def _halo(p: PBlock, h: int, device: Device) -> PBlock:
     )
 
 
-def _port_point(module: Footprint, direction: str, pblock: PBlock) -> tuple[float, float]:
-    """Partition-pin location for the data interface, pblock-relative."""
+class _Boxes(NamedTuple):
+    """The corners of many candidate pblocks of one module, as columns:
+    what :func:`_port_point` and the overlap arithmetic read of a
+    :class:`PBlock`, for every anchor at once."""
+
+    col0: np.ndarray
+    row0: np.ndarray
+    col1: np.ndarray
+    row1: np.ndarray
+
+
+def _port_point(module: Footprint, direction: str, pblock: "PBlock | _Boxes"):
+    """Partition-pin location for the data interface, pblock-relative
+    (a pair of numbers for a :class:`PBlock`, of columns for boxes)."""
     tile = module.pin_tiles.get("in_data" if direction == "in" else "out_data")
     if tile is not None:
         base = module.pblock
@@ -155,8 +178,6 @@ class ComponentPlacer:
         items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
     ) -> ComponentPlacement:
-        import numpy as np
-
         result = ComponentPlacement()
         candidate_lists: list[list[tuple[int, int]]] = []
         for name, module in items:
@@ -248,21 +269,54 @@ class ComponentPlacer:
     ) -> list[tuple[float, float, float, PBlock]]:
         """Candidates sorted by weighted cost against the current partial
         placement (overlapping candidates are kept — re-checked at pick
-        time, since the placed set may shrink on backtracking)."""
-        base = items[idx][1].pblock
-        scored: list[tuple[float, float, float, PBlock]] = []
-        for col, row in anchors:
-            pblock = PBlock(
-                col, row, col + base.width - 1, row + base.height - 1
-            )
-            if not pblock.within(self.device):
-                continue
-            cost = self._cost(idx, pblock, items, connections, placed)
-            if cost is None:
-                timing, congestion = 1e9, 1e9  # currently blocked; retry later
+        time, since the placed set may shrink on backtracking).
+
+        :meth:`_cost` of every anchor at once: the candidates' corners
+        are columns, each placed component and each connection adds its
+        term to the whole column — in the order the scalar loops add
+        them (``placed`` in dict order, *connections* in list order), so
+        every float is the one ``_cost`` computes — and a stable argsort
+        stands in for the stable list sort.  Only the candidates kept
+        become :class:`PBlock` objects.
+        """
+        module = items[idx][1]
+        base = module.pblock
+        device = self.device
+        at = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+        boxes = _Boxes(at[:, 0], at[:, 1],
+                       at[:, 0] + (base.width - 1), at[:, 1] + (base.height - 1))
+        inside = (boxes.col1 < device.ncols) & (boxes.row1 < device.nrows)
+        if not inside.all():
+            boxes = _Boxes(*(corner[inside] for corner in boxes))
+
+        timing = np.zeros(len(boxes.col0))
+        for a, b in connections:
+            if a == idx and b in placed:
+                src = _port_point(module, "out", boxes)
+                dst = _port_point(items[b][1], "in", placed[b])
+            elif b == idx and a in placed:
+                src = _port_point(items[a][1], "out", placed[a])
+                dst = _port_point(module, "in", boxes)
             else:
-                timing, congestion = cost
-            total = self.timing_weight * timing + self.congestion_weight * congestion
-            scored.append((total, timing, congestion, pblock))
-        scored.sort(key=lambda t: t[0])
-        return scored[: self.max_candidates]
+                continue
+            timing += np.abs(src[0] - dst[0]) + np.abs(src[1] - dst[1])
+
+        h = self.halo
+        mine = _Boxes(np.maximum(0, boxes.col0 - h), np.maximum(0, boxes.row0 - h),
+                      np.minimum(device.ncols - 1, boxes.col1 + h),
+                      np.minimum(device.nrows - 1, boxes.row1 + h))
+        congestion = np.zeros(len(boxes.col0))
+        for other in placed.values():
+            theirs = _halo(other, h, device)
+            dc = np.minimum(mine.col1, theirs.col1) - np.maximum(mine.col0, theirs.col0) + 1
+            dr = np.minimum(mine.row1, theirs.row1) - np.maximum(mine.row0, theirs.row0) + 1
+            congestion += (np.maximum(dc, 0) * np.maximum(dr, 0)) / base.area
+
+        total = self.timing_weight * timing + self.congestion_weight * congestion
+        best = np.argsort(total, kind="stable")[: self.max_candidates]
+        return [
+            (t, tm, cg, PBlock(col, row, col + base.width - 1, row + base.height - 1))
+            for t, tm, cg, col, row in zip(
+                total[best].tolist(), timing[best].tolist(), congestion[best].tolist(),
+                boxes.col0[best].tolist(), boxes.row0[best].tolist())
+        ]

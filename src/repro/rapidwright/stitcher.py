@@ -27,7 +27,12 @@ from ..cnn.graph import Component
 from ..fabric.device import Device
 from ..netlist.design import Design, DesignError
 from ..netlist.net import Port
-from ..netlist.stitch import bridge_ports, merge_clock_nets, prune_dangling_nets
+from ..netlist.stitch import (
+    bridge_ports,
+    expose_weight_ports,
+    merge_clock_nets,
+    prune_dangling_nets,
+)
 from .database import ComponentDatabase
 from .module import relocate, relocate_reference
 
@@ -159,18 +164,7 @@ def _compose(name, components, device, anchors, instance) -> StitchResult:
             net = bridge_ports(top, prev_out, portmap["in_data"], hint=comp.name)
             result.stitch_nets.append(net.name)
         prev_out = portmap["out_data"]
-        for pname, nname in portmap.items():
-            if pname.startswith("in_weights"):
-                top.add_port(
-                    Port(
-                        f"weights_{comp.name}_{n_weight_ports}",
-                        "in",
-                        nname,
-                        width=16,
-                        protocol="mem",
-                    )
-                )
-                n_weight_ports += 1
+        n_weight_ports = expose_weight_ports(top, comp.name, portmap, n_weight_ports)
 
     if first_in is None or prev_out is None:
         raise DesignError("cannot compose an empty component list")
@@ -246,6 +240,7 @@ def compose_shared(
         )
     )
 
+    n_weight_ports = 0
     for comp in unique.values():
         anchor = anchors.get(comp.name)
         if anchor is None:
@@ -280,6 +275,7 @@ def compose_shared(
         result.stitch_nets += [to_sched.name, from_sched.name]
         del top.nets[portmap["out_data"]]
         del top.nets[portmap["in_data"]]
+        n_weight_ports = expose_weight_ports(top, comp.name, portmap, n_weight_ports)
 
     ext_in = top.connect("ext_in", None, [sched_entry], width=16)
     ext_out = top.connect("ext_out", sched_exit, [], width=16)

@@ -187,14 +187,14 @@ def routed_occupancy(
         pairs % n_nodes, weights=width[pairs // n_nodes], minlength=n_nodes
     ).astype(np.float64, copy=False)
     preexisting = int(routed.sum())
-    # Placed blocks arrive routed: each adds its (net, node) charges,
-    # known per image and shifted to its anchor.  Widths are integers,
-    # so the float sums are exact in any order.
+    # Placed blocks arrive routed: each adds its per-node charges, summed
+    # over its nets once per image and shifted to its anchor.  Widths are
+    # integers, so the float sums are exact in any order.
     for block in design.blocks:
-        node, charge, n_routed = block.wire_use()
-        if node.size and not 0 <= node.min() <= node.max() < n_nodes:
+        node, charge, n_routed = block.wire_use()   # distinct nodes
+        if node.size and not 0 <= node[0] <= node[-1] < n_nodes:    # ascending
             raise IndexError("routed_occupancy: route leaves the routing graph")
-        occupancy += np.bincount(node, weights=charge, minlength=n_nodes)
+        occupancy[node] += charge
         preexisting += n_routed
     return occupancy, net_usage, preexisting
 

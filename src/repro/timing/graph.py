@@ -202,6 +202,12 @@ class TimingGraph:
         self.r_fanout = np.zeros(0, dtype=np.int64)
         self.r_delay = np.zeros(0)
         self.r_routed = np.zeros(0, dtype=bool)  # timed from its route (else placements)
+        # Arrival + delay + setup of a row that lands on a register (-inf
+        # for one that does not, which a row never stops or starts doing),
+        # as of the last report; ``r_redo`` marks the rows whose terms
+        # have changed since.
+        self.r_total = np.zeros(0)
+        self.r_redo = np.zeros(0, dtype=bool)
         self._adj: tuple | None = None
         # Propagation state: arrival per slot; winning (src slot, net
         # name) per combinational cell that has one.
@@ -330,10 +336,14 @@ class TimingGraph:
             self.r_route = routes
 
         rows = np.flatnonzero(stale)
-        self.memo_hits += int(np.count_nonzero(
-            ~stale & (self.r_src >= 0) & (self.r_dst >= 0)
-        ))
-        self._time(rows)
+        if self.net_missing:
+            self.memo_hits += int(np.count_nonzero(
+                ~stale & (self.r_src >= 0) & (self.r_dst >= 0)
+            ))
+        else:  # every row has both ends
+            self.memo_hits += len(stale) - len(rows)
+        self._time(stale)
+        self.r_redo[rows] = True
         self._mark_dirty(self.r_dst[rows])
 
         # CTS skew/insertion live in design metadata, outside the
@@ -352,7 +362,11 @@ class TimingGraph:
         n0 = base = len(self.cell_seq)
         self.cell_objs += entries
         self.cell_names += names
-        seq_parts, logic_parts, setup_parts = [self.cell_seq], [self.cell_logic], [self.cell_setup]
+        # One delay lookup for the whole batch: the glue cells as they
+        # are, each block through its few (type, depth) representatives.
+        asked: list = []
+        runs: list[tuple] = []                   # (first asked, one past, block's classes | None)
+        seq_parts = [self.cell_seq]
         glue_slots = [self.g_slot]
         at = 0
         for k in [*block_at, len(entries)]:
@@ -364,21 +378,24 @@ class TimingGraph:
                 self.g_names += names[at:k]
                 self.cell_pl += [c.placement for c in run]
                 glue_slots.append(np.arange(base, base + len(run)))
-                logic, setup = self.delays.cell_delays_ps(run)
                 seq_parts.append(np.array([bool(c.seq) for c in run], dtype=bool))
-                logic_parts.append(logic)
-                setup_parts.append(setup)
+                runs.append((len(asked), len(asked) + len(run), None))
+                asked += run
                 base += len(run)
             if k < len(entries):
                 block = entries[k]
                 self.block_slot[block] = base
                 reps, which = block.delay_classes()
-                logic, setup = self.delays.cell_delays_ps(reps)
                 seq_parts.append(block.seq())
-                logic_parts.append(logic[which])
-                setup_parts.append(setup[which])
+                runs.append((len(asked), len(asked) + len(reps), which))
+                asked += reps
                 base += block.n_cells
             at = k + 1
+        logic, setup = self.delays.cell_delays_ps(asked)
+        logic_parts, setup_parts = [self.cell_logic], [self.cell_setup]
+        for a, b, which in runs:
+            logic_parts.append(logic[a:b] if which is None else logic[a:b][which])
+            setup_parts.append(setup[a:b] if which is None else setup[a:b][which])
         self.g_slot = np.concatenate(glue_slots)
         self.cell_seq = np.concatenate(seq_parts)
         self.cell_logic = np.concatenate(logic_parts)
@@ -463,24 +480,31 @@ class TimingGraph:
 
         def splice(column, compiled, by) -> list:
             old, new = old_at[by], new_at[by]
-            parts = [column[:0]]
+            parts = []
             for (a, b, k), until in zip(pieces, cuts):
-                parts.append(column[old[a]:old[b]])
-                parts.append(compiled[new[k]:new[until]])
-            return parts
+                if a < b:
+                    parts.append(column[old[a]:old[b]])
+                if k < until:
+                    parts.append(compiled[new[k]:new[until]])
+            return parts or [column[:0]]
+
+        def joined(column, compiled, by) -> np.ndarray:
+            parts = splice(column, compiled, by)
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         gone = np.ones(len(stale), dtype=bool)
         for a, b, _ in pieces:
             gone[old_at[BY_ROW][a]:old_at[BY_ROW][b]] = False
         self._mark_dirty(self.r_dst[gone])
         n_rows = new_at[BY_ROW][-1]
-        retime = np.concatenate(splice(stale, np.ones(n_rows, dtype=bool), BY_ROW))
-        self.r_delay = np.concatenate(splice(self.r_delay, np.zeros(n_rows), BY_ROW))
-        self.r_routed = np.concatenate(
-            splice(self.r_routed, np.zeros(n_rows, dtype=bool), BY_ROW))
-        self.r_src = np.concatenate(splice(self.r_src, src, BY_ROW))
-        self.r_dst = np.concatenate(splice(self.r_dst, dst, BY_ROW))
-        self.r_fanout = np.concatenate(splice(self.r_fanout, rows_fanout, BY_ROW))
+        retime = joined(stale, np.ones(n_rows, dtype=bool), BY_ROW)
+        self.r_delay = joined(self.r_delay, np.zeros(n_rows), BY_ROW)
+        self.r_routed = joined(self.r_routed, np.zeros(n_rows, dtype=bool), BY_ROW)
+        self.r_total = joined(self.r_total, np.full(n_rows, -np.inf), BY_ROW)
+        self.r_redo = joined(self.r_redo, np.ones(n_rows, dtype=bool), BY_ROW)
+        self.r_src = joined(self.r_src, src, BY_ROW)
+        self.r_dst = joined(self.r_dst, dst, BY_ROW)
+        self.r_fanout = joined(self.r_fanout, rows_fanout, BY_ROW)
         self.r_sink = list(chain.from_iterable(splice(self.r_sink, flat, BY_GLUE_ROW)))
         self.r_route = list(chain.from_iterable(
             splice(routes, _flat_routes(nets, fanout), BY_GLUE_ROW)))
@@ -504,37 +528,39 @@ class TimingGraph:
             self.g_row = np.arange(len(self.r_net))
         # Nets with missing endpoints sit outside the memo (their error
         # status depends on routes and the cell set); recompile them
-        # every sync so it never goes stale.  Valid designs have none.
-        self.net_missing = set(self.r_net[(self.r_src < 0) | (self.r_dst < 0)].tolist())
+        # every sync so it never goes stale.  Valid designs have none —
+        # and since they are never carried over, only a fresh row can be one.
+        self.net_missing = set()
+        if (src < 0).any() or (dst < 0).any():
+            self.net_missing = set(self.r_net[(self.r_src < 0) | (self.r_dst < 0)].tolist())
         self._adj = None
         return retime
 
-    def _time(self, rows: np.ndarray) -> None:
-        """(Re)compute the delay of *rows*: the routed ones from a single
-        batched path measurement (per block: straight off its route
-        columns), the rest from the placement estimate."""
-        if not rows.size:
-            return
+    def _time(self, stale: np.ndarray) -> None:
+        """(Re)compute the delay of the rows marked in *stale*: the
+        routed ones from a single batched path measurement (per block:
+        the metrics its image keeps for this anchor), the rest from the
+        placement estimate."""
         off = self.net_off
         if self.b_entry:
-            glue_row = np.full(len(self.r_net), -1, dtype=np.int64)
-            glue_row[self.g_row] = np.arange(len(self.g_row))
-            in_block = glue_row[rows] < 0
-            for j in np.unique(self.r_net[rows[in_block]]).tolist():
+            for j in self.b_entry:
+                if not stale[off[j]:off[j + 1]].any():
+                    continue
                 block = self.data_nets[j]       # compiled whole, so timed whole
-                timing = block.timing_rows()
-                tiles, crossings = self.graph.path_metrics_csr(
-                    block.route_nodes(), timing.start, timing.length
-                )
+                tiles, crossings = block.route_metrics(self.graph)
                 self.r_delay[off[j]:off[j + 1]] = self.delays.routed_delays_ps(
-                    tiles, crossings, timing.fanout
+                    tiles, crossings, block.timing_rows().fanout
                 )
                 self.r_routed[off[j]:off[j + 1]] = True
                 self.memo_misses += len(tiles)
-            rows = rows[~in_block]
-            picked = [self.r_route[i] for i in glue_row[rows].tolist()]
+            glue = np.flatnonzero(stale[self.g_row])
+            rows = self.g_row[glue]
+            picked = [self.r_route[i] for i in glue.tolist()]
         else:
+            rows = np.flatnonzero(stale)
             picked = [self.r_route[i] for i in rows.tolist()]
+        if not rows.size:
+            return
         routed = np.fromiter(map(is_not, picked, repeat(None)), bool, len(picked))
         if self.graph is None:
             routed[:] = False
@@ -647,6 +673,7 @@ class TimingGraph:
         best = self.best_pred
         logic = self.cell_logic
         delay = self.r_delay
+        moved: list[int] = []                    # rows leaving a cell whose arrival changed
         processed = 0
         while queue:
             c = queue.popleft()
@@ -671,6 +698,7 @@ class TimingGraph:
                     else:
                         best[c] = pred
                     changed = True
+                    moved += fan_out[out_off[c]:out_off[c + 1]]
             for e in fan_out[out_off[c]:out_off[c + 1]]:
                 d = dst[e]
                 if d in indeg:
@@ -679,6 +707,7 @@ class TimingGraph:
                         needs.add(d)
                     if indeg[d] == 0:
                         queue.append(d)
+        self.r_redo[moved] = True
         if processed < len(cone):
             self._raise_loop([self._cell_name(c) for c in cone if indeg[c] > 0])
         return processed
@@ -703,18 +732,25 @@ class TimingGraph:
         name = self._cell_name
         out = self.out_time
         src, dst = self.r_src, self.r_dst
-        live = np.flatnonzero((src >= 0) & (dst >= 0))
-        ends = live[self.cell_seq[dst[live]]]  # rows landing on a register
+        # Totals are kept per row and recomputed only where a term moved
+        # since the last report (a re-timed or fresh row, a new arrival
+        # at its driver): the scan below is over stored floats.
+        redo = np.flatnonzero(self.r_redo)
+        if redo.size:
+            live = redo[(src[redo] >= 0) & (dst[redo] >= 0)]
+            ends = live[self.cell_seq[dst[live]]]  # rows landing on a register
+            self.r_total[ends] = out[src[ends]] + self.r_delay[ends] + self.cell_setup[dst[ends]]
+            self.r_redo.fill(False)
+        total = self.r_total
         overhead, insertion = clock_terms(self.design, self.delays)
-        total = out[src[ends]] + self.r_delay[ends] + self.cell_setup[dst[ends]]
-        worst = float(total.max()) if ends.size else 0.0
+        worst = float(total.max()) if total.size else 0.0
         if not worst > 0.0:
             worst = float(out.max()) if out.size else 0.0
             return TimingReport(self.design.name, worst, overhead, [], 0, insertion)
         # First max wins, scanning sinks in cell order and each sink's
         # fan-in in row order: of the rows tied at the maximum (ascending
         # already), take the first one of the earliest sink.
-        tied = ends[total == worst]
+        tied = np.flatnonzero(total == worst)
         row = int(tied[np.argmin(dst[tied])])
         path: list[tuple[str, str | None]] = [(name(int(dst[row])), self._net_name(row))]
         cursor = int(src[row])
@@ -726,5 +762,6 @@ class TimingGraph:
             guard += 1
         path.reverse()
         return TimingReport(
-            self.design.name, worst, overhead, path, int(ends.size), insertion
+            self.design.name, worst, overhead, path,
+            int(np.count_nonzero(total > -np.inf)), insertion
         )

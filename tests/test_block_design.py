@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import functools
 import pickle
+import random
 from contextlib import contextmanager
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.netlist import Design, DesignError, design_to_dict
 from repro.netlist.block import Block, sealed
 from repro.netlist.codec import DesignImage, encode_design
 from repro.netlist.net import Port
+from repro.netlist.stitch import merge_clock_nets
 from repro.power.model import estimate_power
 from repro.rapidwright import ComponentDatabase, ComponentPlacer, PreImplementedFlow
 from repro.rapidwright.stitcher import compose, compose_reference
@@ -513,3 +515,242 @@ def test_consumers_agree_on_a_stitched_vgg():
     power = [estimate_power(top, DEVICE, reports[0].fmax_mhz, GRAPH) for top in tops]
     assert power[0] == power[1]
     assert tops[0].blocks
+
+
+# -- what an image keeps between runs: keyed by what it depends on ---------------------------
+#
+# Everything below is kept on the immutable image (``DesignImage.derived``)
+# and read back by every later instance.  The oracles are the ones above:
+# the flattened objects, ``analyze_reference``, ``from_design`` of the
+# flattened design.
+
+
+def _two_column_component() -> Design:
+    """Two flops three columns apart and a routed, locked net between
+    them: at an anchor that puts an I/O column in between, the route
+    crosses it; elsewhere it does not."""
+    rows = DEVICE.nrows
+    design = Design("span", pblock=PBlock(0, 0, 3, 1))
+    design.new_cell("a", "SLICE", ffs=1, seq=True, placement=(0, 0), locked=True)
+    design.new_cell("b", "SLICE", ffs=1, seq=True, placement=(3, 1), locked=True)
+    net = design.connect("ab", "a", ["b"], width=4, locked=True)
+    net.routes = [[0 * rows + 0, 3 * rows + 0, 3 * rows + 1]]      # one hop over columns 1, 2
+    design.connect("in_net", None, ["a"])
+    design.connect("out_net", "b", [])
+    design.add_port(Port("in_data", "in", "in_net"))
+    design.add_port(Port("out_data", "out", "out_net"))
+    return design
+
+
+def test_route_metrics_follow_the_io_columns_not_the_anchor():
+    """One image at four anchors: two that differ only in rows share an
+    entry, one across an I/O column gets its own — and timing and power
+    read off the blocks are what the flattened objects give."""
+    from repro.timing.sta import analyze_reference
+
+    io = int(DEVICE.io_columns[0])
+    assert {DEVICE.tile_type(c) for c in (io - 2, io + 1, 0, 3, 7, 10)} == \
+        {TILE_FOR_CELL["SLICE"]}
+    database = ComponentDatabase(DEVICE)
+    database.put(("span",), _two_column_component())
+    anchors = {"plain": (0, 0), "rows": (0, 40), "cols": (7, 5), "io": (io - 2, 9)}
+
+    def top():
+        design = Design("top")
+        for name, anchor in anchors.items():
+            ports = design.adopt(database.fetch(("span",), anchor, instance=name))
+            design.add_port(Port(f"in_{name}", "in", ports["in_data"]))
+            design.add_port(Port(f"out_{name}", "out", ports["out_data"]))
+        return design
+
+    blocks, flat = top(), top()
+    flat.cells
+    assert len(blocks.blocks) == 4 and not flat.blocks
+    report = IncrementalSta(blocks, DEVICE, GRAPH).analyze()
+    assert report == analyze_reference(flat, DEVICE, GRAPH)
+    assert report == IncrementalSta(flat, DEVICE, GRAPH).analyze()
+    assert estimate_power(blocks, DEVICE, report.fmax_mhz, GRAPH) == \
+        estimate_power(flat, DEVICE, report.fmax_mhz, GRAPH)
+    assert blocks.blocks, "reading the blocks flattened them"
+
+    (record,) = database.records.values()
+    kept = {key: value for key, value in record.image._derived.items()
+            if key[0] == "route_metrics"}
+    assert len(kept) == 2                       # no I/O column under the routes / one
+    per_anchor = {b.instance: b.route_metrics(GRAPH) for b in blocks.blocks}
+    assert [int(per_anchor[name][1][0]) for name in anchors] == [0, 0, 0, 1]
+    assert per_anchor["plain"][0] is per_anchor["rows"][0] is per_anchor["cols"][0]
+    assert per_anchor["io"][0] is not per_anchor["plain"][0]
+    for block in blocks.blocks:                 # and each equals a fresh measurement
+        rows = block.timing_rows()
+        tiles, crossings = GRAPH.path_metrics_csr(block.route_nodes(), rows.start, rows.length)
+        assert np.array_equal(tiles, per_anchor[block.instance][0])
+        assert np.array_equal(crossings, per_anchor[block.instance][1])
+
+
+def test_two_instances_of_one_image_get_their_own_name_tables():
+    """A network that repeats a layer places one checkpoint three times
+    (LeNet-5 by layer repeats none): each instance's names are kept under
+    its own prefix, and the encoded design is the flattened one's."""
+    from repro.cnn import Conv2D, DFG, Input, ReLU
+
+    layers = [Input("in", shape=(2, 16, 16))]
+    for i in range(1, 4):
+        layers += [Conv2D(f"c{i}", filters=2, kernel=3, padding="same"), ReLU(f"r{i}")]
+    comps = group_components(DFG.sequential("repnet", layers), "layer")
+    database = ComponentDatabase(DEVICE)
+    database.build(comps, effort="low", seed=0)
+    (record,) = database.records.values()
+    assert len(comps) == 3
+    placement = ComponentPlacer(DEVICE).place(
+        [(c.name, database.footprint(c.signature)) for c in comps], [(0, 1), (1, 2)])
+    top = compose("top", comps, database, DEVICE, placement.anchors).top
+    blob = encode_design(top)
+    assert len(top.blocks) == 3 and all(b.image is record.image for b in top.blocks)
+    tables = [key[1] for key in record.image._derived if key[0] == "name_table"]
+    assert sorted(tables) == sorted(f"{c.name}/" for c in comps)
+    for block in top.blocks:
+        raw, lens, _shared = block.packed_names(0)
+        assert raw.decode() == "".join(block.cell_names())
+        assert lens.tolist() == [len(name) for name in block.cell_names()]
+        assert all(name.startswith(block.prefix) for name in block.cell_names())
+    top.cells
+    assert DesignImage.from_design(top).to_bytes() == blob
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+def test_first_and_second_run_encode_the_same_bytes():
+    """The first run fills what the images keep, the second reads it
+    back: same bytes, the bytes of the flattened design, and the same
+    string table once somebody asks the packed one for its strings."""
+    dfg, database = _library("lenet5")
+    blobs, images = [], []
+    for _ in range(2):
+        result = PreImplementedFlow(DEVICE, component_effort="high", seed=0).run(
+            dfg, database=database, pipeline_target_mhz="auto")
+        blobs.append(encode_design(result.design))
+        images.append(DesignImage.from_design(result.design))
+        assert result.design.blocks
+    assert blobs[0] == blobs[1]
+    result.design.cells
+    flat = DesignImage.from_design(result.design)
+    assert flat.to_bytes() == blobs[1]
+    assert images[1]._strings is None           # held packed, decoded on request:
+    assert images[1].strings == flat.strings
+    assert images[1].to_bytes() == blobs[1]
+
+
+def _clean_component(name: str, n: int) -> DesignImage:
+    return _sealed_component(name, n, np.random.default_rng(0), bad_every=10 * n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_string_table_of_blocks_and_glue_is_the_flattened_one(data):
+    """Names that collide across the forms — a glue cell called what a
+    block's net is called, a glue net called what a block's cell is
+    called, a net of an image called what one of its cells is, a port on
+    a block's net, a clock net that lists a block's cells whole or
+    shuffled: whatever the encoder hands out as a run or looks up, the
+    table (and every index into it) is the one the objects produce."""
+    n_blocks = data.draw(st.integers(1, 3))
+    shared_names = data.draw(st.booleans())
+    sizes = [data.draw(st.integers(4, 9)) for _ in range(n_blocks)]
+    glue_cells = data.draw(st.lists(st.sampled_from(
+        ["g0", "g1", "u0/n1", "u0/zzz", "u1/n0", "SLICE", "u0", "clk_net"]),
+        unique=True, max_size=4))
+    glue_nets = data.draw(st.lists(st.sampled_from(
+        ["w0", "u0/c0", "u1/c2", "u0/in_net", "g0", "u0/n1", "SLICE"]),
+        unique=True, max_size=4))
+    port_names = data.draw(st.lists(st.sampled_from(["p0", "u0/c1", "u0/n2", "w0"]),
+                                    unique=True, max_size=3))
+    clock = data.draw(st.sampled_from(["merged", "shuffled", "none"]))
+    shuffle_seed = data.draw(st.integers(0, 2 ** 16))
+    remove_first_input = data.draw(st.booleans())
+
+    def build() -> Design:
+        top = Design("top")
+        ports = []
+        for k, n in enumerate(sizes):
+            image = _clean_component(f"comp{k}", n)
+            if shared_names and k == 0:
+                design = image.materialize()
+                design.connect("c1", "c1", ["c2"], locked=True).routes = \
+                    [list(design.nets["n1"].routes[0])]
+                image = DesignImage.from_design(design)
+                assert sealed(image)
+            block = Block(image, 0, 40 * k, DEVICE.nrows, f"u{k}")
+            ports.append(top.adopt(Design.pending(image.frame(instance=f"u{k}"), block)))
+        if remove_first_input:
+            top.remove_net(ports[0]["in_data"])
+        for name in glue_cells:
+            top.new_cell(name, "SLICE")
+        for i, name in enumerate(glue_nets):
+            if top.has_net(name):
+                continue
+            sinks = [f"u{i % n_blocks}/c{i}", *glue_cells[:1]]
+            top.connect(name, f"u0/c{1 + i}", sinks)
+        for name in port_names:
+            top.ports[name] = Port(name, "in", ports[-1]["in_data"] if name != "w0" else "p")
+        if clock == "merged":
+            merge_clock_nets(top)
+        elif clock == "shuffled":
+            sinks = top.seq_cell_names()
+            random.Random(shuffle_seed).shuffle(sinks)
+            top.remove_clock_nets()
+            top.connect("clk_net2", None, sinks, is_clock=True)
+        return top
+
+    blocks, flat = build(), build()
+    flat.cells
+    assert len(blocks.blocks) == n_blocks and not flat.blocks
+    got, want = DesignImage.from_design(blocks), DesignImage.from_design(flat)
+    assert blocks.blocks, "encoding flattened the design"
+    assert got.to_bytes() == want.to_bytes()
+    assert got.strings == want.strings
+    assert encode_design(blocks) == want.to_bytes()      # and again, from what is kept now
+
+
+def test_block_verdicts_clear_legal_blocks_and_find_the_rest():
+    """Clean images at anchors good and bad: on a DSP column, off the
+    grid, on top of each other.  A block the rules clear whole is never
+    looked at cell by cell; what they report is what the loops report."""
+    clb = [int(c) for c in DEVICE.columns_of(TILE_FOR_CELL["SLICE"])]
+    dsp = int(DEVICE.columns_of(TILE_FOR_CELL["DSP48E2"])[0])
+    image = _clean_component("comp", 12)
+    top = Design("top", pblock=PBlock(0, 0, DEVICE.ncols - 1, 200))
+    shifts = {"ok0": (0, 0), "ok1": (0, 50), "stacked": (0, 50), "dsp": (dsp - clb[0], 100),
+              "off": (0, DEVICE.nrows - 1), "out_of_pblock": (0, 250)}
+    for name, (dcol, drow) in shifts.items():
+        top.adopt(Design.pending(image.frame(instance=name),
+                                 Block(image, dcol, drow, DEVICE.nrows, name)))
+    top.new_cell("glue", "SLICE", placement=(clb[0], 0))      # on ok0's first cell
+    assert [b.on_legal_sites(DEVICE) for b in top.blocks] == \
+        [True, True, True, False, False, True]
+    got = _vectorised(top, DEVICE)
+    assert top.blocks, "the rules flattened the design"
+    want = fatal_rules_per_object(top, DEVICE)
+    assert got == want
+    assert all(want[rule] for rule in ("PLC-002", "PLC-003", "PLC-004", "PLC-005"))
+    assert _vectorised(top, DEVICE) == want
+
+
+def test_occupancy_after_a_block_loses_a_routed_net():
+    """The per-node charges an image keeps stand for all its nets; a
+    block that lost one which owned wires is worked out afresh."""
+    from repro.route.pathfinder import routed_occupancy
+
+    comps, database, anchors = _placed("lenet5")
+    tops = [compose("top", comps, database, DEVICE, anchors).top for _ in range(2)]
+    flat = compose("top", comps, database, DEVICE, anchors).top
+    flat.cells
+    victim = next(n.name for n in flat.nets.values()
+                  if n.locked and len(n.routes) > 1 and all(r and len(r) > 2 for r in n.routes))
+    for top in (tops[1], flat):
+        top.remove_net(victim)
+    assert tops[0].blocks and tops[1].blocks
+    whole, less, want = (routed_occupancy(top, GRAPH) for top in (*tops, flat))
+    assert np.array_equal(less[0], want[0]) and less[1:] == want[1:]
+    assert less[2] < whole[2] and not np.array_equal(less[0], whole[0])
+    assert tops[1].blocks

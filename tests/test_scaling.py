@@ -274,3 +274,77 @@ def test_online_phase_builds_no_objects_until_asked(model):
     ) + result.extras["pipeline"].inserted
     assert TELEMETRY.snapshot()["materialize"][1] == n_components
     assert encode_design(result.design) == blob
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_second_run_reads_back_what_the_images_keep(model, monkeypatch):
+    """By count, not time: once a run has filled what each record's image
+    keeps, a second ``flow.run`` + ``encode_design`` on the same database
+    measures no block's routes again and parses no metadata blob."""
+    import repro.netlist.codec as codec
+    from repro.netlist.block import Block
+
+    net, kwargs = {
+        "lenet5": (lenet5(), {}),
+        "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
+    }[model]
+    flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
+    database, _ = flow.build_database(net, **kwargs)
+
+    def run():
+        result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+        return encode_design(result.design)
+
+    first = run()
+    # a block's paths are measured through the start column its image keeps
+    block_starts = {
+        id(Block(record.image, 0, 0, DEVICE.nrows, None).timing_rows().start)
+        for record in database.records.values()
+    }
+    measured, parsed = [], []
+    path_metrics_csr, unpack_value = RoutingGraph.path_metrics_csr, codec.unpack_value
+
+    def counting_metrics(self, nodes, starts, lens):
+        measured.append(id(starts) in block_starts)
+        return path_metrics_csr(self, nodes, starts, lens)
+
+    def counting_unpack(blob):
+        parsed.append(len(blob))
+        return unpack_value(blob)
+
+    monkeypatch.setattr(RoutingGraph, "path_metrics_csr", counting_metrics)
+    monkeypatch.setattr(codec, "unpack_value", counting_unpack)
+    assert run() == first
+    assert measured and not any(measured)       # the glue's routes, and only they
+    assert parsed == []
+    # (and the guard can see a miss: a record nobody has fetched yet is parsed)
+    signature = next(iter(database.records.values())).signature
+    fresh = ComponentDatabase(DEVICE)
+    fresh.put(signature, database.get(signature))
+    fresh.fetch(signature)
+    assert parsed, "a fresh record's metadata is parsed once"
+
+
+# -- the component placer ----------------------------------------------------------------
+
+
+def _placer_case(n: int):
+    """*n* small modules in a chain, each legal anywhere a CLB column is."""
+    from repro.rapidwright.module import Footprint
+
+    sites = np.array([[0, r] for r in range(6)], dtype=np.int64)
+    module = Footprint("m", PBlock(CLB[0], 0, CLB[0] + 1, 9), {0: int(TileType.CLB)}, sites,
+                       {"in_data": (CLB[0], 0), "out_data": (CLB[0] + 1, 9)})
+    return [(f"u{i}", module) for i in range(n)], [(i - 1, i) for i in range(1, n)]
+
+
+def test_component_placer_is_linear():
+    from repro.rapidwright import ComponentPlacer
+
+    def place(case):
+        found = ComponentPlacer(DEVICE).place(*case)
+        assert len(found.anchors) == len(case[0]) and found.backtracks == 0
+
+    _assert_linear(_placer_case, place, 6)

@@ -80,7 +80,8 @@ def test_shared_deterministic(small_device):
 def _compose_shared_by_cloning(name, components, database, device, anchors, scheduler):
     """``compose_shared`` as it was until PR 23: a plain fetch plus an
     ``instantiate`` clone per engine, ``relocate`` plus a clone for the
-    scheduler.  Same top design, three copies of everything."""
+    scheduler.  Same top design, three copies of everything.  (Streamed
+    weight inputs become top-level memory ports, as in ``compose``.)"""
     from repro.netlist import Design
     from repro.netlist.net import Port
     from repro.netlist.stitch import merge_clock_nets, prune_dangling_nets
@@ -106,6 +107,7 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
     result.records.append(StitchRecord(
         "scheduler", ("scheduler",), anchors["scheduler"],
         sched.metadata.get("ooc", {}).get("fmax_mhz", 0.0), len(sched.cells)))
+    n_weight_ports = 0
     for comp in unique.values():
         anchor = anchors[comp.name]
         module = database.fetch(comp.signature, anchor, device=device)
@@ -122,6 +124,11 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
         result.stitch_nets += [to_sched.name, from_sched.name]
         del top.nets[portmap["out_data"]]
         del top.nets[portmap["in_data"]]
+        for pname, nname in portmap.items():
+            if pname.startswith("in_weights"):
+                top.add_port(Port(f"weights_{comp.name}_{n_weight_ports}", "in", nname,
+                                  width=16, protocol="mem"))
+                n_weight_ports += 1
     ext_in = top.connect("ext_in", None, [sched_entry], width=16)
     ext_out = top.connect("ext_out", sched_exit, [], width=16)
     top.add_port(Port("in_data", "in", ext_in.name, width=16, protocol="mem"))
@@ -143,30 +150,45 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
 def test_compose_shared_equals_the_cloning_composition(big_device, monkeypatch, model):
     import repro.rapidwright.flow as flow_module
     from repro.cnn import lenet5, vgg16
-    from repro.netlist import Design, DesignError, design_to_dict
+    from repro.netlist import design_to_dict
 
     net, kwargs = {
         "lenet5": (lenet5(), {}),
+        # streamed weights (ROM weights do not fit the part): every engine's
+        # ``in_weights*`` inputs are promoted, so the final validate passes
         "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
     }[model]
     flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
     db, _ = flow.build_database(net, **kwargs)
-    if model == "vgg16":
-        # The star composition exposes no weight ports, so the streamed-
-        # weights VGG ends in NET-002 at the final validate (with either
-        # composition; ROM weights do not fit the part).  What is compared
-        # here is the composed, routed design, so let it through.
-        with pytest.raises(DesignError, match="NET-002") as moved_error:
-            flow.run(net, database=db, share_components=True, **kwargs)
-        monkeypatch.setattr(flow_module, "compose_shared", _compose_shared_by_cloning)
-        with pytest.raises(DesignError, match="NET-002") as cloned_error:
-            flow.run(net, database=db, share_components=True, **kwargs)
-        assert str(moved_error.value) == str(cloned_error.value)
-        monkeypatch.undo()
-        monkeypatch.setattr(Design, "validate", lambda self, device=None: None)
     moved = flow.run(net, database=db, share_components=True, **kwargs)
     monkeypatch.setattr(flow_module, "compose_shared", _compose_shared_by_cloning)
     cloned = flow.run(net, database=db, share_components=True, **kwargs)
     assert design_to_dict(moved.design) == design_to_dict(cloned.design)
     assert moved.extras["stitch"].records == cloned.extras["stitch"].records
     assert moved.fmax_mhz == cloned.fmax_mhz
+
+
+def test_shared_build_with_streamed_weights_exposes_weight_ports(big_device):
+    """Regression: ``compose_shared`` never promoted ``in_weights*``, so a
+    streamed-weights shared build died in its final ``validate`` with
+    ``[NET-002] net comp0_conv1/port_in_weights_270 has no driver and no
+    input port``.  They become ``weights_<comp>_<i>`` memory ports, as in
+    ``compose``."""
+    from repro.cnn import lenet5
+
+    net = lenet5()
+    flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
+    shared = flow.run(net, rom_weights=False, share_components=True)
+    shared.design.validate(big_device)
+    engines: dict = {}
+    for comp in group_components(net, "layer"):
+        engines.setdefault(comp.signature, comp.name)     # one physical engine per signature
+    weight_ports = [p for p in shared.design.ports.values() if p.name.startswith("weights_")]
+    assert weight_ports and all(
+        p.direction == "in" and p.protocol == "mem" and p.width == 16 for p in weight_ports)
+    # numbered across the design, each on an engine's own undriven boundary net
+    assert [int(p.name.rsplit("_", 1)[1]) for p in weight_ports] == list(range(len(weight_ports)))
+    for port in weight_ports:
+        owner = port.net.partition("/")[0]
+        assert owner in engines.values() and port.name.startswith(f"weights_{owner}_")
+        assert shared.design.nets[port.net].driver is None
