@@ -9,15 +9,17 @@ function of ``(design, seed)``.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .obs.span import span as _obs_span
 
-__all__ = ["make_rng", "StageTimer", "fresh_name", "manhattan"]
+__all__ = ["make_rng", "StageTimer", "fresh_name", "manhattan", "sum_left_to_right"]
 
 #: Active stage observer stack (see :mod:`repro.profiling`): objects with
 #: ``enter_stage(name)`` / ``exit_stage(name)`` hooks, called by every
@@ -125,3 +127,19 @@ def fresh_name(prefix: str) -> str:
 def manhattan(ax: int, ay: int, bx: int, by: int) -> int:
     """Manhattan distance between two tile coordinates."""
     return abs(ax - bx) + abs(ay - by)
+
+
+def sum_left_to_right(values):
+    """``0 + v0 + v1 + ...``, one float addition at a time.
+
+    What builtin ``sum`` computes up to CPython 3.11; from 3.12 it
+    carries Neumaier's compensation, so the same floats would add up to
+    a different result on a different interpreter.  Every float sum whose
+    bits are part of a result (cost totals the annealer compares, the
+    power report) goes through here instead.  An ndarray is added by
+    ``np.cumsum``, which is sequential (``ndarray.sum`` adds pairwise);
+    ``0.0 +`` its last entry is the ``0 +`` the loop starts with.
+    """
+    if type(values) is np.ndarray:
+        return 0.0 + float(np.cumsum(values, dtype=np.float64)[-1]) if values.size else 0
+    return reduce(operator.add, values, 0)

@@ -57,19 +57,22 @@ def net_undriven(ctx, emit) -> None:
 def net_unknown_endpoint(ctx, emit) -> None:
     """A net referencing a cell name that does not exist in the design."""
     # One bulk lookup finds the offenders (normally none); a net inside a
-    # placed block names only cells of its block by construction.
+    # placed block names only cells of its block by construction, and so
+    # does the part of a merged clock net that stands for a block's cells.
     nets = ctx.design.loose_nets()
+    blocks = ctx.design.blocks
+    sinks = [net.sinks_outside(blocks) if blocks else net.sinks for net in nets]
     endpoints = [net.driver for net in nets if net.driver is not None]
-    for net in nets:
-        endpoints += net.sinks
+    for named in sinks:
+        endpoints += named
     unknown = ctx.design.unknown_cells(endpoints)
     if not unknown:
         return
-    for net in nets:
+    for net, named in zip(nets, sinks):
         if net.driver in unknown:
             emit("net", net.name,
                  f"net {net.name} driven by unknown cell {net.driver!r}")
-        for sink in net.sinks:
+        for sink in named:
             if sink in unknown:
                 emit("net", net.name, f"net {net.name} sinks unknown cell {sink!r}")
 

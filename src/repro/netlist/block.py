@@ -180,6 +180,12 @@ def _edges(image) -> _Edges:
     )))
 
 
+def _rows_per_net(image) -> np.ndarray:
+    """Timing rows (routed data connections) of every net row."""
+    return np.bincount(image.derived("edges", _edges).net,
+                       minlength=len(image.net_name)).astype(np.int32)
+
+
 def sealed(image) -> bool:
     """Whether *image* can stay columnar inside a design.
 
@@ -246,7 +252,7 @@ def _wires_of(image, live: np.ndarray | None) -> _Wires:
     return _Wires(
         node.astype(np.int32),
         np.bincount(first, weights=image.net_width[pairs // span], minlength=len(node)),
-        np.bincount(edges.net, minlength=len(image.net_name)).astype(np.int32),
+        image.derived("rows_per_net", _rows_per_net),
     )
 
 
@@ -295,7 +301,7 @@ class Block:
     """
 
     __slots__ = ("image", "dcol", "drow", "nrows", "instance", "prefix",
-                 "net_live", "n_nets", "_seq_names", "_live")
+                 "net_live", "n_nets", "_live")
 
     def __init__(self, image, dcol: int, drow: int, nrows: int,
                  instance: str | None) -> None:
@@ -307,7 +313,6 @@ class Block:
         self.prefix = "" if instance is None else f"{instance}/"
         self.net_live = np.ones(len(image.net_name), dtype=bool)
         self.n_nets = len(image.net_name)
-        self._seq_names: list[str] | None = None
         self._live: tuple | None = None          # what follows from net_live, as of n_nets
 
     @property
@@ -343,46 +348,13 @@ class Block:
         return row if row is not None and self.net_live[row] else None
 
     def cell_names(self) -> list[str]:
-        """Design-level name of every cell, in row order — one list per
-        image and instance prefix, kept with the image: every instance
-        placed under that name, now or in a later run, hands out the
-        same string objects (the clock net's sinks, name checks and the
-        encoder compare them by identity, and they are hashed once).
-        Do not edit it."""
-        names = self.image.derived("names", _bare_names)[0]
-        if not self.prefix:
-            return names
-        return self.image.derived(
-            ("cell_names", self.prefix), lambda image: list(map(self.prefix.__add__, names)))
+        """Design-level name of every cell, in row order (a fresh list)."""
+        return list(map(self.prefix.__add__, self.image.derived("names", _bare_names)[0]))
 
     def seq_cell_names(self) -> list[str]:
-        """Names of the sequential cells, in row order — entries of
-        :meth:`cell_names` (one shared list per block, like it)."""
-        if self._seq_names is None:
-            names, rows = self.cell_names(), self.image.derived("seq_rows", _seq_rows)
-            self._seq_names = names if rows is None else [names[i] for i in rows.tolist()]
-        return self._seq_names
-
-    def named_run(self, names: list[str], at: int) -> np.ndarray | None:
-        """The cell rows ``names[at:]`` starts with a full listing of —
-        every cell, or every sequential cell, in row order, as
-        :meth:`cell_names` / :meth:`seq_cell_names` hand them out (the
-        clock net is such a listing) — or ``None``.  One list comparison,
-        by identity where the strings are the ones handed out; what it
-        saves is a lookup per name."""
-        bare = self.image.derived("names", _bare_names)[0]
-        listings = [(np.arange(len(bare)), self.cell_names)]
-        seq = self.image.derived("seq_rows", _seq_rows)
-        if seq is not None:
-            listings.append((seq, self.seq_cell_names))
-        for rows, listing in listings:
-            n = len(rows)
-            if (n and at + n <= len(names)
-                    and names[at] == self.prefix + bare[rows[0]]
-                    and names[at + n - 1] == self.prefix + bare[rows[-1]]
-                    and names[at:at + n] == listing()):
-                return rows
-        return None
+        """Names of the sequential cells, in row order (a fresh list)."""
+        names, rows = self.cell_names(), self.seq_rows()
+        return names if rows is None else [names[i] for i in rows.tolist()]
 
     def net_names(self, rows=None) -> list[str]:
         """Design-level names of the live nets (or of net *rows*)."""
@@ -425,13 +397,30 @@ class Block:
         """``(codes, table)``: ``table[codes[i]]`` is cell *i*'s type name."""
         return self.image.derived("kinds", _kinds)
 
-    def delay_classes(self) -> tuple[list, np.ndarray]:
-        """``(cells, which)``: cell *i* has the logic and setup delay of
-        the representative ``cells[which[i]]`` (same type and depth)."""
-        return self.image.derived("delay_classes", _delay_classes)
+    def cell_delays(self, delays) -> tuple[np.ndarray, np.ndarray]:
+        """``(logic, setup)`` delay of every cell: :meth:`DelayModel.
+        cell_delays_ps <repro.timing.delays.DelayModel.cell_delays_ps>` of
+        one representative cell per (type, depth) — all a delay model's
+        per-cell methods can tell two library cells apart by — kept with
+        the image per delay model."""
+        def build(image):
+            cells, which = image.derived("delay_classes", _delay_classes)
+            logic, setup = delays.cell_delays_ps(cells)
+            return logic[which], setup[which]
+
+        return self.image.derived(("cell_delays", delays), build)
 
     def seq(self) -> np.ndarray:
         return self.image.cell_seq.astype(bool)
+
+    def seq_rows(self) -> np.ndarray | None:
+        """Rows of the sequential cells, in order (``None``: every row)."""
+        return self.image.derived("seq_rows", _seq_rows)
+
+    def n_seq(self) -> int:
+        """How many cells are sequential."""
+        rows = self.seq_rows()
+        return self.n_cells if rows is None else len(rows)
 
     def describe_cell(self, row: int) -> tuple[str, str, tuple[int, int] | None]:
         """``(name, ctype, placement)`` of one cell, as its object would say."""
@@ -513,13 +502,18 @@ class Block:
         them), and the runs ``(a, b)`` of consecutive live net rows —
         worked out once per removal."""
         if self._live is None or self._live[0] != self.n_nets:
-            keep = self.net_live[self.image.derived("edges", _edges).net]
-            cuts = np.flatnonzero(np.diff(np.concatenate(([False], self.net_live, [False]))))
-            self._live = (self.n_nets, None if keep.all() else keep,
-                          list(zip(cuts[::2].tolist(), cuts[1::2].tolist())))
+            gone = np.flatnonzero(~self.net_live)
+            keep = None                          # (stitching takes out nets with no rows)
+            if self.image.derived("rows_per_net", _rows_per_net)[gone].any():
+                keep = self.net_live[self.image.derived("edges", _edges).net]
+            cuts = [-1, *gone.tolist(), len(self.net_live)]
+            self._live = (self.n_nets, keep,
+                          [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a + 1 < b])
         return self._live[1:]
 
-    def _live_rows(self) -> np.ndarray | None:
+    def live_rows(self) -> np.ndarray | None:
+        """Which of the image's timing rows belong to a live net
+        (``None``: every one)."""
         return None if self.pristine else self._removed()[0]
 
     def _live_part(self, flat, ends: np.ndarray):
@@ -539,43 +533,80 @@ class Block:
         rows *of this block*, the net's fanout, and the row's path as
         ``(start, length)`` into :meth:`route_nodes`."""
         edges = self.image.derived("edges", _edges)
-        keep = self._live_rows()
-        return edges if keep is None else _Edges(*(column[keep] for column in edges))
+        live = self.live_rows()
+        return edges if live is None else _Edges(*(column[live] for column in edges))
 
     def route_nodes(self) -> np.ndarray:
         """Every routed node of the image, shifted to this anchor."""
         return self.image.route_node + (self.dcol * self.nrows + self.drow)
 
+    def _io_key(self, device) -> tuple | None:
+        """What the routes' path metrics depend on at this anchor: the
+        device height and the I/O columns under the routes' column span
+        (``None`` when a route would leave the device here)."""
+        lo, hi, row_lo, row_hi = self.image.derived(
+            ("route_span", self.nrows), lambda image: _route_span(image, self.nrows))
+        lo, hi = lo + self.dcol, hi + self.dcol
+        if (device.nrows == self.nrows and 0 <= lo and hi < device.ncols
+                and 0 <= row_lo + self.drow and row_hi + self.drow < self.nrows):
+            return self.nrows, np.diff(device.io_prefix[lo:hi + 2]).astype(np.uint8).tobytes()
+        return None
+
+    def keep(self, graph, name: str, build, *more):
+        """``build(self)``, for what follows from this block's routes as
+        placed here (and *more*) alone: built once per image and kept
+        there under *name*, :meth:`_io_key` and *more*, for every later
+        instance whose routes read the same (built each time where they
+        would leave the device)."""
+        key = self._io_key(graph.device)
+        if key is None:
+            return build(self)
+        return self.image.derived((name, *key, *more), lambda _image: build(self))
+
     def route_metrics(self, graph) -> tuple[np.ndarray, np.ndarray]:
-        """``(tiles, io_crossings)`` of every row of :meth:`timing_rows`:
-        :meth:`RoutingGraph.path_metrics_csr
+        """``(tiles, io_crossings)`` of every timing row of the image (a
+        removed net's too): :meth:`RoutingGraph.path_metrics_csr
         <repro.fabric.interconnect.RoutingGraph.path_metrics_csr>` over
         the shifted routes, measured once per image and *what it depends
         on* — never the row shift, and of the column shift only where the
         I/O columns then fall under the routes — and kept there for every
-        later instance, at any anchor that reads the same.  (Routes that
-        would leave the device at this anchor are measured as they stand.)
+        later instance, at any anchor that reads the same (:meth:`keep`).
         """
-        image, device = self.image, graph.device
-        edges = image.derived("edges", _edges)
-        lo, hi, row_lo, row_hi = image.derived(
-            ("route_span", self.nrows), lambda image: _route_span(image, self.nrows))
-        lo, hi = lo + self.dcol, hi + self.dcol
+        edges = self.image.derived("edges", _edges)
 
-        def measure(_image):
+        def measure(block):
             tiles, crossings = graph.path_metrics_csr(
-                self.route_nodes(), edges.start, edges.length)
+                block.route_nodes(), edges.start, edges.length)
             return tiles.astype(np.int32), crossings.astype(np.int32)
 
-        if (device.nrows == self.nrows and 0 <= lo and hi < device.ncols
-                and 0 <= row_lo + self.drow and row_hi + self.drow < self.nrows):
-            io_columns = np.diff(device.io_prefix[lo:hi + 2]).astype(np.uint8).tobytes()
-            tiles, crossings = image.derived(
-                ("route_metrics", self.nrows, io_columns), measure)
-        else:
-            tiles, crossings = measure(image)
-        keep = self._live_rows()
-        return (tiles, crossings) if keep is None else (tiles[keep], crossings[keep])
+        return self.keep(graph, "route_metrics", measure)
+
+    def routed_delays(self, graph, delays) -> np.ndarray:
+        """:meth:`DelayModel.routed_delays_ps
+        <repro.timing.delays.DelayModel.routed_delays_ps>` of every row of
+        :meth:`timing_rows` — kept with the image under what the route
+        metrics are kept under plus the delay model (a frozen dataclass:
+        its class and values), so a later instance reads them back."""
+        def compute(block):
+            return delays.routed_delays_ps(
+                *block.route_metrics(graph), block.image.derived("edges", _edges).fanout)
+
+        out = self.keep(graph, "route_delays", compute, delays)
+        live = self.live_rows()
+        return out if live is None else out[live]
+
+    def routed_tiles(self, graph) -> int:
+        """The tiles every routed row spans, each counted net-width times
+        (what power charges for wire) — an integer, kept with the route
+        metrics while every row is live."""
+        def total(block):
+            tiles = block.route_metrics(graph)[0].astype(np.int64)
+            image = block.image
+            width = image.net_width[image.derived("edges", _edges).net].astype(np.int64)
+            return int(tiles @ width) if live is None else int(tiles[live] @ width[live])
+
+        live = self.live_rows()
+        return self.keep(graph, "routed_tiles", total) if live is None else total(self)
 
     def wire_use(self) -> tuple[np.ndarray, np.ndarray, int]:
         """``(node, charge, routed)``: the distinct interior routed nodes
@@ -609,9 +640,9 @@ class Block:
         """String index of every cell's ``module`` tag (``-1``: none),
         interning new tags through *intern* in first-appearance order."""
         if self.instance is not None:
-            return np.full(self.n_cells, intern(self.instance), dtype=np.int64)
+            return np.full(self.n_cells, intern(self.instance), dtype=np.int32)
         codes, table = self.image.derived("modules", _modules)
-        ids = np.array([intern(t) for t in table] + [-1], dtype=np.int64)
+        ids = np.array([intern(t) for t in table] + [-1], dtype=np.int32)
         return ids[codes]                      # code -1 picks the trailing -1
 
     def driver_column(self, cell_string: np.ndarray) -> np.ndarray:
@@ -639,9 +670,7 @@ class Block:
         """The block's ``(cells, nets)`` as objects (removed nets left out)."""
         live = None if self.pristine else self.net_live.tolist()
         return self.image.objects(
-            self.dcol, self.drow, self.nrows, instance=self.instance, live=live,
-            cell_names=self.cell_names() if self.prefix else None,
-        )
+            self.dcol, self.drow, self.nrows, instance=self.instance, live=live)
 
 
 # -- whole-design column views -------------------------------------------------

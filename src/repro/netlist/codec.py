@@ -37,7 +37,7 @@ import numpy as np
 from ..fabric.pblock import PBlock
 from .block import Block
 from .cell import Cell
-from .design import Design
+from .design import Design, _BlockClock
 from .library import CELL_LIBRARY
 from .net import Net, Port
 
@@ -413,26 +413,8 @@ class _StringIndex:
             try:
                 return list(map(self.index.__getitem__, names))
             except KeyError:
-                return self.many(names)
-        pieces: list = []                    # whole runs as arrays, the rest as lists
-        ids: list[int] = []
-        get, at = self.index.get, 0
-        while at < len(names):
-            i = get(names[at])
-            if i is None:
-                entry = self._holder(names[at])
-                rows = None
-                if entry is not None and entry[1] is not None:
-                    rows = entry[0].named_run(names, at)   # a block's cells, listed whole
-                if rows is not None:
-                    pieces += [np.array(ids, dtype=np.int64), rows + entry[1]]
-                    ids = []
-                    at += len(rows)
-                    continue
-                i = self.one(names[at])
-            ids.append(i)
-            at += 1
-        return np.concatenate([*pieces, np.array(ids, dtype=np.int64)]) if pieces else ids
+                pass
+        return self.many(names)
 
     def run(self, block: Block, which: int):
         """Indices for *block*'s cell names (*which* 0) or live net names
@@ -448,7 +430,7 @@ class _StringIndex:
         base = entry[1 + which] = len(self.index) + self.taken
         self.taken += len(lens)
         self.runs.append((len(self.index), raw, lens))
-        return np.arange(base, base + len(lens))
+        return np.arange(base, base + len(lens), dtype=np.int32)
 
     def _holder(self, s: str):
         return self.held.get(s.partition("/")[0]) or self.held.get(None)
@@ -482,6 +464,170 @@ class _StringIndex:
             lens += [packed[1], run_lens]
             at = upto
         return b"".join(raws), np.concatenate(lens)
+
+
+def _read_design(design: Design) -> tuple:
+    """``(name, pblock, metadata, string table, columns)`` of *design*,
+    each column as its runs of values in :data:`_COLUMNS` order — what
+    :meth:`DesignImage.from_design` concatenates into an image and
+    :func:`encode_design` writes out as they are."""
+    pblock = design.pblock
+    cell_parts = [p if type(p) is Block else list(p.values())
+                  for p in design.cell_parts()]
+    net_parts: list = []
+    for part in design.net_parts():
+        if type(part) is Block or not design.blocks:
+            net_parts.append(part if type(part) is Block else list(part.values()))
+            continue
+        run: list = []                       # a clock net held as runs is a part of its own
+        for net in part.values():
+            if type(net) is _BlockClock:
+                net_parts += [run, net]
+                run = []
+            else:
+                run.append(net)
+        net_parts.append(run)
+    ports = list(design.ports.values())
+    strings = _StringIndex()
+    intern, one = strings.many, strings.one
+
+    def column(read, of_block, parts, of_clock=None) -> list:
+        """*read* a run of objects, *of_block* a placed block, and
+        *of_clock* a clock net held as runs (else *read* it alone)."""
+        out = []
+        for p in parts:
+            if type(p) is Block:
+                out.append(of_block(p))
+            elif type(p) is _BlockClock:
+                out.append(of_clock(p) if of_clock else read([p]))
+            else:
+                out.append(read(p))
+        return out
+
+    cn = column(lambda cells: strings.new([c.name for c in cells]),
+                lambda b: strings.run(b, 0), cell_parts)
+
+    def block_ctypes(block) -> np.ndarray:
+        codes, table = block.kinds()
+        return np.asarray(intern(table), dtype=np.int32)[codes]
+
+    def sites(cells) -> tuple[list, list, list]:
+        placed = [c.placement if c.placement else None for c in cells]
+        return ([1 if p else 0 for p in placed], [p[0] if p else 0 for p in placed],
+                [p[1] if p else 0 for p in placed])
+
+    ct = column(lambda cells: intern(c.ctype for c in cells), block_ctypes, cell_parts)
+    cp, cc, cr = zip(*column(sites, Block.sites, cell_parts)) if cell_parts else ((),) * 3
+    cl, lu, ff, dp, sq = (
+        column(read, lambda b, k=k: b.column(k), cell_parts)
+        for k, read in (
+            ("cell_locked", lambda cells: [1 if c.locked else 0 for c in cells]),
+            ("cell_luts", lambda cells: [c.luts for c in cells]),
+            ("cell_ffs", lambda cells: [c.ffs for c in cells]),
+            ("cell_depth", lambda cells: [c.comb_depth for c in cells]),
+            ("cell_seq", lambda cells: [1 if c.seq else 0 for c in cells]),
+        )
+    )
+    cm = column(
+        lambda cells: [-1 if c.module is None else one(c.module) for c in cells],
+        lambda b: b.module_column(one), cell_parts)
+
+    # A block's nets name cells of the block: a cell row becomes the
+    # string index its name was interned at.
+    cell_string = {p: np.asarray(ids, dtype=np.int32)
+                   for p, ids in zip(cell_parts, cn) if type(p) is Block}
+    nn = column(lambda nets: strings.new([n.name for n in nets]),
+                lambda b: strings.run(b, 1), net_parts)
+    nd = column(
+        lambda nets: [-1 if n.driver is None else one(n.driver) for n in nets],
+        lambda b: b.driver_column(cell_string[b]), net_parts)
+    nw, nc, nl, ns, nr = (
+        column(read, lambda b, k=k: b.net_column(k), net_parts, of_clock)
+        for k, read, of_clock in (
+            ("net_width", lambda nets: [n.width for n in nets], None),
+            ("net_clock", lambda nets: [1 if n.is_clock else 0 for n in nets], None),
+            ("net_locked", lambda nets: [1 if n.locked else 0 for n in nets], None),
+            ("net_nsinks", lambda nets: [len(n.sinks) for n in nets],
+             lambda c: [c.lengths()[0]]),
+            ("net_nroutes", lambda nets: [len(n.routes) for n in nets],
+             lambda c: [c.lengths()[1]]),
+        )
+    )
+
+    def clock_sinks(clock) -> np.ndarray:
+        """A block's sequential cells are the string indices its cell
+        names were interned at, picked by row; names are looked up."""
+        ids = []
+        for run in clock.runs():
+            if type(run) is Block and run in cell_string:
+                rows = run.seq_rows()
+                ids.append(cell_string[run] if rows is None else cell_string[run][rows])
+            else:
+                names = run.seq_cell_names() if type(run) is Block else run
+                ids.append(np.asarray(strings.known(names), dtype=np.int32))
+        return np.concatenate(ids)
+
+    sk = column(
+        lambda nets: strings.known(list(chain.from_iterable(n.sinks for n in nets))),
+        lambda b: b.sink_column(cell_string[b]), net_parts, clock_sinks)
+    rl: list = []
+    rn: list = []
+    for part in net_parts:
+        if type(part) is Block:
+            lens, nodes = part.route_columns()
+        elif type(part) is _BlockClock:          # every route is None
+            lens, nodes = np.full(part.lengths()[1], -1, dtype=np.int64), []
+        else:
+            paths = list(chain.from_iterable(n.routes for n in part))
+            lens = [-1 if path is None else len(path) for path in paths]
+            nodes = list(chain.from_iterable(path for path in paths if path is not None))
+        rl.append(lens)
+        rn.append(nodes)
+
+    pn = [one(p.name) for p in ports]
+    pd = [_DIR_CODE[p.direction] for p in ports]
+    pe = [one(p.net) for p in ports]
+    pw = [p.width for p in ports]
+    tiles = [p.tile if p.tile else None for p in ports]
+    pt = [1 if t else 0 for t in tiles]
+    pc = [t[0] if t else 0 for t in tiles]
+    pr = [t[1] if t else 0 for t in tiles]
+    pp = [_PROTO_CODE[p.protocol] for p in ports]
+
+    return (
+        design.name,
+        (pblock.col0, pblock.row0, pblock.col1, pblock.row1) if pblock else None,
+        design.metadata,
+        strings.table(),
+        (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
+         nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
+         [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
+    )
+
+
+def _serialize(name: str, pblock, meta_blob: bytes, strings: tuple, columns) -> bytes:
+    """The wire format: header, packed metadata, the string table as
+    ``(UTF-8 bytes, byte lengths)``, then per :data:`_COLUMNS` field its
+    byte count and its runs of values, joined straight out of the
+    arrays' buffers."""
+    raw_name = name.encode("utf-8")
+    raw, lens = strings
+    out = [
+        MAGIC, struct.pack("<H", CODEC_VERSION),
+        struct.pack("<I", len(raw_name)), raw_name,
+        struct.pack("<B", 1 if pblock else 0),
+        struct.pack("<4i", *pblock) if pblock else b"",
+        struct.pack("<I", len(meta_blob)), meta_blob,
+        struct.pack("<I", len(lens)), lens, raw,
+    ]
+    for (_attr, dtype), runs in zip(_COLUMNS, columns):
+        runs = [np.ascontiguousarray(values, dtype=dtype) for values in runs]
+        out += [struct.pack("<Q", sum(run.nbytes for run in runs)), *runs]
+    return b"".join(out)
+
+
+def _unserializable(name: str) -> TypeError:
+    return TypeError(f"design {name}: metadata is not codec-serializable")
 
 
 # -- the columnar image -----------------------------------------------------
@@ -538,99 +684,7 @@ class DesignImage:
         across all runs, so the table (and every byte of
         :meth:`to_bytes`) is what the flattened design would produce.
         """
-        pblock = design.pblock
-        cell_parts = [p if type(p) is Block else list(p.values())
-                      for p in design.cell_parts()]
-        net_parts = [p if type(p) is Block else list(p.values())
-                     for p in design.net_parts()]
-        ports = list(design.ports.values())
-        strings = _StringIndex()
-        intern, one = strings.many, strings.one
-
-        def column(read, of_block, parts) -> list:
-            return [of_block(p) if type(p) is Block else read(p) for p in parts]
-
-        cn = column(lambda cells: strings.new([c.name for c in cells]),
-                    lambda b: strings.run(b, 0), cell_parts)
-
-        def block_ctypes(block) -> np.ndarray:
-            codes, table = block.kinds()
-            return np.asarray(intern(table), dtype=np.int64)[codes]
-
-        def sites(cells) -> tuple[list, list, list]:
-            placed = [c.placement if c.placement else None for c in cells]
-            return ([1 if p else 0 for p in placed], [p[0] if p else 0 for p in placed],
-                    [p[1] if p else 0 for p in placed])
-
-        ct = column(lambda cells: intern(c.ctype for c in cells), block_ctypes, cell_parts)
-        cp, cc, cr = zip(*column(sites, Block.sites, cell_parts)) if cell_parts else ((),) * 3
-        cl, lu, ff, dp, sq = (
-            column(read, lambda b, k=k: b.column(k), cell_parts)
-            for k, read in (
-                ("cell_locked", lambda cells: [1 if c.locked else 0 for c in cells]),
-                ("cell_luts", lambda cells: [c.luts for c in cells]),
-                ("cell_ffs", lambda cells: [c.ffs for c in cells]),
-                ("cell_depth", lambda cells: [c.comb_depth for c in cells]),
-                ("cell_seq", lambda cells: [1 if c.seq else 0 for c in cells]),
-            )
-        )
-        cm = column(
-            lambda cells: [-1 if c.module is None else one(c.module) for c in cells],
-            lambda b: b.module_column(one), cell_parts)
-
-        # A block's nets name cells of the block: a cell row becomes the
-        # string index its name was interned at.
-        cell_string = {p: np.asarray(ids, dtype=np.int64)
-                       for p, ids in zip(cell_parts, cn) if type(p) is Block}
-        nn = column(lambda nets: strings.new([n.name for n in nets]),
-                    lambda b: strings.run(b, 1), net_parts)
-        nd = column(
-            lambda nets: [-1 if n.driver is None else one(n.driver) for n in nets],
-            lambda b: b.driver_column(cell_string[b]), net_parts)
-        nw, nc, nl, ns, nr = (
-            column(read, lambda b, k=k: b.net_column(k), net_parts)
-            for k, read in (
-                ("net_width", lambda nets: [n.width for n in nets]),
-                ("net_clock", lambda nets: [1 if n.is_clock else 0 for n in nets]),
-                ("net_locked", lambda nets: [1 if n.locked else 0 for n in nets]),
-                ("net_nsinks", lambda nets: [len(n.sinks) for n in nets]),
-                ("net_nroutes", lambda nets: [len(n.routes) for n in nets]),
-            )
-        )
-        sk = column(
-            lambda nets: strings.known(list(chain.from_iterable(n.sinks for n in nets))),
-            lambda b: b.sink_column(cell_string[b]), net_parts)
-        rl: list = []
-        rn: list = []
-        for part in net_parts:
-            if type(part) is Block:
-                lens, nodes = part.route_columns()
-            else:
-                paths = list(chain.from_iterable(n.routes for n in part))
-                lens = [-1 if path is None else len(path) for path in paths]
-                nodes = list(chain.from_iterable(path for path in paths if path is not None))
-            rl.append(lens)
-            rn.append(nodes)
-
-        pn = [one(p.name) for p in ports]
-        pd = [_DIR_CODE[p.direction] for p in ports]
-        pe = [one(p.net) for p in ports]
-        pw = [p.width for p in ports]
-        tiles = [p.tile if p.tile else None for p in ports]
-        pt = [1 if t else 0 for t in tiles]
-        pc = [t[0] if t else 0 for t in tiles]
-        pr = [t[1] if t else 0 for t in tiles]
-        pp = [_PROTO_CODE[p.protocol] for p in ports]
-
-        return cls._assemble(
-            design.name,
-            (pblock.col0, pblock.row0, pblock.col1, pblock.row1) if pblock else None,
-            design.metadata,
-            strings.table(),
-            (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
-             nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
-             [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
-        )
+        return cls._assemble(*_read_design(design))
 
     @classmethod
     def _assemble(cls, name, pblock, metadata, strings, columns):
@@ -674,22 +728,10 @@ class DesignImage:
         """Serialize the image (deterministic: same design, same bytes)."""
         t0 = perf_counter()
         if self._meta_blob is None:
-            raise TypeError(
-                f"design {self.name}: metadata is not codec-serializable"
-            )
-        raw_name = self.name.encode("utf-8")
-        raw, lens = self._packed or _pack_strings(self._strings)
-        out = [
-            MAGIC, struct.pack("<H", CODEC_VERSION),
-            struct.pack("<I", len(raw_name)), raw_name,
-            struct.pack("<B", 1 if self.pblock else 0),
-            struct.pack("<4i", *self.pblock) if self.pblock else b"",
-            struct.pack("<I", len(self._meta_blob)), self._meta_blob,
-            struct.pack("<I", len(lens)), lens, raw,
-        ]
-        for column in self.columns():   # joined straight out of the arrays' buffers
-            out += [struct.pack("<Q", column.nbytes), np.ascontiguousarray(column)]
-        blob = b"".join(out)
+            raise _unserializable(self.name)
+        blob = _serialize(self.name, self.pblock, self._meta_blob,
+                          self._packed or _pack_strings(self._strings),
+                          [[column] for column in self.columns()])
         TELEMETRY.note("encode", perf_counter() - t0)
         return blob
 
@@ -1052,15 +1094,14 @@ class DesignImage:
 
     def objects(
         self, dcol: int = 0, drow: int = 0, nrows: int = 0, *,
-        instance: str | None = None, live=None, cell_names: list[str] | None = None,
+        instance: str | None = None, live=None,
     ) -> tuple[dict[str, Cell], dict[str, Net]]:
         """The copy's ``cells`` and ``nets`` dicts, freshly built.
 
         *live* (one truth value per net row) leaves out the nets a
-        block-backed design has since removed; *cell_names* hands in the
-        instance-prefixed cell names where the caller already built them.
-        Under an *instance* prefix every net endpoint is the very string
-        object that names its cell, not a second concatenation of it.
+        block-backed design has since removed.  Under an *instance*
+        prefix every net endpoint is the very string object that names
+        its cell, not a second concatenation of it.
         """
         t0 = perf_counter()
         # Tens of thousands of containers and not one of them garbage: the
@@ -1069,14 +1110,14 @@ class DesignImage:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            cells, nets = self._objects(dcol, drow, nrows, instance, live, cell_names)
+            cells, nets = self._objects(dcol, drow, nrows, instance, live)
         finally:
             if collecting:
                 gc.enable()
         TELEMETRY.note("materialize", perf_counter() - t0)
         return cells, nets
 
-    def _objects(self, dcol, drow, nrows, instance, live, cell_names):
+    def _objects(self, dcol, drow, nrows, instance, live):
         (cell_rows, placem, unplaced_idx,
          net_rows, sinks_flat, route_slices, nodes) = self._decoded()
 
@@ -1092,8 +1133,7 @@ class DesignImage:
         prefix = None if instance is None else f"{instance}/"
         drivers = repeat(None)
         if prefix is not None:
-            if cell_names is None:
-                cell_names = [prefix + row[0] for row in cell_rows]
+            cell_names = [prefix + row[0] for row in cell_rows]
             names = [*cell_names, None]      # row -1 (no such cell) picks the None
             row_of = self.cell_of_string()
             driver = self.net_driver
@@ -1155,11 +1195,22 @@ class DesignImage:
 def encode_design(design: Design) -> bytes:
     """Design -> binary image bytes (no intermediate dict).
 
-    A block-backed design is encoded as it stands — block columns
-    concatenated with the glue's, see :meth:`DesignImage.from_design` —
-    and stays block-backed; the bytes are those of the flattened design.
+    ``DesignImage.from_design(design).to_bytes()`` without the image in
+    between: the runs of each column — a placed block's, the glue's, see
+    :meth:`DesignImage.from_design` — are written out as they are, not
+    concatenated first.  A block-backed design stays block-backed; the
+    bytes are those of the flattened design.
     """
-    return DesignImage.from_design(design).to_bytes()
+    name, pblock, metadata, strings, columns = _read_design(design)
+    t0 = perf_counter()
+    try:
+        meta_blob = pack_value(metadata)
+    except TypeError:
+        raise _unserializable(name) from None
+    blob = _serialize(name, pblock, meta_blob,
+                      strings if type(strings) is tuple else _pack_strings(strings), columns)
+    TELEMETRY.note("encode", perf_counter() - t0)
+    return blob
 
 
 def decode_design(blob: bytes) -> Design:

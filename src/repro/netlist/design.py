@@ -152,6 +152,11 @@ class Design:
                 out += [c.name for c in part.values() if c.seq]
         return out
 
+    def seq_clock_net(self, name: str) -> Net:
+        """A new clock net called *name* (not added yet) whose sinks are
+        the sequential cells, in order."""
+        return Net(name, None, self.seq_cell_names(), is_clock=True)
+
     def loose_nets(self) -> list[Net]:
         """The nets that exist as objects, in order — every net a router
         or pipeliner could change (a block's are all routed and locked)."""
@@ -577,27 +582,15 @@ class _BlockBacked(Design):
                 or self._block_holding(name, "net_row") is not None)
 
     def unknown_cells(self, names) -> set[str]:
-        # A full listing of a block's cells (the clock net's sinks are
-        # one per block) is recognised whole; the rest are looked up.
-        names = names if type(names) is list else list(names)
-        left, at = set(), 0
-        while at < len(names):
-            block = self._blocks.get(names[at].partition("/")[0], self._blocks.get(None))
-            run = block.named_run(names, at) if block is not None else None
-            if run is None:
-                left.add(names[at])
-                at += 1
-            else:
-                at += len(run)
+        left = set(names)
         for part in self._cell_parts:
             if type(part) is dict:
                 left -= part.keys()
-        for block in self._blocks.values():
-            if len(left) < block.n_cells:   # walk the smaller side
-                left -= {n for n in left if block.cell_row(n) is not None}
-            else:
-                left.difference_update(block.cell_names())
-        return left
+        return {n for n in left if self._block_holding(n, "cell_row") is None}
+
+    def seq_clock_net(self, name: str) -> Net:
+        """(Held as runs, one per block and glue run: see :class:`_BlockClock`.)"""
+        return _BlockClock.over(name, self.cell_parts())
 
     def placement_of(self, name: str) -> tuple[int, int] | None:
         cell = self._glue_run(self._cell_parts, name).get(name)
@@ -649,3 +642,101 @@ class _BlockBacked(Design):
             raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
         self._open_run(self._net_parts)[net.name] = net
         return net
+
+
+_SINKS, _ROUTES = Net.sinks, Net.routes   # the slots, under _BlockClock's properties
+
+
+class _BlockClock(Net):
+    """The merged clock net of a block-backed design, held as runs.
+
+    Its sinks are the design's sequential cells in order: per placed
+    block, the rows its image marks sequential (the :class:`Block`
+    stands for them); per glue run, the names; and last a *tail* of
+    names that :meth:`add_sink` appends pipeline registers to and
+    :meth:`truncate` cuts back.  Every route is ``None``.  So nothing
+    of it is proportional to the cells: the encoder writes its sink
+    column from each block's interned names, NET-003 looks up the glue
+    and the tail only.
+
+    Like :class:`_BlockBacked` for a design, a state a plain
+    :class:`Net` is switched into and out of (a subclass rather than a
+    property on ``Net``, which every flat design's net access would pay
+    for).  While it lasts, ``Net``'s ``sinks`` slot holds the runs and
+    its ``routes`` slot ``None``; the first read of ``sinks`` or
+    ``routes`` as objects builds the two lists the plain net would hold
+    and makes it a plain :class:`Net` holding them.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def over(cls, name: str, parts: list) -> Net:
+        """A clock net over the sequential cells of *parts* (runs of
+        :meth:`Design.cell_parts`)."""
+        net = Net(name, None, is_clock=True)
+        runs = [p if type(p) is Block else [c.name for c in p.values() if c.seq] for p in parts]
+        _SINKS.__set__(net, [*runs, []])
+        _ROUTES.__set__(net, None)
+        net.__class__ = cls
+        return net
+
+    def runs(self) -> list:
+        """The sinks as runs, in order: a :class:`Block` (its sequential
+        cells) or a list of names; the tail is the last list."""
+        return _SINKS.__get__(self)
+
+    def _flatten(self) -> None:
+        sinks = [name for run in self.runs()
+                 for name in (run.seq_cell_names() if type(run) is Block else run)]
+        _SINKS.__set__(self, sinks)
+        _ROUTES.__set__(self, [None] * len(sinks))
+        self.__class__ = Net
+
+    @property
+    def sinks(self) -> list[str]:
+        self._flatten()
+        return self.sinks
+
+    @sinks.setter
+    def sinks(self, value: list[str]) -> None:
+        self._flatten()
+        self.sinks = value
+
+    @property
+    def routes(self) -> list:
+        self._flatten()
+        return self.routes
+
+    @routes.setter
+    def routes(self, value: list) -> None:
+        self._flatten()
+        self.routes = value
+
+    @property
+    def is_routed(self) -> bool:
+        return False                     # every route is None (setting one flattens)
+
+    def add_sink(self, cell_name: str) -> None:
+        self.runs()[-1].append(cell_name)
+
+    def lengths(self) -> tuple[int, int]:
+        n = sum(run.n_seq() if type(run) is Block else len(run) for run in self.runs())
+        return n, n
+
+    def truncate(self, lengths: tuple[int, int]) -> None:
+        tail = self.runs()[-1]
+        keep = lengths[0] - (self.lengths()[0] - len(tail))
+        if keep < 0 or lengths[1] != lengths[0]:
+            self._flatten()
+            self.truncate(lengths)
+        else:
+            del tail[keep:]
+
+    def sinks_outside(self, blocks: tuple) -> list[str]:
+        return [name for run in self.runs() if run not in blocks
+                for name in (run.seq_cell_names() if type(run) is Block else run)]
+
+    def __reduce_ex__(self, protocol):
+        self._flatten()                  # copies and pickles are of the lists
+        return object.__reduce_ex__(self, protocol)

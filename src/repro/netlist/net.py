@@ -68,6 +68,21 @@ class Net:
         self.sinks.append(cell_name)
         self.routes.append(None)
 
+    def lengths(self) -> tuple[int, int]:
+        """``(len(sinks), len(routes))``: what :meth:`truncate` cuts back to."""
+        return len(self.sinks), len(self.routes)
+
+    def truncate(self, lengths: tuple[int, int]) -> None:
+        """Drop the sinks and routes added since :meth:`lengths` said *lengths*."""
+        n_sinks, n_routes = lengths
+        del self.sinks[n_sinks:]
+        del self.routes[n_routes:]
+
+    def sinks_outside(self, blocks: tuple) -> list[str]:
+        """The sinks that are not cells of one of the placed *blocks* by
+        construction — for a net like this one, all of them."""
+        return self.sinks
+
     @property
     def n_pins(self) -> int:
         return (1 if self.driver else 0) + len(self.sinks)

@@ -105,8 +105,6 @@ def merge_clock_nets(top: Design, name: str = "clk") -> Port:
         # stale clock ports from instantiated components
         if not top.has_net(top.ports[port_name].net):
             del top.ports[port_name]
-    sinks = top.seq_cell_names()
-    net = Net(f"{name}_net", None, sinks, is_clock=True)
-    top.add_net(net)
-    incr("stitch.clock_sinks", len(sinks))
+    net = top.add_net(top.seq_clock_net(f"{name}_net"))
+    incr("stitch.clock_sinks", net.lengths()[0])
     return top.add_port(Port(name, "in", net.name, width=1))

@@ -319,29 +319,16 @@ void anneal_sweep(
  * with the occupant — when that strictly lowers the summed cost of the
  * affected nets.  A swap's affected nets are the sorted union of the two
  * cells' lists.  Costs are rescanned in full (net_box) and summed the
- * way the reference's builtin sum() does: left to right, and with
- * Neumaier's compensation where `compensated` says the running
- * interpreter's sum() carries it (CPython >= 3.12).
+ * way the reference does (repro._util.sum_left_to_right): left to right,
+ * one addition at a time, whatever the interpreter's builtin sum() does.
  */
 
 /* Exported (not static) so the test suite can hold it against the
- * running interpreter's sum() directly. */
-double sum_like_python(const double *v, int64_t n, int64_t compensated)
+ * reference's sum directly. */
+double sum_left_to_right(const double *v, int64_t n)
 {
-    if (n == 0) return 0.0;
-    double f = v[0];
-    if (!compensated) {
-        for (int64_t q = 1; q < n; q++) f += v[q];
-        return f;
-    }
-    double c = 0.0;
-    for (int64_t q = 1; q < n; q++) {
-        double x = v[q], t = f + x;
-        if (fabs(f) >= fabs(x)) c += (f - t) + x;
-        else c += (x - t) + f;
-        f = t;
-    }
-    if (c != 0.0 && isfinite(c)) f += c;
+    double f = 0.0;
+    for (int64_t q = 0; q < n; q++) f += v[q];
     return f;
 }
 
@@ -378,7 +365,7 @@ static double upper_median(double *buf, int64_t n)
 
 void clump_pass(
     int64_t n, int64_t n_nets, int64_t nrows, int64_t nsites,
-    int64_t passes, int64_t compensated,
+    int64_t passes,
     double *xs, double *ys,
     const int64_t *net_offs, const int64_t *net_pins,
     const double *fx0, const double *fx1, const double *fy0, const double *fy1,
@@ -452,7 +439,7 @@ void clump_pass(
                     }
                 }
                 for (int64_t p = 0; p < na; p++) sums[p] = cost[affected[p]];
-                double before = sum_like_python(sums, na, compensated);
+                double before = sum_left_to_right(sums, na);
 
                 double nxf = (double)tcol, nyf = (double)trow;
                 double oxf = (double)oxi, oyf = (double)oyi;
@@ -466,7 +453,7 @@ void clump_pass(
                     double hpwl = (x1 - x0) + (y1 - y0);
                     sums[p] = (hpwl + hpwl * hpwl / QUAD_K) * net_w[m];
                 }
-                double delta = sum_like_python(sums, na, compensated) - before;
+                double delta = sum_left_to_right(sums, na) - before;
                 if (delta < 0.0) {
                     for (int64_t p = 0; p < na; p++) cost[affected[p]] = sums[p];
                     occ[tkey] = i;

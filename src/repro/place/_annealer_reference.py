@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .._util import make_rng
+from .._util import make_rng, sum_left_to_right
 from .annealer import AnnealStats, _QUAD_K, _net_cost
 from .problem import PlacementProblem
 
@@ -71,7 +71,7 @@ def anneal_reference(
     cost = [
         _net_cost(pins, fixed, xs, ys, w) for pins, fixed, w in nets
     ]
-    initial_cost = sum(cost)
+    initial_cost = sum_left_to_right(cost)
 
     occupant: dict[tuple[int, int], int] = {}
     for i in range(n):
@@ -233,14 +233,14 @@ def anneal_reference(
                     continue
                 j = occupant.get((tcol, trow))
                 affected = nets_of[i] if j is None else sorted(set(nets_of[i] + nets_of[j]))
-                before = sum(cost[a] for a in affected)
+                before = sum_left_to_right(cost[a] for a in affected)
                 xs[i], ys[i] = float(tcol), float(trow)
                 if j is not None:
                     xs[j], ys[j] = float(old[0]), float(old[1])
                 new_costs = [
                     _net_cost(nets[a][0], nets[a][1], xs, ys, nets[a][2]) for a in affected
                 ]
-                delta = sum(new_costs) - before
+                delta = sum_left_to_right(new_costs) - before
                 if delta < 0:
                     for a, ca in zip(affected, new_costs):
                         cost[a] = ca

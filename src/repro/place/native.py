@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .._native import build_library
-from .._util import make_rng
+from .._util import make_rng, sum_left_to_right
 from ..obs.span import incr, sample
 from .annealer import _QUAD_K, AnnealStats
 from .problem import NetColumns, PlacementProblem
@@ -49,12 +49,6 @@ _SOURCE = Path(__file__).with_name("_anneal_core.c")
 
 #: memoized build result: unset / (sweep, clump) CDLL functions / None (unavailable)
 _CORE: list = []
-
-#: Builtin ``sum`` over floats carries Neumaier's compensation from
-#: CPython 3.12 on.  The reference's post-pass adds its net costs with
-#: ``sum``, so the core is told which arithmetic the interpreter does.
-_SUM_COMPENSATED = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-
 
 def _core():
     if not _CORE:
@@ -89,7 +83,7 @@ def _core():
             clump = lib.clump_pass
             clump.restype = None
             clump.argtypes = (
-                [I] * 6                      # n, n_nets, nrows, nsites, passes, compensated
+                [I] * 5                      # n, n_nets, nrows, nsites, passes
                 + [P] * 2                    # xs, ys
                 + [P] * 2                    # net_offs, net_pins
                 + [P] * 4                    # fx0, fx1, fy0, fy1
@@ -193,8 +187,7 @@ def anneal_native(
     fx1 = np.ascontiguousarray(nets.fixed_hi[:, 0])
     fy1 = np.ascontiguousarray(nets.fixed_hi[:, 1])
     bx0_a, bx1_a, by0_a, by1_a, cost_a = _net_costs(nets, xs_a, ys_a)
-    # summed left to right like the reference (np.sum pairs)
-    initial_cost = sum(cost_a.tolist())
+    initial_cost = sum_left_to_right(cost_a)
 
     budget = min(max_moves, moves_per_cell * n)
     if budget <= 0:
@@ -307,7 +300,7 @@ def anneal_native(
     median = np.empty(int(pin_counts.max()), dtype=np.float64)
     final = np.array([final_cost], dtype=np.float64)
     clump(
-        n, n_nets, nrows_dev, nsites, clump_passes, int(_SUM_COMPENSATED),
+        n, n_nets, nrows_dev, nsites, clump_passes,
         _ptr(xs_a), _ptr(ys_a),
         _ptr(net_offs), _ptr(net_pins),
         _ptr(fx0), _ptr(fx1), _ptr(fy0), _ptr(fy1),

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import sum_left_to_right
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
@@ -67,23 +68,24 @@ def estimate_power(
         raise ValueError(f"fmax must be positive, got {fmax_mhz}")
     static = STATIC_W_PER_KLUT * device.resource_totals["LUT"] / 1000.0
 
-    # Per-cell switching power, summed in cell order (a float sum: the
-    # order is part of the result).  A placed block contributes its
-    # column of type codes; nothing is built to read a type off.
-    per_cell: list[float] = []
+    # Per-cell switching power, added in cell order, left to right (a
+    # float sum: the order is part of the result).  A placed block
+    # contributes its column of type codes; nothing is built to read a
+    # type off.
+    per_cell: list[np.ndarray] = []
     for part in design.cell_parts():
         if isinstance(part, dict):
             ctypes = [cell.ctype for cell in part.values()]
             table = dict.fromkeys(ctypes)
             per_type = {t: cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table}
-            per_cell += map(per_type.__getitem__, ctypes)
+            per_cell.append(np.array([per_type[t] for t in ctypes], dtype=np.float64))
         else:
             kind, table = part.kinds()
             per_type = np.array(
                 [cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table]
             )
-            per_cell += per_type[kind].tolist()
-    logic_nw = sum(per_cell)
+            per_cell.append(per_type[kind])
+    logic_nw = sum_left_to_right(np.concatenate(per_cell)) if per_cell else 0
 
     if graph is None and design.blocks:
         design.nets  # no routes to measure without a graph: estimate from the objects
@@ -93,10 +95,7 @@ def estimate_power(
     routed_tiles = 0
     for part in design.net_parts():
         if not isinstance(part, dict):
-            # every connection of a block's data nets is routed
-            tiles, _crossings = part.route_metrics(graph)
-            width = part.column("net_width")[part.timing_rows().net]
-            routed_tiles += int(tiles.astype(np.int64) @ width.astype(np.int64))
+            routed_tiles += part.routed_tiles(graph)   # every block connection is routed
             continue
         for net in part.values():
             if net.is_clock:

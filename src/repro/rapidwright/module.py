@@ -14,7 +14,7 @@ partition-pin tiles and routed node ids all shift by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,31 @@ class Footprint:
     pin_tiles: dict[str, tuple[int, int]]
     #: Column signature recorded at OOC time, when there is one.
     column_signature: tuple[int, ...] | None = None
+    #: What :meth:`anchors` and :meth:`site_offsets` worked out, by what
+    #: each depends on.
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def anchors(self, device: Device, row_step: int | None) -> np.ndarray:
+        """:func:`candidate_anchors` (not ``strict``) as an ``(n, 2)``
+        array, worked out once per device grid and *row_step* and kept
+        here — so a database record's footprint hands every later run
+        the same array."""
+        key = ("anchors", device.nrows, device.col_types.tobytes(), row_step)
+        found = self._kept.get(key)
+        if found is None:
+            found = self._kept[key] = np.array(
+                candidate_anchors(device, self, row_step=row_step), dtype=np.int64
+            ).reshape(-1, 2)
+        return found
+
+    def site_offsets(self, nrows: int) -> np.ndarray:
+        """``col * nrows + row`` of every placed site, pblock-relative:
+        add an anchor's ``col0 * nrows + row0`` for the sites there."""
+        key = ("sites", nrows)
+        found = self._kept.get(key)
+        if found is None:
+            found = self._kept[key] = self.rel_sites[:, 0] * nrows + self.rel_sites[:, 1]
+        return found
 
     @classmethod
     def of(cls, design: "Design | Footprint") -> "Footprint":

@@ -25,7 +25,7 @@ from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.design import Design, DesignError
 from ..obs.span import incr, span
-from .module import Footprint, candidate_anchors
+from .module import Footprint
 
 __all__ = ["ComponentPlacer", "ComponentPlacement", "PlacementInfeasible"]
 
@@ -33,8 +33,8 @@ __all__ = ["ComponentPlacer", "ComponentPlacement", "PlacementInfeasible"]
 #: The per-candidate cost every array ranking of :meth:`ComponentPlacer.
 #: _rank` is asserted equal to, float for float and tie for tie (oracle
 #: contract, lint rules ORC-001..003; ``tests/test_property_component_
-#: placer.py``) — and what the search re-checks a candidate with when it
-#: picks it.
+#: placer.py``) — so the search takes a picked candidate's cost from the
+#: ranking and re-checks only its sites.
 ORACLE = "repro.rapidwright.placer.ComponentPlacer._cost"
 
 
@@ -54,13 +54,30 @@ class ComponentPlacement:
     backtracks: int = 0
 
 
-def _halo(p: PBlock, h: int, device: Device) -> PBlock:
-    return PBlock(
-        max(0, p.col0 - h),
-        max(0, p.row0 - h),
-        min(device.ncols - 1, p.col1 + h),
-        min(device.nrows - 1, p.row1 + h),
-    )
+def _halo(p: PBlock, h: int, device: Device) -> tuple[int, int, int, int]:
+    """``(col0, row0, col1, row1)`` of *p* grown by *h* tiles, clipped to
+    the device (corners, not a :class:`PBlock`: nothing to validate)."""
+    return (max(0, p.col0 - h), max(0, p.row0 - h),
+            min(device.ncols - 1, p.col1 + h), min(device.nrows - 1, p.row1 + h))
+
+
+def _overlap_area(a: tuple, b: tuple) -> int:
+    """:meth:`PBlock.overlap_area` of two corner tuples."""
+    dc = min(a[2], b[2]) - max(a[0], b[0]) + 1
+    dr = min(a[3], b[3]) - max(a[1], b[1]) + 1
+    return max(dc, 0) * max(dr, 0)
+
+
+class _Ranked(NamedTuple):
+    """An item's candidates, best first, as columns: the weighted
+    ``total``, its ``timing`` and ``congestion`` terms, and each one's
+    anchor (the corner of its pblock)."""
+
+    total: np.ndarray
+    timing: np.ndarray
+    congestion: np.ndarray
+    col0: np.ndarray
+    row0: np.ndarray
 
 
 class _Boxes(NamedTuple):
@@ -128,12 +145,8 @@ class ComponentPlacer:
         component.  Pblocks may interleave (columnar devices leave unused
         site types inside a footprint); only *site* collisions are hard."""
         module = items[idx][1]
-        if occ is not None:
-            overlapping = any(pblock.overlaps(other) for other in placed.values())
-            if overlapping:
-                ids = self._site_ids(module.rel_sites, pblock)
-                if occ[ids].any():
-                    return None
+        if occ is not None and self._blocked(idx, pblock, items, placed, occ):
+            return None
         timing = 0.0
         for a, b in connections:
             if a == idx and b in placed:
@@ -148,9 +161,16 @@ class ComponentPlacer:
         congestion = 0.0
         mine = _halo(pblock, self.halo, self.device)
         for other in placed.values():
-            overlap = mine.overlap_area(_halo(other, self.halo, self.device))
+            overlap = _overlap_area(mine, _halo(other, self.halo, self.device))
             congestion += overlap / pblock.area
         return timing, congestion
+
+    def _blocked(self, idx: int, pblock: PBlock, items: list[tuple[str, Footprint]],
+                 placed: dict[int, PBlock], occ) -> bool:
+        """Whether item *idx*'s locked sites at *pblock* collide with a
+        placed component's (only one whose pblock it overlaps can)."""
+        return (any(pblock.overlaps(other) for other in placed.values())
+                and bool(occ[self._site_ids(items[idx][1], pblock)].any()))
 
     # -- search ------------------------------------------------------------
 
@@ -179,10 +199,10 @@ class ComponentPlacer:
         connections: list[tuple[int, int]],
     ) -> ComponentPlacement:
         result = ComponentPlacement()
-        candidate_lists: list[list[tuple[int, int]]] = []
+        candidate_lists: list[np.ndarray] = []
         for name, module in items:
-            anchors = candidate_anchors(self.device, module, row_step=self.row_step)
-            if not anchors:
+            anchors = module.anchors(self.device, self.row_step)
+            if not len(anchors):
                 raise PlacementInfeasible(
                     f"component {name}: no compatible anchors on {self.device.name}"
                 )
@@ -199,7 +219,7 @@ class ComponentPlacer:
         chosen: dict[int, PBlock] = {}
         chosen_cost: dict[int, tuple[float, float]] = {}
         # per-item ranked candidates, recomputed lazily when (re)visited
-        ranked: dict[int, list[tuple[float, float, float, PBlock]]] = {}
+        ranked: dict[int, _Ranked] = {}
         pointer: dict[int, int] = {}
         k = 0
         attempts = 0
@@ -209,22 +229,29 @@ class ComponentPlacer:
                 ranked[idx] = self._rank(idx, candidate_lists[idx], items, connections, chosen)
                 pointer[idx] = 0
             placed_here = False
-            while pointer[idx] < len(ranked[idx]):
+            base = items[idx][1].pblock
+            ranking = ranked[idx]
+            while pointer[idx] < len(ranking.total):
                 attempts += 1
                 if attempts > self.max_attempts:
                     raise PlacementInfeasible(
                         f"component placement exceeded {self.max_attempts} attempts"
                     )
-                total, timing, congestion, pblock = ranked[idx][pointer[idx]]
+                at = pointer[idx]
                 pointer[idx] += 1
-                cost = self._cost(idx, pblock, items, connections, chosen, occ)
-                if cost is None:
+                col, row = int(ranking.col0[at]), int(ranking.row0[at])
+                pblock = PBlock(col, row, col + base.width - 1, row + base.height - 1)
+                # The ranking was made against the placed set this pick
+                # sees (backtracking below the item drops it), so its
+                # costs are _cost's; what is left to check is the sites.
+                if self._blocked(idx, pblock, items, chosen, occ):
                     continue
+                cost = (float(ranking.timing[at]), float(ranking.congestion[at]))
                 if self.threshold is not None and cost[0] + cost[1] > self.threshold:
                     continue
                 chosen[idx] = pblock
                 chosen_cost[idx] = cost
-                occ[self._site_ids(items[idx][1].rel_sites, pblock)] = True
+                occ[self._site_ids(items[idx][1], pblock)] = True
                 placed_here = True
                 break
             if placed_here:
@@ -241,7 +268,7 @@ class ComponentPlacer:
             result.backtracks += 1
             prev_pb = chosen.pop(prev, None)
             if prev_pb is not None:
-                occ[self._site_ids(items[prev][1].rel_sites, prev_pb)] = False
+                occ[self._site_ids(items[prev][1], prev_pb)] = False
             chosen_cost.pop(prev, None)
 
         for i, (name, _module) in enumerate(items):
@@ -254,19 +281,19 @@ class ComponentPlacer:
         result.attempts = attempts
         return result
 
-    def _site_ids(self, rel, pblock: PBlock):
+    def _site_ids(self, module: Footprint, pblock: PBlock):
         """Absolute site ids of a module's cells when anchored at *pblock*."""
         nrows = self.device.nrows
-        return (rel[:, 0] + pblock.col0) * nrows + (rel[:, 1] + pblock.row0)
+        return module.site_offsets(nrows) + (pblock.col0 * nrows + pblock.row0)
 
     def _rank(
         self,
         idx: int,
-        anchors: list[tuple[int, int]],
+        anchors: "np.ndarray | list[tuple[int, int]]",
         items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
         placed: dict[int, PBlock],
-    ) -> list[tuple[float, float, float, PBlock]]:
+    ) -> _Ranked:
         """Candidates sorted by weighted cost against the current partial
         placement (overlapping candidates are kept — re-checked at pick
         time, since the placed set may shrink on backtracking).
@@ -276,8 +303,9 @@ class ComponentPlacer:
         term to the whole column — in the order the scalar loops add
         them (``placed`` in dict order, *connections* in list order), so
         every float is the one ``_cost`` computes — and a stable argsort
-        stands in for the stable list sort.  Only the candidates kept
-        become :class:`PBlock` objects.
+        stands in for the stable list sort.  The ranking stays columns:
+        the search builds a :class:`PBlock` only for a candidate it
+        tries, which is normally the first.
         """
         module = items[idx][1]
         base = module.pblock
@@ -306,17 +334,37 @@ class ComponentPlacer:
                       np.minimum(device.ncols - 1, boxes.col1 + h),
                       np.minimum(device.nrows - 1, boxes.row1 + h))
         congestion = np.zeros(len(boxes.col0))
-        for other in placed.values():
-            theirs = _halo(other, h, device)
-            dc = np.minimum(mine.col1, theirs.col1) - np.maximum(mine.col0, theirs.col0) + 1
-            dr = np.minimum(mine.row1, theirs.row1) - np.maximum(mine.row0, theirs.row0) + 1
-            congestion += (np.maximum(dc, 0) * np.maximum(dr, 0)) / base.area
+        if placed:
+            # A placed component's term is +0.0 — which adds nothing — for
+            # every candidate whose halo misses its halo, so only the pairs
+            # (placed, candidate anchored where the halos can meet) get one:
+            # per placed component and column of that window, one slice of
+            # the anchors in (column, row) order, found by bisection.  The
+            # pairs run placed by placed, in dict order, and add.at adds
+            # them in that order.
+            nrows = device.nrows
+            theirs = np.array([(p.col0, p.row0, p.col1, p.row1) for p in placed.values()])
+            theirs[:, :2] = np.maximum(theirs[:, :2] - h, 0)     # _halo of each, at once
+            theirs[:, 2:] = np.minimum(theirs[:, 2:] + h, (device.ncols - 1, nrows - 1))
+            key = boxes.col0 * nrows + boxes.row0
+            order = np.argsort(key, kind="stable")      # (anchors come sorted: one pass)
+            key = key[order]
+            col_lo = np.maximum(theirs[:, 0] - (base.width - 1) - h, 0)
+            row_lo = np.maximum(theirs[:, 1] - (base.height - 1) - h, 0)
+            row_hi = np.minimum(theirs[:, 3] + h, nrows - 1)
+            ncols = np.maximum(theirs[:, 2] + h - col_lo + 1, 0)
+            placed_of = np.repeat(np.arange(len(theirs)), ncols)
+            col = np.repeat(col_lo - (np.cumsum(ncols) - ncols), ncols) + np.arange(ncols.sum())
+            first = np.searchsorted(key, col * nrows + row_lo[placed_of])
+            lens = np.searchsorted(key, col * nrows + row_hi[placed_of] + 1) - first
+            which = np.repeat(placed_of, lens)
+            near = order[np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())]
+            col0, row0, col1, row1 = theirs[which].T
+            dc = np.minimum(mine.col1[near], col1) - np.maximum(mine.col0[near], col0) + 1
+            dr = np.minimum(mine.row1[near], row1) - np.maximum(mine.row0[near], row0) + 1
+            np.add.at(congestion, near, (np.maximum(dc, 0) * np.maximum(dr, 0)) / base.area)
 
         total = self.timing_weight * timing + self.congestion_weight * congestion
         best = np.argsort(total, kind="stable")[: self.max_candidates]
-        return [
-            (t, tm, cg, PBlock(col, row, col + base.width - 1, row + base.height - 1))
-            for t, tm, cg, col, row in zip(
-                total[best].tolist(), timing[best].tolist(), congestion[best].tolist(),
-                boxes.col0[best].tolist(), boxes.row0[best].tolist())
-        ]
+        return _Ranked(total[best], timing[best], congestion[best],
+                       boxes.col0[best], boxes.row0[best])

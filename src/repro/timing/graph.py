@@ -21,19 +21,23 @@ nothing about them is stored.
 design.Design`: placed component images interleaved with glue objects)
 is compiled as it stands, and never asked for ``cells`` or ``nets``.
 Each :class:`~repro.netlist.block.Block` is *one entry* of the cell
-list and one of the net list, standing for a pre-compiled run of slots
-and rows: its ``seq`` / logic / setup columns and its rows' ``src`` /
-``dst`` (relative to the block's first slot) come straight off arrays
-cached on the image, its routed delays from one
-:meth:`~repro.fabric.interconnect.RoutingGraph.path_metrics_csr` over
-the shifted route-node column.  The diff below treats a block like any
-other entry — compared by identity, carried over or compiled afresh
-whole — and runs its per-object comparisons over the *glue* only (the
-``g_*`` columns), so a re-sync costs what changed, not what is placed.
-Slot and row order equal the flattened design's, hence so do the
-first-max-wins ties and the whole report.  Anything with no columnar
-form (a delay model overriding a per-cell method, no routing graph)
-touches ``design.cells`` first and is timed from the objects.
+list and one of the net list, standing for a run of slots and rows: its
+``seq`` / logic / setup columns fill its run of the slot columns, and
+its rows are a **chunk** of their own (:class:`_Chunk`) — the ``src`` /
+``dst`` / fanout arrays the image keeps (:meth:`Block.timing_rows`,
+cell rows of the block) and the routed delays it keeps for this anchor's
+I/O columns and this delay model (:meth:`Block.routed_delays`), never
+copied into the row columns.  Those (``r_*``) hold the *glue* rows only,
+each with its place ``g_row`` in row order.  The diff below treats a
+block like any other entry — compared by identity, carried over or
+compiled afresh whole — and runs its per-object comparisons over the
+glue, so a re-sync splices glue rows and costs what changed, not what
+is placed; the report keeps each chunk's best row and recomputes it
+only when an arrival inside the block moved.  Slot and row order equal
+the flattened design's, hence so do the first-max-wins ties and the
+whole report.  Anything with no columnar form (a delay model overriding
+a per-cell method, no routing graph) touches ``design.cells`` first and
+is timed from the objects.
 
 Three mechanisms carry the speedup:
 
@@ -62,8 +66,9 @@ Three mechanisms carry the speedup:
   position; rows are (re)assembled in the design's current dict order,
   so ``(sink slot, row)`` reproduces exactly the iteration order of the
   reference's nested loops.  The endpoint scan is a vectorised maximum
-  whose ties go to the smallest ``(sink slot, row)`` — the strict
-  first-max-wins rule — which makes the whole
+  — over the glue rows, combined with each chunk's own — whose ties go
+  to the smallest ``(sink slot, row)`` — the strict first-max-wins
+  rule — which makes the whole
   :class:`~repro.timing.sta.TimingReport` bit-identical to the
   reference.
 
@@ -138,6 +143,42 @@ def _match_len(a: list, i: int, b: list, j: int) -> int:
     return lo
 
 
+def _rows_best(rows, delay: np.ndarray, arrival: np.ndarray, setup: np.ndarray,
+               seq: np.ndarray) -> tuple:
+    """``(worst total, sink, row, driver, rows landing on a register)``
+    over a block's *rows* (ends as cell rows of the block; per cell its
+    *arrival*, *setup* and *seq*): first max wins — of the rows tied at
+    the maximum, the first one of the earliest sink."""
+    ends = np.flatnonzero(seq[rows.dst])
+    if not ends.size:
+        return -np.inf, -1, -1, -1, 0
+    total = arrival[rows.src[ends]] + delay[ends] + setup[rows.dst[ends]]
+    worst = total.max()
+    tied = ends[total == worst]
+    k = int(tied[np.argmin(rows.dst[tied])])
+    return float(worst), int(rows.dst[k]), k, int(rows.src[k]), len(ends)
+
+
+class _Chunk:
+    """A placed block's rows: its own arrays, carried by identity.
+
+    ``rows`` is :meth:`Block.timing_rows` (``src`` / ``dst`` are cell
+    rows of the block: add its first slot) and ``delay`` its
+    :meth:`Block.routed_delays` — both what the image keeps, not copies.
+    ``best`` is its :func:`_rows_best` (cells as rows of the block, the
+    row as a row of the chunk) as of the last report, ``None`` while an
+    arrival it was computed from may have moved.
+    """
+
+    __slots__ = ("block", "rows", "delay", "best")
+
+    def __init__(self, block: Block, graph: RoutingGraph, delays: DelayModel) -> None:
+        self.block = block
+        self.rows = block.timing_rows()
+        self.delay = block.routed_delays(graph, delays)
+        self.best: tuple | None = None
+
+
 class TimingGraph:
     """Columnar timing graph, kept in sync with a mutating design.
 
@@ -177,9 +218,10 @@ class TimingGraph:
         self.g_names: list[str] = []
         self.g_slot = np.zeros(0, dtype=np.int64)   # ... and their slots
         self.cell_pl: list = []                  # ... and placements as of the last sync
-        self.cell_seq = np.zeros(0, dtype=bool)
+        self.cell_seq = np.zeros(0, dtype=bool)  # views of the front of _slot_room
         self.cell_logic = np.zeros(0)
         self.cell_setup = np.zeros(0)
+        self._slot_room = [np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0), np.zeros(0)]
         # Nets.  One entry per glue data net or placed block, in design
         # order; a block entry owns the rows of all its live data nets.
         self.data_nets: list = []                # entries: Net | Block
@@ -193,9 +235,10 @@ class TimingGraph:
         self.r_sink: list[str] = []              # object (delay-memo key: identity)
         self.r_route: list = []                  # and the row it is
         self.g_row = np.zeros(0, dtype=np.int64)
-        self.b_entry: list[int] = []             # the block entries and how many nets
-        self.b_live: list[int] = []              # each had when it was compiled
-        # Rows: one per (data net, sink).
+        self.b_entry: list[int] = []             # the block entries, how many nets
+        self.b_live: list[int] = []              # each had when it was compiled,
+        self.chunks: list[_Chunk] = []           # and their rows
+        # Glue rows: one per (glue data net, sink), in row order.
         self.r_net = np.zeros(0, dtype=np.int64)  # entry index
         self.r_src = np.zeros(0, dtype=np.int64)  # cell slot, -1 when unknown
         self.r_dst = np.zeros(0, dtype=np.int64)
@@ -211,7 +254,7 @@ class TimingGraph:
         self._adj: tuple | None = None
         # Propagation state: arrival per slot; winning (src slot, net
         # name) per combinational cell that has one.
-        self.out_time = np.zeros(0)
+        self.out_time = np.zeros(0)             # (a view, like the slot columns)
         self.best_pred: dict[int, tuple[int, str]] = {}
         self.pending_dirty: set[int] = set()     # combinational slots only
 
@@ -248,7 +291,7 @@ class TimingGraph:
         if len(cells) > n0:
             self._add_cells(names[n0:], cells[n0:], [k - n0 for k in block_at if k >= n0])
             structural = True
-        stale = np.zeros(len(self.r_net), dtype=bool)  # rows to re-time
+        stale = np.zeros(len(self.r_src), dtype=bool)  # glue rows to re-time
         placements = [c.placement for c in self.g_cells]
         if placements != self.cell_pl:
             moved = np.zeros(len(self.cell_seq), dtype=bool)
@@ -283,11 +326,11 @@ class TimingGraph:
         routes = _flat_routes(old, self.g_fanout)
         same = _match_len(routes, 0, self.r_route, 0)
         if same < len(routes):
-            stale[self.g_row[[
+            stale[[
                 same + i
                 for i, (a, b) in enumerate(zip(routes[same:], self.r_route[same:]))
                 if a is not b
-            ]]] = True
+            ]] = True
 
         # The entries the design has now, matched against those runs of
         # compiled entries they still are.  Dict order is the survivors in
@@ -329,28 +372,36 @@ class TimingGraph:
             except ValueError:
                 fresh += data[j:]
                 break
+        made: list[_Chunk] = []
         if fresh or carried < len(old):
-            stale = self._assemble(data, pieces, fresh, stale, routes)
+            stale, made = self._assemble(data, pieces, fresh, stale, routes)
             structural = True
         else:
             self.r_route = routes
 
+        # Every row not re-timed here is a memo hit: the glue's, and every
+        # row of a chunk carried over (a block's rows are all routed and
+        # both their ends known).
         rows = np.flatnonzero(stale)
+        n_made = sum(len(chunk.delay) for chunk in made)
         if self.net_missing:
             self.memo_hits += int(np.count_nonzero(
                 ~stale & (self.r_src >= 0) & (self.r_dst >= 0)
-            ))
+            )) + int(self.net_off[-1]) - len(stale) - n_made
         else:  # every row has both ends
-            self.memo_hits += len(stale) - len(rows)
+            self.memo_hits += int(self.net_off[-1]) - len(rows) - n_made
+        self.memo_misses += n_made
         self._time(stale)
         self.r_redo[rows] = True
         self._mark_dirty(self.r_dst[rows])
+        for chunk in made:
+            self._mark_sinks_dirty(chunk)
 
         # CTS skew/insertion live in design metadata, outside the
         # cell/net diff — track them here so a clock-tree (re)build alone
         # invalidates the memoized report.
         terms = clock_terms(design, self.delays)
-        if structural or rows.size or terms != self._clock_terms:
+        if structural or rows.size or made or terms != self._clock_terms:
             self.state_rev += 1
         self._clock_terms = terms
         if structural:
@@ -362,11 +413,11 @@ class TimingGraph:
         n0 = base = len(self.cell_seq)
         self.cell_objs += entries
         self.cell_names += names
-        # One delay lookup for the whole batch: the glue cells as they
-        # are, each block through its few (type, depth) representatives.
+        # One delay lookup for the glue cells of the batch; a block's
+        # come with its image.
         asked: list = []
-        runs: list[tuple] = []                   # (first asked, one past, block's classes | None)
-        seq_parts = [self.cell_seq]
+        runs: list = []                          # per run: a slice of asked, or (logic, setup)
+        seq_parts = []
         glue_slots = [self.g_slot]
         at = 0
         for k in [*block_at, len(entries)]:
@@ -379,32 +430,44 @@ class TimingGraph:
                 self.cell_pl += [c.placement for c in run]
                 glue_slots.append(np.arange(base, base + len(run)))
                 seq_parts.append(np.array([bool(c.seq) for c in run], dtype=bool))
-                runs.append((len(asked), len(asked) + len(run), None))
+                runs.append(slice(len(asked), len(asked) + len(run)))
                 asked += run
                 base += len(run)
             if k < len(entries):
                 block = entries[k]
                 self.block_slot[block] = base
-                reps, which = block.delay_classes()
                 seq_parts.append(block.seq())
-                runs.append((len(asked), len(asked) + len(reps), which))
-                asked += reps
+                runs.append(block.cell_delays(self.delays))
                 base += block.n_cells
             at = k + 1
-        logic, setup = self.delays.cell_delays_ps(asked)
-        logic_parts, setup_parts = [self.cell_logic], [self.cell_setup]
-        for a, b, which in runs:
-            logic_parts.append(logic[a:b] if which is None else logic[a:b][which])
-            setup_parts.append(setup[a:b] if which is None else setup[a:b][which])
+        logic, setup = self.delays.cell_delays_ps(asked) if asked else (None, None)
+        logic, setup, seq = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (
+                [logic[r] if type(r) is slice else r[0] for r in runs],
+                [setup[r] if type(r) is slice else r[1] for r in runs], seq_parts))
         self.g_slot = np.concatenate(glue_slots)
-        self.cell_seq = np.concatenate(seq_parts)
-        self.cell_logic = np.concatenate(logic_parts)
-        self.cell_setup = np.concatenate(setup_parts)
         # Seed: correct for sequential and zero-fan-in combinational
         # cells; dirty marking repropagates the rest.
-        self.out_time = np.concatenate((self.out_time, self.cell_logic[n0:]))
-        self.pending_dirty.update((n0 + np.flatnonzero(~self.cell_seq[n0:])).tolist())
+        self._append_slots(seq, logic, setup, logic)
+        self.pending_dirty.update((n0 + np.flatnonzero(~seq)).tolist())
         self._adj = None
+
+    def _append_slots(self, *tails: np.ndarray) -> None:
+        """Append *tails* to ``cell_seq``, ``cell_logic``, ``cell_setup``
+        and ``out_time`` — each the front of a buffer with room behind it,
+        which grows geometrically: a register appended costs a slot, not
+        the design."""
+        n0 = len(self.cell_seq)
+        n = n0 + len(tails[0])
+        if n > len(self._slot_room[0]):
+            columns = (self.cell_seq, self.cell_logic, self.cell_setup, self.out_time)
+            self._slot_room = [np.empty(max(n, 2 * n0), dtype=tail.dtype) for tail in tails]
+            for buf, column in zip(self._slot_room, columns):
+                buf[:n0] = column
+        for buf, tail in zip(self._slot_room, tails):
+            buf[n0:n] = tail
+        self.cell_seq, self.cell_logic, self.cell_setup, self.out_time = (
+            buf[:n] for buf in self._slot_room)
 
     def _slots(self, names: list) -> np.ndarray:
         """Slot of each cell name, ``-1`` where the design has no such cell."""
@@ -421,15 +484,17 @@ class TimingGraph:
 
     def _assemble(
         self, data: list, pieces: list, fresh: list, stale: np.ndarray, routes: list
-    ) -> np.ndarray:
-        """Splice the net and row columns for the entries *data*.
+    ) -> tuple[np.ndarray, list[_Chunk]]:
+        """Splice the net and glue-row columns for the entries *data*.
 
         Each of *pieces* is ``(a, b, k)``: compiled entries ``a..b`` carry
         their rows (and delays) over, then come the entries of *fresh*
         from the *k*-th up to the next piece's — compiled here, all in one
-        go; on the first sync that is every net.  *routes* are the current
-        routes of the glue rows compiled so far.  Returns the new rows'
-        re-time mask: fresh, or *stale* before.
+        go; on the first sync that is every net.  A block among them gets
+        a chunk of its own, which no later splice copies.  *routes* are
+        the current routes of the glue rows compiled so far.  Returns the
+        glue rows' re-time mask (fresh, or *stale* before) and the fresh
+        chunks.
         """
         # The glue nets among the fresh entries, compiled together ...
         nets = [e for e in fresh if type(e) is not Block]
@@ -440,43 +505,28 @@ class TimingGraph:
         src = np.repeat(self._slots(drivers), fanout)
         dst = self._slots(flat)
         rows_fanout = np.repeat(np.array(fanout, dtype=np.int64), fanout)
+        made = {}
         counts = fanout
-        if len(nets) < len(fresh):
-            # ... then laid out between the blocks' pre-compiled rows.
-            compiled = {e: e.timing_rows() for e in fresh if type(e) is Block}
-            glue = np.fromiter((e not in compiled for e in fresh), bool, len(fresh))
-            counts = [len(compiled[e].net) if e in compiled else len(e.sinks) for e in fresh]
-            at = [0, *accumulate(counts)]
-            mask = np.repeat(glue, counts)
+        if len(nets) < len(fresh):               # ... and a chunk for each block among them
+            made = {e: _Chunk(e, self.graph, self.delays) for e in fresh if type(e) is Block}
+            counts = [len(made[e].delay) if e in made else len(e.sinks) for e in fresh]
 
-            def spread(glue_rows, column):
-                out = np.empty(at[-1], dtype=np.int64)
-                out[mask] = glue_rows
-                for k, e in enumerate(fresh):
-                    if e in compiled:
-                        out[at[k]:at[k + 1]] = column(e, compiled[e])
-                return out
-
-            src = spread(src, lambda e, rows: rows.src + self.block_slot[e])
-            dst = spread(dst, lambda e, rows: rows.dst + self.block_slot[e])
-            rows_fanout = spread(rows_fanout, lambda e, rows: rows.fanout)
-
-        # Four ways to count along the old and the new entry lists: by
-        # entry, by row, by glue net, by glue row (without blocks, two).
+        # Three ways to count along the old and the new entry lists: by
+        # entry, by glue net, by glue row (without blocks: by entry, by row).
         def counted(entries, weights, blocks: bool) -> tuple:
-            by_entry, by_row = range(len(entries) + 1), [0, *accumulate(weights)]
+            by_entry = range(len(entries) + 1)
             if not blocks:
-                return by_entry, by_row, by_entry, by_row
+                return by_entry, by_entry, [0, *accumulate(weights)]
             is_glue = [type(e) is not Block for e in entries]
             return (
-                by_entry, by_row, [0, *accumulate(is_glue)],
+                by_entry, [0, *accumulate(is_glue)],
                 [0, *accumulate(w if g else 0 for w, g in zip(weights, is_glue))],
             )
 
         old_at = counted(self.data_nets, self.net_fanout, bool(self.b_entry))
-        new_at = counted(fresh, counts, len(nets) < len(fresh))
+        new_at = counted(fresh, counts, bool(made))
         cuts = [*(k for _, _, k in pieces[1:]), len(fresh)]
-        BY_ENTRY, BY_ROW, BY_GLUE_NET, BY_GLUE_ROW = range(4)
+        BY_ENTRY, BY_GLUE_NET, BY_GLUE_ROW = range(3)
 
         def splice(column, compiled, by) -> list:
             old, new = old_at[by], new_at[by]
@@ -492,19 +542,25 @@ class TimingGraph:
             parts = splice(column, compiled, by)
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+        # What the rows that go had reached is for their sinks to redo.
         gone = np.ones(len(stale), dtype=bool)
         for a, b, _ in pieces:
-            gone[old_at[BY_ROW][a]:old_at[BY_ROW][b]] = False
+            gone[old_at[BY_GLUE_ROW][a]:old_at[BY_GLUE_ROW][b]] = False
         self._mark_dirty(self.r_dst[gone])
-        n_rows = new_at[BY_ROW][-1]
-        retime = joined(stale, np.ones(n_rows, dtype=bool), BY_ROW)
-        self.r_delay = joined(self.r_delay, np.zeros(n_rows), BY_ROW)
-        self.r_routed = joined(self.r_routed, np.zeros(n_rows, dtype=bool), BY_ROW)
-        self.r_total = joined(self.r_total, np.full(n_rows, -np.inf), BY_ROW)
-        self.r_redo = joined(self.r_redo, np.ones(n_rows, dtype=bool), BY_ROW)
-        self.r_src = joined(self.r_src, src, BY_ROW)
-        self.r_dst = joined(self.r_dst, dst, BY_ROW)
-        self.r_fanout = joined(self.r_fanout, rows_fanout, BY_ROW)
+        old_chunks = {}
+        for j, chunk in zip(self.b_entry, self.chunks):
+            old_chunks[chunk.block] = chunk
+            if not any(a <= j < b for a, b, _ in pieces):
+                self._mark_sinks_dirty(chunk)
+        n_rows = new_at[BY_GLUE_ROW][-1]
+        retime = joined(stale, np.ones(n_rows, dtype=bool), BY_GLUE_ROW)
+        self.r_delay = joined(self.r_delay, np.zeros(n_rows), BY_GLUE_ROW)
+        self.r_routed = joined(self.r_routed, np.zeros(n_rows, dtype=bool), BY_GLUE_ROW)
+        self.r_total = joined(self.r_total, np.full(n_rows, -np.inf), BY_GLUE_ROW)
+        self.r_redo = joined(self.r_redo, np.ones(n_rows, dtype=bool), BY_GLUE_ROW)
+        self.r_src = joined(self.r_src, src, BY_GLUE_ROW)
+        self.r_dst = joined(self.r_dst, dst, BY_GLUE_ROW)
+        self.r_fanout = joined(self.r_fanout, rows_fanout, BY_GLUE_ROW)
         self.r_sink = list(chain.from_iterable(splice(self.r_sink, flat, BY_GLUE_ROW)))
         self.r_route = list(chain.from_iterable(
             splice(routes, _flat_routes(nets, fanout), BY_GLUE_ROW)))
@@ -515,52 +571,44 @@ class TimingGraph:
         self.data_nets = data
         width = np.array(self.net_fanout, dtype=np.int64)
         self.net_off = np.concatenate(([0], np.cumsum(width)))
-        self.r_net = np.repeat(np.arange(len(data)), width)
-        if self.b_entry or len(nets) < len(fresh):
+        if self.b_entry or made:
             is_glue = np.fromiter((type(e) is not Block for e in data), bool, len(data))
             self.g_entry = np.flatnonzero(is_glue)
             self.g_nets = [data[j] for j in self.g_entry.tolist()]
-            self.g_row = np.flatnonzero(is_glue[self.r_net])
+            glue_width = width[self.g_entry]
+            self.r_net = np.repeat(self.g_entry, glue_width)
+            # each glue row's place in row order: its net's first row, plus
+            # how far into the net it is
+            into = np.arange(len(self.r_net)) - np.repeat(
+                np.cumsum(glue_width) - glue_width, glue_width)
+            self.g_row = self.net_off[self.r_net] + into
             self.b_entry = np.flatnonzero(~is_glue).tolist()
             self.b_live = [data[j].n_nets for j in self.b_entry]
+            self.chunks = [made[data[j]] if data[j] in made else old_chunks[data[j]]
+                           for j in self.b_entry]
         else:
             self.g_entry, self.g_nets = np.arange(len(data)), data
+            self.r_net = np.repeat(np.arange(len(data)), width)
             self.g_row = np.arange(len(self.r_net))
         # Nets with missing endpoints sit outside the memo (their error
         # status depends on routes and the cell set); recompile them
         # every sync so it never goes stale.  Valid designs have none —
-        # and since they are never carried over, only a fresh row can be one.
+        # and since they are never carried over, only a fresh row can be
+        # one (never a block's).
         self.net_missing = set()
         if (src < 0).any() or (dst < 0).any():
             self.net_missing = set(self.r_net[(self.r_src < 0) | (self.r_dst < 0)].tolist())
         self._adj = None
-        return retime
+        return retime, list(made.values())
 
     def _time(self, stale: np.ndarray) -> None:
-        """(Re)compute the delay of the rows marked in *stale*: the
-        routed ones from a single batched path measurement (per block:
-        the metrics its image keeps for this anchor), the rest from the
-        placement estimate."""
-        off = self.net_off
-        if self.b_entry:
-            for j in self.b_entry:
-                if not stale[off[j]:off[j + 1]].any():
-                    continue
-                block = self.data_nets[j]       # compiled whole, so timed whole
-                tiles, crossings = block.route_metrics(self.graph)
-                self.r_delay[off[j]:off[j + 1]] = self.delays.routed_delays_ps(
-                    tiles, crossings, block.timing_rows().fanout
-                )
-                self.r_routed[off[j]:off[j + 1]] = True
-                self.memo_misses += len(tiles)
-            glue = np.flatnonzero(stale[self.g_row])
-            rows = self.g_row[glue]
-            picked = [self.r_route[i] for i in glue.tolist()]
-        else:
-            rows = np.flatnonzero(stale)
-            picked = [self.r_route[i] for i in rows.tolist()]
+        """(Re)compute the delay of the glue rows marked in *stale*: the
+        routed ones from a single batched path measurement, the rest from
+        the placement estimate.  (A chunk's delays come with it.)"""
+        rows = np.flatnonzero(stale)
         if not rows.size:
             return
+        picked = [self.r_route[i] for i in rows.tolist()]
         routed = np.fromiter(map(is_not, picked, repeat(None)), bool, len(picked))
         if self.graph is None:
             routed[:] = False
@@ -579,9 +627,11 @@ class TimingGraph:
         if not cold.size:
             return
         if self.delays._overrides("net_delay_ps"):
+            off = self.net_off
             for i, j in zip(cold.tolist(), self.r_net[cold].tolist()):
                 self.r_delay[i] = self.delays.net_delay_ps(
-                    self.design, self.data_nets[j], i - int(off[j]), self.device, self.graph
+                    self.design, self.data_nets[j], int(self.g_row[i] - off[j]),
+                    self.device, self.graph,
                 )
             return
         # DelayModel.net_delay_ps of an unrouted connection, from the
@@ -607,7 +657,10 @@ class TimingGraph:
         return self._cell(slot)[0]
 
     def _net_name(self, row: int) -> str:
-        j = int(self.r_net[row])
+        if self.chunks:                          # the entry whose rows include *row*
+            j = int(np.searchsorted(self.net_off, row, side="right")) - 1
+        else:                                    # every row is a glue row
+            j = int(self.r_net[row])
         entry = self.data_nets[j]
         if type(entry) is not Block:
             return entry.name
@@ -618,12 +671,46 @@ class TimingGraph:
         slots = slots[slots >= 0]
         self.pending_dirty.update(slots[~self.cell_seq[slots]].tolist())
 
+    def _mark_sinks_dirty(self, chunk: _Chunk) -> None:
+        """:meth:`_mark_dirty` of every sink of *chunk*'s rows (of which
+        there is none to queue where every cell is sequential)."""
+        if chunk.block.seq_rows() is not None:
+            self._mark_dirty(chunk.rows.dst + self.block_slot[chunk.block])
+
     # -- propagation ---------------------------------------------------------
+
+    def _in_row_order(self, glue: np.ndarray, of_chunk) -> np.ndarray:
+        """One column over every row, in row order: the glue rows'
+        *glue* column laid out with ``of_chunk(chunk, first slot)`` of
+        each chunk (just *glue*, where there are no chunks)."""
+        if not self.chunks:
+            return glue
+        out = np.empty(int(self.net_off[-1]), dtype=glue.dtype)
+        out[self.g_row] = glue
+        for j, chunk in zip(self.b_entry, self.chunks):
+            a = int(self.net_off[j])
+            out[a:a + len(chunk.delay)] = of_chunk(chunk, self.block_slot[chunk.block])
+        return out
+
+    def _redo(self, rows: list[int]) -> None:
+        """Mark *rows* (in row order) for the next report to recompute."""
+        if not self.chunks:
+            self.r_redo[rows] = True
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.g_row, rows), max(len(self.g_row) - 1, 0))
+        glue = self.g_row[at] == rows if len(self.g_row) else np.zeros(len(rows), bool)
+        self.r_redo[at[glue]] = True
+        entries = set((np.searchsorted(self.net_off, rows[~glue], side="right") - 1).tolist())
+        for j, chunk in zip(self.b_entry, self.chunks):
+            if j in entries:
+                chunk.best = None
 
     def _adjacency(self) -> tuple:
         """CSR fan-in (by ``(dst, row)``) and fan-out over the live rows."""
         if self._adj is None:
-            src, dst = self.r_src, self.r_dst
+            src = self._in_row_order(self.r_src, lambda c, base: c.rows.src + base)
+            dst = self._in_row_order(self.r_dst, lambda c, base: c.rows.dst + base)
             live = np.flatnonzero((src >= 0) & (dst >= 0))
             slots = np.arange(len(self.cell_seq) + 1)
             by_dst = live[np.argsort(dst[live], kind="stable")]
@@ -672,7 +759,7 @@ class TimingGraph:
         out = self.out_time
         best = self.best_pred
         logic = self.cell_logic
-        delay = self.r_delay
+        delay = self._in_row_order(self.r_delay, lambda c, base: c.delay)
         moved: list[int] = []                    # rows leaving a cell whose arrival changed
         processed = 0
         while queue:
@@ -707,7 +794,7 @@ class TimingGraph:
                         needs.add(d)
                     if indeg[d] == 0:
                         queue.append(d)
-        self.r_redo[moved] = True
+        self._redo(moved)
         if processed < len(cone):
             self._raise_loop([self._cell_name(c) for c in cone if indeg[c] > 0])
         return processed
@@ -727,6 +814,23 @@ class TimingGraph:
 
     # -- reporting -----------------------------------------------------------
 
+    def _chunk_best(self, chunk: _Chunk) -> tuple:
+        """``chunk.best``, recomputed if an arrival moved since."""
+        if chunk.best is None:
+            block = chunk.block
+            if block.seq_rows() is None and block.live_rows() is None:
+                # Every driver is a register, whose arrival is its logic
+                # delay: the best row follows from the image, this
+                # anchor's routes and the delay model, and is kept there.
+                chunk.best = block.keep(self.graph, "register_best", lambda block: _rows_best(
+                    block.timing_rows(), block.routed_delays(self.graph, self.delays),
+                    *block.cell_delays(self.delays), block.seq()), self.delays)
+            else:
+                at = slice(self.block_slot[block], self.block_slot[block] + block.n_cells)
+                chunk.best = _rows_best(chunk.rows, chunk.delay, self.out_time[at],
+                                        self.cell_setup[at], self.cell_seq[at])
+        return chunk.best
+
     def report(self) -> TimingReport:
         """Endpoint scan + path reconstruction, reference iteration order."""
         name = self._cell_name
@@ -734,7 +838,8 @@ class TimingGraph:
         src, dst = self.r_src, self.r_dst
         # Totals are kept per row and recomputed only where a term moved
         # since the last report (a re-timed or fresh row, a new arrival
-        # at its driver): the scan below is over stored floats.
+        # at its driver): the scan below is over stored floats — the glue
+        # rows', and one best row per chunk.
         redo = np.flatnonzero(self.r_redo)
         if redo.size:
             live = redo[(src[redo] >= 0) & (dst[redo] >= 0)]
@@ -743,17 +848,25 @@ class TimingGraph:
             self.r_redo.fill(False)
         total = self.r_total
         overhead, insertion = clock_terms(self.design, self.delays)
-        worst = float(total.max()) if total.size else 0.0
+        bests = [(self._chunk_best(chunk), int(self.net_off[j]), self.block_slot[chunk.block])
+                 for j, chunk in zip(self.b_entry, self.chunks)]
+        worst = max([float(total.max()) if total.size else -np.inf,
+                     *(best[0] for best, _, _ in bests)])
         if not worst > 0.0:
             worst = float(out.max()) if out.size else 0.0
             return TimingReport(self.design.name, worst, overhead, [], 0, insertion)
         # First max wins, scanning sinks in cell order and each sink's
-        # fan-in in row order: of the rows tied at the maximum (ascending
-        # already), take the first one of the earliest sink.
+        # fan-in in row order: of the rows tied at the maximum, take the
+        # first one of the earliest sink — among the glue rows (ascending
+        # already) and each chunk's own such row.
+        candidates = [(base + best[1], first + best[2], base + best[3])
+                      for best, first, base in bests if best[0] == worst]
         tied = np.flatnonzero(total == worst)
-        row = int(tied[np.argmin(dst[tied])])
-        path: list[tuple[str, str | None]] = [(name(int(dst[row])), self._net_name(row))]
-        cursor = int(src[row])
+        if tied.size:
+            k = int(tied[np.argmin(dst[tied])])
+            candidates.append((int(dst[k]), int(self.g_row[k]), int(src[k])))
+        sink, row, cursor = min(candidates)
+        path: list[tuple[str, str | None]] = [(name(sink), self._net_name(row))]
         guard = 0
         while cursor >= 0 and guard < len(out) + 1:
             pred = self.best_pred.get(cursor)
@@ -761,7 +874,5 @@ class TimingGraph:
             cursor = pred[0] if pred else -1
             guard += 1
         path.reverse()
-        return TimingReport(
-            self.design.name, worst, overhead, path,
-            int(np.count_nonzero(total > -np.inf)), insertion
-        )
+        n_paths = int(np.count_nonzero(total > -np.inf)) + sum(best[4] for best, _, _ in bests)
+        return TimingReport(self.design.name, worst, overhead, path, n_paths, insertion)

@@ -136,7 +136,7 @@ def pipeline_to_target(
         # clock net's sinks and routes, so their lengths undo it.
         saved_net = net
         sinks = list(net.sinks)
-        clock_state = [(c, len(c.sinks), len(c.routes)) for c in clock_nets]
+        clock_state = [(c, c.lengths()) for c in clock_nets]
         design.remove_net(net.name)
         design.connect(net.name + "__a", net.driver, [reg_name], width=net.width)
         design.connect(net.name + "__b", reg_name, sinks, width=net.width)
@@ -151,9 +151,8 @@ def pipeline_to_target(
             design.remove_cell(reg_name)
             if site is not None:
                 occupied.mask[site] = False
-            for cnet, n_sinks, n_routes in clock_state:
-                del cnet.sinks[n_sinks:]
-                del cnet.routes[n_routes:]
+            for cnet, lengths in clock_state:
+                cnet.truncate(lengths)
             design.add_net(saved_net)
             break
         inserted += 1

@@ -44,7 +44,8 @@ from repro.fabric.pblock import PBlock
 from repro.netlist import Design, DesignError, design_to_dict
 from repro.netlist.block import Block, sealed
 from repro.netlist.codec import DesignImage, encode_design
-from repro.netlist.net import Port
+from repro.netlist.design import _BlockClock
+from repro.netlist.net import Net, Port
 from repro.netlist.stitch import merge_clock_nets
 from repro.power.model import estimate_power
 from repro.rapidwright import ComponentDatabase, ComponentPlacer, PreImplementedFlow
@@ -53,6 +54,7 @@ from repro.route.native import native_available
 from repro.route.pathfinder import Router
 from repro.timing.delays import DEFAULT_DELAYS, DelayModel
 from repro.timing.incremental import IncrementalSta
+from repro.timing.sta import analyze_reference
 
 DEVICE = Device.from_name("ku5p-like")
 GRAPH = RoutingGraph(DEVICE)
@@ -139,14 +141,25 @@ def _online(model: str, touch_at: int | None):
         ).run(dfg, granularity=granularity, rom_weights=rom_weights,
               database=database, pipeline_target_mhz="auto")
     top = result.design
+    clock = top.loose_net("clk_net")
     if (touch_at is None or touch_at >= len(seen)) and native_available():
         # nothing in the flow asked for an object (without the compiled
-        # router its Python reference runs, which walks design.nets)
+        # router its Python reference runs, which walks design.nets) —
+        # the clock net included: a run per block, and a tail holding the
+        # registers the pipeliner kept (it cut the reverted one back off)
         assert len(top.blocks) == len(group_components(dfg, granularity))
+        glue = [name for part in top.cell_parts() if type(part) is dict for name in part]
+        assert type(clock) is _BlockClock
+        assert clock.runs()[-1] == [name for name in glue if name.startswith("pipe_reg_")]
+        assert len(clock.runs()[-1]) == result.extras["pipeline"].inserted
     blob = encode_design(top)
     timing, pipe = result.timing, result.extras["pipeline"]
     (session,) = sessions
+    lengths = clock.lengths()
+    sinks, routes = list(clock.sinks), list(clock.routes)     # (the lists: flattens it)
+    assert type(clock) is Net and top.loose_net("clk_net") is clock
     return {
+        "clock": (lengths, sinks, routes),
         "blob": blob,
         "timing": (timing.period_ps, tuple(timing.critical_path), timing.n_paths,
                    timing.clock_overhead_ps),
@@ -754,3 +767,202 @@ def test_occupancy_after_a_block_loses_a_routed_net():
     assert np.array_equal(less[0], want[0]) and less[1:] == want[1:]
     assert less[2] < whole[2] and not np.array_equal(less[0], whole[0])
     assert tops[1].blocks
+
+
+# -- the merged clock net, held as runs -------------------------------------------------
+#
+# On a block-backed design ``merge_clock_nets`` builds a clock net that
+# stands for each block's sequential cells by the block itself, plus a
+# tail the pipeliner appends registers to and cuts back on a revert.  Its
+# oracle is the plain net the same calls build on the flattened twin.
+
+
+def _component(name: str, n: int, seq_every: int) -> DesignImage:
+    """A sealed *n*-cell chain on CLB columns: routed, locked, every
+    *seq_every*-th cell a register and the ones between combinational
+    (0: every cell a register)."""
+    clb = [int(c) for c in DEVICE.columns_of(TILE_FOR_CELL["SLICE"])]
+    design = Design(name, pblock=PBlock(clb[0], 0, clb[3], 30))
+    sites = [(clb[i % 4], i // 4) for i in range(n)]
+    for i, site in enumerate(sites):
+        seq = not seq_every or i % seq_every == 0
+        design.new_cell(f"c{i}", "SLICE", luts=1, ffs=1, seq=seq, placement=site, locked=True)
+    node = lambda site: site[0] * DEVICE.nrows + site[1]
+    for i in range(n - 1):
+        net = design.connect(f"n{i}", f"c{i}", [f"c{i + 1}"], width=1 + i % 3, locked=True)
+        net.routes = [[node(sites[i]), node(sites[i + 1])]]
+    design.connect("in_net", None, ["c0"])
+    design.connect("out_net", f"c{n - 1}", [])
+    design.connect("clk_net", None, [f"c{i}" for i in range(n)], is_clock=True)
+    design.add_port(Port("in_data", "in", "in_net"))
+    design.add_port(Port("out_data", "out", "out_net"))
+    image = DesignImage.from_design(design)
+    assert sealed(image)
+    return image
+
+
+def _stitched(shapes: list[tuple[int, int]], glue_regs: list[int], flat: bool) -> Design:
+    """Blocks ``u0, u1, ...`` of the *shapes* ``(cells, seq_every)``
+    chained by glue nets; ``glue_regs[k]`` glue registers after block *k*
+    (so glue runs sit between blocks), each fed from its block and
+    feeding back into it (so arrivals inside a block follow the glue);
+    the clock nets merged — flattened first for the *flat* twin, so its
+    clock net is a plain one."""
+    top = Design("top")
+    for k, (n, seq_every) in enumerate(shapes):
+        image = _component(f"comp{k}", n, seq_every)
+        block = Block(image, 0, 40 * k, DEVICE.nrows, f"u{k}")
+        ports = top.adopt(Design.pending(image.frame(instance=f"u{k}"), block))
+        if k:
+            top.remove_net(ports["in_data"])
+            top.connect(f"link{k}", f"u{k - 1}/c{shapes[k - 1][0] - 1}", [f"u{k}/c0"], width=2)
+        for i in range(glue_regs[k]):
+            top.new_cell(f"g{k}_{i}", "SLICE", ffs=1, seq=i % 2 == 0, placement=(3, 40 * k + 20 + i))
+            top.connect(f"g{k}_{i}_in", f"u{k}/c1", [f"g{k}_{i}"])
+            top.connect(f"g{k}_{i}_out", f"g{k}_{i}", [f"u{k}/c2"])    # back into the block
+    if flat:
+        top.cells
+    merge_clock_nets(top)
+    return top
+
+
+def _timing_outcome(analyze) -> tuple:
+    report = analyze()
+    return report.period_ps, tuple(report.critical_path), report.n_paths
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_clock_runs_equal_the_flat_clock_net(data):
+    """Whatever the runs, the registers appended and the cuts: the same
+    bytes, the same fatal findings (a tail sink naming no cell included)
+    and the same timing as the plain clock net of the flattened twin —
+    and reading the lists makes a plain net with exactly those lists."""
+    shapes = data.draw(st.lists(st.tuples(st.integers(3, 9), st.sampled_from([0, 3, 4])),
+                                min_size=1, max_size=3))
+    glue_regs = data.draw(st.lists(st.integers(0, 2), min_size=len(shapes), max_size=len(shapes)))
+    script = data.draw(st.lists(st.tuples(
+        st.sampled_from(["register", "ghost", "cut", "cut_into_runs", "mark"]),
+        st.integers(0, 2 ** 16)), max_size=8))
+
+    def run(flat: bool) -> Design:
+        top = _stitched(shapes, glue_regs, flat)
+        clock = top.loose_net("clk_net")
+        marks = [clock.lengths()]
+        for step, (op, arg) in enumerate(script):
+            if op == "register":                 # what the pipeliner does
+                top.new_cell(f"r{step}", "SLICE", ffs=1, seq=True, placement=(5, arg % 100))
+                clock.add_sink(f"r{step}")
+            elif op == "ghost":
+                clock.add_sink(f"ghost{arg % 3}")
+            elif op == "mark":
+                marks.append(clock.lengths())
+            elif op == "cut":                    # the revert: back to a mark
+                clock.truncate(marks[arg % len(marks)])
+            elif op == "cut_into_runs":          # past the tail: the lists take over
+                n = clock.lengths()[0]
+                clock.truncate((max(0, n - 1 - arg % 4),) * 2)
+        return top
+
+    blocks, flat = run(False), run(True)
+    assert blocks.blocks and not flat.blocks
+    clock, want = blocks.loose_net("clk_net"), flat.loose_net("clk_net")
+    assert type(want) is Net and clock.lengths() == want.lengths()
+    if not any(op == "cut_into_runs" for op, _ in script):
+        assert type(clock) is _BlockClock
+    assert encode_design(blocks) == encode_design(flat)
+    assert _vectorised(blocks, DEVICE) == _vectorised(flat, DEVICE)
+    assert _timing_outcome(IncrementalSta(blocks, DEVICE, GRAPH).analyze) == \
+        _timing_outcome(lambda: analyze_reference(flat, DEVICE, GRAPH))
+    assert blocks.blocks, "the checks flattened the design"
+    twin = copy.deepcopy(clock)                  # copies are of the lists
+    assert type(twin) is Net and (twin.sinks, twin.routes) == (want.sinks, want.routes)
+    assert (clock.sinks, clock.routes) == (want.sinks, want.routes)
+    assert type(clock) is Net and clock.is_routed == want.is_routed
+    assert blocks.blocks
+
+
+# -- timing chunks under a random edit script ---------------------------------------------
+#
+# ``TimingGraph`` keeps each block's rows as a chunk of its own — the
+# arrays the image keeps — and splices only glue rows on a re-sync.  The
+# oracle is ``analyze_reference`` on a flattened twin given the same edits.
+
+
+def _split(top: Design, name: str, reg: str, site) -> tuple:
+    """The pipeliner's split of net *name* through register *reg*; returns
+    what the revert needs."""
+    net = top.loose_net(name)
+    clocks = [(clock, clock.lengths()) for clock in top.clock_nets()]
+    top.new_cell(reg, "SLICE", ffs=1, seq=True, placement=site)
+    top.remove_net(name)
+    top.connect(name + "__a", net.driver, [reg], width=net.width)
+    top.connect(name + "__b", reg, list(net.sinks), width=net.width)
+    for clock, _ in clocks:
+        clock.add_sink(reg)
+    return net, reg, clocks
+
+
+def _revert(top: Design, split: tuple) -> None:
+    net, reg, clocks = split
+    top.remove_net(net.name + "__a")
+    top.remove_net(net.name + "__b")
+    top.remove_cell(reg)
+    for clock, lengths in clocks:
+        clock.truncate(lengths)
+    top.add_net(net)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 16), st.lists(st.tuples(
+    st.sampled_from(["split", "revert", "reroute", "unroute", "remove_glue", "remove_block_net",
+                     "move"]),
+    st.integers(0, 2 ** 16)), min_size=1, max_size=10))
+def test_timing_chunks_under_random_edits(seed, script):
+    """Split, insert a register, revert, reroute, remove a glue net or a
+    block's net, move a glue cell: after every edit the session's report
+    is ``analyze_reference``'s on the flattened twin, and a block's chunk
+    keeps the very arrays its image keeps."""
+    rng = np.random.default_rng(seed)
+    # all registers / runs of three combinational cells, the critical
+    # ones until an edit adds something worse
+    shapes = [(8, 0), (9, 4), (8, 0)]
+    tops = [_stitched(shapes, [1, 1, 2], flat) for flat in (False, True)]
+    session = IncrementalSta(tops[0], DEVICE, GRAPH)
+    splits: list[list] = [[], []]
+    assert _timing_outcome(session.analyze) == \
+        _timing_outcome(lambda: analyze_reference(tops[1], DEVICE, GRAPH))
+    for step, (op, arg) in enumerate(script):
+        glue = sorted(n.name for n in tops[0].loose_nets()
+                      if not n.is_clock and n.driver is not None and n.sinks)
+        pending = {name for net, _, _ in splits[0] for name in (net.name + "__a", net.name + "__b")}
+        loose = [name for name in glue if name not in pending]
+        route = [int(x) for x in rng.integers(0, GRAPH.n_nodes, size=int(rng.integers(2, 6)))]
+        site = (int(rng.integers(0, DEVICE.ncols)), int(rng.integers(0, DEVICE.nrows)))
+        block_nets = [name for name in tops[0].blocks[arg % 3].net_names_where(
+            driverless=False, clock=False, sinkless=False)]
+        for top, done in zip(tops, splits):
+            if op == "split" and loose:
+                done.append(_split(top, loose[arg % len(loose)], f"r{step}", site))
+            elif op == "revert" and done:
+                _revert(top, done.pop())
+            elif op in ("reroute", "unroute") and glue:
+                net = top.loose_net(glue[arg % len(glue)])
+                net.routes[arg % len(net.sinks)] = list(route) if op == "reroute" else None
+            elif op == "remove_glue" and loose:
+                top.remove_net(loose[arg % len(loose)])
+            elif op == "remove_block_net" and block_nets:
+                top.remove_net(block_nets[arg % len(block_nets)])
+            elif op == "move" and done:                 # a split register is glue
+                reg = done[-1][1]
+                next(part[reg] for part in top.cell_parts()
+                     if type(part) is dict and reg in part).placement = site
+        before = {c.block: (c.rows, c.delay) for c in session._tg.chunks if c.block.live_rows() is None}
+        got = _timing_outcome(session.analyze)
+        assert got == _timing_outcome(lambda: analyze_reference(tops[1], DEVICE, GRAPH))
+        for chunk in session._tg.chunks:
+            if chunk.block in before:
+                assert (chunk.rows, chunk.delay) == before[chunk.block]
+                assert chunk.rows is before[chunk.block][0] and chunk.delay is before[chunk.block][1]
+        assert tops[0].blocks, "timing flattened the design"
+    assert encode_design(tops[0]) == encode_design(tops[1])

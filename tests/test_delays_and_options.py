@@ -122,9 +122,9 @@ def test_component_placer_threshold_rejects_expensive(small_device):
 
 def test_halo_clamps_to_device(small_device):
     p = PBlock(0, 0, 3, 3)
-    h = _halo(p, 10, small_device)
-    assert h.col0 == 0 and h.row0 == 0
-    assert h.col1 <= small_device.ncols - 1
+    col0, row0, col1, row1 = _halo(p, 10, small_device)
+    assert col0 == 0 and row0 == 0
+    assert col1 <= small_device.ncols - 1 and row1 <= small_device.nrows - 1
 
 
 def test_port_point_uses_partition_pin(small_device):

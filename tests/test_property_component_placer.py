@@ -43,10 +43,26 @@ def rank_per_candidate(placer, idx, anchors, items, connections, placed):
     return scored[: placer.max_candidates]
 
 
+def rows_of(ranked, base):
+    """``_rank``'s columns as the oracle's rows: Python floats and a
+    :class:`PBlock` per candidate."""
+    return [(total, timing, congestion,
+             PBlock(col, row, col + base.width - 1, row + base.height - 1))
+            for total, timing, congestion, col, row in zip(*(c.tolist() for c in ranked))]
+
+
 def _per_candidate_placer(device, **kwargs) -> ComponentPlacer:
     """A placer whose search ranks through the oracle."""
     placer = ComponentPlacer(device, **kwargs)
-    placer._rank = lambda *args: rank_per_candidate(placer, *args)
+
+    def rank(*args):
+        rows = rank_per_candidate(placer, *args)
+        return placer_module._Ranked(
+            *(np.array([r[k] for r in rows], dtype=float) for k in range(3)),
+            np.array([r[3].col0 for r in rows], dtype=np.int64),
+            np.array([r[3].row0 for r in rows], dtype=np.int64))
+
+    placer._rank = rank
     return placer
 
 
@@ -105,7 +121,9 @@ def test_rank_arrays_equal_per_candidate_cost(case, max_candidates):
     placer = ComponentPlacer(SMALL, halo=halo, timing_weight=tw, congestion_weight=cw,
                              max_candidates=max_candidates)
     anchors = candidate_anchors(SMALL, items[idx][1], row_step=3)
-    got = placer._rank(idx, anchors, items, connections, placed)
+    assert np.array_equal(items[idx][1].anchors(SMALL, 3), np.array(anchors).reshape(-1, 2))
+    got = rows_of(placer._rank(idx, items[idx][1].anchors(SMALL, 3), items, connections, placed),
+                  items[idx][1].pblock)
     want = rank_per_candidate(placer, idx, anchors, items, connections, placed)
     assert got == want
     # == on floats hides a sign of zero and an int-for-float; repr does not
@@ -120,7 +138,7 @@ def test_rank_keeps_input_order_under_ties():
                        np.array([[0, 0]]), {})
     anchors = candidate_anchors(SMALL, module)
     placer = ComponentPlacer(SMALL, max_candidates=10)
-    ranked = placer._rank(0, anchors, [("m", module)], [], {})
+    ranked = rows_of(placer._rank(0, anchors, [("m", module)], [], {}), module.pblock)
     assert [(p.col0, p.row0) for *_cost, p in ranked] == anchors[:10]
     assert ranked == rank_per_candidate(placer, 0, anchors, [("m", module)], [], {})
 
@@ -129,10 +147,10 @@ def test_rank_drops_anchors_that_leave_the_device():
     module = Footprint("m", PBlock(0, 0, 2, 4), {}, np.array([[0, 0]]), {})
     anchors = [(0, 0), (TINY.ncols - 2, 0), (0, TINY.nrows - 4), (3, 3)]
     placer = ComponentPlacer(TINY)
-    ranked = placer._rank(0, anchors, [("m", module)], [], {})
+    ranked = rows_of(placer._rank(0, anchors, [("m", module)], [], {}), module.pblock)
     assert sorted((p.col0, p.row0) for *_cost, p in ranked) == [(0, 0), (3, 3)]
     assert ranked == rank_per_candidate(placer, 0, anchors, [("m", module)], [], {})
-    assert placer._rank(0, [], [("m", module)], [], {}) == []
+    assert rows_of(placer._rank(0, [], [("m", module)], [], {}), module.pblock) == []
 
 
 def test_rank_keeps_blocked_candidates_for_the_pick_time_check():
@@ -144,10 +162,10 @@ def test_rank_keeps_blocked_candidates_for_the_pick_time_check():
     items = [("a", module), ("b", module)]
     placer = ComponentPlacer(SMALL, row_step=1)
     placed = {0: PBlock(0, 0, 1, 1)}
-    ranked = placer._rank(1, [(0, 0), (0, 2)], items, [(0, 1)], placed)
+    ranked = rows_of(placer._rank(1, [(0, 0), (0, 2)], items, [(0, 1)], placed), module.pblock)
     assert {(p.col0, p.row0) for *_cost, p in ranked} == {(0, 0), (0, 2)}
     occ = np.zeros(SMALL.ncols * SMALL.nrows, dtype=bool)
-    occ[placer._site_ids(module.rel_sites, placed[0])] = True
+    occ[placer._site_ids(module, placed[0])] = True
     assert placer._cost(1, PBlock(0, 0, 1, 1), items, [(0, 1)], placed, occ) is None
     assert placer._cost(1, PBlock(0, 2, 1, 3), items, [(0, 1)], placed, occ) is not None
 
@@ -182,10 +200,11 @@ def test_search_takes_the_same_path_over_either_ranking(case, threshold, max_can
            _search(_per_candidate_placer(TINY, **options), items, connections)
 
 
-def test_a_search_that_backtracks_is_the_same_search():
+def test_a_search_that_backtracks_is_the_same_search(monkeypatch):
     """Three full-height slabs on the tiny part, ranked so that the
     first choices leave the last one nowhere to go: the search has to
-    unplace and retry, and must do so identically over both rankings."""
+    unplace and retry, and must do so identically over both rankings —
+    building a :class:`PBlock` for each candidate it tries and no other."""
     # every slab needs a CLB column at offset 0; tall enough that rows
     # cannot be shared, wide enough that columns run out
     def slab(name, width):
@@ -196,7 +215,11 @@ def test_a_search_that_backtracks_is_the_same_search():
     items = [("a", slab("a", 6)), ("b", slab("b", 5)), ("c", slab("c", 5))]
     connections = [(0, 1), (1, 2)]
     options = dict(halo=1, max_candidates=4)
+    built = []
+    monkeypatch.setattr(placer_module, "PBlock", lambda *corners: built.append(corners)
+                        or PBlock(*corners))
     got = ComponentPlacer(TINY, **options).place(items, connections)
+    assert len(built) == got.attempts
     want = _per_candidate_placer(TINY, **options).place(items, connections)
     assert got.backtracks == want.backtracks
     assert (got.anchors, got.attempts, got.timing_cost, got.congestion_cost) == \

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro._native import build_library
-from repro._util import make_rng
+from repro._util import make_rng, sum_left_to_right
 from repro.fabric import Device, auto_pblock
 from repro.netlist import Design
 from repro.obs.span import Tracer
@@ -350,9 +350,9 @@ def _neumaier_sum(values):
 
 @cache
 def _core_sum():
-    fn = build_library(native_mod._SOURCE, "anneal_core").sum_like_python
+    fn = build_library(native_mod._SOURCE, "anneal_core").sum_left_to_right
     fn.restype = ctypes.c_double
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64]
     return fn
 
 
@@ -360,33 +360,37 @@ def _core_sum():
 @given(st.lists(st.floats(0.0, 1e12, allow_nan=False) | st.floats(0.0, 1e-3), max_size=12))
 @example([1.0, 1e100, 1.0, -1e100])  # 0.0 added plainly, 2.0 compensated
 @example([0.1] * 10)
-def test_core_sum_is_builtin_sum(values):
-    """The core's cost sum, called directly: its two modes are plain and
-    Neumaier addition, and the mode the driver probes is builtin ``sum``
-    on this interpreter, bit for bit."""
-    if not native_available():
-        return
-    fn = _core_sum()
+@example([-0.0])                     # 0 + -0.0 is +0.0
+def test_core_sum_adds_left_to_right(values):
+    """One float on every interpreter: a fold from 0, ``sum_left_to_right``
+    over a list and over an array, and the core's cost sum called
+    directly — never builtin ``sum``, which compensates from CPython 3.12."""
+    fold = reduce(lambda a, b: a + b, values, 0)
+    want = repr(fold)                    # tells +0.0 from -0.0
+    assert repr(sum_left_to_right(values)) == want
+    assert repr(sum_left_to_right(iter(values))) == want
     arr = np.asarray(values, dtype=np.float64)
-    ptr = ctypes.c_void_p(arr.ctypes.data)
-    assert fn(ptr, len(values), 0) == reduce(lambda a, b: a + b, values, 0)
-    assert fn(ptr, len(values), 1) == _neumaier_sum(values)
-    assert fn(ptr, len(values), int(native_mod._SUM_COMPENSATED)) == sum(values)
+    assert repr(sum_left_to_right(arr)) == want
+    if native_available():
+        got = _core_sum()(ctypes.c_void_p(arr.ctypes.data), len(values))
+        assert repr(got) == repr(float(fold))
 
 
-def test_native_post_pass_follows_the_interpreters_sum(monkeypatch):
-    """The reference adds net costs with builtin ``sum``: plain left to
-    right up to CPython 3.11, Neumaier-compensated from 3.12.  The core
-    implements both and the driver probes which one this interpreter
-    does; here the other arithmetic is forced on both sides."""
+def test_native_post_pass_ignores_the_interpreters_sum(monkeypatch):
+    """The reference and the core add net costs left to right, so what
+    builtin ``sum`` does on this interpreter changes nothing: with it
+    compensated (CPython 3.12's arithmetic) in both modules, the anneal
+    is the one it was, and the two still agree."""
     if not native_available():
         pytest.skip("native annealer core unavailable")
-    assert native_mod._SUM_COMPENSATED == (sum([1.0, 1e100, 1.0, -1e100]) == 2.0)
     assert _neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-    plain = lambda values: reduce(lambda a, b: a + b, values, 0)
-    for compensated, model in ((True, _neumaier_sum), (False, plain)):
-        monkeypatch.setattr(native_mod, "_SUM_COMPENSATED", compensated)
-        for module in (native_mod, reference_mod):  # shadows the builtin there
-            monkeypatch.setattr(module, "sum", model, raising=False)
+    assert sum_left_to_right([1.0, 1e100, 1.0, -1e100]) == 0.0
+    runs = []
+    for patched in (False, True):
+        if patched:
+            for module in (native_mod, reference_mod):  # shadows the builtin there
+                monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
         problem, sites = _scattered_problem(0)
-        _assert_same_anneal(problem, sites, 0, moves_per_cell=1, max_moves=100_000)
+        stats = _assert_same_anneal(problem, sites, 0, moves_per_cell=1, max_moves=100_000)
+        runs.append((sites.tolist(), stats.initial_cost, stats.final_cost))
+    assert runs[0] == runs[1]
