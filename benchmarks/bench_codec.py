@@ -36,16 +36,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import time
 
 from repro.cnn import group_components, lenet5, vgg16
 from repro.fabric import Device
 from repro.netlist.checkpoint import design_to_dict
 from repro.rapidwright import PreImplementedFlow
 from repro.rapidwright.module import candidate_anchors, relocate_reference
+
+from _harness import check_against, interleaved_min
 
 SEED = 0
 FETCH_SPEEDUP_FLOOR = 3.5  # acceptance gate for vgg16_fetch in --check mode
@@ -55,26 +55,6 @@ ANCHORS_PER_COMPONENT = 6
 def _canon(design) -> str:
     """Canonical JSON of a design; tuples and lists collapse together."""
     return json.dumps(design_to_dict(design), sort_keys=True, default=list)
-
-
-def _timed(fn):
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-    finally:
-        gc.enable()
-
-
-def _interleaved_min(fn_opt, fn_ref, reps):
-    # Interleave (opt, ref, opt, ref, ...) so drift hits both sides.
-    opt_s = ref_s = float("inf")
-    for _ in range(reps):
-        opt_s = min(opt_s, _timed(fn_opt))
-        ref_s = min(ref_s, _timed(fn_ref))
-    return opt_s, ref_s
 
 
 # -- workload construction -----------------------------------------------------
@@ -119,7 +99,7 @@ def bench_fetch(name, w, reps):
         for sig, anchor in jobs:
             relocate_reference(db.get(sig), device, anchor)
 
-    opt_s, ref_s = _interleaved_min(fast_fetch, ref_fetch, reps)
+    opt_s, ref_s = interleaved_min(fast_fetch, ref_fetch, reps)
     return {
         "components": len(w["components"]),
         "copies": len(jobs),
@@ -130,32 +110,6 @@ def bench_fetch(name, w, reps):
 
 
 # -- harness -------------------------------------------------------------------
-
-
-def check_against(current, baseline_path, floors, tolerance=0.20):
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    failures = []
-    for key, now_data in current["workloads"].items():
-        base_data = baseline["workloads"].get(key)
-        if base_data is None:
-            print(f"  {key}: not in baseline, skipped")
-            continue
-        base = base_data["speedup"]
-        now = now_data["speedup"]
-        floor = (1.0 - tolerance) * base
-        status = "ok" if now >= floor else "REGRESSED"
-        print(f"  {key}: speedup {now:.2f}x vs baseline {base:.2f}x "
-              f"(floor {floor:.2f}x) {status}")
-        if now < floor:
-            failures.append(key)
-    for key, hard_floor in floors.items():
-        data = current["workloads"].get(key)
-        if data is not None and data["speedup"] < hard_floor:
-            print(f"  {key}: speedup {data['speedup']:.2f}x below the "
-                  f"hard {hard_floor:.1f}x floor FAILED")
-            failures.append(f"{key}-floor")
-    return failures
 
 
 def main(argv=None):

@@ -48,7 +48,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import pickle
 import sys
@@ -71,30 +70,9 @@ from repro.route import native as route_native
 from repro.synth import synthesize_network
 from repro.timing import analyze
 
+from _harness import check_against, interleaved_min
+
 SEED = 7
-
-
-def _interleaved_min(fn_opt, fn_ref, reps, fresh):
-    """Min wall time of ``fn(fresh())`` per variant over *reps* interleaved
-    rounds; building the input is not timed."""
-    # GC pauses land on whichever variant happens to be running; collect
-    # between measurements instead so neither side pays for the other's
-    # garbage.
-    best = {fn_opt: float("inf"), fn_ref: float("inf")}
-    was_enabled = gc.isenabled()
-    try:
-        for _ in range(reps):
-            for fn in (fn_opt, fn_ref):
-                arg = fresh()
-                gc.collect()
-                gc.disable()
-                t0 = time.perf_counter()
-                fn(arg)
-                best[fn] = min(best[fn], time.perf_counter() - t0)
-                gc.enable()
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    return best[fn_opt], best[fn_ref]
 
 
 def bench_route(device, design, reps):
@@ -113,8 +91,8 @@ def bench_route(device, design, reps):
     assert routes == routes_ref, "compiled route diverged from the oracle"
     assert result == result_ref, (result, result_ref)
 
-    opt_s, ref_s = _interleaved_min(
-        router.route, router.route_reference, reps, lambda: pickle.loads(blob)
+    opt_s, ref_s = interleaved_min(
+        router.route, router.route_reference, reps, fresh=lambda: pickle.loads(blob)
     )
     return {
         "connections": result["routed"],
@@ -144,10 +122,10 @@ def bench_place(device, design, reps, max_moves):
     key = ("moves", "accepted", "initial_cost", "final_cost")
     assert [getattr(stats_opt, k) for k in key] == [getattr(stats_ref, k) for k in key]
 
-    opt_s, ref_s = _interleaved_min(
+    opt_s, ref_s = interleaved_min(
         lambda sites: anneal(problem, sites, seed=SEED, max_moves=max_moves),
         lambda sites: anneal_reference(problem, sites, seed=SEED, max_moves=max_moves),
-        reps, start.copy,
+        reps, fresh=start.copy,
     )
     return {
         "cells": problem.n_movable,
@@ -173,22 +151,6 @@ def bench_sta(device, design, reps):
         "fmax_mhz": round(report.fmax_mhz, 2),
         "n_paths": report.n_paths,
     }
-
-
-def check_against(current, baseline_path, tolerance=0.20):
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    failures = []
-    for key in ("route", "place"):
-        base = baseline[key]["speedup"]
-        now = current[key]["speedup"]
-        floor = (1.0 - tolerance) * base
-        status = "ok" if now >= floor else "REGRESSED"
-        print(f"  {key}: speedup {now:.2f}x vs baseline {base:.2f}x "
-              f"(floor {floor:.2f}x) {status}")
-        if now < floor:
-            failures.append(key)
-    return failures
 
 
 def main(argv=None):
@@ -239,7 +201,8 @@ def main(argv=None):
 
     if args.check:
         print(f"checking against {args.check} (tolerance 20%)")
-        failures = check_against(results, args.check)
+        gated = {"workloads": {key: results[key] for key in ("route", "place")}}
+        failures = check_against(gated, args.check)
         if failures:
             print(f"FAIL: speedup regression in: {', '.join(failures)}")
             return 1

@@ -78,12 +78,14 @@ import sys
 import time
 
 from repro.cnn import group_components, lenet5, vgg16
-from repro.eco import DesignDelta, EcoEngine, LayerReplace, eco_reference
+from repro.eco import DesignDelta, EcoEngine, LayerReplace, eco_reference, matches_reference
 from repro.fabric import Device
 from repro.netlist.checkpoint import design_from_dict, design_to_dict
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow
 from repro.timing import IncrementalSta, analyze_reference, pipeline_to_target
 from repro.vivado import VivadoFlow
+
+from _harness import check_against, interleaved_min
 
 SEED = 0
 FLAT_SPEEDUP_FLOOR = 3.0  # acceptance gate for lenet5_flat in --check mode
@@ -146,55 +148,35 @@ def build_vgg_flat():
     return result.design, device, flow.graph
 
 
-def _pipeline_run(base, device, graph, make_session, max_regs):
-    """Pipeline a fresh copy of *base*; time only the pipelining loop.
-
-    The deepcopy (pure harness setup, identical for both backends) stays
-    outside the measurement so the ratio reflects STA work: for opt, the
-    one-time graph compile plus per-edit incremental analyses; for ref,
-    a full re-analysis per edit.
-    """
-    design = copy.deepcopy(base)
+def _pipeline_run(design, device, graph, make_session, max_regs):
+    """Pipeline *design* to an unreachable target; returns every report
+    and the number of registers inserted."""
     session = Recording(make_session(design, device, graph))
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        result = pipeline_to_target(design, device, 0.0, graph=graph,
-                                    session=session, max_regs=max_regs)
-        elapsed = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    return elapsed, session.reports, result.inserted
-
-
-def _interleaved_min(fn_opt, fn_ref, reps):
-    # Interleave (opt, ref, opt, ref, ...) so drift hits both sides; each
-    # fn returns its own inner-timed duration (GC handled per run).
-    opt_s = ref_s = float("inf")
-    for _ in range(reps):
-        opt_s = min(opt_s, fn_opt()[0])
-        ref_s = min(ref_s, fn_ref()[0])
-    return opt_s, ref_s
+    result = pipeline_to_target(design, device, 0.0, graph=graph,
+                                session=session, max_regs=max_regs)
+    return session.reports, result.inserted
 
 
 def bench_workload(name, builder, reps, max_regs=64):
     base, device, graph = builder()
 
-    def run_opt():
-        return _pipeline_run(base, device, graph,
-                             lambda d, dev, g: IncrementalSta(d, dev, g),
-                             max_regs)
+    def run_opt(design):
+        return _pipeline_run(design, device, graph, IncrementalSta, max_regs)
 
-    def run_ref():
-        return _pipeline_run(base, device, graph, RefPerEditSession, max_regs)
+    def run_ref(design):
+        return _pipeline_run(design, device, graph, RefPerEditSession, max_regs)
 
-    _t, reports_opt, inserted_opt = run_opt()
-    _t, reports_ref, inserted_ref = run_ref()
+    reports_opt, inserted_opt = run_opt(copy.deepcopy(base))
+    reports_ref, inserted_ref = run_ref(copy.deepcopy(base))
     assert inserted_opt == inserted_ref, f"{name}: insertion counts diverged"
     assert reports_opt == reports_ref, f"{name}: reports not bit-identical"
 
-    opt_s, ref_s = _interleaved_min(run_opt, run_ref, reps)
+    # The deepcopy (pure harness setup, identical for both backends) stays
+    # outside the measurement so the ratio reflects STA work: for opt, the
+    # one-time graph compile plus per-edit incremental analyses; for ref,
+    # a full re-analysis per edit.
+    opt_s, ref_s = interleaved_min(run_opt, run_ref, reps,
+                                   fresh=lambda: copy.deepcopy(base))
     return {
         "cells": len(base.cells),
         "nets": len(base.nets),
@@ -309,14 +291,7 @@ def bench_eco_workload(name, model_fn, part, granularity, rom_weights, reps):
     )
     ref = eco_reference(base, delta, w["device"], graph=w["flow"].graph,
                         delays=w["flow"].delays, drc="warn", database=w["db"])
-    assert design_to_dict(edited) == design_to_dict(ref.design), \
-        f"{name}: incremental design diverged from the oracle"
-    assert (eco.after.period_ps, tuple(eco.after.critical_path), eco.after.n_paths) == \
-           (ref.after.period_ps, tuple(ref.after.critical_path), ref.after.n_paths), \
-        f"{name}: timing diverged from the oracle"
-    inc_drc = [(v.rule_id, v.location.kind, v.location.name) for v in eco.drc.violations]
-    ref_drc = [(v.rule_id, v.location.kind, v.location.name) for v in ref.drc.violations]
-    assert inc_drc == ref_drc, f"{name}: DRC findings diverged from the oracle"
+    assert matches_reference(edited, eco, ref), f"{name}: ECO diverged from the oracle"
 
     eco_s = recompile_s = reflow_s = float("inf")
     for _ in range(reps):
@@ -335,32 +310,6 @@ def bench_eco_workload(name, model_fn, part, granularity, rom_weights, reps):
         "speedup": round(recompile_s / eco_s, 3),
         "speedup_vs_reflow": round(reflow_s / eco_s, 3),
     }
-
-
-def check_against(current, baseline_path, floors, tolerance=0.20):
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    failures = []
-    for key, now_data in current["workloads"].items():
-        base_data = baseline["workloads"].get(key)
-        if base_data is None:
-            print(f"  {key}: not in baseline, skipped")
-            continue
-        base = base_data["speedup"]
-        now = now_data["speedup"]
-        floor = (1.0 - tolerance) * base
-        status = "ok" if now >= floor else "REGRESSED"
-        print(f"  {key}: speedup {now:.2f}x vs baseline {base:.2f}x "
-              f"(floor {floor:.2f}x) {status}")
-        if now < floor:
-            failures.append(key)
-    for key, hard_floor in floors.items():
-        data = current["workloads"].get(key)
-        if data is not None and data["speedup"] < hard_floor:
-            print(f"  {key}: speedup {data['speedup']:.2f}x below the "
-                  f"hard {hard_floor:.1f}x floor FAILED")
-            failures.append(f"{key}-floor")
-    return failures
 
 
 def main(argv=None):

@@ -21,13 +21,6 @@ from .obs.span import span as _obs_span
 
 __all__ = ["make_rng", "StageTimer", "fresh_name", "manhattan", "sum_left_to_right"]
 
-#: Active stage observer stack (see :mod:`repro.profiling`): objects with
-#: ``enter_stage(name)`` / ``exit_stage(name)`` hooks, called by every
-#: :meth:`StageTimer.stage`.  Empty in normal operation — the only cost
-#: is one truthiness check per stage.
-_STAGE_OBSERVERS: list = []
-
-
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for *seed*.
 
@@ -59,9 +52,6 @@ class StageTimer:
         name, so every ``StageTimer`` call site is traced for free (the
         span nests under whatever span is active in the caller)."""
         start = time.perf_counter()
-        if _STAGE_OBSERVERS:
-            for obs in _STAGE_OBSERVERS:
-                obs.enter_stage(name)
         with _obs_span(name):
             try:
                 yield
@@ -71,9 +61,6 @@ class StageTimer:
                     self.order.append(name)
                     self.stages[name] = 0.0
                 self.stages[name] += elapsed
-                if _STAGE_OBSERVERS:
-                    for obs in _STAGE_OBSERVERS:
-                        obs.exit_stage(name)
 
     def add(self, name: str, seconds: float) -> None:
         if name not in self.stages:

@@ -35,9 +35,9 @@
 ``run`` and ``build`` accept ``--trace PATH`` (plus ``--trace-format
 {jsonl,chrome}``) to record the flow's span/metric trace: ``jsonl`` is
 the native line-per-event format consumed by ``trace-report``; ``chrome``
-writes a ``chrome://tracing``-loadable trace-event array.  ``run`` also
-accepts ``--profile PATH``: a per-stage cProfile report (the top
-functions by cumulative time under each top-level flow stage).
+writes a ``chrome://tracing``-loadable trace-event array.  For function
+hot spots, run the command under ``python -m cProfile -o out.prof -m
+repro run ...``.
 
 All commands accept ``--seed`` and are fully deterministic — including
 ``build --jobs N``, whose parallel results are bit-identical to serial.
@@ -119,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="design-rule-check gates inside the pre-implemented "
                             "flow (strict raises on error-or-worse violations)")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="write a per-stage cProfile report (top functions by "
-             "cumulative time for each top-level flow stage) to PATH",
-    )
     _add_trace_options(p_run)
 
     p_drc = sub.add_parser(
@@ -547,6 +542,7 @@ def _cmd_eco(args, out) -> int:
         LayerReplace,
         delta_from_json,
         eco_reference,
+        matches_reference,
         run_cts,
     )
     from .netlist.checkpoint import design_from_dict, design_to_dict
@@ -630,18 +626,7 @@ def _cmd_eco(args, out) -> int:
             design_from_dict(pre_doc), delta, device, graph=flow.graph,
             delays=flow.delays, drc=args.drc, database=database,
         )
-        report_key = lambda r: (r.period_ps, r.clock_overhead_ps,
-                                r.clock_insertion_ps, r.critical_path, r.n_paths)
-        same = (
-            design_to_dict(top) == design_to_dict(ref.design)
-            and report_key(eco.after) == report_key(ref.after)
-        )
-        if eco.drc is not None and ref.drc is not None:
-            findings = lambda rep: [
-                (v.rule_id, v.location.kind, v.location.name, v.message)
-                for v in rep.violations
-            ]
-            same = same and findings(eco.drc) == findings(ref.drc)
+        same = matches_reference(top, eco, ref)
         verdict = "bit-identical" if same else "MISMATCH"
         print(f"oracle check (full re-route/re-time replay): {verdict}", file=out)
         if not same:
@@ -872,16 +857,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    profile_path = getattr(args, "profile", None)
     try:
-        if not profile_path:
-            return _run_command(args, out)
-        from .profiling import profile_stages
-
-        with profile_stages(profile_path):
-            rc = _run_command(args, out)
-        print(f"per-stage profile written to {profile_path}", file=out)
-        return rc
+        return _run_command(args, out)
     except BrokenPipeError:
         # stdout consumer went away (e.g. `repro trace-report ... | head`);
         # silence the interpreter's flush-on-exit complaint and exit clean.

@@ -29,7 +29,7 @@ from .delta import (
     delta_from_json,
 )
 from .engine import EcoEngine, EcoResult
-from .reference import ReferenceResult, eco_reference
+from .reference import ReferenceResult, eco_reference, matches_reference
 
 __all__ = [
     "CellSwap",
@@ -48,5 +48,6 @@ __all__ = [
     "apply_delta",
     "delta_from_json",
     "eco_reference",
+    "matches_reference",
     "run_cts",
 ]

@@ -36,7 +36,7 @@ from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.sta import TimingReport, analyze_reference
 from .delta import DesignDelta, affected_nets, apply_delta
 
-__all__ = ["ReferenceResult", "eco_reference"]
+__all__ = ["ReferenceResult", "eco_reference", "matches_reference"]
 
 
 @dataclass
@@ -111,4 +111,27 @@ def eco_reference(
         before=before,
         after=after,
         drc=report,
+    )
+
+
+def _report_key(report: TimingReport) -> tuple:
+    return (report.period_ps, report.clock_overhead_ps, report.clock_insertion_ps,
+            report.critical_path, report.n_paths)
+
+
+def _findings(report) -> list | None:
+    if report is None:
+        return None
+    return [(v.rule_id, v.location.kind, v.location.name, v.message)
+            for v in report.violations]
+
+
+def matches_reference(design: Design, eco, ref: ReferenceResult) -> bool:
+    """True when the incremental edit of *design* (its result *eco*)
+    equals the oracle replay *ref*: the same design, the same timing
+    report and the same DRC findings."""
+    return (
+        design_to_dict(design) == design_to_dict(ref.design)
+        and _report_key(eco.after) == _report_key(ref.after)
+        and _findings(eco.drc) == _findings(ref.drc)
     )

@@ -28,13 +28,12 @@ import gc
 import numbers
 import pickle
 import struct
-import threading
 from itertools import chain, compress, count, repeat
-from time import perf_counter
 
 import numpy as np
 
 from ..fabric.pblock import PBlock
+from ..obs.span import incr
 from .block import Block
 from .cell import Cell
 from .design import Design, _BlockClock
@@ -50,8 +49,6 @@ __all__ = [
     "clone_design",
     "pack_value",
     "unpack_value",
-    "CodecTelemetry",
-    "TELEMETRY",
 ]
 
 #: Reference implementation this fast tier is asserted bit-identical to
@@ -108,40 +105,6 @@ _STRING_COLUMNS = {
     "net_name": 0, "net_driver": -1, "sink_name": 0,
     "port_name": 0, "port_net": 0,
 }
-
-
-# -- telemetry --------------------------------------------------------------
-
-
-class CodecTelemetry:
-    """Thread-safe accumulator of time spent in the serialization tier.
-
-    ``repro run --profile`` snapshots this at stage boundaries so
-    encode/decode/fetch time shows up attributed per flow stage instead
-    of vanishing into whatever function happened to call the codec.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._data: dict[str, tuple[float, int]] = {}
-
-    def note(self, kind: str, seconds: float) -> None:
-        with self._lock:
-            total, count = self._data.get(kind, (0.0, 0))
-            self._data[kind] = (total + seconds, count + 1)
-
-    def snapshot(self) -> dict[str, tuple[float, int]]:
-        """Current ``{kind: (seconds, calls)}`` totals (copied)."""
-        with self._lock:
-            return dict(self._data)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-#: Process-wide serialization telemetry (encode/decode/materialize/fetch).
-TELEMETRY = CodecTelemetry()
 
 
 # -- value packing ----------------------------------------------------------
@@ -726,13 +689,12 @@ class DesignImage:
 
     def to_bytes(self) -> bytes:
         """Serialize the image (deterministic: same design, same bytes)."""
-        t0 = perf_counter()
         if self._meta_blob is None:
             raise _unserializable(self.name)
         blob = _serialize(self.name, self.pblock, self._meta_blob,
                           self._packed or _pack_strings(self._strings),
                           [[column] for column in self.columns()])
-        TELEMETRY.note("encode", perf_counter() - t0)
+        incr("codec.encode")
         return blob
 
     @classmethod
@@ -743,7 +705,6 @@ class DesignImage:
         relies on is checked here, once, so a torn or edited file never
         surfaces as an ``IndexError`` or a dropped row at fetch time.
         """
-        t0 = perf_counter()
         _need(blob, 0, 6)
         if blob[:4] != MAGIC:
             raise ValueError("not a binary design image (bad magic)")
@@ -800,7 +761,7 @@ class DesignImage:
         if off != len(blob):
             raise ValueError("trailing bytes after binary design image")
         img._validate()
-        TELEMETRY.note("decode", perf_counter() - t0)
+        incr("codec.decode")
         return img
 
     def _validate(self) -> None:
@@ -1103,7 +1064,6 @@ class DesignImage:
         prefix every net endpoint is the very string object that names
         its cell, not a second concatenation of it.
         """
-        t0 = perf_counter()
         # Tens of thousands of containers and not one of them garbage: the
         # cyclic collector would run a few hundred passes over them (more
         # than the construction itself costs) and find nothing.
@@ -1114,7 +1074,7 @@ class DesignImage:
         finally:
             if collecting:
                 gc.enable()
-        TELEMETRY.note("materialize", perf_counter() - t0)
+        incr("codec.materialize")
         return cells, nets
 
     def _objects(self, dcol, drow, nrows, instance, live):
@@ -1202,14 +1162,13 @@ def encode_design(design: Design) -> bytes:
     bytes are those of the flattened design.
     """
     name, pblock, metadata, strings, columns = _read_design(design)
-    t0 = perf_counter()
     try:
         meta_blob = pack_value(metadata)
     except TypeError:
         raise _unserializable(name) from None
     blob = _serialize(name, pblock, meta_blob,
                       strings if type(strings) is tuple else _pack_strings(strings), columns)
-    TELEMETRY.note("encode", perf_counter() - t0)
+    incr("codec.encode")
     return blob
 
 
@@ -1228,7 +1187,6 @@ def clone_design(design: Design) -> Design:
     fresh; immutable leaves (strings, placement/tile tuples, the frozen
     pblock) are shared.
     """
-    t0 = perf_counter()
     new = object.__new__
     out = Design.__new__(Design)
     out.name = design.name
@@ -1271,5 +1229,5 @@ def clone_design(design: Design) -> Design:
         port.protocol = p.protocol
         ports[name] = port
     out.ports = ports
-    TELEMETRY.note("clone", perf_counter() - t0)
+    incr("codec.clone")
     return out

@@ -25,7 +25,6 @@ import hashlib
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -35,8 +34,9 @@ from ..engine.cache import BuildCache, canonical_blob, content_key
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.block import Block
-from ..netlist.codec import TELEMETRY, DesignImage
+from ..netlist.codec import DesignImage
 from ..netlist.design import Design
+from ..obs.span import incr
 from .module import (
     Footprint,
     RelocationError,
@@ -266,7 +266,6 @@ class ComponentDatabase:
         which the first access to ``cells`` / ``nets`` materializes — or
         which :meth:`Design.adopt` moves into a composed design as it is.
         """
-        t0 = perf_counter()
         record = self._record(signature)
         record.hits += 1
         image = record.image
@@ -282,7 +281,7 @@ class ComponentDatabase:
             image.frame(dcol, drow, instance=instance),
             Block(image, dcol, drow, device.nrows, instance),
         )
-        TELEMETRY.note("fetch", perf_counter() - t0)
+        incr("codec.fetch")
         return design
 
     def fmax_of(self, signature: tuple) -> float:

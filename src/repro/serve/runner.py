@@ -79,8 +79,9 @@ def _run_eco(spec: JobSpec, flow, result, database) -> dict:
     re-time oracle and any divergence fails the job — the farm never
     serves an unverified incremental result when asked to prove it.
     """
-    from ..eco import DesignDelta, EcoEngine, LayerReplace, eco_reference, run_cts
-    from ..netlist.checkpoint import design_to_dict
+    from ..eco import (
+        DesignDelta, EcoEngine, LayerReplace, eco_reference, matches_reference, run_cts,
+    )
     from ..netlist.codec import decode_design, encode_design
     from ..rapidwright import ComponentDatabase
 
@@ -132,12 +133,7 @@ def _run_eco(spec: JobSpec, flow, result, database) -> dict:
             decode_design(pre_blob), delta, device, graph=flow.graph,
             delays=flow.delays, drc=drc_mode, database=database,
         )
-        key = lambda r: (r.period_ps, r.clock_overhead_ps, r.clock_insertion_ps,
-                         r.critical_path, r.n_paths)
-        identical = (
-            design_to_dict(top) == design_to_dict(ref.design)
-            and key(eco.after) == key(ref.after)
-        )
+        identical = matches_reference(top, eco, ref)
         doc["oracle"] = "bit-identical" if identical else "mismatch"
         if not identical:
             raise RuntimeError(

@@ -43,7 +43,7 @@ def _loaded_after(code: str) -> set[str]:
 
 #: Never needed to parse arguments or to run a flow from the CLI.
 HEAVY = ("scipy", "asyncio", "http.client", "hypothesis",
-         "repro.serve", "repro.lint", "repro.eco", "repro.profiling")
+         "repro.serve", "repro.lint", "repro.eco")
 #: The implementation back end; ``models``/``info``/``--help`` stay clear of it.
 BACKEND = ("repro.route", "repro.place", "repro.timing", "repro.rapidwright",
            "repro.vivado", "repro.engine")

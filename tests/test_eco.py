@@ -334,6 +334,25 @@ def test_serve_runs_verified_eco_job():
     json.dumps(doc)  # the result document stays JSON-serializable
 
 
+def test_serve_eco_verify_fails_on_differing_drc_findings(monkeypatch):
+    import repro.eco
+    from repro.drc import Location, Severity, Violation
+
+    real = repro.eco.eco_reference
+
+    def one_extra_violation(*args, **kwargs):
+        ref = real(*args, **kwargs)
+        ref.drc.violations.append(Violation(
+            "ECO-001", Severity.WARNING, "planted", Location("net", "planted")))
+        return ref
+
+    monkeypatch.setattr(repro.eco, "eco_reference", one_extra_violation)
+    spec = JobSpec(architecture=TINY_ARCH, part="small", effort="low",
+                   eco={"swap_layer": "conv1", "verify": True})
+    with pytest.raises(RuntimeError, match="eco verification failed"):
+        run_job(spec)
+
+
 def test_cli_eco_layer_swap_with_oracle_check(tmp_path):
     out = io.StringIO()
     code = main([

@@ -315,3 +315,18 @@ def test_summarize_reports_self_time_and_metrics():
 
 def test_summarize_empty_trace():
     assert "(no spans)" in summarize([])
+
+
+def test_cli_trace_report_lists_codec_counters(tmp_path):
+    import io
+
+    from repro.cli import main
+
+    p = str(tmp_path / "run.jsonl")
+    assert main(["run", "--model", "lenet5", "--part", "small", "--flow", "preimpl",
+                 "--trace", p], out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert main(["trace-report", p], out=out) == 0
+    counters = {line.split()[0] for line in out.getvalue().splitlines()
+                if line.split()[1:2] == ["counter"]}
+    assert {"codec.fetch", "codec.encode"} <= counters

@@ -20,12 +20,12 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cnn import group_components, lenet5, vgg16
 from repro.cnn.graph import Component
 from repro.eco import DesignDelta, LayerReplace, apply_delta
 from repro.fabric import Device, PBlock, RoutingGraph, TileType, auto_pblock
 from repro.netlist import Design, encode_design
-from repro.netlist.codec import TELEMETRY
 from repro.netlist.net import Net, Port
 from repro.place import PlacementProblem, legalize, total_hpwl
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow
@@ -267,15 +267,16 @@ def test_online_phase_builds_no_objects_until_asked(model):
     }[model]
     flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
     database, _ = flow.build_database(net, **kwargs)
-    TELEMETRY.reset()
-    result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
-    blob = encode_design(result.design)
-    assert "materialize" not in TELEMETRY.snapshot()
-    n_components = len(group_components(net, kwargs.get("granularity", "layer")))
-    assert len(result.design.cells) == sum(
-        r.n_cells for r in result.extras["stitch"].records
-    ) + result.extras["pipeline"].inserted
-    assert TELEMETRY.snapshot()["materialize"][1] == n_components
+    tracer = obs.Tracer(obs.InMemorySink())
+    with tracer.activate():
+        result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+        blob = encode_design(result.design)
+        assert "codec.materialize" not in tracer.metrics
+        n_components = len(group_components(net, kwargs.get("granularity", "layer")))
+        assert len(result.design.cells) == sum(
+            r.n_cells for r in result.extras["stitch"].records
+        ) + result.extras["pipeline"].inserted
+    assert tracer.metrics.counter("codec.materialize").value == n_components
     assert encode_design(result.design) == blob
 
 
