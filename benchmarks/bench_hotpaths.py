@@ -3,14 +3,9 @@
 Each kernel has two implementations — the C core every supported host
 runs and the Python reference that is its oracle and its fallback — and
 this script times one against the other on a deterministic workload,
-end to end, at two scales:
-
-* default — LeNet-5 synthesized at layer granularity on the ``small``
-  part (~2 k cells, ~2 k route connections) -> ``BENCH_hotpaths.json``;
-* ``--vgg`` — VGG-16 at block granularity on the ``ku5p-like`` part
-  (~33 k cells, ~27 k connections) -> ``BENCH_hotpaths_vgg.json``.
-
-Both scales report the same rows:
+end to end: VGG-16 at block granularity on the ``ku5p-like`` part
+(~33 k cells, ~27 k connections) -> ``BENCH_hotpaths_vgg.json``.  It
+reports three rows:
 
 * **route** — one complete negotiation, :meth:`repro.route.Router.route`
   (the compiled core) vs :meth:`repro.route.Router.route_reference` (the
@@ -40,9 +35,8 @@ the committed full-mode baseline.
 
 Usage::
 
-    python benchmarks/bench_hotpaths.py [--vgg] [--quick] [--out FILE]
-    python benchmarks/bench_hotpaths.py --quick --check benchmarks/BENCH_hotpaths.json
-    python benchmarks/bench_hotpaths.py --vgg --quick --check benchmarks/BENCH_hotpaths_vgg.json
+    python benchmarks/bench_hotpaths.py [--quick] [--out FILE]
+    python benchmarks/bench_hotpaths.py --quick --check benchmarks/BENCH_hotpaths_vgg.json
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ import time
 import numpy as np
 
 from repro._util import make_rng
-from repro.cnn import lenet5, vgg16
+from repro.cnn import vgg16
 from repro.fabric import Device, RoutingGraph
 from repro.place import place_design
 from repro.place import native as place_native
@@ -157,12 +151,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="fewer repetitions (same workload)")
-    parser.add_argument("--vgg", action="store_true",
-                        help="VGG-16 on ku5p-like instead of LeNet-5 on small")
-    parser.add_argument("--out", default=None,
-                        help="where to write the results JSON (default "
-                             "BENCH_hotpaths.json, or BENCH_hotpaths_vgg.json "
-                             "with --vgg)")
+    parser.add_argument("--out", default="BENCH_hotpaths_vgg.json",
+                        help="where to write the results JSON")
     parser.add_argument("--check", metavar="BASELINE",
                         help="fail if speedups regress >20%% vs this baseline")
     args = parser.parse_args(argv)
@@ -170,17 +160,11 @@ def main(argv=None):
     # --quick cuts repetitions only; the workload stays at full scale so
     # the ratios measure the same amortization either way.
     max_moves = 400_000
-    if args.vgg:
-        out, part, network = "BENCH_hotpaths_vgg.json", "ku5p-like", vgg16()
-        synth_args = dict(granularity="block", rom_weights=False)
-        route_reps, place_reps, sta_reps = (2, 1, 1) if args.quick else (5, 3, 3)
-    else:
-        out, part, network = "BENCH_hotpaths.json", "small", lenet5()
-        synth_args = dict(granularity="layer", rom_weights=True)
-        route_reps, place_reps, sta_reps = (5, 2, 1) if args.quick else (20, 5, 3)
+    route_reps, place_reps, sta_reps = (2, 1, 1) if args.quick else (5, 3, 3)
 
-    device = Device.from_name(part)
-    unplaced = synthesize_network(network, **synth_args).top
+    network = vgg16()
+    device = Device.from_name("ku5p-like")
+    unplaced = synthesize_network(network, granularity="block", rom_weights=False).top
     design = pickle.loads(pickle.dumps(unplaced))
     place_design(design, device, seed=SEED)
     results = {
@@ -194,10 +178,10 @@ def main(argv=None):
     }
 
     print(json.dumps(results, indent=2))
-    with open(args.out or out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {args.out or out}")
+    print(f"wrote {args.out}")
 
     if args.check:
         print(f"checking against {args.check} (tolerance 20%)")

@@ -1,38 +1,144 @@
-"""Reference annealer: full per-net pin rescans, no cached bounding boxes.
+"""Reference annealer: the readable form of :func:`repro.place.anneal`.
 
-This is the pre-optimization implementation of :func:`repro.place.anneal`
-kept verbatim — every affected net's cost is recomputed by scanning all
-of its pins on every move — as the equivalence oracle for the
-incremental-bbox annealer and the speedup baseline for
-``benchmarks/bench_hotpaths.py``.  Behavioural fixes are applied to both
-implementations so they stay comparable:
+Two passes over one :class:`_Placement`, the way the classic annealers
+are written (a ``move`` plus an ``energy``, the RNG passed in):
 
-* degenerate nets with no movable pins seed their bounding box from the
-  fixed pins instead of crashing (and cost 0.0 with no pins at all);
-* the 5 % global-hop branch draws an *independent* uniform for the pool
-  index (``hop_picks``) instead of reusing the gate variable, which
-  restricted hops to an aliased slice of the pool — the extra stream is
-  drawn after all others, so non-hop moves are unaffected;
-* after restoring the best-seen state, per-net costs are recomputed for
-  the restored coordinates (they previously went stale, skewing the
-  clump post-pass).
+* :func:`_sweep` — the Metropolis sweep: random range-limited moves and
+  swaps under a cooling schedule, restored to its best checkpoint;
+* :func:`_clump` — the directed post-pass that pulls the outlier pins of
+  the costliest nets toward their net's median.
 
-:func:`anneal_reference` must stay bit-identical to
-:func:`repro.place.annealer.anneal` — asserted by
-``tests/test_hotpath_determinism.py`` and the Hypothesis property suite.
+Both make every move through :meth:`_Placement.move`, which rescans the
+pins of each affected net (:meth:`_Placement.energy`) instead of keeping
+bounding boxes: the compiled core (:mod:`repro.place.native`) caches
+them and is asserted bit-identical to this module
+(``tests/test_property_place.py``, ``tests/test_hotpath_determinism.py``).
+The behaviour both share, beyond the schedule itself:
+
+* a net with no movable pin costs its fixed pins' box (0.0 with no pins
+  at all);
+* the 5 % global-hop branch takes its pool index from a stream of its own,
+  drawn after all the others, so the other four streams do not depend on
+  it — the draw order is the bit-identity contract;
+* restoring the best checkpoint recomputes the per-net costs for the
+  restored coordinates before the post-pass reads them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
 from .._util import make_rng, sum_left_to_right
-from .annealer import AnnealStats, _QUAD_K, _net_cost
+from .annealer import MAX_PINS, T_END_FRAC, AnnealStats, _net_cost
 from .problem import PlacementProblem
 
 __all__ = ["anneal_reference"]
+
+
+class _Placement:
+    """Cell coordinates, per-net costs and site occupancy of one anneal.
+
+    Coordinates are floats (what the cost sums see); a site is an
+    ``(col, row)`` int pair.  Only nets of at most :data:`MAX_PINS` pins
+    take part; net *k* is ``pins[k]`` (movable cell indices),
+    ``fixed[k]`` (fixed pin coordinates) and ``weight[k]``.
+    """
+
+    def __init__(self, problem: PlacementProblem, sites: np.ndarray) -> None:
+        n = problem.n_movable
+        self.ctypes = problem.ctypes
+        self.xs = sites[:, 0].astype(float).tolist()
+        self.ys = sites[:, 1].astype(float).tolist()
+        self.pins: list[list[int]] = []
+        self.fixed: list[list[tuple[float, float]]] = []
+        self.weight: list[float] = []
+        self.nets_of: list[list[int]] = [[] for _ in range(n)]
+        for net in problem.nets:
+            if len(net.movable) + net.fixed.shape[0] > MAX_PINS:
+                continue
+            pins = [int(i) for i in net.movable]
+            for i in pins:
+                self.nets_of[i].append(len(self.pins))
+            self.pins.append(pins)
+            self.fixed.append([(float(a), float(b)) for a, b in net.fixed])
+            self.weight.append(net.weight)
+        self.cost = self.energy(range(len(self.pins)))
+        self.occupant = {self.site(i): i for i in range(n)}
+        # Per-type site geometry: the sorted distinct pool columns, the
+        # row span, and the sites themselves (pools may exclude locked
+        # sites, so a snapped (col, row) need not be one).
+        self.cols: dict[str, list[int]] = {}
+        self.rows: dict[str, tuple[int, int]] = {}
+        self.sites: dict[str, set[tuple[int, int]]] = {}
+        for ct in sorted(set(self.ctypes)):
+            pool = problem.site_pools[ct]
+            self.cols[ct] = sorted(set(int(c) for c in pool[:, 0]))
+            self.rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
+            self.sites[ct] = {(int(c), int(r)) for c, r in pool}
+
+    def site(self, i: int) -> tuple[int, int]:
+        return int(self.xs[i]), int(self.ys[i])
+
+    def energy(self, nets) -> list[float]:
+        """Costs of the nets numbered *nets* at the current coordinates,
+        each rescanned from all of its pins."""
+        xs, ys, pins, fixed, weight = self.xs, self.ys, self.pins, self.fixed, self.weight
+        return [_net_cost(pins[k], fixed[k], xs, ys, weight[k]) for k in nets]
+
+    def snap(self, i: int, col: float, row: float) -> tuple[int, int] | None:
+        """The site of cell *i*'s type nearest ``(col, row)``: nearest pool
+        column (the lower one on a tie), row clamped to the pool's span;
+        ``None`` when that is not a site of the pool."""
+        ct = self.ctypes[i]
+        cols = self.cols[ct]
+        k = bisect_left(cols, col)
+        if k >= len(cols):
+            k = len(cols) - 1
+        elif k > 0 and abs(cols[k - 1] - col) < abs(cols[k] - col):
+            k -= 1
+        rmin, rmax = self.rows[ct]
+        site = (cols[k], int(min(max(row, rmin), rmax)))
+        return site if site in self.sites[ct] else None
+
+    def move(self, i: int, site: tuple[int, int], accept) -> float | None:
+        """Move cell *i* to *site*, swapping with the cell there if any.
+
+        The affected nets are re-costed at the new coordinates; the move is
+        kept, and its cost delta returned, when ``accept(delta)`` holds,
+        and undone (returning ``None``) otherwise.
+        """
+        xs, ys, cost = self.xs, self.ys, self.cost
+        old = (int(xs[i]), int(ys[i]))
+        j = self.occupant.get(site)
+        affected = self.nets_of[i] if j is None else sorted(set(self.nets_of[i] + self.nets_of[j]))
+        before = sum_left_to_right([cost[k] for k in affected])
+        xs[i], ys[i] = float(site[0]), float(site[1])
+        if j is not None:
+            xs[j], ys[j] = float(old[0]), float(old[1])
+        after = self.energy(affected)
+        delta = sum_left_to_right(after) - before
+        if not accept(delta):
+            xs[i], ys[i] = float(old[0]), float(old[1])
+            if j is not None:
+                xs[j], ys[j] = float(site[0]), float(site[1])
+            return None
+        for k, c in zip(affected, after):
+            cost[k] = c
+        self.occupant[site] = i
+        if j is None:
+            del self.occupant[old]
+        else:
+            self.occupant[old] = j
+        return delta
+
+    def restore(self, xs: list[float], ys: list[float]) -> None:
+        """Jump back to saved coordinates: costs and occupancy follow."""
+        self.xs, self.ys = xs, ys
+        self.cost = self.energy(range(len(self.pins)))
+        self.occupant = {self.site(i): i for i in range(len(xs))}
 
 
 def anneal_reference(
@@ -42,8 +148,6 @@ def anneal_reference(
     seed: int | np.random.Generator = 0,
     moves_per_cell: int = 40,
     max_moves: int = 400_000,
-    max_pins: int = 64,
-    t_end_frac: float = 0.02,
     clump_passes: int = 4,
 ) -> AnnealStats:
     """Refine *sites* in place; returns statistics."""
@@ -51,214 +155,124 @@ def anneal_reference(
     n = problem.n_movable
     if n == 0:
         return AnnealStats(0, 0, 0.0, 0.0)
-
-    xs = sites[:, 0].astype(float).tolist()
-    ys = sites[:, 1].astype(float).tolist()
-
-    # Small-net working set as python lists (fast single-move deltas).
-    nets: list[tuple[list[int], list[tuple[float, float]], float]] = []
-    nets_of: list[list[int]] = [[] for _ in range(n)]
-    for net in problem.nets:
-        if len(net.movable) + net.fixed.shape[0] > max_pins:
-            continue
-        pins = [int(i) for i in net.movable]
-        fixed = [(float(a), float(b)) for a, b in net.fixed]
-        idx = len(nets)
-        nets.append((pins, fixed, net.weight))
-        for i in pins:
-            nets_of[i].append(idx)
-
-    cost = [
-        _net_cost(pins, fixed, xs, ys, w) for pins, fixed, w in nets
-    ]
-    initial_cost = sum_left_to_right(cost)
-
-    occupant: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        occupant[(int(sites[i, 0]), int(sites[i, 1]))] = i
-
-    ctypes = problem.ctypes
-    # Per-type site geometry for range-limited moves: sorted columns, row
-    # bounds, and a membership set (pools may exclude locked sites).
-    type_cols: dict[str, list[int]] = {}
-    type_rows: dict[str, tuple[int, int]] = {}
-    type_sets: dict[str, set[tuple[int, int]]] = {}
-    for ct in sorted(set(ctypes)):
-        pool = problem.site_pools[ct]
-        type_cols[ct] = sorted(set(int(c) for c in pool[:, 0]))
-        type_rows[ct] = (int(pool[:, 1].min()), int(pool[:, 1].max()))
-        type_sets[ct] = {(int(c), int(r)) for c, r in pool}
-
+    state = _Placement(problem, sites)
+    initial_cost = sum_left_to_right(state.cost)
     budget = min(max_moves, moves_per_cell * n)
-    if budget <= 0 or not nets:
+    if budget <= 0 or not state.pins:
         return AnnealStats(0, 0, initial_cost, initial_cost)
 
+    accepted, cost = _sweep(state, problem, rng, budget, initial_cost)
+    cost = _clump(state, cost, clump_passes)
+    sites[:, 0] = state.xs
+    sites[:, 1] = state.ys
+    return AnnealStats(budget, accepted, initial_cost, min(cost, initial_cost))
+
+
+def _sweep(
+    state: _Placement, problem: PlacementProblem, rng: np.random.Generator,
+    budget: int, cost: float,
+) -> tuple[int, float]:
+    """*budget* Metropolis moves from total cost *cost*; leaves *state* at
+    the best checkpoint seen.  Returns ``(accepted moves, total cost)``."""
     # Low-temperature refinement: the legalized global placement is
     # already good, so this stage quenches rather than re-anneals — a hot
     # start would scatter converged clusters faster than random moves can
     # repair them.
-    t0 = max(0.5, 0.12 * initial_cost / max(1, len(nets)))
-    t_end = t0 * t_end_frac
+    t0 = max(0.5, 0.12 * cost / max(1, len(state.pins)))
+    t_end = t0 * T_END_FRAC
     alpha = (t_end / t0) ** (1.0 / budget)
 
-    cell_picks = rng.integers(0, n, size=budget)
-    uniforms = rng.random(size=budget)
-    pool_picks = rng.random(size=budget)
+    # Python numbers, not numpy scalars: the same values, and the scalar
+    # arithmetic of the loop below runs several times faster on them.
+    cell_picks = rng.integers(0, problem.n_movable, size=budget).tolist()
+    uniforms = rng.random(size=budget).tolist()
+    pool_picks = rng.random(size=budget).tolist()
     offset_picks = rng.random(size=(budget, 2))
-    # Independent pool index for the global-hop branch, drawn after every
-    # other stream so the non-hop draws above are unchanged.
-    hop_picks = rng.random(size=budget)
+    dx, dy = offset_picks[:, 0].tolist(), offset_picks[:, 1].tolist()
+    hop_picks = rng.random(size=budget).tolist()
 
-    c0b, r0b, c1b, r1b = problem.bounds()
-    w_max = max(8.0, max(c1b - c0b, r1b - r0b))
+    # The move window shrinks from w_max to w_min as the schedule cools
+    # (VPR-style), with a 5 % chance of a hop anywhere in the pool.
+    c0, r0, c1, r1 = problem.bounds()
+    w_max = max(8.0, max(c1 - c0, r1 - r0))
     w_min = 6.0
 
-    from bisect import bisect_left
+    def metropolis(delta):  # at the current step and temperature
+        return delta <= 0 or uniforms[step] < math.exp(-delta / temperature)
 
     temperature = t0
     accepted = 0
-    running = initial_cost
-    best_cost = initial_cost
-    best_state = (list(xs), list(ys))
+    best_cost = cost
+    xs, ys = state.xs, state.ys
+    best = (list(xs), list(ys))
+    # Keep the best state seen (SA may end on an uphill excursion), at a
+    # checkpoint every checkpoint_every steps from step 0.  A checkpoint
+    # that falls on a step making no move is not taken, and neither is
+    # any after it: the schedule the compiled sweep has always run.
     checkpoint_every = max(1, budget // 32)
+    checkpoint = 0
     for step in range(budget):
-        i = int(cell_picks[step])
-        ct = ctypes[i]
+        i = cell_picks[step]
         old = (int(xs[i]), int(ys[i]))
-        # Range-limited target: window shrinks as the schedule cools
-        # (VPR-style), with a small chance of a global hop.
         if pool_picks[step] < 0.05:
-            pool = problem.site_pools[ct]
+            pool = problem.site_pools[state.ctypes[i]]
             s = pool[int(hop_picks[step] * pool.shape[0]) % pool.shape[0]]
-            tcol, trow = int(s[0]), int(s[1])
+            site = (int(s[0]), int(s[1]))
         else:
-            frac = step / budget
-            window = max(w_min, w_max * (1.0 - frac))
-            want_col = old[0] + (offset_picks[step, 0] * 2.0 - 1.0) * window
-            want_row = old[1] + (offset_picks[step, 1] * 2.0 - 1.0) * window
-            cols = type_cols[ct]
-            k = bisect_left(cols, want_col)
-            if k >= len(cols):
-                k = len(cols) - 1
-            elif k > 0 and abs(cols[k - 1] - want_col) < abs(cols[k] - want_col):
-                k -= 1
-            tcol = cols[k]
-            rmin, rmax = type_rows[ct]
-            trow = int(min(max(want_row, rmin), rmax))
-            if (tcol, trow) not in type_sets[ct]:
-                temperature *= alpha
-                continue
-        if (tcol, trow) == old:
+            window = max(w_min, w_max * (1.0 - step / budget))
+            site = state.snap(
+                i,
+                old[0] + (dx[step] * 2.0 - 1.0) * window,
+                old[1] + (dy[step] * 2.0 - 1.0) * window,
+            )
+        if site is None or site == old:
             temperature *= alpha
             continue
-        j = occupant.get((tcol, trow))
-
-        affected = nets_of[i] if j is None else sorted(set(nets_of[i] + nets_of[j]))
-        before = 0.0
-        for k in affected:
-            before += cost[k]
-        # apply tentatively
-        xs[i], ys[i] = float(tcol), float(trow)
-        if j is not None:
-            xs[j], ys[j] = float(old[0]), float(old[1])
-        after = 0.0
-        new_costs = []
-        for k in affected:
-            pins, fixed, w = nets[k]
-            ck = _net_cost(pins, fixed, xs, ys, w)
-            new_costs.append(ck)
-            after += ck
-        delta = after - before
-        if delta <= 0 or uniforms[step] < math.exp(-delta / temperature):
+        delta = state.move(i, site, metropolis)
+        if delta is not None:
             accepted += 1
-            running += delta
-            for k, ck in zip(affected, new_costs):
-                cost[k] = ck
-            occupant[(tcol, trow)] = i
-            if j is not None:
-                occupant[old] = j
-            else:
-                del occupant[old]
-        else:
-            xs[i], ys[i] = float(old[0]), float(old[1])
-            if j is not None:
-                xs[j], ys[j] = float(tcol), float(trow)
+            cost += delta
         temperature *= alpha
-        # keep the best state seen (SA may end on an uphill excursion)
-        if step % checkpoint_every == 0:
-            if running < best_cost:
-                best_cost = running
-                best_state = (list(xs), list(ys))
+        if step == checkpoint:
+            checkpoint += checkpoint_every
+            if cost < best_cost:
+                best_cost = cost
+                best = (list(xs), list(ys))
 
-    if running > best_cost:
-        xs, ys = best_state
-        final_cost = best_cost
-        # the cost cache tracked the *final* walk, not the restored best
-        # state — recompute before the clump pass reads it
-        cost = [_net_cost(pins, fixed, xs, ys, w) for pins, fixed, w in nets]
-    else:
-        final_cost = running
+    if cost > best_cost:
+        state.restore(*best)
+        return accepted, best_cost
+    return accepted, cost
 
-    # Directed post-pass: clump the longest nets.  Random-walk annealing
-    # reduces total wirelength but rarely rescues an individual 300-tile
-    # net; here the outlier pins of the worst nets are pulled toward
-    # their net centroid when that lowers the (quadratic) objective.
-    occupant = {}
-    for i in range(n):
-        occupant[(int(xs[i]), int(ys[i]))] = i
-    for _ in range(clump_passes):
-        order = sorted(range(len(nets)), key=lambda k: -cost[k])
+
+def _clump(state: _Placement, cost: float, passes: int) -> float:
+    """Directed post-pass from total cost *cost*; returns the new total.
+
+    Random-walk annealing reduces total wirelength but rarely rescues an
+    individual 300-tile net.  Each pass takes the costliest 2 % of the
+    nets and moves every pin 16+ tiles from its net's median toward it,
+    keeping the moves that lower the (quadratic) objective; the passes
+    stop early once one changes nothing.
+    """
+    xs, ys = state.xs, state.ys
+    n_nets = len(state.pins)
+    for _ in range(passes):
+        order = sorted(range(n_nets), key=lambda k: -state.cost[k])
         changed = 0
-        for k in order[: max(1, len(nets) // 50)]:
-            pins, fixed, _w = nets[k]
+        for k in order[: max(1, n_nets // 50)]:
+            pins = state.pins[k]
             cx = sorted(xs[i] for i in pins)[len(pins) // 2]
             cy = sorted(ys[i] for i in pins)[len(pins) // 2]
             for i in pins:
                 if abs(xs[i] - cx) + abs(ys[i] - cy) < 16:
                     continue
-                ct = ctypes[i]
-                cols = type_cols[ct]
-                kk = bisect_left(cols, cx)
-                if kk >= len(cols):
-                    kk = len(cols) - 1
-                elif kk > 0 and abs(cols[kk - 1] - cx) < abs(cols[kk] - cx):
-                    kk -= 1
-                rmin, rmax = type_rows[ct]
-                tcol = cols[kk]
-                trow = int(min(max(cy, rmin), rmax))
-                if (tcol, trow) not in type_sets[ct]:
+                site = state.snap(i, cx, cy)
+                if site is None or site == state.site(i):
                     continue
-                old = (int(xs[i]), int(ys[i]))
-                if (tcol, trow) == old:
-                    continue
-                j = occupant.get((tcol, trow))
-                affected = nets_of[i] if j is None else sorted(set(nets_of[i] + nets_of[j]))
-                before = sum_left_to_right(cost[a] for a in affected)
-                xs[i], ys[i] = float(tcol), float(trow)
-                if j is not None:
-                    xs[j], ys[j] = float(old[0]), float(old[1])
-                new_costs = [
-                    _net_cost(nets[a][0], nets[a][1], xs, ys, nets[a][2]) for a in affected
-                ]
-                delta = sum_left_to_right(new_costs) - before
-                if delta < 0:
-                    for a, ca in zip(affected, new_costs):
-                        cost[a] = ca
-                    occupant[(tcol, trow)] = i
-                    if j is not None:
-                        occupant[old] = j
-                    else:
-                        del occupant[old]
-                    final_cost += delta
+                delta = state.move(i, site, lambda d: d < 0)
+                if delta is not None:
+                    cost += delta
                     changed += 1
-                else:
-                    xs[i], ys[i] = float(old[0]), float(old[1])
-                    if j is not None:
-                        xs[j], ys[j] = float(tcol), float(trow)
         if not changed:
             break
-
-    for i in range(n):
-        sites[i, 0] = int(xs[i])
-        sites[i, 1] = int(ys[i])
-    return AnnealStats(budget, accepted, initial_cost, min(final_cost, initial_cost))
+    return cost

@@ -7,9 +7,9 @@ therefore receive proportionally less optimisation — the mechanism
 behind the paper's observation that "vendor tools generally achieve
 better QoR on smaller designs".
 
-High-fanout nets (above ``max_pins``) are excluded from the incremental
-objective, as in production placers; their HPWL barely changes under
-single-cell moves.
+High-fanout nets (above :data:`MAX_PINS` pins) are excluded from the
+incremental objective, as in production placers; their HPWL barely
+changes under single-cell moves.
 
 There are two implementations of the one algorithm, and :func:`anneal`
 picks between them by whether the compiled core loads — nothing else
@@ -19,19 +19,21 @@ selects:
   (``_anneal_core.c``) with cached per-net bounding boxes, then the
   clump post-pass as a second entry point of the same core; what every
   supported host runs;
-* :func:`repro.place._annealer_reference.anneal_reference` — rescans
-  every affected net on every move: the oracle the core is asserted
+* :func:`repro.place._annealer_reference.anneal_reference` — the sweep
+  and the post-pass as two plain functions over one placement state that
+  rescans every affected net on every move: the oracle the core is asserted
   bit-identical to (``tests/test_property_place.py``) and the fallback
   where the core cannot load (no compiler and no cached build, or
-  ``REPRO_NATIVE=0``).  Same sites, same :class:`AnnealStats`, ≈34x
-  slower at VGG scale (33 k cells, 400 k moves: 0.11 s vs 3.8 s;
+  ``REPRO_NATIVE=0``).  Same sites, same :class:`AnnealStats`, ≈40x
+  slower at VGG scale (33 k cells, 400 k moves: 0.10 s vs 4.1 s;
   :mod:`repro._native` warns once when the fallback was not asked for).
 
-This module holds what the two share: the statistics record and the
-scalar per-net cost — the oracle of the all-nets-at-once form the native
-driver computes from the problem's columns.  The clump post-pass is
-part of the algorithm and so lives in exactly those two places too: the
-tail of ``anneal_reference`` and a second entry point of the C core.
+This module holds what the two share: the schedule constants, the
+statistics record and the scalar per-net cost — the oracle of the
+all-nets-at-once form the native driver computes from the problem's
+columns.  The clump post-pass is part of the algorithm and so lives in
+exactly those two places too: ``_clump`` in the reference and a second
+entry point of the C core.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ from ..obs.span import incr
 from .problem import PlacementProblem
 
 __all__ = ["anneal", "AnnealStats"]
+
+#: Nets with more pins than this are left out of the annealed objective.
+MAX_PINS = 64
+#: Final temperature as a fraction of the starting one.
+T_END_FRAC = 0.02
 
 
 class AnnealStats:
@@ -114,8 +121,6 @@ def anneal(
     seed: int | np.random.Generator = 0,
     moves_per_cell: int = 40,
     max_moves: int = 400_000,
-    max_pins: int = 64,
-    t_end_frac: float = 0.02,
     clump_passes: int = 4,
 ) -> AnnealStats:
     """Refine *sites* in place; returns statistics.
@@ -132,8 +137,7 @@ def anneal(
         from ._annealer_reference import anneal_reference as impl
     stats = impl(
         problem, sites, seed=seed, moves_per_cell=moves_per_cell,
-        max_moves=max_moves, max_pins=max_pins,
-        t_end_frac=t_end_frac, clump_passes=clump_passes,
+        max_moves=max_moves, clump_passes=clump_passes,
     )
     incr("place.moves", stats.moves)
     incr("place.accepted", stats.accepted)

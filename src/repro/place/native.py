@@ -14,10 +14,11 @@ and the occupancy grid.
 
 What stays Python here is set-up, and none of it walks nets: the net CSR
 is the problem's :class:`~repro.place.problem.NetColumns` masked by
-``max_pins``, the cell -> nets CSR one stable ``argsort`` of it, the
-initial boxes one ``reduceat``.  The five presampled RNG streams are
-drawn exactly as the reference draws them — that order *is* the
-bit-identity contract, so they are not batched or reshaped.
+:data:`~repro.place.annealer.MAX_PINS`, the cell -> nets CSR one stable
+``argsort`` of it, the initial boxes one ``reduceat``.  The five
+presampled RNG streams are drawn exactly as the reference draws them —
+that order *is* the bit-identity contract, so they are not batched or
+reshaped.
 
 :func:`repro.place.annealer.anneal` runs it whenever it loads.  Where it
 cannot — no compiler and no cached build, a failed build, or
@@ -36,7 +37,7 @@ import numpy as np
 from .._native import build_library
 from .._util import make_rng, sum_left_to_right
 from ..obs.span import incr, sample
-from .annealer import _QUAD_K, AnnealStats
+from .annealer import _QUAD_K, MAX_PINS, T_END_FRAC, AnnealStats
 from .problem import NetColumns, PlacementProblem
 
 __all__ = ["anneal_native", "native_available"]
@@ -128,8 +129,6 @@ def anneal_native(
     seed: int | np.random.Generator = 0,
     moves_per_cell: int = 40,
     max_moves: int = 400_000,
-    max_pins: int = 64,
-    t_end_frac: float = 0.02,
     clump_passes: int = 4,
 ) -> AnnealStats:
     """Refine *sites* in place via the C sweep; returns statistics.
@@ -150,12 +149,12 @@ def anneal_native(
     if n == 0:
         return AnnealStats(0, 0, 0.0, 0.0)
 
-    # Small-net working set: the problem's net CSR masked by max_pins —
+    # Small-net working set: the problem's net CSR masked by MAX_PINS —
     # net -> pins and cell -> nets in CSR form, per-net weight and
     # fixed-pin extremes (infinities vanish under min/max), and the
     # two-movable-pin shortcut columns.
     cols = problem.columns
-    nets = cols.select(cols.count + cols.n_fixed <= max_pins)
+    nets = cols.select(cols.count + cols.n_fixed <= MAX_PINS)
     n_nets = nets.weight.shape[0]
     if not n_nets:
         return AnnealStats(0, 0, 0.0, 0.0)
@@ -194,7 +193,7 @@ def anneal_native(
         return AnnealStats(0, 0, initial_cost, initial_cost)
 
     t0 = max(0.5, 0.12 * initial_cost / max(1, n_nets))
-    t_end = t0 * t_end_frac
+    t_end = t0 * T_END_FRAC
     alpha = (t_end / t0) ** (1.0 / budget)
 
     cell_picks = np.ascontiguousarray(rng.integers(0, n, size=budget), dtype=np.int64)

@@ -1,11 +1,10 @@
 """Routing: A* maze expansion under PathFinder negotiated congestion."""
 
-from .maze import astar_route, astar_route_reference, direct_path
+from .maze import astar_route, direct_path
 from .pathfinder import RouteResult, Router, RoutingError
 
 __all__ = [
     "astar_route",
-    "astar_route_reference",
     "direct_path",
     "RouteResult",
     "Router",

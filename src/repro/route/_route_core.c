@@ -285,8 +285,26 @@ static i64 direct_len_bound(i64 src, i64 dst, i64 nrows) {
 }
 
 /* ------------------------------------------------------ window bounds
- * Port of maze._direct_cost + maze._window_bounds (same operand order,
- * so identical doubles and an identical truncated radius). */
+ * A dilated bounding box of (src, dst) certified to contain every node
+ * the unwindowed search pops, so clipping relaxations to it leaves the
+ * pop sequence — the returned path and the expansion count — identical
+ * to maze.astar_route's.
+ *
+ * Let D be the cost of direct_path under the current costs (an upper
+ * bound on the optimal cost C*), w >= 1 the heuristic weight and c_min
+ * (PER_TILE_MIN) the cheapest cost per tile.  Weighted A* returns a path
+ * of cost g <= w * C* <= w * D, and every node n popped before dst has
+ * f(n) <= w * g (some node of the returned path always sits in the open
+ * list at its final f, which is at most w * g).  With
+ * g(n) >= c_min * dist(src, n) and h(n) = c_min * w * dist(n, dst):
+ *
+ *     dist(src, n) + w * dist(n, dst)  <=  w^2 * D / c_min
+ *
+ * for every popped node.  The L1 ellipse is relaxed to its bounding
+ * box: a node r tiles outside the endpoints' box has both distances
+ * >= r, so r <= bound / (1 + w).  The 1e-9 is float slack only (the
+ * derivation is exact in reals).  Requires cost >= 1 everywhere, as the
+ * heuristic itself does. */
 
 static double direct_cost_c(const Core *c, i64 src, i64 dst) {
     const double *cost = c->cost;
@@ -346,10 +364,17 @@ static void window_bounds_c(const Core *c, i64 src, i64 dst, i64 *out) {
 }
 
 /* -------------------------------------------------------------- A*
- * Port of maze.astar_route (window computed internally, premultiplied
- * hex table, tabulated heuristic).  Writes the path into *out
- * (caller-reserved, grown as needed by the caller) and returns its
- * length, or 0 when unreachable within the expansion budget. */
+ * maze.astar_route over flat arena state: g / parent / stamp arrays
+ * reused across searches, validated by a generation counter (stamp ==
+ * gen open, == -gen closed), so a new search costs one increment instead
+ * of clearing n_nodes entries.  Relaxations are clipped to the certified
+ * window above, hex entry costs come premultiplied (c->hex, the same
+ * IEEE product as HEX_COST * cost), and the heuristic is tabulated
+ * (ft[d] = d * per_tile).  Heap entries are bare (f, node) pairs: g is
+ * recoverable at first pop, because any later improvement to a node
+ * pushes a strictly smaller f that pops (and closes the node) first.
+ * Writes the path into the pool and returns its length, or 0 when
+ * unreachable within the expansion budget. */
 
 #define RELAX(NXT, COST_V, FDIST)                                            \
     do {                                                                     \
@@ -579,8 +604,8 @@ Core *route_new(
     c->heap.len = 0;
     c->heap.a = (HeapItem *)malloc(sizeof(HeapItem) * c->heap.cap);
 
-    /* ft[d] = d * per_tile, identical to the Python table: int -> double
-     * conversion is exact, one multiply each */
+    /* ft[d] = d * per_tile, identical to the Python heuristic's
+     * distance * per_tile: int -> double conversion is exact */
     double per_tile = (HEX_COST / HEX_REACH) * reroute_weight;
     i64 nft = nrows + ncols;
     c->ft = (double *)malloc(sizeof(double) * nft);
@@ -603,7 +628,9 @@ Core *route_new(
 }
 
 /* One negotiation iteration.  out: failed, ripped, n_over,
- * astar_calls_delta, astar_expansions_delta. */
+ * astar_calls_delta, astar_expansions_delta.  failed is always 0 (a
+ * search that gives up falls back to the direct path); the driver does
+ * not read it. */
 void route_iterate(Core *c, i64 iteration, i64 *out) {
     i64 n = c->n_targets;
     i64 failed = 0, ripped = 0;

@@ -1,12 +1,15 @@
 """Native PathFinder core: ctypes binding and full-route driver.
 
-``_route_core.c`` is a line-by-line C port of the negotiation schedule
+``_route_core.c`` is a C port of the negotiation schedule
 :meth:`repro.route.pathfinder.Router.route_reference` spells out in
-Python — direct-path iteration 0, weighted-A* reroutes inside the
-certified search windows, shared-trunk usage accounting — with one
-licensed shortcut: after a rip-up or a commit it refreshes the cost of
-only the nodes whose occupancy changed (the others would recompute to
-the value they hold).  It is compiled on demand through
+Python — direct-path iteration 0, weighted-A* reroutes, shared-trunk
+usage accounting, the constants of :mod:`repro.route.pathfinder` — with
+two licensed shortcuts.  Each A* search runs over flat arena state
+inside a window certified to hold every node the unwindowed search pops
+(so it pops the same nodes: the ``route.astar.*`` counters agree), and
+after a rip-up or a commit it refreshes the cost of only the nodes whose
+occupancy changed (the others would recompute to the value they hold).
+It is compiled on demand through
 :mod:`repro._native` (IEEE-strict flags, content-hash cache) and is
 bit-identical to the reference (``tests/test_property_route.py``
 asserts it under Hypothesis).  :meth:`Router.route` runs it whenever it
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .._native import build_library
-from ..obs.span import incr, observe, sample
+from ..obs.span import incr, sample
 
 __all__ = ["native_available", "route_native"]
 
@@ -180,7 +183,10 @@ def route_native(router, design, blocked, timer):
     Called by :meth:`Router.route` when the core loaded; *blocked* is
     the caller's region mask (or ``None``).
     """
-    from .pathfinder import _REROUTE_WEIGHT, RouteResult, routed_occupancy
+    from .pathfinder import (
+        _REROUTE_WEIGHT, HIST_FAC, MAX_ITERS, PRES_FAC_INIT, PRES_FAC_MULT,
+        _result, routed_occupancy,
+    )
 
     lib = _lib()
     if lib is None:
@@ -225,24 +231,22 @@ def route_native(router, design, blocked, timer):
         _ptr(occupancy), _ptr(capacity), _ptr(history),
         _ptr(blocked_a), has_blocked,
         _ptr(pre_keys), _ptr(pre_counts), int(pre_keys.size),
-        float(router.pres_fac_init), float(router.pres_fac_mult),
-        float(router.hist_fac), _REROUTE_WEIGHT, _MAX_EXPANSIONS,
+        PRES_FAC_INIT, PRES_FAC_MULT, HIST_FAC, _REROUTE_WEIGHT, _MAX_EXPANSIONS,
     )
     out = np.zeros(5, dtype=np.int64)
     iterations = 0
     try:
-        for iteration in range(router.max_iters):
+        for iteration in range(MAX_ITERS):
             iterations = iteration + 1
             with timer.stage("route/iterate"):
                 lib.route_iterate(sess, iteration, _ptr(out))
                 if out[3]:
                     incr("route.astar.calls", int(out[3]))
                     incr("route.astar.expansions", int(out[4]))
-            failed = int(out[0])
             n_over = int(out[2])
             incr("route.ripup", int(out[1]))
             sample("route.overuse", n_over, iteration=iterations)
-            if n_over == 0 and failed == 0:
+            if n_over == 0:
                 break
         total = int(lib.route_paths_size(sess))
         flat = np.empty(max(total, 1), dtype=np.int64)
@@ -269,16 +273,4 @@ def route_native(router, design, blocked, timer):
                     routed += 1
             wirelength = _wirelength(flat[:total], offs, nrows)
 
-    n_over_final = int(np.count_nonzero(occupancy > capacity))
-    incr("route.connections", n)
-    incr("route.failed", n - routed)
-    incr("route.iterations", iterations)
-    observe("route.wirelength", wirelength)
-    return RouteResult(
-        routed=routed,
-        failed=n - routed,
-        iterations=iterations,
-        wirelength=wirelength,
-        overused_nodes=n_over_final,
-        preexisting=preexisting,
-    )
+    return _result(n, routed, iterations, wirelength, occupancy, capacity, preexisting)

@@ -22,7 +22,7 @@ loads — nothing else selects:
   (``tests/test_property_route.py``) and the fallback where the core
   cannot load (no compiler and no cached build, or ``REPRO_NATIVE=0``).
   Same routes, same :class:`RouteResult`, ≈7x slower at VGG scale
-  (27 k connections: 0.12 s vs 0.85 s; :mod:`repro._native` warns once
+  (27 k connections: 0.11 s vs 0.75 s; :mod:`repro._native` warns once
   when the fallback was not asked for).
 
 Reference layout: the per-iteration cost vector is materialized once as
@@ -43,12 +43,20 @@ import numpy as np
 from .._util import StageTimer
 from ..obs.span import incr, observe, sample
 from ..fabric.device import Device
-from ..fabric.interconnect import HEX_COST, RoutingGraph
+from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design, DesignError
 from .maze import astar_route, direct_path
 
 __all__ = ["Router", "RouteResult", "RoutingError", "routed_occupancy"]
 
+#: Present-congestion factor of the first negotiation iteration, and the
+#: factor it grows by each iteration after.
+PRES_FAC_INIT = 0.6
+PRES_FAC_MULT = 1.9
+#: Weight of the accumulated history cost.
+HIST_FAC = 0.35
+#: Negotiation iterations before the router gives up on overuse.
+MAX_ITERS = 12
 #: Weighted-A* factor used on reroute passes (bounded suboptimality).
 _REROUTE_WEIGHT = 1.15
 
@@ -120,6 +128,26 @@ def _path_overused(inner: np.ndarray, occupancy: np.ndarray, capacity: np.ndarra
     if inner.size == 0:
         return False
     return bool((occupancy[inner] > capacity[inner]).any())
+
+
+def _result(
+    n_targets, routed, iterations, wirelength, occupancy, capacity, preexisting,
+) -> RouteResult:
+    """A finished negotiation's :class:`RouteResult`, and its ``route.*``
+    totals — recorded here for both implementations, so a trace does not
+    depend on which one ran."""
+    incr("route.connections", n_targets)
+    incr("route.failed", n_targets - routed)
+    incr("route.iterations", iterations)
+    observe("route.wirelength", wirelength)
+    return RouteResult(
+        routed=routed,
+        failed=n_targets - routed,
+        iterations=iterations,
+        wirelength=wirelength,
+        overused_nodes=int(np.count_nonzero(occupancy > capacity)),
+        preexisting=preexisting,
+    )
 
 
 def routed_occupancy(
@@ -208,22 +236,9 @@ class Router:
     both write the same routes and return the same :class:`RouteResult`.
     """
 
-    def __init__(
-        self,
-        device: Device,
-        graph: RoutingGraph | None = None,
-        *,
-        pres_fac_init: float = 0.6,
-        pres_fac_mult: float = 1.9,
-        hist_fac: float = 0.35,
-        max_iters: int = 12,
-    ) -> None:
+    def __init__(self, device: Device, graph: RoutingGraph | None = None) -> None:
         self.device = device
         self.graph = graph if graph is not None else RoutingGraph(device)
-        self.pres_fac_init = pres_fac_init
-        self.pres_fac_mult = pres_fac_mult
-        self.hist_fac = hist_fac
-        self.max_iters = max_iters
 
     # -- public API ------------------------------------------------------
 
@@ -296,37 +311,32 @@ class Router:
 
         capacity = graph.capacity.astype(np.float64)
         history = np.zeros(graph.n_nodes, dtype=np.float64)
-        pres_fac = self.pres_fac_init
+        pres_fac = PRES_FAC_INIT
         iterations = 0
-        failed = 0
 
-        for iteration in range(self.max_iters):
+        for iteration in range(MAX_ITERS):
             iterations = iteration + 1
             with timer.stage("route/iterate"):
                 over = np.maximum(occupancy - capacity, 0.0) / capacity
-                node_cost = 1.0 + pres_fac * over + self.hist_fac * history
+                node_cost = 1.0 + pres_fac * over + HIST_FAC * history
                 if blocked is not None:
                     node_cost[blocked] = 1e12
                 # One flat-list materialization per iteration keeps the
-                # A* inner loop in native floats (bit-identical values);
-                # the premultiplied hex vector rides along for the same
-                # reason.
+                # A* loop in native floats (bit-identical values).
                 cost_list = node_cost.tolist()
-                hex_list = (HEX_COST * node_cost).tolist()
-                failed, ripped = self._iterate_serial(
+                ripped = self._iterate(
                     targets, net_usage, iteration, occupancy,
-                    capacity, history, cost_list, hex_list, pres_fac,
+                    capacity, history, cost_list, pres_fac,
                     nrows, ncols,
                 )
 
-            overused = occupancy > capacity
-            n_over = int(np.count_nonzero(overused))
+            n_over = int(np.count_nonzero(occupancy > capacity))
             incr("route.ripup", ripped)
             sample("route.overuse", n_over, iteration=iterations)
-            if n_over == 0 and failed == 0:
+            if n_over == 0:
                 break
             history += np.maximum(occupancy - capacity, 0.0) / capacity
-            pres_fac *= self.pres_fac_mult
+            pres_fac *= PRES_FAC_MULT
 
         with timer.stage("route/commit"):
             paths = []
@@ -337,18 +347,9 @@ class Router:
                 paths.append(tgt.path)
             wirelength = int(self.graph.path_metrics_batch(paths)[0].sum())
 
-        n_over_final = int(np.count_nonzero(occupancy > capacity))
-        incr("route.connections", len(targets))
-        incr("route.failed", len(targets) - len(paths))
-        incr("route.iterations", iterations)
-        observe("route.wirelength", wirelength)
-        return RouteResult(
-            routed=len(paths),
-            failed=len(targets) - len(paths),
-            iterations=iterations,
-            wirelength=wirelength,
-            overused_nodes=n_over_final,
-            preexisting=preexisting,
+        return _result(
+            len(targets), len(paths), iterations, wirelength,
+            occupancy, capacity, preexisting,
         )
 
     def _blocked(self, design: Design, region) -> np.ndarray | None:
@@ -358,23 +359,18 @@ class Router:
             region = design.pblock
         if region is None:
             return None
-        nrows = self.device.nrows
-        cols = np.arange(self.graph.n_nodes) // nrows
-        rows = np.arange(self.graph.n_nodes) % nrows
-        return ~(
-            (cols >= region.col0)
-            & (cols <= region.col1)
-            & (rows >= region.row0)
-            & (rows <= region.row1)
-        )
+        cols, rows = np.divmod(np.arange(self.graph.n_nodes), self.device.nrows)
+        inside_cols = (cols >= region.col0) & (cols <= region.col1)
+        return ~(inside_cols & (rows >= region.row0) & (rows <= region.row1))
 
     # -- one negotiation iteration ---------------------------------------
 
-    def _iterate_serial(
+    def _iterate(
         self, targets, net_usage, iteration, occupancy, capacity, history,
-        cost_list, hex_list, pres_fac, nrows, ncols,
-    ) -> tuple[int, int]:
-        failed = 0
+        cost_list, pres_fac, nrows, ncols,
+    ) -> int:
+        """Route every target of one negotiation iteration; returns how
+        many committed paths it ripped up."""
         ripped = 0
         for tgt in targets:
             usage = net_usage[tgt.net_name]
@@ -383,29 +379,26 @@ class Router:
                     continue  # keep clean paths; reroute congested ones
                 ripped += 1
                 self._rip(tgt, usage, occupancy, capacity, history,
-                          cost_list, hex_list, pres_fac)
+                          cost_list, pres_fac)
             if iteration == 0:
                 # quick pass: congestion-oblivious direct route
                 path = direct_path(tgt.src_node, tgt.dst_node, nrows)
             else:
                 path = astar_route(
                     tgt.src_node, tgt.dst_node, nrows, ncols, cost_list,
-                    heuristic_weight=_REROUTE_WEIGHT, _hex=hex_list,
+                    heuristic_weight=_REROUTE_WEIGHT,
                 )
                 if path is None:
                     # keep connectivity: fall back to the direct route and
                     # let negotiation continue elsewhere
                     path = direct_path(tgt.src_node, tgt.dst_node, nrows)
-            if path is None:
-                failed += 1
-                continue
             self._commit(tgt, path, usage, occupancy, capacity, history,
-                         cost_list, hex_list, pres_fac)
-        return failed, ripped
+                         cost_list, pres_fac)
+        return ripped
 
     # -- per-path state updates ------------------------------------------
 
-    def _rip(self, tgt, usage, occupancy, capacity, history, cost_list, hex_list, pres_fac) -> None:
+    def _rip(self, tgt, usage, occupancy, capacity, history, cost_list, pres_fac) -> None:
         """Remove a target's path from the shared-trunk usage counts and
         the occupancy map, then refresh costs along the freed path."""
         freed = []
@@ -418,10 +411,10 @@ class Router:
                 freed.append(node)
         if freed:
             occupancy[freed] -= tgt.width
-        self._refresh_cost(tgt.path_arr, tgt.path, occupancy, capacity, history, cost_list, hex_list, pres_fac)
+        self._refresh_cost(tgt.path_arr, tgt.path, occupancy, capacity, history, cost_list, pres_fac)
         tgt.clear_path()
 
-    def _commit(self, tgt, path, usage, occupancy, capacity, history, cost_list, hex_list, pres_fac) -> None:
+    def _commit(self, tgt, path, usage, occupancy, capacity, history, cost_list, pres_fac) -> None:
         """Install a fresh path: charge occupancy for interior nodes the
         net doesn't already use, then refresh costs along the path."""
         tgt.set_path(path)
@@ -440,15 +433,13 @@ class Router:
             for node in tgt.inner:
                 usage[node] = 1
             occupancy[tgt.inner_arr] += tgt.width
-        self._refresh_cost(tgt.path_arr, path, occupancy, capacity, history, cost_list, hex_list, pres_fac)
+        self._refresh_cost(tgt.path_arr, path, occupancy, capacity, history, cost_list, pres_fac)
 
-    def _refresh_cost(self, path_arr, path, occupancy, capacity, history, cost_list, hex_list, pres_fac) -> None:
+    def _refresh_cost(self, path_arr, path, occupancy, capacity, history, cost_list, pres_fac) -> None:
         """Recompute node costs along one path (vectorized) and write them
-        back into the iteration's flat cost list (and its premultiplied
-        hex companion), so subsequent searches this iteration see current
-        congestion."""
+        back into the iteration's flat cost list, so subsequent searches
+        this iteration see current congestion."""
         over_p = np.maximum(occupancy[path_arr] - capacity[path_arr], 0.0) / capacity[path_arr]
-        vals = (1.0 + pres_fac * over_p + self.hist_fac * history[path_arr]).tolist()
+        vals = (1.0 + pres_fac * over_p + HIST_FAC * history[path_arr]).tolist()
         for node, val in zip(path, vals):
             cost_list[node] = val
-            hex_list[node] = HEX_COST * val

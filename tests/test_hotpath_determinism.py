@@ -1,12 +1,12 @@
-"""Bit-identity of the optimized route/place hot paths to their references.
+"""Bit-identity of the compiled annealer to its reference, and the
+behavioural regressions fixed alongside the place/route hot paths.
 
-The arena/windowed A* and the compiled annealer are pure optimizations:
-same floats, same tie-breaks, same results.  These tests pin that
-equivalence on deterministic congested instances (the Hypothesis suites
-in ``test_property_route.py`` / ``test_property_place.py`` cover
-randomized ones, and the compiled router) plus the behavioural
-regressions fixed alongside: degenerate-net costs, endpoint overuse, and
-RNG stream ordering.
+The compiled annealer is a pure optimization: same floats, same
+tie-breaks, same results.  These tests pin that equivalence on
+deterministic instances (the Hypothesis suites in
+``test_property_route.py`` / ``test_property_place.py`` cover randomized
+ones, and the compiled router) plus degenerate-net costs, endpoint
+overuse, RNG stream ordering and what the A* docstring promises.
 """
 
 from __future__ import annotations
@@ -25,37 +25,13 @@ from repro.place.native import anneal_native, native_available
 from repro.place.global_place import global_place
 from repro.place.legalize import legalize
 from repro.place.problem import PlacementProblem
-from repro.route import astar_route, astar_route_reference
+from repro.route import astar_route
 from repro.route.pathfinder import _path_overused
 
 SMALL = Device.from_name("small")
 
 
 # -- A* search ----------------------------------------------------------------
-
-
-def _congested_cost(n_nodes: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return 1.0 + 1.3 * rng.integers(0, 3, size=n_nodes).astype(float) + rng.random(n_nodes)
-
-
-@pytest.mark.parametrize("weight", [1.0, 1.15, 1.5])
-def test_astar_matches_reference_on_congested_grid(weight):
-    nrows, ncols = 40, 30
-    cost = _congested_cost(nrows * ncols, seed=11)
-    rng = np.random.default_rng(5)
-    pairs = [
-        (int(rng.integers(0, nrows * ncols)), int(rng.integers(0, nrows * ncols)))
-        for _ in range(40)
-    ]
-    for src, dst in pairs:
-        ref = astar_route_reference(src, dst, nrows, ncols, cost, heuristic_weight=weight)
-        opt = astar_route(src, dst, nrows, ncols, cost, heuristic_weight=weight)
-        unwindowed = astar_route(
-            src, dst, nrows, ncols, cost, heuristic_weight=weight, window=False
-        )
-        assert opt == ref
-        assert unwindowed == ref
 
 
 def test_astar_docstring_admits_inadmissibility():
@@ -101,6 +77,33 @@ def test_anneal_matches_reference(seed):
     assert (stats_opt.moves, stats_opt.accepted) == (stats_ref.moves, stats_ref.accepted)
     assert stats_opt.initial_cost == stats_ref.initial_cost
     assert stats_opt.final_cost == stats_ref.final_cost
+
+
+def test_anneal_checkpoints_stop_at_a_no_move_step():
+    """Once a checkpoint step makes no move, neither implementation takes
+    another checkpoint.  On this design (found by Hypothesis) that decides
+    which best state the sweep restores; a reference that resumed at the
+    next checkpoint step ended with other sites at the same cost."""
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    design = Design("checkpoints")
+    for i in range(9):
+        design.new_cell(f"c{i}", "SLICE", luts=1)
+    design.new_cell("l0", "SLICE", luts=1, placement=(58, 34)).locked = True
+    design.new_cell("l1", "SLICE", luts=1, placement=(4, 25)).locked = True
+    design.new_cell("m0", "DSP48E2")
+    for name, driver, sinks, width in [
+        ("n0", "c4", ["c1"], 3), ("n1", "c2", ["c6"], 2), ("n2", "l0", ["c6", "c8"], 1),
+        ("n3", "c2", ["c3", "c6"], 1), ("n4", "l1", ["c3"], 1),
+    ]:
+        design.connect(name, driver, sinks, width=width)
+    problem = PlacementProblem.from_design(design, SMALL)
+    sites = legalize(problem, global_place(problem, make_rng(1678), iters=5))
+    sites_ref = sites.copy()
+    stats = anneal_native(problem, sites, seed=1678, moves_per_cell=20, max_moves=2_000)
+    stats_ref = anneal_reference(problem, sites_ref, seed=1678, moves_per_cell=20, max_moves=2_000)
+    assert np.array_equal(sites, sites_ref)
+    assert (stats.accepted, stats.final_cost) == (stats_ref.accepted, stats_ref.final_cost)
 
 
 # -- behavioural regressions --------------------------------------------------

@@ -10,8 +10,6 @@ Hypothesis over random multi-fanout routing problems on the small part:
 * rerouting an already-routed design is a no-op: the router reports the
   old connections as preexisting, routes nothing, and leaves every path
   byte-identical.
-* the arena/windowed A* search returns byte-identical paths to the
-  dict/heap reference search on random congested grids, windowed or not.
 * :func:`routed_occupancy` — computed from all routes at once — returns
   the array, connection count and per-net usage of a plain walk over
   the nets.
@@ -19,7 +17,10 @@ Hypothesis over random multi-fanout routing problems on the small part:
   writes byte-identical routes and returns the same ``RouteResult`` as
   the scalar oracle ``Router.route_reference`` — on random problems and
   on congestion-heavy ones whose connections all cross the die — and
-  ``Router.route`` runs the oracle itself when the core is unavailable.
+  ``Router.route`` runs the oracle itself when the core is unavailable;
+  on a congested design both record the same ``route.*`` telemetry,
+  A* expansions included, so the core's certified search window pops
+  exactly what the unwindowed Python search pops.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from repro.fabric import Device, RoutingGraph, TileType
 from repro.fabric.interconnect import HEX_REACH
 from repro.netlist import Design
 from repro.netlist.net import Net
-from repro.route import Router, astar_route, astar_route_reference
+from repro.obs.span import Tracer
+from repro.route import Router
 from repro.route import native as route_native
 from repro.route.pathfinder import routed_occupancy
 
@@ -174,34 +176,6 @@ def test_rerouting_routed_design_is_noop(problem):
         assert net.routes == snapshot[name]
 
 
-@st.composite
-def congested_searches(draw):
-    """A random congested grid with endpoints and a heuristic weight."""
-    nrows = draw(st.integers(8, 32))
-    ncols = draw(st.integers(8, 32))
-    seed = draw(st.integers(0, 10_000))
-    rng = np.random.default_rng(seed)
-    n_nodes = nrows * ncols
-    cost = 1.0 + 2.0 * rng.integers(0, 3, size=n_nodes).astype(float) + rng.random(n_nodes)
-    src = draw(st.integers(0, n_nodes - 1))
-    dst = draw(st.integers(0, n_nodes - 1))
-    weight = draw(st.sampled_from([1.0, 1.15, 1.3, 2.0]))
-    return nrows, ncols, cost, src, dst, weight
-
-
-@settings(max_examples=60, deadline=None)
-@given(congested_searches())
-def test_astar_arena_window_matches_reference(case):
-    nrows, ncols, cost, src, dst, weight = case
-    ref = astar_route_reference(src, dst, nrows, ncols, cost, heuristic_weight=weight)
-    windowed = astar_route(src, dst, nrows, ncols, cost, heuristic_weight=weight)
-    unwindowed = astar_route(
-        src, dst, nrows, ncols, cost, heuristic_weight=weight, window=False
-    )
-    assert windowed == ref
-    assert unwindowed == ref
-
-
 # -- routed_occupancy vs a scalar walk ----------------------------------------
 
 
@@ -257,11 +231,15 @@ def test_routed_occupancy_matches_scalar_walk(design):
 
 def _routed(design: Design, method: str):
     """Route a copy of *design* through ``Router.<method>``; the routes
-    it wrote and every field of its result."""
+    it wrote, every field of its result and the ``route.*`` metrics it
+    recorded."""
     design = copy.deepcopy(design)
-    result = getattr(Router(SMALL, RoutingGraph(SMALL)), method)(design)
+    tracer = Tracer()
+    with tracer.activate():
+        result = getattr(Router(SMALL, RoutingGraph(SMALL)), method)(design)
     routes = {name: net.routes for name, net in design.nets.items()}
-    return routes, vars(result)
+    metrics = [e for e in tracer.metrics.events() if e["name"].startswith("route.")]
+    return routes, vars(result), metrics
 
 
 @pytest.mark.skipif(
@@ -271,10 +249,11 @@ def _routed(design: Design, method: str):
 @given(routing_problems(), boundary_heavy_problems())
 def test_native_route_matches_reference(easy, congested):
     for design, _seed in (easy, congested):
-        routes, result = _routed(design, "route")
-        routes_ref, result_ref = _routed(design, "route_reference")
+        routes, result, metrics = _routed(design, "route")
+        routes_ref, result_ref, metrics_ref = _routed(design, "route_reference")
         assert result == result_ref
         assert routes == routes_ref
+        assert metrics == metrics_ref
 
 
 @pytest.mark.parametrize("core", ["native", "fallback"])
@@ -305,9 +284,16 @@ def test_route_dispatch_matches_reference(monkeypatch, core):
         design.new_cell(f"s{i}", "SLICE", placement=(CLB_COLS[0], i % rows), luts=1)
         design.new_cell(f"t{i}", "SLICE", placement=(CLB_COLS[-1], (i * 3) % rows), luts=1)
         design.connect(f"n{i}", f"s{i}", [f"t{i}"], width=120)
-    routes, result = _routed(design, "route")
+    routes, result, metrics = _routed(design, "route")
     assert ran == (["native"] if core == "native" else ["reference"])
-    routes_ref, result_ref = _routed(design, "route_reference")
+    routes_ref, result_ref, metrics_ref = _routed(design, "route_reference")
     assert result["iterations"] > 1, "workload too easy to exercise rerouting"
     assert result == result_ref
     assert routes == routes_ref
+    # the telemetry does not depend on which implementation ran: equal
+    # expansion counts mean the core's certified window popped exactly
+    # the nodes the unwindowed search pops
+    counters = {e["name"]: e["value"] for e in metrics if e["kind"] == "counter"}
+    assert counters["route.astar.calls"] > 0
+    assert counters["route.astar.expansions"] > 0
+    assert metrics == metrics_ref
