@@ -41,6 +41,10 @@ repro run ...``.
 
 All commands accept ``--seed`` and are fully deterministic — including
 ``build --jobs N``, whose parallel results are bit-identical to serial.
+``--jobs`` defaults to 1 here, while the library's own default is one
+worker per usable core: a LeNet-sized library gains nothing from a pool
+(measured: equal wall, more CPU), and an in-process build keeps every
+build-side call in this process, where call-counting wrappers see it.
 """
 
 from __future__ import annotations
@@ -58,6 +62,10 @@ from .cnn import MODEL_CATALOG, get_model, group_components
 from .fabric import Device, PART_CATALOG
 
 __all__ = ["main", "build_parser"]
+
+#: ``--jobs`` help of the commands that build a component library first.
+_JOBS_HELP = ("worker processes for the offline database build (default 1, "
+              "in-process; the Python API defaults to one per usable core)")
 
 #: Stock LeNet components selectable by ``explore --component``.
 _EXPLORE_TARGETS = {
@@ -113,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream coefficients from off-chip (VGG style)")
     p_run.add_argument("--pipeline", action="store_true",
                        help="phys-opt pipelining to the slowest-component bound")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the offline database build")
+    p_run.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_run.add_argument("--drc", default="off", choices=("off", "warn", "strict"),
                        help="design-rule-check gates inside the pre-implemented "
                             "flow (strict raises on error-or-worse violations)")
@@ -144,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drc.add_argument("--require-routed", action="store_true",
                        help="escalate unrouted nets to errors when checking a "
                             "checkpoint (built models always require routes)")
-    p_drc.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the offline database build")
+    p_drc.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_drc.add_argument("--seed", type=int, default=0)
     _add_trace_options(p_drc)
 
@@ -179,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG))
     p_build.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
     p_build.add_argument("--granularity", default="layer", choices=("layer", "block"))
-    p_build.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (1 = serial in-process)")
+    p_build.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_build.add_argument("--cache-dir", default=None,
                          help="persistent content-addressed build cache; a warm "
                               "rerun is answered without re-implementing")
@@ -223,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "oracle and assert bit-identity (exit 1 on mismatch)")
     p_eco.add_argument("--sarif", default=None, metavar="PATH",
                        help="write the post-ECO DRC report as SARIF 2.1")
-    p_eco.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the offline database build")
+    p_eco.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_eco.add_argument("--seed", type=int, default=0)
     _add_trace_options(p_eco)
 
@@ -641,7 +645,7 @@ def _cmd_floorplan(args, out) -> int:
     device = Device.from_name(args.part)
     net = get_model(args.model)
     flow = PreImplementedFlow(device, component_effort="high", seed=args.seed)
-    result = flow.run(net, granularity=args.granularity, rom_weights=True)
+    result = flow.run(net, granularity=args.granularity, rom_weights=True, jobs=1)
     print(f"{args.model}: {result.fmax_mhz:.1f} MHz stitched", file=out)
     print(render_floorplan(result.design, device, width=args.width,
                            height=args.height), file=out)

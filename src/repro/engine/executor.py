@@ -8,8 +8,11 @@ The :class:`Engine` runs a :class:`~repro.engine.task.TaskGraph`:
   deterministic topological order;
 * with ``jobs>1`` independent tasks run concurrently on a
   ``ProcessPoolExecutor`` with per-task timeout and retry; anything that
-  cannot be pooled (unpicklable callables, a broken or unavailable pool)
-  falls back gracefully to in-process execution.
+  cannot be pooled (unpicklable callables, a broken pool, workers that
+  cannot start) falls back gracefully to in-process execution;
+* ``jobs=None`` picks one worker per usable core, capped at the number of
+  tasks left to run, and runs serially when the process has other live
+  threads.
 
 Tasks must be pure functions of their inputs for the parallel and serial
 schedules to be equivalent — the engine guarantees *scheduling*
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -142,6 +146,11 @@ class Engine:
     ----------
     jobs:
         Worker processes; ``1`` (the default) executes in-process.
+        ``None`` resolves at :meth:`run` to one worker per usable core,
+        at most one per pending task — and to ``1`` when the process has
+        another live thread, because forking a threaded process can
+        deadlock the child.  :attr:`EngineReport.jobs` reports the
+        resolved count.
     cache:
         Optional :class:`BuildCache` consulted before running any task
         with a ``cache_key`` and populated after each miss.
@@ -154,14 +163,14 @@ class Engine:
 
     def __init__(
         self,
-        jobs: int = 1,
+        jobs: int | None = 1,
         *,
         cache: BuildCache | None = None,
         timeout_s: float | None = None,
         retries: int = 0,
         mp_context: str = "fork",
     ) -> None:
-        self.jobs = max(1, int(jobs))
+        self.jobs = None if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
@@ -198,14 +207,15 @@ class Engine:
                         continue
                 pending.append(spec)
 
+            jobs = self._resolve_jobs(len(pending))
             if pending:
-                if self.jobs == 1:
+                if jobs == 1:
                     self._run_serial(pending, results, telemetry)
                 else:
-                    self._run_pooled(pending, results, telemetry)
+                    self._run_pooled(pending, results, telemetry, jobs)
 
         return EngineReport(
-            jobs=self.jobs,
+            jobs=jobs,
             wall_s=time.perf_counter() - start,
             results=results,
             tasks=telemetry,
@@ -213,6 +223,17 @@ class Engine:
         )
 
     # -- helpers -----------------------------------------------------------
+
+    def _resolve_jobs(self, pending: int) -> int:
+        if self.jobs is not None:
+            return self.jobs
+        if threading.active_count() > 1:
+            return 1
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            cores = os.cpu_count() or 1
+        return max(1, min(cores, pending))
 
     def _cache_status(self, spec: TaskSpec) -> str:
         return "miss" if (self.cache is not None and spec.cache_key is not None) else "off"
@@ -271,6 +292,7 @@ class Engine:
         pending: list[TaskSpec],
         results: dict[str, object],
         telemetry: list[TaskResult],
+        jobs: int,
     ) -> None:
         try:
             import multiprocessing
@@ -281,7 +303,7 @@ class Engine:
                 ctx = multiprocessing.get_context(self.mp_context)
             except ValueError:
                 ctx = multiprocessing.get_context()
-            pool = ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
+            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
         except Exception:
             # No usable pool on this platform/configuration: degrade to serial.
             self._run_serial(pending, results, telemetry)
@@ -308,9 +330,17 @@ class Engine:
             args = resolve_refs(spec.args, results)
             kwargs = resolve_refs(spec.kwargs, results)
             attempts[tid] += 1
-            future = pool.submit(
-                _invoke, spec.fn, args, kwargs, tracer is not None
-            )
+            try:
+                future = pool.submit(
+                    _invoke, spec.fn, args, kwargs, tracer is not None
+                )
+            except OSError as exc:
+                # fork workers start inside the first submit(); EAGAIN or
+                # ENOMEM there means there is no pool: stop any worker
+                # that did start and take the serial fallback below.
+                for process in (pool._processes or {}).values():
+                    process.terminate()
+                raise BrokenProcessPool(f"workers could not start: {exc}") from exc
             inflight[future] = _Flight(
                 spec, time.perf_counter(), self._deadline_for(spec), attempts[tid]
             )
@@ -409,8 +439,9 @@ class Engine:
                                 f"({spec.timeout_s or self.timeout_s}s each)",
                             )
         except BrokenProcessPool:
-            # The pool died under us (worker OOM, hard crash): run whatever
-            # is left in-process so the build still completes.
+            # The pool died under us (worker OOM, hard crash) or never
+            # started: run whatever is left in-process so the build still
+            # completes.
             pool.shutdown(wait=False, cancel_futures=True)
             leftover = [specs[tid] for tid in specs if tid not in results]
             self._run_serial(leftover, results, telemetry)

@@ -16,10 +16,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The parent imports this module before the engine forks its workers, so
+# everything a build imports on first use is imported here, once: lazily,
+# each worker would pay 0.04-0.07 s for it in its first task and the
+# parent again in its online phase (repro.drc from Design.validate,
+# numpy.ma from np.unique in anneal_native, numpy.random from make_rng,
+# and the cores and references the annealer and router import per call).
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
+from .. import drc  # noqa: F401
 from ..cnn.graph import Component
 from ..fabric.device import Device
 from ..netlist.codec import encode_design
 from ..netlist.design import Design
+from ..place import _annealer_reference, native as _place_native  # noqa: F401
+from ..rapidwright.explore import explore_component
+from ..rapidwright.module import candidate_anchors
+from ..rapidwright.ooc import preimplement
+from ..route import native as _route_native  # noqa: F401
+from ..synth.generator import generate_component
 
 __all__ = [
     "ComponentFactory",
@@ -42,8 +58,6 @@ class ComponentFactory:
     rom_weights: bool = True
 
     def __call__(self) -> Design:
-        from ..synth.generator import generate_component
-
         return generate_component(self.component, rom_weights=self.rom_weights)
 
 
@@ -57,8 +71,6 @@ def build_component(
     plan_ports: bool = True,
 ) -> dict:
     """Generate and OOC pre-implement one component; return its checkpoint."""
-    from ..rapidwright.ooc import preimplement
-
     design = ComponentFactory(component, rom_weights)()
     result = preimplement(design, device, effort=effort, seed=seed, plan_ports=plan_ports)
     return {"blob": encode_design(result.design), "fmax_mhz": result.fmax_mhz}
@@ -73,8 +85,6 @@ def explore_build_component(
     explore: dict | None = None,
 ) -> dict:
     """Run the function-optimization DSE for one component; return the best."""
-    from ..rapidwright.explore import explore_component
-
     result = explore_component(
         ComponentFactory(component, rom_weights),
         device,
@@ -98,9 +108,6 @@ def run_explore_trial(
     plan_ports: bool,
 ) -> dict:
     """One DSE trial (one point of the explore sweep) as an engine task."""
-    from ..rapidwright.module import candidate_anchors
-    from ..rapidwright.ooc import preimplement
-
     design = factory()
     ooc = preimplement(
         design,

@@ -14,9 +14,9 @@ The online phase places components from the image's
 its anchor (:meth:`~ComponentDatabase.fetch`) — as a placed block over
 the image, whose objects are built only if something asks for them.  Building goes
 through the :mod:`repro.engine` task-graph executor: independent components
-pre-implement concurrently (``jobs>1``) and a content-addressed
-:class:`~repro.engine.cache.BuildCache` answers repeat builds without
-re-running the flow.
+pre-implement concurrently, one worker per usable core by default, and a
+content-addressed :class:`~repro.engine.cache.BuildCache` answers repeat
+builds without re-running the flow.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ class ComponentDatabase:
         seed: int = 0,
         plan_ports: bool = True,
         explore: dict | None = None,
-        jobs: int = 1,
+        jobs: int | None = None,
         cache: BuildCache | None = None,
         engine: "object | None" = None,
         timeout_s: float | None = None,
@@ -325,7 +325,10 @@ class ComponentDatabase:
         (keyword arguments are forwarded, e.g. ``{"seeds": (0, 1, 2)}``)
         and the best trial is stored.
 
-        *jobs* > 1 pre-implements independent components concurrently;
+        *jobs* worker processes pre-implement independent components
+        concurrently: ``None`` (the default) means one per usable core,
+        serial when the process runs other threads (see
+        :class:`~repro.engine.executor.Engine`), ``1`` serial in-process.
         *cache* short-circuits components whose content address is
         already known.  Parallel builds are bit-identical to serial
         builds — every worker runs the same seeded, pure build function.

@@ -98,13 +98,14 @@ class PreImplementedFlow:
         granularity: str = "layer",
         rom_weights: bool = True,
         database: ComponentDatabase | None = None,
-        jobs: int = 1,
+        jobs: int | None = None,
         cache=None,
     ) -> tuple[ComponentDatabase, StageTimer]:
         """Pre-implement every unique component of *dfg* into a database.
 
-        ``jobs>1`` pre-implements independent components concurrently via
-        the :mod:`repro.engine` worker pool; *cache* (a
+        *jobs* worker processes pre-implement independent components
+        concurrently via the :mod:`repro.engine` worker pool (``None``:
+        one per usable core, see :meth:`ComponentDatabase.build`); *cache* (a
         :class:`~repro.engine.cache.BuildCache`) answers content-addressed
         repeats without re-running the flow.  Results are identical to a
         serial build.
@@ -187,7 +188,7 @@ class PreImplementedFlow:
         database: ComponentDatabase | None = None,
         pipeline_target_mhz: float | str | None = None,
         share_components: bool = False,
-        jobs: int = 1,
+        jobs: int | None = None,
         cache=None,
     ) -> FlowResult:
         """Generate the accelerator for *dfg* from pre-built checkpoints.
@@ -235,7 +236,7 @@ class PreImplementedFlow:
         database: ComponentDatabase | None = None,
         pipeline_target_mhz: float | str | None = None,
         share_components: bool = False,
-        jobs: int = 1,
+        jobs: int | None = None,
         cache=None,
     ) -> FlowResult:
         offline_s = 0.0

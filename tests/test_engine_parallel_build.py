@@ -1,12 +1,22 @@
-"""Engine-backed database builds: determinism, caching, disk persistence."""
+"""Engine-backed database builds: determinism, caching, disk persistence,
+and the default worker count (one per usable core, serial under threads)."""
 
+import errno
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cnn import group_components
-from repro.engine import BuildCache
+import repro
+from repro.cnn import group_components, lenet5, vgg16
+from repro.engine import BuildCache, Engine, TaskGraph
 from repro.engine.workers import ComponentFactory
 from repro.netlist import Cell, DesignImage, encode_design
 from repro.rapidwright import (
@@ -35,6 +45,122 @@ def comps():
     return group_components(make_tiny_cnn(), "layer")
 
 
+@pytest.fixture
+def cores(monkeypatch):
+    """Pin the usable-core count the default ``jobs`` resolves against, and
+    hide threads other tests may have left running in this process."""
+
+    def pin(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+
+    return pin
+
+
+def _square(x):
+    return x * x
+
+
+def _squares(n: int, cache: BuildCache | None = None) -> TaskGraph:
+    graph = TaskGraph()
+    for i in range(n):
+        graph.add(f"t{i}", _square, args=(i,), cache_key=f"square-{i}" if cache else None)
+    return graph
+
+
+# -- default worker count -------------------------------------------------------
+
+
+def test_auto_jobs_caps_at_pending_tasks(cores):
+    cores(8)
+    cache = BuildCache()
+    cache.put("square-0", 0)                     # answered: not pending
+    report = Engine(jobs=None, cache=cache).run(_squares(4, cache))
+    assert report.jobs == 3
+    assert report.results == {f"t{i}": i * i for i in range(4)}
+    assert report.tasks[0].worker == "cache"
+    assert all(t.worker.startswith("pid:") for t in report.tasks[1:])
+
+
+def test_auto_jobs_one_pending_task_runs_serially_without_fork(cores, monkeypatch):
+    cores(8)
+
+    def no_fork():
+        raise AssertionError("forked for a single task")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = Engine(jobs=None).run(_squares(1))
+    assert report.jobs == 1
+    assert [t.worker for t in report.tasks] == ["serial"]
+
+
+def test_auto_jobs_is_serial_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = Engine(jobs=None).run(_squares(4))
+    finally:
+        stop.set()
+        thread.join()
+    assert report.jobs == 1
+    assert {t.worker for t in report.tasks} == {"serial"}
+    assert report.results == {f"t{i}": i * i for i in range(4)}
+
+
+def test_default_jobs_builds_lenet_in_workers_byte_identical(small_device, cores):
+    cores(2)
+    lenet = group_components(lenet5(), "layer")
+    serial = ComponentDatabase(small_device)
+    serial.build(lenet, effort="low", seed=0, jobs=1)
+    pooled = ComponentDatabase(small_device)
+    pooled.build(lenet, effort="low", seed=0)
+    report = pooled.last_build_report
+    assert report.jobs == 2
+    assert all(t.worker.startswith("pid:") for t in report.tasks)
+    assert _payload_blobs(pooled) == _payload_blobs(serial)
+
+
+def test_workers_module_imports_everything_a_build_imports():
+    """Workers fork warm: once the parent has imported the worker module, a
+    component build imports nothing more — not in a forked worker, and not
+    in the parent's own online phase afterwards."""
+    code = textwrap.dedent("""
+        import json, sys
+        import repro.engine.workers as workers
+        from repro.cnn import group_components, lenet5
+        from repro.fabric import Device
+        device = Device.from_name("small")
+        component = group_components(lenet5(), "layer")[0]
+        before = set(sys.modules)
+        workers.build_component(component, device, effort="low")
+        print(json.dumps(sorted(set(sys.modules) - before)))
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_pool_that_cannot_start_builds_serially(small_device, comps, monkeypatch):
+    serial = ComponentDatabase(small_device)
+    serial.build(comps, rom_weights=True, effort="low", seed=0, jobs=1)
+
+    def refuse(self):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
+    fallback = ComponentDatabase(small_device)
+    fallback.build(comps, rom_weights=True, effort="low", seed=0, jobs=2)
+    assert _payload_blobs(fallback) == _payload_blobs(serial)
+    assert {t.worker for t in fallback.last_build_report.tasks} == {"serial"}
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -48,6 +174,19 @@ def test_parallel_build_bit_identical_to_serial(small_device, comps):
     for key in serial.records:
         assert serial.records[key].fmax_mhz == parallel.records[key].fmax_mhz
         assert serial.records[key].signature == parallel.records[key].signature
+
+
+def test_vgg16_block_library_pooled_byte_identical(big_device, cores):
+    """The paper's VGG-16 library (12 block checkpoints, streamed weights,
+    high effort) is the same bytes from the default pool as from one process."""
+    cores(2)
+    blocks = group_components(vgg16(), "block")
+    serial = ComponentDatabase(big_device)
+    serial.build(blocks, rom_weights=False, effort="high", seed=0, jobs=1)
+    pooled = ComponentDatabase(big_device)
+    pooled.build(blocks, rom_weights=False, effort="high", seed=0)
+    assert len(serial) == 12 and pooled.last_build_report.jobs == 2
+    assert _payload_blobs(pooled) == _payload_blobs(serial)
 
 
 def test_build_telemetry_attached(small_device, comps):
