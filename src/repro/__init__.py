@@ -25,7 +25,7 @@ __version__ = "1.0.0"
 #: every ``python -m repro`` start — pays only for what the command at
 #: hand touches; ``from repro import Device`` works as ever.
 _HOME_OF = {name: home for home, names in {
-    "engine": ("BuildCache", "Engine", "TaskGraph"),
+    "engine": ("BuildCache", "Engine"),
     "fabric": ("Device", "PBlock", "RoutingGraph", "TileType", "auto_pblock", "get_part"),
     "netlist": ("Cell", "Design", "DesignError", "Net", "Port",
                 "load_checkpoint", "save_checkpoint"),
@@ -71,7 +71,6 @@ def __dir__():
 __all__ = [
     "BuildCache",
     "Engine",
-    "TaskGraph",
     "Device",
     "PBlock",
     "RoutingGraph",

@@ -78,24 +78,6 @@ class StageTimer:
         top = [v for k, v in self.stages.items() if "/" not in k]
         return sum(top) if top else sum(self.stages.values())
 
-    def fraction(self, name: str) -> float:
-        total = self.total
-        return self.stages.get(name, 0.0) / total if total else 0.0
-
-    def merged(self, other: "StageTimer") -> "StageTimer":
-        """Stage-wise sum of two timers (both inputs unchanged).
-
-        Associative and commutative up to ordering: repeated stage names
-        accumulate, a name duplicated in ``order`` is counted once, and
-        stages present in ``stages`` but missing from ``order`` (timers
-        assembled by hand) are still carried over.
-        """
-        out = StageTimer()
-        for src in (self, other):
-            for name in dict.fromkeys((*src.order, *src.stages)):
-                out.add(name, src.stages[name])
-        return out
-
     def report(self) -> str:
         lines = [f"{name:<28s} {self.stages[name]:10.3f} s" for name in self.order]
         lines.append(f"{'total':<28s} {self.total:10.3f} s")

@@ -8,7 +8,7 @@
   an accelerator with the baseline and/or pre-implemented flow and print
   the comparison.
 * ``build --model vgg16 --jobs 4 [--cache-dir DIR]`` — pre-implement a
-  model's component database through the parallel task-graph engine,
+  model's component database through the parallel build engine,
   with an optional persistent content-addressed build cache (a second
   run with the same ``--cache-dir`` is answered from cache).
 * ``drc --model lenet5 [--mode strict] [--sarif out.sarif]`` — build the
@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 # Only what the argument parser itself needs (the model and part
@@ -67,20 +68,22 @@ __all__ = ["main", "build_parser"]
 _JOBS_HELP = ("worker processes for the offline database build (default 1, "
               "in-process; the Python API defaults to one per usable core)")
 
-#: Stock LeNet components selectable by ``explore --component``.
+
+def _generate(generator: str, *args, **kwargs):
+    """``repro.synth.<generator>(*args, **kwargs)``, importing the synthesizer
+    only when a design is asked for."""
+    from . import synth
+
+    return getattr(synth, generator)(*args, **kwargs)
+
+
+#: Stock LeNet components selectable by ``explore --component``; picklable
+#: factories, so ``explore --jobs N`` evaluates trials in worker processes.
 _EXPLORE_TARGETS = {
-    "conv1": lambda: __import__("repro.synth", fromlist=["gen_conv"]).gen_conv(
-        1, 32, 32, 5, 6, rom_weights=True
-    ),
-    "conv2": lambda: __import__("repro.synth", fromlist=["gen_conv"]).gen_conv(
-        6, 14, 14, 5, 16, rom_weights=True
-    ),
-    "pool1": lambda: __import__("repro.synth", fromlist=["gen_pool"]).gen_pool(
-        6, 28, 28, 2, include_relu=True
-    ),
-    "fc1": lambda: __import__("repro.synth", fromlist=["gen_fc"]).gen_fc(
-        400, 120, rom_weights=True
-    ),
+    "conv1": partial(_generate, "gen_conv", 1, 32, 32, 5, 6, rom_weights=True),
+    "conv2": partial(_generate, "gen_conv", 6, 14, 14, 5, 16, rom_weights=True),
+    "pool1": partial(_generate, "gen_pool", 6, 28, 28, 2, include_relu=True),
+    "fc1": partial(_generate, "gen_fc", 400, 120, rom_weights=True),
 }
 
 

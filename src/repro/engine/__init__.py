@@ -1,20 +1,19 @@
-"""Parallel task-graph build engine with a content-addressed checkpoint cache.
+"""Parallel build engine with a content-addressed checkpoint cache.
 
 The function-optimization phase is the flow's one expensive step; this
-package turns it (and any other stage-shaped work) into an explicit task
-graph executed by a worker pool and memoized by content address:
+package runs its independent component builds (and the trials of a
+design-space sweep) as a cached parallel map:
 
-* :mod:`~repro.engine.task` — tasks, dependencies, topological order;
-* :mod:`~repro.engine.executor` — the :class:`Engine`: process pool,
-  timeout/retry, serial fallback, per-task telemetry;
+* :mod:`~repro.engine.executor` — :class:`TaskSpec` and the
+  :class:`Engine`: forked process pool, serial fallback, per-task
+  telemetry;
 * :mod:`~repro.engine.cache` — :class:`BuildCache`, canonical content
   keys, hit/miss/eviction accounting;
 * :mod:`~repro.engine.workers` — picklable build/DSE entry points.
 """
 
 from .cache import CODE_SALT, BuildCache, CacheStats, canonical_blob, content_key
-from .executor import Engine, EngineReport, TaskError, TaskResult
-from .task import GraphError, TaskGraph, TaskRef, TaskSpec, resolve_refs
+from .executor import Engine, EngineReport, TaskError, TaskResult, TaskSpec
 
 __all__ = [
     "CODE_SALT",
@@ -26,9 +25,5 @@ __all__ = [
     "EngineReport",
     "TaskError",
     "TaskResult",
-    "GraphError",
-    "TaskGraph",
-    "TaskRef",
     "TaskSpec",
-    "resolve_refs",
 ]

@@ -1,23 +1,23 @@
-"""Dependency-aware task execution with a process worker pool.
+"""Cached parallel map over independent tasks.
 
-The :class:`Engine` runs a :class:`~repro.engine.task.TaskGraph`:
+:meth:`Engine.run` takes a list of :class:`TaskSpec`:
 
 * tasks whose ``cache_key`` is present in the build cache are answered
   without executing;
-* with ``jobs=1`` the remaining tasks run serially, in-process, in
-  deterministic topological order;
-* with ``jobs>1`` independent tasks run concurrently on a
-  ``ProcessPoolExecutor`` with per-task timeout and retry; anything that
-  cannot be pooled (unpicklable callables, a broken pool, workers that
-  cannot start) falls back gracefully to in-process execution;
+* with ``jobs=1`` the remaining tasks run serially, in-process, in list
+  order;
+* with ``jobs>1`` they run on a forked ``ProcessPoolExecutor``; anything
+  that cannot be pooled (unpicklable callables, a broken pool, workers
+  that cannot start) falls back to in-process execution;
 * ``jobs=None`` picks one worker per usable core, capped at the number of
   tasks left to run, and runs serially when the process has other live
   threads.
 
 Tasks must be pure functions of their inputs for the parallel and serial
-schedules to be equivalent — the engine guarantees *scheduling*
-determinism (stable ordering, no shared mutable state), and the flow's
-seeded stages guarantee *value* determinism on top.
+schedules to be equivalent — the engine shares no mutable state between
+tasks, and the flow's seeded stages guarantee *value* determinism on top.
+A failed task is not retried: a pure, seeded task fails the same way
+twice, and a dead worker is handled by the serial fallback.
 
 Every task leaves a telemetry record (queue time, run time, worker id,
 cache status) and the report aggregates them into a
@@ -27,27 +27,45 @@ productivity accounting the benchmarks already use.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .._util import StageTimer
 from ..obs import collect as _collect
 from ..obs.span import current_tracer, incr, observe, span
 from .cache import BuildCache
-from .task import TaskGraph, TaskSpec, resolve_refs
 
-__all__ = ["Engine", "EngineReport", "TaskError", "TaskResult"]
+__all__ = ["Engine", "EngineReport", "TaskError", "TaskResult", "TaskSpec"]
 
 _MISS = object()
 
 
+@dataclass
+class TaskSpec:
+    """One independent unit of work.
+
+    ``fn`` must be picklable (module-level) for pooled execution; the
+    engine falls back to in-process execution when it is not.
+    ``cache_key`` opts the task into the content-addressed build cache.
+    """
+
+    id: str
+    fn: Callable[..., Any]
+    args: tuple = ()
+    kwargs: dict = field(default_factory=dict)
+    stage: str = "task"
+    cache_key: str | None = None
+
+
 class TaskError(RuntimeError):
-    """A task failed after exhausting its retry budget."""
+    """A task raised."""
 
     def __init__(self, task_id: str, message: str, cause: BaseException | None = None):
         super().__init__(f"task {task_id!r}: {message}")
@@ -65,7 +83,6 @@ class TaskResult:
     cache: str           # "hit" | "miss" | "off"
     queue_s: float
     run_s: float
-    attempts: int
 
 
 @dataclass
@@ -76,7 +93,6 @@ class EngineReport:
     wall_s: float
     results: dict[str, object]
     tasks: list[TaskResult] = field(default_factory=list)
-    cache: BuildCache | None = None
 
     @property
     def hit_count(self) -> int:
@@ -101,11 +117,11 @@ class EngineReport:
     def telemetry(self) -> str:
         """Human-readable per-task table (queue/run/worker/cache)."""
         lines = [f"{'task':<24s} {'stage':<20s} {'worker':>10s} {'cache':>5s} "
-                 f"{'queue s':>8s} {'run s':>8s} {'try':>3s}"]
+                 f"{'queue s':>8s} {'run s':>8s}"]
         for t in self.tasks:
             lines.append(
                 f"{t.task_id:<24s} {t.stage:<20s} {t.worker:>10s} {t.cache:>5s} "
-                f"{t.queue_s:8.3f} {t.run_s:8.3f} {t.attempts:3d}"
+                f"{t.queue_s:8.3f} {t.run_s:8.3f}"
             )
         return "\n".join(lines)
 
@@ -129,18 +145,8 @@ def _looks_unpicklable(exc: BaseException) -> bool:
     return isinstance(exc, pickle.PicklingError) or "pickle" in str(exc).lower()
 
 
-@dataclass
-class _Flight:
-    """Bookkeeping for one in-flight pooled task."""
-
-    spec: TaskSpec
-    submitted_at: float
-    deadline: float | None
-    attempts: int
-
-
 class Engine:
-    """Parallel task-graph executor with a content-addressed cache.
+    """Parallel map over independent tasks with a content-addressed cache.
 
     Parameters
     ----------
@@ -154,47 +160,32 @@ class Engine:
     cache:
         Optional :class:`BuildCache` consulted before running any task
         with a ``cache_key`` and populated after each miss.
-    timeout_s / retries:
-        Defaults for tasks that do not set their own.  Timeouts are
-        enforced in pooled mode only (a timed-out attempt is resubmitted
-        until the retry budget runs out; the stray worker call is
-        abandoned, which is sound because tasks are pure).
     """
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        *,
-        cache: BuildCache | None = None,
-        timeout_s: float | None = None,
-        retries: int = 0,
-        mp_context: str = "fork",
-    ) -> None:
+    def __init__(self, jobs: int | None = 1, *, cache: BuildCache | None = None) -> None:
         self.jobs = None if jobs is None else max(1, int(jobs))
         self.cache = cache
-        self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.mp_context = mp_context
 
-    # -- public ------------------------------------------------------------
-
-    def run(self, graph: TaskGraph) -> EngineReport:
+    def run(self, tasks: list[TaskSpec]) -> EngineReport:
+        """Run every task; a duplicate task id raises :class:`ValueError`."""
         start = time.perf_counter()
-        order = graph.order()
         results: dict[str, object] = {}
         telemetry: list[TaskResult] = []
 
         tracer = current_tracer()
-        with span("engine.run", tasks=len(order)):
+        with span("engine.run", tasks=len(tasks)):
+            seen: set[str] = set()
             pending: list[TaskSpec] = []
-            for tid in order:
-                spec = graph[tid]
+            for spec in tasks:
+                if spec.id in seen:
+                    raise ValueError(f"duplicate task id {spec.id!r}")
+                seen.add(spec.id)
                 if self.cache is not None and spec.cache_key is not None:
                     value = self.cache.get(spec.cache_key, _MISS)
                     if value is not _MISS:
-                        results[tid] = value
+                        results[spec.id] = value
                         telemetry.append(
-                            TaskResult(tid, spec.stage, "cache", "hit", 0.0, 0.0, 0)
+                            TaskResult(spec.id, spec.stage, "cache", "hit", 0.0, 0.0)
                         )
                         incr("cache.hit")
                         if tracer is not None:
@@ -202,7 +193,7 @@ class Engine:
                                 "engine.task",
                                 t0=time.perf_counter(),
                                 dur=0.0,
-                                attrs={"task": tid, "stage": spec.stage, "cache": "hit"},
+                                attrs={"task": spec.id, "stage": spec.stage, "cache": "hit"},
                             )
                         continue
                 pending.append(spec)
@@ -219,7 +210,6 @@ class Engine:
             wall_s=time.perf_counter() - start,
             results=results,
             tasks=telemetry,
-            cache=self.cache,
         )
 
     # -- helpers -----------------------------------------------------------
@@ -238,16 +228,14 @@ class Engine:
     def _cache_status(self, spec: TaskSpec) -> str:
         return "miss" if (self.cache is not None and spec.cache_key is not None) else "off"
 
-    def _store(self, spec: TaskSpec, value: object) -> None:
-        if self.cache is not None and spec.cache_key is not None:
+    def _finish(self, spec: TaskSpec, value: object, status: str,
+                results: dict[str, object], telemetry: list[TaskResult],
+                worker: str, queue_s: float, run_s: float) -> None:
+        if status == "miss":
+            incr("cache.miss")
             self.cache.put(spec.cache_key, value)
-
-    def _retries_for(self, spec: TaskSpec) -> int:
-        return self.retries if spec.retries is None else max(0, spec.retries)
-
-    def _deadline_for(self, spec: TaskSpec) -> float | None:
-        timeout = spec.timeout_s if spec.timeout_s is not None else self.timeout_s
-        return None if timeout is None else time.perf_counter() + timeout
+        results[spec.id] = value
+        telemetry.append(TaskResult(spec.id, spec.stage, worker, status, queue_s, run_s))
 
     # -- serial ------------------------------------------------------------
 
@@ -258,32 +246,15 @@ class Engine:
         telemetry: list[TaskResult],
     ) -> None:
         for spec in pending:
-            args = resolve_refs(spec.args, results)
-            kwargs = resolve_refs(spec.kwargs, results)
-            attempts = 0
-            budget = self._retries_for(spec)
             status = self._cache_status(spec)
-            with span("engine.task", task=spec.id, stage=spec.stage, cache=status):
-                while True:
-                    attempts += 1
-                    start = time.perf_counter()
-                    try:
-                        value = spec.fn(*args, **kwargs)
-                        break
-                    except Exception as exc:
-                        if attempts > budget:
-                            raise TaskError(
-                                spec.id, f"failed after {attempts} attempts: {exc}",
-                                cause=exc,
-                            ) from exc
-            run_s = time.perf_counter() - start
-            if status == "miss":
-                incr("cache.miss")
-            results[spec.id] = value
-            self._store(spec, value)
-            telemetry.append(TaskResult(
-                spec.id, spec.stage, "serial", status, 0.0, run_s, attempts
-            ))
+            start = time.perf_counter()
+            try:
+                with span("engine.task", task=spec.id, stage=spec.stage, cache=status):
+                    value = spec.fn(*spec.args, **spec.kwargs)
+            except Exception as exc:
+                raise TaskError(spec.id, f"failed: {exc}", cause=exc) from exc
+            self._finish(spec, value, status, results, telemetry,
+                         "serial", 0.0, time.perf_counter() - start)
 
     # -- pooled ------------------------------------------------------------
 
@@ -295,159 +266,67 @@ class Engine:
         jobs: int,
     ) -> None:
         try:
-            import multiprocessing
-
             try:
                 # fork keeps workers warm (imports inherited) and preserves
                 # the parent's hash seed; platforms without it use their default.
-                ctx = multiprocessing.get_context(self.mp_context)
+                ctx = multiprocessing.get_context("fork")
             except ValueError:
                 ctx = multiprocessing.get_context()
-            pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+            pool = ProcessPoolExecutor(jobs, ctx)
         except Exception:
             # No usable pool on this platform/configuration: degrade to serial.
             self._run_serial(pending, results, telemetry)
             return
 
-        specs = {spec.id: spec for spec in pending}
-        remaining = {
-            spec.id: sum(1 for d in spec.deps if d not in results) for spec in pending
-        }
-        dependents: dict[str, list[str]] = {tid: [] for tid in specs}
-        for spec in pending:
-            for dep in spec.deps:
-                if dep in specs:
-                    dependents[dep].append(spec.id)
-        ready = [tid for tid in specs if remaining[tid] == 0]
-        attempts = {tid: 0 for tid in specs}
-        inflight: dict[Future, _Flight] = {}
-        done_count = 0
-
         tracer = current_tracer()
-
-        def submit(tid: str) -> None:
-            spec = specs[tid]
-            args = resolve_refs(spec.args, results)
-            kwargs = resolve_refs(spec.kwargs, results)
-            attempts[tid] += 1
-            try:
-                future = pool.submit(
-                    _invoke, spec.fn, args, kwargs, tracer is not None
-                )
-            except OSError as exc:
-                # fork workers start inside the first submit(); EAGAIN or
-                # ENOMEM there means there is no pool: stop any worker
-                # that did start and take the serial fallback below.
-                for process in (pool._processes or {}).values():
-                    process.terminate()
-                raise BrokenProcessPool(f"workers could not start: {exc}") from exc
-            inflight[future] = _Flight(
-                spec, time.perf_counter(), self._deadline_for(spec), attempts[tid]
-            )
-
-        def finish(spec: TaskSpec, value, worker: str, queue_s: float, run_s: float,
-                   *, t0: float | None = None, events: list | None = None,
-                   emit: bool = True) -> None:
-            nonlocal done_count
-            status = self._cache_status(spec)
-            if status == "miss":
-                incr("cache.miss")
-            observe("engine.queue_ms", max(0.0, queue_s) * 1e3)
-            if emit and tracer is not None:
-                # Synthetic task span timed by the parent; the worker's own
-                # spans re-parent under it.
-                span_id = tracer.emit_span(
-                    "engine.task",
-                    t0=t0 if t0 is not None else time.perf_counter() - run_s,
-                    dur=run_s,
-                    attrs={"task": spec.id, "stage": spec.stage, "cache": status},
-                )
-                if events:
-                    _collect.merge(tracer, events, parent_id=span_id)
-            results[spec.id] = value
-            self._store(spec, value)
-            telemetry.append(TaskResult(
-                spec.id, spec.stage, worker, status,
-                max(0.0, queue_s), run_s, attempts[spec.id],
-            ))
-            done_count += 1
-            for nxt in dependents[spec.id]:
-                remaining[nxt] -= 1
-                if remaining[nxt] == 0:
-                    ready.append(nxt)
-
-        def run_inline(spec: TaskSpec, queue_s: float) -> None:
-            """In-process fallback for work the pool cannot take."""
-            args = resolve_refs(spec.args, results)
-            kwargs = resolve_refs(spec.kwargs, results)
-            start = time.perf_counter()
-            try:
-                with span("engine.task", task=spec.id, stage=spec.stage,
-                          cache=self._cache_status(spec)):
-                    value = spec.fn(*args, **kwargs)
-            except Exception as exc:
-                raise TaskError(spec.id, f"failed in serial fallback: {exc}", cause=exc) from exc
-            finish(spec, value, "serial", queue_s, time.perf_counter() - start,
-                   emit=False)
-
         try:
-            while done_count < len(specs):
-                while ready:
-                    submit(ready.pop(0))
-                if not inflight:
-                    raise TaskError(
-                        next(iter(specs)), "scheduler stalled (unsatisfiable deps)"
+            submitted = {}
+            for spec in pending:
+                try:
+                    future = pool.submit(
+                        _invoke, spec.fn, spec.args, spec.kwargs, tracer is not None
                     )
-                finished, _ = wait(
-                    set(inflight), timeout=0.05, return_when=FIRST_COMPLETED
-                )
+                except OSError as exc:
+                    # fork workers start inside the first submit(); EAGAIN or
+                    # ENOMEM there means there is no pool: stop any worker
+                    # that did start and take the serial fallback below.
+                    for process in (pool._processes or {}).values():
+                        process.terminate()
+                    raise BrokenProcessPool(f"workers could not start: {exc}") from exc
+                submitted[future] = (spec, time.perf_counter())
+            for future in as_completed(submitted):
+                spec, submitted_at = submitted[future]
+                try:
+                    value, pid, run_s, events = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:
+                    if not _looks_unpicklable(exc):
+                        raise TaskError(spec.id, f"failed: {exc}", cause=exc) from exc
+                    self._run_serial([spec], results, telemetry)
+                    continue
                 now = time.perf_counter()
-                for future in finished:
-                    flight = inflight.pop(future)
-                    spec = flight.spec
-                    try:
-                        value, pid, run_s, events = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as exc:
-                        if _looks_unpicklable(exc):
-                            run_inline(spec, now - flight.submitted_at)
-                        elif flight.attempts <= self._retries_for(spec):
-                            submit(spec.id)
-                        else:
-                            raise TaskError(
-                                spec.id,
-                                f"failed after {flight.attempts} attempts: {exc}",
-                                cause=exc,
-                            ) from exc
-                        continue
-                    finish(spec, value, f"pid:{pid}",
-                           now - flight.submitted_at - run_s, run_s,
-                           t0=now - run_s, events=events)
-                # Enforce per-task deadlines on whatever is still running.
-                for future, flight in list(inflight.items()):
-                    if flight.deadline is not None and now > flight.deadline:
-                        future.cancel()
-                        del inflight[future]
-                        spec = flight.spec
-                        if flight.attempts <= self._retries_for(spec):
-                            submit(spec.id)
-                        else:
-                            raise TaskError(
-                                spec.id,
-                                f"timed out after {flight.attempts} attempts "
-                                f"({spec.timeout_s or self.timeout_s}s each)",
-                            )
+                status = self._cache_status(spec)
+                queue_s = max(0.0, now - submitted_at - run_s)
+                observe("engine.queue_ms", queue_s * 1e3)
+                if tracer is not None:
+                    # Synthetic task span timed by the parent; the worker's own
+                    # spans re-parent under it.
+                    span_id = tracer.emit_span(
+                        "engine.task", t0=now - run_s, dur=run_s,
+                        attrs={"task": spec.id, "stage": spec.stage, "cache": status},
+                    )
+                    if events:
+                        _collect.merge(tracer, events, parent_id=span_id)
+                self._finish(spec, value, status, results, telemetry,
+                             f"pid:{pid}", queue_s, run_s)
         except BrokenProcessPool:
             # The pool died under us (worker OOM, hard crash) or never
             # started: run whatever is left in-process so the build still
             # completes.
             pool.shutdown(wait=False, cancel_futures=True)
-            leftover = [specs[tid] for tid in specs if tid not in results]
-            self._run_serial(leftover, results, telemetry)
+            self._run_serial([s for s in pending if s.id not in results], results, telemetry)
         except BaseException:
-            # Don't block the caller on abandoned workers (e.g. a timed-out
-            # task still sleeping in a child) — detach and re-raise.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:

@@ -31,8 +31,7 @@ from ..fabric.device import Device
 from ..netlist.codec import encode_design
 from ..netlist.design import Design
 from ..place import _annealer_reference, native as _place_native  # noqa: F401
-from ..rapidwright.explore import explore_component
-from ..rapidwright.module import candidate_anchors
+from ..rapidwright.explore import explore_component, implement_trial
 from ..rapidwright.ooc import preimplement
 from ..route import native as _route_native  # noqa: F401
 from ..synth.generator import generate_component
@@ -97,31 +96,12 @@ def explore_build_component(
     }
 
 
-def run_explore_trial(
-    factory,
-    device: Device,
-    *,
-    seed: int,
-    effort: str,
-    slack: float,
-    height: int | None,
-    plan_ports: bool,
-) -> dict:
+def run_explore_trial(factory, device: Device, point: tuple, plan_ports: bool) -> tuple:
     """One DSE trial (one point of the explore sweep) as an engine task."""
-    design = factory()
-    ooc = preimplement(
-        design,
-        device,
-        effort=effort,
-        seed=seed,
-        plan_ports=plan_ports,
-        slack=slack,
-        max_height=height,
-    )
-    anchors = len(candidate_anchors(device, design))
+    ooc, anchors = implement_trial(factory, device, point, plan_ports)
     # Ship the locked design as one binary blob instead of letting the
-    # pickler walk thousands of Cell/Net objects; the sweep driver
-    # reattaches it (see explore._explore_pooled).
+    # pickler walk thousands of Cell/Net objects; the sweep decodes it
+    # back in (see explore._reattached).
     blob = encode_design(ooc.design)
     ooc.design = None
-    return {"ooc": ooc, "design_blob": blob, "anchors": anchors}
+    return ooc, blob, anchors

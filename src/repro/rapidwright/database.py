@@ -12,8 +12,8 @@ returns, what sits in memory, and — as ``<key>.dcpb``, its
 The online phase places components from the image's
 :meth:`~ComponentDatabase.footprint` and fetches each instance once, at
 its anchor (:meth:`~ComponentDatabase.fetch`) — as a placed block over
-the image, whose objects are built only if something asks for them.  Building goes
-through the :mod:`repro.engine` task-graph executor: independent components
+the image, whose objects are built only if something asks for them.  Building is
+a :mod:`repro.engine` parallel map: independent components
 pre-implement concurrently, one worker per usable core by default, and a
 content-addressed :class:`~repro.engine.cache.BuildCache` answers repeat
 builds without re-running the flow.
@@ -307,9 +307,6 @@ class ComponentDatabase:
         explore: dict | None = None,
         jobs: int | None = None,
         cache: BuildCache | None = None,
-        engine: "object | None" = None,
-        timeout_s: float | None = None,
-        retries: int = 0,
     ) -> StageTimer:
         """Pre-implement every unique component signature not yet stored.
 
@@ -333,66 +330,40 @@ class ComponentDatabase:
         already known.  Parallel builds are bit-identical to serial
         builds — every worker runs the same seeded, pure build function.
         """
-        timer = StageTimer()
         pending: dict[str, Component] = {}
         for comp in components:
             if self.has(comp.signature):
                 continue
             pending.setdefault(signature_key(comp.signature), comp)
         if not pending:
-            return timer
+            return StageTimer()
 
         from ..engine import workers
-        from ..engine.executor import Engine
-        from ..engine.task import TaskGraph
+        from ..engine.executor import Engine, TaskSpec
 
-        runner = engine or Engine(
-            jobs=jobs, cache=cache, timeout_s=timeout_s, retries=retries
-        )
-        graph = TaskGraph()
-        for key, comp in pending.items():
-            cache_key = build_cache_key(
-                comp.signature,
-                self.device,
-                rom_weights=rom_weights,
-                effort=effort,
-                seed=seed,
-                plan_ports=plan_ports,
-                explore=explore,
+        options = dict(rom_weights=rom_weights, plan_ports=plan_ports)
+        if explore:
+            fn = workers.explore_build_component
+            options["explore"] = dict(explore)
+        else:
+            fn = workers.build_component
+            options.update(effort=effort, seed=seed)
+        tasks = [
+            TaskSpec(
+                key, fn, (comp, self.device), options,
+                stage=f"build:{comp.kind}",
+                cache_key=build_cache_key(
+                    comp.signature, self.device, rom_weights=rom_weights,
+                    effort=effort, seed=seed, plan_ports=plan_ports, explore=explore,
+                ),
             )
-            if explore:
-                graph.add(
-                    key,
-                    workers.explore_build_component,
-                    args=(comp, self.device),
-                    kwargs=dict(
-                        rom_weights=rom_weights,
-                        plan_ports=plan_ports,
-                        explore=dict(explore),
-                    ),
-                    stage=f"build:{comp.kind}",
-                    cache_key=cache_key,
-                )
-            else:
-                graph.add(
-                    key,
-                    workers.build_component,
-                    args=(comp, self.device),
-                    kwargs=dict(
-                        rom_weights=rom_weights,
-                        effort=effort,
-                        seed=seed,
-                        plan_ports=plan_ports,
-                    ),
-                    stage=f"build:{comp.kind}",
-                    cache_key=cache_key,
-                )
-        report = runner.run(graph)
+            for key, comp in pending.items()
+        ]
+        report = Engine(jobs=jobs, cache=cache).run(tasks)
         self.last_build_report = report
         for key, comp in pending.items():
             self.put_result(comp.signature, report.results[key])
-        for task in report.tasks:
-            timer.add(task.stage, task.run_s)
+        timer = report.timer()
         timer.add("build/wall", report.wall_s)
         return timer
 

@@ -16,10 +16,11 @@ frequency is met.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .._util import StageTimer
 from ..fabric.device import Device
+from ..netlist.codec import decode_design
 from ..netlist.design import Design
 from .module import candidate_anchors
 from .ooc import OOCResult, preimplement
@@ -75,8 +76,7 @@ def explore_component(
     plan_ports: bool = True,
     target_fmax_mhz: float | None = None,
     anchor_weight: float = 0.0,
-    jobs: int = 1,
-    engine=None,
+    jobs: int | None = 1,
 ) -> ExploreResult:
     """Sweep the function-optimization space for one component.
 
@@ -84,125 +84,35 @@ def explore_component(
     ----------
     factory:
         Zero-argument callable producing a *fresh* unimplemented design
-        (each trial consumes one).  For ``jobs>1`` a picklable factory
+        (each trial consumes one).  For ``jobs != 1`` a picklable factory
         (e.g. :class:`repro.engine.workers.ComponentFactory`) lets trials
         run in worker processes; unpicklable factories silently fall back
         to in-process execution.
     seeds / efforts / slacks / heights:
         The swept axes: placement seed, effort preset, floorplan slack,
         and pblock max-height (``None`` = the automatic aspect heuristic).
+        Trials are recorded in grid order: slack, then height, effort and
+        seed.
     target_fmax_mhz:
         Early exit once a trial meets this frequency (the paper's
-        "iteration to meet the constraints").  With ``jobs>1`` all trials
-        are evaluated but the recorded sweep is truncated at the first
-        qualifying trial in grid order, so the result is identical to the
-        serial sweep (some work is speculative and discarded).
+        "iteration to meet the constraints"): the recorded sweep ends at
+        the first qualifying trial in grid order.
     anchor_weight:
         Score = Fmax + ``anchor_weight`` x (#compatible anchors); a
         positive weight trades a little frequency for reusability
         (smaller, more relocatable pblocks).
-    jobs / engine:
-        Trials are independent, so they parallelize through the
-        :class:`repro.engine.executor.Engine` worker pool; pass an engine
-        to share its cache/pool configuration.
+    jobs:
+        ``1`` evaluates the trials in-process, one at a time, so the
+        early exit skips every trial after the first that meets the
+        target.  Anything else evaluates all of them concurrently as
+        independent :class:`repro.engine.executor.Engine` tasks (``None``
+        = one worker per usable core); the result is identical to the
+        in-process sweep, and the trials after an early exit are
+        speculative work that is discarded.
 
     Returns the best implementation; its design is locked and ready for
     the checkpoint database.
     """
-    if jobs != 1 or engine is not None:
-        return _explore_pooled(
-            factory,
-            device,
-            seeds=seeds,
-            efforts=efforts,
-            slacks=slacks,
-            heights=heights,
-            plan_ports=plan_ports,
-            target_fmax_mhz=target_fmax_mhz,
-            anchor_weight=anchor_weight,
-            jobs=jobs,
-            engine=engine,
-        )
-    result: ExploreResult | None = None
-    timer = StageTimer()
-    done = False
-    for slack in slacks:
-        for height in heights:
-            for effort in efforts:
-                for seed in seeds:
-                    with timer.stage("explore/trial"):
-                        design = factory()
-                        kwargs = dict(
-                            effort=effort,
-                            seed=seed,
-                            plan_ports=plan_ports,
-                            slack=slack,
-                        )
-                        ooc = _preimplement_with_height(design, device, height, kwargs)
-                        anchors = len(candidate_anchors(device, design))
-                        trial = ExploreTrial(
-                            seed=seed,
-                            effort=effort,
-                            slack=slack,
-                            max_height=height,
-                            fmax_mhz=ooc.fmax_mhz,
-                            anchors=anchors,
-                            pblock_area=ooc.pblock.area,
-                            score=ooc.fmax_mhz + anchor_weight * anchors,
-                        )
-                    if result is None:
-                        result = ExploreResult(best=ooc, timer=timer)
-                    result.trials.append(trial)
-                    if trial.score > max(
-                        (t.score for t in result.trials[:-1]), default=float("-inf")
-                    ):
-                        result.best = ooc
-                    if target_fmax_mhz is not None and ooc.fmax_mhz >= target_fmax_mhz:
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-    if result is None:
-        raise ValueError("exploration space is empty (check the sweep axes)")
-    result.timer = timer
-    return result
-
-
-def _preimplement_with_height(
-    design: Design, device: Device, height: int | None, kwargs: dict
-) -> OOCResult:
-    """Pre-implement honoring an explicit pblock height override."""
-    return preimplement(design, device, max_height=height, **kwargs)
-
-
-def _explore_pooled(
-    factory: Callable[[], Design],
-    device: Device,
-    *,
-    seeds: Iterable[int],
-    efforts: Iterable[str],
-    slacks: Iterable[float],
-    heights: Iterable[int | None],
-    plan_ports: bool,
-    target_fmax_mhz: float | None,
-    anchor_weight: float,
-    jobs: int,
-    engine,
-) -> ExploreResult:
-    """Engine-backed sweep: every trial is an independent task.
-
-    The trial record is assembled in grid order afterwards, reproducing
-    the serial sweep exactly (same best, same trial list, same early-exit
-    truncation) regardless of completion order.
-    """
-    from ..engine.executor import Engine
-    from ..engine.task import TaskGraph
-    from ..engine.workers import run_explore_trial
-
     grid = [
         (slack, height, effort, seed)
         for slack in slacks
@@ -212,37 +122,24 @@ def _explore_pooled(
     ]
     if not grid:
         raise ValueError("exploration space is empty (check the sweep axes)")
+    if jobs == 1:
+        timer = StageTimer()
+        outcomes = _in_process(factory, device, grid, plan_ports, timer)
+    else:
+        from ..engine.executor import Engine, TaskSpec
+        from ..engine.workers import run_explore_trial
 
-    runner = engine or Engine(jobs=jobs)
-    graph = TaskGraph()
-    for i, (slack, height, effort, seed) in enumerate(grid):
-        graph.add(
-            f"trial{i}",
-            run_explore_trial,
-            args=(factory, device),
-            kwargs=dict(
-                seed=seed,
-                effort=effort,
-                slack=slack,
-                height=height,
-                plan_ports=plan_ports,
-            ),
-            stage="explore/trial",
-        )
-    report = runner.run(graph)
-    timer = report.timer()
+        report = Engine(jobs=jobs).run([
+            TaskSpec(f"trial{i}", run_explore_trial, (factory, device, point, plan_ports),
+                     stage="explore/trial")
+            for i, point in enumerate(grid)
+        ])
+        timer = report.timer()
+        outcomes = _reattached(report.results[f"trial{i}"] for i in range(len(grid)))
 
-    result: ExploreResult | None = None
-    for i, (slack, height, effort, seed) in enumerate(grid):
-        out = report.results[f"trial{i}"]
-        ooc: OOCResult = out["ooc"]
-        if ooc.design is None and "design_blob" in out:
-            # Workers detach the design and ship it as one binary blob
-            # (cheap pickle transfer); rebuild the full OOCResult here.
-            from ..netlist.codec import decode_design
-
-            ooc.design = decode_design(out["design_blob"])
-        anchors: int = out["anchors"]
+    best: OOCResult | None = None
+    trials: list[ExploreTrial] = []
+    for (slack, height, effort, seed), (ooc, anchors) in zip(grid, outcomes):
         trial = ExploreTrial(
             seed=seed,
             effort=effort,
@@ -253,14 +150,38 @@ def _explore_pooled(
             pblock_area=ooc.pblock.area,
             score=ooc.fmax_mhz + anchor_weight * anchors,
         )
-        if result is None:
-            result = ExploreResult(best=ooc, timer=timer)
-        prev_best = max((t.score for t in result.trials), default=float("-inf"))
-        result.trials.append(trial)
-        if trial.score > prev_best:
-            result.best = ooc
+        if best is None or trial.score > max(t.score for t in trials):
+            best = ooc
+        trials.append(trial)
         if target_fmax_mhz is not None and ooc.fmax_mhz >= target_fmax_mhz:
             break
-    assert result is not None
-    result.timer = timer
-    return result
+    return ExploreResult(best=best, trials=trials, timer=timer)
+
+
+def implement_trial(
+    factory: Callable[[], Design], device: Device, point: tuple, plan_ports: bool
+) -> tuple[OOCResult, int]:
+    """Pre-implement a fresh design at one grid *point*
+    ``(slack, height, effort, seed)``; return it with its anchor count."""
+    slack, height, effort, seed = point
+    design = factory()
+    ooc = preimplement(
+        design, device, effort=effort, seed=seed, plan_ports=plan_ports,
+        slack=slack, max_height=height,
+    )
+    return ooc, len(candidate_anchors(device, design))
+
+
+def _in_process(factory, device, grid, plan_ports, timer) -> Iterator[tuple[OOCResult, int]]:
+    """The trials one at a time, each only once the sweep asks for it."""
+    for point in grid:
+        with timer.stage("explore/trial"):
+            outcome = implement_trial(factory, device, point, plan_ports)
+        yield outcome
+
+
+def _reattached(results) -> Iterator[tuple[OOCResult, int]]:
+    """Pooled trial outputs with each locked design decoded back in."""
+    for ooc, blob, anchors in results:
+        ooc.design = decode_design(blob)
+        yield ooc, anchors

@@ -5,8 +5,8 @@ the existing flow machinery end to end rather than forking a parallel
 executor:
 
 * the submission's offline phase goes through
-  :meth:`PreImplementedFlow.build_database`, which decomposes into the
-  :mod:`repro.engine` task graph — so concurrent jobs share component
+  :meth:`PreImplementedFlow.build_database`, which decomposes into
+  :mod:`repro.engine` component-build tasks — so concurrent jobs share component
   builds through the farm's shared :class:`~repro.engine.cache.
   BuildCache` (two tenants building VGG pay for its conv layers once);
 * the whole run executes under an obs tracer whose

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import io
+import pickle
 
 import pytest
 
@@ -46,6 +47,25 @@ def test_explore_reports_trials():
     code, text = _run(["explore", "--component", "pool1", "--seeds", "2"])
     assert code == 0
     assert "best:" in text and "anchors" in text
+
+
+def test_explore_targets_pickle_and_build_the_stock_components():
+    """``explore --jobs N`` ships its target to worker processes, so each
+    target must survive pickling and still build its LeNet component."""
+    from repro.cli import _EXPLORE_TARGETS
+    from repro.netlist import encode_design
+    from repro.synth import gen_conv, gen_fc, gen_pool
+
+    expected = {
+        "conv1": lambda: gen_conv(1, 32, 32, 5, 6, rom_weights=True),
+        "conv2": lambda: gen_conv(6, 14, 14, 5, 16, rom_weights=True),
+        "pool1": lambda: gen_pool(6, 28, 28, 2, include_relu=True),
+        "fc1": lambda: gen_fc(400, 120, rom_weights=True),
+    }
+    assert set(_EXPLORE_TARGETS) == set(expected)
+    for name, target in _EXPLORE_TARGETS.items():
+        shipped = pickle.loads(pickle.dumps(target))
+        assert encode_design(shipped()) == encode_design(expected[name]()), name
 
 
 def test_floorplan_renders():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import BuildCache, Engine, TaskGraph, content_key
+from repro.engine import BuildCache, Engine, TaskSpec, content_key
 from repro.engine.cache import canonical, canonical_blob
 
 
@@ -168,15 +168,12 @@ def _expensive(x):
 def test_engine_answers_from_cache(jobs, tmp_path):
     cache = BuildCache(directory=tmp_path / "cache")
 
-    def build():
-        g = TaskGraph()
-        for i in range(3):
-            g.add(f"t{i}", _expensive, args=(i,), cache_key=content_key("sq", i))
-        return g
+    tasks = [TaskSpec(f"t{i}", _expensive, (i,), cache_key=content_key("sq", i))
+             for i in range(3)]
 
-    cold = Engine(jobs=jobs, cache=cache).run(build())
+    cold = Engine(jobs=jobs, cache=cache).run(tasks)
     assert cold.miss_count == 3 and cold.hit_count == 0
-    warm = Engine(jobs=jobs, cache=cache).run(build())
+    warm = Engine(jobs=jobs, cache=cache).run(tasks)
     assert warm.hit_count == 3 and warm.miss_count == 0
     assert warm.results == cold.results
     assert all(t.worker == "cache" for t in warm.tasks)

@@ -1,5 +1,6 @@
-"""Engine-backed database builds: determinism, caching, disk persistence,
-and the default worker count (one per usable core, serial under threads)."""
+"""The build engine and the database builds on it: serial and pooled runs,
+fallbacks, determinism, caching, disk persistence, and the default worker
+count (one per usable core, serial under threads)."""
 
 import errno
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 import repro
 from repro.cnn import group_components, lenet5, vgg16
-from repro.engine import BuildCache, Engine, TaskGraph
+from repro.engine import BuildCache, Engine, TaskError, TaskSpec
 from repro.engine.workers import ComponentFactory
 from repro.netlist import Cell, DesignImage, encode_design
 from repro.rapidwright import (
@@ -58,15 +60,88 @@ def cores(monkeypatch):
     return pin
 
 
+# Module-level so they survive pickling into pool workers.
 def _square(x):
     return x * x
 
 
-def _squares(n: int, cache: BuildCache | None = None) -> TaskGraph:
-    graph = TaskGraph()
-    for i in range(n):
-        graph.add(f"t{i}", _square, args=(i,), cache_key=f"square-{i}" if cache else None)
-    return graph
+def _add(a, b):
+    return a + b
+
+
+def _sleep_then(value, seconds):
+    time.sleep(seconds)
+    return value
+
+
+def _boom():
+    raise RuntimeError("kaboom")
+
+
+def _die_in_worker(parent_pid, value):
+    """Kill the worker process it runs in; return *value* in the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return value
+
+
+def _squares(n: int, cache: BuildCache | None = None) -> list[TaskSpec]:
+    return [TaskSpec(f"t{i}", _square, (i,), cache_key=f"square-{i}" if cache else None)
+            for i in range(n)]
+
+
+# -- the engine -----------------------------------------------------------------
+
+
+def test_duplicate_id_rejected():
+    tasks = [TaskSpec("x", _square, (1,)), TaskSpec("x", _square, (2,))]
+    with pytest.raises(ValueError, match="duplicate task id 'x'"):
+        Engine(jobs=1).run(tasks)
+
+
+def test_serial_failure_raises_task_error():
+    with pytest.raises(TaskError, match="bad"):
+        Engine(jobs=1).run([TaskSpec("bad", _boom)])
+
+
+def test_pooled_failure_raises_task_error():
+    with pytest.raises(TaskError, match="kaboom"):
+        Engine(jobs=2).run([TaskSpec("bad", _boom)])
+
+
+def test_pooled_matches_serial():
+    tasks = [TaskSpec(f"t{i}", _add, (i, i + 1)) for i in range(6)]
+    serial = Engine(jobs=1).run(tasks)
+    pooled = Engine(jobs=2).run(tasks)
+    assert pooled.results == serial.results == {f"t{i}": 2 * i + 1 for i in range(6)}
+    assert pooled.jobs == 2
+
+
+def test_pooled_runs_in_worker_processes():
+    tasks = [TaskSpec(f"t{i}", _sleep_then, (i, 0.05)) for i in range(4)]
+    report = Engine(jobs=2).run(tasks)
+    assert all(t.worker.startswith("pid:") for t in report.tasks)
+    assert report.results == {f"t{i}": i for i in range(4)}
+
+
+def test_pooled_unpicklable_falls_back_to_serial():
+    report = Engine(jobs=2).run([TaskSpec("lam", lambda: 42)])
+    assert report.results["lam"] == 42
+    assert report.tasks[0].worker == "serial"
+
+
+def test_dead_worker_falls_back_to_serial():
+    tasks = [TaskSpec("die", _die_in_worker, (os.getpid(), "ok")),
+             *_squares(3)]
+    report = Engine(jobs=2).run(tasks)
+    assert report.results == {"die": "ok", "t0": 0, "t1": 1, "t2": 4}
+    assert {t.worker for t in report.tasks if t.task_id == "die"} == {"serial"}
+
+
+def test_telemetry_report_renders():
+    report = Engine(jobs=1).run([TaskSpec("a", _add, (1, 1), stage="stage-a")])
+    text = report.telemetry()
+    assert "stage-a" in text and "a" in text
 
 
 # -- default worker count -------------------------------------------------------

@@ -35,6 +35,18 @@ def test_explore_early_exit_on_target(small_device):
     assert len(result.trials) == 1  # first trial already meets 1 MHz
 
 
+def test_explore_early_exit_skips_the_remaining_trials(small_device):
+    designs = []
+
+    def factory():
+        designs.append(gen_relu(8))
+        return designs[-1]
+
+    explore_component(factory, small_device, seeds=(0, 1, 2, 3, 4),
+                      efforts=("low",), target_fmax_mhz=1.0, jobs=1)
+    assert len(designs) == 1  # the trials after the first are never evaluated
+
+
 def test_explore_anchor_weight_prefers_relocatable(small_device):
     plain = explore_component(
         lambda: gen_relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),

@@ -95,18 +95,6 @@ def test_stage_timer_excludes_substages_from_total():
     t.add("place", 2.0)
     t.add("place/refine", 1.5)  # nested: already inside "place"
     assert t.total == pytest.approx(2.0)
-    assert t.fraction("place") == pytest.approx(1.0)
-
-
-def test_stage_timer_merge_and_report():
-    a = StageTimer()
-    a.add("x", 1.0)
-    b = StageTimer()
-    b.add("x", 2.0)
-    b.add("y", 3.0)
-    merged = a.merged(b)
-    assert merged.stages == {"x": 3.0, "y": 3.0}
-    assert "total" in merged.report()
 
 
 # -- rng / misc ------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro._util import StageTimer, fresh_name, make_rng, manhattan
 from repro.obs import InMemorySink, Tracer
@@ -58,23 +57,10 @@ def test_stage_accumulates_and_keeps_order():
     assert timer.total == pytest.approx(timer.stages["a"] + timer.stages["b"])
 
 
-def test_total_excludes_substages_and_fraction():
-    timer = StageTimer()
-    timer.add("top", 2.0)
-    timer.add("top/sub", 1.5)
-    assert timer.total == 2.0
-    assert timer.fraction("top") == 1.0
-    assert timer.fraction("missing") == 0.0
-
-
 def test_total_falls_back_to_substages_only():
     timer = StageTimer()
     timer.add("x/sub", 1.0)
     assert timer.total == 1.0
-
-
-def test_fraction_of_empty_timer_is_zero():
-    assert StageTimer().fraction("anything") == 0.0
 
 
 def test_report_lists_all_stages():
@@ -83,59 +69,6 @@ def test_report_lists_all_stages():
     timer.add("route", 0.5)
     report = timer.report()
     assert "synth" in report and "route" in report and "total" in report
-
-
-def test_merged_sums_repeated_stage_names():
-    a = StageTimer()
-    a.add("place", 1.0)
-    b = StageTimer()
-    b.add("place", 2.0)
-    b.add("route", 0.5)
-    merged = a.merged(b)
-    assert merged.stages == {"place": 3.0, "route": 0.5}
-    assert merged.order == ["place", "route"]
-    # inputs untouched
-    assert a.stages == {"place": 1.0}
-
-
-def test_merged_handles_stage_missing_from_order():
-    # hand-assembled timers may carry stages without order entries
-    a = StageTimer(stages={"ghost": 1.0}, order=[])
-    b = StageTimer()
-    b.add("route", 2.0)
-    merged = a.merged(b)
-    assert merged.stages == {"ghost": 1.0, "route": 2.0}
-
-
-def test_merged_deduplicates_corrupt_order():
-    a = StageTimer(stages={"x": 1.0}, order=["x", "x"])
-    merged = a.merged(StageTimer())
-    assert merged.stages == {"x": 1.0}
-
-
-@given(
-    st.lists(
-        st.lists(
-            st.tuples(st.sampled_from(["a", "b", "c", "a/sub"]),
-                      st.floats(0.0, 10.0)),
-            max_size=4,
-        ),
-        min_size=3,
-        max_size=3,
-    )
-)
-def test_merged_is_associative(timer_specs):
-    timers = []
-    for spec in timer_specs:
-        timer = StageTimer()
-        for name, seconds in spec:
-            timer.add(name, seconds)
-        timers.append(timer)
-    a, b, c = timers
-    left = a.merged(b).merged(c)
-    right = a.merged(b.merged(c))
-    assert left.stages == pytest.approx(right.stages)
-    assert left.order == right.order
 
 
 def test_stage_emits_span_when_traced():
