@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import Device, lenet5, lenet5_caffe, vgg16
-from repro.rapidwright import ComponentDatabase, PreImplementedFlow
-from repro.vivado import FlowResult, VivadoFlow
+from repro import Device
+from repro.rapidwright import ComponentDatabase
+from repro.spec import JobSpec, compile_spec
+from repro.vivado import FlowResult
 
 SEED = 0
 
@@ -31,46 +32,38 @@ class FlowPair:
     offline_s: float
 
 
+def _pair(model: str, **options) -> FlowPair:
+    """The monolithic comparator at medium effort against the library flow
+    at high effort, both compiled from one spec of *model*."""
+    baseline = compile_spec(JobSpec(model=model, flow="baseline", effort="medium",
+                                    seed=SEED, **options))
+    ours = compile_spec(JobSpec(model=model, effort="high", seed=SEED, **options))
+    return FlowPair(model, baseline, ours, ours.extras["database"], ours.extras["offline_s"])
+
+
 @pytest.fixture(scope="session")
 def device() -> Device:
     return Device.from_name("ku5p-like")
 
 
 @pytest.fixture(scope="session")
-def lenet_pair(device) -> FlowPair:
-    net = lenet5()
-    baseline = VivadoFlow(device, effort="medium", seed=SEED).run(net, rom_weights=True)
-    flow = PreImplementedFlow(device, component_effort="high", seed=SEED)
-    db, offline = flow.build_database(net, rom_weights=True)
-    ours = flow.run(net, rom_weights=True, database=db)
-    return FlowPair("lenet5", baseline, ours, db, offline.total)
+def lenet_pair() -> FlowPair:
+    return _pair("lenet5")
 
 
 @pytest.fixture(scope="session")
-def lenet_caffe_pair(device) -> FlowPair:
+def lenet_caffe_pair() -> FlowPair:
     """The Caffe 20/50-filter LeNet, whose ROM-resident 431 K weights match
     the BRAM-heavy Table II profile (the classic variant drives Table III)."""
-    net = lenet5_caffe()
-    baseline = VivadoFlow(device, effort="medium", seed=SEED).run(net, rom_weights=True)
-    flow = PreImplementedFlow(device, component_effort="high", seed=SEED)
-    db, offline = flow.build_database(net, rom_weights=True)
-    ours = flow.run(net, rom_weights=True, database=db)
-    return FlowPair("lenet5_caffe", baseline, ours, db, offline.total)
+    return _pair("lenet5_caffe")
 
 
 @pytest.fixture(scope="session")
-def vgg_pair(device) -> FlowPair:
-    net = vgg16()
-    baseline = VivadoFlow(device, effort="medium", seed=SEED).run(
-        net, granularity="block", rom_weights=False
-    )
-    flow = PreImplementedFlow(device, component_effort="high", seed=SEED)
-    db, offline = flow.build_database(net, granularity="block", rom_weights=False)
+def vgg_pair() -> FlowPair:
     # VGG spreads across fabric discontinuities; the paper closes timing
-    # with phys-opt pipeline FFs (Sec. V-E), at a small latency cost.
-    ours = flow.run(net, granularity="block", rom_weights=False, database=db,
-                    pipeline_target_mhz="auto")
-    return FlowPair("vgg16", baseline, ours, db, offline.total)
+    # with phys-opt pipeline FFs (Sec. V-E), at a small latency cost.  The
+    # baseline ignores ``pipeline``.
+    return _pair("vgg16", granularity="block", stream_weights=True, pipeline="auto")
 
 
 def show(text: str) -> None:

@@ -42,7 +42,8 @@ _HOME_OF = {name: home for home, names in {
     "rapidwright": ("ComponentDatabase", "PreImplementedFlow", "preimplement", "relocate"),
     "drc": ("DrcError", "DrcReport", "Severity", "WaiverSet", "run_drc"),
     "memory": ("BestFitAllocator", "plan_feature_maps"),
-    "serve": ("JobSpec", "ServeClient", "ServeServer", "TenantQuota"),
+    "spec": ("JobSpec",),
+    "serve": ("ServeClient", "ServeServer", "TenantQuota"),
     "analysis": ("compare_productivity", "network_latency"),
 }.items() for name in names}
 

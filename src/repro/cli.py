@@ -381,32 +381,34 @@ def _cmd_models(args, out) -> int:
     return 0
 
 
+def _spec(args, **fields):
+    """The :class:`~repro.spec.JobSpec` a build subcommand's arguments describe."""
+    from .spec import JobSpec, SpecError
+
+    try:
+        return JobSpec(model=args.model, part=args.part, granularity=args.granularity,
+                       seed=args.seed, **fields)
+    except SpecError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
+
+
 def _cmd_run(args, out) -> int:
     from .analysis.report import format_table
+    from .spec import compile_spec
 
-    device = Device.from_name(args.part)
-    net = get_model(args.model)
-    rom = not args.stream_weights
+    # The monolithic comparator runs at medium effort, the library at high.
+    efforts = {"baseline": "medium", "preimpl": "high"}
+    flows = efforts if args.flow == "both" else (args.flow,)
     results = {}
-    if args.flow in ("baseline", "both"):
-        from .vivado import VivadoFlow
-
-        results["baseline"] = VivadoFlow(device, effort="medium", seed=args.seed).run(
-            net, granularity=args.granularity, rom_weights=rom
-        )
-    if args.flow in ("preimpl", "both"):
-        from .rapidwright import PreImplementedFlow
-
-        flow = PreImplementedFlow(device, component_effort="high", seed=args.seed,
-                                  drc=getattr(args, "drc", "off"))
-        db, offline = flow.build_database(net, granularity=args.granularity,
-                                          rom_weights=rom, jobs=args.jobs)
-        results["preimpl"] = flow.run(
-            net, granularity=args.granularity, rom_weights=rom, database=db,
-            pipeline_target_mhz="auto" if args.pipeline else None,
-        )
-        print(f"offline component library: {offline.total:.2f} s "
-              f"({len(db)} checkpoints)", file=out)
+    for flow in flows:
+        spec = _spec(args, flow=flow, effort=efforts[flow], drc=args.drc,
+                     stream_weights=args.stream_weights,
+                     pipeline="auto" if args.pipeline else None)
+        results[flow] = compile_spec(spec, jobs=args.jobs)
+    if "preimpl" in results:
+        extras = results["preimpl"].extras
+        print(f"offline component library: {extras['offline_s']:.2f} s "
+              f"({len(extras['database'])} checkpoints)", file=out)
     rows = [
         [name, f"{res.fmax_mhz:.1f} MHz", f"{res.runtime_s:.2f} s"]
         for name, res in results.items()
@@ -462,7 +464,6 @@ def _cmd_drc(args, out) -> int:
     import json as json_mod
 
     from .drc import DEFAULT_MAX_FANOUT, WaiverSet, run_drc
-    from .rapidwright import PreImplementedFlow
 
     device = Device.from_name(args.part)
     waivers = WaiverSet.load(args.waivers) if args.waivers else None
@@ -479,14 +480,10 @@ def _cmd_drc(args, out) -> int:
         require_routed = args.require_routed
         gate = f"checkpoint:{Path(args.checkpoint).name}"
     else:
-        net = get_model(args.model)
-        flow = PreImplementedFlow(device, component_effort="high", seed=args.seed)
-        database, _ = flow.build_database(
-            net, granularity=args.granularity, jobs=args.jobs
-        )
-        design = flow.run(
-            net, granularity=args.granularity, database=database
-        ).design
+        from .spec import compile_spec
+
+        result = compile_spec(_spec(args), jobs=args.jobs)
+        design, database = result.design, result.extras["database"]
         require_routed = True
         gate = f"model:{args.model}"
     report = run_drc(
@@ -543,81 +540,44 @@ def _cmd_eco(args, out) -> int:
     import json as json_mod
 
     from .drc import DrcError
-    from .eco import (
-        DesignDelta,
-        EcoEngine,
-        LayerReplace,
-        delta_from_json,
-        eco_reference,
-        matches_reference,
-        run_cts,
-    )
-    from .netlist.checkpoint import design_from_dict, design_to_dict
-    from .rapidwright import ComponentDatabase, PreImplementedFlow
+    from .eco import delta_from_json, layer_variant, run_cts, run_eco, swap_delta
+    from .spec import compile_spec
 
-    device = Device.from_name(args.part)
-    net = get_model(args.model)
-    flow = PreImplementedFlow(device, component_effort=args.effort, seed=args.seed)
-    database, offline = flow.build_database(
-        net, granularity=args.granularity, jobs=args.jobs
-    )
-    result = flow.run(net, granularity=args.granularity, database=database)
-    top = result.design
+    if not (args.delta or args.swap_layer):
+        raise SystemExit("eco needs --swap-layer or --delta")
+
+    def layer(name):
+        return _spec(args, eco={"swap_layer": name}).resolve_eco_layer()
+
+    # The build runs without DRC gates; --drc gates only the edit.
+    result = compile_spec(_spec(args, effort=args.effort), jobs=args.jobs)
+    device, delays = result.extras["flow"].device, result.extras["flow"].delays
     print(f"built {args.model}: {result.fmax_mhz:.1f} MHz "
-          f"(offline {offline.total:.2f} s, {len(database)} checkpoints)", file=out)
+          f"(offline {result.extras['offline_s']:.2f} s, "
+          f"{len(result.extras['database'])} checkpoints)", file=out)
 
     if args.cts:
         kwargs = {} if args.cts_skew is None else {"max_skew_ps": args.cts_skew}
-        trees = run_cts(top, device, delays=flow.delays, **kwargs)
-        for t in trees:
+        for t in run_cts(result.design, device, delays=delays, **kwargs):
             print(f"CTS {t.clock}: {t.n_buffers} buffers, depth {t.depth}, "
                   f"skew {t.skew_ps:.1f} ps, insertion {t.insertion_ps:.1f} ps",
                   file=out)
 
-    components = group_components(net, args.granularity)
-
-    def resolve(name: str):
-        matches = [c for c in components if c.name == name]
-        if not matches:
-            matches = [c for c in components if name in c.name]
-        if len(matches) != 1:
-            names = ", ".join(c.name for c in components)
-            raise SystemExit(
-                f"--swap-layer {name!r} matches {len(matches)} of: {names}"
-            )
-        return matches[0]
-
-    def variant(comp, seed: int):
-        vdb = ComponentDatabase(device)
-        vdb.build([comp], effort=args.effort, seed=seed)
-        return vdb.get(comp.signature)
-
     swap_seed = args.swap_seed if args.swap_seed is not None else args.seed + 1
     if args.delta:
         data = json_mod.loads(Path(args.delta).read_text())
-        replacements = {}
         for edit in data.get("edits", []):
             if isinstance(edit, dict) and edit.get("op") == "replace_layer":
-                comp = resolve(edit["module"])
-                edit["module"] = comp.name
-                replacements[comp.name] = variant(
-                    comp, int(edit.pop("seed", swap_seed))
-                )
-        delta = delta_from_json(data, components=replacements)
-    elif args.swap_layer:
-        comp = resolve(args.swap_layer)
-        delta = DesignDelta(
-            f"swap:{comp.name}@seed{swap_seed}",
-            (LayerReplace(comp.name, variant(comp, swap_seed)),),
-        )
+                edit["module"] = layer(edit.get("module")).name
+        delta = delta_from_json(data, variant=lambda module, seed: layer_variant(
+            layer(module), device, effort=args.effort,
+            seed=swap_seed if seed is None else int(seed),
+        ))
     else:
-        raise SystemExit("eco needs --swap-layer or --delta")
+        delta = swap_delta(layer(args.swap_layer), device, effort=args.effort, seed=swap_seed)
 
-    pre_doc = design_to_dict(top) if args.verify else None
-    engine = EcoEngine(top, device, graph=flow.graph, delays=flow.delays,
-                       drc=args.drc, database=database)
     try:
-        eco = engine.apply(delta)
+        eco, identical = run_eco(result, delta, drc=args.drc, verify=args.verify)
     except DrcError as exc:
         print(f"ECO rejected (design rolled back): {exc}", file=out)
         return 2
@@ -627,30 +587,21 @@ def _cmd_eco(args, out) -> int:
         if args.sarif:
             Path(args.sarif).write_text(json_mod.dumps(eco.drc.to_sarif(), indent=2))
             print(f"SARIF report written to {args.sarif}", file=out)
-
     if args.verify:
-        ref = eco_reference(
-            design_from_dict(pre_doc), delta, device, graph=flow.graph,
-            delays=flow.delays, drc=args.drc, database=database,
-        )
-        same = matches_reference(top, eco, ref)
-        verdict = "bit-identical" if same else "MISMATCH"
+        verdict = "bit-identical" if identical else "MISMATCH"
         print(f"oracle check (full re-route/re-time replay): {verdict}", file=out)
-        if not same:
+        if not identical:
             return 1
     return 0
 
 
 def _cmd_floorplan(args, out) -> int:
     from .analysis import module_legend, render_floorplan
-    from .rapidwright import PreImplementedFlow
+    from .spec import compile_spec
 
-    device = Device.from_name(args.part)
-    net = get_model(args.model)
-    flow = PreImplementedFlow(device, component_effort="high", seed=args.seed)
-    result = flow.run(net, granularity=args.granularity, rom_weights=True, jobs=1)
+    result = compile_spec(_spec(args), jobs=1)
     print(f"{args.model}: {result.fmax_mhz:.1f} MHz stitched", file=out)
-    print(render_floorplan(result.design, device, width=args.width,
+    print(render_floorplan(result.design, result.extras["flow"].device, width=args.width,
                            height=args.height), file=out)
     print(module_legend(result.design), file=out)
     return 0

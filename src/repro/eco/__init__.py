@@ -12,7 +12,8 @@ in place rather than rebuilding.  This package provides:
   :class:`~repro.timing.IncrementalSta` session, and re-gating DRC;
 - :func:`eco_reference` — the frozen from-scratch oracle every
   incremental result is held bit-identical to
-  (``tests/test_property_eco.py``).
+  (``tests/test_property_eco.py``);
+- :func:`run_eco` — the edit ``repro eco`` and serve's ``eco`` jobs make.
 """
 
 from .cts import CtsError, CtsResult, run_cts
@@ -28,6 +29,7 @@ from .delta import (
     apply_delta,
     delta_from_json,
 )
+from .edit import layer_variant, run_eco, swap_delta
 from .engine import EcoEngine, EcoResult
 from .reference import ReferenceResult, eco_reference, matches_reference
 
@@ -48,6 +50,9 @@ __all__ = [
     "apply_delta",
     "delta_from_json",
     "eco_reference",
+    "layer_variant",
     "matches_reference",
     "run_cts",
+    "run_eco",
+    "swap_delta",
 ]

@@ -26,6 +26,7 @@ detects and recompiles (see the net matching in
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..fabric.device import TILE_FOR_CELL, Device
@@ -469,13 +470,14 @@ def affected_nets(design: Design, record: ApplyRecord) -> list[str]:
     return out
 
 
-def delta_from_json(data: dict, *, components: dict[str, Design] | None = None) -> DesignDelta:
+def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDelta:
     """Build a :class:`DesignDelta` from its JSON description.
 
     ``{"name": ..., "edits": [{"op": "swap"|"nudge"|"rewire"|"replace_layer",
-    ...}]}``.  ``replace_layer`` edits name a module whose replacement
-    checkpoint the caller supplies via *components* (the CLI resolves
-    these from the component database before parsing).
+    ...}]}``.  A ``replace_layer`` edit names a ``module`` and optionally a
+    ``seed``; its replacement checkpoint is ``variant(module, seed)``, asked
+    for once per edit, so two edits on one module can install different
+    variants (the CLI builds them with :func:`repro.eco.layer_variant`).
     """
     if not isinstance(data, dict):
         raise EcoError(f"delta must be a JSON object, got {type(data).__name__}")
@@ -500,12 +502,12 @@ def delta_from_json(data: dict, *, components: dict[str, Design] | None = None) 
                 ))
             elif op == "replace_layer":
                 module = e["module"]
-                comp = (components or {}).get(module)
-                if comp is None:
+                if variant is None:
                     raise EcoError(
                         f"edit #{i}: no replacement component supplied for "
                         f"module {module!r}"
                     )
+                comp = variant(module, e.get("seed"))
                 anchor = e.get("anchor")
                 edits.append(LayerReplace(
                     module, comp,

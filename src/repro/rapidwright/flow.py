@@ -38,6 +38,9 @@ from .stitcher import compose, compose_shared
 
 __all__ = ["PreImplementedFlow"]
 
+#: Congestion halo (tiles) the component placer keeps around each pblock.
+HALO = 4
+
 
 class PreImplementedFlow:
     """End-to-end pre-implemented accelerator generation.
@@ -53,8 +56,6 @@ class PreImplementedFlow:
         Seed for all stochastic stages.
     plan_ports:
         Strategic port planning during OOC (ablation toggle).
-    halo:
-        Congestion halo (tiles) for the component placer.
     drc:
         Design-rule-check gating: ``"off"`` (default, no sweeps),
         ``"warn"`` (sweep at every gate, collect reports in
@@ -74,7 +75,6 @@ class PreImplementedFlow:
         component_effort: str = "high",
         seed: int = 0,
         plan_ports: bool = True,
-        halo: int = 4,
         delays: DelayModel = DEFAULT_DELAYS,
         drc: str = "off",
     ) -> None:
@@ -84,7 +84,6 @@ class PreImplementedFlow:
         self.component_effort = component_effort
         self.seed = seed
         self.plan_ports = plan_ports
-        self.halo = halo
         self.delays = delays
         self.drc = drc
         self.graph = RoutingGraph(device)
@@ -188,17 +187,13 @@ class PreImplementedFlow:
         database: ComponentDatabase | None = None,
         pipeline_target_mhz: float | str | None = None,
         share_components: bool = False,
-        jobs: int | None = None,
-        cache=None,
     ) -> FlowResult:
         """Generate the accelerator for *dfg* from pre-built checkpoints.
 
         When *database* is ``None`` the function-optimization phase runs
         first; its cost is reported separately in
         ``result.extras["offline_s"]`` (the paper pays it once, offline).
-        *jobs* and *cache* configure that implicit build (see
-        :meth:`build_database`); they have no effect when a populated
-        database is supplied.
+        That implicit build runs on :meth:`build_database`'s defaults.
 
         ``pipeline_target_mhz`` enables the phys-opt pipelining pass
         (paper Sec. V-E): pass a frequency, or ``"auto"`` to target the
@@ -213,37 +208,18 @@ class PreImplementedFlow:
         """
         with span("flow.run", flow="preimpl", model=dfg.name,
                   granularity=granularity) as run_span:
-            result = self._run(
-                dfg,
-                granularity=granularity,
-                rom_weights=rom_weights,
-                database=database,
-                pipeline_target_mhz=pipeline_target_mhz,
-                share_components=share_components,
-                jobs=jobs,
-                cache=cache,
-            )
+            result = self._run(dfg, granularity, rom_weights, database,
+                               pipeline_target_mhz, share_components)
             run_span.set(fmax_mhz=round(result.fmax_mhz, 3))
         set_gauge("flow.fmax_mhz", result.fmax_mhz)
         return result
 
-    def _run(
-        self,
-        dfg: DFG,
-        *,
-        granularity: str = "layer",
-        rom_weights: bool = True,
-        database: ComponentDatabase | None = None,
-        pipeline_target_mhz: float | str | None = None,
-        share_components: bool = False,
-        jobs: int | None = None,
-        cache=None,
-    ) -> FlowResult:
+    def _run(self, dfg, granularity, rom_weights, database, pipeline_target_mhz,
+             share_components) -> FlowResult:
         offline_s = 0.0
         if database is None or not len(database):
             database, offline = self.build_database(
-                dfg, granularity=granularity, rom_weights=rom_weights,
-                database=database, jobs=jobs, cache=cache,
+                dfg, granularity=granularity, rom_weights=rom_weights, database=database
             )
             offline_s = offline.total
 
@@ -273,7 +249,7 @@ class PreImplementedFlow:
                 items.append(("scheduler", scheduler))
 
         with timer.stage("rw:component_placement"):
-            placer = ComponentPlacer(self.device, halo=self.halo)
+            placer = ComponentPlacer(self.device, halo=HALO)
             if share_components:
                 # star topology: every engine talks to the scheduler
                 hub = len(items) - 1

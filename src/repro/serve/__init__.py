@@ -18,12 +18,12 @@ Quickstart::
     server.stop()
 """
 
+from ..spec import JobSpec, SpecError
 from .client import ServeApiError, ServeClient
 from .progress import ProgressLog, ProgressSink, stage_of
 from .runner import run_job
 from .scheduler import QuotaError, RateLimitError, Scheduler, TenantQuota
 from .server import ServeServer
-from .spec import JobSpec, SpecError
 from .store import JobRecord, JobStore
 
 __all__ = [

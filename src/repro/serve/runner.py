@@ -1,14 +1,14 @@
 """Job execution: one submission → one traced, cached flow run.
 
-:func:`run_job` is what a scheduler worker actually calls.  It reuses
-the existing flow machinery end to end rather than forking a parallel
-executor:
+:func:`run_job` is what a scheduler worker actually calls.  It runs the
+same flow definition as every other front end — :func:`repro.spec.
+compile_spec` on the submitted spec, then the spec's ECO through
+:func:`repro.eco.run_eco` — rather than wiring a flow of its own:
 
-* the submission's offline phase goes through
-  :meth:`PreImplementedFlow.build_database`, which decomposes into
-  :mod:`repro.engine` component-build tasks — so concurrent jobs share component
-  builds through the farm's shared :class:`~repro.engine.cache.
-  BuildCache` (two tenants building VGG pay for its conv layers once);
+* the offline phase decomposes into :mod:`repro.engine` component-build
+  tasks answered from the farm's shared :class:`~repro.engine.cache.
+  BuildCache` — so concurrent jobs share component builds (two tenants
+  building VGG pay for its conv layers once);
 * the whole run executes under an obs tracer whose
   :class:`~repro.serve.progress.ProgressSink` streams per-stage events
   into the job's :class:`~repro.serve.progress.ProgressLog`;
@@ -23,10 +23,8 @@ from __future__ import annotations
 import time
 
 from ..obs.span import Tracer
-from ..rapidwright import PreImplementedFlow
-from ..vivado import VivadoFlow
+from ..spec import JobSpec, compile_spec
 from .progress import ProgressLog, ProgressSink
-from .spec import JobSpec
 
 __all__ = ["run_job", "build_result_doc"]
 
@@ -35,10 +33,11 @@ __all__ = ["run_job", "build_result_doc"]
 RESULT_SCHEMA = 1
 
 
-def build_result_doc(spec: JobSpec, result, offline_s: float, wall_s: float) -> dict:
-    """JSON-safe result summary of one finished flow run."""
+def build_result_doc(spec: JobSpec, result, wall_s: float) -> dict:
+    """JSON-safe result summary of one :func:`compile_spec` run."""
     design = result.design
     usage = design.resource_usage()
+    device = result.extras["flow"].device
     doc = {
         "schema": RESULT_SCHEMA,
         "network": spec.network_name,
@@ -48,78 +47,53 @@ def build_result_doc(spec: JobSpec, result, offline_s: float, wall_s: float) -> 
         "seed": spec.seed,
         "fmax_mhz": round(result.fmax_mhz, 3),
         "runtime_s": round(result.runtime_s, 6),
-        "offline_s": round(offline_s, 6),
+        "offline_s": round(result.extras.get("offline_s", 0.0), 6),
         "wall_s": round(wall_s, 6),
         "stages": {k: round(v, 6) for k, v in result.timer.stages.items()},
         "cells": len(design.cells),
         "nets": len(design.nets),
-        "utilization": {k: round(v, 6) for k, v in result.utilization(spec.device()).items()},
+        "utilization": {k: round(v, 6) for k, v in result.utilization(device).items()},
         "resources": {k: int(v) for k, v in sorted(usage.items())},
         "power_w": round(result.power.total_w, 6),
     }
     if result.route is not None:
         doc["routed_nets"] = result.route.routed
         doc["failed_nets"] = result.route.failed
-    if spec.flow == "preimpl":
-        database = result.extras.get("database")
-        if database is not None:
-            doc["db_checkpoints"] = len(database)
+    database = result.extras.get("database")
+    if database is not None:
+        doc["db_checkpoints"] = len(database)
     drc_reports = result.extras.get("drc")
     if drc_reports:
         doc["drc_violations"] = sum(len(r.violations) for r in drc_reports)
     return doc
 
 
-def _run_eco(spec: JobSpec, flow, result, database) -> dict:
+def _eco_doc(spec: JobSpec, result) -> dict:
     """Apply the spec's post-route ECO to the finished build.
 
-    Reuses the run's routing graph and delay model; the variant
-    component is re-implemented out of context at ``eco.swap_seed``.
-    With ``verify`` the edit is replayed through the full re-route/
-    re-time oracle and any divergence fails the job — the farm never
-    serves an unverified incremental result when asked to prove it.
+    With ``verify`` any divergence from the full re-route/re-time oracle
+    fails the job — the farm never serves an unverified incremental
+    result when asked to prove it.
     """
-    from ..eco import (
-        DesignDelta, EcoEngine, LayerReplace, eco_reference, matches_reference, run_cts,
-    )
-    from ..netlist.codec import decode_design, encode_design
-    from ..rapidwright import ComponentDatabase
+    from ..eco import run_cts, run_eco, swap_delta
 
-    eco_spec = spec.eco or {}
-    device = spec.device()
-    top = result.design
+    eco_spec, flow = spec.eco, result.extras["flow"]
     doc: dict = {}
-
     if eco_spec.get("cts"):
-        trees = run_cts(top, device, delays=flow.delays)
+        trees = run_cts(result.design, flow.device, delays=flow.delays)
         doc["cts"] = {
             "buffers": sum(t.n_buffers for t in trees),
             "skew_ps": round(max(t.skew_ps for t in trees), 3),
             "insertion_ps": round(max(t.insertion_ps for t in trees), 3),
         }
-
-    comp = spec.resolve_eco_layer()
-    swap_seed = eco_spec.get("swap_seed", spec.seed + 1)
-    variant_db = ComponentDatabase(device)
-    variant_db.build(
-        [comp], rom_weights=not spec.stream_weights,
-        effort=spec.effort, seed=swap_seed,
-    )
-    delta = DesignDelta(
-        f"swap:{comp.name}@seed{swap_seed}",
-        (LayerReplace(comp.name, variant_db.get(comp.signature)),),
-    )
-
-    verify = bool(eco_spec.get("verify"))
-    # Pre-edit snapshot for the oracle replay: one binary image instead
-    # of a dict-of-dicts round trip (same bit-identical copy, cheaper).
-    pre_blob = encode_design(top) if verify else None
-    drc_mode = spec.drc if spec.drc != "off" else "warn"
-    engine = EcoEngine(
-        top, device, graph=flow.graph, delays=flow.delays,
-        drc=drc_mode, database=database,
-    )
-    eco = engine.apply(delta)
+    delta = swap_delta(spec.resolve_eco_layer(), flow.device, effort=spec.effort,
+                       seed=eco_spec.get("swap_seed", spec.seed + 1),
+                       rom_weights=not spec.stream_weights)
+    eco, identical = run_eco(result, delta, drc=spec.drc if spec.drc != "off" else "warn",
+                             verify=bool(eco_spec.get("verify")))
+    if identical is False:
+        raise RuntimeError(f"eco verification failed: incremental result for {delta.name} "
+                           "diverges from the full-recompile oracle")
     doc.update(
         delta=delta.name,
         ripped=len(eco.ripped),
@@ -128,50 +102,17 @@ def _run_eco(spec: JobSpec, flow, result, database) -> dict:
         fmax_after_mhz=round(eco.after.fmax_mhz, 3),
         drc_violations=len(eco.drc.violations) if eco.drc is not None else None,
     )
-    if verify:
-        ref = eco_reference(
-            decode_design(pre_blob), delta, device, graph=flow.graph,
-            delays=flow.delays, drc=drc_mode, database=database,
-        )
-        identical = matches_reference(top, eco, ref)
-        doc["oracle"] = "bit-identical" if identical else "mismatch"
-        if not identical:
-            raise RuntimeError(
-                f"eco verification failed: incremental result for "
-                f"{delta.name} diverges from the full-recompile oracle"
-            )
+    if identical:
+        doc["oracle"] = "bit-identical"
     return doc
 
 
 def _execute(spec: JobSpec, cache) -> dict:
     """Run the flow the spec asks for; returns the result document."""
-    device = spec.device()
-    dfg = spec.dfg()
-    rom_weights = not spec.stream_weights
     started = time.perf_counter()
-    if spec.flow == "baseline":
-        result = VivadoFlow(device, effort=spec.effort, seed=spec.seed).run(
-            dfg, granularity=spec.granularity, rom_weights=rom_weights
-        )
-        offline_s = 0.0
-        flow = database = None
-    else:
-        flow = PreImplementedFlow(
-            device, component_effort=spec.effort, seed=spec.seed, drc=spec.drc
-        )
-        database, offline = flow.build_database(
-            dfg, granularity=spec.granularity, rom_weights=rom_weights, cache=cache
-        )
-        result = flow.run(
-            dfg, granularity=spec.granularity, rom_weights=rom_weights,
-            database=database, pipeline_target_mhz=spec.pipeline,
-        )
-        offline_s = offline.total
-    eco_doc = None
-    if spec.eco is not None and flow is not None:
-        eco_doc = _run_eco(spec, flow, result, database)
-    wall_s = time.perf_counter() - started
-    doc = build_result_doc(spec, result, offline_s, wall_s)
+    result = compile_spec(spec, cache=cache)
+    eco_doc = _eco_doc(spec, result) if spec.eco is not None else None
+    doc = build_result_doc(spec, result, time.perf_counter() - started)
     if eco_doc is not None:
         doc["eco"] = eco_doc
     return doc

@@ -30,8 +30,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .. import sanitize
+from ..spec import JobSpec
 from .runner import run_job
-from .spec import JobSpec
 from .store import JobRecord, JobStore
 
 __all__ = ["TenantQuota", "QuotaError", "RateLimitError", "Scheduler"]

@@ -42,8 +42,8 @@ import threading
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
+from ..spec import JobSpec, SpecError
 from .scheduler import QuotaError, RateLimitError, Scheduler, TenantQuota
-from .spec import JobSpec, SpecError
 from .store import JobStore
 
 __all__ = ["ServeServer"]

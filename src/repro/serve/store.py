@@ -35,8 +35,8 @@ from typing import Any
 
 from .. import sanitize
 from ..engine.cache import BuildCache
+from ..spec import JobSpec
 from .progress import ProgressLog
-from .spec import JobSpec
 
 __all__ = ["JobRecord", "JobStore", "JOB_STATES"]
 

@@ -74,6 +74,7 @@ def test_run_loads_no_service_linter_or_eco_code():
     )
     assert not [m for m in HEAVY if m in loaded]
     assert "repro.rapidwright.flow" in loaded
+    assert "repro.spec" in loaded  # run compiles a JobSpec, like every front end
 
 
 def test_lazy_namespace_resolves_every_export():

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.cnn import group_components
+from repro.cnn import get_model, group_components
 from repro.drc import run_drc
 from repro.eco import (
     CellSwap,
@@ -42,7 +42,7 @@ from repro.netlist.net import Net
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow
 from repro.route.pathfinder import Router
 from repro.serve.runner import run_job
-from repro.serve.spec import JobSpec, SpecError
+from repro.spec import JobSpec, SpecError
 from tests.conftest import make_tiny_cnn
 
 SMALL = Device.from_name("small")
@@ -319,6 +319,19 @@ def test_jobspec_eco_validation():
         JobSpec(model="lenet5", eco={"swap_layer": "conv1", "swap_seed": True})
 
 
+@pytest.mark.parametrize("fields", [
+    {"pipeline": True},             # float(True) would read as a 1 MHz target
+    {"pipeline": "nan"},
+    {"pipeline": "inf"},
+    {"pipeline": float("nan")},     # a JSON NaN
+    {"stream_weights": "no"},       # truthy: would build with streamed weights
+], ids=["pipeline-true", "pipeline-nan-str", "pipeline-inf-str", "pipeline-nan",
+        "stream-weights-str"])
+def test_jobspec_rejects_values_the_flow_would_misread(fields):
+    with pytest.raises(SpecError):
+        JobSpec.from_json({"model": "lenet5", **fields})
+
+
 def test_serve_runs_verified_eco_job():
     spec = JobSpec(architecture=TINY_ARCH, part="small", effort="low",
                    drc="strict",
@@ -366,3 +379,34 @@ def test_cli_eco_layer_swap_with_oracle_check(tmp_path):
     assert "ECO swap:comp2_conv2" in text
     sarif = json.loads((tmp_path / "eco.sarif").read_text())
     assert sarif["runs"]
+
+
+def test_cli_delta_edits_on_one_module_get_their_own_variants(tmp_path, monkeypatch):
+    applied = []
+    real_apply = EcoEngine.apply
+
+    def spy(self, delta):
+        applied.append(delta)
+        return real_apply(self, delta)
+
+    monkeypatch.setattr(EcoEngine, "apply", spy)
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps({"name": "twice", "edits": [
+        {"op": "replace_layer", "module": "conv2", "seed": 5},
+        {"op": "replace_layer", "module": "conv2", "seed": 6},
+    ]}))
+    out = io.StringIO()
+    code = main(["eco", "--model", "lenet5", "--part", "small", "--effort", "low",
+                 "--delta", str(path)], out=out)
+    assert code == 0, out.getvalue()
+
+    (delta,) = applied
+    comp = next(c for c in group_components(get_model("lenet5"), "layer")
+                if c.name == "comp2_conv2")
+    wanted = []
+    for seed in (5, 6):
+        vdb = ComponentDatabase(SMALL)
+        vdb.build([comp], rom_weights=True, effort="low", seed=seed)
+        wanted.append(design_to_dict(vdb.get(comp.signature)))
+    assert wanted[0] != wanted[1]
+    assert [design_to_dict(e.component) for e in delta.edits] == wanted
