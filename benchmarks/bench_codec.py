@@ -31,6 +31,8 @@ Usage::
 
     python benchmarks/bench_codec.py [--quick] [--out BENCH_codec.json]
     python benchmarks/bench_codec.py --quick --check benchmarks/BENCH_codec.json
+
+The results JSON is written only where ``--out`` names it.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="fewer repetitions (all workloads still run)")
-    parser.add_argument("--out", default="BENCH_codec.json",
-                        help="where to write the results JSON")
+    parser.add_argument("--out", default=None,
+                        help="where to write the results JSON (not written without it)")
     parser.add_argument("--check", metavar="BASELINE",
                         help="fail if speedups regress >20%% vs this baseline")
     args = parser.parse_args(argv)
@@ -135,10 +137,11 @@ def main(argv=None):
         results["workloads"][f"{name}_fetch"] = bench_fetch(name, w, reps)
 
     print(json.dumps(results, indent=2))
-    with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(results, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
 
     if args.check:
         print(f"checking against {args.check} (tolerance 20%)")

@@ -35,8 +35,10 @@ the committed full-mode baseline.
 
 Usage::
 
-    python benchmarks/bench_hotpaths.py [--quick] [--out FILE]
+    python benchmarks/bench_hotpaths.py [--quick] [--out BENCH_hotpaths_vgg.json]
     python benchmarks/bench_hotpaths.py --quick --check benchmarks/BENCH_hotpaths_vgg.json
+
+The results JSON is written only where ``--out`` names it.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="fewer repetitions (same workload)")
-    parser.add_argument("--out", default="BENCH_hotpaths_vgg.json",
-                        help="where to write the results JSON")
+    parser.add_argument("--out", default=None,
+                        help="where to write the results JSON (not written without it)")
     parser.add_argument("--check", metavar="BASELINE",
                         help="fail if speedups regress >20%% vs this baseline")
     args = parser.parse_args(argv)
@@ -178,10 +180,11 @@ def main(argv=None):
     }
 
     print(json.dumps(results, indent=2))
-    with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(results, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
 
     if args.check:
         print(f"checking against {args.check} (tolerance 20%)")

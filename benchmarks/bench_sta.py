@@ -66,6 +66,8 @@ Usage::
     python benchmarks/bench_sta.py --quick --check benchmarks/BENCH_sta.json
     python benchmarks/bench_sta.py --scenario eco --quick
     --out BENCH_eco.json --check benchmarks/BENCH_eco.json
+
+The results JSON is written only where ``--out`` names it.
 """
 
 from __future__ import annotations
@@ -320,12 +322,10 @@ def main(argv=None):
                         help="sta: pipelining loop vs reference-per-edit; "
                              "eco: layer swap vs full recompile")
     parser.add_argument("--out", default=None,
-                        help="where to write the results JSON "
-                             "(default BENCH_<scenario>.json)")
+                        help="where to write the results JSON (not written without it)")
     parser.add_argument("--check", metavar="BASELINE",
                         help="fail if speedups regress >20%% vs this baseline")
     args = parser.parse_args(argv)
-    out = args.out or f"BENCH_{args.scenario}.json"
 
     results = {"schema": 1, "quick": args.quick, "workloads": {}}
     if args.scenario == "eco":
@@ -354,10 +354,11 @@ def main(argv=None):
             results["workloads"][name] = bench_workload(name, builder, reps, max_regs)
 
     print(json.dumps(results, indent=2))
-    with open(out, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(results, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
 
     if args.check:
         print(f"checking against {args.check} (tolerance 20%)")

@@ -9,6 +9,13 @@
  * lists permutes its pins in place and keeps its cost), the same
  * Metropolis test, the same best-state checkpoints.
  *
+ * The sweep is resumable: one call runs a range of steps, and
+ * anneal_native (native.py) calls it once per chunk of the random
+ * streams that move_streams (annealer.py) yields, so the streams never
+ * need to be in memory for the whole budget.  The loop state lives in
+ * out_i / out_d between calls; a sweep cut into any chunks is the
+ * one-call sweep.
+ *
  * Bounding-box rules — what keeps the cached boxes equal to a rescan:
  *   - evaluating a move never writes the cache.  A pin leaving the
  *     strict interior of its net's box can only grow the box toward the
@@ -68,11 +75,20 @@ static inline void net_box(
     *px0 = x0; *px1 = x1; *py0 = y0; *py1 = y1;
 }
 
-/* out_i: [accepted, bbox_fast, bbox_rescan, n_checkpoints]
- * out_d: [running, best_cost] */
+/* One call runs steps [step_begin, step_end) of a budget-step sweep, so
+ * the caller can feed the random streams a chunk at a time
+ * (move_streams in annealer.py): cell_picks covers the whole budget and
+ * is indexed by the step, the four float streams cover this chunk only
+ * and are indexed by step - step_begin.  Everything else is global —
+ * the move window shrinks with the step over the whole budget, and the
+ * loop state is carried from call to call in out_i / out_d, which the
+ * caller seeds before step 0:
+ *   out_i: [accepted, bbox_fast, bbox_rescan, n_checkpoints, next_checkpoint]
+ *   out_d: [running, best_cost, temperature]
+ * The best state is copied from the start positions only at step 0. */
 void anneal_sweep(
     int64_t n, int64_t budget, int64_t nrows, int64_t nsites,
-    double t0, double alpha, int64_t checkpoint_every,
+    double alpha, int64_t checkpoint_every,
     double *xs, double *ys,
     const int64_t *net_offs, const int64_t *net_pins,
     const double *fx0, const double *fx1, const double *fy0, const double *fy1,
@@ -85,35 +101,37 @@ void anneal_sweep(
     const int64_t *trmin, const int64_t *trmax,
     const uint8_t *grids,
     const int64_t *pool_offs, const int64_t *pool_flat,
-    const int64_t *cell_picks, const double *uniforms,
-    const double *pool_picks, const double *hop_picks,
-    const double *offset_picks, /* (budget, 2) uniforms: column, row */
+    const int64_t *cell_picks, /* (budget,), indexed by step */
     double w_min, double w_max,
-    double running_in,
     double *best_xs, double *best_ys,
     int64_t *affected, /* workspace, capacity >= 2 * max cell degree */
     int64_t *ck_steps, double *ck_cost, double *ck_temp,
-    int64_t *out_i, double *out_d)
+    int64_t *out_i, double *out_d,
+    int64_t step_begin, int64_t step_end,
+    /* this chunk's streams, indexed by step - step_begin */
+    const double *uniforms, const double *pool_picks, const double *hop_picks,
+    const double *offset_picks) /* (chunk, 2) uniforms: column, row */
 {
-    double temperature = t0;
-    double running = running_in;
-    double best_cost = running_in;
-    int64_t accepted = 0, bbox_fast = 0, bbox_rescan = 0, nck = 0;
-    int64_t next_checkpoint = 0;
+    int64_t accepted = out_i[0], bbox_fast = out_i[1], bbox_rescan = out_i[2];
+    int64_t nck = out_i[3], next_checkpoint = out_i[4];
+    double running = out_d[0], best_cost = out_d[1], temperature = out_d[2];
     const int64_t BIG = (int64_t)1 << 60;
 
-    memcpy(best_xs, xs, (size_t)n * sizeof(double));
-    memcpy(best_ys, ys, (size_t)n * sizeof(double));
+    if (step_begin == 0) {
+        memcpy(best_xs, xs, (size_t)n * sizeof(double));
+        memcpy(best_ys, ys, (size_t)n * sizeof(double));
+    }
 
-    for (int64_t step = 0; step < budget; step++) {
+    for (int64_t step = step_begin; step < step_end; step++) {
+        int64_t c = step - step_begin; /* index into the chunk */
         int64_t i = cell_picks[step];
         int64_t oxi = (int64_t)xs[i];
         int64_t oyi = (int64_t)ys[i];
         int64_t t = cell_t[i];
         int64_t tcol, trow, tkey;
-        if (pool_picks[step] < 0.05) {
+        if (pool_picks[c] < 0.05) {
             int64_t npool = pool_offs[t + 1] - pool_offs[t];
-            int64_t idx = ((int64_t)(hop_picks[step] * (double)npool)) % npool;
+            int64_t idx = ((int64_t)(hop_picks[c] * (double)npool)) % npool;
             const int64_t *s = pool_flat + 2 * (pool_offs[t] + idx);
             tcol = s[0];
             trow = s[1];
@@ -124,7 +142,7 @@ void anneal_sweep(
             double window = w_max * (1.0 - (double)step / (double)budget);
             if (w_min > window) window = w_min;
             double want_col =
-                (double)oxi + (offset_picks[2 * step] * 2.0 - 1.0) * window;
+                (double)oxi + (offset_picks[2 * c] * 2.0 - 1.0) * window;
             const int64_t *cols = tcols_flat + tcols_offs[t];
             int64_t nc = tcols_offs[t + 1] - tcols_offs[t];
             /* bisect_left over the sorted columns (ints compare exactly
@@ -142,7 +160,7 @@ void anneal_sweep(
                 k -= 1;
             tcol = cols[k];
             double want_row =
-                (double)oyi + (offset_picks[2 * step + 1] * 2.0 - 1.0) * window;
+                (double)oyi + (offset_picks[2 * c + 1] * 2.0 - 1.0) * window;
             double rlo = (double)trmin[t], rhi = (double)trmax[t];
             trow = (int64_t)(want_row < rlo ? rlo : (want_row > rhi ? rhi : want_row));
             tkey = tcol * nrows + trow;
@@ -258,7 +276,7 @@ void anneal_sweep(
             }
         }
         double delta = after - before;
-        if (delta <= 0.0 || uniforms[step] < exp(-delta / temperature)) {
+        if (delta <= 0.0 || uniforms[c] < exp(-delta / temperature)) {
             accepted++;
             running += delta;
             for (int64_t q = 0; q < na; q++) {
@@ -304,8 +322,10 @@ void anneal_sweep(
     out_i[1] = bbox_fast;
     out_i[2] = bbox_rescan;
     out_i[3] = nck;
+    out_i[4] = next_checkpoint;
     out_d[0] = running;
     out_d[1] = best_cost;
+    out_d[2] = temperature;
 }
 
 /* ------------------------------------------------------------------ */

@@ -17,9 +17,10 @@ The behaviour both share, beyond the schedule itself:
 
 * a net with no movable pin costs its fixed pins' box (0.0 with no pins
   at all);
-* the 5 % global-hop branch takes its pool index from a stream of its own,
-  drawn after all the others, so the other four streams do not depend on
-  it — the draw order is the bit-identity contract;
+* every random draw comes from :func:`repro.place.annealer.move_streams`,
+  chunk by chunk — the streams' values are the bit-identity contract
+  (the 5 % global-hop branch takes its pool index from a stream of its
+  own, drawn after all the others, so the other four do not depend on it);
 * restoring the best checkpoint recomputes the per-net costs for the
   restored coordinates before the post-pass reads them.
 """
@@ -32,7 +33,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .._util import make_rng, sum_left_to_right
-from .annealer import MAX_PINS, T_END_FRAC, AnnealStats, _net_cost
+from .annealer import MAX_PINS, T_END_FRAC, AnnealStats, _net_cost, move_streams
 from .problem import PlacementProblem
 
 __all__ = ["anneal_reference"]
@@ -182,14 +183,7 @@ def _sweep(
     t_end = t0 * T_END_FRAC
     alpha = (t_end / t0) ** (1.0 / budget)
 
-    # Python numbers, not numpy scalars: the same values, and the scalar
-    # arithmetic of the loop below runs several times faster on them.
-    cell_picks = rng.integers(0, problem.n_movable, size=budget).tolist()
-    uniforms = rng.random(size=budget).tolist()
-    pool_picks = rng.random(size=budget).tolist()
-    offset_picks = rng.random(size=(budget, 2))
-    dx, dy = offset_picks[:, 0].tolist(), offset_picks[:, 1].tolist()
-    hop_picks = rng.random(size=budget).tolist()
+    cell_picks, chunks = move_streams(rng, problem.n_movable, budget)
 
     # The move window shrinks from w_max to w_min as the schedule cools
     # (VPR-style), with a 5 % chance of a hop anywhere in the pool.
@@ -198,7 +192,7 @@ def _sweep(
     w_min = 6.0
 
     def metropolis(delta):  # at the current step and temperature
-        return delta <= 0 or uniforms[step] < math.exp(-delta / temperature)
+        return delta <= 0 or uniforms[c] < math.exp(-delta / temperature)
 
     temperature = t0
     accepted = 0
@@ -211,33 +205,41 @@ def _sweep(
     # any after it: the schedule the compiled sweep has always run.
     checkpoint_every = max(1, budget // 32)
     checkpoint = 0
-    for step in range(budget):
-        i = cell_picks[step]
-        old = (int(xs[i]), int(ys[i]))
-        if pool_picks[step] < 0.05:
-            pool = problem.site_pools[state.ctypes[i]]
-            s = pool[int(hop_picks[step] * pool.shape[0]) % pool.shape[0]]
-            site = (int(s[0]), int(s[1]))
-        else:
-            window = max(w_min, w_max * (1.0 - step / budget))
-            site = state.snap(
-                i,
-                old[0] + (dx[step] * 2.0 - 1.0) * window,
-                old[1] + (dy[step] * 2.0 - 1.0) * window,
-            )
-        if site is None or site == old:
+    for begin, uniforms, pool_picks, offset_picks, hop_picks in chunks:
+        # Python numbers, not numpy scalars: the same values, and the
+        # scalar arithmetic of the loop below runs several times faster
+        # on them.  Step `step` reads entry `c` of the chunk.
+        end = begin + uniforms.shape[0]
+        picks = cell_picks[begin:end].tolist()
+        uniforms, pool_picks, hop_picks = uniforms.tolist(), pool_picks.tolist(), hop_picks.tolist()
+        dx, dy = offset_picks[:, 0].tolist(), offset_picks[:, 1].tolist()
+        for c, step in enumerate(range(begin, end)):
+            i = picks[c]
+            old = (int(xs[i]), int(ys[i]))
+            if pool_picks[c] < 0.05:
+                pool = problem.site_pools[state.ctypes[i]]
+                s = pool[int(hop_picks[c] * pool.shape[0]) % pool.shape[0]]
+                site = (int(s[0]), int(s[1]))
+            else:
+                window = max(w_min, w_max * (1.0 - step / budget))
+                site = state.snap(
+                    i,
+                    old[0] + (dx[c] * 2.0 - 1.0) * window,
+                    old[1] + (dy[c] * 2.0 - 1.0) * window,
+                )
+            if site is None or site == old:
+                temperature *= alpha
+                continue
+            delta = state.move(i, site, metropolis)
+            if delta is not None:
+                accepted += 1
+                cost += delta
             temperature *= alpha
-            continue
-        delta = state.move(i, site, metropolis)
-        if delta is not None:
-            accepted += 1
-            cost += delta
-        temperature *= alpha
-        if step == checkpoint:
-            checkpoint += checkpoint_every
-            if cost < best_cost:
-                best_cost = cost
-                best = (list(xs), list(ys))
+            if step == checkpoint:
+                checkpoint += checkpoint_every
+                if cost < best_cost:
+                    best_cost = cost
+                    best = (list(xs), list(ys))
 
     if cost > best_cost:
         state.restore(*best)

@@ -29,26 +29,40 @@ selects:
   :mod:`repro._native` warns once when the fallback was not asked for).
 
 This module holds what the two share: the schedule constants, the
-statistics record and the scalar per-net cost — the oracle of the
-all-nets-at-once form the native driver computes from the problem's
-columns.  The clump post-pass is part of the algorithm and so lives in
-exactly those two places too: ``_clump`` in the reference and a second
-entry point of the C core.
+statistics record, the random move streams (:func:`move_streams`) and
+the scalar per-net cost — the oracle of the all-nets-at-once form
+:mod:`repro.place.native` computes from the problem's columns.  The clump post-pass
+is part of the algorithm and so lives in exactly those two places too:
+``_clump`` in the reference and a second entry point of the C core.
+
+The move streams are the bit-identity contract between the two tiers.
+Both walk them in chunks of :data:`STREAM_CHUNK` steps, with exactly the
+values five one-shot draws over the whole budget would give, so an
+anneal holds its float streams for one chunk at a time: besides the
+8 B-per-move cell picks, the C sweep's streams take 160 kB whatever the
+budget (a one-shot draw took 53 MB at the 1.32 M moves of the monolithic
+VGG-16 placement), and the fallback's Python-list streams under 1 MB
+instead of ≈0.28 GB.  A chunk costs the C sweep one more ctypes call
+(≈15 µs: ≈5 ms over those 1.32 M moves).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from ..obs.span import incr
 from .problem import PlacementProblem
 
-__all__ = ["anneal", "AnnealStats"]
+__all__ = ["anneal", "AnnealStats", "move_streams"]
 
 #: Nets with more pins than this are left out of the annealed objective.
 MAX_PINS = 64
 #: Final temperature as a fraction of the starting one.
 T_END_FRAC = 0.02
+#: Steps per chunk of the float move streams (:func:`move_streams`).
+STREAM_CHUNK = 1 << 12
 
 
 class AnnealStats:
@@ -112,6 +126,53 @@ def _net_cost(pins_m, fixed, xs, ys, weight) -> float:
         return 0.0
     hpwl = (x1 - x0) + (y1 - y0)
     return (hpwl + hpwl * hpwl / _QUAD_K) * weight
+
+
+def move_streams(rng: np.random.Generator, n: int, budget: int):
+    """The random streams of a *budget*-move anneal of *n* cells:
+    ``(cell_picks, chunks)``.
+
+    The values are those of five one-shot draws from *rng*, in this
+    order: ``integers(0, n, size=budget)`` (the cell picks, returned
+    whole), then ``random`` of sizes ``budget`` (Metropolis uniforms),
+    ``budget`` (global-hop gates), ``(budget, 2)`` (window offsets:
+    column, row) and ``budget`` (hop pool picks — drawn last, so the
+    other streams do not depend on it).  *chunks* yields ``(begin,
+    uniforms, pool, offsets, hop)`` for steps ``begin`` up to
+    ``begin + len(uniforms)``, :data:`STREAM_CHUNK` steps at a time.
+
+    A double is one 64-bit draw, so the float stream *k* starts a fixed
+    number of draws after the picks; each is read from its own copy of
+    the bit generator advanced to there.  *rng* is left exactly where
+    the one-shot draws leave it.  Only PCG64 and PCG64DXSM advance in
+    draws (what :func:`repro._util.make_rng` builds); any other bit
+    generator raises ``TypeError``.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            f"move_streams needs a PCG64 or PCG64DXSM generator, not {type(bits).__name__}"
+        )
+    cell_picks = rng.integers(0, n, size=budget)
+    streams = []
+    for start in (0, budget, 2 * budget, 4 * budget):
+        stream = copy.deepcopy(bits)
+        stream.advance(start)
+        streams.append(np.random.Generator(stream))
+    # advance() clears the buffered 32-bit half; the one-shot draws keep it
+    state = bits.state
+    bits.advance(5 * budget)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return cell_picks, _chunks(budget, *streams)
+
+
+def _chunks(budget, uniforms, pool, offsets, hop):
+    for begin in range(0, budget, STREAM_CHUNK):
+        size = min(STREAM_CHUNK, budget - begin)
+        yield (
+            begin, uniforms.random(size), pool.random(size),
+            offsets.random((size, 2)), hop.random(size),
+        )
 
 
 def anneal(

@@ -9,16 +9,20 @@ same arrays.  It is compiled once per source hash with the system C
 compiler (``-O2 -ffp-contract=off``, no fast-math, so IEEE double
 semantics match CPython exactly) and cached under the user's cache
 directory.  Everything crossing the boundary is a flat numpy array:
-positions, net CSR, per-type site geometry, the presampled RNG streams,
-and the occupancy grid.
+positions, net CSR, per-type site geometry, the RNG streams, and the
+occupancy grid.
 
 What stays Python here is set-up, and none of it walks nets: the net CSR
 is the problem's :class:`~repro.place.problem.NetColumns` masked by
 :data:`~repro.place.annealer.MAX_PINS`, the cell -> nets CSR one stable
-``argsort`` of it, the initial boxes one ``reduceat``.  The five
-presampled RNG streams are drawn exactly as the reference draws them —
-that order *is* the bit-identity contract, so they are not batched or
-reshaped.
+``argsort`` of it, the initial boxes one ``reduceat``.  The RNG streams
+come from :func:`~repro.place.annealer.move_streams`, the one function
+the reference draws them from too — their values *are* the bit-identity
+contract.  The cell picks arrive whole; the four float streams arrive in
+chunks of :data:`~repro.place.annealer.STREAM_CHUNK` steps with the
+values of one-shot draws, and the sweep is one resumable C call per
+chunk that carries its loop state between calls, so the streams take
+O(chunk) memory rather than O(budget).
 
 :func:`repro.place.annealer.anneal` runs it whenever it loads.  Where it
 cannot — no compiler and no cached build, a failed build, or
@@ -37,7 +41,7 @@ import numpy as np
 from .._native import build_library
 from .._util import make_rng, sum_left_to_right
 from ..obs.span import incr, sample
-from .annealer import _QUAD_K, MAX_PINS, T_END_FRAC, AnnealStats
+from .annealer import _QUAD_K, MAX_PINS, T_END_FRAC, AnnealStats, move_streams
 from .problem import NetColumns, PlacementProblem
 
 __all__ = ["anneal_native", "native_available"]
@@ -63,7 +67,7 @@ def _core():
             sweep = lib.anneal_sweep
             sweep.restype = None
             sweep.argtypes = (
-                [I, I, I, I, D, D, I]       # n, budget, nrows, nsites, t0, alpha, ckpt
+                [I, I, I, I, D, I]           # n, budget, nrows, nsites, alpha, ckpt
                 + [P] * 2                    # xs, ys
                 + [P] * 2                    # net_offs, net_pins
                 + [P] * 4                    # fx0, fx1, fy0, fy1
@@ -74,12 +78,14 @@ def _core():
                 + [P] * 2                    # tcols_offs, tcols_flat
                 + [P] * 2                    # trmin, trmax
                 + [P] * 3                    # grids, pool_offs, pool_flat
-                + [P] * 5                    # cell_picks, uniforms, pool, hop, offsets
-                + [D] * 3                    # w_min, w_max, running_in
+                + [P]                        # cell_picks
+                + [D] * 2                    # w_min, w_max
                 + [P] * 2                    # best_xs, best_ys
                 + [P]                        # affected workspace
                 + [P] * 3                    # ck_steps, ck_cost, ck_temp
-                + [P] * 2                    # out_i, out_d
+                + [P] * 2                    # out_i, out_d (loop state)
+                + [I] * 2                    # step_begin, step_end
+                + [P] * 4                    # chunk: uniforms, pool, hop, offsets
             )
             clump = lib.clump_pass
             clump.restype = None
@@ -196,13 +202,7 @@ def anneal_native(
     t_end = t0 * T_END_FRAC
     alpha = (t_end / t0) ** (1.0 / budget)
 
-    cell_picks = np.ascontiguousarray(rng.integers(0, n, size=budget), dtype=np.int64)
-    uniforms = rng.random(size=budget)
-    pool_picks = rng.random(size=budget)
-    offset_picks = rng.random(size=(budget, 2))
-    # Independent pool index for the global-hop branch, drawn after every
-    # other stream so the non-hop draws above are unchanged.
-    hop_picks = rng.random(size=budget)
+    cell_picks, chunks = move_streams(rng, n, budget)
 
     # the move window shrinks from w_max to w_min as the schedule cools;
     # the core scales each step's offset pair by it
@@ -250,12 +250,15 @@ def anneal_native(
     ck_steps = np.zeros(n_ck_cap, dtype=np.int64)
     ck_cost = np.zeros(n_ck_cap, dtype=np.float64)
     ck_temp = np.zeros(n_ck_cap, dtype=np.float64)
-    out_i = np.zeros(4, dtype=np.int64)
-    out_d = np.zeros(2, dtype=np.float64)
+    # the sweep's loop state, carried from chunk to chunk:
+    # [accepted, bbox_fast, bbox_rescan, checkpoints, next checkpoint step]
+    # and [running cost, best cost, temperature]
+    out_i = np.zeros(5, dtype=np.int64)
+    out_d = np.array([initial_cost, initial_cost, t0], dtype=np.float64)
 
-    sweep(
+    fixed_args = (
         n, budget, nrows_dev, nsites,
-        t0, alpha, checkpoint_every,
+        alpha, checkpoint_every,
         _ptr(xs_a), _ptr(ys_a),
         _ptr(net_offs), _ptr(net_pins),
         _ptr(fx0), _ptr(fx1), _ptr(fy0), _ptr(fy1),
@@ -266,14 +269,18 @@ def anneal_native(
         _ptr(tcols_offs), _ptr(tcols_flat),
         _ptr(trmin), _ptr(trmax),
         _ptr(grids), _ptr(pool_offs), _ptr(pool_flat),
-        _ptr(cell_picks), _ptr(uniforms), _ptr(pool_picks), _ptr(hop_picks),
-        _ptr(offset_picks),
-        w_min, float(w_max), initial_cost,
+        _ptr(cell_picks),
+        w_min, float(w_max),
         _ptr(best_xs), _ptr(best_ys),
         _ptr(affected),
         _ptr(ck_steps), _ptr(ck_cost), _ptr(ck_temp),
         _ptr(out_i), _ptr(out_d),
     )
+    for begin, uniforms, pool_picks, offset_picks, hop_picks in chunks:
+        sweep(
+            *fixed_args, begin, begin + uniforms.shape[0],
+            _ptr(uniforms), _ptr(pool_picks), _ptr(hop_picks), _ptr(offset_picks),
+        )
 
     accepted = int(out_i[0])
     running = float(out_d[0])

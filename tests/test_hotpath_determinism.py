@@ -6,10 +6,14 @@ tie-breaks, same results.  These tests pin that equivalence on
 deterministic instances (the Hypothesis suites in
 ``test_property_route.py`` / ``test_property_place.py`` cover randomized
 ones, and the compiled router) plus degenerate-net costs, endpoint
-overuse, RNG stream ordering and what the A* docstring promises.
+overuse, the chunked RNG streams (the values of one-shot draws, in
+bounded memory, whatever the chunk size) and what the A* docstring
+promises.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ import pytest
 from repro._util import make_rng
 from repro.fabric import Device
 from repro.netlist import Design
-from repro.place import _annealer_reference as annealer_ref_mod
-from repro.place import native as native_mod
-from repro.place.annealer import _net_cost, anneal
+from repro.obs.span import Tracer
+from repro.place import annealer as annealer_mod
+from repro.place.annealer import STREAM_CHUNK, _net_cost, anneal, move_streams
 from repro.place._annealer_reference import anneal_reference
 from repro.place.native import anneal_native, native_available
 from repro.place.global_place import global_place
@@ -84,6 +88,18 @@ def test_anneal_checkpoints_stop_at_a_no_move_step():
     another checkpoint.  On this design (found by Hypothesis) that decides
     which best state the sweep restores; a reference that resumed at the
     next checkpoint step ended with other sites at the same cost."""
+    _assert_checkpoints_stop_at_a_no_move_step()
+
+
+def test_anneal_checkpoints_stop_at_a_no_move_step_in_a_later_chunk(monkeypatch):
+    """The same at 7-step chunks: the no-move checkpoint step lies in a
+    later chunk than the sweep's first, so the schedule must survive the
+    resumed C calls."""
+    monkeypatch.setattr(annealer_mod, "STREAM_CHUNK", 7)
+    _assert_checkpoints_stop_at_a_no_move_step()
+
+
+def _assert_checkpoints_stop_at_a_no_move_step():
     if not native_available():
         pytest.skip("native annealer core unavailable")
     design = Design("checkpoints")
@@ -100,10 +116,106 @@ def test_anneal_checkpoints_stop_at_a_no_move_step():
     problem = PlacementProblem.from_design(design, SMALL)
     sites = legalize(problem, global_place(problem, make_rng(1678), iters=5))
     sites_ref = sites.copy()
-    stats = anneal_native(problem, sites, seed=1678, moves_per_cell=20, max_moves=2_000)
+    tracer = Tracer()
+    with tracer.activate():
+        stats = anneal_native(problem, sites, seed=1678, moves_per_cell=20, max_moves=2_000)
     stats_ref = anneal_reference(problem, sites_ref, seed=1678, moves_per_cell=20, max_moves=2_000)
     assert np.array_equal(sites, sites_ref)
     assert (stats.accepted, stats.final_cost) == (stats_ref.accepted, stats_ref.final_cost)
+    # the checkpoints did stop early, at a step past the first 7-step chunk
+    last = max(
+        e["attrs"]["step"] for e in tracer.sink.events
+        if e["ph"] == "sample" and e["name"] == "place.cost" and "step" in e["attrs"]
+    )
+    stop = last + stats.moves // 32
+    assert 7 <= stop < stats.moves
+
+
+@pytest.mark.parametrize("seed", [50, 150])
+def test_chunked_sweep_restores_the_best_checkpoint(monkeypatch, seed):
+    """These sweeps end above their best checkpoint and restore it.  At
+    7-step chunks the C sweep resumes many times after that checkpoint;
+    what it restores must still be the checkpoint's positions."""
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    monkeypatch.setattr(annealer_mod, "STREAM_CHUNK", 7)
+    problem, sites = _random_problem(seed)
+    sites_ref = sites.copy()
+    stats = anneal_native(problem, sites, seed=seed, moves_per_cell=20, max_moves=4_000)
+    stats_ref = anneal_reference(problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=4_000)
+    assert np.array_equal(sites, sites_ref)
+    assert (stats.accepted, stats.final_cost) == (stats_ref.accepted, stats_ref.final_cost)
+
+
+# -- the move streams ---------------------------------------------------------
+
+
+def _one_shot_streams(rng: np.random.Generator, n: int, budget: int):
+    """The five draws as the annealers made them before the streams were
+    chunked: whole, in this order, the hop pool picks last."""
+    cell_picks = rng.integers(0, n, size=budget)
+    uniforms = rng.random(size=budget)
+    pool_picks = rng.random(size=budget)
+    offset_picks = rng.random(size=(budget, 2))
+    hop_picks = rng.random(size=budget)
+    return cell_picks, uniforms, pool_picks, offset_picks, hop_picks
+
+
+def _drawn_from(seed: int) -> np.random.Generator:
+    """A generator that has been used, holding a buffered 32-bit half."""
+    rng = make_rng(seed)
+    rng.random(3)
+    rng.integers(0, 9, dtype=np.int32)
+    return rng
+
+
+@pytest.mark.parametrize(
+    "budget", [1, 7, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 5]
+)
+def test_move_streams_are_the_one_shot_draws(budget):
+    # the chunks concatenate to the one-shot arrays — so the hop stream is
+    # still drawn last (reusing the gate variable aliased hops to a slice of
+    # the pool, and drawing it earlier would shift the non-hop streams) —
+    # and the caller's generator ends in the very same state
+    want_rng, rng = _drawn_from(5), _drawn_from(5)
+    want = _one_shot_streams(want_rng, 13, budget)
+    cell_picks, chunks = move_streams(rng, 13, budget)
+    chunks = list(chunks)
+    assert [c[0] for c in chunks] == list(range(0, budget, STREAM_CHUNK))
+    got = (cell_picks, *(np.concatenate([c[k] for c in chunks]) for k in range(1, 5)))
+    for stream, one_shot in zip(got, want):
+        assert stream.dtype == one_shot.dtype
+        assert np.array_equal(stream, one_shot)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_move_streams_refuse_other_bit_generators():
+    # MT19937 cannot advance by a number of draws; nothing is drawn from it
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError, match="MT19937"):
+        move_streams(rng, 13, 100)
+    assert rng.random() == np.random.Generator(np.random.MT19937(1)).random()
+
+
+def test_anneal_stream_memory_is_bounded_by_a_chunk():
+    """The compiled anneal holds the 8 B-per-move cell picks and a chunk or
+    two of the float streams, not all five streams for the whole budget
+    (48 B per move: 12.8 MB traced here before the streams were chunked,
+    ≈2.7 MB since)."""
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    problem, sites = _random_problem(1)
+    # a first call pays one-time set-up that is not the anneal's
+    anneal_native(problem, sites.copy(), seed=1, moves_per_cell=5, max_moves=100)
+    budget = 64 * STREAM_CHUNK
+    tracemalloc.start()
+    try:
+        stats = anneal_native(problem, sites, seed=1, moves_per_cell=budget, max_moves=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.moves == budget
+    assert peak < 8 * budget + 256 * STREAM_CHUNK + (1 << 19), peak
 
 
 # -- behavioural regressions --------------------------------------------------
@@ -135,48 +247,3 @@ def test_path_overused_ignores_endpoint_nodes():
     assert _path_overused(inner, occupancy, capacity)
     # degenerate two-node path has no wires at all
     assert not _path_overused(np.asarray([], dtype=np.intp), occupancy, capacity)
-
-
-class _RecordingRng:
-    """Delegates to a real Generator while recording the draw order."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self.calls: list[tuple[str, tuple]] = []
-
-    def integers(self, *args, **kwargs):
-        self.calls.append(("integers", kwargs.get("size")))
-        return self._rng.integers(*args, **kwargs)
-
-    def random(self, *args, **kwargs):
-        self.calls.append(("random", kwargs.get("size")))
-        return self._rng.random(*args, **kwargs)
-
-
-@pytest.mark.parametrize(
-    "module,func",
-    [
-        # each implementation by name: the ``anneal`` dispatcher picks one by
-        # core availability, and ``make_rng`` is patched per module
-        (native_mod, anneal_native),
-        (annealer_ref_mod, anneal_reference),
-    ],
-)
-def test_hop_stream_is_drawn_last(monkeypatch, module, func):
-    # the global-hop pool index must come from its own stream, drawn after
-    # every other one — reusing the gate variable aliased hops to a slice
-    # of the pool, and drawing it earlier would shift the non-hop streams
-    if func is anneal_native and not native_available():
-        pytest.skip("native annealer core unavailable")
-    problem, sites = _random_problem(1)
-    recorder = _RecordingRng(1)
-    monkeypatch.setattr(module, "make_rng", lambda s: recorder)
-    func(problem, sites.copy(), seed=1, moves_per_cell=5, max_moves=200)
-    budget_draws = [c for c in recorder.calls if c[1] is not None]
-    assert budget_draws[0][0] == "integers"  # cell picks
-    kinds = [c[0] for c in budget_draws]
-    assert kinds.count("integers") == 1
-    # uniforms, pool gate, offsets, then the independent hop stream
-    assert len(budget_draws) == 5
-    sizes = [c[1] for c in budget_draws]
-    assert sizes[-1] == sizes[1] == sizes[2]  # hop stream sized like the others

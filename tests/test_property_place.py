@@ -11,7 +11,8 @@ Hypothesis over random connected designs on the small part:
   :meth:`Design.validate` against the device;
 * the compiled annealer and the :func:`anneal` dispatcher, with and
   without the C core, are bit-identical — placements and stats — to the
-  rescan-everything reference annealer at any seed;
+  rescan-everything reference annealer at any seed and any chunk size of
+  the move streams;
 * the ``np.bincount`` global placer is bit-identical to the
   ``scipy.sparse`` formulation it replaced (kept here as the oracle).
 """
@@ -31,6 +32,7 @@ from repro.fabric import Device, auto_pblock
 from repro.netlist import Design
 from repro.obs.span import Tracer
 from repro.place import _annealer_reference as reference_mod
+from repro.place import annealer as annealer_mod
 from repro.place import native as native_mod
 from repro.place import place_design
 from repro.place._annealer_reference import anneal_reference
@@ -158,21 +160,25 @@ def test_anneal_dispatch_matches_reference(monkeypatch, core):
 
 
 @settings(max_examples=10, deadline=None)
-@given(placement_designs())
-def test_native_anneal_matches_reference(case):
-    """Same contract for the compiled sweep, when the core builds here."""
+@given(placement_designs(), st.integers(1, 400))
+def test_native_anneal_matches_reference(case, chunk):
+    """Same contract for the compiled sweep, when the core builds here,
+    whatever the chunk size the move streams arrive in (at most 380
+    moves here, so the larger sizes take the whole budget at once)."""
     if not native_available():
         return
     design, seed = case
     problem = PlacementProblem.from_design(design, SMALL)
     sites = legalize(problem, global_place(problem, make_rng(seed), iters=5))
     sites_ref = sites.copy()
-    stats = anneal_native(
-        problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000
-    )
-    stats_ref = anneal_reference(
-        problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=2_000
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(annealer_mod, "STREAM_CHUNK", chunk)
+        stats = anneal_native(
+            problem, sites, seed=seed, moves_per_cell=20, max_moves=2_000
+        )
+        stats_ref = anneal_reference(
+            problem, sites_ref, seed=seed, moves_per_cell=20, max_moves=2_000
+        )
     assert np.array_equal(sites, sites_ref)
     assert (stats.moves, stats.accepted) == (stats_ref.moves, stats_ref.accepted)
     assert stats.final_cost == stats_ref.final_cost
@@ -318,6 +324,49 @@ def _assert_same_anneal(problem, sites, seed, **kw):
     assert stats.initial_cost == stats_ref.initial_cost
     assert stats.final_cost == stats_ref.final_cost
     return stats
+
+
+def _traced_anneal(anneal_fn, problem, sites, seed, budget):
+    """Everything an anneal reports: sites and statistics, the
+    ``place.cost`` / ``place.temperature`` samples (value, step) and the
+    ``place.bbox.*`` counters."""
+    tracer = Tracer()
+    with tracer.activate():
+        stats = anneal_fn(problem, sites, seed=seed, moves_per_cell=budget, max_moves=budget)
+    result = (sites.tolist(), stats.moves, stats.accepted, stats.initial_cost, stats.final_cost)
+    samples = [
+        (e["name"], e["value"], e["attrs"].get("step"))
+        for e in tracer.sink.events if e["ph"] == "sample"
+    ]
+    counters = [
+        tracer.metrics.counter(name).value for name in ("place.bbox.fast", "place.bbox.rescan")
+    ]
+    return result, samples, counters
+
+
+# 32 * 448: every checkpoint step (a multiple of budget // 32) is the first
+# step of a 7-step and of a 64-step chunk; 32 * 447 + 31: the first one
+# after step 0 is the last step of a chunk of either size (447 = 7 * 64 - 1)
+@pytest.mark.parametrize("budget", [32 * 448, 32 * 447 + 31])
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_native_chunked_sweep_matches_one_call(monkeypatch, seed, chunk, budget):
+    """The C sweep resumed at every chunk edge, at the default chunk and in
+    one call over the whole budget, and the reference walking the same
+    chunks, are one anneal: sites, statistics, checkpoint samples and
+    bounding-box counters."""
+    if not native_available():
+        pytest.skip("native annealer core unavailable")
+    problem, start = _scattered_problem(seed)
+    default = _traced_anneal(anneal_native, problem, start.copy(), seed, budget)
+    # at these seeds no checkpoint step is a no-move step, so all 32 are
+    # taken and the chunk edges above are all crossed with a schedule live
+    checkpoints = [step for name, _, step in default[1] if name == "place.cost" and step is not None]
+    assert len(checkpoints) >= 32
+    for size in (budget, chunk):
+        monkeypatch.setattr(annealer_mod, "STREAM_CHUNK", size)
+        assert _traced_anneal(anneal_native, problem, start.copy(), seed, budget) == default
+    assert _traced_anneal(anneal_reference, problem, start.copy(), seed, budget)[0] == default[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
