@@ -4,12 +4,13 @@ One scenario, ``*_fetch``, run on a LeNet-scale and a VGG-scale
 pre-implemented build (results keyed by name in ``BENCH_codec.json``):
 ``ComponentDatabase.fetch(sig, anchor)`` materializing every component
 of the model at several legal anchors from the record's columnar image
-(decode once per signature, then array-level offset arithmetic per
-copy; ``fetch`` returns a block-backed design, so each copy's ``cells``
-are touched inside the timed region to make it build them), versus the
-declared oracle — a fresh copy of the checkpoint
-through :func:`repro.rapidwright.module.relocate_reference` (serialize,
-parse, shift: the dict-codec round trip).  Every fetched copy is
+(the string columns resolved once per signature and kept on the
+record's image, then per copy one pass from the columns with the offset
+arithmetic done on the arrays; ``fetch`` returns a block-backed design,
+so each copy's ``cells`` are touched inside the timed region to make it
+build them), versus the declared oracle — a fresh copy of the
+checkpoint through :func:`repro.rapidwright.module.relocate_reference`
+(serialize, parse, shift: the dict-codec round trip).  Every fetched copy is
 asserted **bit-identical** to the oracle's (canonical JSON of
 :func:`design_to_dict`) before anything is timed.
 

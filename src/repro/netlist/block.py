@@ -30,6 +30,7 @@ objects, which is always right.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -50,18 +51,12 @@ ORACLE = "repro.netlist.codec.DesignImage.materialize"
 # -- per-image artefacts (shift-invariant, cached on the image) --------------
 
 
-def _bare_names(image) -> tuple[list[str], list[str]]:
-    sget = image.strings.__getitem__
-    return (list(map(sget, image.cell_name.tolist())),
-            list(map(sget, image.net_name.tolist())))
-
-
 def _name_order(image) -> tuple[np.ndarray, np.ndarray]:
     """Cell rows and net rows sorted by name: a name is found by
     bisection, at four bytes a row where a dict would cost sixty."""
     return tuple(
         np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int32)
-        for names in image.derived("names", _bare_names)
+        for names in image.names()
     )
 
 
@@ -81,7 +76,7 @@ class _NameTable(NamedTuple):
 
 def _name_table(image, prefix: str) -> _NameTable:
     packed = []
-    cells, nets = image.derived("names", _bare_names)
+    cells, nets = image.names()
     for names in (cells, nets):
         raw = [(prefix + name).encode("utf-8") for name in names]
         packed += [b"".join(raw), np.fromiter(map(len, raw), "<u4", len(raw))]
@@ -121,6 +116,23 @@ def _kinds(image) -> tuple[np.ndarray, list[str]]:
     rank = np.empty(len(order), dtype=np.int16)
     rank[order] = np.arange(len(order))
     return rank[codes], [image.strings[i] for i in index[order].tolist()]
+
+
+def _resources(image) -> dict[str, int]:
+    """:meth:`Cell.resources <repro.netlist.cell.Cell.resources>` summed
+    over the image's cells, keys in the order a walk over the cells first
+    meets them: one representative cell per distinct ``(ctype, luts,
+    ffs)``, in first-appearance order, times the cells it stands for."""
+    kind, table = image.derived("kinds", _kinds)
+    luts, ffs = image.cell_luts, image.cell_ffs
+    _, first, count = np.unique(np.stack([kind, luts, ffs]), axis=1,
+                                return_index=True, return_counts=True)
+    usage: Counter = Counter()
+    for row, n in sorted(zip(first.tolist(), count.tolist())):
+        cell = Cell.__new__(Cell)
+        cell.ctype, cell.luts, cell.ffs = table[kind[row]], int(luts[row]), int(ffs[row])
+        usage.update({key: amount * n for key, amount in cell.resources().items()})
+    return dict(usage)
 
 
 def _modules(image) -> tuple[np.ndarray, list[str]]:
@@ -331,7 +343,7 @@ class Block:
             if not name.startswith(self.prefix):
                 return None
             name = name[len(self.prefix):]
-        names = self.image.derived("names", _bare_names)[which]
+        names = self.image.names()[which]
         order = self.image.derived("name_order", _name_order)[which]
         k = bisect_left(order, name, key=names.__getitem__)
         if k < len(order) and names[order[k]] == name:
@@ -349,7 +361,7 @@ class Block:
 
     def cell_names(self) -> list[str]:
         """Design-level name of every cell, in row order (a fresh list)."""
-        return list(map(self.prefix.__add__, self.image.derived("names", _bare_names)[0]))
+        return list(map(self.prefix.__add__, self.image.names()[0]))
 
     def seq_cell_names(self) -> list[str]:
         """Names of the sequential cells, in row order (a fresh list)."""
@@ -358,7 +370,7 @@ class Block:
 
     def net_names(self, rows=None) -> list[str]:
         """Design-level names of the live nets (or of net *rows*)."""
-        names = self.image.derived("names", _bare_names)[1]
+        names = self.image.names()[1]
         if rows is None:
             rows = np.flatnonzero(self.net_live)
         return [self.prefix + names[i] for i in np.asarray(rows).tolist()]
@@ -396,6 +408,12 @@ class Block:
     def kinds(self) -> tuple[np.ndarray, list[str]]:
         """``(codes, table)``: ``table[codes[i]]`` is cell *i*'s type name."""
         return self.image.derived("kinds", _kinds)
+
+    def resource_usage(self) -> dict[str, int]:
+        """What the block's cells consume (:meth:`Design.resource_usage
+        <repro.netlist.design.Design.resource_usage>` of its objects),
+        kept per image."""
+        return self.image.derived("resources", _resources)
 
     def cell_delays(self, delays) -> tuple[np.ndarray, np.ndarray]:
         """``(logic, setup)`` delay of every cell: :meth:`DelayModel.

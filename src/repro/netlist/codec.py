@@ -593,6 +593,27 @@ def _unserializable(name: str) -> TypeError:
     return TypeError(f"design {name}: metadata is not codec-serializable")
 
 
+def _names(image) -> tuple[list[str], list[str]]:
+    sget = image.strings.__getitem__
+    return (list(map(sget, image.cell_name.tolist())),
+            list(map(sget, image.net_name.tolist())))
+
+
+def _resolved(image) -> tuple[list, list, list, list]:
+    """The string columns a copy's objects hold besides the names, resolved
+    through the table once and kept per image: cell ``ctype``, cell
+    ``module`` and net ``driver`` (``None`` for -1), and sink names —
+    lists of the table's own strings, 8 bytes an entry.  Nothing else of
+    a copy is kept: its rows are built from the columns per call."""
+    strings = image.strings
+    sget = strings.__getitem__
+    either = [*strings, None]                # index -1 picks the None
+    return (list(map(sget, image.cell_ctype.tolist())),
+            list(map(either.__getitem__, image.cell_module.tolist())),
+            list(map(either.__getitem__, image.net_driver.tolist())),
+            list(map(sget, image.sink_name.tolist())))
+
+
 # -- the columnar image -----------------------------------------------------
 
 
@@ -871,76 +892,14 @@ class DesignImage:
 
     # -- materialization --------------------------------------------------
 
-    def _decoded(self):
-        """Per-image cache of everything shift-*invariant*, fully decoded.
-
-        Strings are resolved through the table once, flags widened to
-        bools, per-object invariants pre-zipped into row tuples, sink
-        lists and route paths reduced to ranges over flat lists (routes
-        as reusable :class:`slice` objects).  The first materialization
-        pays this; every later copy of the same image (the database fetch
-        path) assembles objects straight from these rows.  All cached
-        containers are treated as immutable —
-        materialize slices fresh lists out of the flats, and the shared
-        placement/tile tuples are immutable by construction.
-        """
-        return self.derived("objects", DesignImage._decode)
-
-    def _decode(self):
-        sget = self.strings.__getitem__
-        sinks_flat = list(map(sget, self.sink_name.tolist()))
-        sink_spans = []
-        pos = 0
-        for n in self.net_nsinks.tolist():
-            sink_spans.append((pos, pos + n))
-            pos += n
-        route_lens = self.route_len.tolist()
-        route_slices: list[slice | None] = []
-        route_spans = []
-        npos = rpos = 0
-        for nroutes in self.net_nroutes.tolist():
-            route_spans.append((rpos, rpos + nroutes))
-            for _ in range(nroutes):
-                ln = route_lens[rpos]
-                rpos += 1
-                if ln < 0:
-                    route_slices.append(None)
-                else:
-                    route_slices.append(slice(npos, npos + ln))
-                    npos += ln
-        placed = self.cell_placed.tolist()
-        placem0 = list(zip(self.cell_col.tolist(), self.cell_row.tolist()))
-        unplaced_idx = [i for i, flag in enumerate(placed) if not flag]
-        for i in unplaced_idx:
-            placem0[i] = None
-        cell_rows = list(zip(
-            list(map(sget, self.cell_name.tolist())),
-            list(map(sget, self.cell_ctype.tolist())),
-            self.cell_locked.astype(bool).tolist(),
-            self.cell_luts.tolist(),
-            self.cell_ffs.tolist(),
-            self.cell_depth.tolist(),
-            self.cell_seq.astype(bool).tolist(),
-            [sget(i) if i >= 0 else None for i in self.cell_module.tolist()],
-        ))
-        net_rows = list(zip(
-            list(map(sget, self.net_name.tolist())),
-            [sget(i) if i >= 0 else None for i in self.net_driver.tolist()],
-            self.net_width.tolist(),
-            self.net_clock.astype(bool).tolist(),
-            self.net_locked.astype(bool).tolist(),
-            sink_spans,
-            route_spans,
-        ))
-        return (
-            cell_rows, placem0, unplaced_idx,
-            net_rows, sinks_flat, route_slices,
-            self.route_node.tolist(),
-        )
+    def names(self) -> tuple[list[str], list[str]]:
+        """Every cell name and every net name, in row order, as the
+        table's own strings (kept per image)."""
+        return self.derived("names", _names)
 
     def _decoded_ports(self):
-        """The port rows of :meth:`_decoded`, cached on their own: a
-        :meth:`frame` needs them, and nothing else of the decode."""
+        """The port rows of a copy, resolved and kept per image: what
+        :meth:`frame` needs of the columns."""
         def build(image):
             sget = image.strings.__getitem__
             tiles0 = list(zip(image.port_col.tolist(), image.port_row.tolist()))
@@ -1078,45 +1037,50 @@ class DesignImage:
         return cells, nets
 
     def _objects(self, dcol, drow, nrows, instance, live):
-        (cell_rows, placem, unplaced_idx,
-         net_rows, sinks_flat, route_slices, nodes) = self._decoded()
-
-        # Relocation is vectorized adds on the columnar arrays; the
-        # object loops below only assemble slots from decoded rows.
+        # One pass from the columns: the per-image entries hold strings
+        # only, every container below is built for this copy, and
+        # relocation is an add on the arrays before they become lists.
+        cell_names, net_names = self.names()
+        ctypes, modules, drivers, sinks = self.derived("resolved", _resolved)
+        cols, rows, nodes = self.cell_col, self.cell_row, self.route_node
         if dcol or drow:
-            placem = list(zip((self.cell_col + dcol).tolist(),
-                              (self.cell_row + drow).tolist()))
-            for i in unplaced_idx:
-                placem[i] = None
-            nodes = (self.route_node + (dcol * nrows + drow)).tolist()
+            cols, rows, nodes = cols + dcol, rows + drow, nodes + (dcol * nrows + drow)
+        placements = list(zip(cols.tolist(), rows.tolist()))
+        for i in np.flatnonzero(self.cell_placed == 0).tolist():
+            placements[i] = None
+        nodes = nodes.tolist()
+        ends = np.cumsum(np.maximum(self.route_len, 0)).tolist()
+        routes = [nodes[a:b] for a, b in zip([0, *ends], ends)]
+        for i in np.flatnonzero(self.route_len < 0).tolist():
+            routes[i] = None
 
-        prefix = None if instance is None else f"{instance}/"
-        drivers = repeat(None)
-        if prefix is not None:
-            cell_names = [prefix + row[0] for row in cell_rows]
-            names = [*cell_names, None]      # row -1 (no such cell) picks the None
+        if instance is not None:
+            # Every endpoint naming a cell of the image is that cell's
+            # (prefixed) name object; any other is prefixed on its own.
+            prefix = f"{instance}/"
+            cell_names = [prefix + name for name in cell_names]
+            net_names = [prefix + name for name in net_names]
+            modules = repeat(instance)
+            named = [*cell_names, None]      # row -1 (no such cell) picks the None
             row_of = self.cell_of_string()
             driver = self.net_driver
-            drivers = map(names.__getitem__,
-                          np.where(driver >= 0, row_of[driver], -1).tolist())
-            sinks_flat = [
-                named or prefix + bare for named, bare in
-                zip(map(names.__getitem__, row_of[self.sink_name].tolist()), sinks_flat)
-            ]
-        else:
-            cell_names = repeat(None)
+            drivers = [cell or (None if bare is None else prefix + bare) for cell, bare in zip(
+                map(named.__getitem__, np.where(driver >= 0, row_of[driver], -1).tolist()),
+                drivers)]
+            sinks = [cell or prefix + bare for cell, bare in zip(
+                map(named.__getitem__, row_of[self.sink_name].tolist()), sinks)]
 
         new = object.__new__
         cells: dict[str, Cell] = {}
-        for row, pl, prefixed in zip(cell_rows, placem, cell_names):
-            name, ctype, locked, luts, ffs, depth, seq, module = row
-            if prefix is not None:
-                name = prefixed
-                module = instance
+        for name, ctype, placement, locked, luts, ffs, depth, seq, module in zip(
+                cell_names, ctypes, placements,
+                self.cell_locked.astype(bool).tolist(), self.cell_luts.tolist(),
+                self.cell_ffs.tolist(), self.cell_depth.tolist(),
+                self.cell_seq.astype(bool).tolist(), modules):
             cell = new(Cell)
             cell.name = name
             cell.ctype = ctype
-            cell.placement = pl
+            cell.placement = placement
             cell.locked = locked
             cell.luts = luts
             cell.ffs = ffs
@@ -1125,23 +1089,20 @@ class DesignImage:
             cell.module = module
             cells[name] = cell
 
-        # One flat pass over every route, then per-net list slices: the
-        # inner lists are freshly built here, so each net owns its own.
-        flat_routes = [None if s is None else nodes[s] for s in route_slices]
-        net_rows = zip(net_rows, drivers)
+        sink_ends = np.cumsum(self.net_nsinks).tolist()
+        route_ends = np.cumsum(self.net_nroutes).tolist()
+        net_rows = zip(net_names, drivers, self.net_width.tolist(),
+                       self.net_clock.astype(bool).tolist(), self.net_locked.astype(bool).tolist(),
+                       [0, *sink_ends], sink_ends, [0, *route_ends], route_ends)
         if live is not None:
             net_rows = compress(net_rows, live)
         nets: dict[str, Net] = {}
-        for (name, driver, width, is_clock, locked, (s0, s1), (r0, r1)), named in net_rows:
-            if prefix is not None:
-                name = prefix + name
-                if driver is not None:
-                    driver = named or prefix + driver
+        for name, driver, width, is_clock, locked, s0, s1, r0, r1 in net_rows:
             net = new(Net)
             net.name = name
             net.driver = driver
-            net.sinks = sinks_flat[s0:s1]
-            net.routes = flat_routes[r0:r1]
+            net.sinks = sinks[s0:s1]
+            net.routes = routes[r0:r1]
             net.width = width
             net.is_clock = is_clock
             net.locked = locked

@@ -66,10 +66,10 @@ class Design:
     :meth:`add_net`, :meth:`add_port`, :meth:`adopt`), the edit verbs
     (:meth:`net_pins`, :meth:`remove_net`, :meth:`remove_clock_nets`)
     and the bulk readers (:attr:`n_cells`, :meth:`cell_table`,
-    :meth:`net_names_where`, :meth:`cell_parts`, :meth:`net_parts`,
-    :meth:`loose_nets`, :meth:`placement_of`, ...) work on either form
-    without flattening; everything else just uses ``cells`` / ``nets``
-    and pays for the objects it asked for.
+    :meth:`resource_usage`, :meth:`net_names_where`, :meth:`cell_parts`,
+    :meth:`net_parts`, :meth:`loose_nets`, :meth:`placement_of`, ...)
+    work on either form without flattening; everything else just uses
+    ``cells`` / ``nets`` and pays for the objects it asked for.
     """
 
     def __init__(self, name: str, pblock: PBlock | None = None) -> None:
@@ -241,10 +241,16 @@ class Design:
         return Counter(c.ctype for c in self.cells.values())
 
     def resource_usage(self) -> dict[str, int]:
-        """Total resources consumed by all cells (Table II accounting)."""
+        """Total resources consumed by all cells (Table II accounting),
+        keys in the order a walk over ``cells`` first meets them; a placed
+        block adds the totals its image keeps."""
         usage: Counter = Counter()
-        for cell in self.cells.values():
-            usage.update(cell.resources())
+        for part in self.cell_parts():
+            if type(part) is Block:
+                usage.update(part.resource_usage())
+            else:
+                for cell in part.values():
+                    usage.update(cell.resources())
         return dict(usage)
 
     def site_demand(self) -> dict[str, int]:

@@ -50,8 +50,8 @@ def build_result_doc(spec: JobSpec, result, wall_s: float) -> dict:
         "offline_s": round(result.extras.get("offline_s", 0.0), 6),
         "wall_s": round(wall_s, 6),
         "stages": {k: round(v, 6) for k, v in result.timer.stages.items()},
-        "cells": len(design.cells),
-        "nets": len(design.nets),
+        "cells": design.n_cells,
+        "nets": design.n_nets,
         "utilization": {k: round(v, 6) for k, v in result.utilization(device).items()},
         "resources": {k: int(v) for k, v in sorted(usage.items())},
         "power_w": round(result.power.total_w, 6),

@@ -36,6 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.rapidwright.flow as flow_module
+from repro import obs
 from repro.cnn import group_components, lenet5, vgg16
 from repro.drc.engine import DrcContext, all_rules
 from repro.fabric import Device, RoutingGraph
@@ -52,6 +53,8 @@ from repro.rapidwright import ComponentDatabase, ComponentPlacer, PreImplemented
 from repro.rapidwright.stitcher import compose, compose_reference
 from repro.route.native import native_available
 from repro.route.pathfinder import Router
+from repro.serve.runner import build_result_doc
+from repro.spec import JobSpec
 from repro.timing.delays import DEFAULT_DELAYS, DelayModel
 from repro.timing.incremental import IncrementalSta
 from repro.timing.sta import analyze_reference
@@ -528,6 +531,35 @@ def test_consumers_agree_on_a_stitched_vgg():
     power = [estimate_power(top, DEVICE, reports[0].fmax_mhz, GRAPH) for top in tops]
     assert power[0] == power[1]
     assert tops[0].blocks
+
+
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_resource_usage_and_the_result_doc_build_no_object(model):
+    """``resource_usage`` / ``utilization`` read each block's per-image
+    totals and equal the flattened design's, key order included; serve's
+    result doc of a pre-implemented run materializes nothing."""
+    dfg, database = _library(model)
+    _network, granularity, rom_weights, delays = MODELS[model]
+    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0, delays=delays)
+    result = flow.run(dfg, granularity=granularity, rom_weights=rom_weights,
+                      database=database, pipeline_target_mhz="auto")
+    result.extras["flow"] = flow
+    spec = JobSpec(model=model, granularity=granularity, stream_weights=not rom_weights,
+                   pipeline="auto")
+    tracer = obs.Tracer(obs.InMemorySink())
+    with tracer.activate():
+        usage, util = result.design.resource_usage(), result.utilization(DEVICE)
+        doc = build_result_doc(spec, result, 0.0)
+    assert "codec.materialize" not in tracer.metrics
+    assert result.design.blocks
+    design = result.design
+    assert (doc["cells"], doc["nets"]) == (len(design.cells), len(design.nets))
+    assert not design.blocks
+    assert list(design.resource_usage().items()) == list(usage.items())
+    assert list(result.utilization(DEVICE).items()) == list(util.items())
+    assert build_result_doc(spec, result, 0.0) == doc
 
 
 # -- what an image keeps between runs: keyed by what it depends on ---------------------------

@@ -196,8 +196,94 @@ def test_image_payload_parity_both_directions(design):
     payload = design_to_dict(design)
     image = DesignImage.from_design(design)
     assert design_to_dict(image.materialize()) == payload
-    # again, now off the cached decoded template
+    # again, now with the string columns the image keeps
     assert design_to_dict(image.materialize()) == payload
+
+
+@st.composite
+def copy_cases(draw):
+    """A design holding every row shape the one-pass build meets — each
+    drawn: an unplaced cell, a sink with no route, a driverless net, a
+    driver and a sink that name no cell of the image — and how to copy
+    it: a shift, an instance prefix and a mask of removed nets."""
+    design = draw(designs())
+    design.pblock = PBlock(1, 2, 6, 7)
+    cells = list(design.cells)
+    if draw(st.booleans()):
+        design.add_cell(Cell("loose", "SLICE"))
+    if draw(st.booleans()):
+        design.connect("unrouted", cells[0], cells[-1:], width=2)
+    if draw(st.booleans()):
+        design.connect("undriven", None, cells[:2], width=4).routes = [[3, 4]] * len(cells[:2])
+    if draw(st.booleans()):
+        design.connect("foreign", "elsewhere", [cells[0], "outside"]).routes = [[1, 2], None]
+    shift = draw(st.tuples(st.integers(-1, SMALL.ncols - 7), st.integers(-2, SMALL.nrows - 8)))
+    instance = draw(st.none() | st.text("ab0", min_size=1, max_size=3))
+    live = draw(st.none() | st.lists(st.booleans(), min_size=len(design.nets),
+                                      max_size=len(design.nets)))
+    return design, shift, instance, live
+
+
+def _objects_form(cells, nets) -> str:
+    """*cells* and *nets* as ``design_to_dict`` lists them, by ``repr``
+    (a flag that became an int, or a numpy scalar, reads differently),
+    with each placement's type."""
+    design = Design("objects")
+    design.cells, design.nets = cells, nets
+    form = design_to_dict(design)
+    return repr((form["cells"], form["nets"], [type(c.placement) for c in cells.values()]))
+
+
+def _mutable_lists(nets) -> list:
+    return [*(n.sinks for n in nets.values()), *(n.routes for n in nets.values()),
+            *(path for n in nets.values() for path in n.routes if path is not None)]
+
+
+@given(copy_cases())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_build_matches_oracle_and_shares_no_list(case):
+    """``DesignImage.objects`` ≡ ``relocate_reference`` (the dict codec
+    plus the shift) then ``Design.instantiate`` under the prefix, with the
+    masked nets taken out; every endpoint naming a cell of the image is
+    that cell's name object; and no two copies — nor a copy and what the
+    image keeps — share a list, so editing one copy leaves the next."""
+    design, (dcol, drow), instance, live = case
+    image = DesignImage.from_design(design)
+    oracle = relocate_reference(design, SMALL, (1 + dcol, 2 + drow), validate=False)
+    if instance is None and live is None:
+        assert design_to_dict(image.materialize(dcol, drow, SMALL.nrows)) == \
+            design_to_dict(oracle)
+    if instance is not None:
+        top = Design("top")
+        top.instantiate(oracle, instance)
+        oracle = top
+    for name, keep in zip(list(oracle.nets), live or ()):
+        if not keep:
+            del oracle.nets[name]
+    want = _objects_form(oracle.cells, oracle.nets)
+
+    def copy():
+        return image.objects(dcol, drow, SMALL.nrows, instance=instance, live=live)
+
+    first, second = copy(), copy()
+    assert _objects_form(*first) == _objects_form(*second) == want
+    cells, nets = first
+    for net in nets.values():
+        for end in (net.driver, *net.sinks):
+            if end in cells:
+                assert cells[end].name is end
+    assert {"names", "resolved"} <= image._derived.keys()
+    kept = {id(x) for entry in image._derived.values() if type(entry) is tuple
+            for x in entry}
+    ids = [{id(x) for x in _mutable_lists(c[1])} for c in (first, second)]
+    assert ids[0].isdisjoint(ids[1]) and kept.isdisjoint(ids[0] | ids[1])
+    for net in nets.values():
+        for path in net.routes:
+            if path is not None:
+                path.append(-1)
+        net.sinks.append("ghost")
+        net.routes.append([7])
+    assert _objects_form(*copy()) == _objects_form(*second) == want
 
 
 @given(designs())

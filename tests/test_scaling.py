@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,37 @@ def test_online_phase_builds_no_objects_until_asked(model):
         ) + result.extras["pipeline"].inserted
     assert tracer.metrics.counter("codec.materialize").value == n_components
     assert encode_design(result.design) == blob
+
+
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_a_flatten_leaves_only_string_columns_on_the_images(model):
+    """By bytes: fetch every record as an instance, flatten it and drop
+    it — what the records' images keep afterwards is the resolved string
+    columns (8 bytes an entry) and the name index, not rows of the
+    objects: at most 24 bytes per image row (cells + nets + sinks)."""
+    net, kwargs = {
+        "lenet5": (lenet5(), {}),
+        "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
+    }[model]
+    flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
+    database, _ = flow.build_database(net, **kwargs)
+    records = list(database.records.values())
+    rows = sum(len(r.image.cell_name) + len(r.image.net_name) + len(r.image.sink_name)
+               for r in records)
+    fetched = [database.fetch(r.signature, r.image.pblock[:2], instance=f"u{k}")
+               for k, r in enumerate(records)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for design in fetched:
+            assert design.blocks and len(design.cells)
+        del design, fetched
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 24 * rows, f"{kept / rows:.1f} bytes per image row kept"
 
 
 @pytest.mark.skipif(not native_available(),
