@@ -38,7 +38,7 @@ def test_ablation_granularity(benchmark, device):
                                               rom_weights=True)
             result = flow.run(net, granularity=granularity, rom_weights=True,
                               database=db)
-            out[granularity] = (comps, synth, offline.total, result)
+            out[granularity] = (comps, synth, offline.run_s, result)
         return out
 
     out = benchmark.pedantic(build, rounds=1, iterations=1)

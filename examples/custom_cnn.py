@@ -59,7 +59,7 @@ def main() -> None:
     flow = PreImplementedFlow(device, component_effort="high", seed=0)
     database, offline = flow.build_database(net, rom_weights=True)
     print(f"\nlibrary: {len(database)} unique checkpoints for {len(comps)} components "
-          f"(offline build {offline.total:.2f} s)")
+          f"(offline build {offline.run_s:.2f} s)")
     result = flow.run(net, rom_weights=True, database=database)
     print(f"accelerator: {result.fmax_mhz:.1f} MHz in {result.runtime_s:.3f} s, "
           f"routed {result.route.routed} stitch connections")

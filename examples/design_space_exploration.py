@@ -65,7 +65,7 @@ def main() -> None:
         explore={"seeds": (0, 1), "slacks": (1.15,)},
     )
     ours = flow.run(net, rom_weights=True, database=database)
-    print(f"\nexplored library: {len(database)} checkpoints in {offline.total:.1f} s "
+    print(f"\nexplored library: {len(database)} checkpoints in {offline.run_s:.1f} s "
           f"-> stitched {ours.fmax_mhz:.1f} MHz")
 
     print("\nfloorplan (cf. paper Fig. 8):")

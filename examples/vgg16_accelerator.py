@@ -41,7 +41,7 @@ def main() -> None:
 
     flow = PreImplementedFlow(device, component_effort="high", seed=0)
     database, offline = flow.build_database(net, granularity="block", rom_weights=False)
-    print(f"component library built offline in {offline.total:.1f} s "
+    print(f"component library built offline in {offline.run_s:.1f} s "
           f"({len(database)} checkpoints)")
     ours = flow.run(net, granularity="block", rom_weights=False, database=database,
                     pipeline_target_mhz="auto")

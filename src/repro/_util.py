@@ -1,4 +1,4 @@
-"""Small shared utilities: seeded RNG handling, timers, and id generation.
+"""Small shared utilities: seeded RNG handling, id generation, ordered sums.
 
 Every stochastic stage of the flows (placement annealing, router tie
 breaking, synthetic weights) draws randomness from a
@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .obs.span import span as _obs_span
-
-__all__ = ["make_rng", "StageTimer", "fresh_name", "manhattan", "sum_left_to_right"]
+__all__ = ["make_rng", "fresh_name", "manhattan", "sum_left_to_right"]
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for *seed*.
@@ -31,57 +26,6 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(0 if seed is None else seed)
-
-
-@dataclass
-class StageTimer:
-    """Accumulates wall-clock time per named flow stage.
-
-    The productivity experiments (Fig. 6 of the paper) compare compile time
-    between flows; each flow records its stage breakdown here so the
-    benchmark harness can report, e.g., what fraction of the
-    pre-implemented flow is spent stitching versus routing.
-    """
-
-    stages: dict[str, float] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
-
-    @contextmanager
-    def stage(self, name: str):
-        """Time a stage; also opens a :mod:`repro.obs` span of the same
-        name, so every ``StageTimer`` call site is traced for free (the
-        span nests under whatever span is active in the caller)."""
-        start = time.perf_counter()
-        with _obs_span(name):
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                if name not in self.stages:
-                    self.order.append(name)
-                    self.stages[name] = 0.0
-                self.stages[name] += elapsed
-
-    def add(self, name: str, seconds: float) -> None:
-        if name not in self.stages:
-            self.order.append(name)
-            self.stages[name] = 0.0
-        self.stages[name] += seconds
-
-    @property
-    def total(self) -> float:
-        """Wall-clock total over top-level stages.
-
-        Stage names containing ``/`` are sub-stages nested inside a
-        top-level stage and are excluded to avoid double counting.
-        """
-        top = [v for k, v in self.stages.items() if "/" not in k]
-        return sum(top) if top else sum(self.stages.values())
-
-    def report(self) -> str:
-        lines = [f"{name:<28s} {self.stages[name]:10.3f} s" for name in self.order]
-        lines.append(f"{'total':<28s} {self.total:10.3f} s")
-        return "\n".join(lines)
 
 
 _counters: dict[str, itertools.count] = {}

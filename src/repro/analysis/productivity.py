@@ -74,9 +74,9 @@ class ProductivityReport:
 
 def compare_productivity(baseline: FlowResult, preimpl: FlowResult) -> ProductivityReport:
     """Build a report from two flow results."""
-    base_s = sum(baseline.timer.stages.get(s, 0.0) for s in BASELINE_STAGES)
-    rw_s = sum(preimpl.timer.stages.get(s, 0.0) for s in RW_STAGES)
-    route_s = sum(preimpl.timer.stages.get(s, 0.0) for s in ROUTE_STAGES)
+    base_s = sum(baseline.stages.get(s, 0.0) for s in BASELINE_STAGES)
+    rw_s = sum(preimpl.stages.get(s, 0.0) for s in RW_STAGES)
+    route_s = sum(preimpl.stages.get(s, 0.0) for s in ROUTE_STAGES)
     return ProductivityReport(
         baseline_s=base_s,
         preimpl_s=rw_s + route_s,

@@ -20,9 +20,7 @@ A failed task is not retried: a pure, seeded task fails the same way
 twice, and a dead worker is handled by the serial fallback.
 
 Every task leaves a telemetry record (queue time, run time, worker id,
-cache status) and the report aggregates them into a
-:class:`~repro._util.StageTimer` so engine time slots directly into the
-productivity accounting the benchmarks already use.
+cache status); the report's ``run_s`` sums their run times.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .._util import StageTimer
 from ..obs import collect as _collect
 from ..obs.span import current_tracer, incr, observe, span
 from .cache import BuildCache
@@ -102,17 +99,12 @@ class EngineReport:
     def miss_count(self) -> int:
         return sum(1 for t in self.tasks if t.cache == "miss")
 
-    def timer(self) -> StageTimer:
-        """Per-stage run time, :class:`StageTimer`-compatible.
-
-        Stage totals are summed *task* run times (CPU-equivalent), so the
-        accounting is identical whatever ``jobs`` was; the concurrent
-        wall clock is :attr:`wall_s`.
-        """
-        timer = StageTimer()
-        for task in self.tasks:
-            timer.add(task.stage, task.run_s)
-        return timer
+    @property
+    def run_s(self) -> float:
+        """Summed *task* run times (CPU-equivalent), so the accounting is
+        identical whatever ``jobs`` was; the concurrent wall clock is
+        :attr:`wall_s`."""
+        return sum(t.run_s for t in self.tasks)
 
     def telemetry(self) -> str:
         """Human-readable per-task table (queue/run/worker/cache)."""

@@ -13,6 +13,9 @@ no-ops (a ContextVar read and nothing else) until a tracer is activated:
     ``sample`` additionally emits a timestamped point event (cost and
     congestion curves).
 
+``stage(stages, name)`` is a ``span`` that also adds its wall time to a
+flow's stage ledger, with or without a tracer.
+
 Activation is explicit and scoped::
 
     tracer = Tracer(JsonlSink("out.jsonl"))
@@ -50,6 +53,7 @@ __all__ = [
     "Tracer",
     "current_tracer",
     "span",
+    "stage",
     "incr",
     "set_gauge",
     "observe",
@@ -220,6 +224,18 @@ def span(name: str, **attrs):
     if tracer is None:
         return _NOOP
     return tracer.span(name, **attrs)
+
+
+@contextmanager
+def stage(stages: dict[str, float], name: str):
+    """:func:`span` *name*, also adding its wall time to ``stages[name]``
+    (a flow's stage ledger, ``FlowResult.stages``), tracer or not."""
+    start = time.perf_counter()
+    with span(name):
+        try:
+            yield
+        finally:
+            stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
 def incr(name: str, value: float = 1.0) -> None:

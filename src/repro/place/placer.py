@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import StageTimer, make_rng
+from .._util import make_rng
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.design import Design
+from ..obs.span import span
 from .annealer import AnnealStats, anneal
 from .cost import congestion_overflow
 from .global_place import global_place
@@ -91,7 +92,6 @@ def place_design(
     region: PBlock | None = None,
     effort: str | Effort = "medium",
     seed: int | np.random.Generator = 0,
-    timer: StageTimer | None = None,
 ) -> PlacementResult:
     """Place all unlocked cells of *design* onto *device*.
 
@@ -106,21 +106,20 @@ def place_design(
             known = ", ".join(EFFORTS)
             raise KeyError(f"unknown effort {effort!r}; known: {known}") from None
     rng = make_rng(seed)
-    timer = timer if timer is not None else StageTimer()
 
     if region is None and design.pblock is None:
         region = _auto_region(design, device)
 
-    with timer.stage("place/extract"):
+    with span("place/extract"):
         problem = PlacementProblem.from_design(design, device, region)
     if problem.n_movable == 0:
         return PlacementResult(0, 0.0, 0.0, None)
 
-    with timer.stage("place/global"):
+    with span("place/global"):
         pos = global_place(problem, rng, iters=effort.gp_iters)
-    with timer.stage("place/legalize"):
+    with span("place/legalize"):
         sites = legalize(problem, pos)
-    with timer.stage("place/refine"):
+    with span("place/refine"):
         stats = anneal(
             problem,
             sites,

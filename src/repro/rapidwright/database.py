@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .._util import StageTimer
 from ..cnn.graph import Component
 from ..engine.cache import BuildCache, canonical_blob, content_key
+from ..engine.executor import Engine, EngineReport, TaskSpec
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
 from ..netlist.block import Block
@@ -148,7 +148,6 @@ class _Record:
     signature: tuple
     image: DesignImage       # the locked design, stamped with signature + integrity
     fmax_mhz: float
-    hits: int = 0
     footprint: Footprint | None = field(default=None, repr=False, compare=False)
 
 
@@ -159,10 +158,6 @@ class ComponentDatabase:
     device: Device
     directory: Path | None = None
     records: dict[str, _Record] = field(default_factory=dict)
-
-    #: Telemetry of the most recent :meth:`build` (queue/run/worker/cache
-    #: per task), or ``None`` when nothing needed building.
-    last_build_report: "object | None" = field(default=None, repr=False, compare=False)
 
     # -- store/fetch ------------------------------------------------------
 
@@ -266,9 +261,7 @@ class ComponentDatabase:
         which the first access to ``cells`` / ``nets`` materializes — or
         which :meth:`Design.adopt` moves into a composed design as it is.
         """
-        record = self._record(signature)
-        record.hits += 1
-        image = record.image
+        image = self._record(signature).image
         device = device or self.device
         dcol = drow = 0
         if anchor is not None:
@@ -290,10 +283,6 @@ class ComponentDatabase:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def total_hits(self) -> int:
-        return sum(r.hits for r in self.records.values())
-
     # -- building (function optimization, offline) ----------------------------
 
     def build(
@@ -307,15 +296,15 @@ class ComponentDatabase:
         explore: dict | None = None,
         jobs: int | None = None,
         cache: BuildCache | None = None,
-    ) -> StageTimer:
+    ) -> EngineReport:
         """Pre-implement every unique component signature not yet stored.
 
-        Returns the offline timer (this cost is paid once and amortized
-        over every accelerator built from the database, so productivity
-        accounting keeps it separate — as the paper does).  Stage totals
-        are summed task run times, identical whatever *jobs* is; the
-        concurrent wall clock is the ``build/wall`` sub-stage and
-        :attr:`last_build_report` carries the per-task telemetry.
+        Returns the engine's report, empty when nothing was pending.  Its
+        :attr:`~repro.engine.executor.EngineReport.run_s` is the offline
+        cost (paid once and amortized over every accelerator built from
+        the database, so productivity accounting keeps it separate — as
+        the paper does): summed task run times, identical whatever *jobs*
+        is; the concurrent wall clock is its ``wall_s``.
 
         With *explore*, each component runs through the performance
         exploration of :func:`repro.rapidwright.explore.explore_component`
@@ -336,10 +325,9 @@ class ComponentDatabase:
                 continue
             pending.setdefault(signature_key(comp.signature), comp)
         if not pending:
-            return StageTimer()
+            return EngineReport(jobs=0, wall_s=0.0, results={})
 
         from ..engine import workers
-        from ..engine.executor import Engine, TaskSpec
 
         options = dict(rom_weights=rom_weights, plan_ports=plan_ports)
         if explore:
@@ -360,12 +348,9 @@ class ComponentDatabase:
             for key, comp in pending.items()
         ]
         report = Engine(jobs=jobs, cache=cache).run(tasks)
-        self.last_build_report = report
         for key, comp in pending.items():
             self.put_result(comp.signature, report.results[key])
-        timer = report.timer()
-        timer.add("build/wall", report.wall_s)
-        return timer
+        return report
 
     # -- persistence -------------------------------------------------------
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .._util import StageTimer
 from ..fabric.device import Device
 from ..netlist.codec import decode_design
 from ..netlist.design import Design
+from ..obs.span import span
 from .module import candidate_anchors
 from .ooc import OOCResult, preimplement
 
@@ -48,7 +48,6 @@ class ExploreResult:
 
     best: OOCResult
     trials: list[ExploreTrial] = field(default_factory=list)
-    timer: StageTimer = field(default_factory=StageTimer)
 
     @property
     def best_trial(self) -> ExploreTrial:
@@ -123,8 +122,7 @@ def explore_component(
     if not grid:
         raise ValueError("exploration space is empty (check the sweep axes)")
     if jobs == 1:
-        timer = StageTimer()
-        outcomes = _in_process(factory, device, grid, plan_ports, timer)
+        outcomes = _in_process(factory, device, grid, plan_ports)
     else:
         from ..engine.executor import Engine, TaskSpec
         from ..engine.workers import run_explore_trial
@@ -134,7 +132,6 @@ def explore_component(
                      stage="explore/trial")
             for i, point in enumerate(grid)
         ])
-        timer = report.timer()
         outcomes = _reattached(report.results[f"trial{i}"] for i in range(len(grid)))
 
     best: OOCResult | None = None
@@ -155,7 +152,7 @@ def explore_component(
         trials.append(trial)
         if target_fmax_mhz is not None and ooc.fmax_mhz >= target_fmax_mhz:
             break
-    return ExploreResult(best=best, trials=trials, timer=timer)
+    return ExploreResult(best=best, trials=trials)
 
 
 def implement_trial(
@@ -172,10 +169,10 @@ def implement_trial(
     return ooc, len(candidate_anchors(device, design))
 
 
-def _in_process(factory, device, grid, plan_ports, timer) -> Iterator[tuple[OOCResult, int]]:
+def _in_process(factory, device, grid, plan_ports) -> Iterator[tuple[OOCResult, int]]:
     """The trials one at a time, each only once the sweep asks for it."""
     for point in grid:
-        with timer.stage("explore/trial"):
+        with span("explore/trial"):
             outcome = implement_trial(factory, device, point, plan_ports)
         yield outcome
 

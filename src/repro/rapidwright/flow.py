@@ -18,9 +18,9 @@ Two phases (paper Fig. 3):
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .._util import StageTimer
-from ..obs.span import set_gauge, span
+from ..obs.span import set_gauge, span, stage
 from ..cnn.graph import DFG, group_components
 from ..netlist.design import Design
 from ..fabric.device import Device
@@ -35,6 +35,9 @@ from .database import ComponentDatabase
 from .module import relocate
 from .placer import ComponentPlacer
 from .stitcher import compose, compose_shared
+
+if TYPE_CHECKING:  # annotations only: the engine loads when a build runs
+    from ..engine.executor import EngineReport
 
 __all__ = ["PreImplementedFlow"]
 
@@ -99,7 +102,7 @@ class PreImplementedFlow:
         database: ComponentDatabase | None = None,
         jobs: int | None = None,
         cache=None,
-    ) -> tuple[ComponentDatabase, StageTimer]:
+    ) -> tuple[ComponentDatabase, EngineReport]:
         """Pre-implement every unique component of *dfg* into a database.
 
         *jobs* worker processes pre-implement independent components
@@ -107,13 +110,13 @@ class PreImplementedFlow:
         one per usable core, see :meth:`ComponentDatabase.build`); *cache* (a
         :class:`~repro.engine.cache.BuildCache`) answers content-addressed
         repeats without re-running the flow.  Results are identical to a
-        serial build.
+        serial build.  The report is :meth:`ComponentDatabase.build`'s.
         """
         if database is None:  # not ``or``: an empty database is falsy (``__len__``)
             database = ComponentDatabase(self.device)
         with span("flow.build_database", model=dfg.name, granularity=granularity):
             components = group_components(dfg, granularity)
-            timer = database.build(
+            report = database.build(
                 components,
                 rom_weights=rom_weights,
                 effort=self.component_effort,
@@ -122,7 +125,7 @@ class PreImplementedFlow:
                 jobs=jobs,
                 cache=cache,
             )
-        return database, timer
+        return database, report
 
     def _scheduler_for(self, components) -> "Design":
         """Pre-implement the shared-architecture scheduler: a memory
@@ -221,13 +224,13 @@ class PreImplementedFlow:
             database, offline = self.build_database(
                 dfg, granularity=granularity, rom_weights=rom_weights, database=database
             )
-            offline_s = offline.total
+            offline_s = offline.run_s
 
-        timer = StageTimer()
-        with timer.stage("rw:component_extraction"):
+        stages: dict[str, float] = {}
+        with stage(stages, "rw:component_extraction"):
             components = group_components(dfg, granularity)
 
-        with timer.stage("rw:component_matching"):
+        with stage(stages, "rw:component_matching"):
             matched = components
             if share_components:
                 unique: dict[tuple, object] = {}
@@ -248,7 +251,7 @@ class PreImplementedFlow:
                 scheduler = self._scheduler_for(components)
                 items.append(("scheduler", scheduler))
 
-        with timer.stage("rw:component_placement"):
+        with stage(stages, "rw:component_placement"):
             placer = ComponentPlacer(self.device, halo=HALO)
             if share_components:
                 # star topology: every engine talks to the scheduler
@@ -274,7 +277,7 @@ class PreImplementedFlow:
                     "component:scheduler", anchored, require_routed=True
                 ))
 
-        with timer.stage("rw:composition"):
+        with stage(stages, "rw:composition"):
             if share_components:
                 stitch = compose_shared(
                     f"{dfg.name}_{granularity}_shared",
@@ -303,8 +306,8 @@ class PreImplementedFlow:
         if gate_report is not None:
             drc_reports.append(gate_report)
 
-        with timer.stage("vivado:inter_route"):
-            route = Router(self.device, self.graph).route(top, timer=timer)
+        with stage(stages, "vivado:inter_route"):
+            route = Router(self.device, self.graph).route(top)
 
         extras: dict = {
             "offline_s": offline_s,
@@ -329,7 +332,7 @@ class PreImplementedFlow:
                     "degenerate component)"
                 )
             pipeline_target_mhz = target_mhz
-            with timer.stage("phys_opt:pipeline"):
+            with stage(stages, "phys_opt:pipeline"):
                 target_ps = 1e6 / pipeline_target_mhz - self.delays.clock_overhead_ps
                 pipe = pipeline_to_target(
                     top, self.device, target_ps, graph=self.graph,
@@ -338,7 +341,7 @@ class PreImplementedFlow:
                 extras["pipeline"] = pipe
             if pipe.inserted:
                 # Only the split nets are unrouted; report both passes.
-                with timer.stage("vivado:reroute"):
+                with stage(stages, "vivado:reroute"):
                     reroute = Router(self.device, self.graph).route(top)
                 route = RouteResult(
                     routed=route.routed + reroute.routed,
@@ -357,15 +360,15 @@ class PreImplementedFlow:
         if self.drc != "off":
             extras["drc"] = drc_reports
 
-        with timer.stage("timing"):
+        with stage(stages, "timing"):
             timing = sta.analyze()
-        with timer.stage("power"):
+        with stage(stages, "power"):
             power = estimate_power(top, self.device, timing.fmax_mhz, self.graph)
 
         top.metadata["fmax_mhz"] = timing.fmax_mhz
         return FlowResult(
             design=top,
-            timer=timer,
+            stages=stages,
             timing=timing,
             power=power,
             route=route,

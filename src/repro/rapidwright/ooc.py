@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._util import StageTimer
 from ..fabric.device import Device, TILE_FOR_CELL
 from ..fabric.interconnect import RoutingGraph
 from ..fabric.pblock import PBlock, auto_pblock
 from ..netlist.design import Design
+from ..obs.span import span
 from ..place.placer import PlacementResult, place_design
 from ..route.pathfinder import RouteResult, Router
 from ..timing.delays import DEFAULT_DELAYS, DelayModel
@@ -42,7 +42,6 @@ class OOCResult:
     timing: TimingReport
     place: PlacementResult
     route: RouteResult
-    timer: StageTimer
 
     @property
     def fmax_mhz(self) -> float:
@@ -71,10 +70,9 @@ def preimplement(
     exploration of :mod:`repro.rapidwright.explore`).  The input design
     is modified in place and, with ``lock=True``, fully locked.
     """
-    timer = StageTimer()
     graph = graph if graph is not None else RoutingGraph(device)
 
-    with timer.stage("ooc/floorplan"):
+    with span("ooc/floorplan"):
         demand = design.site_demand()
         pblock = auto_pblock(
             device,
@@ -86,17 +84,17 @@ def preimplement(
         )
         design.pblock = pblock
 
-    with timer.stage("ooc/place"):
+    with span("ooc/place"):
         place = place_design(design, device, region=pblock, effort=effort, seed=seed)
 
-    with timer.stage("ooc/port_planning"):
+    with span("ooc/port_planning"):
         if plan_ports:
             _plan_ports(design, device, pblock)
 
-    with timer.stage("ooc/route"):
+    with span("ooc/route"):
         route = Router(device, graph).route(design, region=pblock)
 
-    with timer.stage("ooc/timing"):
+    with span("ooc/timing"):
         # HD.CLK_SRC: stub clock entry at the pblock boundary mid-height.
         design.metadata["clk_src"] = (pblock.col0, (pblock.row0 + pblock.row1) // 2)
         timing = IncrementalSta(design, device, graph, delays).analyze()
@@ -111,9 +109,7 @@ def preimplement(
     }
     if lock:
         design.lock_all()
-    return OOCResult(
-        design=design, pblock=pblock, timing=timing, place=place, route=route, timer=timer
-    )
+    return OOCResult(design=design, pblock=pblock, timing=timing, place=place, route=route)
 
 
 def _aspect_height(device: Device, demand: dict[str, int]) -> int:

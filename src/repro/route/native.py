@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .._native import build_library
-from ..obs.span import incr, sample
+from ..obs.span import incr, sample, span
 
 __all__ = ["native_available", "route_native"]
 
@@ -176,7 +176,7 @@ def _wirelength(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
     return int(((dc + dr) * valid).sum())
 
 
-def route_native(router, design, blocked, timer):
+def route_native(router, design, blocked):
     """Run the full negotiation through the C core; bit-identical to
     :meth:`Router.route_reference`.
 
@@ -195,7 +195,7 @@ def route_native(router, design, blocked, timer):
     nrows, ncols = router.device.nrows, router.device.ncols
     n_nodes = graph.n_nodes
 
-    with timer.stage("route/setup"):
+    with span("route/setup"):
         occupancy, net_usage, preexisting = routed_occupancy(design, graph)
         nets, gid_a, sink_a, width_a, src_a, dst_a = _collect_targets(
             design, nrows, ncols
@@ -238,7 +238,7 @@ def route_native(router, design, blocked, timer):
     try:
         for iteration in range(MAX_ITERS):
             iterations = iteration + 1
-            with timer.stage("route/iterate"):
+            with span("route/iterate"):
                 lib.route_iterate(sess, iteration, _ptr(out))
                 if out[3]:
                     incr("route.astar.calls", int(out[3]))
@@ -257,7 +257,7 @@ def route_native(router, design, blocked, timer):
     finally:
         lib.route_free(sess)
 
-    with timer.stage("route/commit"):
+    with span("route/commit"):
         routed = 0
         wirelength = 0
         if n:

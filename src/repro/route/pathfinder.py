@@ -40,8 +40,7 @@ from operator import is_not
 
 import numpy as np
 
-from .._util import StageTimer
-from ..obs.span import incr, observe, sample
+from ..obs.span import incr, observe, sample, span
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design, DesignError
@@ -242,13 +241,7 @@ class Router:
 
     # -- public API ------------------------------------------------------
 
-    def route(
-        self,
-        design: Design,
-        *,
-        region=None,
-        timer: StageTimer | None = None,
-    ) -> RouteResult:
+    def route(self, design: Design, *, region=None) -> RouteResult:
         """Route all unrouted, unlocked data connections of *design*.
 
         Routed paths are written back onto the nets.  With *region* (a
@@ -260,25 +253,17 @@ class Router:
         from .native import native_available, route_native
 
         if not native_available():
-            return self.route_reference(design, region=region, timer=timer)
-        timer = timer if timer is not None else StageTimer()
-        return route_native(self, design, self._blocked(design, region), timer)
+            return self.route_reference(design, region=region)
+        return route_native(self, design, self._blocked(design, region))
 
-    def route_reference(
-        self,
-        design: Design,
-        *,
-        region=None,
-        timer: StageTimer | None = None,
-    ) -> RouteResult:
+    def route_reference(self, design: Design, *, region=None) -> RouteResult:
         """:meth:`route` in scalar Python: the oracle of the compiled core,
         and what :meth:`route` runs where the core cannot load."""
-        timer = timer if timer is not None else StageTimer()
         graph = self.graph
         nrows, ncols = self.device.nrows, self.device.ncols
         blocked = self._blocked(design, region)
 
-        with timer.stage("route/setup"):
+        with span("route/setup"):
             occupancy, net_usage, preexisting = routed_occupancy(design, graph)
             targets = []
             for net in design.nets.values():
@@ -316,7 +301,7 @@ class Router:
 
         for iteration in range(MAX_ITERS):
             iterations = iteration + 1
-            with timer.stage("route/iterate"):
+            with span("route/iterate"):
                 over = np.maximum(occupancy - capacity, 0.0) / capacity
                 node_cost = 1.0 + pres_fac * over + HIST_FAC * history
                 if blocked is not None:
@@ -338,7 +323,7 @@ class Router:
             history += np.maximum(occupancy - capacity, 0.0) / capacity
             pres_fac *= PRES_FAC_MULT
 
-        with timer.stage("route/commit"):
+        with span("route/commit"):
             paths = []
             for tgt in targets:
                 if tgt.path is None:

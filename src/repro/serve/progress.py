@@ -24,9 +24,8 @@ from ..obs.sinks import Sink
 
 __all__ = ["ProgressLog", "ProgressSink", "STAGE_MAP", "stage_of"]
 
-#: Span name → progress stage label.  Spans not listed (and not matched
-#: by :func:`stage_of`'s prefix rules) emit no progress event — the
-#: per-iteration router/annealer spans would flood the stream.
+#: Span name → progress stage label.  Spans not listed emit no progress
+#: event — the per-iteration router/annealer spans would flood the stream.
 STAGE_MAP = {
     "engine.task": "synth",            # one OOC component pre-implementation
     "flow.build_database": "synth",

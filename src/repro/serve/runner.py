@@ -30,7 +30,7 @@ __all__ = ["run_job", "build_result_doc"]
 
 #: Bump to invalidate cached serve *results* (the component-build tier
 #: has its own engine-level salt).
-RESULT_SCHEMA = 1
+RESULT_SCHEMA = 2
 
 
 def build_result_doc(spec: JobSpec, result, wall_s: float) -> dict:
@@ -49,7 +49,7 @@ def build_result_doc(spec: JobSpec, result, wall_s: float) -> dict:
         "runtime_s": round(result.runtime_s, 6),
         "offline_s": round(result.extras.get("offline_s", 0.0), 6),
         "wall_s": round(wall_s, 6),
-        "stages": {k: round(v, 6) for k, v in result.timer.stages.items()},
+        "stages": {k: round(v, 6) for k, v in result.stages.items()},
         "cells": design.n_cells,
         "nets": design.n_nets,
         "utilization": {k: round(v, 6) for k, v in result.utilization(device).items()},

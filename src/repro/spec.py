@@ -225,6 +225,6 @@ def compile_spec(spec: JobSpec, *, jobs: int | None = None, cache=None):
                                   drc=spec.drc)
         database, offline = flow.build_database(dfg, jobs=jobs, cache=cache, **options)
         result = flow.run(dfg, database=database, pipeline_target_mhz=spec.pipeline, **options)
-        result.extras["offline_s"] = offline.total
+        result.extras["offline_s"] = offline.run_s
     result.extras["flow"] = flow
     return result

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .._util import StageTimer
-from ..obs.span import span
+from ..obs.span import span, stage
 from ..cnn.graph import DFG
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
@@ -35,7 +34,9 @@ class FlowResult:
     """Outcome of one implementation run (either flow)."""
 
     design: Design
-    timer: StageTimer
+    #: Wall time per top-level stage, in run order (the spans directly
+    #: under ``flow.run``, less the DRC sweeps).
+    stages: dict[str, float]
     timing: TimingReport
     power: PowerReport
     place: PlacementResult | None = None
@@ -49,7 +50,7 @@ class FlowResult:
 
     @property
     def runtime_s(self) -> float:
-        return self.timer.total
+        return sum(self.stages.values())
 
     def utilization(self, device: Device) -> dict[str, float]:
         usage = self.design.resource_usage()
@@ -104,39 +105,36 @@ class VivadoFlow:
         """Synthesize and implement a CNN end to end."""
         with span("flow.run", flow="baseline", model=dfg.name,
                   granularity=granularity) as run_span:
-            timer = StageTimer()
-            with timer.stage("synth"):
+            synth: dict[str, float] = {}
+            with stage(synth, "synth"):
                 synthesis: NetworkSynthesis = synthesize_network(
                     dfg, granularity=granularity, rom_weights=rom_weights
                 )
-            result = self.implement(synthesis.top, timer=timer)
+            result = self.implement(synthesis.top)
+            result.stages = synth | result.stages
             result.extras["synthesis"] = synthesis
             run_span.set(fmax_mhz=round(result.fmax_mhz, 3))
         return result
 
-    def implement(self, design: Design, *, timer: StageTimer | None = None) -> FlowResult:
+    def implement(self, design: Design) -> FlowResult:
         """Implement an already-synthesized flat design."""
-        timer = timer if timer is not None else StageTimer()
-        with timer.stage("opt_design"):
+        stages: dict[str, float] = {}
+        with stage(stages, "opt_design"):
             opt = opt_design(design)
-        with timer.stage("place_design"):
-            place = place_design(
-                design, self.device, effort=self.effort, seed=self.seed, timer=timer
-            )
-        with timer.stage("route_design"):
-            route = Router(self.device, self.graph).route(
-                design, timer=timer
-            )
-        with timer.stage("timing"):
+        with stage(stages, "place_design"):
+            place = place_design(design, self.device, effort=self.effort, seed=self.seed)
+        with stage(stages, "route_design"):
+            route = Router(self.device, self.graph).route(design)
+        with stage(stages, "timing"):
             timing = IncrementalSta(
                 design, self.device, self.graph, self.delays
             ).analyze()
-        with timer.stage("power"):
+        with stage(stages, "power"):
             power = estimate_power(design, self.device, timing.fmax_mhz, self.graph)
         design.metadata["fmax_mhz"] = timing.fmax_mhz
         return FlowResult(
             design=design,
-            timer=timer,
+            stages=stages,
             timing=timing,
             power=power,
             place=place,

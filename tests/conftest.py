@@ -1,12 +1,15 @@
-"""Shared fixtures: devices of several sizes and a tiny CNN."""
+"""Shared fixtures: devices of several sizes, a tiny CNN, traced LeNet runs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Device, sanitize
-from repro.cnn import Conv2D, Dense, DFG, Flatten, Input, MaxPool2D, ReLU
+from repro.cnn import Conv2D, Dense, DFG, Flatten, Input, MaxPool2D, ReLU, lenet5
 from repro.fabric import RoutingGraph
+from repro.obs import InMemorySink, Tracer
+from repro.rapidwright import PreImplementedFlow
+from repro.vivado import VivadoFlow
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -71,3 +74,37 @@ def make_tiny_cnn() -> DFG:
 @pytest.fixture
 def tiny_cnn() -> DFG:
     return make_tiny_cnn()
+
+
+def traced(run):
+    """Call *run* under a fresh tracer; return its result and its spans."""
+    sink = InMemorySink()
+    with Tracer(sink).activate():
+        result = run()
+    return result, [e for e in sink.events if e["ph"] == "span"]
+
+
+def stages_under_run(spans) -> list[str]:
+    """Names of the spans directly under ``flow.run``, in start order,
+    less the DRC sweeps (a flow's stage ledger should list exactly these)."""
+    run = next(s for s in spans if s["name"] == "flow.run")
+    children = sorted((s for s in spans if s["parent"] == run["id"]), key=lambda s: s["t0"])
+    return [s["name"] for s in children if s["name"] != "drc.run"]
+
+
+@pytest.fixture(scope="session")
+def traced_lenet(small_device) -> dict:
+    """LeNet on the small part, traced, as ``{flow: (result, spans)}``:
+    the baseline flow, and the pre-implemented one with every DRC gate
+    and pipelining to ``"auto"``, its library built under the same tracer."""
+    net = lenet5()
+
+    def preimpl():
+        flow = PreImplementedFlow(small_device, component_effort="low", seed=0, drc="warn")
+        database, _ = flow.build_database(net, jobs=1)
+        return flow.run(net, database=database, pipeline_target_mhz="auto")
+
+    return {
+        "baseline": traced(lambda: VivadoFlow(small_device, effort="low", seed=0).run(net)),
+        "preimpl": traced(preimpl),
+    }

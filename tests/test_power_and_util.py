@@ -1,9 +1,9 @@
-"""Power estimator and shared utilities (StageTimer, rng, naming)."""
+"""Power estimator and shared utilities (rng, naming)."""
 
 import numpy as np
 import pytest
 
-from repro._util import StageTimer, fresh_name, make_rng, manhattan
+from repro._util import fresh_name, make_rng, manhattan
 from repro.fabric import TileType
 from repro.netlist import Design
 from repro.power import estimate_power
@@ -73,28 +73,6 @@ def test_dsp_burns_more_than_slice(tiny_device):
     pa = estimate_power(a, tiny_device, 300.0)
     pb = estimate_power(b, tiny_device, 300.0)
     assert pb.logic_w > pa.logic_w
-
-
-# -- StageTimer -----------------------------------------------------------
-
-
-def test_stage_timer_accumulates_and_orders():
-    t = StageTimer()
-    with t.stage("a"):
-        pass
-    with t.stage("b"):
-        pass
-    with t.stage("a"):
-        pass
-    assert t.order == ["a", "b"]
-    assert t.total >= 0
-
-
-def test_stage_timer_excludes_substages_from_total():
-    t = StageTimer()
-    t.add("place", 2.0)
-    t.add("place/refine", 1.5)  # nested: already inside "place"
-    assert t.total == pytest.approx(2.0)
 
 
 # -- rng / misc ------------------------------------------------------------

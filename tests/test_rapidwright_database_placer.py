@@ -4,6 +4,7 @@ import pytest
 
 from repro.cnn import group_components
 from repro.fabric import PBlock
+from repro.obs import Tracer
 from repro.rapidwright import (
     ComponentDatabase,
     ComponentPlacer,
@@ -50,15 +51,18 @@ def test_get_unknown_signature(db):
 
 def test_hits_counted(db):
     database, comps = db
-    before = database.total_hits
-    database.get(comps[0].signature)
-    assert database.total_hits == before + 1
+    tracer = Tracer()
+    with tracer.activate():
+        database.get(comps[0].signature)
+    assert tracer.metrics.counter("codec.fetch").value == 1
 
 
 def test_build_skips_existing(db, small_device):
     database, comps = db
-    timer = database.build(comps, rom_weights=True, effort="low", seed=0)
-    assert timer.total == 0.0  # everything already present
+    report = database.build(comps, rom_weights=True, effort="low", seed=0)
+    # everything already present: an empty report, not the first build's
+    assert report.tasks == [] and report.results == {}
+    assert report.run_s == 0.0
 
 
 def test_signature_key_stable():

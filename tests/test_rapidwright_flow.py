@@ -4,11 +4,14 @@ import gc
 
 import pytest
 
+from repro.analysis.productivity import BASELINE_STAGES, ROUTE_STAGES, RW_STAGES
 from repro.cnn import group_components
+from repro.obs import Tracer
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow, compose
 from repro.rapidwright.placer import ComponentPlacer
+from repro.serve.progress import STAGE_MAP
 from repro.vivado import VivadoFlow
-from tests.conftest import make_tiny_cnn
+from tests.conftest import make_tiny_cnn, stages_under_run
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +132,22 @@ def test_flow_fills_the_empty_database_it_is_handed(small_device, tmp_path):
 def test_flow_reuses_database_across_runs(small_device, flow_pair):
     _, _, db, net = flow_pair
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    hits_before = db.total_hits
-    result = flow.run(net, rom_weights=True, database=db)
+    tracer = Tracer()
+    with tracer.activate():
+        result = flow.run(net, rom_weights=True, database=db)
     assert result.extras["offline_s"] == 0.0
-    assert db.total_hits > hits_before
+    assert tracer.metrics.counter("codec.fetch").value > 0
+
+
+def test_stage_ledger_matches_trace(traced_lenet):
+    result, spans = traced_lenet["preimpl"]
+    assert list(result.stages) == stages_under_run(spans)
+    assert "vivado:reroute" in result.stages  # the pipeliner split nets
+    # every stage the Fig. 6 accounting and serve's progress stream name is
+    # emitted by one of the two runs, so a renamed stage cannot zero them
+    emitted = {s["name"] for _, run_spans in traced_lenet.values() for s in run_spans}
+    named = {*RW_STAGES, *ROUTE_STAGES, *BASELINE_STAGES, *STAGE_MAP}
+    assert named <= emitted, sorted(named - emitted)
 
 
 def test_flow_missing_component_raises(small_device):

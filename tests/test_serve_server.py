@@ -23,7 +23,8 @@ from repro.obs.sinks import InMemorySink
 from repro.obs.span import Tracer
 from repro.serve import JobSpec, ProgressLog, ServeApiError, ServeClient, ServeServer
 from repro.serve.progress import stage_of
-from repro.serve.runner import _execute, run_job
+from repro.serve.runner import RESULT_SCHEMA, _execute, build_result_doc, run_job
+from repro.spec import compile_spec
 
 SPEC = {"model": "lenet5", "part": "small", "effort": "low"}
 
@@ -150,6 +151,15 @@ class TestHttpApi:
             assert "no congestion-free routing exists" in envelope["error"]
         finally:
             srv.stop()
+
+
+class TestResultDoc:
+    def test_stages_are_the_runs_stage_ledger(self):
+        spec = JobSpec(**SPEC)
+        result = compile_spec(spec, jobs=1)
+        doc = build_result_doc(spec, result, wall_s=0.0)
+        assert doc["schema"] == RESULT_SCHEMA
+        assert list(doc["stages"]) == list(result.stages)
 
 
 class TestProgressCanonical:

@@ -1,12 +1,12 @@
-"""Direct unit tests for repro._util (previously only covered indirectly)."""
+"""Direct unit tests for repro._util and the stage-ledger span helper."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro._util import StageTimer, fresh_name, make_rng, manhattan
+from repro._util import fresh_name, make_rng, manhattan
 from repro.obs import InMemorySink, Tracer
+from repro.obs.span import stage
 
 
 # -- make_rng -------------------------------------------------------------
@@ -41,45 +41,31 @@ def test_manhattan():
     assert manhattan(2, 7, 4, 1) == manhattan(4, 1, 2, 7)
 
 
-# -- StageTimer -----------------------------------------------------------
+# -- stage: a span that also fills a flow's stage ledger --------------------
 
 
 def test_stage_accumulates_and_keeps_order():
-    timer = StageTimer()
-    with timer.stage("b"):
+    stages: dict[str, float] = {}
+    with stage(stages, "b"):
         pass
-    with timer.stage("a"):
+    with stage(stages, "a"):
         pass
-    with timer.stage("b"):
+    first_b = stages["b"]
+    with stage(stages, "b"):
         pass
-    assert timer.order == ["b", "a"]
-    assert set(timer.stages) == {"a", "b"}
-    assert timer.total == pytest.approx(timer.stages["a"] + timer.stages["b"])
-
-
-def test_total_falls_back_to_substages_only():
-    timer = StageTimer()
-    timer.add("x/sub", 1.0)
-    assert timer.total == 1.0
-
-
-def test_report_lists_all_stages():
-    timer = StageTimer()
-    timer.add("synth", 1.0)
-    timer.add("route", 0.5)
-    report = timer.report()
-    assert "synth" in report and "route" in report and "total" in report
+    assert list(stages) == ["b", "a"]
+    assert stages["b"] >= first_b >= 0.0
 
 
 def test_stage_emits_span_when_traced():
     sink = InMemorySink()
-    timer = StageTimer()
+    stages: dict[str, float] = {}
     with Tracer(sink).activate():
-        with timer.stage("outer"):
-            with timer.stage("inner"):
+        with stage(stages, "outer"):
+            with stage(stages, "inner"):
                 pass
     spans = {e["name"]: e for e in sink.events if e["ph"] == "span"}
     assert set(spans) == {"outer", "inner"}
     assert spans["inner"]["parent"] == spans["outer"]["id"]
-    # the timer itself still accumulated
-    assert set(timer.stages) == {"outer", "inner"}
+    # the ledger itself still accumulated
+    assert set(stages) == {"outer", "inner"}

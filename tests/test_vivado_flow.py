@@ -4,7 +4,7 @@ import pytest
 
 from repro.netlist import Design, Port
 from repro.vivado import VivadoFlow, opt_design
-from tests.conftest import make_tiny_cnn
+from tests.conftest import make_tiny_cnn, stages_under_run
 
 
 def test_opt_design_removes_dead_nets():
@@ -47,12 +47,13 @@ def test_flow_produces_implemented_design(small_device, baseline):
     assert baseline.power.total_w > 0
 
 
-def test_flow_timer_has_vivado_stages(baseline):
+def test_flow_timer_has_vivado_stages(baseline, traced_lenet):
     for stage in ("synth", "opt_design", "place_design", "route_design", "timing"):
-        assert stage in baseline.timer.stages
-    assert baseline.runtime_s > 0
-    # nested sub-stages excluded from the top-level total
-    assert baseline.runtime_s <= sum(baseline.timer.stages.values())
+        assert stage in baseline.stages
+    assert baseline.runtime_s == sum(baseline.stages.values()) > 0
+    # the ledger is the top-level stage spans, in run order, and nothing else
+    result, spans = traced_lenet["baseline"]
+    assert list(result.stages) == stages_under_run(spans)
 
 
 def test_flow_utilization_keys(small_device, baseline):
