@@ -540,14 +540,17 @@ def _cmd_eco(args, out) -> int:
     import json as json_mod
 
     from .drc import DrcError
-    from .eco import delta_from_json, layer_variant, run_cts, run_eco, swap_delta
+    from .eco import EcoError, delta_from_json, layer_variant, run_cts, run_eco, swap_delta
     from .spec import compile_spec
 
     if not (args.delta or args.swap_layer):
         raise SystemExit("eco needs --swap-layer or --delta")
 
     def layer(name):
-        return _spec(args, eco={"swap_layer": name}).resolve_eco_layer()
+        comp = _spec(args, eco={"swap_layer": name}).resolve_eco_layer()
+        if comp is None:
+            raise EcoError(f"no single layer of {args.model} matches {name!r}")
+        return comp
 
     # The build runs without DRC gates; --drc gates only the edit.
     result = compile_spec(_spec(args, effort=args.effort), jobs=args.jobs)
@@ -564,21 +567,28 @@ def _cmd_eco(args, out) -> int:
                   file=out)
 
     swap_seed = args.swap_seed if args.swap_seed is not None else args.seed + 1
-    if args.delta:
-        data = json_mod.loads(Path(args.delta).read_text())
-        for edit in data.get("edits", []):
-            if isinstance(edit, dict) and edit.get("op") == "replace_layer":
-                edit["module"] = layer(edit.get("module")).name
-        delta = delta_from_json(data, variant=lambda module, seed: layer_variant(
-            layer(module), device, effort=args.effort,
-            seed=swap_seed if seed is None else int(seed),
-        ))
-    else:
-        delta = swap_delta(layer(args.swap_layer), device, effort=args.effort, seed=swap_seed)
+    try:
+        if args.delta:
+            data = json_mod.loads(Path(args.delta).read_text())
+            edits = data.get("edits") if isinstance(data, dict) else None
+            for edit in edits if isinstance(edits, list) else ():
+                if (isinstance(edit, dict) and edit.get("op") == "replace_layer"
+                        and isinstance(edit.get("module"), str)):
+                    edit["module"] = layer(edit["module"]).name
+            delta = delta_from_json(data, variant=lambda module, seed: layer_variant(
+                layer(module), device, effort=args.effort,
+                seed=swap_seed if seed is None else seed,
+            ))
+        else:
+            delta = swap_delta(layer(args.swap_layer), device, effort=args.effort,
+                               seed=swap_seed)
+    except (EcoError, json_mod.JSONDecodeError) as exc:
+        print(f"repro eco: {exc}", file=sys.stderr)
+        return 2
 
     try:
         eco, identical = run_eco(result, delta, drc=args.drc, verify=args.verify)
-    except DrcError as exc:
+    except (DrcError, EcoError) as exc:
         print(f"ECO rejected (design rolled back): {exc}", file=out)
         return 2
     print(eco.summary(), file=out)

@@ -100,10 +100,10 @@ class NetRewire:
 class LayerReplace:
     """Swap a whole pre-implemented module instance for another checkpoint.
 
-    *component* is an OOC checkpoint (e.g. ``database.get(signature)`` or
-    a re-built variant); it is relocated to the module's recorded stitch
-    anchor (``design.metadata["anchors"]``) and instantiated under the
-    same prefix.  Boundary stitch nets keep their names and endpoints
+    *component* is an OOC checkpoint (e.g. ``database.fetch(signature)``
+    or a re-built variant); a copy of it is relocated to the module's
+    recorded stitch anchor (``design.metadata["anchors"]``) under the
+    same instance names and adopted.  Boundary stitch nets keep their names and endpoints
     (the replacement must expose the same boundary cells) and are ripped
     for rerouting; the module's internal locked routes come from the
     checkpoint untouched.
@@ -318,9 +318,14 @@ def _apply_layer_replace(design: Design, edit: LayerReplace, rec: ApplyRecord) -
             )
         anchor = (int(recorded[0]), int(recorded[1]))
 
+    try:
+        placed = relocate(edit.component, rec._device, anchor, instance=module)
+    except RelocationError as exc:
+        raise EcoError(f"delta {rec.delta.name}: {exc}") from exc
+
     prefix = f"{module}/"
     old_names = {c.name for c in old_cells}
-    new_names = {f"{module}/{n}" for n in edit.component.cells}
+    new_names = set(placed.cells)
 
     # Pre-validate: every boundary net that survives must keep resolvable
     # endpoints, and every top-level port net the old instance provided
@@ -335,18 +340,13 @@ def _apply_layer_replace(design: Design, edit: LayerReplace, rec: ApplyRecord) -
                     f"delta {rec.delta.name}: replacement for {module!r} lacks "
                     f"boundary cell {endpoint!r} (net {name})"
                 )
-    new_net_names = {f"{module}/{n}" for n in edit.component.nets}
+    new_net_names = set(placed.nets)
     for port in design.ports.values():
         if port.net in internal and port.net not in new_net_names:
             raise EcoError(
                 f"delta {rec.delta.name}: replacement for {module!r} lacks "
                 f"boundary net {port.net!r} (port {port.name})"
             )
-
-    try:
-        placed = relocate(edit.component, rec._device, anchor)
-    except RelocationError as exc:
-        raise EcoError(f"delta {rec.delta.name}: {exc}") from exc
 
     # The replacement may use any site in the module's claimed region,
     # but nothing may have squatted on the exact sites it picked.
@@ -358,7 +358,7 @@ def _apply_layer_replace(design: Design, edit: LayerReplace, rec: ApplyRecord) -
     for cell in placed.cells.values():
         if cell.is_placed and cell.placement in foreign:
             raise EcoError(
-                f"delta {rec.delta.name}: replacement cell {module}/{cell.name} "
+                f"delta {rec.delta.name}: replacement cell {cell.name} "
                 f"wants site {cell.placement}, occupied by "
                 f"{foreign[cell.placement]!r}"
             )
@@ -383,8 +383,8 @@ def _apply_layer_replace(design: Design, edit: LayerReplace, rec: ApplyRecord) -
         net.routes = [net.routes[i] for i in keep]
         clock_losses.append((len(stale), net.name))
 
-    # Bring in the replacement under the same prefix.
-    portmap = design.instantiate(placed, prefix=module, module=module)
+    # Move the replacement in: it already carries the instance names.
+    portmap = design.adopt(placed)
 
     # The composition originally deleted the component's clock stubs and
     # any boundary port nets it bridged or left dangling; reproduce that.
@@ -470,6 +470,29 @@ def affected_nets(design: Design, record: ApplyRecord) -> list[str]:
     return out
 
 
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_NAME = (lambda v: isinstance(v, str), "a string")
+_COUNT = (_integer, "an integer")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_SITE = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_integer, v)),
+         "a pair of integers")
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+          "a list of strings")
+
+#: Per JSON op: its required fields, then every field with the shape
+#: its value must have (``null`` is "not given").
+_EDIT_FIELDS = {
+    "swap": (("cell",), {"cell": _NAME, "luts": _COUNT, "ffs": _COUNT,
+                         "comb_depth": _COUNT, "seq": _FLAG}),
+    "nudge": (("cell", "site"), {"cell": _NAME, "site": _SITE}),
+    "rewire": (("net",), {"net": _NAME, "driver": _NAME, "sinks": _NAMES}),
+    "replace_layer": (("module",), {"module": _NAME, "seed": _COUNT, "anchor": _SITE}),
+}
+
+
 def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDelta:
     """Build a :class:`DesignDelta` from its JSON description.
 
@@ -478,43 +501,56 @@ def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDel
     ``seed``; its replacement checkpoint is ``variant(module, seed)``, asked
     for once per edit, so two edits on one module can install different
     variants (the CLI builds them with :func:`repro.eco.layer_variant`).
+
+    Every field of every edit is checked for its type and shape before
+    any variant is built: a malformed description raises
+    :class:`EcoError` naming the edit and the field.
     """
     if not isinstance(data, dict):
         raise EcoError(f"delta must be a JSON object, got {type(data).__name__}")
-    edits: list[Edit] = []
-    for i, e in enumerate(data.get("edits", [])):
+    described = data.get("edits", [])
+    if not isinstance(described, list):
+        raise EcoError(f"delta field 'edits' must be a list, got {described!r}")
+    for i, e in enumerate(described):
         if not isinstance(e, dict) or "op" not in e:
             raise EcoError(f"edit #{i}: expected an object with an 'op' field")
         op = e["op"]
-        try:
-            if op == "swap":
-                edits.append(CellSwap(
-                    e["cell"], luts=e.get("luts"), ffs=e.get("ffs"),
-                    comb_depth=e.get("comb_depth"), seq=e.get("seq"),
-                ))
-            elif op == "nudge":
-                edits.append(PlacementNudge(e["cell"], (int(e["site"][0]), int(e["site"][1]))))
-            elif op == "rewire":
-                sinks = e.get("sinks")
-                edits.append(NetRewire(
-                    e["net"], driver=e.get("driver"),
-                    sinks=tuple(sinks) if sinks is not None else None,
-                ))
-            elif op == "replace_layer":
-                module = e["module"]
-                if variant is None:
-                    raise EcoError(
-                        f"edit #{i}: no replacement component supplied for "
-                        f"module {module!r}"
-                    )
-                comp = variant(module, e.get("seed"))
-                anchor = e.get("anchor")
-                edits.append(LayerReplace(
-                    module, comp,
-                    anchor=(int(anchor[0]), int(anchor[1])) if anchor else None,
-                ))
-            else:
-                raise EcoError(f"edit #{i}: unknown op {op!r}")
-        except KeyError as exc:
-            raise EcoError(f"edit #{i} ({op}): missing field {exc.args[0]!r}") from None
+        if not isinstance(op, str) or op not in _EDIT_FIELDS:
+            raise EcoError(f"edit #{i}: unknown op {op!r}")
+        required, shapes = _EDIT_FIELDS[op]
+        for key in required:
+            if e.get(key) is None:
+                raise EcoError(f"edit #{i} ({op}): missing field {key!r}")
+        for key, (ok, want) in shapes.items():
+            if e.get(key) is not None and not ok(e[key]):
+                raise EcoError(f"edit #{i} ({op}): field {key!r} must be {want}, "
+                               f"got {e[key]!r}")
+    edits: list[Edit] = []
+    for i, e in enumerate(described):
+        op = e["op"]
+        if op == "swap":
+            edits.append(CellSwap(
+                e["cell"], luts=e.get("luts"), ffs=e.get("ffs"),
+                comb_depth=e.get("comb_depth"), seq=e.get("seq"),
+            ))
+        elif op == "nudge":
+            edits.append(PlacementNudge(e["cell"], tuple(e["site"])))
+        elif op == "rewire":
+            sinks = e.get("sinks")
+            edits.append(NetRewire(
+                e["net"], driver=e.get("driver"),
+                sinks=tuple(sinks) if sinks is not None else None,
+            ))
+        else:
+            module = e["module"]
+            if variant is None:
+                raise EcoError(
+                    f"edit #{i}: no replacement component supplied for "
+                    f"module {module!r}"
+                )
+            anchor = e.get("anchor")
+            edits.append(LayerReplace(
+                module, variant(module, e.get("seed")),
+                anchor=tuple(anchor) if anchor is not None else None,
+            ))
     return DesignDelta(str(data.get("name", "eco")), tuple(edits))

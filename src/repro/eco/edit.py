@@ -11,10 +11,11 @@ __all__ = ["layer_variant", "swap_delta", "run_eco"]
 
 
 def layer_variant(comp, device, *, effort: str, seed: int, rom_weights: bool = True):
-    """*comp* re-implemented out of context at *seed*."""
+    """*comp* re-implemented out of context at *seed*, as a fetch: its
+    objects are built once, by the swap that places it."""
     database = ComponentDatabase(device)
     database.build([comp], rom_weights=rom_weights, effort=effort, seed=seed)
-    return database.get(comp.signature)
+    return database.fetch(comp.signature)
 
 
 def swap_delta(comp, device, *, effort: str, seed: int, rom_weights: bool = True):

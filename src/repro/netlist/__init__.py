@@ -8,7 +8,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .codec import DesignImage, clone_design, decode_design, encode_design
+from .codec import DesignImage, decode_design, encode_design
 from .design import Design, DesignError
 from .library import CELL_LIBRARY, CellTypeSpec, cell_type
 from .net import Net, Port
@@ -30,5 +30,4 @@ __all__ = [
     "DesignImage",
     "encode_design",
     "decode_design",
-    "clone_design",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "DesignImage",
     "encode_design",
     "decode_design",
-    "clone_design",
     "pack_value",
     "unpack_value",
 ]
@@ -1136,59 +1135,3 @@ def encode_design(design: Design) -> bytes:
 def decode_design(blob: bytes) -> Design:
     """Binary image bytes -> fresh design (inverse of :func:`encode_design`)."""
     return DesignImage.from_bytes(blob).materialize()
-
-
-def clone_design(design: Design) -> Design:
-    """Structural deep copy of *design*.
-
-    Bit-identical to ``design_from_dict(design_to_dict(design))`` — the
-    JSON-codec round trip :func:`repro.rapidwright.module.relocate` used
-    to pay — without building either dict.  Metadata is deep-copied
-    (same semantics as the round trip's double deepcopy); containers are
-    fresh; immutable leaves (strings, placement/tile tuples, the frozen
-    pblock) are shared.
-    """
-    new = object.__new__
-    out = Design.__new__(Design)
-    out.name = design.name
-    out.pblock = design.pblock
-    out.metadata = copy.deepcopy(design.metadata)
-    cells: dict[str, Cell] = {}
-    for name, c in design.cells.items():
-        cell = new(Cell)
-        cell.name = c.name
-        cell.ctype = c.ctype
-        cell.placement = c.placement if c.placement else None
-        cell.locked = c.locked
-        cell.luts = c.luts
-        cell.ffs = c.ffs
-        cell.comb_depth = c.comb_depth
-        cell.seq = c.seq
-        cell.module = c.module
-        cells[name] = cell
-    out.cells = cells
-    nets: dict[str, Net] = {}
-    for name, n in design.nets.items():
-        net = new(Net)
-        net.name = n.name
-        net.driver = n.driver
-        net.sinks = list(n.sinks)
-        net.routes = [list(r) if r is not None else None for r in n.routes]
-        net.width = n.width
-        net.is_clock = n.is_clock
-        net.locked = n.locked
-        nets[name] = net
-    out.nets = nets
-    ports: dict[str, Port] = {}
-    for name, p in design.ports.items():
-        port = new(Port)
-        port.name = p.name
-        port.direction = p.direction
-        port.net = p.net
-        port.width = p.width
-        port.tile = p.tile if p.tile else None
-        port.protocol = p.protocol
-        ports[name] = port
-    out.ports = ports
-    incr("codec.clone")
-    return out

@@ -234,9 +234,6 @@ class Design:
 
     # -- queries -----------------------------------------------------------
 
-    def cells_of_type(self, ctype: str) -> list[Cell]:
-        return [c for c in self.cells.values() if c.ctype == ctype]
-
     def cell_type_counts(self) -> Counter:
         return Counter(c.ctype for c in self.cells.values())
 
@@ -307,11 +304,6 @@ class Design:
         for net in self.nets.values():
             if net.is_routed:
                 net.locked = True
-
-    def clear_placement(self, include_locked: bool = False) -> None:
-        for cell in self.cells.values():
-            if include_locked or not cell.locked:
-                cell.placement = None
 
     def instantiate(self, sub: "Design", prefix: str, module: str | None = None) -> dict[str, str]:
         """Copy *sub*'s cells and nets into this design with *prefix*.

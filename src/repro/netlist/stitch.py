@@ -17,7 +17,7 @@ from .design import Design, DesignError
 from .net import Net, Port
 
 __all__ = [
-    "bridge_ports", "merge_clock_nets", "expose_port", "expose_weight_ports",
+    "bridge_ports", "merge_clock_nets", "expose_weight_ports",
     "prune_dangling_nets",
 ]
 
@@ -45,19 +45,6 @@ def bridge_ports(
     top.remove_net(in_net_name)
     incr("stitch.bridged")
     return net
-
-
-def expose_port(
-    top: Design, port_name: str, inner_net_name: str, direction: str, *, width: int = 16,
-    protocol: str = "stream",
-) -> Port:
-    """Promote an instantiated component boundary net to a top-level port."""
-    if inner_net_name not in top.nets:
-        raise DesignError(f"expose_port: unknown net {inner_net_name!r}")
-    net = top.nets[inner_net_name]
-    return top.add_port(
-        Port(port_name, direction, net.name, width=max(width, net.width), protocol=protocol)
-    )
 
 
 def expose_weight_ports(top: Design, instance: str, portmap: dict[str, str], n_ports: int) -> int:
@@ -94,17 +81,18 @@ def prune_dangling_nets(top: Design) -> list[str]:
     return pruned
 
 
-def merge_clock_nets(top: Design, name: str = "clk") -> Port:
-    """Replace per-component clock nets with one global clock net + port.
+def merge_clock_nets(top: Design) -> Port:
+    """Replace per-component clock nets with one global clock net + port
+    (``clk_net``, ``clk``).
 
     Real flows route one global clock through the dedicated network; the
     per-component HD.CLK_SRC stubs exist only for OOC timing analysis.
     """
     top.remove_clock_nets()
-    for port_name in [p.name for p in top.ports.values() if p.name.endswith(name)]:
+    for port_name in [p.name for p in top.ports.values() if p.name.endswith("clk")]:
         # stale clock ports from instantiated components
         if not top.has_net(top.ports[port_name].net):
             del top.ports[port_name]
-    net = top.add_net(top.seq_clock_net(f"{name}_net"))
+    net = top.add_net(top.seq_clock_net("clk_net"))
     incr("stitch.clock_sinks", net.lengths()[0])
-    return top.add_port(Port(name, "in", net.name, width=1))
+    return top.add_port(Port("clk", "in", net.name, width=1))

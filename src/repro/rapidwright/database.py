@@ -33,14 +33,13 @@ from ..engine.cache import BuildCache, canonical_blob, content_key
 from ..engine.executor import Engine, EngineReport, TaskSpec
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
-from ..netlist.block import Block
 from ..netlist.codec import DesignImage
 from ..netlist.design import Design
 from ..obs.span import incr
 from .module import (
     Footprint,
     RelocationError,
-    checked_shift,
+    placed_copy,
     recorded_column_signature,
 )
 
@@ -235,44 +234,22 @@ class ComponentDatabase:
         anchor: tuple[int, int] | None = None,
         *,
         device: Device | None = None,
-        validate: bool = True,
         instance: str | None = None,
     ) -> Design:
-        """Fresh copy of the checkpoint, relocated to *anchor* in one step.
+        """Fresh copy of the checkpoint, placed at *anchor* in one step.
 
-        ``fetch(sig)`` is :meth:`get`; ``fetch(sig, anchor)`` is
-        ``relocate(get(sig), device, anchor)`` — but the relocation is
-        applied as offset arithmetic on the columnar image while it
-        materializes, skipping the per-copy codec round trip.
-        Bit-identical to the :func:`repro.rapidwright.module.
-        relocate_reference` oracle; raises the same
-        :class:`~repro.rapidwright.module.RelocationError` diagnostics.
-
-        *instance* names the copy as one instance of a composed design
-        (``"{instance}/"``-prefixed cell and net names, ``module`` tags;
-        see :meth:`DesignImage.materialize`), ready for
-        :meth:`Design.adopt`.
-
-        The relocation is validated here, eagerly; the copy's objects
-        are not built here.  The returned design has its ``name``,
-        ``pblock``, ``metadata`` and ``ports`` and is *block-backed*
-        (:class:`~repro.netlist.design.Design`): one placed
-        :class:`~repro.netlist.block.Block` over the record's image,
-        which the first access to ``cells`` / ``nets`` materializes — or
-        which :meth:`Design.adopt` moves into a composed design as it is.
+        :func:`~repro.rapidwright.module.placed_copy` of the record's
+        image: ``fetch(sig)`` is :meth:`get` with its objects still
+        pending, ``fetch(sig, anchor)`` is ``relocate(get(sig), device,
+        anchor)`` without building the source copy.  The relocation is
+        validated here, eagerly, with the :class:`~repro.rapidwright.
+        module.RelocationError` diagnostics of the
+        :func:`~repro.rapidwright.module.relocate_reference` oracle, and
+        the copy is bit-identical to it.  *instance* names the copy as
+        one instance of a composed design, ready for :meth:`Design.adopt`.
         """
-        image = self._record(signature).image
-        device = device or self.device
-        dcol = drow = 0
-        if anchor is not None:
-            if image.pblock is None:
-                raise RelocationError(f"design {image.name} has no pblock footprint")
-            pblock = PBlock(*image.pblock)
-            used = image.used_column_offsets() if validate else None
-            dcol, drow, _ = checked_shift(image.name, pblock, device, anchor, used)
-        design = Design.pending(
-            image.frame(dcol, drow, instance=instance),
-            Block(image, dcol, drow, device.nrows, instance),
+        design = placed_copy(
+            self._record(signature).image, device or self.device, anchor, instance=instance
         )
         incr("codec.fetch")
         return design

@@ -20,13 +20,15 @@ import numpy as np
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
+from ..netlist.block import Block
 from ..netlist.checkpoint import design_from_dict, design_to_dict
-from ..netlist.codec import clone_design
+from ..netlist.codec import DesignImage
 from ..netlist.design import Design, DesignError
 
 __all__ = [
     "Footprint",
     "candidate_anchors",
+    "placed_copy",
     "relocate",
     "relocate_reference",
     "used_column_offsets",
@@ -177,14 +179,13 @@ def checked_shift(
     pblock: PBlock,
     device: Device,
     anchor: tuple[int, int],
-    used: dict[int, int] | None,
+    used: dict[int, int],
 ) -> tuple[int, int, PBlock]:
     """Validate a move of *pblock* to *anchor*; return ``(dcol, drow, target)``.
 
-    *used* is the :func:`used_column_offsets` map, or ``None`` to skip
-    the column-footprint check.  Shared by :func:`relocate` and the
-    database's interned fetch path so both raise identical
-    :class:`RelocationError` diagnostics.
+    *used* is the :func:`used_column_offsets` map the destination columns
+    must match.  Raises the :class:`RelocationError` diagnostics of
+    :func:`relocate_reference`.
     """
     dcol = anchor[0] - pblock.col0
     drow = anchor[1] - pblock.row0
@@ -193,59 +194,60 @@ def checked_shift(
         raise RelocationError(
             f"relocating {name} to {anchor} leaves device {device.name}"
         )
-    if used is not None:
-        for off, tile in used.items():
-            if device.tile_type(target.col0 + off) != tile:
-                raise RelocationError(
-                    f"column footprint mismatch relocating {name} to "
-                    f"{anchor}: offset {off} needs tile type {tile}, found "
-                    f"{device.tile_type(target.col0 + off)}"
-                )
+    for off, tile in used.items():
+        if device.tile_type(target.col0 + off) != tile:
+            raise RelocationError(
+                f"column footprint mismatch relocating {name} to "
+                f"{anchor}: offset {off} needs tile type {tile}, found "
+                f"{device.tile_type(target.col0 + off)}"
+            )
     return dcol, drow, target
 
 
-def relocate(
-    design: Design, device: Device, anchor: tuple[int, int], *, validate: bool = True
+def placed_copy(
+    image: DesignImage, device: Device, anchor: tuple[int, int] | None, *,
+    instance: str | None = None,
 ) -> Design:
-    """Return a deep copy of *design* moved so its pblock origin is *anchor*.
+    """A fresh copy of *image* with its pblock origin at *anchor*
+    (``None``: where it is), named as *instance* when given — the one
+    relocation path, under :func:`relocate` and ``ComponentDatabase.fetch``.
 
-    Raises :class:`RelocationError` when the destination columns do not
-    match the footprint or the move leaves the device.
-
-    This is the fast tier: a structural clone
-    (:func:`repro.netlist.codec.clone_design`) plus the coordinate
-    shift, with a zero-offset move returning the clone outright.  It is
-    bit-identical to :func:`relocate_reference`, which keeps the
-    checkpoint-codec round trip as the retained oracle.
+    The move is validated here, eagerly (:func:`checked_shift`); no
+    object is built here.  The copy has its ``name``, ``pblock``,
+    ``metadata`` and ``ports`` and is *block-backed*: one placed
+    :class:`~repro.netlist.block.Block` over *image*, which the first
+    access to ``cells`` / ``nets`` materializes, already shifted, or
+    :meth:`Design.adopt` moves into a composed design as it is.
+    *instance* prefixes every cell and net name with ``"{instance}/"``
+    and tags every cell with it, as :meth:`Design.instantiate` would.
     """
-    pblock = design.pblock
-    if pblock is None:
-        raise RelocationError(f"design {design.name} has no pblock footprint")
-    used = used_column_offsets(design) if validate else None
-    dcol, drow, target = checked_shift(design.name, pblock, device, anchor, used)
-    copy = clone_design(design)
-    if dcol == 0 and drow == 0:
-        return copy
-    nrows = device.nrows
-    node_shift = dcol * nrows + drow
-    for cell in copy.cells.values():
-        if cell.is_placed:
-            cell.placement = (cell.placement[0] + dcol, cell.placement[1] + drow)
-    for net in copy.nets.values():
-        net.routes = [
-            [node + node_shift for node in path] if path is not None else None
-            for path in net.routes
-        ]
-    for port in copy.ports.values():
-        if port.tile is not None:
-            port.tile = (port.tile[0] + dcol, port.tile[1] + drow)
-    copy.pblock = target
-    if "clk_src" in copy.metadata:
-        c, r = copy.metadata["clk_src"]
-        copy.metadata["clk_src"] = (c + dcol, r + drow)
-    if "ooc" in copy.metadata:
-        copy.metadata["ooc"]["pblock"] = [target.col0, target.row0, target.col1, target.row1]
-    return copy
+    dcol = drow = 0
+    if anchor is not None:
+        if image.pblock is None:
+            raise RelocationError(f"design {image.name} has no pblock footprint")
+        dcol, drow, _ = checked_shift(
+            image.name, PBlock(*image.pblock), device, anchor, image.used_column_offsets()
+        )
+    return Design.pending(
+        image.frame(dcol, drow, instance=instance),
+        Block(image, dcol, drow, device.nrows, instance),
+    )
+
+
+def relocate(
+    design: Design, device: Device, anchor: tuple[int, int], *, instance: str | None = None
+) -> Design:
+    """A fresh copy of *design* moved so its pblock origin is *anchor*,
+    named as *instance* when given.
+
+    :func:`placed_copy` of the design's columnar image, so the copy is
+    block-backed and shares nothing with *design*.  Raises
+    :class:`RelocationError` when the design has no pblock, the
+    destination columns do not match its footprint or the move leaves
+    the device.  Bit-identical to :func:`relocate_reference` (followed
+    by :meth:`Design.instantiate` under *instance*).
+    """
+    return placed_copy(DesignImage.from_design(design), device, anchor, instance=instance)
 
 
 def relocate_reference(
@@ -254,9 +256,10 @@ def relocate_reference(
     """Reference relocation: deep copy through the JSON checkpoint codec.
 
     Exercises the same path a DCP reload would take — serialize, parse,
-    then shift coordinates.  Retained as the oracle the fast tiers
-    (:func:`relocate`, ``ComponentDatabase.fetch``) are asserted
-    bit-identical to in ``tests/test_property_codec.py``.
+    then shift coordinates.  Retained as the oracle the fast path
+    (:func:`placed_copy`, under :func:`relocate` and
+    ``ComponentDatabase.fetch``) is asserted bit-identical to in
+    ``tests/test_property_codec.py``.
     """
     pblock = design.pblock
     if pblock is None:

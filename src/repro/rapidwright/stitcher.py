@@ -211,18 +211,16 @@ def compose_shared(
     top = Design(name)
     result = StitchResult(top=top)
 
-    # Every instance is built once — the scheduler as relocate()'s copy,
-    # renamed in place; an engine straight from its columnar template, at
-    # its anchor and under its instance names — and moved into the top.
+    # Every instance is built once — from its columnar image, at its
+    # anchor and under its instance names — and moved into the top.
     footprints: dict[str, list[int]] = {}
-    sched = relocate(scheduler, device, anchors["scheduler"])
+    sched = relocate(scheduler, device, anchors["scheduler"], instance="scheduler")
     if sched.pblock is not None:
         footprints["scheduler"] = [
             sched.pblock.col0, sched.pblock.row0,
             sched.pblock.col1, sched.pblock.row1,
         ]
-    n_sched_cells = len(sched.cells)
-    sched.prefix_names("scheduler")
+    n_sched_cells = sched.n_cells
     sched_map = top.adopt(sched)
     sched_in_net = top.nets[sched_map["in_data"]]
     sched_out_net = top.nets[sched_map["out_data"]]

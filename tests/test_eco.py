@@ -266,6 +266,36 @@ def test_delta_from_json_round_trip():
             {"op": "replace_layer", "module": "m"}]})  # no component supplied
 
 
+def _edit(**fields) -> dict:
+    return {"edits": [fields]}
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param({"edits": 5}, r"'edits' must be a list", id="edits-int"),
+    pytest.param(_edit(op="nudge", cell="c3", site=5), r"#0 \(nudge\): field 'site'",
+                 id="site-int"),
+    pytest.param(_edit(op="nudge", cell="c3", site=["a", "b"]), r"#0 \(nudge\): field 'site'",
+                 id="site-strings"),
+    pytest.param(_edit(op="nudge", cell="c3", site=[1]), r"#0 \(nudge\): field 'site'",
+                 id="site-short"),
+    pytest.param(_edit(op="rewire", net="n12", sinks=7), r"#0 \(rewire\): field 'sinks'",
+                 id="sinks-int"),
+    pytest.param(_edit(op="rewire", net="n12", sinks="abc"), r"#0 \(rewire\): field 'sinks'",
+                 id="sinks-string"),
+    pytest.param({"edits": [{"op": "swap", "cell": "c1"}, {"op": "swap", "cell": 3}]},
+                 r"#1 \(swap\): field 'cell'", id="cell-int"),
+    pytest.param(_edit(op="replace_layer", module="m", anchor=[1]),
+                 r"#0 \(replace_layer\): field 'anchor'", id="anchor-short"),
+])
+def test_delta_from_json_rejects_malformed_fields(data, message):
+    """A malformed field is an EcoError naming the edit and the field —
+    not a TypeError, an IndexError, or a delta that reads it wrongly."""
+    built = []
+    with pytest.raises(EcoError, match=message):
+        delta_from_json(data, variant=lambda module, seed: built.append(module))
+    assert not built  # every edit is checked before a variant is built
+
+
 # -- the ECO-* DRC rules ---------------------------------------------------
 
 
@@ -379,6 +409,27 @@ def test_cli_eco_layer_swap_with_oracle_check(tmp_path):
     assert "ECO swap:comp2_conv2" in text
     sarif = json.loads((tmp_path / "eco.sarif").read_text())
     assert sarif["runs"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param({"op": "warp"}, "repro eco: edit #0: unknown op 'warp'", id="unknown-op"),
+    pytest.param({"op": "nudge", "cell": "x", "site": [1]},
+                 "repro eco: edit #0 (nudge): field 'site' must be a pair of integers",
+                 id="malformed-site"),
+    pytest.param({"op": "swap", "cell": "ghost", "luts": 2},
+                 "ECO rejected (design rolled back): delta bad: unknown cell 'ghost'",
+                 id="unknown-cell"),
+])
+def test_cli_bad_delta_is_one_line_not_a_traceback(tmp_path, capsys, edit, message):
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps({"name": "bad", "edits": [edit]}))
+    code = main(["eco", "--model", "lenet5", "--part", "small", "--effort", "low",
+                 "--delta", str(path)])
+    captured = capsys.readouterr()
+    said = [line for line in (captured.out + captured.err).splitlines()
+            if not line.startswith("built ")]
+    assert code == 2
+    assert len(said) == 1 and said[0].startswith(message), said
 
 
 def test_cli_delta_edits_on_one_module_get_their_own_variants(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist import Design, DesignError, Port
-from repro.netlist.stitch import bridge_ports, expose_port, merge_clock_nets
+from repro.netlist.stitch import bridge_ports, merge_clock_nets
 
 
 def _component(name: str) -> Design:
@@ -53,15 +53,6 @@ def test_merge_clock_nets_unifies():
     assert len(clocks) == 1
     assert set(clocks[0].sinks) == {c.name for c in top.cells.values() if c.seq}
     assert top.ports[port.name].net == clocks[0].name
-
-
-def test_expose_port():
-    top = Design("top")
-    pa = top.instantiate(_component("a"), prefix="u0")
-    port = expose_port(top, "in_data", pa["in_data"], "in", width=16)
-    assert port.net == pa["in_data"]
-    with pytest.raises(DesignError, match="unknown net"):
-        expose_port(top, "x", "ghost", "in")
 
 
 def test_full_chain_validates(tiny_device):

@@ -78,14 +78,15 @@ def test_shared_deterministic(small_device):
 
 
 def _compose_shared_by_cloning(name, components, database, device, anchors, scheduler):
-    """``compose_shared`` as it was until PR 23: a plain fetch plus an
-    ``instantiate`` clone per engine, ``relocate`` plus a clone for the
-    scheduler.  Same top design, three copies of everything.  (Streamed
-    weight inputs become top-level memory ports, as in ``compose``.)"""
+    """``compose_shared`` by copies: a plain fetch plus an ``instantiate``
+    clone per engine, the ``relocate_reference`` oracle plus a clone for
+    the scheduler.  Same top design, three copies of everything.
+    (Streamed weight inputs become top-level memory ports, as in
+    ``compose``.)"""
     from repro.netlist import Design
     from repro.netlist.net import Port
     from repro.netlist.stitch import merge_clock_nets, prune_dangling_nets
-    from repro.rapidwright.module import relocate
+    from repro.rapidwright.module import relocate_reference
     from repro.rapidwright.stitcher import StitchRecord, StitchResult
 
     def box(pblock):
@@ -97,7 +98,7 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
     top = Design(name)
     result = StitchResult(top=top)
     footprints = {}
-    sched = relocate(scheduler, device, anchors["scheduler"])
+    sched = relocate_reference(scheduler, device, anchors["scheduler"])
     footprints["scheduler"] = box(sched.pblock)
     sched_map = top.instantiate(sched, prefix="scheduler", module="scheduler")
     sched_entry = top.nets[sched_map["in_data"]].sinks[0]
