@@ -82,9 +82,23 @@ def test_preimplemented_fmax_competitive_at_tiny_scale(flow_pair):
     assert ours.fmax_mhz > baseline.fmax_mhz * 0.75
 
 
-def test_preimplemented_faster_compile(flow_pair):
-    baseline, ours, _, _ = flow_pair
-    assert ours.runtime_s < baseline.runtime_s
+def _best_runtime_s(first, run, repeats=2):
+    """Fastest wall time of *first* and *repeats* more calls of *run*: one
+    preemption of the host during a 10 ms flow must not decide the race."""
+    times = [first.runtime_s]
+    for _ in range(repeats):
+        gc.collect()
+        times.append(run().runtime_s)
+    return min(times)
+
+
+def test_preimplemented_faster_compile(small_device, flow_pair):
+    baseline, ours, db, net = flow_pair
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    ours_s = _best_runtime_s(ours, lambda: flow.run(net, rom_weights=True, database=db))
+    vivado = VivadoFlow(small_device, effort="low", seed=0)
+    baseline_s = _best_runtime_s(baseline, lambda: vivado.run(net, rom_weights=True))
+    assert ours_s < baseline_s
 
 
 def test_preimplemented_uses_no_more_resources(small_device, flow_pair):
