@@ -98,6 +98,37 @@ def _add_trace_options(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_report_options(sub_parser: argparse.ArgumentParser) -> None:
+    """The waiver and report-file options of ``drc`` and ``lint``."""
+    sub_parser.add_argument("--waivers", default=None, metavar="PATH",
+                            help="TOML/JSON waiver file of reviewed exceptions")
+    sub_parser.add_argument("--sarif", default=None, metavar="PATH",
+                            help="write a SARIF 2.1 report here")
+    sub_parser.add_argument("--json", default=None, metavar="PATH",
+                            help="write the JSON report here")
+
+
+def _load_waivers(args):
+    from .reporting import WaiverSet
+
+    return WaiverSet.load(args.waivers) if args.waivers else None
+
+
+def _emit_report(report, args, out) -> int:
+    """Print a checker's table, write its ``--sarif`` / ``--json`` files,
+    and return its exit code under ``--mode``."""
+    import json as json_mod
+
+    print(report.table(), file=out)
+    if args.sarif:
+        Path(args.sarif).write_text(json_mod.dumps(report.to_sarif(), indent=2))
+        print(f"SARIF report written to {args.sarif}", file=out)
+    if args.json:
+        Path(args.json).write_text(json_mod.dumps(report.to_json(), indent=2))
+        print(f"JSON report written to {args.json}", file=out)
+    return report.exit_code(args.mode)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -143,12 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drc.add_argument("--granularity", default="layer", choices=("layer", "block"))
     p_drc.add_argument("--mode", default="strict", choices=("warn", "strict"),
                        help="strict: exit 2 on unwaived error-or-worse findings")
-    p_drc.add_argument("--waivers", default=None, metavar="PATH",
-                       help="TOML/JSON waiver file of reviewed exceptions")
-    p_drc.add_argument("--sarif", default=None, metavar="PATH",
-                       help="write a SARIF 2.1 report here")
-    p_drc.add_argument("--json", default=None, metavar="PATH",
-                       help="write the JSON report here")
+    _add_report_options(p_drc)
     p_drc.add_argument("--max-fanout", type=int, default=None,
                        help="NET-006 fanout ceiling (default 64)")
     p_drc.add_argument("--require-routed", action="store_true",
@@ -170,15 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="strict: exit 2 on unwaived error-or-worse findings")
     p_lint.add_argument("--strict", dest="mode", action="store_const", const="strict",
                         help="alias for --mode strict")
-    p_lint.add_argument("--waivers", default=None, metavar="PATH",
-                        help="TOML/JSON waiver file of reviewed exceptions")
+    _add_report_options(p_lint)
     p_lint.add_argument("--categories", default=None, metavar="CAT[,CAT...]",
                         help="restrict to rule categories "
                              "(determinism, concurrency, oracle)")
-    p_lint.add_argument("--sarif", default=None, metavar="PATH",
-                        help="write a SARIF 2.1 report here")
-    p_lint.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON report here")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
 
@@ -434,7 +455,11 @@ def _cmd_build(args, out) -> int:
         device, directory=Path(args.database_dir) if args.database_dir else None
     )
     if database.directory is not None:
-        reloaded = database.load_directory()
+        try:
+            reloaded = database.load_directory()
+        except ValueError as exc:  # a torn or foreign .dcpb file
+            print(f"library file rejected: {exc}", file=sys.stderr)
+            return 2
         if reloaded:
             print(f"reloaded {reloaded} persisted checkpoints", file=out)
     cache = BuildCache(directory=args.cache_dir) if args.cache_dir else None
@@ -461,12 +486,10 @@ def _cmd_build(args, out) -> int:
 
 
 def _cmd_drc(args, out) -> int:
-    import json as json_mod
-
-    from .drc import DEFAULT_MAX_FANOUT, WaiverSet, run_drc
+    from .drc import DEFAULT_MAX_FANOUT, run_drc
 
     device = Device.from_name(args.part)
-    waivers = WaiverSet.load(args.waivers) if args.waivers else None
+    waivers = _load_waivers(args)
     max_fanout = args.max_fanout if args.max_fanout is not None else DEFAULT_MAX_FANOUT
     database = None
     if args.checkpoint:
@@ -495,20 +518,10 @@ def _cmd_drc(args, out) -> int:
         max_fanout=max_fanout,
         gate=gate,
     )
-    print(report.table(), file=out)
-    if args.sarif:
-        Path(args.sarif).write_text(json_mod.dumps(report.to_sarif(), indent=2))
-        print(f"SARIF report written to {args.sarif}", file=out)
-    if args.json:
-        Path(args.json).write_text(json_mod.dumps(report.to_json(), indent=2))
-        print(f"JSON report written to {args.json}", file=out)
-    return report.exit_code(args.mode)
+    return _emit_report(report, args, out)
 
 
 def _cmd_lint(args, out) -> int:
-    import json as json_mod
-
-    from .drc import WaiverSet
     from .lint import all_lint_rules, run_lint
 
     if args.list_rules:
@@ -519,21 +532,13 @@ def _cmd_lint(args, out) -> int:
     categories = None
     if args.categories:
         categories = tuple(c.strip() for c in args.categories.split(",") if c.strip())
-    waivers = WaiverSet.load(args.waivers) if args.waivers else None
     report = run_lint(
         args.paths or None,
         root=args.root,
         categories=categories,
-        waivers=waivers,
+        waivers=_load_waivers(args),
     )
-    print(report.table(), file=out)
-    if args.sarif:
-        Path(args.sarif).write_text(json_mod.dumps(report.to_sarif(), indent=2))
-        print(f"SARIF report written to {args.sarif}", file=out)
-    if args.json:
-        Path(args.json).write_text(json_mod.dumps(report.to_json(), indent=2))
-        print(f"JSON report written to {args.json}", file=out)
-    return report.exit_code(args.mode)
+    return _emit_report(report, args, out)
 
 
 def _cmd_eco(args, out) -> int:

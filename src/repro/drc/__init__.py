@@ -7,27 +7,26 @@ component-database integrity (``DB-*``) — instead of raising on the
 first, then reports as an aligned table, JSON, or SARIF 2.1 for CI.
 
 Entry points: :func:`run_drc` for one sweep, :class:`WaiverSet` for
-reviewed exceptions, ``python -m repro drc`` on the command line, and
+reviewed exceptions (the checker core in :mod:`repro.reporting`, shared
+with :mod:`repro.lint`), ``python -m repro drc`` on the command line, and
 the ``drc=`` gates of :class:`repro.rapidwright.PreImplementedFlow`.
 :meth:`repro.netlist.Design.validate` is a thin adapter over the fatal
 subset of these rules.
 """
 
 from . import rules_builtin  # noqa: F401  (registers the built-in rules)
+from ..reporting import Location, Rule, Severity, Waiver, WaiverError, WaiverSet
 from .engine import (
     CATEGORIES,
     DEFAULT_MAX_FANOUT,
     DrcContext,
     DrcError,
     DrcReport,
-    Rule,
+    Violation,
     all_rules,
     rule,
-    rules_in,
     run_drc,
 )
-from .violation import Location, Severity, Violation
-from .waivers import Waiver, WaiverError, WaiverSet
 
 __all__ = [
     "CATEGORIES",
@@ -38,7 +37,6 @@ __all__ = [
     "Rule",
     "rule",
     "all_rules",
-    "rules_in",
     "run_drc",
     "Location",
     "Severity",

@@ -5,9 +5,12 @@ backs — a DRC sweep *collects every violation* instead of raising on the
 first, producing a machine-readable report fit for CI gates (table,
 JSON, SARIF 2.1).
 
-Rules are small generator functions registered with the :func:`rule`
-decorator; each has a stable id (``NET-001``, ``PLC-003``, ...), a
-category, and a default severity.  Categories gate on available inputs:
+Rules are small functions registered with the :func:`rule` decorator;
+each has a stable id (``NET-001``, ``PLC-003``, ...), a category, and a
+default severity.  The registry, the report and its renderers, severities
+and waivers are the checker core in :mod:`repro.reporting`, shared with
+:mod:`repro.lint`; this module holds the DRC context, its violation
+record and the sweep.  Categories gate on available inputs:
 ``netlist`` and ``clock`` rules always run, ``placement`` and ``routing``
 rules need a device (the routing graph is derived when not supplied),
 ``database`` rules need a :class:`~repro.rapidwright.ComponentDatabase`.
@@ -22,18 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ..netlist.design import DesignError
 from ..obs.span import incr, set_gauge, span
-from .violation import Location, Severity, Violation
-from .waivers import WaiverSet
+from ..reporting import Finding, Location, Report, Rule, RuleSet, Severity, WaiverSet
 
 __all__ = [
-    "Rule",
     "rule",
     "all_rules",
-    "rules_in",
+    "Violation",
     "DrcContext",
     "DrcReport",
     "DrcError",
@@ -47,73 +48,71 @@ CATEGORIES = ("netlist", "clock", "placement", "routing", "database", "eco")
 #: Default ceiling for the NET-006 fanout rule (stock designs peak ~5).
 DEFAULT_MAX_FANOUT = 64
 
-
-@dataclass(frozen=True)
-class Rule:
-    """One registered design rule."""
-
-    id: str
-    category: str
-    severity: Severity
-    title: str
-    check: Callable[["DrcContext", Callable], None]
-
-    def run(self, ctx: "DrcContext") -> list[Violation]:
-        found: list[Violation] = []
-
-        def emit(kind: str, name: str, message: str, *, detail: str = "",
-                 severity: Severity | None = None) -> None:
-            found.append(
-                Violation(
-                    rule_id=self.id,
-                    severity=self.severity if severity is None else severity,
-                    message=message,
-                    location=Location(kind, str(name), detail),
-                    design=ctx.design.name,
-                )
-            )
-
-        self.check(ctx, emit)
-        return found
+#: The DRC rules of the shared registry.  A rule's check receives
+#: ``(ctx, emit)`` and reports each violation through ``emit(kind, name,
+#: message, detail=..., severity=...)``; ``severity`` overrides the rule
+#: default per violation (RTE-001 uses this to escalate unrouted nets
+#: only when routing is required).
+DRC_RULES = RuleSet("DRC", CATEGORIES)
+rule = DRC_RULES.rule
+all_rules = DRC_RULES.all
 
 
-_REGISTRY: dict[str, Rule] = {}
+@dataclass
+class Violation(Finding):
+    """One design-rule breach at one named design object."""
 
+    location: Location
+    design: str = ""
 
-def rule(rule_id: str, *, category: str, severity: Severity | str, title: str):
-    """Register a check function as rule *rule_id*.
+    @classmethod
+    def at(cls, location: Location, rule_id: str, severity: Severity,
+           message: str) -> "Violation":
+        return cls(rule_id, severity, message, location)
 
-    The decorated function receives ``(ctx, emit)`` and reports each
-    violation through ``emit(kind, name, message, detail=..., severity=...)``;
-    ``severity`` overrides the rule default per violation (RTE-001 uses
-    this to escalate unrouted nets only when routing is required).
-    """
-    if category not in CATEGORIES:
-        raise ValueError(f"rule {rule_id}: unknown category {category!r}")
+    def where(self) -> str:
+        return str(self.location)
 
-    def decorator(fn):
-        if rule_id in _REGISTRY:
-            raise ValueError(f"duplicate rule id {rule_id}")
-        _REGISTRY[rule_id] = Rule(
-            id=rule_id,
-            category=category,
-            severity=Severity.parse(severity),
-            title=title,
-            check=fn,
-        )
-        return fn
+    def sort_key(self) -> tuple:
+        return (-int(self.severity), self.rule_id, str(self.location))
 
-    return decorator
+    def sarif_fields(self, report: "DrcReport") -> dict:
+        """A logical location: netlists have no files to point at."""
+        return {
+            "locations": [
+                {
+                    "logicalLocations": [
+                        {
+                            "name": self.location.name,
+                            "fullyQualifiedName": str(self.location),
+                            "kind": self.location.kind,
+                        }
+                    ]
+                }
+            ],
+            "properties": {"design": self.design or report.design},
+        }
 
+    def to_json(self) -> dict:
+        out = {
+            "rule": self.rule_id,
+            "severity": str(self.severity),
+            "message": self.message,
+            "location": {
+                "kind": self.location.kind,
+                "name": self.location.name,
+                "detail": self.location.detail,
+            },
+            "design": self.design,
+            "waived": self.waived,
+        }
+        if self.waived:
+            out["waived_reason"] = self.waived_reason
+        return out
 
-def all_rules() -> list[Rule]:
-    """Every registered rule, ordered by id."""
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def rules_in(*categories: str) -> list[Rule]:
-    """Registered rules of the given categories, ordered by id."""
-    return [r for r in all_rules() if r.category in categories]
+    def __str__(self) -> str:
+        flag = " (waived)" if self.waived else ""
+        return f"[{self.rule_id}] {self.severity}: {self.message}{flag}"
 
 
 @dataclass
@@ -148,6 +147,24 @@ class DrcContext:
             self._graph = RoutingGraph(self.device)
         return self._graph
 
+    def check(self, r: Rule) -> list[Violation]:
+        """Run one rule against these inputs; its ``emit`` collects the
+        violations it reports at named design objects."""
+        found: list[Violation] = []
+
+        def emit(kind: str, name: str, message: str, *, detail: str = "",
+                 severity: Severity | None = None) -> None:
+            found.append(Violation(
+                r.id,
+                r.severity if severity is None else severity,
+                message,
+                Location(kind, str(name), detail),
+                design=self.design.name,
+            ))
+
+        r.check(self, emit)
+        return found
+
 
 class DrcError(DesignError):
     """A strict DRC gate failed; carries the full report."""
@@ -165,78 +182,33 @@ class DrcError(DesignError):
 
 
 @dataclass
-class DrcReport:
+class DrcReport(Report):
     """Result of one DRC sweep: every violation, waived or not."""
+
+    checker = "DRC"
+    driver = "repro-drc"
+    finding_type = Violation
+    findings_key = "violations"
 
     design: str
     violations: list[Violation] = field(default_factory=list)
     rules_run: list[str] = field(default_factory=list)
     gate: str = ""
 
-    # -- queries -----------------------------------------------------------
-
-    def counts(self) -> dict[str, int]:
-        """Unwaived violation count per severity name (all four keys)."""
-        out = {str(s): 0 for s in Severity}
-        for v in self.violations:
-            if not v.waived:
-                out[str(v.severity)] += 1
-        return out
-
-    def by_rule(self) -> dict[str, int]:
-        """Unwaived violation count per rule id (only rules that fired)."""
-        out: dict[str, int] = {}
-        for v in self.violations:
-            if not v.waived:
-                out[v.rule_id] = out.get(v.rule_id, 0) + 1
-        return out
-
-    def failing(self, threshold: Severity = Severity.ERROR) -> list[Violation]:
-        """Unwaived violations at or above *threshold*."""
-        return [v for v in self.violations if not v.waived and v.severity >= threshold]
-
-    def is_clean(self, threshold: Severity = Severity.ERROR) -> bool:
-        """True when nothing unwaived reaches *threshold* (the strict gate)."""
-        return not self.failing(threshold)
+    @property
+    def findings(self) -> list[Violation]:
+        return self.violations
 
     @property
-    def n_waived(self) -> int:
-        return sum(1 for v in self.violations if v.waived)
+    def subject(self) -> str:
+        return f"DRC {self.design}"
 
-    def exit_code(self, mode: str = "strict") -> int:
-        """Process exit code for CI: 0 clean/warn-mode, 2 on a failed gate."""
-        if mode not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown DRC mode {mode!r}; use off, warn, or strict")
-        if mode == "strict" and not self.is_clean():
-            return 2
-        return 0
+    @property
+    def scope(self) -> str:
+        return f"{len(self.rules_run)} rules swept"
 
-    def summary(self) -> str:
-        counts = self.counts()
-        parts = [f"{n} {name}" for name, n in counts.items() if n]
-        body = ", ".join(parts) if parts else "clean"
-        waived = f" ({self.n_waived} waived)" if self.n_waived else ""
-        return (
-            f"DRC {self.design}: {body}{waived} "
-            f"[{len(self.rules_run)} rules swept]"
-        )
-
-    # -- output formats ---------------------------------------------------
-
-    def table(self) -> str:
-        from .report import violation_table
-
-        return violation_table(self)
-
-    def to_json(self) -> dict:
-        from .report import report_to_json
-
-        return report_to_json(self)
-
-    def to_sarif(self) -> dict:
-        from .report import report_to_sarif
-
-        return report_to_sarif(self)
+    def header(self) -> dict:
+        return {"design": self.design, "gate": self.gate}
 
 
 def run_drc(
@@ -266,7 +238,7 @@ def run_drc(
         Restrict the sweep to explicit rule ids or categories (both
         default to everything applicable).
     waivers:
-        A :class:`~repro.drc.waivers.WaiverSet`; matching violations are
+        A :class:`~repro.reporting.WaiverSet`; matching violations are
         marked waived and excluded from gating counts.
     require_routed:
         Escalate RTE-001 (unrouted net) from info to error — set for
@@ -286,15 +258,7 @@ def run_drc(
     # imported this module directly rather than the package.
     from . import rules_builtin  # noqa: F401
 
-    selected = list(all_rules()) if rules is None else [
-        _REGISTRY[r] if r in _REGISTRY else _missing(r) for r in rules
-    ]
-    if categories is not None:
-        wanted = set(categories)
-        unknown = wanted - set(CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown DRC categories: {sorted(unknown)}")
-        selected = [r for r in selected if r.category in wanted]
+    selected = DRC_RULES.select(rules, categories)
     if device is None:
         selected = [r for r in selected if r.category not in ("placement", "routing")]
     if database is None:
@@ -312,24 +276,13 @@ def run_drc(
     report = DrcReport(design=design.name, gate=gate)
     with span("drc.run", design=design.name, gate=gate, rules=len(selected)):
         for r in selected:
-            found = r.run(ctx)
+            found = ctx.check(r)
             if found:
                 incr(f"drc.violations.{r.id}", len(found))
                 report.violations.extend(found)
             report.rules_run.append(r.id)
-        if waivers is not None:
-            report.violations.extend(
-                waivers.apply(report.violations, today=today)
-            )
-        report.violations.sort(
-            key=lambda v: (-int(v.severity), v.rule_id, str(v.location))
-        )
+        report.settle(waivers, today)
     counts = report.counts()
     set_gauge("drc.errors", counts["error"] + counts["fatal"])
     set_gauge("drc.warnings", counts["warning"])
     return report
-
-
-def _missing(rule_id: str) -> Rule:
-    known = ", ".join(sorted(_REGISTRY))
-    raise KeyError(f"unknown DRC rule {rule_id!r}; known: {known}")

@@ -9,8 +9,8 @@ and tests keep matching); the rest are new static checks that Vivado's
 
 from __future__ import annotations
 
+from ..reporting import Severity
 from .engine import rule
-from .violation import Severity
 
 #: The per-net loops the columnar fatal rules (NET-002/003/008) replaced,
 #: kept as their oracle: same ids, order and messages.

@@ -9,8 +9,8 @@ so DRC and PathFinder agree exactly on what "overused" means.
 
 from __future__ import annotations
 
+from ..reporting import Severity
 from .engine import rule
-from .violation import Severity
 
 
 @rule("RTE-001", category="routing", severity="info", title="unrouted net")

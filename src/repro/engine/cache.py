@@ -39,7 +39,8 @@ from typing import Any
 from .. import sanitize
 from ..netlist.codec import pack_value, unpack_value
 
-__all__ = ["CODE_SALT", "canonical", "canonical_blob", "content_key", "CacheStats", "BuildCache"]
+__all__ = ["CODE_SALT", "canonical", "canonical_blob", "content_key", "write_atomic",
+           "CacheStats", "BuildCache"]
 
 #: Leading magic of a binary cache entry (``<key>.bin``).
 BIN_MAGIC = b"RBC1"
@@ -102,6 +103,25 @@ def canonical_blob(obj: Any) -> bytes:
 def content_key(*parts: Any, salt: str = CODE_SALT) -> str:
     """Content-addressed cache key over *parts* (salted, hex SHA-256)."""
     return hashlib.sha256(canonical_blob((salt,) + parts)).hexdigest()
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write *data* to *path* through a uniquely named temp file in the
+    same directory and an atomic :func:`os.replace`: a reader sees the
+    old file or the new one, never a torn write, and concurrent writers
+    of one path cannot interleave."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem[:16]}-",
+                                    suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -212,20 +232,7 @@ class BuildCache:
         if self.directory is not None:
             path = self._path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            blob = BIN_MAGIC + zlib.compress(pack_value(value), 1)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, BIN_MAGIC + zlib.compress(pack_value(value), 1))
         with self._lock:
             self._owned.add(key)
             self._remember(key, value)

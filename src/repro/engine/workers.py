@@ -9,7 +9,7 @@ whose ``blob`` is the locked design in the binary columnar codec
 (:mod:`repro.netlist.codec`) — one bytes object crosses the pipe
 instead of a dict-of-dicts the pickler has to walk, and the same value
 feeds the build cache and, parsed once, *is* the checkpoint database's
-record (:meth:`~repro.rapidwright.database.ComponentDatabase.put_result`).
+record (:meth:`~repro.rapidwright.database.ComponentDatabase.build`).
 """
 
 from __future__ import annotations

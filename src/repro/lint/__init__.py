@@ -23,28 +23,27 @@ Three rule families with stable ids:
     property test under ``tests/`` exercises the tier.
 
 Entry points: :func:`run_lint` for one sweep, ``python -m repro lint``
-on the command line (table/JSON/SARIF output, TOML waivers shared with
-DRC), and the opt-in runtime sanitizer in :mod:`repro.sanitize`
-(``REPRO_SANITIZE=1``) that enforces the DET discipline dynamically
-while the test suite runs.
+on the command line (table/JSON/SARIF output, TOML waivers — the checker
+core in :mod:`repro.reporting`, shared with DRC), and the opt-in runtime
+sanitizer in :mod:`repro.sanitize` (``REPRO_SANITIZE=1``) that enforces
+the DET discipline dynamically while the test suite runs.
 """
 
-from ..drc.violation import Severity
-from ..drc.waivers import Waiver, WaiverError, WaiverSet
+from ..reporting import Rule, Severity, Waiver, WaiverError, WaiverSet
+from . import rules_conc, rules_det  # noqa: F401  (registers the DET and CONC rules)
 from .engine import (
     CATEGORIES,
     CONCURRENT_PACKAGES,
     ORACLE_PACKAGES,
     FileContext,
+    LintFinding,
     LintReport,
-    LintRule,
     ProjectContext,
     all_lint_rules,
     lint_rule,
     parse_file_context,
     run_lint,
 )
-from .finding import LintFinding
 from .rules_orc import FAST_TIERS
 
 __all__ = [
@@ -55,8 +54,8 @@ __all__ = [
     "FileContext",
     "LintFinding",
     "LintReport",
-    "LintRule",
     "ProjectContext",
+    "Rule",
     "Severity",
     "Waiver",
     "WaiverError",

@@ -16,11 +16,12 @@ severity.  Two scopes exist:
     modules against their declared oracles and the property tests that
     cover them.
 
-Severity, gating, and waivers are shared with DRC: findings at or above
-``error`` fail the strict gate unless matched by an active waiver from
-the same TOML format :class:`repro.drc.waivers.WaiverSet` parses (lint
-waiver ``match`` patterns are fnmatch-tested against repo-relative
-paths).
+The registry, severities, waivers and the report with its renderers
+are the checker core in :mod:`repro.reporting`, shared with
+:mod:`repro.drc`; this module holds the lint contexts, the finding
+record and the sweep.  Findings at or above ``error`` fail the strict
+gate unless matched by an active waiver (lint waiver ``match`` patterns
+are fnmatch-tested against repo-relative paths).
 """
 
 from __future__ import annotations
@@ -29,19 +30,17 @@ import ast
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
-from ..drc.violation import Severity
-from ..drc.waivers import WaiverSet
-from .finding import LintFinding
+from ..reporting import Finding, Location, Report, Rule, RuleSet, Severity, WaiverSet
 
 __all__ = [
     "CATEGORIES",
     "ORACLE_PACKAGES",
     "CONCURRENT_PACKAGES",
-    "LintRule",
     "lint_rule",
     "all_lint_rules",
+    "LintFinding",
     "FileContext",
     "ProjectContext",
     "LintReport",
@@ -66,61 +65,72 @@ def _in_packages(module: str, packages: tuple[str, ...]) -> bool:
     return any(module == p or module.startswith(p + ".") for p in packages)
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """One registered static-analysis rule."""
-
-    id: str
-    category: str
-    severity: Severity
-    title: str
-    scope: str                     # "file" | "project"
-    check: Callable
-
-
-_REGISTRY: dict[str, LintRule] = {}
+#: The lint rules of the shared registry.  File-scope checks receive
+#: ``(ctx, emit)`` with a :class:`FileContext`; project-scope checks
+#: (``scope="project"``) receive ``(project, emit)``.  ``emit(message,
+#: path=..., line=..., col=..., severity=...)`` reports one finding
+#: (``path`` defaults to the file under check for file-scope rules;
+#: ``severity`` overrides the rule default per finding — the DET/CONC
+#: rules use it to escalate inside oracle-paired or concurrent modules).
+LINT_RULES = RuleSet("lint", CATEGORIES)
+lint_rule = LINT_RULES.rule
+all_lint_rules = LINT_RULES.all
 
 
-def lint_rule(rule_id: str, *, category: str, severity: Severity | str,
-              title: str, scope: str = "file"):
-    """Register a check function as lint rule *rule_id*.
+@dataclass
+class LintFinding(Finding):
+    """One static-analysis rule breach at one source line."""
 
-    File-scope checks receive ``(ctx, emit)`` with a :class:`FileContext`;
-    project-scope checks receive ``(project, emit)``.  ``emit(message,
-    path=..., line=..., col=..., severity=...)`` reports one finding
-    (``path`` defaults to the file under check for file-scope rules;
-    ``severity`` overrides the rule default per finding — the DET/CONC
-    rules use it to escalate inside oracle-paired or concurrent modules).
-    """
-    if category not in CATEGORIES:
-        raise ValueError(f"lint rule {rule_id}: unknown category {category!r}")
-    if scope not in ("file", "project"):
-        raise ValueError(f"lint rule {rule_id}: unknown scope {scope!r}")
+    path: str              # repo-relative, forward slashes
+    line: int = 0
+    col: int = 0
+    snippet: str = ""
 
-    def decorator(fn):
-        if rule_id in _REGISTRY:
-            raise ValueError(f"duplicate lint rule id {rule_id}")
-        _REGISTRY[rule_id] = LintRule(
-            id=rule_id,
-            category=category,
-            severity=Severity.parse(severity),
-            title=title,
-            scope=scope,
-            check=fn,
-        )
-        return fn
+    @classmethod
+    def at(cls, location: Location, rule_id: str, severity: Severity,
+           message: str) -> "LintFinding":
+        return cls(rule_id, severity, message, location.name)
 
-    return decorator
+    @property
+    def location(self) -> Location:
+        """Waiver location (``file:<path>@<line>``)."""
+        return Location("file", self.path, str(self.line) if self.line else "")
 
+    def where(self) -> str:
+        return f"{self.path}:{self.line}" if self.line else self.path
 
-def all_lint_rules() -> list[LintRule]:
-    """Every registered lint rule, ordered by id."""
-    _ensure_builtin()
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
+    def sort_key(self) -> tuple:
+        return (self.path, self.line, self.rule_id, self.message)
 
+    def sarif_fields(self, report: "LintReport") -> dict:
+        """A physical location: the file, and the line when known."""
+        location: dict = {"physicalLocation": {"artifactLocation": {"uri": self.path}}}
+        if self.line:
+            region = {"startLine": self.line}
+            if self.col:
+                region["startColumn"] = self.col + 1
+            location["physicalLocation"]["region"] = region
+        return {"locations": [location]}
 
-def _ensure_builtin() -> None:
-    from . import rules_conc, rules_det, rules_orc  # noqa: F401
+    def to_json(self) -> dict:
+        out = {
+            "rule": self.rule_id,
+            "severity": str(self.severity),
+            "message": self.message,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "waived": self.waived,
+        }
+        if self.snippet:
+            out["snippet"] = self.snippet
+        if self.waived:
+            out["waived_reason"] = self.waived_reason
+        return out
+
+    def __str__(self) -> str:
+        flag = " (waived)" if self.waived else ""
+        return f"[{self.rule_id}] {self.severity} {self.where()}: {self.message}{flag}"
 
 
 # ---------------------------------------------------------------------------
@@ -246,74 +256,32 @@ def parse_file_context(path: Path, root: Path) -> FileContext:
 
 
 @dataclass
-class LintReport:
+class LintReport(Report):
     """Result of one lint sweep: every finding, waived or not."""
+
+    checker = "lint"
+    driver = "repro-lint"
+    finding_type = LintFinding
+    unregistered = (
+        ("LNT-001", "unparsable source file", Severity.ERROR, "engine"),
+        *Report.unregistered,
+    )
 
     root: str
     findings: list[LintFinding] = field(default_factory=list)
     rules_run: list[str] = field(default_factory=list)
     files_scanned: int = 0
 
-    def counts(self) -> dict[str, int]:
-        """Unwaived finding count per severity name (all four keys)."""
-        out = {str(s): 0 for s in Severity}
-        for f in self.findings:
-            if not f.waived:
-                out[str(f.severity)] += 1
-        return out
-
-    def by_rule(self) -> dict[str, int]:
-        """Unwaived finding count per rule id (only rules that fired)."""
-        out: dict[str, int] = {}
-        for f in self.findings:
-            if not f.waived:
-                out[f.rule_id] = out.get(f.rule_id, 0) + 1
-        return out
-
-    def failing(self, threshold: Severity = Severity.ERROR) -> list[LintFinding]:
-        """Unwaived findings at or above *threshold*."""
-        return [f for f in self.findings if not f.waived and f.severity >= threshold]
-
-    def is_clean(self, threshold: Severity = Severity.ERROR) -> bool:
-        """True when nothing unwaived reaches *threshold* (the strict gate)."""
-        return not self.failing(threshold)
+    @property
+    def subject(self) -> str:
+        return f"lint {self.root}"
 
     @property
-    def n_waived(self) -> int:
-        return sum(1 for f in self.findings if f.waived)
+    def scope(self) -> str:
+        return f"{len(self.rules_run)} rules, {self.files_scanned} files"
 
-    def exit_code(self, mode: str = "strict") -> int:
-        """Process exit code for CI: 0 clean/warn-mode, 2 on a failed gate."""
-        if mode not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown lint mode {mode!r}; use off, warn, or strict")
-        if mode == "strict" and not self.is_clean():
-            return 2
-        return 0
-
-    def summary(self) -> str:
-        counts = self.counts()
-        parts = [f"{n} {name}" for name, n in counts.items() if n]
-        body = ", ".join(parts) if parts else "clean"
-        waived = f" ({self.n_waived} waived)" if self.n_waived else ""
-        return (
-            f"lint {self.root}: {body}{waived} "
-            f"[{len(self.rules_run)} rules, {self.files_scanned} files]"
-        )
-
-    def table(self) -> str:
-        from .report import finding_table
-
-        return finding_table(self)
-
-    def to_json(self) -> dict:
-        from .report import report_to_json
-
-        return report_to_json(self)
-
-    def to_sarif(self) -> dict:
-        from .report import report_to_sarif
-
-        return report_to_sarif(self)
+    def header(self) -> dict:
+        return {"root": self.root, "files_scanned": self.files_scanned}
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +324,12 @@ def run_lint(
     rules / categories:
         Restrict the sweep to explicit rule ids or categories.
     waivers:
-        A :class:`~repro.drc.waivers.WaiverSet`; matching findings are
+        A :class:`~repro.reporting.WaiverSet`; matching findings are
         marked waived and excluded from gating counts (``match``
         patterns test against repo-relative paths).
     today:
         Injectable clock for waiver expiry (tests).
     """
-    _ensure_builtin()
     root = Path(root)
     if paths is None:
         defaults = [root / "src", root / "tests"]
@@ -370,15 +337,7 @@ def run_lint(
     else:
         scan = [root / p if not Path(p).is_absolute() else Path(p) for p in paths]
 
-    selected = all_lint_rules() if rules is None else [
-        _REGISTRY[r] if r in _REGISTRY else _missing(r) for r in rules
-    ]
-    if categories is not None:
-        wanted = set(categories)
-        unknown = wanted - set(CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown lint categories: {sorted(unknown)}")
-        selected = [r for r in selected if r.category in wanted]
+    selected = LINT_RULES.select(rules, categories)
 
     report = LintReport(root=str(root))
     contexts: list[FileContext] = []
@@ -396,7 +355,7 @@ def run_lint(
     report.files_scanned = len(contexts)
     project = ProjectContext(root=root, files=contexts)
 
-    def emitter(rule: LintRule, default_path: str):
+    def emitter(rule: Rule, default_path: str):
         def emit(message: str, *, path: str | None = None, line: int = 0,
                  col: int = 0, severity: Severity | None = None,
                  snippet: str = "") -> None:
@@ -420,22 +379,5 @@ def run_lint(
                     r.check(ctx, emitter(r, ctx.relpath))   # library, not tests
         report.rules_run.append(r.id)
 
-    if waivers is not None:
-        notices = waivers.apply(report.findings, today=today)
-        # Expired-waiver notices come back as DRC violations; re-shape
-        # them into findings so every report row has a path.
-        for notice in notices:
-            report.findings.append(LintFinding(
-                rule_id=notice.rule_id,
-                severity=notice.severity,
-                message=notice.message,
-                path=notice.location.name,
-            ))
-    report.findings.sort(key=lambda f: (f.path, f.line, f.rule_id, f.message))
+    report.settle(waivers, today)
     return report
-
-
-def _missing(rule_id: str) -> LintRule:
-    _ensure_builtin()
-    known = ", ".join(sorted(_REGISTRY))
-    raise KeyError(f"unknown lint rule {rule_id!r}; known: {known}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..drc.violation import Severity
+from ..reporting import Severity
 from .engine import FileContext, lint_rule
 from .rules_det import _dotted, _parent, _resolved
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 
-from ..drc.violation import Severity
+from ..reporting import Severity
 from .engine import FileContext, lint_rule
 
 __all__ = []

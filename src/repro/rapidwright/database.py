@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cnn.graph import Component
-from ..engine.cache import BuildCache, canonical_blob, content_key
+from ..engine.cache import BuildCache, canonical_blob, content_key, write_atomic
 from ..engine.executor import Engine, EngineReport, TaskSpec
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
@@ -73,15 +73,15 @@ def image_integrity(image: DesignImage) -> dict:
 
     ``sha1`` covers the name, pblock, string table and column bytes plus
     the canonical metadata *minus* the ``metadata.component`` keys the
-    database itself stamps (``signature``, ``integrity``) — stable across
-    re-puts, independent of metadata dict order, and identical for
+    database itself stamps (``signature``, ``integrity``, ``build_key``) —
+    stable across re-puts, independent of metadata dict order, and identical for
     serial, parallel, cache-served and reloaded builds of one component.
     DRC rules DB-002/003 recompute the record and compare.
     """
     meta = image.metadata()
     comp = meta.get("component", {})
     meta["component"] = {
-        k: v for k, v in comp.items() if k not in ("signature", "integrity")
+        k: v for k, v in comp.items() if k not in ("signature", "integrity", "build_key")
     }
     digest = hashlib.sha1(canonical_blob([image.name, image.pblock, image.strings, meta]))
     for column in image.columns():
@@ -145,8 +145,11 @@ def _signature_from_json(obj):
 @dataclass
 class _Record:
     signature: tuple
-    image: DesignImage       # the locked design, stamped with signature + integrity
+    image: DesignImage       # the locked design, stamped with signature, integrity, build key
     fmax_mhz: float
+    #: :func:`build_cache_key` of the build that made the image; ``""`` for a
+    #: design stored by hand or a file that records none.
+    build_key: str = ""
     footprint: Footprint | None = field(default=None, repr=False, compare=False)
 
 
@@ -165,27 +168,29 @@ class ComponentDatabase:
             fmax_mhz = design.metadata.get("ooc", {}).get("fmax_mhz", 0.0)
         return self._ingest(signature, DesignImage.from_design(design), fmax_mhz)
 
-    def put_result(self, signature: tuple, out: dict) -> str:
-        """Store a worker's build output, ``{"blob": <image bytes>, "fmax_mhz": ...}``."""
-        return self._ingest(signature, DesignImage.from_bytes(out["blob"]), out["fmax_mhz"])
-
-    def _ingest(self, signature: tuple, image: DesignImage, fmax_mhz: float) -> str:
+    def _ingest(self, signature: tuple, image: DesignImage, fmax_mhz: float,
+                build_key: str = "") -> str:
         """Stamp *image* and make it the record for *signature*.
 
         The exact signature goes into the image's metadata, so a reloaded
         database answers :meth:`has`/:meth:`get` for the signatures it was
-        built with; the integrity record is what DB-002/003 re-check.
+        built with; the integrity record is what DB-002/003 re-check; the
+        build key (when :meth:`build` made the image) is what a later
+        build compares its own options against.  A persisted record is
+        written atomically, so a killed build leaves no torn file.
         """
         key = signature_key(signature)
         meta = image.metadata()
         comp = meta.setdefault("component", {})
         comp["signature"] = _signature_to_json(signature)
         comp["integrity"] = image_integrity(image)
+        if build_key:
+            comp["build_key"] = build_key
         image = image.with_metadata(meta)
-        self.records[key] = _Record(signature, image, fmax_mhz)
+        self.records[key] = _Record(signature, image, fmax_mhz, build_key)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            (self.directory / f"{key}.dcpb").write_bytes(image.to_bytes())
+            write_atomic(self.directory / f"{key}.dcpb", image.to_bytes())
         return key
 
     def has(self, signature: tuple) -> bool:
@@ -274,7 +279,13 @@ class ComponentDatabase:
         jobs: int | None = None,
         cache: BuildCache | None = None,
     ) -> EngineReport:
-        """Pre-implement every unique component signature not yet stored.
+        """Pre-implement every unique component signature not yet stored
+        with these options.
+
+        A record made by a build with other options (part, effort, seed,
+        weights, port planning, exploration) — or of unknown options: a
+        design stored by hand, a file that records no build key — is
+        re-implemented and replaced.
 
         Returns the engine's report, empty when nothing was pending.  Its
         :attr:`~repro.engine.executor.EngineReport.run_s` is the offline
@@ -296,11 +307,18 @@ class ComponentDatabase:
         already known.  Parallel builds are bit-identical to serial
         builds — every worker runs the same seeded, pure build function.
         """
-        pending: dict[str, Component] = {}
+        pending: dict[str, tuple[Component, str]] = {}
         for comp in components:
-            if self.has(comp.signature):
+            key = signature_key(comp.signature)
+            if key in pending:
                 continue
-            pending.setdefault(signature_key(comp.signature), comp)
+            build_key = build_cache_key(
+                comp.signature, self.device, rom_weights=rom_weights,
+                effort=effort, seed=seed, plan_ports=plan_ports, explore=explore,
+            )
+            record = self.records.get(key)
+            if record is None or record.build_key != build_key:
+                pending[key] = (comp, build_key)
         if not pending:
             return EngineReport(jobs=0, wall_s=0.0, results={})
 
@@ -316,17 +334,15 @@ class ComponentDatabase:
         tasks = [
             TaskSpec(
                 key, fn, (comp, self.device), options,
-                stage=f"build:{comp.kind}",
-                cache_key=build_cache_key(
-                    comp.signature, self.device, rom_weights=rom_weights,
-                    effort=effort, seed=seed, plan_ports=plan_ports, explore=explore,
-                ),
+                stage=f"build:{comp.kind}", cache_key=build_key,
             )
-            for key, comp in pending.items()
+            for key, (comp, build_key) in pending.items()
         ]
         report = Engine(jobs=jobs, cache=cache).run(tasks)
-        for key, comp in pending.items():
-            self.put_result(comp.signature, report.results[key])
+        for key, (comp, build_key) in pending.items():
+            out = report.results[key]
+            self._ingest(comp.signature, DesignImage.from_bytes(out["blob"]),
+                         out["fmax_mhz"], build_key)
         return report
 
     # -- persistence -------------------------------------------------------
@@ -356,6 +372,7 @@ class ComponentDatabase:
             self.records[signature_key(signature)] = _Record(
                 signature, image,
                 ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0,
+                str(comp.get("build_key", "")),
             )
             loaded += 1
         return loaded

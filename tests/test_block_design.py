@@ -418,7 +418,7 @@ def _vectorised(design, device) -> dict[str, list[tuple]]:
     rules = {r.id: r for r in all_rules()}
     return {
         rule: [(v.location.kind, v.location.name, v.message, v.location.detail)
-               for v in rules[rule].run(ctx)]
+               for v in ctx.check(rules[rule])]
         for rule in FATAL
     }
 

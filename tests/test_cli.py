@@ -169,3 +169,37 @@ def test_lint_repo_is_clean_through_the_cli():
         "--waivers", str(repo / "lint-waivers.toml"),
     ])
     assert code == 0, text
+
+
+def _build_lib(lib, *options):
+    return _run(["build", "--model", "lenet5", "--part", "small",
+                 "--database-dir", str(lib), *options])
+
+
+def test_build_database_dir_rebuilds_records_made_with_other_options(tmp_path):
+    lib = tmp_path / "db"
+    code, text = _build_lib(lib, "--effort", "low")
+    assert code == 0 and "pre-implemented 6 components" in text
+    code, text = _build_lib(lib, "--effort", "low")
+    assert "reloaded 6 persisted checkpoints" in text
+    assert "pre-implemented 0 components" in text
+    code, text = _build_lib(lib, "--effort", "high")
+    assert code == 0 and "reloaded 6 persisted checkpoints" in text
+    assert "pre-implemented 6 components" in text
+    assert len(list(lib.glob("*.dcpb"))) == 6
+    # the files now hold the high-effort records
+    code, text = _build_lib(lib, "--effort", "high")
+    assert "pre-implemented 0 components" in text
+
+
+def test_build_reports_a_torn_library_file_in_one_line(tmp_path, capsys):
+    lib = tmp_path / "db"
+    _build_lib(lib, "--effort", "low")
+    torn = sorted(lib.glob("*.dcpb"))[0]
+    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    capsys.readouterr()
+    code, _text = _build_lib(lib, "--effort", "low")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("library file rejected: ")
+    assert torn.name in err

@@ -77,6 +77,38 @@ def test_run_loads_no_service_linter_or_eco_code():
     assert "repro.spec" in loaded  # run compiles a JobSpec, like every front end
 
 
+#: Every ``repro`` module ``import repro.drc`` may load: the netlist and
+#: fabric its rules check, the trace hooks of its sweep, and the checker
+#: core it shares with lint — never the table renderer in ``repro.analysis``.
+DRC_IMPORTS = {
+    "repro", "repro.drc", "repro.drc.engine", "repro.drc.rules_builtin",
+    "repro.drc.rules_db", "repro.drc.rules_eco", "repro.drc.rules_netlist",
+    "repro.drc.rules_place", "repro.drc.rules_route", "repro.reporting",
+    "repro.fabric", "repro.fabric.device", "repro.fabric.interconnect",
+    "repro.fabric.parts", "repro.fabric.pblock",
+    "repro.netlist", "repro.netlist.block", "repro.netlist.cell",
+    "repro.netlist.checkpoint", "repro.netlist.codec", "repro.netlist.design",
+    "repro.netlist.library", "repro.netlist.net",
+    "repro.obs", "repro.obs.collect", "repro.obs.metrics", "repro.obs.report",
+    "repro.obs.sinks", "repro.obs.span", "repro.sanitize",
+}
+
+
+def test_import_repro_lint_loads_no_design_stack():
+    """The linter reads source files: none of the netlist, the fabric,
+    the DRC rules or numpy has any business in its process."""
+    loaded = _loaded_after("import repro.lint")
+    design_stack = ("repro.netlist", "repro.fabric", "repro.drc", "numpy")
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"
+                or any(m == p or m.startswith(p + ".") for p in design_stack)]
+    assert "repro.reporting" in loaded
+
+
+def test_import_repro_drc_loads_only_its_own_stack():
+    loaded = {m for m in _loaded_after("import repro.drc") if m.split(".")[0] == "repro"}
+    assert loaded <= DRC_IMPORTS, sorted(loaded - DRC_IMPORTS)
+
+
 def test_lazy_namespace_resolves_every_export():
     loaded = _loaded_after(
         "import repro\n"

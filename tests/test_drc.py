@@ -11,6 +11,7 @@ from repro import Device, lenet5
 from repro.drc import (
     DEFAULT_MAX_FANOUT,
     DrcError,
+    Location,
     Severity,
     Violation,
     WaiverError,
@@ -18,7 +19,6 @@ from repro.drc import (
     all_rules,
     run_drc,
 )
-from repro.drc.violation import Location
 from repro.fabric import RoutingGraph, TileType
 from repro.netlist import Cell, Design, DesignError, DesignImage, Net, Port, design_to_dict
 from repro.netlist.stitch import prune_dangling_nets

@@ -360,6 +360,30 @@ def test_signature_key_canonical_numeric_types():
     assert signature_key(("conv", 1)) != signature_key(("conv", 2))
 
 
+def test_library_files_are_replaced_whole_or_not_at_all(
+        small_device, comps, tmp_path, monkeypatch):
+    """A ``.dcpb`` lands by an atomic rename of a complete temp file: a
+    build killed while writing leaves the previous file, never a torn one."""
+    lib = tmp_path / "db"
+    ComponentDatabase(small_device, directory=lib).build(
+        comps, rom_weights=True, effort="low", seed=0, jobs=1)
+    before = {p.name: p.read_bytes() for p in lib.iterdir()}
+
+    class Killed(BaseException):
+        pass
+
+    def killed(src, dst):
+        raise Killed
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(Killed):
+        ComponentDatabase(small_device, directory=lib).build(
+            comps, rom_weights=True, effort="high", seed=0, jobs=1)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in lib.iterdir()} == before
+    assert ComponentDatabase(small_device, directory=lib).load_directory() == len(before)
+
+
 def test_put_records_exact_signature_in_metadata(small_device, comps):
     db = ComponentDatabase(small_device)
     db.build(comps[:1], rom_weights=True, effort="low", seed=0)

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.drc.waivers import WaiverSet
-from repro.lint import FAST_TIERS, all_lint_rules, run_lint
+from repro.lint import FAST_TIERS, WaiverSet, all_lint_rules, run_lint
 
 
 def sweep(tmp_path: Path, files: dict[str, str], **kw):

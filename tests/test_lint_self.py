@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.drc.waivers import WaiverSet
-from repro.lint import run_lint
+from repro.lint import WaiverSet, run_lint
 
 REPO = Path(__file__).resolve().parent.parent
 WAIVERS = REPO / "lint-waivers.toml"

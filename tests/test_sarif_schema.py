@@ -17,9 +17,8 @@ import pytest
 from repro.fabric import Device
 from repro.netlist import Design
 from repro.drc import run_drc
-from repro.drc.waivers import WaiverSet
 from repro.lint import run_lint
-from repro.reporting import SARIF_VERSION, validate_sarif
+from repro.reporting import SARIF_VERSION, WaiverSet, validate_sarif
 
 # A vendored subset of the official SARIF 2.1.0 JSON schema: the
 # properties our emitters produce, with additionalProperties left open
