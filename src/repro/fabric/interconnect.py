@@ -16,13 +16,13 @@ discontinuities" the paper blames for VGG's stitched-QoR loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .device import Device, TileType
 
-__all__ = ["RoutingGraph", "SINGLE_COST", "HEX_COST", "HEX_REACH"]
+__all__ = ["RoutingGraph", "SINGLE_COST", "HEX_COST", "HEX_REACH", "node_list", "path_slices"]
 
 #: Reference implementation :meth:`RoutingGraph.path_metrics_batch` is
 #: asserted equal to (oracle contract, lint rules ORC-001..003).
@@ -34,6 +34,35 @@ SINGLE_COST = 1.0
 HEX_COST = 3.0
 #: Reach of a hex wire in tiles.
 HEX_REACH = 6
+#: Nodes per slice of a batched path measurement (:func:`path_slices`):
+#: its per-hop temporaries span one slice, not every routed node of a
+#: design (207 k in the monolithic VGG-16).
+METRICS_CHUNK = 1 << 14
+
+
+def node_list(nodes: np.ndarray) -> list[int]:
+    """``nodes.tolist()``, with one int object per distinct node id.
+
+    A routed netlist repeats each node id in every path through it (the
+    monolithic VGG-16: 207 k route entries over 38 k distinct ids), and
+    ``tolist`` would allocate an int object per entry.  The interning
+    covers the ids of this call only, not a table kept per device.
+    """
+    distinct, index = np.unique(nodes, return_inverse=True)
+    return distinct.astype(object)[index].tolist()
+
+
+def path_slices(lens: np.ndarray):
+    """``(a, b)`` runs of consecutive paths, in order, covering paths
+    ``0 .. len(lens)``: each spans at most :data:`METRICS_CHUNK` nodes,
+    or is one path longer than that."""
+    ends = np.cumsum(lens)
+    a = 0
+    while a < len(lens):
+        start = int(ends[a] - lens[a])
+        b = max(a + 1, int(np.searchsorted(ends, start + METRICS_CHUNK, side="right")))
+        yield a, b
+        a = b
 
 
 @dataclass
@@ -143,14 +172,21 @@ class RoutingGraph:
         """:meth:`path_metrics` of every path in *paths*, in one pass.
 
         Returns two int64 arrays ``(tiles, crossings)`` parallel to
-        *paths*: the paths flattened into one node array and handed to
+        *paths* (a sequence): the paths flattened into node arrays, one
+        :func:`path_slices` run at a time, and handed to
         :meth:`path_metrics_csr`.
         """
         n = len(paths)
         lens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
-        total = int(lens.sum())
-        flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=total)
-        return self.path_metrics_csr(flat, np.cumsum(lens) - lens, lens)
+        tiles = np.empty(n, dtype=np.int64)
+        crossings = np.empty(n, dtype=np.int64)
+        pending = iter(paths)
+        for a, b in path_slices(lens):
+            part = lens[a:b]
+            flat = np.fromiter(chain.from_iterable(islice(pending, b - a)),
+                               dtype=np.int64, count=int(part.sum()))
+            tiles[a:b], crossings[a:b] = self.path_metrics_csr(flat, np.cumsum(part) - part, part)
+        return tiles, crossings
 
     def path_metrics_csr(
         self, nodes: np.ndarray, starts: np.ndarray, lens: np.ndarray

@@ -32,6 +32,7 @@ from itertools import chain, compress, count, repeat
 
 import numpy as np
 
+from ..fabric.interconnect import node_list
 from ..fabric.pblock import PBlock
 from ..obs.span import incr
 from .block import Block
@@ -1018,9 +1019,11 @@ class DesignImage:
         """The copy's ``cells`` and ``nets`` dicts, freshly built.
 
         *live* (one truth value per net row) leaves out the nets a
-        block-backed design has since removed.  Under an *instance*
-        prefix every net endpoint is the very string object that names
-        its cell, not a second concatenation of it.
+        block-backed design has since removed.  Nothing is held twice:
+        under an *instance* prefix every net endpoint is the very string
+        object that names its cell, not a second concatenation of it,
+        and every route holds one int object per distinct routing node
+        (:func:`~repro.fabric.interconnect.node_list`).
         """
         # Tens of thousands of containers and not one of them garbage: the
         # cyclic collector would run a few hundred passes over them (more
@@ -1047,7 +1050,7 @@ class DesignImage:
         placements = list(zip(cols.tolist(), rows.tolist()))
         for i in np.flatnonzero(self.cell_placed == 0).tolist():
             placements[i] = None
-        nodes = nodes.tolist()
+        nodes = node_list(nodes)
         ends = np.cumsum(np.maximum(self.route_len, 0)).tolist()
         routes = [nodes[a:b] for a, b in zip([0, *ends], ends)]
         for i in np.flatnonzero(self.route_len < 0).tolist():

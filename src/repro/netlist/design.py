@@ -311,14 +311,17 @@ class Design:
         Returns a mapping from the sub-design's port names to the
         corresponding net names in this design.  Cell ``module`` tags are
         set to *module* (default: *prefix*), which is how stitched designs
-        remember component membership.
+        remember component membership.  Every net endpoint that names a
+        cell of *sub* is that copy's own name object, not a second
+        concatenation of it.
         """
         module = module or prefix
-        rename = f"{prefix}/".__add__  # prefixes by concatenation, no python frame
+        renames = _Renames(f"{prefix}/", sub.cells)
         for cell in sub.cells.values():
-            self.add_cell(cell.clone(name=rename(cell.name), module=module))
+            self.add_cell(cell.clone(name=renames[cell.name], module=module))
+        rename, endpoint = renames.prefix.__add__, renames.__getitem__
         for net in sub.nets.values():
-            self.add_net(net.clone(name=rename(net.name), rename=rename))
+            self.add_net(net.clone(name=rename(net.name), rename=endpoint))
         return {pname: rename(port.net) for pname, port in sub.ports.items()}
 
     def prefix_names(self, prefix: str, module: str | None = None) -> None:
@@ -331,17 +334,18 @@ class Design:
         without a clone.
         """
         module = module or prefix
-        rename = f"{prefix}/".__add__
+        renames = _Renames(f"{prefix}/", self.cells)
         cells: dict[str, Cell] = {}
         for cell in self.cells.values():
-            cell.name = rename(cell.name)
+            cell.name = renames[cell.name]
             cell.module = module
             cells[cell.name] = cell
+        rename, endpoint = renames.prefix.__add__, renames.__getitem__
         nets: dict[str, Net] = {}
         for net in self.nets.values():
             net.name = rename(net.name)
-            net.driver = rename(net.driver) if net.driver else None
-            net.sinks = list(map(rename, net.sinks))
+            net.driver = endpoint(net.driver) if net.driver else None
+            net.sinks = list(map(endpoint, net.sinks))
             nets[net.name] = net
         for port in self.ports.values():
             port.net = rename(port.net)
@@ -454,6 +458,24 @@ class Design:
         )
 
 
+class _Renames(dict):
+    """Old -> new name of every cell of one instance (*prefix* + old).
+
+    Looking up any other name — an endpoint that names no cell — prefixes
+    it on its own.  So a renamed endpoint is its cell's new name object:
+    one string per name, not one per pin.
+    """
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str, names) -> None:
+        super().__init__(zip(names, map(prefix.__add__, names)))
+        self.prefix = prefix
+
+    def __missing__(self, name: str) -> str:
+        return self.prefix + name
+
+
 class _BlockBacked(Design):
     """A :class:`Design` while it still holds placed blocks (see there).
 
@@ -485,6 +507,11 @@ class _BlockBacked(Design):
             raise AttributeError(f"'Design' object has no attribute {name!r}")
         state = self.__dict__
         built = {block: block.materialize() for block in state.pop("_blocks").values()}
+        for part in state["_net_parts"]:
+            if type(part) is dict:
+                for net in part.values():
+                    if type(net) is _BlockClock:
+                        net.name_cells(built)
         for attr, which in (("cells", 0), ("nets", 1)):
             merged: dict = {}
             for part in state.pop(f"_{attr[:-1]}_parts"):
@@ -655,7 +682,8 @@ class _BlockClock(Net):
     :meth:`truncate` cuts back.  Every route is ``None``.  So nothing
     of it is proportional to the cells: the encoder writes its sink
     column from each block's interned names, NET-003 looks up the glue
-    and the tail only.
+    and the tail only.  When the design materializes its blocks, each
+    block run becomes the names of its cell objects (:meth:`name_cells`).
 
     Like :class:`_BlockBacked` for a design, a state a plain
     :class:`Net` is switched into and out of (a subclass rather than a
@@ -683,6 +711,16 @@ class _BlockClock(Net):
         """The sinks as runs, in order: a :class:`Block` (its sequential
         cells) or a list of names; the tail is the last list."""
         return _SINKS.__get__(self)
+
+    def name_cells(self, built: dict) -> None:
+        """Let each block run stand for the sequential cells of its
+        objects in *built* (block -> ``(cells, nets)``, the block's
+        :meth:`~Block.materialize`): the sinks a later flatten lists are
+        then the very strings that name those cells."""
+        runs = self.runs()
+        for i, run in enumerate(runs):
+            if type(run) is Block:
+                runs[i] = [name for name, cell in built[run][0].items() if cell.seq]
 
     def _flatten(self) -> None:
         sinks = [name for run in self.runs()

@@ -101,7 +101,7 @@ void anneal_sweep(
     const int64_t *trmin, const int64_t *trmax,
     const uint8_t *grids,
     const int64_t *pool_offs, const int64_t *pool_flat,
-    const int64_t *cell_picks, /* (budget,), indexed by step */
+    const int32_t *cell_picks, /* (budget,), indexed by step */
     double w_min, double w_max,
     double *best_xs, double *best_ys,
     int64_t *affected, /* workspace, capacity >= 2 * max cell degree */

@@ -39,7 +39,7 @@ The move streams are the bit-identity contract between the two tiers.
 Both walk them in chunks of :data:`STREAM_CHUNK` steps, with exactly the
 values five one-shot draws over the whole budget would give, so an
 anneal holds its float streams for one chunk at a time: besides the
-8 B-per-move cell picks, the C sweep's streams take 160 kB whatever the
+4 B-per-move cell picks, the C sweep's streams take 160 kB whatever the
 budget (a one-shot draw took 53 MB at the 1.32 M moves of the monolithic
 VGG-16 placement), and the fallback's Python-list streams under 1 MB
 instead of ≈0.28 GB.  A chunk costs the C sweep one more ctypes call
@@ -134,7 +134,9 @@ def move_streams(rng: np.random.Generator, n: int, budget: int):
 
     The values are those of five one-shot draws from *rng*, in this
     order: ``integers(0, n, size=budget)`` (the cell picks, returned
-    whole), then ``random`` of sizes ``budget`` (Metropolis uniforms),
+    whole, as ``int32``: the values of the ``int64`` draw, leaving *rng*
+    in the same state; numpy refuses an *n* above ``2**31``), then
+    ``random`` of sizes ``budget`` (Metropolis uniforms),
     ``budget`` (global-hop gates), ``(budget, 2)`` (window offsets:
     column, row) and ``budget`` (hop pool picks — drawn last, so the
     other streams do not depend on it).  *chunks* yields ``(begin,
@@ -153,7 +155,7 @@ def move_streams(rng: np.random.Generator, n: int, budget: int):
         raise TypeError(
             f"move_streams needs a PCG64 or PCG64DXSM generator, not {type(bits).__name__}"
         )
-    cell_picks = rng.integers(0, n, size=budget)
+    cell_picks = rng.integers(0, n, size=budget, dtype=np.int32)
     streams = []
     for start in (0, budget, 2 * budget, 4 * budget):
         stream = copy.deepcopy(bits)

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .._native import build_library
+from ..fabric.interconnect import node_list, path_slices
 from ..obs.span import incr, sample, span
 
 __all__ = ["native_available", "route_native"]
@@ -162,7 +163,18 @@ def _collect_targets(design, nrows, ncols):
 def _wirelength(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
     """Total tiles spanned (:meth:`RoutingGraph.path_metrics`) over a CSR
     of paths — the core hands the routes back flat, so summing hop
-    lengths here saves re-flattening them for ``path_metrics_batch``."""
+    lengths here saves re-flattening them for ``path_metrics_batch``.
+    Summed one :func:`~repro.fabric.interconnect.path_slices` run at a
+    time, so no temporary spans every node."""
+    total = 0
+    for a, b in path_slices(np.diff(offs)):
+        base = offs[a]
+        total += _hop_tiles(flat[base:offs[b]], offs[a:b + 1] - base, nrows)
+    return total
+
+
+def _hop_tiles(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
+    """:func:`_wirelength` of one run of paths, over whole arrays."""
     if flat.size < 2:
         return 0
     cols = flat // nrows
@@ -261,7 +273,7 @@ def route_native(router, design, blocked):
         routed = 0
         wirelength = 0
         if n:
-            flat_l = flat[:total].tolist()
+            flat_l = node_list(flat[:total])
             offs_l = offs.tolist()
             gid_l = gid_a.tolist()
             sink_l = sink_a.tolist()

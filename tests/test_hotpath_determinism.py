@@ -183,8 +183,11 @@ def test_move_streams_are_the_one_shot_draws(budget):
     chunks = list(chunks)
     assert [c[0] for c in chunks] == list(range(0, budget, STREAM_CHUNK))
     got = (cell_picks, *(np.concatenate([c[k] for c in chunks]) for k in range(1, 5)))
-    for stream, one_shot in zip(got, want):
+    # the picks are drawn as int32: the int64 draw's values, in half the bytes
+    assert cell_picks.dtype == np.int32
+    for stream, one_shot in zip(got[1:], want[1:]):
         assert stream.dtype == one_shot.dtype
+    for stream, one_shot in zip(got, want):
         assert np.array_equal(stream, one_shot)
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -198,10 +201,10 @@ def test_move_streams_refuse_other_bit_generators():
 
 
 def test_anneal_stream_memory_is_bounded_by_a_chunk():
-    """The compiled anneal holds the 8 B-per-move cell picks and a chunk or
+    """The compiled anneal holds the 4 B-per-move cell picks and a chunk or
     two of the float streams, not all five streams for the whole budget
     (48 B per move: 12.8 MB traced here before the streams were chunked,
-    ≈2.7 MB since)."""
+    ≈2.7 MB since, ≈1.7 MB since the picks are int32)."""
     if not native_available():
         pytest.skip("native annealer core unavailable")
     problem, sites = _random_problem(1)
@@ -215,7 +218,7 @@ def test_anneal_stream_memory_is_bounded_by_a_chunk():
     finally:
         tracemalloc.stop()
     assert stats.moves == budget
-    assert peak < 8 * budget + 256 * STREAM_CHUNK + (1 << 19), peak
+    assert peak < 4 * budget + 256 * STREAM_CHUNK + (1 << 19), peak
 
 
 # -- behavioural regressions --------------------------------------------------
