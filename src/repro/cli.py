@@ -16,6 +16,7 @@
   through the full design-rule registry; ``--checkpoint FILE.dcpb``
   checks a saved checkpoint instead.  Exit code 2 when an unwaived
   error-or-worse violation survives in strict mode.
+* ``eco --swap-layer conv2 [--cts] [--verify]`` — build, then edit incrementally.
 * ``floorplan --model lenet5`` — stitch and render the ASCII floorplan.
 * ``explore --component conv2`` — sweep the function-optimization space
   for one of the stock LeNet components.
@@ -29,8 +30,13 @@
   JOB_ID`` — client commands against a running server; the server URL
   comes from ``--url`` or ``<data-dir>/serve.json``.
 
-``models`` and ``info`` accept ``--json`` for machine-readable output
-(the serve client and load generator enumerate networks/parts this way).
+The six verbs that build (``run``, ``drc``, ``build``, ``eco``,
+``floorplan``, ``submit``) describe their job as the
+:class:`repro.spec.JobSpec` the compile service takes: each spec flag is
+declared once, in :data:`_SPEC_FLAGS`, and the parser turns a verb's
+flags into its validated ``args.spec`` (a bad value: one line, exit 2).
+``models --json`` and ``info --json`` print serve's ``/v1/models`` and
+``/v1/parts`` documents.
 
 ``run`` and ``build`` accept ``--trace PATH`` (plus ``--trace-format
 {jsonl,chrome}``) to record the flow's span/metric trace: ``jsonl`` is
@@ -50,23 +56,96 @@ build-side call in this process, where call-counting wrappers see it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
-# Only what the argument parser itself needs (the model and part
-# catalogs) is imported here; every subcommand imports its own layers when
-# it runs, so ``models``/``info``/``--help`` never load the router and
-# ``run`` never loads the compile service, the linter or the ECO engine.
-from .cnn import MODEL_CATALOG, get_model, group_components
-from .fabric import Device, PART_CATALOG
+# Only what the argument parser itself needs (the model and part catalogs
+# and the job spec) is imported here; every subcommand imports its own
+# layers when it runs, so ``models``/``info``/``--help`` never load the
+# router and ``run`` never loads the compile service, the linter or the
+# ECO engine.
+from .cnn import group_components, models_doc
+from .fabric import Device, part_doc
+from .reporting import MODES
+from .spec import CHOICES, JobSpec, SpecError, compile_spec
 
 __all__ = ["main", "build_parser"]
 
-#: ``--jobs`` help of the commands that build a component library first.
-_JOBS_HELP = ("worker processes for the offline database build (default 1, "
-              "in-process; the Python API defaults to one per usable core)")
+#: The network a build verb compiles when given no ``--model`` (nor ``--arch-file``).
+_DEFAULT_MODEL = "lenet5"
+
+
+def _pipeline_mhz(text: str) -> float | str:
+    """``--pipeline MHZ`` as JobSpec takes it: a number as MHz, a word as
+    given (JobSpec accepts only ``auto``)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+#: Every flag that sets a JobSpec field, declared once.  Its default is the
+#: spec's and its values are ``repro.spec.CHOICES``: JobSpec checks them
+#: when the parser builds the verb's spec, not argparse.
+_SPEC_FLAGS = {
+    "model": {"help": f"stock network (default {_DEFAULT_MODEL})"},
+    "part": {"help": "device part"},
+    "flow": {"help": "implementation flow"},
+    "granularity": {"help": "one component per layer or per block"},
+    "stream_weights": {"action": "store_true",
+                       "help": "stream coefficients from off-chip (VGG style)"},
+    "pipeline": {"nargs": "?", "const": "auto", "type": _pipeline_mhz, "metavar": "MHZ",
+                 "help": "phys-opt pipelining to MHZ; bare, to the slowest-component "
+                         "bound (auto)"},
+    "effort": {"help": "OOC placement effort preset"},
+    "seed": {"type": int},
+    "drc": {"help": "design-rule-check gates inside the pre-implemented flow, or for "
+                    "eco of the edit (strict fails on error-or-worse violations)"},
+    "tenant": {"help": "tenant whose quota the job counts against"},
+}
+
+#: The JobSpec fields each build verb takes as flags.
+_VERB_FIELDS = {verb: names.split() for verb, names in {
+    "run": "model part flow granularity stream_weights pipeline drc seed",
+    "drc": "model part granularity seed",
+    "build": "model part granularity effort stream_weights seed",
+    "eco": "model part granularity effort drc seed",
+    "floorplan": "model part granularity seed",
+    "submit": "model part flow granularity stream_weights pipeline effort drc seed tenant",
+}.items()}
+
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(JobSpec)}
+
+
+def _job_spec(args) -> JobSpec:
+    """The validated JobSpec a build verb's flags describe (``run --flow
+    both``: its preimpl half)."""
+    spec = {name: getattr(args, name) for name in _VERB_FIELDS[args.command]}
+    if spec.get("flow") == "both":
+        spec["flow"] = "preimpl"
+    if getattr(args, "arch_file", None):
+        spec["architecture"] = Path(args.arch_file).read_text()
+    elif spec["model"] is None:
+        spec["model"] = _DEFAULT_MODEL
+    return JobSpec(**spec)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parses a build verb's flags into its JobSpec too (``args.spec``), so a
+    bad field exits 2 like a bad flag, in one line: ``repro <verb>: <why>``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if args.command in _VERB_FIELDS:
+            try:
+                args.spec = _job_spec(args)
+            except SpecError as exc:
+                self.exit(2, f"repro {args.command}: {exc}\n")
+        return args, extras
 
 
 def _generate(generator: str, *args, **kwargs):
@@ -87,17 +166,6 @@ _EXPLORE_TARGETS = {
 }
 
 
-def _add_trace_options(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record the flow's span/metric trace to PATH",
-    )
-    sub_parser.add_argument(
-        "--trace-format", default="jsonl", choices=("jsonl", "chrome"),
-        help="jsonl (repro trace-report) or chrome (chrome://tracing)",
-    )
-
-
 def _add_report_options(sub_parser: argparse.ArgumentParser) -> None:
     """The waiver and report-file options of ``drc`` and ``lint``."""
     sub_parser.add_argument("--waivers", default=None, metavar="PATH",
@@ -114,30 +182,48 @@ def _load_waivers(args):
     return WaiverSet.load(args.waivers) if args.waivers else None
 
 
+def _print_json(doc, out) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+
+
 def _emit_report(report, args, out) -> int:
     """Print a checker's table, write its ``--sarif`` / ``--json`` files,
     and return its exit code under ``--mode``."""
-    import json as json_mod
-
     print(report.table(), file=out)
     if args.sarif:
-        Path(args.sarif).write_text(json_mod.dumps(report.to_sarif(), indent=2))
+        Path(args.sarif).write_text(json.dumps(report.to_sarif(), indent=2))
         print(f"SARIF report written to {args.sarif}", file=out)
     if args.json:
-        Path(args.json).write_text(json_mod.dumps(report.to_json(), indent=2))
+        Path(args.json).write_text(json.dumps(report.to_json(), indent=2))
         print(f"JSON report written to {args.json}", file=out)
     return report.exit_code(args.mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Layer-based pre-implemented flow for mapping CNNs on FPGA",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+
+    def spec_verb(verb, help, **cli_defaults):
+        """*verb*'s parser with its JobSpec flags declared from the table;
+        *cli_defaults* are its documented departures from the spec's."""
+        p = sub.add_parser(verb, help=help)
+        for name in _VERB_FIELDS[verb]:
+            default = cli_defaults.get(name, _SPEC_DEFAULTS[name])
+            options = {"default": default, **_SPEC_FLAGS[name]}
+            if name in CHOICES:
+                known = CHOICES[name]
+                if default is not None and default not in known:  # run --flow both
+                    known = (*known, default)
+                options["metavar"] = "{" + ",".join(known) + "}"
+            p.add_argument("--" + name.replace("_", "-"), **options)
+        return p
 
     p_info = sub.add_parser("info", help="describe a device part")
-    p_info.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
+    p_info.add_argument("--part", default=_SPEC_DEFAULTS["part"], choices=CHOICES["part"])
     p_info.add_argument("--json", action="store_true",
                         help="machine-readable JSON instead of tables")
 
@@ -145,33 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_models.add_argument("--json", action="store_true",
                           help="machine-readable JSON instead of tables")
 
-    p_run = sub.add_parser("run", help="build an accelerator")
-    p_run.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG))
-    p_run.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_run.add_argument("--flow", default="both",
-                       choices=("baseline", "preimpl", "both"))
-    p_run.add_argument("--granularity", default="layer", choices=("layer", "block"))
-    p_run.add_argument("--stream-weights", action="store_true",
-                       help="stream coefficients from off-chip (VGG style)")
-    p_run.add_argument("--pipeline", action="store_true",
-                       help="phys-opt pipelining to the slowest-component bound")
-    p_run.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p_run.add_argument("--drc", default="off", choices=("off", "warn", "strict"),
-                       help="design-rule-check gates inside the pre-implemented "
-                            "flow (strict raises on error-or-worse violations)")
-    p_run.add_argument("--seed", type=int, default=0)
-    _add_trace_options(p_run)
+    p_run = spec_verb("run", "build an accelerator", flow="both")
 
-    p_drc = sub.add_parser(
-        "drc", help="design-rule-check a built accelerator or a checkpoint"
-    )
-    p_drc.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG),
-                       help="build this model's accelerator and check it "
-                            "(ignored with --checkpoint)")
+    p_drc = spec_verb("drc", "design-rule-check a built accelerator or a checkpoint")
     p_drc.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="check a saved .dcpb checkpoint instead of building")
-    p_drc.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_drc.add_argument("--granularity", default="layer", choices=("layer", "block"))
+                       help="check a saved .dcpb checkpoint instead of building "
+                            "--model's accelerator")
     p_drc.add_argument("--mode", default="strict", choices=("warn", "strict"),
                        help="strict: exit 2 on unwaived error-or-worse findings")
     _add_report_options(p_drc)
@@ -180,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_drc.add_argument("--require-routed", action="store_true",
                        help="escalate unrouted nets to errors when checking a "
                             "checkpoint (built models always require routes)")
-    p_drc.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p_drc.add_argument("--seed", type=int, default=0)
-    _add_trace_options(p_drc)
 
     p_lint = sub.add_parser(
         "lint", help="determinism/concurrency static analysis of the source tree"
@@ -192,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "tests/ under --root)")
     p_lint.add_argument("--root", default=".",
                         help="repo root findings are reported relative to")
-    p_lint.add_argument("--mode", default="strict", choices=("off", "warn", "strict"),
+    p_lint.add_argument("--mode", default="strict", choices=MODES,
                         help="strict: exit 2 on unwaived error-or-worse findings")
     p_lint.add_argument("--strict", dest="mode", action="store_const", const="strict",
                         help="alias for --mode strict")
@@ -203,36 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--list-rules", action="store_true",
                         help="list registered rules and exit")
 
-    p_build = sub.add_parser(
-        "build", help="pre-implement a component database (offline, parallel, cached)"
+    p_build = spec_verb(
+        "build", "pre-implement a component database (offline, parallel, cached)"
     )
-    p_build.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG))
-    p_build.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_build.add_argument("--granularity", default="layer", choices=("layer", "block"))
-    p_build.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_build.add_argument("--cache-dir", default=None,
                          help="persistent content-addressed build cache; a warm "
                               "rerun is answered without re-implementing")
     p_build.add_argument("--database-dir", default=None,
                          help="persist .dcpb checkpoints here (reloadable with "
                               "ComponentDatabase.load_directory)")
-    p_build.add_argument("--effort", default="high",
-                         help="OOC placement effort preset")
-    p_build.add_argument("--stream-weights", action="store_true",
-                         help="stream coefficients from off-chip (VGG style)")
     p_build.add_argument("--telemetry", action="store_true",
                          help="print the per-task engine telemetry table")
-    p_build.add_argument("--seed", type=int, default=0)
-    _add_trace_options(p_build)
 
-    p_eco = sub.add_parser(
-        "eco", help="apply a post-route ECO to a built accelerator"
-    )
-    p_eco.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG))
-    p_eco.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_eco.add_argument("--granularity", default="layer", choices=("layer", "block"))
-    p_eco.add_argument("--effort", default="high",
-                       help="OOC placement effort for components and variants")
+    p_eco = spec_verb("eco", "apply a post-route ECO to a built accelerator", drc="warn")
     p_eco.add_argument("--swap-layer", default=None, metavar="MODULE",
                        help="replace this module instance with a freshly "
                             "re-implemented variant (unique name substring ok)")
@@ -243,30 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "replace_layer)")
     p_eco.add_argument("--cts", action="store_true",
                        help="run clock-tree synthesis before the edit")
-    p_eco.add_argument("--cts-skew", type=float, default=None,
-                       help="CTS skew bound in ps (default 100)")
-    p_eco.add_argument("--drc", default="warn", choices=("off", "warn", "strict"),
-                       help="post-ECO DRC gate (strict rolls back and exits 2)")
     p_eco.add_argument("--verify", action="store_true",
                        help="replay the delta through the full re-route/re-time "
                             "oracle and assert bit-identity (exit 1 on mismatch)")
     p_eco.add_argument("--sarif", default=None, metavar="PATH",
                        help="write the post-ECO DRC report as SARIF 2.1")
-    p_eco.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p_eco.add_argument("--seed", type=int, default=0)
-    _add_trace_options(p_eco)
 
-    p_fp = sub.add_parser("floorplan", help="stitch and render the floorplan")
-    p_fp.add_argument("--model", default="lenet5", choices=sorted(MODEL_CATALOG))
-    p_fp.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_fp.add_argument("--granularity", default="layer", choices=("layer", "block"))
+    for p in (p_run, p_drc, p_build, p_eco):  # the verbs that build a library first
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the offline database build (default "
+                            "1, in-process; the Python API defaults to one per usable core)")
+        p.add_argument("--trace", default=None, metavar="PATH",
+                       help="record the flow's span/metric trace to PATH")
+        p.add_argument("--trace-format", default="jsonl", choices=("jsonl", "chrome"),
+                       help="jsonl (repro trace-report) or chrome (chrome://tracing)")
+
+    p_fp = spec_verb("floorplan", "stitch and render the floorplan")
     p_fp.add_argument("--width", type=int, default=100)
     p_fp.add_argument("--height", type=int, default=30)
-    p_fp.add_argument("--seed", type=int, default=0)
 
     p_ex = sub.add_parser("explore", help="function-optimization DSE")
     p_ex.add_argument("--component", default="conv2", choices=sorted(_EXPLORE_TARGETS))
-    p_ex.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
+    p_ex.add_argument("--part", default=_SPEC_DEFAULTS["part"], choices=CHOICES["part"])
     p_ex.add_argument("--seeds", type=int, default=3)
     p_ex.add_argument("--anchor-weight", type=float, default=0.0)
     p_ex.add_argument("--jobs", type=int, default=1,
@@ -307,22 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data-dir", default="serve-data",
                         help="data dir to discover the server URL from")
 
-    p_sub = sub.add_parser("submit", help="submit a build job to a running server")
+    p_sub = spec_verb("submit", "submit a build job to a running server")
     _add_url(p_sub)
-    p_sub.add_argument("--model", default=None, choices=sorted(MODEL_CATALOG),
-                       help="stock network to build")
     p_sub.add_argument("--arch-file", default=None, metavar="PATH",
                        help="inline architecture definition file instead of --model")
-    p_sub.add_argument("--part", default="ku5p-like", choices=sorted(PART_CATALOG))
-    p_sub.add_argument("--flow", default="preimpl", choices=("preimpl", "baseline"))
-    p_sub.add_argument("--granularity", default="layer", choices=("layer", "block"))
-    p_sub.add_argument("--stream-weights", action="store_true")
-    p_sub.add_argument("--pipeline", default=None,
-                       help="pipelining target MHz, or 'auto'")
-    p_sub.add_argument("--effort", default="high", choices=("low", "medium", "high"))
-    p_sub.add_argument("--drc", default="off", choices=("off", "warn", "strict"))
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument("--tenant", default="default")
     p_sub.add_argument("--follow", action="store_true",
                        help="stream per-stage progress events until done")
     p_sub.add_argument("--wait", action="store_true",
@@ -348,84 +379,44 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_info(args, out) -> int:
     from .analysis.report import format_table
 
-    device = Device.from_name(args.part)
-    if getattr(args, "json", False):
-        import json as json_mod
-
-        doc = {
-            "name": device.name,
-            "columns": device.ncols,
-            "rows": device.nrows,
-            "resources": {k: int(v) for k, v in sorted(device.resource_totals.items())},
-            "io_columns": [int(c) for c in device.io_columns],
-        }
-        print(json_mod.dumps(doc, indent=2, sort_keys=True), file=out)
+    doc = part_doc(args.part)
+    if args.json:
+        _print_json(doc, out)
         return 0
-    print(device.describe(), file=out)
-    totals = device.resource_totals
-    rows = [[k, v] for k, v in sorted(totals.items())]
-    print(format_table(["resource", "total"], rows), file=out)
-    io_positions = ", ".join(str(int(c)) for c in device.io_columns)
-    print(f"I/O (discontinuity) columns: {io_positions}", file=out)
+    print(Device.from_name(args.part).describe(), file=out)
+    print(format_table(["resource", "total"], [list(kv) for kv in doc["resources"].items()]),
+          file=out)
+    print(f"I/O (discontinuity) columns: {', '.join(map(str, doc['io_columns']))}",
+          file=out)
     return 0
 
 
 def _cmd_models(args, out) -> int:
     from .analysis.report import format_table
 
-    if getattr(args, "json", False):
-        import json as json_mod
-
-        models = []
-        for name in sorted(MODEL_CATALOG):
-            totals = get_model(name).totals()
-            models.append({
-                "name": name,
-                "conv_layers": int(totals["conv_layers"]),
-                "fc_layers": int(totals["fc_layers"]),
-                "total_weights": int(totals["total_weights"]),
-                "total_macs": int(totals["total_macs"]),
-            })
-        print(json_mod.dumps({"models": models}, indent=2, sort_keys=True), file=out)
+    doc = models_doc()
+    if args.json:
+        _print_json(doc, out)
         return 0
-    rows = []
-    for name in sorted(MODEL_CATALOG):
-        totals = get_model(name).totals()
-        rows.append([
-            name,
-            totals["conv_layers"],
-            totals["fc_layers"],
-            f"{totals['total_weights'] / 1e6:.3g} M",
-            f"{totals['total_macs'] / 1e9:.3g} G",
-        ])
+    rows = [
+        [m["name"], m["conv_layers"], m["fc_layers"],
+         f"{m['total_weights'] / 1e6:.3g} M", f"{m['total_macs'] / 1e9:.3g} G"]
+        for m in doc["models"]
+    ]
     print(format_table(["model", "convs", "fcs", "weights", "MACs"], rows), file=out)
     return 0
 
 
-def _spec(args, **fields):
-    """The :class:`~repro.spec.JobSpec` a build subcommand's arguments describe."""
-    from .spec import JobSpec, SpecError
-
-    try:
-        return JobSpec(model=args.model, part=args.part, granularity=args.granularity,
-                       seed=args.seed, **fields)
-    except SpecError as exc:
-        raise SystemExit(f"repro {args.command}: {exc}") from None
-
-
 def _cmd_run(args, out) -> int:
     from .analysis.report import format_table
-    from .spec import compile_spec
 
     # The monolithic comparator runs at medium effort, the library at high.
     efforts = {"baseline": "medium", "preimpl": "high"}
-    flows = efforts if args.flow == "both" else (args.flow,)
-    results = {}
-    for flow in flows:
-        spec = _spec(args, flow=flow, effort=efforts[flow], drc=args.drc,
-                     stream_weights=args.stream_weights,
-                     pipeline="auto" if args.pipeline else None)
-        results[flow] = compile_spec(spec, jobs=args.jobs)
+    flows = efforts if args.flow == "both" else (args.spec.flow,)
+    results = {
+        flow: compile_spec(replace(args.spec, flow=flow, effort=efforts[flow]), jobs=args.jobs)
+        for flow in flows
+    }
     if "preimpl" in results:
         extras = results["preimpl"].extras
         print(f"offline component library: {extras['offline_s']:.2f} s "
@@ -435,7 +426,7 @@ def _cmd_run(args, out) -> int:
         for name, res in results.items()
     ]
     print(format_table(["flow", "Fmax", "compile"], rows,
-                       title=f"{args.model} on {args.part}"), file=out)
+                       title=f"{args.spec.network_name} on {args.spec.part}"), file=out)
     if len(results) == 2:
         from .analysis import compare_productivity
 
@@ -448,11 +439,10 @@ def _cmd_build(args, out) -> int:
     from .engine import BuildCache
     from .rapidwright import ComponentDatabase
 
-    device = Device.from_name(args.part)
-    net = get_model(args.model)
-    components = group_components(net, args.granularity)
+    spec = args.spec
+    components = group_components(spec.dfg(), spec.granularity)
     database = ComponentDatabase(
-        device, directory=Path(args.database_dir) if args.database_dir else None
+        spec.device(), directory=Path(args.database_dir) if args.database_dir else None
     )
     if database.directory is not None:
         try:
@@ -465,9 +455,9 @@ def _cmd_build(args, out) -> int:
     cache = BuildCache(directory=args.cache_dir) if args.cache_dir else None
     report = database.build(
         components,
-        rom_weights=not args.stream_weights,
-        effort=args.effort,
-        seed=args.seed,
+        rom_weights=not spec.stream_weights,
+        effort=spec.effort,
+        seed=spec.seed,
         jobs=args.jobs,
         cache=cache,
     )
@@ -488,7 +478,7 @@ def _cmd_build(args, out) -> int:
 def _cmd_drc(args, out) -> int:
     from .drc import DEFAULT_MAX_FANOUT, run_drc
 
-    device = Device.from_name(args.part)
+    spec = args.spec
     waivers = _load_waivers(args)
     max_fanout = args.max_fanout if args.max_fanout is not None else DEFAULT_MAX_FANOUT
     database = None
@@ -503,15 +493,13 @@ def _cmd_drc(args, out) -> int:
         require_routed = args.require_routed
         gate = f"checkpoint:{Path(args.checkpoint).name}"
     else:
-        from .spec import compile_spec
-
-        result = compile_spec(_spec(args), jobs=args.jobs)
+        result = compile_spec(spec, jobs=args.jobs)
         design, database = result.design, result.extras["database"]
         require_routed = True
-        gate = f"model:{args.model}"
+        gate = f"model:{spec.network_name}"
     report = run_drc(
         design,
-        device,
+        spec.device(),
         database=database,
         waivers=waivers,
         require_routed=require_routed,
@@ -542,65 +530,37 @@ def _cmd_lint(args, out) -> int:
 
 
 def _cmd_eco(args, out) -> int:
-    import json as json_mod
-
     from .drc import DrcError
-    from .eco import EcoError, delta_from_json, layer_variant, run_cts, run_eco, swap_delta
-    from .spec import compile_spec
+    from .eco import EcoError, run_eco
 
     if not (args.delta or args.swap_layer):
         raise SystemExit("eco needs --swap-layer or --delta")
-
-    def layer(name):
-        comp = _spec(args, eco={"swap_layer": name}).resolve_eco_layer()
-        if comp is None:
-            raise EcoError(f"no single layer of {args.model} matches {name!r}")
-        return comp
-
+    spec = args.spec
     # The build runs without DRC gates; --drc gates only the edit.
-    result = compile_spec(_spec(args, effort=args.effort), jobs=args.jobs)
-    device, delays = result.extras["flow"].device, result.extras["flow"].delays
-    print(f"built {args.model}: {result.fmax_mhz:.1f} MHz "
+    result = compile_spec(replace(spec, drc="off"), jobs=args.jobs)
+    print(f"built {spec.network_name}: {result.fmax_mhz:.1f} MHz "
           f"(offline {result.extras['offline_s']:.2f} s, "
           f"{len(result.extras['database'])} checkpoints)", file=out)
-
-    if args.cts:
-        kwargs = {} if args.cts_skew is None else {"max_skew_ps": args.cts_skew}
-        for t in run_cts(result.design, device, delays=delays, **kwargs):
-            print(f"CTS {t.clock}: {t.n_buffers} buffers, depth {t.depth}, "
-                  f"skew {t.skew_ps:.1f} ps, insertion {t.insertion_ps:.1f} ps",
-                  file=out)
-
-    swap_seed = args.swap_seed if args.swap_seed is not None else args.seed + 1
     try:
-        if args.delta:
-            data = json_mod.loads(Path(args.delta).read_text())
-            edits = data.get("edits") if isinstance(data, dict) else None
-            for edit in edits if isinstance(edits, list) else ():
-                if (isinstance(edit, dict) and edit.get("op") == "replace_layer"
-                        and isinstance(edit.get("module"), str)):
-                    edit["module"] = layer(edit["module"]).name
-            delta = delta_from_json(data, variant=lambda module, seed: layer_variant(
-                layer(module), device, effort=args.effort,
-                seed=swap_seed if seed is None else seed,
-            ))
-        else:
-            delta = swap_delta(layer(args.swap_layer), device, effort=args.effort,
-                               seed=swap_seed)
-    except (EcoError, json_mod.JSONDecodeError) as exc:
+        delta = json.loads(Path(args.delta).read_text()) if args.delta else None
+        trees, eco, identical = run_eco(
+            result, spec, drc=spec.drc, swap_layer=args.swap_layer, swap_seed=args.swap_seed,
+            cts=args.cts, verify=args.verify, delta=delta,
+        )
+    except (SpecError, json.JSONDecodeError) as exc:
         print(f"repro eco: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        eco, identical = run_eco(result, delta, drc=args.drc, verify=args.verify)
     except (DrcError, EcoError) as exc:
         print(f"ECO rejected (design rolled back): {exc}", file=out)
         return 2
+    for t in trees:
+        print(f"CTS {t.clock}: {t.n_buffers} buffers, depth {t.depth}, "
+              f"skew {t.skew_ps:.1f} ps, insertion {t.insertion_ps:.1f} ps", file=out)
     print(eco.summary(), file=out)
     if eco.drc is not None:
         print(eco.drc.summary(), file=out)
         if args.sarif:
-            Path(args.sarif).write_text(json_mod.dumps(eco.drc.to_sarif(), indent=2))
+            Path(args.sarif).write_text(json.dumps(eco.drc.to_sarif(), indent=2))
             print(f"SARIF report written to {args.sarif}", file=out)
     if args.verify:
         verdict = "bit-identical" if identical else "MISMATCH"
@@ -612,10 +572,9 @@ def _cmd_eco(args, out) -> int:
 
 def _cmd_floorplan(args, out) -> int:
     from .analysis import module_legend, render_floorplan
-    from .spec import compile_spec
 
-    result = compile_spec(_spec(args), jobs=1)
-    print(f"{args.model}: {result.fmax_mhz:.1f} MHz stitched", file=out)
+    result = compile_spec(args.spec, jobs=1)
+    print(f"{args.spec.network_name}: {result.fmax_mhz:.1f} MHz stitched", file=out)
     print(render_floorplan(result.design, result.extras["flow"].device, width=args.width,
                            height=args.height), file=out)
     print(module_legend(result.design), file=out)
@@ -680,38 +639,14 @@ def _cmd_serve(args, out) -> int:
 
 def _resolve_url(args) -> str:
     """Server URL from ``--url`` or the data dir's discovery file."""
-    import json as json_mod
-
     if args.url:
         return args.url
     discovery = Path(args.data_dir) / "serve.json"
     if discovery.exists():
-        return json_mod.loads(discovery.read_text())["url"]
+        return json.loads(discovery.read_text())["url"]
     raise SystemExit(
         f"no --url given and {discovery} not found; is the server running?"
     )
-
-
-def _spec_from_args(args) -> dict:
-    spec = {
-        "tenant": args.tenant,
-        "part": args.part,
-        "flow": args.flow,
-        "granularity": args.granularity,
-        "stream_weights": args.stream_weights,
-        "effort": args.effort,
-        "seed": args.seed,
-        "drc": args.drc,
-    }
-    if args.pipeline is not None:
-        spec["pipeline"] = (
-            args.pipeline if args.pipeline == "auto" else float(args.pipeline)
-        )
-    if args.arch_file:
-        spec["architecture"] = Path(args.arch_file).read_text()
-    else:
-        spec["model"] = args.model or "lenet5"
-    return spec
 
 
 def _cmd_submit(args, out) -> int:
@@ -719,7 +654,7 @@ def _cmd_submit(args, out) -> int:
 
     client = ServeClient(_resolve_url(args))
     try:
-        job = client.submit(_spec_from_args(args))
+        job = client.submit(args.spec.to_json())
     except ServeApiError as exc:
         print(f"submit rejected: {exc}", file=out)
         return 2
@@ -753,9 +688,7 @@ def _cmd_jobs(args, out) -> int:
     client = ServeClient(_resolve_url(args))
     records = client.jobs(tenant=args.tenant, state=args.state)
     if args.json:
-        import json as json_mod
-
-        print(json_mod.dumps({"jobs": records}, indent=2, sort_keys=True), file=out)
+        _print_json({"jobs": records}, out)
         return 0
     rows = [
         [r["id"], r["tenant"], r["network"], r["part"], r["state"],
@@ -770,8 +703,6 @@ def _cmd_jobs(args, out) -> int:
 
 
 def _cmd_result(args, out) -> int:
-    import json as json_mod
-
     from .serve import ServeApiError, ServeClient
 
     client = ServeClient(_resolve_url(args))
@@ -783,7 +714,7 @@ def _cmd_result(args, out) -> int:
     except ServeApiError as exc:
         print(str(exc), file=out)
         return 2
-    print(json_mod.dumps(envelope, indent=2, sort_keys=True), file=out)
+    _print_json(envelope, out)
     return 0 if envelope.get("state") == "done" else 1
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .graph import DFG
 from .layers import Conv2D, Dense, Flatten, Input, MaxPool2D, ReLU
 
-__all__ = ["lenet5", "lenet5_caffe", "vgg16", "MODEL_CATALOG", "get_model"]
+__all__ = ["lenet5", "lenet5_caffe", "vgg16", "MODEL_CATALOG", "get_model", "models_doc"]
 
 
 def lenet5() -> DFG:
@@ -102,3 +102,18 @@ def get_model(name: str) -> DFG:
         known = ", ".join(sorted(MODEL_CATALOG))
         raise KeyError(f"unknown model {name!r}; known: {known}") from None
     return factory()
+
+
+def models_doc() -> dict:
+    """The stock networks as JSON: ``repro models --json`` and ``GET /v1/models``."""
+    models = []
+    for name in sorted(MODEL_CATALOG):
+        totals = get_model(name).totals()
+        models.append({
+            "name": name,
+            "conv_layers": int(totals["conv_layers"]),
+            "fc_layers": int(totals["fc_layers"]),
+            "total_weights": int(totals["total_weights"]),
+            "total_macs": int(totals["total_macs"]),
+        })
+    return {"models": models}

@@ -9,7 +9,8 @@ first, then reports as an aligned table, JSON, or SARIF 2.1 for CI.
 Entry points: :func:`run_drc` for one sweep, :class:`WaiverSet` for
 reviewed exceptions (the checker core in :mod:`repro.reporting`, shared
 with :mod:`repro.lint`), ``python -m repro drc`` on the command line, and
-the ``drc=`` gates of :class:`repro.rapidwright.PreImplementedFlow`.
+the ``drc=`` gates of :class:`repro.rapidwright.PreImplementedFlow` and
+:class:`repro.eco.EcoEngine` (both :func:`drc_gate`).
 :meth:`repro.netlist.Design.validate` is a thin adapter over the fatal
 subset of these rules.
 """
@@ -24,6 +25,7 @@ from .engine import (
     DrcReport,
     Violation,
     all_rules,
+    drc_gate,
     rule,
     run_drc,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "rule",
     "all_rules",
     "run_drc",
+    "drc_gate",
     "Location",
     "Severity",
     "Violation",

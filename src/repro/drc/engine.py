@@ -39,6 +39,7 @@ __all__ = [
     "DrcReport",
     "DrcError",
     "run_drc",
+    "drc_gate",
     "CATEGORIES",
 ]
 
@@ -285,4 +286,16 @@ def run_drc(
     counts = report.counts()
     set_gauge("drc.errors", counts["error"] + counts["fatal"])
     set_gauge("drc.warnings", counts["warning"])
+    return report
+
+
+def drc_gate(mode: str, design, device, *, gate: str, **options) -> DrcReport | None:
+    """One gate of a flow or an ECO: ``None`` under *mode* ``off``, else the
+    :func:`run_drc` report, which under ``strict`` must be clean or raises
+    :class:`DrcError`."""
+    if mode == "off":
+        return None
+    report = run_drc(design, device, gate=gate, **options)
+    if mode == "strict" and not report.is_clean():
+        raise DrcError(gate, report)
     return report

@@ -29,7 +29,7 @@ from .delta import (
     apply_delta,
     delta_from_json,
 )
-from .edit import layer_variant, run_eco, swap_delta
+from .edit import layer_variant, run_eco
 from .engine import EcoEngine, EcoResult
 from .reference import ReferenceResult, eco_reference, matches_reference
 
@@ -54,5 +54,4 @@ __all__ = [
     "matches_reference",
     "run_cts",
     "run_eco",
-    "swap_delta",
 ]

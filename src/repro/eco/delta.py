@@ -500,7 +500,7 @@ def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDel
     ...}]}``.  A ``replace_layer`` edit names a ``module`` and optionally a
     ``seed``; its replacement checkpoint is ``variant(module, seed)``, asked
     for once per edit, so two edits on one module can install different
-    variants (the CLI builds them with :func:`repro.eco.layer_variant`).
+    variants (:func:`repro.eco.run_eco` builds them with :func:`repro.eco.layer_variant`).
 
     Every field of every edit is checked for its type and shape before
     any variant is built: a malformed description raises

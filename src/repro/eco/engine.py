@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
+from ..reporting import check_mode
 from ..route.pathfinder import RouteResult, Router
 from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.incremental import IncrementalSta
@@ -98,13 +99,11 @@ class EcoEngine:
         database=None,
         session: IncrementalSta | None = None,
     ) -> None:
-        if drc not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown drc mode {drc!r}; use off, warn, or strict")
         self.design = design
         self.device = device
         self.graph = graph if graph is not None else RoutingGraph(device)
         self.delays = delays
-        self.drc = drc
+        self.drc = check_mode("drc", drc)
         self.database = database
         self.session = session if session is not None else IncrementalSta(
             design, device, self.graph, delays
@@ -151,21 +150,11 @@ class EcoEngine:
             }
             route = Router(self.device, self.graph).route(self.design)
             after = self.session.analyze()
-            report = None
-            if self.drc != "off":
-                from ..drc import DrcError, run_drc
+            from ..drc import drc_gate
 
-                report = run_drc(
-                    self.design,
-                    self.device,
-                    graph=self.graph,
-                    database=self.database,
-                    require_routed=True,
-                    gate=f"eco:{delta.name}",
-                    sta=self.session,
-                )
-                if self.drc == "strict" and not report.is_clean():
-                    raise DrcError(f"eco:{delta.name}", report)
+            report = drc_gate(self.drc, self.design, self.device, gate=f"eco:{delta.name}",
+                              graph=self.graph, database=self.database,
+                              require_routed=True, sta=self.session)
         except BaseException:
             rec.undo.apply(self.design)
             self.session.analyze()  # restore session coherence eagerly

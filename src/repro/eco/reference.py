@@ -31,6 +31,7 @@ from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..netlist.checkpoint import design_from_dict, design_to_dict
 from ..netlist.design import Design
+from ..reporting import check_mode
 from ..route.pathfinder import RouteResult, Router
 from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.sta import TimingReport, analyze_reference
@@ -68,8 +69,7 @@ def eco_reference(
     report and DRC findings bit-for-bit, and fail where it fails.
     *design* itself is never mutated.
     """
-    if drc not in ("off", "warn", "strict"):
-        raise ValueError(f"unknown drc mode {drc!r}; use off, warn, or strict")
+    check_mode("drc", drc)
     if graph is None:
         graph = RoutingGraph(device)
     copy = design_from_dict(design_to_dict(design))
@@ -89,20 +89,10 @@ def eco_reference(
     route = Router(device, graph).route(copy)
     after = analyze_reference(copy, device, graph, delays)
 
-    report = None
-    if drc != "off":
-        from ..drc import DrcError, run_drc
+    from ..drc import drc_gate
 
-        report = run_drc(
-            copy,
-            device,
-            graph=graph,
-            database=database,
-            require_routed=True,
-            gate=f"eco:{delta.name}",
-        )
-        if drc == "strict" and not report.is_clean():
-            raise DrcError(f"eco:{delta.name}", report)
+    report = drc_gate(drc, copy, device, gate=f"eco:{delta.name}", graph=graph,
+                      database=database, require_routed=True)
 
     return ReferenceResult(
         design=copy,

@@ -2,7 +2,7 @@
 
 from .device import Device, TileType, SITE_FOR_TILE, TILE_FOR_CELL
 from .interconnect import RoutingGraph, SINGLE_COST, HEX_COST, HEX_REACH
-from .parts import PartSpec, get_part, PART_CATALOG, KU5P_LIKE, SMALL, TINY
+from .parts import PartSpec, get_part, part_doc, PART_CATALOG, KU5P_LIKE, SMALL, TINY
 from .pblock import PBlock, auto_pblock
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "HEX_REACH",
     "PartSpec",
     "get_part",
+    "part_doc",
     "PART_CATALOG",
     "KU5P_LIKE",
     "SMALL",

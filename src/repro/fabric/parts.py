@@ -17,9 +17,9 @@ Pattern strings use one character per column: ``C`` CLB, ``D`` DSP,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["PartSpec", "get_part", "PART_CATALOG", "KU5P_LIKE", "TINY", "SMALL"]
+__all__ = ["PartSpec", "get_part", "part_doc", "PART_CATALOG", "KU5P_LIKE", "TINY", "SMALL"]
 
 # Column-pattern building blocks for the calibrated part.  Unit A carries one
 # DSP and one BRAM column per 20 CLB columns; unit B carries two DSP columns.
@@ -115,3 +115,17 @@ def get_part(name: str) -> PartSpec:
     except KeyError:
         known = ", ".join(sorted(PART_CATALOG))
         raise KeyError(f"unknown part {name!r}; known parts: {known}") from None
+
+
+def part_doc(name: str) -> dict:
+    """Part *name* as JSON: ``repro info --json`` and one entry of ``GET /v1/parts``."""
+    from .device import Device  # which imports this module
+
+    device = Device.from_name(name)
+    return {
+        "name": device.name,
+        "columns": device.ncols,
+        "rows": device.nrows,
+        "resources": {k: int(v) for k, v in sorted(device.resource_totals.items())},
+        "io_columns": [int(c) for c in device.io_columns],
+    }

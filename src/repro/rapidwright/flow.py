@@ -26,6 +26,7 @@ from ..netlist.design import Design
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
 from ..power.model import estimate_power
+from ..reporting import check_mode
 from ..route.pathfinder import RouteResult, Router
 from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.incremental import IncrementalSta
@@ -81,14 +82,12 @@ class PreImplementedFlow:
         delays: DelayModel = DEFAULT_DELAYS,
         drc: str = "off",
     ) -> None:
-        if drc not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown drc mode {drc!r}; use off, warn, or strict")
         self.device = device
         self.component_effort = component_effort
         self.seed = seed
         self.plan_ports = plan_ports
         self.delays = delays
-        self.drc = drc
+        self.drc = check_mode("drc", drc)
         self.graph = RoutingGraph(device)
 
     # -- phase 1: function optimization (offline) --------------------------
@@ -146,38 +145,15 @@ class PreImplementedFlow:
         )
         return scheduler
 
-    def _drc_gate(
-        self,
-        gate: str,
-        design: "Design",
-        *,
-        require_routed: bool = False,
-        database: ComponentDatabase | None = None,
-        sta: IncrementalSta | None = None,
-    ) -> "object | None":
-        """Run one DRC gate per :attr:`drc` mode.
+    def _drc_gate(self, reports: list, gate: str, design: "Design", **options) -> None:
+        """Run one DRC gate of this run, :func:`repro.drc.drc_gate` under
+        :attr:`drc`, and keep its report in *reports* (*options*:
+        ``require_routed``, ``database``, ``sta``)."""
+        from ..drc import drc_gate
 
-        Returns the report (``warn``/``strict``), or ``None`` when DRC is
-        off.  ``strict`` raises :class:`repro.drc.DrcError` on
-        error-or-worse violations.  *sta* lets timing-derived rules
-        answer from the run's shared session memo instead of recomputing.
-        """
-        if self.drc == "off":
-            return None
-        from ..drc import DrcError, run_drc
-
-        report = run_drc(
-            design,
-            self.device,
-            graph=self.graph,
-            database=database,
-            require_routed=require_routed,
-            gate=gate,
-            sta=sta,
-        )
-        if self.drc == "strict" and not report.is_clean():
-            raise DrcError(gate, report)
-        return report
+        report = drc_gate(self.drc, design, self.device, graph=self.graph, gate=gate, **options)
+        if report is not None:
+            reports.append(report)
 
     # -- phase 2: architecture optimization (timed) -------------------------
 
@@ -268,14 +244,12 @@ class PreImplementedFlow:
                 anchored = database.fetch(
                     comp.signature, anchors[comp.name], device=self.device
                 )
-                drc_reports.append(self._drc_gate(
-                    f"component:{comp.name}", anchored, require_routed=True
-                ))
+                self._drc_gate(drc_reports, f"component:{comp.name}", anchored,
+                               require_routed=True)
             if scheduler is not None:
                 anchored = relocate(scheduler, self.device, anchors["scheduler"])
-                drc_reports.append(self._drc_gate(
-                    "component:scheduler", anchored, require_routed=True
-                ))
+                self._drc_gate(drc_reports, "component:scheduler", anchored,
+                               require_routed=True)
 
         with stage(stages, "rw:composition"):
             if share_components:
@@ -302,9 +276,7 @@ class PreImplementedFlow:
         # memo, so each design state is analyzed at most once.
         sta = IncrementalSta(top, self.device, self.graph, self.delays)
 
-        gate_report = self._drc_gate("pre_route", top, require_routed=False, sta=sta)
-        if gate_report is not None:
-            drc_reports.append(gate_report)
+        self._drc_gate(drc_reports, "pre_route", top, sta=sta)
 
         with stage(stages, "vivado:inter_route"):
             route = Router(self.device, self.graph).route(top)
@@ -352,11 +324,8 @@ class PreImplementedFlow:
                     preexisting=route.preexisting,
                 )
 
-        gate_report = self._drc_gate(
-            "post_route", top, require_routed=True, database=database, sta=sta
-        )
-        if gate_report is not None:
-            drc_reports.append(gate_report)
+        self._drc_gate(drc_reports, "post_route", top, require_routed=True,
+                       database=database, sta=sta)
         if self.drc != "off":
             extras["drc"] = drc_reports
 

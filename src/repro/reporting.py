@@ -57,6 +57,8 @@ __all__ = [
     "WaiverError",
     "WaiverSet",
     "Report",
+    "MODES",
+    "check_mode",
     "validate_sarif",
 ]
 
@@ -65,6 +67,17 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 #: The three SARIF result levels our severities collapse onto.
 SARIF_LEVELS = ("note", "warning", "error")
+
+#: How a gate acts on its findings: not at all, report them, or fail on
+#: error-or-worse (``--mode`` of both checkers, a flow's ``drc=``).
+MODES = ("off", "warn", "strict")
+
+
+def check_mode(checker: str, mode: str) -> str:
+    """*mode* when it is one of :data:`MODES`; the one ``ValueError`` otherwise."""
+    if mode not in MODES:
+        raise ValueError(f"unknown {checker} mode {mode!r}; use off, warn, or strict")
+    return mode
 
 
 class Severity(IntEnum):
@@ -406,9 +419,7 @@ class Report:
 
     def exit_code(self, mode: str = "strict") -> int:
         """Process exit code for CI: 0 clean/warn-mode, 2 on a failed gate."""
-        if mode not in ("off", "warn", "strict"):
-            raise ValueError(f"unknown {self.checker} mode {mode!r}; use off, warn, or strict")
-        if mode == "strict" and not self.is_clean():
+        if check_mode(self.checker, mode) == "strict" and not self.is_clean():
             return 2
         return 0
 

@@ -75,27 +75,22 @@ def _eco_doc(spec: JobSpec, result) -> dict:
     fails the job — the farm never serves an unverified incremental
     result when asked to prove it.
     """
-    from ..eco import run_cts, run_eco, swap_delta
+    from ..eco import run_eco
 
-    eco_spec, flow = spec.eco, result.extras["flow"]
+    trees, eco, identical = run_eco(result, spec, drc=spec.drc if spec.drc != "off" else "warn",
+                                    **spec.eco)
+    if identical is False:
+        raise RuntimeError(f"eco verification failed: incremental result for {eco.delta.name} "
+                           "diverges from the full-recompile oracle")
     doc: dict = {}
-    if eco_spec.get("cts"):
-        trees = run_cts(result.design, flow.device, delays=flow.delays)
+    if spec.eco.get("cts"):
         doc["cts"] = {
             "buffers": sum(t.n_buffers for t in trees),
             "skew_ps": round(max(t.skew_ps for t in trees), 3),
             "insertion_ps": round(max(t.insertion_ps for t in trees), 3),
         }
-    delta = swap_delta(spec.resolve_eco_layer(), flow.device, effort=spec.effort,
-                       seed=eco_spec.get("swap_seed", spec.seed + 1),
-                       rom_weights=not spec.stream_weights)
-    eco, identical = run_eco(result, delta, drc=spec.drc if spec.drc != "off" else "warn",
-                             verify=bool(eco_spec.get("verify")))
-    if identical is False:
-        raise RuntimeError(f"eco verification failed: incremental result for {delta.name} "
-                           "diverges from the full-recompile oracle")
     doc.update(
-        delta=delta.name,
+        delta=eco.delta.name,
         ripped=len(eco.ripped),
         rerouted=eco.route.routed,
         fmax_before_mhz=round(eco.before.fmax_mhz, 3),

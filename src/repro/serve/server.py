@@ -42,8 +42,10 @@ import threading
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
+from ..cnn import models_doc
+from ..fabric import PART_CATALOG, part_doc
 from ..spec import JobSpec, SpecError
-from .scheduler import QuotaError, RateLimitError, Scheduler, TenantQuota
+from .scheduler import QuotaError, Scheduler, TenantQuota
 from .store import JobStore
 
 __all__ = ["ServeServer"]
@@ -251,9 +253,9 @@ class ServeServer:
             stats["replayed"] = self.store.replayed
             return 200, stats
         if rest == ["models"] and method == "GET":
-            return 200, _models_doc()
+            return 200, models_doc()
         if rest == ["parts"] and method == "GET":
-            return 200, _parts_doc()
+            return 200, {"parts": [part_doc(name) for name in sorted(PART_CATALOG)]}
         if rest == ["jobs"]:
             if method == "POST":
                 return self._submit(body)
@@ -286,9 +288,7 @@ class ServeServer:
             raise _HttpError(400, str(exc)) from exc
         try:
             record = self.scheduler.submit(spec)
-        except RateLimitError as exc:
-            raise _HttpError(429, str(exc)) from exc
-        except QuotaError as exc:
+        except QuotaError as exc:  # a RateLimitError too
             raise _HttpError(429, str(exc)) from exc
         except RuntimeError as exc:
             raise _HttpError(409, str(exc)) from exc
@@ -328,35 +328,3 @@ class ServeServer:
             "job": record.id, "state": "done", "cache": record.cache,
             "wall_s": record.wall_s, "result": result,
         }
-
-
-def _models_doc() -> dict:
-    from ..cnn import MODEL_CATALOG, get_model
-
-    models = []
-    for name in sorted(MODEL_CATALOG):
-        totals = get_model(name).totals()
-        models.append({
-            "name": name,
-            "conv_layers": int(totals["conv_layers"]),
-            "fc_layers": int(totals["fc_layers"]),
-            "total_weights": int(totals["total_weights"]),
-            "total_macs": int(totals["total_macs"]),
-        })
-    return {"models": models}
-
-
-def _parts_doc() -> dict:
-    from ..fabric import PART_CATALOG, Device
-
-    parts = []
-    for name in sorted(PART_CATALOG):
-        device = Device.from_name(name)
-        parts.append({
-            "name": name,
-            "columns": device.ncols,
-            "rows": device.nrows,
-            "resources": {k: int(v) for k, v in sorted(device.resource_totals.items())},
-            "io_columns": [int(c) for c in device.io_columns],
-        })
-    return {"parts": parts}

@@ -25,15 +25,21 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .cnn import MODEL_CATALOG, get_model, parse_architecture
-from .engine.cache import content_key
 from .fabric import PART_CATALOG, Device
+from .reporting import MODES
 
-__all__ = ["SpecError", "JobSpec", "compile_spec"]
+__all__ = ["SpecError", "JobSpec", "CHOICES", "compile_spec"]
 
-_FLOWS = ("preimpl", "baseline")
-_GRANULARITIES = ("layer", "block")
-_DRC_MODES = ("off", "warn", "strict")
-_EFFORTS = ("low", "medium", "high")
+#: The values each enumerated field accepts, in the order they are checked
+#: (the CLI declares its flags from this table too).
+CHOICES = {
+    "model": tuple(sorted(MODEL_CATALOG)),
+    "part": tuple(sorted(PART_CATALOG)),
+    "flow": ("preimpl", "baseline"),
+    "granularity": ("layer", "block"),
+    "drc": MODES,
+    "effort": ("low", "medium", "high"),
+}
 
 
 class SpecError(ValueError):
@@ -63,10 +69,10 @@ class JobSpec:
     drc: str = "off"
     #: Post-route ECO to apply after the build (preimpl only): a JSON
     #: object ``{"swap_layer": <module>, "swap_seed": <int>, "cts": bool,
-    #: "verify": bool}``.  The named module instance is replaced with a
-    #: freshly re-implemented variant through :class:`repro.eco.EcoEngine`;
-    #: ``verify`` replays the edit through the full-recompile oracle and
-    #: fails the job on any divergence.
+    #: "verify": bool}``: the keywords of :func:`repro.eco.run_eco`, which
+    #: replaces the named module instance with a freshly re-implemented
+    #: variant; ``verify`` replays the edit through the full-recompile
+    #: oracle and fails the job on any divergence.
     eco: dict | None = None
     tags: dict = field(default_factory=dict)
 
@@ -77,22 +83,11 @@ class JobSpec:
             raise SpecError("tenant must be a non-empty string")
         if (self.model is None) == (self.architecture is None):
             raise SpecError("exactly one of 'model' and 'architecture' is required")
-        if self.model is not None and self.model not in MODEL_CATALOG:
-            raise SpecError(
-                f"unknown model {self.model!r}; known: {sorted(MODEL_CATALOG)}"
-            )
-        if self.part not in PART_CATALOG:
-            raise SpecError(f"unknown part {self.part!r}; known: {sorted(PART_CATALOG)}")
-        if self.flow not in _FLOWS:
-            raise SpecError(f"unknown flow {self.flow!r}; known: {list(_FLOWS)}")
-        if self.granularity not in _GRANULARITIES:
-            raise SpecError(
-                f"unknown granularity {self.granularity!r}; known: {list(_GRANULARITIES)}"
-            )
-        if self.drc not in _DRC_MODES:
-            raise SpecError(f"unknown drc mode {self.drc!r}; known: {list(_DRC_MODES)}")
-        if self.effort not in _EFFORTS:
-            raise SpecError(f"unknown effort {self.effort!r}; known: {list(_EFFORTS)}")
+        for name, known in CHOICES.items():
+            value = getattr(self, name)
+            if value not in known and not (name == "model" and value is None):
+                noun = "drc mode" if name == "drc" else name
+                raise SpecError(f"unknown {noun} {value!r}; known: {list(known)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SpecError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.stream_weights, bool):
@@ -154,10 +149,11 @@ class JobSpec:
 
         return group_components(self.dfg(), self.granularity)
 
-    def resolve_eco_layer(self):
-        """The component the eco swap targets (exact or unique-substring
-        match against the instance names), or ``None``."""
-        layer = (self.eco or {}).get("swap_layer", "")
+    def resolve_eco_layer(self, layer: str | None = None):
+        """The component module *layer* (default: the eco swap's) names —
+        exactly, or else as the unique instance name containing it — or ``None``."""
+        if layer is None:
+            layer = (self.eco or {}).get("swap_layer", "")
         components = self._components()
         matches = [c for c in components if c.name == layer]
         if not matches:
@@ -203,6 +199,8 @@ class JobSpec:
         payload = self.to_json()
         payload.pop("tenant")
         payload.pop("tags")
+        from .engine.cache import content_key  # the back end: not for --help
+
         return content_key("serve-job", payload)
 
 

@@ -2,10 +2,12 @@
 
 import io
 import pickle
+from dataclasses import fields
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.spec import CHOICES, JobSpec
 
 
 def _run(argv) -> tuple[int, str]:
@@ -203,3 +205,139 @@ def test_build_reports_a_torn_library_file_in_one_line(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("library file rejected: ")
     assert torn.name in err
+
+
+# -- one front end: the CLI declares, validates and describes a job as serve does --
+
+
+SPEC_DEFAULTS = {f.name: f.default for f in fields(JobSpec)}
+#: The CLI's documented departures from JobSpec's defaults.
+CLI_DEFAULTS = {("run", "flow"): "both", ("eco", "drc"): "warn"}
+#: The verbs that build, and the JobSpec fields each takes as flags.
+SPEC_VERBS = {
+    "run": ("model", "part", "flow", "granularity", "stream_weights", "pipeline", "drc",
+            "seed"),
+    "drc": ("model", "part", "granularity", "seed"),
+    "build": ("model", "part", "granularity", "effort", "stream_weights", "seed"),
+    "eco": ("model", "part", "granularity", "effort", "drc", "seed"),
+    "floorplan": ("model", "part", "granularity", "seed"),
+    "submit": ("model", "part", "flow", "granularity", "stream_weights", "pipeline",
+               "effort", "drc", "seed", "tenant"),
+}
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    pytest.param(["submit", "--url", "http://127.0.0.1:9", "--pipeline", "fast"],
+                 "pipeline must be null, 'auto', or a frequency in MHz, got 'fast'",
+                 id="submit-pipeline-word"),
+    pytest.param(["build", "--part", "small", "--effort", "bogus"],
+                 "unknown effort 'bogus'; known: ['low', 'medium', 'high']", id="build-effort"),
+    pytest.param(["run", "--drc", "loud"],
+                 "unknown drc mode 'loud'; known: ['off', 'warn', 'strict']", id="run-drc"),
+    pytest.param(["drc", "--model", "alexnet"],
+                 "unknown model 'alexnet'; known: ['lenet5', 'lenet5_caffe', 'vgg16']",
+                 id="drc-model"),
+    pytest.param(["eco", "--granularity", "row", "--swap-layer", "conv2"],
+                 "unknown granularity 'row'; known: ['layer', 'block']", id="eco-granularity"),
+    pytest.param(["floorplan", "--part", "huge"],
+                 "unknown part 'huge'; known: ['ku5p-like', 'small', 'tiny']",
+                 id="floorplan-part"),
+    pytest.param(["submit", "--url", "http://127.0.0.1:9", "--pipeline", "-5"],
+                 "pipeline frequency must be positive, got -5.0", id="submit-pipeline-negative"),
+    pytest.param(["submit", "--url", "http://127.0.0.1:9", "--tenant", ""],
+                 "tenant must be a non-empty string", id="submit-tenant"),
+])
+def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err == f"repro {argv[0]}: {message}\n"
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
+def test_spec_flags_take_jobspecs_defaults_and_values(capsys, verb):
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args([verb, "--help"])
+    help_text = capsys.readouterr().out
+    args = parser.parse_args([verb])
+    for name in SPEC_VERBS[verb]:
+        assert getattr(args, name) == CLI_DEFAULTS.get((verb, name), SPEC_DEFAULTS[name]), name
+    if "jobs" in vars(args):
+        assert args.jobs == 1  # documented: compile_spec's default is one worker per core
+    expected = {name: getattr(args.spec, name) for name in SPEC_VERBS[verb]}
+    assert args.spec == JobSpec(**{**expected, "model": "lenet5"})
+    for name in set(SPEC_VERBS[verb]) & set(CHOICES):
+        flag = "--" + name.replace("_", "-")
+        shown = CHOICES[name] + (("both",) if (verb, name) == ("run", "flow") else ())
+        assert f"{flag} {{{','.join(shown)}}}" in help_text
+        for value in CHOICES[name]:
+            assert getattr(parser.parse_args([verb, flag, value]).spec, name) == value
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, flag, "bogus"])
+
+
+@pytest.mark.parametrize("name", sorted(CHOICES))
+def test_choices_are_exactly_what_jobspec_accepts(name):
+    from repro.spec import SpecError
+
+    for value in CHOICES[name]:
+        JobSpec(**{"model": "lenet5", name: value})
+    with pytest.raises(SpecError):
+        JobSpec(**{"model": "lenet5", name: "bogus"})
+
+
+def test_pipeline_takes_one_form_on_every_verb():
+    parser = build_parser()
+    for verb in ("run", "submit"):
+        assert parser.parse_args([verb]).spec.pipeline is None
+        assert parser.parse_args([verb, "--pipeline"]).spec.pipeline == "auto"
+        assert parser.parse_args([verb, "--pipeline", "300"]).spec.pipeline == 300.0
+
+
+def test_catalog_documents_are_the_services(tmp_path):
+    import json
+    from urllib.request import urlopen
+
+    from repro.serve import ServeServer
+
+    server = ServeServer(tmp_path / "data", port=0, workers=1).start()
+    try:
+        with urlopen(f"{server.url}/v1/models", timeout=30) as response:
+            models = json.loads(response.read())
+        with urlopen(f"{server.url}/v1/parts", timeout=30) as response:
+            parts = json.loads(response.read())
+    finally:
+        server.stop()
+    assert json.loads(_run(["models", "--json"])[1]) == models
+    (small,) = [p for p in parts["parts"] if p["name"] == "small"]
+    assert json.loads(_run(["info", "--part", "small", "--json"])[1]) == small
+
+
+def test_cli_eco_and_serve_eco_job_report_the_same_edit_with_cts(monkeypatch):
+    from repro.eco import EcoEngine
+    from repro.serve.runner import run_job
+
+    applied = []
+    real_apply = EcoEngine.apply
+
+    def spy(self, delta):
+        applied.append(real_apply(self, delta))
+        return applied[-1]
+
+    monkeypatch.setattr(EcoEngine, "apply", spy)
+    code, text = _run(["eco", "--model", "lenet5", "--part", "small", "--effort", "low",
+                       "--swap-layer", "conv2", "--cts", "--verify"])
+    assert code == 0, text
+    (cli,) = applied
+    assert cli.summary() in text.splitlines() and "bit-identical" in text
+    doc, _ = run_job(JobSpec(model="lenet5", part="small", effort="low",
+                             eco={"swap_layer": "conv2", "cts": True, "verify": True}))
+    eco = doc["eco"]
+    assert (cli.delta.name, len(cli.ripped), cli.route.routed) == (
+        eco["delta"], eco["ripped"], eco["rerouted"])
+    assert round(cli.before.fmax_mhz, 3) == eco["fmax_before_mhz"]
+    assert round(cli.after.fmax_mhz, 3) == eco["fmax_after_mhz"]
+    assert f"{eco['cts']['buffers']} buffers" in text
