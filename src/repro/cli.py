@@ -7,10 +7,10 @@
 * ``run --model lenet5 [--flow both] [--granularity layer] ...`` — build
   an accelerator with the baseline and/or pre-implemented flow and print
   the comparison.
-* ``build --model vgg16 --jobs 4 [--cache-dir DIR]`` — pre-implement a
-  model's component database through the parallel build engine,
-  with an optional persistent content-addressed build cache (a second
-  run with the same ``--cache-dir`` is answered from cache).
+* ``build --model vgg16 --jobs 4 [--database-dir DIR]`` — pre-implement a
+  model's component database through the parallel build engine, into
+  an optional component library (a second run with the same
+  ``--database-dir`` and options is answered from it).
 * ``drc --model lenet5 [--mode strict] [--sarif out.sarif]`` — build the
   pre-implemented accelerator and sweep it (plus its component database)
   through the full design-rule registry; ``--checkpoint FILE.dcpb``
@@ -24,7 +24,7 @@
   written by ``run``/``build`` ``--trace``.
 * ``serve --data-dir DIR --port 8177 --workers 4`` — run the compile
   service: an HTTP/JSON job server multiplexing many concurrent builds
-  over one shared worker pool and content-addressed cache, with a
+  over one shared worker pool and component library, with a
   durable job journal (killed servers recover their queue on restart).
 * ``submit --model lenet5 [--follow] [--wait]`` / ``jobs`` / ``result
   JOB_ID`` — client commands against a running server; the server URL
@@ -59,6 +59,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -266,14 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list registered rules and exit")
 
     p_build = spec_verb(
-        "build", "pre-implement a component database (offline, parallel, cached)"
+        "build", "pre-implement a component database (offline, parallel, into a library)"
     )
-    p_build.add_argument("--cache-dir", default=None,
-                         help="persistent content-addressed build cache; a warm "
-                              "rerun is answered without re-implementing")
     p_build.add_argument("--database-dir", default=None,
-                         help="persist .dcpb checkpoints here (reloadable with "
-                              "ComponentDatabase.load_directory)")
+                         help="component library: one <key>.dcpb per build; a warm "
+                              "rerun is answered without re-implementing")
     p_build.add_argument("--telemetry", action="store_true",
                          help="print the per-task engine telemetry table")
 
@@ -327,21 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the compile service (HTTP/JSON job server)"
     )
     p_srv.add_argument("--data-dir", default="serve-data",
-                       help="durable state: job journal, results, shared cache")
+                       help="durable state: job journal, results, component library")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8177,
                        help="listen port (0 picks a free one; the chosen "
                             "port is written to <data-dir>/serve.json)")
     p_srv.add_argument("--workers", type=int, default=2,
-                       help="concurrent build workers sharing one cache")
+                       help="concurrent build workers sharing one library")
     p_srv.add_argument("--max-running", type=int, default=2,
                        help="per-tenant concurrent build cap")
     p_srv.add_argument("--max-queued", type=int, default=32,
                        help="per-tenant queued-job cap (429 when full)")
     p_srv.add_argument("--rate", type=float, default=None,
                        help="per-tenant submit rate limit (jobs/s)")
-    p_srv.add_argument("--cache-entries", type=int, default=None,
-                       help="in-memory LRU bound for the shared cache")
 
     def _add_url(sp):
         sp.add_argument("--url", default=None,
@@ -436,7 +432,6 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_build(args, out) -> int:
-    from .engine import BuildCache
     from .rapidwright import ComponentDatabase
 
     spec = args.spec
@@ -444,30 +439,24 @@ def _cmd_build(args, out) -> int:
     database = ComponentDatabase(
         spec.device(), directory=Path(args.database_dir) if args.database_dir else None
     )
-    if database.directory is not None:
-        try:
-            reloaded = database.load_directory()
-        except ValueError as exc:  # a torn or foreign .dcpb file
-            print(f"library file rejected: {exc}", file=sys.stderr)
-            return 2
-        if reloaded:
-            print(f"reloaded {reloaded} persisted checkpoints", file=out)
-    cache = BuildCache(directory=args.cache_dir) if args.cache_dir else None
-    report = database.build(
-        components,
-        rom_weights=not spec.stream_weights,
-        effort=spec.effort,
-        seed=spec.seed,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    with warnings.catch_warnings(record=True) as rejected:  # torn or foreign library files
+        warnings.simplefilter("always", RuntimeWarning)
+        report = database.build(
+            components,
+            rom_weights=not spec.stream_weights,
+            effort=spec.effort,
+            seed=spec.seed,
+            jobs=args.jobs,
+        )
+    for warning in rejected:
+        print(warning.message, file=sys.stderr)
     if report.tasks:
         if args.telemetry:
             print(report.telemetry(), file=out)
-        print(f"engine: jobs={report.jobs}, wall {report.wall_s:.2f} s, "
-              f"cache {report.hit_count} hit / {report.miss_count} miss", file=out)
-    if cache is not None:
-        print(f"cache: {cache.stats}", file=out)
+        print(f"engine: jobs={report.jobs}, wall {report.wall_s:.2f} s", file=out)
+    if database.directory is not None:
+        print(f"library: answered {len(database) - len(report.tasks)} of {len(database)} "
+              f"components from {database.directory}", file=out)
     print(f"database: {len(database)} checkpoints "
           f"({len({c.signature for c in components})} unique signatures)", file=out)
     print(f"pre-implemented {len(report.tasks)} components, run {report.run_s:.3f} s",
@@ -622,7 +611,6 @@ def _cmd_serve(args, out) -> int:
         port=args.port,
         workers=args.workers,
         quota=quota,
-        cache_entries=args.cache_entries,
     )
     server.start()
     recovered = len([r for r in server.store.jobs() if r.recovered])

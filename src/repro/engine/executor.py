@@ -1,17 +1,13 @@
-"""Cached parallel map over independent tasks.
+"""Parallel map over independent tasks.
 
 :meth:`Engine.run` takes a list of :class:`TaskSpec`:
 
-* tasks whose ``cache_key`` is present in the build cache are answered
-  without executing;
-* with ``jobs=1`` the remaining tasks run serially, in-process, in list
-  order;
+* with ``jobs=1`` the tasks run serially, in-process, in list order;
 * with ``jobs>1`` they run on a forked ``ProcessPoolExecutor``; anything
   that cannot be pooled (unpicklable callables, a broken pool, workers
   that cannot start) falls back to in-process execution;
 * ``jobs=None`` picks one worker per usable core, capped at the number of
-  tasks left to run, and runs serially when the process has other live
-  threads.
+  tasks, and runs serially when the process has other live threads.
 
 Tasks must be pure functions of their inputs for the parallel and serial
 schedules to be equivalent — the engine shares no mutable state between
@@ -19,8 +15,10 @@ tasks, and the flow's seeded stages guarantee *value* determinism on top.
 A failed task is not retried: a pure, seeded task fails the same way
 twice, and a dead worker is handled by the serial fallback.
 
-Every task leaves a telemetry record (queue time, run time, worker id,
-cache status); the report's ``run_s`` sums their run times.
+Every task leaves a telemetry record (queue time, run time, worker id);
+the report's ``run_s`` sums their run times.  What is already built is
+answered before a task is made (:meth:`~repro.rapidwright.database.
+ComponentDatabase.build` reads its library first).
 """
 
 from __future__ import annotations
@@ -36,12 +34,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..obs import collect as _collect
-from ..obs.span import current_tracer, incr, observe, span
-from .cache import BuildCache
+from ..obs.span import current_tracer, observe, span
 
 __all__ = ["Engine", "EngineReport", "TaskError", "TaskResult", "TaskSpec"]
-
-_MISS = object()
 
 
 @dataclass
@@ -50,7 +45,6 @@ class TaskSpec:
 
     ``fn`` must be picklable (module-level) for pooled execution; the
     engine falls back to in-process execution when it is not.
-    ``cache_key`` opts the task into the content-addressed build cache.
     """
 
     id: str
@@ -58,7 +52,6 @@ class TaskSpec:
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     stage: str = "task"
-    cache_key: str | None = None
 
 
 class TaskError(RuntimeError):
@@ -72,12 +65,11 @@ class TaskError(RuntimeError):
 
 @dataclass
 class TaskResult:
-    """Telemetry for one executed (or cache-answered) task."""
+    """Telemetry for one executed task."""
 
     task_id: str
     stage: str
-    worker: str          # "cache", "serial", or "pid:<n>"
-    cache: str           # "hit" | "miss" | "off"
+    worker: str          # "serial" or "pid:<n>"
     queue_s: float
     run_s: float
 
@@ -92,14 +84,6 @@ class EngineReport:
     tasks: list[TaskResult] = field(default_factory=list)
 
     @property
-    def hit_count(self) -> int:
-        return sum(1 for t in self.tasks if t.cache == "hit")
-
-    @property
-    def miss_count(self) -> int:
-        return sum(1 for t in self.tasks if t.cache == "miss")
-
-    @property
     def run_s(self) -> float:
         """Summed *task* run times (CPU-equivalent), so the accounting is
         identical whatever ``jobs`` was; the concurrent wall clock is
@@ -107,12 +91,12 @@ class EngineReport:
         return sum(t.run_s for t in self.tasks)
 
     def telemetry(self) -> str:
-        """Human-readable per-task table (queue/run/worker/cache)."""
-        lines = [f"{'task':<24s} {'stage':<20s} {'worker':>10s} {'cache':>5s} "
+        """Human-readable per-task table (queue/run/worker)."""
+        lines = [f"{'task':<24s} {'stage':<20s} {'worker':>10s} "
                  f"{'queue s':>8s} {'run s':>8s}"]
         for t in self.tasks:
             lines.append(
-                f"{t.task_id:<24s} {t.stage:<20s} {t.worker:>10s} {t.cache:>5s} "
+                f"{t.task_id:<24s} {t.stage:<20s} {t.worker:>10s} "
                 f"{t.queue_s:8.3f} {t.run_s:8.3f}"
             )
         return "\n".join(lines)
@@ -138,25 +122,21 @@ def _looks_unpicklable(exc: BaseException) -> bool:
 
 
 class Engine:
-    """Parallel map over independent tasks with a content-addressed cache.
+    """Parallel map over independent tasks.
 
     Parameters
     ----------
     jobs:
         Worker processes; ``1`` (the default) executes in-process.
         ``None`` resolves at :meth:`run` to one worker per usable core,
-        at most one per pending task — and to ``1`` when the process has
+        at most one per task — and to ``1`` when the process has
         another live thread, because forking a threaded process can
         deadlock the child.  :attr:`EngineReport.jobs` reports the
         resolved count.
-    cache:
-        Optional :class:`BuildCache` consulted before running any task
-        with a ``cache_key`` and populated after each miss.
     """
 
-    def __init__(self, jobs: int | None = 1, *, cache: BuildCache | None = None) -> None:
+    def __init__(self, jobs: int | None = 1) -> None:
         self.jobs = None if jobs is None else max(1, int(jobs))
-        self.cache = cache
 
     def run(self, tasks: list[TaskSpec]) -> EngineReport:
         """Run every task; a duplicate task id raises :class:`ValueError`."""
@@ -164,38 +144,19 @@ class Engine:
         results: dict[str, object] = {}
         telemetry: list[TaskResult] = []
 
-        tracer = current_tracer()
         with span("engine.run", tasks=len(tasks)):
             seen: set[str] = set()
-            pending: list[TaskSpec] = []
             for spec in tasks:
                 if spec.id in seen:
                     raise ValueError(f"duplicate task id {spec.id!r}")
                 seen.add(spec.id)
-                if self.cache is not None and spec.cache_key is not None:
-                    value = self.cache.get(spec.cache_key, _MISS)
-                    if value is not _MISS:
-                        results[spec.id] = value
-                        telemetry.append(
-                            TaskResult(spec.id, spec.stage, "cache", "hit", 0.0, 0.0)
-                        )
-                        incr("cache.hit")
-                        if tracer is not None:
-                            tracer.emit_span(
-                                "engine.task",
-                                t0=time.perf_counter(),
-                                dur=0.0,
-                                attrs={"task": spec.id, "stage": spec.stage, "cache": "hit"},
-                            )
-                        continue
-                pending.append(spec)
 
-            jobs = self._resolve_jobs(len(pending))
-            if pending:
+            jobs = self._resolve_jobs(len(tasks))
+            if tasks:
                 if jobs == 1:
-                    self._run_serial(pending, results, telemetry)
+                    self._run_serial(tasks, results, telemetry)
                 else:
-                    self._run_pooled(pending, results, telemetry, jobs)
+                    self._run_pooled(tasks, results, telemetry, jobs)
 
         return EngineReport(
             jobs=jobs,
@@ -206,7 +167,7 @@ class Engine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _resolve_jobs(self, pending: int) -> int:
+    def _resolve_jobs(self, n_tasks: int) -> int:
         if self.jobs is not None:
             return self.jobs
         if threading.active_count() > 1:
@@ -215,19 +176,7 @@ class Engine:
             cores = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity API on this platform
             cores = os.cpu_count() or 1
-        return max(1, min(cores, pending))
-
-    def _cache_status(self, spec: TaskSpec) -> str:
-        return "miss" if (self.cache is not None and spec.cache_key is not None) else "off"
-
-    def _finish(self, spec: TaskSpec, value: object, status: str,
-                results: dict[str, object], telemetry: list[TaskResult],
-                worker: str, queue_s: float, run_s: float) -> None:
-        if status == "miss":
-            incr("cache.miss")
-            self.cache.put(spec.cache_key, value)
-        results[spec.id] = value
-        telemetry.append(TaskResult(spec.id, spec.stage, worker, status, queue_s, run_s))
+        return max(1, min(cores, n_tasks))
 
     # -- serial ------------------------------------------------------------
 
@@ -238,15 +187,15 @@ class Engine:
         telemetry: list[TaskResult],
     ) -> None:
         for spec in pending:
-            status = self._cache_status(spec)
             start = time.perf_counter()
             try:
-                with span("engine.task", task=spec.id, stage=spec.stage, cache=status):
+                with span("engine.task", task=spec.id, stage=spec.stage):
                     value = spec.fn(*spec.args, **spec.kwargs)
             except Exception as exc:
                 raise TaskError(spec.id, f"failed: {exc}", cause=exc) from exc
-            self._finish(spec, value, status, results, telemetry,
-                         "serial", 0.0, time.perf_counter() - start)
+            results[spec.id] = value
+            telemetry.append(TaskResult(spec.id, spec.stage, "serial", 0.0,
+                                        time.perf_counter() - start))
 
     # -- pooled ------------------------------------------------------------
 
@@ -298,7 +247,6 @@ class Engine:
                     self._run_serial([spec], results, telemetry)
                     continue
                 now = time.perf_counter()
-                status = self._cache_status(spec)
                 queue_s = max(0.0, now - submitted_at - run_s)
                 observe("engine.queue_ms", queue_s * 1e3)
                 if tracer is not None:
@@ -306,12 +254,12 @@ class Engine:
                     # spans re-parent under it.
                     span_id = tracer.emit_span(
                         "engine.task", t0=now - run_s, dur=run_s,
-                        attrs={"task": spec.id, "stage": spec.stage, "cache": status},
+                        attrs={"task": spec.id, "stage": spec.stage},
                     )
                     if events:
                         _collect.merge(tracer, events, parent_id=span_id)
-                self._finish(spec, value, status, results, telemetry,
-                             f"pid:{pid}", queue_s, run_s)
+                results[spec.id] = value
+                telemetry.append(TaskResult(spec.id, spec.stage, f"pid:{pid}", queue_s, run_s))
         except BrokenProcessPool:
             # The pool died under us (worker OOM, hard crash) or never
             # started: run whatever is left in-process so the build still

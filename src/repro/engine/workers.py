@@ -7,9 +7,9 @@ takes plain picklable inputs (:class:`~repro.cnn.graph.Component`,
 :class:`~repro.fabric.device.Device`, scalars) and returns a plain dict
 whose ``blob`` is the locked design in the binary columnar codec
 (:mod:`repro.netlist.codec`) — one bytes object crosses the pipe
-instead of a dict-of-dicts the pickler has to walk, and the same value
-feeds the build cache and, parsed once, *is* the checkpoint database's
-record (:meth:`~repro.rapidwright.database.ComponentDatabase.build`).
+instead of a dict-of-dicts the pickler has to walk, and the same value,
+parsed once and stamped, *is* the checkpoint database's record and its
+library file (:meth:`~repro.rapidwright.database.ComponentDatabase.build`).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """CONC-0xx: concurrency rules.
 
 The engine fans work out to processes, the serve tier multiplexes build
-jobs over a thread pool, and both share one content-addressed cache —
-the exact environment where module-level mutable state, bare lock
-acquires, and predictable temp-file names turn into the races PRs 2 and
-6 fixed by hand (the fork-inherited span stack; the BuildCache tmp-file
-collision).  These rules keep those classes of bug out of the tree.
+jobs over a thread pool, and both share one content-addressed component
+library — the exact environment where module-level mutable state, bare
+lock acquires, and predictable temp-file names turn into the races PRs 2
+and 6 fixed by hand (the fork-inherited span stack; the tmp-file
+collision :func:`~repro.engine.cache.write_atomic` now rules out).  These rules keep those classes of bug out of the tree.
 
 Findings default to ``warning`` and escalate to ``error`` inside the
 concurrent packages (:data:`repro.lint.engine.CONCURRENT_PACKAGES`),
@@ -214,7 +214,8 @@ def conc_predictable_tmp(ctx: FileContext, emit) -> None:
     """Building a temp path from a constant ``.tmp`` suffix means two
     processes (or a recovered job re-run) write the same file and
     corrupt each other mid-rename; use ``tempfile.mkstemp(dir=...)``
-    next to the target and ``os.replace`` (the BuildCache pattern)."""
+    next to the target and ``os.replace`` (the
+    :func:`~repro.engine.cache.write_atomic` pattern)."""
     for node in ast.walk(ctx.tree):
         constant = None
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \

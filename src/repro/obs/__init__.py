@@ -2,7 +2,7 @@
 
 Zero-dependency subsystem measuring where a flow run spends its time and
 what its algorithms are doing (`route.overuse` per PathFinder iteration,
-annealer cost curves, build-cache hit rates, engine queue latency).
+annealer cost curves, component-library hits, engine queue latency).
 See DESIGN.md ("Observability") for the architecture and
 :mod:`repro.obs.span` for the event schema.
 

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` lives on a :class:`~repro.obs.span.Tracer` and
 aggregates flow-level quantities — ``route.overuse`` per iteration,
-``place.cost`` samples, ``cache.hit`` counts, ``engine.queue_ms``
+``place.cost`` samples, ``library.hit`` counts, ``engine.queue_ms``
 latencies — without any per-event I/O.  At :meth:`Tracer.finish` the
 registry renders one summary event per metric (:meth:`MetricsRegistry.
 events`, sorted by name so traces are reproducible) and worker-process

@@ -7,29 +7,31 @@ signature — the productivity win comes precisely from these hits.
 
 A record *is* the component's immutable columnar image
 (:class:`~repro.netlist.codec.DesignImage`): what the build worker
-returns, what sits in memory, and — as ``<key>.dcpb``, its
-``to_bytes()`` — what a *directory* persists for reuse across processes.
+returns, what sits in memory, and — as ``<build key>.dcpb``, its
+``to_bytes()`` — what a *directory* keeps: the component library, one
+content-addressed file per build (:func:`build_cache_key`), shared by
+every process and run that opens the directory.
 The online phase places components from the image's
 :meth:`~ComponentDatabase.footprint` and fetches each instance once, at
 its anchor (:meth:`~ComponentDatabase.fetch`) — as a placed block over
-the image, whose objects are built only if something asks for them.  Building is
-a :mod:`repro.engine` parallel map: independent components
-pre-implement concurrently, one worker per usable core by default, and a
-content-addressed :class:`~repro.engine.cache.BuildCache` answers repeat
-builds without re-running the flow.
+the image, whose objects are built only if something asks for them.  Building
+answers each component from memory or the library first; the rest is a
+:mod:`repro.engine` parallel map: independent components pre-implement
+concurrently, one worker per usable core by default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..cnn.graph import Component
-from ..engine.cache import BuildCache, canonical_blob, content_key, write_atomic
+from ..engine.cache import canonical_blob, content_key, write_atomic
 from ..engine.executor import Engine, EngineReport, TaskSpec
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
@@ -75,7 +77,7 @@ def image_integrity(image: DesignImage) -> dict:
     the canonical metadata *minus* the ``metadata.component`` keys the
     database itself stamps (``signature``, ``integrity``, ``build_key``) —
     stable across re-puts, independent of metadata dict order, and identical for
-    serial, parallel, cache-served and reloaded builds of one component.
+    serial, parallel and library-answered builds of one component.
     DRC rules DB-002/003 recompute the record and compare.
     """
     meta = image.metadata()
@@ -108,7 +110,8 @@ def build_cache_key(
 
     Everything that determines the checkpoint bytes goes in: the
     component signature, the device part, build options, the DSE sweep
-    (if any), and the engine's code-version salt.
+    (if any), and the engine's code-version salt.  A library directory
+    files the build as ``<key>.dcpb``.
     """
     return content_key(
         "component-build",
@@ -135,27 +138,24 @@ def _signature_to_json(obj):
     return obj
 
 
-def _signature_from_json(obj):
-    """Inverse of :func:`_signature_to_json` (lists back to tuples)."""
-    if isinstance(obj, list):
-        return tuple(_signature_from_json(item) for item in obj)
-    return obj
-
-
 @dataclass
 class _Record:
     signature: tuple
     image: DesignImage       # the locked design, stamped with signature, integrity, build key
     fmax_mhz: float
     #: :func:`build_cache_key` of the build that made the image; ``""`` for a
-    #: design stored by hand or a file that records none.
+    #: design stored by hand.
     build_key: str = ""
     footprint: Footprint | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class ComponentDatabase:
-    """Signature-keyed store of pre-implemented component checkpoints."""
+    """Signature-keyed store of pre-implemented component checkpoints.
+
+    With a *directory*, :meth:`build` reads and writes the component
+    library there; :meth:`put` stores in memory only.
+    """
 
     device: Device
     directory: Path | None = None
@@ -172,12 +172,11 @@ class ComponentDatabase:
                 build_key: str = "") -> str:
         """Stamp *image* and make it the record for *signature*.
 
-        The exact signature goes into the image's metadata, so a reloaded
-        database answers :meth:`has`/:meth:`get` for the signatures it was
-        built with; the integrity record is what DB-002/003 re-check; the
-        build key (when :meth:`build` made the image) is what a later
-        build compares its own options against.  A persisted record is
-        written atomically, so a killed build leaves no torn file.
+        The exact signature and the build key (when :meth:`build` made
+        the image) go into the image's metadata — a library file must
+        carry the ones its name promises; the integrity record is what
+        DB-002/003 re-check.  A built record is written to the library
+        atomically, so a killed build leaves no torn file.
         """
         key = signature_key(signature)
         meta = image.metadata()
@@ -188,10 +187,43 @@ class ComponentDatabase:
             comp["build_key"] = build_key
         image = image.with_metadata(meta)
         self.records[key] = _Record(signature, image, fmax_mhz, build_key)
-        if self.directory is not None:
+        if build_key and self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            write_atomic(self.directory / f"{key}.dcpb", image.to_bytes())
+            write_atomic(self.directory / f"{build_key}.dcpb", image.to_bytes())
         return key
+
+    def _load(self, signature: tuple, build_key: str) -> bool:
+        """Make ``<build_key>.dcpb`` the record for *signature*, if the
+        library holds that file and it is what its name promises.
+
+        A file that does not parse, or whose stamped signature or build
+        key disagrees with its name, is counted as ``library.rejected``
+        and left for :meth:`build` to replace; a good one is a
+        ``library.hit``.
+        """
+        path = self.directory / f"{build_key}.dcpb"
+        try:
+            image = DesignImage.from_bytes(path.read_bytes())
+            meta = image.metadata()
+        except FileNotFoundError:
+            return False
+        except (OSError, ValueError) as exc:
+            return self._reject(path, str(exc))
+        comp, ooc = meta.get("component"), meta.get("ooc")
+        if not isinstance(comp, dict) or comp.get("build_key") != build_key \
+                or comp.get("signature") != _signature_to_json(signature):
+            return self._reject(path, "its stamped key or signature disagrees with its name")
+        fmax = ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0
+        self.records[signature_key(signature)] = _Record(signature, image, fmax, build_key)
+        incr("library.hit")
+        return True
+
+    @staticmethod
+    def _reject(path: Path, reason: str) -> bool:
+        incr("library.rejected")
+        warnings.warn(f"library file rejected: {path}: {reason}; rebuilding it",
+                      RuntimeWarning, stacklevel=4)
+        return False
 
     def has(self, signature: tuple) -> bool:
         return signature_key(signature) in self.records
@@ -277,15 +309,18 @@ class ComponentDatabase:
         plan_ports: bool = True,
         explore: dict | None = None,
         jobs: int | None = None,
-        cache: BuildCache | None = None,
     ) -> EngineReport:
         """Pre-implement every unique component signature not yet stored
         with these options.
 
-        A record made by a build with other options (part, effort, seed,
-        weights, port planning, exploration) — or of unknown options: a
-        design stored by hand, a file that records no build key — is
-        re-implemented and replaced.
+        Each signature is answered, in order, by its in-memory record
+        when that was built with these options (part, effort, seed,
+        weights, port planning, exploration), then by the library file
+        ``<build_cache_key>.dcpb`` when a *directory* holds one that parses
+        and carries the signature and build key its name promises, and
+        otherwise by an engine task, whose image is written to the
+        library.  A record of other or unknown options (a design stored
+        by hand) is replaced; so is a rejected file.
 
         Returns the engine's report, empty when nothing was pending.  Its
         :attr:`~repro.engine.executor.EngineReport.run_s` is the offline
@@ -303,9 +338,8 @@ class ComponentDatabase:
         concurrently: ``None`` (the default) means one per usable core,
         serial when the process runs other threads (see
         :class:`~repro.engine.executor.Engine`), ``1`` serial in-process.
-        *cache* short-circuits components whose content address is
-        already known.  Parallel builds are bit-identical to serial
-        builds — every worker runs the same seeded, pure build function.
+        Parallel builds are bit-identical to serial builds — every worker
+        runs the same seeded, pure build function.
         """
         pending: dict[str, tuple[Component, str]] = {}
         for comp in components:
@@ -317,7 +351,9 @@ class ComponentDatabase:
                 effort=effort, seed=seed, plan_ports=plan_ports, explore=explore,
             )
             record = self.records.get(key)
-            if record is None or record.build_key != build_key:
+            if record is not None and record.build_key == build_key:
+                continue
+            if self.directory is None or not self._load(comp.signature, build_key):
                 pending[key] = (comp, build_key)
         if not pending:
             return EngineReport(jobs=0, wall_s=0.0, results={})
@@ -332,47 +368,12 @@ class ComponentDatabase:
             fn = workers.build_component
             options.update(effort=effort, seed=seed)
         tasks = [
-            TaskSpec(
-                key, fn, (comp, self.device), options,
-                stage=f"build:{comp.kind}", cache_key=build_key,
-            )
-            for key, (comp, build_key) in pending.items()
+            TaskSpec(key, fn, (comp, self.device), options, stage=f"build:{comp.kind}")
+            for key, (comp, _) in pending.items()
         ]
-        report = Engine(jobs=jobs, cache=cache).run(tasks)
+        report = Engine(jobs=jobs).run(tasks)
         for key, (comp, build_key) in pending.items():
             out = report.results[key]
             self._ingest(comp.signature, DesignImage.from_bytes(out["blob"]),
                          out["fmax_mhz"], build_key)
         return report
-
-    # -- persistence -------------------------------------------------------
-
-    def load_directory(self) -> int:
-        """Load every ``*.dcpb`` image persisted in :attr:`directory`.
-
-        Signatures are restored exactly from the stamped metadata, so the
-        loaded database answers :meth:`has` / :meth:`get` for the original
-        signatures; no design object is built.  A malformed image, or one
-        that records no signature, raises :class:`ValueError` naming the file.
-        """
-        if self.directory is None or not self.directory.exists():
-            return 0
-        loaded = 0
-        for path in sorted(self.directory.glob("*.dcpb")):
-            try:
-                image = DesignImage.from_bytes(path.read_bytes())
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            meta = image.metadata()
-            comp, ooc = meta.get("component"), meta.get("ooc")
-            raw = comp.get("signature") if isinstance(comp, dict) else None
-            if not isinstance(raw, list):
-                raise ValueError(f"{path}: image records no component signature")
-            signature = _signature_from_json(raw)
-            self.records[signature_key(signature)] = _Record(
-                signature, image,
-                ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0,
-                str(comp.get("build_key", "")),
-            )
-            loaded += 1
-        return loaded

@@ -100,16 +100,15 @@ class PreImplementedFlow:
         rom_weights: bool = True,
         database: ComponentDatabase | None = None,
         jobs: int | None = None,
-        cache=None,
     ) -> tuple[ComponentDatabase, EngineReport]:
         """Pre-implement every unique component of *dfg* into a database.
 
         *jobs* worker processes pre-implement independent components
         concurrently via the :mod:`repro.engine` worker pool (``None``:
-        one per usable core, see :meth:`ComponentDatabase.build`); *cache* (a
-        :class:`~repro.engine.cache.BuildCache`) answers content-addressed
-        repeats without re-running the flow.  Results are identical to a
-        serial build.  The report is :meth:`ComponentDatabase.build`'s.
+        one per usable core, see :meth:`ComponentDatabase.build`); a
+        *database* with a directory answers what its library already
+        holds.  Results are identical to a serial build.  The report is
+        :meth:`ComponentDatabase.build`'s.
         """
         if database is None:  # not ``or``: an empty database is falsy (``__len__``)
             database = ComponentDatabase(self.device)
@@ -122,7 +121,6 @@ class PreImplementedFlow:
                 seed=self.seed,
                 plan_ports=self.plan_ports,
                 jobs=jobs,
-                cache=cache,
             )
         return database, report
 

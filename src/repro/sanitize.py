@@ -54,7 +54,7 @@ __all__ = [
 
 #: Packages whose code must never read ambient RNG state.  The lint
 #: engine owns the list; it is imported lazily because this module is
-#: imported from hot paths (cache, tracer) that must stay cycle-free
+#: imported from hot paths (journal, tracer) that must stay cycle-free
 #: and cheap when the sanitizer is off.
 _ORACLE_PACKAGES: tuple[str, ...] | None = None
 

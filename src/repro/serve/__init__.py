@@ -4,7 +4,7 @@ Turns the blocking flows into resumable jobs behind an HTTP/JSON API:
 submissions are validated :class:`JobSpec` documents, scheduled fairly
 across tenants over one shared worker pool (:class:`Scheduler`), journaled
 durably (:class:`JobStore`) so a killed server recovers its queue, served
-warm from the farm's shared content-addressed cache, and streamed back as
+warm from the farm's stored results and component library, and streamed back as
 per-stage progress events bridged from :mod:`repro.obs` spans.
 
 Quickstart::

@@ -112,7 +112,7 @@ class ProgressSink(Sink):
 
     Only spans with a :data:`STAGE_MAP` entry become events; span attrs
     ride along (minus volatile ones) so a synth event says *which*
-    component finished and whether the cache answered it.
+    component finished.
     """
 
     def __init__(self, log: ProgressLog) -> None:
@@ -126,7 +126,7 @@ class ProgressSink(Sink):
             return
         attrs = {
             k: v for k, v in (event.get("attrs") or {}).items()
-            if k in ("task", "stage", "cache", "model", "granularity",
+            if k in ("task", "stage", "model", "granularity",
                      "flow", "fmax_mhz", "gate", "components", "tasks")
         }
         # The engine's own "stage" attr (e.g. "build:conv") must not shadow

@@ -1,21 +1,20 @@
-"""Job execution: one submission → one traced, cached flow run.
+"""Job execution: one submission → one traced, content-addressed flow run.
 
 :func:`run_job` is what a scheduler worker actually calls.  It runs the
 same flow definition as every other front end — :func:`repro.spec.
 compile_spec` on the submitted spec, then the spec's ECO through
 :func:`repro.eco.run_eco` — rather than wiring a flow of its own:
 
-* the offline phase decomposes into :mod:`repro.engine` component-build
-  tasks answered from the farm's shared :class:`~repro.engine.cache.
-  BuildCache` — so concurrent jobs share component builds (two tenants
-  building VGG pay for its conv layers once);
+* the offline phase answers what the farm's component library holds and
+  files what it builds there — so jobs share component builds (two
+  tenants building VGG pay for its conv layers once);
 * the whole run executes under an obs tracer whose
   :class:`~repro.serve.progress.ProgressSink` streams per-stage events
   into the job's :class:`~repro.serve.progress.ProgressLog`;
 * the finished *result document* (a JSON summary: Fmax, compile time,
-  per-stage breakdown, utilization, power) is itself stored in the cache
-  under the spec's content key, so resubmitting an identical spec is
-  answered in milliseconds without touching the flow at all.
+  per-stage breakdown, utilization, power) is filed under the spec's
+  content key, so resubmitting an identical spec is answered in
+  milliseconds without touching the flow at all.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .progress import ProgressLog, ProgressSink
 
 __all__ = ["run_job", "build_result_doc"]
 
-#: Bump to invalidate cached serve *results* (the component-build tier
-#: has its own engine-level salt).
+#: Bump to invalidate stored serve *results*: a stored document of another
+#: schema is a miss (the component library has its own engine-level salt).
 RESULT_SCHEMA = 2
 
 
@@ -102,10 +101,10 @@ def _eco_doc(spec: JobSpec, result) -> dict:
     return doc
 
 
-def _execute(spec: JobSpec, cache) -> dict:
+def _execute(spec: JobSpec, library) -> dict:
     """Run the flow the spec asks for; returns the result document."""
     started = time.perf_counter()
-    result = compile_spec(spec, cache=cache)
+    result = compile_spec(spec, library=library)
     eco_doc = _eco_doc(spec, result) if spec.eco is not None else None
     doc = build_result_doc(spec, result, time.perf_counter() - started)
     if eco_doc is not None:
@@ -113,28 +112,29 @@ def _execute(spec: JobSpec, cache) -> dict:
     return doc
 
 
-def run_job(spec: JobSpec, *, cache=None, progress: ProgressLog | None = None) -> tuple[dict, str]:
+def run_job(spec: JobSpec, *, store=None, progress: ProgressLog | None = None) -> tuple[dict, str]:
     """Execute one job; returns ``(result_doc, cache_status)``.
 
-    *cache* is the farm's shared build cache (or ``None`` for an
-    uncached one-shot).  The whole-job result is looked up first — a hit
-    skips the flow entirely — and stored back on a miss.  Raises
-    whatever the flow raises; the scheduler journals the failure.
+    *store* is the farm's :class:`~repro.serve.store.JobStore` (or
+    ``None`` for a one-shot run that reads and files nothing).  A result
+    document it holds under the spec's content key, of the current
+    :data:`RESULT_SCHEMA`, is a hit that skips the flow entirely;
+    otherwise the flow runs on the store's component library, and the
+    caller files the document (:meth:`~repro.serve.store.JobStore.
+    mark_done`).  Raises whatever the flow raises; the scheduler
+    journals the failure.
     """
     progress = progress if progress is not None else ProgressLog()
-    result_key = f"serve-result-{spec.content_key()}"
-    if cache is not None:
-        cached = cache.get(result_key)
-        if cached is not None:
+    if store is not None:
+        stored = store.load_result(spec.content_key())
+        if isinstance(stored, dict) and stored.get("schema") == RESULT_SCHEMA:
             progress.append("stage", stage="result", span="serve.cache",
                             cache="hit", dur_s=0.0)
-            return cached, "hit"
+            return stored, "hit"
     tracer = Tracer(ProgressSink(progress))
     try:
         with tracer.activate():
-            doc = _execute(spec, cache)
+            doc = _execute(spec, None if store is None else store.library)
     finally:
         tracer.finish()
-    if cache is not None:
-        cache.put(result_key, doc)
     return doc, "miss"

@@ -3,7 +3,7 @@
 The scheduler multiplexes every tenant's submissions over one fixed pool
 of worker threads (each worker drives the ordinary flow machinery, whose
 offline phase in turn fans out through the :mod:`repro.engine` task
-graph and the farm's shared cache).  Scheduling policy:
+graph and the farm's component library).  Scheduling policy:
 
 * **round-robin fairness** — dispatch rotates over tenants with queued
   work, so a tenant flooding the queue cannot starve the others: with
@@ -192,7 +192,7 @@ class Scheduler:
         self.store.mark_running(record)
         try:
             result, cache_status = run_job(
-                record.spec, cache=self.store.cache, progress=record.progress
+                record.spec, store=self.store, progress=record.progress
             )
         except Exception as exc:
             detail = traceback.format_exc(limit=3)
@@ -208,19 +208,18 @@ class Scheduler:
             running = {t: n for t, n in self._running.items() if n}
             active = self._active
         by_state: dict[str, int] = {}
+        hits = misses = 0
         for record in self.store.jobs():
             by_state[record.state] = by_state.get(record.state, 0) + 1
-        cache = self.store.cache.stats
+            hits += record.cache == "hit"
+            misses += record.cache == "miss"
         return {
             "workers": self.workers,
             "active": active,
             "queued": queued,
             "running": running,
             "jobs": by_state,
-            "cache": {
-                "hits": cache.hits, "misses": cache.misses,
-                "puts": cache.puts, "evictions": cache.evictions,
-            },
+            "cache": {"hits": hits, "misses": misses},
             "quotas": {
                 "default": vars(self.default_quota),
                 **{t: vars(q) for t, q in self.quotas.items()},

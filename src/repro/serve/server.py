@@ -8,7 +8,7 @@ scheduler and job store:
 endpoint                                     meaning
 ===========================================  =================================
 ``GET  /healthz``                            liveness probe
-``GET  /v1/farm``                            scheduler/cache/quota stats
+``GET  /v1/farm``                            scheduler/job-hit/quota stats
 ``GET  /v1/models``                          stock networks (machine-readable)
 ``GET  /v1/parts``                           device parts
 ``POST /v1/jobs``                            submit a :class:`JobSpec` body
@@ -80,12 +80,11 @@ class ServeServer:
         workers: int = 2,
         quota: TenantQuota | None = None,
         quotas: dict[str, TenantQuota] | None = None,
-        cache_entries: int | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.host = host
         self.port = port            # 0 = pick free; real port set on start
-        self.store = JobStore(self.data_dir, cache_entries=cache_entries)
+        self.store = JobStore(self.data_dir)
         self.scheduler = Scheduler(
             self.store, workers=workers, quota=quota, quotas=quotas
         )
@@ -321,7 +320,7 @@ class ServeServer:
             raise _HttpError(
                 409, f"job {record.id} is {record.state}; result not ready"
             )
-        result = self.store.load_result(record.id)
+        result = self.store.load_result(record.key)
         if result is None:
             raise _HttpError(500, f"job {record.id} done but result file missing")
         return 200, {

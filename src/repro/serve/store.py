@@ -1,11 +1,11 @@
-"""Durable job store: journal, results, and the farm's shared cache.
+"""Durable job store: journal, results, and the farm's component library.
 
 Everything the compile service must not lose lives under one data
 directory::
 
-    <root>/journal.jsonl      append-only job event journal
-    <root>/results/<id>.json  result documents of finished jobs
-    <root>/cache/<p>/<key>..  shared sharded BuildCache (content-addressed)
+    <root>/journal.jsonl       append-only job event journal
+    <root>/results/<key>.json  result document of each spec content key
+    <root>/library/<key>.dcpb  component library (content-addressed)
 
 The journal is the source of truth for job state.  Every transition is
 one JSON line (``submit`` / ``state``), appended under a lock and
@@ -14,19 +14,19 @@ stage's progress — never a whole job.  On startup :meth:`JobStore.
 replay` folds the journal back into job records; jobs the dead server
 left ``queued`` or ``running`` are reset to ``queued`` and flagged
 ``recovered`` so the scheduler re-runs them (builds are pure and
-content-cached, so a re-run is safe and usually warm).
+content-addressed, so a re-run is safe and usually warm).
 
-The cache directory is a :class:`~repro.engine.cache.BuildCache` in
-``shared=True`` sharded mode: every worker of every server process on
-this data dir stores component builds and whole-job results there, keyed
-by content address, which is what makes warm resubmits near-instant.
+Every worker of every server process on this data dir shares the results
+and the library: a result is filed under its spec's content key (jobs of
+one spec, from any tenant, read one file) and a component under its
+build key (:meth:`~repro.rapidwright.database.ComponentDatabase.build`),
+each written whole by :func:`~repro.engine.cache.write_atomic`, which is
+what makes warm resubmits near-instant.  Every file is rebuildable.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import sanitize
-from ..engine.cache import BuildCache
+from ..engine.cache import write_atomic
 from ..spec import JobSpec
 from .progress import ProgressLog
 
@@ -48,7 +48,7 @@ class JobRecord:
 
     id: str
     spec: JobSpec
-    key: str                      # spec content key (cache address)
+    key: str                      # spec content key (result address)
     state: str = "queued"
     submitted_t: float = 0.0
     started_t: float | None = None
@@ -87,20 +87,15 @@ class JobRecord:
 
 
 class JobStore:
-    """Journal-backed job registry plus the farm's shared build cache."""
+    """Journal-backed job registry plus the farm's results and library."""
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        cache_entries: int | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.results_dir = self.root / "results"
         self.results_dir.mkdir(exist_ok=True)
+        self.library = self.root / "library"
         self.journal_path = self.root / "journal.jsonl"
-        self.cache = BuildCache(self.root / "cache", shared=True, max_entries=cache_entries)
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
         self._next_seq = 1
@@ -208,7 +203,8 @@ class JobStore:
         record.progress.append("state", state="running", attempt=record.attempts)
 
     def mark_done(self, record: JobRecord, result: dict, *, cache: str) -> None:
-        self.save_result(record.id, result)
+        if cache != "hit":  # a hit was read from the file it would write
+            self.save_result(record.key, result)
         record.state = "done"
         record.finished_t = time.time()
         record.cache = cache
@@ -252,35 +248,23 @@ class JobStore:
 
     # -- results -----------------------------------------------------------
 
-    def result_path(self, job_id: str) -> Path:
-        return self.results_dir / f"{job_id}.json"
+    def result_path(self, key: str) -> Path:
+        return self.results_dir / f"{key}.json"
 
-    def save_result(self, job_id: str, result: dict) -> Path:
-        # mkstemp + replace, not a fixed "<id>.json.tmp": a recovered job
-        # racing its zombie run (or two servers on one data dir) must not
-        # interleave writes into the same temp file.
-        path = self.result_path(job_id)
-        blob = json.dumps(result, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{job_id}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    def save_result(self, key: str, result: dict) -> Path:
+        # write_atomic, not a fixed "<key>.json.tmp": two jobs of one spec
+        # (or a recovered job racing its zombie run, or two servers on one
+        # data dir) must not interleave writes into the same temp file.
+        path = self.result_path(key)
+        write_atomic(path, json.dumps(result, sort_keys=True, indent=1).encode())
         return path
 
-    def load_result(self, job_id: str) -> dict | None:
-        path = self.result_path(job_id)
-        if not path.exists():
+    def load_result(self, key: str) -> dict | None:
+        """The result document filed under *key*, or ``None``."""
+        try:
+            return json.loads(self.result_path(key).read_text())
+        except (FileNotFoundError, ValueError):  # absent, or not a document
             return None
-        return json.loads(path.read_text())
 
     def close(self) -> None:
         with self._lock:

@@ -12,10 +12,10 @@ message instead of failing minutes later inside a worker.
 
 Specs are *content addressed*: :meth:`JobSpec.content_key` hashes the
 canonical serialization of every build-relevant field (tenant excluded —
-identical builds submitted by different tenants share cache entries)
-through the same machinery the engine's :class:`~repro.engine.cache.
-BuildCache` uses, so a resubmitted spec hits the farm's shared cache and
-is answered without recompiling.
+identical builds submitted by different tenants share one result)
+through the same machinery that names the component library's files,
+so a resubmitted spec finds the farm's stored result and is answered
+without recompiling.
 """
 
 from __future__ import annotations
@@ -204,11 +204,12 @@ class JobSpec:
         return content_key("serve-job", payload)
 
 
-def compile_spec(spec: JobSpec, *, jobs: int | None = None, cache=None):
+def compile_spec(spec: JobSpec, *, jobs: int | None = None, library=None):
     """Run the flow *spec* describes (its ``eco`` aside) and return the
-    ``FlowResult``; ``preimpl`` builds its library on *jobs* workers through
-    *cache* first.  ``extras`` hold the ``flow`` and, for ``preimpl``, the
-    ``database`` and ``offline_s``."""
+    ``FlowResult``; ``preimpl`` first builds its component database on
+    *jobs* workers, answering what the *library* directory (a ``Path``)
+    already holds and filing what it builds there.  ``extras`` hold the
+    ``flow`` and, for ``preimpl``, the ``database`` and ``offline_s``."""
     device, dfg = spec.device(), spec.dfg()
     options = {"granularity": spec.granularity, "rom_weights": not spec.stream_weights}
     if spec.flow == "baseline":
@@ -217,11 +218,12 @@ def compile_spec(spec: JobSpec, *, jobs: int | None = None, cache=None):
         flow = VivadoFlow(device, effort=spec.effort, seed=spec.seed)
         result = flow.run(dfg, **options)
     else:
-        from .rapidwright import PreImplementedFlow
+        from .rapidwright import ComponentDatabase, PreImplementedFlow
 
         flow = PreImplementedFlow(device, component_effort=spec.effort, seed=spec.seed,
                                   drc=spec.drc)
-        database, offline = flow.build_database(dfg, jobs=jobs, cache=cache, **options)
+        database, offline = flow.build_database(
+            dfg, database=ComponentDatabase(device, directory=library), jobs=jobs, **options)
         result = flow.run(dfg, database=database, pipeline_target_mhz=spec.pipeline, **options)
         result.extras["offline_s"] = offline.run_s
     result.extras["flow"] = flow

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from ..cnn.graph import Component, DFG, group_components
 from ..netlist.design import Design
 from ..netlist.net import Port
-from ..netlist.stitch import bridge_ports, merge_clock_nets
+from ..netlist.stitch import bridge_ports, expose_weight_ports, merge_clock_nets
 from .generator import generate_component
 
 __all__ = ["NetworkSynthesis", "synthesize_network"]
@@ -123,13 +123,7 @@ def synthesize_network(
         if prev_out is not None:
             bridge_ports(top, prev_out, portmap["in_data"], hint=comp.name)
         prev_out = portmap["out_data"]
-        for pname, nname in portmap.items():
-            if pname.startswith("in_weights"):
-                top.add_port(
-                    Port(f"weights_{comp.name}_{n_weight_ports}", "in", nname,
-                         width=16, protocol="mem")
-                )
-                n_weight_ports += 1
+        n_weight_ports = expose_weight_ports(top, comp.name, portmap, n_weight_ports)
 
     top.add_port(Port("in_data", "in", first_in, width=16, protocol="mem"))
     top.add_port(Port("out_data", "out", prev_out, width=16, protocol="mem"))

@@ -1,193 +1,195 @@
-"""Shared-directory BuildCache: atomicity, corruption, eviction scoping.
+"""The shared component library: concurrent writers, corrupt files, layout.
 
-The serve farm points every worker of every server process at one cache
-directory, so the disk tier must survive concurrent writers racing on
-the same content key, readers hitting half-written or corrupted blobs,
-and one instance's LRU eviction running over entries another instance
-wrote.  These tests drive those paths directly, including a real
-multi-process stress run.
+Every build of every process that opens one directory — the CLI's
+``--database-dir``, every worker of every serve process on one data dir —
+reads and writes the same ``<build key>.dcpb`` files.  So the directory
+must survive writers racing on one key, readers meeting torn, garbage or
+misnamed files, and builds killed between a rejected read and its
+rebuild.  These tests drive those paths directly, including a real
+multi-process run.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
 import multiprocessing
-import os
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from repro.engine.cache import BuildCache
+from repro.cnn import group_components, lenet5
+from repro.engine import workers
+from repro.engine.cache import write_atomic
+from repro.engine.executor import TaskError
+from repro.fabric import Device
+from repro.netlist import DesignImage
+from repro.obs import Tracer
+from repro.rapidwright import ComponentDatabase
+from repro.rapidwright.database import build_cache_key
+from tests.conftest import make_tiny_cnn
+
+OPTIONS = dict(rom_weights=True, effort="low", seed=0)
+LOW = dict(OPTIONS, jobs=1)
 
 
-def _stress_worker(directory: str, worker: int, rounds: int) -> dict:
-    """One stress process: put/get overlapping keys in a shared dir."""
-    cache = BuildCache(directory, shared=True)
-    errors = []
-    for i in range(rounds):
-        # Overlapping key space: every process writes the same keys, so
-        # concurrent put() calls race on identical paths constantly.
-        key = f"{'%02x' % (i % 8)}sharedkey{i % 8:04d}" + "0" * 48
-        value = {"key": key, "payload": list(range(32))}
-        cache.put(key, value)
-        got = cache.get(key)
-        if got != value:
-            errors.append(f"worker {worker} round {i}: got {got!r}")
-    return {"worker": worker, "errors": errors, "puts": cache.stats.puts}
+def _lenet_components():
+    return list({c.signature: c for c in group_components(lenet5(), "layer")}.values())
+
+
+def _stress_worker(directory: str, start: int, rounds: int) -> None:
+    """One spawned process: build an overlapping slice of LeNet's components
+    into the shared library, *rounds* times from an empty database."""
+    picked = _lenet_components()[start:start + 4]
+    device = Device.from_name("small")
+    for _ in range(rounds):
+        ComponentDatabase(device, directory=Path(directory)).build(picked, **LOW)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _counts(run) -> dict:
+    tracer = Tracer()
+    with tracer.activate():
+        run()
+    return {name: tracer.metrics.counter(f"library.{name}").value
+            for name in ("hit", "rejected")}
+
+
+@pytest.fixture(scope="module")
+def comp():
+    return group_components(make_tiny_cnn(), "layer")[0]
 
 
 class TestSharedStress:
-    def test_multiprocess_put_get_overlapping_keys(self, tmp_path):
-        directory = tmp_path / "farm-cache"
-        nproc, rounds = 4, 40
+    def test_multiprocess_put_get_overlapping_keys(self, tmp_path, small_device):
+        directory = tmp_path / "farm-library"
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(nproc) as pool:
-            results = pool.starmap(
-                _stress_worker, [(str(directory), w, rounds) for w in range(nproc)]
-            )
-        for result in results:
-            assert result["errors"] == [], result["errors"]
-            assert result["puts"] == rounds
+        with ctx.Pool(3) as pool:  # more writers than the CI runners' two cores
+            pool.starmap_async(
+                _stress_worker, [(str(directory), start, 3) for start in (0, 1, 2)]
+            ).get(timeout=300)
         # No half-written temp files survive the race.
-        leftovers = [p for p in directory.rglob("*.tmp")]
-        assert leftovers == []
-        # Every key is readable by a fresh instance and content-correct.
-        fresh = BuildCache(directory, shared=True)
-        for i in range(8):
-            key = f"{'%02x' % i}sharedkey{i:04d}" + "0" * 48
-            assert fresh.get(key) == {"key": key, "payload": list(range(32))}
+        assert list(directory.glob("*.tmp")) == list(directory.glob(".*")) == []
+        serial = tmp_path / "serial"
+        ComponentDatabase(small_device, directory=serial).build(_lenet_components(), **LOW)
+        assert _files(directory) == _files(serial)
+        for blob in _files(directory).values():
+            DesignImage.from_bytes(blob)
 
-    def test_concurrent_same_key_threads(self, tmp_path):
-        import threading
-
-        cache = BuildCache(tmp_path, shared=True)
-        key = "aa" * 32
+    def test_concurrent_same_key_threads(self, tmp_path, small_device, comp):
+        """Threads writing one key while others read it: every read is a hit."""
+        built = ComponentDatabase(small_device)
+        built.build([comp], **LOW)
+        (record,) = built.records.values()
+        lib = tmp_path / "lib"
         errors = []
 
-        def hammer(n):
+        def hammer():
             try:
-                for _ in range(50):
-                    cache.put(key, {"n": "x" * 500})
-                    value = cache.get(key)
-                    if value != {"n": "x" * 500}:
-                        errors.append(value)
+                for _ in range(10):
+                    db = ComponentDatabase(small_device, directory=lib)
+                    db._ingest(comp.signature, record.image, record.fmax_mhz, record.build_key)
+                    if not ComponentDatabase(small_device, directory=lib)._load(
+                            comp.signature, record.build_key):
+                        errors.append("rejected")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
+        assert _files(lib) == {f"{record.build_key}.dcpb": record.image.to_bytes()}
 
 
 class TestCorruptBlobs:
-    def _path_of(self, cache: BuildCache, key: str):
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+    def _library(self, tmp_path, device, comp):
+        lib = tmp_path / "lib"
+        ComponentDatabase(device, directory=lib).build([comp], **LOW)
+        (path,) = lib.iterdir()
+        return lib, path, path.read_bytes()
 
     @pytest.mark.parametrize("garbage", [b"", b"not gzip at all", b"\x1f\x8b\x08trunc"])
-    def test_corrupt_blob_is_a_miss(self, tmp_path, garbage):
-        cache = BuildCache(tmp_path)
-        key = "bb" * 32
-        self._path_of(cache, key).write_bytes(garbage)
-        assert cache.get(key, default="fallback") == "fallback"
-        assert cache.stats.misses == 1
+    def test_corrupt_blob_is_a_miss(self, tmp_path, small_device, comp, garbage):
+        lib, path, good = self._library(tmp_path, small_device, comp)
+        path.write_bytes(garbage)
+        with pytest.warns(RuntimeWarning, match=f"library file rejected: .*{path.name}"):
+            counts = _counts(lambda: ComponentDatabase(small_device, directory=lib).build(
+                [comp], **LOW))
+        assert counts == {"hit": 0, "rejected": 1}
+        assert path.read_bytes() == good
 
-    def test_truncated_gzip_of_real_blob(self, tmp_path):
-        writer = BuildCache(tmp_path)
-        key = "cc" * 32
-        writer.put(key, {"big": list(range(1000))})
-        path = self._path_of(writer, key)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])  # simulate torn write
-        reader = BuildCache(tmp_path)
-        assert reader.get(key) is None
-
-    def test_private_mode_unlinks_corrupt_blob(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        key = "dd" * 32
-        path = self._path_of(cache, key)
+    def test_shared_mode_leaves_corrupt_blob_alone(self, tmp_path, small_device, comp,
+                                                   monkeypatch):
+        """A rejected file is never unlinked: it stays until a finished
+        rebuild replaces it, so a killed rebuild costs nothing more."""
+        lib, path, good = self._library(tmp_path, small_device, comp)
         path.write_bytes(b"garbage")
-        assert cache.get(key) is None
-        assert not path.exists()
 
-    def test_shared_mode_leaves_corrupt_blob_alone(self, tmp_path):
-        """A sibling may replace the blob between our read and unlink."""
-        cache = BuildCache(tmp_path, shared=True)
-        key = "ee" * 32
-        path = self._path_of(cache, key)
-        path.write_bytes(b"garbage")
-        assert cache.get(key) is None
-        assert path.exists()
-        # And once a good blob lands, the same key serves hits again.
-        other = BuildCache(tmp_path, shared=True)
-        other.put(key, {"fixed": True})
-        assert cache.get(key) == {"fixed": True}
+        def killed(*args, **kwargs):
+            raise RuntimeError("killed mid-build")
 
-    def test_corrupt_gzip_valid_but_bad_json(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        key = "ff" * 32
-        self._path_of(cache, key).write_bytes(gzip.compress(b"{not json"))
-        assert cache.get(key) is None
+        monkeypatch.setattr(workers, "build_component", killed)
+        with pytest.warns(RuntimeWarning), pytest.raises(TaskError):
+            ComponentDatabase(small_device, directory=lib).build([comp], **LOW)
+        assert path.read_bytes() == b"garbage"
+        monkeypatch.undo()
+        with pytest.warns(RuntimeWarning):
+            ComponentDatabase(small_device, directory=lib).build([comp], **LOW)
+        assert path.read_bytes() == good
+        assert _counts(lambda: ComponentDatabase(small_device, directory=lib).build(
+            [comp], **LOW)) == {"hit": 1, "rejected": 0}
 
-
-class TestEvictionScoping:
-    def test_eviction_never_unlinks_foreign_entries(self, tmp_path):
-        writer = BuildCache(tmp_path)
-        foreign = ["a1" * 32, "a2" * 32, "a3" * 32]
-        for key in foreign:
-            writer.put(key, {"from": "writer", "key": key})
-
-        reader = BuildCache(tmp_path, max_entries=2)
-        for key in foreign:          # reads populate reader's LRU ...
-            assert reader.get(key) is not None
-        reader.put("b1" * 32, {"own": 1})  # ... and this forces evictions
-        assert reader.stats.evictions >= 1
-        # Foreign blobs survive on disk even though they left reader's LRU.
-        for key in foreign:
-            assert writer._path(key).exists()
-
-    def test_eviction_unlinks_own_entries_in_private_mode(self, tmp_path):
-        cache = BuildCache(tmp_path, max_entries=1)
-        cache.put("c1" * 32, {"n": 1})
-        cache.put("c2" * 32, {"n": 2})
-        assert not cache._path("c1" * 32).exists()
-        assert cache._path("c2" * 32).exists()
-
-    def test_shared_mode_never_unlinks_even_own_entries(self, tmp_path):
-        cache = BuildCache(tmp_path, shared=True, max_entries=1)
-        cache.put("d1" * 32, {"n": 1})
-        cache.put("d2" * 32, {"n": 2})
-        assert cache.stats.evictions >= 1
-        assert cache._path("d1" * 32).exists()
-        assert cache._path("d2" * 32).exists()
+    @pytest.mark.parametrize("stranger", ["other_component", "other_options"])
+    def test_file_that_disagrees_with_its_name_is_rebuilt(self, tmp_path, small_device,
+                                                          stranger):
+        """A well-formed image under the wrong name — another component's,
+        or this component's from a build with other options — is rejected."""
+        first, second = group_components(make_tiny_cnn(), "layer")[:2]
+        lib = tmp_path / "lib"
+        ComponentDatabase(small_device, directory=lib).build([first, second], **LOW)
+        path = lib / f"{build_cache_key(first.signature, small_device, **OPTIONS)}.dcpb"
+        good = path.read_bytes()
+        if stranger == "other_component":
+            foreign = lib / f"{build_cache_key(second.signature, small_device, **OPTIONS)}.dcpb"
+            path.write_bytes(foreign.read_bytes())
+        else:
+            other = ComponentDatabase(small_device)
+            other.build([first], **dict(LOW, seed=1))
+            path.write_bytes(next(iter(other.records.values())).image.to_bytes())
+        with pytest.warns(RuntimeWarning, match="disagrees with its name"):
+            counts = _counts(lambda: ComponentDatabase(small_device, directory=lib).build(
+                [first, second], **LOW))
+        assert counts == {"hit": 1, "rejected": 1}
+        assert path.read_bytes() == good
 
 
-class TestSharding:
-    def test_sharded_layout(self, tmp_path):
-        cache = BuildCache(tmp_path)
-        key = "ab" + "0" * 62
-        cache.put(key, {"v": 1})
-        assert (tmp_path / "ab" / f"{key}.bin").exists()
-        assert len(BuildCache(tmp_path)) == 1
-
-    def test_flat_file_is_not_an_entry(self, tmp_path):
-        """One location per key: a blob at the directory root is a miss, uncounted, untouched."""
-        writer = BuildCache(tmp_path)
-        key = "cd" + "1" * 62
-        writer.put(key, {"v": 1})
-        flat = tmp_path / f"{key}.bin"
-        writer._path(key).rename(flat)
-        reader = BuildCache(tmp_path)
-        assert reader.get(key) is None and len(reader) == 0
-        assert flat.exists()
+class TestLayout:
+    def test_flat_file_is_not_an_entry(self, tmp_path, small_device, comp):
+        """One location per key: the same bytes anywhere else are a miss,
+        uncounted and untouched."""
+        lib = tmp_path / "lib"
+        ComponentDatabase(small_device, directory=lib).build([comp], **LOW)
+        (path,) = lib.iterdir()
+        (lib / "sub").mkdir()
+        moved = path.rename(lib / "sub" / path.name)
+        counts = _counts(lambda: ComponentDatabase(small_device, directory=lib).build(
+            [comp], **LOW))
+        assert counts == {"hit": 0, "rejected": 0}
+        assert moved.exists() and path.read_bytes() == moved.read_bytes()
 
     def test_put_failure_leaves_no_temp_files(self, tmp_path):
-        cache = BuildCache(tmp_path)
         with pytest.raises(TypeError):
-            cache.put("aa" + "4" * 62, {"bad": object()})
-        assert list(tmp_path.rglob("*.tmp")) == []
-        assert list(tmp_path.rglob("*.bin")) == []
+            write_atomic(tmp_path / "entry.dcpb", {"not": "bytes"})
+        assert list(tmp_path.iterdir()) == []

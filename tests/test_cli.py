@@ -182,29 +182,36 @@ def test_build_database_dir_rebuilds_records_made_with_other_options(tmp_path):
     lib = tmp_path / "db"
     code, text = _build_lib(lib, "--effort", "low")
     assert code == 0 and "pre-implemented 6 components" in text
+    assert "library: answered 0 of 6 components" in text
     code, text = _build_lib(lib, "--effort", "low")
-    assert "reloaded 6 persisted checkpoints" in text
+    assert "library: answered 6 of 6 components" in text
     assert "pre-implemented 0 components" in text
     code, text = _build_lib(lib, "--effort", "high")
-    assert code == 0 and "reloaded 6 persisted checkpoints" in text
+    assert code == 0 and "library: answered 0 of 6 components" in text
     assert "pre-implemented 6 components" in text
-    assert len(list(lib.glob("*.dcpb"))) == 6
-    # the files now hold the high-effort records
-    code, text = _build_lib(lib, "--effort", "high")
-    assert "pre-implemented 0 components" in text
+    # each options set has its own files: the low-effort ones stay
+    assert len(list(lib.glob("*.dcpb"))) == 12
+    for effort in ("high", "low"):
+        code, text = _build_lib(lib, "--effort", effort)
+        assert "pre-implemented 0 components" in text
 
 
 def test_build_reports_a_torn_library_file_in_one_line(tmp_path, capsys):
     lib = tmp_path / "db"
     _build_lib(lib, "--effort", "low")
+    before = {p.name: p.read_bytes() for p in lib.glob("*.dcpb")}
     torn = sorted(lib.glob("*.dcpb"))[0]
-    torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+    torn.write_bytes(before[torn.name][: len(before[torn.name]) // 2])
     capsys.readouterr()
-    code, _text = _build_lib(lib, "--effort", "low")
+    code, text = _build_lib(lib, "--effort", "low")
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == 0
     assert err.count("\n") == 1 and err.startswith("library file rejected: ")
     assert torn.name in err
+    assert "library: answered 5 of 6 components" in text
+    assert "pre-implemented 1 components" in text
+    # rebuilt and replaced, byte for byte
+    assert {p.name: p.read_bytes() for p in lib.glob("*.dcpb")} == before
 
 
 # -- one front end: the CLI declares, validates and describes a job as serve does --

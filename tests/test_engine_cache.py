@@ -1,4 +1,5 @@
-"""Content-addressed build cache: canonical keys, persistence, accounting."""
+"""Content keys and the component library they name: canonical keys,
+persistence across processes, answers with any worker count, corrupt files."""
 
 import json
 import numbers
@@ -7,8 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import BuildCache, Engine, TaskSpec, content_key
+from repro.cnn import group_components
+from repro.engine import content_key
 from repro.engine.cache import canonical, canonical_blob
+from repro.obs import Tracer
+from repro.rapidwright import ComponentDatabase
+from repro.rapidwright.database import build_cache_key
+from tests.conftest import make_tiny_cnn
 
 
 # -- canonical keys ------------------------------------------------------------
@@ -111,84 +117,78 @@ def test_canonical_fast_path_matches_abc_path(value):
     ).encode()
 
 
-# -- BuildCache ----------------------------------------------------------------
+# -- the component library -------------------------------------------------------
 
 
-def test_memory_cache_roundtrip_and_stats():
-    cache = BuildCache()
-    key = content_key("k")
-    assert cache.get(key) is None
-    cache.put(key, {"v": 1})
-    assert cache.get(key) == {"v": 1}
-    assert key in cache
-    assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
-    assert cache.stats.puts == 1
+LOW = dict(rom_weights=True, effort="low", seed=0)
 
 
-def test_directory_cache_persists_across_instances(tmp_path):
-    a = BuildCache(directory=tmp_path / "cache")
-    key = content_key("persisted")
-    a.put(key, {"payload": [1, 2, 3]})
-    b = BuildCache(directory=tmp_path / "cache")
-    assert b.get(key) == {"payload": [1, 2, 3]}
-    assert b.stats.hits == 1
+@pytest.fixture(scope="module")
+def comps():
+    return group_components(make_tiny_cnn(), "layer")
 
 
-def test_lru_eviction_accounting(tmp_path):
-    cache = BuildCache(directory=tmp_path / "cache", max_entries=2)
-    k1, k2, k3 = (content_key(i) for i in range(3))
-    cache.put(k1, 1)
-    cache.put(k2, 2)
-    cache.put(k3, 3)
-    assert cache.stats.evictions == 1
-    assert cache.get(k1) is None  # oldest gone, from disk too
-    assert cache.get(k2) == 2 and cache.get(k3) == 3
+def _build(device, comps, directory=None, **kwargs):
+    """Build *comps* at low effort; return the database, its report and the
+    library counters."""
+    db = ComponentDatabase(device, directory=directory)
+    tracer = Tracer()
+    with tracer.activate():
+        report = db.build(comps, **LOW, **kwargs)
+    counts = {name: tracer.metrics.counter(f"library.{name}").value
+              for name in ("hit", "rejected")}
+    return db, report, counts
 
 
-def test_eviction_respects_recency():
-    cache = BuildCache(max_entries=2)
-    k1, k2, k3 = (content_key(i) for i in range(3))
-    cache.put(k1, 1)
-    cache.put(k2, 2)
-    cache.get(k1)       # touch k1 so k2 is LRU
-    cache.put(k3, 3)
-    assert cache.get(k1) == 1
-    assert cache.get(k2) is None
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-# -- engine integration --------------------------------------------------------
+def test_memory_cache_roundtrip_and_stats(small_device, comps):
+    """Without a directory the records are the only store: a repeat build
+    is answered from them, and nothing is counted as a library hit."""
+    db, cold, _ = _build(small_device, comps)
+    tracer = Tracer()
+    with tracer.activate():
+        warm = db.build(comps, **LOW)
+    assert len(cold.tasks) == len(db) and warm.tasks == []
+    assert tracer.metrics.counter("library.hit").value == 0
 
 
-def _expensive(x):
-    return {"value": x * x}
+def test_directory_cache_persists_across_instances(small_device, comps, tmp_path):
+    lib = tmp_path / "lib"
+    first, _, _ = _build(small_device, comps, lib)
+    assert sorted(_files(lib)) == sorted(
+        f"{build_cache_key(c.signature, small_device, **LOW)}.dcpb"
+        for c in {c.signature: c for c in comps}.values())
+    second, report, counts = _build(small_device, comps, lib)
+    assert report.tasks == [] and report.run_s == 0.0
+    assert counts == {"hit": len(first), "rejected": 0}
+    assert {k: r.image.to_bytes() for k, r in second.records.items()} == \
+        {k: r.image.to_bytes() for k, r in first.records.items()}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_engine_answers_from_cache(jobs, tmp_path):
-    cache = BuildCache(directory=tmp_path / "cache")
-
-    tasks = [TaskSpec(f"t{i}", _expensive, (i,), cache_key=content_key("sq", i))
-             for i in range(3)]
-
-    cold = Engine(jobs=jobs, cache=cache).run(tasks)
-    assert cold.miss_count == 3 and cold.hit_count == 0
-    warm = Engine(jobs=jobs, cache=cache).run(tasks)
-    assert warm.hit_count == 3 and warm.miss_count == 0
-    assert warm.results == cold.results
-    assert all(t.worker == "cache" for t in warm.tasks)
+def test_engine_answers_from_cache(jobs, small_device, comps, tmp_path):
+    """A library hit is not an engine task, whatever the worker count."""
+    lib = tmp_path / "lib"
+    cold_db, cold, counts = _build(small_device, comps, lib, jobs=jobs)
+    assert len(cold.tasks) == len(cold_db) and counts["hit"] == 0
+    files = _files(lib)
+    warm_db, warm, counts = _build(small_device, comps, lib, jobs=jobs)
+    assert warm.tasks == [] and counts["hit"] == len(warm_db)
+    assert _files(lib) == files   # a hit rewrites nothing
 
 
-def test_corrupt_disk_entry_is_a_miss(tmp_path):
-    cache = BuildCache(directory=tmp_path / "cache")
-    key = content_key("corrupt-me")
-    cache.put(key, {"value": 1})
-    path = tmp_path / "cache" / key[:2] / f"{key}.bin"
-    path.write_bytes(b"garbage not a cache blob")
-
-    fresh = BuildCache(directory=tmp_path / "cache")
-    assert key not in fresh
-    assert fresh.get(key) is None          # miss, not a traceback
-    assert not path.exists()               # bad entry dropped
-    fresh.put(key, {"value": 2})
-    assert fresh.get(key) == {"value": 2}  # key is usable again
+def test_corrupt_disk_entry_is_a_miss(small_device, comps, tmp_path):
+    lib = tmp_path / "lib"
+    _build(small_device, comps[:1], lib)
+    (path,) = lib.iterdir()
+    good = path.read_bytes()
+    path.write_bytes(b"garbage not a design image")
+    with pytest.warns(RuntimeWarning, match="library file rejected"):
+        _, report, counts = _build(small_device, comps[:1], lib)
+    assert counts == {"hit": 0, "rejected": 1} and len(report.tasks) == 1
+    assert path.read_bytes() == good          # rebuilt and replaced
+    _, report, counts = _build(small_device, comps[:1], lib)
+    assert counts == {"hit": 1, "rejected": 0}

@@ -1,6 +1,6 @@
 """The build engine and the database builds on it: serial and pooled runs,
-fallbacks, determinism, caching, disk persistence, and the default worker
-count (one per usable core, serial under threads)."""
+fallbacks, determinism, the on-disk component library, and the default
+worker count (one per usable core, serial under threads)."""
 
 import errno
 import json
@@ -18,7 +18,8 @@ import pytest
 
 import repro
 from repro.cnn import group_components, lenet5, vgg16
-from repro.engine import BuildCache, Engine, TaskError, TaskSpec
+from repro.drc import run_drc
+from repro.engine import Engine, TaskError, TaskSpec
 from repro.engine.workers import ComponentFactory
 from repro.netlist import Cell, DesignImage, encode_design
 from repro.obs import Tracer
@@ -86,9 +87,8 @@ def _die_in_worker(parent_pid, value):
     return value
 
 
-def _squares(n: int, cache: BuildCache | None = None) -> list[TaskSpec]:
-    return [TaskSpec(f"t{i}", _square, (i,), cache_key=f"square-{i}" if cache else None)
-            for i in range(n)]
+def _squares(n: int) -> list[TaskSpec]:
+    return [TaskSpec(f"t{i}", _square, (i,)) for i in range(n)]
 
 
 # -- the engine -----------------------------------------------------------------
@@ -150,13 +150,10 @@ def test_telemetry_report_renders():
 
 def test_auto_jobs_caps_at_pending_tasks(cores):
     cores(8)
-    cache = BuildCache()
-    cache.put("square-0", 0)                     # answered: not pending
-    report = Engine(jobs=None, cache=cache).run(_squares(4, cache))
+    report = Engine(jobs=None).run(_squares(3))
     assert report.jobs == 3
-    assert report.results == {f"t{i}": i * i for i in range(4)}
-    assert report.tasks[0].worker == "cache"
-    assert all(t.worker.startswith("pid:") for t in report.tasks[1:])
+    assert report.results == {f"t{i}": i * i for i in range(3)}
+    assert all(t.worker.startswith("pid:") for t in report.tasks)
 
 
 def test_auto_jobs_one_pending_task_runs_serially_without_fork(cores, monkeypatch):
@@ -276,18 +273,20 @@ def test_build_telemetry_attached(small_device, comps):
     assert {t.stage for t in report.tasks} == {f"build:{c.kind}" for c in comps}
 
 
-# -- warm cache ----------------------------------------------------------------
+# -- the component library -------------------------------------------------------
 
 
 def test_warm_cache_rebuild_hits_everything(small_device, comps, tmp_path):
-    cache = BuildCache(directory=tmp_path / "cache")
-    cold = ComponentDatabase(small_device)
-    cold.build(comps, rom_weights=True, effort="low", seed=0, cache=cache)
-    assert cache.stats.puts == len(cold)
+    cold = ComponentDatabase(small_device, directory=tmp_path / "lib")
+    cold.build(comps, rom_weights=True, effort="low", seed=0)
+    assert len(list((tmp_path / "lib").iterdir())) == len(cold)
 
-    warm = ComponentDatabase(small_device)
-    report = warm.build(comps, rom_weights=True, effort="low", seed=0, cache=cache)
-    assert report.hit_count == len(warm) and report.miss_count == 0
+    warm = ComponentDatabase(small_device, directory=tmp_path / "lib")
+    tracer = Tracer()
+    with tracer.activate():
+        report = warm.build(comps, rom_weights=True, effort="low", seed=0)
+    assert tracer.metrics.counter("library.hit").value == len(warm) == len(cold)
+    assert report.tasks == []
     assert _payload_blobs(warm) == _payload_blobs(cold)
     # no component was re-implemented
     assert report.run_s == 0.0
@@ -312,14 +311,16 @@ def test_reloaded_database_hits_by_signature(small_device, comps, tmp_path, monk
     db = ComponentDatabase(small_device, directory=tmp_path / "db")
     db.build(comps, rom_weights=True, effort="low", seed=0)
 
-    # Reloading builds no design.  Both ways a Cell comes to be are watched:
-    # the constructor (__init__: a class whose __new__ was set and deleted
-    # refuses arguments afterwards) and materialize, which bypasses it.
+    # Answering from the library builds no design.  Both ways a Cell comes
+    # to be are watched: the constructor (__init__: a class whose __new__
+    # was set and deleted refuses arguments afterwards) and materialize,
+    # which bypasses it.
     made = []
     monkeypatch.setattr(Cell, "__init__", lambda self, *a, **k: made.append(self))
     monkeypatch.setattr(DesignImage, "materialize", lambda self, *a, **k: made.append(self))
     reloaded = ComponentDatabase(small_device, directory=tmp_path / "db")
-    assert reloaded.load_directory() == len(db)
+    assert reloaded.build(comps, rom_weights=True, effort="low", seed=0).tasks == []
+    assert len(reloaded) == len(db)
     assert made == []
     monkeypatch.undo()
 
@@ -336,20 +337,31 @@ def test_reloaded_database_hits_by_signature(small_device, comps, tmp_path, monk
 
 
 def test_directory_files_identical_serial_parallel_and_cache_served(small_device, comps, tmp_path):
-    cache = BuildCache(directory=tmp_path / "cache")
     built, reports = {}, {}
-    for how, kwargs in (("serial", {}), ("jobs2", {"jobs": 2}),
-                        ("cold", {"cache": cache}), ("warm", {"cache": cache})):
-        built[how] = ComponentDatabase(small_device, directory=tmp_path / how)
+    for how, directory, jobs in (("serial", "serial", 1), ("jobs2", "jobs2", 2),
+                                 ("library", "serial", 2)):
+        built[how] = ComponentDatabase(small_device, directory=tmp_path / directory)
         reports[how] = built[how].build(comps, rom_weights=True, effort="low", seed=0,
-                                        **kwargs)
-    assert reports["warm"].miss_count == 0
+                                        jobs=jobs)
+    assert reports["library"].tasks == []
     serial = built["serial"]
     files = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
-    assert files == {f"{k}.dcpb": blob for k, blob in _payload_blobs(serial).items()}
-    for how, db in built.items():
-        assert {p.name: p.read_bytes() for p in (tmp_path / how).iterdir()} == files
+    assert files == {f"{r.build_key}.dcpb": r.image.to_bytes() for r in serial.records.values()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "jobs2").iterdir()} == files
+    anchors = {c.signature: candidate_anchors(small_device, serial.footprint(c.signature))[-1]
+               for c in comps}
+    probe = serial.fetch(comps[0].signature, anchors[comps[0].signature])
+    verdicts = set()
+    for db in built.values():
+        assert _payload_blobs(db) == _payload_blobs(serial)
         assert _fingerprints(db) == _fingerprints(serial)
+        assert [encode_design(db.fetch(sig, anchor, instance="u0"))
+                for sig, anchor in anchors.items()] == \
+            [encode_design(serial.fetch(sig, anchor, instance="u0"))
+             for sig, anchor in anchors.items()]
+        report = run_drc(probe, database=db, rules=["DB-001", "DB-002", "DB-003"])
+        verdicts.add(tuple((v.rule_id, v.message) for v in report.violations))
+    assert verdicts == {()}
 
 
 def test_signature_key_canonical_numeric_types():
@@ -381,7 +393,8 @@ def test_library_files_are_replaced_whole_or_not_at_all(
             comps, rom_weights=True, effort="high", seed=0, jobs=1)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in lib.iterdir()} == before
-    assert ComponentDatabase(small_device, directory=lib).load_directory() == len(before)
+    assert ComponentDatabase(small_device, directory=lib).build(
+        comps, rom_weights=True, effort="low", seed=0, jobs=1).tasks == []
 
 
 def test_put_records_exact_signature_in_metadata(small_device, comps):
@@ -389,11 +402,11 @@ def test_put_records_exact_signature_in_metadata(small_device, comps):
     db.build(comps[:1], rom_weights=True, effort="low", seed=0)
     record = db.records[signature_key(comps[0].signature)]
     stored = record.image.metadata()["component"]["signature"]
-    # JSON-shaped (nested lists), loss-free relative to the tuple form
+    # JSON-shaped (nested lists) with the same items as the tuple form
     assert json.loads(json.dumps(stored)) == stored
-    from repro.rapidwright.database import _signature_from_json
+    from repro.rapidwright.database import _signature_to_json
 
-    assert _signature_from_json(stored) == comps[0].signature
+    assert stored == _signature_to_json(comps[0].signature)
 
 
 # -- full flow from disk hits --------------------------------------------------
@@ -402,20 +415,21 @@ def test_put_records_exact_signature_in_metadata(small_device, comps):
 def test_run_accelerator_entirely_from_disk(small_device, tmp_path):
     net = make_tiny_cnn()
     comps = group_components(net, "layer")
-    built = ComponentDatabase(small_device, directory=tmp_path / "db")
-    built.build(comps, rom_weights=True, effort="low", seed=0, jobs=2)
-
-    reloaded = ComponentDatabase(small_device, directory=tmp_path / "db")
-    assert reloaded.load_directory() == len(built)
-
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    fresh = flow.run(net, rom_weights=True,
+                     database=ComponentDatabase(small_device, directory=tmp_path / "db"))
+    assert fresh.extras["offline_s"] > 0.0
+
     tracer = Tracer()
     with tracer.activate():
-        result = flow.run(net, rom_weights=True, database=reloaded)
+        result = flow.run(net, rom_weights=True,
+                          database=ComponentDatabase(small_device, directory=tmp_path / "db"))
     assert result.extras["offline_s"] == 0.0          # nothing re-implemented
     # every component from disk
+    assert tracer.metrics.counter("library.hit").value == len(result.extras["database"])
     assert tracer.metrics.counter("codec.fetch").value == len(comps)
     assert result.fmax_mhz > 0.0
+    assert encode_design(result.design) == encode_design(fresh.design)
 
 
 # -- parallel explore ----------------------------------------------------------

@@ -97,12 +97,11 @@ def test_database_checkpoints_independent_of_consumer(small_device):
 
 def test_checkpoint_database_round_trip_preserves_fmax(small_device, tmp_path):
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(make_tiny_cnn())
     lib = tmp_path / "lib"
-    lib.mkdir()
-    for key, record in db.records.items():
-        (lib / f"{key}.dcpb").write_bytes(record.image.to_bytes())
-    fresh = ComponentDatabase(small_device, directory=lib)
-    assert fresh.load_directory() == len(db)
+    db, _ = flow.build_database(make_tiny_cnn(),
+                                database=ComponentDatabase(small_device, directory=lib))
+    fresh, report = flow.build_database(
+        make_tiny_cnn(), database=ComponentDatabase(small_device, directory=lib))
+    assert report.tasks == [] and len(fresh) == len(db)
     for key in db.records:
         assert fresh.records[key].fmax_mhz == pytest.approx(db.records[key].fmax_mhz)

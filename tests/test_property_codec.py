@@ -12,8 +12,8 @@ One level up, ``ComponentDatabase.fetch(sig, anchor)`` must equal its
 declared oracle, ``relocate_reference`` run on ``get(sig)``, for every
 legal anchor, with the same :class:`RelocationError` diagnostics at
 illegal ones; so must ``relocate``, whose copy stays independent of its
-source.  The cache tests at the bottom pin torn or garbage ``.bin``
-blobs reading as misses.
+source.  The library tests at the bottom pin torn or garbage ``.dcpb``
+files reading as misses, rebuilt in place.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.cache import BuildCache
 from repro.fabric import Device, PBlock
 from repro.netlist import Cell, Design, Net, Port
 from repro.netlist.checkpoint import design_from_dict, design_to_dict
@@ -514,34 +513,48 @@ def test_relocate_matches_reference(design, anchor_pick, instance):
     assert design_to_dict(design) == source
 
 
-# -- cache blob format regressions -----------------------------------------
+# -- library file format regressions -------------------------------------
 
 
-def test_torn_binary_blob_is_a_miss(tmp_path):
-    cache = BuildCache(tmp_path)
-    key = "cd" + "1" * 62
-    cache.put(key, {"big": list(range(500))})
-    path = cache._path(key)
+def _library_file(tmp_path, device):
+    from repro.cnn import group_components
+    from tests.conftest import make_tiny_cnn
+
+    comps = group_components(make_tiny_cnn(), "layer")[:1]
+    lib = tmp_path / "lib"
+    ComponentDatabase(device, directory=lib).build(
+        comps, rom_weights=True, effort="low", seed=0, jobs=1)
+    (path,) = lib.iterdir()
+    return comps, lib, path
+
+
+def _rebuilds(device, comps, lib) -> int:
+    """Components a fresh database on *lib* had to build (warning checked)."""
+    with pytest.warns(RuntimeWarning, match="library file rejected"):
+        report = ComponentDatabase(device, directory=lib).build(
+            comps, rom_weights=True, effort="low", seed=0, jobs=1)
+    return len(report.tasks)
+
+
+def test_torn_binary_blob_is_a_miss(tmp_path, small_device):
+    comps, lib, path = _library_file(tmp_path, small_device)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])  # simulate a torn write
-    fresh = BuildCache(tmp_path)
-    assert fresh.get(key, default="fallback") == "fallback"
+    assert _rebuilds(small_device, comps, lib) == 1
+    assert path.read_bytes() == blob
 
 
-def test_garbage_binary_blob_is_a_miss(tmp_path):
-    cache = BuildCache(tmp_path)
-    key = "ef" + "2" * 62
-    cache._path(key).parent.mkdir()
-    cache._path(key).write_bytes(b"RBC1 but then garbage \xff\x00")
-    assert cache.get(key) is None
-    assert cache.stats.misses == 1
+def test_garbage_binary_blob_is_a_miss(tmp_path, small_device):
+    comps, lib, path = _library_file(tmp_path, small_device)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:6] + b" right magic and version, then garbage \xff\x00")
+    assert _rebuilds(small_device, comps, lib) == 1
+    assert path.read_bytes() == blob
 
 
-def test_cache_binary_value_roundtrip_preserves_types(tmp_path):
-    cache = BuildCache(tmp_path)
-    key = "aa" + "3" * 62
+def test_cache_binary_value_roundtrip_preserves_types():
+    """The tagged binary value format a library file's metadata is stored in
+    keeps what a JSON round trip would mangle."""
     value = {"i": 2**80, "f": 0.1, "t": (1, "two"), "b": b"\x00\x01",
              "n": None, "flag": True, "nested": {"k": [1, 2]}}
-    cache.put(key, value)
-    fresh = BuildCache(tmp_path)
-    assert fresh.get(key) == value
+    assert unpack_value(pack_value(value)) == value

@@ -73,12 +73,17 @@ def test_signature_key_stable():
 
 def test_persistence_roundtrip(small_device, tmp_path, db):
     database, comps = db
+    # a hand-stored record has no build key to name a file by: memory only
     disk = ComponentDatabase(small_device, directory=tmp_path / "dcps")
     for comp in {c.signature: c for c in comps}.values():
         disk.put(comp.signature, database.get(comp.signature))
+    assert len(disk) == len(database) and not (tmp_path / "dcps").exists()
+    # a build files each record; a fresh database is answered from the files
+    ComponentDatabase(small_device, directory=tmp_path / "dcps").build(
+        comps, rom_weights=True, effort="low", seed=0)
     reloaded = ComponentDatabase(small_device, directory=tmp_path / "dcps")
-    assert reloaded.load_directory() == len(disk)
-    assert len(reloaded) == len(disk)
+    assert reloaded.build(comps, rom_weights=True, effort="low", seed=0).tasks == []
+    assert len(reloaded) == len(database) == len(list((tmp_path / "dcps").iterdir()))
 
 
 # -- component placer -----------------------------------------------------------

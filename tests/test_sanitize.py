@@ -124,12 +124,19 @@ def test_note_write_is_noop_when_not_installed():
 
 
 def test_wired_sites_stay_silent_under_correct_locking(tmp_path):
-    """The production call sites (cache, journal) hold their locks, so a
+    """The production call sites (journal, tracer) hold their locks, so a
     sanitized end-to-end write records nothing."""
-    from repro.engine.cache import BuildCache
+    from repro.obs import Tracer, span
+    from repro.serve import JobSpec, JobStore
 
     sanitize.install()
-    cache = BuildCache(directory=tmp_path / "cache")
-    cache.put("k" * 64, {"x": 1})
-    assert cache.get("k" * 64) == {"x": 1}
+    store = JobStore(tmp_path / "farm")
+    record = store.submit(JobSpec(model="lenet5", part="small"))
+    store.mark_running(record)
+    store.close()
+    tracer = Tracer()
+    with tracer.activate(), span("unit.write"):
+        pass
+    tracer.finish()
+    assert JobStore(tmp_path / "farm").get(record.id).state == "queued"
     assert sanitize.violations() == []

@@ -134,7 +134,7 @@ class TestExecution:
         first_started = threading.Event()
         release = threading.Event()
 
-        def stub(spec, *, cache=None, progress=None):
+        def stub(spec, *, store=None, progress=None):
             order.append((spec.tenant, spec.seed))
             if not first_started.is_set():
                 first_started.set()
@@ -168,7 +168,7 @@ class TestExecution:
         lock = threading.Lock()
         active = {"now": 0, "peak": 0}
 
-        def stub(spec, *, cache=None, progress=None):
+        def stub(spec, *, store=None, progress=None):
             with lock:
                 active["now"] += 1
                 active["peak"] = max(active["peak"], active["now"])
@@ -191,7 +191,7 @@ class TestExecution:
         assert all(r.state == "done" for r in sched.store.jobs())
 
     def test_failed_job_is_journaled_with_traceback(self, tmp_path, monkeypatch):
-        def stub(spec, *, cache=None, progress=None):
+        def stub(spec, *, store=None, progress=None):
             raise RuntimeError("router exploded")
 
         monkeypatch.setattr("repro.serve.scheduler.run_job", stub)
@@ -214,7 +214,7 @@ class TestExecution:
 
         ran = []
 
-        def stub(spec, *, cache=None, progress=None):
+        def stub(spec, *, store=None, progress=None):
             ran.append(spec.seed)
             return {"fmax_mhz": 1.0}, "hit"
 
@@ -234,7 +234,7 @@ class TestExecution:
     def test_submit_after_shutdown_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             "repro.serve.scheduler.run_job",
-            lambda spec, *, cache=None, progress=None: ({"fmax_mhz": 1.0}, "miss"),
+            lambda spec, *, store=None, progress=None: ({"fmax_mhz": 1.0}, "miss"),
         )
         sched = Scheduler(JobStore(tmp_path), workers=1)
         sched.shutdown()
@@ -244,7 +244,7 @@ class TestExecution:
     def test_stats_shape(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             "repro.serve.scheduler.run_job",
-            lambda spec, *, cache=None, progress=None: ({"fmax_mhz": 1.0}, "miss"),
+            lambda spec, *, store=None, progress=None: ({"fmax_mhz": 1.0}, "miss"),
         )
         sched = Scheduler(JobStore(tmp_path), workers=3)
         try:
@@ -255,5 +255,5 @@ class TestExecution:
         stats = sched.stats()
         assert stats["workers"] == 3
         assert stats["jobs"] == {"done": 1}
-        assert set(stats["cache"]) == {"hits", "misses", "puts", "evictions"}
+        assert stats["cache"] == {"hits": 0, "misses": 1}   # job-level, from the records
         assert stats["quotas"]["default"]["max_running"] == 2

@@ -1,8 +1,9 @@
-"""Compile-service end to end: HTTP API, warm cache, progress, recovery.
+"""Compile-service end to end: HTTP API, warm results, progress, recovery.
 
 These tests run real (small) builds — lenet5 on the small part at low
 effort takes well under a second — through the full stack: HTTP server,
-scheduler, job store, shared cache, progress stream.  The crash test
+scheduler, job store, stored results and component library, progress
+stream.  The crash test
 runs the server in a child process and SIGKILLs it mid-build.
 """
 
@@ -21,7 +22,14 @@ import pytest
 import repro
 from repro.obs.sinks import InMemorySink
 from repro.obs.span import Tracer
-from repro.serve import JobSpec, ProgressLog, ServeApiError, ServeClient, ServeServer
+from repro.serve import (
+    JobSpec,
+    JobStore,
+    ProgressLog,
+    ServeApiError,
+    ServeClient,
+    ServeServer,
+)
 from repro.serve.progress import stage_of
 from repro.serve.runner import RESULT_SCHEMA, _execute, build_result_doc, run_job
 from repro.spec import compile_spec
@@ -138,7 +146,7 @@ class TestHttpApi:
         client.wait_result("j000001", timeout=120.0)
 
     def test_failed_job_result_carries_error(self, tmp_path, monkeypatch):
-        def boom(spec, *, cache=None, progress=None):
+        def boom(spec, *, store=None, progress=None):
             raise RuntimeError("no congestion-free routing exists")
 
         monkeypatch.setattr("repro.serve.scheduler.run_job", boom)
@@ -162,6 +170,30 @@ class TestResultDoc:
         assert list(doc["stages"]) == list(result.stages)
 
 
+class TestStoredResults:
+    def test_result_of_another_schema_is_a_miss(self, tmp_path):
+        """A bumped RESULT_SCHEMA invalidates every stored document."""
+        spec = JobSpec(**SPEC)
+        store = JobStore(tmp_path)
+        stale = {"schema": RESULT_SCHEMA - 1, "fmax_mhz": 1.0}
+        store.save_result(spec.content_key(), stale)
+        doc, status = run_job(spec, store=store)
+        assert status == "miss" and doc["schema"] == RESULT_SCHEMA
+        assert doc["fmax_mhz"] != stale["fmax_mhz"]
+        store.save_result(spec.content_key(), doc)
+        assert run_job(spec, store=store) == (doc, "hit")
+
+    def test_jobs_differing_only_in_pipeline_preimplement_the_library_once(self, tmp_path):
+        store = JobStore(tmp_path)
+        first, status = run_job(JobSpec(**SPEC), store=store)
+        assert status == "miss" and first["offline_s"] > 0.0
+        files = {p.name: p.read_bytes() for p in store.library.iterdir()}
+        assert len(files) == first["db_checkpoints"]
+        second, status = run_job(JobSpec(**SPEC, pipeline="auto"), store=store)
+        assert status == "miss" and second["offline_s"] == 0.0
+        assert {p.name: p.read_bytes() for p in store.library.iterdir()} == files
+
+
 class TestProgressCanonical:
     def test_event_order_matches_canonical_span_order(self, tmp_path):
         """The progress stream is the span tree, filtered — same order."""
@@ -180,7 +212,7 @@ class TestProgressCanonical:
         assert expected, "flow emitted no mapped spans"
 
         log = ProgressLog()
-        run_job(spec, cache=None, progress=log)
+        run_job(spec, progress=log)
         got = [
             (e["stage"], e["span"]) for e in log.since() if e["kind"] == "stage"
         ]
@@ -191,7 +223,7 @@ class TestProgressCanonical:
         sequences = []
         for _ in range(2):
             log = ProgressLog()
-            run_job(spec, cache=None, progress=log)
+            run_job(spec, progress=log)
             sequences.append(
                 [(e["stage"], e["span"]) for e in log.since() if e["kind"] == "stage"]
             )

@@ -1,4 +1,4 @@
-"""JobStore: journal replay, crash recovery, results, sharded cache."""
+"""JobStore: journal replay, crash recovery, results filed by content key."""
 
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ class TestJournal:
         assert replayed.cache == "miss"
         assert replayed.recovered is False
         assert replayed.progress.closed  # terminal jobs never park a waiter
-        assert reopened.load_result(record.id) == {"fmax_mhz": 123.0}
+        assert reopened.load_result(record.key) == {"fmax_mhz": 123.0}
 
     def test_failed_job_replays_with_error(self, tmp_path):
         store = JobStore(tmp_path)
@@ -146,16 +146,17 @@ class TestResults:
 
 
 class TestFarmCache:
-    def test_cache_is_shared_and_sharded(self, tmp_path):
-        store = JobStore(tmp_path)
-        assert store.cache.shared is True
-        key = "ab" + "0" * 62
-        store.cache.put(key, {"v": 1})
-        assert (tmp_path / "cache" / key[:2] / f"{key}.bin").exists()
-
     def test_cache_survives_restart(self, tmp_path):
+        """A result is filed once, under its spec's content key: every job
+        of that spec, from any tenant and after a restart, reads that file."""
         store = JobStore(tmp_path)
-        key = "cd" + "0" * 62
-        store.cache.put(key, {"v": 2})
+        record = store.submit(_spec(tenant="alice"))
+        store.mark_running(record)
+        store.mark_done(record, {"fmax_mhz": 2.0}, cache="miss")
         store.close()
-        assert JobStore(tmp_path).cache.get(key) == {"v": 2}
+        reopened = JobStore(tmp_path)
+        other = reopened.submit(_spec(tenant="bob"))
+        assert other.key == record.key
+        assert reopened.load_result(other.key) == {"fmax_mhz": 2.0}
+        assert [p.name for p in (tmp_path / "results").iterdir()] == [f"{record.key}.json"]
+        assert reopened.library == tmp_path / "library"

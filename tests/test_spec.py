@@ -64,3 +64,16 @@ def test_cli_eco_and_serve_eco_job_report_the_same_edit():
     assert "bit-identical" in text and eco["oracle"] == "bit-identical"
     assert (int(line.group(1)), int(line.group(2))) == (eco["ripped"], eco["rerouted"])
     assert line.group(3) == f"{eco['fmax_after_mhz']:.1f}"
+
+
+def test_a_library_answered_run_is_the_fresh_run(tmp_path):
+    """``compile_spec(library=)``: a LeNet run whose components all come from
+    the library re-implements nothing and stitches the same bytes."""
+    from repro.netlist import encode_design
+    from repro.spec import compile_spec
+
+    spec = JobSpec(model="lenet5", part="small", effort="low")
+    fresh = compile_spec(spec, jobs=1, library=tmp_path / "lib")
+    warm = compile_spec(spec, jobs=1, library=tmp_path / "lib")
+    assert fresh.extras["offline_s"] > 0.0 and warm.extras["offline_s"] == 0.0
+    assert encode_design(warm.design) == encode_design(fresh.design)
