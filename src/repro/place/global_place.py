@@ -16,6 +16,13 @@ from .problem import NetColumns, PlacementProblem
 
 __all__ = ["global_place"]
 
+#: Share of the way each cell moves toward its nets' centre per iteration.
+PULL = 0.7
+#: Quantile spreading runs every this many iterations ...
+SPREAD_EVERY = 5
+#: ... and blends this share of the spread positions in.
+SPREAD_BLEND = 0.25
+
 
 def _pin_columns(cols: NetColumns):
     """Movable pins of every net as ``(net, cell)``-sorted columns.
@@ -68,9 +75,6 @@ def global_place(
     problem: PlacementProblem,
     rng: np.random.Generator,
     iters: int = 30,
-    pull: float = 0.7,
-    spread_every: int = 5,
-    spread_blend: float = 0.25,
 ) -> np.ndarray:
     """Return float positions (n, 2) for the movable cells."""
     n = problem.n_movable
@@ -105,9 +109,9 @@ def global_place(
             )
         target /= cell_weight[:, None]
         target[lonely] = pos[lonely]
-        pos = pull * target + (1.0 - pull) * pos
-        if spread_every and (it + 1) % spread_every == 0 and it + 1 < iters:
-            pos = (1.0 - spread_blend) * pos + spread_blend * _spread(pos, bounds)
+        pos = PULL * target + (1.0 - PULL) * pos
+        if (it + 1) % SPREAD_EVERY == 0 and it + 1 < iters:
+            pos = (1.0 - SPREAD_BLEND) * pos + SPREAD_BLEND * _spread(pos, bounds)
 
     c0, r0, c1, r1 = bounds
     pos[:, 0] = np.clip(pos[:, 0], c0, c1)

@@ -28,8 +28,8 @@ __all__ = ["PowerReport", "estimate_power"]
 STATIC_W_PER_KLUT = 0.004
 #: Interconnect switching power per routed tile per MHz, in nanowatts.
 WIRE_NW_PER_TILE_MHZ = 0.9
-#: Default signal activity factor.
-DEFAULT_TOGGLE = 0.25
+#: Signal activity factor.
+TOGGLE = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ def estimate_power(
     device: Device,
     fmax_mhz: float,
     graph: RoutingGraph | None = None,
-    toggle: float = DEFAULT_TOGGLE,
 ) -> PowerReport:
     """Estimate power of *design* clocked at *fmax_mhz* on *device*."""
     if fmax_mhz <= 0:
@@ -77,12 +76,12 @@ def estimate_power(
         if isinstance(part, dict):
             ctypes = [cell.ctype for cell in part.values()]
             table = dict.fromkeys(ctypes)
-            per_type = {t: cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table}
+            per_type = {t: cell_type(t).dyn_power_nw_mhz * fmax_mhz * TOGGLE for t in table}
             per_cell.append(np.array([per_type[t] for t in ctypes], dtype=np.float64))
         else:
             kind, table = part.kinds()
             per_type = np.array(
-                [cell_type(t).dyn_power_nw_mhz * fmax_mhz * toggle for t in table]
+                [cell_type(t).dyn_power_nw_mhz * fmax_mhz * TOGGLE for t in table]
             )
             per_cell.append(per_type[kind])
     logic_nw = sum_left_to_right(np.concatenate(per_cell)) if per_cell else 0
@@ -115,7 +114,7 @@ def estimate_power(
     if routes:
         tiles, _crossings = graph.path_metrics_batch(routes)
         routed_tiles += int(tiles @ np.asarray(widths, dtype=np.int64))
-    signal_nw = WIRE_NW_PER_TILE_MHZ * (routed_tiles + est_tiles) * fmax_mhz * toggle
+    signal_nw = WIRE_NW_PER_TILE_MHZ * (routed_tiles + est_tiles) * fmax_mhz * TOGGLE
 
     return PowerReport(
         static_w=static,

@@ -18,7 +18,6 @@ from .stitcher import (
     StitchResult,
     compose,
     compose_reference,
-    compose_shared,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "StitchResult",
     "compose",
     "compose_reference",
-    "compose_shared",
 ]

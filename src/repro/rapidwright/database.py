@@ -161,6 +161,10 @@ class ComponentDatabase:
     directory: Path | None = None
     records: dict[str, _Record] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.directory is not None:
+            self.directory = Path(self.directory)
+
     # -- store/fetch ------------------------------------------------------
 
     def put(self, signature: tuple, design: Design, fmax_mhz: float | None = None) -> str:

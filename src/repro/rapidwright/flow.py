@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING
 
 from ..obs.span import set_gauge, span, stage
-from ..cnn.graph import DFG, group_components
+from ..cnn.graph import DFG, Component, group_components
 from ..netlist.design import Design
 from ..fabric.device import Device
 from ..fabric.interconnect import RoutingGraph
@@ -33,9 +33,8 @@ from ..timing.incremental import IncrementalSta
 from ..timing.pipeline import pipeline_to_target
 from ..vivado.flow import FlowResult
 from .database import ComponentDatabase
-from .module import relocate
 from .placer import ComponentPlacer
-from .stitcher import compose, compose_shared
+from .stitcher import compose, unique_components
 
 if TYPE_CHECKING:  # annotations only: the engine loads when a build runs
     from ..engine.executor import EngineReport
@@ -44,6 +43,19 @@ __all__ = ["PreImplementedFlow"]
 
 #: Congestion halo (tiles) the component placer keeps around each pblock.
 HALO = 4
+
+
+def _scheduler(components: list[Component]) -> Component:
+    """The shared architecture's scheduler, a library component like any
+    other: a memory management unit sized for the largest inter-pass
+    feature map."""
+    n_words = int(max(
+        (math.prod(c.out_shape) for c in components if len(c.out_shape) > 0),
+        default=1024,
+    ))
+    return Component(name="scheduler", nodes=[], kind="memctrl",
+                     signature=("memctrl", n_words),
+                     in_shape=(n_words,), out_shape=(n_words,))
 
 
 class PreImplementedFlow:
@@ -124,25 +136,6 @@ class PreImplementedFlow:
             )
         return database, report
 
-    def _scheduler_for(self, components) -> "Design":
-        """Pre-implement the shared-architecture scheduler: a memory
-        management unit sized for the largest inter-pass feature map."""
-        from math import prod
-
-        from ..synth.memctrl import gen_memctrl
-        from .ooc import preimplement
-
-        n_words = max(
-            (prod(c.out_shape) for c in components if len(c.out_shape) > 0),
-            default=1024,
-        )
-        scheduler = gen_memctrl(int(n_words), name="shared_scheduler")
-        preimplement(
-            scheduler, self.device, effort=self.component_effort, seed=self.seed,
-            plan_ports=self.plan_ports,
-        )
-        return scheduler
-
     def _drc_gate(self, reports: list, gate: str, design: "Design", **options) -> None:
         """Run one DRC gate of this run, :func:`repro.drc.drc_gate` under
         :attr:`drc`, and keep its report in *reports* (*options*:
@@ -181,7 +174,8 @@ class PreImplementedFlow:
         architecture (paper Sec. III / Shen et al.): one physical engine
         per unique signature, time-multiplexed through a pre-implemented
         scheduler — fewer resources, one pass of latency per logical
-        layer.
+        layer.  The scheduler is one more *database* record, built the
+        first time (its cost goes to ``offline_s``) and fetched after.
         """
         with span("flow.run", flow="preimpl", model=dfg.name,
                   granularity=granularity) as run_span:
@@ -203,70 +197,55 @@ class PreImplementedFlow:
         stages: dict[str, float] = {}
         with stage(stages, "rw:component_extraction"):
             components = group_components(dfg, granularity)
+        instances, hub, arch = components, None, "preimpl"
+        if share_components:
+            # One physical engine per signature, time-multiplexed through
+            # the scheduler: one more library record, built offline once.
+            hub = _scheduler(components)
+            offline_s += database.build(
+                [hub], rom_weights=rom_weights, effort=self.component_effort,
+                seed=self.seed, plan_ports=self.plan_ports,
+            ).run_s
+            instances, arch = [*unique_components(components), hub], "shared"
 
         with stage(stages, "rw:component_matching"):
-            matched = components
-            if share_components:
-                unique: dict[tuple, object] = {}
-                for c in components:
-                    unique.setdefault(c.signature, c)
-                matched = list(unique.values())
             # Placement reads only footprints; compose() materializes each
             # component once, at the anchor chosen below.
             items = []
-            for comp in matched:
+            for comp in instances:
                 if not database.has(comp.signature):
                     raise KeyError(
                         f"component {comp.name} ({comp.kind}) missing from database"
                     )
                 items.append((comp.name, database.footprint(comp.signature)))
-            scheduler = None
-            if share_components:
-                scheduler = self._scheduler_for(components)
-                items.append(("scheduler", scheduler))
 
         with stage(stages, "rw:component_placement"):
             placer = ComponentPlacer(self.device, halo=HALO)
-            if share_components:
-                # star topology: every engine talks to the scheduler
-                hub = len(items) - 1
-                connections = [(i, hub) for i in range(hub)]
-            else:
+            if hub is None:
                 connections = [(i - 1, i) for i in range(1, len(items))]
+            else:  # star topology: every engine talks to the scheduler
+                connections = [(i, len(items) - 1) for i in range(len(items) - 1)]
             placement = placer.place(items, connections)
 
         drc_reports = []
         if self.drc != "off":
             anchors = placement.anchors
-            for comp in matched:
+            for comp in instances:
                 anchored = database.fetch(
                     comp.signature, anchors[comp.name], device=self.device
                 )
                 self._drc_gate(drc_reports, f"component:{comp.name}", anchored,
                                require_routed=True)
-            if scheduler is not None:
-                anchored = relocate(scheduler, self.device, anchors["scheduler"])
-                self._drc_gate(drc_reports, "component:scheduler", anchored,
-                               require_routed=True)
 
         with stage(stages, "rw:composition"):
-            if share_components:
-                stitch = compose_shared(
-                    f"{dfg.name}_{granularity}_shared",
-                    components,
-                    database,
-                    self.device,
-                    placement.anchors,
-                    scheduler,
-                )
-            else:
-                stitch = compose(
-                    f"{dfg.name}_{granularity}_preimpl",
-                    components,
-                    database,
-                    self.device,
-                    placement.anchors,
-                )
+            stitch = compose(
+                f"{dfg.name}_{granularity}_{arch}",
+                components,
+                database,
+                self.device,
+                placement.anchors,
+                hub=hub,
+            )
             top = stitch.top
 
         # One STA session serves the whole run — DRC gates, the pipelining

@@ -207,7 +207,7 @@ class JobSpec:
 def compile_spec(spec: JobSpec, *, jobs: int | None = None, library=None):
     """Run the flow *spec* describes (its ``eco`` aside) and return the
     ``FlowResult``; ``preimpl`` first builds its component database on
-    *jobs* workers, answering what the *library* directory (a ``Path``)
+    *jobs* workers, answering what the *library* directory (a path)
     already holds and filing what it builds there.  ``extras`` hold the
     ``flow`` and, for ``preimpl``, the ``database`` and ``offline_s``."""
     device, dfg = spec.device(), spec.dfg()

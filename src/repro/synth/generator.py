@@ -12,6 +12,7 @@ from ..netlist.design import Design
 from ..netlist.stitch import bridge_ports, merge_clock_nets
 from .conv import gen_conv
 from .fc import gen_fc
+from .memctrl import gen_memctrl
 from .pool import gen_pool
 from .relu import gen_relu
 
@@ -63,13 +64,15 @@ def generate_component(comp: Component, *, rom_weights: bool = True) -> Design:
     metadata so the checkpoint database can key on it.
     """
     members = comp.members
-    if not members:
-        raise ValueError(f"component {comp.name} has no member nodes")
     kinds = [m.kind for m in members]
     has_relu = "relu" in kinds
     stages = [m for m in members if m.kind in ("conv", "pool", "fc")]
 
-    if not stages:
+    if comp.kind == "memctrl":  # the shared architecture's scheduler
+        design = gen_memctrl(comp.signature[1], name="shared_scheduler")
+    elif not members:
+        raise ValueError(f"component {comp.name} has no member nodes")
+    elif not stages:
         if has_relu:
             design = gen_relu(members[0].in_shape[0], name=f"relu_{comp.name}")
         else:

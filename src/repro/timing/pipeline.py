@@ -34,10 +34,6 @@ class PipelineResult:
     before: TimingReport
     after: TimingReport
 
-    @property
-    def fmax_gain(self) -> float:
-        return self.after.fmax_mhz / self.before.fmax_mhz if self.before.fmax_mhz else 1.0
-
 
 class _SiteGrid:
     """Occupied sites as an ``(ncols, nrows)`` mask that answers ``in``

@@ -14,6 +14,9 @@ from ..netlist.design import Design
 
 __all__ = ["OptStats", "opt_design"]
 
+#: A data net with more sinks than this is reported as high-fanout.
+HIGH_FANOUT = 64
+
 
 @dataclass(frozen=True)
 class OptStats:
@@ -25,7 +28,7 @@ class OptStats:
     n_nets: int
 
 
-def opt_design(design: Design, high_fanout_threshold: int = 64) -> OptStats:
+def opt_design(design: Design) -> OptStats:
     """Clean *design* in place; returns statistics."""
     port_nets = {p.net for p in design.ports.values()}
     dead = [
@@ -38,7 +41,7 @@ def opt_design(design: Design, high_fanout_threshold: int = 64) -> OptStats:
     high_fanout = sum(
         1
         for net in design.nets.values()
-        if not net.is_clock and len(net.sinks) > high_fanout_threshold
+        if not net.is_clock and len(net.sinks) > HIGH_FANOUT
     )
     return OptStats(
         removed_nets=len(dead),

@@ -192,3 +192,17 @@ def test_corrupt_disk_entry_is_a_miss(small_device, comps, tmp_path):
     assert path.read_bytes() == good          # rebuilt and replaced
     _, report, counts = _build(small_device, comps[:1], lib)
     assert counts == {"hit": 1, "rejected": 0}
+
+
+def test_library_named_by_a_string(tmp_path):
+    """A library directory given as a ``str`` is a path like any other:
+    the second compile is answered from the first one's files."""
+    from repro.netlist.codec import encode_design
+    from repro.spec import JobSpec, compile_spec
+
+    spec = JobSpec(model="lenet5", part="small", effort="low")
+    cold = compile_spec(spec, jobs=1, library=str(tmp_path))
+    assert cold.extras["offline_s"] > 0.0 and any(tmp_path.iterdir())
+    warm = compile_spec(spec, jobs=1, library=str(tmp_path))
+    assert warm.extras["offline_s"] == 0.0
+    assert encode_design(warm.design) == encode_design(cold.design)

@@ -1,5 +1,7 @@
 """Shared-component (Q-CLE) architecture mode."""
 
+import math
+
 import pytest
 
 from repro.cnn import Conv2D, DFG, Dense, Flatten, Input, MaxPool2D, ReLU, group_components
@@ -74,15 +76,122 @@ def test_shared_deterministic(small_device):
     assert results[0].fmax_mhz == pytest.approx(results[1].fmax_mhz)
 
 
-# -- compose_shared moves each instance in; the cloning composition is its oracle ------------
+# -- the scheduler is a library component; the star is compose's ---------------------------
 
 
-def _compose_shared_by_cloning(name, components, database, device, anchors, scheduler):
-    """``compose_shared`` by copies: a plain fetch plus an ``instantiate``
+def _spy_on_compose(monkeypatch):
+    """Record every ``compose`` call of the flow as ``(args, kwargs, stitch,
+    n_blocks)``: the top's placed-block count as ``compose`` returned it,
+    before anything routes or reads it."""
+    import repro.rapidwright.flow as flow_module
+
+    calls, real = [], flow_module.compose
+
+    def spy(*args, **kwargs):
+        stitch = real(*args, **kwargs)
+        calls.append((args, kwargs, stitch, len(stitch.top.blocks)))
+        return stitch
+
+    monkeypatch.setattr(flow_module, "compose", spy)
+    return calls
+
+
+def test_scheduler_is_built_offline_once(small_device, monkeypatch):
+    """The first shared run builds the scheduler into the database and
+    counts it as offline work; the second pre-implements nothing."""
+    import repro.engine.workers
+    import repro.rapidwright.ooc
+    from repro.netlist.codec import encode_design
+
+    net = _repnet()
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    db, _ = flow.build_database(net)
+    n_words = max(math.prod(c.out_shape) for c in group_components(net, "layer"))
+    assert not db.has(("memctrl", n_words))
+    first = flow.run(net, database=db, share_components=True)
+    assert first.extras["offline_s"] > 0.0
+    assert db.has(("memctrl", n_words))
+    assert db.fmax_of(("memctrl", n_words)) == next(
+        r.fmax_ooc_mhz for r in first.extras["stitch"].records if r.name == "scheduler")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("preimplement called on a built database")
+
+    monkeypatch.setattr(repro.rapidwright.ooc, "preimplement", refuse)
+    monkeypatch.setattr(repro.engine.workers, "preimplement", refuse)
+    second = flow.run(net, database=db, share_components=True)
+    assert second.extras["offline_s"] == 0.0
+    assert encode_design(second.design) == encode_design(first.design)
+
+
+def test_shared_top_is_block_backed(small_device, monkeypatch, pair):
+    """Right after ``compose`` the shared top holds one placed block per
+    physical engine plus the scheduler's: the star edits no object."""
+    net, _, shared = pair
+    calls = _spy_on_compose(monkeypatch)
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    again = flow.run(net, database=shared.extras["database"], share_components=True)
+    ((_, kwargs, _, n_blocks),) = calls
+    assert kwargs["hub"].name == "scheduler"
+    assert n_blocks == again.design.metadata["n_physical"] + 1
+
+
+def test_library_answers_the_scheduler(small_device, tmp_path):
+    """A fresh database on the same directory reads the scheduler's file
+    like every other component's."""
+    from repro.netlist.codec import encode_design
+    from repro.obs import Tracer
+    from repro.rapidwright import ComponentDatabase
+
+    net = _repnet()
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    cold = flow.run(net, database=ComponentDatabase(small_device, directory=tmp_path),
+                    share_components=True)
+    assert cold.extras["offline_s"] > 0.0
+    assert len(list(tmp_path.iterdir())) == len(cold.extras["database"])
+    tracer = Tracer()
+    with tracer.activate():
+        warm = flow.run(net, database=ComponentDatabase(small_device, directory=tmp_path),
+                        share_components=True)
+    assert warm.extras["offline_s"] == 0.0
+    # every record from its file: the components, then the scheduler
+    n_words = max(math.prod(c.out_shape) for c in group_components(net, "layer"))
+    assert warm.extras["database"].has(("memctrl", n_words))
+    assert tracer.metrics.counter("library.hit").value == len(warm.extras["database"])
+    assert encode_design(warm.design) == encode_design(cold.design)
+
+
+def test_compose_star_equals_compose_reference(big_device, monkeypatch):
+    """The declared oracle covers the star: ``compose(hub=)`` and
+    ``compose_reference(hub=)`` build the same top, records and nets."""
+    from repro.cnn import lenet5
+    from repro.netlist import design_to_dict
+    from repro.rapidwright.stitcher import compose, compose_reference
+
+    net = lenet5()
+    flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
+    db, _ = flow.build_database(net)
+    calls = _spy_on_compose(monkeypatch)
+    flow.run(net, database=db, share_components=True)
+    ((args, kwargs, _, _),) = calls
+    assert kwargs["hub"] is not None
+    moved = compose(*args, **kwargs)
+    cloned = compose_reference(*args, **kwargs)
+    assert design_to_dict(moved.top) == design_to_dict(cloned.top)
+    assert moved.records == cloned.records
+    assert moved.stitch_nets == cloned.stitch_nets
+    assert len(moved.stitch_nets) == 2 * moved.top.metadata["n_physical"]
+
+
+# -- compose(hub=) moves each instance in; the cloning composition is its oracle -------------
+
+
+def _compose_shared_by_cloning(name, components, database, device, anchors, *, hub):
+    """``compose(hub=)`` by copies: a plain fetch plus an ``instantiate``
     clone per engine, the ``relocate_reference`` oracle plus a clone for
     the scheduler.  Same top design, three copies of everything.
     (Streamed weight inputs become top-level memory ports, as in
-    ``compose``.)"""
+    the chain.)"""
     from repro.netlist import Design
     from repro.netlist.net import Port
     from repro.netlist.stitch import merge_clock_nets, prune_dangling_nets
@@ -98,6 +207,8 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
     top = Design(name)
     result = StitchResult(top=top)
     footprints = {}
+    assert hub.signature[0] == "memctrl"
+    scheduler = database.get(hub.signature)      # ("memctrl", n_words): a library record
     sched = relocate_reference(scheduler, device, anchors["scheduler"])
     footprints["scheduler"] = box(sched.pblock)
     sched_map = top.instantiate(sched, prefix="scheduler", module="scheduler")
@@ -106,7 +217,7 @@ def _compose_shared_by_cloning(name, components, database, device, anchors, sche
     del top.nets[sched_map["in_data"]]
     del top.nets[sched_map["out_data"]]
     result.records.append(StitchRecord(
-        "scheduler", ("scheduler",), anchors["scheduler"],
+        "scheduler", hub.signature, anchors["scheduler"],
         sched.metadata.get("ooc", {}).get("fmax_mhz", 0.0), len(sched.cells)))
     n_weight_ports = 0
     for comp in unique.values():
@@ -162,7 +273,7 @@ def test_compose_shared_equals_the_cloning_composition(big_device, monkeypatch, 
     flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
     db, _ = flow.build_database(net, **kwargs)
     moved = flow.run(net, database=db, share_components=True, **kwargs)
-    monkeypatch.setattr(flow_module, "compose_shared", _compose_shared_by_cloning)
+    monkeypatch.setattr(flow_module, "compose", _compose_shared_by_cloning)
     cloned = flow.run(net, database=db, share_components=True, **kwargs)
     assert design_to_dict(moved.design) == design_to_dict(cloned.design)
     assert moved.extras["stitch"].records == cloned.extras["stitch"].records
@@ -170,7 +281,7 @@ def test_compose_shared_equals_the_cloning_composition(big_device, monkeypatch, 
 
 
 def test_shared_build_with_streamed_weights_exposes_weight_ports(big_device):
-    """Regression: ``compose_shared`` never promoted ``in_weights*``, so a
+    """Regression: the shared composition never promoted ``in_weights*``, so a
     streamed-weights shared build died in its final ``validate`` with
     ``[NET-002] net comp0_conv1/port_in_weights_270 has no driver and no
     input port``.  They become ``weights_<comp>_<i>`` memory ports, as in
