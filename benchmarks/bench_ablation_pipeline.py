@@ -7,7 +7,7 @@ aggressive target and measure both effects.
 """
 
 from repro import Device, lenet5
-from repro.analysis import format_table, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
 from repro.cnn import group_components
 from repro.rapidwright import PreImplementedFlow
 
@@ -28,15 +28,11 @@ def _run(device):
 def test_ablation_pipelining(benchmark, device):
     plain, piped, db = benchmark.pedantic(_run, args=(device,), rounds=1, iterations=1)
     comps = group_components(lenet5(), "layer")
-    par_of = {
-        c.name: db.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-        for c in comps
-    }
-    lat_plain = network_latency(comps, plain.fmax_mhz,
-                                parallelism_of=lambda c: par_of[c.name])
+    par_of = library_parallelism(db)
+    lat_plain = network_latency(comps, plain.fmax_mhz, parallelism_of=par_of)
     regs = piped.design.metadata.get("pipeline_regs", 0)
     lat_piped = network_latency(comps, piped.fmax_mhz,
-                                parallelism_of=lambda c: par_of[c.name],
+                                parallelism_of=par_of,
                                 pipeline_regs=regs)
     show(format_table(
         ["variant", "Fmax", "pipeline regs", "latency"],

@@ -9,7 +9,8 @@ resources, more latency (one pass per logical layer through shared
 engines).
 """
 
-from repro.analysis import format_table, network_latency, pct_str, simulate_stream
+from repro.analysis import (format_table, library_parallelism, network_latency, pct_str,
+                            simulate_stream)
 from repro.cnn import DFG, Conv2D, Dense, Flatten, Input, MaxPool2D, ReLU, group_components
 from repro.rapidwright import PreImplementedFlow
 
@@ -37,16 +38,11 @@ def test_ablation_sharing(benchmark, device):
 
     net, db, replicated, shared = benchmark.pedantic(build, rounds=1, iterations=1)
     comps = group_components(net, "layer")
-    par_of = {
-        c.name: db.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-        for c in comps
-    }
-    lat_rep = network_latency(comps, replicated.fmax_mhz,
-                              parallelism_of=lambda c: par_of[c.name])
+    par_of = library_parallelism(db)
+    lat_rep = network_latency(comps, replicated.fmax_mhz, parallelism_of=par_of)
     # shared engines process every logical layer sequentially through the
     # scheduler: same per-layer cycles at the shared design's clock
-    lat_shr = network_latency(comps, shared.fmax_mhz,
-                              parallelism_of=lambda c: par_of[c.name])
+    lat_shr = network_latency(comps, shared.fmax_mhz, parallelism_of=par_of)
     ur = replicated.design.resource_usage()
     us = shared.design.resource_usage()
     show(format_table(
@@ -70,6 +66,5 @@ def test_ablation_sharing(benchmark, device):
     # ...but never improves per-pass latency (same engines, extra hops)
     assert lat_shr.total_us >= lat_rep.total_us * 0.8
     # the streaming simulation still covers every logical layer
-    sim = simulate_stream(comps, shared.fmax_mhz,
-                          parallelism_of=lambda c: par_of[c.name])
+    sim = simulate_stream(comps, shared.fmax_mhz, parallelism_of=par_of)
     assert len(sim.stages) == len(comps)

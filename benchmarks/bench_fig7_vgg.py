@@ -7,7 +7,7 @@ the stitched design clocks higher but pays a small latency penalty from
 pipeline registers inserted across fabric discontinuities.
 """
 
-from repro.analysis import format_table, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
 from repro.cnn import group_components, vgg16
 
 from conftest import show
@@ -24,16 +24,12 @@ def test_fig7(benchmark, device, vgg_pair):
     db = pair.database
 
     def build():
-        par_of = {
-            c.name: db.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-            for c in comps
-        }
+        par_of = library_parallelism(db)
         regs = pair.ours.design.metadata.get("pipeline_regs", 0)
         lat_ours = network_latency(comps, pair.ours.fmax_mhz,
-                                   parallelism_of=lambda c: par_of[c.name],
+                                   parallelism_of=par_of,
                                    pipeline_regs=regs)
-        lat_base = network_latency(comps, pair.baseline.fmax_mhz,
-                                   parallelism_of=lambda c: par_of[c.name])
+        lat_base = network_latency(comps, pair.baseline.fmax_mhz, parallelism_of=par_of)
         return lat_ours, lat_base
 
     lat_ours, lat_base = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -7,7 +7,7 @@ upper-bounded by the slowest component; conv2 slower than conv1 because
 of its higher parameter count.
 """
 
-from repro.analysis import format_table, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
 from repro.cnn import group_components, lenet5
 
 from conftest import show
@@ -26,18 +26,10 @@ def test_table3(benchmark, device, lenet_pair):
     db = pair.database
 
     def build_rows():
-        par_of = {}
-        for comp in comps:
-            design = db.get(comp.signature)
-            par_of[comp.name] = design.metadata.get("parallelism", {"pf": 1, "pk": 1})
-        lat = network_latency(
-            comps,
-            pair.ours.fmax_mhz,
-            parallelism_of=lambda c: par_of[c.name],
-        )
-        return par_of, lat
+        return network_latency(comps, pair.ours.fmax_mhz,
+                               parallelism_of=library_parallelism(db))
 
-    par_of, lat = benchmark.pedantic(build_rows, rounds=1, iterations=1)
+    lat = benchmark.pedantic(build_rows, rounds=1, iterations=1)
 
     rows = []
     for record, comp, comp_lat in zip(stitch.records, comps, lat.components):

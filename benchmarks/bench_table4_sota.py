@@ -6,7 +6,8 @@ pre-implemented VGG build.  The paper's claim: highest Fmax among the
 compared implementations, competitive latency (42.68 ms), DSP ~76 %.
 """
 
-from repro.analysis import SOTA_TABLE, comparison_rows, format_table, network_latency
+from repro.analysis import (SOTA_TABLE, comparison_rows, format_table, library_parallelism,
+                            network_latency)
 from repro.cnn import group_components, vgg16
 
 from conftest import show
@@ -22,12 +23,8 @@ def test_table4(benchmark, device, vgg_pair):
         dsp_pct = 100.0 * device.utilization(
             {"DSP48E2": usage.get("DSP48E2", 0)}
         )["DSP48E2"]
-        par_of = {
-            c.name: db.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-            for c in comps
-        }
-        lat = network_latency(comps, pair.ours.fmax_mhz,
-                              parallelism_of=lambda c: par_of[c.name])
+        par_of = library_parallelism(db)
+        lat = network_latency(comps, pair.ours.fmax_mhz, parallelism_of=par_of)
         return comparison_rows(pair.ours.fmax_mhz, dsp_pct, lat.total_ms), lat
 
     rows, lat = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -12,7 +12,7 @@ Run:  python examples/lenet_accelerator.py
 import numpy as np
 
 from repro import Device, lenet5, random_weights, run_inference
-from repro.analysis import compare_productivity, format_table, network_latency
+from repro.analysis import compare_productivity, format_table, library_parallelism, network_latency
 from repro.cnn import group_components, quantized_inference
 from repro.power import estimate_power
 from repro.rapidwright import PreImplementedFlow
@@ -34,12 +34,8 @@ def main() -> None:
 
     comps = group_components(net, "layer")
     stitch = ours.extras["stitch"]
-    par_of = {
-        c.name: database.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-        for c in comps
-    }
-    latency = network_latency(comps, ours.fmax_mhz,
-                              parallelism_of=lambda c: par_of[c.name])
+    par_of = library_parallelism(database)
+    latency = network_latency(comps, ours.fmax_mhz, parallelism_of=par_of)
 
     rows = []
     for record, comp, lat in zip(stitch.records, comps, latency.components):

@@ -13,7 +13,7 @@ Run:  python examples/vgg16_accelerator.py
 """
 
 from repro import Device, vgg16
-from repro.analysis import compare_productivity, format_table, network_latency
+from repro.analysis import compare_productivity, format_table, library_parallelism, network_latency
 from repro.cnn import group_components
 from repro.memory import plan_feature_maps
 from repro.rapidwright import PreImplementedFlow
@@ -52,12 +52,9 @@ def main() -> None:
     # --- Fig. 7-style table ----------------------------------------------
     comps = group_components(net, "block")
     stitch = ours.extras["stitch"]
-    par_of = {
-        c.name: database.get(c.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
-        for c in comps
-    }
+    par_of = library_parallelism(database)
     latency = network_latency(comps, ours.fmax_mhz,
-                              parallelism_of=lambda c: par_of[c.name],
+                              parallelism_of=par_of,
                               pipeline_regs=regs)
     rows = [[r.name, f"{r.fmax_ooc_mhz:.0f} MHz", str(r.anchor)] for r in stitch.records]
     rows.append(["baseline (monolithic)", f"{baseline.fmax_mhz:.0f} MHz", "-"])

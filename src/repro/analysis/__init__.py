@@ -2,7 +2,8 @@
 
 from .compare import SOTA_TABLE, SotaEntry, comparison_rows
 from .floorplan import module_legend, render_floorplan
-from .latency import ComponentLatency, NetworkLatency, component_cycles, network_latency
+from .latency import (ComponentLatency, NetworkLatency, component_cycles,
+                      library_parallelism, network_latency)
 from .productivity import ProductivityReport, compare_productivity
 from .report import format_table, pct_str, ratio_str
 from .simulate import SimulationReport, StageTrace, simulate_stream
@@ -16,6 +17,7 @@ __all__ = [
     "ComponentLatency",
     "NetworkLatency",
     "component_cycles",
+    "library_parallelism",
     "network_latency",
     "ProductivityReport",
     "compare_productivity",

@@ -20,7 +20,8 @@ from math import ceil
 
 from ..cnn.graph import Component
 
-__all__ = ["ComponentLatency", "NetworkLatency", "component_cycles", "network_latency"]
+__all__ = ["ComponentLatency", "NetworkLatency", "component_cycles", "library_parallelism",
+           "network_latency"]
 
 #: Pipeline fill + drain per component (cycles).
 FILL_CYCLES = 48
@@ -84,6 +85,15 @@ def component_cycles(comp: Component, parallelism: dict | None = None) -> int:
         lanes = max(1, pf)
         compute = ceil(c * h * w / lanes)
     return compute + FILL_CYCLES
+
+
+def library_parallelism(database):
+    """``parallelism_of`` for :func:`network_latency`, read off each
+    component's *database* record without building it."""
+    def parallelism_of(comp: Component) -> dict:
+        return database.fetch(comp.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
+
+    return parallelism_of
 
 
 def network_latency(

@@ -4,11 +4,11 @@ Pooled tasks cross a process boundary, so their callables must be
 module-level (lambdas and closures cannot be pickled).  These wrappers
 are the process-safe counterparts of the flow's build primitives: each
 takes plain picklable inputs (:class:`~repro.cnn.graph.Component`,
-:class:`~repro.fabric.device.Device`, scalars) and returns a plain dict
-whose ``blob`` is the locked design in the binary columnar codec
-(:mod:`repro.netlist.codec`) — one bytes object crosses the pipe
-instead of a dict-of-dicts the pickler has to walk, and the same value,
-parsed once and stamped, *is* the checkpoint database's record and its
+:class:`~repro.fabric.device.Device`, scalars) and returns the locked
+design in the binary columnar codec (:mod:`repro.netlist.codec`) — one
+bytes object crosses the pipe instead of a dict-of-dicts the pickler has
+to walk, and the same value, parsed once and stamped, *is* the
+checkpoint database's record (its OOC Fmax in its metadata) and its
 library file (:meth:`~repro.rapidwright.database.ComponentDatabase.build`).
 """
 
@@ -68,11 +68,11 @@ def build_component(
     effort: str = "high",
     seed: int = 0,
     plan_ports: bool = True,
-) -> dict:
+) -> bytes:
     """Generate and OOC pre-implement one component; return its checkpoint."""
     design = ComponentFactory(component, rom_weights)()
     result = preimplement(design, device, effort=effort, seed=seed, plan_ports=plan_ports)
-    return {"blob": encode_design(result.design), "fmax_mhz": result.fmax_mhz}
+    return encode_design(result.design)
 
 
 def explore_build_component(
@@ -82,7 +82,7 @@ def explore_build_component(
     rom_weights: bool = True,
     plan_ports: bool = True,
     explore: dict | None = None,
-) -> dict:
+) -> bytes:
     """Run the function-optimization DSE for one component; return the best."""
     result = explore_component(
         ComponentFactory(component, rom_weights),
@@ -90,10 +90,7 @@ def explore_build_component(
         plan_ports=plan_ports,
         **(explore or {}),
     )
-    return {
-        "blob": encode_design(result.best.design),
-        "fmax_mhz": result.best.fmax_mhz,
-    }
+    return encode_design(result.best.design)
 
 
 def run_explore_trial(factory, device: Device, point: tuple, plan_ports: bool) -> tuple:

@@ -97,7 +97,7 @@ def image_integrity(image: DesignImage) -> dict:
 
 
 def build_cache_key(
-    signature: tuple,
+    component: Component,
     device: Device,
     *,
     rom_weights: bool = True,
@@ -110,14 +110,16 @@ def build_cache_key(
 
     Everything that determines the checkpoint bytes goes in: the
     component signature, the device part, build options, the DSE sweep
-    (if any), and the engine's code-version salt.  A library directory
-    files the build as ``<key>.dcpb``.
+    (if any), and the engine's code-version salt.  The generators read
+    *rom_weights* for conv and fc stages alone, so a weightless component
+    is filed once, under its ROM-build key.  A library directory files
+    the build as ``<key>.dcpb``.
     """
     return content_key(
         "component-build",
-        signature,
+        component.signature,
         device.name,
-        rom_weights,
+        rom_weights or component.weights == 0,
         effort,
         seed,
         plan_ports,
@@ -141,12 +143,25 @@ def _signature_to_json(obj):
 @dataclass
 class _Record:
     signature: tuple
-    image: DesignImage       # the locked design, stamped with signature, integrity, build key
-    fmax_mhz: float
+    image: DesignImage       # stamped, locked design; OOC Fmax in metadata["ooc"]
     #: :func:`build_cache_key` of the build that made the image; ``""`` for a
     #: design stored by hand.
     build_key: str = ""
-    footprint: Footprint | None = field(default=None, repr=False, compare=False)
+
+
+def _footprint(image: DesignImage) -> Footprint:
+    """The placement view of *image* (kept per image: it reads the
+    columns and the OOC column signature, which stamping never changes)."""
+    if image.pblock is None:
+        raise RelocationError(f"design {image.name} has no pblock footprint")
+    return Footprint(
+        name=image.name,
+        pblock=PBlock(*image.pblock),
+        used_offsets=image.used_column_offsets(),
+        rel_sites=image.relative_sites(),
+        pin_tiles=image.port_tiles(),
+        column_signature=recorded_column_signature(image.metadata()),
+    )
 
 
 @dataclass
@@ -167,13 +182,10 @@ class ComponentDatabase:
 
     # -- store/fetch ------------------------------------------------------
 
-    def put(self, signature: tuple, design: Design, fmax_mhz: float | None = None) -> str:
-        if fmax_mhz is None:
-            fmax_mhz = design.metadata.get("ooc", {}).get("fmax_mhz", 0.0)
-        return self._ingest(signature, DesignImage.from_design(design), fmax_mhz)
+    def put(self, signature: tuple, design: Design) -> str:
+        return self._ingest(signature, DesignImage.from_design(design))
 
-    def _ingest(self, signature: tuple, image: DesignImage, fmax_mhz: float,
-                build_key: str = "") -> str:
+    def _ingest(self, signature: tuple, image: DesignImage, build_key: str = "") -> str:
         """Stamp *image* and make it the record for *signature*.
 
         The exact signature and the build key (when :meth:`build` made
@@ -190,7 +202,7 @@ class ComponentDatabase:
         if build_key:
             comp["build_key"] = build_key
         image = image.with_metadata(meta)
-        self.records[key] = _Record(signature, image, fmax_mhz, build_key)
+        self.records[key] = _Record(signature, image, build_key)
         if build_key and self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             write_atomic(self.directory / f"{build_key}.dcpb", image.to_bytes())
@@ -213,12 +225,11 @@ class ComponentDatabase:
             return False
         except (OSError, ValueError) as exc:
             return self._reject(path, str(exc))
-        comp, ooc = meta.get("component"), meta.get("ooc")
+        comp = meta.get("component")
         if not isinstance(comp, dict) or comp.get("build_key") != build_key \
                 or comp.get("signature") != _signature_to_json(signature):
             return self._reject(path, "its stamped key or signature disagrees with its name")
-        fmax = ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0
-        self.records[signature_key(signature)] = _Record(signature, image, fmax, build_key)
+        self.records[signature_key(signature)] = _Record(signature, image, build_key)
         incr("library.hit")
         return True
 
@@ -252,22 +263,9 @@ class ComponentDatabase:
         The :class:`~repro.rapidwright.module.Footprint` the component
         placer needs — pblock, used column offsets, relative sites, pin
         tiles — with no cell or net object built.  Computed once per
-        signature; equal to ``Footprint.of(self.get(signature))``.
+        image; equal to ``Footprint.of(self.get(signature))``.
         """
-        record = self._record(signature)
-        if record.footprint is None:
-            image = record.image
-            if image.pblock is None:
-                raise RelocationError(f"design {image.name} has no pblock footprint")
-            record.footprint = Footprint(
-                name=image.name,
-                pblock=PBlock(*image.pblock),
-                used_offsets=image.used_column_offsets(),
-                rel_sites=image.relative_sites(),
-                pin_tiles=image.port_tiles(),
-                column_signature=recorded_column_signature(image.metadata()),
-            )
-        return record.footprint
+        return self._record(signature).image.derived("footprint", _footprint)
 
     def fetch(
         self,
@@ -296,7 +294,9 @@ class ComponentDatabase:
         return design
 
     def fmax_of(self, signature: tuple) -> float:
-        return self.records[signature_key(signature)].fmax_mhz
+        """The OOC Fmax the record's image metadata holds, as ``compose`` reports it."""
+        ooc = self._record(signature).image.metadata().get("ooc")
+        return ooc.get("fmax_mhz", 0.0) if isinstance(ooc, dict) else 0.0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -351,7 +351,7 @@ class ComponentDatabase:
             if key in pending:
                 continue
             build_key = build_cache_key(
-                comp.signature, self.device, rom_weights=rom_weights,
+                comp, self.device, rom_weights=rom_weights,
                 effort=effort, seed=seed, plan_ports=plan_ports, explore=explore,
             )
             record = self.records.get(key)
@@ -377,7 +377,6 @@ class ComponentDatabase:
         ]
         report = Engine(jobs=jobs).run(tasks)
         for key, (comp, build_key) in pending.items():
-            out = report.results[key]
-            self._ingest(comp.signature, DesignImage.from_bytes(out["blob"]),
-                         out["fmax_mhz"], build_key)
+            self._ingest(comp.signature, DesignImage.from_bytes(report.results[key]),
+                         build_key)
         return report

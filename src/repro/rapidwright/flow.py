@@ -41,9 +41,6 @@ if TYPE_CHECKING:  # annotations only: the engine loads when a build runs
 
 __all__ = ["PreImplementedFlow"]
 
-#: Congestion halo (tiles) the component placer keeps around each pblock.
-HALO = 4
-
 
 def _scheduler(components: list[Component]) -> Component:
     """The shared architecture's scheduler, a library component like any
@@ -160,10 +157,11 @@ class PreImplementedFlow:
     ) -> FlowResult:
         """Generate the accelerator for *dfg* from pre-built checkpoints.
 
-        When *database* is ``None`` the function-optimization phase runs
-        first; its cost is reported separately in
-        ``result.extras["offline_s"]`` (the paper pays it once, offline).
-        That implicit build runs on :meth:`build_database`'s defaults.
+        The instances the *database* (``None``: a new one) lacks are
+        pre-implemented first, in one :meth:`ComponentDatabase.build` on
+        this flow's options; its cost is ``result.extras["offline_s"]``
+        (the paper pays it once, offline).  A record already present is
+        used as it is, whatever built it.
 
         ``pipeline_target_mhz`` enables the phys-opt pipelining pass
         (paper Sec. V-E): pass a frequency, or ``"auto"`` to target the
@@ -174,8 +172,8 @@ class PreImplementedFlow:
         architecture (paper Sec. III / Shen et al.): one physical engine
         per unique signature, time-multiplexed through a pre-implemented
         scheduler — fewer resources, one pass of latency per logical
-        layer.  The scheduler is one more *database* record, built the
-        first time (its cost goes to ``offline_s``) and fetched after.
+        layer.  The scheduler is one more record, ``("memctrl",
+        n_words)``, under the same rule.
         """
         with span("flow.run", flow="preimpl", model=dfg.name,
                   granularity=granularity) as run_span:
@@ -187,40 +185,33 @@ class PreImplementedFlow:
 
     def _run(self, dfg, granularity, rom_weights, database, pipeline_target_mhz,
              share_components) -> FlowResult:
-        offline_s = 0.0
-        if database is None or not len(database):
-            database, offline = self.build_database(
-                dfg, granularity=granularity, rom_weights=rom_weights, database=database
-            )
-            offline_s = offline.run_s
-
+        if database is None:  # not ``or``: an empty database is falsy (``__len__``)
+            database = ComponentDatabase(self.device)
         stages: dict[str, float] = {}
         with stage(stages, "rw:component_extraction"):
             components = group_components(dfg, granularity)
         instances, hub, arch = components, None, "preimpl"
         if share_components:
             # One physical engine per signature, time-multiplexed through
-            # the scheduler: one more library record, built offline once.
+            # the scheduler: one more library record.
             hub = _scheduler(components)
-            offline_s += database.build(
-                [hub], rom_weights=rom_weights, effort=self.component_effort,
-                seed=self.seed, plan_ports=self.plan_ports,
-            ).run_s
             instances, arch = [*unique_components(components), hub], "shared"
+
+        # Function optimization for what the database lacks, and only that:
+        # a record already there is used as it is, whatever built it.
+        missing = [comp for comp in instances if not database.has(comp.signature)]
+        offline_s = database.build(
+            missing, rom_weights=rom_weights, effort=self.component_effort,
+            seed=self.seed, plan_ports=self.plan_ports,
+        ).run_s if missing else 0.0
 
         with stage(stages, "rw:component_matching"):
             # Placement reads only footprints; compose() materializes each
             # component once, at the anchor chosen below.
-            items = []
-            for comp in instances:
-                if not database.has(comp.signature):
-                    raise KeyError(
-                        f"component {comp.name} ({comp.kind}) missing from database"
-                    )
-                items.append((comp.name, database.footprint(comp.signature)))
+            items = [(comp.name, database.footprint(comp.signature)) for comp in instances]
 
         with stage(stages, "rw:component_placement"):
-            placer = ComponentPlacer(self.device, halo=HALO)
+            placer = ComponentPlacer(self.device)
             if hub is None:
                 connections = [(i - 1, i) for i in range(1, len(items))]
             else:  # star topology: every engine talks to the scheduler

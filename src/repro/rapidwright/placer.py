@@ -23,7 +23,7 @@ import numpy as np
 
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
-from ..netlist.design import Design, DesignError
+from ..netlist.design import DesignError
 from ..obs.span import incr, span
 from .module import Footprint
 
@@ -176,18 +176,17 @@ class ComponentPlacer:
 
     def place(
         self,
-        items: list[tuple[str, "Design | Footprint"]],
+        items: list[tuple[str, Footprint]],
         connections: list[tuple[int, int]],
     ) -> ComponentPlacement:
         """Assign anchors to *items* (BFS order) with *connections* between
-        them (index pairs).  An item is a module design or just its
+        them (index pairs).  An item is a module's name and its
         :class:`~repro.rapidwright.module.Footprint` — the search reads
-        nothing else.  Raises :class:`PlacementInfeasible` when the
-        bounded backtracking search fails."""
+        nothing else (``Footprint.of(design)`` for a live design).
+        Raises :class:`PlacementInfeasible` when the bounded backtracking
+        search fails."""
         with span("place.components", components=len(items)) as place_span:
-            result = self._place(
-                [(name, Footprint.of(module)) for name, module in items], connections
-            )
+            result = self._place(items, connections)
             place_span.set(attempts=result.attempts, backtracks=result.backtracks)
         incr("place.component_attempts", result.attempts)
         incr("place.component_backtracks", result.backtracks)

@@ -91,7 +91,7 @@ class TestSharedStress:
             try:
                 for _ in range(10):
                     db = ComponentDatabase(small_device, directory=lib)
-                    db._ingest(comp.signature, record.image, record.fmax_mhz, record.build_key)
+                    db._ingest(comp.signature, record.image, record.build_key)
                     if not ComponentDatabase(small_device, directory=lib)._load(
                             comp.signature, record.build_key):
                         errors.append("rejected")
@@ -159,10 +159,10 @@ class TestCorruptBlobs:
         first, second = group_components(make_tiny_cnn(), "layer")[:2]
         lib = tmp_path / "lib"
         ComponentDatabase(small_device, directory=lib).build([first, second], **LOW)
-        path = lib / f"{build_cache_key(first.signature, small_device, **OPTIONS)}.dcpb"
+        path = lib / f"{build_cache_key(first, small_device, **OPTIONS)}.dcpb"
         good = path.read_bytes()
         if stranger == "other_component":
-            foreign = lib / f"{build_cache_key(second.signature, small_device, **OPTIONS)}.dcpb"
+            foreign = lib / f"{build_cache_key(second, small_device, **OPTIONS)}.dcpb"
             path.write_bytes(foreign.read_bytes())
         else:
             other = ComponentDatabase(small_device)

@@ -117,7 +117,7 @@ def test_component_placer_threshold_rejects_expensive(small_device):
     from repro.rapidwright import PlacementInfeasible
 
     with pytest.raises(PlacementInfeasible):
-        placer.place([("a", a), ("b", b)], [(0, 1)])
+        placer.place([("a", Footprint.of(a)), ("b", Footprint.of(b))], [(0, 1)])
 
 
 def test_halo_clamps_to_device(small_device):

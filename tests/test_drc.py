@@ -310,7 +310,8 @@ def make_database(device):
     d = make_clean_design()
     for cell in d.cells.values():
         cell.locked = True
-    db.put(("sig", 1), d, fmax_mhz=100.0)
+    d.metadata["ooc"] = {"fmax_mhz": 100.0}
+    db.put(("sig", 1), d)
     return db
 
 

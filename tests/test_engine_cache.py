@@ -159,7 +159,7 @@ def test_directory_cache_persists_across_instances(small_device, comps, tmp_path
     lib = tmp_path / "lib"
     first, _, _ = _build(small_device, comps, lib)
     assert sorted(_files(lib)) == sorted(
-        f"{build_cache_key(c.signature, small_device, **LOW)}.dcpb"
+        f"{build_cache_key(c, small_device, **LOW)}.dcpb"
         for c in {c.signature: c for c in comps}.values())
     second, report, counts = _build(small_device, comps, lib)
     assert report.tasks == [] and report.run_s == 0.0

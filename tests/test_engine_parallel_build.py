@@ -243,9 +243,9 @@ def test_parallel_build_bit_identical_to_serial(small_device, comps):
     parallel.build(comps, rom_weights=True, effort="low", seed=0, jobs=2)
     assert set(serial.records) == set(parallel.records)
     assert _payload_blobs(serial) == _payload_blobs(parallel)
-    for key in serial.records:
-        assert serial.records[key].fmax_mhz == parallel.records[key].fmax_mhz
-        assert serial.records[key].signature == parallel.records[key].signature
+    for key, record in serial.records.items():
+        assert serial.fmax_of(record.signature) == parallel.fmax_of(record.signature)
+        assert record.signature == parallel.records[key].signature
 
 
 def test_vgg16_block_library_pooled_byte_identical(big_device, cores):
@@ -293,15 +293,35 @@ def test_warm_cache_rebuild_hits_everything(small_device, comps, tmp_path):
 
 
 def test_cache_key_covers_build_options(small_device, comps):
-    sig = comps[0].signature
-    base = build_cache_key(sig, small_device, effort="low", seed=0)
-    assert base == build_cache_key(sig, small_device, effort="low", seed=0)
-    assert base != build_cache_key(sig, small_device, effort="high", seed=0)
-    assert base != build_cache_key(sig, small_device, effort="low", seed=1)
-    assert base != build_cache_key(sig, small_device, effort="low", seed=0,
+    comp = comps[0]
+    base = build_cache_key(comp, small_device, effort="low", seed=0)
+    assert base == build_cache_key(comp, small_device, effort="low", seed=0)
+    assert base != build_cache_key(comp, small_device, effort="high", seed=0)
+    assert base != build_cache_key(comp, small_device, effort="low", seed=1)
+    assert base != build_cache_key(comp, small_device, effort="low", seed=0,
                                    plan_ports=False)
-    assert base != build_cache_key(sig, small_device, effort="low", seed=0,
+    assert base != build_cache_key(comp, small_device, effort="low", seed=0,
                                    explore={"seeds": (0, 1)})
+
+
+def test_weightless_components_have_one_key_for_both_weight_styles(small_device):
+    """The generators read ``rom_weights`` for conv and fc stages only: a
+    pool component builds the same bytes either way and is filed under
+    one key, while conv and fc keys keep the two styles apart."""
+    from repro.engine.workers import build_component
+
+    weightless = 0
+    for comp in group_components(lenet5(), "layer"):
+        keys = {build_cache_key(comp, small_device, rom_weights=rom, effort="low")
+                for rom in (True, False)}
+        if comp.weights:
+            assert comp.kind in ("conv", "fc") and len(keys) == 2, comp.name
+            continue
+        weightless += 1
+        assert len(keys) == 1, comp.name
+        assert build_component(comp, small_device, rom_weights=True, effort="low") == \
+            build_component(comp, small_device, rom_weights=False, effort="low")
+    assert weightless == 2
 
 
 # -- signature round-trip (regression: reloaded DB used to never hit) ---------

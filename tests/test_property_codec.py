@@ -439,7 +439,8 @@ def test_hostile_bytes_raise_value_error_or_decode_consistently(design, seed):
 def test_fetch_matches_relocate_reference(design, anchor_pick):
     db = ComponentDatabase(device=SMALL)
     signature = ("prop", design.name)
-    db.put(signature, design, fmax_mhz=123.0)
+    design.metadata["ooc"] = {"fmax_mhz": 123.0}
+    db.put(signature, design)
 
     anchors = candidate_anchors(SMALL, design)
     assert anchors, "pblock placed on-device must have at least one anchor"
@@ -458,7 +459,8 @@ def test_fetch_matches_relocate_reference(design, anchor_pick):
 def test_fetch_zero_offset_equals_get(design):
     db = ComponentDatabase(device=SMALL)
     signature = ("zero", design.name)
-    db.put(signature, design, fmax_mhz=1.0)
+    design.metadata["ooc"] = {"fmax_mhz": 1.0}
+    db.put(signature, design)
     home = (design.pblock.col0, design.pblock.row0)
     assert design_to_dict(db.fetch(signature, home, device=SMALL)) == \
         design_to_dict(db.get(signature))
@@ -469,7 +471,8 @@ def test_fetch_zero_offset_equals_get(design):
 def test_fetch_relocation_error_parity(design):
     db = ComponentDatabase(device=SMALL)
     signature = ("err", design.name)
-    db.put(signature, design, fmax_mhz=1.0)
+    design.metadata["ooc"] = {"fmax_mhz": 1.0}
+    db.put(signature, design)
     bad = (SMALL.ncols + 10, 0)  # off the east edge of the device
     with pytest.raises(RelocationError) as fast_err:
         db.fetch(signature, bad, device=SMALL)

@@ -375,9 +375,7 @@ def test_parallel_build_timing_matches_serial(small_device):
 
     graph = RoutingGraph(small_device)
     for comp in comps:
-        rs = serial.records[_key(comp)]
-        rp = parallel.records[_key(comp)]
-        assert rs.fmax_mhz == rp.fmax_mhz
+        assert serial.fmax_of(comp.signature) == parallel.fmax_of(comp.signature)
         d1 = serial.get(comp.signature)
         d2 = parallel.get(comp.signature)
         ref = analyze_reference(d1, small_device, graph)
@@ -385,9 +383,3 @@ def test_parallel_build_timing_matches_serial(small_device):
         assert (ref.period_ps, ref.critical_path, ref.n_paths) == (
             inc.period_ps, inc.critical_path, inc.n_paths
         )
-
-
-def _key(comp):
-    from repro.rapidwright import signature_key
-
-    return signature_key(comp.signature)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import library_parallelism
 from repro.cnn import group_components
 from repro.fabric import PBlock
 from repro.obs import Tracer
@@ -30,6 +31,18 @@ def test_build_stores_unique_signatures(db):
     assert len(database) == len({c.signature for c in comps})
     for comp in comps:
         assert database.has(comp.signature)
+
+
+def test_library_parallelism_reads_each_record_once_unbuilt(db):
+    """The latency model's parallelism comes off the record's metadata:
+    what the built checkpoint carries, with no cell of it built."""
+    database, comps = db
+    parallelism_of = library_parallelism(database)
+    tracer = Tracer()
+    with tracer.activate():
+        got = [parallelism_of(comp) for comp in comps]
+    assert got == [database.get(c.signature).metadata["parallelism"] for c in comps]
+    assert tracer.metrics.counter("codec.materialize").value == 0
 
 
 def test_get_returns_fresh_locked_copies(db):
@@ -91,7 +104,7 @@ def test_persistence_roundtrip(small_device, tmp_path, db):
 
 def test_placer_assigns_disjoint_sites(small_device, db):
     database, comps = db
-    items = [(c.name, database.get(c.signature)) for c in comps]
+    items = [(c.name, database.footprint(c.signature)) for c in comps]
     placer = ComponentPlacer(small_device)
     placement = placer.place(items, [(i - 1, i) for i in range(1, len(items))])
     assert set(placement.anchors) == {c.name for c in comps}
@@ -109,7 +122,7 @@ def test_placer_assigns_disjoint_sites(small_device, db):
 
 def test_placer_keeps_chain_neighbours_close(small_device, db):
     database, comps = db
-    items = [(c.name, database.get(c.signature)) for c in comps]
+    items = [(c.name, database.footprint(c.signature)) for c in comps]
     placement = ComponentPlacer(small_device).place(
         items, [(i - 1, i) for i in range(1, len(items))]
     )
@@ -122,7 +135,7 @@ def test_placer_keeps_chain_neighbours_close(small_device, db):
 
 def test_placer_infeasible_when_device_too_small(tiny_device, small_device, db):
     database, comps = db  # built for the small device
-    items = [(c.name, database.get(c.signature)) for c in comps]
+    items = [(c.name, database.footprint(c.signature)) for c in comps]
     # tiny device lacks compatible columns for these footprints
     with pytest.raises(PlacementInfeasible):
         ComponentPlacer(tiny_device).place(items, [])
@@ -130,7 +143,7 @@ def test_placer_infeasible_when_device_too_small(tiny_device, small_device, db):
 
 def test_placer_single_component(small_device, db):
     database, comps = db
-    items = [(comps[0].name, database.get(comps[0].signature))]
+    items = [(comps[0].name, database.footprint(comps[0].signature))]
     placement = ComponentPlacer(small_device).place(items, [])
     assert comps[0].name in placement.anchors
     assert placement.timing_cost == 0.0

@@ -1,14 +1,16 @@
 """Stitcher and end-to-end pre-implemented flow on the tiny CNN."""
 
 import gc
+import os
 
 import pytest
 
 from repro.analysis.productivity import BASELINE_STAGES, ROUTE_STAGES, RW_STAGES
 from repro.cnn import group_components
 from repro.obs import Tracer
-from repro.rapidwright import ComponentDatabase, PreImplementedFlow, compose
+from repro.rapidwright import ComponentDatabase, PreImplementedFlow, compose, signature_key
 from repro.rapidwright.placer import ComponentPlacer
+from repro.rapidwright.stitcher import unique_components
 from repro.serve.progress import STAGE_MAP
 from repro.vivado import VivadoFlow
 from tests.conftest import make_tiny_cnn, stages_under_run
@@ -164,13 +166,37 @@ def test_stage_ledger_matches_trace(traced_lenet):
     assert named <= emitted, sorted(named - emitted)
 
 
-def test_flow_missing_component_raises(small_device):
-    net = make_tiny_cnn()
-    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    empty_but_nonempty = ComponentDatabase(small_device)
-    empty_but_nonempty.records["bogus"] = None  # non-empty so build is skipped
-    with pytest.raises(KeyError, match="missing from database"):
-        flow.run(net, rom_weights=True, database=empty_but_nonempty)
+def test_run_builds_only_what_the_database_lacks(small_device, flow_pair, monkeypatch):
+    """A database holding part of the network's signatures: the run
+    pre-implements exactly the rest, in one offline build, and uses the
+    records it found as they are."""
+    import repro.engine.workers as workers
+
+    _, _, db, net = flow_pair
+    comps = unique_components(group_components(net, "layer"))
+    partial = ComponentDatabase(small_device)
+    for comp in comps[::2]:
+        key = signature_key(comp.signature)
+        partial.records[key] = db.records[key]
+    held = {key: record.image for key, record in partial.records.items()}
+
+    built = []
+    preimplement = workers.preimplement
+
+    def counted(design, *args, **kwargs):
+        built.append(design.name)
+        return preimplement(design, *args, **kwargs)
+
+    monkeypatch.setattr(workers, "preimplement", counted)
+    # one usable core: the build runs in this process, where the count is kept
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    result = PreImplementedFlow(small_device, component_effort="low", seed=0).run(
+        net, rom_weights=True, database=partial)
+
+    assert len(built) == len(comps) - len(held) > 0
+    assert all(partial.has(comp.signature) for comp in comps)
+    assert all(partial.records[key].image is image for key, image in held.items())
+    assert result.extras["offline_s"] > 0
 
 
 def test_productivity_report(flow_pair):

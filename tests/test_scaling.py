@@ -201,7 +201,9 @@ def _component(n: int) -> Design:
 
 def _stitch_case(n: int):
     database = ComponentDatabase(DEVICE)
-    database.put(("syn", n), _component(n), fmax_mhz=500.0)
+    design = _component(n)
+    design.metadata["ooc"] = {"fmax_mhz": 500.0}
+    database.put(("syn", n), design)
     comps = [Component(f"u{k}", [], "syn", ("syn", n), (), ()) for k in range(3)]
     height = (n - 1) // WIDTH + 1
     anchors = {c.name: (CLB[0], k * height) for k, c in enumerate(comps)}
@@ -215,6 +217,22 @@ def _stitched(n: int, form: str):
     if form == "flat":
         top.cells
     return top
+
+
+def test_a_record_keeps_one_ooc_fmax():
+    """The library and composition read a record's OOC Fmax off one
+    place, its image's metadata, so they agree after it changes."""
+    comps, database, anchors = _stitch_case(40)
+    assert database.fmax_of(("syn", 40)) == 500.0
+    records = compose("top", comps, database, DEVICE, anchors).records
+    assert [r.fmax_ooc_mhz for r in records] == [500.0] * 3
+    (record,) = database.records.values()
+    meta = record.image.metadata()
+    meta["ooc"]["fmax_mhz"] = 250.0
+    record.image = record.image.with_metadata(meta)
+    assert database.fmax_of(("syn", 40)) == 250.0
+    records = compose("top", comps, database, DEVICE, anchors).records
+    assert [r.fmax_ooc_mhz for r in records] == [250.0] * 3
 
 
 def test_compose_is_linear():

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.cnn import Conv2D, DFG, Dense, Flatten, Input, MaxPool2D, ReLU, group_components
-from repro.rapidwright import PreImplementedFlow
+from repro.cnn import Conv2D, DFG, Dense, Flatten, Input, MaxPool2D, ReLU, group_components, lenet5
+from repro.rapidwright import ComponentDatabase, PreImplementedFlow
+from repro.rapidwright.stitcher import unique_components
 
 
 def _repnet() -> DFG:
@@ -122,6 +123,20 @@ def test_scheduler_is_built_offline_once(small_device, monkeypatch):
     second = flow.run(net, database=db, share_components=True)
     assert second.extras["offline_s"] == 0.0
     assert encode_design(second.design) == encode_design(first.design)
+
+
+def test_alternating_weights_build_the_scheduler_once(small_device):
+    """The scheduler's bytes do not depend on the weight style, and a
+    record already in the database is used whatever built it: shared
+    runs that alternate ``rom_weights`` pre-implement nothing after the
+    first."""
+    db = ComponentDatabase(small_device)
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    offline = [flow.run(lenet5(), rom_weights=rom, database=db,
+                        share_components=True).extras["offline_s"]
+               for rom in (True, False, True, False)]
+    assert offline[0] > 0.0 and offline[1:] == [0.0, 0.0, 0.0]
+    assert len(db) == len(unique_components(group_components(lenet5(), "layer"))) + 1
 
 
 def test_shared_top_is_block_backed(small_device, monkeypatch, pair):
