@@ -17,8 +17,7 @@ def _run(device, plan_ports: bool):
     flow = PreImplementedFlow(
         device, component_effort="high", seed=SEED, plan_ports=plan_ports
     )
-    db, _ = flow.build_database(lenet5(), rom_weights=True)
-    return flow.run(lenet5(), rom_weights=True, database=db)
+    return flow.run(lenet5(), rom_weights=True)
 
 
 def test_ablation_port_planning(benchmark, device):

@@ -16,8 +16,8 @@ from conftest import SEED, show
 
 def _run(device):
     flow = PreImplementedFlow(device, component_effort="high", seed=SEED)
-    db, _ = flow.build_database(lenet5(), rom_weights=True)
-    plain = flow.run(lenet5(), rom_weights=True, database=db)
+    plain = flow.run(lenet5(), rom_weights=True)
+    db = plain.extras["database"]
     piped = flow.run(
         lenet5(), rom_weights=True, database=db,
         pipeline_target_mhz=plain.fmax_mhz * 1.2,

@@ -31,8 +31,8 @@ def test_ablation_sharing(benchmark, device):
     def build():
         net = _replicated_net()
         flow = PreImplementedFlow(device, component_effort="high", seed=SEED)
-        db, _ = flow.build_database(net, rom_weights=True)
-        replicated = flow.run(net, rom_weights=True, database=db)
+        replicated = flow.run(net, rom_weights=True)
+        db = replicated.extras["database"]
         shared = flow.run(net, rom_weights=True, database=db, share_components=True)
         return net, db, replicated, shared
 

@@ -138,8 +138,7 @@ def build_lenet_preimpl():
     device = Device.from_name("small")
     flow = PreImplementedFlow(device, component_effort="low", seed=SEED)
     net = lenet5()
-    db, _timer = flow.build_database(net, rom_weights=True)
-    result = flow.run(net, rom_weights=True, database=db)
+    result = flow.run(net, rom_weights=True)
     return result.design, device, flow.graph
 
 
@@ -203,10 +202,8 @@ def build_eco_workload(model_fn, part, granularity, rom_weights):
     device = Device.from_name(part)
     flow = PreImplementedFlow(device, component_effort="low", seed=SEED)
     net = model_fn()
-    db, _timer = flow.build_database(net, granularity=granularity,
-                                     rom_weights=rom_weights)
-    result = flow.run(net, granularity=granularity, rom_weights=rom_weights,
-                      database=db)
+    result = flow.run(net, granularity=granularity, rom_weights=rom_weights)
+    db = result.extras["database"]
     comp = _middle_conv(group_components(net, granularity))
     # The variant checkpoint (same signature, different implementation
     # seed) is setup cost common to both sides: the ECO swaps it in, the

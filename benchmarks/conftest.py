@@ -15,7 +15,7 @@ import pytest
 
 from repro import Device
 from repro.rapidwright import ComponentDatabase
-from repro.spec import JobSpec, compile_spec
+from repro.spec import FIG6_EFFORT, JobSpec, compile_spec
 from repro.vivado import FlowResult
 
 SEED = 0
@@ -33,11 +33,12 @@ class FlowPair:
 
 
 def _pair(model: str, **options) -> FlowPair:
-    """The monolithic comparator at medium effort against the library flow
-    at high effort, both compiled from one spec of *model*."""
-    baseline = compile_spec(JobSpec(model=model, flow="baseline", effort="medium",
-                                    seed=SEED, **options))
-    ours = compile_spec(JobSpec(model=model, effort="high", seed=SEED, **options))
+    """The monolithic comparator against the library flow at the Fig. 6
+    efforts, both compiled from one spec of *model*."""
+    baseline = compile_spec(JobSpec(model=model, flow="baseline",
+                                    effort=FIG6_EFFORT["baseline"], seed=SEED, **options))
+    ours = compile_spec(JobSpec(model=model, effort=FIG6_EFFORT["preimpl"], seed=SEED,
+                                **options))
     return FlowPair(model, baseline, ours, ours.extras["database"], ours.extras["offline_s"])
 
 

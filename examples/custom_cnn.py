@@ -57,10 +57,9 @@ def main() -> None:
 
     # --- accelerator generation ------------------------------------------
     flow = PreImplementedFlow(device, component_effort="high", seed=0)
-    database, offline = flow.build_database(net, rom_weights=True)
-    print(f"\nlibrary: {len(database)} unique checkpoints for {len(comps)} components "
-          f"(offline build {offline.run_s:.2f} s)")
-    result = flow.run(net, rom_weights=True, database=database)
+    result = flow.run(net, rom_weights=True)
+    print(f"\nlibrary: {len(result.extras['database'])} unique checkpoints for "
+          f"{len(comps)} components (offline build {result.extras['offline_s']:.2f} s)")
     print(f"accelerator: {result.fmax_mhz:.1f} MHz in {result.runtime_s:.3f} s, "
           f"routed {result.route.routed} stitch connections")
 

@@ -16,6 +16,7 @@ from repro.analysis import compare_productivity, format_table, library_paralleli
 from repro.cnn import group_components, quantized_inference
 from repro.power import estimate_power
 from repro.rapidwright import PreImplementedFlow
+from repro.spec import FIG6_EFFORT
 from repro.vivado import VivadoFlow
 
 
@@ -27,14 +28,14 @@ def main() -> None:
           f"{net.totals()['total_macs'] / 1e6:.2f} M MACs")
 
     # --- both flows -----------------------------------------------------
-    baseline = VivadoFlow(device, effort="medium", seed=0).run(net, rom_weights=True)
-    flow = PreImplementedFlow(device, component_effort="high", seed=0)
-    database, offline = flow.build_database(net, rom_weights=True)
-    ours = flow.run(net, rom_weights=True, database=database)
+    baseline = VivadoFlow(device, effort=FIG6_EFFORT["baseline"], seed=0).run(
+        net, rom_weights=True)
+    flow = PreImplementedFlow(device, component_effort=FIG6_EFFORT["preimpl"], seed=0)
+    ours = flow.run(net, rom_weights=True)
 
     comps = group_components(net, "layer")
     stitch = ours.extras["stitch"]
-    par_of = library_parallelism(database)
+    par_of = library_parallelism(ours.extras["database"])
     latency = network_latency(comps, ours.fmax_mhz, parallelism_of=par_of)
 
     rows = []

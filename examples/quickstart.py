@@ -6,10 +6,10 @@ Walks the paper's two phases end to end on a small device:
 1. *Function optimization*: generate a convolution engine netlist,
    pre-implement it out-of-context in a tight pblock, inspect the locked
    checkpoint.
-2. *Architecture optimization*: define a small CNN, build the component
-   database, and let the pre-implemented flow extract, match, place,
-   stitch, and route the accelerator.  Compare against the monolithic
-   vendor-style flow.
+2. *Architecture optimization*: define a small CNN and let one
+   pre-implemented flow run build its component database, then extract,
+   match, place, stitch, and route the accelerator.  Compare against the
+   monolithic vendor-style flow.
 
 Run:  python examples/quickstart.py
 """
@@ -17,6 +17,7 @@ Run:  python examples/quickstart.py
 from repro import Device, parse_architecture
 from repro.analysis import compare_productivity, format_table
 from repro.rapidwright import PreImplementedFlow, candidate_anchors, preimplement
+from repro.spec import FIG6_EFFORT
 from repro.synth import gen_conv
 from repro.vivado import VivadoFlow
 
@@ -46,10 +47,10 @@ def main() -> None:
 
     # --- phase 2: build the full accelerator both ways ----------------
     net = parse_architecture(ARCHITECTURE)
-    baseline = VivadoFlow(device, effort="medium", seed=0).run(net, rom_weights=True)
-    flow = PreImplementedFlow(device, component_effort="high", seed=0)
-    database, offline = flow.build_database(net, rom_weights=True)
-    ours = flow.run(net, rom_weights=True, database=database)
+    baseline = VivadoFlow(device, effort=FIG6_EFFORT["baseline"], seed=0).run(
+        net, rom_weights=True)
+    flow = PreImplementedFlow(device, component_effort=FIG6_EFFORT["preimpl"], seed=0)
+    ours = flow.run(net, rom_weights=True)
 
     report = compare_productivity(baseline, ours)
     print("\n" + format_table(

@@ -17,6 +17,7 @@ from repro.analysis import compare_productivity, format_table, library_paralleli
 from repro.cnn import group_components
 from repro.memory import plan_feature_maps
 from repro.rapidwright import PreImplementedFlow
+from repro.spec import FIG6_EFFORT
 from repro.vivado import VivadoFlow
 
 
@@ -34,17 +35,16 @@ def main() -> None:
 
     # --- both flows ------------------------------------------------------
     print("\nrunning monolithic flow (this is the slow one)...")
-    baseline = VivadoFlow(device, effort="medium", seed=0).run(
+    baseline = VivadoFlow(device, effort=FIG6_EFFORT["baseline"], seed=0).run(
         net, granularity="block", rom_weights=False
     )
     print(f"baseline: {baseline.fmax_mhz:.1f} MHz in {baseline.runtime_s:.1f} s")
 
-    flow = PreImplementedFlow(device, component_effort="high", seed=0)
-    database, offline = flow.build_database(net, granularity="block", rom_weights=False)
-    print(f"component library built offline in {offline.run_s:.1f} s "
+    flow = PreImplementedFlow(device, component_effort=FIG6_EFFORT["preimpl"], seed=0)
+    ours = flow.run(net, granularity="block", rom_weights=False, pipeline_target_mhz="auto")
+    database = ours.extras["database"]
+    print(f"component library built offline in {ours.extras['offline_s']:.1f} s "
           f"({len(database)} checkpoints)")
-    ours = flow.run(net, granularity="block", rom_weights=False, database=database,
-                    pipeline_target_mhz="auto")
     regs = ours.design.metadata.get("pipeline_regs", 0)
     print(f"pre-implemented: {ours.fmax_mhz:.1f} MHz in {ours.runtime_s:.2f} s "
           f"(+{regs} pipeline FFs)")

@@ -101,28 +101,24 @@ def network_latency(
     fmax_mhz: float,
     *,
     parallelism_of=None,
-    per_component_fmax=None,
     pipeline_regs: int = 0,
 ) -> NetworkLatency:
-    """Latency of the full accelerator.
+    """Latency of the full accelerator, every component at *fmax_mhz*
+    (a stitched design runs everything at its single achieved clock).
 
-    ``parallelism_of(comp)`` returns the generator parallelism metadata;
-    ``per_component_fmax(comp)`` optionally overrides the clock per
-    component (Table III reports both standalone and stitched numbers —
-    stitched designs run everything at the single achieved clock).
+    ``parallelism_of(comp)`` returns the generator parallelism metadata.
     """
     if fmax_mhz <= 0:
         raise ValueError(f"fmax must be positive, got {fmax_mhz}")
     out = NetworkLatency(pipeline_regs=pipeline_regs, fmax_mhz=fmax_mhz)
     for comp in components:
         par = parallelism_of(comp) if parallelism_of else None
-        clock = per_component_fmax(comp) if per_component_fmax else fmax_mhz
         out.components.append(
             ComponentLatency(
                 name=comp.name,
                 kind=comp.kind,
                 cycles=component_cycles(comp, par),
-                fmax_mhz=clock,
+                fmax_mhz=fmax_mhz,
             )
         )
     return out

@@ -72,7 +72,7 @@ from pathlib import Path
 from .cnn import group_components, models_doc
 from .fabric import Device, part_doc
 from .reporting import MODES
-from .spec import CHOICES, JobSpec, SpecError, compile_spec
+from .spec import CHOICES, FIG6_EFFORT, JobSpec, SpecError, compile_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -406,11 +406,9 @@ def _cmd_models(args, out) -> int:
 def _cmd_run(args, out) -> int:
     from .analysis.report import format_table
 
-    # The monolithic comparator runs at medium effort, the library at high.
-    efforts = {"baseline": "medium", "preimpl": "high"}
-    flows = efforts if args.flow == "both" else (args.spec.flow,)
+    flows = FIG6_EFFORT if args.flow == "both" else (args.spec.flow,)
     results = {
-        flow: compile_spec(replace(args.spec, flow=flow, effort=efforts[flow]), jobs=args.jobs)
+        flow: compile_spec(replace(args.spec, flow=flow, effort=FIG6_EFFORT[flow]), jobs=args.jobs)
         for flow in flows
     }
     if "preimpl" in results:

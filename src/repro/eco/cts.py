@@ -35,9 +35,9 @@ from ..timing.pipeline import _free_site_near
 
 __all__ = ["CtsError", "CtsResult", "run_cts"]
 
-#: Default skew bound, ps.  Snaking balances each tree level to within one
-#: tile delay (~22 ps), so a handful of levels fits comfortably under this;
-#: tighten per design when the floorplan allows.
+#: Skew bound of every clock tree, ps.  Snaking balances each tree level to
+#: within one tile delay (~22 ps), so a handful of levels fits comfortably
+#: under this.
 DEFAULT_MAX_SKEW_PS = 100.0
 
 
@@ -169,7 +169,6 @@ def run_cts(
     device: Device,
     *,
     delays: DelayModel = DEFAULT_DELAYS,
-    max_skew_ps: float = DEFAULT_MAX_SKEW_PS,
     max_leaf_sinks: int = 8,
 ) -> list[CtsResult]:
     """Insert a buffered clock tree under every clock net of *design*.
@@ -221,14 +220,14 @@ def run_cts(
                          keepouts)
             arrivals = _arrivals(root, delays, buf_delay_ps)
             skew = max(arrivals.values()) - min(arrivals.values())
-            if skew <= max_skew_ps:
+            if skew <= DEFAULT_MAX_SKEW_PS:
                 occupied.update(trial_occupied)
                 plans.append((net, root, levels, leaf_cap, arrivals))
                 break
             if leaf_cap == 1:
                 raise CtsError(
                     f"clock {net.name}: skew {skew:.1f} ps exceeds bound "
-                    f"{max_skew_ps:.1f} ps even at one sink per leaf"
+                    f"{DEFAULT_MAX_SKEW_PS:.1f} ps even at one sink per leaf"
                 )
             leaf_cap = max(1, leaf_cap // 2)
 
@@ -266,7 +265,7 @@ def run_cts(
         "skew_ps": max(r.skew_ps for r in results),
         "insertion_ps": max(r.insertion_ps for r in results),
         "n_buffers": sum(r.n_buffers for r in results),
-        "max_skew_ps": max_skew_ps,
+        "max_skew_ps": DEFAULT_MAX_SKEW_PS,
         "trees": [
             {
                 "clock": r.clock,

@@ -34,17 +34,20 @@ def total_hpwl(pos: np.ndarray, nets: list[NetPins]) -> float:
     return NetColumns.from_nets(nets).hpwl(pos)
 
 
+#: Side of a congestion bin, in tiles.
+BIN_SIZE = 6
+
+
 def congestion_map(
     pos: np.ndarray,
     bounds: tuple[float, float, float, float],
-    bin_size: int = 6,
 ) -> np.ndarray:
-    """Pin-density histogram over ``bin_size``-tile square bins."""
+    """Pin-density histogram over :data:`BIN_SIZE`-tile square bins."""
     c0, r0, c1, r1 = bounds
-    nx = max(1, int(c1 - c0) // bin_size + 1)
-    ny = max(1, int(r1 - r0) // bin_size + 1)
-    bx = np.clip(((pos[:, 0] - c0) // bin_size).astype(int), 0, nx - 1)
-    by = np.clip(((pos[:, 1] - r0) // bin_size).astype(int), 0, ny - 1)
+    nx = max(1, int(c1 - c0) // BIN_SIZE + 1)
+    ny = max(1, int(r1 - r0) // BIN_SIZE + 1)
+    bx = np.clip(((pos[:, 0] - c0) // BIN_SIZE).astype(int), 0, nx - 1)
+    by = np.clip(((pos[:, 1] - r0) // BIN_SIZE).astype(int), 0, ny - 1)
     grid = np.zeros((nx, ny), dtype=np.int64)
     np.add.at(grid, (bx, by), 1)
     return grid
@@ -53,16 +56,10 @@ def congestion_map(
 def congestion_overflow(
     pos: np.ndarray,
     bounds: tuple[float, float, float, float],
-    bin_size: int = 6,
-    capacity_per_bin: float | None = None,
 ) -> float:
-    """Total cell-count overflow above the per-bin capacity.
-
-    Default capacity assumes cells could spread uniformly with 35 %
-    headroom.
-    """
-    grid = congestion_map(pos, bounds, bin_size)
-    if capacity_per_bin is None:
-        capacity_per_bin = 1.35 * pos.shape[0] / grid.size
+    """Total cell-count overflow above the per-bin capacity, which
+    assumes cells could spread uniformly with 35 % headroom."""
+    grid = congestion_map(pos, bounds)
+    capacity_per_bin = 1.35 * pos.shape[0] / grid.size
     overflow = np.maximum(grid - capacity_per_bin, 0.0)
     return float(overflow.sum())

@@ -34,6 +34,7 @@ Hypothesis), slower (:mod:`repro.place.annealer` says by how much).
 from __future__ import annotations
 
 import ctypes
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -52,61 +53,59 @@ ORACLE = "repro.place._annealer_reference.anneal_reference"
 
 _SOURCE = Path(__file__).with_name("_anneal_core.c")
 
-#: memoized build result: unset / (sweep, clump) CDLL functions / None (unavailable)
-_CORE: list = []
 
+@functools.cache
 def _core():
-    if not _CORE:
-        lib = build_library(_SOURCE, "anneal_core")
-        if lib is None:
-            _CORE.append(None)
-        else:
-            I = ctypes.c_int64
-            D = ctypes.c_double
-            P = ctypes.c_void_p
-            sweep = lib.anneal_sweep
-            sweep.restype = None
-            sweep.argtypes = (
-                [I, I, I, I, D, I]           # n, budget, nrows, nsites, alpha, ckpt
-                + [P] * 2                    # xs, ys
-                + [P] * 2                    # net_offs, net_pins
-                + [P] * 4                    # fx0, fx1, fy0, fy1
-                + [P] * 3                    # net_w, net_two, net_psum
-                + [P] * 5                    # bx0, bx1, by0, by1, cost
-                + [P] * 2                    # cell_net_offs, cell_nets
-                + [P] * 2                    # occ, cell_t
-                + [P] * 2                    # tcols_offs, tcols_flat
-                + [P] * 2                    # trmin, trmax
-                + [P] * 3                    # grids, pool_offs, pool_flat
-                + [P]                        # cell_picks
-                + [D] * 2                    # w_min, w_max
-                + [P] * 2                    # best_xs, best_ys
-                + [P]                        # affected workspace
-                + [P] * 3                    # ck_steps, ck_cost, ck_temp
-                + [P] * 2                    # out_i, out_d (loop state)
-                + [I] * 2                    # step_begin, step_end
-                + [P] * 4                    # chunk: uniforms, pool, hop, offsets
-            )
-            clump = lib.clump_pass
-            clump.restype = None
-            clump.argtypes = (
-                [I] * 5                      # n, n_nets, nrows, nsites, passes
-                + [P] * 2                    # xs, ys
-                + [P] * 2                    # net_offs, net_pins
-                + [P] * 4                    # fx0, fx1, fy0, fy1
-                + [P] * 2                    # net_w, cost
-                + [P] * 2                    # cell_net_offs, cell_nets
-                + [P] * 2                    # occ, cell_t
-                + [P] * 2                    # tcols_offs, tcols_flat
-                + [P] * 2                    # trmin, trmax
-                + [P]                        # grids
-                + [P] * 2                    # affected, sums workspaces
-                + [P] * 2                    # order_a, order_b workspaces
-                + [P]                        # median workspace
-                + [P]                        # final_cost (in/out)
-            )
-            _CORE.append((sweep, clump))
-    return _CORE[0]
+    """The core's ``(sweep, clump)`` CDLL functions, or ``None`` when it is
+    unavailable; built and loaded once."""
+    lib = build_library(_SOURCE, "anneal_core")
+    if lib is None:
+        return None
+    I = ctypes.c_int64
+    D = ctypes.c_double
+    P = ctypes.c_void_p
+    sweep = lib.anneal_sweep
+    sweep.restype = None
+    sweep.argtypes = (
+        [I, I, I, I, D, I]           # n, budget, nrows, nsites, alpha, ckpt
+        + [P] * 2                    # xs, ys
+        + [P] * 2                    # net_offs, net_pins
+        + [P] * 4                    # fx0, fx1, fy0, fy1
+        + [P] * 3                    # net_w, net_two, net_psum
+        + [P] * 5                    # bx0, bx1, by0, by1, cost
+        + [P] * 2                    # cell_net_offs, cell_nets
+        + [P] * 2                    # occ, cell_t
+        + [P] * 2                    # tcols_offs, tcols_flat
+        + [P] * 2                    # trmin, trmax
+        + [P] * 3                    # grids, pool_offs, pool_flat
+        + [P]                        # cell_picks
+        + [D] * 2                    # w_min, w_max
+        + [P] * 2                    # best_xs, best_ys
+        + [P]                        # affected workspace
+        + [P] * 3                    # ck_steps, ck_cost, ck_temp
+        + [P] * 2                    # out_i, out_d (loop state)
+        + [I] * 2                    # step_begin, step_end
+        + [P] * 4                    # chunk: uniforms, pool, hop, offsets
+    )
+    clump = lib.clump_pass
+    clump.restype = None
+    clump.argtypes = (
+        [I] * 5                      # n, n_nets, nrows, nsites, passes
+        + [P] * 2                    # xs, ys
+        + [P] * 2                    # net_offs, net_pins
+        + [P] * 4                    # fx0, fx1, fy0, fy1
+        + [P] * 2                    # net_w, cost
+        + [P] * 2                    # cell_net_offs, cell_nets
+        + [P] * 2                    # occ, cell_t
+        + [P] * 2                    # tcols_offs, tcols_flat
+        + [P] * 2                    # trmin, trmax
+        + [P]                        # grids
+        + [P] * 2                    # affected, sums workspaces
+        + [P] * 2                    # order_a, order_b workspaces
+        + [P]                        # median workspace
+        + [P]                        # final_cost (in/out)
+    )
+    return sweep, clump
 
 
 def native_available() -> bool:

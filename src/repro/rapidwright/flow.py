@@ -3,9 +3,8 @@
 Two phases (paper Fig. 3):
 
 * **Function optimization** (offline, once): every unique component
-  signature is generated, pre-implemented OOC in a tight pblock with
-  planned ports, locked, and stored in the checkpoint database
-  (:meth:`PreImplementedFlow.build_database`).
+  signature the checkpoint database lacks is generated, pre-implemented
+  OOC in a tight pblock with planned ports, locked, and stored there.
 * **Architecture optimization** (per accelerator, automated, timed):
   component extraction from the CNN architecture definition, component
   matching against the database, Eq. 1-3 component placement,
@@ -13,6 +12,9 @@ Two phases (paper Fig. 3):
   "Vivado" work left, since all intra-component logic and routing is
   locked.  Optionally a phys-opt pipelining pass closes timing across
   fabric discontinuities (the VGG case, Sec. V-E).
+
+:meth:`PreImplementedFlow.run` performs both, so one call builds an
+accelerator and the offline phase is counted once.
 """
 
 from __future__ import annotations
@@ -101,36 +103,36 @@ class PreImplementedFlow:
 
     # -- phase 1: function optimization (offline) --------------------------
 
+    def _build(self, database: ComponentDatabase, components: list[Component],
+               rom_weights: bool, jobs: int | None = None) -> EngineReport:
+        """Pre-implement *components* into *database* on this flow's build
+        options (:meth:`ComponentDatabase.build`)."""
+        return database.build(
+            components,
+            rom_weights=rom_weights,
+            effort=self.component_effort,
+            seed=self.seed,
+            plan_ports=self.plan_ports,
+            jobs=jobs,
+        )
+
     def build_database(
         self,
         dfg: DFG,
         *,
         granularity: str = "layer",
         rom_weights: bool = True,
-        database: ComponentDatabase | None = None,
-        jobs: int | None = None,
     ) -> tuple[ComponentDatabase, EngineReport]:
-        """Pre-implement every unique component of *dfg* into a database.
+        """Pre-implement every unique component of *dfg* into a new
+        in-memory database, and build no accelerator.
 
-        *jobs* worker processes pre-implement independent components
-        concurrently via the :mod:`repro.engine` worker pool (``None``:
-        one per usable core, see :meth:`ComponentDatabase.build`); a
-        *database* with a directory answers what its library already
-        holds.  Results are identical to a serial build.  The report is
-        :meth:`ComponentDatabase.build`'s.
+        Only for a library wanted without a run: :meth:`run` fills the
+        database it is handed itself.  The report is
+        :meth:`ComponentDatabase.build`'s, on one worker per usable core.
         """
-        if database is None:  # not ``or``: an empty database is falsy (``__len__``)
-            database = ComponentDatabase(self.device)
+        database = ComponentDatabase(self.device)
         with span("flow.build_database", model=dfg.name, granularity=granularity):
-            components = group_components(dfg, granularity)
-            report = database.build(
-                components,
-                rom_weights=rom_weights,
-                effort=self.component_effort,
-                seed=self.seed,
-                plan_ports=self.plan_ports,
-                jobs=jobs,
-            )
+            report = self._build(database, group_components(dfg, granularity), rom_weights)
         return database, report
 
     def _drc_gate(self, reports: list, gate: str, design: "Design", **options) -> None:
@@ -152,16 +154,20 @@ class PreImplementedFlow:
         granularity: str = "layer",
         rom_weights: bool = True,
         database: ComponentDatabase | None = None,
+        jobs: int | None = None,
         pipeline_target_mhz: float | str | None = None,
         share_components: bool = False,
     ) -> FlowResult:
-        """Generate the accelerator for *dfg* from pre-built checkpoints.
+        """Generate the accelerator for *dfg*: both phases, in one call.
 
-        The instances the *database* (``None``: a new one) lacks are
-        pre-implemented first, in one :meth:`ComponentDatabase.build` on
-        this flow's options; its cost is ``result.extras["offline_s"]``
-        (the paper pays it once, offline).  A record already present is
-        used as it is, whatever built it.
+        The instances the *database* (``None``: a new in-memory one; a
+        directory-backed one answers what its library holds and files
+        what is built) lacks are pre-implemented first, in one
+        :meth:`ComponentDatabase.build` on this flow's options and *jobs*
+        workers (``None``: one per usable core); its cost is
+        ``result.extras["offline_s"]`` (the paper pays it once, offline,
+        and keeps it out of the compile time).  A record already present
+        is used as it is, whatever built it.
 
         ``pipeline_target_mhz`` enables the phys-opt pipelining pass
         (paper Sec. V-E): pass a frequency, or ``"auto"`` to target the
@@ -177,13 +183,13 @@ class PreImplementedFlow:
         """
         with span("flow.run", flow="preimpl", model=dfg.name,
                   granularity=granularity) as run_span:
-            result = self._run(dfg, granularity, rom_weights, database,
+            result = self._run(dfg, granularity, rom_weights, database, jobs,
                                pipeline_target_mhz, share_components)
             run_span.set(fmax_mhz=round(result.fmax_mhz, 3))
         set_gauge("flow.fmax_mhz", result.fmax_mhz)
         return result
 
-    def _run(self, dfg, granularity, rom_weights, database, pipeline_target_mhz,
+    def _run(self, dfg, granularity, rom_weights, database, jobs, pipeline_target_mhz,
              share_components) -> FlowResult:
         if database is None:  # not ``or``: an empty database is falsy (``__len__``)
             database = ComponentDatabase(self.device)
@@ -200,10 +206,7 @@ class PreImplementedFlow:
         # Function optimization for what the database lacks, and only that:
         # a record already there is used as it is, whatever built it.
         missing = [comp for comp in instances if not database.has(comp.signature)]
-        offline_s = database.build(
-            missing, rom_weights=rom_weights, effort=self.component_effort,
-            seed=self.seed, plan_ports=self.plan_ports,
-        ).run_s if missing else 0.0
+        offline_s = self._build(database, missing, rom_weights, jobs).run_s if missing else 0.0
 
         with stage(stages, "rw:component_matching"):
             # Placement reads only footprints; compose() materializes each

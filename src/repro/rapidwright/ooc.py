@@ -26,7 +26,6 @@ from ..netlist.design import Design
 from ..obs.span import span
 from ..place.placer import PlacementResult, place_design
 from ..route.pathfinder import RouteResult, Router
-from ..timing.delays import DEFAULT_DELAYS, DelayModel
 from ..timing.incremental import IncrementalSta
 from ..timing.sta import TimingReport
 
@@ -52,15 +51,12 @@ def preimplement(
     design: Design,
     device: Device,
     *,
-    anchor: tuple[int, int] = (0, 0),
     effort: str = "high",
     seed: int = 0,
     plan_ports: bool = True,
     lock: bool = True,
     slack: float = 1.15,
     max_height: int | None = None,
-    graph: RoutingGraph | None = None,
-    delays: DelayModel = DEFAULT_DELAYS,
 ) -> OOCResult:
     """Pre-implement *design* OOC inside an auto-floorplanned pblock.
 
@@ -70,14 +66,14 @@ def preimplement(
     exploration of :mod:`repro.rapidwright.explore`).  The input design
     is modified in place and, with ``lock=True``, fully locked.
     """
-    graph = graph if graph is not None else RoutingGraph(device)
+    graph = RoutingGraph(device)
 
     with span("ooc/floorplan"):
         demand = design.site_demand()
         pblock = auto_pblock(
             device,
             demand,
-            anchor=anchor,
+            anchor=(0, 0),
             slack=slack,
             max_height=max_height if max_height is not None
             else _aspect_height(device, demand),
@@ -97,7 +93,7 @@ def preimplement(
     with span("ooc/timing"):
         # HD.CLK_SRC: stub clock entry at the pblock boundary mid-height.
         design.metadata["clk_src"] = (pblock.col0, (pblock.row0 + pblock.row1) // 2)
-        timing = IncrementalSta(design, device, graph, delays).analyze()
+        timing = IncrementalSta(design, device, graph).analyze()
 
     design.metadata["ooc"] = {
         "fmax_mhz": timing.fmax_mhz,

@@ -28,6 +28,7 @@ at the end.
 from __future__ import annotations
 
 import ctypes
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -47,37 +48,35 @@ _SOURCE = Path(__file__).with_name("_route_core.c")
 #: matches the ``astar_route`` default in :mod:`repro.route.maze`
 _MAX_EXPANSIONS = 200_000
 
-#: memoized build result: unset / CDLL / None (unavailable)
-_LIB: list = []
 
-
+@functools.cache
 def _lib():
-    if not _LIB:
-        lib = build_library(_SOURCE, "route_core")
-        if lib is not None:
-            I = ctypes.c_int64
-            D = ctypes.c_double
-            P = ctypes.c_void_p
-            lib.route_new.restype = P
-            lib.route_new.argtypes = (
-                [I, I, I, I]        # n_nodes, nrows, ncols, n_targets
-                + [P] * 4           # src, dst, width, gid
-                + [P] * 3           # occupancy, capacity, history
-                + [P, I]            # blocked, has_blocked
-                + [P, P, I]         # pre_keys, pre_counts, n_pre
-                + [D] * 4           # pres_fac_init, mult, hist_fac, weight
-                + [I]               # max_expansions
-            )
-            lib.route_iterate.restype = None
-            lib.route_iterate.argtypes = [P, I, P]
-            lib.route_paths_size.restype = I
-            lib.route_paths_size.argtypes = [P]
-            lib.route_paths_fill.restype = None
-            lib.route_paths_fill.argtypes = [P, P, P]
-            lib.route_free.restype = None
-            lib.route_free.argtypes = [P]
-        _LIB.append(lib)
-    return _LIB[0]
+    """The route core's CDLL, or ``None`` when it is unavailable; built and
+    loaded once."""
+    lib = build_library(_SOURCE, "route_core")
+    if lib is not None:
+        I = ctypes.c_int64
+        D = ctypes.c_double
+        P = ctypes.c_void_p
+        lib.route_new.restype = P
+        lib.route_new.argtypes = (
+            [I, I, I, I]        # n_nodes, nrows, ncols, n_targets
+            + [P] * 4           # src, dst, width, gid
+            + [P] * 3           # occupancy, capacity, history
+            + [P, I]            # blocked, has_blocked
+            + [P, P, I]         # pre_keys, pre_counts, n_pre
+            + [D] * 4           # pres_fac_init, mult, hist_fac, weight
+            + [I]               # max_expansions
+        )
+        lib.route_iterate.restype = None
+        lib.route_iterate.argtypes = [P, I, P]
+        lib.route_paths_size.restype = I
+        lib.route_paths_size.argtypes = [P]
+        lib.route_paths_fill.restype = None
+        lib.route_paths_fill.argtypes = [P, P, P]
+        lib.route_free.restype = None
+        lib.route_free.argtypes = [P]
+    return lib
 
 
 def native_available() -> bool:

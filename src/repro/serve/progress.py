@@ -28,7 +28,6 @@ __all__ = ["ProgressLog", "ProgressSink", "STAGE_MAP", "stage_of"]
 #: event — the per-iteration router/annealer spans would flood the stream.
 STAGE_MAP = {
     "engine.task": "synth",            # one OOC component pre-implementation
-    "flow.build_database": "synth",
     "synth": "synth",                  # baseline flow network synthesis
     "opt_design": "opt",
     "place_design": "place",

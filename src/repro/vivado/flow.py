@@ -21,7 +21,7 @@ from ..place.placer import PlacementResult, place_design
 from ..power.model import PowerReport, estimate_power
 from ..route.pathfinder import RouteResult, Router
 from ..synth.network import NetworkSynthesis, synthesize_network
-from ..timing.delays import DEFAULT_DELAYS, DelayModel
+from ..timing.delays import DEFAULT_DELAYS
 from ..timing.incremental import IncrementalSta
 from ..timing.sta import TimingReport
 from .opt import OptStats, opt_design
@@ -75,8 +75,9 @@ class VivadoFlow:
         Placement effort preset name (see :data:`repro.place.EFFORTS`).
     seed:
         Seed for every stochastic stage.
-    delays:
-        Delay model used for STA.
+
+    STA uses :data:`~repro.timing.delays.DEFAULT_DELAYS`, kept as
+    :attr:`delays` for the edits that re-time a result (ECO, CTS).
     """
 
     def __init__(
@@ -85,12 +86,11 @@ class VivadoFlow:
         *,
         effort: str = "medium",
         seed: int = 0,
-        delays: DelayModel = DEFAULT_DELAYS,
     ) -> None:
         self.device = device
         self.effort = effort
         self.seed = seed
-        self.delays = delays
+        self.delays = DEFAULT_DELAYS
         self.graph = RoutingGraph(device)
 
     # -- entry points ------------------------------------------------------

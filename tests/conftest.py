@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Device, sanitize
-from repro.cnn import Conv2D, Dense, DFG, Flatten, Input, MaxPool2D, ReLU, lenet5
+from repro.cnn import (Conv2D, Dense, DFG, Flatten, Input, MaxPool2D, ReLU, group_components,
+                       lenet5)
 from repro.fabric import RoutingGraph
 from repro.obs import InMemorySink, Tracer
-from repro.rapidwright import PreImplementedFlow
+from repro.rapidwright import ComponentDatabase, PreImplementedFlow
 from repro.vivado import VivadoFlow
 
 
@@ -96,12 +97,14 @@ def stages_under_run(spans) -> list[str]:
 def traced_lenet(small_device) -> dict:
     """LeNet on the small part, traced, as ``{flow: (result, spans)}``:
     the baseline flow, and the pre-implemented one with every DRC gate
-    and pipelining to ``"auto"``, its library built under the same tracer."""
+    and pipelining to ``"auto"``, its library built under the same tracer
+    before the run (so that no build span sits among the run's stages)."""
     net = lenet5()
 
     def preimpl():
         flow = PreImplementedFlow(small_device, component_effort="low", seed=0, drc="warn")
-        database, _ = flow.build_database(net, jobs=1)
+        database = ComponentDatabase(small_device)
+        database.build(group_components(net, "layer"), effort="low", seed=0, jobs=1)
         return flow.run(net, database=database, pipeline_target_mhz="auto")
 
     return {

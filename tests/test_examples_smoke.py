@@ -30,6 +30,9 @@ def test_quickstart_example():
     assert "OOC conv engine" in out
     assert "productivity" in out
     assert "slowest component bound" in out
+    # one run builds the library and counts its offline cost
+    assert "offline component build" in out
+    assert "offline component build 0.00 s" not in out
 
 
 def test_custom_cnn_example():
@@ -46,3 +49,5 @@ def test_lenet_example():
     assert "functional check" in out
     # fixed-16 must agree with float on the classification decision
     assert "argmax float=8 fixed16=8" in out
+    assert "offline component build" in out
+    assert "offline component build 0.00 s" not in out

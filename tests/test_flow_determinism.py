@@ -55,13 +55,13 @@ def test_preimplemented_flow_deterministic(small_device):
 
 
 def _traced_run(small_device, *, jobs: int):
-    """One pre-implemented flow run under a tracer; returns its events."""
+    """One pre-implemented flow run, library build included, under a
+    tracer; returns its events."""
     sink = InMemorySink()
     tracer = Tracer(sink)
     with tracer.activate():
         flow = PreImplementedFlow(small_device, component_effort="low", seed=5)
-        db, _ = flow.build_database(make_tiny_cnn(), jobs=jobs)
-        flow.run(make_tiny_cnn(), database=db)
+        flow.run(make_tiny_cnn(), jobs=jobs)
     tracer.finish()
     return sink.events
 
@@ -98,10 +98,10 @@ def test_database_checkpoints_independent_of_consumer(small_device):
 def test_checkpoint_database_round_trip_preserves_fmax(small_device, tmp_path):
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
     lib = tmp_path / "lib"
-    db, _ = flow.build_database(make_tiny_cnn(),
-                                database=ComponentDatabase(small_device, directory=lib))
-    fresh, report = flow.build_database(
-        make_tiny_cnn(), database=ComponentDatabase(small_device, directory=lib))
-    assert report.tasks == [] and len(fresh) == len(db)
+    db = ComponentDatabase(small_device, directory=lib)
+    flow.run(make_tiny_cnn(), database=db)
+    fresh = ComponentDatabase(small_device, directory=lib)
+    assert flow.run(make_tiny_cnn(), database=fresh).extras["offline_s"] == 0.0
+    assert len(fresh) == len(db)
     for record in db.records.values():
         assert fresh.fmax_of(record.signature) == pytest.approx(db.fmax_of(record.signature))

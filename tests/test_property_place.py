@@ -116,7 +116,7 @@ def test_anneal_keeps_legality_and_never_worse(case):
 
 
 @pytest.mark.parametrize("core", ["native", "fallback"])
-def test_anneal_dispatch_matches_reference(monkeypatch, core):
+def test_anneal_dispatch_matches_reference(monkeypatch, request, core):
     """``anneal`` picks its implementation by core availability and nothing
     else: it equals the reference both with the C core and with
     ``REPRO_NATIVE=0`` (when it must run the reference itself)."""
@@ -125,7 +125,8 @@ def test_anneal_dispatch_matches_reference(monkeypatch, core):
             pytest.skip("native annealer core unavailable")
     else:
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.setattr(native_mod, "_CORE", [])  # forget the loaded core
+        native_mod._core.cache_clear()  # forget the loaded core, and again after
+        request.addfinalizer(native_mod._core.cache_clear)
         assert not native_available()
     ran = []
     real_native, real_reference = native_mod.anneal_native, anneal_reference

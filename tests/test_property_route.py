@@ -257,7 +257,7 @@ def test_native_route_matches_reference(easy, congested):
 
 
 @pytest.mark.parametrize("core", ["native", "fallback"])
-def test_route_dispatch_matches_reference(monkeypatch, core):
+def test_route_dispatch_matches_reference(monkeypatch, request, core):
     """``Router.route`` picks its implementation by core availability and
     nothing else: it equals the oracle both with the C core and with
     ``REPRO_NATIVE=0`` (when it must run the oracle itself)."""
@@ -266,7 +266,8 @@ def test_route_dispatch_matches_reference(monkeypatch, core):
             pytest.skip("compiled route core unavailable")
     else:
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.setattr(route_native, "_LIB", [])  # forget the loaded core
+        route_native._lib.cache_clear()  # forget the loaded core, and again after
+        request.addfinalizer(route_native._lib.cache_clear)
         assert not route_native.native_available()
     ran = []
     real_native, real_reference = route_native.route_native, Router.route_reference

@@ -134,15 +134,37 @@ def test_flow_fills_the_empty_database_it_is_handed(small_device, tmp_path):
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
     db = ComponentDatabase(small_device, directory=tmp_path / "lib")
     assert not db and len(db) == 0
-    built, _timer = flow.build_database(net, rom_weights=True, database=db)
-    assert built is db and len(db) > 0
+    result = flow.run(net, rom_weights=True, database=db)
+    assert result.extras["database"] is db and result.extras["offline_s"] > 0
+    assert len(db) == len(unique_components(group_components(net, "layer")))
     assert len(list((tmp_path / "lib").glob("*.dcpb"))) == len(db)
-    # and through run(): an empty database handed in comes back full
-    other = ComponentDatabase(small_device, directory=tmp_path / "other")
-    result = flow.run(net, rom_weights=True, database=other)
+
+
+def _count_preimplement(monkeypatch) -> list:
+    """Names of the designs pre-implemented in this process from now on."""
+    import repro.engine.workers as workers
+
+    built = []
+    preimplement = workers.preimplement
+
+    def counted(design, *args, **kwargs):
+        built.append(design.name)
+        return preimplement(design, *args, **kwargs)
+
+    monkeypatch.setattr(workers, "preimplement", counted)
+    return built
+
+
+def test_run_builds_on_the_workers_it_is_given(small_device, monkeypatch):
+    """One ``run`` is the whole flow: with ``jobs=1`` it pre-implements
+    each unique signature once, in this process, and reports that cost."""
+    net = make_tiny_cnn()
+    built = _count_preimplement(monkeypatch)
+    result = PreImplementedFlow(small_device, component_effort="low", seed=0).run(
+        net, rom_weights=True, jobs=1)
+    assert len(built) == len(unique_components(group_components(net, "layer")))
+    assert len(result.extras["database"]) == len(built)
     assert result.extras["offline_s"] > 0
-    assert len(other) == len(db)
-    assert len(list((tmp_path / "other").glob("*.dcpb"))) == len(db)
 
 
 def test_flow_reuses_database_across_runs(small_device, flow_pair):
@@ -170,8 +192,6 @@ def test_run_builds_only_what_the_database_lacks(small_device, flow_pair, monkey
     """A database holding part of the network's signatures: the run
     pre-implements exactly the rest, in one offline build, and uses the
     records it found as they are."""
-    import repro.engine.workers as workers
-
     _, _, db, net = flow_pair
     comps = unique_components(group_components(net, "layer"))
     partial = ComponentDatabase(small_device)
@@ -180,14 +200,7 @@ def test_run_builds_only_what_the_database_lacks(small_device, flow_pair, monkey
         partial.records[key] = db.records[key]
     held = {key: record.image for key, record in partial.records.items()}
 
-    built = []
-    preimplement = workers.preimplement
-
-    def counted(design, *args, **kwargs):
-        built.append(design.name)
-        return preimplement(design, *args, **kwargs)
-
-    monkeypatch.setattr(workers, "preimplement", counted)
+    built = _count_preimplement(monkeypatch)
     # one usable core: the build runs in this process, where the count is kept
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     result = PreImplementedFlow(small_device, component_effort="low", seed=0).run(
