@@ -32,14 +32,12 @@ from ..netlist.codec import encode_design
 from ..netlist.design import Design
 from ..place import _annealer_reference, native as _place_native  # noqa: F401
 from ..rapidwright.explore import explore_component, implement_trial
-from ..rapidwright.ooc import preimplement
 from ..route import native as _route_native  # noqa: F401
 from ..synth.generator import generate_component
 
 __all__ = [
     "ComponentFactory",
     "build_component",
-    "explore_build_component",
     "run_explore_trial",
 ]
 
@@ -68,37 +66,24 @@ def build_component(
     effort: str = "high",
     seed: int = 0,
     plan_ports: bool = True,
-) -> bytes:
-    """Generate and OOC pre-implement one component; return its checkpoint."""
-    design = ComponentFactory(component, rom_weights)()
-    result = preimplement(design, device, effort=effort, seed=seed, plan_ports=plan_ports)
-    return encode_design(result.design)
-
-
-def explore_build_component(
-    component: Component,
-    device: Device,
-    *,
-    rom_weights: bool = True,
-    plan_ports: bool = True,
     explore: dict | None = None,
 ) -> bytes:
-    """Run the function-optimization DSE for one component; return the best."""
+    """Run the function-optimization sweep for one component; return its
+    best checkpoint.  *effort* and *seed* are the default axes (without
+    *explore*, one ``preimplement``); *explore* may override them."""
+    sweep = {"seeds": (seed,), "efforts": (effort,), **(explore or {})}
     result = explore_component(
-        ComponentFactory(component, rom_weights),
-        device,
-        plan_ports=plan_ports,
-        **(explore or {}),
+        ComponentFactory(component, rom_weights), device, plan_ports=plan_ports, **sweep
     )
     return encode_design(result.best.design)
 
 
 def run_explore_trial(factory, device: Device, point: tuple, plan_ports: bool) -> tuple:
     """One DSE trial (one point of the explore sweep) as an engine task."""
-    ooc, anchors = implement_trial(factory, device, point, plan_ports)
+    ooc = implement_trial(factory, device, point, plan_ports)
     # Ship the locked design as one binary blob instead of letting the
     # pickler walk thousands of Cell/Net objects; the sweep decodes it
     # back in (see explore._reattached).
     blob = encode_design(ooc.design)
     ooc.design = None
-    return ooc, blob, anchors
+    return ooc, blob

@@ -333,10 +333,12 @@ class ComponentDatabase:
         the paper does): summed task run times, identical whatever *jobs*
         is; the concurrent wall clock is its ``wall_s``.
 
-        With *explore*, each component runs through the performance
-        exploration of :func:`repro.rapidwright.explore.explore_component`
-        (keyword arguments are forwarded, e.g. ``{"seeds": (0, 1, 2)}``)
-        and the best trial is stored.
+        Each component is built by the function-optimization sweep of
+        :func:`repro.rapidwright.explore.explore_component`, whose best
+        trial is stored.  Its seed and effort axes default to this
+        build's *seed* and *effort*, so without *explore* it is one
+        pre-implementation; *explore* is forwarded to it (e.g.
+        ``{"seeds": (0, 1, 2)}``, which then overrides *seed*).
 
         *jobs* worker processes pre-implement independent components
         concurrently: ``None`` (the default) means one per usable core,
@@ -364,15 +366,11 @@ class ComponentDatabase:
 
         from ..engine import workers
 
-        options = dict(rom_weights=rom_weights, plan_ports=plan_ports)
-        if explore:
-            fn = workers.explore_build_component
-            options["explore"] = dict(explore)
-        else:
-            fn = workers.build_component
-            options.update(effort=effort, seed=seed)
+        options = dict(rom_weights=rom_weights, effort=effort, seed=seed,
+                       plan_ports=plan_ports, explore=explore)
         tasks = [
-            TaskSpec(key, fn, (comp, self.device), options, stage=f"build:{comp.kind}")
+            TaskSpec(key, workers.build_component, (comp, self.device), options,
+                     stage=f"build:{comp.kind}")
             for key, (comp, _) in pending.items()
         ]
         report = Engine(jobs=jobs).run(tasks)

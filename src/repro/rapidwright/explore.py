@@ -10,7 +10,8 @@ the function optimization stage".  This module implements both:
 floorplan slack, and pblock aspect (height) for one component, keeping
 the best implementation by a configurable objective (Fmax by default,
 optionally trading off relocatability), with early exit once a target
-frequency is met.
+frequency is met.  A component library build is the one-point sweep
+(:func:`repro.engine.workers.build_component`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class ExploreTrial:
     slack: float
     max_height: int | None
     fmax_mhz: float
-    anchors: int
+    anchors: int | None  # None in a one-point sweep: nothing is ranked
     pblock_area: int
     score: float
 
@@ -59,7 +60,8 @@ class ExploreResult:
             lines.append(
                 f"{t.seed:4d} {t.effort:>6s} {t.slack:5.2f} "
                 f"{t.max_height if t.max_height else '-':>6} "
-                f"{t.fmax_mhz:6.1f} {t.anchors:8d} {t.pblock_area:5d} {t.score:7.1f}"
+                f"{t.fmax_mhz:6.1f} {t.anchors if t.anchors is not None else '-':>8} "
+                f"{t.pblock_area:5d} {t.score:7.1f}"
             )
         return "\n".join(lines)
 
@@ -136,7 +138,8 @@ def explore_component(
 
     best: OOCResult | None = None
     trials: list[ExploreTrial] = []
-    for (slack, height, effort, seed), (ooc, anchors) in zip(grid, outcomes):
+    for (slack, height, effort, seed), ooc in zip(grid, outcomes):
+        anchors = len(candidate_anchors(device, ooc.design)) if len(grid) > 1 else None
         trial = ExploreTrial(
             seed=seed,
             effort=effort,
@@ -145,7 +148,7 @@ def explore_component(
             fmax_mhz=ooc.fmax_mhz,
             anchors=anchors,
             pblock_area=ooc.pblock.area,
-            score=ooc.fmax_mhz + anchor_weight * anchors,
+            score=ooc.fmax_mhz + anchor_weight * (anchors or 0),
         )
         if best is None or trial.score > max(t.score for t in trials):
             best = ooc
@@ -157,19 +160,17 @@ def explore_component(
 
 def implement_trial(
     factory: Callable[[], Design], device: Device, point: tuple, plan_ports: bool
-) -> tuple[OOCResult, int]:
+) -> OOCResult:
     """Pre-implement a fresh design at one grid *point*
-    ``(slack, height, effort, seed)``; return it with its anchor count."""
+    ``(slack, height, effort, seed)``."""
     slack, height, effort, seed = point
-    design = factory()
-    ooc = preimplement(
-        design, device, effort=effort, seed=seed, plan_ports=plan_ports,
+    return preimplement(
+        factory(), device, effort=effort, seed=seed, plan_ports=plan_ports,
         slack=slack, max_height=height,
     )
-    return ooc, len(candidate_anchors(device, design))
 
 
-def _in_process(factory, device, grid, plan_ports) -> Iterator[tuple[OOCResult, int]]:
+def _in_process(factory, device, grid, plan_ports) -> Iterator[OOCResult]:
     """The trials one at a time, each only once the sweep asks for it."""
     for point in grid:
         with span("explore/trial"):
@@ -177,8 +178,8 @@ def _in_process(factory, device, grid, plan_ports) -> Iterator[tuple[OOCResult, 
         yield outcome
 
 
-def _reattached(results) -> Iterator[tuple[OOCResult, int]]:
+def _reattached(results) -> Iterator[OOCResult]:
     """Pooled trial outputs with each locked design decoded back in."""
-    for ooc, blob, anchors in results:
+    for ooc, blob in results:
         ooc.design = decode_design(blob)
-        yield ooc, anchors
+        yield ooc

@@ -30,7 +30,7 @@ from ..fabric.interconnect import RoutingGraph
 from ..power.model import estimate_power
 from ..reporting import check_mode
 from ..route.pathfinder import RouteResult, Router
-from ..timing.delays import DEFAULT_DELAYS, DelayModel
+from ..timing.delays import DEFAULT_DELAYS
 from ..timing.incremental import IncrementalSta
 from ..timing.pipeline import pipeline_to_target
 from ..vivado.flow import FlowResult
@@ -81,6 +81,10 @@ class PreImplementedFlow:
         gate fetches its own copy at the chosen anchor), on the stitched
         design pre-route, and on the routed design post-route (with
         database integrity checks).
+
+    STA uses :data:`~repro.timing.delays.DEFAULT_DELAYS` — the model the
+    library's OOC Fmax was timed under — kept as :attr:`delays` for the
+    pipeliner and the edits that re-time a result (ECO, CTS).
     """
 
     def __init__(
@@ -90,14 +94,13 @@ class PreImplementedFlow:
         component_effort: str = "high",
         seed: int = 0,
         plan_ports: bool = True,
-        delays: DelayModel = DEFAULT_DELAYS,
         drc: str = "off",
     ) -> None:
         self.device = device
         self.component_effort = component_effort
         self.seed = seed
         self.plan_ports = plan_ports
-        self.delays = delays
+        self.delays = DEFAULT_DELAYS
         self.drc = check_mode("drc", drc)
         self.graph = RoutingGraph(device)
 

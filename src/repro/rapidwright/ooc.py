@@ -54,7 +54,6 @@ def preimplement(
     effort: str = "high",
     seed: int = 0,
     plan_ports: bool = True,
-    lock: bool = True,
     slack: float = 1.15,
     max_height: int | None = None,
 ) -> OOCResult:
@@ -64,7 +63,7 @@ def preimplement(
     Sec. IV-A2's warning about unplanned I/O placement).  ``max_height``
     overrides the automatic pblock aspect (used by the design-space
     exploration of :mod:`repro.rapidwright.explore`).  The input design
-    is modified in place and, with ``lock=True``, fully locked.
+    is modified in place and fully locked.
     """
     graph = RoutingGraph(device)
 
@@ -103,8 +102,7 @@ def preimplement(
         "effort": effort,
         "seed": seed,
     }
-    if lock:
-        design.lock_all()
+    design.lock_all()
     return OOCResult(design=design, pblock=pblock, timing=timing, place=place, route=route)
 
 

@@ -138,11 +138,11 @@ def _online(model: str, touch_at: int | None):
             assert design.blocks == ()      # the two forms are never both reachable
         seen.append(len(design.blocks))
 
+    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0)
+    flow.delays = delays
     with _events(on_event) as sessions:
-        result = PreImplementedFlow(
-            DEVICE, component_effort="high", seed=0, delays=delays,
-        ).run(dfg, granularity=granularity, rom_weights=rom_weights,
-              database=database, pipeline_target_mhz="auto")
+        result = flow.run(dfg, granularity=granularity, rom_weights=rom_weights,
+                          database=database, pipeline_target_mhz="auto")
     top = result.design
     clock = top.loose_net("clk_net")
     if (touch_at is None or touch_at >= len(seen)) and native_available():
@@ -542,7 +542,8 @@ def test_resource_usage_and_the_result_doc_build_no_object(model):
     result doc of a pre-implemented run materializes nothing."""
     dfg, database = _library(model)
     _network, granularity, rom_weights, delays = MODELS[model]
-    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0, delays=delays)
+    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0)
+    flow.delays = delays
     result = flow.run(dfg, granularity=granularity, rom_weights=rom_weights,
                       database=database, pipeline_target_mhz="auto")
     result.extras["flow"] = flow

@@ -39,8 +39,7 @@ def cts_flow():
     """
     net = make_tiny_cnn()
     flow = PreImplementedFlow(SMALL, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
-    result = flow.run(net, database=db)
+    result = flow.run(net)
     design = result.design
     pre = analyze_reference(design, SMALL, flow.graph, flow.delays)
     trees = run_cts(design, SMALL, delays=flow.delays)

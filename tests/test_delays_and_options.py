@@ -102,11 +102,6 @@ def test_preimplement_max_height_override(small_device):
     assert short.pblock.height <= 30 or short.pblock.height <= small_device.nrows
 
 
-def test_preimplement_unlocked_option(small_device):
-    result = preimplement(gen_relu(4), small_device, effort="low", seed=0, lock=False)
-    assert not any(c.locked for c in result.design.cells.values())
-
-
 def test_component_placer_threshold_rejects_expensive(small_device):
     a = gen_relu(4)
     b = gen_relu(4)

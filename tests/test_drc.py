@@ -560,9 +560,8 @@ def test_prune_dangling_nets_unit():
 @pytest.fixture(scope="module")
 def lenet_strict(big_device):
     net = lenet5()
-    flow = PreImplementedFlow(big_device, seed=0, drc="strict")
-    db, _ = flow.build_database(net)
-    return flow.run(net, database=db), db, big_device
+    result = PreImplementedFlow(big_device, seed=0, drc="strict").run(net)
+    return result, result.extras["database"], big_device
 
 
 def test_stitched_lenet_is_drc_clean(lenet_strict):
@@ -590,7 +589,7 @@ def test_flow_gate_reports_collected(lenet_strict):
 
 def test_strict_gate_raises_on_seeded_violation(small_device, tiny_cnn):
     flow = PreImplementedFlow(small_device, seed=0, drc="strict")
-    db, _ = flow.build_database(tiny_cnn)
+    db = flow.run(tiny_cnn).extras["database"]
     # corrupt one stored checkpoint: drop a net's driver
     def drop_a_driver(design):
         net = next(n for n in design.nets.values() if n.driver is not None)
@@ -606,7 +605,7 @@ def test_strict_gate_raises_on_seeded_violation(small_device, tiny_cnn):
 
 def test_warn_mode_collects_instead_of_raising(small_device, tiny_cnn):
     flow = PreImplementedFlow(small_device, seed=0, drc="warn")
-    db, _ = flow.build_database(tiny_cnn)
+    db = flow.run(tiny_cnn).extras["database"]
     # tamper with a stored image in a netlist-neutral way: the flow
     # still completes, but DB-002 must flag it at the post_route gate
     tamper(next(iter(db.records.values())),

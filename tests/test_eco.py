@@ -84,10 +84,9 @@ def built():
     read-only; tests that mutate must deep-copy via the checkpoint codec)."""
     net = make_tiny_cnn()
     flow = PreImplementedFlow(SMALL, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
-    result = flow.run(net, database=db)
+    result = flow.run(net)
     components = group_components(net, "layer")
-    return result.design, db, flow, components
+    return result.design, result.extras["database"], flow, components
 
 
 def _copy(design: Design) -> Design:

@@ -304,6 +304,59 @@ def test_cache_key_covers_build_options(small_device, comps):
                                    explore={"seeds": (0, 1)})
 
 
+def _spy(monkeypatch, module, name: str) -> list:
+    """Record the first argument of every call of ``module.name`` in this
+    process from now on (builds must run with ``jobs=1``)."""
+    calls, real = [], getattr(module, name)
+
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_plain_build_is_one_bare_preimplement(small_device, comps, monkeypatch):
+    """Without *explore* a library build is the one-point sweep: the bytes
+    of a bare ``preimplement`` at the build's effort and seed, with no
+    anchor count (a single trial ranks nothing), under the key a plain
+    build has always had."""
+    import repro.rapidwright.explore as explore
+    from repro.rapidwright.database import image_integrity
+    from repro.rapidwright.ooc import preimplement
+    from repro.synth.generator import generate_component
+
+    counted = _spy(monkeypatch, explore, "candidate_anchors")
+    db = ComponentDatabase(small_device)
+    db.build(comps, rom_weights=True, effort="low", seed=3, jobs=1)
+    assert counted == []
+    for comp in comps:
+        bare = preimplement(generate_component(comp, rom_weights=True), small_device,
+                            effort="low", seed=3, plan_ports=True)
+        image = DesignImage.from_bytes(encode_design(bare.design))
+        stored = db.records[signature_key(comp.signature)].image
+        assert stored.metadata()["component"]["integrity"] == image_integrity(image)
+    assert build_cache_key(comps[0], small_device, effort="low", seed=0) == \
+        "1f79c8db70894338b4a48e57602550c858bbda06b9006523276f5cb38597b9bc"
+
+
+def test_an_explored_build_sweeps_the_builds_effort_and_seed(small_device, comps,
+                                                             monkeypatch):
+    """The build's effort and seed are the sweep's default axes: an
+    *explore* that names only a slack is one trial per component at them,
+    and the record says so."""
+    import repro.rapidwright.explore as explore
+
+    built = _spy(monkeypatch, explore, "preimplement")
+    db = ComponentDatabase(small_device)
+    db.build(comps, effort="low", seed=5, explore={"slacks": (1.15,)}, jobs=1)
+    assert len(built) == len({comp.signature for comp in comps})
+    for record in db.records.values():
+        ooc = record.image.metadata()["ooc"]
+        assert (ooc["effort"], ooc["seed"]) == ("low", 5)
+
+
 def test_weightless_components_have_one_key_for_both_weight_styles(small_device):
     """The generators read ``rom_weights`` for conv and fc stages only: a
     pool component builds the same bytes either way and is filed under

@@ -51,3 +51,12 @@ def test_lenet_example():
     assert "argmax float=8 fixed16=8" in out
     assert "offline component build" in out
     assert "offline component build 0.00 s" not in out
+
+
+def test_design_space_exploration_example():
+    out = _run("design_space_exploration.py")
+    assert "objective trade-off" in out
+    # the library build runs the sweep for each of LeNet-5's six components
+    assert "explored library: 6 checkpoints" in out
+    assert "floorplan (cf. paper Fig. 8):" in out
+    assert "  A = comp0_conv1 (" in out   # the floorplan legend

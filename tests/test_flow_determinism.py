@@ -44,8 +44,7 @@ def test_preimplemented_flow_deterministic(small_device):
     results = []
     for _ in range(2):
         flow = PreImplementedFlow(small_device, component_effort="low", seed=5)
-        db, _ = flow.build_database(make_tiny_cnn())
-        results.append(flow.run(make_tiny_cnn(), database=db))
+        results.append(flow.run(make_tiny_cnn()))
     a, b = results
     assert a.fmax_mhz == pytest.approx(b.fmax_mhz)
     assert _placements(a.design) == _placements(b.design)
@@ -85,8 +84,8 @@ def test_database_checkpoints_independent_of_consumer(small_device):
     """Two flows sharing one database must not perturb each other: the
     checkpoint copies handed out are isolated."""
     flow = PreImplementedFlow(small_device, component_effort="low", seed=3)
-    db, _ = flow.build_database(make_tiny_cnn())
-    first = flow.run(make_tiny_cnn(), database=db)
+    first = flow.run(make_tiny_cnn())
+    db = first.extras["database"]
     # mutate the first result's design aggressively
     for cell in first.design.cells.values():
         cell.placement = (0, 0)

@@ -17,24 +17,19 @@ from repro.rapidwright import PreImplementedFlow
 from repro.vivado import VivadoFlow
 
 
-@pytest.fixture(scope="module")
-def lenet_flows(big_device):
+def _run_pair(big_device, database=None):
+    """Both flows on LeNet-5; the pre-implemented run builds what
+    *database* (``None``: a new one) lacks."""
     net = lenet5()
-    flow = PreImplementedFlow(big_device, component_effort="high", seed=0)
-    db, _ = flow.build_database(net, rom_weights=True)
-    return net, flow, db
-
-
-def _run_pair(big_device, lenet_flows):
-    net, flow, db = lenet_flows
     baseline = VivadoFlow(big_device, effort="medium", seed=0).run(net, rom_weights=True)
-    ours = flow.run(net, rom_weights=True, database=db)
+    ours = PreImplementedFlow(big_device, component_effort="high", seed=0).run(
+        net, rom_weights=True, database=database)
     return baseline, ours
 
 
 @pytest.fixture(scope="module")
-def lenet_pair(big_device, lenet_flows):
-    return _run_pair(big_device, lenet_flows)
+def lenet_pair(big_device):
+    return _run_pair(big_device)
 
 
 def test_lenet_fmax_improves(lenet_pair):
@@ -50,7 +45,7 @@ def test_lenet_baseline_fmax_in_paper_band(lenet_pair):
     assert 250 < baseline.fmax_mhz < 500
 
 
-def test_lenet_productivity_gain(big_device, lenet_flows, lenet_pair):
+def test_lenet_productivity_gain(big_device, lenet_pair):
     reports = [compare_productivity(*lenet_pair)]
     # Both flows are tens of milliseconds at this scale (the comparator is
     # ~40 ms since PR 22, the online phase ~20 ms), so one collector pass
@@ -62,7 +57,8 @@ def test_lenet_productivity_gain(big_device, lenet_flows, lenet_pair):
         gc.collect()
         gc.disable()
         try:
-            reports.append(compare_productivity(*_run_pair(big_device, lenet_flows)))
+            reports.append(compare_productivity(
+                *_run_pair(big_device, lenet_pair[1].extras["database"])))
         finally:
             gc.enable()
     # paper: 69 % gain for LeNet; require a substantial gain

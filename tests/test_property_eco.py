@@ -200,8 +200,7 @@ def test_rejected_delta_does_not_poison_the_session(case, edit_seed):
 def flow_built():
     net = make_tiny_cnn()
     flow = PreImplementedFlow(SMALL, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
-    result = flow.run(net, database=db)
+    result = flow.run(net)
     components = group_components(net, "layer")
     variants = {}
     for vseed in (2, 3):

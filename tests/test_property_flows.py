@@ -52,8 +52,7 @@ def random_cnns(draw):
 @given(random_cnns())
 def test_stitched_design_invariants(dfg):
     flow = PreImplementedFlow(SMALL, component_effort="low", seed=0)
-    db, _ = flow.build_database(dfg)
-    result = flow.run(dfg, database=db)
+    result = flow.run(dfg)
     stitch = result.extras["stitch"]
     # legality
     result.design.validate(SMALL)

@@ -27,11 +27,10 @@ def flow_pair(small_device):
     net = make_tiny_cnn()
     gc.collect()
     baseline = VivadoFlow(small_device, effort="low", seed=0).run(net, rom_weights=True)
-    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(net, rom_weights=True)
     gc.collect()
-    ours = flow.run(net, rom_weights=True, database=db)
-    return baseline, ours, db, net
+    ours = PreImplementedFlow(small_device, component_effort="low", seed=0).run(
+        net, rom_weights=True)
+    return baseline, ours, ours.extras["database"], net
 
 
 # -- stitcher ------------------------------------------------------------------
@@ -142,16 +141,16 @@ def test_flow_fills_the_empty_database_it_is_handed(small_device, tmp_path):
 
 def _count_preimplement(monkeypatch) -> list:
     """Names of the designs pre-implemented in this process from now on."""
-    import repro.engine.workers as workers
+    import repro.rapidwright.explore as explore
 
     built = []
-    preimplement = workers.preimplement
+    preimplement = explore.preimplement
 
     def counted(design, *args, **kwargs):
         built.append(design.name)
         return preimplement(design, *args, **kwargs)
 
-    monkeypatch.setattr(workers, "preimplement", counted)
+    monkeypatch.setattr(explore, "preimplement", counted)
     return built
 
 
@@ -175,6 +174,17 @@ def test_flow_reuses_database_across_runs(small_device, flow_pair):
         result = flow.run(net, rom_weights=True, database=db)
     assert result.extras["offline_s"] == 0.0
     assert tracer.metrics.counter("codec.fetch").value > 0
+
+
+def test_build_database_is_the_library_a_run_builds(small_device, flow_pair):
+    """``build_database`` — a library with no run — files the same records,
+    byte for byte, as the run that built its own."""
+    _, _, db, net = flow_pair
+    flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    library, report = flow.build_database(net, rom_weights=True)
+    assert report.run_s > 0
+    assert {key: r.image.to_bytes() for key, r in library.records.items()} == \
+        {key: r.image.to_bytes() for key, r in db.records.items()}
 
 
 def test_stage_ledger_matches_trace(traced_lenet):
@@ -268,8 +278,8 @@ def test_route_result_covers_both_passes(small_device, flow_pair, monkeypatch):
 
     # Slow wires make the stitch nets critical, so registers go in.
     passes.clear()
-    slow = PreImplementedFlow(small_device, component_effort="low", seed=0,
-                              delays=DelayModel(tile_delay_ps=200.0))
+    slow = PreImplementedFlow(small_device, component_effort="low", seed=0)
+    slow.delays = DelayModel(tile_delay_ps=200.0)
     result = slow.run(net, rom_weights=True, database=db, pipeline_target_mhz="auto")
     assert result.extras["pipeline"].inserted > 0
     first, reroute = passes

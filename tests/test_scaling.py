@@ -285,10 +285,9 @@ def test_online_phase_builds_no_objects_until_asked(model):
         "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
     }[model]
     flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
-    database, _ = flow.build_database(net, **kwargs)
     tracer = obs.Tracer(obs.InMemorySink())
     with tracer.activate():
-        result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+        result = flow.run(net, pipeline_target_mhz="auto", **kwargs)
         blob = encode_design(result.design)
         assert "codec.materialize" not in tracer.metrics
         n_components = len(group_components(net, kwargs.get("granularity", "layer")))
@@ -310,7 +309,7 @@ def test_a_flatten_leaves_only_string_columns_on_the_images(model):
         "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
     }[model]
     flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
-    database, _ = flow.build_database(net, **kwargs)
+    database = flow.run(net, **kwargs).extras["database"]
     records = list(database.records.values())
     rows = sum(len(r.image.cell_name) + len(r.image.net_name) + len(r.image.sink_name)
                for r in records)
@@ -350,7 +349,7 @@ def test_second_run_reads_back_what_the_images_keep(model, monkeypatch):
         "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
     }[model]
     flow = PreImplementedFlow(DEVICE, component_effort="low", seed=0)
-    database, _ = flow.build_database(net, **kwargs)
+    database = ComponentDatabase(DEVICE)  # the first run fills it
 
     def run():
         result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)

@@ -22,9 +22,8 @@ def _repnet() -> DFG:
 def pair(small_device):
     net = _repnet()
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
-    replicated = flow.run(net, database=db)
-    shared = flow.run(net, database=db, share_components=True)
+    replicated = flow.run(net)
+    shared = flow.run(net, database=replicated.extras["database"], share_components=True)
     return net, replicated, shared
 
 
@@ -72,8 +71,7 @@ def test_shared_deterministic(small_device):
     results = []
     for _ in range(2):
         flow = PreImplementedFlow(small_device, component_effort="low", seed=4)
-        db, _ = flow.build_database(net)
-        results.append(flow.run(net, database=db, share_components=True))
+        results.append(flow.run(net, share_components=True))
     assert results[0].fmax_mhz == pytest.approx(results[1].fmax_mhz)
 
 
@@ -100,13 +98,13 @@ def _spy_on_compose(monkeypatch):
 def test_scheduler_is_built_offline_once(small_device, monkeypatch):
     """The first shared run builds the scheduler into the database and
     counts it as offline work; the second pre-implements nothing."""
-    import repro.engine.workers
+    import repro.rapidwright.explore
     import repro.rapidwright.ooc
     from repro.netlist.codec import encode_design
 
     net = _repnet()
     flow = PreImplementedFlow(small_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
+    db = flow.run(net).extras["database"]
     n_words = max(math.prod(c.out_shape) for c in group_components(net, "layer"))
     assert not db.has(("memctrl", n_words))
     first = flow.run(net, database=db, share_components=True)
@@ -119,7 +117,7 @@ def test_scheduler_is_built_offline_once(small_device, monkeypatch):
         raise AssertionError("preimplement called on a built database")
 
     monkeypatch.setattr(repro.rapidwright.ooc, "preimplement", refuse)
-    monkeypatch.setattr(repro.engine.workers, "preimplement", refuse)
+    monkeypatch.setattr(repro.rapidwright.explore, "preimplement", refuse)
     second = flow.run(net, database=db, share_components=True)
     assert second.extras["offline_s"] == 0.0
     assert encode_design(second.design) == encode_design(first.design)
@@ -185,9 +183,8 @@ def test_compose_star_equals_compose_reference(big_device, monkeypatch):
 
     net = lenet5()
     flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(net)
     calls = _spy_on_compose(monkeypatch)
-    flow.run(net, database=db, share_components=True)
+    flow.run(net, share_components=True)
     ((args, kwargs, _, _),) = calls
     assert kwargs["hub"] is not None
     moved = compose(*args, **kwargs)
@@ -286,10 +283,9 @@ def test_compose_shared_equals_the_cloning_composition(big_device, monkeypatch, 
         "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
     }[model]
     flow = PreImplementedFlow(big_device, component_effort="low", seed=0)
-    db, _ = flow.build_database(net, **kwargs)
-    moved = flow.run(net, database=db, share_components=True, **kwargs)
+    moved = flow.run(net, share_components=True, **kwargs)
     monkeypatch.setattr(flow_module, "compose", _compose_shared_by_cloning)
-    cloned = flow.run(net, database=db, share_components=True, **kwargs)
+    cloned = flow.run(net, database=moved.extras["database"], share_components=True, **kwargs)
     assert design_to_dict(moved.design) == design_to_dict(cloned.design)
     assert moved.extras["stitch"].records == cloned.extras["stitch"].records
     assert moved.fmax_mhz == cloned.fmax_mhz
