@@ -7,7 +7,7 @@ aggressive target and measure both effects.
 """
 
 from repro import Device, lenet5
-from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, ratio_str, simulate_stream
 from repro.cnn import group_components
 from repro.rapidwright import PreImplementedFlow
 
@@ -29,9 +29,9 @@ def test_ablation_pipelining(benchmark, device):
     plain, piped, db = benchmark.pedantic(_run, args=(device,), rounds=1, iterations=1)
     comps = group_components(lenet5(), "layer")
     par_of = library_parallelism(db)
-    lat_plain = network_latency(comps, plain.fmax_mhz, parallelism_of=par_of)
+    lat_plain = simulate_stream(comps, plain.fmax_mhz, parallelism_of=par_of)
     regs = piped.design.metadata.get("pipeline_regs", 0)
-    lat_piped = network_latency(comps, piped.fmax_mhz,
+    lat_piped = simulate_stream(comps, piped.fmax_mhz,
                                 parallelism_of=par_of,
                                 pipeline_regs=regs)
     show(format_table(

@@ -9,8 +9,7 @@ resources, more latency (one pass per logical layer through shared
 engines).
 """
 
-from repro.analysis import (format_table, library_parallelism, network_latency, pct_str,
-                            simulate_stream)
+from repro.analysis import format_table, library_parallelism, pct_str, simulate_stream
 from repro.cnn import DFG, Conv2D, Dense, Flatten, Input, MaxPool2D, ReLU, group_components
 from repro.rapidwright import PreImplementedFlow
 
@@ -39,10 +38,10 @@ def test_ablation_sharing(benchmark, device):
     net, db, replicated, shared = benchmark.pedantic(build, rounds=1, iterations=1)
     comps = group_components(net, "layer")
     par_of = library_parallelism(db)
-    lat_rep = network_latency(comps, replicated.fmax_mhz, parallelism_of=par_of)
+    lat_rep = simulate_stream(comps, replicated.fmax_mhz, parallelism_of=par_of)
     # shared engines process every logical layer sequentially through the
     # scheduler: same per-layer cycles at the shared design's clock
-    lat_shr = network_latency(comps, shared.fmax_mhz, parallelism_of=par_of)
+    lat_shr = simulate_stream(comps, shared.fmax_mhz, parallelism_of=par_of)
     ur = replicated.design.resource_usage()
     us = shared.design.resource_usage()
     show(format_table(
@@ -65,6 +64,5 @@ def test_ablation_sharing(benchmark, device):
     assert shared.design.metadata["n_physical"] < len(comps)
     # ...but never improves per-pass latency (same engines, extra hops)
     assert lat_shr.total_us >= lat_rep.total_us * 0.8
-    # the streaming simulation still covers every logical layer
-    sim = simulate_stream(comps, shared.fmax_mhz, parallelism_of=par_of)
-    assert len(sim.stages) == len(comps)
+    # the simulation covers every logical layer
+    assert len(lat_shr.stages) == len(comps)

@@ -7,7 +7,7 @@ the stitched design clocks higher but pays a small latency penalty from
 pipeline registers inserted across fabric discontinuities.
 """
 
-from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, ratio_str, simulate_stream
 from repro.cnn import group_components, vgg16
 
 from conftest import show
@@ -26,18 +26,18 @@ def test_fig7(benchmark, device, vgg_pair):
     def build():
         par_of = library_parallelism(db)
         regs = pair.ours.design.metadata.get("pipeline_regs", 0)
-        lat_ours = network_latency(comps, pair.ours.fmax_mhz,
+        lat_ours = simulate_stream(comps, pair.ours.fmax_mhz,
                                    parallelism_of=par_of,
                                    pipeline_regs=regs)
-        lat_base = network_latency(comps, pair.baseline.fmax_mhz, parallelism_of=par_of)
+        lat_base = simulate_stream(comps, pair.baseline.fmax_mhz, parallelism_of=par_of)
         return lat_ours, lat_base
 
     lat_ours, lat_base = benchmark.pedantic(build, rounds=1, iterations=1)
 
     rows = []
-    for record, comp_lat in zip(stitch.records, lat_ours.components):
+    for record, stage in zip(stitch.records, lat_ours.stages):
         rows.append([record.name, f"{record.fmax_ooc_mhz:.0f} MHz",
-                     f"{comp_lat.latency_ms:.3f} ms"])
+                     f"{stage.compute_cycles / lat_ours.fmax_mhz / 1e3:.3f} ms"])
     rows.append(["baseline (monolithic)", f"{pair.baseline.fmax_mhz:.0f} MHz",
                  f"{lat_base.total_ms:.2f} ms"])
     rows.append(["our work (stitched)", f"{pair.ours.fmax_mhz:.0f} MHz",

@@ -7,7 +7,7 @@ upper-bounded by the slowest component; conv2 slower than conv1 because
 of its higher parameter count.
 """
 
-from repro.analysis import format_table, library_parallelism, network_latency, ratio_str
+from repro.analysis import format_table, library_parallelism, ratio_str, simulate_stream
 from repro.cnn import group_components, lenet5
 
 from conftest import show
@@ -26,19 +26,19 @@ def test_table3(benchmark, device, lenet_pair):
     db = pair.database
 
     def build_rows():
-        return network_latency(comps, pair.ours.fmax_mhz,
+        return simulate_stream(comps, pair.ours.fmax_mhz,
                                parallelism_of=library_parallelism(db))
 
     lat = benchmark.pedantic(build_rows, rounds=1, iterations=1)
 
     rows = []
-    for record, comp, comp_lat in zip(stitch.records, comps, lat.components):
+    for record, comp, stage in zip(stitch.records, comps, lat.stages):
         head = comp.nodes[0]
         rows.append([
             "+".join(comp.nodes),
             f"{record.fmax_ooc_mhz:.0f}",
             str(PAPER_MHZ.get(head, "-")),
-            f"{comp_lat.latency_us:.2f} us",
+            f"{stage.compute_cycles / lat.fmax_mhz:.2f} us",
         ])
     rows.append(["full network (baseline)", f"{pair.baseline.fmax_mhz:.0f}",
                  str(PAPER_MHZ["full"]), "-"])
@@ -61,5 +61,5 @@ def test_table3(benchmark, device, lenet_pair):
     assert pair.ours.fmax_mhz > pair.baseline.fmax_mhz  # stitched wins
     assert pair.ours.fmax_mhz <= stitch.slowest_component_mhz + 1e-6
     # per-component latency ordering: conv2 dominates conv1 (Table III)
-    lat_by_head = {c.nodes[0]: l.latency_us for c, l in zip(comps, lat.components)}
+    lat_by_head = {c.nodes[0]: s.compute_cycles for c, s in zip(comps, lat.stages)}
     assert lat_by_head["conv2"] > lat_by_head["conv1"]

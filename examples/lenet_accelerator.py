@@ -12,7 +12,7 @@ Run:  python examples/lenet_accelerator.py
 import numpy as np
 
 from repro import Device, lenet5, random_weights, run_inference
-from repro.analysis import compare_productivity, format_table, library_parallelism, network_latency
+from repro.analysis import compare_productivity, format_table, library_parallelism, simulate_stream
 from repro.cnn import group_components, quantized_inference
 from repro.power import estimate_power
 from repro.rapidwright import PreImplementedFlow
@@ -36,12 +36,12 @@ def main() -> None:
     comps = group_components(net, "layer")
     stitch = ours.extras["stitch"]
     par_of = library_parallelism(ours.extras["database"])
-    latency = network_latency(comps, ours.fmax_mhz, parallelism_of=par_of)
+    latency = simulate_stream(comps, ours.fmax_mhz, parallelism_of=par_of)
 
     rows = []
-    for record, comp, lat in zip(stitch.records, comps, latency.components):
+    for record, comp, stage in zip(stitch.records, comps, latency.stages):
         rows.append(["+".join(comp.nodes), f"{record.fmax_ooc_mhz:.0f} MHz",
-                     f"{lat.latency_us:.2f} us"])
+                     f"{stage.compute_cycles / latency.fmax_mhz:.2f} us"])
     rows.append(["full network (monolithic)", f"{baseline.fmax_mhz:.0f} MHz", "-"])
     rows.append(["our work (stitched)", f"{ours.fmax_mhz:.0f} MHz",
                  f"{latency.total_us:.2f} us"])

@@ -13,7 +13,7 @@ Run:  python examples/vgg16_accelerator.py
 """
 
 from repro import Device, vgg16
-from repro.analysis import compare_productivity, format_table, library_parallelism, network_latency
+from repro.analysis import compare_productivity, format_table, library_parallelism, simulate_stream
 from repro.cnn import group_components
 from repro.memory import plan_feature_maps
 from repro.rapidwright import PreImplementedFlow
@@ -53,7 +53,7 @@ def main() -> None:
     comps = group_components(net, "block")
     stitch = ours.extras["stitch"]
     par_of = library_parallelism(database)
-    latency = network_latency(comps, ours.fmax_mhz,
+    latency = simulate_stream(comps, ours.fmax_mhz,
                               parallelism_of=par_of,
                               pipeline_regs=regs)
     rows = [[r.name, f"{r.fmax_ooc_mhz:.0f} MHz", str(r.anchor)] for r in stitch.records]

@@ -44,7 +44,7 @@ _HOME_OF = {name: home for home, names in {
     "memory": ("BestFitAllocator", "plan_feature_maps"),
     "spec": ("JobSpec",),
     "serve": ("ServeClient", "ServeServer", "TenantQuota"),
-    "analysis": ("compare_productivity", "network_latency"),
+    "analysis": ("compare_productivity", "simulate_stream"),
 }.items() for name in names}
 
 
@@ -120,6 +120,6 @@ __all__ = [
     "BestFitAllocator",
     "plan_feature_maps",
     "compare_productivity",
-    "network_latency",
+    "simulate_stream",
     "__version__",
 ]

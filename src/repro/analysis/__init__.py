@@ -2,11 +2,10 @@
 
 from .compare import SOTA_TABLE, SotaEntry, comparison_rows
 from .floorplan import module_legend, render_floorplan
-from .latency import (ComponentLatency, NetworkLatency, component_cycles,
-                      library_parallelism, network_latency)
+from .latency import (SimulationReport, StageTrace, component_cycles, library_parallelism,
+                      simulate_stream)
 from .productivity import ProductivityReport, compare_productivity
 from .report import format_table, pct_str, ratio_str
-from .simulate import SimulationReport, StageTrace, simulate_stream
 
 __all__ = [
     "SOTA_TABLE",
@@ -14,11 +13,8 @@ __all__ = [
     "module_legend",
     "SotaEntry",
     "comparison_rows",
-    "ComponentLatency",
-    "NetworkLatency",
     "component_cycles",
     "library_parallelism",
-    "network_latency",
     "ProductivityReport",
     "compare_productivity",
     "format_table",

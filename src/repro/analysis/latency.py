@@ -1,16 +1,30 @@
-"""Inference latency model.
+"""Inference latency model: one simulated batch-1 inference.
 
-Batch-1 latency of the stream architecture: each component processes the
-feature maps produced by its predecessor, so total latency is the sum of
-per-component latencies at the achieved clock (Table III / Fig. 7 rows),
-plus one cycle per pipeline register inserted by phys-opt (the mechanism
-behind VGG's 1.02x latency in Fig. 7: "inserting pipeline elements such
-as FFs on the critical path improves the timing performance, while
-increasing the overall latency").
+The paper's accelerators are "stream-like": components connected by
+single-source, single-sink FIFO queues with memory controllers between
+stages that need address generation (Sec. IV-B1, Fig. 5).
+:func:`simulate_stream` runs one inference at the component level under
+two scheduling disciplines:
+
+* ``store_forward`` — each component consumes the *complete* feature map
+  of its predecessor (what the memory controllers in the stock LeNet/VGG
+  architectures do); total latency is the sum of component latencies at
+  the achieved clock (Table III / Fig. 7 rows).
+* ``streaming`` — a component starts as soon as its predecessor has
+  produced the first full input window (the deep-pipelined alternative
+  the paper cites from streaming accelerators); stages overlap and total
+  latency approaches the slowest stage plus fill time.
+
+Either way each pipeline register inserted by phys-opt adds one cycle
+(the mechanism behind VGG's 1.02x latency in Fig. 7: "inserting pipeline
+elements such as FFs on the critical path improves the timing
+performance, while increasing the overall latency").
 
 Cycle counts come from the workload and the engine parallelism recorded
 by the generators: ``ceil(MACs / macs_per_cycle)`` for compute layers,
-output-pixel counts for pooling, plus a pipeline-fill overhead.
+output-pixel counts for pooling, plus a pipeline-fill overhead.  The
+report keeps per-stage busy/stall breakdowns so the examples can show
+where time goes.
 """
 
 from __future__ import annotations
@@ -20,52 +34,11 @@ from math import ceil
 
 from ..cnn.graph import Component
 
-__all__ = ["ComponentLatency", "NetworkLatency", "component_cycles", "library_parallelism",
-           "network_latency"]
+__all__ = ["SimulationReport", "StageTrace", "component_cycles", "library_parallelism",
+           "simulate_stream"]
 
 #: Pipeline fill + drain per component (cycles).
 FILL_CYCLES = 48
-
-
-@dataclass(frozen=True)
-class ComponentLatency:
-    """Latency of one component at a given clock."""
-
-    name: str
-    kind: str
-    cycles: int
-    fmax_mhz: float
-
-    @property
-    def latency_us(self) -> float:
-        return self.cycles / self.fmax_mhz
-
-    @property
-    def latency_ms(self) -> float:
-        return self.latency_us / 1e3
-
-
-@dataclass
-class NetworkLatency:
-    """End-to-end inference latency breakdown."""
-
-    components: list[ComponentLatency] = field(default_factory=list)
-    pipeline_regs: int = 0
-    fmax_mhz: float = 0.0
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(c.cycles for c in self.components) + self.pipeline_regs
-
-    @property
-    def total_us(self) -> float:
-        return sum(c.latency_us for c in self.components) + (
-            self.pipeline_regs / self.fmax_mhz if self.fmax_mhz else 0.0
-        )
-
-    @property
-    def total_ms(self) -> float:
-        return self.total_us / 1e3
 
 
 def component_cycles(comp: Component, parallelism: dict | None = None) -> int:
@@ -88,7 +61,7 @@ def component_cycles(comp: Component, parallelism: dict | None = None) -> int:
 
 
 def library_parallelism(database):
-    """``parallelism_of`` for :func:`network_latency`, read off each
+    """``parallelism_of`` for :func:`simulate_stream`, read off each
     component's *database* record without building it."""
     def parallelism_of(comp: Component) -> dict:
         return database.fetch(comp.signature).metadata.get("parallelism", {"pf": 1, "pk": 1})
@@ -96,29 +69,94 @@ def library_parallelism(database):
     return parallelism_of
 
 
-def network_latency(
+@dataclass(frozen=True)
+class StageTrace:
+    """Activity of one component during the simulated inference."""
+
+    name: str
+    start_cycle: int
+    finish_cycle: int
+    compute_cycles: int
+
+    @property
+    def stall_cycles(self) -> int:
+        return (self.finish_cycle - self.start_cycle) - self.compute_cycles
+
+
+@dataclass
+class SimulationReport:
+    """Result of one simulated inference."""
+
+    mode: str
+    fmax_mhz: float
+    stages: list[StageTrace] = field(default_factory=list)
+    pipeline_regs: int = 0
+
+    @property
+    def total_cycles(self) -> int:
+        return max((s.finish_cycle for s in self.stages), default=0) + self.pipeline_regs
+
+    @property
+    def total_us(self) -> float:
+        return self.total_cycles / self.fmax_mhz
+
+    @property
+    def total_ms(self) -> float:
+        return self.total_us / 1e3
+
+    def summary(self) -> str:
+        return (
+            f"{self.mode}: {self.total_cycles} cycles at {self.fmax_mhz:.0f} MHz "
+            f"= {self.total_us:.2f} us over {len(self.stages)} stages"
+        )
+
+
+def simulate_stream(
     components: list[Component],
     fmax_mhz: float,
     *,
     parallelism_of=None,
     pipeline_regs: int = 0,
-) -> NetworkLatency:
-    """Latency of the full accelerator, every component at *fmax_mhz*
-    (a stitched design runs everything at its single achieved clock).
+    mode: str = "store_forward",
+) -> SimulationReport:
+    """Simulate one batch-1 inference through the component chain, every
+    component at *fmax_mhz* (a stitched design runs everything at its
+    single achieved clock).
 
-    ``parallelism_of(comp)`` returns the generator parallelism metadata.
+    ``parallelism_of(comp)`` supplies the generator parallelism metadata;
+    *pipeline_regs* is the count phys-opt inserted
+    (``design.metadata["pipeline_regs"]`` of a pipelined result).
     """
     if fmax_mhz <= 0:
         raise ValueError(f"fmax must be positive, got {fmax_mhz}")
-    out = NetworkLatency(pipeline_regs=pipeline_regs, fmax_mhz=fmax_mhz)
+    if mode not in ("store_forward", "streaming"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    report = SimulationReport(mode=mode, fmax_mhz=fmax_mhz, pipeline_regs=pipeline_regs)
+    prev_finish = 0
+    prev_first_out = 0
     for comp in components:
         par = parallelism_of(comp) if parallelism_of else None
-        out.components.append(
-            ComponentLatency(
+        compute = component_cycles(comp, par)
+        if mode == "store_forward":
+            start = prev_finish
+            finish = start + compute
+            first_out = finish
+        else:
+            # the stage may begin once the predecessor has filled the
+            # first input window, but cannot finish before its
+            # predecessor has delivered everything it needs
+            start = prev_first_out
+            finish = max(start + compute, prev_finish + FILL_CYCLES)
+            first_out = start + FILL_CYCLES
+        report.stages.append(
+            StageTrace(
                 name=comp.name,
-                kind=comp.kind,
-                cycles=component_cycles(comp, par),
-                fmax_mhz=fmax_mhz,
+                start_cycle=start,
+                finish_cycle=finish,
+                compute_cycles=compute,
             )
         )
-    return out
+        prev_finish = finish
+        prev_first_out = first_out
+    return report

@@ -89,6 +89,17 @@ def _pipeline_mhz(text: str) -> float | str:
         return text
 
 
+def _positive_int(text: str) -> int:
+    """A count or size flag's value: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 #: Every flag that sets a JobSpec field, declared once.  Its default is the
 #: spec's and its values are ``repro.spec.CHOICES``: JobSpec checks them
 #: when the parser builds the verb's spec, not argparse.
@@ -144,7 +155,7 @@ class _Parser(argparse.ArgumentParser):
         if args.command in _VERB_FIELDS:
             try:
                 args.spec = _job_spec(args)
-            except SpecError as exc:
+            except (SpecError, OSError) as exc:  # a bad field, or an unreadable --arch-file
                 self.exit(2, f"repro {args.command}: {exc}\n")
         return args, extras
 
@@ -302,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jsonl (repro trace-report) or chrome (chrome://tracing)")
 
     p_fp = spec_verb("floorplan", "stitch and render the floorplan")
-    p_fp.add_argument("--width", type=int, default=100)
-    p_fp.add_argument("--height", type=int, default=30)
+    p_fp.add_argument("--width", type=_positive_int, default=100)
+    p_fp.add_argument("--height", type=_positive_int, default=30)
 
     p_ex = sub.add_parser("explore", help="function-optimization DSE")
     p_ex.add_argument("--component", default="conv2", choices=sorted(_EXPLORE_TARGETS))
     p_ex.add_argument("--part", default=_SPEC_DEFAULTS["part"], choices=CHOICES["part"])
-    p_ex.add_argument("--seeds", type=int, default=3)
+    p_ex.add_argument("--seeds", type=_positive_int, default=3)
     p_ex.add_argument("--anchor-weight", type=float, default=0.0)
     p_ex.add_argument("--jobs", type=int, default=1,
                       help="worker processes for independent trials")
@@ -474,7 +485,7 @@ def _cmd_drc(args, out) -> int:
 
         try:
             design = load_checkpoint(args.checkpoint)
-        except ValueError as exc:  # CheckpointFormatError, or a torn image
+        except (OSError, ValueError) as exc:  # unreadable, CheckpointFormatError, torn
             print(f"checkpoint rejected: {exc}", file=out)
             return 2
         require_routed = args.require_routed
@@ -534,7 +545,7 @@ def _cmd_eco(args, out) -> int:
             result, spec, drc=spec.drc, swap_layer=args.swap_layer, swap_seed=args.swap_seed,
             cts=args.cts, verify=args.verify, delta=delta,
         )
-    except (SpecError, json.JSONDecodeError) as exc:
+    except (SpecError, json.JSONDecodeError, OSError) as exc:
         print(f"repro eco: {exc}", file=sys.stderr)
         return 2
     except (DrcError, EcoError) as exc:
@@ -590,7 +601,11 @@ def _cmd_explore(args, out) -> int:
 def _cmd_trace_report(args, out) -> int:
     from .obs import load_events, summarize
 
-    events = load_events(args.path)
+    try:
+        events = load_events(args.path)
+    except (OSError, ValueError) as exc:  # unreadable, or not a JSONL trace
+        print(f"repro trace-report: {exc}", file=sys.stderr)
+        return 2
     print(summarize(events, sort=args.sort), file=out)
     return 0
 

@@ -83,7 +83,6 @@ def synthesize_network(
     *,
     granularity: str = "layer",
     rom_weights: bool = True,
-    flat_overhead: bool = True,
 ) -> NetworkSynthesis:
     """Synthesize the flat accelerator netlist for *dfg*.
 
@@ -91,7 +90,7 @@ def synthesize_network(
     ``out_data`` feeds the next component's ``in_data``; off-chip weight
     ports (``rom_weights=False``) are promoted to the top level.
 
-    ``flat_overhead`` models what the paper observes about monolithic
+    Each instance carries the glue the paper observes in monolithic
     compilation (Sec. V-C): on the flat design the vendor tool replicates
     control and inserts buffering/BRAM it avoids when optimizing each
     component in isolation.  The pre-implemented flow assembles the bare
@@ -116,8 +115,7 @@ def synthesize_network(
     for comp in components:
         sub = unique[comp.signature]
         portmap = top.instantiate(sub, prefix=comp.name, module=comp.name)
-        if flat_overhead:
-            _add_flat_overhead(top, comp.name, sub, portmap)
+        _add_flat_overhead(top, comp.name, sub, portmap)
         if first_in is None:
             first_in = portmap["in_data"]
         if prev_out is not None:

@@ -8,9 +8,9 @@ from repro.analysis import (
     component_cycles,
     compare_productivity,
     format_table,
-    network_latency,
     pct_str,
     ratio_str,
+    simulate_stream,
 )
 from repro.analysis.latency import FILL_CYCLES
 from repro.cnn import group_components, lenet5
@@ -43,24 +43,26 @@ def test_conv2_slower_than_conv1(lenet_components):
     assert component_cycles(conv2, {"pf": 8, "pk": 5}) > component_cycles(conv1, par)
 
 
-def test_network_latency_totals(lenet_components):
-    lat = network_latency(lenet_components, fmax_mhz=400.0,
+def test_simulate_stream_totals(lenet_components):
+    lat = simulate_stream(lenet_components, fmax_mhz=400.0,
                           parallelism_of=lambda c: {"pf": 4, "pk": 5})
-    assert len(lat.components) == len(lenet_components)
-    assert lat.total_us == pytest.approx(sum(c.latency_us for c in lat.components))
+    assert len(lat.stages) == len(lenet_components)
+    assert lat.total_us == pytest.approx(sum(s.compute_cycles / 400.0 for s in lat.stages))
     assert lat.total_ms == lat.total_us / 1e3
 
 
-def test_network_latency_pipeline_regs_add_cycles(lenet_components):
-    base = network_latency(lenet_components, 400.0)
-    piped = network_latency(lenet_components, 400.0, pipeline_regs=100)
-    assert piped.total_cycles == base.total_cycles + 100
-    assert piped.total_us > base.total_us
+def test_simulate_stream_pipeline_regs_add_cycles(lenet_components):
+    for mode in ("store_forward", "streaming"):
+        base = simulate_stream(lenet_components, 400.0, mode=mode)
+        piped = simulate_stream(lenet_components, 400.0, pipeline_regs=100, mode=mode)
+        assert piped.total_cycles == base.total_cycles + 100
+        assert piped.total_us > base.total_us
+        assert piped.stages == base.stages
 
 
-def test_network_latency_validates_fmax(lenet_components):
+def test_simulate_stream_validates_fmax(lenet_components):
     with pytest.raises(ValueError):
-        network_latency(lenet_components, 0.0)
+        simulate_stream(lenet_components, 0.0)
 
 
 def test_format_table_alignment():

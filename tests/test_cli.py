@@ -263,6 +263,34 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(("argv", "names"), [
+    pytest.param(["explore", "--seeds", "0"], "--seeds", id="explore-seeds-zero"),
+    pytest.param(["explore", "--seeds", "-2"], "--seeds", id="explore-seeds-negative"),
+    pytest.param(["floorplan", "--width", "0"], "--width", id="floorplan-width-zero"),
+    pytest.param(["floorplan", "--height", "-3"], "--height", id="floorplan-height-negative"),
+    pytest.param(["drc", "--checkpoint", "{missing}"], "missing.dcpb", id="drc-missing-checkpoint"),
+    pytest.param(["trace-report", "{missing}"], "missing.dcpb", id="trace-report-missing-file"),
+    pytest.param(["submit", "--url", "http://127.0.0.1:9", "--arch-file", "{missing}"],
+                 "missing.dcpb", id="submit-missing-arch-file"),
+    pytest.param(["eco", "--part", "small", "--effort", "low", "--delta", "{missing}"],
+                 "missing.dcpb", id="eco-missing-delta"),
+])
+def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, argv, names):
+    argv = [arg.format(missing=tmp_path / "missing.dcpb") for arg in argv]
+    out = io.StringIO()
+    try:
+        code = main(argv, out=out)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = [line for line in (out.getvalue() + captured.err).splitlines()
+             if not line.startswith("built ")]  # eco reports its build first
+    assert names in lines[-1]
+    # one message line, or argparse's usage text and then its error line
+    assert len(lines) == 1 or lines[-1].startswith(f"repro {argv[0]}: error: argument ")
+
+
 @pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
 def test_spec_flags_take_jobspecs_defaults_and_values(capsys, verb):
     parser = build_parser()

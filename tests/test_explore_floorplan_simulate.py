@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.analysis import (
-    module_legend,
-    network_latency,
-    render_floorplan,
-    simulate_stream,
-)
-from repro.cnn import group_components
+from repro.analysis import module_legend, render_floorplan, simulate_stream
+from repro.cnn import group_components, lenet5, vgg16
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow, explore_component
-from repro.synth import gen_relu
+from repro.synth import gen_relu, generate_component
 from tests.conftest import make_tiny_cnn
 
 
@@ -111,13 +106,21 @@ def test_floorplan_legend(stitched):
 # -- stream simulation -----------------------------------------------------------
 
 
-def test_simulation_matches_latency_model():
-    comps = group_components(make_tiny_cnn(), "layer")
-    par = lambda c: {"pf": 2, "pk": 3}
-    sim = simulate_stream(comps, 400.0, parallelism_of=par)
-    lat = network_latency(comps, 400.0, parallelism_of=par)
-    assert sim.total_cycles == lat.total_cycles
-    assert sim.total_us == pytest.approx(lat.total_us)
+@pytest.mark.parametrize(("dfg", "granularity", "rom_weights", "cycles"), [
+    pytest.param(lenet5, "layer", True, 13_549, id="lenet5"),
+    pytest.param(vgg16, "block", False, 114_318_164, id="vgg16"),
+])
+def test_store_forward_cycles_are_pinned(dfg, granularity, rom_weights, cycles):
+    """The paper's latency rows at each component's generator parallelism."""
+    comps = group_components(dfg(), granularity)
+    par = {}
+    for comp in comps:
+        if comp.signature not in par:
+            design = generate_component(comp, rom_weights=rom_weights)
+            par[comp.signature] = design.metadata["parallelism"]
+    sim = simulate_stream(comps, 400.0, parallelism_of=lambda c: par[c.signature])
+    assert sim.total_cycles == cycles
+    assert sim.total_us == cycles / 400.0
 
 
 def test_streaming_overlap_is_faster():
