@@ -5,7 +5,7 @@ The function-optimization phase is a DSE over sub-function
 implementations ("Design space exploration to optimize sub-function
 performance (Fmax, Area, Power)... Iteration to meet the constraints").
 This example sweeps placement seeds, floorplan slack and pblock aspect
-for the LeNet conv2 engine, trades Fmax against relocatability, builds a
+for LeNet-5's conv2 library component, trades Fmax against relocatability, builds a
 component library from the winners, and renders the final floorplan.
 
 Run:  python examples/design_space_exploration.py
@@ -15,16 +15,18 @@ from repro import Device, lenet5
 from repro.analysis import format_table, module_legend, render_floorplan
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow, explore_component
 from repro.cnn import group_components
-from repro.synth import gen_conv
 
 
 def main() -> None:
     device = Device.from_name("ku5p-like")
+    net = lenet5()
+    components = group_components(net, "layer")
+    (conv2,) = [c for c in components if c.nodes == ["conv2"]]
 
     # --- sweep one component ------------------------------------------------
-    print("exploring the conv2 engine (seeds x slack x aspect)...")
+    print(f"exploring {conv2.name} (seeds x slack x aspect)...")
     result = explore_component(
-        lambda: gen_conv(6, 14, 14, 5, 16, rom_weights=True),
+        conv2,
         device,
         seeds=(0, 1, 2),
         slacks=(1.05, 1.4),
@@ -36,7 +38,7 @@ def main() -> None:
 
     # --- same sweep, trading Fmax for relocatability -------------------------
     reuse = explore_component(
-        lambda: gen_conv(6, 14, 14, 5, 16, rom_weights=True),
+        conv2,
         device,
         seeds=(0, 1),
         slacks=(1.05, 1.4),
@@ -56,11 +58,10 @@ def main() -> None:
     ))
 
     # --- build the whole library with exploration, then stitch ---------------
-    net = lenet5()
     flow = PreImplementedFlow(device, component_effort="high", seed=0)
     database = ComponentDatabase(device)
     offline = database.build(
-        group_components(net, "layer"),
+        components,
         rom_weights=True,
         explore={"seeds": (0, 1), "slacks": (1.15,)},
     )

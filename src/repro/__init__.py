@@ -69,57 +69,4 @@ def __dir__():
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "Engine",
-    "Device",
-    "PBlock",
-    "RoutingGraph",
-    "TileType",
-    "auto_pblock",
-    "get_part",
-    "Cell",
-    "Design",
-    "DesignError",
-    "Net",
-    "Port",
-    "load_checkpoint",
-    "save_checkpoint",
-    "DFG",
-    "group_components",
-    "lenet5",
-    "lenet5_caffe",
-    "vgg16",
-    "parse_architecture",
-    "run_inference",
-    "random_weights",
-    "gen_conv",
-    "gen_fc",
-    "gen_pool",
-    "gen_relu",
-    "gen_pe_array",
-    "synthesize_network",
-    "place_design",
-    "Router",
-    "IncrementalSta",
-    "analyze",
-    "analyze_reference",
-    "fmax_mhz",
-    "pipeline_to_target",
-    "estimate_power",
-    "FlowResult",
-    "VivadoFlow",
-    "ComponentDatabase",
-    "PreImplementedFlow",
-    "preimplement",
-    "relocate",
-    "DrcError",
-    "DrcReport",
-    "Severity",
-    "WaiverSet",
-    "run_drc",
-    "BestFitAllocator",
-    "plan_feature_maps",
-    "compare_productivity",
-    "simulate_stream",
-    "__version__",
-]
+__all__ = [*_HOME_OF, "__version__"]

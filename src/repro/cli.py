@@ -19,7 +19,7 @@
 * ``eco --swap-layer conv2 [--cts] [--verify]`` — build, then edit incrementally.
 * ``floorplan --model lenet5`` — stitch and render the ASCII floorplan.
 * ``explore --component conv2`` — sweep the function-optimization space
-  for one of the stock LeNet components.
+  for one component of the LeNet-5 library, named by its layer.
 * ``trace-report out.jsonl`` — per-span/per-metric summary of a trace
   written by ``run``/``build`` ``--trace``.
 * ``serve --data-dir DIR --port 8177 --workers 4`` — run the compile
@@ -61,7 +61,6 @@ import os
 import sys
 import warnings
 from dataclasses import fields, replace
-from functools import partial
 from pathlib import Path
 
 # Only what the argument parser itself needs (the model and part catalogs
@@ -158,24 +157,6 @@ class _Parser(argparse.ArgumentParser):
             except (SpecError, OSError) as exc:  # a bad field, or an unreadable --arch-file
                 self.exit(2, f"repro {args.command}: {exc}\n")
         return args, extras
-
-
-def _generate(generator: str, *args, **kwargs):
-    """``repro.synth.<generator>(*args, **kwargs)``, importing the synthesizer
-    only when a design is asked for."""
-    from . import synth
-
-    return getattr(synth, generator)(*args, **kwargs)
-
-
-#: Stock LeNet components selectable by ``explore --component``; picklable
-#: factories, so ``explore --jobs N`` evaluates trials in worker processes.
-_EXPLORE_TARGETS = {
-    "conv1": partial(_generate, "gen_conv", 1, 32, 32, 5, 6, rom_weights=True),
-    "conv2": partial(_generate, "gen_conv", 6, 14, 14, 5, 16, rom_weights=True),
-    "pool1": partial(_generate, "gen_pool", 6, 28, 28, 2, include_relu=True),
-    "fc1": partial(_generate, "gen_fc", 400, 120, rom_weights=True),
-}
 
 
 def _add_report_options(sub_parser: argparse.ArgumentParser) -> None:
@@ -317,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fp.add_argument("--height", type=_positive_int, default=30)
 
     p_ex = sub.add_parser("explore", help="function-optimization DSE")
-    p_ex.add_argument("--component", default="conv2", choices=sorted(_EXPLORE_TARGETS))
+    p_ex.add_argument("--component", default="conv2", metavar="LAYER",
+                      help="the LeNet-5 library component to tune, by layer name "
+                           "(default conv2)")
     p_ex.add_argument("--part", default=_SPEC_DEFAULTS["part"], choices=CHOICES["part"])
     p_ex.add_argument("--seeds", type=_positive_int, default=3)
     p_ex.add_argument("--anchor-weight", type=float, default=0.0)
@@ -486,7 +469,7 @@ def _cmd_drc(args, out) -> int:
         try:
             design = load_checkpoint(args.checkpoint)
         except (OSError, ValueError) as exc:  # unreadable, CheckpointFormatError, torn
-            print(f"checkpoint rejected: {exc}", file=out)
+            print(f"checkpoint rejected: {exc}", file=sys.stderr)
             return 2
         require_routed = args.require_routed
         gate = f"checkpoint:{Path(args.checkpoint).name}"
@@ -582,10 +565,15 @@ def _cmd_floorplan(args, out) -> int:
 def _cmd_explore(args, out) -> int:
     from .rapidwright import explore_component
 
-    device = Device.from_name(args.part)
-    factory = _EXPLORE_TARGETS[args.component]
+    lenet = JobSpec(model="lenet5")
+    component = lenet.resolve_eco_layer(args.component)
+    if component is None:
+        known = ", ".join(c.nodes[0] for c in group_components(lenet.dfg(), lenet.granularity))
+        print(f"repro explore: {args.component!r} names no single LeNet-5 component; "
+              f"known: {known}", file=sys.stderr)
+        return 2
     result = explore_component(
-        factory, device,
+        component, Device.from_name(args.part),
         seeds=tuple(range(args.seeds)),
         slacks=(1.05, 1.4),
         anchor_weight=args.anchor_weight,

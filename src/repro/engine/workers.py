@@ -14,8 +14,6 @@ library file (:meth:`~repro.rapidwright.database.ComponentDatabase.build`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # The parent imports this module before the engine forks its workers, so
 # everything a build imports on first use is imported here, once: lazily,
 # each worker would pay 0.04-0.07 s for it in its first task and the
@@ -29,33 +27,14 @@ from .. import drc  # noqa: F401
 from ..cnn.graph import Component
 from ..fabric.device import Device
 from ..netlist.codec import encode_design
-from ..netlist.design import Design
 from ..place import _annealer_reference, native as _place_native  # noqa: F401
 from ..rapidwright.explore import explore_component, implement_trial
 from ..route import native as _route_native  # noqa: F401
-from ..synth.generator import generate_component
 
 __all__ = [
-    "ComponentFactory",
     "build_component",
     "run_explore_trial",
 ]
-
-
-@dataclass(frozen=True)
-class ComponentFactory:
-    """Picklable replacement for ``lambda: generate_component(comp, ...)``.
-
-    :func:`~repro.rapidwright.explore.explore_component` consumes one
-    fresh design per trial; this factory regenerates it in whichever
-    process the trial lands on.
-    """
-
-    component: Component
-    rom_weights: bool = True
-
-    def __call__(self) -> Design:
-        return generate_component(self.component, rom_weights=self.rom_weights)
 
 
 def build_component(
@@ -73,14 +52,16 @@ def build_component(
     *explore*, one ``preimplement``); *explore* may override them."""
     sweep = {"seeds": (seed,), "efforts": (effort,), **(explore or {})}
     result = explore_component(
-        ComponentFactory(component, rom_weights), device, plan_ports=plan_ports, **sweep
+        component, device, rom_weights=rom_weights, plan_ports=plan_ports, **sweep
     )
     return encode_design(result.best.design)
 
 
-def run_explore_trial(factory, device: Device, point: tuple, plan_ports: bool) -> tuple:
+def run_explore_trial(
+    component: Component, device: Device, point: tuple, rom_weights: bool, plan_ports: bool
+) -> tuple:
     """One DSE trial (one point of the explore sweep) as an engine task."""
-    ooc = implement_trial(factory, device, point, plan_ports)
+    ooc = implement_trial(component, device, point, rom_weights, plan_ports)
     # Ship the locked design as one binary blob instead of letting the
     # pickler walk thousands of Cell/Net objects; the sweep decodes it
     # back in (see explore._reattached).

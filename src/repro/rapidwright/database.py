@@ -23,7 +23,6 @@ concurrently, one worker per usable core by default.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cnn.graph import Component
-from ..engine.cache import canonical_blob, content_key, write_atomic
+from ..engine.cache import canonical, canonical_blob, content_key, write_atomic
 from ..engine.executor import Engine, EngineReport, TaskSpec
 from ..fabric.device import Device
 from ..fabric.pblock import PBlock
@@ -127,19 +126,6 @@ def build_cache_key(
     )
 
 
-def _signature_to_json(obj):
-    """Signature → JSON-safe structure (tuples to lists, numpy to builtin)."""
-    if isinstance(obj, (tuple, list)):
-        return [_signature_to_json(item) for item in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return float(obj)
-    return obj
-
-
 @dataclass
 class _Record:
     signature: tuple
@@ -197,7 +183,7 @@ class ComponentDatabase:
         key = signature_key(signature)
         meta = image.metadata()
         comp = meta.setdefault("component", {})
-        comp["signature"] = _signature_to_json(signature)
+        comp["signature"] = canonical(signature)
         comp["integrity"] = image_integrity(image)
         if build_key:
             comp["build_key"] = build_key
@@ -227,7 +213,7 @@ class ComponentDatabase:
             return self._reject(path, str(exc))
         comp = meta.get("component")
         if not isinstance(comp, dict) or comp.get("build_key") != build_key \
-                or comp.get("signature") != _signature_to_json(signature):
+                or comp.get("signature") != canonical(signature):
             return self._reject(path, "its stamped key or signature disagrees with its name")
         self.records[signature_key(signature)] = _Record(signature, image, build_key)
         incr("library.hit")

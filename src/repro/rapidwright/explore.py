@@ -17,12 +17,13 @@ frequency is met.  A component library build is the one-point sweep
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
+from ..cnn.graph import Component
 from ..fabric.device import Device
 from ..netlist.codec import decode_design
-from ..netlist.design import Design
 from ..obs.span import span
+from ..synth.generator import generate_component
 from .module import candidate_anchors
 from .ooc import OOCResult, preimplement
 
@@ -67,9 +68,10 @@ class ExploreResult:
 
 
 def explore_component(
-    factory: Callable[[], Design],
+    component: Component,
     device: Device,
     *,
+    rom_weights: bool = True,
     seeds: Iterable[int] = (0, 1, 2),
     efforts: Iterable[str] = ("high",),
     slacks: Iterable[float] = (1.15,),
@@ -83,12 +85,10 @@ def explore_component(
 
     Parameters
     ----------
-    factory:
-        Zero-argument callable producing a *fresh* unimplemented design
-        (each trial consumes one).  For ``jobs != 1`` a picklable factory
-        (e.g. :class:`repro.engine.workers.ComponentFactory`) lets trials
-        run in worker processes; unpicklable factories silently fall back
-        to in-process execution.
+    component / rom_weights:
+        The library component to tune; each trial implements a fresh
+        ``generate_component(component, rom_weights=rom_weights)``, in
+        whichever process it lands on.
     seeds / efforts / slacks / heights:
         The swept axes: placement seed, effort preset, floorplan slack,
         and pblock max-height (``None`` = the automatic aspect heuristic).
@@ -124,14 +124,14 @@ def explore_component(
     if not grid:
         raise ValueError("exploration space is empty (check the sweep axes)")
     if jobs == 1:
-        outcomes = _in_process(factory, device, grid, plan_ports)
+        outcomes = _in_process(component, device, grid, rom_weights, plan_ports)
     else:
         from ..engine.executor import Engine, TaskSpec
         from ..engine.workers import run_explore_trial
 
         report = Engine(jobs=jobs).run([
-            TaskSpec(f"trial{i}", run_explore_trial, (factory, device, point, plan_ports),
-                     stage="explore/trial")
+            TaskSpec(f"trial{i}", run_explore_trial,
+                     (component, device, point, rom_weights, plan_ports), stage="explore/trial")
             for i, point in enumerate(grid)
         ])
         outcomes = _reattached(report.results[f"trial{i}"] for i in range(len(grid)))
@@ -159,22 +159,22 @@ def explore_component(
 
 
 def implement_trial(
-    factory: Callable[[], Design], device: Device, point: tuple, plan_ports: bool
+    component: Component, device: Device, point: tuple, rom_weights: bool, plan_ports: bool
 ) -> OOCResult:
-    """Pre-implement a fresh design at one grid *point*
+    """Pre-implement a fresh design of *component* at one grid *point*
     ``(slack, height, effort, seed)``."""
     slack, height, effort, seed = point
     return preimplement(
-        factory(), device, effort=effort, seed=seed, plan_ports=plan_ports,
+        generate_component(component, rom_weights=rom_weights), device, effort=effort, seed=seed, plan_ports=plan_ports,
         slack=slack, max_height=height,
     )
 
 
-def _in_process(factory, device, grid, plan_ports) -> Iterator[OOCResult]:
+def _in_process(component, device, grid, rom_weights, plan_ports) -> Iterator[OOCResult]:
     """The trials one at a time, each only once the sweep asks for it."""
     for point in grid:
         with span("explore/trial"):
-            outcome = implement_trial(factory, device, point, plan_ports)
+            outcome = implement_trial(component, device, point, rom_weights, plan_ports)
         yield outcome
 
 

@@ -9,9 +9,9 @@ paper's Eq. 1-3:
 * the **congestion cost** counts component overlaps per tile (Eq. 2-3) —
   pblocks must be strictly disjoint, and a *halo* around each pblock
   penalises crowding that would starve the inter-component router;
-* a candidate is accepted when both costs are below threshold, otherwise
-  the search backtracks, unplacing earlier components and trying their
-  next-best anchors (bounded attempts).
+* the search takes each component's cheapest candidate whose sites are
+  free; when none is left it backtracks, unplacing earlier components and
+  trying their next-best anchors (bounded attempts).
 """
 
 from __future__ import annotations
@@ -36,6 +36,19 @@ __all__ = ["ComponentPlacer", "ComponentPlacement", "PlacementInfeasible"]
 #: placer.py``) — so the search takes a picked candidate's cost from the
 #: ranking and re-checks only its sites.
 ORACLE = "repro.rapidwright.placer.ComponentPlacer._cost"
+
+#: Tiles a pblock's congestion halo reaches past its edge.
+HALO = 4
+#: Weights of the timing (Eq. 1) and congestion (Eq. 2-3) terms of a
+#: candidate's total cost.
+TIMING_WEIGHT = 1.0
+CONGESTION_WEIGHT = 120.0
+#: Candidates kept per item, cheapest first.
+MAX_CANDIDATES = 96
+#: Candidate picks a search may try before it gives up.
+MAX_ATTEMPTS = 24000
+#: Row stride of an item's anchors (``None``: half its pblock height).
+ROW_STEP = None
 
 
 class PlacementInfeasible(DesignError):
@@ -108,26 +121,8 @@ def _port_point(module: Footprint, direction: str, pblock: "PBlock | _Boxes"):
 class ComponentPlacer:
     """Greedy best-first anchor assignment with backtracking."""
 
-    def __init__(
-        self,
-        device: Device,
-        *,
-        halo: int = 4,
-        timing_weight: float = 1.0,
-        congestion_weight: float = 120.0,
-        threshold: float | None = None,
-        max_candidates: int = 96,
-        max_attempts: int = 24000,
-        row_step: int | None = None,
-    ) -> None:
+    def __init__(self, device: Device) -> None:
         self.device = device
-        self.halo = halo
-        self.timing_weight = timing_weight
-        self.congestion_weight = congestion_weight
-        self.threshold = threshold
-        self.max_candidates = max_candidates
-        self.max_attempts = max_attempts
-        self.row_step = row_step
 
     # -- cost model --------------------------------------------------------
 
@@ -159,9 +154,9 @@ class ComponentPlacer:
                 continue
             timing += abs(src[0] - dst[0]) + abs(src[1] - dst[1])
         congestion = 0.0
-        mine = _halo(pblock, self.halo, self.device)
+        mine = _halo(pblock, HALO, self.device)
         for other in placed.values():
-            overlap = _overlap_area(mine, _halo(other, self.halo, self.device))
+            overlap = _overlap_area(mine, _halo(other, HALO, self.device))
             congestion += overlap / pblock.area
         return timing, congestion
 
@@ -200,7 +195,7 @@ class ComponentPlacer:
         result = ComponentPlacement()
         candidate_lists: list[np.ndarray] = []
         for name, module in items:
-            anchors = module.anchors(self.device, self.row_step)
+            anchors = module.anchors(self.device, ROW_STEP)
             if not len(anchors):
                 raise PlacementInfeasible(
                     f"component {name}: no compatible anchors on {self.device.name}"
@@ -232,9 +227,9 @@ class ComponentPlacer:
             ranking = ranked[idx]
             while pointer[idx] < len(ranking.total):
                 attempts += 1
-                if attempts > self.max_attempts:
+                if attempts > MAX_ATTEMPTS:
                     raise PlacementInfeasible(
-                        f"component placement exceeded {self.max_attempts} attempts"
+                        f"component placement exceeded {MAX_ATTEMPTS} attempts"
                     )
                 at = pointer[idx]
                 pointer[idx] += 1
@@ -245,11 +240,8 @@ class ComponentPlacer:
                 # costs are _cost's; what is left to check is the sites.
                 if self._blocked(idx, pblock, items, chosen, occ):
                     continue
-                cost = (float(ranking.timing[at]), float(ranking.congestion[at]))
-                if self.threshold is not None and cost[0] + cost[1] > self.threshold:
-                    continue
                 chosen[idx] = pblock
-                chosen_cost[idx] = cost
+                chosen_cost[idx] = (float(ranking.timing[at]), float(ranking.congestion[at]))
                 occ[self._site_ids(items[idx][1], pblock)] = True
                 placed_here = True
                 break
@@ -328,7 +320,7 @@ class ComponentPlacer:
                 continue
             timing += np.abs(src[0] - dst[0]) + np.abs(src[1] - dst[1])
 
-        h = self.halo
+        h = HALO
         mine = _Boxes(np.maximum(0, boxes.col0 - h), np.maximum(0, boxes.row0 - h),
                       np.minimum(device.ncols - 1, boxes.col1 + h),
                       np.minimum(device.nrows - 1, boxes.row1 + h))
@@ -363,7 +355,7 @@ class ComponentPlacer:
             dr = np.minimum(mine.row1[near], row1) - np.maximum(mine.row0[near], row0) + 1
             np.add.at(congestion, near, (np.maximum(dc, 0) * np.maximum(dr, 0)) / base.area)
 
-        total = self.timing_weight * timing + self.congestion_weight * congestion
-        best = np.argsort(total, kind="stable")[: self.max_candidates]
+        total = TIMING_WEIGHT * timing + CONGESTION_WEIGHT * congestion
+        best = np.argsort(total, kind="stable")[:MAX_CANDIDATES]
         return _Ranked(total[best], timing[best], congestion[best],
                        boxes.col0[best], boxes.row0[best])

@@ -38,6 +38,7 @@ numpy.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import IntEnum
@@ -307,9 +308,7 @@ class WaiverSet:
         path = Path(path)
         try:
             if path.suffix == ".toml":
-                import tomllib
-
-                data = tomllib.loads(path.read_text())
+                data = _load_toml(path.read_text())
             else:
                 data = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
@@ -344,6 +343,91 @@ class WaiverSet:
                 )
             )
         return cls(waivers=waivers, source=source)
+
+
+def _load_toml(text: str) -> dict:
+    """*text* parsed by :mod:`tomllib` (Python 3.11+), or else by
+    :func:`_waiver_toml`."""
+    try:
+        import tomllib
+    except ImportError:
+        return _waiver_toml(text)
+    return tomllib.loads(text)
+
+
+# The subset's patterns, compiled where they are used (``re`` caches them):
+# every CLI start imports this module, and few read a TOML waiver file.
+_TOML_BLANK = r"\s*(?:#.*)?"
+_TOML_HEADER = r"\s*\[\[\s*waivers\s*\]\]\s*(?:#.*)?"
+_TOML_KEY = r"\s*([A-Za-z0-9_-]+)\s*="
+_TOML_OPEN, _TOML_COMMA, _TOML_CLOSE = r"\s*\[", r"\s*,", r"\s*\]"
+_TOML_SCALAR = r"""(?x)\s*(?:
+    "((?:[^"\\\n]|\\.)*)"         # basic string
+  | '([^'\n]*)'                   # literal string
+  | (\d{4}-\d{2}-\d{2})(?![\w:.])  # local date
+)"""
+
+
+def _waiver_toml(text: str) -> dict:
+    """The TOML subset a waiver file uses, read as :func:`tomllib.loads`
+    reads it: ``[[waivers]]`` tables of ``key = value`` lines whose value
+    is a string, a date or a one-line array of them, and comments.
+    Anything else raises :class:`ValueError`."""
+    top: dict = {}
+    tables: list[dict] = []
+    table = top
+    for number, line in enumerate(text.splitlines(), 1):
+        try:
+            if re.fullmatch(_TOML_HEADER, line):
+                if "waivers" in top:  # a top-level key of the table array's name
+                    raise ValueError
+                table = {}
+                tables.append(table)
+            elif not re.fullmatch(_TOML_BLANK, line):
+                key = re.match(_TOML_KEY, line)
+                if key is None or key[1] in table:
+                    raise ValueError
+                table[key[1]], end = _toml_value(line, key.end())
+                if not re.compile(_TOML_BLANK).fullmatch(line, end):
+                    raise ValueError
+        except ValueError:
+            raise ValueError(f"line {number} is outside the waiver TOML subset: "
+                             f"{line.strip()!r}") from None
+    if tables:
+        top["waivers"] = tables
+    return top
+
+
+def _toml_value(line: str, pos: int) -> tuple:
+    """The value starting at *pos* of *line*, and where it ends."""
+    bracket = re.compile(_TOML_OPEN).match(line, pos)
+    if bracket is None:
+        return _toml_scalar(line, pos)
+    items, pos = [], bracket.end()
+    while (close := re.compile(_TOML_CLOSE).match(line, pos)) is None:
+        item, pos = _toml_scalar(line, pos)
+        items.append(item)
+        comma = re.compile(_TOML_COMMA).match(line, pos)
+        if comma is not None:
+            pos = comma.end()
+        elif re.compile(_TOML_CLOSE).match(line, pos) is None:
+            raise ValueError
+    return items, close.end()
+
+
+def _toml_scalar(line: str, pos: int) -> tuple:
+    """The string or date starting at *pos* of *line*, and where it ends."""
+    scalar = re.compile(_TOML_SCALAR).match(line, pos)
+    if scalar is None:
+        raise ValueError
+    basic, literal, day = scalar.groups()
+    if basic is not None:
+        value = json.loads(f'"{basic}"')  # TOML's basic escapes are JSON's, bar \U
+    elif literal is not None:
+        value = literal
+    else:
+        value = date.fromisoformat(day)
+    return value, scalar.end()
 
 
 # ---------------------------------------------------------------------------

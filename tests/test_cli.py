@@ -1,13 +1,15 @@
 """Command-line interface."""
 
 import io
-import pickle
 from dataclasses import fields
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cnn import group_components, lenet5
+from repro.netlist import encode_design
 from repro.spec import CHOICES, JobSpec
+from repro.synth import generate_component
 
 
 def _run(argv) -> tuple[int, str]:
@@ -51,23 +53,23 @@ def test_explore_reports_trials():
     assert "best:" in text and "anchors" in text
 
 
-def test_explore_targets_pickle_and_build_the_stock_components():
-    """``explore --jobs N`` ships its target to worker processes, so each
-    target must survive pickling and still build its LeNet component."""
-    from repro.cli import _EXPLORE_TARGETS
-    from repro.netlist import encode_design
-    from repro.synth import gen_conv, gen_fc, gen_pool
+@pytest.mark.parametrize("comp", group_components(lenet5(), "layer"), ids=lambda c: c.name)
+def test_explore_component_tunes_the_librarys_component(monkeypatch, comp):
+    """``explore --component <layer>`` sweeps the very component the LeNet-5
+    library files: its trial design is the library build's, byte for byte."""
+    import repro.rapidwright.explore as explore
 
-    expected = {
-        "conv1": lambda: gen_conv(1, 32, 32, 5, 6, rom_weights=True),
-        "conv2": lambda: gen_conv(6, 14, 14, 5, 16, rom_weights=True),
-        "pool1": lambda: gen_pool(6, 28, 28, 2, include_relu=True),
-        "fc1": lambda: gen_fc(400, 120, rom_weights=True),
-    }
-    assert set(_EXPLORE_TARGETS) == set(expected)
-    for name, target in _EXPLORE_TARGETS.items():
-        shipped = pickle.loads(pickle.dumps(target))
-        assert encode_design(shipped()) == encode_design(expected[name]()), name
+    class Generated(Exception):
+        pass
+
+    def capture(design, *args, **kwargs):
+        raise Generated(design)
+
+    monkeypatch.setattr(explore, "preimplement", capture)
+    with pytest.raises(Generated) as trial:
+        main(["explore", "--component", comp.nodes[0], "--seeds", "1"], out=io.StringIO())
+    (design,) = trial.value.args
+    assert encode_design(design) == encode_design(generate_component(comp, rom_weights=True))
 
 
 def test_floorplan_renders():
@@ -266,6 +268,8 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
 @pytest.mark.parametrize(("argv", "names"), [
     pytest.param(["explore", "--seeds", "0"], "--seeds", id="explore-seeds-zero"),
     pytest.param(["explore", "--seeds", "-2"], "--seeds", id="explore-seeds-negative"),
+    pytest.param(["explore", "--component", "conv"], "conv1, pool1, conv2",
+                 id="explore-ambiguous-component"),
     pytest.param(["floorplan", "--width", "0"], "--width", id="floorplan-width-zero"),
     pytest.param(["floorplan", "--height", "-3"], "--height", id="floorplan-height-negative"),
     pytest.param(["drc", "--checkpoint", "{missing}"], "missing.dcpb", id="drc-missing-checkpoint"),
@@ -284,8 +288,9 @@ def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, argv, names):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2
-    lines = [line for line in (out.getvalue() + captured.err).splitlines()
-             if not line.startswith("built ")]  # eco reports its build first
+    # the message goes to stderr; eco reports its build on stdout first
+    assert all(line.startswith("built ") for line in out.getvalue().splitlines())
+    lines = captured.err.splitlines()
     assert names in lines[-1]
     # one message line, or argparse's usage text and then its error line
     assert len(lines) == 1 or lines[-1].startswith(f"repro {argv[0]}: error: argument ")

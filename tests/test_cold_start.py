@@ -125,6 +125,15 @@ def test_lazy_namespace_resolves_every_export():
         from repro import no_such_name  # noqa: F401
 
 
+def test_star_import_binds_every_lazy_export():
+    namespace = {}
+    exec("from repro import *", namespace)
+    for name in ("JobSpec", "ServeClient", "ServeServer", "TenantQuota"):
+        assert name in dir(repro)
+        assert namespace[name] is getattr(repro, name)
+    assert set(repro.__all__) == {*repro._HOME_OF, "__version__"}
+
+
 def test_import_repro_alone_loads_no_subpackage():
     loaded = _loaded_after("import repro")
     assert [m for m in loaded if m.startswith("repro")] == ["repro"]

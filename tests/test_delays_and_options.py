@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import format_table
 from repro.fabric import PBlock, TileType
 from repro.netlist import Cell, Design
-from repro.rapidwright import ComponentPlacer, Footprint, preimplement
+from repro.rapidwright import Footprint, preimplement
 from repro.rapidwright.placer import _halo, _port_point
 from repro.synth import gen_relu
 from repro.timing import DEFAULT_DELAYS, DelayModel, analyze
@@ -100,19 +100,6 @@ def test_preimplement_max_height_override(small_device):
                          max_height=30)
     assert tall.pblock.height > short.pblock.height
     assert short.pblock.height <= 30 or short.pblock.height <= small_device.nrows
-
-
-def test_component_placer_threshold_rejects_expensive(small_device):
-    a = gen_relu(4)
-    b = gen_relu(4)
-    preimplement(a, small_device, effort="low", seed=0)
-    preimplement(b, small_device, effort="low", seed=1)
-    # an absurd threshold of 0 forces every scored candidate to be skipped
-    placer = ComponentPlacer(small_device, threshold=-1.0)
-    from repro.rapidwright import PlacementInfeasible
-
-    with pytest.raises(PlacementInfeasible):
-        placer.place([("a", Footprint.of(a)), ("b", Footprint.of(b))], [(0, 1)])
 
 
 def test_halo_clamps_to_device(small_device):

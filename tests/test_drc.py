@@ -2,7 +2,9 @@
 
 import gzip
 import json
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -435,6 +437,34 @@ def test_waiver_file_validation(tmp_path):
         WaiverSet.load(missing)
 
 
+_TOML_WAIVERS = [
+    '[[waivers]]\nrules = ["NET-002"]\nmatch = "net:floaty"\n'
+    'reason = "boundary"\nexpires = 2099-01-01\n',
+    '[[waivers]]\nrules = ["NET-002"]\nreason = "seeded"\n',
+    '# header\n\n[[waivers]]   # first\nrules = ["NET-001", "CLK-*",]  # patterns\n'
+    'match = \'net:conv1/*\'\nreason = "a # in a string, \\"quoted\\" \\u00e9"\n'
+    'expires = "2027-01-01"\n[[waivers]]\nrules="X"\n',
+]
+
+
+def test_toml_waivers_load_without_tomllib(monkeypatch, tmp_path):
+    """Where ``tomllib`` is missing (Python 3.10) a waiver file is read as
+    the subset its schema uses, to exactly what ``tomllib`` returns."""
+    tomllib = pytest.importorskip("tomllib")
+    from repro.reporting import _load_toml
+
+    texts = [(Path(__file__).parent.parent / "lint-waivers.toml").read_text(), *_TOML_WAIVERS]
+    parsed = [tomllib.loads(text) for text in texts]
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    assert [_load_toml(text) for text in texts] == parsed
+    toml = tmp_path / "waivers.toml"
+    toml.write_text(_TOML_WAIVERS[0])
+    assert WaiverSet.load(toml).waivers[0].expires == date(2099, 1, 1)
+    toml.write_text('[[waivers]]\nrules = [\n  "NET-002",\n]\n')  # a multi-line array
+    with pytest.raises(WaiverError, match="line 2 is outside the waiver TOML subset"):
+        WaiverSet.load(toml)
+
+
 # -- report formats ----------------------------------------------------------
 
 
@@ -680,9 +710,11 @@ def test_cli_drc_old_checkpoint_is_a_sentence(tmp_path, tiny_device, capsys):
     for found, raw in (("gzip-compressed JSON", gzip.compress(doc)), ("plain JSON", doc)):
         path.write_bytes(raw)
         assert main(["drc", "--checkpoint", str(path), "--part", "tiny"]) == 2
-        out = capsys.readouterr().out
-        assert found in out and "binary design image" in out
-        assert "save_checkpoint" in out and "Traceback" not in out
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the reason is an error line, on stderr
+        err = captured.err
+        assert found in err and "binary design image" in err
+        assert "save_checkpoint" in err and "Traceback" not in err
 
 
 # -- observability -----------------------------------------------------------

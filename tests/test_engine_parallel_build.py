@@ -20,7 +20,6 @@ import repro
 from repro.cnn import group_components, lenet5, vgg16
 from repro.drc import run_drc
 from repro.engine import Engine, TaskError, TaskSpec
-from repro.engine.workers import ComponentFactory
 from repro.netlist import Cell, DesignImage, encode_design
 from repro.obs import Tracer
 from repro.rapidwright import (
@@ -477,9 +476,9 @@ def test_put_records_exact_signature_in_metadata(small_device, comps):
     stored = record.image.metadata()["component"]["signature"]
     # JSON-shaped (nested lists) with the same items as the tuple form
     assert json.loads(json.dumps(stored)) == stored
-    from repro.rapidwright.database import _signature_to_json
+    from repro.engine.cache import canonical
 
-    assert stored == _signature_to_json(comps[0].signature)
+    assert stored == canonical(comps[0].signature)
 
 
 # -- full flow from disk hits --------------------------------------------------
@@ -509,12 +508,11 @@ def test_run_accelerator_entirely_from_disk(small_device, tmp_path):
 
 
 def test_explore_jobs_matches_serial(small_device, comps):
-    factory = ComponentFactory(comps[0], rom_weights=True)
     serial = explore_component(
-        factory, small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3)
+        comps[0], small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3)
     )
     pooled = explore_component(
-        factory, small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3),
+        comps[0], small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3),
         jobs=2,
     )
     assert [t.score for t in pooled.trials] == [t.score for t in serial.trials]
@@ -522,20 +520,9 @@ def test_explore_jobs_matches_serial(small_device, comps):
     assert pooled.best.fmax_mhz == serial.best.fmax_mhz
 
 
-def test_explore_jobs_with_unpicklable_factory_falls_back(small_device, comps):
-    comp = comps[0]
-    result = explore_component(
-        lambda: ComponentFactory(comp)(), small_device,
-        seeds=(0,), efforts=("low",), jobs=2,
-    )
-    assert len(result.trials) == 1
-    assert result.best.fmax_mhz > 0.0
-
-
 def test_explore_early_exit_truncates_identically(small_device, comps):
-    factory = ComponentFactory(comps[0], rom_weights=True)
     kwargs = dict(seeds=(0, 1, 2), efforts=("low",), target_fmax_mhz=1.0)
-    serial = explore_component(factory, small_device, **kwargs)
-    pooled = explore_component(factory, small_device, jobs=2, **kwargs)
+    serial = explore_component(comps[0], small_device, **kwargs)
+    pooled = explore_component(comps[0], small_device, jobs=2, **kwargs)
     # target is trivially met by the first trial: both record exactly one
     assert len(serial.trials) == len(pooled.trials) == 1

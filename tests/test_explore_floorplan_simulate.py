@@ -3,18 +3,26 @@
 import pytest
 
 from repro.analysis import module_legend, render_floorplan, simulate_stream
-from repro.cnn import group_components, lenet5, vgg16
+from repro.cnn import DFG, Input, ReLU, group_components, lenet5, vgg16
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow, explore_component
-from repro.synth import gen_relu, generate_component
+from repro.synth import generate_component
 from tests.conftest import make_tiny_cnn
 
 
 # -- explore_component ------------------------------------------------------
 
 
+def _relu(channels: int):
+    """A one-ReLU component: the smallest design a sweep can tune."""
+    (comp,) = group_components(
+        DFG.sequential("relu", [Input("input", shape=(channels, 4, 4)), ReLU("relu1")])
+    )
+    return comp
+
+
 def test_explore_returns_best_of_trials(small_device):
     result = explore_component(
-        lambda: gen_relu(8), small_device, seeds=(0, 1, 2), efforts=("low",)
+        _relu(8), small_device, seeds=(0, 1, 2), efforts=("low",)
     )
     assert len(result.trials) == 3
     assert result.best.fmax_mhz == pytest.approx(result.best_trial.fmax_mhz)
@@ -24,42 +32,45 @@ def test_explore_returns_best_of_trials(small_device):
 
 def test_explore_early_exit_on_target(small_device):
     result = explore_component(
-        lambda: gen_relu(8), small_device, seeds=(0, 1, 2, 3, 4),
+        _relu(8), small_device, seeds=(0, 1, 2, 3, 4),
         efforts=("low",), target_fmax_mhz=1.0,
     )
     assert len(result.trials) == 1  # first trial already meets 1 MHz
 
 
-def test_explore_early_exit_skips_the_remaining_trials(small_device):
-    designs = []
+def test_explore_early_exit_skips_the_remaining_trials(small_device, monkeypatch):
+    import repro.rapidwright.explore as explore
 
-    def factory():
-        designs.append(gen_relu(8))
-        return designs[-1]
+    generated = []
 
-    explore_component(factory, small_device, seeds=(0, 1, 2, 3, 4),
+    def counting(comp, **kwargs):
+        generated.append(comp)
+        return generate_component(comp, **kwargs)
+
+    monkeypatch.setattr(explore, "generate_component", counting)
+    explore_component(_relu(8), small_device, seeds=(0, 1, 2, 3, 4),
                       efforts=("low",), target_fmax_mhz=1.0, jobs=1)
-    assert len(designs) == 1  # the trials after the first are never evaluated
+    assert len(generated) == 1  # the trials after the first are never evaluated
 
 
 def test_explore_anchor_weight_prefers_relocatable(small_device):
     plain = explore_component(
-        lambda: gen_relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
+        _relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
         efforts=("low",), anchor_weight=0.0,
     )
     reuse = explore_component(
-        lambda: gen_relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
+        _relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
         efforts=("low",), anchor_weight=100.0,
     )
     assert reuse.best_trial.anchors >= plain.best_trial.anchors
 
 
 def test_explore_report_and_empty_space(small_device):
-    result = explore_component(lambda: gen_relu(4), small_device, seeds=(0,),
+    result = explore_component(_relu(4), small_device, seeds=(0,),
                                efforts=("low",))
     assert "fmax" in result.report()
     with pytest.raises(ValueError, match="empty"):
-        explore_component(lambda: gen_relu(4), small_device, seeds=())
+        explore_component(_relu(4), small_device, seeds=())
 
 
 def test_database_build_with_exploration(small_device):

@@ -11,10 +11,14 @@ placements and arbitrary connection lists asserts the two rankings equal
 element for element: the same floats, the same order under ties, the
 same pblocks, overlapping ("currently blocked") candidates included.  A
 whole search over either ranking — on a part tight enough to backtrack —
-must take the same path: anchors, costs, attempts, backtracks.
+must take the same path: anchors, costs, attempts, backtracks.  The
+halo, the weights and the candidate cap are module constants, which the
+cases vary by patching them.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -37,10 +41,11 @@ def rank_per_candidate(placer, idx, anchors, items, connections, placed):
         if not pblock.within(placer.device):
             continue
         timing, congestion = placer._cost(idx, pblock, items, connections, placed)
-        total = placer.timing_weight * timing + placer.congestion_weight * congestion
+        total = (placer_module.TIMING_WEIGHT * timing
+                 + placer_module.CONGESTION_WEIGHT * congestion)
         scored.append((total, timing, congestion, pblock))
     scored.sort(key=lambda t: t[0])
-    return scored[: placer.max_candidates]
+    return scored[: placer_module.MAX_CANDIDATES]
 
 
 def rows_of(ranked, base):
@@ -51,9 +56,9 @@ def rows_of(ranked, base):
             for total, timing, congestion, col, row in zip(*(c.tolist() for c in ranked))]
 
 
-def _per_candidate_placer(device, **kwargs) -> ComponentPlacer:
+def _per_candidate_placer(device) -> ComponentPlacer:
     """A placer whose search ranks through the oracle."""
-    placer = ComponentPlacer(device, **kwargs)
+    placer = ComponentPlacer(device)
 
     def rank(*args):
         rows = rank_per_candidate(placer, *args)
@@ -118,26 +123,28 @@ def ranking_cases(draw, device=SMALL):
 @settings(max_examples=120, deadline=None)
 def test_rank_arrays_equal_per_candidate_cost(case, max_candidates):
     items, idx, connections, placed, (tw, cw, halo) = case
-    placer = ComponentPlacer(SMALL, halo=halo, timing_weight=tw, congestion_weight=cw,
-                             max_candidates=max_candidates)
+    placer = ComponentPlacer(SMALL)
     anchors = candidate_anchors(SMALL, items[idx][1], row_step=3)
     assert np.array_equal(items[idx][1].anchors(SMALL, 3), np.array(anchors).reshape(-1, 2))
-    got = rows_of(placer._rank(idx, items[idx][1].anchors(SMALL, 3), items, connections, placed),
-                  items[idx][1].pblock)
-    want = rank_per_candidate(placer, idx, anchors, items, connections, placed)
+    with mock.patch.multiple(placer_module, HALO=halo, TIMING_WEIGHT=tw,
+                             CONGESTION_WEIGHT=cw, MAX_CANDIDATES=max_candidates):
+        got = rows_of(placer._rank(idx, items[idx][1].anchors(SMALL, 3), items, connections,
+                                   placed), items[idx][1].pblock)
+        want = rank_per_candidate(placer, idx, anchors, items, connections, placed)
     assert got == want
     # == on floats hides a sign of zero and an int-for-float; repr does not
     assert [tuple(map(repr, row[:3])) for row in got] == \
            [tuple(map(repr, row[:3])) for row in want]
 
 
-def test_rank_keeps_input_order_under_ties():
+def test_rank_keeps_input_order_under_ties(monkeypatch):
     """No connection and nothing placed: every candidate costs 0.0, and
     the stable sort must leave them in anchor order, cut at the cap."""
     module = Footprint("m", PBlock(0, 0, 1, 3), {0: SMALL.tile_type(0)},
                        np.array([[0, 0]]), {})
     anchors = candidate_anchors(SMALL, module)
-    placer = ComponentPlacer(SMALL, max_candidates=10)
+    monkeypatch.setattr(placer_module, "MAX_CANDIDATES", 10)
+    placer = ComponentPlacer(SMALL)
     ranked = rows_of(placer._rank(0, anchors, [("m", module)], [], {}), module.pblock)
     assert [(p.col0, p.row0) for *_cost, p in ranked] == anchors[:10]
     assert ranked == rank_per_candidate(placer, 0, anchors, [("m", module)], [], {})
@@ -160,7 +167,7 @@ def test_rank_keeps_blocked_candidates_for_the_pick_time_check():
     module = Footprint("m", PBlock(0, 0, 1, 1), {0: SMALL.tile_type(0)},
                        np.array([[0, 0], [1, 1]]), {})
     items = [("a", module), ("b", module)]
-    placer = ComponentPlacer(SMALL, row_step=1)
+    placer = ComponentPlacer(SMALL)
     placed = {0: PBlock(0, 0, 1, 1)}
     ranked = rows_of(placer._rank(1, [(0, 0), (0, 2)], items, [(0, 1)], placed), module.pblock)
     assert {(p.col0, p.row0) for *_cost, p in ranked} == {(0, 0), (0, 2)}
@@ -190,14 +197,14 @@ def _search(placer, items, connections):
             found.attempts, found.backtracks)
 
 
-@given(searches(), st.sampled_from([None, 2.0, 40.0]), st.sampled_from([1, 3, 96]))
+@given(searches(), st.sampled_from([1, 3, 96]))
 @settings(max_examples=80, deadline=None)
-def test_search_takes_the_same_path_over_either_ranking(case, threshold, max_candidates):
+def test_search_takes_the_same_path_over_either_ranking(case, max_candidates):
     items, connections = case
-    options = dict(halo=2, threshold=threshold, max_candidates=max_candidates,
-                   max_attempts=400)
-    assert _search(ComponentPlacer(TINY, **options), items, connections) == \
-           _search(_per_candidate_placer(TINY, **options), items, connections)
+    with mock.patch.multiple(placer_module, HALO=2, MAX_CANDIDATES=max_candidates,
+                             MAX_ATTEMPTS=400):
+        assert _search(ComponentPlacer(TINY), items, connections) == \
+               _search(_per_candidate_placer(TINY), items, connections)
 
 
 def test_a_search_that_backtracks_is_the_same_search(monkeypatch):
@@ -214,13 +221,14 @@ def test_a_search_that_backtracks_is_the_same_search(monkeypatch):
 
     items = [("a", slab("a", 6)), ("b", slab("b", 5)), ("c", slab("c", 5))]
     connections = [(0, 1), (1, 2)]
-    options = dict(halo=1, max_candidates=4)
+    monkeypatch.setattr(placer_module, "HALO", 1)
+    monkeypatch.setattr(placer_module, "MAX_CANDIDATES", 4)
     built = []
     monkeypatch.setattr(placer_module, "PBlock", lambda *corners: built.append(corners)
                         or PBlock(*corners))
-    got = ComponentPlacer(TINY, **options).place(items, connections)
+    got = ComponentPlacer(TINY).place(items, connections)
     assert len(built) == got.attempts
-    want = _per_candidate_placer(TINY, **options).place(items, connections)
+    want = _per_candidate_placer(TINY).place(items, connections)
     assert got.backtracks == want.backtracks
     assert (got.anchors, got.attempts, got.timing_cost, got.congestion_cost) == \
            (want.anchors, want.attempts, want.timing_cost, want.congestion_cost)
