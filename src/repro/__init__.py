@@ -35,8 +35,7 @@ _HOME_OF = {name: home for home, names in {
               "synthesize_network"),
     "place": ("place_design",),
     "route": ("Router",),
-    "timing": ("IncrementalSta", "analyze", "analyze_reference", "fmax_mhz",
-               "pipeline_to_target"),
+    "timing": ("IncrementalSta", "analyze", "analyze_reference", "pipeline_to_target"),
     "power": ("estimate_power",),
     "vivado": ("FlowResult", "VivadoFlow"),
     "rapidwright": ("ComponentDatabase", "PreImplementedFlow", "preimplement", "relocate"),

@@ -3,19 +3,13 @@
 The paper's accelerators are "stream-like": components connected by
 single-source, single-sink FIFO queues with memory controllers between
 stages that need address generation (Sec. IV-B1, Fig. 5).
-:func:`simulate_stream` runs one inference at the component level under
-two scheduling disciplines:
+:func:`simulate_stream` runs one inference at the component level,
+store-and-forward: each component consumes the *complete* feature map
+of its predecessor (what the memory controllers in the stock LeNet/VGG
+architectures do), so total latency is the sum of component latencies
+at the achieved clock (Table III / Fig. 7 rows).
 
-* ``store_forward`` — each component consumes the *complete* feature map
-  of its predecessor (what the memory controllers in the stock LeNet/VGG
-  architectures do); total latency is the sum of component latencies at
-  the achieved clock (Table III / Fig. 7 rows).
-* ``streaming`` — a component starts as soon as its predecessor has
-  produced the first full input window (the deep-pipelined alternative
-  the paper cites from streaming accelerators); stages overlap and total
-  latency approaches the slowest stage plus fill time.
-
-Either way each pipeline register inserted by phys-opt adds one cycle
+Each pipeline register inserted by phys-opt adds one cycle
 (the mechanism behind VGG's 1.02x latency in Fig. 7: "inserting pipeline
 elements such as FFs on the critical path improves the timing
 performance, while increasing the overall latency").
@@ -23,8 +17,8 @@ performance, while increasing the overall latency").
 Cycle counts come from the workload and the engine parallelism recorded
 by the generators: ``ceil(MACs / macs_per_cycle)`` for compute layers,
 output-pixel counts for pooling, plus a pipeline-fill overhead.  The
-report keeps per-stage busy/stall breakdowns so the examples can show
-where time goes.
+report keeps each stage's start, finish and compute cycles so the
+examples can show where time goes.
 """
 
 from __future__ import annotations
@@ -78,16 +72,11 @@ class StageTrace:
     finish_cycle: int
     compute_cycles: int
 
-    @property
-    def stall_cycles(self) -> int:
-        return (self.finish_cycle - self.start_cycle) - self.compute_cycles
-
 
 @dataclass
 class SimulationReport:
     """Result of one simulated inference."""
 
-    mode: str
     fmax_mhz: float
     stages: list[StageTrace] = field(default_factory=list)
     pipeline_regs: int = 0
@@ -106,7 +95,7 @@ class SimulationReport:
 
     def summary(self) -> str:
         return (
-            f"{self.mode}: {self.total_cycles} cycles at {self.fmax_mhz:.0f} MHz "
+            f"store_forward: {self.total_cycles} cycles at {self.fmax_mhz:.0f} MHz "
             f"= {self.total_us:.2f} us over {len(self.stages)} stages"
         )
 
@@ -117,7 +106,6 @@ def simulate_stream(
     *,
     parallelism_of=None,
     pipeline_regs: int = 0,
-    mode: str = "store_forward",
 ) -> SimulationReport:
     """Simulate one batch-1 inference through the component chain, every
     component at *fmax_mhz* (a stitched design runs everything at its
@@ -129,34 +117,12 @@ def simulate_stream(
     """
     if fmax_mhz <= 0:
         raise ValueError(f"fmax must be positive, got {fmax_mhz}")
-    if mode not in ("store_forward", "streaming"):
-        raise ValueError(f"unknown mode {mode!r}")
 
-    report = SimulationReport(mode=mode, fmax_mhz=fmax_mhz, pipeline_regs=pipeline_regs)
-    prev_finish = 0
-    prev_first_out = 0
+    report = SimulationReport(fmax_mhz=fmax_mhz, pipeline_regs=pipeline_regs)
+    start = 0
     for comp in components:
-        par = parallelism_of(comp) if parallelism_of else None
-        compute = component_cycles(comp, par)
-        if mode == "store_forward":
-            start = prev_finish
-            finish = start + compute
-            first_out = finish
-        else:
-            # the stage may begin once the predecessor has filled the
-            # first input window, but cannot finish before its
-            # predecessor has delivered everything it needs
-            start = prev_first_out
-            finish = max(start + compute, prev_finish + FILL_CYCLES)
-            first_out = start + FILL_CYCLES
-        report.stages.append(
-            StageTrace(
-                name=comp.name,
-                start_cycle=start,
-                finish_cycle=finish,
-                compute_cycles=compute,
-            )
-        )
-        prev_finish = finish
-        prev_first_out = first_out
+        compute = component_cycles(comp, parallelism_of(comp) if parallelism_of else None)
+        report.stages.append(StageTrace(name=comp.name, start_cycle=start,
+                                        finish_cycle=start + compute, compute_cycles=compute))
+        start += compute
     return report

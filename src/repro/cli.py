@@ -16,7 +16,8 @@
   through the full design-rule registry; ``--checkpoint FILE.dcpb``
   checks a saved checkpoint instead.  Exit code 2 when an unwaived
   error-or-worse violation survives in strict mode.
-* ``eco --swap-layer conv2 [--cts] [--verify]`` — build, then edit incrementally.
+* ``eco --swap-layer conv2 [--cts] [--verify]`` — build, then edit incrementally
+  (``--delta FILE`` instead of ``--swap-layer`` for a JSON edit document).
 * ``floorplan --model lenet5`` — stitch and render the ASCII floorplan.
 * ``explore --component conv2`` — sweep the function-optimization space
   for one component of the LeNet-5 library, named by its layer.
@@ -34,7 +35,8 @@ The six verbs that build (``run``, ``drc``, ``build``, ``eco``,
 ``floorplan``, ``submit``) describe their job as the
 :class:`repro.spec.JobSpec` the compile service takes: each spec flag is
 declared once, in :data:`_SPEC_FLAGS`, and the parser turns a verb's
-flags into its validated ``args.spec`` (a bad value: one line, exit 2).
+flags into its validated ``args.spec`` (a bad value: one line, exit 2);
+``eco``'s edit flags are the fields of that spec's ``eco`` object.
 ``models --json`` and ``info --json`` print serve's ``/v1/models`` and
 ``/v1/parts`` documents.
 
@@ -71,7 +73,7 @@ from pathlib import Path
 from .cnn import group_components, models_doc
 from .fabric import Device, part_doc
 from .reporting import MODES
-from .spec import CHOICES, FIG6_EFFORT, JobSpec, SpecError, compile_spec
+from .spec import CHOICES, FIG6_EFFORT, JobSpec, compile_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -142,6 +144,11 @@ def _job_spec(args) -> JobSpec:
         spec["architecture"] = Path(args.arch_file).read_text()
     elif spec["model"] is None:
         spec["model"] = _DEFAULT_MODEL
+    if args.command == "eco":  # its edit flags, the --delta file read into "delta"
+        delta = json.loads(Path(args.delta).read_text()) if args.delta else None
+        spec["eco"] = {key: value for key, value in {
+            "swap_layer": args.swap_layer, "delta": delta, "swap_seed": args.swap_seed,
+            "cts": args.cts, "verify": args.verify}.items() if value is not None}
     return JobSpec(**spec)
 
 
@@ -154,7 +161,7 @@ class _Parser(argparse.ArgumentParser):
         if args.command in _VERB_FIELDS:
             try:
                 args.spec = _job_spec(args)
-            except (SpecError, OSError) as exc:  # a bad field, or an unreadable --arch-file
+            except (ValueError, OSError) as exc:  # a bad field or JSON, an unreadable file
                 self.exit(2, f"repro {args.command}: {exc}\n")
         return args, extras
 
@@ -270,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eco = spec_verb("eco", "apply a post-route ECO to a built accelerator", drc="warn")
     p_eco.add_argument("--swap-layer", default=None, metavar="MODULE",
                        help="replace this module instance with a freshly "
-                            "re-implemented variant (unique name substring ok)")
+                            "re-implemented variant (a component, a member layer, "
+                            "or a unique component-name substring)")
     p_eco.add_argument("--swap-seed", type=int, default=None,
-                       help="seed for the variant build (default: --seed + 1)")
+                       help="seed for the variant builds (default: --seed + 1)")
     p_eco.add_argument("--delta", default=None, metavar="PATH",
                        help="JSON DesignDelta file (ops: swap, nudge, rewire, "
                             "replace_layer)")
@@ -514,23 +522,13 @@ def _cmd_eco(args, out) -> int:
     from .drc import DrcError
     from .eco import EcoError, run_eco
 
-    if not (args.delta or args.swap_layer):
-        raise SystemExit("eco needs --swap-layer or --delta")
     spec = args.spec
-    # The build runs without DRC gates; --drc gates only the edit.
-    result = compile_spec(replace(spec, drc="off"), jobs=args.jobs)
+    result = compile_spec(spec, jobs=args.jobs)
     print(f"built {spec.network_name}: {result.fmax_mhz:.1f} MHz "
           f"(offline {result.extras['offline_s']:.2f} s, "
           f"{len(result.extras['database'])} checkpoints)", file=out)
     try:
-        delta = json.loads(Path(args.delta).read_text()) if args.delta else None
-        trees, eco, identical = run_eco(
-            result, spec, drc=spec.drc, swap_layer=args.swap_layer, swap_seed=args.swap_seed,
-            cts=args.cts, verify=args.verify, delta=delta,
-        )
-    except (SpecError, json.JSONDecodeError, OSError) as exc:
-        print(f"repro eco: {exc}", file=sys.stderr)
-        return 2
+        trees, eco, identical = run_eco(result, spec)
     except (DrcError, EcoError) as exc:
         print(f"ECO rejected (design rolled back): {exc}", file=out)
         return 2
@@ -543,7 +541,7 @@ def _cmd_eco(args, out) -> int:
         if args.sarif:
             Path(args.sarif).write_text(json.dumps(eco.drc.to_sarif(), indent=2))
             print(f"SARIF report written to {args.sarif}", file=out)
-    if args.verify:
+    if spec.eco["verify"]:
         verdict = "bit-identical" if identical else "MISMATCH"
         print(f"oracle check (full re-route/re-time replay): {verdict}", file=out)
         if not identical:

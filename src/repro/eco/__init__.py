@@ -13,7 +13,8 @@ in place rather than rebuilding.  This package provides:
 - :func:`eco_reference` — the frozen from-scratch oracle every
   incremental result is held bit-identical to
   (``tests/test_property_eco.py``);
-- :func:`run_eco` — the edit ``repro eco`` and serve's ``eco`` jobs make.
+- :func:`run_eco` — the one executor of a ``JobSpec.eco``, which ``repro
+  eco`` and serve's ``eco`` jobs both call.
 """
 
 from .cts import CtsError, CtsResult, run_cts

@@ -44,6 +44,7 @@ __all__ = [
     "EcoUndo",
     "apply_delta",
     "affected_nets",
+    "check_delta_json",
     "delta_from_json",
 ]
 
@@ -493,19 +494,10 @@ _EDIT_FIELDS = {
 }
 
 
-def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDelta:
-    """Build a :class:`DesignDelta` from its JSON description.
-
-    ``{"name": ..., "edits": [{"op": "swap"|"nudge"|"rewire"|"replace_layer",
-    ...}]}``.  A ``replace_layer`` edit names a ``module`` and optionally a
-    ``seed``; its replacement checkpoint is ``variant(module, seed)``, asked
-    for once per edit, so two edits on one module can install different
-    variants (:func:`repro.eco.run_eco` builds them with :func:`repro.eco.layer_variant`).
-
-    Every field of every edit is checked for its type and shape before
-    any variant is built: a malformed description raises
-    :class:`EcoError` naming the edit and the field.
-    """
+def check_delta_json(data) -> list:
+    """The edits of the JSON delta *data*, each checked for its op, its
+    required fields and every field's type and shape; a malformed
+    description raises :class:`EcoError` naming the edit and the field."""
     if not isinstance(data, dict):
         raise EcoError(f"delta must be a JSON object, got {type(data).__name__}")
     described = data.get("edits", [])
@@ -525,6 +517,23 @@ def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDel
             if e.get(key) is not None and not ok(e[key]):
                 raise EcoError(f"edit #{i} ({op}): field {key!r} must be {want}, "
                                f"got {e[key]!r}")
+    return described
+
+
+def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDelta:
+    """Build a :class:`DesignDelta` from its JSON description.
+
+    ``{"name": ..., "edits": [{"op": "swap"|"nudge"|"rewire"|"replace_layer",
+    ...}]}``.  A ``replace_layer`` edit names a ``module`` and optionally a
+    ``seed``; ``variant(module, seed)`` returns the module instance the name
+    denotes and its replacement checkpoint, asked for once per edit, so two
+    edits on one module can install different variants
+    (:func:`repro.eco.run_eco` builds them with :func:`repro.eco.layer_variant`).
+
+    Every edit is checked by :func:`check_delta_json` before any variant
+    is built.
+    """
+    described = check_delta_json(data)
     edits: list[Edit] = []
     for i, e in enumerate(described):
         op = e["op"]
@@ -549,8 +558,8 @@ def delta_from_json(data: dict, *, variant: Callable | None = None) -> DesignDel
                     f"module {module!r}"
                 )
             anchor = e.get("anchor")
+            instance, checkpoint = variant(module, e.get("seed"))
             edits.append(LayerReplace(
-                module, variant(module, e.get("seed")),
-                anchor=tuple(anchor) if anchor is not None else None,
+                instance, checkpoint, anchor=tuple(anchor) if anchor is not None else None,
             ))
     return DesignDelta(str(data.get("name", "eco")), tuple(edits))

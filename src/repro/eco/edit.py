@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from ..netlist.codec import decode_design, encode_design
 from ..rapidwright.database import ComponentDatabase
-from ..spec import SpecError
 from .cts import run_cts
-from .delta import DesignDelta, EcoError, LayerReplace, delta_from_json
+from .delta import delta_from_json
 from .engine import EcoEngine
 
 __all__ = ["layer_variant", "run_eco"]
@@ -20,51 +19,42 @@ def layer_variant(comp, device, *, effort: str, seed: int, rom_weights: bool = T
     return database.fetch(comp.signature)
 
 
-def run_eco(result, spec, *, drc: str = "warn", swap_layer: str | None = None,
-            swap_seed: int | None = None, cts: bool = False, verify: bool = False,
-            delta: dict | None = None):
-    """Edit the routed design of *result*, the ``preimpl`` build of *spec*.
+def run_eco(result, spec):
+    """Make the post-route edit ``spec.eco`` describes on *result*, the
+    :func:`~repro.spec.compile_spec` build of *spec*.
 
-    The edit is the :func:`~repro.eco.delta_from_json` document *delta*,
-    or else the swap of module *swap_layer* (named as ``JobSpec.eco``
-    names it) for a variant built at *spec*'s effort and *swap_seed*
-    (default ``spec.seed + 1``).  *cts* builds the clock trees first.
+    The edit is the :func:`~repro.eco.delta_from_json` document ``delta``;
+    ``swap_layer`` is shorthand for the one-edit document ``{"name":
+    "swap:<comp>@seed<s>", "edits": [{"op": "replace_layer", "module":
+    <comp>, "seed": <s>}]}``.  A ``replace_layer`` module is named as
+    :meth:`~repro.spec.JobSpec.resolve_eco_layer` names it, and its
+    variant is that component re-implemented at *spec*'s effort and the
+    edit's seed (default ``swap_seed``, else ``spec.seed + 1``).  ``cts``
+    builds the clock trees first and ``spec.drc`` gates the edit.
     Returns ``(trees, eco, identical)``: ``identical`` is whether a
     replay through the full re-route/re-time oracle matches bit for bit
-    (``None`` without *verify*).  A request that names no single module
-    or a malformed *delta* raises :class:`~repro.spec.SpecError` before
-    the design is touched; a failing *drc* gate or an illegal edit rolls
-    back and raises ``DrcError`` / ``EcoError``.
+    (``None`` without ``verify``).  A failing gate or an illegal edit
+    rolls back and raises ``DrcError`` / ``EcoError``.
     """
-    flow = result.extras["flow"]
-    seed = spec.seed + 1 if swap_seed is None else swap_seed
-    options = {"effort": spec.effort, "rom_weights": not spec.stream_weights}
-
-    def layer(name):
-        comp = spec.resolve_eco_layer(name)
-        if comp is None:
-            raise SpecError(f"no single layer of {spec.network_name} matches {name!r}")
-        return comp
-
+    request, flow = spec.eco, result.extras["flow"]
+    seed = spec.seed + 1 if request.get("swap_seed") is None else request["swap_seed"]
+    delta = request.get("delta")
     if delta is None:
-        comp = layer(swap_layer)
-        variant = layer_variant(comp, flow.device, seed=seed, **options)
-        edit = DesignDelta(f"swap:{comp.name}@seed{seed}", (LayerReplace(comp.name, variant),))
-    else:
-        edits = delta.get("edits") if isinstance(delta, dict) else None
-        for e in edits if isinstance(edits, list) else ():
-            if (isinstance(e, dict) and e.get("op") == "replace_layer"
-                    and isinstance(e.get("module"), str)):
-                e["module"] = layer(e["module"]).name
-        try:
-            edit = delta_from_json(delta, variant=lambda module, s: layer_variant(
-                layer(module), flow.device, seed=seed if s is None else s, **options))
-        except EcoError as exc:
-            raise SpecError(str(exc)) from exc
+        module = spec.resolve_eco_layer().name
+        delta = {"name": f"swap:{module}@seed{seed}",
+                 "edits": [{"op": "replace_layer", "module": module, "seed": seed}]}
 
-    trees = run_cts(result.design, flow.device, delays=flow.delays) if cts else []
-    context = {"graph": flow.graph, "delays": flow.delays, "drc": drc,
+    def variant(module, edit_seed):
+        comp = spec.resolve_eco_layer(module)
+        return comp.name, layer_variant(
+            comp, flow.device, effort=spec.effort, rom_weights=not spec.stream_weights,
+            seed=seed if edit_seed is None else edit_seed)
+
+    edit = delta_from_json(delta, variant=variant)
+    trees = run_cts(result.design, flow.device, delays=flow.delays) if request.get("cts") else []
+    context = {"graph": flow.graph, "delays": flow.delays, "drc": spec.drc,
                "database": result.extras["database"]}
+    verify = request.get("verify", False)
     before = encode_design(result.design) if verify else None
     eco = EcoEngine(result.design, flow.device, **context).apply(edit)
     if not verify:

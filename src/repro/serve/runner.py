@@ -29,7 +29,8 @@ __all__ = ["run_job", "build_result_doc"]
 
 #: Bump to invalidate stored serve *results*: a stored document of another
 #: schema is a miss (the component library has its own engine-level salt).
-RESULT_SCHEMA = 2
+#: 3: with an ``eco``, ``drc`` gates the edit only (the build runs ungated).
+RESULT_SCHEMA = 3
 
 
 def build_result_doc(spec: JobSpec, result, wall_s: float) -> dict:
@@ -76,8 +77,7 @@ def _eco_doc(spec: JobSpec, result) -> dict:
     """
     from ..eco import run_eco
 
-    trees, eco, identical = run_eco(result, spec, drc=spec.drc if spec.drc != "off" else "warn",
-                                    **spec.eco)
+    trees, eco, identical = run_eco(result, spec)
     if identical is False:
         raise RuntimeError(f"eco verification failed: incremental result for {eco.delta.name} "
                            "diverges from the full-recompile oracle")

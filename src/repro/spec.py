@@ -76,11 +76,15 @@ class JobSpec:
     seed: int = 0
     drc: str = "off"
     #: Post-route ECO to apply after the build (preimpl only): a JSON
-    #: object ``{"swap_layer": <module>, "swap_seed": <int>, "cts": bool,
-    #: "verify": bool}``: the keywords of :func:`repro.eco.run_eco`, which
-    #: replaces the named module instance with a freshly re-implemented
-    #: variant; ``verify`` replays the edit through the full-recompile
-    #: oracle and fails the job on any divergence.
+    #: object with exactly one of ``swap_layer`` (a module, named as
+    #: :meth:`resolve_eco_layer` names it, to replace with a freshly
+    #: re-implemented variant) and ``delta`` (a
+    #: :func:`repro.eco.delta_from_json` document), plus optional
+    #: ``swap_seed`` (the variants' seed), ``cts`` and ``verify``
+    #: (booleans; ``verify`` replays the edit through the full-recompile
+    #: oracle and fails the job on any divergence).
+    #: :func:`repro.eco.run_eco` makes the edit.  With an ``eco``, ``drc``
+    #: gates the edit and the build runs ungated.
     eco: dict | None = None
     tags: dict = field(default_factory=dict)
 
@@ -126,31 +130,43 @@ class JobSpec:
             self._validate_eco()
 
     def _validate_eco(self) -> None:
-        if not isinstance(self.eco, dict):
+        eco = self.eco
+        if not isinstance(eco, dict):
             raise SpecError("eco must be a JSON object")
         if self.flow != "preimpl":
             raise SpecError("eco requires the preimpl flow")
-        allowed = {"swap_layer", "swap_seed", "cts", "verify"}
-        unknown = sorted(set(self.eco) - allowed)
+        unknown = sorted(set(eco) - {"swap_layer", "delta", "swap_seed", "cts", "verify"})
         if unknown:
             raise SpecError(f"unknown eco fields: {unknown}")
-        layer = self.eco.get("swap_layer")
-        if not layer or not isinstance(layer, str):
-            raise SpecError("eco.swap_layer must be a non-empty module name")
-        swap_seed = self.eco.get("swap_seed")
+        layer, delta = eco.get("swap_layer"), eco.get("delta")
+        if (layer is None) == (delta is None):
+            raise SpecError("eco takes exactly one of 'swap_layer' and 'delta'")
+        swap_seed = eco.get("swap_seed")
         if swap_seed is not None and (
             not isinstance(swap_seed, int) or isinstance(swap_seed, bool)
         ):
             raise SpecError(f"eco.swap_seed must be an integer, got {swap_seed!r}")
         for flag in ("cts", "verify"):
-            if not isinstance(self.eco.get(flag, False), bool):
+            if not isinstance(eco.get(flag, False), bool):
                 raise SpecError(f"eco.{flag} must be a boolean")
-        if self.resolve_eco_layer() is None:
-            names = [c.name for c in self._components()]
-            raise SpecError(
-                f"eco.swap_layer {layer!r} does not uniquely match a "
-                f"component; known: {names}"
-            )
+        if delta is None:
+            if not isinstance(layer, str) or not layer:
+                raise SpecError("eco.swap_layer must be a non-empty module name")
+            modules = {"eco.swap_layer": layer}
+        else:
+            from .eco.delta import EcoError, check_delta_json  # the ECO package: only for an eco
+
+            try:
+                edits = check_delta_json(delta)
+            except EcoError as exc:
+                raise SpecError(str(exc)) from exc
+            modules = {f"eco.delta edit #{i} module": e["module"]
+                       for i, e in enumerate(edits) if e["op"] == "replace_layer"}
+        for what, name in modules.items():
+            if self.resolve_eco_layer(name) is None:
+                names = [c.name for c in self._components()]
+                raise SpecError(f"{what} {name!r} does not uniquely match a "
+                                f"component; known: {names}")
 
     def _components(self):
         from .cnn import group_components
@@ -158,15 +174,18 @@ class JobSpec:
         return group_components(self.dfg(), self.granularity)
 
     def resolve_eco_layer(self, layer: str | None = None):
-        """The component module *layer* (default: the eco swap's) names —
-        exactly, or else as the unique instance name containing it — or ``None``."""
+        """The component *layer* (default: the eco swap's) names, or ``None``:
+        the component of that name, else the one with a member layer of that
+        name, else the one component whose name contains it."""
         if layer is None:
-            layer = (self.eco or {}).get("swap_layer", "")
+            layer = self.eco["swap_layer"]
         components = self._components()
-        matches = [c for c in components if c.name == layer]
-        if not matches:
-            matches = [c for c in components if layer in c.name]
-        return matches[0] if len(matches) == 1 else None
+        for named in (lambda c: c.name == layer, lambda c: layer in c.nodes,
+                      lambda c: layer in c.name):
+            matches = [c for c in components if named(c)]
+            if matches:
+                return matches[0] if len(matches) == 1 else None
+        return None
 
     # -- derived objects ---------------------------------------------------
 
@@ -217,8 +236,10 @@ def compile_spec(spec: JobSpec, *, jobs: int | None = None, library=None):
     ``FlowResult``.  ``preimpl`` is one :meth:`~repro.rapidwright.
     PreImplementedFlow.run`, which pre-implements its components on
     *jobs* workers, answering what the *library* directory (a path)
-    already holds and filing what it builds there.  ``extras`` hold the
-    ``flow`` and, for ``preimpl``, the ``database`` and ``offline_s``."""
+    already holds and filing what it builds there; its ``drc`` gates the
+    run, unless the spec has an ``eco``, whose edit it gates instead
+    (:func:`repro.eco.run_eco`).  ``extras`` hold the ``flow`` and, for
+    ``preimpl``, the ``database`` and ``offline_s``."""
     device, dfg = spec.device(), spec.dfg()
     options = {"granularity": spec.granularity, "rom_weights": not spec.stream_weights}
     if spec.flow == "baseline":
@@ -230,7 +251,7 @@ def compile_spec(spec: JobSpec, *, jobs: int | None = None, library=None):
         from .rapidwright import ComponentDatabase, PreImplementedFlow
 
         flow = PreImplementedFlow(device, component_effort=spec.effort, seed=spec.seed,
-                                  drc=spec.drc)
+                                  drc="off" if spec.eco is not None else spec.drc)
         result = flow.run(dfg, database=ComponentDatabase(device, directory=library), jobs=jobs,
                           pipeline_target_mhz=spec.pipeline, **options)
     result.extras["flow"] = flow

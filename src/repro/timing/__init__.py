@@ -17,7 +17,6 @@ from .sta import (
     analyze,
     analyze_reference,
     clock_terms,
-    fmax_mhz,
 )
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "analyze",
     "analyze_reference",
     "clock_terms",
-    "fmax_mhz",
     "pipeline_to_target",
 ]

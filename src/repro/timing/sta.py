@@ -38,7 +38,6 @@ __all__ = [
     "analyze",
     "analyze_reference",
     "clock_terms",
-    "fmax_mhz",
     "combinational_loops",
 ]
 
@@ -355,27 +354,3 @@ def _worst_arrival(
             worst = arr
             pred = (src, net_name)
     return worst, pred
-
-
-def fmax_mhz(
-    design: Design,
-    device: Device | None = None,
-    graph: RoutingGraph | None = None,
-    delays: DelayModel = DEFAULT_DELAYS,
-    *,
-    session=None,
-) -> float:
-    """Convenience wrapper returning only the achieved Fmax in MHz.
-
-    Pass an :class:`~repro.timing.IncrementalSta` *session* already
-    tracking *design* to answer through its memo (an unchanged design
-    costs a scan, not a full analysis) instead of a one-shot run.
-    """
-    if session is not None:
-        if session.design is not design:
-            raise ValueError(
-                f"session tracks design {session.design.name!r}, "
-                f"not {design.name!r}"
-            )
-        return session.analyze().fmax_mhz
-    return analyze(design, device, graph, delays).fmax_mhz

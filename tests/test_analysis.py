@@ -52,12 +52,11 @@ def test_simulate_stream_totals(lenet_components):
 
 
 def test_simulate_stream_pipeline_regs_add_cycles(lenet_components):
-    for mode in ("store_forward", "streaming"):
-        base = simulate_stream(lenet_components, 400.0, mode=mode)
-        piped = simulate_stream(lenet_components, 400.0, pipeline_regs=100, mode=mode)
-        assert piped.total_cycles == base.total_cycles + 100
-        assert piped.total_us > base.total_us
-        assert piped.stages == base.stages
+    base = simulate_stream(lenet_components, 400.0)
+    piped = simulate_stream(lenet_components, 400.0, pipeline_regs=100)
+    assert piped.total_cycles == base.total_cycles + 100
+    assert piped.total_us > base.total_us
+    assert piped.stages == base.stages
 
 
 def test_simulate_stream_validates_fmax(lenet_components):

@@ -278,22 +278,51 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
                  "missing.dcpb", id="submit-missing-arch-file"),
     pytest.param(["eco", "--part", "small", "--effort", "low", "--delta", "{missing}"],
                  "missing.dcpb", id="eco-missing-delta"),
+    pytest.param(["eco", "--part", "small", "--effort", "low", "--swap-layer", "relu9"],
+                 "eco.swap_layer 'relu9' does not uniquely match a component",
+                 id="eco-unknown-layer"),
+    pytest.param(["eco", "--swap-layer", "conv2", "--delta", "{delta}"],
+                 "eco takes exactly one of 'swap_layer' and 'delta'", id="eco-swap-and-delta"),
+    pytest.param(["eco", "--cts"], "eco takes exactly one of 'swap_layer' and 'delta'",
+                 id="eco-neither"),
+    pytest.param(["eco", "--delta", "{bad_delta}"],
+                 "repro eco: edit #0 (nudge): field 'site' must be a pair of integers",
+                 id="eco-malformed-delta"),
 ])
-def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, argv, names):
-    argv = [arg.format(missing=tmp_path / "missing.dcpb") for arg in argv]
+def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, argv, names):
+    import json
+
+    import repro.cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a rejected request built a library")
+
+    monkeypatch.setattr(repro.cli, "compile_spec", no_build)
+    (tmp_path / "delta.json").write_text(json.dumps(
+        {"edits": [{"op": "replace_layer", "module": "conv2"}]}))
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"edits": [{"op": "nudge", "cell": "x", "site": [1]}]}))
+    argv = [arg.format(missing=tmp_path / "missing.dcpb", delta=tmp_path / "delta.json",
+                       bad_delta=tmp_path / "bad.json") for arg in argv]
     out = io.StringIO()
     try:
         code = main(argv, out=out)
-    except SystemExit as exc:  # an argparse usage error
+    except SystemExit as exc:  # an argparse usage error, or a bad spec
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2
-    # the message goes to stderr; eco reports its build on stdout first
-    assert all(line.startswith("built ") for line in out.getvalue().splitlines())
+    # the message goes to stderr, and nothing to stdout: nothing was built
+    assert out.getvalue() == "" and captured.out == ""
     lines = captured.err.splitlines()
     assert names in lines[-1]
     # one message line, or argparse's usage text and then its error line
     assert len(lines) == 1 or lines[-1].startswith(f"repro {argv[0]}: error: argument ")
+
+
+#: The edit an ``eco`` request needs (``pool1`` is a layer of every stock
+#: model), and the spec ``eco`` object its flags make.
+ECO_ARGV = ["--swap-layer", "pool1"]
+ECO_REQUEST = {"swap_layer": "pool1", "cts": False, "verify": False}
 
 
 @pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
@@ -302,21 +331,38 @@ def test_spec_flags_take_jobspecs_defaults_and_values(capsys, verb):
     with pytest.raises(SystemExit):
         parser.parse_args([verb, "--help"])
     help_text = capsys.readouterr().out
-    args = parser.parse_args([verb])
+    edit = ECO_ARGV if verb == "eco" else []
+    args = parser.parse_args([verb, *edit])
     for name in SPEC_VERBS[verb]:
         assert getattr(args, name) == CLI_DEFAULTS.get((verb, name), SPEC_DEFAULTS[name]), name
     if "jobs" in vars(args):
         assert args.jobs == 1  # documented: compile_spec's default is one worker per core
     expected = {name: getattr(args.spec, name) for name in SPEC_VERBS[verb]}
+    if verb == "eco":
+        expected["eco"] = ECO_REQUEST
     assert args.spec == JobSpec(**{**expected, "model": "lenet5"})
     for name in set(SPEC_VERBS[verb]) & set(CHOICES):
         flag = "--" + name.replace("_", "-")
         shown = CHOICES[name] + (("both",) if (verb, name) == ("run", "flow") else ())
         assert f"{flag} {{{','.join(shown)}}}" in help_text
         for value in CHOICES[name]:
-            assert getattr(parser.parse_args([verb, flag, value]).spec, name) == value
+            assert getattr(parser.parse_args([verb, *edit, flag, value]).spec, name) == value
         with pytest.raises(SystemExit):
-            parser.parse_args([verb, flag, "bogus"])
+            parser.parse_args([verb, *edit, flag, "bogus"])
+
+
+def test_eco_flags_are_the_fields_of_the_specs_eco(tmp_path):
+    import json
+
+    parser = build_parser()
+    args = parser.parse_args(["eco", "--swap-layer", "conv2", "--swap-seed", "4", "--cts",
+                              "--verify"])
+    assert args.spec.eco == {"swap_layer": "conv2", "swap_seed": 4, "cts": True,
+                             "verify": True}
+    document = {"name": "conv2", "edits": [{"op": "replace_layer", "module": "conv2"}]}
+    (tmp_path / "delta.json").write_text(json.dumps(document))
+    args = parser.parse_args(["eco", "--delta", str(tmp_path / "delta.json")])
+    assert args.spec.eco == {"delta": document, "cts": False, "verify": False}
 
 
 @pytest.mark.parametrize("name", sorted(CHOICES))
@@ -381,3 +427,50 @@ def test_cli_eco_and_serve_eco_job_report_the_same_edit_with_cts(monkeypatch):
     assert round(cli.before.fmax_mhz, 3) == eco["fmax_before_mhz"]
     assert round(cli.after.fmax_mhz, 3) == eco["fmax_after_mhz"]
     assert f"{eco['cts']['buffers']} buffers" in text
+
+
+def test_eco_swap_layer_resolves_a_member_layer():
+    """``relu1`` is fused into LeNet-5's ``comp1_pool1``: the swap replaces it."""
+    code, text = _run(["eco", "--part", "small", "--effort", "low", "--swap-layer", "relu1"])
+    assert code == 0, text
+    assert "ECO swap:comp1_pool1@seed1:" in text
+
+
+def test_explore_component_resolves_a_member_layer(monkeypatch):
+    import repro.rapidwright
+
+    class Explored(Exception):
+        pass
+
+    def capture(component, *args, **kwargs):
+        raise Explored(component)
+
+    monkeypatch.setattr(repro.rapidwright, "explore_component", capture)
+    with pytest.raises(Explored) as explored:
+        main(["explore", "--component", "relu1"], out=io.StringIO())
+    assert explored.value.args[0].name == "comp1_pool1"
+
+
+def test_drc_off_with_an_eco_means_no_edit_drc_in_cli_and_serve(monkeypatch):
+    """With an ``eco``, ``drc`` gates the edit (the build runs ungated) in
+    both front ends: ``off`` runs no DRC at all."""
+    from repro.eco import EcoEngine
+    from repro.serve.runner import run_job
+
+    applied = []
+    real_apply = EcoEngine.apply
+
+    def spy(self, delta):
+        applied.append(real_apply(self, delta))
+        return applied[-1]
+
+    monkeypatch.setattr(EcoEngine, "apply", spy)
+    code, text = _run(["eco", "--part", "small", "--effort", "low", "--swap-layer", "conv2",
+                       "--drc", "off"])
+    assert code == 0, text
+    doc, _ = run_job(JobSpec(model="lenet5", part="small", effort="low", drc="off",
+                             eco={"swap_layer": "conv2"}))
+    cli, serve = applied
+    assert cli.drc is None and serve.drc is None
+    assert not any(line.startswith("DRC ") for line in text.splitlines())
+    assert doc["eco"]["drc_violations"] is None and "drc_violations" not in doc

@@ -346,6 +346,20 @@ def test_jobspec_eco_validation():
         JobSpec(model="lenet5", eco={"swap_layer": "conv"})  # ambiguous
     with pytest.raises(SpecError, match="swap_seed"):
         JobSpec(model="lenet5", eco={"swap_layer": "conv1", "swap_seed": True})
+    swap = {"edits": [{"op": "replace_layer", "module": "relu1", "seed": 3}]}
+    assert JobSpec(model="lenet5", eco={"delta": swap}).resolve_eco_layer("relu1").name == \
+        "comp1_pool1"
+    with pytest.raises(SpecError, match="exactly one of 'swap_layer' and 'delta'"):
+        JobSpec(model="lenet5", eco={"swap_layer": "conv1", "delta": swap})
+    with pytest.raises(SpecError, match="exactly one of 'swap_layer' and 'delta'"):
+        JobSpec(model="lenet5", eco={"cts": True})
+    with pytest.raises(SpecError, match=r"edit #0 \(replace_layer\): field 'seed'"):
+        JobSpec(model="lenet5", eco={"delta": {"edits": [
+            {"op": "replace_layer", "module": "conv1", "seed": "1"}]}})
+    with pytest.raises(SpecError, match="eco.delta edit #1 module 'conv'"):
+        JobSpec(model="lenet5", eco={"delta": {"edits": [
+            {"op": "replace_layer", "module": "conv1"},
+            {"op": "replace_layer", "module": "conv"}]}})
 
 
 @pytest.mark.parametrize("fields", [
@@ -372,6 +386,7 @@ def test_serve_runs_verified_eco_job():
     assert eco["delta"].startswith("swap:comp0_conv1@seed")
     assert eco["ripped"] >= eco["rerouted"] >= 1
     assert eco["drc_violations"] == 0
+    assert "drc_violations" not in doc  # with an eco, drc gates the edit, not the build
     assert eco["cts"]["buffers"] >= 1
     json.dumps(doc)  # the result document stays JSON-serializable
 
@@ -389,7 +404,7 @@ def test_serve_eco_verify_fails_on_differing_drc_findings(monkeypatch):
         return ref
 
     monkeypatch.setattr(repro.eco, "eco_reference", one_extra_violation)
-    spec = JobSpec(architecture=TINY_ARCH, part="small", effort="low",
+    spec = JobSpec(architecture=TINY_ARCH, part="small", effort="low", drc="warn",
                    eco={"swap_layer": "conv1", "verify": True})
     with pytest.raises(RuntimeError, match="eco verification failed"):
         run_job(spec)
@@ -422,8 +437,11 @@ def test_cli_eco_layer_swap_with_oracle_check(tmp_path):
 def test_cli_bad_delta_is_one_line_not_a_traceback(tmp_path, capsys, edit, message):
     path = tmp_path / "delta.json"
     path.write_text(json.dumps({"name": "bad", "edits": [edit]}))
-    code = main(["eco", "--model", "lenet5", "--part", "small", "--effort", "low",
-                 "--delta", str(path)])
+    try:
+        code = main(["eco", "--model", "lenet5", "--part", "small", "--effort", "low",
+                     "--delta", str(path)])
+    except SystemExit as exc:  # a malformed delta is a bad spec, found before the build
+        code = exc.code
     captured = capsys.readouterr()
     said = [line for line in (captured.out + captured.err).splitlines()
             if not line.startswith("built ")]

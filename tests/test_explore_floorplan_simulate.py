@@ -134,33 +134,17 @@ def test_store_forward_cycles_are_pinned(dfg, granularity, rom_weights, cycles):
     assert sim.total_us == cycles / 400.0
 
 
-def test_streaming_overlap_is_faster():
-    comps = group_components(make_tiny_cnn(), "layer")
-    par = lambda c: {"pf": 2, "pk": 3}
-    sf = simulate_stream(comps, 400.0, parallelism_of=par)
-    st = simulate_stream(comps, 400.0, parallelism_of=par, mode="streaming")
-    assert st.total_cycles < sf.total_cycles
-    # streaming cannot beat the slowest single stage
-    slowest = max(s.compute_cycles for s in sf.stages)
-    assert st.total_cycles >= slowest
-
-
 def test_simulation_traces_are_causal():
     comps = group_components(make_tiny_cnn(), "layer")
-    for mode in ("store_forward", "streaming"):
-        sim = simulate_stream(comps, 400.0, mode=mode)
-        for prev, cur in zip(sim.stages, sim.stages[1:]):
-            assert cur.start_cycle >= prev.start_cycle
-            assert cur.finish_cycle >= prev.start_cycle
-        for stage in sim.stages:
-            assert stage.finish_cycle - stage.start_cycle >= stage.compute_cycles or \
-                sim.mode == "store_forward"
-            assert stage.stall_cycles >= 0
+    sim = simulate_stream(comps, 400.0)
+    assert sim.stages[0].start_cycle == 0
+    for prev, cur in zip(sim.stages, sim.stages[1:]):
+        assert cur.start_cycle == prev.finish_cycle
+    for stage in sim.stages:
+        assert stage.finish_cycle - stage.start_cycle == stage.compute_cycles
 
 
 def test_simulation_validation():
     comps = group_components(make_tiny_cnn(), "layer")
     with pytest.raises(ValueError, match="fmax"):
         simulate_stream(comps, 0.0)
-    with pytest.raises(ValueError, match="unknown mode"):
-        simulate_stream(comps, 100.0, mode="warp")

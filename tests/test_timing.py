@@ -11,7 +11,6 @@ from repro.timing import (
     TimingError,
     analyze,
     analyze_reference,
-    fmax_mhz,
     pipeline_to_target,
 )
 
@@ -105,7 +104,7 @@ def test_empty_design(tiny_device):
 def test_custom_delay_model(tiny_device):
     slow = DelayModel(tile_delay_ps=500.0)
     d = _reg2reg(tiny_device, span=5)
-    assert fmax_mhz(d, tiny_device, delays=slow) < fmax_mhz(d, tiny_device)
+    assert analyze(d, tiny_device, delays=slow).fmax_mhz < analyze(d, tiny_device).fmax_mhz
 
 
 def test_routed_delay_uses_actual_path(tiny_device, tiny_graph):
@@ -323,10 +322,7 @@ def test_session_tracks_edits_bit_identically(tiny_device, tiny_graph):
 def test_fmax_session_shortcut(tiny_device):
     d = _reg2reg(tiny_device, span=5)
     session = IncrementalSta(d, tiny_device)
-    direct = fmax_mhz(d, tiny_device)
-    assert fmax_mhz(d, tiny_device, session=session) == direct
+    assert session.analyze().fmax_mhz == analyze(d, tiny_device).fmax_mhz
     other = _reg2reg(tiny_device, span=3)
-    with pytest.raises(ValueError, match="tracks design"):
-        fmax_mhz(other, tiny_device, session=session)
     with pytest.raises(ValueError, match="tracks design"):
         pipeline_to_target(other, tiny_device, 1.0, session=session)
