@@ -145,6 +145,8 @@ def _job_spec(args) -> JobSpec:
     elif spec["model"] is None:
         spec["model"] = _DEFAULT_MODEL
     if args.command == "eco":  # its edit flags, the --delta file read into "delta"
+        if args.sarif and spec["drc"] == "off":
+            raise ValueError("--sarif writes the edit's DRC report, and --drc off makes none")
         delta = json.loads(Path(args.delta).read_text()) if args.delta else None
         spec["eco"] = {key: value for key, value in {
             "swap_layer": args.swap_layer, "delta": delta, "swap_seed": args.swap_seed,

@@ -60,6 +60,49 @@ def _name_order(image) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _bisect_row(image, name: str, which: int) -> int | None:
+    """Row of the cell (*which* 0) or net (1) called *name* (no prefix)."""
+    names = image.names()[which]
+    order = image.derived("name_order", _name_order)[which]
+    k = bisect_left(order, name, key=names.__getitem__)
+    if k < len(order) and names[order[k]] == name:
+        return int(order[k])
+    return None
+
+
+def _reach(image) -> dict[str, tuple[int, int]]:
+    """The names glue can reach, each with its ``(cell row, net row)``
+    (``-1``: none): every net behind a port of the image and the cells
+    at the ends of the data nets among them.  Stitching, pipelining,
+    timing and the encoder look a block up by only these names; a dozen
+    entries where a dict of every name would cost sixty bytes a row,
+    and anything else is found by bisection."""
+    rows = np.flatnonzero(np.isin(image.net_name, image.port_net)).tolist()
+    driver, sink = image.derived("pin_rows", _pin_rows)
+    sink_ends = image.derived("flat_ends", _flat_ends)[0]
+    cells: set[int] = set()
+    for r in rows:
+        if not image.net_clock[r]:                    # (a clock net's sinks are every register)
+            cells.add(int(driver[r]))
+            cells.update(sink[sink_ends[r] - image.net_nsinks[r]:sink_ends[r]].tolist())
+    cells.discard(-1)
+    cell_names, net_names = image.names()
+    reach = {}
+    for name in [*(net_names[r] for r in rows), *(cell_names[c] for c in cells)]:
+        cell, net = (_bisect_row(image, name, which) for which in (0, 1))
+        reach[name] = (-1 if cell is None else cell, -1 if net is None else net)
+    return reach
+
+
+def _odd_rows(image) -> tuple[list[int], list[tuple[bool, bool, bool]]]:
+    """The net rows with no driver, a clock or no sink — every net a
+    question of :meth:`Block.net_names_where` for one of these can
+    answer with — and each one's ``(driverless, clock, sinkless)``."""
+    has = (image.net_driver < 0, image.net_clock != 0, image.net_nsinks == 0)
+    rows = np.flatnonzero(has[0] | has[1] | has[2])
+    return rows.tolist(), list(zip(*(h[rows].tolist() for h in has)))
+
+
 class _NameTable(NamedTuple):
     """The cell and net names of one image under one instance prefix, as
     the string table of a checkpoint holds them: UTF-8 bytes end to end
@@ -99,6 +142,11 @@ def _flat_ends(image) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     routes = np.cumsum(image.net_nroutes, dtype=np.int64)
     nodes = np.concatenate(([0], np.cumsum(np.maximum(image.route_len, 0), dtype=np.int64)))
     return np.cumsum(image.net_nsinks, dtype=np.int64), routes, nodes[routes]
+
+
+def _unplaced(image) -> np.ndarray:
+    """Rows of the cells with no site."""
+    return np.flatnonzero(image.cell_placed == 0)
 
 
 def _seq_rows(image) -> np.ndarray | None:
@@ -313,7 +361,7 @@ class Block:
     """
 
     __slots__ = ("image", "dcol", "drow", "nrows", "instance", "prefix",
-                 "net_live", "n_nets", "_live")
+                 "net_live", "n_nets", "_live", "_odd", "_io")
 
     def __init__(self, image, dcol: int, drow: int, nrows: int,
                  instance: str | None) -> None:
@@ -326,6 +374,8 @@ class Block:
         self.net_live = np.ones(len(image.net_name), dtype=bool)
         self.n_nets = len(image.net_name)
         self._live: tuple | None = None          # what follows from net_live, as of n_nets
+        self._odd: list | None = None            # (row, name, flags) of the odd nets
+        self._io: tuple = (None, None)           # (device, its _io_key)
 
     @property
     def n_cells(self) -> int:
@@ -343,12 +393,10 @@ class Block:
             if not name.startswith(self.prefix):
                 return None
             name = name[len(self.prefix):]
-        names = self.image.names()[which]
-        order = self.image.derived("name_order", _name_order)[which]
-        k = bisect_left(order, name, key=names.__getitem__)
-        if k < len(order) and names[order[k]] == name:
-            return int(order[k])
-        return None
+        rows = self.image.derived("reach", _reach).get(name)
+        if rows is None:
+            return _bisect_row(self.image, name, which)
+        return rows[which] if rows[which] >= 0 else None
 
     def cell_row(self, name: str) -> int | None:
         """Row of the cell called *name* in the design, if it is here."""
@@ -385,8 +433,10 @@ class Block:
             ("name_table", self.prefix), lambda image: _name_table(image, self.prefix))
         if which == 0:
             return table.cell_raw, table.cell_lens, table.shared
-        return (self._live_part(table.net_raw, table.net_ends),
-                self.net_column_of(table.net_lens), table.shared)
+        if self.pristine:
+            return table.net_raw, table.net_lens, table.shared
+        return (b"".join(self._cut(memoryview(table.net_raw), table.net_ends)),
+                table.net_lens[self.net_live], table.shared)
 
     def live_rank(self, row: int) -> int:
         """Position of live net *row* among the live nets."""
@@ -440,16 +490,19 @@ class Block:
         rows = self.seq_rows()
         return self.n_cells if rows is None else len(rows)
 
+    def placement(self, row: int) -> tuple[int, int] | None:
+        """One cell's ``placement``, as its object would hold it."""
+        image = self.image
+        if not image.cell_placed[row]:
+            return None
+        return int(image.cell_col[row]) + self.dcol, int(image.cell_row[row]) + self.drow
+
     def describe_cell(self, row: int) -> tuple[str, str, tuple[int, int] | None]:
         """``(name, ctype, placement)`` of one cell, as its object would say."""
         image = self.image
-        placement = None
-        if image.cell_placed[row]:
-            placement = (int(image.cell_col[row]) + self.dcol,
-                         int(image.cell_row[row]) + self.drow)
         strings = image.strings
         return (self.prefix + strings[image.cell_name[row]],
-                strings[image.cell_ctype[row]], placement)
+                strings[image.cell_ctype[row]], self.placement(row))
 
     def within(self, col0: int, row0: int, col1: int, row1: int) -> bool:
         """Whether every placed cell sits inside the (inclusive)
@@ -484,20 +537,33 @@ class Block:
                         sinkless: bool | None = None) -> list[str]:
         """Names, in order, of the live nets whose ``driver is None`` /
         ``is_clock`` / ``not sinks`` equal the flags given (``None``: either)."""
-        image, keep = self.image, self.net_live
-        for want, has in ((driverless, image.net_driver < 0), (clock, image.net_clock != 0),
-                          (sinkless, image.net_nsinks == 0)):
-            if want is not None:
-                keep = keep & (has == want)
-        return self.net_names(np.flatnonzero(keep))
+        wants = (driverless, clock, sinkless)
+        if True not in wants:                    # the answer can be most nets: a mask
+            image, keep = self.image, self.net_live
+            for want, has in zip(wants, (image.net_driver < 0, image.net_clock != 0,
+                                         image.net_nsinks == 0)):
+                if want is not None:
+                    keep = keep & (has == want)
+            return self.net_names(np.flatnonzero(keep))
+        if self._odd is None:
+            self._odd = self._odd_nets()
+        live = self.net_live
+        return [name for row, name, flags in self._odd if live[row] and all(
+            want is None or want == has for want, has in zip(wants, flags))]
+
+    def _odd_nets(self) -> list[tuple[int, str, tuple[bool, bool, bool]]]:
+        """``(row, name, (driverless, clock, sinkless))`` of each net of
+        :func:`_odd_rows`, named in the design: built once per block."""
+        rows, flags = self.image.derived("odd_rows", _odd_rows)
+        return list(zip(rows, self.net_names(rows), flags))
 
     def pins(self, row: int) -> tuple[str | None, list[str], int]:
         """``(driver, sinks, width)`` of net *row*."""
         image = self.image
         strings, prefix = image.strings, self.prefix
         driver = int(image.net_driver[row])
-        s0 = int(image.net_nsinks[:row].sum(dtype=np.int64))
-        sinks = image.sink_name[s0:s0 + int(image.net_nsinks[row])].tolist()
+        s1 = int(image.derived("flat_ends", _flat_ends)[0][row])
+        sinks = image.sink_name[s1 - int(image.net_nsinks[row]):s1].tolist()
         return (prefix + strings[driver] if driver >= 0 else None,
                 [prefix + strings[i] for i in sinks], int(image.net_width[row]))
 
@@ -534,17 +600,6 @@ class Block:
         (``None``: every one)."""
         return None if self.pristine else self._removed()[0]
 
-    def _live_part(self, flat, ends: np.ndarray):
-        """The entries of the run-length column *flat* (net *k*'s end at
-        ``ends[k]``) that belong to live nets: a few slices, the removed
-        nets being a handful."""
-        if self.pristine:
-            return flat
-        pieces = [flat[(int(ends[a - 1]) if a else 0):int(ends[b - 1])]
-                  for a, b in self._removed()[1]]
-        return b"".join(pieces) if type(flat) is bytes else (
-            np.concatenate(pieces) if pieces else flat[:0])
-
     def timing_rows(self) -> _Edges:
         """One row per (live data net, sink), in the order a walk over the
         flattened nets would meet them: net row, driver and sink as cell
@@ -561,7 +616,13 @@ class Block:
     def _io_key(self, device) -> tuple | None:
         """What the routes' path metrics depend on at this anchor: the
         device height and the I/O columns under the routes' column span
-        (``None`` when a route would leave the device here)."""
+        (``None`` when a route would leave the device here).  Worked out
+        once per block and device."""
+        if self._io[0] is not device:
+            self._io = (device, self._read_io(device))
+        return self._io[1]
+
+    def _read_io(self, device) -> tuple | None:
         lo, hi, row_lo, row_hi = self.image.derived(
             ("route_span", self.nrows), lambda image: _route_span(image, self.nrows))
         lo, hi = lo + self.dcol, hi + self.dcol
@@ -642,17 +703,23 @@ class Block:
                 int(wires.routed.sum()))
 
     # -- re-encoding (DesignImage.from_design) --------------------------------
+    #
+    # What the encoder writes of a block is its image's columns as they
+    # are, but for an add on the string-index, site and route-node columns
+    # and, once nets are removed, cut to the live ones — as views, which
+    # the encoder writes out without joining them first.
 
-    def column(self, attr: str) -> np.ndarray:
-        """One image column as stored (``"cell_luts"``, ``"net_width"``, ...)."""
-        return getattr(self.image, attr)
-
-    def net_column(self, attr: str) -> np.ndarray:
-        """A per-net column, over the live nets only."""
-        return self.net_column_of(getattr(self.image, attr))
-
-    def net_column_of(self, column: np.ndarray) -> np.ndarray:
-        return column if self.pristine else column[self.net_live]
+    def _cut(self, column, ends: np.ndarray | None = None) -> list:
+        """*column* over the live nets, as a list of views: a column with
+        a value per net row, or — given *ends*, where net *k*'s entries
+        end — a run-length one.  A few slices, the removed nets being a
+        handful; the column whole while none is."""
+        if self.pristine:
+            return [column]
+        spans = self._removed()[1]
+        if ends is None:
+            return [column[a:b] for a, b in spans]
+        return [column[(int(ends[a - 1]) if a else 0):int(ends[b - 1])] for a, b in spans]
 
     def module_column(self, intern) -> np.ndarray:
         """String index of every cell's ``module`` tag (``-1``: none),
@@ -663,24 +730,36 @@ class Block:
         ids = np.array([intern(t) for t in table] + [-1], dtype=np.int32)
         return ids[codes]                      # code -1 picks the trailing -1
 
-    def driver_column(self, cell_string: np.ndarray) -> np.ndarray:
-        """Driver of every live net as a string index, given the string
-        index of each of this block's cells (``-1``: no driver)."""
-        driver = self.net_column_of(self.image.derived("pin_rows", _pin_rows)[0])
-        return np.where(driver >= 0, cell_string[driver], -1)
-
-    def sink_column(self, cell_string: np.ndarray) -> np.ndarray:
+    def cell_columns(self) -> tuple[np.ndarray, ...]:
+        """``cell_placed`` … ``cell_seq``, the cell columns that hold no
+        string index, in :data:`~repro.netlist.codec._COLUMNS` order:
+        the image's own, the sites shifted to this anchor."""
         image = self.image
-        sinks = self._live_part(image.derived("pin_rows", _pin_rows)[1],
-                                image.derived("flat_ends", _flat_ends)[0])
-        return cell_string[sinks]
+        col, row = image.cell_col, image.cell_row
+        if self.dcol or self.drow:
+            col, row = col + self.dcol, row + self.drow
+            unplaced = image.derived("unplaced", _unplaced)
+            if unplaced.size:
+                col[unplaced] = row[unplaced] = 0
+        return (image.cell_placed, col, row, image.cell_locked, image.cell_luts,
+                image.cell_ffs, image.cell_depth, image.cell_seq)
 
-    def route_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(route_len, route_node)`` of the live nets, nodes shifted."""
+    def net_columns(self, cell_string: np.ndarray) -> tuple[list, ...]:
+        """``net_driver`` … ``route_node``, the live nets' columns after
+        their names, in :data:`~repro.netlist.codec._COLUMNS` order and
+        each as a list of runs, given the string index of each of this
+        block's cells: a driver or sink is its cell's index, and a routed
+        node is shifted to this anchor."""
         image = self.image
-        _sinks, routes, nodes = image.derived("flat_ends", _flat_ends)
-        return (self._live_part(image.route_len, routes),
-                self._live_part(image.route_node, nodes) + (self.dcol * self.nrows + self.drow))
+        driver, sink = image.derived("pin_rows", _pin_rows)
+        sink_ends, route_ends, node_ends = image.derived("flat_ends", _flat_ends)
+        shift = self.dcol * self.nrows + self.drow
+        cut = self._cut
+        return (cut(np.where(driver >= 0, cell_string[driver], -1)),
+                cut(image.net_width), cut(image.net_clock), cut(image.net_locked),
+                cut(image.net_nsinks), cut(image.net_nroutes),
+                cut(cell_string[sink], sink_ends), cut(image.route_len, route_ends),
+                cut(image.route_node + shift if shift else image.route_node, node_ends))
 
     # -- flattening ----------------------------------------------------------
 

@@ -416,7 +416,8 @@ class _StringIndex:
 
     def table(self):
         """The finished table: a list of strings, or — with runs in it —
-        the packed ``(bytes, byte lengths)`` of :func:`_pack_strings`."""
+        the packed ``(bytes, byte lengths)`` of :func:`_pack_strings`,
+        each as a list of pieces to be written one after the other."""
         loose = list(self.index)
         if not self.runs:
             return loose
@@ -426,7 +427,7 @@ class _StringIndex:
             raws += [packed[0], raw]
             lens += [packed[1], run_lens]
             at = upto
-        return b"".join(raws), np.concatenate(lens)
+        return raws, lens
 
 
 def _read_design(design: Design) -> tuple:
@@ -454,68 +455,36 @@ def _read_design(design: Design) -> tuple:
     strings = _StringIndex()
     intern, one = strings.many, strings.one
 
-    def column(read, of_block, parts, of_clock=None) -> list:
-        """*read* a run of objects, *of_block* a placed block, and
-        *of_clock* a clock net held as runs (else *read* it alone)."""
-        out = []
-        for p in parts:
-            if type(p) is Block:
-                out.append(of_block(p))
-            elif type(p) is _BlockClock:
-                out.append(of_clock(p) if of_clock else read([p]))
-            else:
-                out.append(read(p))
-        return out
-
-    cn = column(lambda cells: strings.new([c.name for c in cells]),
-                lambda b: strings.run(b, 0), cell_parts)
+    # Strings are interned column by column across the runs, in the order
+    # the flattened design's objects would meet them; a placed block's
+    # names take one consecutive run of indices (:meth:`_StringIndex.run`),
+    # its cell types and module tags are its few distinct ones.
+    cn = [strings.run(p, 0) if type(p) is Block else strings.new([c.name for c in p])
+          for p in cell_parts]
 
     def block_ctypes(block) -> np.ndarray:
         codes, table = block.kinds()
         return np.asarray(intern(table), dtype=np.int32)[codes]
 
-    def sites(cells) -> tuple[list, list, list]:
-        placed = [c.placement if c.placement else None for c in cells]
-        return ([1 if p else 0 for p in placed], [p[0] if p else 0 for p in placed],
-                [p[1] if p else 0 for p in placed])
-
-    ct = column(lambda cells: intern(c.ctype for c in cells), block_ctypes, cell_parts)
-    cp, cc, cr = zip(*column(sites, Block.sites, cell_parts)) if cell_parts else ((),) * 3
-    cl, lu, ff, dp, sq = (
-        column(read, lambda b, k=k: b.column(k), cell_parts)
-        for k, read in (
-            ("cell_locked", lambda cells: [1 if c.locked else 0 for c in cells]),
-            ("cell_luts", lambda cells: [c.luts for c in cells]),
-            ("cell_ffs", lambda cells: [c.ffs for c in cells]),
-            ("cell_depth", lambda cells: [c.comb_depth for c in cells]),
-            ("cell_seq", lambda cells: [1 if c.seq else 0 for c in cells]),
-        )
-    )
-    cm = column(
-        lambda cells: [-1 if c.module is None else one(c.module) for c in cells],
-        lambda b: b.module_column(one), cell_parts)
+    ct = [block_ctypes(p) if type(p) is Block else intern(c.ctype for c in p)
+          for p in cell_parts]
+    cm = [p.module_column(one) if type(p) is Block
+          else [-1 if c.module is None else one(c.module) for c in p] for p in cell_parts]
+    cell_runs = [
+        (names, ctypes, *(p.cell_columns() if type(p) is Block else _cell_columns(p)), modules)
+        for p, names, ctypes, modules in zip(cell_parts, cn, ct, cm)
+    ]
 
     # A block's nets name cells of the block: a cell row becomes the
     # string index its name was interned at.
     cell_string = {p: np.asarray(ids, dtype=np.int32)
                    for p, ids in zip(cell_parts, cn) if type(p) is Block}
-    nn = column(lambda nets: strings.new([n.name for n in nets]),
-                lambda b: strings.run(b, 1), net_parts)
-    nd = column(
-        lambda nets: [-1 if n.driver is None else one(n.driver) for n in nets],
-        lambda b: b.driver_column(cell_string[b]), net_parts)
-    nw, nc, nl, ns, nr = (
-        column(read, lambda b, k=k: b.net_column(k), net_parts, of_clock)
-        for k, read, of_clock in (
-            ("net_width", lambda nets: [n.width for n in nets], None),
-            ("net_clock", lambda nets: [1 if n.is_clock else 0 for n in nets], None),
-            ("net_locked", lambda nets: [1 if n.locked else 0 for n in nets], None),
-            ("net_nsinks", lambda nets: [len(n.sinks) for n in nets],
-             lambda c: [c.lengths()[0]]),
-            ("net_nroutes", lambda nets: [len(n.routes) for n in nets],
-             lambda c: [c.lengths()[1]]),
-        )
-    )
+    objects = [None if type(p) is Block else [p] if type(p) is _BlockClock else p
+               for p in net_parts]
+    nn = [strings.run(p, 1) if nets is None else strings.new([n.name for n in nets])
+          for p, nets in zip(net_parts, objects)]
+    nd = [None if nets is None else [-1 if n.driver is None else one(n.driver) for n in nets]
+          for nets in objects]
 
     def clock_sinks(clock) -> np.ndarray:
         """A block's sequential cells are the string indices its cell
@@ -530,22 +499,17 @@ def _read_design(design: Design) -> tuple:
                 ids.append(np.asarray(strings.known(names), dtype=np.int32))
         return np.concatenate(ids)
 
-    sk = column(
-        lambda nets: strings.known(list(chain.from_iterable(n.sinks for n in nets))),
-        lambda b: b.sink_column(cell_string[b]), net_parts, clock_sinks)
-    rl: list = []
-    rn: list = []
-    for part in net_parts:
-        if type(part) is Block:
-            lens, nodes = part.route_columns()
-        elif type(part) is _BlockClock:          # every route is None
-            lens, nodes = np.full(part.lengths()[1], -1, dtype=np.int64), []
+    sk = [None if nets is None else clock_sinks(p) if type(p) is _BlockClock
+          else strings.known(list(chain.from_iterable(n.sinks for n in nets)))
+          for p, nets in zip(net_parts, objects)]
+    net_runs = []
+    for p, names, drivers, sinks in zip(net_parts, nn, nd, sk):
+        if type(p) is Block:
+            net_runs.append(([names], *p.net_columns(cell_string[p])))
         else:
-            paths = list(chain.from_iterable(n.routes for n in part))
-            lens = [-1 if path is None else len(path) for path in paths]
-            nodes = list(chain.from_iterable(path for path in paths if path is not None))
-        rl.append(lens)
-        rn.append(nodes)
+            width, clock, locked, nsinks, nroutes, lens, nodes = _net_columns(p)
+            net_runs.append(([names], [drivers], [width], [clock], [locked], [nsinks],
+                             [nroutes], [sinks], [lens], [nodes]))
 
     pn = [one(p.name) for p in ports]
     pd = [_DIR_CODE[p.direction] for p in ports]
@@ -557,31 +521,57 @@ def _read_design(design: Design) -> tuple:
     pr = [t[1] if t else 0 for t in tiles]
     pp = [_PROTO_CODE[p.protocol] for p in ports]
 
+    cell_columns = [list(runs) for runs in zip(*cell_runs)] or [[] for _ in range(11)]
+    net_columns = [list(chain.from_iterable(runs)) for runs in zip(*net_runs)] or [
+        [] for _ in range(10)]
     return (
         design.name,
         (pblock.col0, pblock.row0, pblock.col1, pblock.row1) if pblock else None,
         design.metadata,
         strings.table(),
-        (cn, ct, cp, cc, cr, cl, lu, ff, dp, sq, cm,
-         nn, nd, nw, nc, nl, ns, nr, sk, rl, rn,
-         [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
+        (*cell_columns, *net_columns, [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
     )
+
+
+def _cell_columns(cells: list) -> tuple[list, ...]:
+    """``cell_placed`` … ``cell_seq`` of a run of cell objects."""
+    placed = [c.placement if c.placement else None for c in cells]
+    return ([1 if p else 0 for p in placed], [p[0] if p else 0 for p in placed],
+            [p[1] if p else 0 for p in placed], [1 if c.locked else 0 for c in cells],
+            [c.luts for c in cells], [c.ffs for c in cells], [c.comb_depth for c in cells],
+            [1 if c.seq else 0 for c in cells])
+
+
+def _net_columns(part) -> tuple:
+    """``net_width`` … ``net_nroutes``, ``route_len`` and ``route_node``
+    of a run of net objects, or of a clock net held as runs (whose every
+    route is ``None``)."""
+    if type(part) is _BlockClock:
+        n_sinks, n_routes = part.lengths()
+        return ([part.width], [1 if part.is_clock else 0], [1 if part.locked else 0],
+                [n_sinks], [n_routes],
+                np.full(n_routes, -1, dtype=np.int64), [])
+    paths = list(chain.from_iterable(n.routes for n in part))
+    return ([n.width for n in part], [1 if n.is_clock else 0 for n in part],
+            [1 if n.locked else 0 for n in part], [len(n.sinks) for n in part],
+            [len(n.routes) for n in part], [-1 if path is None else len(path) for path in paths],
+            list(chain.from_iterable(path for path in paths if path is not None)))
 
 
 def _serialize(name: str, pblock, meta_blob: bytes, strings: tuple, columns) -> bytes:
     """The wire format: header, packed metadata, the string table as
-    ``(UTF-8 bytes, byte lengths)``, then per :data:`_COLUMNS` field its
-    byte count and its runs of values, joined straight out of the
-    arrays' buffers."""
+    ``(UTF-8 bytes, byte lengths)`` (*strings*: each as a list of
+    pieces), then per :data:`_COLUMNS` field its byte count and its runs
+    of values, joined straight out of the arrays' buffers."""
     raw_name = name.encode("utf-8")
-    raw, lens = strings
+    raws, lens = strings
     out = [
         MAGIC, struct.pack("<H", CODEC_VERSION),
         struct.pack("<I", len(raw_name)), raw_name,
         struct.pack("<B", 1 if pblock else 0),
         struct.pack("<4i", *pblock) if pblock else b"",
         struct.pack("<I", len(meta_blob)), meta_blob,
-        struct.pack("<I", len(lens)), lens, raw,
+        struct.pack("<I", sum(map(len, lens))), *lens, *raws,
     ]
     for (_attr, dtype), runs in zip(_COLUMNS, columns):
         runs = [np.ascontiguousarray(values, dtype=dtype) for values in runs]
@@ -678,7 +668,8 @@ class DesignImage:
         img = object.__new__(cls)
         img.name = name
         img.pblock = pblock
-        img._strings, img._packed = (strings, None) if type(strings) is list else (None, strings)
+        img._strings, img._packed = (strings, None) if type(strings) is list else (
+            None, (b"".join(strings[0]), np.concatenate(strings[1])))
         img._derived = {}
         img._set_metadata(metadata)
         for (attr, dtype), runs in zip(_COLUMNS, columns):
@@ -712,8 +703,8 @@ class DesignImage:
         """Serialize the image (deterministic: same design, same bytes)."""
         if self._meta_blob is None:
             raise _unserializable(self.name)
-        blob = _serialize(self.name, self.pblock, self._meta_blob,
-                          self._packed or _pack_strings(self._strings),
+        raw, lens = self._packed or _pack_strings(self._strings)
+        blob = _serialize(self.name, self.pblock, self._meta_blob, ([raw], [lens]),
                           [[column] for column in self.columns()])
         incr("codec.encode")
         return blob
@@ -1129,8 +1120,10 @@ def encode_design(design: Design) -> bytes:
         meta_blob = pack_value(metadata)
     except TypeError:
         raise _unserializable(name) from None
-    blob = _serialize(name, pblock, meta_blob,
-                      strings if type(strings) is tuple else _pack_strings(strings), columns)
+    if type(strings) is list:
+        raw, lens = _pack_strings(strings)
+        strings = [raw], [lens]
+    blob = _serialize(name, pblock, meta_blob, strings, columns)
     incr("codec.encode")
     return blob
 

@@ -624,7 +624,7 @@ class _BlockBacked(Design):
         held = self._block_holding(name, "cell_row")
         if held is None:
             raise KeyError(name)
-        return held[0].describe_cell(held[1])[2]
+        return held[0].placement(held[1])
 
     def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
         net = self.loose_net(name)

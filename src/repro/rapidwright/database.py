@@ -351,14 +351,18 @@ class ComponentDatabase:
             return EngineReport(jobs=0, wall_s=0.0, results={})
 
         from ..engine import workers
+        from ..synth.generator import estimated_cells
 
         options = dict(rom_weights=rom_weights, effort=effort, seed=seed,
                        plan_ports=plan_ports, explore=explore)
-        tasks = [
+        # Largest first, by the budgets' cell estimate: a pool then never
+        # starts its longest build last.  Records are filed in component
+        # order whatever order the builds ran in.
+        tasks = sorted((
             TaskSpec(key, workers.build_component, (comp, self.device), options,
                      stage=f"build:{comp.kind}")
             for key, (comp, _) in pending.items()
-        ]
+        ), key=lambda task: -estimated_cells(task.args[0], rom_weights=rom_weights))
         report = Engine(jobs=jobs).run(tasks)
         for key, (comp, build_key) in pending.items():
             self._ingest(comp.signature, DesignImage.from_bytes(report.results[key]),

@@ -252,8 +252,11 @@ class PreImplementedFlow:
 
         self._drc_gate(drc_reports, "pre_route", top, sta=sta)
 
+        # One router for both passes: it charges the placed blocks' wires
+        # once, and the reroute after pipelining recounts only the glue.
+        router = Router(self.device, self.graph)
         with stage(stages, "vivado:inter_route"):
-            route = Router(self.device, self.graph).route(top)
+            route = router.route(top)
 
         extras: dict = {
             "offline_s": offline_s,
@@ -288,7 +291,7 @@ class PreImplementedFlow:
             if pipe.inserted:
                 # Only the split nets are unrouted; report both passes.
                 with stage(stages, "vivado:reroute"):
-                    reroute = Router(self.device, self.graph).route(top)
+                    reroute = router.route(top)
                 route = RouteResult(
                     routed=route.routed + reroute.routed,
                     failed=reroute.failed,

@@ -196,7 +196,7 @@ def route_native(router, design, blocked):
     """
     from .pathfinder import (
         _REROUTE_WEIGHT, HIST_FAC, MAX_ITERS, PRES_FAC_INIT, PRES_FAC_MULT,
-        _result, routed_occupancy,
+        _result,
     )
 
     lib = _lib()
@@ -207,7 +207,7 @@ def route_native(router, design, blocked):
     n_nodes = graph.n_nodes
 
     with span("route/setup"):
-        occupancy, net_usage, preexisting = routed_occupancy(design, graph)
+        occupancy, net_usage, preexisting = router.occupancy(design)
         nets, gid_a, sink_a, width_a, src_a, dst_a = _collect_targets(
             design, nrows, ncols
         )

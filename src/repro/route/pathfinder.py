@@ -46,7 +46,7 @@ from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design, DesignError
 from .maze import astar_route, direct_path
 
-__all__ = ["Router", "RouteResult", "RoutingError", "routed_occupancy"]
+__all__ = ["Router", "RouteResult", "RoutingError", "block_charge", "routed_occupancy"]
 
 #: Present-congestion factor of the first negotiation iteration, and the
 #: factor it grows by each iteration after.
@@ -150,7 +150,7 @@ def _result(
 
 
 def routed_occupancy(
-    design: Design, graph: RoutingGraph
+    design: Design, graph: RoutingGraph, charged: tuple | None = None,
 ) -> tuple[np.ndarray, dict[str, dict[int, int]], int]:
     """Occupancy charged by a design's committed routes.
 
@@ -169,6 +169,10 @@ def routed_occupancy(
     ``(net, node)`` pairs deduplicated, widths summed per node in net
     order — the order a walk over ``design.nets`` adds them in, so the
     float sums are the same.
+
+    The placed blocks' share is :func:`block_charge`'s; *charged* is
+    that pair for this design when the caller has it already (a
+    :class:`Router` keeps it between its passes over one design).
 
     This is the :class:`Router` setup accounting, factored out so DRC
     rule ``RTE-002`` measures overuse with exactly the router's
@@ -214,16 +218,29 @@ def routed_occupancy(
         pairs % n_nodes, weights=width[pairs // n_nodes], minlength=n_nodes
     ).astype(np.float64, copy=False)
     preexisting = int(routed.sum())
-    # Placed blocks arrive routed: each adds its per-node charges, summed
-    # over its nets once per image and shifted to its anchor.  Widths are
-    # integers, so the float sums are exact in any order.
+    if design.blocks:
+        blocks, n_routed = charged or block_charge(design, n_nodes)
+        occupancy += blocks
+        preexisting += n_routed
+    return occupancy, net_usage, preexisting
+
+
+def block_charge(design: Design, n_nodes: int) -> tuple[np.ndarray, int]:
+    """``(occupancy, routed connections)`` of the placed blocks alone.
+
+    Placed blocks arrive routed: each adds its per-node charges, summed
+    over its nets once per image and shifted to its anchor.  Widths are
+    integers, so the float sums are exact in any order.
+    """
+    occupancy = np.zeros(n_nodes)
+    preexisting = 0
     for block in design.blocks:
         node, charge, n_routed = block.wire_use()   # distinct nodes
         if node.size and not 0 <= node[0] <= node[-1] < n_nodes:    # ascending
             raise IndexError("routed_occupancy: route leaves the routing graph")
         occupancy[node] += charge
         preexisting += n_routed
-    return occupancy, net_usage, preexisting
+    return occupancy, preexisting
 
 
 class Router:
@@ -238,6 +255,17 @@ class Router:
     def __init__(self, device: Device, graph: RoutingGraph | None = None) -> None:
         self.device = device
         self.graph = graph if graph is not None else RoutingGraph(device)
+        self._charged: tuple = ([], None)   # (blocks and their live nets, block_charge)
+
+    def occupancy(self, design: Design) -> tuple[np.ndarray, dict[str, dict[int, int]], int]:
+        """:func:`routed_occupancy` of *design*, whose placed blocks are
+        charged once for as long as this router routes them: a later
+        pass over the same blocks, none of which has lost a net since,
+        counts only the nets that exist as objects."""
+        key = [(block, block.n_nets) for block in design.blocks]
+        if key != self._charged[0]:
+            self._charged = (key, block_charge(design, self.graph.n_nodes) if key else None)
+        return routed_occupancy(design, self.graph, self._charged[1])
 
     # -- public API ------------------------------------------------------
 
@@ -264,7 +292,7 @@ class Router:
         blocked = self._blocked(design, region)
 
         with span("route/setup"):
-            occupancy, net_usage, preexisting = routed_occupancy(design, graph)
+            occupancy, net_usage, preexisting = self.occupancy(design)
             targets = []
             for net in design.nets.values():
                 if net.is_clock or net.driver is None or net.locked:

@@ -15,8 +15,17 @@ from .fc import gen_fc
 from .memctrl import gen_memctrl
 from .pool import gen_pool
 from .relu import gen_relu
+from .resources import (
+    addr_bits_for,
+    conv_resources,
+    fc_resources,
+    memctrl_resources,
+    pool_resources,
+    relu_resources,
+    slices_for,
+)
 
-__all__ = ["generate_component", "generate_block"]
+__all__ = ["estimated_cells", "generate_component", "generate_block"]
 
 
 def _conv_design(node: LayerNode, include_relu: bool, rom_weights: bool) -> Design:
@@ -99,6 +108,37 @@ def generate_component(comp: Component, *, rom_weights: bool = True) -> Design:
         "out_shape": list(comp.out_shape),
     }
     return design
+
+
+def estimated_cells(comp: Component, *, rom_weights: bool = True) -> int:
+    """About how many cells :func:`generate_component` makes of *comp*:
+    the slices, DSPs and BRAMs of its stages' budgets
+    (:mod:`repro.synth.resources`), known before anything is generated —
+    what a library build uses to start its longest builds first."""
+    budgets = []
+    if comp.kind == "memctrl":
+        budgets.append(memctrl_resources(addr_bits_for(comp.signature[1])))
+    for node in comp.members:
+        layer = node.layer
+        if node.kind == "conv":
+            cin, _h, w = node.in_shape
+            k, pad = layer.kernel, layer.pad_amount(node.in_shape)
+            n_weights = k * k * cin * layer.filters + layer.filters
+            budget = conv_resources(cin, w, k, layer.filters, n_weights, rom_weights,
+                                    out_width=(w + 2 * pad - k) // layer.stride + 1)
+        elif node.kind == "pool":
+            budget = pool_resources(node.in_shape[0], layer.size, node.in_shape[2])
+        elif node.kind == "fc":
+            n_in = node.in_shape[0]
+            budget = fc_resources(n_in, layer.units, n_in * layer.units + layer.units,
+                                  rom_weights)
+        elif node.kind == "relu":
+            budgets.append(relu_resources(node.in_shape[0]))
+            continue
+        else:
+            continue
+        budgets.append(budget.totals())
+    return sum(slices_for(b["LUT"], b["FF"]) + b["DSP48E2"] + b["RAMB36"] for b in budgets)
 
 
 def generate_block(comp: Component, *, rom_weights: bool = True) -> Design:

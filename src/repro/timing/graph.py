@@ -113,6 +113,11 @@ __all__ = ["TimingGraph"]
 ORACLE = "repro.timing.sta.analyze_reference"
 
 
+#: Slots a compile leaves room for behind the cells it appends: the
+#: registers a pipelining pass inserts then cost no copy of the columns.
+_SLOT_ROOM = 64
+
+
 def _flat_routes(nets: list, fanout: list[int]) -> list:
     """``routes[i] if i < len(routes) else None`` of every sink, flattened."""
     routes = [n.routes for n in nets]
@@ -461,7 +466,8 @@ class TimingGraph:
         n = n0 + len(tails[0])
         if n > len(self._slot_room[0]):
             columns = (self.cell_seq, self.cell_logic, self.cell_setup, self.out_time)
-            self._slot_room = [np.empty(max(n, 2 * n0), dtype=tail.dtype) for tail in tails]
+            room = max(n + _SLOT_ROOM, 2 * n0)
+            self._slot_room = [np.empty(room, dtype=tail.dtype) for tail in tails]
             for buf, column in zip(self._slot_room, columns):
                 buf[:n0] = column
         for buf, tail in zip(self._slot_room, tails):
@@ -548,9 +554,12 @@ class TimingGraph:
             gone[old_at[BY_GLUE_ROW][a]:old_at[BY_GLUE_ROW][b]] = False
         self._mark_dirty(self.r_dst[gone])
         old_chunks = {}
+        carried = np.zeros(len(self.data_nets), dtype=bool)
+        for a, b, _ in pieces:
+            carried[a:b] = True
         for j, chunk in zip(self.b_entry, self.chunks):
             old_chunks[chunk.block] = chunk
-            if not any(a <= j < b for a, b, _ in pieces):
+            if not carried[j]:
                 self._mark_sinks_dirty(chunk)
         n_rows = new_at[BY_GLUE_ROW][-1]
         retime = joined(stale, np.ones(n_rows, dtype=bool), BY_GLUE_ROW)
@@ -639,19 +648,32 @@ class TimingGraph:
         for i, s, d, f in zip(cold.tolist(), self.r_src[cold].tolist(),
                               self.r_dst[cold].tolist(), self.r_fanout[cold].tolist()):
             self.r_delay[i] = self.delays.estimated_net_delay_ps(
-                self.device, self._cell(s)[2], self._cell(d)[2], f
+                self.device, self._placement(s), self._placement(d), f
             )
 
-    def _cell(self, slot: int) -> tuple:
-        """``(name, ctype, placement as of the last sync)`` of a slot."""
-        k = slot
+    def _holder(self, slot: int) -> tuple:
+        """``(block, its row)`` of a block's slot; ``(None, k)`` of the
+        *k*-th glue cell's."""
         if self.block_slot:
             k = int(np.searchsorted(self.g_slot, slot))
             if k == len(self.g_slot) or self.g_slot[k] != slot:
                 for block, first in self.block_slot.items():
                     if first <= slot < first + block.n_cells:
-                        return block.describe_cell(slot - first)
+                        return block, slot - first
+            return None, k
+        return None, slot
+
+    def _cell(self, slot: int) -> tuple:
+        """``(name, ctype, placement as of the last sync)`` of a slot."""
+        block, k = self._holder(slot)
+        if block is not None:
+            return block.describe_cell(k)
         return self.g_names[k], self.g_cells[k].ctype, self.cell_pl[k]
+
+    def _placement(self, slot: int) -> tuple[int, int] | None:
+        """:meth:`_cell`'s placement alone."""
+        block, k = self._holder(slot)
+        return self.cell_pl[k] if block is None else block.placement(k)
 
     def _cell_name(self, slot: int) -> str:
         return self._cell(slot)[0]

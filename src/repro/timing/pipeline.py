@@ -40,8 +40,14 @@ class _SiteGrid:
     like the set of ``(col, row)`` tuples it stands for — filled from
     placement columns, with no tuple per placed cell."""
 
-    def __init__(self, device: Device, placed, col, row) -> None:
+    def __init__(self, device: Device, cells) -> None:
+        """*cells*: a :class:`~repro.netlist.block.CellTable`."""
         self.mask = np.zeros((device.ncols, device.nrows), dtype=bool)
+        ids = cells.site_ids(device)          # None: a cell is off the grid
+        if ids is not None:
+            self.mask.ravel()[ids] = True
+            return
+        placed, col, row = cells.placed, cells.col, cells.row
         ok = placed & (col >= 0) & (col < device.ncols) & (row >= 0) & (row < device.nrows)
         self.mask[col[ok], row[ok]] = True   # off-grid cells block no site
 
@@ -59,8 +65,7 @@ def _free_site_near(
         return None
     ncol, nrow = near
     # Search columns by distance from the target column, rows likewise.
-    for col in sorted(cols, key=lambda c: abs(int(c) - ncol)):
-        col = int(col)
+    for col in cols[np.argsort(np.abs(cols - ncol), kind="stable")].tolist():
         if abs(col - ncol) > device.ncols:  # pragma: no cover - defensive
             break
         for dr in range(device.nrows):
@@ -102,8 +107,7 @@ def pipeline_to_target(
     report = before
     # Sites, endpoints and clock nets are read without asking the design
     # for its objects: on a stitched design only the glue is walked.
-    cells = design.cell_table()
-    occupied = _SiteGrid(device, cells.placed, cells.col, cells.row)
+    occupied = _SiteGrid(device, design.cell_table())
     clock_nets = design.clock_nets()
     inserted = 0
 

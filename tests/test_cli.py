@@ -288,6 +288,9 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
     pytest.param(["eco", "--delta", "{bad_delta}"],
                  "repro eco: edit #0 (nudge): field 'site' must be a pair of integers",
                  id="eco-malformed-delta"),
+    pytest.param(["eco", "--swap-layer", "conv2", "--drc", "off", "--sarif", "{sarif}"],
+                 "repro eco: --sarif writes the edit's DRC report, and --drc off makes none",
+                 id="eco-sarif-without-drc"),
 ])
 def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, argv, names):
     import json
@@ -303,7 +306,8 @@ def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, 
     (tmp_path / "bad.json").write_text(json.dumps(
         {"edits": [{"op": "nudge", "cell": "x", "site": [1]}]}))
     argv = [arg.format(missing=tmp_path / "missing.dcpb", delta=tmp_path / "delta.json",
-                       bad_delta=tmp_path / "bad.json") for arg in argv]
+                       bad_delta=tmp_path / "bad.json", sarif=tmp_path / "x.sarif")
+            for arg in argv]
     out = io.StringIO()
     try:
         code = main(argv, out=out)
@@ -317,6 +321,7 @@ def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, 
     assert names in lines[-1]
     # one message line, or argparse's usage text and then its error line
     assert len(lines) == 1 or lines[-1].startswith(f"repro {argv[0]}: error: argument ")
+    assert not (tmp_path / "x.sarif").exists()
 
 
 #: The edit an ``eco`` request needs (``pool1`` is a layer of every stock

@@ -247,16 +247,31 @@ def test_parallel_build_bit_identical_to_serial(small_device, comps):
         assert record.signature == parallel.records[key].signature
 
 
-def test_vgg16_block_library_pooled_byte_identical(big_device, cores):
+def test_vgg16_block_library_pooled_byte_identical(big_device, cores, monkeypatch):
     """The paper's VGG-16 library (12 block checkpoints, streamed weights,
-    high effort) is the same bytes from the default pool as from one process."""
+    high effort) is the same bytes from the default pool as from one process,
+    filed in the same order — though the pool is handed the largest build,
+    the conv5 block, first (in network order it started last)."""
+    import repro.rapidwright.database as database
+
     cores(2)
     blocks = group_components(vgg16(), "block")
     serial = ComponentDatabase(big_device)
     serial.build(blocks, rom_weights=False, effort="high", seed=0, jobs=1)
+    submitted, run = [], database.Engine.run
+
+    def recording(engine, tasks):
+        submitted.append([task.args[0].name for task in tasks])
+        return run(engine, tasks)
+
+    monkeypatch.setattr(database.Engine, "run", recording)
     pooled = ComponentDatabase(big_device)
     report = pooled.build(blocks, rom_weights=False, effort="high", seed=0)
     assert len(serial) == 12 and report.jobs == 2
+    ((first, *rest),) = submitted
+    assert first == "comp8_conv5_1" and sorted(rest) == sorted(
+        b.name for b in blocks if b.name != first)
+    assert list(pooled.records) == list(serial.records)
     assert _payload_blobs(pooled) == _payload_blobs(serial)
 
 

@@ -417,6 +417,48 @@ def test_second_run_reads_back_what_the_images_keep(model, monkeypatch):
     assert parsed, "a fresh record's metadata is parsed once"
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_a_run_resolves_each_placed_block_once(model, monkeypatch):
+    """By count, on a second run: what a block holds at its anchor or
+    after stitching — its sites, the names of its driverless, clock and
+    sinkless nets, its wire charge — is worked out at most once per
+    block, the charge once across both route passes (pipelining adds a
+    reroute on VGG-16), and the bytes are the first run's."""
+    from collections import Counter
+
+    from repro.netlist.block import Block
+
+    net, kwargs = {
+        "lenet5": (lenet5(), {}),
+        "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
+    }[model]
+    # (high effort: the stitched VGG-16 then misses the auto target and is pipelined)
+    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0)
+    database = ComponentDatabase(DEVICE)  # the first run fills it
+
+    def run():
+        result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+        return result, encode_design(result.design)
+
+    first = run()[1]
+    calls: Counter = Counter()
+    for name in ("sites", "_odd_nets", "wire_use"):
+        def counting(self, *args, _method=getattr(Block, name), _name=name):
+            calls[_name, self] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Block, name, counting)
+    result, blob = run()
+    assert blob == first
+    blocks = set(result.design.blocks)
+    assert blocks and {block for _name, block in calls} <= blocks
+    assert max(calls.values()) == 1, calls.most_common(1)
+    assert {block for name, block in calls if name == "wire_use"} == blocks
+    assert (result.extras["pipeline"].inserted > 0) == (model == "vgg16")
+
+
 # -- the component placer ----------------------------------------------------------------
 
 
