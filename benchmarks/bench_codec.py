@@ -45,7 +45,7 @@ import sys
 from repro.cnn import group_components, lenet5, vgg16
 from repro.fabric import Device
 from repro.netlist.checkpoint import design_to_dict
-from repro.rapidwright import PreImplementedFlow
+from repro.rapidwright import ComponentDatabase
 from repro.rapidwright.module import candidate_anchors, relocate_reference
 
 from _harness import check_against, interleaved_min
@@ -66,12 +66,10 @@ def _canon(design) -> str:
 def build_workload(model_fn, part, granularity, rom_weights):
     """Pre-implemented build: a model's components and their database."""
     device = Device.from_name(part)
-    flow = PreImplementedFlow(device, component_effort="low", seed=SEED)
-    net = model_fn()
-    db, _timer = flow.build_database(net, granularity=granularity,
-                                    rom_weights=rom_weights)
-    return {"device": device, "db": db,
-            "components": group_components(net, granularity)}
+    components = group_components(model_fn(), granularity)
+    db = ComponentDatabase(device)
+    db.build(components, rom_weights=rom_weights, effort="low", seed=SEED)
+    return {"device": device, "db": db, "components": components}
 
 
 # -- scenario: database fetch + relocate ---------------------------------------

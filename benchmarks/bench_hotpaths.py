@@ -110,17 +110,18 @@ def bench_place(device, design, reps, max_moves):
     problem = PlacementProblem.from_design(design, device)
     start = legalize(problem, global_place(problem, make_rng(SEED), iters=30))
 
+    budget = dict(moves_per_cell=40, max_moves=max_moves)
     sites_opt = start.copy()
     sites_ref = start.copy()
-    stats_opt = anneal(problem, sites_opt, seed=SEED, max_moves=max_moves)
-    stats_ref = anneal_reference(problem, sites_ref, seed=SEED, max_moves=max_moves)
+    stats_opt = anneal(problem, sites_opt, seed=SEED, **budget)
+    stats_ref = anneal_reference(problem, sites_ref, seed=SEED, **budget)
     assert np.array_equal(sites_opt, sites_ref), "compiled anneal diverged"
     key = ("moves", "accepted", "initial_cost", "final_cost")
     assert [getattr(stats_opt, k) for k in key] == [getattr(stats_ref, k) for k in key]
 
     opt_s, ref_s = interleaved_min(
-        lambda sites: anneal(problem, sites, seed=SEED, max_moves=max_moves),
-        lambda sites: anneal_reference(problem, sites, seed=SEED, max_moves=max_moves),
+        lambda sites: anneal(problem, sites, seed=SEED, **budget),
+        lambda sites: anneal_reference(problem, sites, seed=SEED, **budget),
         reps, fresh=start.copy,
     )
     return {

@@ -101,6 +101,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """A rate flag's value: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 #: Every flag that sets a JobSpec field, declared once.  Its default is the
 #: spec's and its values are ``repro.spec.CHOICES``: JobSpec checks them
 #: when the parser builds the verb's spec, not argparse.
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_drc.add_argument("--mode", default="strict", choices=("warn", "strict"),
                        help="strict: exit 2 on unwaived error-or-worse findings")
     _add_report_options(p_drc)
-    p_drc.add_argument("--max-fanout", type=int, default=None,
+    p_drc.add_argument("--max-fanout", type=_positive_int, default=None,
                        help="NET-006 fanout ceiling (default 64)")
     p_drc.add_argument("--require-routed", action="store_true",
                        help="escalate unrouted nets to errors when checking a "
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the post-ECO DRC report as SARIF 2.1")
 
     for p in (p_run, p_drc, p_build, p_eco):  # the verbs that build a library first
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the offline database build (default "
                             "1, in-process; the Python API defaults to one per usable core)")
         p.add_argument("--trace", default=None, metavar="PATH",
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--part", default=_SPEC_DEFAULTS["part"], choices=CHOICES["part"])
     p_ex.add_argument("--seeds", type=_positive_int, default=3)
     p_ex.add_argument("--anchor-weight", type=float, default=0.0)
-    p_ex.add_argument("--jobs", type=int, default=1,
+    p_ex.add_argument("--jobs", type=_positive_int, default=1,
                       help="worker processes for independent trials")
 
     p_tr = sub.add_parser(
@@ -334,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8177,
                        help="listen port (0 picks a free one; the chosen "
                             "port is written to <data-dir>/serve.json)")
-    p_srv.add_argument("--workers", type=int, default=2,
+    p_srv.add_argument("--workers", type=_positive_int, default=2,
                        help="concurrent build workers sharing one library")
-    p_srv.add_argument("--max-running", type=int, default=2,
+    p_srv.add_argument("--max-running", type=_positive_int, default=2,
                        help="per-tenant concurrent build cap")
-    p_srv.add_argument("--max-queued", type=int, default=32,
+    p_srv.add_argument("--max-queued", type=_positive_int, default=32,
                        help="per-tenant queued-job cap (429 when full)")
-    p_srv.add_argument("--rate", type=float, default=None,
+    p_srv.add_argument("--rate", type=_positive_float, default=None,
                        help="per-tenant submit rate limit (jobs/s)")
 
     def _add_url(sp):

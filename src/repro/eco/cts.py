@@ -39,6 +39,9 @@ __all__ = ["CtsError", "CtsResult", "run_cts"]
 #: within one tile delay (~22 ps), so a handful of levels fits comfortably
 #: under this.
 DEFAULT_MAX_SKEW_PS = 100.0
+#: Clock sinks per leaf buffer a tree starts from; halved while the skew
+#: bound is missed.
+MAX_LEAF_SINKS = 8
 
 
 class CtsError(DesignError):
@@ -169,7 +172,6 @@ def run_cts(
     device: Device,
     *,
     delays: DelayModel = DEFAULT_DELAYS,
-    max_leaf_sinks: int = 8,
 ) -> list[CtsResult]:
     """Insert a buffered clock tree under every clock net of *design*.
 
@@ -185,8 +187,6 @@ def run_cts(
     """
     if "cts" in design.metadata:
         raise CtsError(f"design {design.name} already has a clock tree")
-    if max_leaf_sinks < 1:
-        raise CtsError("max_leaf_sinks must be >= 1")
 
     clock_nets = [n for n in design.nets.values() if n.is_clock and n.sinks]
     if not clock_nets:
@@ -211,7 +211,7 @@ def run_cts(
                 )
             sinks.append((name, cell.placement))
 
-        leaf_cap = max_leaf_sinks
+        leaf_cap = MAX_LEAF_SINKS
         while True:
             levels = max(0, math.ceil(math.log2(math.ceil(len(sinks) / leaf_cap)))
                          ) if len(sinks) > leaf_cap else 0

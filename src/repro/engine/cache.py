@@ -81,9 +81,9 @@ def canonical_blob(obj: Any) -> bytes:
     return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":")).encode()
 
 
-def content_key(*parts: Any, salt: str = CODE_SALT) -> str:
-    """Content address of *parts* (salted, hex SHA-256)."""
-    return hashlib.sha256(canonical_blob((salt,) + parts)).hexdigest()
+def content_key(*parts: Any) -> str:
+    """Content address of *parts* (salted with :data:`CODE_SALT`, hex SHA-256)."""
+    return hashlib.sha256(canonical_blob((CODE_SALT,) + parts)).hexdigest()
 
 
 def write_atomic(path: Path, data: bytes) -> None:

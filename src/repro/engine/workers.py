@@ -47,21 +47,22 @@ def build_component(
     plan_ports: bool = True,
     explore: dict | None = None,
 ) -> bytes:
-    """Run the function-optimization sweep for one component; return its
-    best checkpoint.  *effort* and *seed* are the default axes (without
-    *explore*, one ``preimplement``); *explore* may override them."""
-    sweep = {"seeds": (seed,), "efforts": (effort,), **(explore or {})}
+    """Run the function-optimization sweep for one component at *effort*;
+    return its best checkpoint.  *seed* is the default seed axis (without
+    *explore*, one ``preimplement``); *explore* names sweep axes and may
+    override it."""
+    sweep = {"seeds": (seed,), **(explore or {})}
     result = explore_component(
-        component, device, rom_weights=rom_weights, plan_ports=plan_ports, **sweep
+        component, device, rom_weights=rom_weights, effort=effort, plan_ports=plan_ports,
+        **sweep,
     )
     return encode_design(result.best.design)
 
 
-def run_explore_trial(
-    component: Component, device: Device, point: tuple, rom_weights: bool, plan_ports: bool
-) -> tuple:
+def run_explore_trial(component: Component, device: Device, effort: str, point: tuple,
+                      rom_weights: bool, plan_ports: bool) -> tuple:
     """One DSE trial (one point of the explore sweep) as an engine task."""
-    ooc = implement_trial(component, device, point, rom_weights, plan_ports)
+    ooc = implement_trial(component, device, effort, point, rom_weights, plan_ports)
     # Ship the locked design as one binary blob instead of letting the
     # pickler walk thousands of Cell/Net objects; the sweep decodes it
     # back in (see explore._reattached).

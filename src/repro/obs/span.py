@@ -118,7 +118,6 @@ class Tracer:
         attrs: dict | None = None,
         parent_id: int | None = None,
         span_id: int | None = None,
-        pid: int | None = None,
     ) -> int:
         """Record a finished span directly (synthetic spans, e.g. a pooled
         engine task timed by the parent process).  When *parent_id* is
@@ -135,7 +134,7 @@ class Tracer:
             "parent": parent_id,
             "t0": t0,
             "dur": dur,
-            "pid": pid if pid is not None else os.getpid(),
+            "pid": os.getpid(),
             "attrs": {k: _clean(v) for k, v in (attrs or {}).items()},
         })
         return span_id

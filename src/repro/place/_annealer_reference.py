@@ -33,6 +33,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .._util import make_rng, sum_left_to_right
+from . import annealer
 from .annealer import MAX_PINS, T_END_FRAC, AnnealStats, _net_cost, move_streams
 from .problem import PlacementProblem
 
@@ -147,9 +148,8 @@ def anneal_reference(
     sites: np.ndarray,
     *,
     seed: int | np.random.Generator = 0,
-    moves_per_cell: int = 40,
-    max_moves: int = 400_000,
-    clump_passes: int = 4,
+    moves_per_cell: int,
+    max_moves: int,
 ) -> AnnealStats:
     """Refine *sites* in place; returns statistics."""
     rng = make_rng(seed)
@@ -163,7 +163,7 @@ def anneal_reference(
         return AnnealStats(0, 0, initial_cost, initial_cost)
 
     accepted, cost = _sweep(state, problem, rng, budget, initial_cost)
-    cost = _clump(state, cost, clump_passes)
+    cost = _clump(state, cost)
     sites[:, 0] = state.xs
     sites[:, 1] = state.ys
     return AnnealStats(budget, accepted, initial_cost, min(cost, initial_cost))
@@ -247,18 +247,18 @@ def _sweep(
     return accepted, cost
 
 
-def _clump(state: _Placement, cost: float, passes: int) -> float:
+def _clump(state: _Placement, cost: float) -> float:
     """Directed post-pass from total cost *cost*; returns the new total.
 
     Random-walk annealing reduces total wirelength but rarely rescues an
     individual 300-tile net.  Each pass takes the costliest 2 % of the
     nets and moves every pin 16+ tiles from its net's median toward it,
-    keeping the moves that lower the (quadratic) objective; the passes
-    stop early once one changes nothing.
+    keeping the moves that lower the (quadratic) objective, for at most
+    :data:`~repro.place.annealer.CLUMP_PASSES` passes or until one moves nothing.
     """
     xs, ys = state.xs, state.ys
     n_nets = len(state.pins)
-    for _ in range(passes):
+    for _ in range(annealer.CLUMP_PASSES):
         order = sorted(range(n_nets), key=lambda k: -state.cost[k])
         changed = 0
         for k in order[: max(1, n_nets // 50)]:

@@ -63,6 +63,9 @@ MAX_PINS = 64
 T_END_FRAC = 0.02
 #: Steps per chunk of the float move streams (:func:`move_streams`).
 STREAM_CHUNK = 1 << 12
+#: Most passes of the clump post-pass (it stops early once one changes
+#: nothing).
+CLUMP_PASSES = 4
 
 
 class AnnealStats:
@@ -184,7 +187,6 @@ def anneal(
     seed: int | np.random.Generator = 0,
     moves_per_cell: int = 40,
     max_moves: int = 400_000,
-    clump_passes: int = 4,
 ) -> AnnealStats:
     """Refine *sites* in place; returns statistics.
 
@@ -198,10 +200,7 @@ def anneal(
         impl = anneal_native
     else:
         from ._annealer_reference import anneal_reference as impl
-    stats = impl(
-        problem, sites, seed=seed, moves_per_cell=moves_per_cell,
-        max_moves=max_moves, clump_passes=clump_passes,
-    )
+    stats = impl(problem, sites, seed=seed, moves_per_cell=moves_per_cell, max_moves=max_moves)
     incr("place.moves", stats.moves)
     incr("place.accepted", stats.accepted)
     return stats

@@ -42,6 +42,7 @@ import numpy as np
 from .._native import build_library
 from .._util import make_rng, sum_left_to_right
 from ..obs.span import incr, sample
+from . import annealer
 from .annealer import _QUAD_K, MAX_PINS, T_END_FRAC, AnnealStats, move_streams
 from .problem import NetColumns, PlacementProblem
 
@@ -132,9 +133,8 @@ def anneal_native(
     sites: np.ndarray,
     *,
     seed: int | np.random.Generator = 0,
-    moves_per_cell: int = 40,
-    max_moves: int = 400_000,
-    clump_passes: int = 4,
+    moves_per_cell: int,
+    max_moves: int,
 ) -> AnnealStats:
     """Refine *sites* in place via the C sweep; returns statistics.
 
@@ -305,7 +305,7 @@ def anneal_native(
     median = np.empty(int(pin_counts.max()), dtype=np.float64)
     final = np.array([final_cost], dtype=np.float64)
     clump(
-        n, n_nets, nrows_dev, nsites, clump_passes,
+        n, n_nets, nrows_dev, nsites, annealer.CLUMP_PASSES,
         _ptr(xs_a), _ptr(ys_a),
         _ptr(net_offs), _ptr(net_pins),
         _ptr(fx0), _ptr(fx1), _ptr(fy0), _ptr(fy1),

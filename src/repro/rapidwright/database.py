@@ -320,11 +320,11 @@ class ComponentDatabase:
         is; the concurrent wall clock is its ``wall_s``.
 
         Each component is built by the function-optimization sweep of
-        :func:`repro.rapidwright.explore.explore_component`, whose best
-        trial is stored.  Its seed and effort axes default to this
-        build's *seed* and *effort*, so without *explore* it is one
-        pre-implementation; *explore* is forwarded to it (e.g.
-        ``{"seeds": (0, 1, 2)}``, which then overrides *seed*).
+        :func:`repro.rapidwright.explore.explore_component` at this
+        build's *effort*, whose best trial is stored.  Its seed axis
+        defaults to this build's *seed*, so without *explore* it is one
+        pre-implementation; *explore* names sweep axes and is forwarded
+        to it (e.g. ``{"seeds": (0, 1, 2)}``, which then overrides *seed*).
 
         *jobs* worker processes pre-implement independent components
         concurrently: ``None`` (the default) means one per usable core,

@@ -6,8 +6,8 @@ future-work items: "an optimized and automated floor planning" and
 "optimization approaches to improve the performance of components during
 the function optimization stage".  This module implements both:
 
-:func:`explore_component` sweeps placement seeds, effort presets,
-floorplan slack, and pblock aspect (height) for one component, keeping
+:func:`explore_component` sweeps placement seeds, floorplan slack and
+pblock aspect (height) for one component at one effort preset, keeping
 the best implementation by a configurable objective (Fmax by default,
 optionally trading off relocatability), with early exit once a target
 frequency is met.  A component library build is the one-point sweep
@@ -35,7 +35,6 @@ class ExploreTrial:
     """One point of the exploration."""
 
     seed: int
-    effort: str
     slack: float
     max_height: int | None
     fmax_mhz: float
@@ -56,10 +55,10 @@ class ExploreResult:
         return max(self.trials, key=lambda t: t.score)
 
     def report(self) -> str:
-        lines = ["seed effort slack height   fmax  anchors  area   score"]
+        lines = ["seed slack height   fmax  anchors  area   score"]
         for t in sorted(self.trials, key=lambda t: -t.score):
             lines.append(
-                f"{t.seed:4d} {t.effort:>6s} {t.slack:5.2f} "
+                f"{t.seed:4d} {t.slack:5.2f} "
                 f"{t.max_height if t.max_height else '-':>6} "
                 f"{t.fmax_mhz:6.1f} {t.anchors if t.anchors is not None else '-':>8} "
                 f"{t.pblock_area:5d} {t.score:7.1f}"
@@ -72,8 +71,8 @@ def explore_component(
     device: Device,
     *,
     rom_weights: bool = True,
+    effort: str = "high",
     seeds: Iterable[int] = (0, 1, 2),
-    efforts: Iterable[str] = ("high",),
     slacks: Iterable[float] = (1.15,),
     heights: Iterable[int | None] = (None,),
     plan_ports: bool = True,
@@ -89,11 +88,12 @@ def explore_component(
         The library component to tune; each trial implements a fresh
         ``generate_component(component, rom_weights=rom_weights)``, in
         whichever process it lands on.
-    seeds / efforts / slacks / heights:
-        The swept axes: placement seed, effort preset, floorplan slack,
-        and pblock max-height (``None`` = the automatic aspect heuristic).
-        Trials are recorded in grid order: slack, then height, effort and
-        seed.
+    effort:
+        The placement effort preset of every trial.
+    seeds / slacks / heights:
+        The swept axes: placement seed, floorplan slack, and pblock
+        max-height (``None`` = the automatic aspect heuristic).  Trials
+        are recorded in grid order: slack, then height and seed.
     target_fmax_mhz:
         Early exit once a trial meets this frequency (the paper's
         "iteration to meet the constraints"): the recorded sweep ends at
@@ -114,35 +114,29 @@ def explore_component(
     Returns the best implementation; its design is locked and ready for
     the checkpoint database.
     """
-    grid = [
-        (slack, height, effort, seed)
-        for slack in slacks
-        for height in heights
-        for effort in efforts
-        for seed in seeds
-    ]
+    grid = [(slack, height, seed) for slack in slacks for height in heights for seed in seeds]
     if not grid:
         raise ValueError("exploration space is empty (check the sweep axes)")
     if jobs == 1:
-        outcomes = _in_process(component, device, grid, rom_weights, plan_ports)
+        outcomes = _in_process(component, device, effort, grid, rom_weights, plan_ports)
     else:
         from ..engine.executor import Engine, TaskSpec
         from ..engine.workers import run_explore_trial
 
         report = Engine(jobs=jobs).run([
             TaskSpec(f"trial{i}", run_explore_trial,
-                     (component, device, point, rom_weights, plan_ports), stage="explore/trial")
+                     (component, device, effort, point, rom_weights, plan_ports),
+                     stage="explore/trial")
             for i, point in enumerate(grid)
         ])
         outcomes = _reattached(report.results[f"trial{i}"] for i in range(len(grid)))
 
     best: OOCResult | None = None
     trials: list[ExploreTrial] = []
-    for (slack, height, effort, seed), ooc in zip(grid, outcomes):
+    for (slack, height, seed), ooc in zip(grid, outcomes):
         anchors = len(candidate_anchors(device, ooc.design)) if len(grid) > 1 else None
         trial = ExploreTrial(
             seed=seed,
-            effort=effort,
             slack=slack,
             max_height=height,
             fmax_mhz=ooc.fmax_mhz,
@@ -158,23 +152,22 @@ def explore_component(
     return ExploreResult(best=best, trials=trials)
 
 
-def implement_trial(
-    component: Component, device: Device, point: tuple, rom_weights: bool, plan_ports: bool
-) -> OOCResult:
-    """Pre-implement a fresh design of *component* at one grid *point*
-    ``(slack, height, effort, seed)``."""
-    slack, height, effort, seed = point
+def implement_trial(component: Component, device: Device, effort: str, point: tuple,
+                    rom_weights: bool, plan_ports: bool) -> OOCResult:
+    """Pre-implement a fresh design of *component* at *effort* and one grid
+    *point* ``(slack, height, seed)``."""
+    slack, height, seed = point
     return preimplement(
         generate_component(component, rom_weights=rom_weights), device, effort=effort, seed=seed, plan_ports=plan_ports,
         slack=slack, max_height=height,
     )
 
 
-def _in_process(component, device, grid, rom_weights, plan_ports) -> Iterator[OOCResult]:
+def _in_process(component, device, effort, grid, rom_weights, plan_ports) -> Iterator[OOCResult]:
     """The trials one at a time, each only once the sweep asks for it."""
     for point in grid:
         with span("explore/trial"):
-            outcome = implement_trial(component, device, point, rom_weights, plan_ports)
+            outcome = implement_trial(component, device, effort, point, rom_weights, plan_ports)
         yield outcome
 
 

@@ -22,6 +22,9 @@ from ..obs.span import incr
 
 __all__ = ["astar_route", "direct_path"]
 
+#: Nodes one A* search may expand before it gives up (returns ``None``).
+MAX_EXPANSIONS = 200_000
+
 
 def direct_path(src: int, dst: int, nrows: int) -> list[int]:
     """Congestion-oblivious L-shaped route: hex wires then singles,
@@ -59,7 +62,6 @@ def astar_route(
     ncols: int,
     node_cost: np.ndarray,
     *,
-    max_expansions: int = 200_000,
     heuristic_weight: float = 1.0,
 ) -> list[int] | None:
     """Shortest path from *src* to *dst* under per-node entry costs.
@@ -78,8 +80,8 @@ def astar_route(
     not be optimal.
 
     Returns the node path including both endpoints, or ``None`` if
-    unreachable within the expansion budget.  Open-list entries are
-    ``(f, node)`` pairs, so ties on ``f`` pop the lower node id first.
+    unreachable in :data:`MAX_EXPANSIONS` expansions.  Open-list entries
+    are ``(f, node)`` pairs, so ties on ``f`` pop the lower node id first.
     """
     if src == dst:
         incr("route.astar.calls")
@@ -108,7 +110,7 @@ def astar_route(
             continue
         closed.add(node)
         expansions += 1
-        if expansions > max_expansions:
+        if expansions > MAX_EXPANSIONS:
             break
         g = best_g[node]
 

@@ -45,9 +45,6 @@ ORACLE = "repro.route.pathfinder.Router.route_reference"
 
 _SOURCE = Path(__file__).with_name("_route_core.c")
 
-#: matches the ``astar_route`` default in :mod:`repro.route.maze`
-_MAX_EXPANSIONS = 200_000
-
 
 @functools.cache
 def _lib():
@@ -194,6 +191,7 @@ def route_native(router, design, blocked):
     Called by :meth:`Router.route` when the core loaded; *blocked* is
     the caller's region mask (or ``None``).
     """
+    from .maze import MAX_EXPANSIONS
     from .pathfinder import (
         _REROUTE_WEIGHT, HIST_FAC, MAX_ITERS, PRES_FAC_INIT, PRES_FAC_MULT,
         _result,
@@ -242,7 +240,7 @@ def route_native(router, design, blocked):
         _ptr(occupancy), _ptr(capacity), _ptr(history),
         _ptr(blocked_a), has_blocked,
         _ptr(pre_keys), _ptr(pre_counts), int(pre_keys.size),
-        PRES_FAC_INIT, PRES_FAC_MULT, HIST_FAC, _REROUTE_WEIGHT, _MAX_EXPANSIONS,
+        PRES_FAC_INIT, PRES_FAC_MULT, HIST_FAC, _REROUTE_WEIGHT, MAX_EXPANSIONS,
     )
     out = np.zeros(5, dtype=np.int64)
     iterations = 0

@@ -17,6 +17,11 @@ from urllib.parse import urlencode, urlsplit
 
 __all__ = ["ServeApiError", "ServeClient"]
 
+#: Long-poll wait of each page :meth:`ServeClient.stream_events` asks for, s.
+EVENTS_POLL_S = 10.0
+#: Longest wait between two of :meth:`ServeClient.wait_result`'s status checks, s.
+RESULT_POLL_S = 5.0
+
 
 class ServeApiError(RuntimeError):
     """Non-2xx response from the compile service."""
@@ -105,12 +110,12 @@ class ServeClient:
 
     # -- conveniences ------------------------------------------------------
 
-    def stream_events(self, job_id: str, *, poll_s: float = 10.0, timeout: float = 600.0):
+    def stream_events(self, job_id: str, *, timeout: float = 600.0):
         """Yield progress events until the job's log closes."""
         deadline = time.monotonic() + timeout
         cursor = -1
         while True:
-            page = self.events(job_id, after=cursor, wait=poll_s)
+            page = self.events(job_id, after=cursor, wait=EVENTS_POLL_S)
             for event in page["events"]:
                 cursor = max(cursor, event["seq"])
                 yield event
@@ -119,7 +124,7 @@ class ServeClient:
             if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} still {page['state']} after {timeout}s")
 
-    def wait_result(self, job_id: str, *, timeout: float = 600.0, poll_s: float = 5.0) -> dict:
+    def wait_result(self, job_id: str, *, timeout: float = 600.0) -> dict:
         """Block until the job finishes; returns the result envelope.
 
         Raises :class:`ServeApiError` bubbling the failure for jobs that
@@ -133,4 +138,4 @@ class ServeClient:
             if time.monotonic() > deadline:
                 raise TimeoutError(f"job {job_id} still {job['state']} after {timeout}s")
             # Park on the event stream rather than busy-polling status.
-            self.events(job_id, after=10 ** 9, wait=min(poll_s, deadline - time.monotonic()))
+            self.events(job_id, after=10 ** 9, wait=min(RESULT_POLL_S, deadline - time.monotonic()))

@@ -56,10 +56,9 @@ class IncrementalSta:
     """One timing session over one (mutating) design.
 
     Parameters mirror :func:`repro.timing.sta.analyze`.  The session
-    compiles lazily on first use; :meth:`invalidate` drops all compiled
-    state (needed only if the immutability contract in
-    :mod:`repro.timing.graph` was broken, e.g. a cell's ``comb_depth``
-    changed in place).
+    compiles lazily on first use, and relies on the immutability contract
+    in :mod:`repro.timing.graph` (e.g. no cell's ``comb_depth`` changes in
+    place).
     """
 
     def __init__(
@@ -162,13 +161,3 @@ class IncrementalSta:
             self._loops = _combinational_loops(self.design)
             self._loops_rev = tg.topo_rev
         return self._loops
-
-    # -- maintenance ---------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop all compiled state; the next query recompiles from scratch."""
-        self._tg = None
-        self._report = None
-        self._report_rev = -1
-        self._loops = None
-        self._loops_rev = -1

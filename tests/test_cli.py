@@ -291,16 +291,33 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
     pytest.param(["eco", "--swap-layer", "conv2", "--drc", "off", "--sarif", "{sarif}"],
                  "repro eco: --sarif writes the edit's DRC report, and --drc off makes none",
                  id="eco-sarif-without-drc"),
+    pytest.param(["run", "--jobs", "0"], "--jobs", id="run-jobs-zero"),
+    pytest.param(["drc", "--jobs", "-1"], "--jobs", id="drc-jobs-negative"),
+    pytest.param(["build", "--jobs", "-3"], "--jobs", id="build-jobs-negative"),
+    pytest.param(["eco", "--swap-layer", "conv2", "--jobs", "0"], "--jobs", id="eco-jobs-zero"),
+    pytest.param(["explore", "--jobs", "0"], "--jobs", id="explore-jobs-zero"),
+    pytest.param(["drc", "--part", "small", "--max-fanout", "-5"], "--max-fanout",
+                 id="drc-max-fanout-negative"),
+    pytest.param(["serve", "--workers", "0"], "--workers", id="serve-workers-zero"),
+    pytest.param(["serve", "--max-running", "0"], "--max-running", id="serve-max-running-zero"),
+    pytest.param(["serve", "--max-queued", "0"], "--max-queued", id="serve-max-queued-zero"),
+    pytest.param(["serve", "--rate", "-1"], "--rate", id="serve-rate-negative"),
+    pytest.param(["serve", "--rate", "inf"], "--rate", id="serve-rate-infinite"),
 ])
 def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, argv, names):
     import json
 
     import repro.cli
+    import repro.serve
 
     def no_build(*args, **kwargs):
         raise AssertionError("a rejected request built a library")
 
+    def no_server(*args, **kwargs):
+        raise AssertionError("a rejected request started a server")
+
     monkeypatch.setattr(repro.cli, "compile_spec", no_build)
+    monkeypatch.setattr(repro.serve, "ServeServer", no_server)
     (tmp_path / "delta.json").write_text(json.dumps(
         {"edits": [{"op": "replace_layer", "module": "conv2"}]}))
     (tmp_path / "bad.json").write_text(json.dumps(

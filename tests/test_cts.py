@@ -11,12 +11,14 @@ folded into the period — identically from both timing engines.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.drc import run_drc
-from repro.eco import CtsError, run_cts
+from repro.eco import CtsError, cts, run_cts
 from repro.fabric import Device, RoutingGraph
 from repro.fabric.pblock import PBlock
 from repro.netlist import Design
@@ -131,7 +133,8 @@ def _clocked_design(seed: int, n_sinks: int) -> Design:
 def test_skew_bound_holds_on_random_sink_clouds(seed, n_sinks, leaf_cap):
     """Every H-tree CTS agrees to build measures within the bound."""
     design = _clocked_design(seed, n_sinks)
-    trees = run_cts(design, SMALL, max_leaf_sinks=leaf_cap)
+    with mock.patch.object(cts, "MAX_LEAF_SINKS", leaf_cap):
+        trees = run_cts(design, SMALL)
     meta = design.metadata["cts"]
     for tree in trees:
         assert tree.skew_ps <= meta["max_skew_ps"]

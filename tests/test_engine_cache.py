@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cnn import group_components
 from repro.engine import content_key
+from repro.engine import cache
 from repro.engine.cache import canonical, canonical_blob
 from repro.obs import Tracer
 from repro.rapidwright import ComponentDatabase
@@ -38,8 +39,10 @@ def test_distinctions_preserved():
     assert content_key(("a", 1)) != content_key(("a", 2))
 
 
-def test_salt_changes_key():
-    assert content_key("x") != content_key("x", salt="other-salt")
+def test_salt_changes_key(monkeypatch):
+    key = content_key("x")
+    monkeypatch.setattr(cache, "CODE_SALT", "other-salt")
+    assert content_key("x") != key
 
 
 def test_canonical_blob_sorts_dict_keys():

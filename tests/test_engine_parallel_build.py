@@ -524,10 +524,10 @@ def test_run_accelerator_entirely_from_disk(small_device, tmp_path):
 
 def test_explore_jobs_matches_serial(small_device, comps):
     serial = explore_component(
-        comps[0], small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3)
+        comps[0], small_device, seeds=(0, 1), effort="low", slacks=(1.1, 1.3)
     )
     pooled = explore_component(
-        comps[0], small_device, seeds=(0, 1), efforts=("low",), slacks=(1.1, 1.3),
+        comps[0], small_device, seeds=(0, 1), effort="low", slacks=(1.1, 1.3),
         jobs=2,
     )
     assert [t.score for t in pooled.trials] == [t.score for t in serial.trials]
@@ -536,7 +536,7 @@ def test_explore_jobs_matches_serial(small_device, comps):
 
 
 def test_explore_early_exit_truncates_identically(small_device, comps):
-    kwargs = dict(seeds=(0, 1, 2), efforts=("low",), target_fmax_mhz=1.0)
+    kwargs = dict(seeds=(0, 1, 2), effort="low", target_fmax_mhz=1.0)
     serial = explore_component(comps[0], small_device, **kwargs)
     pooled = explore_component(comps[0], small_device, jobs=2, **kwargs)
     # target is trivially met by the first trial: both record exactly one

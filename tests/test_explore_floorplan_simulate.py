@@ -4,7 +4,9 @@ import pytest
 
 from repro.analysis import module_legend, render_floorplan, simulate_stream
 from repro.cnn import DFG, Input, ReLU, group_components, lenet5, vgg16
+from repro.netlist.codec import encode_design
 from repro.rapidwright import ComponentDatabase, PreImplementedFlow, explore_component
+from repro.rapidwright.ooc import preimplement
 from repro.synth import generate_component
 from tests.conftest import make_tiny_cnn
 
@@ -22,7 +24,7 @@ def _relu(channels: int):
 
 def test_explore_returns_best_of_trials(small_device):
     result = explore_component(
-        _relu(8), small_device, seeds=(0, 1, 2), efforts=("low",)
+        _relu(8), small_device, seeds=(0, 1, 2), effort="low"
     )
     assert len(result.trials) == 3
     assert result.best.fmax_mhz == pytest.approx(result.best_trial.fmax_mhz)
@@ -33,7 +35,7 @@ def test_explore_returns_best_of_trials(small_device):
 def test_explore_early_exit_on_target(small_device):
     result = explore_component(
         _relu(8), small_device, seeds=(0, 1, 2, 3, 4),
-        efforts=("low",), target_fmax_mhz=1.0,
+        effort="low", target_fmax_mhz=1.0,
     )
     assert len(result.trials) == 1  # first trial already meets 1 MHz
 
@@ -49,25 +51,38 @@ def test_explore_early_exit_skips_the_remaining_trials(small_device, monkeypatch
 
     monkeypatch.setattr(explore, "generate_component", counting)
     explore_component(_relu(8), small_device, seeds=(0, 1, 2, 3, 4),
-                      efforts=("low",), target_fmax_mhz=1.0, jobs=1)
+                      effort="low", target_fmax_mhz=1.0, jobs=1)
     assert len(generated) == 1  # the trials after the first are never evaluated
 
 
 def test_explore_anchor_weight_prefers_relocatable(small_device):
     plain = explore_component(
         _relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
-        efforts=("low",), anchor_weight=0.0,
+        effort="low", anchor_weight=0.0,
     )
     reuse = explore_component(
         _relu(8), small_device, seeds=(0,), slacks=(1.05, 2.5),
-        efforts=("low",), anchor_weight=100.0,
+        effort="low", anchor_weight=100.0,
     )
     assert reuse.best_trial.anchors >= plain.best_trial.anchors
 
 
+def test_a_one_point_sweep_is_a_bare_preimplement_at_its_effort(small_device):
+    """The library build's sweep: one seed, the default slack and height,
+    and the build's effort — the design, byte for byte, that
+    ``preimplement`` makes at that effort."""
+    (comp,) = [c for c in group_components(make_tiny_cnn(), "layer") if c.nodes == ["conv1"]]
+    for effort in ("low", "high"):
+        result = explore_component(comp, small_device, seeds=(3,), effort=effort)
+        bare = preimplement(generate_component(comp), small_device, effort=effort, seed=3)
+        assert encode_design(result.best.design) == encode_design(bare.design)
+        assert result.best.fmax_mhz == bare.fmax_mhz
+        assert [t.anchors for t in result.trials] == [None]
+
+
 def test_explore_report_and_empty_space(small_device):
     result = explore_component(_relu(4), small_device, seeds=(0,),
-                               efforts=("low",))
+                               effort="low")
     assert "fmax" in result.report()
     with pytest.raises(ValueError, match="empty"):
         explore_component(_relu(4), small_device, seeds=())
@@ -78,8 +93,7 @@ def test_database_build_with_exploration(small_device):
     plain_db = ComponentDatabase(small_device)
     plain_db.build(comps, rom_weights=True, effort="low", seed=0)
     explored_db = ComponentDatabase(small_device)
-    explored_db.build(comps, rom_weights=True,
-                      explore={"seeds": (0, 1), "efforts": ("low",)})
+    explored_db.build(comps, rom_weights=True, effort="low", explore={"seeds": (0, 1)})
     assert len(explored_db) == len(plain_db)
     # the explored library is at least as fast on every component
     for comp in comps:

@@ -266,7 +266,7 @@ def test_annealer_rejects_a_net_without_movable_pin():
     ]
     problem = _problem(2, nets=nets, site_pools={"SLICE": pool})
     with pytest.raises(ValueError, match="net 1 .* no movable pin"):
-        anneal_native(problem, pool[:2].copy(), seed=0)
+        anneal_native(problem, pool[:2].copy(), seed=0, moves_per_cell=40, max_moves=400_000)
 
 
 # -- initial positions -------------------------------------------------------------

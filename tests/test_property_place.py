@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 from functools import cache, reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,8 +379,10 @@ def test_native_post_pass_matches_reference(seed, moves_per_cell):
     problem, sites = _scattered_problem(seed)
     kw = dict(moves_per_cell=moves_per_cell, max_moves=100_000)
     swept = sites.copy()
-    without = _assert_same_anneal(problem, swept, seed, clump_passes=0, **kw)
-    stats = _assert_same_anneal(problem, sites, seed, clump_passes=4, **kw)
+    with mock.patch.object(annealer_mod, "CLUMP_PASSES", 0):
+        without = _assert_same_anneal(problem, swept, seed, **kw)
+    assert annealer_mod.CLUMP_PASSES == 4
+    stats = _assert_same_anneal(problem, sites, seed, **kw)
     # the pass did commit moves, so the comparison above covered it
     assert stats.final_cost < without.final_cost
     assert not np.array_equal(sites, swept)

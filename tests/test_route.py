@@ -7,6 +7,7 @@ from repro.fabric import PBlock, TileType
 from repro.netlist import Design
 from repro.place import place_design
 from repro.route import RouteResult, Router, RoutingError, astar_route, direct_path
+from repro.route import maze
 from repro.route.maze import HEX_REACH
 from repro.synth import gen_conv
 
@@ -42,9 +43,10 @@ def test_astar_prefers_cheap_nodes():
     assert total < 1000
 
 
-def test_astar_expansion_budget():
+def test_astar_expansion_budget(monkeypatch):
+    monkeypatch.setattr(maze, "MAX_EXPANSIONS", 3)
     cost = _uniform_cost(50, 50)
-    assert astar_route(0, 50 * 50 - 1, 50, 50, cost, max_expansions=3) is None
+    assert astar_route(0, 50 * 50 - 1, 50, 50, cost) is None
 
 
 def test_direct_path_endpoints_and_bbox():
