@@ -143,9 +143,7 @@ class DrcContext:
     @property
     def graph(self):
         if self._graph is None and self.device is not None:
-            from ..fabric.interconnect import RoutingGraph
-
-            self._graph = RoutingGraph(self.device)
+            self._graph = self.device.routing_graph
         return self._graph
 
     def check(self, r: Rule) -> list[Violation]:

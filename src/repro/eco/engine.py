@@ -101,7 +101,7 @@ class EcoEngine:
     ) -> None:
         self.design = design
         self.device = device
-        self.graph = graph if graph is not None else RoutingGraph(device)
+        self.graph = graph if graph is not None else device.routing_graph
         self.delays = delays
         self.drc = check_mode("drc", drc)
         self.database = database

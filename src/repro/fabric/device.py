@@ -98,7 +98,11 @@ class Device:
 
     def tile_type(self, col: int) -> int:
         """Tile-type code of column *col* (uniform over all rows)."""
-        return int(self.col_types[col])
+        return self._col_type_ints[col]
+
+    @cached_property
+    def _col_type_ints(self) -> tuple[int, ...]:
+        return tuple(self.col_types.tolist())
 
     def tile_type_name(self, col: int) -> str:
         return TileType.NAMES[self.tile_type(col)]
@@ -131,6 +135,20 @@ class Device:
             return 0
         prefix = self._io_prefix_ints
         return prefix[hi] - prefix[lo + 1]
+
+    @cached_property
+    def routing_graph(self) -> "RoutingGraph":
+        """The device's one :class:`~repro.fabric.interconnect.RoutingGraph`,
+        built on first use: the flows, ``preimplement`` and DRC share it,
+        and with it the router's pooled work arrays."""
+        from .interconnect import RoutingGraph
+
+        return RoutingGraph(self)
+
+    def __getstate__(self) -> dict:
+        # A pickled device (a build task's argument) is its fields: what
+        # is derived from them, the routing graph first, is rebuilt on use.
+        return {"part": self.part, "col_types": self.col_types}
 
     # -- clock regions ------------------------------------------------------
 

@@ -11,10 +11,29 @@ nets may use that INT tile).  Edges model two wire classes:
 I/O columns have reduced capacity, making them both a congestion
 bottleneck and (via the timing model) a delay penalty — the "fabric
 discontinuities" the paper blames for VGG's stitched-QoR loss.
+
+A device has one graph (:attr:`Device.routing_graph`), which the flows,
+``preimplement`` and the DRC engine share, and it owns the router's
+node-sized arrays: the float capacity every pass reads; a pool of
+:class:`RouteBuffers` — negotiation history, the iteration's cost
+tables, the A* arena — of which a routing pass checks one set out
+(:meth:`RoutingGraph.buffers`) and gives it back when it ends, reset
+where it wrote; and a pool of occupancy arrays, of which a router
+holds one (:meth:`RoutingGraph.occupancy_for`) from its first pass
+until it is collected.  Each is lent to one pass or one router at a
+time, so threads routing on one device (serve's workers, each with its
+own router) never share one, and a pool grows to as many as were ever
+in use at once.  Untouched entries stay unfaulted pages: a pass that
+runs no A* search makes none of the cost or arena pages resident, and
+one that does hands them back when it ends (:meth:`RouteBuffers.release`),
+so the pool holds no more memory between passes than a pass touched.
 """
 
 from __future__ import annotations
 
+import mmap
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -22,7 +41,7 @@ import numpy as np
 
 from .device import Device, TileType
 
-__all__ = ["RoutingGraph", "SINGLE_COST", "HEX_COST", "HEX_REACH", "node_list", "path_slices"]
+__all__ = ["RouteBuffers", "RoutingGraph", "SINGLE_COST", "HEX_COST", "HEX_REACH", "node_list", "path_slices"]
 
 #: Reference implementation :meth:`RoutingGraph.path_metrics_batch` is
 #: asserted equal to (oracle contract, lint rules ORC-001..003).
@@ -65,16 +84,65 @@ def path_slices(lens: np.ndarray):
         a = b
 
 
+#: A private map (where the system has them): pages it gives back read as zeros.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _unfaulted(n: int, dtype) -> np.ndarray:
+    """*n* zeros of an 8-byte *dtype* in anonymous memory of their own,
+    where a page becomes resident only when written — from the heap, a
+    buffer could be handed pages a freed array left resident.  (The
+    array's ``base`` is a view of its map.)"""
+    return np.frombuffer(mmap.mmap(-1, n * 8, **_PRIVATE), dtype=dtype)
+
+
+class RouteBuffers:
+    """One routing pass's node-sized work arrays, lent by a graph.
+
+    ``history`` is zero between passes; ``cost`` / ``hex`` (the
+    iteration's node costs, and three times them for hex wires) are
+    rebuilt whole before a pass reads them; ``g`` / ``parent`` /
+    ``stamp`` are the A* arena, whose entries count only when ``stamp``
+    holds the search's generation — ``state[0]``, which the next pass
+    continues from.  ``state[1]`` is the pass's overuse count.
+    """
+
+    __slots__ = ("history", "cost", "hex", "g", "parent", "stamp", "state", "addresses")
+
+    def __init__(self, n_nodes: int) -> None:
+        self.history = _unfaulted(n_nodes, np.float64)
+        self.cost = _unfaulted(n_nodes, np.float64)
+        self.hex = _unfaulted(n_nodes, np.float64)
+        self.g = _unfaulted(n_nodes, np.float64)
+        self.parent = _unfaulted(n_nodes, np.int64)
+        self.stamp = _unfaulted(n_nodes, np.int64)
+        self.state = np.zeros(2, dtype=np.int64)
+        #: Where the arrays above sit, in that order (they never move).
+        self.addresses = tuple(getattr(self, name).ctypes.data for name in self.__slots__[:7])
+
+    def release(self) -> None:
+        """Hand the node-sized pages back to the system, after a pass that
+        wrote them all (an A* iteration): they read as zeros again, as a
+        fresh set's do, and are resident only while a pass uses them."""
+        if hasattr(mmap, "MADV_DONTNEED"):
+            for name in self.__slots__[:6]:
+                getattr(self, name).base.obj.madvise(mmap.MADV_DONTNEED)
+
+
 @dataclass
 class RoutingGraph:
     """Implicit grid routing graph for a :class:`Device`.
 
-    Node ids are ``col * nrows + row``.  The graph is immutable once built;
-    routers keep their own occupancy/history arrays indexed by node id.
+    Node ids are ``col * nrows + row``.  The graph is immutable once
+    built: ``capacity`` per node, and the same as floats in
+    ``capacity_f`` (what the router compares occupancy with).  Routers
+    keep their own occupancy indexed by node id and borrow the rest from
+    :meth:`buffers`.
     """
 
     device: Device
     capacity: np.ndarray = field(init=False)
+    capacity_f: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         dev = self.device
@@ -85,6 +153,37 @@ class RoutingGraph:
         ).astype(np.int32)
         # capacity[node] with node = col * nrows + row
         self.capacity = np.repeat(cap_col, dev.nrows)
+        self.capacity_f = self.capacity.astype(np.float64)
+        self.capacity.flags.writeable = False
+        self.capacity_f.flags.writeable = False
+        self._free: list[RouteBuffers] = []
+        self._free_occupancy: list[np.ndarray] = []
+
+    def occupancy_for(self, owner) -> np.ndarray:
+        """A zeroed float occupancy array, lent to *owner* (a router, which
+        keeps a design's occupancy between its passes) until *owner* is
+        collected.  A reused array's pages are resident already, so a run
+        that charges the placed blocks' wires does not fault them in."""
+        try:
+            occupancy = self._free_occupancy.pop()
+            occupancy.fill(0.0)
+        except IndexError:
+            occupancy = _unfaulted(self.n_nodes, np.float64)
+        weakref.finalize(owner, self._free_occupancy.append, occupancy)
+        return occupancy
+
+    @contextmanager
+    def buffers(self):
+        """Lend one :class:`RouteBuffers` for a routing pass; it returns to
+        the pool when the pass ends, raised or not."""
+        try:
+            buf = self._free.pop()
+        except IndexError:
+            buf = RouteBuffers(self.n_nodes)
+        try:
+            yield buf
+        finally:
+            self._free.append(buf)
 
     # -- node addressing --------------------------------------------------
 

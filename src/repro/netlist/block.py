@@ -284,6 +284,7 @@ class _Wires(NamedTuple):
     node: np.ndarray        # the distinct interior routed nodes, unshifted
     charge: np.ndarray      # total width of the nets that cross each
     routed: np.ndarray      # routed connections per image net row
+    total: int              # routed connections of the nets counted
 
 
 def _wires(image) -> _Wires:
@@ -309,11 +310,26 @@ def _wires_of(image, live: np.ndarray | None) -> _Wires:
     pairs = np.unique(                                 # one charge per (net, node)
         np.repeat(edges.net, edges.length)[interior].astype(np.int64) * span + node)
     node, first = np.unique(pairs % span, return_inverse=True)
+    routed = image.derived("rows_per_net", _rows_per_net)
     return _Wires(
         node.astype(np.int32),
         np.bincount(first, weights=image.net_width[pairs // span], minlength=len(node)),
-        image.derived("rows_per_net", _rows_per_net),
+        routed,
+        int(routed.sum() if live is None else routed[live].sum()),
     )
+
+
+def _wire_box(wires: _Wires, nrows: int) -> tuple[int, int, np.ndarray]:
+    """:meth:`Block.wire_use`'s charge box of *wires* on a grid *nrows*
+    high, unshifted.  The charges are small integer sums, exact in
+    ``float32``."""
+    if not wires.node.size:
+        return 0, 0, np.zeros((0, 0), dtype=np.float32)
+    col, row = np.divmod(wires.node.astype(np.int64), nrows)
+    c0, r0 = int(col.min()), int(row.min())
+    box = np.zeros((int(col.max()) - c0 + 1, int(row.max()) - r0 + 1), dtype=np.float32)
+    box[col - c0, row - r0] = wires.charge          # distinct nodes
+    return c0, r0, box
 
 
 class _Sites(NamedTuple):
@@ -687,20 +703,22 @@ class Block:
         live = self.live_rows()
         return self.keep(graph, "routed_tiles", total) if live is None else total(self)
 
-    def wire_use(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(node, charge, routed)``: the distinct interior routed nodes
-        of the live data nets, the width the router charges each for
-        (once per net crossing it, summed), and the number of routed
-        connections behind them.  Kept per image; worked out afresh only
-        for a block that lost a net which owned wires."""
-        wires = self.image.derived("wires", _wires)
-        if not self.pristine:
-            live = self.net_live
-            if wires.routed[~live].any():
-                wires = _wires_of(self.image, live)
-                wires = wires._replace(routed=wires.routed[live])
-        return (wires.node + (self.dcol * self.nrows + self.drow), wires.charge,
-                int(wires.routed.sum()))
+    def wire_use(self) -> tuple[int, int, np.ndarray, int]:
+        """``(col, row, charge, routed)``: the width the router charges
+        each node for the live data nets' interior routes (once per net
+        crossing it, summed) as a ``(columns, rows)`` array over the box
+        the wires span, whose first entry is the node at ``(col, row)`` —
+        zero where no wire runs — and the number of routed connections
+        behind them.  Kept per image; worked out afresh only for a block
+        that lost a net which owned wires."""
+        if self.live_rows() is None:             # no net that owned wires is gone
+            wires = self.image.derived("wires", _wires)
+            col, row, charge = self.image.derived(
+                ("wire_box", self.nrows), lambda image: _wire_box(wires, self.nrows))
+        else:
+            wires = _wires_of(self.image, self.net_live)
+            col, row, charge = _wire_box(wires, self.nrows)
+        return col + self.dcol, row + self.drow, charge, wires.total
 
     # -- re-encoding (DesignImage.from_design) --------------------------------
     #

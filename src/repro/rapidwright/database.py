@@ -69,6 +69,17 @@ def signature_key(signature: tuple) -> str:
     return hashlib.sha1(canonical_blob(signature)).hexdigest()[:16]
 
 
+def _same(a, b) -> bool:
+    """Equal, and of the same types all the way down — what two objects
+    must be for :func:`canonical_blob` to serialize them alike (``1``,
+    ``1.0`` and ``True`` compare equal, but serialize apart)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple or type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b and (type(a) is not float or repr(a) == repr(b))
+
+
 def image_integrity(image: DesignImage) -> dict:
     """The integrity record the database stamps into a checkpoint image.
 
@@ -161,10 +172,31 @@ class ComponentDatabase:
     device: Device
     directory: Path | None = None
     records: dict[str, _Record] = field(default_factory=dict)
+    #: signature -> ``(the signature object, its key)``: what :meth:`_key`
+    #: has hashed, one entry per distinct signature.
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.directory is not None:
             self.directory = Path(self.directory)
+
+    def _key(self, signature: tuple) -> str:
+        """:func:`signature_key` of *signature*, hashed once per database:
+        a run asks for the key of every component three times (``has``,
+        ``footprint``, ``fetch``), and the next run builds equal
+        signatures again.  The same object is answered at once, an equal
+        one after a type-exact comparison."""
+        try:
+            held = self._keys.get(signature)
+        except TypeError:                        # a list inside: not hashable
+            return signature_key(signature)
+        if held is not None and (held[0] is signature or _same(held[0], signature)):
+            if held[0] is not signature:         # this run's object hits at once
+                self._keys[signature] = held = (signature, held[1])
+            return held[1]
+        key = signature_key(signature)
+        self._keys[signature] = (signature, key)
+        return key
 
     # -- store/fetch ------------------------------------------------------
 
@@ -180,7 +212,7 @@ class ComponentDatabase:
         DB-002/003 re-check.  A built record is written to the library
         atomically, so a killed build leaves no torn file.
         """
-        key = signature_key(signature)
+        key = self._key(signature)
         meta = image.metadata()
         comp = meta.setdefault("component", {})
         comp["signature"] = canonical(signature)
@@ -215,7 +247,7 @@ class ComponentDatabase:
         if not isinstance(comp, dict) or comp.get("build_key") != build_key \
                 or comp.get("signature") != canonical(signature):
             return self._reject(path, "its stamped key or signature disagrees with its name")
-        self.records[signature_key(signature)] = _Record(signature, image, build_key)
+        self.records[self._key(signature)] = _Record(signature, image, build_key)
         incr("library.hit")
         return True
 
@@ -227,11 +259,11 @@ class ComponentDatabase:
         return False
 
     def has(self, signature: tuple) -> bool:
-        return signature_key(signature) in self.records
+        return self._key(signature) in self.records
 
     def _record(self, signature: tuple) -> _Record:
         try:
-            return self.records[signature_key(signature)]
+            return self.records[self._key(signature)]
         except KeyError:
             raise KeyError(f"no checkpoint for signature {signature!r}") from None
 
@@ -335,7 +367,7 @@ class ComponentDatabase:
         """
         pending: dict[str, tuple[Component, str]] = {}
         for comp in components:
-            key = signature_key(comp.signature)
+            key = self._key(comp.signature)
             if key in pending:
                 continue
             build_key = build_cache_key(

@@ -26,7 +26,6 @@ from ..obs.span import set_gauge, span, stage
 from ..cnn.graph import DFG, Component, group_components
 from ..netlist.design import Design
 from ..fabric.device import Device
-from ..fabric.interconnect import RoutingGraph
 from ..power.model import estimate_power
 from ..reporting import check_mode
 from ..route.pathfinder import RouteResult, Router
@@ -102,7 +101,7 @@ class PreImplementedFlow:
         self.plan_ports = plan_ports
         self.delays = DEFAULT_DELAYS
         self.drc = check_mode("drc", drc)
-        self.graph = RoutingGraph(device)
+        self.graph = device.routing_graph
 
     # -- phase 1: function optimization (offline) --------------------------
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fabric.device import Device, TILE_FOR_CELL
-from ..fabric.interconnect import RoutingGraph
 from ..fabric.pblock import PBlock, auto_pblock
 from ..netlist.design import Design
 from ..obs.span import span
@@ -65,7 +64,7 @@ def preimplement(
     exploration of :mod:`repro.rapidwright.explore`).  The input design
     is modified in place and fully locked.
     """
-    graph = RoutingGraph(device)
+    graph = device.routing_graph
 
     with span("ooc/floorplan"):
         demand = design.site_demand()

@@ -49,6 +49,10 @@ MAX_CANDIDATES = 96
 MAX_ATTEMPTS = 24000
 #: Row stride of an item's anchors (``None``: half its pblock height).
 ROW_STEP = None
+#: (placed, candidate) pairs up to which a ranking adds every pair's
+#: congestion term; past it, only those whose halos can meet (the work
+#: then follows the placed components, not the anchors times them).
+DENSE_PAIRS = 4096
 
 
 class PlacementInfeasible(DesignError):
@@ -289,73 +293,113 @@ class ComponentPlacer:
         placement (overlapping candidates are kept — re-checked at pick
         time, since the placed set may shrink on backtracking).
 
-        :meth:`_cost` of every anchor at once: the candidates' corners
-        are columns, each placed component and each connection adds its
-        term to the whole column — in the order the scalar loops add
-        them (``placed`` in dict order, *connections* in list order), so
-        every float is the one ``_cost`` computes — and a stable argsort
-        stands in for the stable list sort.  The ranking stays columns:
-        the search builds a :class:`PBlock` only for a candidate it
-        tries, which is normally the first.
+        :meth:`_cost` of every anchor at once: the candidates' corners,
+        halos, port points and (column, row) order are columns
+        (:func:`_geometry`, kept with the footprint), and each placed
+        component and each connection adds its term to the whole column —
+        in the order the scalar loops add them (``placed`` in dict order,
+        *connections* in list order), so every float is the one ``_cost``
+        computes — and a stable argsort stands in for the stable list
+        sort.  The ranking stays columns: the search builds a
+        :class:`PBlock` only for a candidate it tries, which is normally
+        the first.
         """
         module = items[idx][1]
-        base = module.pblock
-        device = self.device
-        at = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
-        boxes = _Boxes(at[:, 0], at[:, 1],
-                       at[:, 0] + (base.width - 1), at[:, 1] + (base.height - 1))
-        inside = (boxes.col1 < device.ncols) & (boxes.row1 < device.nrows)
-        if not inside.all():
-            boxes = _Boxes(*(corner[inside] for corner in boxes))
-
-        timing = np.zeros(len(boxes.col0))
+        geo = _geometry(module, anchors, self.device)
+        timing = np.zeros(len(geo.col0))
         for a, b in connections:
             if a == idx and b in placed:
-                src = _port_point(module, "out", boxes)
+                src = geo.out_port
                 dst = _port_point(items[b][1], "in", placed[b])
             elif b == idx and a in placed:
                 src = _port_point(items[a][1], "out", placed[a])
-                dst = _port_point(module, "in", boxes)
+                dst = geo.in_port
             else:
                 continue
             timing += np.abs(src[0] - dst[0]) + np.abs(src[1] - dst[1])
 
-        h = HALO
-        mine = _Boxes(np.maximum(0, boxes.col0 - h), np.maximum(0, boxes.row0 - h),
-                      np.minimum(device.ncols - 1, boxes.col1 + h),
-                      np.minimum(device.nrows - 1, boxes.row1 + h))
-        congestion = np.zeros(len(boxes.col0))
+        congestion = np.zeros(len(geo.col0))
         if placed:
-            # A placed component's term is +0.0 — which adds nothing — for
-            # every candidate whose halo misses its halo, so only the pairs
-            # (placed, candidate anchored where the halos can meet) get one:
-            # per placed component and column of that window, one slice of
-            # the anchors in (column, row) order, found by bisection.  The
-            # pairs run placed by placed, in dict order, and add.at adds
+            # Each placed component (in dict order) adds, to every candidate,
+            # their halos' overlap over the candidate's area: +0.0 — which
+            # adds nothing — where the halos miss.  So the pairs (placed,
+            # candidate) a term is added for are all of them while there
+            # are few, and otherwise those anchored where the halos can
+            # meet: per placed component and column of that window, one
+            # slice of the anchors in (column, row) order, found by
+            # bisection.  The pairs run placed by placed and add.at adds
             # them in that order.
-            nrows = device.nrows
-            theirs = np.array([(p.col0, p.row0, p.col1, p.row1) for p in placed.values()])
-            theirs[:, :2] = np.maximum(theirs[:, :2] - h, 0)     # _halo of each, at once
-            theirs[:, 2:] = np.minimum(theirs[:, 2:] + h, (device.ncols - 1, nrows - 1))
-            key = boxes.col0 * nrows + boxes.row0
-            order = np.argsort(key, kind="stable")      # (anchors come sorted: one pass)
-            key = key[order]
-            col_lo = np.maximum(theirs[:, 0] - (base.width - 1) - h, 0)
-            row_lo = np.maximum(theirs[:, 1] - (base.height - 1) - h, 0)
-            row_hi = np.minimum(theirs[:, 3] + h, nrows - 1)
-            ncols = np.maximum(theirs[:, 2] + h - col_lo + 1, 0)
-            placed_of = np.repeat(np.arange(len(theirs)), ncols)
-            col = np.repeat(col_lo - (np.cumsum(ncols) - ncols), ncols) + np.arange(ncols.sum())
-            first = np.searchsorted(key, col * nrows + row_lo[placed_of])
-            lens = np.searchsorted(key, col * nrows + row_hi[placed_of] + 1) - first
-            which = np.repeat(placed_of, lens)
-            near = order[np.repeat(first - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())]
-            col0, row0, col1, row1 = theirs[which].T
-            dc = np.minimum(mine.col1[near], col1) - np.maximum(mine.col0[near], col0) + 1
-            dr = np.minimum(mine.row1[near], row1) - np.maximum(mine.row0[near], row0) + 1
+            device, h, base = self.device, HALO, module.pblock
+            theirs = np.array([_halo(p, h, device) for p in placed.values()])
+            if len(theirs) * len(geo.col0) <= DENSE_PAIRS:
+                placed_of = np.arange(len(theirs))
+                near = np.tile(np.arange(len(geo.col0)), len(theirs))
+                lens = np.full(len(theirs), len(geo.col0))
+            else:
+                nrows = device.nrows
+                col_lo = np.maximum(theirs[:, 0] - (base.width - 1) - h, 0)
+                row_lo = np.maximum(theirs[:, 1] - (base.height - 1) - h, 0)
+                row_hi = np.minimum(theirs[:, 3] + h, nrows - 1)
+                ncols = np.maximum(theirs[:, 2] + h - col_lo + 1, 0)
+                placed_of = np.repeat(np.arange(len(theirs)), ncols)
+                col = np.repeat(col_lo - (np.cumsum(ncols) - ncols), ncols) + np.arange(ncols.sum())
+                first = np.searchsorted(geo.key, col * nrows + row_lo[placed_of])
+                lens = np.searchsorted(geo.key, col * nrows + row_hi[placed_of] + 1) - first
+                near = geo.order[np.repeat(first - (np.cumsum(lens) - lens), lens)
+                                 + np.arange(lens.sum())]
+            their = theirs[np.repeat(placed_of, lens)].T
+            mine = geo.halo[:, near]
+            dc = np.minimum(mine[2], their[2]) - np.maximum(mine[0], their[0]) + 1
+            dr = np.minimum(mine[3], their[3]) - np.maximum(mine[1], their[1]) + 1
             np.add.at(congestion, near, (np.maximum(dc, 0) * np.maximum(dr, 0)) / base.area)
 
         total = TIMING_WEIGHT * timing + CONGESTION_WEIGHT * congestion
         best = np.argsort(total, kind="stable")[:MAX_CANDIDATES]
         return _Ranked(total[best], timing[best], congestion[best],
-                       boxes.col0[best], boxes.row0[best])
+                       geo.col0[best], geo.row0[best])
+
+
+class _Geometry(NamedTuple):
+    """What ranking a module's *anchors* reads of them, whatever is
+    placed: the anchors that keep its pblock on the device (their
+    corners), its partition-pin points there, its congestion halos
+    (``(4, n)``: the :func:`_halo` corners of each), and the anchors in
+    (column, row) order — ``order`` and the sorted ``key``,
+    ``col * nrows + row``."""
+
+    anchors: object
+    col0: np.ndarray
+    row0: np.ndarray
+    in_port: tuple
+    out_port: tuple
+    halo: np.ndarray
+    order: np.ndarray
+    key: np.ndarray
+
+
+def _geometry(module: Footprint, anchors, device: Device) -> _Geometry:
+    """:class:`_Geometry` of *anchors* for *module* on *device*.  Kept in
+    the footprint beside :meth:`Footprint.anchors` for the array that
+    returns (the same object every run), by device grid and halo."""
+    key = ("ranking", device.ncols, device.nrows, HALO)
+    geo = module._kept.get(key)
+    if geo is not None and geo.anchors is anchors:
+        return geo
+    base = module.pblock
+    at = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+    boxes = _Boxes(at[:, 0], at[:, 1],
+                   at[:, 0] + (base.width - 1), at[:, 1] + (base.height - 1))
+    inside = (boxes.col1 < device.ncols) & (boxes.row1 < device.nrows)
+    if not inside.all():
+        boxes = _Boxes(*(corner[inside] for corner in boxes))
+    h = HALO
+    halo = np.array([np.maximum(0, boxes.col0 - h), np.maximum(0, boxes.row0 - h),
+                     np.minimum(device.ncols - 1, boxes.col1 + h),
+                     np.minimum(device.nrows - 1, boxes.row1 + h)]).reshape(4, -1)
+    at = boxes.col0 * device.nrows + boxes.row0
+    order = np.argsort(at, kind="stable")      # (anchors come sorted: one pass)
+    geo = module._kept[key] = _Geometry(
+        anchors, boxes.col0, boxes.row0,
+        _port_point(module, "in", boxes), _port_point(module, "out", boxes),
+        halo, order, at[order])
+    return geo

@@ -11,11 +11,20 @@
  *     ANY correct binary min-heap pops the exact sequence heapq does;
  *   - node ids are non-negative, so C / and % match Python // and %.
  *
- * The session owns the per-net usage hash and the committed paths;
- * occupancy / capacity / history / blocked stay in the caller's numpy
- * buffers and are mutated in place, so the Python side never goes
- * stale.  One route_iterate() call runs one negotiation iteration —
- * the Python loop keeps its stage spans and telemetry shape.
+ * The session owns the per-net usage hash and the committed paths —
+ * what one pass's connections need.  Everything node-sized is the
+ * caller's numpy buffers, borrowed for the pass: occupancy (mutated in
+ * place, so the Python side never goes stale), capacity and blocked
+ * (read only), and the routing graph's pooled work arrays — history,
+ * the cost tables and the A* arena.  A pass leaves those as the next
+ * one needs them and touches nothing else: the arena is validated by a
+ * generation counter that carries over (ws[0]), the cost tables are
+ * rebuilt whole before an A* iteration reads them, and history, which
+ * only an A* iteration writes, is zeroed again by route_free.  The
+ * overuse count starts from the caller's (ws[1]) and follows the nodes
+ * a commit or rip-up changes.  One route_iterate() call runs one
+ * negotiation iteration — the Python loop keeps its stage spans and
+ * telemetry shape.
  */
 
 #include <stdint.h>
@@ -196,11 +205,14 @@ typedef struct {
     /* targets (sorted order) */
     i64 n_targets;
     const i64 *src, *dst, *width, *gid;
-    /* shared numpy buffers (mutated in place) */
+    /* borrowed numpy buffers (mutated in place) */
     double *occupancy;
     const double *capacity;
     double *history;
     const u8 *blocked; /* may be NULL */
+    i64 *ws;          /* [generation, overused nodes]: carried between passes */
+    i64 n_over;
+    int history_dirty;
     /* params */
     double pres_fac, pres_fac_mult, hist_fac, reroute_weight;
     i64 max_expansions;
@@ -524,6 +536,14 @@ static void refresh_nodes(Core *c, const i64 *nodes, i64 n) {
     }
 }
 
+/* Add *width* to a node's occupancy, keeping the overuse count. */
+static void charge(Core *c, i64 node, double width) {
+    double cap = c->capacity[node];
+    c->n_over -= c->occupancy[node] > cap;
+    c->occupancy[node] += width;
+    c->n_over += c->occupancy[node] > cap;
+}
+
 static void rip_c(Core *c, i64 t, int refresh) {
     i64 off = c->p_off[t], len = c->p_len[t];
     i64 base = c->gid[t] * c->n_nodes;
@@ -534,7 +554,7 @@ static void rip_c(Core *c, i64 t, int refresh) {
         i64 node = c->pool[k];
         if (hash_decr(&c->usage, base + node) == 0) c->scratch[nf++] = node;
     }
-    for (i64 k = 0; k < nf; k++) c->occupancy[c->scratch[k]] -= width;
+    for (i64 k = 0; k < nf; k++) charge(c, c->scratch[k], -width);
     if (refresh && nf) refresh_nodes(c, c->scratch, nf);
     c->p_len[t] = 0;
 }
@@ -548,7 +568,7 @@ static void commit_c(Core *c, i64 t, i64 off, i64 len, int refresh) {
         i64 node = c->pool[k];
         if (hash_incr(&c->usage, base + node) == 0) c->scratch[na++] = node;
     }
-    for (i64 k = 0; k < na; k++) c->occupancy[c->scratch[k]] += width;
+    for (i64 k = 0; k < na; k++) charge(c, c->scratch[k], width);
     if (refresh && na) refresh_nodes(c, c->scratch, na);
     c->p_off[t] = off;
     c->p_len[t] = len;
@@ -571,6 +591,7 @@ Core *route_new(
     const i64 *src, const i64 *dst, const i64 *width, const i64 *gid,
     double *occupancy, const double *capacity, double *history,
     const u8 *blocked, i64 has_blocked,
+    double *cost, double *hex, double *g, i64 *parent, i64 *stamp, i64 *ws,
     const i64 *pre_keys, const i64 *pre_counts, i64 n_pre,
     double pres_fac_init, double pres_fac_mult, double hist_fac,
     double reroute_weight, i64 max_expansions)
@@ -588,18 +609,20 @@ Core *route_new(
     c->capacity = capacity;
     c->history = history;
     c->blocked = has_blocked ? blocked : NULL;
+    c->ws = ws;
+    c->n_over = ws[1];
     c->pres_fac = pres_fac_init;
     c->pres_fac_mult = pres_fac_mult;
     c->hist_fac = hist_fac;
     c->reroute_weight = reroute_weight;
     c->max_expansions = max_expansions;
 
-    c->cost = (double *)malloc(sizeof(double) * n_nodes);
-    c->hex = (double *)malloc(sizeof(double) * n_nodes);
-    c->g = (double *)malloc(sizeof(double) * n_nodes);
-    c->parent = (i64 *)malloc(sizeof(i64) * n_nodes);
-    c->stamp = (i64 *)calloc(n_nodes, sizeof(i64));
-    c->gen = 0;
+    c->cost = cost;
+    c->hex = hex;
+    c->g = g;
+    c->parent = parent;
+    c->stamp = stamp;
+    c->gen = ws[0];
     c->heap.cap = 4096;
     c->heap.len = 0;
     c->heap.a = (HeapItem *)malloc(sizeof(HeapItem) * c->heap.cap);
@@ -611,13 +634,14 @@ Core *route_new(
     c->ft = (double *)malloc(sizeof(double) * nft);
     for (i64 d = 0; d < nft; d++) c->ft[d] = (double)d * per_tile;
 
-    i64 hcap = 1 << 16;
+    /* sized to the pass (it grows with the paths committed) */
+    i64 hcap = 1 << 10;
     while (hcap < (n_pre + n_targets) * 2) hcap <<= 1;
     hash_init(&c->usage, hcap);
     for (i64 i = 0; i < n_pre; i++)
         hash_put_fresh(&c->usage, pre_keys[i], pre_counts[i]);
 
-    c->pool_cap = 1 << 16;
+    c->pool_cap = 1 << 12;
     c->pool = (i64 *)malloc(sizeof(i64) * c->pool_cap);
     c->pool_len = 0;
     c->p_off = (i64 *)calloc(n_targets, sizeof(i64));
@@ -655,6 +679,7 @@ void route_iterate(Core *c, i64 iteration, i64 *out) {
             if (over < 0.0) over = 0.0;
             c->history[i] += over / cap[i];
         }
+        c->history_dirty = 1;
         c->pres_fac *= c->pres_fac_mult;
 
         /* rebuild the iteration's cost tables from the arrays */
@@ -688,14 +713,9 @@ void route_iterate(Core *c, i64 iteration, i64 *out) {
         }
     }
 
-    i64 n_over = 0;
-    const double *occ = c->occupancy, *cap = c->capacity;
-    for (i64 i = 0; i < c->n_nodes; i++)
-        if (occ[i] > cap[i]) n_over++;
-
     out[0] = failed;
     out[1] = ripped;
-    out[2] = n_over;
+    out[2] = c->n_over;
     out[3] = c->astar_calls - calls0;
     out[4] = c->astar_expansions - exps0;
 }
@@ -706,23 +726,32 @@ i64 route_paths_size(Core *c) {
     return total;
 }
 
-void route_paths_fill(Core *c, i64 *flat, i64 *offs) {
-    i64 w = 0;
+/* The committed paths as one CSR; returns their wirelength, the tiles
+ * every hop spans (RoutingGraph.path_metrics), summed. */
+i64 route_paths_fill(Core *c, i64 *flat, i64 *offs) {
+    i64 w = 0, tiles = 0, nrows = c->nrows;
     offs[0] = 0;
     for (i64 t = 0; t < c->n_targets; t++) {
         i64 len = c->p_len[t];
-        if (len) memcpy(flat + w, c->pool + c->p_off[t], sizeof(i64) * len);
+        const i64 *path = c->pool + c->p_off[t];
+        if (len) memcpy(flat + w, path, sizeof(i64) * len);
+        for (i64 k = 1; k < len; k++) {
+            i64 dc = path[k] / nrows - path[k - 1] / nrows;
+            i64 dr = path[k] % nrows - path[k - 1] % nrows;
+            tiles += (dc < 0 ? -dc : dc) + (dr < 0 ? -dr : dr);
+        }
         w += len;
         offs[t + 1] = w;
     }
+    return tiles;
 }
 
+/* Ends the pass: hands the borrowed buffers back as the next pass needs
+ * them (the generation and overuse count in ws, history zero). */
 void route_free(Core *c) {
-    free(c->cost);
-    free(c->hex);
-    free(c->g);
-    free(c->parent);
-    free(c->stamp);
+    c->ws[0] = c->gen;
+    c->ws[1] = c->n_over;
+    if (c->history_dirty) memset(c->history, 0, sizeof(double) * c->n_nodes);
     free(c->heap.a);
     free(c->ft);
     free(c->usage.keys);

@@ -16,13 +16,28 @@ asserts it under Hypothesis).  :meth:`Router.route` runs it whenever it
 loads; where it cannot, the reference runs instead — same bytes out,
 slower (:mod:`repro.route.pathfinder` says by how much).
 
-The C session *shares* the caller's numpy buffers — occupancy,
-capacity, history, blocked — so nothing is copied per iteration, and
-one ``route_iterate`` call runs one negotiation iteration: the Python
-loop here keeps the same stage spans, telemetry, and stop condition as
-the reference, so trace trees and metric totals match.  The driver
-never materializes per-target objects; paths come back as one flat CSR
-at the end.
+The C session *borrows* numpy buffers for one pass, so nothing
+node-sized is allocated or copied per pass or per iteration: the
+router's occupancy (which the pass updates in place; the device's
+:class:`~repro.fabric.interconnect.RoutingGraph` lends it to the router,
+which keeps it for its next pass), the region mask, and from the graph
+its float capacity (read only, shared by every pass) and one pooled
+:class:`~repro.fabric.interconnect.RouteBuffers` set — history, cost
+tables, A* arena — checked out for the pass and returned after it.  A
+set serves one pass at a time and an occupancy one router, so threads
+routing on one device (each with its own router) never share one; the
+core writes only the entries a pass needs and leaves the set as the
+next pass expects it (history zero, the arena's generation counter
+carried on).  What is the session's own — the
+per-net usage hash, the committed paths — is sized to the pass's
+connections.  The overuse count starts from the router's and follows
+the nodes each commit and rip-up changes, so no step scans every node
+unless an A* iteration runs.  One ``route_iterate`` call runs one
+negotiation iteration: the Python loop here keeps the same stage spans,
+telemetry, and stop condition as the reference, so trace trees and
+metric totals match.  The driver never materializes per-target
+objects; paths come back as one flat CSR at the end, with their
+wirelength.
 """
 
 from __future__ import annotations
@@ -34,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .._native import build_library
-from ..fabric.interconnect import node_list, path_slices
+from ..fabric.interconnect import node_list
 from ..obs.span import incr, sample, span
 
 __all__ = ["native_available", "route_native"]
@@ -61,6 +76,7 @@ def _lib():
             + [P] * 4           # src, dst, width, gid
             + [P] * 3           # occupancy, capacity, history
             + [P, I]            # blocked, has_blocked
+            + [P] * 6           # cost, hex, g, parent, stamp, state
             + [P, P, I]         # pre_keys, pre_counts, n_pre
             + [D] * 4           # pres_fac_init, mult, hist_fac, weight
             + [I]               # max_expansions
@@ -69,7 +85,7 @@ def _lib():
         lib.route_iterate.argtypes = [P, I, P]
         lib.route_paths_size.restype = I
         lib.route_paths_size.argtypes = [P]
-        lib.route_paths_fill.restype = None
+        lib.route_paths_fill.restype = I
         lib.route_paths_fill.argtypes = [P, P, P]
         lib.route_free.restype = None
         lib.route_free.argtypes = [P]
@@ -156,34 +172,6 @@ def _collect_targets(design, nrows, ncols):
     )
 
 
-def _wirelength(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
-    """Total tiles spanned (:meth:`RoutingGraph.path_metrics`) over a CSR
-    of paths — the core hands the routes back flat, so summing hop
-    lengths here saves re-flattening them for ``path_metrics_batch``.
-    Summed one :func:`~repro.fabric.interconnect.path_slices` run at a
-    time, so no temporary spans every node."""
-    total = 0
-    for a, b in path_slices(np.diff(offs)):
-        base = offs[a]
-        total += _hop_tiles(flat[base:offs[b]], offs[a:b + 1] - base, nrows)
-    return total
-
-
-def _hop_tiles(flat: np.ndarray, offs: np.ndarray, nrows: int) -> int:
-    """:func:`_wirelength` of one run of paths, over whole arrays."""
-    if flat.size < 2:
-        return 0
-    cols = flat // nrows
-    rows = flat % nrows
-    dc = np.abs(np.diff(cols))
-    dr = np.abs(np.diff(rows))
-    valid = np.ones(flat.size - 1, dtype=bool)
-    # mask the junctions between consecutive paths (and empty paths)
-    ends = offs[1:-1]
-    valid[ends[(ends > 0) & (ends < flat.size)] - 1] = False
-    return int(((dc + dr) * valid).sum())
-
-
 def route_native(router, design, blocked):
     """Run the full negotiation through the C core; bit-identical to
     :meth:`Router.route_reference`.
@@ -194,7 +182,6 @@ def route_native(router, design, blocked):
     from .maze import MAX_EXPANSIONS
     from .pathfinder import (
         _REROUTE_WEIGHT, HIST_FAC, MAX_ITERS, PRES_FAC_INIT, PRES_FAC_MULT,
-        _result,
     )
 
     lib = _lib()
@@ -205,14 +192,11 @@ def route_native(router, design, blocked):
     n_nodes = graph.n_nodes
 
     with span("route/setup"):
-        occupancy, net_usage, preexisting = router.occupancy(design)
+        occupancy, net_usage, preexisting, overused = router.occupancy(design)
         nets, gid_a, sink_a, width_a, src_a, dst_a = _collect_targets(
             design, nrows, ncols
         )
     n = int(src_a.size)
-
-    capacity = graph.capacity.astype(np.float64)
-    history = np.zeros(n_nodes, dtype=np.float64)
 
     # preexisting per-net usage counts as (gid * n_nodes + node) -> count
     pre_keys_l: list[int] = []
@@ -234,41 +218,47 @@ def route_native(router, design, blocked):
         blocked_a = np.zeros(1, dtype=np.uint8)
         has_blocked = 0
 
-    sess = lib.route_new(
-        n_nodes, nrows, ncols, n,
-        _ptr(src_a), _ptr(dst_a), _ptr(width_a), _ptr(gid_a),
-        _ptr(occupancy), _ptr(capacity), _ptr(history),
-        _ptr(blocked_a), has_blocked,
-        _ptr(pre_keys), _ptr(pre_counts), int(pre_keys.size),
-        PRES_FAC_INIT, PRES_FAC_MULT, HIST_FAC, _REROUTE_WEIGHT, MAX_EXPANSIONS,
-    )
     out = np.zeros(5, dtype=np.int64)
     iterations = 0
-    try:
-        for iteration in range(MAX_ITERS):
-            iterations = iteration + 1
-            with span("route/iterate"):
-                lib.route_iterate(sess, iteration, _ptr(out))
-                if out[3]:
-                    incr("route.astar.calls", int(out[3]))
-                    incr("route.astar.expansions", int(out[4]))
-            n_over = int(out[2])
-            incr("route.ripup", int(out[1]))
-            sample("route.overuse", n_over, iteration=iterations)
-            if n_over == 0:
-                break
-        total = int(lib.route_paths_size(sess))
-        flat = np.empty(max(total, 1), dtype=np.int64)
-        offs = np.empty(n + 1, dtype=np.int64)
-        offs[0] = 0
-        if n:
-            lib.route_paths_fill(sess, _ptr(flat), _ptr(offs))
-    finally:
-        lib.route_free(sess)
+    wirelength = 0
+    with router.graph.buffers() as buf:
+        buf.state[1] = overused
+        history, *work = buf.addresses
+        sess = lib.route_new(
+            n_nodes, nrows, ncols, n,
+            _ptr(src_a), _ptr(dst_a), _ptr(width_a), _ptr(gid_a),
+            _ptr(occupancy), _ptr(graph.capacity_f), history,
+            _ptr(blocked_a), has_blocked, *work,
+            _ptr(pre_keys), _ptr(pre_counts), int(pre_keys.size),
+            PRES_FAC_INIT, PRES_FAC_MULT, HIST_FAC, _REROUTE_WEIGHT, MAX_EXPANSIONS,
+        )
+        try:
+            for iteration in range(MAX_ITERS):
+                iterations = iteration + 1
+                with span("route/iterate"):
+                    lib.route_iterate(sess, iteration, _ptr(out))
+                    if out[3]:
+                        incr("route.astar.calls", int(out[3]))
+                        incr("route.astar.expansions", int(out[4]))
+                n_over = int(out[2])
+                incr("route.ripup", int(out[1]))
+                sample("route.overuse", n_over, iteration=iterations)
+                if n_over == 0:
+                    break
+            total = int(lib.route_paths_size(sess))
+            flat = np.empty(max(total, 1), dtype=np.int64)
+            offs = np.empty(n + 1, dtype=np.int64)
+            offs[0] = 0
+            if n:
+                wirelength = int(lib.route_paths_fill(sess, _ptr(flat), _ptr(offs)))
+        finally:
+            lib.route_free(sess)
+        overused = int(buf.state[1])
+        if iterations > 1:          # A* wrote every node's cost: give the pages back
+            buf.release()
 
     with span("route/commit"):
         routed = 0
-        wirelength = 0
         if n:
             flat_l = node_list(flat[:total])
             offs_l = offs.tolist()
@@ -280,6 +270,5 @@ def route_native(router, design, blocked):
                 if o1 > o0:
                     nets[gid_l[j]].routes[sink_l[j]] = flat_l[o0:o1]
                     routed += 1
-            wirelength = _wirelength(flat[:total], offs, nrows)
 
-    return _result(n, routed, iterations, wirelength, occupancy, capacity, preexisting)
+    return router._result(n, routed, iterations, wirelength, overused, preexisting)

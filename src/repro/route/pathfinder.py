@@ -35,8 +35,9 @@ check that drives rip-up decisions is a single vectorized comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import is_not
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,28 +130,113 @@ def _path_overused(inner: np.ndarray, occupancy: np.ndarray, capacity: np.ndarra
     return bool((occupancy[inner] > capacity[inner]).any())
 
 
-def _result(
-    n_targets, routed, iterations, wirelength, occupancy, capacity, preexisting,
-) -> RouteResult:
-    """A finished negotiation's :class:`RouteResult`, and its ``route.*``
-    totals — recorded here for both implementations, so a trace does not
-    depend on which one ran."""
-    incr("route.connections", n_targets)
-    incr("route.failed", n_targets - routed)
-    incr("route.iterations", iterations)
-    observe("route.wirelength", wirelength)
-    return RouteResult(
-        routed=routed,
-        failed=n_targets - routed,
-        iterations=iterations,
-        wirelength=wirelength,
-        overused_nodes=int(np.count_nonzero(occupancy > capacity)),
-        preexisting=preexisting,
+def _data_nets(design: Design) -> tuple[list, list]:
+    """The nets a router charges and may route — those that exist as
+    objects, minus clock and driverless ones — and :func:`_routes_of`
+    them."""
+    nets = [n for n in design.loose_nets() if not n.is_clock and n.driver is not None]
+    return nets, _routes_of(nets)
+
+
+def _routes_of(nets: list) -> list:
+    """Each net's routes, cut to its sinks."""
+    return [
+        net.routes if len(net.routes) == len(net.sinks) else net.routes[: len(net.sinks)]
+        for net in nets
+    ]
+
+
+def _changed(held: "_Held", nets: list, per_net: list, widths: list) -> tuple:
+    """``((routes, widths) gone, (routes, widths) come)``: the nets of
+    *held* whose charge is no longer on the design — removed, or edited
+    since (routes, sink count or width) — with the routes and widths
+    they were charged with, and the design's nets (*nets* with their
+    *per_net* routes and *widths*) whose charge is not in *held*'s
+    occupancy."""
+    if nets == held.nets and widths == held.widths \
+            and list(chain.from_iterable(per_net)) == held.routes:
+        return ([], []), ([], [])
+    at = {net: i for i, net in enumerate(held.nets)}   # nets hash by identity
+    ends = list(accumulate(held.counts))
+    kept = set()
+    came: tuple[list, list] = ([], [])
+    for net, routes, width in zip(nets, per_net, widths):
+        i = at.get(net)
+        if i is not None and width == held.widths[i] \
+                and routes == held.routes[ends[i] - held.counts[i]:ends[i]]:
+            kept.add(i)
+        else:
+            came[0].append(routes)
+            came[1].append(width)
+    gone: tuple[list, list] = ([], [])
+    for i in range(len(held.nets)):
+        if i not in kept:
+            gone[0].append(held.routes[ends[i] - held.counts[i]:ends[i]])
+            gone[1].append(held.widths[i])
+    return gone, came
+
+
+def _entries(per_net: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every route entry of *per_net*, flattened, with the net each
+    belongs to and whether it is routed."""
+    routes = list(chain.from_iterable(per_net))
+    owner = np.repeat(
+        np.arange(len(per_net)), np.fromiter(map(len, per_net), np.int64, len(per_net))
     )
+    return routes, owner, np.fromiter(map(is_not, routes, repeat(None)), bool, len(routes))
+
+
+def _wire_charges(per_net: list, widths, n_nodes: int) -> tuple:
+    """``(node, weight, owner, routed)`` of nets given by their routes
+    (*per_net*) and *widths*: the charges their routed paths put on the
+    routing graph — one per ``(net, interior node)``, of the net's width,
+    since branches of one net share trunk wires and endpoint tiles are
+    cell pins — and, per route entry, its net and whether it is routed.
+    The charges are integers, so any order of adding them gives the same
+    float sums."""
+    routes, owner, routed = _entries(per_net)
+    if not routed.any():                            # nothing routed: no charge
+        return _EMPTY, np.zeros(0), owner, routed
+    paths = list(compress(routes, routed.tolist()))
+    lens = np.fromiter(map(len, paths), np.int64, len(paths))
+    ends = np.cumsum(lens)
+    flat = np.fromiter(chain.from_iterable(paths), np.int64, int(lens.sum()))
+    interior = np.ones(flat.size, dtype=bool)
+    nonempty = lens > 0
+    interior[(ends - lens)[nonempty]] = False
+    interior[ends[nonempty] - 1] = False
+    node = flat[interior]
+    if node.size and not 0 <= node.min() <= node.max() < n_nodes:
+        raise IndexError("routed_occupancy: route leaves the routing graph")
+    pairs = _distinct(np.sort(np.repeat(owner[routed], lens)[interior] * n_nodes + node))
+    weight = np.asarray(widths, dtype=np.float64).reshape(-1)[pairs // n_nodes]
+    return pairs % n_nodes, weight, owner, routed
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array (``np.unique`` without
+    its sort)."""
+    first = np.empty(len(ascending), dtype=bool)
+    first[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    return ascending[first]
+
+
+def _net_usage(nets: list, per_net: list, owner: np.ndarray, routed: np.ndarray) -> dict:
+    """Per-net node-use counts of the nets that still have an unrouted
+    sink — the only ones a router ever rips up or extends."""
+    net_usage: dict[str, dict[int, int]] = {}
+    for k in _distinct(owner[~routed]).tolist():                # owner ascends
+        usage = net_usage[nets[k].name] = {}
+        for path in per_net[k]:
+            # endpoint tiles are cell pins, not routing wires
+            for node in (path or ())[1:-1]:
+                usage[node] = usage.get(node, 0) + 1
+    return net_usage
 
 
 def routed_occupancy(
-    design: Design, graph: RoutingGraph, charged: tuple | None = None,
+    design: Design, graph: RoutingGraph,
 ) -> tuple[np.ndarray, dict[str, dict[int, int]], int]:
     """Occupancy charged by a design's committed routes.
 
@@ -164,83 +250,64 @@ def routed_occupancy(
     ``net_usage`` covers the nets that still have an unrouted sink —
     the only ones a router ever rips up or extends, a handful on a
     stitched design whose components arrive routed (and none of them
-    inside a placed block, whose connections are all routed).  The array is
-    computed from every route at once: interior nodes flattened,
-    ``(net, node)`` pairs deduplicated, widths summed per node in net
-    order — the order a walk over ``design.nets`` adds them in, so the
-    float sums are the same.
-
-    The placed blocks' share is :func:`block_charge`'s; *charged* is
-    that pair for this design when the caller has it already (a
-    :class:`Router` keeps it between its passes over one design).
+    inside a placed block, whose connections are all routed).  The
+    charges are computed from every route at once: interior nodes
+    flattened, ``(net, node)`` pairs deduplicated, widths added per node
+    (:func:`_wire_charges`); the placed blocks add :func:`block_charge`.
 
     This is the :class:`Router` setup accounting, factored out so DRC
     rule ``RTE-002`` measures overuse with exactly the router's
     arithmetic.
     """
-    n_nodes = graph.n_nodes
-    nets = [n for n in design.loose_nets() if not n.is_clock and n.driver is not None]
-    per_net = [
-        net.routes if len(net.routes) == len(net.sinks) else net.routes[: len(net.sinks)]
-        for net in nets
-    ]
-    routes = list(chain.from_iterable(per_net))
-    owner = np.repeat(
-        np.arange(len(nets)), np.fromiter(map(len, per_net), np.int64, len(nets))
-    )
-    routed = np.fromiter(map(is_not, routes, repeat(None)), bool, len(routes))
-
-    net_usage: dict[str, dict[int, int]] = {}
-    for k in np.unique(owner[~routed]).tolist():
-        usage = net_usage[nets[k].name] = {}
-        for path in per_net[k]:
-            # endpoint tiles are cell pins, not routing wires
-            for node in (path or ())[1:-1]:
-                usage[node] = usage.get(node, 0) + 1
-
-    paths = list(compress(routes, routed.tolist()))
-    lens = np.fromiter(map(len, paths), np.int64, len(paths))
-    ends = np.cumsum(lens)
-    flat = np.fromiter(chain.from_iterable(paths), np.int64, int(lens.sum()))
-    interior = np.ones(flat.size, dtype=bool)
-    nonempty = lens > 0
-    interior[(ends - lens)[nonempty]] = False
-    interior[ends[nonempty] - 1] = False
-    node = flat[interior]
-    if node.size and not 0 <= node.min() <= node.max() < n_nodes:
-        raise IndexError("routed_occupancy: route leaves the routing graph")
-    pairs = np.sort(np.repeat(owner[routed], lens)[interior] * n_nodes + node)
-    first = np.ones(pairs.size, dtype=bool)
-    first[1:] = pairs[1:] != pairs[:-1]
-    pairs = pairs[first]  # one charge per (net, node)
-    width = np.array([net.width for net in nets])
-    occupancy = np.bincount(
-        pairs % n_nodes, weights=width[pairs // n_nodes], minlength=n_nodes
-    ).astype(np.float64, copy=False)
+    nets, per_net = _data_nets(design)
+    occupancy = np.zeros(graph.n_nodes)
+    node, weight, owner, routed = _wire_charges(
+        per_net, [net.width for net in nets], graph.n_nodes)
+    np.add.at(occupancy, node, weight)
     preexisting = int(routed.sum())
     if design.blocks:
-        blocks, n_routed = charged or block_charge(design, n_nodes)
-        occupancy += blocks
-        preexisting += n_routed
-    return occupancy, net_usage, preexisting
+        preexisting += block_charge(design, occupancy, graph.device.nrows)
+    return occupancy, _net_usage(nets, per_net, owner, routed), preexisting
 
 
-def block_charge(design: Design, n_nodes: int) -> tuple[np.ndarray, int]:
-    """``(occupancy, routed connections)`` of the placed blocks alone.
+def block_charge(design: Design, occupancy: np.ndarray, nrows: int) -> int:
+    """Add the placed blocks' wire charges to *occupancy* (of a grid
+    *nrows* high); returns their routed connections.
 
     Placed blocks arrive routed: each adds its per-node charges, summed
-    over its nets once per image and shifted to its anchor.  Widths are
-    integers, so the float sums are exact in any order.
+    over its nets once per image as a box over the columns and rows the
+    wires span, at its anchor — a few contiguous runs per column, not a
+    scatter of every node.  The charges are integers, so the float sums
+    are exact in any order.
     """
-    occupancy = np.zeros(n_nodes)
+    grid = occupancy.reshape(-1, nrows)           # [col, row]: node col * nrows + row
     preexisting = 0
     for block in design.blocks:
-        node, charge, n_routed = block.wire_use()   # distinct nodes
-        if node.size and not 0 <= node[0] <= node[-1] < n_nodes:    # ascending
+        col, row, charge, n_routed = block.wire_use()
+        width, height = charge.shape
+        if charge.size and not (0 <= col and col + width <= grid.shape[0]
+                                and 0 <= row and row + height <= nrows):
             raise IndexError("routed_occupancy: route leaves the routing graph")
-        occupancy[node] += charge
+        grid[col:col + width, row:row + height] += charge
         preexisting += n_routed
-    return occupancy, preexisting
+    return preexisting
+
+
+class _Held(NamedTuple):
+    """What a :class:`Router` keeps of a block-backed design between its
+    passes: the blocks it charged (each with its net count), the
+    occupancy as the pass left it, how many of its nodes are overused,
+    the blocks' routed connections, and the nets charged with their
+    routes (flattened, with each net's count) and widths."""
+
+    key: list
+    occupancy: np.ndarray
+    overused: int
+    block_routed: int
+    nets: list
+    routes: list
+    counts: list
+    widths: list
 
 
 class Router:
@@ -250,22 +317,89 @@ class Router:
     (:mod:`repro.route.native`) when it loads and :meth:`route_reference`
     — the scalar Python schedule, the core's oracle — when it does not;
     both write the same routes and return the same :class:`RouteResult`.
+
+    The graph defaults to the device's one (:attr:`Device.routing_graph`),
+    whose pooled work arrays each pass borrows.  On a design with placed
+    blocks a router keeps the occupancy its last pass left: a later pass
+    over the same blocks starts from it and re-charges only the glue nets
+    that changed since — the pipeliner's split nets, say — instead of
+    every block's wires.
     """
 
     def __init__(self, device: Device, graph: RoutingGraph | None = None) -> None:
         self.device = device
-        self.graph = graph if graph is not None else RoutingGraph(device)
-        self._charged: tuple = ([], None)   # (blocks and their live nets, block_charge)
+        self.graph = graph if graph is not None else device.routing_graph
+        self._held: _Held | None = None
+        self._pass: tuple | None = None   # this pass's (key, occupancy, block routed, nets)
+        self._occupancy: np.ndarray | None = None    # lent by the graph
 
-    def occupancy(self, design: Design) -> tuple[np.ndarray, dict[str, dict[int, int]], int]:
-        """:func:`routed_occupancy` of *design*, whose placed blocks are
-        charged once for as long as this router routes them: a later
-        pass over the same blocks, none of which has lost a net since,
-        counts only the nets that exist as objects."""
+    def occupancy(self, design: Design) -> tuple[np.ndarray, dict[str, dict[int, int]], int, int]:
+        """:func:`routed_occupancy` of *design*, plus how many nodes it
+        overuses.  Where the router's last pass was over the same placed
+        blocks, none of which has lost a net since, that pass's
+        occupancy is carried over: the glue nets it charged that are gone
+        or changed are taken off, and those new or changed are put on."""
+        graph = self.graph
+        n_nodes = graph.n_nodes
+        capacity = graph.capacity_f
+        nets, per_net = _data_nets(design)
+        widths = [net.width for net in nets]
         key = [(block, block.n_nets) for block in design.blocks]
-        if key != self._charged[0]:
-            self._charged = (key, block_charge(design, self.graph.n_nodes) if key else None)
-        return routed_occupancy(design, self.graph, self._charged[1])
+        held, self._held = self._held, None
+        if held is not None and held.key == key:
+            occupancy, overused, block_routed = held.occupancy, held.overused, held.block_routed
+            gone, came = _changed(held, nets, per_net, widths)
+            node, weight = [], []
+            for (routes, w), sign in ((gone, -1.0), (came, 1.0)):
+                n, c, _, _ = _wire_charges(routes, w, n_nodes)
+                node.append(n)
+                weight.append(sign * c)
+            node = np.concatenate(node)
+            if node.size:
+                touched = np.unique(node)
+                overused -= int(np.count_nonzero(occupancy[touched] > capacity[touched]))
+                np.add.at(occupancy, node, np.concatenate(weight))
+                overused += int(np.count_nonzero(occupancy[touched] > capacity[touched]))
+            _, owner, routed = _entries(per_net)
+        else:
+            occupancy = self._occupancy
+            if occupancy is None:
+                occupancy = self._occupancy = graph.occupancy_for(self)
+            else:
+                occupancy.fill(0.0)
+            node, weight, owner, routed = _wire_charges(per_net, widths, n_nodes)
+            np.add.at(occupancy, node, weight)
+            block_routed = block_charge(design, occupancy, graph.device.nrows) if key else 0
+            overused = int(np.count_nonzero(occupancy > capacity))
+        self._pass = (key, occupancy, block_routed, nets)
+        preexisting = int(routed.sum()) + block_routed
+        return occupancy, _net_usage(nets, per_net, owner, routed), preexisting, overused
+
+    def _result(self, n_targets, routed, iterations, wirelength, overused, preexisting,
+                ) -> RouteResult:
+        """A finished pass's :class:`RouteResult`, and its ``route.*``
+        totals — recorded here for both implementations, so a trace does
+        not depend on which one ran.  On a block-backed design the router
+        keeps the occupancy the pass left, for its next pass."""
+        key, occupancy, block_routed, nets = self._pass
+        self._pass = None
+        if key:
+            per_net = _routes_of(nets)
+            self._held = _Held(key, occupancy, overused, block_routed, nets,
+                               list(chain.from_iterable(per_net)),
+                               list(map(len, per_net)), [net.width for net in nets])
+        incr("route.connections", n_targets)
+        incr("route.failed", n_targets - routed)
+        incr("route.iterations", iterations)
+        observe("route.wirelength", wirelength)
+        return RouteResult(
+            routed=routed,
+            failed=n_targets - routed,
+            iterations=iterations,
+            wirelength=wirelength,
+            overused_nodes=overused,
+            preexisting=preexisting,
+        )
 
     # -- public API ------------------------------------------------------
 
@@ -292,7 +426,7 @@ class Router:
         blocked = self._blocked(design, region)
 
         with span("route/setup"):
-            occupancy, net_usage, preexisting = self.occupancy(design)
+            occupancy, net_usage, preexisting, _ = self.occupancy(design)
             targets = []
             for net in design.nets.values():
                 if net.is_clock or net.driver is None or net.locked:
@@ -322,7 +456,7 @@ class Router:
                 + abs(t.src_node % nrows - t.dst_node % nrows)
             )
 
-        capacity = graph.capacity.astype(np.float64)
+        capacity = graph.capacity_f
         history = np.zeros(graph.n_nodes, dtype=np.float64)
         pres_fac = PRES_FAC_INIT
         iterations = 0
@@ -360,9 +494,9 @@ class Router:
                 paths.append(tgt.path)
             wirelength = int(self.graph.path_metrics_batch(paths)[0].sum())
 
-        return _result(
+        return self._result(
             len(targets), len(paths), iterations, wirelength,
-            occupancy, capacity, preexisting,
+            int(np.count_nonzero(occupancy > capacity)), preexisting,
         )
 
     def _blocked(self, design: Design, region) -> np.ndarray | None:

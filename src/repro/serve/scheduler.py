@@ -77,8 +77,10 @@ class Scheduler:
         quotas: dict[str, TenantQuota] | None = None,
         clock=time.monotonic,
     ) -> None:
+        if int(workers) < 1:
+            raise ValueError(f"workers must be at least 1, got {workers!r}")
         self.store = store
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.default_quota = quota or TenantQuota()
         self.quotas = dict(quotas or {})
         self._clock = clock

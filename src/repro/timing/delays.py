@@ -10,7 +10,7 @@ QoR hazard when spreading components across the chip (Sec. V-E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,16 @@ class DelayModel:
     fanout_cap: int = 15              # buffering assumed beyond this fanout
     congestion_ps: float = 120.0      # per unit of overuse along a path
 
+    def __hash__(self) -> int:
+        # Hashed, with its class, into the key of every per-image delay a
+        # placed block keeps: the fields are frozen, so hash them once.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(
+                (type(self), *(getattr(self, f.name) for f in fields(self))))
+            return value
+
     # -- logic ---------------------------------------------------------------
 
     def logic_delay_ps(self, cell: Cell) -> float:
@@ -70,8 +80,9 @@ class DelayModel:
     def cell_delays_ps(self, cells: list[Cell]) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`logic_delay_ps` and :meth:`setup_ps` of every cell, as
         two float arrays.  Both are functions of ``(ctype, comb_depth)``,
-        so each is asked once per distinct pair."""
-        if self._overrides("logic_delay_ps", "setup_ps"):
+        so each is asked once per distinct pair — but a handful of cells
+        (a pipelining pass's register) one by one."""
+        if len(cells) <= 8 or self._overrides("logic_delay_ps", "setup_ps"):
             asked, inverse = cells, slice(None)
         else:
             ctypes = [c.ctype for c in cells]

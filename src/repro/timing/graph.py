@@ -92,6 +92,7 @@ reference (``KeyError``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from itertools import accumulate, chain, compress, repeat
 from operator import is_not
@@ -164,6 +165,26 @@ def _rows_best(rows, delay: np.ndarray, arrival: np.ndarray, setup: np.ndarray,
     return float(worst), int(rows.dst[k]), k, int(rows.src[k]), len(ends)
 
 
+def _then(column: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """*column* followed by *tail* — *tail* itself while *column* is
+    empty, so a first compile holds no second copy of its rows."""
+    return np.concatenate((column, tail)) if len(column) else tail
+
+
+class _Retired:
+    """Where a glue net taken out of the design sat: its rows stay in the
+    columns, retired — no ends, so no arrival, path or memo reads them —
+    until a splice drops them.  What the sync diff reads of a net it
+    holds unchanged: no driver, and a blank sink and no route per row."""
+
+    __slots__ = ("driver", "sinks", "routes")
+
+    def __init__(self, n_rows: int) -> None:
+        self.driver = None
+        self.sinks = [""] * n_rows
+        self.routes = [None] * n_rows
+
+
 class _Chunk:
     """A placed block's rows: its own arrays, carried by identity.
 
@@ -219,6 +240,9 @@ class TimingGraph:
         self.cell_names: list = []               # their dict keys / instance names
         self.cell_index: dict[str, int] = {}     # glue cell name -> slot
         self.block_slot: dict = {}               # Block -> its first slot
+        self.block_named: dict = {}              # instance name -> Block
+        self.block_firsts: list[int] = []        # the first slots, ascending,
+        self.block_order: list = []              # of these blocks
         self.g_cells: list = []                  # the glue cells, their dict keys ...
         self.g_names: list[str] = []
         self.g_slot = np.zeros(0, dtype=np.int64)   # ... and their slots
@@ -233,6 +257,8 @@ class TimingGraph:
         self.net_fanout: list[int] = []          # rows per entry: diff(net_off)
         self.net_off = np.zeros(1, dtype=np.int64)  # rows of entry j: off[j]..off[j+1]
         self.net_missing: set[int] = set()       # entries with an absent endpoint
+        self.n_retired = 0                       # _Retired entries, and their rows
+        self.retired_rows = 0
         self.g_nets: list = []                   # the glue nets among the entries ...
         self.g_entry = np.zeros(0, dtype=np.int64)  # ... where they sit ...
         self.net_driver: list = []               # ... their drivers, fanouts, and per
@@ -378,7 +404,7 @@ class TimingGraph:
                 fresh += data[j:]
                 break
         made: list[_Chunk] = []
-        if fresh or carried < len(old):
+        if fresh or carried < len(old) - self.n_retired:
             stale, made = self._assemble(data, pieces, fresh, stale, routes)
             structural = True
         else:
@@ -393,8 +419,8 @@ class TimingGraph:
             self.memo_hits += int(np.count_nonzero(
                 ~stale & (self.r_src >= 0) & (self.r_dst >= 0)
             )) + int(self.net_off[-1]) - len(stale) - n_made
-        else:  # every row has both ends
-            self.memo_hits += int(self.net_off[-1]) - len(rows) - n_made
+        else:  # every row but a retired one has both ends
+            self.memo_hits += int(self.net_off[-1]) - len(rows) - n_made - self.retired_rows
         self.memo_misses += n_made
         self._time(stale)
         self.r_redo[rows] = True
@@ -441,37 +467,43 @@ class TimingGraph:
             if k < len(entries):
                 block = entries[k]
                 self.block_slot[block] = base
+                self.block_named[block.instance] = block
+                self.block_firsts.append(base)
+                self.block_order.append(block)
                 seq_parts.append(block.seq())
                 runs.append(block.cell_delays(self.delays))
                 base += block.n_cells
             at = k + 1
         logic, setup = self.delays.cell_delays_ps(asked) if asked else (None, None)
-        logic, setup, seq = (
-            parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (
-                [logic[r] if type(r) is slice else r[0] for r in runs],
-                [setup[r] if type(r) is slice else r[1] for r in runs], seq_parts))
+        logic = [logic[r] if type(r) is slice else r[0] for r in runs]
         self.g_slot = np.concatenate(glue_slots)
         # Seed: correct for sequential and zero-fan-in combinational
         # cells; dirty marking repropagates the rest.
-        self._append_slots(seq, logic, setup, logic)
-        self.pending_dirty.update((n0 + np.flatnonzero(~seq)).tolist())
+        self._append_slots(base - n0, seq_parts, logic,
+                           [setup[r] if type(r) is slice else r[1] for r in runs], logic)
+        self.pending_dirty.update((n0 + np.flatnonzero(~self.cell_seq[n0:])).tolist())
         self._adj = None
 
-    def _append_slots(self, *tails: np.ndarray) -> None:
-        """Append *tails* to ``cell_seq``, ``cell_logic``, ``cell_setup``
-        and ``out_time`` — each the front of a buffer with room behind it,
-        which grows geometrically: a register appended costs a slot, not
-        the design."""
+    def _append_slots(self, n_new: int, *tails: list) -> None:
+        """Append *n_new* slots to ``cell_seq``, ``cell_logic``,
+        ``cell_setup`` and ``out_time``, from *tails*: per column, the
+        runs of values in order.  Each column is the front of a buffer
+        with room behind it, which grows geometrically — a register
+        appended costs a slot, not the design — and the runs are written
+        into it, not joined first."""
         n0 = len(self.cell_seq)
-        n = n0 + len(tails[0])
+        n = n0 + n_new
         if n > len(self._slot_room[0]):
             columns = (self.cell_seq, self.cell_logic, self.cell_setup, self.out_time)
             room = max(n + _SLOT_ROOM, 2 * n0)
-            self._slot_room = [np.empty(room, dtype=tail.dtype) for tail in tails]
+            self._slot_room = [np.empty(room, dtype=column.dtype) for column in columns]
             for buf, column in zip(self._slot_room, columns):
                 buf[:n0] = column
-        for buf, tail in zip(self._slot_room, tails):
-            buf[n0:n] = tail
+        for buf, runs in zip(self._slot_room, tails):
+            at = n0
+            for run in runs:
+                buf[at:at + len(run)] = run
+                at += len(run)
         self.cell_seq, self.cell_logic, self.cell_setup, self.out_time = (
             buf[:n] for buf in self._slot_room)
 
@@ -479,7 +511,7 @@ class TimingGraph:
         """Slot of each cell name, ``-1`` where the design has no such cell."""
         slots = np.fromiter(map(self.cell_index.get, names, repeat(-1)), np.int64, len(names))
         if self.block_slot:
-            blocks = {block.instance: block for block in self.block_slot}
+            blocks = self.block_named
             for i in np.flatnonzero(slots < 0).tolist():
                 for block in (blocks.get(names[i].partition("/")[0]), blocks.get(None)):
                     row = block.cell_row(names[i]) if block is not None else None
@@ -508,14 +540,31 @@ class TimingGraph:
         sinks = [net.sinks for net in nets]
         fanout = list(map(len, sinks))
         flat = list(chain.from_iterable(sinks))
-        src = np.repeat(self._slots(drivers), fanout)
-        dst = self._slots(flat)
+        slots = self._slots(drivers + flat)
+        src = np.repeat(slots[:len(drivers)], fanout)
+        dst = slots[len(drivers):]
         rows_fanout = np.repeat(np.array(fanout, dtype=np.int64), fanout)
         made = {}
         counts = fanout
         if len(nets) < len(fresh):               # ... and a chunk for each block among them
             made = {e: _Chunk(e, self.graph, self.delays) for e in fresh if type(e) is Block}
             counts = [len(made[e].delay) if e in made else len(e.sinks) for e in fresh]
+
+        # Every compiled entry the pieces do not carry is gone from the
+        # design.  Where the fresh entries all come after the last carried
+        # one (dict order puts a new net at the end) and nothing gone is a
+        # block, nothing moves: the gone nets' rows retire in place and
+        # the fresh ones are appended.
+        carried = np.zeros(len(self.data_nets), dtype=bool)
+        for a, b, _ in pieces:
+            carried[a:b] = True
+        gone_entries = np.flatnonzero(~carried).tolist()
+        if all(k == 0 for _, _, k in pieces) and all(
+                type(self.data_nets[j]) is not Block for j in gone_entries):
+            return self._retire_and_append(
+                [j for j in gone_entries if type(self.data_nets[j]) is not _Retired],
+                fresh, nets, drivers, fanout, flat, src, dst, rows_fanout, made, counts,
+                stale, routes)
 
         # Three ways to count along the old and the new entry lists: by
         # entry, by glue net, by glue row (without blocks: by entry, by row).
@@ -554,9 +603,6 @@ class TimingGraph:
             gone[old_at[BY_GLUE_ROW][a]:old_at[BY_GLUE_ROW][b]] = False
         self._mark_dirty(self.r_dst[gone])
         old_chunks = {}
-        carried = np.zeros(len(self.data_nets), dtype=bool)
-        for a, b, _ in pieces:
-            carried[a:b] = True
         for j, chunk in zip(self.b_entry, self.chunks):
             old_chunks[chunk.block] = chunk
             if not carried[j]:
@@ -596,7 +642,7 @@ class TimingGraph:
             self.chunks = [made[data[j]] if data[j] in made else old_chunks[data[j]]
                            for j in self.b_entry]
         else:
-            self.g_entry, self.g_nets = np.arange(len(data)), data
+            self.g_entry, self.g_nets = np.arange(len(data)), list(data)
             self.r_net = np.repeat(np.arange(len(data)), width)
             self.g_row = np.arange(len(self.r_net))
         # Nets with missing endpoints sit outside the memo (their error
@@ -607,8 +653,75 @@ class TimingGraph:
         self.net_missing = set()
         if (src < 0).any() or (dst < 0).any():
             self.net_missing = set(self.r_net[(self.r_src < 0) | (self.r_dst < 0)].tolist())
+        self.n_retired = self.retired_rows = 0
         self._adj = None
         return retime, list(made.values())
+
+    def _retire_and_append(
+        self, gone: list[int], fresh: list, nets: list, drivers: list, fanout: list,
+        flat: list, src: np.ndarray, dst: np.ndarray, rows_fanout: np.ndarray, made: dict,
+        counts: list, stale: np.ndarray, routes: list,
+    ) -> tuple[np.ndarray, list[_Chunk]]:
+        """:meth:`_assemble` where no compiled entry moves: the glue nets
+        *gone* (entries) retire — their sinks lose an input, their rows
+        keep their place with no ends — and the *fresh* entries, compiled
+        by the caller, go after every compiled one.  Costs what was taken
+        out and added, not the rows carried."""
+        self.r_route = routes
+        for j in gone:                           # a glue net's rows are a run
+            a, b = np.searchsorted(self.r_net, (j, j + 1)).tolist()
+            q = int(np.searchsorted(self.g_entry, j))
+            self._mark_dirty(self.r_dst[a:b])
+            for column, value in ((self.r_src, -1), (self.r_dst, -1), (self.r_total, -np.inf),
+                                  (self.r_redo, False), (self.r_routed, False), (stale, False)):
+                column[a:b] = value
+            retired = _Retired(b - a)
+            self.data_nets[j] = self.g_nets[q] = retired
+            self.net_driver[q] = None
+            self.r_sink[a:b] = retired.sinks
+            self.r_route[a:b] = retired.routes
+            self.net_missing.discard(j)
+            self.n_retired += 1
+            self.retired_rows += b - a
+            self._adj = None
+        if not fresh:
+            return stale, []
+
+        n_old = len(self.data_nets)
+        self.data_nets += fresh
+        self.net_fanout += counts
+        self.net_off = _then(self.net_off, self.net_off[-1] + np.cumsum(counts))
+        entries = np.arange(n_old, n_old + len(fresh))
+        if made:
+            is_glue = np.fromiter((type(e) is not Block for e in fresh), bool, len(fresh))
+            self.b_entry += entries[~is_glue].tolist()
+            self.b_live += [e.n_nets for e in fresh if type(e) is Block]
+            self.chunks += [made[e] for e in fresh if type(e) is Block]
+            entries = entries[is_glue]
+        self.g_entry = _then(self.g_entry, entries)
+        self.g_nets += nets
+        self.net_driver += drivers
+        self.g_fanout += fanout
+        self.r_sink += flat
+        self.r_route += _flat_routes(nets, fanout)
+        r_net = np.repeat(entries, fanout)
+        width = np.array(fanout, dtype=np.int64)
+        into = np.arange(len(r_net)) - np.repeat(np.cumsum(width) - width, width)
+        n_rows = len(r_net)
+        self.r_net = _then(self.r_net, r_net)
+        self.g_row = _then(self.g_row, self.net_off[r_net] + into)
+        self.r_src = _then(self.r_src, src)
+        self.r_dst = _then(self.r_dst, dst)
+        self.r_fanout = _then(self.r_fanout, rows_fanout)
+        self.r_delay = _then(self.r_delay, np.zeros(n_rows))
+        self.r_routed = _then(self.r_routed, np.zeros(n_rows, dtype=bool))
+        self.r_total = _then(self.r_total, np.full(n_rows, -np.inf))
+        self.r_redo = _then(self.r_redo, np.ones(n_rows, dtype=bool))
+        missing = (src < 0) | (dst < 0)
+        if missing.any():
+            self.net_missing.update(r_net[missing].tolist())
+        self._adj = None
+        return _then(stale, np.ones(n_rows, dtype=bool)), list(made.values())
 
     def _time(self, stale: np.ndarray) -> None:
         """(Re)compute the delay of the glue rows marked in *stale*: the
@@ -657,9 +770,9 @@ class TimingGraph:
         if self.block_slot:
             k = int(np.searchsorted(self.g_slot, slot))
             if k == len(self.g_slot) or self.g_slot[k] != slot:
-                for block, first in self.block_slot.items():
-                    if first <= slot < first + block.n_cells:
-                        return block, slot - first
+                b = bisect_right(self.block_firsts, slot) - 1
+                if b >= 0 and slot < self.block_firsts[b] + self.block_order[b].n_cells:
+                    return self.block_order[b], slot - self.block_firsts[b]
             return None, k
         return None, slot
 

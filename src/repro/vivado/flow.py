@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from ..obs.span import span, stage
 from ..cnn.graph import DFG
 from ..fabric.device import Device
-from ..fabric.interconnect import RoutingGraph
 from ..netlist.design import Design
 from ..place.placer import PlacementResult, place_design
 from ..power.model import PowerReport, estimate_power
@@ -91,7 +90,7 @@ class VivadoFlow:
         self.effort = effort
         self.seed = seed
         self.delays = DEFAULT_DELAYS
-        self.graph = RoutingGraph(device)
+        self.graph = device.routing_graph
 
     # -- entry points ------------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Chunked kernels and narrow draws equal their whole-array forms.
 
-* :meth:`RoutingGraph.path_metrics_batch` and the native router's
-  ``_wirelength`` walk their paths one :func:`path_slices` run at a time
-  (at most ``METRICS_CHUNK`` nodes, or one longer path): with the chunk
-  shrunk to a few nodes, so paths straddle every slice border, they
-  equal the one-call forms over all nodes and the scalar walk;
+* :meth:`RoutingGraph.path_metrics_batch` walks its paths one
+  :func:`path_slices` run at a time (at most ``METRICS_CHUNK`` nodes, or
+  one longer path): with the chunk shrunk to a few nodes, so paths
+  straddle every slice border, it equals the one-call form over all
+  nodes and the scalar walk;
 * :func:`move_streams` draws the anneal's cell picks as ``int32``: the
   values of the ``int64`` draw, and the generator left in its state.
 """
@@ -21,7 +21,6 @@ import repro.fabric.interconnect as interconnect
 from repro._util import make_rng
 from repro.fabric import Device, RoutingGraph
 from repro.place.annealer import move_streams
-from repro.route.native import _hop_tiles, _wirelength
 
 SMALL = Device.from_name("small")
 GRAPH = RoutingGraph(SMALL)
@@ -64,19 +63,6 @@ def test_chunked_path_metrics_equal_the_whole_array_form(node_paths, chunk):
     assert list(zip(tiles.tolist(), crossings.tolist())) == [
         GRAPH.path_metrics(p) for p in node_paths
     ]
-
-
-@given(paths(min_len=0), st.integers(1, 24))
-@settings(max_examples=80, deadline=None)
-def test_chunked_wirelength_equals_the_whole_array_form(node_paths, chunk):
-    # an empty path is a connection the router left unrouted
-    lens = np.fromiter(map(len, node_paths), dtype=np.int64, count=len(node_paths))
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    flat = np.asarray([n for p in node_paths for n in p], dtype=np.int64)
-    with _chunk(chunk):
-        got = _wirelength(flat, offs, SMALL.nrows)
-    assert got == _hop_tiles(flat, offs, SMALL.nrows)
-    assert got == sum(GRAPH.path_metrics(p)[0] for p in node_paths if p)
 
 
 def _used(seed: int) -> np.random.Generator:

@@ -12,8 +12,9 @@ element for element: the same floats, the same order under ties, the
 same pblocks, overlapping ("currently blocked") candidates included.  A
 whole search over either ranking — on a part tight enough to backtrack —
 must take the same path: anchors, costs, attempts, backtracks.  The
-halo, the weights and the candidate cap are module constants, which the
-cases vary by patching them.
+halo, the weights, the candidate cap and the size up to which every
+(placed, candidate) congestion pair is scored are module constants,
+which the cases vary by patching them.
 """
 
 from __future__ import annotations
@@ -119,15 +120,17 @@ def ranking_cases(draw, device=SMALL):
     return items, idx, connections, placed, weights
 
 
-@given(ranking_cases(), st.integers(1, 96))
+@given(ranking_cases(), st.integers(1, 96), st.sampled_from([0, placer_module.DENSE_PAIRS]))
 @settings(max_examples=120, deadline=None)
-def test_rank_arrays_equal_per_candidate_cost(case, max_candidates):
+def test_rank_arrays_equal_per_candidate_cost(case, max_candidates, dense_pairs):
+    # dense_pairs 0: the congestion pairs come from the halo window alone
     items, idx, connections, placed, (tw, cw, halo) = case
     placer = ComponentPlacer(SMALL)
     anchors = candidate_anchors(SMALL, items[idx][1], row_step=3)
     assert np.array_equal(items[idx][1].anchors(SMALL, 3), np.array(anchors).reshape(-1, 2))
     with mock.patch.multiple(placer_module, HALO=halo, TIMING_WEIGHT=tw,
-                             CONGESTION_WEIGHT=cw, MAX_CANDIDATES=max_candidates):
+                             CONGESTION_WEIGHT=cw, MAX_CANDIDATES=max_candidates,
+                             DENSE_PAIRS=dense_pairs):
         got = rows_of(placer._rank(idx, items[idx][1].anchors(SMALL, 3), items, connections,
                                    placed), items[idx][1].pblock)
         want = rank_per_candidate(placer, idx, anchors, items, connections, placed)
@@ -197,12 +200,12 @@ def _search(placer, items, connections):
             found.attempts, found.backtracks)
 
 
-@given(searches(), st.sampled_from([1, 3, 96]))
+@given(searches(), st.sampled_from([1, 3, 96]), st.sampled_from([0, placer_module.DENSE_PAIRS]))
 @settings(max_examples=80, deadline=None)
-def test_search_takes_the_same_path_over_either_ranking(case, max_candidates):
+def test_search_takes_the_same_path_over_either_ranking(case, max_candidates, dense_pairs):
     items, connections = case
     with mock.patch.multiple(placer_module, HALO=2, MAX_CANDIDATES=max_candidates,
-                             MAX_ATTEMPTS=400):
+                             MAX_ATTEMPTS=400, DENSE_PAIRS=dense_pairs):
         assert _search(ComponentPlacer(TINY), items, connections) == \
                _search(_per_candidate_placer(TINY), items, connections)
 

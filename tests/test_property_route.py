@@ -38,7 +38,7 @@ from repro.netlist.net import Net
 from repro.obs.span import Tracer
 from repro.route import Router
 from repro.route import native as route_native
-from repro.route.pathfinder import routed_occupancy
+from repro.route.pathfinder import RoutingError, routed_occupancy
 
 SMALL = Device.from_name("small")
 CLB_COLS = [int(c) for c in SMALL.columns_of(TileType.CLB)]
@@ -298,3 +298,129 @@ def test_route_dispatch_matches_reference(monkeypatch, request, core):
     assert counters["route.astar.calls"] > 0
     assert counters["route.astar.expansions"] > 0
     assert metrics == metrics_ref
+
+
+# -- one routing session per device ----------------------------------------------
+
+
+def _fresh_reference(device: Device, design: Design, region=None):
+    """``route_reference`` of a flattened copy of *design* on a router and
+    graph of its own: the result, and the copy's bytes after it."""
+    from repro.netlist import decode_design, encode_design
+
+    twin = decode_design(encode_design(design))
+    result = Router(device, RoutingGraph(device)).route_reference(twin, region=region)
+    return vars(result), encode_design(twin)
+
+
+def _checked_route(device: Device, seen: list):
+    """``Router.route``, asserting each pass equal to a fresh reference."""
+    from repro.netlist import encode_design
+
+    route = Router.route
+
+    def checked(self, design, *, region=None):
+        assert self.graph is device.routing_graph
+        want = _fresh_reference(device, design, region)
+        result = route(self, design, region=region)
+        assert (vars(result), encode_design(design)) == want
+        seen.append(vars(result))
+        return result
+
+    return checked
+
+
+#: A pipelining target the small-part, low-effort LeNet-5 meets only
+#: after four registers (it stitches to 282 MHz and reaches 398.6).
+LENET_SPLIT_MHZ = 400.0
+
+
+def _region_design(device: Device) -> Design:
+    """Wide nets between the corners of a pblock: the direct routes pile
+    up, so the pass rips up and A*-reroutes inside the region."""
+    from repro.fabric import PBlock
+
+    cols = [int(c) for c in device.columns_of(TileType.CLB)][2:10]
+    design = Design("ooc", pblock=PBlock(cols[0] - 1, 0, cols[-1] + 1, 40))
+    for i in range(12):
+        design.new_cell(f"s{i}", "SLICE", placement=(cols[i % 2], i * 3), luts=1)
+        design.new_cell(f"t{i}", "SLICE", placement=(cols[-1 - i % 2], 39 - i * 3), luts=1)
+        design.connect(f"n{i}", f"s{i}", [f"t{i}"], width=WIRE_CAPACITY)
+    return design
+
+
+@pytest.mark.skipif(not route_native.native_available(), reason="compiled route core unavailable")
+def test_one_session_per_device_routes_as_fresh_references(monkeypatch):
+    """One device's routing session (its graph and pooled buffers) through
+    a stitched pass, the reroute after pipelining, a region-blocked OOC
+    route, a route that raises in its setup and one more route: each
+    writes what ``route_reference`` writes on a router of its own."""
+    from repro.cnn import lenet5
+    from repro.rapidwright import ComponentDatabase, PreImplementedFlow
+
+    device = Device.from_name("small")
+    flow = PreImplementedFlow(device, component_effort="low", seed=0)
+    database = ComponentDatabase(device)
+    flow.run(lenet5(), database=database, jobs=1)          # the library, routed as it builds
+    seen: list = []
+    monkeypatch.setattr(Router, "route", _checked_route(device, seen))
+    result = flow.run(lenet5(), database=database, pipeline_target_mhz=LENET_SPLIT_MHZ)
+    assert result.extras["pipeline"].inserted >= 2 and len(seen) == 2
+    assert seen[1]["routed"] > 0, "the reroute routes the split nets' halves"
+    monkeypatch.undo()
+    graph = device.routing_graph
+    pooled = list(graph._free)
+
+    router = Router(device)
+    design = _region_design(device)
+    want = _fresh_reference(device, design, design.pblock)
+    got = router.route(design)
+    assert got.iterations > 1, "workload too easy to run A* in the region"
+    assert (vars(got), _bytes(design)) == want
+
+    bad = Design("unplaced")
+    bad.new_cell("a", "SLICE", placement=(CLB_COLS[0], 0), luts=1)
+    bad.new_cell("b", "SLICE", luts=1)
+    bad.connect("n", "a", ["b"])
+    with pytest.raises(RoutingError, match="unplaced"):
+        router.route(bad)
+    with pytest.raises(RoutingError, match="unplaced"):
+        Router(device, RoutingGraph(device)).route_reference(bad)
+
+    design = _region_design(device)
+    want = _fresh_reference(device, design, design.pblock)
+    assert (vars(Router(device).route(design)), _bytes(design)) == want
+    assert graph._free == pooled, "every pass handed its buffers back, none were made"
+    assert not graph._free[0].history.any(), "history is zero between passes"
+
+
+def _bytes(design: Design) -> bytes:
+    from repro.netlist import encode_design
+
+    return encode_design(design)
+
+
+@pytest.mark.skipif(not route_native.native_available(), reason="compiled route core unavailable")
+def test_two_threads_route_on_one_device_as_they_do_serially():
+    import threading
+
+    device = Device.from_name("small")
+    designs = [_region_design(device) for _ in range(2)]
+    serial = []
+    for design in copy.deepcopy(designs):
+        serial.append((vars(Router(device).route(design)), _bytes(design)))
+    start = threading.Barrier(2)
+    got: dict = {}
+
+    def route(k):
+        start.wait()
+        for _ in range(3):
+            design = copy.deepcopy(designs[k])
+            got.setdefault(k, []).append((vars(Router(device).route(design)), _bytes(design)))
+
+    threads = [threading.Thread(target=route, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == {k: [serial[k]] * 3 for k in range(2)}

@@ -480,3 +480,76 @@ def test_component_placer_is_linear():
         assert len(found.anchors) == len(case[0]) and found.backtracks == 0
 
     _assert_linear(_placer_case, place, 6)
+
+
+# -- what depends only on the device or the signature ----------------------------------
+
+
+def _lenet_flow():
+    """A small-part LeNet-5 flow whose library the first run fills."""
+    device = Device.from_name("small")
+    flow = PreImplementedFlow(device, component_effort="low", seed=0)
+    database = ComponentDatabase(device)
+    flow.run(lenet5(), database=database, jobs=1)
+    return device, flow, database
+
+
+def test_a_run_hashes_each_signature_once(monkeypatch):
+    """``signature_key`` is asked three times per component and run (``has``,
+    ``footprint``, ``fetch``), each time of a signature built afresh: no
+    signature's canonical blob is hashed twice in a run, and none at all
+    in a run of signatures the process has hashed before."""
+    from collections import Counter
+
+    from repro.rapidwright import database as database_module
+
+    _device, flow, database = _lenet_flow()
+    hashed: Counter = Counter()
+    blob = database_module.canonical_blob
+
+    def counting(obj):
+        hashed[repr(obj)] += 1
+        return blob(obj)
+
+    monkeypatch.setattr(database_module, "canonical_blob", counting)
+    flow.run(lenet5(), database=database)
+    assert max(hashed.values(), default=0) <= 1, hashed.most_common(1)
+    hashed.clear()
+    flow.run(lenet5(), database=database)
+    assert not hashed, hashed.most_common(1)
+
+
+@pytest.mark.skipif(not native_available(), reason="the Python reference router borrows no buffers")
+def test_a_second_run_allocates_no_node_sized_route_buffer(monkeypatch):
+    """The device's routing graph lends every pass the same pooled work
+    arrays, and every router the same occupancy array: while a pass of a
+    second run negotiates, no node-sized array that the router, its
+    driver or the graph allocated is alive, and the pool holds the
+    buffer sets it held before the run."""
+    from repro.route import native as route_native
+
+    device, flow, database = _lenet_flow()
+    pooled = list(device.routing_graph._free)
+    n_bytes = device.routing_graph.n_nodes * 8
+    lib = route_native._lib()
+    iterate = lib.route_iterate
+    passes, made = [], []
+
+    def watching(*args):
+        snapshot = tracemalloc.take_snapshot()
+        passes.append(1)
+        made.extend(
+            trace for trace in snapshot.traces if trace.size >= n_bytes
+            and trace.traceback[-1].filename.endswith(
+                ("route/native.py", "route/pathfinder.py", "fabric/interconnect.py")))
+        return iterate(*args)
+
+    monkeypatch.setattr(lib, "route_iterate", watching)
+    tracemalloc.start(32)
+    try:
+        flow.run(lenet5(), database=database, pipeline_target_mhz=1000.0)
+    finally:
+        tracemalloc.stop()
+    assert passes, "no route pass negotiated"
+    assert made == [], [str(trace.traceback) for trace in made[:2]]
+    assert device.routing_graph._free == pooled

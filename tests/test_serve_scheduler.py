@@ -241,6 +241,12 @@ class TestExecution:
         with pytest.raises(RuntimeError):
             sched.submit(_spec())
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_is_refused(self, tmp_path, workers):
+        # As the CLI's ``--workers`` refuses it: no silent one-worker pool.
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            Scheduler(JobStore(tmp_path), workers=workers)
+
     def test_stats_shape(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             "repro.serve.scheduler.run_job",

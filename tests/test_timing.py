@@ -326,3 +326,48 @@ def test_fmax_session_shortcut(tiny_device):
     other = _reg2reg(tiny_device, span=3)
     with pytest.raises(ValueError, match="tracks design"):
         pipeline_to_target(other, tiny_device, 1.0, session=session)
+
+
+@pytest.mark.parametrize("model", ["vgg16", "lenet5"])
+def test_every_split_reports_what_the_reference_does(model, monkeypatch):
+    """The session ``pipeline_to_target`` drives, after each of its splits
+    (and the revert of one that did not help): the period and critical
+    path ``analyze_reference`` finds on the same design state — read off
+    an encoded copy, so the live design stays block-backed."""
+    from repro.cnn import lenet5, vgg16
+    from repro.fabric import Device
+    from repro.netlist import decode_design, encode_design
+    from repro.rapidwright import ComponentDatabase, PreImplementedFlow
+
+    device, run = {
+        # high effort: the stitched VGG-16 misses the auto target by four registers
+        "vgg16": (Device.from_name("ku5p-like"), dict(
+            net=vgg16(), effort="high", granularity="block", rom_weights=False,
+            target="auto")),
+        # 282 MHz stitched: four registers, then a split that does not help
+        "lenet5": (Device.from_name("small"), dict(
+            net=lenet5(), effort="low", granularity="layer", rom_weights=True,
+            target=1000.0)),
+    }[model]
+    flow = PreImplementedFlow(device, component_effort=run["effort"], seed=0)
+    database = ComponentDatabase(device)
+    kwargs = dict(granularity=run["granularity"], rom_weights=run["rom_weights"])
+    flow.run(run["net"], database=database, **kwargs)
+    analyze = IncrementalSta.analyze
+    seen = []
+
+    def checked(self):
+        report = analyze(self)
+        want = analyze_reference(decode_design(encode_design(self.design)), device,
+                                 self.graph, self.delays)
+        assert (report.period_ps, report.critical_path, report.n_paths) == \
+               (want.period_ps, want.critical_path, want.n_paths)
+        seen.append(report.period_ps)
+        return report
+
+    monkeypatch.setattr(IncrementalSta, "analyze", checked)
+    result = flow.run(run["net"], database=database, pipeline_target_mhz=run["target"],
+                      **kwargs)
+    inserted = result.extras["pipeline"].inserted
+    assert inserted >= (4 if model == "vgg16" else 2)
+    assert len(seen) >= inserted + 2         # before, each split, the final report
