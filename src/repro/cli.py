@@ -65,6 +65,12 @@ import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+# No repro path calls BLAS, so OpenBLAS's thread pool, which ``import
+# numpy`` starts with a thread per core, is CPU a run pays for nothing.
+# Set before the first import that reaches numpy (``repro.cnn``); a value
+# the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Only what the argument parser itself needs (the model and part catalogs
 # and the job spec) is imported here; every subcommand imports its own
 # layers when it runs, so ``models``/``info``/``--help`` never load the

@@ -32,9 +32,10 @@ def plc_unplaced(ctx, emit) -> None:
 # design is objects or placed blocks; only the offenders found are
 # resolved back to names.  A placed block whose verdict follows from its
 # image — its bounding box on the grid or inside the pblock, its few
-# distinct (column, type) pairs on matching columns — is cleared whole
-# (``CellTable.without``) and none of its cells is looked at; what a sweep
-# really does per cell is the cross-block part: one site, one cell.
+# distinct (column, type) pairs on matching columns, one cell per site
+# in a box no other block's overlaps and no glue cell on its sites — is
+# cleared whole (``CellTable.without`` / ``sharing``) and none of its
+# cells is looked at.
 # Their per-cell loops live on in ``tests/test_block_design.py`` as the
 # oracle: same ids, order, messages.
 
@@ -42,7 +43,7 @@ def plc_unplaced(ctx, emit) -> None:
 @rule("PLC-002", category="placement", severity="fatal", title="site double-booked")
 def plc_double_booked(ctx, emit) -> None:
     """Two cells on the same site (one site per tile on this fabric)."""
-    cells = ctx.cells
+    cells = ctx.cells.sharing()          # (a block no other cell can reach is cleared)
     # Scatter every placed cell onto the grid: as many sites taken as
     # cells placed means nobody shares one.  (Anything off the grid, or a
     # shared site, goes on to be sorted out below.)

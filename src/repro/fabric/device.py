@@ -125,6 +125,11 @@ class Device:
         return prefix
 
     @cached_property
+    def io_mask(self) -> np.ndarray:
+        """``1`` at each I/O column, ``0`` elsewhere (``uint8``)."""
+        return (self.col_types == TileType.IO).astype(np.uint8)
+
+    @cached_property
     def _io_prefix_ints(self) -> tuple[int, ...]:
         return tuple(self.io_prefix.tolist())
 

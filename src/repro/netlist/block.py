@@ -136,6 +136,16 @@ def _pin_rows(image) -> tuple[np.ndarray, np.ndarray]:
             row_of[image.sink_name])
 
 
+def _driverless(image) -> np.ndarray:
+    """Rows of the nets with no driver."""
+    return np.flatnonzero(image.net_driver < 0)
+
+
+def _clock_rows(image) -> np.ndarray:
+    """Rows of the clock nets."""
+    return np.flatnonzero(image.net_clock != 0)
+
+
 def _flat_ends(image) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each net's entries end in the three run-length columns:
     ``sink_name``, ``route_len`` and ``route_node``."""
@@ -149,9 +159,13 @@ def _unplaced(image) -> np.ndarray:
     return np.flatnonzero(image.cell_placed == 0)
 
 
+def _seq(image) -> np.ndarray:
+    return image.cell_seq.astype(bool)
+
+
 def _seq_rows(image) -> np.ndarray | None:
     """Rows of the sequential cells (``None``: every cell is one)."""
-    seq = image.cell_seq.astype(bool)
+    seq = image.derived("seq", _seq)
     return None if seq.all() else np.flatnonzero(seq)
 
 
@@ -354,6 +368,19 @@ def _sites(image) -> _Sites:
                   pairs // span, pairs % span)
 
 
+def _site_keys(image) -> tuple[np.ndarray, bool]:
+    """The placed cells' sites as sorted keys into the image's bounding
+    box (``(col - col0) * height + row - row0``), and whether no two
+    cells share one."""
+    box = image.derived("sites", _sites).box
+    if box is None:
+        return np.zeros(0, dtype=np.int32), True
+    placed = image.cell_placed.astype(bool)
+    keys = np.sort((image.cell_col[placed] - box[0]) * (box[3] - box[1] + 1)
+                   + (image.cell_row[placed] - box[1])).astype(np.int32)
+    return keys, bool((keys[1:] != keys[:-1]).all())
+
+
 def _route_span(image, nrows: int) -> tuple[int, int, int, int]:
     """``(col_lo, col_hi, row_lo, row_hi)`` over every routed node."""
     if not image.route_node.size:
@@ -405,6 +432,8 @@ class Block:
     # -- names ---------------------------------------------------------------
 
     def _row(self, name: str, which: int) -> int | None:
+        """Row of the cell (*which* 0) or net (1, live or not) called
+        *name* in the design, if it is here."""
         if self.prefix:
             if not name.startswith(self.prefix):
                 return None
@@ -439,20 +468,23 @@ class Block:
             rows = np.flatnonzero(self.net_live)
         return [self.prefix + names[i] for i in np.asarray(rows).tolist()]
 
-    def packed_names(self, which: int) -> tuple[bytes, np.ndarray, bool]:
+    def packed_names(self, which: int) -> tuple[list, list, bool]:
         """The cell (*which* 0) or live net (1) names as a checkpoint's
-        string table holds them — ``(UTF-8 bytes end to end, byte length
-        of each)`` — and whether a net shares its name with a cell.
-        Built once per image and instance prefix; a later instance under
-        the same name reads it back."""
-        table = self.image.derived(
-            ("name_table", self.prefix), lambda image: _name_table(image, self.prefix))
+        string table holds them — UTF-8 bytes end to end and the byte
+        length of each name, each as pieces to be written one after the
+        other — and whether a net shares its name with a cell.  Built
+        once per image and instance prefix; a later instance under the
+        same name reads it back, and a block that lost nets cuts them
+        out as views."""
+        table = self._name_table()
         if which == 0:
-            return table.cell_raw, table.cell_lens, table.shared
-        if self.pristine:
-            return table.net_raw, table.net_lens, table.shared
-        return (b"".join(self._cut(memoryview(table.net_raw), table.net_ends)),
-                table.net_lens[self.net_live], table.shared)
+            return [table.cell_raw], [table.cell_lens], table.shared
+        return (self._cut(memoryview(table.net_raw), "names"), self._cut(table.net_lens),
+                table.shared)
+
+    def _name_table(self) -> _NameTable:
+        return self.image.derived(
+            ("name_table", self.prefix), lambda image: _name_table(image, self.prefix))
 
     def live_rank(self, row: int) -> int:
         """Position of live net *row* among the live nets."""
@@ -495,7 +527,8 @@ class Block:
         return self.image.derived(("cell_delays", delays), build)
 
     def seq(self) -> np.ndarray:
-        return self.image.cell_seq.astype(bool)
+        """Whether each cell is sequential (kept per image: read-only)."""
+        return self.image.derived("seq", _seq)
 
     def seq_rows(self) -> np.ndarray | None:
         """Rows of the sequential cells, in order (``None``: every row)."""
@@ -527,6 +560,34 @@ class Block:
         return box is None or (
             col0 <= box[0] + self.dcol and box[2] + self.dcol <= col1
             and row0 <= box[1] + self.drow and box[3] + self.drow <= row1)
+
+    def box(self) -> tuple[int, int, int, int] | None:
+        """``(col0, row0, col1, row1)`` around the placed cells, shifted
+        (``None``: none is placed)."""
+        box = self.image.derived("sites", _sites).box
+        if box is None:
+            return None
+        return box[0] + self.dcol, box[1] + self.drow, box[2] + self.dcol, box[3] + self.drow
+
+    def one_per_site(self) -> bool:
+        """Whether no two placed cells of the block share a site (kept
+        per image)."""
+        return self.image.derived("site_keys", _site_keys)[1]
+
+    def holds(self, col: int, row: int) -> bool:
+        """Whether a placed cell of the block sits at ``(col, row)``: a
+        bisection of the image's sorted sites."""
+        box = self.image.derived("sites", _sites).box
+        if box is None:
+            return False
+        col, row = col - self.dcol - box[0], row - self.drow - box[1]
+        height = box[3] - box[1] + 1
+        if not (0 <= col <= box[2] - box[0] and 0 <= row < height):
+            return False
+        keys = self.image.derived("site_keys", _site_keys)[0]
+        key = col * height + row
+        k = int(keys.searchsorted(key))
+        return k < len(keys) and int(keys[k]) == key
 
     def on_legal_sites(self, device) -> bool:
         """Whether every placed cell is on the grid of *device* and on a
@@ -588,10 +649,10 @@ class Block:
         self.n_nets -= 1
 
     def has_clock_nets(self) -> bool:
-        return bool((self.image.net_clock[self.net_live] != 0).any())
+        return bool(self.net_live[self.image.derived("clock_rows", _clock_rows)].any())
 
     def remove_clock_nets(self) -> None:
-        self.net_live &= self.image.net_clock == 0
+        self.net_live[self.image.derived("clock_rows", _clock_rows)] = False
         self.n_nets = int(np.count_nonzero(self.net_live))
 
     # -- timing / routing / power --------------------------------------------
@@ -599,7 +660,7 @@ class Block:
     def _removed(self) -> tuple:
         """``(live rows, spans)`` while nets have been removed: which of
         the image's timing rows belong to a live net (``None``: all of
-        them), and the runs ``(a, b)`` of consecutive live net rows —
+        them), and the runs of consecutive live net rows as slices —
         worked out once per removal."""
         if self._live is None or self._live[0] != self.n_nets:
             gone = np.flatnonzero(~self.net_live)
@@ -608,7 +669,7 @@ class Block:
                 keep = self.net_live[self.image.derived("edges", _edges).net]
             cuts = [-1, *gone.tolist(), len(self.net_live)]
             self._live = (self.n_nets, keep,
-                          [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a + 1 < b])
+                          [slice(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a + 1 < b])
         return self._live[1:]
 
     def live_rows(self) -> np.ndarray | None:
@@ -644,7 +705,7 @@ class Block:
         lo, hi = lo + self.dcol, hi + self.dcol
         if (device.nrows == self.nrows and 0 <= lo and hi < device.ncols
                 and 0 <= row_lo + self.drow and row_hi + self.drow < self.nrows):
-            return self.nrows, np.diff(device.io_prefix[lo:hi + 2]).astype(np.uint8).tobytes()
+            return self.nrows, device.io_mask[lo:hi + 1].tobytes()
         return None
 
     def keep(self, graph, name: str, build, *more):
@@ -723,21 +784,28 @@ class Block:
     # -- re-encoding (DesignImage.from_design) --------------------------------
     #
     # What the encoder writes of a block is its image's columns as they
-    # are, but for an add on the string-index, site and route-node columns
-    # and, once nets are removed, cut to the live ones — as views, which
-    # the encoder writes out without joining them first.
+    # are, but for one add on each string-index, site and route-node
+    # column and, once nets are removed, cut to the live ones — as views,
+    # which the encoder writes out without joining them first.
 
-    def _cut(self, column, ends: np.ndarray | None = None) -> list:
+    def _cut(self, column, flat: str | None = None) -> list:
         """*column* over the live nets, as a list of views: a column with
-        a value per net row, or — given *ends*, where net *k*'s entries
-        end — a run-length one.  A few slices, the removed nets being a
-        handful; the column whole while none is."""
+        a value per net row, or a run-length one — *flat* names whose
+        entries it holds: ``"sinks"``, ``"routes"``, ``"nodes"`` or
+        ``"names"`` (the bytes of the net names).  A few slices, the
+        removed nets being a handful; the column whole while none is."""
         if self.pristine:
             return [column]
         spans = self._removed()[1]
-        if ends is None:
-            return [column[a:b] for a, b in spans]
-        return [column[(int(ends[a - 1]) if a else 0):int(ends[b - 1])] for a, b in spans]
+        if flat is None:
+            return [column[span] for span in spans]
+        if flat == "names":
+            ends = self._name_table().net_ends
+        else:
+            ends = self.image.derived("flat_ends", _flat_ends)[
+                ("sinks", "routes", "nodes").index(flat)]
+        return [column[(int(ends[s.start - 1]) if s.start else 0):int(ends[s.stop - 1])]
+                for s in spans]
 
     def module_column(self, intern) -> np.ndarray:
         """String index of every cell's ``module`` tag (``-1``: none),
@@ -762,22 +830,27 @@ class Block:
         return (image.cell_placed, col, row, image.cell_locked, image.cell_luts,
                 image.cell_ffs, image.cell_depth, image.cell_seq)
 
-    def net_columns(self, cell_string: np.ndarray) -> tuple[list, ...]:
+    def net_columns(self, cells) -> tuple[list, ...]:
         """``net_driver`` … ``route_node``, the live nets' columns after
         their names, in :data:`~repro.netlist.codec._COLUMNS` order and
-        each as a list of runs, given the string index of each of this
-        block's cells: a driver or sink is its cell's index, and a routed
-        node is shifted to this anchor."""
+        each as a list of runs, given where this block's cell names sit
+        in the string table — *cells*: the index of the first, when they
+        took one consecutive run, else the index of each.  A driver or
+        sink is its cell's index (its row plus the first index), and a
+        routed node is shifted to this anchor."""
         image = self.image
         driver, sink = image.derived("pin_rows", _pin_rows)
-        sink_ends, route_ends, node_ends = image.derived("flat_ends", _flat_ends)
+        if type(cells) is int:
+            driver, sink = driver + cells, sink + cells
+            driver[image.derived("driverless", _driverless)] = -1
+        else:
+            driver, sink = np.where(driver >= 0, cells[driver], -1), cells[sink]
         shift = self.dcol * self.nrows + self.drow
         cut = self._cut
-        return (cut(np.where(driver >= 0, cell_string[driver], -1)),
-                cut(image.net_width), cut(image.net_clock), cut(image.net_locked),
-                cut(image.net_nsinks), cut(image.net_nroutes),
-                cut(cell_string[sink], sink_ends), cut(image.route_len, route_ends),
-                cut(image.route_node + shift if shift else image.route_node, node_ends))
+        return (cut(driver), cut(image.net_width), cut(image.net_clock),
+                cut(image.net_locked), cut(image.net_nsinks), cut(image.net_nroutes),
+                cut(sink, "sinks"), cut(image.route_len, "routes"),
+                cut(image.route_node + shift if shift else image.route_node, "nodes"))
 
     # -- flattening ----------------------------------------------------------
 
@@ -818,6 +891,38 @@ class CellTable:
         Order is kept, so what a rule finds in the rest it finds in the
         order it would have found it in the whole."""
         return CellTable([p for p in self._parts if type(p) is not Block or not cleared(p)])
+
+    def blocks(self) -> list[Block]:
+        """The placed blocks among the runs, in order."""
+        return [p for p in self._parts if type(p) is Block]
+
+    def sharing(self) -> "CellTable":
+        """:meth:`without` the blocks none of whose sites another cell of
+        the table takes: the image holds one cell per site, the box
+        overlaps no other block's, and no glue cell sits on one of its
+        sites (each glue cell inside its box is bisected for).  Every
+        cell that shares a site is in what is left."""
+        blocks = [(b, b.box()) for b in self.blocks()]
+        boxed = [box for _b, box in blocks if box is not None]
+        if boxed:
+            c0, r0, c1, r1 = np.array(boxed, dtype=np.int64).T
+            overlaps = ((c0[:, None] <= c1) & (c0 <= c1[:, None])
+                        & (r0[:, None] <= r1) & (r0 <= r1[:, None])).sum(axis=1).tolist()
+        apart, k = {}, 0
+        for block, box in blocks:
+            if box is None:
+                apart[block] = (0, 0, -1, -1)
+                continue
+            if overlaps[k] == 1 and block.one_per_site():   # (its own box only)
+                apart[block] = box
+            k += 1
+        if not apart:
+            return self
+        glue = [cell.placement for part in self._parts if type(part) is not Block
+                for cell in part if cell.placement is not None]
+        taken = {block for block, (c0, r0, c1, r1) in apart.items() for col, row in glue
+                 if c0 <= col <= c1 and r0 <= row <= r1 and block.holds(col, row)}
+        return self.without(lambda block: block in apart and block not in taken)
 
     def site_ids(self, device) -> np.ndarray | None:
         """Flat site index (``col * nrows + row``) of every placed cell,

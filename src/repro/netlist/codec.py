@@ -28,7 +28,7 @@ import gc
 import numbers
 import pickle
 import struct
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 
 import numpy as np
 
@@ -98,6 +98,8 @@ _COLUMNS = (
     ("port_row", "<i4"),
     ("port_proto", "u1"),
 )
+
+_DTYPES = [np.dtype(dtype) for _attr, dtype in _COLUMNS]
 
 #: Columns that index the string table -> lowest legal index (-1 = "none").
 _STRING_COLUMNS = {
@@ -210,7 +212,10 @@ def _pack_int(value: int, out: bytearray) -> None:
         out.append(_TAG_INT)
         out += struct.pack("<q", value)
     else:
-        raw = str(value).encode("ascii")
+        try:
+            raw = str(value).encode("ascii")
+        except ValueError:                   # past the interpreter's int-to-str digit limit
+            raise TypeError("int with too many digits is not codec-serializable") from None
         out.append(_TAG_BIGINT)
         out += struct.pack("<I", len(raw))
         out += raw
@@ -332,11 +337,15 @@ class _StringIndex:
     flattened design would produce.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, where) -> None:
+        """*where*: the design's :meth:`~Design.block_row`."""
         self.index: dict[str, int] = {}
         self.taken = 0                       # indices handed out to runs
         self.runs: list[tuple] = []          # (loose strings before it, raw, lens)
         self.held: dict = {}                 # instance -> [block, cell base, net base]
+        self.where = where
+        self.heads: dict[str, list] = {}     # the table's first `seen` strings that hold
+        self.seen = 0                        # a "/", by what precedes the first one
 
     def one(self, s: str) -> int:
         i = self.index.get(s)
@@ -379,39 +388,48 @@ class _StringIndex:
                 pass
         return self.many(names)
 
-    def run(self, block: Block, which: int):
+    def run(self, block: Block, which: int) -> int | list[int]:
         """Indices for *block*'s cell names (*which* 0) or live net names
-        (1): one consecutive run over the packed names — unless one of
-        them is in the table already, and then one by one."""
+        (1): the first of one consecutive run over the packed names —
+        unless one of them is in the table already, and then the index of
+        each, one by one."""
         entry = self.held.setdefault(block.instance, [block, None, None])
         raw, lens, shared = block.packed_names(which)
         row_of = block.net_row if which else block.cell_row
-        prefix = block.prefix
         if (which == 1 and shared and entry[1] is not None) or any(
-                s.startswith(prefix) and row_of(s) is not None for s in self.index):
+                row_of(s) is not None for s in self._under(block.prefix)):
             return self.new(block.net_names() if which else block.cell_names())
         base = entry[1 + which] = len(self.index) + self.taken
-        self.taken += len(lens)
+        self.taken += block.n_nets if which else block.n_cells
         self.runs.append((len(self.index), raw, lens))
-        return np.arange(base, base + len(lens), dtype=np.int32)
+        return base
 
-    def _holder(self, s: str):
-        return self.held.get(s.partition("/")[0]) or self.held.get(None)
+    def _under(self, prefix: str) -> list[str]:
+        """The strings of the table so far under a block's *prefix* —
+        those that could name something of the block."""
+        if prefix.find("/") != len(prefix) - 1:  # none, or more than one level
+            return [s for s in self.index if s.startswith(prefix)]
+        heads = self.heads
+        for s in islice(self.index, self.seen, None):
+            head, slash, _ = s.partition("/")
+            if slash:
+                heads.setdefault(head, []).append(s)
+        self.seen = len(self.index)
+        return heads.get(prefix[:-1], [])
 
     def _held(self, s: str) -> int | None:
-        """Index of *s* inside a run, if that is where it is."""
-        entry = self._holder(s)
-        if entry is None:
+        """Index of *s* inside a run, if that is where it is: the design
+        says which block row it names (only asked for a name under the
+        prefix of a block that took a run)."""
+        head, slash, _ = s.partition("/")
+        if None not in self.held and (not slash or head not in self.held):
             return None
-        block, cell_base, net_base = entry
-        if cell_base is not None:
-            row = block.cell_row(s)
-            if row is not None:
-                return cell_base + row
-        if net_base is not None:
-            row = block.net_row(s)
-            if row is not None:
-                return net_base + block.live_rank(row)
+        for which in (0, 1):
+            found = self.where(s, which)
+            entry = None if found is None else self.held.get(found[0].instance)
+            if entry is not None and entry[1 + which] is not None:
+                block, row = found
+                return entry[1 + which] + (block.live_rank(row) if which else row)
         return None
 
     def table(self):
@@ -421,11 +439,13 @@ class _StringIndex:
         loose = list(self.index)
         if not self.runs:
             return loose
+        raw, loose_lens = _pack_strings(loose)            # packed once, cut at the runs
+        ends = [0, *accumulate(loose_lens.tolist())]
+        raw = memoryview(raw)
         raws, lens, at = [], [], 0
-        for upto, raw, run_lens in [*self.runs, (len(loose), b"", np.zeros(0, "<u4"))]:
-            packed = _pack_strings(loose[at:upto])
-            raws += [packed[0], raw]
-            lens += [packed[1], run_lens]
+        for upto, run_raw, run_lens in [*self.runs, (len(loose), [], [])]:
+            raws += [raw[ends[at]:ends[upto]], *run_raw]
+            lens += [loose_lens[at:upto], *run_lens]
             at = upto
         return raws, lens
 
@@ -452,32 +472,34 @@ def _read_design(design: Design) -> tuple:
                 run.append(net)
         net_parts.append(run)
     ports = list(design.ports.values())
-    strings = _StringIndex()
+    strings = _StringIndex(design.block_row)
     intern, one = strings.many, strings.one
 
     # Strings are interned column by column across the runs, in the order
     # the flattened design's objects would meet them; a placed block's
-    # names take one consecutive run of indices (:meth:`_StringIndex.run`),
-    # its cell types and module tags are its few distinct ones.
+    # names take one consecutive run of indices (:meth:`_StringIndex.run`:
+    # its first), its cell types and module tags are its few distinct ones.
     cn = [strings.run(p, 0) if type(p) is Block else strings.new([c.name for c in p])
           for p in cell_parts]
 
     def block_ctypes(block) -> np.ndarray:
         codes, table = block.kinds()
-        return np.asarray(intern(table), dtype=np.int32)[codes]
+        return np.asarray(intern(table), dtype=np.int32).take(codes)
 
     ct = [block_ctypes(p) if type(p) is Block else intern(c.ctype for c in p)
           for p in cell_parts]
     cm = [p.module_column(one) if type(p) is Block
           else [-1 if c.module is None else one(c.module) for c in p] for p in cell_parts]
     cell_runs = [
-        (names, ctypes, *(p.cell_columns() if type(p) is Block else _cell_columns(p)), modules)
+        (_indices(names, p), ctypes,
+         *(p.cell_columns() if type(p) is Block else _cell_columns(p)), modules)
         for p, names, ctypes, modules in zip(cell_parts, cn, ct, cm)
     ]
 
     # A block's nets name cells of the block: a cell row becomes the
-    # string index its name was interned at.
-    cell_string = {p: np.asarray(ids, dtype=np.int32)
+    # string index its name was interned at (its row plus the first, for
+    # names that took one run).
+    cell_string = {p: ids if type(ids) is int else np.asarray(ids, dtype=np.int32)
                    for p, ids in zip(cell_parts, cn) if type(p) is Block}
     objects = [None if type(p) is Block else [p] if type(p) is _BlockClock else p
                for p in net_parts]
@@ -492,8 +514,8 @@ def _read_design(design: Design) -> tuple:
         ids = []
         for run in clock.runs():
             if type(run) is Block and run in cell_string:
-                rows = run.seq_rows()
-                ids.append(cell_string[run] if rows is None else cell_string[run][rows])
+                rows, cells = run.seq_rows(), _indices(cell_string[run], run)
+                ids.append(cells if rows is None else cells[rows])
             else:
                 names = run.seq_cell_names() if type(run) is Block else run
                 ids.append(np.asarray(strings.known(names), dtype=np.int32))
@@ -505,7 +527,7 @@ def _read_design(design: Design) -> tuple:
     net_runs = []
     for p, names, drivers, sinks in zip(net_parts, nn, nd, sk):
         if type(p) is Block:
-            net_runs.append(([names], *p.net_columns(cell_string[p])))
+            net_runs.append(([_indices(names, p, 1)], *p.net_columns(cell_string[p])))
         else:
             width, clock, locked, nsinks, nroutes, lens, nodes = _net_columns(p)
             net_runs.append(([names], [drivers], [width], [clock], [locked], [nsinks],
@@ -531,6 +553,15 @@ def _read_design(design: Design) -> tuple:
         strings.table(),
         (*cell_columns, *net_columns, [pn], [pd], [pe], [pw], [pt], [pc], [pr], [pp]),
     )
+
+
+def _indices(ids, part, which: int = 0):
+    """The string indices of a run's cell (*which* 0) or net (1) names:
+    *ids* as they are, or — *ids* the first of a block's one run — that
+    run."""
+    if type(ids) is not int:
+        return ids
+    return np.arange(ids, ids + (part.n_nets if which else part.n_cells), dtype=np.int32)
 
 
 def _cell_columns(cells: list) -> tuple[list, ...]:
@@ -573,8 +604,10 @@ def _serialize(name: str, pblock, meta_blob: bytes, strings: tuple, columns) -> 
         struct.pack("<I", len(meta_blob)), meta_blob,
         struct.pack("<I", sum(map(len, lens))), *lens, *raws,
     ]
-    for (_attr, dtype), runs in zip(_COLUMNS, columns):
-        runs = [np.ascontiguousarray(values, dtype=dtype) for values in runs]
+    for dtype, runs in zip(_DTYPES, columns):
+        runs = [values if type(values) is np.ndarray and values.dtype == dtype
+                and values.flags.c_contiguous else np.ascontiguousarray(values, dtype=dtype)
+                for values in runs]
         out += [struct.pack("<Q", sum(run.nbytes for run in runs)), *runs]
     return b"".join(out)
 

@@ -184,6 +184,11 @@ class Design:
         """``cells[name].placement`` (``KeyError`` for an unknown cell)."""
         return self.cells[name].placement
 
+    def block_row(self, name: str, which: int) -> tuple[Block, int] | None:
+        """``(block, row)`` of the cell (*which* 0) or live net (1) called
+        *name* when a placed block holds it (``None``: glue, or absent)."""
+        return None
+
     def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
         """``(driver, sinks, width)`` of the net called *name* — the
         sinks as a fresh list (``KeyError`` for an unknown net)."""
@@ -378,6 +383,9 @@ class Design:
             self._cell_parts.append(block)
             self._net_parts.append(block)
             self._blocks[block.instance] = block
+            self._in_blocks = tuple(             # a name found in none may be the new block's
+                {name: held for name, held in known.items() if held is not None}
+                for known in self._in_blocks)
             del sub._cell_parts, sub._net_parts, sub._blocks
             sub.__class__ = Design
             sub.cells = {}
@@ -488,8 +496,11 @@ class _BlockBacked(Design):
     designs keep the interpreter's fast attribute path.)
 
     State: ``_cell_parts`` and ``_net_parts`` — ordered runs, each a
-    :class:`Block` or a name-keyed dict of glue objects — and ``_blocks``
-    (instance name -> Block, for name lookups); no ``cells`` / ``nets``.
+    :class:`Block` or a name-keyed dict of glue objects — ``_blocks``
+    (instance name -> Block, for name lookups), and per kind (cells,
+    nets) ``_glue`` — the glue run holding each glue name — and
+    ``_in_blocks``, what each other name asked for resolved to
+    (:meth:`_find`); no ``cells`` / ``nets``.
     """
 
     @classmethod
@@ -499,6 +510,8 @@ class _BlockBacked(Design):
         frame._cell_parts = list(blocks)
         frame._net_parts = list(blocks)
         frame._blocks = {block.instance: block for block in blocks}
+        frame._glue = ({}, {})
+        frame._in_blocks = ({}, {})
         frame.__class__ = cls
         return frame
 
@@ -506,6 +519,7 @@ class _BlockBacked(Design):
         if name not in ("cells", "nets"):
             raise AttributeError(f"'Design' object has no attribute {name!r}")
         state = self.__dict__
+        del state["_glue"], state["_in_blocks"]
         built = {block: block.materialize() for block in state.pop("_blocks").values()}
         for part in state["_net_parts"]:
             if type(part) is dict:
@@ -526,23 +540,42 @@ class _BlockBacked(Design):
 
     # -- lookups -------------------------------------------------------------
 
-    def _block_holding(self, name: str, row_of: str) -> tuple[Block, int] | None:
-        """``(block, row)`` of the block cell / live net called *name*."""
+    def _find(self, name: str, which: int) -> dict | tuple[Block, int] | None:
+        """Where the cell (*which* 0) or net (1) called *name* sits: the
+        glue run holding it, ``(block, row)``, or ``None`` (nowhere).
+
+        Resolved once per design.  ``_glue`` knows every glue name: the
+        edit verbs below keep it exact (an add records the run, a removal
+        drops the name).  Any other name is looked up in the blocks once
+        and the answer kept in ``_in_blocks`` — blocks lose no cell and
+        gain no name, so it holds; a "none" until another block is
+        adopted.  Only a block net's liveness is read each time."""
+        run = self._glue[which].get(name)
+        if run is not None:
+            return run
+        known = self._in_blocks[which]
+        try:
+            held = known[name]
+        except KeyError:
+            held = known[name] = self._resolve(name, which)
+        if held is not None and which and not held[0].net_live[held[1]]:
+            return None
+        return held
+
+    def _resolve(self, name: str, which: int) -> tuple[Block, int] | None:
+        """``(block, row)`` of the block cell / net called *name*, live or
+        not (``None``: no block holds one)."""
         for key in (name.partition("/")[0], None):
             block = self._blocks.get(key)
             if block is not None:
-                row = getattr(block, row_of)(name)
+                row = block._row(name, which)
                 if row is not None:
                     return block, row
         return None
 
-    @staticmethod
-    def _glue_run(parts: list, name: str) -> dict:
-        """The glue run of *parts* that holds *name* (an empty dict: none)."""
-        for part in parts:
-            if type(part) is dict and name in part:
-                return part
-        return {}
+    def block_row(self, name: str, which: int) -> tuple[Block, int] | None:
+        held = self._find(name, which)
+        return held if type(held) is tuple else None
 
     @staticmethod
     def _open_run(parts: list) -> dict:
@@ -594,7 +627,8 @@ class _BlockBacked(Design):
         return [n for p in self._net_parts if type(p) is dict for n in p.values()]
 
     def loose_net(self, name: str) -> Net | None:
-        return self._glue_run(self._net_parts, name).get(name)
+        held = self._find(name, 1)
+        return held[name] if type(held) is dict else None
 
     def clock_nets(self) -> list[Net]:
         """(One still inside a block has no object: that flattens.)"""
@@ -603,69 +637,70 @@ class _BlockBacked(Design):
         return [n for n in self.loose_nets() if n.is_clock]
 
     def has_net(self, name: str) -> bool:
-        return (name in self._glue_run(self._net_parts, name)
-                or self._block_holding(name, "net_row") is not None)
+        return self._find(name, 1) is not None
 
     def unknown_cells(self, names) -> set[str]:
-        left = set(names)
-        for part in self._cell_parts:
-            if type(part) is dict:
-                left -= part.keys()
-        return {n for n in left if self._block_holding(n, "cell_row") is None}
+        return {n for n in set(names) if self._find(n, 0) is None}
 
     def seq_clock_net(self, name: str) -> Net:
         """(Held as runs, one per block and glue run: see :class:`_BlockClock`.)"""
         return _BlockClock.over(name, self.cell_parts())
 
     def placement_of(self, name: str) -> tuple[int, int] | None:
-        cell = self._glue_run(self._cell_parts, name).get(name)
-        if cell is not None:
-            return cell.placement
-        held = self._block_holding(name, "cell_row")
+        held = self._find(name, 0)
+        if type(held) is dict:
+            return held[name].placement
         if held is None:
             raise KeyError(name)
         return held[0].placement(held[1])
 
     def net_pins(self, name: str) -> tuple[str | None, list[str], int]:
-        net = self.loose_net(name)
-        if net is not None:
+        held = self._find(name, 1)
+        if type(held) is dict:
+            net = held[name]
             return net.driver, list(net.sinks), net.width
-        held = self._block_holding(name, "net_row")
         if held is None:
             raise KeyError(name)
         return held[0].pins(held[1])
 
     def remove_net(self, name: str) -> None:
-        run = self._glue_run(self._net_parts, name)
-        held = None if run else self._block_holding(name, "net_row")
-        if held is not None:
+        held = self._find(name, 1)
+        if type(held) is tuple:
             held[0].remove_net(held[1])
         else:
-            del run[name]
+            del (held or {})[name]
+            del self._glue[1][name]
 
     def remove_cell(self, name: str) -> None:
         """(A cell inside a block is not removable as such: that flattens.)"""
-        run = self._glue_run(self._cell_parts, name)
-        del (run or self.cells)[name]
+        held = self._find(name, 0)
+        if type(held) is dict:
+            del held[name]
+            del self._glue[0][name]
+        else:
+            del self.cells[name]
 
     def remove_clock_nets(self) -> None:
+        glue = self._glue[1]
         for part in self._net_parts:
             if type(part) is Block:
                 part.remove_clock_nets()
             else:
                 for name in [n.name for n in part.values() if n.is_clock]:
-                    del part[name]
+                    del part[name], glue[name]
 
     def add_cell(self, cell: Cell) -> Cell:
-        if not self.unknown_cells({cell.name}):
+        if self._find(cell.name, 0) is not None:
             raise DesignError(f"duplicate cell {cell.name!r} in design {self.name}")
-        self._open_run(self._cell_parts)[cell.name] = cell
+        run = self._glue[0][cell.name] = self._open_run(self._cell_parts)
+        run[cell.name] = cell
         return cell
 
     def add_net(self, net: Net) -> Net:
-        if self.has_net(net.name):
+        if self._find(net.name, 1) is not None:
             raise DesignError(f"duplicate net {net.name!r} in design {self.name}")
-        self._open_run(self._net_parts)[net.name] = net
+        run = self._glue[1][net.name] = self._open_run(self._net_parts)
+        run[net.name] = net
         return net
 
 

@@ -21,13 +21,18 @@ nothing about them is stored.
 design.Design`: placed component images interleaved with glue objects)
 is compiled as it stands, and never asked for ``cells`` or ``nets``.
 Each :class:`~repro.netlist.block.Block` is *one entry* of the cell
-list and one of the net list, standing for a run of slots and rows: its
-``seq`` / logic / setup columns fill its run of the slot columns, and
-its rows are a **chunk** of their own (:class:`_Chunk`) — the ``src`` /
-``dst`` / fanout arrays the image keeps (:meth:`Block.timing_rows`,
-cell rows of the block) and the routed delays it keeps for this anchor's
-I/O columns and this delay model (:meth:`Block.routed_delays`), never
-copied into the row columns.  Those (``r_*``) hold the *glue* rows only,
+list and one of the net list, standing for a run of slots and rows.
+Its slots are a chunk of the slot columns: the ``seq`` / logic / setup
+arrays the image keeps (:meth:`Block.seq`, :meth:`Block.cell_delays`)
+and, for arrival, the logic column itself while every cell of the block
+is a register (whose arrival is its logic delay for good) — never
+copied into the glue's slot columns, which hold the glue cells only,
+each at its slot ``g_slot``.  Its rows are a **chunk** of their own
+(:class:`_Chunk`) — the ``src`` / ``dst`` / fanout arrays the image
+keeps (:meth:`Block.timing_rows`, cell rows of the block) and the
+routed delays it keeps for this anchor's I/O columns and this delay
+model (:meth:`Block.routed_delays`), never copied into the row columns.
+Those (``r_*``, packed one array per dtype) hold the *glue* rows only,
 each with its place ``g_row`` in row order.  The diff below treats a
 block like any other entry — compared by identity, carried over or
 compiled afresh whole — and runs its per-object comparisons over the
@@ -94,7 +99,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import is_not
 
 import numpy as np
@@ -114,9 +119,13 @@ __all__ = ["TimingGraph"]
 ORACLE = "repro.timing.sta.analyze_reference"
 
 
-#: Slots a compile leaves room for behind the cells it appends: the
-#: registers a pipelining pass inserts then cost no copy of the columns.
+#: Slots and glue rows a compile leaves room for behind the ones it
+#: appends: the registers a pipelining pass inserts and the rows of the
+#: nets it splits then cost no copy of the columns.
 _SLOT_ROOM = 64
+
+#: The slot columns: a block keeps them as ``(seq, logic, setup, arrival)``.
+_SEQ, _LOGIC, _SETUP, _ARRIVAL = range(4)
 
 
 def _flat_routes(nets: list, fanout: list[int]) -> list:
@@ -155,7 +164,7 @@ def _rows_best(rows, delay: np.ndarray, arrival: np.ndarray, setup: np.ndarray,
     over a block's *rows* (ends as cell rows of the block; per cell its
     *arrival*, *setup* and *seq*): first max wins — of the rows tied at
     the maximum, the first one of the earliest sink."""
-    ends = np.flatnonzero(seq[rows.dst])
+    ends = seq[rows.dst].nonzero()[0]
     if not ends.size:
         return -np.inf, -1, -1, -1, 0
     total = arrival[rows.src[ends]] + delay[ends] + setup[rows.dst[ends]]
@@ -230,6 +239,11 @@ class TimingGraph:
         self.memo_hits = 0
         self.memo_misses = 0
         self._clock_terms: tuple[float, float] | None = None
+        # A delay model overriding a per-object method has no columnar
+        # form: a block-backed design is then timed from its objects.
+        self._objects_only = graph is None or delays._overrides(
+            "logic_delay_ps", "setup_ps", "cell_delays_ps", "net_delay_ps", "routed_net_delay_ps")
+        self._net_delay_overridden = delays._overrides("net_delay_ps")
         self._reset()
 
     def _reset(self) -> None:
@@ -238,19 +252,23 @@ class TimingGraph:
         # order; an entry owns one slot, a block one per cell.
         self.cell_objs: list = []                # entries: Cell | Block
         self.cell_names: list = []               # their dict keys / instance names
-        self.cell_index: dict[str, int] = {}     # glue cell name -> slot
+        self.cell_index: dict[str, int] = {}     # glue cell name -> glue position
+        self.n_slots = 0
         self.block_slot: dict = {}               # Block -> its first slot
-        self.block_named: dict = {}              # instance name -> Block
         self.block_firsts: list[int] = []        # the first slots, ascending,
-        self.block_order: list = []              # of these blocks
+        self.block_order: list = []              # of these blocks,
+        self.block_cols: dict = {}               # and each one's slot columns
         self.g_cells: list = []                  # the glue cells, their dict keys ...
         self.g_names: list[str] = []
-        self.g_slot = np.zeros(0, dtype=np.int64)   # ... and their slots
+        self.g_slot = np.zeros(0, dtype=np.int64)   # ... and their slots (with
+        self.glue_pos: dict[int, int] = {}       # blocks, slot -> glue position)
         self.cell_pl: list = []                  # ... and placements as of the last sync
-        self.cell_seq = np.zeros(0, dtype=bool)  # views of the front of _slot_room
-        self.cell_logic = np.zeros(0)
-        self.cell_setup = np.zeros(0)
-        self._slot_room = [np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0), np.zeros(0)]
+        # The glue's slot columns by glue position: ``seq``, and logic /
+        # setup / arrival as one float array — views of the front of
+        # _glue_room.
+        self.g_seq = np.zeros(0, dtype=bool)
+        self.g_time = np.zeros((3, 0))
+        self._glue_room = (self.g_seq, self.g_time)
         # Nets.  One entry per glue data net or placed block, in design
         # order; a block entry owns the rows of all its live data nets.
         self.data_nets: list = []                # entries: Net | Block
@@ -262,30 +280,36 @@ class TimingGraph:
         self.g_nets: list = []                   # the glue nets among the entries ...
         self.g_entry = np.zeros(0, dtype=np.int64)  # ... where they sit ...
         self.net_driver: list = []               # ... their drivers, fanouts, and per
-        self.g_fanout: list[int] = []            # glue row the sink name, the route
+        self.g_fanout: list[int] = []            # glue row the sink name and the route
         self.r_sink: list[str] = []              # object (delay-memo key: identity)
-        self.r_route: list = []                  # and the row it is
-        self.g_row = np.zeros(0, dtype=np.int64)
+        self.r_route: list = []
         self.b_entry: list[int] = []             # the block entries, how many nets
         self.b_live: list[int] = []              # each had when it was compiled,
-        self.chunks: list[_Chunk] = []           # and their rows
-        # Glue rows: one per (glue data net, sink), in row order.
-        self.r_net = np.zeros(0, dtype=np.int64)  # entry index
-        self.r_src = np.zeros(0, dtype=np.int64)  # cell slot, -1 when unknown
-        self.r_dst = np.zeros(0, dtype=np.int64)
-        self.r_fanout = np.zeros(0, dtype=np.int64)
-        self.r_delay = np.zeros(0)
-        self.r_routed = np.zeros(0, dtype=bool)  # timed from its route (else placements)
-        # Arrival + delay + setup of a row that lands on a register (-inf
-        # for one that does not, which a row never stops or starts doing),
-        # as of the last report; ``r_redo`` marks the rows whose terms
-        # have changed since.
-        self.r_total = np.zeros(0)
-        self.r_redo = np.zeros(0, dtype=bool)
+        self.chunks: list[_Chunk] = []           # and their rows, which the last
+        self._bests: tuple | None = None         # report summed up (_chunks_best)
+        # Glue rows: one per (glue data net, sink), in row order, their
+        # columns packed one array per dtype (_rows, with room behind):
+        #   r_src, r_dst    cell slots, -1 when unknown
+        #   r_fanout        sinks of the row's net
+        #   r_net, g_row    entry index; place in row order
+        #   r_delay         the row's net delay
+        #   r_total         arrival + delay + setup of a row that lands on
+        #                   a register (-inf for one that does not, which a
+        #                   row never stops or starts doing), as of the
+        #                   last report
+        #   r_setup         the sink's setup time ...
+        #   r_capture       ... and whether it is a register; whether the
+        #   r_launch_reg    driver is one, and then its arrival for good
+        #   r_launch        (its logic delay): read once per row
+        #   r_routed        timed from its route (else placements)
+        #   r_redo          terms changed since the last report
+        self.n_rows = 0
+        self._rows = (np.zeros((5, 0), dtype=np.int64), np.zeros((4, 0)),
+                      np.zeros((4, 0), dtype=bool))
+        self._row_views()
         self._adj: tuple | None = None
-        # Propagation state: arrival per slot; winning (src slot, net
-        # name) per combinational cell that has one.
-        self.out_time = np.zeros(0)             # (a view, like the slot columns)
+        # Propagation state: arrival per slot (the slot columns); winning
+        # (src slot, net name) per combinational cell that has one.
         self.best_pred: dict[int, tuple[int, str]] = {}
         self.pending_dirty: set[int] = set()     # combinational slots only
 
@@ -295,11 +319,7 @@ class TimingGraph:
         """Fold any design mutations since the last sync into the graph."""
         design = self.design
         structural = False
-        if design.blocks and (
-            self.graph is None
-            or self.delays._overrides("logic_delay_ps", "setup_ps", "cell_delays_ps",
-                                      "net_delay_ps", "routed_net_delay_ps")
-        ):
+        if self._objects_only and design.blocks:
             design.cells  # no columnar form for this model: time the objects
 
         # Cells: appended entries extend the columns, anything else recompiles.
@@ -322,16 +342,14 @@ class TimingGraph:
         if len(cells) > n0:
             self._add_cells(names[n0:], cells[n0:], [k - n0 for k in block_at if k >= n0])
             structural = True
-        stale = np.zeros(len(self.r_src), dtype=bool)  # glue rows to re-time
+        stale = np.zeros(self.n_rows, dtype=bool)  # glue rows to re-time
         placements = [c.placement for c in self.g_cells]
         if placements != self.cell_pl:
-            moved = np.zeros(len(self.cell_seq), dtype=bool)
-            moved[self.g_slot[
-                [i for i, (a, b) in enumerate(zip(placements, self.cell_pl)) if a != b]
-            ]] = True
+            moved = self.g_slot[
+                [i for i, (a, b) in enumerate(zip(placements, self.cell_pl)) if a != b]]
             self.cell_pl = placements
             live = ~self.r_routed & (self.r_src >= 0) & (self.r_dst >= 0)
-            stale |= live & (moved[self.r_src] | moved[self.r_dst])
+            stale |= live & (np.isin(self.r_src, moved) | np.isin(self.r_dst, moved))
 
         # The nets compiled last time: edited in place?  Routes replaced?
         # (A block's rows can only change by losing a net.)
@@ -413,7 +431,7 @@ class TimingGraph:
         # Every row not re-timed here is a memo hit: the glue's, and every
         # row of a chunk carried over (a block's rows are all routed and
         # both their ends known).
-        rows = np.flatnonzero(stale)
+        rows = stale.nonzero()[0]
         n_made = sum(len(chunk.delay) for chunk in made)
         if self.net_missing:
             self.memo_hits += int(np.count_nonzero(
@@ -424,7 +442,7 @@ class TimingGraph:
         self.memo_misses += n_made
         self._time(stale)
         self.r_redo[rows] = True
-        self._mark_dirty(self.r_dst[rows])
+        self._mark_rows_dirty(rows)
         for chunk in made:
             self._mark_sinks_dirty(chunk)
 
@@ -441,84 +459,176 @@ class TimingGraph:
     def _add_cells(self, names: list, entries: list, block_at: list[int]) -> None:
         """Append slots for *entries*: glue cells, and at the positions
         *block_at* whole blocks."""
-        n0 = base = len(self.cell_seq)
+        base = self.n_slots
         self.cell_objs += entries
         self.cell_names += names
         # One delay lookup for the glue cells of the batch; a block's
-        # come with its image.
+        # slot columns are the arrays its image keeps.
         asked: list = []
-        runs: list = []                          # per run: a slice of asked, or (logic, setup)
-        seq_parts = []
         glue_slots = [self.g_slot]
         at = 0
         for k in [*block_at, len(entries)]:
             run = entries[at:k]                  # the glue cells before the next block
             if run:
-                slots = range(base, base + len(run))
-                self.cell_index.update(zip(names[at:k], slots))
+                self.cell_index.update(zip(names[at:k], count(len(self.g_cells))))
                 self.g_cells += run
                 self.g_names += names[at:k]
                 self.cell_pl += [c.placement for c in run]
                 glue_slots.append(np.arange(base, base + len(run)))
-                seq_parts.append(np.array([bool(c.seq) for c in run], dtype=bool))
-                runs.append(slice(len(asked), len(asked) + len(run)))
                 asked += run
                 base += len(run)
             if k < len(entries):
                 block = entries[k]
                 self.block_slot[block] = base
-                self.block_named[block.instance] = block
                 self.block_firsts.append(base)
                 self.block_order.append(block)
-                seq_parts.append(block.seq())
-                runs.append(block.cell_delays(self.delays))
+                seq = block.seq()
+                logic, setup = block.cell_delays(self.delays)
+                # Arrival is seeded with the logic delay, which is a
+                # register's for good: the image's column serves a block
+                # of registers, one with combinational cells gets its own.
+                if block.seq_rows() is None:
+                    self.block_cols[block] = (seq, logic, setup, logic)
+                else:
+                    self.block_cols[block] = (seq, logic, setup, logic.copy())
+                    self.pending_dirty.update((base + (~seq).nonzero()[0]).tolist())
                 base += block.n_cells
             at = k + 1
-        logic, setup = self.delays.cell_delays_ps(asked) if asked else (None, None)
-        logic = [logic[r] if type(r) is slice else r[0] for r in runs]
-        self.g_slot = np.concatenate(glue_slots)
-        # Seed: correct for sequential and zero-fan-in combinational
-        # cells; dirty marking repropagates the rest.
-        self._append_slots(base - n0, seq_parts, logic,
-                           [setup[r] if type(r) is slice else r[1] for r in runs], logic)
-        self.pending_dirty.update((n0 + np.flatnonzero(~self.cell_seq[n0:])).tolist())
+        self.n_slots = base
+        if asked:
+            self.g_slot = np.concatenate(glue_slots)
+            if self.block_order:
+                n0 = len(self.glue_pos)
+                self.glue_pos.update(zip(self.g_slot[n0:].tolist(), count(n0)))
+            seq = np.array([bool(c.seq) for c in asked], dtype=bool)
+            self._append_glue(seq, *self.delays.cell_delays_ps(asked))
+            # Seed: correct for sequential and zero-fan-in combinational
+            # cells; dirty marking repropagates the rest.
+            self.pending_dirty.update(
+                self.g_slot[len(self.g_seq) - len(asked) + (~seq).nonzero()[0]].tolist())
         self._adj = None
 
-    def _append_slots(self, n_new: int, *tails: list) -> None:
-        """Append *n_new* slots to ``cell_seq``, ``cell_logic``,
-        ``cell_setup`` and ``out_time``, from *tails*: per column, the
-        runs of values in order.  Each column is the front of a buffer
-        with room behind it, which grows geometrically — a register
-        appended costs a slot, not the design — and the runs are written
-        into it, not joined first."""
-        n0 = len(self.cell_seq)
-        n = n0 + n_new
-        if n > len(self._slot_room[0]):
-            columns = (self.cell_seq, self.cell_logic, self.cell_setup, self.out_time)
+    def _append_glue(self, seq: np.ndarray, logic: np.ndarray, setup: np.ndarray) -> None:
+        """Append glue slots to ``g_seq`` / ``g_time`` (arrival seeded
+        with the logic delay).  Each is the front of a buffer with room
+        behind it, which grows geometrically — a register appended costs
+        a slot, not the design."""
+        n0 = len(self.g_seq)
+        n = n0 + len(seq)
+        if n > len(self._glue_room[0]):
             room = max(n + _SLOT_ROOM, 2 * n0)
-            self._slot_room = [np.empty(room, dtype=column.dtype) for column in columns]
-            for buf, column in zip(self._slot_room, columns):
-                buf[:n0] = column
-        for buf, runs in zip(self._slot_room, tails):
-            at = n0
-            for run in runs:
-                buf[at:at + len(run)] = run
-                at += len(run)
-        self.cell_seq, self.cell_logic, self.cell_setup, self.out_time = (
-            buf[:n] for buf in self._slot_room)
+            self._glue_room = (np.empty(room, dtype=bool), np.empty((3, room)))
+            self._glue_room[0][:n0] = self.g_seq
+            self._glue_room[1][:, :n0] = self.g_time
+        seq_buf, time_buf = self._glue_room
+        seq_buf[n0:n] = seq
+        time_buf[_LOGIC - 1, n0:n] = logic
+        time_buf[_SETUP - 1, n0:n] = setup
+        time_buf[_ARRIVAL - 1, n0:n] = logic
+        self.g_seq, self.g_time = seq_buf[:n], time_buf[:, :n]
 
-    def _slots(self, names: list) -> np.ndarray:
-        """Slot of each cell name, ``-1`` where the design has no such cell."""
-        slots = np.fromiter(map(self.cell_index.get, names, repeat(-1)), np.int64, len(names))
+    def _glue_column(self, which: int) -> np.ndarray:
+        return self.g_seq if which == _SEQ else self.g_time[which - 1]
+
+    def _arrivals(self, slots: np.ndarray) -> np.ndarray:
+        """Arrival at each of *slots* (real ones): from the glue's column,
+        or from the array of the block holding the slot."""
+        glue = self.g_time[_ARRIVAL - 1]
+        if not self.block_order:                 # every slot is a glue slot
+            return glue[slots]
+        out = np.empty(len(slots))
+        for i, slot in enumerate(slots.tolist()):
+            block, k = self._holder(slot)
+            out[i] = glue[k] if block is None else self.block_cols[block][_ARRIVAL][k]
+        return out
+
+    def _new_rows(self, drivers: list, flat: list, fanout: list) -> tuple:
+        """The packed columns of fresh glue rows (``r_net`` and ``g_row``
+        left for the caller), one per (net, sink) of the nets with
+        *drivers*, sinks *flat* and *fanout*: untimed, to be redone, each
+        end's constant terms read where its name resolves."""
+        n = len(flat)
+        slots, seq, setup, logic = self._ends(drivers + flat)
+        drivers = len(drivers)
+        floats = np.zeros((4, n))
+        floats[1] = -np.inf                      # total
+        floats[2] = setup[drivers:]
+        floats[3] = logic[:drivers].repeat(fanout)
+        bools = np.zeros((4, n), dtype=bool)
+        bools[1] = True                          # redo
+        bools[2] = seq[drivers:]
+        bools[3] = seq[:drivers].repeat(fanout)
+        ints = np.empty((5, n), dtype=np.int64)
+        ints[0] = slots[:drivers].repeat(fanout)
+        ints[1] = slots[drivers:]
+        ints[2] = np.array(fanout, dtype=np.int64).repeat(fanout)
+        return ints, floats, bools
+
+    def _dense(self, which: int) -> np.ndarray:
+        """Slot column *which* over every slot, in slot order: the glue's
+        column itself without blocks (writes land in it), else a copy
+        assembled from the glue's and the blocks' — what the per-slot
+        loops of :meth:`repropagate` and :meth:`_adjacency` index."""
+        glue = self._glue_column(which)
+        if not self.block_order:
+            return glue
+        out = np.empty(self.n_slots, dtype=glue.dtype)
+        out[self.g_slot] = glue
+        for block, first in zip(self.block_order, self.block_firsts):
+            out[first:first + block.n_cells] = self.block_cols[block][which]
+        return out
+
+    def _put_arrivals(self, slots: list[int], values: np.ndarray) -> None:
+        """Store the arrivals *values* of (combinational) *slots* where
+        the slot columns hold them, after :meth:`repropagate` worked on
+        a :meth:`_dense` copy."""
+        for slot, value in zip(slots, values.tolist()):
+            block, k = self._holder(slot)
+            if block is None:
+                self.g_time[_ARRIVAL - 1, k] = value
+            else:
+                self.block_cols[block][_ARRIVAL][k] = value
+
+    def _ends(self, names: list) -> tuple[np.ndarray, ...]:
+        """Slot (``-1`` where the design has no such cell), ``seq``,
+        setup and logic delay of each cell name: a glue cell's from the
+        glue's columns, a block cell's — its name resolved by the design
+        — from the block's (:meth:`_end`, which also takes a split's
+        handful of names one by one)."""
+        if 0 < len(names) <= 8:
+            slots, seq, setup, logic = zip(*map(self._end, names))
+            return (np.array(slots, dtype=np.int64), np.array(seq, dtype=bool),
+                    np.array(setup, dtype=np.float64), np.array(logic, dtype=np.float64))
+        at = np.fromiter(map(self.cell_index.get, names, repeat(-1)), np.int64, len(names))
+        glue = at >= 0
+        if glue.all():                           # (every name a glue cell's: a flat design)
+            return (self.g_slot[at], self.g_seq[at], self.g_time[_SETUP - 1, at],
+                    self.g_time[_LOGIC - 1, at])
+        k = at[glue]
+        slots = np.full(len(names), -1, dtype=np.int64)
+        slots[glue] = self.g_slot[k]
+        seq = np.zeros(len(names), dtype=bool)
+        seq[glue] = self.g_seq[k]
+        setup, logic = np.zeros((2, len(names)))
+        setup[glue] = self.g_time[_SETUP - 1][k]
+        logic[glue] = self.g_time[_LOGIC - 1][k]
         if self.block_slot:
-            blocks = self.block_named
-            for i in np.flatnonzero(slots < 0).tolist():
-                for block in (blocks.get(names[i].partition("/")[0]), blocks.get(None)):
-                    row = block.cell_row(names[i]) if block is not None else None
-                    if row is not None:
-                        slots[i] = self.block_slot[block] + row
-                        break
-        return slots
+            for i in (~glue).nonzero()[0].tolist():
+                slots[i], seq[i], setup[i], logic[i] = self._end(names[i])
+        return slots, seq, setup, logic
+
+    def _end(self, name: str) -> tuple:
+        """:meth:`_ends` of one name."""
+        k = self.cell_index.get(name)
+        if k is not None:
+            return (self.g_slot[k], self.g_seq[k], self.g_time[_SETUP - 1, k],
+                    self.g_time[_LOGIC - 1, k])
+        found = self.design.block_row(name, 0) if self.block_slot else None
+        if found is None or found[0] not in self.block_slot:
+            return -1, False, 0.0, 0.0
+        block, row = found
+        seq, logic, setup, _arrival = self.block_cols[block]
+        return self.block_slot[block] + row, seq[row], setup[row], logic[row]
 
     def _assemble(
         self, data: list, pieces: list, fresh: list, stale: np.ndarray, routes: list
@@ -540,10 +650,8 @@ class TimingGraph:
         sinks = [net.sinks for net in nets]
         fanout = list(map(len, sinks))
         flat = list(chain.from_iterable(sinks))
-        slots = self._slots(drivers + flat)
-        src = np.repeat(slots[:len(drivers)], fanout)
-        dst = slots[len(drivers):]
-        rows_fanout = np.repeat(np.array(fanout, dtype=np.int64), fanout)
+        fresh_rows = self._new_rows(drivers, flat, fanout)
+        src, dst = fresh_rows[0][:2]
         made = {}
         counts = fanout
         if len(nets) < len(fresh):               # ... and a chunk for each block among them
@@ -558,13 +666,12 @@ class TimingGraph:
         carried = np.zeros(len(self.data_nets), dtype=bool)
         for a, b, _ in pieces:
             carried[a:b] = True
-        gone_entries = np.flatnonzero(~carried).tolist()
+        gone_entries = (~carried).nonzero()[0].tolist()
         if all(k == 0 for _, _, k in pieces) and all(
                 type(self.data_nets[j]) is not Block for j in gone_entries):
             return self._retire_and_append(
                 [j for j in gone_entries if type(self.data_nets[j]) is not _Retired],
-                fresh, nets, drivers, fanout, flat, src, dst, rows_fanout, made, counts,
-                stale, routes)
+                fresh, nets, drivers, fanout, flat, fresh_rows, made, counts, stale, routes)
 
         # Three ways to count along the old and the new entry lists: by
         # entry, by glue net, by glue row (without blocks: by entry, by row).
@@ -601,7 +708,7 @@ class TimingGraph:
         gone = np.ones(len(stale), dtype=bool)
         for a, b, _ in pieces:
             gone[old_at[BY_GLUE_ROW][a]:old_at[BY_GLUE_ROW][b]] = False
-        self._mark_dirty(self.r_dst[gone])
+        self._mark_rows_dirty(gone)
         old_chunks = {}
         for j, chunk in zip(self.b_entry, self.chunks):
             old_chunks[chunk.block] = chunk
@@ -609,13 +716,15 @@ class TimingGraph:
                 self._mark_sinks_dirty(chunk)
         n_rows = new_at[BY_GLUE_ROW][-1]
         retime = joined(stale, np.ones(n_rows, dtype=bool), BY_GLUE_ROW)
-        self.r_delay = joined(self.r_delay, np.zeros(n_rows), BY_GLUE_ROW)
-        self.r_routed = joined(self.r_routed, np.zeros(n_rows, dtype=bool), BY_GLUE_ROW)
-        self.r_total = joined(self.r_total, np.full(n_rows, -np.inf), BY_GLUE_ROW)
-        self.r_redo = joined(self.r_redo, np.ones(n_rows, dtype=bool), BY_GLUE_ROW)
-        self.r_src = joined(self.r_src, src, BY_GLUE_ROW)
-        self.r_dst = joined(self.r_dst, dst, BY_GLUE_ROW)
-        self.r_fanout = joined(self.r_fanout, rows_fanout, BY_GLUE_ROW)
+        ints, floats, bools = self._rows
+        n = self.n_rows
+        ints, floats, bools = (
+            np.concatenate([p.T for p in splice(old.T, new.T, BY_GLUE_ROW)], axis=1)
+            for old, new in zip((ints[:3, :n], floats[:, :n], bools[:, :n]),
+                                (fresh_rows[0][:3], *fresh_rows[1:])))
+        self._rows = (np.concatenate((ints, np.empty_like(ints[:2]))), floats, bools)
+        self.n_rows = ints.shape[1]
+        self._row_views()
         self.r_sink = list(chain.from_iterable(splice(self.r_sink, flat, BY_GLUE_ROW)))
         self.r_route = list(chain.from_iterable(
             splice(routes, _flat_routes(nets, fanout), BY_GLUE_ROW)))
@@ -628,23 +737,24 @@ class TimingGraph:
         self.net_off = np.concatenate(([0], np.cumsum(width)))
         if self.b_entry or made:
             is_glue = np.fromiter((type(e) is not Block for e in data), bool, len(data))
-            self.g_entry = np.flatnonzero(is_glue)
+            self.g_entry = is_glue.nonzero()[0]
             self.g_nets = [data[j] for j in self.g_entry.tolist()]
             glue_width = width[self.g_entry]
-            self.r_net = np.repeat(self.g_entry, glue_width)
+            self.r_net[:] = np.repeat(self.g_entry, glue_width)
             # each glue row's place in row order: its net's first row, plus
             # how far into the net it is
             into = np.arange(len(self.r_net)) - np.repeat(
                 np.cumsum(glue_width) - glue_width, glue_width)
-            self.g_row = self.net_off[self.r_net] + into
-            self.b_entry = np.flatnonzero(~is_glue).tolist()
+            self.g_row[:] = self.net_off[self.r_net] + into
+            self.b_entry = (~is_glue).nonzero()[0].tolist()
             self.b_live = [data[j].n_nets for j in self.b_entry]
             self.chunks = [made[data[j]] if data[j] in made else old_chunks[data[j]]
                            for j in self.b_entry]
+            self._bests = None
         else:
             self.g_entry, self.g_nets = np.arange(len(data)), list(data)
-            self.r_net = np.repeat(np.arange(len(data)), width)
-            self.g_row = np.arange(len(self.r_net))
+            self.r_net[:] = np.repeat(np.arange(len(data)), width)
+            self.g_row[:] = np.arange(len(self.r_net))
         # Nets with missing endpoints sit outside the memo (their error
         # status depends on routes and the cell set); recompile them
         # every sync so it never goes stale.  Valid designs have none —
@@ -659,8 +769,8 @@ class TimingGraph:
 
     def _retire_and_append(
         self, gone: list[int], fresh: list, nets: list, drivers: list, fanout: list,
-        flat: list, src: np.ndarray, dst: np.ndarray, rows_fanout: np.ndarray, made: dict,
-        counts: list, stale: np.ndarray, routes: list,
+        flat: list, fresh_rows: tuple, made: dict, counts: list, stale: np.ndarray,
+        routes: list,
     ) -> tuple[np.ndarray, list[_Chunk]]:
         """:meth:`_assemble` where no compiled entry moves: the glue nets
         *gone* (entries) retire — their sinks lose an input, their rows
@@ -668,13 +778,15 @@ class TimingGraph:
         by the caller, go after every compiled one.  Costs what was taken
         out and added, not the rows carried."""
         self.r_route = routes
+        ints, floats, bools = self._rows
         for j in gone:                           # a glue net's rows are a run
-            a, b = np.searchsorted(self.r_net, (j, j + 1)).tolist()
-            q = int(np.searchsorted(self.g_entry, j))
-            self._mark_dirty(self.r_dst[a:b])
-            for column, value in ((self.r_src, -1), (self.r_dst, -1), (self.r_total, -np.inf),
-                                  (self.r_redo, False), (self.r_routed, False), (stale, False)):
-                column[a:b] = value
+            a, b = self.r_net.searchsorted((j, j + 1)).tolist()
+            q = int(self.g_entry.searchsorted(j))
+            self._mark_rows_dirty(slice(a, b))
+            ints[:2, a:b] = -1                   # src, dst
+            floats[1, a:b] = -np.inf             # total
+            bools[:2, a:b] = False               # routed, redo
+            stale[a:b] = False
             retired = _Retired(b - a)
             self.data_nets[j] = self.g_nets[q] = retired
             self.net_driver[q] = None
@@ -690,13 +802,14 @@ class TimingGraph:
         n_old = len(self.data_nets)
         self.data_nets += fresh
         self.net_fanout += counts
-        self.net_off = _then(self.net_off, self.net_off[-1] + np.cumsum(counts))
+        self.net_off = _then(self.net_off, self.net_off[-1] + np.array(counts).cumsum())
         entries = np.arange(n_old, n_old + len(fresh))
         if made:
             is_glue = np.fromiter((type(e) is not Block for e in fresh), bool, len(fresh))
             self.b_entry += entries[~is_glue].tolist()
             self.b_live += [e.n_nets for e in fresh if type(e) is Block]
             self.chunks += [made[e] for e in fresh if type(e) is Block]
+            self._bests = None
             entries = entries[is_glue]
         self.g_entry = _then(self.g_entry, entries)
         self.g_nets += nets
@@ -704,30 +817,44 @@ class TimingGraph:
         self.g_fanout += fanout
         self.r_sink += flat
         self.r_route += _flat_routes(nets, fanout)
-        r_net = np.repeat(entries, fanout)
+        r_net = entries.repeat(fanout)
         width = np.array(fanout, dtype=np.int64)
-        into = np.arange(len(r_net)) - np.repeat(np.cumsum(width) - width, width)
+        into = np.arange(len(r_net)) - (width.cumsum() - width).repeat(width)
         n_rows = len(r_net)
-        self.r_net = _then(self.r_net, r_net)
-        self.g_row = _then(self.g_row, self.net_off[r_net] + into)
-        self.r_src = _then(self.r_src, src)
-        self.r_dst = _then(self.r_dst, dst)
-        self.r_fanout = _then(self.r_fanout, rows_fanout)
-        self.r_delay = _then(self.r_delay, np.zeros(n_rows))
-        self.r_routed = _then(self.r_routed, np.zeros(n_rows, dtype=bool))
-        self.r_total = _then(self.r_total, np.full(n_rows, -np.inf))
-        self.r_redo = _then(self.r_redo, np.ones(n_rows, dtype=bool))
+        n0, n = self.n_rows, self.n_rows + n_rows
+        if not n0:                               # the first compile: the fresh rows
+            self._rows = fresh_rows              # themselves, room comes with an append
+        elif n > self._rows[0].shape[1]:
+            room = max(n + _SLOT_ROOM, 2 * n0)
+            self._rows = tuple(np.concatenate((packed[:, :n0], np.empty(
+                (len(packed), room - n0), dtype=packed.dtype)), axis=1) for packed in self._rows)
+        ints, floats, bools = self._rows
+        if n0:
+            ints[:3, n0:n], floats[:, n0:n], bools[:, n0:n] = (
+                fresh_rows[0][:3], fresh_rows[1], fresh_rows[2])
+        ints[3:, n0:n] = (r_net, self.net_off[r_net] + into)
+        self.n_rows = n
+        self._row_views()
+        src, dst = fresh_rows[0][:2]
         missing = (src < 0) | (dst < 0)
         if missing.any():
             self.net_missing.update(r_net[missing].tolist())
         self._adj = None
         return _then(stale, np.ones(n_rows, dtype=bool)), list(made.values())
 
+    def _row_views(self) -> None:
+        """Name the glue-row columns: views of the packed arrays' fronts."""
+        n = self.n_rows
+        ints, floats, bools = self._rows
+        self.r_src, self.r_dst, self.r_fanout, self.r_net, self.g_row = ints[:, :n]
+        self.r_delay, self.r_total, self.r_setup, self.r_launch = floats[:, :n]
+        self.r_routed, self.r_redo, self.r_capture, self.r_launch_reg = bools[:, :n]
+
     def _time(self, stale: np.ndarray) -> None:
         """(Re)compute the delay of the glue rows marked in *stale*: the
         routed ones from a single batched path measurement, the rest from
         the placement estimate.  (A chunk's delays come with it.)"""
-        rows = np.flatnonzero(stale)
+        rows = stale.nonzero()[0]
         if not rows.size:
             return
         picked = [self.r_route[i] for i in rows.tolist()]
@@ -748,7 +875,7 @@ class TimingGraph:
         cold = rows[live & ~routed]
         if not cold.size:
             return
-        if self.delays._overrides("net_delay_ps"):
+        if self._net_delay_overridden:
             off = self.net_off
             for i, j in zip(cold.tolist(), self.r_net[cold].tolist()):
                 self.r_delay[i] = self.delays.net_delay_ps(
@@ -768,12 +895,11 @@ class TimingGraph:
         """``(block, its row)`` of a block's slot; ``(None, k)`` of the
         *k*-th glue cell's."""
         if self.block_slot:
-            k = int(np.searchsorted(self.g_slot, slot))
-            if k == len(self.g_slot) or self.g_slot[k] != slot:
-                b = bisect_right(self.block_firsts, slot) - 1
-                if b >= 0 and slot < self.block_firsts[b] + self.block_order[b].n_cells:
-                    return self.block_order[b], slot - self.block_firsts[b]
-            return None, k
+            k = self.glue_pos.get(slot)
+            if k is not None:
+                return None, k
+            b = bisect_right(self.block_firsts, slot) - 1
+            return self.block_order[b], slot - self.block_firsts[b]
         return None, slot
 
     def _cell(self, slot: int) -> tuple:
@@ -801,16 +927,20 @@ class TimingGraph:
             return entry.name
         return entry.net_names([entry.timing_rows().net[row - int(self.net_off[j])]])[0]
 
-    def _mark_dirty(self, slots: np.ndarray) -> None:
-        """Queue the combinational cells among *slots* for repropagation."""
-        slots = slots[slots >= 0]
-        self.pending_dirty.update(slots[~self.cell_seq[slots]].tolist())
+    def _mark_rows_dirty(self, rows) -> None:
+        """Queue the combinational sinks of glue *rows* (an index array,
+        a mask or a slice) for repropagation."""
+        dst = self.r_dst[rows]
+        self.pending_dirty.update(dst[(dst >= 0) & ~self.r_capture[rows]].tolist())
 
     def _mark_sinks_dirty(self, chunk: _Chunk) -> None:
-        """:meth:`_mark_dirty` of every sink of *chunk*'s rows (of which
-        there is none to queue where every cell is sequential)."""
-        if chunk.block.seq_rows() is not None:
-            self._mark_dirty(chunk.rows.dst + self.block_slot[chunk.block])
+        """Queue the combinational sinks of *chunk*'s rows (of which
+        there is none where every cell is sequential)."""
+        block = chunk.block
+        if block.seq_rows() is not None:
+            dst = chunk.rows.dst
+            self.pending_dirty.update(
+                (dst[~self.block_cols[block][_SEQ][dst]] + self.block_slot[block]).tolist())
 
     # -- propagation ---------------------------------------------------------
 
@@ -840,35 +970,37 @@ class TimingGraph:
         for j, chunk in zip(self.b_entry, self.chunks):
             if j in entries:
                 chunk.best = None
+                self._bests = None
 
     def _adjacency(self) -> tuple:
         """CSR fan-in (by ``(dst, row)``) and fan-out over the live rows."""
         if self._adj is None:
             src = self._in_row_order(self.r_src, lambda c, base: c.rows.src + base)
             dst = self._in_row_order(self.r_dst, lambda c, base: c.rows.dst + base)
-            live = np.flatnonzero((src >= 0) & (dst >= 0))
-            slots = np.arange(len(self.cell_seq) + 1)
+            live = ((src >= 0) & (dst >= 0)).nonzero()[0]
+            slots = np.arange(self.n_slots + 1)
             by_dst = live[np.argsort(dst[live], kind="stable")]
             by_src = live[np.argsort(src[live], kind="stable")]
             self._adj = (
                 by_dst.tolist(), np.searchsorted(dst[by_dst], slots).tolist(),
                 by_src.tolist(), np.searchsorted(src[by_src], slots).tolist(),
-                src.tolist(), dst.tolist(), self.cell_seq.tolist(),
+                src.tolist(), dst.tolist(), self._dense(_SEQ).tolist(),
             )
         return self._adj
 
     def repropagate(self) -> int:
         """Recompute arrivals through the dirty cone; return cells visited."""
         src, dst = self.r_src, self.r_dst
-        orphan = np.flatnonzero((src < 0) & (dst >= 0))
-        if orphan.size:
+        # (a row with an absent end belongs to a net of net_missing)
+        orphan = ((src < 0) & (dst >= 0)).nonzero()[0] if self.net_missing else ()
+        if len(orphan):
             # Mirror the reference for unknown drivers: the estimate path
             # KeyErrors on the driver lookup, and a combinational sink
             # KeyErrors at the comb-edge build — but a *routed* edge into
             # a sequential sink is silently excluded from the endpoint
             # scan.  Raised here, not in sync, so pure topology queries
             # (combinational_loops) still work.
-            bad = orphan[~(self.r_routed[orphan] & self.cell_seq[dst[orphan]])]
+            bad = orphan[~(self.r_routed[orphan] & self.r_capture[orphan])]
             if bad.size:
                 raise KeyError(self.data_nets[self.r_net[bad[0]]].driver)
         seeds = self.pending_dirty
@@ -891,9 +1023,10 @@ class TimingGraph:
         }
         queue: deque[int] = deque(c for c in cone if indeg[c] == 0)
         needs = set(seeds)
-        out = self.out_time
+        out = self._dense(_ARRIVAL)              # (written back below, with blocks)
+        written: list[int] = []
         best = self.best_pred
-        logic = self.cell_logic
+        logic = self._dense(_LOGIC)
         delay = self._in_row_order(self.r_delay, lambda c, base: c.delay)
         moved: list[int] = []                    # rows leaving a cell whose arrival changed
         processed = 0
@@ -915,6 +1048,7 @@ class TimingGraph:
                 new = worst + logic[c]
                 if new != out[c] or pred != best.get(c):
                     out[c] = new
+                    written.append(c)
                     if pred is None:
                         best.pop(c, None)
                     else:
@@ -929,6 +1063,8 @@ class TimingGraph:
                         needs.add(d)
                     if indeg[d] == 0:
                         queue.append(d)
+        if self.block_order and written:
+            self._put_arrivals(written, out[written])
         self._redo(moved)
         if processed < len(cone):
             self._raise_loop([self._cell_name(c) for c in cone if indeg[c] > 0])
@@ -961,53 +1097,65 @@ class TimingGraph:
                     block.timing_rows(), block.routed_delays(self.graph, self.delays),
                     *block.cell_delays(self.delays), block.seq()), self.delays)
             else:
-                at = slice(self.block_slot[block], self.block_slot[block] + block.n_cells)
-                chunk.best = _rows_best(chunk.rows, chunk.delay, self.out_time[at],
-                                        self.cell_setup[at], self.cell_seq[at])
+                seq, _logic, setup, arrival = self.block_cols[block]
+                chunk.best = _rows_best(chunk.rows, chunk.delay, arrival, setup, seq)
         return chunk.best
 
     def report(self) -> TimingReport:
         """Endpoint scan + path reconstruction, reference iteration order."""
         name = self._cell_name
-        out = self.out_time
         src, dst = self.r_src, self.r_dst
         # Totals are kept per row and recomputed only where a term moved
         # since the last report (a re-timed or fresh row, a new arrival
         # at its driver): the scan below is over stored floats — the glue
         # rows', and one best row per chunk.
-        redo = np.flatnonzero(self.r_redo)
+        redo = self.r_redo.nonzero()[0]
         if redo.size:
             live = redo[(src[redo] >= 0) & (dst[redo] >= 0)]
-            ends = live[self.cell_seq[dst[live]]]  # rows landing on a register
-            self.r_total[ends] = out[src[ends]] + self.r_delay[ends] + self.cell_setup[dst[ends]]
+            ends = live[self.r_capture[live]]    # rows landing on a register
+            launch = self.r_launch[ends]
+            moves = ~self.r_launch_reg[ends]     # (a combinational driver's arrival moves)
+            if moves.any():
+                launch[moves] = self._arrivals(src[ends[moves]])
+            self.r_total[ends] = launch + self.r_delay[ends] + self.r_setup[ends]
             self.r_redo.fill(False)
         total = self.r_total
         overhead, insertion = clock_terms(self.design, self.delays)
-        bests = [(self._chunk_best(chunk), int(self.net_off[j]), self.block_slot[chunk.block])
-                 for j, chunk in zip(self.b_entry, self.chunks)]
-        worst = max([float(total.max()) if total.size else -np.inf,
-                     *(best[0] for best, _, _ in bests)])
+        chunk_worst, chunk_candidates, chunk_paths = self._chunks_best()
+        worst = max(float(total.max()) if total.size else -np.inf, chunk_worst)
         if not worst > 0.0:
-            worst = float(out.max()) if out.size else 0.0
+            worst = float(self._dense(_ARRIVAL).max()) if self.n_slots else 0.0
             return TimingReport(self.design.name, worst, overhead, [], 0, insertion)
         # First max wins, scanning sinks in cell order and each sink's
         # fan-in in row order: of the rows tied at the maximum, take the
         # first one of the earliest sink — among the glue rows (ascending
         # already) and each chunk's own such row.
-        candidates = [(base + best[1], first + best[2], base + best[3])
-                      for best, first, base in bests if best[0] == worst]
-        tied = np.flatnonzero(total == worst)
+        candidates = list(chunk_candidates) if chunk_worst == worst else []
+        tied = (total == worst).nonzero()[0]
         if tied.size:
             k = int(tied[np.argmin(dst[tied])])
             candidates.append((int(dst[k]), int(self.g_row[k]), int(src[k])))
         sink, row, cursor = min(candidates)
         path: list[tuple[str, str | None]] = [(name(sink), self._net_name(row))]
         guard = 0
-        while cursor >= 0 and guard < len(out) + 1:
+        while cursor >= 0 and guard < self.n_slots + 1:
             pred = self.best_pred.get(cursor)
             path.append((name(cursor), pred[1] if pred else None))
             cursor = pred[0] if pred else -1
             guard += 1
         path.reverse()
-        n_paths = int(np.count_nonzero(total > -np.inf)) + sum(best[4] for best, _, _ in bests)
+        n_paths = int(np.count_nonzero(total > -np.inf)) + chunk_paths
         return TimingReport(self.design.name, worst, overhead, path, n_paths, insertion)
+
+    def _chunks_best(self) -> tuple:
+        """``(worst total, its (sink slot, row, driver slot) per chunk
+        reaching it, rows landing on a register)`` over every chunk —
+        made again only after a chunk came, went or had an arrival move."""
+        if self._bests is None:
+            bests = [(self._chunk_best(chunk), first, self.block_slot[chunk.block])
+                     for first, chunk in zip(self.net_off[self.b_entry].tolist(), self.chunks)]
+            worst = max((best[0] for best, _, _ in bests), default=-np.inf)
+            self._bests = (worst, [(base + best[1], first + best[2], base + best[3])
+                                   for best, first, base in bests if best[0] == worst],
+                           sum(best[4] for best, _, _ in bests))
+        return self._bests

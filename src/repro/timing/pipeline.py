@@ -36,13 +36,18 @@ class PipelineResult:
 
 
 class _SiteGrid:
-    """Occupied sites as an ``(ncols, nrows)`` mask that answers ``in``
-    like the set of ``(col, row)`` tuples it stands for — filled from
-    placement columns, with no tuple per placed cell."""
+    """Occupied sites, answering ``in`` like the set of ``(col, row)``
+    tuples it stands for: the glue cells as an ``(ncols, nrows)`` mask
+    filled from their placement columns, and each placed block asked,
+    for a site inside its box, through its image's sorted sites — no
+    tuple per placed cell, and no block cell put on the grid."""
 
     def __init__(self, device: Device, cells) -> None:
         """*cells*: a :class:`~repro.netlist.block.CellTable`."""
         self.mask = np.zeros((device.ncols, device.nrows), dtype=bool)
+        self.boxes = [(*box, block) for block in cells.blocks()
+                      if (box := block.box()) is not None]
+        cells = cells.without(lambda _block: True)
         ids = cells.site_ids(device)          # None: a cell is off the grid
         if ids is not None:
             self.mask.ravel()[ids] = True
@@ -52,7 +57,11 @@ class _SiteGrid:
         self.mask[col[ok], row[ok]] = True   # off-grid cells block no site
 
     def __contains__(self, site: tuple[int, int]) -> bool:
-        return bool(self.mask[site])
+        if self.mask[site]:
+            return True
+        col, row = site
+        return any(c0 <= col <= c1 and r0 <= row <= r1 and block.holds(col, row)
+                   for c0, r0, c1, r1, block in self.boxes)
 
 
 def _free_site_near(

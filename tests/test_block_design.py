@@ -30,6 +30,7 @@ import functools
 import pickle
 import random
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -461,7 +462,11 @@ def _sealed_component(name: str, n: int, rng, *, bad_every: int) -> DesignImage:
 def test_vectorised_fatal_rules_equal_their_loops(seed):
     """Violations several per rule, interleaved, inside blocks and in the
     glue between them; the same findings in the same order whether the
-    design is block-backed or flat."""
+    design is block-backed or flat.  Besides: blocks with no fault of
+    their own, which PLC-002 may clear whole — one whose box no other
+    block's overlaps (a glue cell taking one of its sites, or not) and a
+    pair whose boxes overlap and share sites — and a glue cell off the
+    grid."""
     rng = np.random.default_rng(seed)
     top = Design("top", pblock=PBlock(0, 0, DEVICE.ncols - 1, 30) if seed % 2 else None)
     clb = [int(c) for c in DEVICE.columns_of(TILE_FOR_CELL["SLICE"])]
@@ -482,8 +487,15 @@ def test_vectorised_fatal_rules_equal_their_loops(seed):
             top.add_port(Port(f"in{k}", "in", ports["in_data"]))
         else:
             top.remove_net(ports["in_data"])
+    for name, drow in (("lone", 150), ("pair0", 200), ("pair1", 200 + int(rng.integers(1, 4)))):
+        image = _sealed_component(name, int(rng.integers(8, 24)), rng, bad_every=10 ** 6)
+        top.adopt(Design.pending(image.frame(instance=name),
+                                 Block(image, 0, drow, DEVICE.nrows, name)))
+    if seed % 3:
+        top.new_cell("on_lone", "SLICE", placement=top.placement_of(f"lone/c{seed % 8}"))
+    top.new_cell("off_grid", "SLICE", placement=(DEVICE.ncols + 2, 5))
     top.ports["lost"] = Port("lost", "out", "no_such_net")
-    assert len(top.blocks) >= 1
+    assert len(top.blocks) >= 4
 
     got = _vectorised(top, DEVICE)
     assert top.blocks, "the rules flattened the design"
@@ -493,6 +505,109 @@ def test_vectorised_fatal_rules_equal_their_loops(seed):
     assert _vectorised(top, DEVICE) == want       # the same form serves the flat design
     assert all(want[rule] for rule in FATAL if rule != "PLC-004")
     assert bool(want["PLC-004"]) == (top.pblock is not None)
+
+
+def _scanned(design, name: str, which: int):
+    """Where the cell (*which* 0) or live net (1) called *name* sits, by
+    a walk over the design's runs: the glue run, ``(block, row)``, or
+    ``None``."""
+    for part in design.cell_parts() if which == 0 else design.net_parts():
+        if type(part) is dict:
+            if name in part:
+                return part
+        else:
+            row = part.cell_row(name) if which == 0 else part.net_row(name)
+            if row is not None:
+                return part, row
+    return None
+
+
+def _answers_equal_the_scan(top, names) -> None:
+    for name in names:
+        held = _scanned(top, name, 0)
+        assert top.unknown_cells([name]) == (set() if held else {name})
+        assert top.block_row(name, 0) == (held if type(held) is tuple else None)
+        if held is None:
+            with pytest.raises(KeyError):
+                top.placement_of(name)
+        else:
+            assert top.placement_of(name) == (
+                held[name].placement if type(held) is dict else held[0].placement(held[1]))
+        held = _scanned(top, name, 1)
+        assert top.has_net(name) == (held is not None)
+        assert top.block_row(name, 1) == (held if type(held) is tuple else None)
+        assert top.loose_net(name) is (held[name] if type(held) is dict else None)
+        if held is None:
+            with pytest.raises(KeyError):
+                top.net_pins(name)
+        else:
+            net = held[name] if type(held) is dict else None
+            assert top.net_pins(name) == (
+                (net.driver, list(net.sinks), net.width) if net else held[0].pins(held[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_name_answers_equal_a_scan_through_edits(data):
+    """After any sequence of glue adds and removals, block-net removals,
+    clock-net removal and adopts, every name answer of a block-backed
+    design (``unknown_cells``, ``placement_of``, ``has_net``,
+    ``loose_net``, ``net_pins``, ``block_row``) is what a walk over its
+    runs finds — names of glue, of block cells and nets, of blocks not
+    adopted yet, of nothing — and a name asked again is not looked up in
+    the blocks again."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    images = [_sealed_component(f"comp{k}", int(rng.integers(4, 10)), rng, bad_every=10 ** 6)
+              for k in range(3)]
+    top = Design("top")
+    adopted: list[int] = []
+
+    def adopt(k: int) -> None:
+        top.adopt(Design.pending(images[k].frame(instance=f"u{k}"),
+                                 Block(images[k], 0, 40 * k, DEVICE.nrows, f"u{k}")))
+        adopted.append(k)
+
+    adopt(0)
+    glue = [f"g{i}" for i in range(4)] + ["u0/c1", "u1/n0", "u2/c0"]
+    names = glue + [f"u{k}/{kind}{i}" for k in range(3) for kind in "cn" for i in range(4)] + [
+        "u0/in_net", "u0/clk_net", "nowhere"]
+    _answers_equal_the_scan(top, names)
+    for op in data.draw(st.lists(st.sampled_from(
+            ["cell", "net", "drop net", "drop cell", "clock", "adopt"]), max_size=20)):
+        name = data.draw(st.sampled_from(glue + names))
+        if op == "cell":
+            taken = _scanned(top, name, 0) is not None
+            try:
+                top.new_cell(name, "SLICE", placement=(int(rng.integers(0, 9)), 0))
+                assert not taken
+            except DesignError:
+                assert taken
+        elif op == "net":
+            taken = _scanned(top, name, 1) is not None
+            try:
+                top.connect(name, None, [])
+                assert not taken
+            except DesignError:
+                assert taken
+        elif op == "drop net" and _scanned(top, name, 1) is not None:
+            top.remove_net(name)
+        elif op == "drop cell" and type(_scanned(top, name, 0)) is dict:
+            top.remove_cell(name)
+        elif op == "clock":
+            top.remove_clock_nets()
+        elif op == "adopt" and len(adopted) < 3:
+            k = len(adopted)                     # (a glue name under its prefix flattens)
+            if not any(type(_scanned(top, n, w)) is dict
+                       for n in glue + names if n.startswith(f"u{k}/") for w in (0, 1)):
+                adopt(k)
+        assert top.blocks
+        _answers_equal_the_scan(top, names)
+    asked: list = []
+    row = Block._row
+    with mock.patch.object(Block, "_row", lambda self, *a: asked.append(a) or row(self, *a)):
+        for name in names:
+            top.unknown_cells([name]), top.has_net(name), top.block_row(name, 0)
+    assert not asked
 
 
 def test_validate_raises_the_same_error_either_way():
@@ -657,8 +772,8 @@ def test_two_instances_of_one_image_get_their_own_name_tables():
     assert sorted(tables) == sorted(f"{c.name}/" for c in comps)
     for block in top.blocks:
         raw, lens, _shared = block.packed_names(0)
-        assert raw.decode() == "".join(block.cell_names())
-        assert lens.tolist() == [len(name) for name in block.cell_names()]
+        assert b"".join(raw).decode() == "".join(block.cell_names())
+        assert np.concatenate(lens).tolist() == [len(name) for name in block.cell_names()]
         assert all(name.startswith(block.prefix) for name in block.cell_names())
     top.cells
     assert DesignImage.from_design(top).to_bytes() == blob

@@ -227,3 +227,21 @@ def test_unloadable_cores_warn_once_each_unless_disabled(tmp_path, disabled):
         assert sum("'anneal_core' unavailable" in line for line in warned) == 1
         assert sum("'route_core' unavailable" in line for line in warned) == 1
         assert all("reference implementation will run" in line for line in warned)
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_cli_caps_the_blas_pool_unless_the_user_set_it(preset):
+    """No repro path calls BLAS: entering through the CLI caps OpenBLAS's
+    pool at one thread before numpy is first imported, and keeps a value
+    the user set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; assert 'numpy' not in sys.modules\n"
+         "import repro.cli, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env={**env, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [preset or "1"]

@@ -326,6 +326,18 @@ def test_pack_value_rejects_unknown_types():
         pack_value(object())
 
 
+def test_an_int_past_the_digit_limit_is_a_type_error():
+    """An int too long for ``str`` is outside the value universe like any
+    other unserializable value: ``TypeError``, not the interpreter's
+    ``ValueError`` — and ``encode_design`` says which design it was."""
+    with pytest.raises(TypeError, match="not codec-serializable"):
+        pack_value({"x": 10**5000})
+    design = Design("huge")
+    design.metadata["x"] = 10**5000
+    with pytest.raises(TypeError, match="design huge: metadata is not codec-serializable"):
+        encode_design(design)
+
+
 def test_corrupt_blob_rejected():
     design = Design("x")
     design.add_cell(Cell("a", "SLICE"))

@@ -459,6 +459,60 @@ def test_a_run_resolves_each_placed_block_once(model, monkeypatch):
     assert (result.extras["pipeline"].inserted > 0) == (model == "vgg16")
 
 
+@pytest.mark.skipif(not native_available(),
+                    reason="the Python reference router walks design.nets")
+@pytest.mark.parametrize("model", ["lenet5", "vgg16"])
+def test_a_run_scatters_no_placed_cell(model, monkeypatch):
+    """By count and by what is kept, on a second run: the placement
+    rules of ``validate`` and the pipeliner's free-site search decide a
+    placed block from its box and its image's sorted sites, so no
+    block's site ids are asked for; and the first timing analysis keeps
+    no column sized by the placed cells — a block's slots are the arrays
+    its image keeps.  The bytes are the first run's."""
+    from collections import Counter
+
+    from repro.netlist.block import Block
+
+    net, kwargs = {
+        "lenet5": (lenet5(), {}),
+        "vgg16": (vgg16(), {"granularity": "block", "rom_weights": False}),
+    }[model]
+    flow = PreImplementedFlow(DEVICE, component_effort="high", seed=0)
+    database = ComponentDatabase(DEVICE)  # the first run fills it
+
+    def run():
+        result = flow.run(net, database=database, pipeline_target_mhz="auto", **kwargs)
+        return result, encode_design(result.design)
+
+    first = run()[1]
+    site_ids, analyze = Block.site_ids, IncrementalSta.analyze
+    calls: Counter = Counter()
+    kept: dict = {}
+
+    def counting(self, *args):
+        calls[self] += 1
+        return site_ids(self, *args)
+
+    def first_analysis(self):
+        if kept:
+            return analyze(self)
+        tracemalloc.start()
+        try:
+            return analyze(self)
+        finally:
+            kept["largest"] = max((t.size for t in tracemalloc.take_snapshot().traces), default=0)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(Block, "site_ids", counting)
+    monkeypatch.setattr(IncrementalSta, "analyze", first_analysis)
+    result, blob = run()
+    assert blob == first
+    assert result.design.blocks and not calls
+    assert (result.extras["pipeline"].inserted > 0) == (model == "vgg16")
+    # (the slot columns were 8 bytes a cell, each)
+    assert 0 < kept["largest"] < 4 * result.design.n_cells, kept
+
+
 # -- the component placer ----------------------------------------------------------------
 
 
