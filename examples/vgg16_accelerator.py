@@ -3,11 +3,10 @@
 
 Builds VGG-16 at the paper's 12-component "block" granularity with
 streamed off-chip weights, places the component library across the die
-(Fig. 8), closes timing with phys-opt pipeline registers across fabric
-discontinuities (Sec. V-E), and plans the off-chip feature-map layout
-with the best-fit-with-coalescing allocator (Sec. V-B2).
+(Fig. 8), and closes timing with phys-opt pipeline registers across
+fabric discontinuities (Sec. V-E).
 
-This is the heavyweight example (~1-2 minutes).
+This is the heavyweight example: both flows at VGG-16 scale.
 
 Run:  python examples/vgg16_accelerator.py
 """
@@ -15,7 +14,6 @@ Run:  python examples/vgg16_accelerator.py
 from repro import Device, vgg16
 from repro.analysis import compare_productivity, format_table, library_parallelism, simulate_stream
 from repro.cnn import group_components
-from repro.memory import plan_feature_maps
 from repro.rapidwright import PreImplementedFlow
 from repro.spec import FIG6_EFFORT
 from repro.vivado import VivadoFlow
@@ -26,12 +24,6 @@ def main() -> None:
     net = vgg16()
     print(device.describe())
     print(f"network: {net.name}, {net.totals()['total_macs'] / 1e9:.1f} G MACs")
-
-    # --- off-chip memory plan (Sec. V-B2) -------------------------------
-    plan = plan_feature_maps(net, capacity=512 * 1024 * 1024)
-    print(f"\noff-chip feature maps: peak {plan['peak_bytes'] / 1e6:.1f} MB, "
-          f"traffic {plan['traffic_bytes'] / 1e6:.1f} MB, "
-          f"fragmentation {plan['final_fragmentation']:.2f}")
 
     # --- both flows ------------------------------------------------------
     print("\nrunning monolithic flow (this is the slow one)...")

@@ -30,7 +30,7 @@ _HOME_OF = {name: home for home, names in {
     "netlist": ("Cell", "Design", "DesignError", "Net", "Port",
                 "load_checkpoint", "save_checkpoint"),
     "cnn": ("DFG", "group_components", "lenet5", "lenet5_caffe", "vgg16",
-            "parse_architecture", "run_inference", "random_weights"),
+            "parse_architecture"),
     "synth": ("gen_conv", "gen_fc", "gen_pool", "gen_relu", "gen_pe_array",
               "synthesize_network"),
     "place": ("place_design",),
@@ -40,7 +40,6 @@ _HOME_OF = {name: home for home, names in {
     "vivado": ("FlowResult", "VivadoFlow"),
     "rapidwright": ("ComponentDatabase", "PreImplementedFlow", "preimplement", "relocate"),
     "drc": ("DrcError", "DrcReport", "Severity", "WaiverSet", "run_drc"),
-    "memory": ("BestFitAllocator", "plan_feature_maps"),
     "spec": ("JobSpec",),
     "serve": ("ServeClient", "ServeServer", "TenantQuota"),
     "analysis": ("compare_productivity", "simulate_stream"),

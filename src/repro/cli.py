@@ -67,7 +67,7 @@ from pathlib import Path
 
 # No repro path calls BLAS, so OpenBLAS's thread pool, which ``import
 # numpy`` starts with a thread per core, is CPU a run pays for nothing.
-# Set before the first import that reaches numpy (``repro.cnn``); a value
+# Set before the first import that reaches numpy (``repro.fabric``); a value
 # the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

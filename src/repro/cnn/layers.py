@@ -2,8 +2,8 @@
 
 Layers here are *specifications* (shapes, parameter counts, MAC counts) —
 the inputs to both the hardware generators (:mod:`repro.synth`) and the
-analytic workload table (paper Table I).  Functional evaluation lives in
-:mod:`repro.cnn.inference`.
+analytic workload table (paper Table I).  Nothing here evaluates a
+layer: the generated cells are resource cells with no logic function.
 
 The ``needs_memctrl`` flag implements the paper's component-fusion rule
 (Sec. IV-B1): consecutive DFG nodes may be pre-implemented as one

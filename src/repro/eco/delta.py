@@ -476,7 +476,7 @@ def _integer(value) -> bool:
 
 
 _NAME = (lambda v: isinstance(v, str), "a string")
-_COUNT = (_integer, "an integer")
+_COUNT = (lambda v: _integer(v) and v >= 0, "a non-negative integer")
 _FLAG = (lambda v: isinstance(v, bool), "true or false")
 _SITE = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_integer, v)),
          "a pair of integers")

@@ -16,7 +16,12 @@ net they are logically part of.
 
 from __future__ import annotations
 
-__all__ = ["Net", "Port"]
+__all__ = ["Net", "Port", "WORD_BITS"]
+
+#: The data word, in bits: every feature-map, weight and data-port bus
+#: carries one, and an accumulator two.  The paper's accelerators compute
+#: in "fixed 16" (Table IV, Precision row).
+WORD_BITS = 16
 
 
 class Net:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..obs.span import incr
 from .design import Design, DesignError
-from .net import Net, Port
+from .net import WORD_BITS, Net, Port
 
 __all__ = [
     "bridge_ports", "merge_clock_nets", "expose_weight_ports",
@@ -55,7 +55,7 @@ def expose_weight_ports(top: Design, instance: str, portmap: dict[str, str], n_p
     for pname, nname in portmap.items():
         if pname.startswith("in_weights"):
             top.add_port(
-                Port(f"weights_{instance}_{n_ports}", "in", nname, width=16, protocol="mem")
+                Port(f"weights_{instance}_{n_ports}", "in", nname, width=WORD_BITS, protocol="mem")
             )
             n_ports += 1
     return n_ports

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..cnn.graph import Component
 from ..fabric.device import Device
 from ..netlist.design import Design, DesignError
-from ..netlist.net import Port
+from ..netlist.net import WORD_BITS, Port
 from ..netlist.stitch import (
     bridge_ports,
     expose_weight_ports,
@@ -208,18 +208,20 @@ def _compose(name, components, device, anchors, instance, hub) -> StitchResult:
             portmap = add(comp)
             driver = top.net_pins(portmap["out_data"])[0]
             sinks = top.net_pins(portmap["in_data"])[1]
-            to_sched = top.connect(f"share__{comp.name}__to_sched", driver, [entry], width=16)
-            from_sched = top.connect(f"share__{comp.name}__from_sched", exit_, sinks, width=16)
+            to_sched = top.connect(f"share__{comp.name}__to_sched", driver, [entry],
+                                   width=WORD_BITS)
+            from_sched = top.connect(f"share__{comp.name}__from_sched", exit_, sinks,
+                                     width=WORD_BITS)
             result.stitch_nets += [to_sched.name, from_sched.name]
             top.remove_net(portmap["out_data"])
             top.remove_net(portmap["in_data"])
-        ext_in = top.connect("ext_in", None, [entry], width=16).name
-        ext_out = top.connect("ext_out", exit_, [], width=16).name
+        ext_in = top.connect("ext_in", None, [entry], width=WORD_BITS).name
+        ext_out = top.connect("ext_out", exit_, [], width=WORD_BITS).name
         shape = {"shared": True, "n_components": len(components),
                  "n_physical": len(engines), "passes": len(components)}
 
-    top.add_port(Port("in_data", "in", ext_in, width=16, protocol="mem"))
-    top.add_port(Port("out_data", "out", ext_out, width=16, protocol="mem"))
+    top.add_port(Port("in_data", "in", ext_in, width=WORD_BITS, protocol="mem"))
+    top.add_port(Port("out_data", "out", ext_out, width=WORD_BITS, protocol="mem"))
     merge_clock_nets(top)
     top.metadata.update(
         stitched=True,

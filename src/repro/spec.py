@@ -54,6 +54,11 @@ class SpecError(ValueError):
     """A submitted job spec is malformed or references unknown entities."""
 
 
+def _is_seed(value) -> bool:
+    """A seed is a non-negative int (numpy's generators reject the rest)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One validated compile request.
@@ -100,8 +105,8 @@ class JobSpec:
             if value not in known and not (name == "model" and value is None):
                 noun = "drc mode" if name == "drc" else name
                 raise SpecError(f"unknown {noun} {value!r}; known: {list(known)}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise SpecError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_seed(self.seed):
+            raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.stream_weights, bool):
             raise SpecError(f"stream_weights must be a boolean, got {self.stream_weights!r}")
         if self.pipeline is not None and self.pipeline != "auto":
@@ -142,10 +147,8 @@ class JobSpec:
         if (layer is None) == (delta is None):
             raise SpecError("eco takes exactly one of 'swap_layer' and 'delta'")
         swap_seed = eco.get("swap_seed")
-        if swap_seed is not None and (
-            not isinstance(swap_seed, int) or isinstance(swap_seed, bool)
-        ):
-            raise SpecError(f"eco.swap_seed must be an integer, got {swap_seed!r}")
+        if swap_seed is not None and not _is_seed(swap_seed):
+            raise SpecError(f"eco.swap_seed must be a non-negative integer, got {swap_seed!r}")
         for flag in ("cts", "verify"):
             if not isinstance(eco.get(flag, False), bool):
                 raise SpecError(f"eco.{flag} must be a boolean")

@@ -13,8 +13,8 @@ from math import ceil
 
 from ..netlist.cell import Cell
 from ..netlist.design import Design
-from ..netlist.net import Net, Port
-from .resources import CAL, slices_for
+from ..netlist.net import WORD_BITS, Net, Port
+from .resources import slices_for
 
 __all__ = ["NetlistBuilder"]
 
@@ -78,7 +78,7 @@ class NetlistBuilder:
         self._net_idx += 1
         return f"{hint}_{self._net_idx}"
 
-    def chain(self, cells: list[str], hint: str, width: int = CAL["data_width"]) -> list[Net]:
+    def chain(self, cells: list[str], hint: str, width: int = WORD_BITS) -> list[Net]:
         """Connect cells in a shift-register / systolic cascade."""
         nets = []
         for a, b in zip(cells, cells[1:]):
@@ -86,7 +86,7 @@ class NetlistBuilder:
         return nets
 
     def reduce_tree(
-        self, cells: list[str], hint: str, width: int = CAL["data_width"], block: int = 16
+        self, cells: list[str], hint: str, width: int = WORD_BITS, block: int = 16
     ) -> list[Net]:
         """Locality-friendly reduction over *cells*; cell 0 is the root.
 
@@ -138,11 +138,11 @@ class NetlistBuilder:
             self.design.connect(self._net_name(hint), parent, children, width=width)
         return root
 
-    def link(self, src: str, dst: str, hint: str, width: int = CAL["data_width"]) -> Net:
+    def link(self, src: str, dst: str, hint: str, width: int = WORD_BITS) -> Net:
         return self.design.connect(self._net_name(hint), src, [dst], width=width)
 
     def distribute(
-        self, srcs: list[str], dests: list[str], hint: str, width: int = CAL["data_width"]
+        self, srcs: list[str], dests: list[str], hint: str, width: int = WORD_BITS
     ) -> list[Net]:
         """Connect sources to destinations round-robin (e.g. BRAM banks
         feeding DSP columns)."""
@@ -160,13 +160,13 @@ class NetlistBuilder:
     # -- boundary ports ----------------------------------------------------
 
     def input_port(
-        self, name: str, sinks: list[str], *, width: int = CAL["data_width"], protocol: str = "stream"
+        self, name: str, sinks: list[str], *, width: int = WORD_BITS, protocol: str = "stream"
     ) -> Port:
         net = self.design.connect(self._net_name(f"port_{name}"), None, sinks, width=width)
         return self.design.add_port(Port(name, "in", net.name, width=width, protocol=protocol))
 
     def output_port(
-        self, name: str, driver: str, *, width: int = CAL["data_width"], protocol: str = "stream"
+        self, name: str, driver: str, *, width: int = WORD_BITS, protocol: str = "stream"
     ) -> Port:
         net = self.design.connect(self._net_name(f"port_{name}"), driver, [], width=width)
         return self.design.add_port(Port(name, "out", net.name, width=width, protocol=protocol))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import ceil, log2
 
 from ..netlist.design import Design
+from ..netlist.net import WORD_BITS
 from .builder import NetlistBuilder
 from .memctrl import build_memctrl
 from .resources import CAL, conv_resources
@@ -84,14 +85,14 @@ def gen_conv(
     dsp_cols: list[list[str]] = []
     for f in range(par.pf):
         col = builder.dsp_group(f"mac_f{f}", par.pk, comb_depth=2)
-        builder.chain(col, f"psum_f{f}", width=2 * CAL["data_width"])
+        builder.chain(col, f"psum_f{f}", width=2 * WORD_BITS)
         dsp_cols.append(col)
     all_dsps = [d for col in dsp_cols for d in col]
     builder.distribute(weight_brams, [col[0] for col in dsp_cols], "wload")
     # The line buffer broadcasts the input window to every MAC column head.
     window_src = lb[-1] if lb else src_exit
     builder.fanout(window_src, [col[0] for col in dsp_cols], "window",
-                   width=CAL["data_width"] * kernel)
+                   width=WORD_BITS * kernel)
 
     # MAC control/pre-add slices distributed along the array.
     mac_slices = builder.slice_group("macctl", budget.lut_mac, budget.ff_mac, comb_depth=2)
@@ -103,12 +104,12 @@ def gen_conv(
     accum = builder.slice_group("accum", 0, budget.ff_out, comb_depth=depth)
     if not accum:
         accum = builder.slice_group("accum", 8, 16, comb_depth=depth)
-    builder.reduce_tree(accum, "acctree", width=2 * CAL["data_width"])
+    builder.reduce_tree(accum, "acctree", width=2 * WORD_BITS)
     tails = [col[-1] for col in dsp_cols]
     leaf_start = max(0, len(accum) - len(tails))
     for i, tail in enumerate(tails):
         leaf = accum[leaf_start + (i % max(1, len(accum) - leaf_start))]
-        builder.link(tail, leaf, "col_out", width=2 * CAL["data_width"])
+        builder.link(tail, leaf, "col_out", width=2 * WORD_BITS)
 
     # Output double buffer.
     obuf = builder.bram_group("obuf", budget.bram_obuf)
@@ -134,7 +135,7 @@ def gen_conv(
 
     # Sink interface: writes output feature maps.
     snk_cells, snk_entry, snk_exit = build_memctrl(builder, "snk", filters * oh * ow)
-    builder.link(out_stage, snk_entry, "result", width=CAL["data_width"])
+    builder.link(out_stage, snk_entry, "result", width=WORD_BITS)
 
     builder.input_port("in_data", [src_entry], protocol="mem")
     if not rom_weights:

@@ -11,9 +11,10 @@ from __future__ import annotations
 from math import ceil, log2
 
 from ..netlist.design import Design
+from ..netlist.net import WORD_BITS
 from .builder import NetlistBuilder
 from .memctrl import build_memctrl
-from .resources import CAL, fc_resources
+from .resources import fc_resources
 
 __all__ = ["gen_fc", "fc_comb_depth"]
 
@@ -53,10 +54,10 @@ def gen_fc(
     builder.fanout(src_exit, macs, "xdata")
 
     mac_slices = builder.slice_group("macctl", budget.lut_mac, budget.ff, comb_depth=depth)
-    builder.reduce_tree(mac_slices, "acc", width=2 * CAL["data_width"])
+    builder.reduce_tree(mac_slices, "acc", width=2 * WORD_BITS)
     for i, mac in enumerate(macs):
         builder.link(mac, mac_slices[i % len(mac_slices)], "psum",
-                     width=2 * CAL["data_width"])
+                     width=2 * WORD_BITS)
 
     out_regs = builder.slice_group("outreg", budget.lut_base, units * 2)
     builder.link(mac_slices[0], out_regs[0], "acc_out")

@@ -172,13 +172,13 @@ def generate_block(comp: Component, *, rom_weights: bool = True) -> Design:
             bridge_ports(top, prev_out, portmap["in_data"], hint=f"blk{idx}")
         prev_out = portmap["out_data"]
 
-    from ..netlist.net import Port  # local import to avoid cycle at module load
+    from ..netlist.net import WORD_BITS, Port  # local import to avoid cycle at module load
 
-    top.add_port(Port("in_data", "in", first_in, width=16, protocol="mem"))
-    top.add_port(Port("out_data", "out", prev_out, width=16, protocol="mem"))
+    top.add_port(Port("in_data", "in", first_in, width=WORD_BITS, protocol="mem"))
+    top.add_port(Port("out_data", "out", prev_out, width=WORD_BITS, protocol="mem"))
     for i, wnet in enumerate(weight_ins):
         top.add_port(Port(f"in_weights{i}" if i else "in_weights", "in", wnet,
-                          width=16, protocol="mem"))
+                          width=WORD_BITS, protocol="mem"))
     merge_clock_nets(top)
     pf = max(
         (m.layer.filters for m in stages if m.kind == "conv"),

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..netlist.design import Design
+from ..netlist.net import WORD_BITS
 from .builder import NetlistBuilder
 
 __all__ = ["gen_pe_array", "KERNELS", "KernelSpec"]
@@ -63,8 +64,8 @@ def gen_pe_array(kernel: str, rows: int = 3, cols: int = 3, name: str | None = N
             head = slices[0]
             if spec.dsp_per_pe:
                 dsps = builder.dsp_group(f"pe_{r}_{c}_mac", spec.dsp_per_pe, comb_depth=2)
-                builder.link(head, dsps[0], f"pe_{r}_{c}_op", width=16)
-                builder.link(dsps[-1], slices[-1], f"pe_{r}_{c}_res", width=32)
+                builder.link(head, dsps[0], f"pe_{r}_{c}_op", width=WORD_BITS)
+                builder.link(dsps[-1], slices[-1], f"pe_{r}_{c}_res", width=2 * WORD_BITS)
             row_cells.append(head)
         grid.append(row_cells)
 

@@ -11,8 +11,9 @@ management unit of the LeNet architecture.
 from __future__ import annotations
 
 from ..netlist.design import Design
+from ..netlist.net import WORD_BITS
 from .builder import NetlistBuilder
-from .resources import CAL, addr_bits_for, memctrl_resources
+from .resources import addr_bits_for, memctrl_resources
 
 __all__ = ["build_memctrl", "gen_memctrl"]
 
@@ -41,7 +42,7 @@ def build_memctrl(
     if len(slices) > 1:
         builder.chain(slices, f"{prefix}_ctlbus", width=4)
     builder.link(slices[0], dsps[0] if dsps else brams[0], f"{prefix}_go", width=2)
-    builder.link(brams[0], slices[-1], f"{prefix}_rdata", width=CAL["data_width"])
+    builder.link(brams[0], slices[-1], f"{prefix}_rdata", width=WORD_BITS)
     cells = slices + dsps + brams
     return cells, brams[0], slices[-1]
 

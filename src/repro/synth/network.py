@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..cnn.graph import Component, DFG, group_components
 from ..netlist.design import Design
-from ..netlist.net import Port
+from ..netlist.net import WORD_BITS, Port
 from ..netlist.stitch import bridge_ports, expose_weight_ports, merge_clock_nets
 from .generator import generate_component
 
@@ -75,7 +75,7 @@ def _add_flat_overhead(top: Design, prefix: str, sub: Design, portmap: dict[str,
     for i in range(int(n_bram * FLAT_BRAM_INSERT)):
         name = f"{prefix}/bufbram[{i}]"
         top.new_cell(name, "RAMB36", module=prefix)
-        top.connect(f"{prefix}/bufbram_net{i}", prev or anchor, [name], width=16)
+        top.connect(f"{prefix}/bufbram_net{i}", prev or anchor, [name], width=WORD_BITS)
 
 
 def synthesize_network(
@@ -123,8 +123,8 @@ def synthesize_network(
         prev_out = portmap["out_data"]
         n_weight_ports = expose_weight_ports(top, comp.name, portmap, n_weight_ports)
 
-    top.add_port(Port("in_data", "in", first_in, width=16, protocol="mem"))
-    top.add_port(Port("out_data", "out", prev_out, width=16, protocol="mem"))
+    top.add_port(Port("in_data", "in", first_in, width=WORD_BITS, protocol="mem"))
+    top.add_port(Port("out_data", "out", prev_out, width=WORD_BITS, protocol="mem"))
     merge_clock_nets(top)
     top.metadata.update(
         network=dfg.name,

@@ -13,13 +13,16 @@ Two engine styles exist, mirroring the paper's two architectures:
 * **stream** (VGG): coefficients staged from off-chip memory through
   double buffers, wide parallelism.
 
-All constants live in :data:`CAL` so calibration is one edit.
+All calibration constants live in :data:`CAL` so calibration is one edit;
+the data word is :data:`repro.netlist.net.WORD_BITS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
+
+from ..netlist.net import WORD_BITS
 
 __all__ = [
     "CAL",
@@ -73,7 +76,6 @@ CAL = {
     "rom_overhead": 2.3,      # port-width/packing inefficiency (Table II)
     "rom_decode_lut_div": 36,
     "stage_words_per_mac": 512,
-    "data_width": 16,
     # slice packing
     "packing_eff": 1.0,
 }
@@ -129,7 +131,7 @@ def _line_buffer(cin: int, taps: int, width: int) -> tuple[int, int]:
 
     Narrow buffers pack into SRL LUTs; wide ones (VGG's 512-channel rows)
     spill into BRAM with a small addressing controller."""
-    bits = cin * taps * width * CAL["data_width"]
+    bits = cin * taps * width * WORD_BITS
     if bits <= CAL["lb_bram_threshold_bits"]:
         return ceil(cin * taps * width / CAL["lb_lut_div"]), 0
     return CAL["lb_ctl_lut"] + cin // 4, _brams_for_bits(bits)
@@ -139,7 +141,7 @@ def _rom(n_weights: int) -> tuple[int, int]:
     """(decode LUTs, BRAMs) for hardcoded ROM weights."""
     if n_weights <= 0:
         return 0, 0
-    bits = n_weights * CAL["data_width"] * CAL["rom_overhead"]
+    bits = n_weights * WORD_BITS * CAL["rom_overhead"]
     return ceil(n_weights / CAL["rom_decode_lut_div"]), _brams_for_bits(bits)
 
 
@@ -197,11 +199,11 @@ def conv_resources(
         w_lut, w_bram = _rom(n_weights)
         lut_mac = CAL["lut_per_mac"] * macs
     else:
-        w_bram = _brams_for_bits(macs * CAL["data_width"] * CAL["stage_words_per_mac"])
+        w_bram = _brams_for_bits(macs * WORD_BITS * CAL["stage_words_per_mac"])
         w_lut = 0
         lut_mac = (CAL["lut_per_mac"] + CAL["stage_lut_per_mac"]) * macs
     ow = out_width if out_width is not None else max(1, width - kernel + 1)
-    obuf = _brams_for_bits(filters * ow * CAL["data_width"] * 2)
+    obuf = _brams_for_bits(filters * ow * WORD_BITS * 2)
     return ConvBudget(
         par=par,
         comb_terms=max(2, ceil(cin * kernel * kernel / max(par.pk, 1))),
@@ -243,7 +245,7 @@ def pool_resources(channels: int, size: int, width: int) -> PoolBudget:
         lut_cmp=CAL["lut_per_comparator"] * channels * (size * size - 1),
         lut_lb=lb_lut,
         lut_base=CAL["pool_lut_base"],
-        ff=channels * CAL["data_width"],
+        ff=channels * WORD_BITS,
         bram_lb=lb_bram,
     )
 
@@ -291,7 +293,7 @@ def fc_resources(in_features: int, units: int, n_weights: int, rom_weights: bool
         w_lut, w_bram = _rom(n_weights)
         lut_mac = CAL["lut_per_fc_mac"] * macs
     else:
-        w_bram = _brams_for_bits(macs * CAL["data_width"] * CAL["stage_words_per_mac"])
+        w_bram = _brams_for_bits(macs * WORD_BITS * CAL["stage_words_per_mac"])
         w_lut = 0
         lut_mac = (CAL["lut_per_fc_mac"] + CAL["stage_lut_per_mac"]) * macs
     return FcBudget(

@@ -288,6 +288,14 @@ def test_a_bad_spec_field_is_one_line_and_exit_2(capsys, argv, message):
     pytest.param(["eco", "--delta", "{bad_delta}"],
                  "repro eco: edit #0 (nudge): field 'site' must be a pair of integers",
                  id="eco-malformed-delta"),
+    pytest.param(["run", "--model", "lenet5", "--part", "small", "--seed", "-1"],
+                 "seed must be a non-negative integer, got -1", id="run-seed-negative"),
+    pytest.param(["eco", "--swap-layer", "conv2", "--swap-seed", "-1"],
+                 "eco.swap_seed must be a non-negative integer, got -1",
+                 id="eco-swap-seed-negative"),
+    pytest.param(["eco", "--delta", "{negative_seed_delta}"],
+                 "repro eco: edit #0 (replace_layer): field 'seed' must be a non-negative integer",
+                 id="eco-delta-seed-negative"),
     pytest.param(["eco", "--swap-layer", "conv2", "--drc", "off", "--sarif", "{sarif}"],
                  "repro eco: --sarif writes the edit's DRC report, and --drc off makes none",
                  id="eco-sarif-without-drc"),
@@ -322,8 +330,12 @@ def test_bad_input_exits_2_with_one_message_line(tmp_path, capsys, monkeypatch, 
         {"edits": [{"op": "replace_layer", "module": "conv2"}]}))
     (tmp_path / "bad.json").write_text(json.dumps(
         {"edits": [{"op": "nudge", "cell": "x", "site": [1]}]}))
+    (tmp_path / "negative_seed.json").write_text(json.dumps(
+        {"edits": [{"op": "replace_layer", "module": "conv2", "seed": -1}]}))
     argv = [arg.format(missing=tmp_path / "missing.dcpb", delta=tmp_path / "delta.json",
-                       bad_delta=tmp_path / "bad.json", sarif=tmp_path / "x.sarif")
+                       bad_delta=tmp_path / "bad.json",
+                       negative_seed_delta=tmp_path / "negative_seed.json",
+                       sarif=tmp_path / "x.sarif")
             for arg in argv]
     out = io.StringIO()
     try:

@@ -285,6 +285,9 @@ def _edit(**fields) -> dict:
                  r"#1 \(swap\): field 'cell'", id="cell-int"),
     pytest.param(_edit(op="replace_layer", module="m", anchor=[1]),
                  r"#0 \(replace_layer\): field 'anchor'", id="anchor-short"),
+    pytest.param(_edit(op="replace_layer", module="m", seed=-1),
+                 r"#0 \(replace_layer\): field 'seed' must be a non-negative integer",
+                 id="seed-negative"),
 ])
 def test_delta_from_json_rejects_malformed_fields(data, message):
     """A malformed field is an EcoError naming the edit and the field —

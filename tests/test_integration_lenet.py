@@ -2,15 +2,14 @@
 
 These are the paper's headline claims at the scale where they hold
 (Table II/III, Fig. 6): higher stitched Fmax, faster compile, no more
-resources, functional equivalence of the component decomposition.
+resources, a component decomposition that covers the network.
 """
 
 import gc
 
-import numpy as np
 import pytest
 
-from repro import Device, lenet5, random_weights, run_inference
+from repro import Device, lenet5
 from repro.analysis import compare_productivity
 from repro.cnn import group_components
 from repro.rapidwright import PreImplementedFlow
@@ -95,19 +94,9 @@ def test_lenet_stitched_bounded_by_slowest(lenet_pair):
     assert ours.fmax_mhz <= stitch.slowest_component_mhz + 1e-6
 
 
-def test_lenet_component_decomposition_is_functional(big_device):
-    """The component grouping used by the flows computes the same function
-    as the monolithic network (golden-model check of the decomposition)."""
+def test_lenet_components_cover_every_layer_once():
+    """The component grouping used by the flows covers every non-input
+    node of the network exactly once."""
     net = lenet5()
-    comps = group_components(net, "layer")
-    weights = random_weights(net, seed=9)
-    rng = np.random.default_rng(4)
-    x = rng.uniform(-1, 1, size=(1, 32, 32))
-    full = run_inference(net, x, weights)
-    # evaluate component by component over the grouped node sequence
-    _, acts = run_inference(net, x, weights, collect=True)
-    staged = acts[comps[-1].nodes[-1]]
-    np.testing.assert_allclose(staged, full)
-    # grouping covers every non-input node exactly once
-    covered = [n for c in comps for n in c.nodes]
+    covered = [n for c in group_components(net, "layer") for n in c.nodes]
     assert sorted(covered) == sorted(n for n in net.nodes if n != "input")

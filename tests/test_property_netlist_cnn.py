@@ -1,10 +1,9 @@
-"""Property tests: checkpoint round-trips, layer math, quantization, DFGs."""
+"""Property tests: checkpoint round-trips, layer math, DFGs."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cnn import Conv2D, DFG, Dense, Flatten, Input, MaxPool2D, ReLU
-from repro.cnn.quantize import Q8_8, dequantize, quantize
 from repro.netlist import Cell, Design, Net, design_from_dict, design_to_dict
 
 
@@ -96,29 +95,6 @@ def test_dense_counts(features, units):
     dense = Dense("d", units=units)
     assert dense.n_weights((features,)) == features * units + units
     assert dense.n_macs((features,)) == features * units
-
-
-# -- quantization --------------------------------------------------------------
-
-
-@settings(max_examples=60)
-@given(st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=64))
-def test_quantize_error_bounded_and_idempotent(values):
-    x = np.asarray(values)
-    q = quantize(x)
-    back = dequantize(q)
-    in_range = np.clip(x, Q8_8.min_value, Q8_8.max_value)
-    assert np.all(np.abs(back - in_range) <= Q8_8.resolution / 2 + 1e-9)
-    # quantization is a projection: applying it twice changes nothing
-    assert np.array_equal(quantize(back), q)
-
-
-@settings(max_examples=40)
-@given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=32))
-def test_quantize_is_monotone(values):
-    x = np.sort(np.asarray(values))
-    q = quantize(x)
-    assert np.all(np.diff(q) >= 0)
 
 
 # -- DFG / BFS ------------------------------------------------------------------
